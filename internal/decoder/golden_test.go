@@ -1,0 +1,220 @@
+package decoder_test
+
+import (
+	"testing"
+
+	"ftqc/internal/decoder"
+	"ftqc/internal/stream"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
+)
+
+// The golden kernel test pins the union-find decoder's observable output
+// — every emitted correction edge in emit order, the growth-sweep count,
+// guard conflicts and the full cluster extraction — on fixed, seeded
+// inputs. The constants were captured from the plain half-step growth
+// loop (one unit of support per boundary visit, every sweep a full pass);
+// any later growth schedule has to reproduce them exactly, order
+// included, which is what keeps committed frames bit-identical across
+// kernel changes.
+
+// goldenRNG is splitmix64: the inputs must not depend on a library
+// generator whose stream could change under the test.
+type goldenRNG uint64
+
+func (s *goldenRNG) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *goldenRNG) hit(perMille int) bool { return int(s.next()%1000) < perMille }
+
+// goldenHash is an order-sensitive FNV-1a over 32-bit values.
+type goldenHash uint64
+
+func (h *goldenHash) add(v int32) {
+	x := uint64(*h)
+	for i := 0; i < 4; i++ {
+		x ^= uint64(byte(v >> (8 * i)))
+		x *= 1099511628211
+	}
+	*h = goldenHash(x)
+}
+
+func (h *goldenHash) addAll(vs []int32) {
+	h.add(int32(len(vs)))
+	for _, v := range vs {
+		h.add(v)
+	}
+}
+
+type goldenCase struct {
+	name  string
+	graph *decoder.Graph
+	// Per-mille rates of the seeded draw: edge faults (their syndrome is
+	// the defect set), erased edges, guarded nodes.
+	fault, erased, guard int
+	// extract runs DecodeGuarded with a Components sink over the band
+	// [lo, hi) at deliberately tight budgets, so skips are exercised.
+	extract bool
+	lo, hi  int32
+
+	hash   uint64
+	sweeps int // summed over the shots
+}
+
+func circuitWindow(t *testing.T, code surface.Code, w, c, wh, wv, wd int) *stream.Window {
+	t.Helper()
+	win, err := stream.NewCodeCircuitWindow(code, w, c, wh, wv, wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return win
+}
+
+// closedTorus is a boundary-free L×L torus with weight-2 vertical and
+// weight-3 horizontal links: the closed-graph (bnd == nil) path.
+func closedTorus(l int) *decoder.Graph {
+	mod := func(a int) int { return ((a % l) + l) % l }
+	ends := make([][2]int32, 2*l*l)
+	weights := make([]int32, 2*l*l)
+	for y := 0; y < l; y++ {
+		for x := 0; x < l; x++ {
+			ends[y*l+x] = [2]int32{int32(y*l + x), int32(mod(y-1)*l + x)}
+			ends[l*l+y*l+x] = [2]int32{int32(y*l + x), int32(y*l + mod(x-1))}
+			weights[y*l+x], weights[l*l+y*l+x] = 2, 3
+		}
+	}
+	return decoder.NewWeightedGraph(l*l, ends, weights)
+}
+
+func TestGoldenKernel(t *testing.T) {
+	toric8 := circuitWindow(t, toric.Cached(8), 16, 8, 2, 2, 3)
+	rot5 := circuitWindow(t, surface.Rotated(5), 10, 5, 2, 2, 3)
+	mixed := circuitWindow(t, toric.Cached(6), 12, 6, 3, 2, 5)
+	heavy := circuitWindow(t, toric.Cached(6), 12, 6, 3, 4, 5)
+	unit, err := stream.NewCodeWindow(toric.Cached(8), 16, 8, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := func(w *stream.Window) (lo, hi int32) {
+		nc := int32(w.Code().Checks())
+		return int32(w.Commit) * nc, int32(w.W) * nc
+	}
+	t8lo, t8hi := band(toric8)
+	r5lo, r5hi := band(rot5)
+	cases := []goldenCase{
+		{name: "toric8-circuit-2-2-3", graph: toric8.Graph(), fault: 6, hash: 0x25d65bf002fc4d7b, sweeps: 302},
+		{name: "toric8-circuit-2-2-3-dual", graph: toric8.DualGraph(), fault: 12, hash: 0xf997a0402a9f40dd, sweeps: 404},
+		{name: "rotated5-circuit-2-2-3", graph: rot5.Graph(), fault: 10, hash: 0x69900c487d16033c, sweeps: 269},
+		{name: "rotated5-circuit-2-2-3-dual", graph: rot5.DualGraph(), fault: 10, hash: 0x979e8c3f44016eb2, sweeps: 293},
+		{name: "toric8-unit", graph: unit.Graph(), fault: 15, hash: 0xad33f58f7df83fd2, sweeps: 150},
+		{name: "toric6-mixed-3-2-5", graph: mixed.Graph(), fault: 10, hash: 0x1ce09ab900ddfb87, sweeps: 473},
+		{name: "toric6-heavy-3-4-5", graph: heavy.Graph(), fault: 10, hash: 0xc443812c06a3e004, sweeps: 563},
+		{name: "closed-torus-2-3", graph: closedTorus(12), fault: 40, hash: 0xd0a136610488cf45, sweeps: 306},
+		{name: "toric8-erased", graph: toric8.Graph(), fault: 6, erased: 8, hash: 0x309c760a998c0eed, sweeps: 305},
+		{name: "rotated5-erased", graph: rot5.DualGraph(), fault: 8, erased: 15, hash: 0x864787e7b64e6cfb, sweeps: 264},
+		{name: "toric8-guarded", graph: toric8.Graph(), fault: 3, guard: 4, hash: 0x5dec569da4d29ae0, sweeps: 163},
+		{name: "toric6-heavy-guarded", graph: heavy.Graph(), fault: 4, erased: 4, guard: 6, hash: 0xcb3b3252e4d6506a, sweeps: 255},
+		{name: "toric8-extract", graph: toric8.Graph(), fault: 4, extract: true, lo: t8lo, hi: t8hi, hash: 0x42b875a3f6515a91, sweeps: 258},
+		{name: "rotated5-extract-erased", graph: rot5.Graph(), fault: 6, erased: 6, extract: true, lo: r5lo, hi: r5hi, hash: 0xa270a97b6ccd2fcd, sweeps: 248},
+	}
+	for i, c := range cases {
+		c := c
+		seed := goldenRNG(0x5eed0000 + uint64(i))
+		t.Run(c.name, func(t *testing.T) {
+			hash, sweeps := runGolden(t, c, seed)
+			if hash != c.hash || sweeps != c.sweeps {
+				t.Errorf("got hash: %#x, sweeps: %d; pinned hash: %#x, sweeps: %d", hash, sweeps, c.hash, c.sweeps)
+			}
+		})
+	}
+}
+
+// runGolden decodes 64 seeded shots of c on one UnionFind instance
+// (scratch reuse is part of what is pinned) and folds everything the
+// decoder reports into one hash.
+func runGolden(t *testing.T, c goldenCase, rng goldenRNG) (uint64, int) {
+	t.Helper()
+	g := c.graph
+	uf := decoder.NewUnionFind(g)
+	h := goldenHash(14695981039346656037)
+	var comps *decoder.Components
+	switch {
+	case c.extract:
+		comps = new(decoder.Components)
+		comps.Init(c.lo, c.hi, 6, 48, 12, 24)
+	case c.guard > 0:
+		comps = new(decoder.Components) // zero budget: reports the conflict node only
+	}
+	lit := make([]bool, g.Nodes())
+	var corr []int32
+	sweeps, conflicts, clean, clusters := 0, 0, 0, 0
+	for shot := 0; shot < 64; shot++ {
+		clear(lit)
+		for e := 0; e < g.Edges(); e++ {
+			if rng.hit(c.fault) {
+				a, b := g.Ends(e)
+				lit[a], lit[b] = !lit[a], !lit[b]
+			}
+		}
+		var defects, erased []int
+		var guard []int32
+		for v := 0; v < g.Nodes(); v++ {
+			switch {
+			case g.IsBoundary(v):
+			case lit[v]:
+				defects = append(defects, v)
+			case rng.hit(c.guard):
+				guard = append(guard, int32(v))
+			}
+		}
+		for e := 0; e < g.Edges() && c.erased > 0; e++ {
+			if rng.hit(c.erased) {
+				erased = append(erased, e)
+			}
+		}
+		if c.guard == 0 && !c.extract {
+			h.add(-1)
+			uf.DecodeErased(defects, erased, func(e int) { h.add(int32(e)) })
+			h.add(int32(uf.GrowthSweeps()))
+			sweeps += uf.GrowthSweeps()
+			continue
+		}
+		var ok bool
+		corr, ok = uf.DecodeGuarded(defects, erased, guard, corr[:0], comps)
+		h.addAll(corr)
+		h.add(int32(uf.GrowthSweeps()))
+		sweeps += uf.GrowthSweeps()
+		if ok {
+			clean++
+			h.add(-2)
+		} else {
+			conflicts++
+			h.add(-3)
+		}
+		if comps != nil {
+			if comps.Conflict == ok {
+				t.Fatalf("shot %d: Components.Conflict = %v with ok = %v", shot, comps.Conflict, ok)
+			}
+			h.add(comps.ConflictNode)
+			h.addAll(comps.NodeOff)
+			h.addAll(comps.Node)
+			h.addAll(comps.DefOff)
+			h.addAll(comps.Def)
+			h.addAll(comps.CorrOff)
+			h.addAll(comps.Corr)
+			clusters += comps.N()
+		}
+	}
+	if c.guard > 0 && (conflicts < 8 || clean < 8) {
+		t.Fatalf("guarded case is one-sided: %d conflicts, %d clean decodes", conflicts, clean)
+	}
+	if c.extract && clusters < 24 {
+		t.Fatalf("extraction case retained only %d clusters over 64 shots", clusters)
+	}
+	return uint64(h), sweeps
+}

@@ -25,18 +25,19 @@
 //     growing.
 //
 //  2. Growth and merge. While any cluster has odd parity, every odd
-//     cluster grows each boundary edge by one half-step of support; an
-//     edge of weight w is fully grown at support 2w (the classic 0→1→2
-//     progression on unit-weight graphs, proportionally more sweeps for
-//     heavier — less likely — edges, which is how measurement-error and
-//     data-error channels with different rates steer the clusters). A
-//     fully grown edge leaves the boundary and triggers a merge: its
-//     endpoint clusters are united (union by size, ties to the smaller
-//     root id; parities add, boundary lists concatenate), and a node
-//     reached for the first time is absorbed as a parity-0 member
-//     bringing its own incident edges. Because the total defect parity
-//     on a closed graph is even, growth terminates with every cluster
-//     even.
+//     cluster grows each boundary edge by one half-step of support per
+//     sweep; an edge of weight w is fully grown at support 2w (the
+//     classic 0→1→2 progression on unit-weight graphs, proportionally
+//     more sweeps for heavier — less likely — edges, which is how
+//     measurement-error and data-error channels with different rates
+//     steer the clusters). The sweeps before anything can complete run
+//     as one pass (see the determinism contract). A fully grown edge
+//     leaves the boundary and triggers a merge: its endpoint clusters
+//     are united (union by size, ties to the smaller root id; parities
+//     add, boundary lists concatenate), and a node reached for the
+//     first time is absorbed as a parity-0 member bringing its own
+//     incident edges. Because the total defect parity on a closed graph
+//     is even, growth terminates with every cluster even.
 //
 //  3. Peeling. The fully-grown edges form an "erasure" that connects
 //     each cluster. A depth-first spanning forest of that erasure is
@@ -136,11 +137,30 @@
 //     precomputed offset table (Dial's algorithm over the translation-
 //     invariant move set), itself a pure function of (L, T, weights,
 //     schedule) — no randomness enters the metric.
-//   - Growth sweeps visit clusters in first-touch order and increment
-//     support by exactly one half-step per boundary visit; weighted
+//   - Growth sweeps visit clusters in first-touch order; weighted
 //     targets (2·weight) change when an edge crosses, never the visit
-//     order. A unit-weight graph is therefore bit-identical to the
-//     pre-weighted decoder, emit order included.
+//     order. Every pass over the boundary adds one half-step of support
+//     per visit, except the first pass of a decode, which adds wmin (the
+//     graph's smallest edge weight) per visit and stands for the first
+//     wmin half-step sweeps. The fold is exact, not approximate:
+//     (1) a decode starts with zero support outside the erasure and an
+//     edge gains at most 2 per sweep, one visit from each end, while
+//     every target is at least 2·wmin — so sweeps 1 … wmin−1 complete no
+//     edge, merge nothing and leave the odd list and every boundary list
+//     as they found them;
+//     (2) in sweep wmin the edges that complete are exactly the
+//     weight-wmin edges visited from both ends, each on its second
+//     visit, which is also the visit on which wmin + wmin reaches the
+//     target in the folded pass;
+//     (3) first support — hence the dirty order and every first-contact
+//     guard conflict — is laid in sweep 1 in both schedules, and after
+//     the pass both hold the same support on every edge.
+//     So the folded pass queues the same merges in the same order, and
+//     forest, peel and emit order follow. GrowthSweeps keeps counting
+//     half-step sweeps (the folded pass counts wmin). A unit-weight
+//     graph has wmin = 1, folds nothing, and is bit-identical to the
+//     pre-weighted decoder, emit order included. The half-step-only
+//     schedule survives as the constants of TestGoldenKernel.
 //   - Erased edges seed in caller order before any growth; merges happen
 //     in grow order; peeling follows DFS order (boundary-rooted trees
 //     first on open-boundary graphs).

@@ -120,6 +120,11 @@ func NewBoundaryGraph(nodes int, ends [][2]int32, weights []int32, boundary []in
 // Nodes returns the detector count.
 func (g *Graph) Nodes() int { return g.nodes }
 
+// Closed reports whether the graph has no open-boundary node. On a
+// closed connected graph only an even number of defects is a syndrome;
+// callers holding untrusted defect sets check that before decoding.
+func (g *Graph) Closed() bool { return len(g.bndList) == 0 }
+
 // IsBoundary reports whether node v is an open-boundary node.
 func (g *Graph) IsBoundary(v int) bool { return g.bnd != nil && g.bnd[v] }
 

@@ -40,9 +40,13 @@ type UnionFind struct {
 	// target load. Zero on mixed-weight graphs.
 	uni uint16
 
-	// sweeps counts the growth sweeps of the last Decode; a pure-erasure
-	// syndrome (every defect inside an even-parity erased component)
-	// leaves it at 0 — the peeling-only fast path.
+	// wmin is the graph's smallest edge weight: the number of half-step
+	// sweeps the first growth pass of a decode stands for (see run).
+	wmin uint16
+
+	// sweeps counts the half-step growth sweeps of the last Decode; a
+	// pure-erasure syndrome (every defect inside an even-parity erased
+	// component) leaves it at 0 — the peeling-only fast path.
 	sweeps int
 
 	// Boundary lists: cluster members that may still have ungrown
@@ -152,8 +156,10 @@ func NewUnionFind(g *Graph) *UnionFind {
 		memTail:  make([]int32, g.nodes),
 		memNext:  make([]int32, g.nodes),
 	}
+	u.wmin = 1
 	if len(g.grow) > 0 {
 		u.uni = uint16(g.grow[0])
+		lo := g.grow[0]
 		for _, t := range g.grow {
 			if t > 65535 {
 				panic("decoder: edge weight too large for growth state")
@@ -161,14 +167,20 @@ func NewUnionFind(g *Graph) *UnionFind {
 			if uint16(t) != u.uni {
 				u.uni = 0
 			}
+			lo = min(lo, t)
 		}
+		u.wmin = uint16(lo / 2)
 	}
 	return u
 }
 
-// GrowthSweeps returns the number of growth sweeps the last Decode (or
-// DecodeErased) ran. Zero means the peeling-only fast path: every defect
-// was already inside an even-parity erased cluster.
+// GrowthSweeps returns the number of half-step growth sweeps the last
+// Decode (or DecodeErased) ran: the unit is one half-step of support on
+// every boundary edge of every odd cluster, however many of them one pass
+// over the boundary stood for (the first pass of a decode covers the
+// graph's smallest weight in sweeps — see run). Zero means the
+// peeling-only fast path: every defect was already inside an even-parity
+// erased cluster.
 func (u *UnionFind) GrowthSweeps() int { return u.sweeps }
 
 // Components is the post-decode cluster extraction of a DecodeGuarded
@@ -447,9 +459,23 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 			u.odd = append(u.odd, r)
 		}
 	}
+	// The first pass folds the seed sweeps. Every decode starts with zero
+	// support outside the erasure, an edge gains at most 2 per half-step
+	// sweep (one visit from each end) and every target is at least
+	// 2·wmin, so sweeps 1 … wmin−1 complete nothing: no merge, the same
+	// odd list, the same boundary lists, only counters that sweep wmin
+	// raises again. In sweep wmin the edges that complete are exactly
+	// those of weight wmin visited from both ends, each on its second
+	// visit. One pass adding wmin per visit therefore leaves the same
+	// support, appends dirty and grown in the same order, keeps and drops
+	// the same boundary nodes and flags the same guard contact (first
+	// support is always laid in sweep 1) as wmin half-step passes; every
+	// later pass is an ordinary half-step sweep. On unit-weight graphs
+	// wmin is 1 and nothing is folded.
+	step := u.wmin
 	for len(u.odd) > 0 {
 		// Growth sweep: every ungrown edge incident to an odd cluster's
-		// boundary nodes gains one half-step of support. Edges reaching
+		// boundary nodes gains step half-steps of support. Edges reaching
 		// full support (2·weight) queue a merge; a node whose incident
 		// edges are all fully grown leaves the boundary for good.
 		u.sweeps++
@@ -483,9 +509,9 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 						}
 						u.dirty = append(u.dirty, e)
 					}
-					sup[e] = st + 1
+					sup[e] = st + step
 					advanced = true
-					if st+1 == target {
+					if st+step == target {
 						u.grown = append(u.grown, e)
 					} else {
 						open = true
@@ -510,6 +536,10 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 			// an odd cluster always has a boundary to grow.
 			panic("decoder: growth stalled with odd clusters")
 		}
+		// A guard abort above happened in half-step sweep 1; past it, the
+		// folded pass has run all of its sweeps.
+		u.sweeps += int(step) - 1
+		step = 1
 		// Merge sweep, in grow order: record the erasure adjacency and
 		// unite the endpoint clusters.
 		for _, e := range u.grown {

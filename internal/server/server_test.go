@@ -31,7 +31,7 @@ func newFeed(cfg SessionConfig, P noise.Params, p, q float64, seed uint64) space
 // standaloneFrames drives a private stream.Session over the same draw
 // order a server session sees: rounds pushes, then Finish when finish
 // is true. Returns the decoder's frames and committed-round count.
-func standaloneFrames(t *testing.T, cfg SessionConfig, P noise.Params, p, q float64, rounds int, seed uint64, finish bool) (x, z []bits.Vec, committed int) {
+func standaloneFrames(t testing.TB, cfg SessionConfig, P noise.Params, p, q float64, rounds int, seed uint64, finish bool) (x, z []bits.Vec, committed int) {
 	t.Helper()
 	var ss *stream.Session
 	var err error

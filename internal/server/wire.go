@@ -10,7 +10,8 @@ import (
 
 // Wire framing for the ingestion demo: a client streams syndrome
 // layers in over any io.ReadWriter (socket, pipe, ...) and gets the
-// committed Pauli frames back. One connection carries one session.
+// committed Pauli frames back. One ServeConn call carries one session;
+// a transport may carry any number of sessions back to back.
 //
 // Every message is a type byte followed by fixed-size little-endian
 // payload known from the open handshake:
@@ -21,11 +22,32 @@ import (
 //	'F'  finish  same payload as 'R' (the perfect closing round)
 //	'P'  frames  4 × uint32 (lanes, nq, rounds, committed) + 1 byte
 //	             finished flag + 2·lanes vectors of nq bits (X then Z)
+//
+// Reads per message are bounded and never run ahead. The server takes
+// 'O' in one io.ReadFull and every 'R'/'F' in two (the type byte, then
+// the whole payload into a buffer the session allocates once) and
+// decodes the planes from memory; the client takes 'P' the same way
+// (header, then body). No reader here requests a byte beyond the end of
+// the message it is parsing, so consecutive ServeConn calls on one
+// transport each find their own 'O' — a read-ahead buffer private to
+// one call would swallow the next session's handshake.
+//
+// Both handshakes size allocations, and both come from the other end of
+// the transport, so they are checked against the limits below before
+// anything is allocated; a violation is an error, never a panic. A
+// worst-case open (L = 32, window 128, 1024 lanes) costs about 250 MiB
+// and 0.1 s; the largest 'P' body is 512 KiB.
 const (
 	msgOpen   = 'O'
 	msgRound  = 'R'
 	msgFinish = 'F'
 	msgFrames = 'P'
+
+	maxWireL          = 32                      // lattice distance
+	maxWireLanes      = 1024                    // shots per session
+	maxWireWindowPerL = 4                       // window ≤ maxWireWindowPerL·L layers
+	maxWireWeight     = 1024                    // each of wh, wv, wd
+	maxWireQubits     = 2 * maxWireL * maxWireL // frame width of the largest code
 )
 
 // Conn is the client side of the wire protocol.
@@ -90,20 +112,28 @@ func appendVecs(buf []byte, vs []bits.Vec) []byte {
 	return buf
 }
 
-func readVecs(r io.Reader, buf []byte, vs []bits.Vec) error {
+// decodeVecs fills vs from the front of buf and returns the rest.
+func decodeVecs(buf []byte, vs []bits.Vec) []byte {
 	for _, v := range vs {
-		n := v.Words() * 8
-		if _, err := io.ReadFull(r, buf[:n]); err != nil {
-			return err
-		}
 		for i := 0; i < v.Words(); i++ {
 			v.SetWord(i, binary.LittleEndian.Uint64(buf[8*i:]))
 		}
+		buf = buf[8*v.Words():]
 	}
-	return nil
+	return buf
 }
 
-// readFrames parses the 'P' message.
+// midMessage is the error of a read that ended inside a session: a
+// clean io.EOF there still means the stream was cut short.
+func midMessage(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readFrames parses the 'P' message: the header, then the whole body in
+// one read once its size has passed the limits.
 func readFrames(r io.Reader) (SessionResult, error) {
 	var hdr [1 + 4*4 + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -114,6 +144,9 @@ func readFrames(r io.Reader) (SessionResult, error) {
 	}
 	lanes := int(binary.LittleEndian.Uint32(hdr[1:]))
 	nq := int(binary.LittleEndian.Uint32(hdr[5:]))
+	if lanes > maxWireLanes || nq > maxWireQubits {
+		return SessionResult{}, fmt.Errorf("server: frames message of %d lanes × %d qubits exceeds the wire limits (%d × %d)", lanes, nq, maxWireLanes, maxWireQubits)
+	}
 	res := SessionResult{
 		Rounds:    int(binary.LittleEndian.Uint32(hdr[9:])),
 		Committed: int(binary.LittleEndian.Uint32(hdr[13:])),
@@ -121,20 +154,38 @@ func readFrames(r io.Reader) (SessionResult, error) {
 		FramesX:   bits.NewVecs(lanes, nq),
 		FramesZ:   bits.NewVecs(lanes, nq),
 	}
-	buf := make([]byte, ((nq+63)/64)*8)
-	if err := readVecs(r, buf, res.FramesX); err != nil {
-		return SessionResult{}, err
+	body := make([]byte, 2*lanes*((nq+63)/64)*8)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return SessionResult{}, midMessage(err)
 	}
-	if err := readVecs(r, buf, res.FramesZ); err != nil {
-		return SessionResult{}, err
-	}
+	decodeVecs(decodeVecs(body, res.FramesX), res.FramesZ)
 	return res, nil
+}
+
+// parseOpen decodes the 'O' payload and holds it to the wire limits.
+func parseOpen(payload []byte) (SessionConfig, error) {
+	f := func(i int) int { return int(binary.LittleEndian.Uint32(payload[4*i:])) }
+	cfg := SessionConfig{L: f(0), Lanes: f(1), Window: f(2), Commit: f(3), WH: f(4), WV: f(5), WD: f(6)}
+	switch {
+	case cfg.L > maxWireL:
+		return cfg, fmt.Errorf("server: open asks for L=%d, the wire limit is %d", cfg.L, maxWireL)
+	case cfg.Lanes > maxWireLanes:
+		return cfg, fmt.Errorf("server: open asks for %d lanes, the wire limit is %d", cfg.Lanes, maxWireLanes)
+	case cfg.Window > maxWireWindowPerL*cfg.L:
+		return cfg, fmt.Errorf("server: open asks for a window of %d layers, the wire limit is %d·L", cfg.Window, maxWireWindowPerL)
+	case cfg.WH > maxWireWeight || cfg.WV > maxWireWeight || cfg.WD > maxWireWeight:
+		return cfg, fmt.Errorf("server: open asks for weights %d/%d/%d, the wire limit is %d", cfg.WH, cfg.WV, cfg.WD, maxWireWeight)
+	}
+	return cfg, nil
 }
 
 // ServeConn runs one wire session over a transport: it reads the open
 // handshake, streams rounds into a server session, and on finish
-// writes the committed frames back. It returns when the stream ends
-// (normally after the frames are written, or with the transport error).
+// writes the committed frames back. It returns nil once the frames are
+// written, io.EOF when the peer hung up before another session began,
+// and otherwise the protocol or transport error that ended the session
+// (io.ErrUnexpectedEOF for a stream cut anywhere inside one); the
+// session is released before any return.
 func (srv *Server) ServeConn(rw io.ReadWriter) error {
 	var hdr [1 + 7*4]byte
 	if _, err := io.ReadFull(rw, hdr[:]); err != nil {
@@ -143,50 +194,42 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 	if hdr[0] != msgOpen {
 		return fmt.Errorf("server: expected open message, got %q", hdr[0])
 	}
-	f := func(i int) int { return int(binary.LittleEndian.Uint32(hdr[1+4*i:])) }
-	cfg := SessionConfig{L: f(0), Lanes: f(1), Window: f(2), Commit: f(3), WH: f(4), WV: f(5), WD: f(6)}
+	cfg, err := parseOpen(hdr[1:])
+	if err != nil {
+		return err
+	}
 	s, err := srv.Open(cfg)
 	if err != nil {
 		return err
 	}
-	nc := s.nc
-	layerX := bits.NewVecs(nc, cfg.Lanes)
-	layerZ := bits.NewVecs(nc, cfg.Lanes)
-	buf := make([]byte, ((cfg.Lanes+63)/64)*8)
+	abort := func(err error) error {
+		s.Close()
+		s.Wait()
+		return err
+	}
+	layerX := bits.NewVecs(s.nc, cfg.Lanes)
+	layerZ := bits.NewVecs(s.nc, cfg.Lanes)
+	msg := make([]byte, 1+2*s.nc*((cfg.Lanes+63)/64)*8)
 	for {
-		var kind [1]byte
-		if _, err := io.ReadFull(rw, kind[:]); err != nil {
-			s.Close()
-			s.Wait()
-			return err
+		if _, err := io.ReadFull(rw, msg[:1]); err != nil {
+			return abort(midMessage(err))
 		}
-		switch kind[0] {
-		case msgRound, msgFinish:
-			if err := readVecs(rw, buf, layerX); err != nil {
-				s.Close()
-				s.Wait()
-				return err
-			}
-			if err := readVecs(rw, buf, layerZ); err != nil {
-				s.Close()
-				s.Wait()
-				return err
-			}
-		default:
-			s.Close()
-			s.Wait()
-			return fmt.Errorf("server: unexpected message %q mid-stream", kind[0])
+		kind := msg[0]
+		if kind != msgRound && kind != msgFinish {
+			return abort(fmt.Errorf("server: unexpected message %q mid-stream", kind))
 		}
-		if kind[0] == msgRound {
+		if _, err := io.ReadFull(rw, msg[1:]); err != nil {
+			return abort(midMessage(err))
+		}
+		decodeVecs(decodeVecs(msg[1:], layerX), layerZ)
+		if kind == msgRound {
 			if err := s.Submit(layerX, layerZ); err != nil {
-				s.Close()
-				s.Wait()
-				return err
+				return abort(err)
 			}
 			continue
 		}
 		if err := s.CloseWith(layerX, layerZ); err != nil {
-			return err
+			return abort(err)
 		}
 		res, err := s.Wait()
 		if err != nil {

@@ -1046,6 +1046,12 @@ func (d *Decoder) finishSector(syn []bits.Vec, vol *spacetime.Volume, g *decoder
 			sv.XorWord(i, cv.Word(i))
 		}
 		sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
+		if g.Closed() && len(sec.defbuf[lane])%2 == 1 {
+			// Only reachable with layers no source of this code emits
+			// (a served stream is untrusted): growth could never finish.
+			d.err = fmt.Errorf("stream: lane %d closes on an odd number of defects, which is not a syndrome of a closed code", lane)
+			return
+		}
 		d.defects += uint64(len(sec.defbuf[lane]))
 		var erased []int
 		if eraLane != nil || primal != nil {

@@ -123,7 +123,6 @@ func TestGoldenKernel(t *testing.T) {
 		{name: "rotated5-extract-erased", graph: rot5.Graph(), fault: 6, erased: 6, extract: true, lo: r5lo, hi: r5hi, hash: 0xa270a97b6ccd2fcd, sweeps: 248},
 	}
 	for i, c := range cases {
-		c := c
 		seed := goldenRNG(0x5eed0000 + uint64(i))
 		t.Run(c.name, func(t *testing.T) {
 			hash, sweeps := runGolden(t, c, seed)

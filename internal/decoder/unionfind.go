@@ -459,19 +459,14 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 			u.odd = append(u.odd, r)
 		}
 	}
-	// The first pass folds the seed sweeps. Every decode starts with zero
-	// support outside the erasure, an edge gains at most 2 per half-step
-	// sweep (one visit from each end) and every target is at least
-	// 2·wmin, so sweeps 1 … wmin−1 complete nothing: no merge, the same
-	// odd list, the same boundary lists, only counters that sweep wmin
-	// raises again. In sweep wmin the edges that complete are exactly
-	// those of weight wmin visited from both ends, each on its second
-	// visit. One pass adding wmin per visit therefore leaves the same
-	// support, appends dirty and grown in the same order, keeps and drops
-	// the same boundary nodes and flags the same guard contact (first
-	// support is always laid in sweep 1) as wmin half-step passes; every
-	// later pass is an ordinary half-step sweep. On unit-weight graphs
-	// wmin is 1 and nothing is folded.
+	// The first pass folds the seed sweeps: from zero support no edge can
+	// complete before half-step sweep wmin (an edge gains at most 2 per
+	// sweep, every target is at least 2·wmin), and in sweep wmin exactly
+	// the weight-wmin edges visited from both ends complete, each on its
+	// second visit — so one pass adding wmin per visit leaves the same
+	// support, dirty and grown order, boundary lists and guard contact as
+	// wmin half-step passes (the full argument is in doc.go). Every later
+	// pass adds 1; on unit-weight graphs wmin is 1 and nothing is folded.
 	step := u.wmin
 	for len(u.odd) > 0 {
 		// Growth sweep: every ungrown edge incident to an odd cluster's

@@ -47,4 +47,15 @@
 // accuracy), density below ShrinkAt narrows it (less buffering, lower
 // commit latency), moving the live decoder between interned window
 // shapes with stream.Decoder.Rewindow without losing committed frames.
+//
+// # Wire
+//
+// Dial/ServeConn frame the same session over any io.ReadWriter. The
+// peer is untrusted: handshake sizes are held to fixed limits before
+// anything is allocated, a malformed or cut stream ends in an error
+// with the session released, and layers that are not a syndrome of the
+// code surface as the session's error rather than a decoder panic
+// (FuzzServeConn). ServeConn reads each message whole and never past
+// its end, so one transport carries sessions back to back; see wire.go
+// for the message layout and the limits.
 package server

@@ -123,6 +123,10 @@ func decodeVecs(buf []byte, vs []bits.Vec) []byte {
 	return buf
 }
 
+// roundMsgLen is the size of an 'R' or 'F' message: the type byte and
+// 2·nc planes of lane bits.
+func roundMsgLen(nc, lanes int) int { return 1 + 2*nc*((lanes+63)/64)*8 }
+
 // midMessage is the error of a read that ended inside a session: a
 // clean io.EOF there still means the stream was cut short.
 func midMessage(err error) error {
@@ -209,7 +213,7 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 	}
 	layerX := bits.NewVecs(s.nc, cfg.Lanes)
 	layerZ := bits.NewVecs(s.nc, cfg.Lanes)
-	msg := make([]byte, 1+2*s.nc*((cfg.Lanes+63)/64)*8)
+	msg := make([]byte, roundMsgLen(s.nc, cfg.Lanes))
 	for {
 		if _, err := io.ReadFull(rw, msg[:1]); err != nil {
 			return abort(midMessage(err))

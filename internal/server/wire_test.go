@@ -21,7 +21,7 @@ type wireSession struct {
 	refX, refZ []bits.Vec
 }
 
-func (w wireSession) roundBytes() int { return 1 + 2*w.cfg.L*w.cfg.L*((w.cfg.Lanes+63)/64)*8 }
+func (w wireSession) roundBytes() int { return roundMsgLen(w.cfg.L*w.cfg.L, w.cfg.Lanes) }
 
 func recordWireSession(t testing.TB, l, lanes, rounds int, seed uint64) wireSession {
 	t.Helper()

@@ -252,7 +252,7 @@ func BenchmarkSpacetimeDecode(b *testing.B) {
 	for _, cfg := range spacetimeDecodeConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spacetime.Memory(cfg.l, cfg.l, 0.025, 0.025, cfg.kind, 64, 7)
+				spacetime.CodeMemory(toric.Cached(cfg.l), cfg.l, 0.025, 0.025, cfg.kind, 64, 7)
 			}
 		})
 	}
@@ -279,7 +279,7 @@ func BenchmarkCircuitExtract(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			P := noise.Uniform(0.006)
 			for i := 0; i < b.N; i++ {
-				spacetime.CircuitMemory(cfg.l, cfg.l, P, cfg.kind, 64, 7)
+				spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.l, P, cfg.kind, 64, 7)
 			}
 		})
 	}
@@ -356,14 +356,14 @@ func BenchmarkStreamDecode(b *testing.B) {
 		b.Run(fmt.Sprintf("L=%d", l), func(b *testing.B) {
 			w, c := stream.DefaultWindow(l)
 			wh, wv := spacetime.Weights(pq, pq, l, 4*l)
-			s, err := stream.NewSession(l, w, c, wh, wv)
+			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.BatchMemory(4*l, pq, pq, 64, frame.NewAggregateSampler(7, uint64(i)))
+				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), pq, pq, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
 			}
 		})
 	}
@@ -373,14 +373,14 @@ func BenchmarkStreamDecode(b *testing.B) {
 			P := noise.Uniform(eps)
 			w, c := stream.DefaultWindow(l)
 			wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-			s, err := stream.NewCircuitSession(l, w, c, wh, wv, wd)
+			s, err := stream.NewCodeCircuitSession(toric.Cached(l), w, c, wh, wv, wd)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := spacetime.NewCircuitLayerSource(l, P, 64, frame.NewAggregateSampler(7, uint64(i)))
+				src := surface.NewCircuitSource(toric.Cached(l), P, 64, frame.NewAggregateSampler(7, uint64(i)))
 				s.BatchMemoryFrom(src, 4*l)
 			}
 		})
@@ -389,7 +389,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 		b.Run(fmt.Sprintf("dense-incremental/L=%d", l), func(b *testing.B) {
 			w, c := stream.DefaultWindow(l)
 			wh, wv := spacetime.Weights(pq, pq, l, 4*l)
-			s, err := stream.NewSession(l, w, c, wh, wv)
+			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 			s.SetIncremental(true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.BatchMemory(4*l, pq, pq, 64, frame.NewAggregateSampler(7, uint64(i)))
+				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), pq, pq, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
 			}
 		})
 	}
@@ -444,14 +444,14 @@ func BenchmarkStreamDecode(b *testing.B) {
 			const l = 16
 			w, c := stream.DefaultWindow(l)
 			wh, wv := spacetime.Weights(p, p, l, 4*l)
-			s, err := stream.NewSession(l, w, c, wh, wv)
+			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.BatchMemory(4*l, p, p, 64, frame.NewAggregateSampler(7, uint64(i)))
+				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), p, p, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
 			}
 		})
 	}
@@ -463,7 +463,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 // and the bench-JSON server series).
 func serverFleetRun(sessions, l, lanes, rounds int, eps float64, coalesce bool) (time.Duration, []server.SessionStats, server.CoalesceStats, error) {
 	P := noise.Uniform(eps)
-	cfg := server.CircuitLevel(l, lanes, P)
+	cfg := server.CircuitLevelCode(toric.Cached(l), lanes, P)
 	srv := server.New(server.Config{Coalesce: coalesce})
 	defer srv.Shutdown()
 	stats := make([]server.SessionStats, sessions)
@@ -479,7 +479,7 @@ func serverFleetRun(sessions, l, lanes, rounds int, eps float64, coalesce bool) 
 				errs[i] = err
 				return
 			}
-			src := spacetime.NewCircuitLayerSource(l, P, lanes, frame.NewAggregateSampler(9100+uint64(i), 5))
+			src := surface.NewCircuitSource(toric.Cached(l), P, lanes, frame.NewAggregateSampler(9100+uint64(i), 5))
 			nc := l * l
 			layerX := bits.NewVecs(nc, lanes)
 			layerZ := bits.NewVecs(nc, lanes)
@@ -654,7 +654,7 @@ func TestEmitToricBenchJSON(t *testing.T) {
 	}
 	const stShots = 64
 	for _, cfg := range spacetimeDecodeConfigs() {
-		ns := measure(func() { spacetime.Memory(cfg.l, cfg.l, 0.025, 0.025, cfg.kind, stShots, 7) })
+		ns := measure(func() { spacetime.CodeMemory(toric.Cached(cfg.l), cfg.l, 0.025, 0.025, cfg.kind, stShots, 7) })
 		report.Entries = append(report.Entries, entry{
 			Name: "BenchmarkSpacetimeDecode/" + cfg.name, L: cfg.l, Rounds: cfg.l,
 			P: 0.025, Q: 0.025, Decoder: decoderName[cfg.kind], ShotsPerOp: stShots,
@@ -665,7 +665,7 @@ func TestEmitToricBenchJSON(t *testing.T) {
 	// faults at every location, decoded over the diagonal-edge volume.
 	for _, cfg := range circuitExtractConfigs() {
 		P := noise.Uniform(0.006)
-		ns := measure(func() { spacetime.CircuitMemory(cfg.l, cfg.l, P, cfg.kind, stShots, 7) })
+		ns := measure(func() { spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.l, P, cfg.kind, stShots, 7) })
 		report.Entries = append(report.Entries, entry{
 			Name: "BenchmarkCircuitExtract/" + cfg.name, L: cfg.l, Rounds: cfg.l,
 			P: 0.006, Q: 0.006, Decoder: "circuit-" + decoderName[cfg.kind], ShotsPerOp: stShots,
@@ -699,7 +699,7 @@ func TestEmitToricBenchJSON(t *testing.T) {
 		rounds := 4 * l
 		opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
 		ns := measure(func() {
-			if _, err := stream.CircuitMemoryOpts(l, rounds, P, w, c, stShots, 7, opts); err != nil {
+			if _, err := stream.CodeCircuitMemoryOpts(toric.Cached(l), rounds, P, w, c, stShots, 7, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -716,16 +716,16 @@ func TestEmitToricBenchJSON(t *testing.T) {
 	for _, l := range []int{4, 8, 16} {
 		w, c := stream.DefaultWindow(l)
 		wh, wv := spacetime.Weights(0.025, 0.025, l, 4*l)
-		s, err := stream.NewSession(l, w, c, wh, wv)
+		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rounds := 4 * l
 		ns := measure(func() {
-			s.BatchMemory(rounds, 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0))
+			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0)), rounds)
 		})
 		d := s.NewDecoder(stShots)
-		src := spacetime.NewLayerSource(l, 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 1))
+		src := surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 1))
 		nc := l * l
 		layerX := bits.NewVecs(nc, stShots)
 		layerZ := bits.NewVecs(nc, stShots)
@@ -749,14 +749,14 @@ func TestEmitToricBenchJSON(t *testing.T) {
 	for _, l := range []int{8, 16} {
 		w, c := stream.DefaultWindow(l)
 		wh, wv := spacetime.Weights(0.025, 0.025, l, 4*l)
-		s, err := stream.NewSession(l, w, c, wh, wv)
+		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.SetIncremental(true)
 		rounds := 4 * l
 		ns := measure(func() {
-			s.BatchMemory(rounds, 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0))
+			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0)), rounds)
 		})
 		s.Close()
 		report.Entries = append(report.Entries, entry{
@@ -773,13 +773,13 @@ func TestEmitToricBenchJSON(t *testing.T) {
 		P := noise.Uniform(eps)
 		w, c := stream.DefaultWindow(l)
 		wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-		s, err := stream.NewCircuitSession(l, w, c, wh, wv, wd)
+		s, err := stream.NewCodeCircuitSession(toric.Cached(l), w, c, wh, wv, wd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rounds := 4 * l
 		ns := measure(func() {
-			src := spacetime.NewCircuitLayerSource(l, P, stShots, frame.NewAggregateSampler(7, 0))
+			src := surface.NewCircuitSource(toric.Cached(l), P, stShots, frame.NewAggregateSampler(7, 0))
 			s.BatchMemoryFrom(src, rounds)
 		})
 		s.Close()
@@ -850,13 +850,13 @@ func TestEmitToricBenchJSON(t *testing.T) {
 		const l = 16
 		w, c := stream.DefaultWindow(l)
 		wh, wv := spacetime.Weights(p, p, l, 4*l)
-		s, err := stream.NewSession(l, w, c, wh, wv)
+		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rounds := 4 * l
 		ns := measure(func() {
-			s.BatchMemory(rounds, p, p, stShots, frame.NewAggregateSampler(7, 0))
+			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), p, p, stShots, frame.NewAggregateSampler(7, 0)), rounds)
 		})
 		s.Close()
 		report.Entries = append(report.Entries, entry{

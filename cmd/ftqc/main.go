@@ -484,7 +484,7 @@ func cmdSpacetime(args []string) {
 		if erased {
 			return spacetime.ErasedMemory(l, rounds, p, q, *pe, *qe, *samples, seed)
 		}
-		return spacetime.Memory(l, rounds, p, q, k, *samples, seed)
+		return must(spacetime.CodeMemory(toric.Cached(l), rounds, p, q, k, *samples, seed))
 	}
 	fmt.Printf("E22: noisy syndrome extraction (%s decoder, seed %d): T rounds of measurement flipping with q,\n", *dec, *seedF)
 	fmt.Println("     defects = consecutive-round syndrome differences, decoded over the weighted 3D volume")
@@ -592,7 +592,7 @@ func cmdStream(args []string) {
 	// fails with the stream package's message, not mid-sweep.
 	for _, l := range ls {
 		w, c := winOf(l)
-		if _, err := stream.NewWindow(l, w, c, 1, 1); err != nil {
+		if _, err := stream.NewCodeWindow(toric.Cached(l), w, c, 1, 1); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
 		}
@@ -616,7 +616,7 @@ func cmdStream(args []string) {
 		for j, l := range ls {
 			seed++
 			w, c := winOf(l)
-			r, err := stream.Memory(l, roundsOf(l), p, qOf(p), w, c, *samples, seed)
+			r, err := stream.CodeMemory(toric.Cached(l), roundsOf(l), p, qOf(p), w, c, *samples, seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%v\n", err)
 				os.Exit(2)
@@ -625,7 +625,7 @@ func cmdStream(args []string) {
 			fmt.Printf(" %-16.4e", r.FailRate())
 		}
 		if *volume {
-			r := spacetime.Memory(ls[0], roundsOf(ls[0]), p, qOf(p), toric.DecoderUnionFind, *samples, seed+2000)
+			r := must(spacetime.CodeMemory(toric.Cached(ls[0]), roundsOf(ls[0]), p, qOf(p), toric.DecoderUnionFind, *samples, seed+2000))
 			fmt.Printf(" %-12.4e", r.FailRate())
 		}
 		fmt.Println()
@@ -743,7 +743,7 @@ func cmdCircuit(args []string) {
 			if needsOpts {
 				r, err = stream.CodeCircuitMemoryOpts(codeOf(l), rounds, P, *window, *commit, *samples, seed, opts)
 			} else {
-				r, err = stream.CircuitMemory(l, rounds, P, *window, *commit, *samples, seed)
+				r, err = stream.CodeCircuitMemory(codeOf(l), rounds, P, *window, *commit, *samples, seed)
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "circuit: %v\n", err)
@@ -759,7 +759,7 @@ func cmdCircuit(args []string) {
 			}
 			return r.FailRate()
 		}
-		return spacetime.CircuitMemory(l, rounds, P, k, *samples, seed).FailRate()
+		return must(spacetime.CodeCircuitMemory(codeOf(l), rounds, P, k, *samples, seed)).FailRate()
 	}
 	fmt.Printf("E24: circuit-level syndrome extraction (%s decoder, seed %d): the full extraction circuit per round\n", *dec, *seedF)
 	fmt.Println("     (ancilla per check, PrepZ/PrepX, 4 CNOTs, MeasZ/MeasX) with faults at every location;")
@@ -881,9 +881,9 @@ func cmdCodes(args []string) {
 		seed := *seedF + uint64(100*i)
 		for j, eps := range ps {
 			P := noise.Uniform(eps)
-			curves[i][0][j] = spacetime.CodeCircuitMemory(c1, d1, P, *samples, seed+uint64(2*j)).FailRate()
+			curves[i][0][j] = must(spacetime.CodeCircuitMemory(c1, d1, P, toric.DecoderUnionFind, *samples, seed+uint64(2*j))).FailRate()
 			t0 := time.Now()
-			curves[i][1][j] = spacetime.CodeCircuitMemory(c2, d2, P, *samples, seed+uint64(2*j+1)).FailRate()
+			curves[i][1][j] = must(spacetime.CodeCircuitMemory(c2, d2, P, toric.DecoderUnionFind, *samples, seed+uint64(2*j+1))).FailRate()
 			elapsed += time.Since(t0)
 		}
 		rows[i].thresh = spacetime.CrossingEstimate(ps, curves[i][0], curves[i][1])
@@ -932,23 +932,26 @@ func cmdCodes(args []string) {
 
 // serveSessionCfg builds the session configuration the serve/sessions
 // commands share.
-func serveSessionCfg(model string, l, lanes int, p float64) (server.SessionConfig, bool) {
+func serveSessionCfg(model string, l, lanes int, p float64) (server.SessionConfig, error) {
+	if l < 2 {
+		return server.SessionConfig{}, fmt.Errorf("lattice size must be at least 2 (got L=%d)", l)
+	}
 	switch model {
 	case "circuit":
-		return server.CircuitLevel(l, lanes, noise.Uniform(p)), true
+		return server.CircuitLevelCode(toric.Cached(l), lanes, noise.Uniform(p)), nil
 	case "phenom":
-		return server.Phenomenological(l, lanes, p, p), true
+		return server.PhenomenologicalCode(toric.Cached(l), lanes, p, p), nil
 	}
-	return server.SessionConfig{}, false
+	return server.SessionConfig{}, fmt.Errorf("unknown model %q (want circuit or phenom)", model)
 }
 
 // serveFeed builds the matching syndrome-layer source.
 func serveFeed(cfg server.SessionConfig, p float64, seed uint64) spacetime.LayerFeed {
 	smp := frame.NewAggregateSampler(seed, 5)
 	if cfg.WD > 0 {
-		return spacetime.NewCircuitLayerSource(cfg.L, noise.Uniform(p), cfg.Lanes, smp)
+		return surface.NewCircuitSource(cfg.Code, noise.Uniform(p), cfg.Lanes, smp)
 	}
-	return spacetime.NewLayerSource(cfg.L, p, p, cfg.Lanes, smp)
+	return surface.NewLayerSource(cfg.Code, p, p, cfg.Lanes, smp)
 }
 
 func cmdServe(args []string) {
@@ -966,9 +969,9 @@ func cmdServe(args []string) {
 	startProf := profileFlags(fs)
 	fs.Parse(args)
 	defer startProf()()
-	cfg, ok := serveSessionCfg(*model, *size, *lanes, *p)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "serve: unknown model %q (want circuit or phenom)\n", *model)
+	cfg, err := serveSessionCfg(*model, *size, *lanes, *p)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(2)
 	}
 	if *nSessions < 1 || *rounds < 1 {
@@ -999,7 +1002,7 @@ func cmdServe(args []string) {
 			}
 			handles[i] = s
 			feed := serveFeed(cfg, *p, 9000+uint64(i))
-			nc := *size * *size
+			nc := cfg.Code.Checks()
 			layerX := bits.NewVecs(nc, *lanes)
 			layerZ := bits.NewVecs(nc, *lanes)
 			for r := 0; r < *rounds; r++ {
@@ -1103,7 +1106,7 @@ func cmdSessions(args []string) {
 					return // draining
 				}
 				feed := serveFeed(cfg, p, 9500+uint64(16*c+it))
-				nc := cfg.L * cfg.L
+				nc := cfg.Code.Checks()
 				layerX := bits.NewVecs(nc, cfg.Lanes)
 				layerZ := bits.NewVecs(nc, cfg.Lanes)
 				for r := 0; r < 40; r++ {
@@ -1170,6 +1173,16 @@ func parseFloatList(s string) []float64 {
 		out = append(out, v)
 	}
 	return out
+}
+
+// must unwraps a volume experiment: its constructor errors (a code the
+// decoder cannot price, an empty horizon) exit 2 with the message.
+func must(r spacetime.Result, err error) spacetime.Result {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return r
 }
 
 // toricDecoder maps a CLI name to a decoder kind.

@@ -20,6 +20,8 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/server"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 func main() {
@@ -33,15 +35,16 @@ func main() {
 		cfg  server.SessionConfig
 		feed spacetime.LayerFeed
 	}
+	l4, l6 := toric.Cached(4), toric.Cached(6)
 	tenants := []tenant{
-		{"phenom L=4 p=2%", server.Phenomenological(4, 64, 0.02, 0.02),
-			spacetime.NewLayerSource(4, 0.02, 0.02, 64, frame.NewAggregateSampler(11, 5))},
-		{"phenom L=6 p=1%", server.Phenomenological(6, 64, 0.01, 0.01),
-			spacetime.NewLayerSource(6, 0.01, 0.01, 64, frame.NewAggregateSampler(12, 5))},
-		{"circuit L=4 eps=0.3%", server.CircuitLevel(4, 64, noise.Uniform(0.003)),
-			spacetime.NewCircuitLayerSource(4, noise.Uniform(0.003), 64, frame.NewAggregateSampler(13, 5))},
-		{"circuit L=6 eps=0.2%", server.CircuitLevel(6, 64, noise.Uniform(0.002)),
-			spacetime.NewCircuitLayerSource(6, noise.Uniform(0.002), 64, frame.NewAggregateSampler(14, 5))},
+		{"phenom L=4 p=2%", server.PhenomenologicalCode(l4, 64, 0.02, 0.02),
+			surface.NewLayerSource(l4, 0.02, 0.02, 64, frame.NewAggregateSampler(11, 5))},
+		{"phenom L=6 p=1%", server.PhenomenologicalCode(l6, 64, 0.01, 0.01),
+			surface.NewLayerSource(l6, 0.01, 0.01, 64, frame.NewAggregateSampler(12, 5))},
+		{"circuit L=4 eps=0.3%", server.CircuitLevelCode(l4, 64, noise.Uniform(0.003)),
+			surface.NewCircuitSource(l4, noise.Uniform(0.003), 64, frame.NewAggregateSampler(13, 5))},
+		{"circuit L=6 eps=0.2%", server.CircuitLevelCode(l6, 64, noise.Uniform(0.002)),
+			surface.NewCircuitSource(l6, noise.Uniform(0.002), 64, frame.NewAggregateSampler(14, 5))},
 	}
 	fmt.Printf("\n%d tenants stream %d rounds of difference syndromes each:\n", len(tenants), rounds)
 	var wg sync.WaitGroup
@@ -57,7 +60,7 @@ func main() {
 			if err := conn.Open(tn.cfg); err != nil {
 				panic(err)
 			}
-			nc := tn.cfg.L * tn.cfg.L
+			nc := tn.cfg.Code.Checks()
 			layerX := bits.NewVecs(nc, tn.cfg.Lanes)
 			layerZ := bits.NewVecs(nc, tn.cfg.Lanes)
 			for r := 0; r < rounds; r++ {
@@ -85,14 +88,14 @@ func main() {
 	wg.Wait()
 
 	// A fifth tenant with an adaptive window: heavy noise widens it.
-	cfg := server.Phenomenological(4, 64, 0.06, 0.06)
+	cfg := server.PhenomenologicalCode(l4, 64, 0.06, 0.06)
 	cfg.Window, cfg.Commit = 4, 2
 	cfg.Adapt = &server.AdaptConfig{MinWindow: 4, MaxWindow: 12, GrowAt: 0.02, ShrinkAt: 0.001, Cooldown: 1}
 	s, err := srv.Open(cfg)
 	if err != nil {
 		panic(err)
 	}
-	src := spacetime.NewLayerSource(4, 0.06, 0.06, 64, frame.NewAggregateSampler(15, 5))
+	src := surface.NewLayerSource(l4, 0.06, 0.06, 64, frame.NewAggregateSampler(15, 5))
 	layerX := bits.NewVecs(16, 64)
 	layerZ := bits.NewVecs(16, 64)
 	for r := 0; r < 64; r++ {

@@ -20,8 +20,15 @@ func main() {
 
 	fmt.Println("\nperfect vs noisy measurements (L=6, T=6, p=0.02):")
 	fmt.Printf("%-26s %-12s %-12s %-12s\n", "", "fail (any)", "bit-flip", "phase-flip")
-	clean := ftqc.SpacetimeMemory(6, 1, 0.02, 0, samples, 31)
-	noisy := ftqc.SpacetimeMemory(6, 6, 0.02, 0.02, samples, 32)
+	memory := func(rounds int, q float64, seed uint64) ftqc.SpacetimeResult {
+		r, err := ftqc.SurfaceSpacetimeMemory(ftqc.ToricCode(6), rounds, 0.02, q, ftqc.ToricDecoderUnionFind, samples, seed)
+		if err != nil {
+			panic(err)
+		}
+		return r
+	}
+	clean := memory(1, 0, 31)
+	noisy := memory(6, 0.02, 32)
 	fmt.Printf("%-26s %-12.4e %-12.4e %-12.4e\n", "q=0, one round (2D)", clean.FailRate(), clean.FailRateX(), clean.FailRateZ())
 	fmt.Printf("%-26s %-12.4e %-12.4e %-12.4e\n", "q=p, six rounds (3D)", noisy.FailRate(), noisy.FailRateX(), noisy.FailRateZ())
 

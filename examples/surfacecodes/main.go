@@ -48,7 +48,10 @@ func main() {
 		name := family(3).CodeName()
 		fmt.Printf("%-10s", name)
 		for _, d := range []int{3, 5} {
-			r := ftqc.SurfaceCircuitMemory(family(d), d, 0.004, samples, 13)
+			r, err := ftqc.SurfaceCircuitMemory(family(d), d, ftqc.UniformNoise(0.004), ftqc.ToricDecoderUnionFind, samples, 13)
+			if err != nil {
+				panic(err)
+			}
 			fmt.Printf(" %-12.4e", r.FailRate())
 		}
 		fmt.Println()

@@ -51,21 +51,21 @@
 // SustainedThreshold.
 //
 // Circuit-level syndrome extraction (the regime the paper's realistic
-// threshold estimates assume) is the internal/extract subsystem: the
+// threshold estimates assume) is internal/surface's CircuitSource: the
 // actual extraction circuit — ancilla per check, PrepZ/PrepX, four
-// CNOTs in a fixed schedule, MeasZ/MeasX — runs on the batch frame
+// CNOTs in the code's schedule, MeasZ/MeasX — runs on the batch frame
 // engine with faults at every location. Mid-round CNOT faults produce
 // correlated diagonal space-time defect pairs and ancilla hooks
 // propagate multi-qubit errors, so the decoding volumes gain a third
 // (diagonal) edge class with circuit-derived LLR weights, priced
 // exactly by the blossom matcher through a precomputed circuit metric
-// (CircuitMemory, CircuitSustainedThreshold — the measured crossing
-// sits well below the phenomenological one).
+// (SurfaceCircuitMemory, CircuitSustainedThreshold — the measured
+// crossing sits well below the phenomenological one).
 //
 // Sustained operation — decoding forever in constant memory — is the
 // internal/stream subsystem: difference layers decode through a
-// sliding window of W rounds with a commit region (StreamingMemory,
-// StreamingMemoryWith), corrections finalize into a running Pauli
+// sliding window of W rounds with a commit region
+// (StreamingSurfaceMemory), corrections finalize into a running Pauli
 // frame behind the window, and the decode stage runs as a long-lived
 // worker-pool service (batched shots in, corrections out, identical
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
@@ -285,37 +285,70 @@ func SurfaceMemory(c SurfaceCode, p float64, samples int, seed uint64) SurfaceMe
 	return surface.MemoryExperimentXZ(c, p, samples, seed)
 }
 
-// SurfaceSpacetimeMemory is SpacetimeMemory for any surface code:
-// `rounds` noisy phenomenological extraction rounds decoded over the
-// code's space-time volume (open-boundary detectors ground on the
-// virtual node).
-func SurfaceSpacetimeMemory(c SurfaceCode, rounds int, p, q float64, samples int, seed uint64) SpacetimeResult {
-	return spacetime.CodeMemory(c, rounds, p, q, samples, seed)
+// SurfaceSpacetimeMemory runs the repeated-round noisy-syndrome memory
+// of any surface code: `rounds` rounds of syndrome extraction whose
+// measurements flip with probability q, data errors at rate p per
+// round, decoded over the code's weighted 3D space-time volume
+// (open-boundary detectors ground on the virtual node). Both logical
+// sectors are tracked per shot; q = 0, rounds = 1 reduces to the 2D
+// SurfaceMemory statistics. ToricDecoderUnionFind is the production
+// decoder; ToricDecoderExact runs the weighted blossom matcher, on the
+// torus only — a code it cannot price is an error.
+func SurfaceSpacetimeMemory(c SurfaceCode, rounds int, p, q float64, dec ToricDecoder, samples int, seed uint64) (SpacetimeResult, error) {
+	return spacetime.CodeMemory(c, rounds, p, q, dec, samples, seed)
 }
 
-// SurfaceCircuitMemory is CircuitMemory for any surface code: the
-// code's own extraction circuit (per-code CNOT orderings,
-// boundary-truncated diagonal edges) at uniform per-location rate eps.
-func SurfaceCircuitMemory(c SurfaceCode, rounds int, eps float64, samples int, seed uint64) SpacetimeResult {
-	return spacetime.CodeCircuitMemory(c, rounds, noise.Uniform(eps), samples, seed)
+// SurfaceCircuitMemory runs the circuit-level noisy-extraction memory
+// of any surface code under the per-location noise model P
+// (UniformNoise(ε): every preparation, CNOT, measurement and idle step
+// faults with probability ε): the code's own extraction circuit
+// (per-code CNOT orderings, boundary-truncated diagonal edges), decoded
+// over the diagonal-edge space-time volume. CNOT faults between a data
+// qubit's two reads produce correlated diagonal defect pairs; ancilla
+// hooks propagate multi-qubit errors — the full circuit model behind
+// realistic (sub-percent) thresholds. ToricDecoderExact prices pairs
+// with the circuit-metric blossom matcher (torus only). A model the
+// plain pipeline cannot honor — leakage (P.Leak) or noise bias
+// (P.Bias), which need the erasure-harvesting source and its
+// union-find-only decode — is a constructor error pointing at
+// SurfaceCircuitMemoryOpts, never a silent zeroing of the channel.
+func SurfaceCircuitMemory(c SurfaceCode, rounds int, P NoiseParams, dec ToricDecoder, samples int, seed uint64) (SpacetimeResult, error) {
+	if err := P.Validate(); err != nil {
+		return SpacetimeResult{}, err
+	}
+	if P.Leak > 0 || P.Bias > 0 {
+		return SpacetimeResult{}, fmt.Errorf("ftqc: the plain circuit pipeline does not model Leak=%v/Bias=%v — use SurfaceCircuitMemoryOpts, which harvests leakage as erasures (union-find decode)", P.Leak, P.Bias)
+	}
+	return spacetime.CodeCircuitMemory(c, rounds, P, dec, samples, seed)
 }
 
-// StreamingSurfaceMemory is StreamingMemory for any surface code (the
-// default W = 2d sliding window; pass window = commit = 0 semantics).
-func StreamingSurfaceMemory(c SurfaceCode, rounds int, p, q float64, samples int, seed uint64) (StreamingResult, error) {
-	return stream.CodeMemory(c, rounds, p, q, 0, 0, samples, seed)
+// StreamingSurfaceMemory runs the noisy-syndrome memory of any surface
+// code through the sliding-window streaming decoder: `window` buffered
+// rounds per decode, `commit` rounds finalized per slide (0, 0 picks
+// the defaults W = 2d, commit d). Syndrome layers decode as they
+// arrive, corrections commit behind the window, and per-lane memory
+// stays O(d²·W) no matter how many rounds stream past. With W ≥ rounds
+// it reproduces the whole-volume SurfaceSpacetimeMemory decode bit for
+// bit. Invalid window shapes (commit not in [1, window-1], window < 2,
+// ...) are reported as errors.
+func StreamingSurfaceMemory(c SurfaceCode, rounds int, p, q float64, window, commit, samples int, seed uint64) (StreamingResult, error) {
+	return stream.CodeMemory(c, rounds, p, q, window, commit, samples, seed)
 }
 
-// StreamingSurfaceCircuitMemory is StreamingCircuitMemory for any
-// surface code.
+// StreamingSurfaceCircuitMemory runs the circuit-level memory of any
+// surface code through the sliding-window streaming decoder with the
+// default W = 2d window: the extraction circuit streams round by round
+// and the diagonal-edge windows decode and commit as they go. It
+// errors on invalid round or window parameters instead of panicking
+// mid-decode.
 func StreamingSurfaceCircuitMemory(c SurfaceCode, rounds int, eps float64, samples int, seed uint64) (StreamingResult, error) {
 	return stream.CodeCircuitMemory(c, rounds, noise.Uniform(eps), 0, 0, samples, seed)
 }
 
 // Space-time decoding (noisy syndrome extraction).
 type (
-	// SpacetimeVolume is the weighted 3D decoding volume of a toric code
-	// under repeated noisy syndrome extraction.
+	// SpacetimeVolume is the weighted 3D decoding volume of a surface
+	// code under repeated noisy syndrome extraction.
 	SpacetimeVolume = spacetime.Volume
 	// SpacetimeResult is one noisy-extraction memory measurement, with
 	// per-sector (bit-flip and phase-flip) failure counts.
@@ -325,22 +358,6 @@ type (
 	ThresholdPoint = spacetime.ThresholdPoint
 )
 
-// SpacetimeMemory runs the repeated-round noisy-syndrome toric memory:
-// `rounds` rounds of syndrome extraction whose measurements flip with
-// probability q, data errors at rate p per round, decoded over the
-// weighted 3D space-time graph with the union-find production decoder.
-// Both logical sectors are tracked per shot; q = 0, rounds = 1 reduces
-// to the 2D ToricMemory statistics.
-func SpacetimeMemory(l, rounds int, p, q float64, samples int, seed uint64) SpacetimeResult {
-	return spacetime.Memory(l, rounds, p, q, toric.DecoderUnionFind, samples, seed)
-}
-
-// SpacetimeMemoryWith is SpacetimeMemory under an explicit decoder
-// choice (DecoderExact runs the weighted blossom matcher).
-func SpacetimeMemoryWith(l, rounds int, p, q float64, dec ToricDecoder, samples int, seed uint64) SpacetimeResult {
-	return spacetime.Memory(l, rounds, p, q, dec, samples, seed)
-}
-
 // SustainedThreshold sweeps p = q with rounds = L for two code
 // distances and returns the crossing of their failure curves — the
 // sustained threshold of the noisy-extraction memory — along with the
@@ -349,53 +366,13 @@ func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (f
 	return spacetime.SustainedThreshold(l1, l2, grid, toric.DecoderUnionFind, samples, seed)
 }
 
-// ErasedSpacetimeMemory is SpacetimeMemory with erasure channels
-// threaded into the 3D decode: data qubits leak (depolarize at a known
+// ErasedSpacetimeMemory is the toric SurfaceSpacetimeMemory with
+// erasure channels threaded into the 3D decode: data qubits leak (depolarize at a known
 // location) with probability pe per round, measurements are lost
 // (replaced by a coin, their time-like edge erased) with probability qe
 // per round, and the union-find peeling pass exploits the locations.
 func ErasedSpacetimeMemory(l, rounds int, p, q, pe, qe float64, samples int, seed uint64) SpacetimeResult {
 	return spacetime.ErasedMemory(l, rounds, p, q, pe, qe, samples, seed)
-}
-
-// Circuit-level syndrome extraction (internal/extract + the diagonal-
-// edge decoding volumes of internal/spacetime).
-type (
-	// CircuitLayerSource runs the explicit extraction circuit — one
-	// ancilla per plaquette and per star, PrepZ/PrepX, four CNOTs in a
-	// fixed schedule, MeasZ/MeasX — on the batch frame engine with
-	// faults at every location, emitting difference-syndrome layers
-	// behind the same contract as the phenomenological source.
-	CircuitLayerSource = spacetime.CircuitLayerSource
-)
-
-// CircuitMemory runs the circuit-level noisy-extraction toric memory at
-// a uniform per-location error rate ε (every preparation, CNOT,
-// measurement and idle step faults with probability ε), decoded over
-// the diagonal-edge space-time volume with the union-find production
-// decoder. CNOT faults between a data qubit's two reads produce
-// correlated diagonal defect pairs; ancilla hooks propagate multi-qubit
-// errors — the full circuit model behind realistic (sub-percent)
-// thresholds.
-func CircuitMemory(l, rounds int, eps float64, samples int, seed uint64) SpacetimeResult {
-	return spacetime.CircuitMemory(l, rounds, noise.Uniform(eps), toric.DecoderUnionFind, samples, seed)
-}
-
-// CircuitMemoryWith is CircuitMemory under an explicit per-location
-// noise model and decoder choice (DecoderExact prices pairs with the
-// circuit-metric blossom matcher). A model the plain pipeline cannot
-// honor — leakage (p.Leak) or noise bias (p.Bias), which need the
-// erasure-harvesting source and its union-find-only decode — is a
-// constructor error pointing at CircuitMemoryOpts, never a silent
-// zeroing of the channel.
-func CircuitMemoryWith(l, rounds int, p NoiseParams, dec ToricDecoder, samples int, seed uint64) (SpacetimeResult, error) {
-	if err := p.Validate(); err != nil {
-		return SpacetimeResult{}, err
-	}
-	if p.Leak > 0 || p.Bias > 0 {
-		return SpacetimeResult{}, fmt.Errorf("ftqc: the plain circuit pipeline does not model Leak=%v/Bias=%v — use CircuitMemoryOpts, which harvests leakage as erasures (union-find decode)", p.Leak, p.Bias)
-	}
-	return spacetime.CircuitMemory(l, rounds, p, dec, samples, seed), nil
 }
 
 // Correlated & erasure-aware circuit-level decoding.
@@ -408,35 +385,24 @@ type (
 	CircuitDecodeOptions = spacetime.DecodeOptions
 )
 
-// CircuitMemoryOpts is the full circuit-level memory Monte Carlo: the
-// extraction circuit under P including its leakage (P.Leak, harvested
-// as located erasures each round) and noise-bias (P.Bias) channels,
-// decoded with the selected side-information passes. Malformed models
-// are constructor errors; a leakage-configured run is never silently
-// decoded as if leak-free.
-func CircuitMemoryOpts(l, rounds int, P NoiseParams, samples int, seed uint64, opts CircuitDecodeOptions) (SpacetimeResult, error) {
-	return spacetime.CircuitMemoryOpts(l, rounds, P, samples, seed, opts)
-}
-
-// SurfaceCircuitMemoryOpts is CircuitMemoryOpts for any surface code —
-// including schedule overrides such as HookParallelToricCode, which is
-// how the CNOT-schedule ablation runs both schedules through one
-// pipeline.
+// SurfaceCircuitMemoryOpts is the full circuit-level memory Monte Carlo
+// for any surface code — including schedule overrides such as
+// HookParallelToricCode, which is how the CNOT-schedule ablation runs
+// both schedules through one pipeline: the extraction circuit under P
+// including its leakage (P.Leak, harvested as located erasures each
+// round) and noise-bias (P.Bias) channels, decoded with the selected
+// side-information passes. Malformed models are constructor errors; a
+// leakage-configured run is never silently decoded as if leak-free.
 func SurfaceCircuitMemoryOpts(c SurfaceCode, rounds int, P NoiseParams, samples int, seed uint64, opts CircuitDecodeOptions) (SpacetimeResult, error) {
 	return spacetime.CodeCircuitMemoryOpts(c, rounds, P, samples, seed, opts)
 }
 
-// StreamingCircuitMemoryOpts runs the same model and decode options
-// through the sliding-window streaming decoder (window = commit = 0
-// picks the W = 2L default): erasure planes ride the difference layers
-// round by round, and correlated runs reprice the dual window each
-// slide. With W ≥ rounds it reproduces CircuitMemoryOpts bit for bit.
-func StreamingCircuitMemoryOpts(l, rounds int, P NoiseParams, window, commit, samples int, seed uint64, opts CircuitDecodeOptions) (StreamingResult, error) {
-	return stream.CircuitMemoryOpts(l, rounds, P, window, commit, samples, seed, opts)
-}
-
-// StreamingSurfaceCircuitMemoryOpts is StreamingCircuitMemoryOpts for
-// any surface code.
+// StreamingSurfaceCircuitMemoryOpts runs the same model and decode
+// options through the sliding-window streaming decoder (window =
+// commit = 0 picks the W = 2d default): erasure planes ride the
+// difference layers round by round, and correlated runs reprice the
+// dual window each slide. With W ≥ rounds it reproduces
+// SurfaceCircuitMemoryOpts bit for bit.
 func StreamingSurfaceCircuitMemoryOpts(c SurfaceCode, rounds int, P NoiseParams, window, commit, samples int, seed uint64, opts CircuitDecodeOptions) (StreamingResult, error) {
 	return stream.CodeCircuitMemoryOpts(c, rounds, P, window, commit, samples, seed, opts)
 }
@@ -464,15 +430,6 @@ func CircuitSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uin
 	return spacetime.CircuitSustainedThreshold(l1, l2, grid, toric.DecoderUnionFind, samples, seed)
 }
 
-// StreamingCircuitMemory runs the circuit-level memory through the
-// sliding-window streaming decoder with the default W = 2L window: the
-// extraction circuit streams round by round and the diagonal-edge
-// windows decode and commit as they go. It errors on invalid lattice,
-// round, or window parameters instead of panicking mid-decode.
-func StreamingCircuitMemory(l, rounds int, eps float64, samples int, seed uint64) (StreamingResult, error) {
-	return stream.CircuitMemory(l, rounds, noise.Uniform(eps), 0, 0, samples, seed)
-}
-
 // Streaming windowed decoding (sustained operation).
 type (
 	// StreamingResult is one streaming-memory measurement.
@@ -485,36 +442,21 @@ type (
 	StreamDecoder = stream.Decoder
 )
 
-// StreamingMemory runs the noisy-syndrome toric memory through the
-// sliding-window streaming decoder with the default window (W = 2L,
-// commit L): syndrome layers decode as they arrive, corrections commit
-// behind the window, and per-lane memory stays O(L²·W) no matter how
-// many rounds stream past. With W ≥ rounds it reproduces the
-// whole-volume SpacetimeMemory decode bit for bit.
-func StreamingMemory(l, rounds int, p, q float64, samples int, seed uint64) (StreamingResult, error) {
-	w, c := stream.DefaultWindow(l)
-	return stream.Memory(l, rounds, p, q, w, c, samples, seed)
-}
-
-// StreamingMemoryWith is StreamingMemory with explicit window-size
-// knobs: `window` buffered rounds per decode, `commit` rounds finalized
-// per slide (0 picks the defaults). Invalid window shapes (commit not
-// in [1, window-1], window < 2, ...) are reported as errors.
-func StreamingMemoryWith(l, rounds int, p, q float64, window, commit int, samples int, seed uint64) (StreamingResult, error) {
-	return stream.Memory(l, rounds, p, q, window, commit, samples, seed)
-}
-
 // NewStreamSession builds a streaming decode session (window graphs
-// plus worker-pool decode services) for rate-(p, q) noise. Close it
-// when done. Edge weights are derived with the window as the decode
-// horizon — the natural choice for an endless stream, but in extreme
-// regimes where the spacetime.Weights caps bind (q near 0 or ½) it can
-// differ from the rounds-derived weights StreamingMemory uses; for
-// exact parity with a Memory result, build stream.NewSession with
-// explicit spacetime.Weights(p, q, l, rounds).
-func NewStreamSession(l, window, commit int, p, q float64) (*StreamSession, error) {
-	wh, wv := spacetime.Weights(p, q, l, window)
-	return stream.NewSession(l, window, commit, wh, wv)
+// plus worker-pool decode services) over a surface code for rate-(p, q)
+// noise. Close it when done. Edge weights are derived with the window
+// as the decode horizon — the natural choice for an endless stream, but
+// in extreme regimes where the spacetime.Weights caps bind (q near 0 or
+// ½) it can differ from the rounds-derived weights
+// StreamingSurfaceMemory uses; for exact parity with a memory result,
+// build stream.NewCodeSession with explicit
+// spacetime.Weights(p, q, d, rounds).
+func NewStreamSession(c SurfaceCode, window, commit int, p, q float64) (*StreamSession, error) {
+	if c == nil {
+		return nil, fmt.Errorf("ftqc: stream session needs a code")
+	}
+	wh, wv := spacetime.Weights(p, q, c.Distance(), window)
+	return stream.NewCodeSession(c, window, commit, wh, wv)
 }
 
 // StreamingSustainedThreshold sweeps p = q with T = 4L rounds through
@@ -536,9 +478,9 @@ type (
 	DecodeServerConfig = server.Config
 	// DecodeSession is one live logical-qubit stream on a DecodeServer.
 	DecodeSession = server.Session
-	// DecodeSessionConfig describes a session's lattice, lane count, and
-	// window shape; build one with server.Phenomenological or
-	// server.CircuitLevel, or fill it by hand.
+	// DecodeSessionConfig describes a session's code, lane count, and
+	// window shape; build one with SurfaceSession or
+	// SurfaceCircuitSession, or fill it by hand.
 	DecodeSessionConfig = server.SessionConfig
 	// DecodeSessionStats is a point-in-time observability snapshot of
 	// one session.
@@ -550,26 +492,16 @@ type (
 // Open any number of concurrent sessions. Shut it down when done.
 func NewDecodeServer(cfg DecodeServerConfig) *DecodeServer { return server.New(cfg) }
 
-// PhenomenologicalSession describes a rate-(p, q) phenomenological
-// streaming session with the default W = 2L window.
-func PhenomenologicalSession(l, lanes int, p, q float64) DecodeSessionConfig {
-	return server.Phenomenological(l, lanes, p, q)
-}
-
-// CircuitSession describes a circuit-level streaming session (diagonal
-// detector edges) under uniform per-location rate eps.
-func CircuitSession(l, lanes int, eps float64) DecodeSessionConfig {
-	return server.CircuitLevel(l, lanes, noise.Uniform(eps))
-}
-
-// SurfaceSession describes a phenomenological streaming session for
-// any surface code (PlanarCode/RotatedCode/ToricCode).
+// SurfaceSession describes a rate-(p, q) phenomenological streaming
+// session for any surface code (PlanarCode/RotatedCode/ToricCode) with
+// the default W = 2d window.
 func SurfaceSession(c SurfaceCode, lanes int, p, q float64) DecodeSessionConfig {
 	return server.PhenomenologicalCode(c, lanes, p, q)
 }
 
 // SurfaceCircuitSession describes a circuit-level streaming session
-// for any surface code under uniform per-location rate eps.
+// (diagonal detector edges) for any surface code under uniform
+// per-location rate eps.
 func SurfaceCircuitSession(c SurfaceCode, lanes int, eps float64) DecodeSessionConfig {
 	return server.CircuitLevelCode(c, lanes, noise.Uniform(eps))
 }

@@ -114,32 +114,41 @@ func TestFacadeAnyon(t *testing.T) {
 }
 
 func TestFacadeSpacetime(t *testing.T) {
-	r := SpacetimeMemory(4, 4, 0.02, 0.02, 1000, 11)
+	r, err := SurfaceSpacetimeMemory(ToricCode(4), 4, 0.02, 0.02, ToricDecoderUnionFind, 1000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Samples != 1000 || r.L != 4 || r.T != 4 {
 		t.Fatalf("spacetime memory wrong: %+v", r)
 	}
 	if r.Failures < r.FailX || r.Failures < r.FailZ {
 		t.Fatalf("sector accounting broken: %+v", r)
 	}
-	ex := SpacetimeMemoryWith(3, 2, 0.03, 0.03, ToricDecoderExact, 500, 12)
-	if ex.Samples != 500 {
-		t.Fatalf("spacetime exact decode wrong: %+v", ex)
+	ex, err := SurfaceSpacetimeMemory(ToricCode(3), 2, 0.03, 0.03, ToricDecoderExact, 500, 12)
+	if err != nil || ex.Samples != 500 {
+		t.Fatalf("spacetime exact decode wrong: %+v (err %v)", ex, err)
 	}
-	a := SpacetimeMemory(4, 4, 0.02, 0.02, 1000, 11)
+	if _, err := SurfaceSpacetimeMemory(PlanarCode(3), 2, 0.03, 0.03, ToricDecoderExact, 500, 12); err == nil {
+		t.Fatal("exact matching on an open code accepted")
+	}
+	a, _ := SurfaceSpacetimeMemory(ToricCode(4), 4, 0.02, 0.02, ToricDecoderUnionFind, 1000, 11)
 	if a != r {
 		t.Fatalf("spacetime memory not deterministic: %+v vs %+v", a, r)
 	}
 }
 
 func TestFacadeCircuit(t *testing.T) {
-	r := CircuitMemory(3, 3, 0.004, 400, 5)
+	r, err := SurfaceCircuitMemory(ToricCode(3), 3, UniformNoise(0.004), ToricDecoderUnionFind, 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Samples != 400 || r.L != 3 || r.T != 3 {
 		t.Fatalf("circuit memory result malformed: %+v", r)
 	}
 	if r.FailRate() > 0.5 {
 		t.Fatalf("L=3 circuit memory at eps=0.004 implausibly noisy: %+v", r)
 	}
-	sr, err := StreamingCircuitMemory(3, 8, 0.004, 300, 6)
+	sr, err := StreamingSurfaceCircuitMemory(ToricCode(3), 8, 0.004, 300, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestFacadeCircuit(t *testing.T) {
 }
 
 func TestFacadeStreaming(t *testing.T) {
-	r, err := StreamingMemory(4, 16, 0.02, 0.02, 1000, 13)
+	r, err := StreamingSurfaceMemory(ToricCode(4), 16, 0.02, 0.02, 0, 0, 1000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,21 +171,21 @@ func TestFacadeStreaming(t *testing.T) {
 	if r.Failures < r.FailX || r.Failures < r.FailZ {
 		t.Fatalf("sector accounting broken: %+v", r)
 	}
-	if a, _ := StreamingMemory(4, 16, 0.02, 0.02, 1000, 13); a != r {
+	if a, _ := StreamingSurfaceMemory(ToricCode(4), 16, 0.02, 0.02, 0, 0, 1000, 13); a != r {
 		t.Fatalf("streaming memory not deterministic: %+v vs %+v", a, r)
 	}
-	w, err := StreamingMemoryWith(4, 10, 0.02, 0.02, 5, 2, 500, 14)
+	w, err := StreamingSurfaceMemory(ToricCode(4), 10, 0.02, 0.02, 5, 2, 500, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Window != 5 || w.Commit != 2 || w.Samples != 500 {
 		t.Fatalf("window knobs ignored: %+v", w)
 	}
-	if _, err := StreamingMemoryWith(4, 10, 0.02, 0.02, 5, 5, 500, 14); err == nil {
+	if _, err := StreamingSurfaceMemory(ToricCode(4), 10, 0.02, 0.02, 5, 5, 500, 14); err == nil {
 		t.Fatal("commit == window accepted")
 	}
-	if _, err := NewStreamSession(1, 8, 4, 0.02, 0.02); err == nil {
-		t.Fatal("L=1 stream session accepted")
+	if _, err := NewStreamSession(nil, 8, 4, 0.02, 0.02); err == nil {
+		t.Fatal("stream session without a code accepted")
 	}
 	er := ErasedSpacetimeMemory(4, 3, 0.01, 0.01, 0.08, 0.08, 500, 15)
 	if er.Pe != 0.08 || er.Qe != 0.08 || er.Samples != 500 {
@@ -190,9 +199,9 @@ func TestFacadeDecodeServer(t *testing.T) {
 	for i := range sessions {
 		var cfg DecodeSessionConfig
 		if i%2 == 0 {
-			cfg = PhenomenologicalSession(3, 16, 0.02, 0.02)
+			cfg = SurfaceSession(ToricCode(3), 16, 0.02, 0.02)
 		} else {
-			cfg = CircuitSession(3, 16, 0.003)
+			cfg = SurfaceCircuitSession(ToricCode(3), 16, 0.003)
 		}
 		s, err := srv.Open(cfg)
 		if err != nil {
@@ -223,7 +232,7 @@ func TestFacadeDecodeServer(t *testing.T) {
 		}
 	}
 	srv.Shutdown()
-	if _, err := srv.Open(PhenomenologicalSession(3, 8, 0.02, 0.02)); err == nil {
+	if _, err := srv.Open(SurfaceSession(ToricCode(3), 8, 0.02, 0.02)); err == nil {
 		t.Fatal("Open after Shutdown accepted")
 	}
 }

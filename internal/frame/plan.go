@@ -20,8 +20,8 @@ import (
 // RunRound.
 //
 // Plans are immutable after construction and safe to share across
-// BatchSims (a per-lattice plan is built once and memoized by the
-// extraction compiler).
+// BatchSims (surface.CircuitSource builds one per extraction schedule
+// and memoizes it there).
 type RoundPlan struct {
 	ops  []planOp
 	locs int

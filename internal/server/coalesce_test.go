@@ -19,7 +19,7 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 		sessions = 6
 	}
 	P := noise.Uniform(0.004)
-	cfg := CircuitLevel(l, lanes, P)
+	cfg := toricCircuitLevel(l, lanes, P)
 	for _, workers := range []int{1, 3} {
 		type res struct {
 			r   SessionResult

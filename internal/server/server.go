@@ -14,7 +14,6 @@ import (
 	"ftqc/internal/spacetime"
 	"ftqc/internal/stream"
 	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 var (
@@ -75,15 +74,12 @@ type AdaptConfig struct {
 	Cooldown int
 }
 
-// SessionConfig shapes one logical-qubit session. Zero Window/Commit
-// take the stream.DefaultWindow sizes; WD > 0 selects the
-// circuit-level (diagonal-edge) window. The Phenomenological and
-// CircuitLevel helpers fill in default windows and weights.
+// SessionConfig shapes one logical-qubit session of a surface.Code.
+// Zero Window/Commit take the stream.DefaultWindow sizes; WD > 0 selects
+// the circuit-level (diagonal-edge) window. The PhenomenologicalCode
+// and CircuitLevelCode helpers fill in default windows and weights.
 type SessionConfig struct {
-	// Code selects the code family. Nil picks the L×L toric code; an
-	// explicit code overrides L with its own distance.
 	Code  surface.Code
-	L     int
 	Lanes int
 
 	Window, Commit int
@@ -98,36 +94,22 @@ type SessionConfig struct {
 	gate chan struct{}
 }
 
-// Phenomenological returns the standard session config for an L×L code
+// PhenomenologicalCode returns the standard session config for a code
 // under phenomenological noise (data rate p, measurement rate q):
 // default window, weights from spacetime.Weights.
-func Phenomenological(l, lanes int, p, q float64) SessionConfig {
-	w, c := stream.DefaultWindow(l)
-	wh, wv := spacetime.Weights(p, q, l, w)
-	return SessionConfig{L: l, Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv}
-}
-
-// CircuitLevel returns the standard session config for an L×L code
-// under the circuit-level model P: default window, weights from
-// spacetime.WeightsCircuit with the window as horizon.
-func CircuitLevel(l, lanes int, P noise.Params) SessionConfig {
-	w, c := stream.DefaultWindow(l)
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-	return SessionConfig{L: l, Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv, WD: wd}
-}
-
-// PhenomenologicalCode is Phenomenological for any surface.Code.
 func PhenomenologicalCode(code surface.Code, lanes int, p, q float64) SessionConfig {
 	w, c := stream.DefaultWindow(code.Distance())
 	wh, wv := spacetime.Weights(p, q, code.Distance(), w)
-	return SessionConfig{Code: code, L: code.Distance(), Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv}
+	return SessionConfig{Code: code, Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv}
 }
 
-// CircuitLevelCode is CircuitLevel for any surface.Code.
+// CircuitLevelCode returns the standard session config for a code
+// under the circuit-level model P: default window, weights from
+// spacetime.WeightsCircuit with the window as horizon.
 func CircuitLevelCode(code surface.Code, lanes int, P noise.Params) SessionConfig {
 	w, c := stream.DefaultWindow(code.Distance())
 	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), w)
-	return SessionConfig{Code: code, L: code.Distance(), Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv, WD: wd}
+	return SessionConfig{Code: code, Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv, WD: wd}
 }
 
 // winKey interns shared stream.Sessions per code family and window
@@ -193,15 +175,17 @@ func (srv *Server) sharedSession(code surface.Code, w, c, wh, wv, wd int) (*stre
 	if ok {
 		return ss, nil
 	}
+	var win *stream.Window
 	var err error
 	if wd > 0 {
-		ss, err = stream.NewCodeCircuitSessionOn(srv.pool, code, w, c, wh, wv, wd)
+		win, err = stream.NewCodeCircuitWindow(code, w, c, wh, wv, wd)
 	} else {
-		ss, err = stream.NewCodeSessionOn(srv.pool, code, w, c, wh, wv)
+		win, err = stream.NewCodeWindow(code, w, c, wh, wv)
 	}
 	if err != nil {
 		return nil, err
 	}
+	ss = stream.NewSessionOn(srv.pool, win)
 	if srv.coal != nil {
 		ss.SetSubmitter(srv.coal)
 	}
@@ -221,15 +205,10 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("server: session needs at least one lane (got %d)", cfg.Lanes)
 	}
 	if cfg.Code == nil {
-		if cfg.L < 2 {
-			return nil, fmt.Errorf("server: session needs a code or a lattice size of at least 2 (got L=%d)", cfg.L)
-		}
-		cfg.Code = toric.Cached(cfg.L)
-	} else {
-		cfg.L = cfg.Code.Distance()
+		return nil, fmt.Errorf("server: session needs a code")
 	}
 	if cfg.Window <= 0 || cfg.Commit <= 0 {
-		cfg.Window, cfg.Commit = stream.DefaultWindow(cfg.L)
+		cfg.Window, cfg.Commit = stream.DefaultWindow(cfg.Code.Distance())
 	}
 	if a := cfg.Adapt; a != nil {
 		ac := *a
@@ -430,7 +409,7 @@ func (s *Session) Config() SessionConfig { return s.cfg }
 // policy; after Close/CloseWith it returns ErrSessionClosed.
 func (s *Session) Submit(layerX, layerZ []bits.Vec) error {
 	if len(layerX) != s.nc || len(layerZ) != s.nc {
-		return fmt.Errorf("server: round has %d/%d planes, want %d (L=%d)", len(layerX), len(layerZ), s.nc, s.cfg.L)
+		return fmt.Errorf("server: round has %d/%d planes, want %d (%s d=%d)", len(layerX), len(layerZ), s.nc, s.cfg.Code.CodeName(), s.cfg.Code.Distance())
 	}
 	if layerX[0].Len() != s.lanes || layerZ[0].Len() != s.lanes {
 		return fmt.Errorf("server: round has %d lanes, session has %d", layerX[0].Len(), s.lanes)
@@ -531,7 +510,7 @@ func (s *Session) Stats() SessionStats {
 	st := SessionStats{
 		ID:          s.id,
 		Code:        s.cfg.Code.CodeName(),
-		L:           s.cfg.L,
+		L:           s.cfg.Code.Distance(),
 		Window:      int(s.curWindow.Load()),
 		Commit:      int(s.curCommit.Load()),
 		Lanes:       s.lanes,

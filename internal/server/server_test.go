@@ -13,8 +13,19 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/stream"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
+
+// toricPhenomenological / toricCircuitLevel name the L×L torus by its
+// size, so the fleet tables stay (l, lanes, rates).
+func toricPhenomenological(l, lanes int, p, q float64) SessionConfig {
+	return PhenomenologicalCode(toric.Cached(l), lanes, p, q)
+}
+
+func toricCircuitLevel(l, lanes int, P noise.Params) SessionConfig {
+	return CircuitLevelCode(toric.Cached(l), lanes, P)
+}
 
 // newFeed builds the layer feed a test session consumes — circuit-level
 // when the config carries diagonal edges, phenomenological otherwise.
@@ -23,9 +34,9 @@ import (
 func newFeed(cfg SessionConfig, P noise.Params, p, q float64, seed uint64) spacetime.LayerFeed {
 	smp := frame.NewAggregateSampler(seed, 5)
 	if cfg.WD > 0 {
-		return spacetime.NewCircuitLayerSource(cfg.L, P, cfg.Lanes, smp)
+		return surface.NewCircuitSource(cfg.Code, P, cfg.Lanes, smp)
 	}
-	return spacetime.NewLayerSource(cfg.L, p, q, cfg.Lanes, smp)
+	return surface.NewLayerSource(cfg.Code, p, q, cfg.Lanes, smp)
 }
 
 // standaloneFrames drives a private stream.Session over the same draw
@@ -36,9 +47,9 @@ func standaloneFrames(t testing.TB, cfg SessionConfig, P noise.Params, p, q floa
 	var ss *stream.Session
 	var err error
 	if cfg.WD > 0 {
-		ss, err = stream.NewCircuitSession(cfg.L, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
+		ss, err = stream.NewCodeCircuitSession(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
 	} else {
-		ss, err = stream.NewSession(cfg.L, cfg.Window, cfg.Commit, cfg.WH, cfg.WV)
+		ss, err = stream.NewCodeSession(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +57,7 @@ func standaloneFrames(t testing.TB, cfg SessionConfig, P noise.Params, p, q floa
 	defer ss.Close()
 	src := newFeed(cfg, P, p, q, seed)
 	d := ss.NewDecoder(cfg.Lanes)
-	nc := cfg.L * cfg.L
+	nc := cfg.Code.Checks()
 	layerX := bits.NewVecs(nc, cfg.Lanes)
 	layerZ := bits.NewVecs(nc, cfg.Lanes)
 	for r := 0; r < rounds; r++ {
@@ -72,7 +83,7 @@ func driveSession(srv *Server, cfg SessionConfig, P noise.Params, p, q float64, 
 		return SessionResult{}, err
 	}
 	src := newFeed(cfg, P, p, q, seed)
-	nc := cfg.L * cfg.L
+	nc := cfg.Code.Checks()
 	layerX := bits.NewVecs(nc, cfg.Lanes)
 	layerZ := bits.NewVecs(nc, cfg.Lanes)
 	for r := 0; r < rounds; r++ {
@@ -114,7 +125,7 @@ func TestServerMatchesStandaloneStream(t *testing.T) {
 	}
 	const l, lanes, rounds = 8, 64, 40
 	P := noise.Uniform(0.003)
-	cfg := CircuitLevel(l, lanes, P)
+	cfg := toricCircuitLevel(l, lanes, P)
 
 	// Standalone references, one per session seed.
 	refX := make([][]bits.Vec, sessions)
@@ -167,13 +178,13 @@ func TestServerBackpressureReject(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: depth, Overflow: OverflowReject})
 	defer srv.Shutdown()
 	gate := make(chan struct{})
-	cfg := Phenomenological(3, 16, 0.02, 0.02)
+	cfg := toricPhenomenological(3, 16, 0.02, 0.02)
 	cfg.gate = gate
 	s, err := srv.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc := cfg.L * cfg.L
+	nc := cfg.Code.Checks()
 	layerX := bits.NewVecs(nc, cfg.Lanes)
 	layerZ := bits.NewVecs(nc, cfg.Lanes)
 	accepted := 0
@@ -224,13 +235,13 @@ func TestServerBackpressureBlock(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: depth, Overflow: OverflowBlock})
 	defer srv.Shutdown()
 	gate := make(chan struct{})
-	cfg := Phenomenological(3, 16, 0.02, 0.02)
+	cfg := toricPhenomenological(3, 16, 0.02, 0.02)
 	cfg.gate = gate
 	s, err := srv.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc := cfg.L * cfg.L
+	nc := cfg.Code.Checks()
 	layerX := bits.NewVecs(nc, cfg.Lanes)
 	layerZ := bits.NewVecs(nc, cfg.Lanes)
 	done := make(chan struct{})
@@ -271,7 +282,7 @@ func TestServerBackpressureBlock(t *testing.T) {
 // standalone decoder has committed after the same pushes.
 func TestServerDrainDeliversCommitted(t *testing.T) {
 	const l, lanes, rounds, seed = 4, 32, 24, 7300
-	cfg := Phenomenological(l, lanes, 0.03, 0.03)
+	cfg := toricPhenomenological(l, lanes, 0.03, 0.03)
 	refX, refZ, refCommitted := standaloneFrames(t, cfg, noise.Params{}, 0.03, 0.03, rounds, seed, false)
 	if refCommitted == 0 {
 		t.Fatal("reference committed nothing — test misconfigured")
@@ -346,7 +357,7 @@ func TestServerChurn(t *testing.T) {
 			rng := rand.New(rand.NewPCG(7500, uint64(c)))
 			for it := 0; it < 3; it++ {
 				l := 3 + rng.IntN(2)
-				cfg := Phenomenological(l, 16+rng.IntN(32), 0.02, 0.02)
+				cfg := toricPhenomenological(l, 16+rng.IntN(32), 0.02, 0.02)
 				cfg.Window, cfg.Commit = 3+rng.IntN(4), 1+rng.IntN(2)
 				s, err := srv.Open(cfg)
 				if err != nil {
@@ -398,17 +409,17 @@ func TestServerChurn(t *testing.T) {
 func TestServerAdaptiveWindow(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	defer srv.Shutdown()
-	run := func(p float64, window int, adapt AdaptConfig) (SessionStats, SessionResult, *spacetime.LayerSource) {
+	run := func(p float64, window int, adapt AdaptConfig) (SessionStats, SessionResult, *surface.LayerSource) {
 		t.Helper()
 		const l, lanes, rounds = 4, 64, 80
-		cfg := Phenomenological(l, lanes, p, p)
+		cfg := toricPhenomenological(l, lanes, p, p)
 		cfg.Window, cfg.Commit = window, window/2
 		cfg.Adapt = &adapt
 		s, err := srv.Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(7700, uint64(window)))
+		src := surface.NewLayerSource(cfg.Code, p, p, lanes, frame.NewAggregateSampler(7700, uint64(window)))
 		nc := l * l
 		layerX := bits.NewVecs(nc, lanes)
 		layerZ := bits.NewVecs(nc, lanes)
@@ -479,12 +490,12 @@ func TestServerAdaptiveWindow(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Shutdown()
-	good := Phenomenological(3, 8, 0.02, 0.02)
+	good := toricPhenomenological(3, 8, 0.02, 0.02)
 	bad := []SessionConfig{
-		{L: good.L, Lanes: 0, Window: good.Window, Commit: good.Commit, WH: good.WH, WV: good.WV},
-		{L: 1, Lanes: 8, Window: 4, Commit: 2, WH: 1, WV: 1},
-		{L: 3, Lanes: 8, Window: 4, Commit: 4, WH: 1, WV: 1},
-		{L: 3, Lanes: 8, Window: 4, Commit: 2, WH: 0, WV: 1},
+		{Code: good.Code, Lanes: 0, Window: good.Window, Commit: good.Commit, WH: good.WH, WV: good.WV},
+		{Code: nil, Lanes: 8, Window: 4, Commit: 2, WH: 1, WV: 1},
+		{Code: good.Code, Lanes: 8, Window: 4, Commit: 4, WH: 1, WV: 1},
+		{Code: good.Code, Lanes: 8, Window: 4, Commit: 2, WH: 0, WV: 1},
 		func() SessionConfig {
 			c := good
 			c.Adapt = &AdaptConfig{MinWindow: 1, MaxWindow: 8}
@@ -505,7 +516,7 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	wrong := bits.NewVecs(good.L*good.L+1, good.Lanes)
+	wrong := bits.NewVecs(good.Code.Checks()+1, good.Lanes)
 	if err := s.Submit(wrong, wrong); err == nil {
 		t.Error("mismatched plane count accepted")
 	}
@@ -519,7 +530,7 @@ func TestServerValidation(t *testing.T) {
 // bit-identical to the standalone stream.
 func TestServeConnWire(t *testing.T) {
 	const l, lanes, rounds, seed = 4, 48, 20, 7900
-	cfg := Phenomenological(l, lanes, 0.025, 0.025)
+	cfg := toricPhenomenological(l, lanes, 0.025, 0.025)
 	refX, refZ, _ := standaloneFrames(t, cfg, noise.Params{}, 0.025, 0.025, rounds, seed, true)
 
 	srv := New(Config{Workers: 2})

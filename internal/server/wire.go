@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"ftqc/internal/bits"
+	"ftqc/internal/toric"
 )
 
 // Wire framing for the ingestion demo: a client streams syndrome
@@ -17,6 +18,7 @@ import (
 // payload known from the open handshake:
 //
 //	'O'  open    7 × uint32: L, lanes, window, commit, wh, wv, wd
+//	             (the wire carries the plain L×L toric code only)
 //	'R'  round   2·nc vectors of lane bits (X planes then Z planes),
 //	             each vector ⌈lanes/64⌉ words
 //	'F'  finish  same payload as 'R' (the perfect closing round)
@@ -59,12 +61,19 @@ type Conn struct {
 // Dial wraps a transport in a protocol client.
 func Dial(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
-// Open sends the session handshake. Adaptive windows are a server-side
-// policy and are not carried on the wire.
+// Open sends the session handshake. The 'O' message names a code by its
+// lattice size alone, so only the plain toric code can cross the wire:
+// any other family or schedule is an error here, never a session the
+// server would silently open on the wrong code. Adaptive windows are a
+// server-side policy and are not carried on the wire.
 func (c *Conn) Open(cfg SessionConfig) error {
+	lat, ok := cfg.Code.(*toric.Lattice)
+	if !ok {
+		return fmt.Errorf("server: the wire protocol carries only the plain toric code")
+	}
 	buf := make([]byte, 1+7*4)
 	buf[0] = msgOpen
-	for i, v := range []int{cfg.L, cfg.Lanes, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD} {
+	for i, v := range []int{lat.L, cfg.Lanes, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD} {
 		binary.LittleEndian.PutUint32(buf[1+4*i:], uint32(v))
 	}
 	_, err := c.rw.Write(buf)
@@ -166,20 +175,23 @@ func readFrames(r io.Reader) (SessionResult, error) {
 	return res, nil
 }
 
-// parseOpen decodes the 'O' payload and holds it to the wire limits.
+// parseOpen decodes the 'O' payload, holds it to the wire limits and
+// builds the toric code it names.
 func parseOpen(payload []byte) (SessionConfig, error) {
 	f := func(i int) int { return int(binary.LittleEndian.Uint32(payload[4*i:])) }
-	cfg := SessionConfig{L: f(0), Lanes: f(1), Window: f(2), Commit: f(3), WH: f(4), WV: f(5), WD: f(6)}
+	l := f(0)
+	cfg := SessionConfig{Lanes: f(1), Window: f(2), Commit: f(3), WH: f(4), WV: f(5), WD: f(6)}
 	switch {
-	case cfg.L > maxWireL:
-		return cfg, fmt.Errorf("server: open asks for L=%d, the wire limit is %d", cfg.L, maxWireL)
+	case l < 2 || l > maxWireL:
+		return cfg, fmt.Errorf("server: open asks for L=%d, the wire carries 2 ≤ L ≤ %d", l, maxWireL)
 	case cfg.Lanes > maxWireLanes:
 		return cfg, fmt.Errorf("server: open asks for %d lanes, the wire limit is %d", cfg.Lanes, maxWireLanes)
-	case cfg.Window > maxWireWindowPerL*cfg.L:
+	case cfg.Window > maxWireWindowPerL*l:
 		return cfg, fmt.Errorf("server: open asks for a window of %d layers, the wire limit is %d·L", cfg.Window, maxWireWindowPerL)
 	case cfg.WH > maxWireWeight || cfg.WV > maxWireWeight || cfg.WD > maxWireWeight:
 		return cfg, fmt.Errorf("server: open asks for weights %d/%d/%d, the wire limit is %d", cfg.WH, cfg.WV, cfg.WD, maxWireWeight)
 	}
+	cfg.Code = toric.Cached(l)
 	return cfg, nil
 }
 

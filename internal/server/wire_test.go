@@ -10,6 +10,8 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/noise"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // wireSession is one recorded client byte stream (open, rounds, finish)
@@ -21,12 +23,12 @@ type wireSession struct {
 	refX, refZ []bits.Vec
 }
 
-func (w wireSession) roundBytes() int { return roundMsgLen(w.cfg.L*w.cfg.L, w.cfg.Lanes) }
+func (w wireSession) roundBytes() int { return roundMsgLen(w.cfg.Code.Checks(), w.cfg.Lanes) }
 
 func recordWireSession(t testing.TB, l, lanes, rounds int, seed uint64) wireSession {
 	t.Helper()
 	const p = 0.025
-	cfg := Phenomenological(l, lanes, p, p)
+	cfg := toricPhenomenological(l, lanes, p, p)
 	var buf bytes.Buffer
 	conn := Dial(&buf)
 	if err := conn.Open(cfg); err != nil {
@@ -170,6 +172,53 @@ func TestServeConnRejectsOversized(t *testing.T) {
 	}
 }
 
+// TestConnOpenCarriesOnlyPlainToric: the 'O' message names a code by its
+// lattice size alone, so the client refuses any config whose code the
+// server could not rebuild from it — before a byte is written — instead
+// of letting the server open a plain toric session of the same size
+// (wrong check count for rotated; for toric-hookpar, same sizes and
+// silently wrong diagonals).
+func TestConnOpenCarriesOnlyPlainToric(t *testing.T) {
+	for name, cfg := range map[string]SessionConfig{
+		"rotated":       PhenomenologicalCode(surface.Rotated(9), 8, 0.01, 0.01),
+		"toric-hookpar": CircuitLevelCode(toric.HookParallel(4), 8, noise.Uniform(0.003)),
+		"nil code":      {Lanes: 8, Window: 4, Commit: 2, WH: 1, WV: 1},
+	} {
+		var buf bytes.Buffer
+		if err := Dial(&buf).Open(cfg); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Open err = %v with %d bytes written, want an error and nothing sent", name, err, buf.Len())
+		}
+	}
+}
+
+// TestParseOpenBuildsTheToricCode: the server side of the handshake
+// rejects a lattice no toric code exists for (untrusted input: an
+// error, never the lattice constructor's panic) and otherwise hands
+// Open the code the client named.
+func TestParseOpenBuildsTheToricCode(t *testing.T) {
+	open := func(l uint32) []byte {
+		var msg []byte
+		for _, f := range []uint32{l, 8, 4, 2, 1, 1, 0} {
+			msg = binary.LittleEndian.AppendUint32(msg, f)
+		}
+		return msg
+	}
+	for _, l := range []uint32{0, 1} {
+		if _, err := parseOpen(open(l)); err == nil {
+			t.Errorf("open with L=%d accepted", l)
+		}
+		srv := New(Config{Workers: 1})
+		if err := srv.ServeConn(transport{bytes.NewReader(append([]byte{msgOpen}, open(l)...)), io.Discard}); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("ServeConn with L=%d: %v, want a handshake error", l, err)
+		}
+		srv.Shutdown()
+	}
+	cfg, err := parseOpen(open(2))
+	if err != nil || cfg.Code != surface.Code(toric.Cached(2)) {
+		t.Errorf("open with L=2: code %v, err %v, want the cached toric lattice", cfg.Code, err)
+	}
+}
+
 // FuzzServeConn feeds arbitrary bytes to the server side of the wire:
 // every input must end in an error or a clean finish — never a panic or
 // an unbounded allocation — with no session left behind.
@@ -185,6 +234,9 @@ func FuzzServeConn(f *testing.F) {
 	oversized := bytes.Clone(w.stream)
 	binary.LittleEndian.PutUint32(oversized[1:], 1<<31)
 	f.Add(oversized)
+	tiny := bytes.Clone(w.stream)
+	binary.LittleEndian.PutUint32(tiny[1:], 1) // no toric code at L=1
+	f.Add(tiny)
 	oddParity := bytes.Clone(w.stream) // one lone defect in the closing round: not a toric syndrome
 	oddParity[len(oddParity)-w.roundBytes()+1] ^= 1
 	f.Add(oddParity)

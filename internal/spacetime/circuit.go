@@ -2,37 +2,25 @@ package spacetime
 
 // Circuit-level syndrome extraction in the space-time volume.
 //
-// internal/extract runs the actual extraction circuit (ancilla per
-// check, PrepZ/PrepX, four CNOTs in a fixed schedule, MeasZ/MeasX) on
-// the batch frame engine with faults at every location. This file wires
-// that source into the decoding subsystem: the effective per-edge-class
-// fault probabilities of the circuit model (CircuitProbs), their integer
-// LLR weights (WeightsCircuit), the diagonal-edge decoding volume's
-// exact metric (circuitMetric), and the Monte Carlo entry points
-// (CircuitMemory, CircuitSustainedThreshold).
+// surface.CircuitSource runs the actual extraction circuit (ancilla per
+// check, PrepZ/PrepX, four CNOTs in the code's schedule, MeasZ/MeasX)
+// on the batch frame engine with faults at every location. This file
+// wires that source into the decoding subsystem: the effective
+// per-edge-class fault probabilities of the circuit model
+// (CircuitProbs), their integer LLR weights (WeightsCircuit), the
+// diagonal-edge decoding volume's exact metric (circuitMetric), and the
+// Monte Carlo entry points (CodeCircuitMemory,
+// CircuitSustainedThreshold).
 
 import (
 	"math"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
-
-// CircuitLayerSource is the circuit-level extraction source — the
-// drop-in replacement for the phenomenological LayerSource behind the
-// shared LayerFeed contract.
-type CircuitLayerSource = extract.Source
-
-// NewCircuitLayerSource returns a circuit-level source over the L×L
-// lattice for `lanes` parallel shots under the per-location noise model
-// P, drawing from smp.
-func NewCircuitLayerSource(l int, P noise.Params, lanes int, smp frame.Sampler) *CircuitLayerSource {
-	return extract.NewSource(l, P, lanes, smp)
-}
 
 // CircuitProbs estimates the per-round effective probabilities of the
 // three space-time edge classes under the circuit-level extraction
@@ -99,20 +87,13 @@ func WeightsCircuit(P noise.Params, l, rounds int) (wh, wv, wd int) {
 	return wh / g, wv / g, wd / g
 }
 
-// CachedCircuitVolumeFor returns the memoized diagonal-edge volume with
-// weights derived from the noise model via WeightsCircuit.
-func CachedCircuitVolumeFor(l, rounds int, P noise.Params) *Volume {
-	wh, wv, wd := WeightsCircuit(P, l, rounds)
-	return CachedCircuitVolume(l, rounds, wh, wv, wd)
-}
-
-// CachedCodeCircuitVolumeFor is CachedCircuitVolumeFor for any
-// surface.Code (the leading-order fault counting behind WeightsCircuit
-// is schedule-shape-independent, so one weight triple serves every
-// family).
+// CachedCodeCircuitVolumeFor returns the memoized diagonal-edge volume
+// of a surface.Code with weights derived from the noise model via
+// WeightsCircuit (the leading-order fault counting is schedule-shape-
+// independent, so one weight triple serves every family).
 func CachedCodeCircuitVolumeFor(code surface.Code, rounds int, P noise.Params) *Volume {
 	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
-	return CachedCodeCircuitVolume(code, rounds, wh, wv, wd)
+	return cachedVolume(code, rounds, wh, wv, wd)
 }
 
 // metric returns the circuit-metric tables of the two sectors, built on
@@ -215,56 +196,42 @@ func circuitMetric(l, rounds, wh, wv, wd int, diag [][2]int32) []int64 {
 
 func mod(a, l int) int { return ((a % l) + l) % l }
 
-// CircuitMemory runs the circuit-level noisy-extraction memory Monte
-// Carlo: `rounds` full extraction circuits per shot with faults at
-// every location of the model P, decoded over the diagonal-edge volume
-// with WeightsCircuit LLR weights, fanned out over the CPUs in
-// deterministic seed-per-chunk batches. Result.P and Result.Q report
-// the representative Gate2 and Meas rates of the model.
-func CircuitMemory(l, rounds int, P noise.Params, kind toric.DecoderKind, samples int, seed uint64) Result {
-	v := CachedCircuitVolumeFor(l, rounds, P)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(extract.NewSource(l, P, lanes, smp), kind)
-	})
-	return Result{L: l, T: rounds, P: P.Gate2, Q: P.Meas, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}
-}
-
-// CodeCircuitMemory is CircuitMemory for any surface.Code: `rounds`
-// full extraction circuits of the code's own schedule per shot,
-// decoded by weighted union-find over the diagonal-edge volume
-// (boundary-truncated diagonals grounded for open codes).
-func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, samples int, seed uint64) Result {
+// CodeCircuitMemory runs the circuit-level noisy-extraction memory
+// Monte Carlo for any surface.Code: `rounds` full extraction circuits
+// of the code's own schedule per shot with faults at every location of
+// the model P, decoded over the diagonal-edge volume with
+// WeightsCircuit LLR weights (boundary-truncated diagonals grounded for
+// open codes), fanned out over the CPUs in deterministic seed-per-chunk
+// batches. Result.P and Result.Q report the representative Gate2 and
+// Meas rates of the model.
+func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
+	if err := validateMemory(code, rounds, kind); err != nil {
+		return Result{}, err
+	}
 	v := CachedCodeCircuitVolumeFor(code, rounds, P)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(surface.NewCircuitSource(code, P, lanes, smp), toric.DecoderUnionFind)
+		return v.BatchMemoryFrom(surface.NewCircuitSource(code, P, lanes, smp), kind)
 	})
 	return Result{L: code.Distance(), T: rounds, P: P.Gate2, Q: P.Meas, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}
+		FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
 // CircuitSustainedThreshold sweeps the uniform per-location error rate ε
 // (noise.Uniform: every preparation, CNOT, measurement and idle step
-// faults with probability ε) with T = L extraction rounds for two code
-// distances and estimates where the failure curves cross — the
+// faults with probability ε) with T = L extraction rounds for two toric
+// code distances and estimates where the failure curves cross — the
 // circuit-level sustained threshold. Because each data qubit sees ~4
 // two-qubit gates plus an idle step per round and each measurement ~6
 // fault paths, the crossing sits well below the phenomenological p = q
 // value (sub-percent ε against ≈ 0.027). Returns NaN when the grid
 // shows no crossing, plus the measured points either way.
 func CircuitSustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKind, samples int, seed uint64) (float64, []ThresholdPoint) {
-	pts := make([]ThresholdPoint, len(grid))
-	small := make([]float64, len(grid))
-	large := make([]float64, len(grid))
-	for i, eps := range grid {
-		P := noise.Uniform(eps)
-		pts[i] = ThresholdPoint{
-			P:     eps,
-			Small: CircuitMemory(l1, l1, P, kind, samples, seed+uint64(2*i)),
-			Large: CircuitMemory(l2, l2, P, kind, samples, seed+uint64(2*i+1)),
-		}
-		small[i] = pts[i].Small.FailRate()
-		large[i] = pts[i].Large.FailRate()
+	cross, pts, err := crossingSweep(l1, l2, grid, seed, func(l int, eps float64, seed uint64) (Result, error) {
+		return CodeCircuitMemory(toric.Cached(l), l, noise.Uniform(eps), kind, samples, seed)
+	})
+	if err != nil {
+		// The sweep derives its own parameters; they cannot be invalid.
+		panic(err)
 	}
-	return CrossingEstimate(grid, small, large), pts
+	return cross, pts
 }

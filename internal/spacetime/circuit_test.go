@@ -7,9 +7,9 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -20,12 +20,12 @@ import (
 func TestCircuitVolumeShape(t *testing.T) {
 	const l, rounds = 4, 3
 	const wh, wv, wd = 2, 1, 3
-	v := NewCircuitVolume(l, rounds, wh, wv, wd)
+	v := NewCodeCircuitVolume(toric.Cached(l), rounds, wh, wv, wd)
 	nc, nq := l*l, 2*l*l
 	if got, want := v.Graph().Edges(), rounds*(2*nq+nc); got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
 	}
-	sch := extract.Sched(l)
+	sch := toric.Cached(l).ExtractionSchedule()
 	for _, sector := range []struct {
 		g    *decoder.Graph
 		diag [][2]int32
@@ -97,8 +97,8 @@ func TestCircuitMetricMatchesGraph(t *testing.T) {
 	const l, rounds = 3, 2
 	const tall, mid = 6, 3
 	wh, wv, wd := WeightsCircuit(noise.Uniform(2e-3), l, rounds)
-	v := NewCircuitVolume(l, rounds, wh, wv, wd)
-	ref := NewCircuitVolume(l, tall, wh, wv, wd)
+	v := NewCodeCircuitVolume(toric.Cached(l), rounds, wh, wv, wd)
+	ref := NewCodeCircuitVolume(toric.Cached(l), tall, wh, wv, wd)
 	nc := l * l
 	span := 2*rounds + 1
 	distX, distZ := v.metric()
@@ -168,11 +168,11 @@ func dijkstraRef(nodes, edges int, ends func(int) (int, int), weight func(int) i
 // pipeline must report exactly zero logical failures — just like the
 // phenomenological model at p = 0.
 func TestCircuitMeasOnlyIsFailureFree(t *testing.T) {
-	r := CircuitMemory(4, 4, noise.Params{Meas: 0.08}, toric.DecoderUnionFind, 2000, 31)
+	r := toricCircuitMemory(4, 4, noise.Params{Meas: 0.08}, toric.DecoderUnionFind, 2000, 31)
 	if r.Failures != 0 || r.FailX != 0 || r.FailZ != 0 {
 		t.Fatalf("meas-only circuit produced failures: %+v", r)
 	}
-	ph := Memory(4, 4, 0, 0.08, toric.DecoderUnionFind, 2000, 32)
+	ph := toricMemory(4, 4, 0, 0.08, toric.DecoderUnionFind, 2000, 32)
 	if ph.Failures != 0 {
 		t.Fatalf("meas-only phenomenological model produced failures: %+v", ph)
 	}
@@ -194,12 +194,12 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 		samples   = 6000
 	)
 	p := 2.0 / 3.0 * storage
-	v := CachedVolume(l, rounds, p, q)
+	v := CachedCodeVolume(toric.Cached(l), rounds, p, q)
 	P := noise.Params{Storage: storage, Meas: q}
 	fx, fz, _ := frame.CountSectorFailures(samples, 33, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(NewCircuitLayerSource(l, P, lanes, smp), toric.DecoderUnionFind)
+		return v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), toric.DecoderUnionFind)
 	})
-	ref := Memory(l, rounds, p, q, toric.DecoderUnionFind, samples, 34)
+	ref := toricMemory(l, rounds, p, q, toric.DecoderUnionFind, samples, 34)
 	for _, s := range []struct {
 		name      string
 		got, want float64
@@ -219,7 +219,7 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 // Monte Carlo is a pure function of (samples, seed).
 func TestCircuitMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 	run := func() Result {
-		return CircuitMemory(4, 4, noise.Uniform(0.004), toric.DecoderUnionFind, 900, 35)
+		return toricCircuitMemory(4, 4, noise.Uniform(0.004), toric.DecoderUnionFind, 900, 35)
 	}
 	a := run()
 	if b := run(); a != b {
@@ -241,8 +241,8 @@ func TestCircuitMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 func TestCircuitUnionFindMatchesExact(t *testing.T) {
 	const samples = 3000
 	P := noise.Uniform(0.006)
-	uf := CircuitMemory(4, 4, P, toric.DecoderUnionFind, samples, 36)
-	ex := CircuitMemory(4, 4, P, toric.DecoderExact, samples, 36)
+	uf := toricCircuitMemory(4, 4, P, toric.DecoderUnionFind, samples, 36)
+	ex := toricCircuitMemory(4, 4, P, toric.DecoderExact, samples, 36)
 	fu, fe := uf.FailRate(), ex.FailRate()
 	sigma := math.Sqrt(fu*(1-fu)/samples + fe*(1-fe)/samples)
 	if diff := math.Abs(fu - fe); diff > 4*sigma+0.02 {
@@ -265,8 +265,8 @@ func TestCircuitFailureScalingMatchesDistance(t *testing.T) {
 	}
 	const samples = 60000
 	kind := toric.DecoderUnionFind
-	r1 := CircuitMemory(3, 3, noise.Uniform(0.003), kind, samples, 37)
-	r2 := CircuitMemory(3, 3, noise.Uniform(0.006), kind, samples, 38)
+	r1 := toricCircuitMemory(3, 3, noise.Uniform(0.003), kind, samples, 37)
+	r2 := toricCircuitMemory(3, 3, noise.Uniform(0.006), kind, samples, 38)
 	f1, f2 := r1.FailRate(), r2.FailRate()
 	if r1.Failures < 20 || r2.Failures < 20 {
 		t.Fatalf("not enough failures to fit a slope: %d and %d", r1.Failures, r2.Failures)
@@ -275,7 +275,7 @@ func TestCircuitFailureScalingMatchesDistance(t *testing.T) {
 	if slope < 1.4 || slope > 3.1 {
 		t.Fatalf("L=3 failure scaling ε^%.2f, want ≈ ε² ((L+1)/2 = 2 faults): %.2e → %.2e", slope, f1, f2)
 	}
-	r5 := CircuitMemory(5, 5, noise.Uniform(0.003), kind, samples, 39)
+	r5 := toricCircuitMemory(5, 5, noise.Uniform(0.003), kind, samples, 39)
 	if r5.FailRate() >= f1 {
 		t.Fatalf("L=5 (%.4f) not quieter than L=3 (%.4f) at ε=0.003", r5.FailRate(), f1)
 	}

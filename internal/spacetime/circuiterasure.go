@@ -6,8 +6,8 @@ package spacetime
 // independent-sector pipeline used to drop:
 //
 //   - Leakage. frame.BatchSim tracks a leakage flag per qubit; an
-//     erasure-harvesting source (extract.NewSourceErased /
-//     surface.NewCircuitSourceErased) replaces leaked data qubits with
+//     erasure-harvesting source (surface.NewCircuitSourceErased)
+//     replaces leaked data qubits with
 //     fresh randomized ones at round boundaries and reports every leak
 //     as a located fault: the horizontal (and mirrored diagonal) edges
 //     of a leaked data qubit, the vertical edge of a leaked ancilla.
@@ -31,14 +31,13 @@ package spacetime
 // streaming window (internal/stream) can reproduce them exactly.
 
 import (
-	"fmt"
 	mbits "math/bits"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // DecodeOptions selects the side-information passes of a circuit-level
@@ -112,19 +111,7 @@ func MarkCounterpartEdges(e, horiz, diagOff int, mask bits.Vec) {
 func (v *Volume) BatchCircuitErasedFrom(src ErasedLayerFeed, opts DecodeOptions) (failX, failZ bits.Vec) {
 	nc, nq := v.nc, v.nq
 	lanes := src.Lanes()
-	if src.Rounds() != 0 {
-		panic("spacetime: layer feed already drained")
-	}
-	if src.L() != v.L {
-		panic("spacetime: layer feed lattice size does not match the volume")
-	}
-	if cf, ok := src.(codeFeed); ok {
-		if cf.Code().CodeName() != v.code.CodeName() {
-			panic("spacetime: layer feed code family does not match the volume")
-		}
-	} else if v.code.CodeName() != "toric" {
-		panic("spacetime: this volume needs a code-aware layer feed (surface.NewCircuitSourceErased)")
-	}
+	CheckFeed(src, v.code)
 	layersX := bits.NewVecs(v.det, lanes)
 	layersZ := bits.NewVecs(v.det, lanes)
 	eraH := bits.NewVecs(v.horiz, lanes)
@@ -265,43 +252,20 @@ func (v *Volume) appendErased(dst []int, era, lost bits.Vec, mask bits.Vec) []in
 
 func trailingZeros64(x uint64) int { return mbits.TrailingZeros64(x) }
 
-// validateCircuitModel is the constructor-error gate of the
-// option-bearing circuit entry points: a malformed model or round count
-// is an error, never a silent adjustment.
-func validateCircuitModel(P noise.Params, rounds int) error {
+// CodeCircuitMemoryOpts runs the circuit-level noisy-extraction memory
+// Monte Carlo with leakage and the selected decode options for any
+// surface.Code — including schedule overrides (surface.WithSchedule),
+// which is how the CNOT-schedule ablation sweeps run both schedules
+// through one pipeline: `rounds` full extraction circuits per shot
+// under P (including its Leak and Bias channels), decoded by weighted
+// union-find over the diagonal-edge volume. Result.Pe reports the leak
+// rate. Unsupported parameters are constructor errors — leakage is
+// never silently ignored.
+func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, samples int, seed uint64, opts DecodeOptions) (Result, error) {
 	if err := P.Validate(); err != nil {
-		return err
-	}
-	if rounds < 1 {
-		return fmt.Errorf("spacetime: need at least one measurement round (got %d)", rounds)
-	}
-	return nil
-}
-
-// CircuitMemoryOpts runs the circuit-level noisy-extraction memory
-// Monte Carlo with leakage and the selected decode options: `rounds`
-// full extraction circuits per shot under P (including its Leak and
-// Bias channels), decoded by weighted union-find over the diagonal-edge
-// volume. Result.Pe reports the leak rate. Unsupported parameters are
-// constructor errors — leakage is never silently ignored.
-func CircuitMemoryOpts(l, rounds int, P noise.Params, samples int, seed uint64, opts DecodeOptions) (Result, error) {
-	if err := validateCircuitModel(P, rounds); err != nil {
 		return Result{}, err
 	}
-	v := CachedCircuitVolumeFor(l, rounds, P)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchCircuitErasedFrom(extract.NewSourceErased(l, P, lanes, smp), opts)
-	})
-	return Result{L: l, T: rounds, P: P.Gate2, Q: P.Meas, Pe: P.Leak, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeCircuitMemoryOpts is CircuitMemoryOpts for any surface.Code —
-// including schedule overrides (surface.WithSchedule), which is how the
-// CNOT-schedule ablation sweeps run both schedules through one code-
-// generic pipeline.
-func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, samples int, seed uint64, opts DecodeOptions) (Result, error) {
-	if err := validateCircuitModel(P, rounds); err != nil {
+	if err := validateMemory(code, rounds, toric.DecoderUnionFind); err != nil {
 		return Result{}, err
 	}
 	v := CachedCodeCircuitVolumeFor(code, rounds, P)
@@ -313,29 +277,14 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, sample
 }
 
 // CircuitSustainedThresholdOpts sweeps a circuit-level noise family
-// over the grid with T = L rounds for two code distances under the
+// over the grid with T = L rounds for two toric code distances under the
 // given decode options and estimates the failure-curve crossing. The
 // model function maps a grid value ε to its noise.Params (e.g.
 // noise.Uniform, or a biased or leaky variant); decoding weights are
 // derived from the model's Pauli rates only — leakage enters as
 // erasure, bias as a prior-mismatch ablation.
 func CircuitSustainedThresholdOpts(l1, l2 int, grid []float64, model func(eps float64) noise.Params, samples int, seed uint64, opts DecodeOptions) (float64, []ThresholdPoint, error) {
-	pts := make([]ThresholdPoint, len(grid))
-	small := make([]float64, len(grid))
-	large := make([]float64, len(grid))
-	for i, eps := range grid {
-		P := model(eps)
-		rs, err := CircuitMemoryOpts(l1, l1, P, samples, seed+uint64(2*i), opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		rl, err := CircuitMemoryOpts(l2, l2, P, samples, seed+uint64(2*i+1), opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		pts[i] = ThresholdPoint{P: eps, Small: rs, Large: rl}
-		small[i] = rs.FailRate()
-		large[i] = rl.FailRate()
-	}
-	return CrossingEstimate(grid, small, large), pts, nil
+	return crossingSweep(l1, l2, grid, seed, func(l int, eps float64, seed uint64) (Result, error) {
+		return CodeCircuitMemoryOpts(toric.Cached(l), l, model(eps), samples, seed, opts)
+	})
 }

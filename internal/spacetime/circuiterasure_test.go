@@ -3,7 +3,6 @@ package spacetime
 import (
 	"testing"
 
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
@@ -19,11 +18,11 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	P := noise.Uniform(0.02)
 	leaky := P
 	leaky.Leak = 0.02
-	clean, err := CircuitMemoryOpts(4, 4, P, 1024, 77, DecodeOptions{})
+	clean, err := toricCircuitMemoryOpts(4, 4, P, 1024, 77, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := CircuitMemoryOpts(4, 4, leaky, 1024, 77, DecodeOptions{})
+	dirty, err := toricCircuitMemoryOpts(4, 4, leaky, 1024, 77, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,16 +32,10 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	if dirty.Pe != leaky.Leak {
 		t.Fatalf("Pe provenance = %v, want %v", dirty.Pe, leaky.Leak)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("extract.NewSource accepted P.Leak > 0 without panicking")
-		}
-	}()
-	extract.NewSource(4, leaky, 64, frame.NewAggregateSampler(1, 1))
 }
 
 // TestPlainCircuitSourcePanicsOnLeak pins the same contract on the
-// code-generic source.
+// source itself.
 func TestPlainCircuitSourcePanicsOnLeak(t *testing.T) {
 	P := noise.Uniform(0.01)
 	P.Leak = 0.01
@@ -59,7 +52,7 @@ func TestPlainCircuitSourcePanicsOnLeak(t *testing.T) {
 func TestValidateRejectsMalformedModels(t *testing.T) {
 	bad := noise.Uniform(0.01)
 	bad.Leak = 1.5
-	if _, err := CircuitMemoryOpts(4, 4, bad, 64, 1, DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 4, bad, 64, 1, DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted Leak=1.5")
 	}
 	neg := noise.Uniform(0.01)
@@ -67,7 +60,7 @@ func TestValidateRejectsMalformedModels(t *testing.T) {
 	if _, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, neg, 64, 1, DecodeOptions{}); err == nil {
 		t.Fatal("CodeCircuitMemoryOpts accepted Bias=-1")
 	}
-	if _, err := CircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted rounds=0")
 	}
 }
@@ -79,11 +72,11 @@ func TestValidateRejectsMalformedModels(t *testing.T) {
 func TestPureErasureDecodesPerfectly(t *testing.T) {
 	var P noise.Params
 	P.Leak = 0.01
-	aware, err := CircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{ErasureAware: true})
+	aware, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := CircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{})
+	blind, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +96,11 @@ func TestPureErasureDecodesPerfectly(t *testing.T) {
 func TestCircuitErasureAwareBeatsBlind(t *testing.T) {
 	P := noise.Uniform(0.003)
 	P.Leak = 0.01
-	aware, err := CircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{ErasureAware: true})
+	aware, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := CircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{})
+	blind, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +126,11 @@ func TestCorrelatedDeterministic(t *testing.T) {
 	P := noise.Uniform(0.006)
 	P.Leak = 0.004
 	opts := DecodeOptions{ErasureAware: true, Correlated: true}
-	a, err := CircuitMemoryOpts(4, 4, P, 1024, 505, opts)
+	a, err := toricCircuitMemoryOpts(4, 4, P, 1024, 505, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CircuitMemoryOpts(4, 4, P, 1024, 505, opts)
+	b, err := toricCircuitMemoryOpts(4, 4, P, 1024, 505, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +147,11 @@ func TestCorrelatedDeterministic(t *testing.T) {
 // measured to over-erase and lose to independent decoding.
 func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 	P := noise.Uniform(0.006)
-	ind, err := CircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{})
+	ind, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := CircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{Correlated: true})
+	corr, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{Correlated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +170,10 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 // one — same draws, same decodes, same failures.
 func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
-	v := CachedCircuitVolumeFor(4, 4, P)
+	v := CachedCodeCircuitVolumeFor(toric.Cached(4), 4, P)
 	lanes := 192
-	fx1, fz1 := v.BatchCircuitErasedFrom(extract.NewSourceErased(4, P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
-	fx2, fz2 := v.BatchMemoryFrom(extract.NewSource(4, P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
+	fx1, fz1 := v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
+	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
 	for lane := 0; lane < lanes; lane++ {
 		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {
 			t.Fatalf("lane %d: erased pipeline diverges from plain on a leak-free model", lane)
@@ -217,7 +210,7 @@ func TestScheduleAblationDirection(t *testing.T) {
 func TestBiasedNoiseSanity(t *testing.T) {
 	P := noise.Uniform(0.004)
 	P.Bias = 100
-	r, err := CircuitMemoryOpts(4, 4, P, 2048, 909, DecodeOptions{})
+	r, err := toricCircuitMemoryOpts(4, 4, P, 2048, 909, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

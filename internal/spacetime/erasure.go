@@ -3,6 +3,8 @@ package spacetime
 import (
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // Erasure in the volume: leakage planes and lost measurement rounds.
@@ -24,75 +26,6 @@ import (
 // histories dominated by located faults decode by peeling alone; the
 // decoder pays growth sweeps only for the unlocated remainder.
 
-// NextLayersErased is NextLayers with the two erasure channels: it also
-// fills the round's data-leakage planes (eraH: one vector per edge) and
-// lost-measurement masks per sector (lostX, lostZ: one vector per
-// check). Draw order: leakage planes, X intact flips, X leaked coins,
-// Z intact flips, Z leaked coins, plaquette measurement masks, lost
-// plaquette masks, lost plaquette coins, then the star sector's three —
-// all plane-at-a-time in index order.
-func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
-	nq, nc := s.lat.Qubits(), s.lat.NumChecks()
-	if s.intact.Len() == 0 {
-		s.intact = bits.NewVec(s.lanes)
-		s.coin = bits.NewVec(s.lanes)
-	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(pe, s.active, eraH[e])
-	}
-	for e := 0; e < nq; e++ {
-		s.intact.CopyFrom(s.active)
-		s.intact.AndNot(eraH[e])
-		s.smp.Bernoulli(s.p, s.intact, s.tmp)
-		s.cumX[e].Xor(s.tmp)
-	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(0.5, eraH[e], s.tmp)
-		s.cumX[e].Xor(s.tmp)
-	}
-	for e := 0; e < nq; e++ {
-		s.intact.CopyFrom(s.active)
-		s.intact.AndNot(eraH[e])
-		s.smp.Bernoulli(s.p, s.intact, s.tmp)
-		s.cumZ[e].Xor(s.tmp)
-	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(0.5, eraH[e], s.tmp)
-		s.cumZ[e].Xor(s.tmp)
-	}
-	curX := s.diff.CurX()
-	s.lat.PlaquetteSyndromePlanes(s.cumX, curX)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curX[c].Xor(s.tmp)
-	}
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(qe, s.active, lostX[c])
-	}
-	for c := 0; c < nc; c++ {
-		// A lost measurement reads as a fair coin, whatever the truth.
-		s.smp.Coin(lostX[c], s.coin)
-		curX[c].AndNot(lostX[c])
-		curX[c].Or(s.coin)
-	}
-	curZ := s.diff.CurZ()
-	s.lat.StarSyndromePlanes(s.cumZ, curZ)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curZ[c].Xor(s.tmp)
-	}
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(qe, s.active, lostZ[c])
-	}
-	for c := 0; c < nc; c++ {
-		s.smp.Coin(lostZ[c], s.coin)
-		curZ[c].AndNot(lostZ[c])
-		curZ[c].Or(s.coin)
-	}
-	s.diff.Emit(layerX, layerZ)
-	s.rounds++
-}
-
 // BatchMemoryErased runs `lanes` shots of the erasure-augmented
 // noisy-extraction memory experiment and returns the per-lane failure
 // masks of the two sectors. With aware = true the per-lane erased edge
@@ -102,7 +35,7 @@ func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, los
 // information is worth.
 func (v *Volume) BatchMemoryErased(p, q, pe, qe float64, lanes int, smp frame.Sampler, aware bool) (failX, failZ bits.Vec) {
 	nc, nq := v.nc, v.nq
-	src := NewLayerSource(v.L, p, q, lanes, smp)
+	src := surface.NewLayerSource(v.code, p, q, lanes, smp)
 	layersX := bits.NewVecs(v.nodes, lanes)
 	layersZ := bits.NewVecs(v.nodes, lanes)
 	eraH := bits.NewVecs(v.horiz, lanes)
@@ -173,12 +106,7 @@ func (v *Volume) decodeErasedLanes(syn, era, lost []bits.Vec, p1, p2, fails bits
 						scr.corr.Flip(q)
 					}
 				})
-				var c1, c2 bool
-				if dual {
-					c1, c2 = v.lat.WindingParityDual(scr.corr)
-				} else {
-					c1, c2 = v.lat.WindingParity(scr.corr)
-				}
+				c1, c2 := v.code.LogicalParity(dual, scr.corr)
 				l1 = l1 != c1
 				l2 = l2 != c2
 			}
@@ -206,7 +134,7 @@ func ErasedMemoryBlind(l, rounds int, p, q, pe, qe float64, samples int, seed ui
 }
 
 func erasedMemory(l, rounds int, p, q, pe, qe float64, samples int, seed uint64, aware bool) Result {
-	v := CachedVolume(l, rounds, p, q)
+	v := CachedCodeVolume(toric.Cached(l), rounds, p, q)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemoryErased(p, q, pe, qe, lanes, smp, aware)
 	})

@@ -85,7 +85,7 @@ func TestErasedDecodeClearsProjectedSyndrome(t *testing.T) {
 		{4, 4, 0.02, 0.04, 0.15, 0.05},
 		{5, 3, 0.0, 0.0, 0.2, 0.2},
 	} {
-		v := CachedVolume(cfg.l, cfg.rounds, cfg.p+1e-3, cfg.q+1e-3)
+		v := CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p+1e-3, cfg.q+1e-3)
 		for trial := 0; trial < 50; trial++ {
 			for _, dual := range []bool{false, true} {
 				cum, defects, erased := scalarErasedShot(v, rng, cfg.p, cfg.q, cfg.pe, cfg.qe, dual)
@@ -146,7 +146,7 @@ func TestErasedMemoryDeterministic(t *testing.T) {
 func TestErasedReducesToPlain(t *testing.T) {
 	const samples = 4000
 	er := ErasedMemory(4, 4, 0.03, 0.03, 0, 0, samples, 619)
-	pl := Memory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, samples, 620)
+	pl := toricMemory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, samples, 620)
 	fe, fp := er.FailRate(), pl.FailRate()
 	sigma := math.Sqrt(fe*(1-fe)/samples + fp*(1-fp)/samples)
 	if diff := math.Abs(fe - fp); diff > 4*sigma+0.01 {

@@ -1,6 +1,7 @@
 package spacetime
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -15,7 +16,7 @@ import (
 // T noisy syndrome-extraction rounds plus one perfect closing round:
 // (T+1)·Checks() detectors per sector, horizontal (space-like) edges of
 // weight WH for data errors and vertical (time-like) edges of weight WV
-// for measurement errors. Circuit-level volumes (NewCircuitVolume) add
+// for measurement errors. Circuit-level volumes (NewCodeCircuitVolume) add
 // a third class: diagonal edges of weight WD joining a data qubit's
 // late reader at layer t to its early reader at layer t+1 — the
 // correlated defect pair a mid-round CNOT fault produces. Open codes
@@ -60,34 +61,19 @@ type volScratch struct {
 	edges    []int32  // raw primal correction edges of the lane in flight
 }
 
-// NewVolume builds the space-time volume for an L×L toric lattice,
-// rounds ≥ 1 noisy extraction rounds and the given integer edge
-// weights (see Weights). Both sector graphs are built; node (c, t) has
-// index t·L²+c.
-func NewVolume(l, rounds, wh, wv int) *Volume {
-	return newVolume(toric.Cached(l), rounds, wh, wv, 0)
-}
-
-// NewCodeVolume is NewVolume for any surface.Code.
+// NewCodeVolume builds the space-time volume of a surface.Code for
+// rounds ≥ 1 noisy extraction rounds and the given integer edge weights
+// (see Weights). Both sector graphs are built; node (c, t) has index
+// t·Checks()+c.
 func NewCodeVolume(code surface.Code, rounds, wh, wv int) *Volume {
 	return newVolume(code, rounds, wh, wv, 0)
 }
 
-// NewCircuitVolume builds the circuit-level volume: NewVolume plus the
-// diagonal edge class of weight wd ≥ 1, oriented by the extraction
-// schedule's per-edge {late, early} reader pairs (extract.Sched), and
-// the circuit-metric distance tables the exact matcher prices with.
-func NewCircuitVolume(l, rounds, wh, wv, wd int) *Volume {
-	if wd < 1 {
-		panic("spacetime: circuit volume needs a positive diagonal weight")
-	}
-	return newVolume(toric.Cached(l), rounds, wh, wv, wd)
-}
-
-// NewCodeCircuitVolume is NewCircuitVolume for any surface.Code, with
-// the diagonal edges oriented by the code's own extraction schedule —
-// boundary-truncated diagonals of open codes ground on the virtual
-// boundary node.
+// NewCodeCircuitVolume builds the circuit-level volume: NewCodeVolume
+// plus the diagonal edge class of weight wd ≥ 1, oriented by the per-
+// qubit {late, early} reader pairs of the code's own extraction
+// schedule — boundary-truncated diagonals of open codes ground on the
+// virtual boundary node.
 func NewCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 	if wd < 1 {
 		panic("spacetime: circuit volume needs a positive diagonal weight")
@@ -305,40 +291,18 @@ type volumeKey struct {
 	l, t, wh, wv, wd int
 }
 
-// CachedVolume returns the memoized volume for the given lattice size,
+// CachedCodeVolume returns the memoized volume for the given code,
 // round count and physical rates (weights derived via Weights).
-func CachedVolume(l, rounds int, p, q float64) *Volume {
-	wh, wv := Weights(p, q, l, rounds)
-	return CachedVolumeWeighted(l, rounds, wh, wv)
-}
-
-// CachedCodeVolume is CachedVolume for any surface.Code.
 func CachedCodeVolume(code surface.Code, rounds int, p, q float64) *Volume {
 	wh, wv := Weights(p, q, code.Distance(), rounds)
 	return cachedVolume(code, rounds, wh, wv, 0)
 }
 
-// CachedVolumeWeighted is CachedVolume with explicit integer edge
-// weights — the form the streaming decoder's closing windows reuse (a
-// stream's final window height varies with rounds mod slide, and its
-// weights are fixed by the session, not re-derived per height).
-func CachedVolumeWeighted(l, rounds, wh, wv int) *Volume {
-	return cachedVolume(toric.Cached(l), rounds, wh, wv, 0)
-}
-
-// CachedCodeVolumeWeighted is CachedVolumeWeighted for any
-// surface.Code.
-func CachedCodeVolumeWeighted(code surface.Code, rounds, wh, wv int) *Volume {
-	return cachedVolume(code, rounds, wh, wv, 0)
-}
-
-// CachedCircuitVolume is the memoized circuit-level (diagonal-edge)
-// volume under explicit weights — wd = 0 degrades to the plain volume.
-func CachedCircuitVolume(l, rounds, wh, wv, wd int) *Volume {
-	return cachedVolume(toric.Cached(l), rounds, wh, wv, wd)
-}
-
-// CachedCodeCircuitVolume is CachedCircuitVolume for any surface.Code.
+// CachedCodeCircuitVolume is the memoized volume under explicit integer
+// edge weights — wd = 0 degrades to the plain volume. This is the form
+// the streaming decoder's closing windows reuse (a stream's final
+// window height varies with rounds mod slide, and its weights are fixed
+// by the session, not re-derived per height).
 func CachedCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 	return cachedVolume(code, rounds, wh, wv, wd)
 }
@@ -498,116 +462,17 @@ func (v *Volume) matchCutoff(n int) int64 {
 	return int64(3 * mean * w)
 }
 
-// LayerSource samples a noisy-extraction history round by round for a
-// batch of lanes: fresh X and Z data errors at rate p per edge per
-// round, plaquette and star measurements flipped with probability q,
-// and the consecutive-round syndrome differences emitted as check-major
-// layer planes (one vector of `lanes` bits per check). Draw order per
-// round: X edge planes, Z edge planes, plaquette measurement masks,
-// star measurement masks — all in index order, so any experiment built
-// on a source is a pure function of the sampler stream. The whole-
-// volume batch decode and the streaming sliding-window decoder consume
-// the same source, which is what makes them statistically identical by
-// construction.
-type LayerSource struct {
-	lat    *toric.Lattice
-	p, q   float64
-	lanes  int
-	smp    frame.Sampler
-	rounds int // noisy rounds emitted so far
-
-	active, tmp  bits.Vec
-	intact, coin bits.Vec            // erasure-path scratch, built on first use
-	cumX, cumZ   []bits.Vec          // edge-major accumulated error planes
-	diff         *toric.SyndromeDiff // check-major observed-syndrome generations
-}
-
-// NewLayerSource returns a source over the L×L lattice for `lanes`
-// parallel shots drawing from smp.
-func NewLayerSource(l int, p, q float64, lanes int, smp frame.Sampler) *LayerSource {
-	lat := toric.Cached(l)
-	s := &LayerSource{
-		lat: lat, p: p, q: q, lanes: lanes, smp: smp,
-		active: bits.NewVec(lanes),
-		tmp:    bits.NewVec(lanes),
-		cumX:   bits.NewVecs(lat.Qubits(), lanes),
-		cumZ:   bits.NewVecs(lat.Qubits(), lanes),
-		diff:   toric.NewSyndromeDiff(lat.NumChecks(), lanes),
-	}
-	s.active.SetAll()
-	return s
-}
-
-// L returns the lattice size the source samples.
-func (s *LayerSource) L() int { return s.lat.L }
-
-// Lanes returns the batch width.
-func (s *LayerSource) Lanes() int { return s.lanes }
-
-// Rounds returns how many noisy rounds have been emitted.
-func (s *LayerSource) Rounds() int { return s.rounds }
-
-// NextLayers advances one noisy extraction round and writes its
-// difference-syndrome layers into layerX and layerZ (check-major,
-// NumChecks vectors each).
-func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
-	nq, nc := s.lat.Qubits(), s.lat.NumChecks()
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumX[e].Xor(s.tmp)
-	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumZ[e].Xor(s.tmp)
-	}
-	curX := s.diff.CurX()
-	s.lat.PlaquetteSyndromePlanes(s.cumX, curX)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curX[c].Xor(s.tmp)
-	}
-	curZ := s.diff.CurZ()
-	s.lat.StarSyndromePlanes(s.cumZ, curZ)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curZ[c].Xor(s.tmp)
-	}
-	s.diff.Emit(layerX, layerZ)
-	s.rounds++
-}
-
-// CloseLayers writes the closing perfect round's difference layers: the
-// true syndromes of the accumulated errors, no fresh faults, no
-// measurement noise.
-func (s *LayerSource) CloseLayers(layerX, layerZ []bits.Vec) {
-	s.lat.PlaquetteSyndromePlanes(s.cumX, s.diff.CurX())
-	s.lat.StarSyndromePlanes(s.cumZ, s.diff.CurZ())
-	s.diff.Emit(layerX, layerZ)
-}
-
-// Windings fills the winding parities of the accumulated error chains:
-// the primal pair for the X sector, the dual pair for the Z sector.
-func (s *LayerSource) Windings(pX1, pX2, pZ1, pZ2 bits.Vec) {
-	s.lat.WindingPlanes(s.cumX, pX1, pX2)
-	s.lat.WindingPlanesDual(s.cumZ, pZ1, pZ2)
-}
-
-// ErrorPlanes returns the live accumulated error planes of the two
-// sectors (edge-major, one vector per qubit edge). Read-only views for
-// validation harnesses — callers must not modify them.
-func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.cumX, s.cumZ }
-
 // LayerFeed is the layer-source contract between syndrome-extraction
 // models and the decoders: T calls of NextLayers emit the noisy rounds'
 // difference-syndrome layers (check-major, one vector of lane bits per
 // check), CloseLayers emits the perfect closing layer, and Windings
 // reads the accumulated error chains' homology parities. Both the
 // whole-volume batch decode (Volume.BatchMemoryFrom) and the streaming
-// sliding-window pipeline (internal/stream) drain a feed; the
-// phenomenological LayerSource and the circuit-level
-// extract.Source/CircuitLayerSource both satisfy it.
+// sliding-window pipeline (internal/stream) drain a feed;
+// surface.LayerSource (phenomenological) and surface.CircuitSource
+// (circuit-level) are its two implementations.
 type LayerFeed interface {
-	L() int
+	Code() surface.Code
 	Lanes() int
 	Rounds() int
 	NextLayers(layerX, layerZ []bits.Vec)
@@ -616,43 +481,34 @@ type LayerFeed interface {
 }
 
 // BatchMemory runs `lanes` shots of the noisy-extraction memory
-// experiment as bit-planes: a LayerSource emits T rounds of difference
-// layers plus the perfect closing layer, and both sectors decode per
-// lane over the weighted volume. Returns the per-lane logical failure
-// masks of the two sectors.
+// experiment as bit-planes: a surface.LayerSource emits T rounds of
+// difference layers plus the perfect closing layer, and both sectors
+// decode per lane over the weighted volume. Returns the per-lane
+// logical failure masks of the two sectors.
 func (v *Volume) BatchMemory(p, q float64, kind toric.DecoderKind, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	if v.lat == nil {
-		return v.BatchMemoryFrom(surface.NewLayerSource(v.code, p, q, lanes, smp), kind)
-	}
-	return v.BatchMemoryFrom(NewLayerSource(v.L, p, q, lanes, smp), kind)
+	return v.BatchMemoryFrom(surface.NewLayerSource(v.code, p, q, lanes, smp), kind)
 }
 
-// codeFeed is the optional code-aware extension of LayerFeed the
-// surface sources implement; it lets BatchMemoryFrom reject a feed of
-// the wrong code family (the L check alone cannot tell a distance-d
-// planar feed from a toric one).
-type codeFeed interface{ Code() surface.Code }
+// CheckFeed panics on a feed that cannot drive a decoder built for
+// code: already drained, or extracting on another code (family,
+// schedule or distance).
+func CheckFeed(src LayerFeed, code surface.Code) {
+	if src.Rounds() != 0 {
+		panic("spacetime: layer feed already drained")
+	}
+	if c := src.Code(); c.CodeName() != code.CodeName() || c.Distance() != code.Distance() {
+		panic("spacetime: layer feed code does not match the decoder's")
+	}
+}
 
 // BatchMemoryFrom is BatchMemory draining an arbitrary layer feed — the
 // entry point a circuit-level source shares with the phenomenological
-// one. The feed must be fresh (zero rounds emitted) and sized for this
+// one. The feed must be fresh (zero rounds emitted) and extract on this
 // volume's code.
 func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
 	nc := v.nc
 	lanes := src.Lanes()
-	if src.Rounds() != 0 {
-		panic("spacetime: layer feed already drained")
-	}
-	if src.L() != v.L {
-		panic("spacetime: layer feed lattice size does not match the volume")
-	}
-	if cf, ok := src.(codeFeed); ok {
-		if cf.Code().CodeName() != v.code.CodeName() {
-			panic("spacetime: layer feed code family does not match the volume")
-		}
-	} else if v.code.CodeName() != "toric" {
-		panic("spacetime: this volume needs a code-aware layer feed (surface.NewLayerSource / NewCircuitSource)")
-	}
+	CheckFeed(src, v.code)
 	layersX := bits.NewVecs(v.det, lanes)
 	layersZ := bits.NewVecs(v.det, lanes)
 	for t := 0; t < v.T; t++ {
@@ -735,30 +591,38 @@ func (r Result) FailRateX() float64 { return float64(r.FailX) / float64(r.Sample
 // FailRateZ returns the phase-flip sector failure probability.
 func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Samples) }
 
-// Memory runs the repeated-round noisy-syndrome memory experiment:
-// `rounds` noisy extraction rounds at data rate p and measurement rate
-// q, decoded over the weighted space-time volume, fanned out over the
-// CPUs in deterministic seed-per-chunk batches. With q = 0 and
-// rounds = 1 it reduces (statistically) to the 2D MemoryExperiment.
-func Memory(l, rounds int, p, q float64, kind toric.DecoderKind, samples int, seed uint64) Result {
-	v := CachedVolume(l, rounds, p, q)
+// validateMemory is the constructor-error gate of the memory
+// experiments: a missing code, an empty horizon or a decoder the code
+// cannot run is an error, never a panic deep inside a volume build.
+func validateMemory(code surface.Code, rounds int, kind toric.DecoderKind) error {
+	if code == nil {
+		return fmt.Errorf("spacetime: volume needs a code")
+	}
+	if rounds < 1 {
+		return fmt.Errorf("spacetime: need at least one measurement round (got %d)", rounds)
+	}
+	if _, torus := code.(*toric.Lattice); kind == toric.DecoderExact && !torus {
+		return fmt.Errorf("spacetime: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
+	}
+	return nil
+}
+
+// CodeMemory runs the repeated-round noisy-syndrome memory experiment
+// for any surface.Code: `rounds` noisy extraction rounds at data rate p
+// and measurement rate q, decoded over the code's weighted space-time
+// volume, fanned out over the CPUs in deterministic seed-per-chunk
+// batches. With q = 0 and rounds = 1 it reduces (statistically) to the
+// 2D memory experiment.
+func CodeMemory(code surface.Code, rounds int, p, q float64, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
+	if err := validateMemory(code, rounds, kind); err != nil {
+		return Result{}, err
+	}
+	v := CachedCodeVolume(code, rounds, p, q)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemory(p, q, kind, lanes, smp)
 	})
-	return Result{L: l, T: rounds, P: p, Q: q, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}
-}
-
-// CodeMemory is Memory for any surface.Code: the phenomenological
-// noisy-extraction experiment decoded by weighted union-find over the
-// code's space-time volume.
-func CodeMemory(code surface.Code, rounds int, p, q float64, samples int, seed uint64) Result {
-	v := CachedCodeVolume(code, rounds, p, q)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemory(p, q, toric.DecoderUnionFind, lanes, smp)
-	})
 	return Result{L: code.Distance(), T: rounds, P: p, Q: q, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}
+		FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
 // ThresholdPoint is one p = q grid point of a sustained-threshold sweep.
@@ -768,24 +632,42 @@ type ThresholdPoint struct {
 }
 
 // SustainedThreshold sweeps p = q over the grid with T = L rounds for
-// two code distances and estimates where the failure curves cross — the
-// sustained threshold of the noisy-extraction memory (below it, the
-// larger distance is better; above, worse). Returns NaN when the grid
-// shows no crossing, plus the measured points either way.
+// two toric code distances and estimates where the failure curves cross
+// — the sustained threshold of the noisy-extraction memory (below it,
+// the larger distance is better; above, worse). Returns NaN when the
+// grid shows no crossing, plus the measured points either way.
 func SustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKind, samples int, seed uint64) (float64, []ThresholdPoint) {
+	cross, pts, err := crossingSweep(l1, l2, grid, seed, func(l int, p float64, seed uint64) (Result, error) {
+		return CodeMemory(toric.Cached(l), l, p, p, kind, samples, seed)
+	})
+	if err != nil {
+		// The sweep derives its own parameters; they cannot be invalid.
+		panic(err)
+	}
+	return cross, pts
+}
+
+// crossingSweep measures two toric distances at every grid value
+// (T = L rounds, seeds seed+2i and seed+2i+1) and estimates where the
+// failure curves cross.
+func crossingSweep(l1, l2 int, grid []float64, seed uint64, run func(l int, x float64, seed uint64) (Result, error)) (float64, []ThresholdPoint, error) {
 	pts := make([]ThresholdPoint, len(grid))
 	small := make([]float64, len(grid))
 	large := make([]float64, len(grid))
-	for i, p := range grid {
-		pts[i] = ThresholdPoint{
-			P:     p,
-			Small: Memory(l1, l1, p, p, kind, samples, seed+uint64(2*i)),
-			Large: Memory(l2, l2, p, p, kind, samples, seed+uint64(2*i+1)),
+	for i, x := range grid {
+		rs, err := run(l1, x, seed+uint64(2*i))
+		if err != nil {
+			return 0, nil, err
 		}
-		small[i] = pts[i].Small.FailRate()
-		large[i] = pts[i].Large.FailRate()
+		rl, err := run(l2, x, seed+uint64(2*i+1))
+		if err != nil {
+			return 0, nil, err
+		}
+		pts[i] = ThresholdPoint{P: x, Small: rs, Large: rl}
+		small[i] = rs.FailRate()
+		large[i] = rl.FailRate()
 	}
-	return CrossingEstimate(grid, small, large), pts
+	return CrossingEstimate(grid, small, large), pts, nil
 }
 
 // CrossingEstimate linearly interpolates the first sign change of the

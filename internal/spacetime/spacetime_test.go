@@ -13,7 +13,7 @@ import (
 )
 
 func TestVolumeShape(t *testing.T) {
-	v := NewVolume(4, 3, 2, 5)
+	v := NewCodeVolume(toric.Cached(4), 3, 2, 5)
 	if v.nodes != 4*16 || v.Graph().Nodes() != v.nodes || v.DualGraph().Nodes() != v.nodes {
 		t.Fatalf("node count %d/%d/%d", v.nodes, v.Graph().Nodes(), v.DualGraph().Nodes())
 	}
@@ -133,7 +133,7 @@ func TestDecodeClearsProjectedSyndrome(t *testing.T) {
 		{5, 3, 0.08, 0.02},
 		{4, 6, 0.1, 0.1},
 	} {
-		v := CachedVolume(cfg.l, cfg.rounds, cfg.p, cfg.q)
+		v := CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.q)
 		for trial := 0; trial < 60; trial++ {
 			for _, dual := range []bool{false, true} {
 				cum, defects := scalarShot(v, rng, cfg.p, cfg.q, dual)
@@ -161,7 +161,7 @@ func TestDecodeClearsProjectedSyndrome(t *testing.T) {
 // the same corrections as the plain unweighted decoder on an identical
 // unweighted graph — the satellite equivalence required by the issue.
 func TestUnitWeightVolumeBitIdentical(t *testing.T) {
-	v := NewVolume(4, 4, 1, 1)
+	v := NewCodeVolume(toric.Cached(4), 4, 1, 1)
 	g := v.Graph()
 	ends := make([][2]int32, g.Edges())
 	for e := range ends {
@@ -217,7 +217,7 @@ func TestQZeroSingleRoundMatches2D(t *testing.T) {
 		{5, 0.08, toric.DecoderUnionFind},
 		{4, 0.05, toric.DecoderExact},
 	} {
-		st := Memory(cfg.l, 1, cfg.p, 0, cfg.kind, samples, 505)
+		st := toricMemory(cfg.l, 1, cfg.p, 0, cfg.kind, samples, 505)
 		flat := toric.MemoryExperiment(cfg.l, cfg.p, cfg.kind, samples, 506)
 		fs, ff := st.FailRateX(), flat.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + ff*(1-ff)/samples)
@@ -239,8 +239,8 @@ func TestQZeroSingleRoundMatches2D(t *testing.T) {
 func TestUnionFindMatchesExactVolume(t *testing.T) {
 	const samples = 4000
 	for _, pq := range []float64{0.02, 0.03} {
-		uf := Memory(4, 4, pq, pq, toric.DecoderUnionFind, samples, 507)
-		ex := Memory(4, 4, pq, pq, toric.DecoderExact, samples, 507)
+		uf := toricMemory(4, 4, pq, pq, toric.DecoderUnionFind, samples, 507)
+		ex := toricMemory(4, 4, pq, pq, toric.DecoderExact, samples, 507)
 		fu, fe := uf.FailRate(), ex.FailRate()
 		sigma := math.Sqrt(fu*(1-fu)/samples + fe*(1-fe)/samples)
 		if diff := math.Abs(fu - fe); diff > 4*sigma+0.015 {
@@ -255,14 +255,14 @@ func TestUnionFindMatchesExactVolume(t *testing.T) {
 // more (or saturate).
 func TestSustainedSuppression(t *testing.T) {
 	const samples = 3000
-	below3 := Memory(3, 3, 0.01, 0.01, toric.DecoderUnionFind, samples, 509)
-	below5 := Memory(5, 5, 0.01, 0.01, toric.DecoderUnionFind, samples, 510)
+	below3 := toricMemory(3, 3, 0.01, 0.01, toric.DecoderUnionFind, samples, 509)
+	below5 := toricMemory(5, 5, 0.01, 0.01, toric.DecoderUnionFind, samples, 510)
 	if below5.FailRate() >= below3.FailRate() && below3.Failures > 0 {
 		t.Fatalf("no sustained suppression below threshold: L=3 %.4f vs L=5 %.4f",
 			below3.FailRate(), below5.FailRate())
 	}
-	above3 := Memory(3, 3, 0.08, 0.08, toric.DecoderUnionFind, samples, 511)
-	above5 := Memory(5, 5, 0.08, 0.08, toric.DecoderUnionFind, samples, 512)
+	above3 := toricMemory(3, 3, 0.08, 0.08, toric.DecoderUnionFind, samples, 511)
+	above5 := toricMemory(5, 5, 0.08, 0.08, toric.DecoderUnionFind, samples, 512)
 	if above5.FailRate() < above3.FailRate()-0.02 {
 		t.Fatalf("above threshold L=5 should not beat L=3: %.4f vs %.4f",
 			above5.FailRate(), above3.FailRate())
@@ -272,7 +272,7 @@ func TestSustainedSuppression(t *testing.T) {
 // TestMemoryDeterministicAndGOMAXPROCSInvariant: the experiment is a
 // pure function of (samples, seed), independent of the worker count.
 func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
-	run := func() Result { return Memory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, 900, 513) }
+	run := func() Result { return toricMemory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, 900, 513) }
 	a := run()
 	if b := run(); a != b {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
@@ -286,7 +286,7 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
 	}
 	// Lane-level: one big batch, many workers vs one.
-	v := CachedVolume(5, 5, 0.04, 0.04)
+	v := CachedCodeVolume(toric.Cached(5), 5, 0.04, 0.04)
 	runtime.GOMAXPROCS(1)
 	x1, z1 := v.BatchMemory(0.04, 0.04, toric.DecoderUnionFind, 500, frame.NewAggregateSampler(42, 0))
 	runtime.GOMAXPROCS(8)

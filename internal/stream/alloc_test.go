@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
@@ -34,7 +33,7 @@ func TestWarmPushZeroAllocs(t *testing.T) {
 
 	// Pre-sample a window's worth of layers so the measured loop does
 	// not charge the decoder for the sampler's own behavior.
-	src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(941, 1))
+	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(941, 1))
 	layers := make([][2][]bits.Vec, w)
 	for i := range layers {
 		lx, lz := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
@@ -92,7 +91,7 @@ func TestWarmPushErasedZeroAllocs(t *testing.T) {
 	lat := toric.Cached(l)
 	nc, nq := lat.NumChecks(), lat.Qubits()
 
-	src := extract.NewSourceErased(l, P, lanes, frame.NewAggregateSampler(943, 1))
+	src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(943, 1))
 	type round struct {
 		layerX, layerZ, eraH, lostX, lostZ []bits.Vec
 	}

@@ -19,7 +19,7 @@ import (
 func TestCircuitWindowShape(t *testing.T) {
 	const l, wdw, commit = 4, 5, 2
 	const wh, wv, wd = 2, 1, 3
-	w, err := NewCircuitWindow(l, wdw, commit, wh, wv, wd)
+	w, err := NewCodeCircuitWindow(toric.Cached(l), wdw, commit, wh, wv, wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		P := noise.Uniform(cfg.eps)
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.CachedCircuitVolume(cfg.l, cfg.rounds, wh, wv, wd)
+		v := spacetime.CachedCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchMemoryFrom(
-			spacetime.NewCircuitLayerSource(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
 			toric.DecoderUnionFind)
 		s := mustCircuitSession(t, cfg.l, cfg.window, cfg.commit, wh, wv, wd)
 		fx2, fz2 := s.BatchMemoryFrom(
-			spacetime.NewCircuitLayerSource(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
 			cfg.rounds)
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
@@ -104,7 +104,7 @@ func TestCircuitCommitQuickcheck(t *testing.T) {
 		run := func() (bits.Vec, bits.Vec) {
 			s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 			defer s.Close()
-			return s.BatchMemoryFrom(spacetime.NewCircuitLayerSource(l, P, lanes, frame.NewAggregateSampler(seed, 3)), rounds)
+			return s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 3)), rounds)
 		}
 		fx1, fz1 := run()
 		fx2, fz2 := run()
@@ -113,7 +113,7 @@ func TestCircuitCommitQuickcheck(t *testing.T) {
 		}
 
 		s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
-		src := spacetime.NewCircuitLayerSource(l, P, lanes, frame.NewAggregateSampler(seed, 4))
+		src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 4))
 		d := s.NewDecoder(lanes)
 		lat := toric.Cached(l)
 		layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -160,7 +160,7 @@ func laneError(planes []bits.Vec, lane int, errv bits.Vec) {
 // at service start) must not leak into the result.
 func TestCircuitMemoryDeterministicAndServiceInvariant(t *testing.T) {
 	run := func() Result {
-		r, err := CircuitMemory(4, 10, noise.Uniform(0.006), 5, 2, 800, 957)
+		r, err := toricCircuitMemory(4, 10, noise.Uniform(0.006), 5, 2, 800, 957)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +194,11 @@ func TestCircuitWindowedMatchesVolumeRates(t *testing.T) {
 	} {
 		P := noise.Uniform(cfg.eps)
 		w, c := DefaultWindow(cfg.l)
-		st, err := CircuitMemory(cfg.l, cfg.rounds, P, w, c, samples, 959)
+		st, err := toricCircuitMemory(cfg.l, cfg.rounds, P, w, c, samples, 959)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vol := spacetime.CircuitMemory(cfg.l, cfg.rounds, P, toric.DecoderUnionFind, samples, 960)
+		vol, _ := spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.rounds, P, toric.DecoderUnionFind, samples, 960)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {

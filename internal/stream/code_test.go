@@ -83,11 +83,8 @@ func TestCodeWindowValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Code() != planar || w.Lattice() != nil {
-		t.Error("open-code window should expose the code and a nil lattice")
-	}
-	if tor, err := NewCodeWindow(toric.Cached(3), 4, 2, 1, 1); err != nil || tor.Lattice() == nil {
-		t.Error("toric code window should still expose the lattice")
+	if w.Code() != planar {
+		t.Error("window should expose its code")
 	}
 }
 
@@ -185,12 +182,35 @@ func TestCodeMemoryEntryPoints(t *testing.T) {
 	if a != b {
 		t.Errorf("planar streaming memory not deterministic: %+v vs %+v", a, b)
 	}
-	tr, err := CircuitMemory(3, 10, noise.Uniform(0.004), 0, 0, 256, 11)
+	tr, err := toricCircuitMemory(3, 10, noise.Uniform(0.004), 0, 0, 256, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Code != "toric" {
 		t.Errorf("toric entry point stamps family %q", tr.Code)
+	}
+}
+
+// TestNilCodeIsAnError pins the constructor-error gate of every entry
+// point that takes a code: a nil code is the window's "needs a code"
+// error, never a nil-pointer panic while defaults are derived from it.
+func TestNilCodeIsAnError(t *testing.T) {
+	P := noise.Uniform(0.004)
+	for name, call := range map[string]func() error{
+		"NewCodeWindow":         func() error { _, err := NewCodeWindow(nil, 4, 2, 1, 1); return err },
+		"NewCodeCircuitWindow":  func() error { _, err := NewCodeCircuitWindow(nil, 4, 2, 1, 1, 1); return err },
+		"NewCodeSession":        func() error { _, err := NewCodeSession(nil, 4, 2, 1, 1); return err },
+		"NewCodeCircuitSession": func() error { _, err := NewCodeCircuitSession(nil, 4, 2, 1, 1, 1); return err },
+		"CodeMemory":            func() error { _, err := CodeMemory(nil, 4, 0.01, 0.01, 0, 0, 64, 1); return err },
+		"CodeCircuitMemory":     func() error { _, err := CodeCircuitMemory(nil, 4, P, 0, 0, 64, 1); return err },
+		"CodeCircuitMemoryOpts": func() error {
+			_, err := CodeCircuitMemoryOpts(nil, 4, P, 0, 0, 64, 1, spacetime.DecodeOptions{})
+			return err
+		},
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "needs a code") {
+			t.Errorf("%s(nil code): err = %v, want the window's \"needs a code\" error", name, err)
+		}
 	}
 }
 

@@ -2,9 +2,8 @@ package stream
 
 // Streaming circuit-level erasure and correlated decoding: the sliding
 // window's half of internal/spacetime/circuiterasure.go. An erasure-
-// harvesting source (extract.NewSourceErased /
-// surface.NewCircuitSourceErased) reports every leak as a located
-// fault; PushErased carries those planes alongside the difference
+// harvesting source (surface.NewCircuitSourceErased) reports every leak
+// as a located fault; PushErased carries those planes alongside the difference
 // layers, and every slide decodes the lanes they touch from scratch
 // with the erased edges seeded into the union-find peeling pass.
 // Correlated decoders serialize each slide — primal window first, dual
@@ -13,10 +12,7 @@ package stream
 // than the stream reproduces the whole-volume decode bit for bit.
 
 import (
-	"fmt"
-
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
@@ -73,7 +69,7 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 // be fresh and match the window's lattice and code family.
 func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	w := s.win
-	s.checkFeed(src)
+	spacetime.CheckFeed(src, w.code)
 	lanes := src.Lanes()
 	d := s.NewDecoderOpts(lanes, opts)
 	layerX := bits.NewVecs(w.nc, lanes)
@@ -95,44 +91,23 @@ func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds i
 	return s.failureMasks(src, d)
 }
 
-// CircuitMemoryOpts is the streaming circuit-level memory Monte Carlo
-// with leakage and the selected decode options: `rounds` full
-// extraction circuits per shot under P (including its Leak and Bias
-// channels) slide through the window, erased lanes decode with their
-// located faults, and correlated runs reprice the dual window each
-// slide. Result.Pe reports the leak rate. A malformed model or horizon
-// is a constructor error — leakage is never silently ignored.
-func CircuitMemoryOpts(l, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
-	if err := P.Validate(); err != nil {
-		return Result{}, err
-	}
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	s, err := NewCircuitSession(l, window, commit, wh, wv, wd)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchCircuitMemoryFrom(extract.NewSourceErased(l, P, lanes, smp), rounds, opts)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: P.Gate2, Q: P.Meas,
-		Pe: P.Leak, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeCircuitMemoryOpts is CircuitMemoryOpts for any surface.Code —
-// including schedule overrides (surface.WithSchedule), which is how the
-// CNOT-schedule ablation streams both schedules through one pipeline.
+// CodeCircuitMemoryOpts is the streaming circuit-level memory Monte
+// Carlo with leakage and the selected decode options for any
+// surface.Code — including schedule overrides (surface.WithSchedule),
+// which is how the CNOT-schedule ablation streams both schedules
+// through one pipeline: `rounds` full extraction circuits per shot
+// under P (including its Leak and Bias channels) slide through the
+// window, erased lanes decode with their located faults, and correlated
+// runs reprice the dual window each slide. Result.Pe reports the leak
+// rate. A malformed model or horizon is a constructor error — leakage
+// is never silently ignored.
 func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
 	if err := P.Validate(); err != nil {
 		return Result{}, err
 	}
-	window, commit = defaultedWindow(code.Distance(), window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
+	window, commit, err := memoryShape(code, rounds, window, commit)
+	if err != nil {
+		return Result{}, err
 	}
 	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), window)
 	s, err := NewCodeCircuitSession(code, window, commit, wh, wv, wd)

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/toric"
 )
 
 // TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
@@ -33,12 +33,12 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P := noise.Uniform(cfg.eps)
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.CachedCircuitVolume(cfg.l, cfg.rounds, wh, wv, wd)
+		v := spacetime.CachedCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchCircuitErasedFrom(
-			extract.NewSourceErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
+			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
 		fx2, fz2 := s.BatchCircuitMemoryFrom(
-			extract.NewSourceErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
+			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("L=%d T=%d leak=%v opts=%+v: streaming erased decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
@@ -61,7 +61,7 @@ func TestErasedSlidingIncrementalMatchesFromScratch(t *testing.T) {
 		defer s.Close()
 		s.SetIncremental(incremental)
 		return s.BatchCircuitMemoryFrom(
-			extract.NewSourceErased(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
+			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
 			spacetime.DecodeOptions{ErasureAware: true})
 	}
 	fx1, fz1 := run(true)
@@ -82,10 +82,10 @@ func TestErasedLeakFreeMatchesPlainStream(t *testing.T) {
 	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 	s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 	defer s.Close()
-	fx1, fz1 := s.BatchMemoryFrom(extract.NewSource(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds)
+	fx1, fz1 := s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds)
 	for _, opts := range []spacetime.DecodeOptions{{}, {ErasureAware: true}} {
 		fx2, fz2 := s.BatchCircuitMemoryFrom(
-			extract.NewSourceErased(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, opts)
+			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, opts)
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("opts=%+v: leak-free erased stream differs from plain stream", opts)
 		}
@@ -165,7 +165,7 @@ func TestCircuitMemoryOptsDeterministicAndServiceInvariant(t *testing.T) {
 	P.Leak = 0.006
 	opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
 	run := func() Result {
-		r, err := CircuitMemoryOpts(4, 10, P, 5, 2, 400, 979, opts)
+		r, err := toricCircuitMemoryOpts(4, 10, P, 5, 2, 400, 979, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +190,10 @@ func TestCircuitMemoryOptsDeterministicAndServiceInvariant(t *testing.T) {
 func TestCircuitMemoryOptsValidation(t *testing.T) {
 	bad := noise.Uniform(0.005)
 	bad.Leak = -0.1
-	if _, err := CircuitMemoryOpts(4, 4, bad, 0, 0, 64, 1, spacetime.DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 4, bad, 0, 0, 64, 1, spacetime.DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted Leak=-0.1")
 	}
-	if _, err := CircuitMemoryOpts(4, 0, noise.Uniform(0.005), 0, 0, 64, 1, spacetime.DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 0, noise.Uniform(0.005), 0, 0, 64, 1, spacetime.DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted rounds=0")
 	}
 }

@@ -91,28 +91,28 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 			si := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 			pool := decoder.NewPool(workers)
-			sf, err := NewCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
+			sf, err := toricCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
 			if err != nil {
 				t.Fatal(err)
 			}
 			slid += driveBoth(t, "circuit", si, sf, func() spacetime.LayerFeed {
-				return spacetime.NewCircuitLayerSource(l, P, lanes, frame.NewAggregateSampler(seed, 5))
+				return toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 5))
 			}, rounds, lanes)
 			si.Close()
 			pool.Close()
 		} else {
 			wh, wv := spacetime.Weights(p, p, l, rounds)
-			si, err := NewSession(l, window, commit, wh, wv)
+			si, err := toricSession(l, window, commit, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pool := decoder.NewPool(workers)
-			sf, err := NewSessionOn(pool, l, window, commit, wh, wv)
+			sf, err := toricSessionOn(pool, l, window, commit, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			slid += driveBoth(t, "phenomenological", si, sf, func() spacetime.LayerFeed {
-				return spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
+				return toricLayers(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
 			}, rounds, lanes)
 			si.Close()
 			pool.Close()
@@ -151,19 +151,19 @@ func TestRewindowDropsForestCleanly(t *testing.T) {
 
 		liveCaches := 0
 		arm := func(incremental bool) (x, z []bits.Vec) {
-			s1, err := NewSession(l, w1, c1, wh, wv)
+			s1, err := toricSession(l, w1, c1, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s1.Close()
-			s2, err := NewSession(l, w2, c2, wh, wv)
+			s2, err := toricSession(l, w2, c2, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s2.Close()
 			s1.SetIncremental(incremental)
 			s2.SetIncremental(incremental)
-			src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 3))
+			src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(seed, 3))
 			nc := s1.win.nc
 			lx := bits.NewVecs(nc, lanes)
 			lz := bits.NewVecs(nc, lanes)
@@ -219,7 +219,7 @@ func TestRewindowDropsForestCleanly(t *testing.T) {
 // an empty cache.
 func s1Retains(t *testing.T, l, w, c, wh, wv int) bool {
 	t.Helper()
-	s, err := NewSession(l, w, c, wh, wv)
+	s, err := toricSession(l, w, c, wh, wv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func s1Retains(t *testing.T, l, w, c, wh, wv int) bool {
 // must advance exactly as if every window had been decoded.
 func TestIncrementalQuietStream(t *testing.T) {
 	l := 4
-	s, err := NewSession(l, 6, 3, 1, 1)
+	s, err := toricSession(l, 6, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,16 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // Session owns the long-lived machinery of one streaming configuration:
 // the window structure and the decoder.Service pool shared by every
 // Decoder (and every Monte Carlo chunk) created from it. A session
-// built by NewSession/NewCircuitSession owns a private pool and Close
-// releases it; NewSessionOn/NewCircuitSessionOn graft the session onto
-// an external multi-graph pool (the decode-server path, where one
-// worker fleet serves many concurrent sessions) and Close leaves that
-// pool alone.
+// built with a nil pool owns a private one and Close releases it; a
+// session grafted onto an external multi-graph pool (the decode-server
+// path, where one worker fleet serves many concurrent sessions) leaves
+// that pool alone.
 type Session struct {
 	win         *Window
 	pool        *decoder.Service
@@ -53,84 +53,31 @@ func (s *Session) SetSubmitter(sub Submitter) {
 	s.sub = sub
 }
 
-// NewSession builds the window and starts a private decode pool (see
-// NewWindow for the parameters; weights come from spacetime.Weights).
-func NewSession(l, window, commit, wh, wv int) (*Session, error) {
-	win, err := NewWindow(l, window, commit, wh, wv)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, nil), nil
-}
-
-// NewCircuitSession is NewSession over a circuit-level (diagonal-edge)
-// window; weights come from spacetime.WeightsCircuit.
-func NewCircuitSession(l, window, commit, wh, wv, wd int) (*Session, error) {
-	win, err := NewCircuitWindow(l, window, commit, wh, wv, wd)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, nil), nil
-}
-
-// NewCodeSession is NewSession over any surface.Code — open-boundary
-// windows ground their spatial boundaries on the virtual node.
+// NewCodeSession builds the phenomenological window of a surface.Code
+// (see NewCodeWindow for the parameters; weights come from
+// spacetime.Weights) and starts a private decode pool.
 func NewCodeSession(code surface.Code, window, commit, wh, wv int) (*Session, error) {
 	win, err := NewCodeWindow(code, window, commit, wh, wv)
 	if err != nil {
 		return nil, err
 	}
-	return sessionOver(win, nil), nil
+	return NewSessionOn(nil, win), nil
 }
 
-// NewCodeCircuitSession is NewCircuitSession over any surface.Code.
+// NewCodeCircuitSession is NewCodeSession over a circuit-level
+// (diagonal-edge) window; weights come from spacetime.WeightsCircuit.
 func NewCodeCircuitSession(code surface.Code, window, commit, wh, wv, wd int) (*Session, error) {
 	win, err := NewCodeCircuitWindow(code, window, commit, wh, wv, wd)
 	if err != nil {
 		return nil, err
 	}
-	return sessionOver(win, nil), nil
+	return NewSessionOn(nil, win), nil
 }
 
-// NewSessionOn is NewSession decoding on a shared external pool (built
-// with decoder.NewPool). The session never closes the pool.
-func NewSessionOn(pool *decoder.Service, l, window, commit, wh, wv int) (*Session, error) {
-	win, err := NewWindow(l, window, commit, wh, wv)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, pool), nil
-}
-
-// NewCircuitSessionOn is NewCircuitSession on a shared external pool.
-func NewCircuitSessionOn(pool *decoder.Service, l, window, commit, wh, wv, wd int) (*Session, error) {
-	win, err := NewCircuitWindow(l, window, commit, wh, wv, wd)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, pool), nil
-}
-
-// NewCodeSessionOn is NewCodeSession on a shared external pool.
-func NewCodeSessionOn(pool *decoder.Service, code surface.Code, window, commit, wh, wv int) (*Session, error) {
-	win, err := NewCodeWindow(code, window, commit, wh, wv)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, pool), nil
-}
-
-// NewCodeCircuitSessionOn is NewCodeCircuitSession on a shared external
-// pool.
-func NewCodeCircuitSessionOn(pool *decoder.Service, code surface.Code, window, commit, wh, wv, wd int) (*Session, error) {
-	win, err := NewCodeCircuitWindow(code, window, commit, wh, wv, wd)
-	if err != nil {
-		return nil, err
-	}
-	return sessionOver(win, pool), nil
-}
-
-func sessionOver(win *Window, pool *decoder.Service) *Session {
+// NewSessionOn returns a session decoding a built window on a shared
+// external pool (built with decoder.NewPool), which the session never
+// closes. A nil pool starts a private one that Close releases.
+func NewSessionOn(pool *decoder.Service, win *Window) *Session {
 	s := &Session{win: win, pool: pool}
 	if pool == nil {
 		s.pool = decoder.NewPool(0)
@@ -332,7 +279,7 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	w := s.win
 	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
-		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (NewCircuitSession)")
+		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (NewCodeCircuitSession)")
 	}
 	// Retention band of the persistent forest, in window node ids: a
 	// cluster is carried across a slide only if its grown region lies
@@ -474,7 +421,7 @@ func (d *Decoder) Lanes() int { return d.lanes }
 func (d *Decoder) Err() error { return d.err }
 
 // Push ingests one round's difference layers (check-major, one vector
-// of lane bits per check, as emitted by spacetime.LayerSource). When
+// of lane bits per check, as emitted by a spacetime.LayerFeed). When
 // the window is full the oldest Commit rounds are decoded and
 // committed first.
 func (d *Decoder) Push(layerX, layerZ []bits.Vec) {
@@ -1185,22 +1132,16 @@ func (d *Decoder) FootprintBytes() int {
 	return n
 }
 
-// BatchMemory runs `lanes` streaming shots of the noisy-extraction
-// memory over this session's window: a spacetime.LayerSource emits
-// difference layers round by round (the same draw order as the
-// whole-volume batch), the sliding window commits as it goes, and one
-// perfect closing round settles the tail. Returns the per-lane logical
-// failure masks of the two sectors.
-func (s *Session) BatchMemory(rounds int, p, q float64, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	return s.BatchMemoryFrom(spacetime.NewLayerSource(s.win.L, p, q, lanes, smp), rounds)
-}
-
-// BatchMemoryFrom is BatchMemory draining an arbitrary layer feed — the
-// phenomenological LayerSource and the circuit-level CircuitLayerSource
-// stream through the same window machinery. The feed must be fresh.
+// BatchMemoryFrom runs Lanes() streaming shots of the noisy-extraction
+// memory over this session's window: the feed emits difference layers
+// round by round (the same draw order as the whole-volume batch), the
+// sliding window commits as it goes, and one perfect closing round
+// settles the tail. surface.LayerSource and surface.CircuitSource
+// stream through the same window machinery; the feed must be fresh.
+// Returns the per-lane logical failure masks of the two sectors.
 func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
 	w := s.win
-	s.checkFeed(src)
+	spacetime.CheckFeed(src, w.code)
 	lanes := src.Lanes()
 	d := s.NewDecoder(lanes)
 	layerX := bits.NewVecs(w.nc, lanes)
@@ -1217,25 +1158,6 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, f
 		panic(err)
 	}
 	return s.failureMasks(src, d)
-}
-
-// checkFeed panics on a feed that cannot drive this session's window:
-// already drained, wrong lattice size, or wrong code family.
-func (s *Session) checkFeed(src spacetime.LayerFeed) {
-	w := s.win
-	if src.Rounds() != 0 {
-		panic("stream: layer feed already drained")
-	}
-	if src.L() != w.L {
-		panic("stream: layer feed lattice size does not match the window")
-	}
-	if cf, ok := src.(interface{ Code() surface.Code }); ok {
-		if cf.Code().CodeName() != w.code.CodeName() {
-			panic("stream: layer feed code family does not match the window")
-		}
-	} else if w.code.CodeName() != "toric" {
-		panic("stream: this window needs a code-aware layer feed (surface.NewLayerSource / NewCircuitSource)")
-	}
 }
 
 // failureMasks compares the logical parities of the accumulated error
@@ -1293,39 +1215,38 @@ func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Sample
 // accuracy matches whole-volume decoding) with a half-window commit.
 func DefaultWindow(l int) (window, commit int) { return 2 * l, l }
 
-// Memory runs the streaming noisy-syndrome memory experiment: `rounds`
-// noisy extraction rounds at data rate p and measurement rate q,
+// memoryShape is the constructor-error gate of the memory experiments:
+// it rejects a missing code or an empty horizon and fills in the
+// DefaultWindow sizes for zero window/commit.
+func memoryShape(code surface.Code, rounds, window, commit int) (int, int, error) {
+	if code == nil {
+		return 0, 0, fmt.Errorf("stream: window needs a code")
+	}
+	if rounds < 1 {
+		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
+	}
+	if window <= 0 {
+		window, _ = DefaultWindow(code.Distance())
+	}
+	if commit <= 0 {
+		commit = max(window/2, 1)
+	}
+	return window, commit, nil
+}
+
+// CodeMemory runs the streaming noisy-syndrome memory experiment over
+// any surface.Code: `rounds` noisy extraction rounds at data rate p and
+// measurement rate q from the code's phenomenological layer source,
 // decoded through a sliding window of `window` layers committing
 // `commit` rounds per slide (pass 0, 0 for the DefaultWindow sizes),
 // fanned out over the CPUs in deterministic seed-per-chunk batches
 // that all share one long-lived decode pool. The result is a pure
 // function of (samples, seed) — never of GOMAXPROCS. Invalid window
 // shapes or horizons return a descriptive error.
-func Memory(l, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv := spacetime.Weights(p, q, l, rounds)
-	s, err := NewSession(l, window, commit, wh, wv)
+func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
+	window, commit, err := memoryShape(code, rounds, window, commit)
 	if err != nil {
 		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemory(rounds, p, q, lanes, smp)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: p, Q: q,
-		Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeMemory is Memory over any surface.Code: the code's own
-// phenomenological layer source streams through a sliding window whose
-// open-boundary graphs ground on the virtual node.
-func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(code.Distance(), window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
 	}
 	wh, wv := spacetime.Weights(p, q, code.Distance(), rounds)
 	s, err := NewCodeSession(code, window, commit, wh, wv)
@@ -1340,38 +1261,17 @@ func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, sam
 		P: p, Q: q, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
-// CircuitMemory runs the circuit-level noisy-extraction memory through
-// the sliding window: extract.Source runs the full extraction circuit
-// round by round (faults at every location of the model P), the
-// diagonal-edge window decodes and commits as it goes. Pass 0, 0 for
-// the DefaultWindow sizes. Weights come from spacetime.WeightsCircuit
-// with the window as the decode horizon.
-func CircuitMemory(l, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	s, err := NewCircuitSession(l, window, commit, wh, wv, wd)
+// CodeCircuitMemory runs the circuit-level noisy-extraction memory
+// through the sliding window: the code's own extraction circuit
+// (surface.CircuitSource, faults at every location of the model P)
+// streams round by round, the diagonal-edge window decodes and commits
+// as it goes, boundary-truncated diagonals grounded on the virtual
+// node. Pass 0, 0 for the DefaultWindow sizes. Weights come from
+// spacetime.WeightsCircuit with the window as the decode horizon.
+func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
+	window, commit, err := memoryShape(code, rounds, window, commit)
 	if err != nil {
 		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(spacetime.NewCircuitLayerSource(l, P, lanes, smp), rounds)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: P.Gate2, Q: P.Meas,
-		Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeCircuitMemory is CircuitMemory over any surface.Code: the code's
-// own extraction circuit (surface.CircuitSource) streams through a
-// diagonal-edge sliding window, boundary-truncated diagonals grounded
-// on the virtual node.
-func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(code.Distance(), window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
 	}
 	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), window)
 	s, err := NewCodeCircuitSession(code, window, commit, wh, wv, wd)
@@ -1386,20 +1286,6 @@ func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, co
 		P: P.Gate2, Q: P.Meas, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
-// defaultedWindow fills in the DefaultWindow sizes for zero values.
-func defaultedWindow(l, window, commit int) (int, int) {
-	if window <= 0 {
-		window, _ = DefaultWindow(l)
-	}
-	if commit <= 0 {
-		commit = window / 2
-		if commit < 1 {
-			commit = 1
-		}
-	}
-	return window, commit
-}
-
 // ThresholdPoint is one p = q grid point of a streaming sustained
 // sweep.
 type ThresholdPoint struct {
@@ -1409,15 +1295,15 @@ type ThresholdPoint struct {
 
 // SustainedThreshold sweeps p = q with T = 4L rounds through W = 2L
 // windows (several slides per shot — genuine sustained operation) for
-// two code distances and estimates where the failure curves cross.
-// Returns NaN when the grid shows no crossing, plus the points.
+// two toric code distances and estimates where the failure curves
+// cross. Returns NaN when the grid shows no crossing, plus the points.
 func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []ThresholdPoint) {
 	pts := make([]ThresholdPoint, len(grid))
 	small := make([]float64, len(grid))
 	large := make([]float64, len(grid))
 	run := func(l int, p float64, seed uint64) Result {
 		w, c := DefaultWindow(l)
-		r, err := Memory(l, 4*l, p, p, w, c, samples, seed)
+		r, err := CodeMemory(toric.Cached(l), 4*l, p, p, w, c, samples, seed)
 		if err != nil {
 			// The sweep derives its own parameters; they cannot be invalid.
 			panic(err)

@@ -11,6 +11,7 @@ import (
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -19,25 +20,25 @@ import (
 // construction.
 func mustSession(t *testing.T, l, window, commit, wh, wv int) *Session {
 	t.Helper()
-	s, err := NewSession(l, window, commit, wh, wv)
+	s, err := toricSession(l, window, commit, wh, wv)
 	if err != nil {
-		t.Fatalf("NewSession(%d,%d,%d,%d,%d): %v", l, window, commit, wh, wv, err)
+		t.Fatalf("toricSession(%d,%d,%d,%d,%d): %v", l, window, commit, wh, wv, err)
 	}
 	return s
 }
 
 func mustCircuitSession(t *testing.T, l, window, commit, wh, wv, wd int) *Session {
 	t.Helper()
-	s, err := NewCircuitSession(l, window, commit, wh, wv, wd)
+	s, err := toricCircuitSession(l, window, commit, wh, wv, wd)
 	if err != nil {
-		t.Fatalf("NewCircuitSession(%d,%d,%d,%d,%d,%d): %v", l, window, commit, wh, wv, wd, err)
+		t.Fatalf("toricCircuitSession(%d,%d,%d,%d,%d,%d): %v", l, window, commit, wh, wv, wd, err)
 	}
 	return s
 }
 
 func mustMemory(t *testing.T, l, rounds int, p, q float64, window, commit, samples int, seed uint64) Result {
 	t.Helper()
-	r, err := Memory(l, rounds, p, q, window, commit, samples, seed)
+	r, err := toricMemory(l, rounds, p, q, window, commit, samples, seed)
 	if err != nil {
 		t.Fatalf("Memory: %v", err)
 	}
@@ -45,7 +46,7 @@ func mustMemory(t *testing.T, l, rounds int, p, q float64, window, commit, sampl
 }
 
 func TestWindowShape(t *testing.T) {
-	w, err := NewWindow(4, 6, 3, 2, 5)
+	w, err := NewCodeWindow(toric.Cached(4), 6, 3, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 		{5, 3, 5, 1, 0.08, 0.02},
 		{4, 1, 2, 1, 0.06, 0.04},
 	} {
-		v := spacetime.CachedVolume(cfg.l, cfg.rounds, cfg.p, cfg.q)
+		v := spacetime.CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.q)
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
 		fx1, fz1 := v.BatchMemory(cfg.p, cfg.q, toric.DecoderUnionFind, lanes, frame.NewAggregateSampler(901, 7))
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
-		fx2, fz2 := s.BatchMemory(cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
+		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("L=%d T=%d W=%d: windowed decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
@@ -125,7 +126,7 @@ func TestWindowedMatchesVolumeRates(t *testing.T) {
 	} {
 		w, c := DefaultWindow(cfg.l)
 		st := mustMemory(t, cfg.l, cfg.rounds, cfg.p, cfg.p, w, c, samples, 903)
-		vol := spacetime.Memory(cfg.l, cfg.rounds, cfg.p, cfg.p, toric.DecoderUnionFind, samples, 904)
+		vol, _ := spacetime.CodeMemory(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.p, toric.DecoderUnionFind, samples, 904)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {
@@ -158,7 +159,7 @@ func TestCommitBoundaryQuickcheck(t *testing.T) {
 		run := func() (bits.Vec, bits.Vec) {
 			s := mustSession(t, l, window, commit, wh, wv)
 			defer s.Close()
-			return s.BatchMemory(rounds, p, q, lanes, frame.NewAggregateSampler(seed, 3))
+			return batchMemory(s, rounds, p, q, lanes, frame.NewAggregateSampler(seed, 3))
 		}
 		fx1, fz1 := run()
 		fx2, fz2 := run()
@@ -175,7 +176,7 @@ func TestCommitBoundaryQuickcheck(t *testing.T) {
 		// Soundness: drive a decoder by hand so the accumulated error is
 		// inspectable, then check the residual is syndrome-free per lane.
 		s := mustSession(t, l, window, commit, wh, wv)
-		src := spacetime.NewLayerSource(l, p, q, lanes, frame.NewAggregateSampler(seed, 4))
+		src := toricLayers(l, p, q, lanes, frame.NewAggregateSampler(seed, 4))
 		d := s.NewDecoder(lanes)
 		lat := toric.Cached(l)
 		layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -247,7 +248,7 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 	wh, wv := spacetime.Weights(p, p, l, w)
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
-	src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(908, 1))
+	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(908, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -287,7 +288,7 @@ func TestConstantMemorySustained(t *testing.T) {
 	wh, wv := spacetime.Weights(p, p, l, w)
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
-	src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(909, 1))
+	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(909, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -344,7 +345,7 @@ func TestWindowValidation(t *testing.T) {
 		name                 string
 		l, w, commit, wh, wv int
 	}{
-		{"tiny lattice", 1, 4, 2, 1, 1},
+		{"no code", 0, 4, 2, 1, 1},
 		{"one-layer window", 4, 1, 1, 1, 1},
 		{"zero window", 4, 0, 0, 1, 1},
 		{"zero commit", 4, 4, 0, 1, 1},
@@ -354,25 +355,29 @@ func TestWindowValidation(t *testing.T) {
 		{"zero horizontal weight", 4, 4, 2, 0, 1},
 		{"negative vertical weight", 4, 4, 2, 1, -3},
 	} {
-		if _, err := NewWindow(tc.l, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
-			t.Errorf("%s: NewWindow(%d,%d,%d,%d,%d) accepted", tc.name, tc.l, tc.w, tc.commit, tc.wh, tc.wv)
+		var code surface.Code
+		if tc.l > 0 {
+			code = toric.Cached(tc.l)
 		}
-		if _, err := NewSession(tc.l, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
-			t.Errorf("%s: NewSession accepted", tc.name)
+		if _, err := NewCodeWindow(code, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
+			t.Errorf("%s: NewCodeWindow(%d,%d,%d,%d,%d) accepted", tc.name, tc.l, tc.w, tc.commit, tc.wh, tc.wv)
+		}
+		if _, err := NewCodeSession(code, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
+			t.Errorf("%s: NewCodeSession accepted", tc.name)
 		}
 	}
-	if _, err := NewCircuitWindow(4, 4, 2, 1, 1, 0); err == nil {
+	if _, err := NewCodeCircuitWindow(toric.Cached(4), 4, 2, 1, 1, 0); err == nil {
 		t.Error("circuit window with wd=0 accepted")
 	}
-	if _, err := Memory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
+	if _, err := toricMemory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
 		t.Error("Memory with zero rounds accepted")
 	}
-	if _, err := CircuitMemory(4, 5, noise.Uniform(0.004), 4, 4, 100, 1); err == nil {
+	if _, err := toricCircuitMemory(4, 5, noise.Uniform(0.004), 4, 4, 100, 1); err == nil {
 		t.Error("CircuitMemory with commit == window accepted")
 	}
 	// An oversized window over a short stream stays valid — it decodes
 	// whole-volume at Finish.
-	if _, err := Memory(3, 2, 0.02, 0.02, 9, 3, 100, 2); err != nil {
+	if _, err := toricMemory(3, 2, 0.02, 0.02, 9, 3, 100, 2); err != nil {
 		t.Errorf("oversized window rejected: %v", err)
 	}
 }
@@ -392,13 +397,13 @@ func TestSharedPoolSessions(t *testing.T) {
 	for i, c := range cfgs {
 		wh, wv := spacetime.Weights(c.p, c.p, c.l, c.window)
 		own := mustSession(t, c.l, c.window, c.commit, wh, wv)
-		fx1, fz1 := own.BatchMemory(c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
+		fx1, fz1 := batchMemory(own, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
 		own.Close()
-		shared, err := NewSessionOn(pool, c.l, c.window, c.commit, wh, wv)
+		shared, err := toricSessionOn(pool, c.l, c.window, c.commit, wh, wv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx2, fz2 := shared.BatchMemory(c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
+		fx2, fz2 := batchMemory(shared, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
 		shared.Close() // must not close the shared pool
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("cfg %d: shared-pool session differs from private-pool session", i)
@@ -416,11 +421,11 @@ func TestSharedPoolSessions(t *testing.T) {
 func TestDecoderErrAfterPoolClose(t *testing.T) {
 	pool := decoder.NewPool(2)
 	const l, window, commit, lanes = 3, 3, 1, 32
-	s, err := NewSessionOn(pool, l, window, commit, 1, 1)
+	s, err := toricSessionOn(pool, l, window, commit, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := spacetime.NewLayerSource(l, 0.05, 0.05, lanes, frame.NewAggregateSampler(915, 1))
+	src := toricLayers(l, 0.05, 0.05, lanes, frame.NewAggregateSampler(915, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -472,7 +477,7 @@ func TestRewindowSoundness(t *testing.T) {
 			defer s1.Close()
 			s2 := mustSession(t, l, w2, c2, wh, wv)
 			defer s2.Close()
-			src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 2))
+			src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(seed, 2))
 			lat := toric.Cached(l)
 			layerX := bits.NewVecs(lat.NumChecks(), lanes)
 			layerZ := bits.NewVecs(lat.NumChecks(), lanes)

@@ -43,26 +43,26 @@ func TestSetIncrementalMidStreamToggle(t *testing.T) {
 			wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 			st = mustCircuitSession(t, l, window, commit, wh, wv, wd)
 			var err error
-			sf, err = NewCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
+			sf, err = toricCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
 			if err != nil {
 				t.Fatal(err)
 			}
 			feed = func() spacetime.LayerFeed {
-				return spacetime.NewCircuitLayerSource(l, P, lanes, frame.NewAggregateSampler(seed, 5))
+				return toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 5))
 			}
 		} else {
 			wh, wv := spacetime.Weights(p, p, l, rounds)
 			var err error
-			st, err = NewSession(l, window, commit, wh, wv)
+			st, err = toricSession(l, window, commit, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sf, err = NewSessionOn(pool, l, window, commit, wh, wv)
+			sf, err = toricSessionOn(pool, l, window, commit, wh, wv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			feed = func() spacetime.LayerFeed {
-				return spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
+				return toricLayers(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
 			}
 		}
 		sf.SetIncremental(false)

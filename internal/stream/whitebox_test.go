@@ -29,12 +29,12 @@ func TestIncrementalWhiteBoxCircuit(t *testing.T) {
 		for stream := uint64(0); stream < 8; stream++ {
 			si := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 			pool := decoder.NewPool(1)
-			sf, err := NewCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
+			sf, err := toricCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
 			if err != nil {
 				t.Fatal(err)
 			}
 			driveBoth(t, "whitebox", si, sf, func() spacetime.LayerFeed {
-				return spacetime.NewCircuitLayerSource(l, P, 64, frame.NewAggregateSampler(959, stream))
+				return toricCircuit(l, P, 64, frame.NewAggregateSampler(959, stream))
 			}, rounds, 64)
 			si.Close()
 			pool.Close()

@@ -5,7 +5,6 @@ import (
 
 	"ftqc/internal/decoder"
 	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 // Window is the immutable decode structure of one sliding-window
@@ -21,7 +20,7 @@ import (
 // node instead (the stand-in for the first vertical edge outside the
 // window). Horizontal edges weigh WH, vertical and virtual edges WV,
 // exactly like the whole-volume graphs. Circuit-level windows
-// (NewCircuitWindow) append the diagonal class: edge
+// (NewCodeCircuitWindow) append the diagonal class: edge
 // (e, t) = W·(nq+nc) + t·nq + e of weight WD joining data qubit e's late
 // reader at layer t to its early reader at layer t+1, with the t = W−1
 // diagonals grounding on the boundary node like the virtual verticals.
@@ -36,7 +35,6 @@ type Window struct {
 	WH, WV, WD   int // WD = 0: phenomenological window, no diagonals
 
 	code         surface.Code
-	lat          *toric.Lattice // non-nil only for the torus
 	nq, nc       int
 	nodes        int // W·nc + 1, boundary last
 	horiz        int // W·nq horizontal edges (ids below this project to data qubits)
@@ -46,49 +44,24 @@ type Window struct {
 	graphZ       *decoder.Graph
 }
 
-// NewWindow builds the window structure for an L×L toric lattice,
-// window height W ≥ 2 layers, commit region 1 ≤ commit ≤ W−1, and the
-// given integer edge weights (see spacetime.Weights). Invalid
-// parameters return a descriptive error at construction instead of
-// surfacing as a panic deep inside a later decode — a window that
-// constructs cleanly streams cleanly. A window taller than the stream
-// it eventually decodes is valid: it simply never slides and Finish
-// runs the whole-volume decode.
-func NewWindow(l, w, commit, wh, wv int) (*Window, error) {
-	if l < 2 {
-		return nil, fmt.Errorf("stream: lattice distance must be at least 2 (got L=%d)", l)
-	}
-	return newWindow(toric.Cached(l), w, commit, wh, wv, 0)
-}
-
-// NewCircuitWindow is NewWindow plus the circuit model's diagonal edge
-// class of weight wd ≥ 1 (see spacetime.WeightsCircuit for the weight
-// derivation and the code's ExtractionSchedule for the diagonal
-// orientation).
-func NewCircuitWindow(l, w, commit, wh, wv, wd int) (*Window, error) {
-	if l < 2 {
-		return nil, fmt.Errorf("stream: lattice distance must be at least 2 (got L=%d)", l)
-	}
-	if wd < 1 {
-		return nil, fmt.Errorf("stream: circuit window needs a positive diagonal weight (got wd=%d)", wd)
-	}
-	return newWindow(toric.Cached(l), w, commit, wh, wv, wd)
-}
-
-// NewCodeWindow is NewWindow over any surface.Code (planar and rotated
-// windows ground their spatial boundaries on the virtual node).
+// NewCodeWindow builds the window structure of a surface.Code (planar
+// and rotated windows ground their spatial boundaries on the virtual
+// node), window height W ≥ 2 layers, commit region
+// 1 ≤ commit ≤ W−1, and the given integer edge weights (see
+// spacetime.Weights). Invalid parameters return a descriptive error at
+// construction instead of surfacing as a panic deep inside a later
+// decode — a window that constructs cleanly streams cleanly. A window
+// taller than the stream it eventually decodes is valid: it simply
+// never slides and Finish runs the whole-volume decode.
 func NewCodeWindow(code surface.Code, w, commit, wh, wv int) (*Window, error) {
-	if code == nil {
-		return nil, fmt.Errorf("stream: window needs a code")
-	}
 	return newWindow(code, w, commit, wh, wv, 0)
 }
 
-// NewCodeCircuitWindow is NewCircuitWindow over any surface.Code.
+// NewCodeCircuitWindow is NewCodeWindow plus the circuit model's
+// diagonal edge class of weight wd ≥ 1 (see spacetime.WeightsCircuit
+// for the weight derivation and the code's ExtractionSchedule for the
+// diagonal orientation).
 func NewCodeCircuitWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
-	if code == nil {
-		return nil, fmt.Errorf("stream: window needs a code")
-	}
 	if wd < 1 {
 		return nil, fmt.Errorf("stream: circuit window needs a positive diagonal weight (got wd=%d)", wd)
 	}
@@ -96,6 +69,9 @@ func NewCodeCircuitWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window
 }
 
 func newWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
+	if code == nil {
+		return nil, fmt.Errorf("stream: window needs a code")
+	}
 	if w < 2 {
 		return nil, fmt.Errorf("stream: window must hold at least two layers (got window=%d)", w)
 	}
@@ -114,9 +90,6 @@ func newWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 		nodes:   w*nc + 1,
 		horiz:   w * code.Qubits(),
 		diagOff: w * (code.Qubits() + nc),
-	}
-	if lat, ok := code.(*toric.Lattice); ok {
-		win.lat = lat
 	}
 	if wd > 0 {
 		sch := code.ExtractionSchedule()
@@ -221,7 +194,3 @@ func (w *Window) DualGraph() *decoder.Graph { return w.graphZ }
 
 // Code returns the underlying surface code.
 func (w *Window) Code() surface.Code { return w.code }
-
-// Lattice returns the underlying 2D toric lattice, or nil when the
-// window decodes an open-boundary code (use Code instead).
-func (w *Window) Lattice() *toric.Lattice { return w.lat }

@@ -1,22 +1,25 @@
 package surface_test
 
-// Exhaustive single-fault enumeration for the open-boundary families —
-// the extract package's "every fault is decodable" property, restated
-// for codes whose boundaries absorb parity. One batch run per fault
-// component arms every lane's trigger at a different circuit location
-// of one full extraction round, covering all LocationsPerRound(code)
-// locations in six runs (the X⊗I/I⊗X/X⊗X and Z⊗I/I⊗Z/Z⊗Z components
-// span the 15 nontrivial two-qubit Paulis across the two independent
-// sectors).
+// Exhaustive single-fault enumeration — the "every fault is decodable"
+// property, for every family. One batch run per fault component arms
+// every lane's trigger at a different circuit location of one full
+// extraction round (via BatchSim.ArmTrigger), covering all
+// LocationsPerRound(code) locations in six runs: the 15 nontrivial
+// Paulis of a two-qubit location decompose into an X-part ∈ {X⊗I, I⊗X,
+// X⊗X} and a Z-part ∈ {Z⊗I, I⊗Z, Z⊗Z}, and the two sectors decode
+// independently, so the six components cover them all.
 //
-// Open codes forgo the toric test's even-defect-parity invariant: a
-// fault next to a boundary legitimately lights a single detector and
-// the virtual node absorbs the partner. What must still hold is the
-// decode-residual chain — decoding the defect set over the
-// boundary-grounded diagonal-edge circuit volume yields a correction
-// whose residual against the injected error is syndrome-free and
-// carries no logical error. The enumeration must also witness both
-// diagonal classes: an interior hook pair {(c₁,t), (c₂,t+1)} and a
+// For every location and component the test asserts the full chain:
+// decoding each sector's defect set over the diagonal-edge circuit
+// volume (union-find, and the exact matcher where the code has one)
+// yields a correction whose residual against the injected error is
+// syndrome-free and carries no logical error — no single circuit fault
+// produces a logical error. On the torus every defect set must also
+// have even parity (nothing falls outside the volume). Open codes forgo
+// that invariant: a fault next to a boundary legitimately lights a
+// single detector and the virtual node absorbs the partner. The
+// enumeration must witness the diagonal classes the code has: an
+// interior hook pair {(c₁,t), (c₂,t+1)} and, for open codes, a
 // boundary-truncated hook (the lone defect of a single-reader qubit).
 
 import (
@@ -44,6 +47,11 @@ var faultComponents = []faultComponent{
 	{"ZZ", false, true, false, true},
 }
 
+func TestSingleFaultEnumerationToric(t *testing.T) {
+	testSingleFaultEnumeration(t, toric.Cached(4))
+	testSingleFaultEnumeration(t, toric.Cached(5))
+}
+
 func TestSingleFaultEnumerationPlanar(t *testing.T) {
 	testSingleFaultEnumeration(t, surface.Planar(3))
 	testSingleFaultEnumeration(t, surface.Planar(4))
@@ -63,6 +71,10 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 	sch := code.ExtractionSchedule()
 	diagSeen, truncSeen := 0, 0
 	errv := bits.NewVec(code.Qubits())
+	kinds := []toric.DecoderKind{toric.DecoderUnionFind}
+	if !code.Open() {
+		kinds = append(kinds, toric.DecoderExact)
+	}
 	for _, fc := range faultComponents {
 		// All noise channels off: the armed trigger is the only fault.
 		src := surface.NewCircuitSource(code, noise.Params{}, locs, frame.NewAggregateSampler(21, 1))
@@ -101,30 +113,35 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 		for lane := 0; lane < locs; lane++ {
 			dX := synX[lane].Support()
 			dZ := synZ[lane].Support()
+			if !code.Open() && (len(dX)%2 != 0 || len(dZ)%2 != 0) {
+				t.Fatalf("%s %s location %d: odd defect parity on a closed code (X %v, Z %v)", name, fc.name, lane, dX, dZ)
+			}
 			diagSeen += countDiagPairs(dX, nc, sch.DiagX) + countDiagPairs(dZ, nc, sch.DiagZ)
 			truncSeen += countTruncated(dX, nc, sch.DiagX) + countTruncated(dZ, nc, sch.DiagZ)
-			corr := vol.Decode(dX, toric.DecoderUnionFind, false)
-			laneResidual(cumX, lane, corr, errv)
-			if res := sectorSyndrome(code, false, errv); len(res) != 0 {
-				t.Fatalf("%s %s location %d: X residual carries syndrome %v (defects %v)", name, fc.name, lane, res, dX)
-			}
-			if p1, p2 := code.LogicalParity(false, errv); p1 || p2 {
-				t.Fatalf("%s %s location %d: single fault became an X logical (defects %v)", name, fc.name, lane, dX)
-			}
-			corr = vol.Decode(dZ, toric.DecoderUnionFind, true)
-			laneResidual(cumZ, lane, corr, errv)
-			if res := sectorSyndrome(code, true, errv); len(res) != 0 {
-				t.Fatalf("%s %s location %d: Z residual carries syndrome %v (defects %v)", name, fc.name, lane, res, dZ)
-			}
-			if p1, p2 := code.LogicalParity(true, errv); p1 || p2 {
-				t.Fatalf("%s %s location %d: single fault became a Z logical (defects %v)", name, fc.name, lane, dZ)
+			for _, kind := range kinds {
+				corr := vol.Decode(dX, kind, false)
+				laneResidual(cumX, lane, corr, errv)
+				if res := sectorSyndrome(code, false, errv); len(res) != 0 {
+					t.Fatalf("%s %s location %d: X residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dX)
+				}
+				if p1, p2 := code.LogicalParity(false, errv); p1 || p2 {
+					t.Fatalf("%s %s location %d: single fault became an X logical (decoder %d, defects %v)", name, fc.name, lane, kind, dX)
+				}
+				corr = vol.Decode(dZ, kind, true)
+				laneResidual(cumZ, lane, corr, errv)
+				if res := sectorSyndrome(code, true, errv); len(res) != 0 {
+					t.Fatalf("%s %s location %d: Z residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dZ)
+				}
+				if p1, p2 := code.LogicalParity(true, errv); p1 || p2 {
+					t.Fatalf("%s %s location %d: single fault became a Z logical (decoder %d, defects %v)", name, fc.name, lane, kind, dZ)
+				}
 			}
 		}
 	}
 	if diagSeen == 0 {
 		t.Fatalf("%s: no single fault produced an interior diagonal defect pair", name)
 	}
-	if truncSeen == 0 {
+	if code.Open() && truncSeen == 0 {
 		t.Fatalf("%s: no single fault produced a boundary-truncated diagonal defect", name)
 	}
 }

@@ -11,9 +11,11 @@ import (
 // per round, check measurements flipped with probability q, and the
 // consecutive-round syndrome differences emitted as check-major layer
 // planes. Draw order per round: X qubit planes, Z qubit planes, primal
-// measurement masks, dual measurement masks — all in index order, the
-// same stream discipline as the toric spacetime.LayerSource (on the
-// toric code the two are draw-for-draw identical).
+// measurement masks, dual measurement masks — all in index order, so
+// any experiment built on a source is a pure function of the sampler
+// stream. The whole-volume batch decode and the streaming sliding-
+// window decoder consume the same source, which is what makes them
+// statistically identical by construction.
 type LayerSource struct {
 	code   Code
 	p, q   float64
@@ -21,9 +23,10 @@ type LayerSource struct {
 	smp    frame.Sampler
 	rounds int
 
-	active, tmp bits.Vec
-	cumX, cumZ  []bits.Vec // qubit-major accumulated error planes
-	diff        *SyndromeDiff
+	active, tmp  bits.Vec
+	intact, coin bits.Vec   // erasure-path scratch, built on first use
+	cumX, cumZ   []bits.Vec // qubit-major accumulated error planes
+	diff         *SyndromeDiff
 }
 
 // NewLayerSource returns a phenomenological source over the code for
@@ -43,9 +46,6 @@ func NewLayerSource(code Code, p, q float64, lanes int, smp frame.Sampler) *Laye
 
 // Code returns the code the source extracts on.
 func (s *LayerSource) Code() Code { return s.code }
-
-// L returns the code distance (the layer-feed size contract).
-func (s *LayerSource) L() int { return s.code.Distance() }
 
 // Lanes returns the batch width.
 func (s *LayerSource) Lanes() int { return s.lanes }
@@ -82,6 +82,63 @@ func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
 	s.rounds++
 }
 
+// NextLayersErased is NextLayers with two erasure channels, both
+// reported as known fault locations for the union-find peeling pass:
+// each data qubit leaks with probability pe per round (it depolarizes —
+// flips with probability ½ in each sector independently — and is
+// marked in eraH, one plane per qubit), and each check measurement is
+// lost with probability qe (its observed value is replaced by a fair
+// coin and marked in lostX/lostZ, one plane per check). Draw order:
+// leakage planes, X intact flips, X leaked coins, Z intact flips, Z
+// leaked coins, primal measurement masks, lost primal masks, lost
+// primal coins, then the dual sector's three — all plane-at-a-time in
+// index order.
+func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+	nq := s.code.Qubits()
+	if s.intact.Len() == 0 {
+		s.intact = bits.NewVec(s.lanes)
+		s.coin = bits.NewVec(s.lanes)
+	}
+	for e := 0; e < nq; e++ {
+		s.smp.Bernoulli(pe, s.active, eraH[e])
+	}
+	for _, cum := range [2][]bits.Vec{s.cumX, s.cumZ} {
+		for e := 0; e < nq; e++ {
+			s.intact.CopyFrom(s.active)
+			s.intact.AndNot(eraH[e])
+			s.smp.Bernoulli(s.p, s.intact, s.tmp)
+			cum[e].Xor(s.tmp)
+		}
+		for e := 0; e < nq; e++ {
+			s.smp.Bernoulli(0.5, eraH[e], s.tmp)
+			cum[e].Xor(s.tmp)
+		}
+	}
+	s.observeLossy(false, s.cumX, s.diff.CurX(), qe, lostX)
+	s.observeLossy(true, s.cumZ, s.diff.CurZ(), qe, lostZ)
+	s.diff.Emit(layerX, layerZ)
+	s.rounds++
+}
+
+// observeLossy measures one sector's checks with flip rate q, then
+// loses each measurement with probability qe: a lost measurement reads
+// as a fair coin, whatever the truth.
+func (s *LayerSource) observeLossy(dual bool, cum, cur []bits.Vec, qe float64, lost []bits.Vec) {
+	s.code.CheckPlanes(dual, cum, cur)
+	for c := range cur {
+		s.smp.Bernoulli(s.q, s.active, s.tmp)
+		cur[c].Xor(s.tmp)
+	}
+	for c := range cur {
+		s.smp.Bernoulli(qe, s.active, lost[c])
+	}
+	for c := range cur {
+		s.smp.Coin(lost[c], s.coin)
+		cur[c].AndNot(lost[c])
+		cur[c].Or(s.coin)
+	}
+}
+
 // CloseLayers writes the closing perfect round's difference layers: the
 // true syndromes of the accumulated errors, no fresh faults, no
 // measurement noise.
@@ -103,14 +160,94 @@ func (s *LayerSource) Windings(pX1, pX2, pZ1, pZ2 bits.Vec) {
 // sectors (qubit-major). Read-only views for validation harnesses.
 func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.cumX, s.cumZ }
 
+// roundPlan returns the schedule's extraction round compiled into a
+// frame.RoundPlan, built on first use and shared by every
+// CircuitSource of the code: the exact location sequence of the
+// per-gate loop (storage over all data qubits, then per sector prep /
+// four CNOT steps / measurement, idle −1 steps skipped), with primal
+// measurements in slots 0…nc−1 and dual ones in slots nc…2nc−1.
+// ReaderPairs has already rejected any schedule that reads a qubit
+// twice in one step, so every CNOT block is qubit-disjoint as
+// frame.RoundPlan.CNOTStep requires.
+func (s *Schedule) roundPlan() *frame.RoundPlan {
+	s.planOnce.Do(func() {
+		nq, nc := len(s.DiagX), len(s.Plaq)
+		pl := frame.NewRoundPlan()
+		data := make([]int32, nq)
+		for q := range data {
+			data[q] = int32(q)
+		}
+		pl.Storage(data)
+		anc := make([]int32, nc)
+		slot := make([]int32, nc)
+		for dual, orders := range [2][][4]int{s.Plaq, s.Star} {
+			for c := range anc {
+				anc[c] = int32(nq + dual*nc + c)
+				slot[c] = int32(dual*nc + c)
+			}
+			if dual == 0 {
+				pl.PrepZ(anc)
+			} else {
+				pl.PrepX(anc)
+			}
+			for step := 0; step < 4; step++ {
+				var as, qs []int32
+				for c, ord := range orders {
+					if q := ord[step]; q >= 0 {
+						as = append(as, anc[c])
+						qs = append(qs, int32(q))
+					}
+				}
+				if dual == 0 {
+					pl.CNOTStep(qs, as) // data controls the primal ancilla
+				} else {
+					pl.CNOTStep(as, qs) // the dual ancilla controls data
+				}
+			}
+			if dual == 0 {
+				pl.MeasZ(anc, slot)
+			} else {
+				pl.MeasX(anc, slot)
+			}
+		}
+		s.plan = pl
+	})
+	return s.plan
+}
+
 // CircuitSource runs circuit-level syndrome extraction for any Code on
-// the batch frame engine, mirroring the toric extract.Source gate for
-// gate: one ancilla per check, prepared, coupled to its data qubits by
-// CNOTs in the code's schedule (idle −1 steps skipped — boundary
-// checks of open codes have weight < 4), and measured, with stochastic
-// faults at every location. Qubit layout on the simulator: data qubits
-// 0…Qubits()−1, primal-check ancillas Qubits()+c, dual-check ancillas
-// Qubits()+Checks()+c.
+// the batch frame engine: one ancilla per check, prepared, coupled to
+// its data qubits by CNOTs in the code's schedule (idle −1 steps
+// skipped — boundary checks of open codes have weight < 4), and
+// measured, with stochastic faults at every circuit location
+// (preparation, CNOT, measurement, idle storage) — the error model
+// behind realistic threshold estimates (Steane quant-ph/9809054;
+// Gottesman arXiv:2210.15844 §"noise models").
+//
+// The phenomenological model of LayerSource flips each data qubit and
+// each measurement independently per round. The circuit model is
+// strictly richer:
+//
+//   - A CNOT fault can damage the data qubit *between* the two adjacent
+//     checks' reads of it, so one check sees the error this round and
+//     the other only next round — a correlated "diagonal" space-time
+//     defect pair that the decoding graph must carry as its own edge
+//     class (see the Schedule's {late, early} reader tables).
+//   - A fault on the ancilla mid-chain propagates through the remaining
+//     CNOTs onto several data qubits at once ("hook" errors): Z hooks
+//     from primal extraction land in the dual sector, X hooks from dual
+//     extraction in the primal sector.
+//   - Preparation and measurement faults reproduce the phenomenological
+//     measurement-flip channel exactly (a vertical defect pair).
+//
+// Both sources satisfy the same layer-feed contract (NextLayers /
+// CloseLayers / Windings), so the whole-volume batch decode and the
+// streaming sliding-window pipeline drain either unchanged; only the
+// decoding graph differs (diagonal edges, circuit-derived weights —
+// built by internal/spacetime from the code's Schedule).
+//
+// Qubit layout on the simulator: data qubits 0…Qubits()−1, primal-check
+// ancillas Qubits()+c, dual-check ancillas Qubits()+Checks()+c.
 type CircuitSource struct {
 	code   Code
 	sch    *Schedule
@@ -118,6 +255,8 @@ type CircuitSource struct {
 	lanes  int
 	rounds int
 	diff   *SyndromeDiff
+
+	measBuf []bits.Vec // reused curX‖curZ slot table for the fused round
 }
 
 // NewCircuitSource returns a circuit-level source over the code for
@@ -135,23 +274,22 @@ func NewCircuitSource(code Code, P noise.Params, lanes int, smp frame.Sampler) *
 // NewCircuitSourceErased returns a circuit-level source that models
 // leakage: every gate carries its P.Leak channel, a leaked data qubit
 // is swapped for a fresh (randomized) one at the start of the next
-// round, and NextLayersErased reports every leak as a located fault.
+// round, and NextLayersErased reports every leak as a located fault —
+// the erasure planes the decoder seeds its peeling with.
 func NewCircuitSourceErased(code Code, P noise.Params, lanes int, smp frame.Sampler) *CircuitSource {
 	nc := code.Checks()
 	return &CircuitSource{
-		code:  code,
-		sch:   code.ExtractionSchedule(),
-		sim:   frame.NewBatch(code.Qubits()+2*nc, lanes, P, smp),
-		lanes: lanes,
-		diff:  NewSyndromeDiff(nc, lanes),
+		code:    code,
+		sch:     code.ExtractionSchedule(),
+		sim:     frame.NewBatch(code.Qubits()+2*nc, lanes, P, smp),
+		lanes:   lanes,
+		diff:    NewSyndromeDiff(nc, lanes),
+		measBuf: make([]bits.Vec, 0, 2*nc),
 	}
 }
 
 // Code returns the code the source extracts on.
 func (s *CircuitSource) Code() Code { return s.code }
-
-// L returns the code distance (the layer-feed size contract).
-func (s *CircuitSource) L() int { return s.code.Distance() }
 
 // Lanes returns the batch width.
 func (s *CircuitSource) Lanes() int { return s.lanes }
@@ -170,12 +308,23 @@ func (s *CircuitSource) ancS(c int) int { return s.code.Qubits() + s.code.Checks
 // qubits, then the primal sector (PrepZ, four CNOT steps with data as
 // control, MeasZ), then the dual sector (PrepX, four CNOT steps with
 // the ancilla as control, MeasX) — and writes the round's difference-
-// syndrome layers into layerX and layerZ.
+// syndrome layers into layerX and layerZ. Every gate carries its
+// noise.Params fault channel, so any experiment built on a source is a
+// pure function of the sampler stream.
 func (s *CircuitSource) NextLayers(layerX, layerZ []bits.Vec) {
 	if s.sim.P.Leak > 0 {
 		panic("surface: NextLayers with P.Leak > 0 — drain an erasure source with NextLayersErased")
 	}
-	s.genericRound()
+	// The schedule's compiled round program runs fused (one geometric
+	// sampler stream per block of locations). RunRound reports false,
+	// without consuming any randomness, when it cannot reproduce the
+	// per-gate loop draw for draw (lockstep sampler, armed trigger
+	// harness, biased noise, narrowed active mask); the loop then replays
+	// the identical location sequence — both paths are bit-identical.
+	s.measBuf = append(append(s.measBuf[:0], s.diff.CurX()...), s.diff.CurZ()...)
+	if !s.sim.RunRound(s.sch.roundPlan(), s.measBuf) {
+		s.genericRound()
+	}
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
 }
@@ -184,9 +333,17 @@ func (s *CircuitSource) NextLayers(layerX, layerZ []bits.Vec) {
 // API.
 func (s *CircuitSource) genericRound() {
 	nq, nc := s.code.Qubits(), s.code.Checks()
+	// The idle window (ancilla prep/measure time): one storage step per
+	// data qubit per round, before any read — a same-round ("horizontal")
+	// error for both sectors. Called unconditionally so the location
+	// numbering the fault-injection harnesses script against does not
+	// depend on whether P.Storage is zero.
 	for e := 0; e < nq; e++ {
 		s.sim.Storage(e)
 	}
+	// Primal (Z-check) sector: data X errors propagate control→target
+	// into the ancilla; MeasZ reads the accumulated X frame. A Z fault on
+	// the ancilla mid-chain hooks back onto the remaining data controls.
 	curX := s.diff.CurX()
 	for c := 0; c < nc; c++ {
 		s.sim.PrepZ(s.ancP(c))
@@ -201,6 +358,9 @@ func (s *CircuitSource) genericRound() {
 	for c := 0; c < nc; c++ {
 		s.sim.MeasZInto(s.ancP(c), curX[c])
 	}
+	// Dual (X-check) sector: data Z errors propagate target→control into
+	// the ancilla; MeasX reads the accumulated Z frame. An X fault on the
+	// ancilla mid-chain hooks forward onto the remaining data targets.
 	curZ := s.diff.CurZ()
 	for c := 0; c < nc; c++ {
 		s.sim.PrepX(s.ancS(c))
@@ -217,11 +377,25 @@ func (s *CircuitSource) genericRound() {
 	}
 }
 
-// NextLayersErased is NextLayers for a leakage-modeling source: the
-// same round with every leak harvested as a located fault, in the same
-// fixed draw order as the toric extract.Source.NextLayersErased (see
-// there for the full semantics). eraH is qubit-major (Qubits() planes),
-// lostX/lostZ are check-major (Checks() planes each).
+// NextLayersErased is NextLayers for a leakage-modeling source: it runs
+// the same extraction round (per-gate path — the fused plan declines
+// leakage) and additionally harvests every leak as a located fault.
+//
+// Draw order per round, fixed so whole-volume and streaming drains of
+// two equally-seeded sources stay bit-identical: (1) per data qubit in
+// index order, the still-leaked lanes are recorded into eraH[e] and the
+// qubit is replaced by a fresh randomized one (ReplaceLeaked — two Coin
+// draws on non-empty masks only); (2) the per-gate round body; (3) no
+// further draws — round-end bookkeeping only reads planes.
+//
+// On return, eraH[e] (qubit-major, Qubits() planes) marks the lanes
+// whose data qubit e is erased this layer (leaked at the start of the
+// round — the replacement Pauli's syndrome lands here — or leaked
+// mid-round, where the two readers may disagree), lostX[c]/lostZ[c]
+// (check-major, Checks() planes each) mark the lanes whose primal/dual
+// ancilla was leaked at its measurement (the outcome was a coin — a
+// located vertical fault). The caller mirrors eraH onto the diagonal
+// edge class when the decoding graph carries one.
 func (s *CircuitSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	nq, nc := s.code.Qubits(), s.code.Checks()
 	lk := s.sim.PlanesLeak(nq + 2*nc)
@@ -273,17 +447,5 @@ func (s *CircuitSource) ErrorPlanes() (x, z []bits.Vec) {
 // qubit plus, per check of either sector, prep + one CNOT per support
 // qubit + meas. For the torus this is the familiar 2L² + 12L².
 func LocationsPerRound(code Code) int {
-	sch := code.ExtractionSchedule()
-	n := code.Qubits()
-	for _, orders := range [2][][4]int{sch.Plaq, sch.Star} {
-		for _, ord := range orders {
-			n += 2
-			for _, q := range ord {
-				if q >= 0 {
-					n++
-				}
-			}
-		}
-	}
-	return n
+	return code.ExtractionSchedule().roundPlan().Locations()
 }

@@ -21,8 +21,11 @@
 package surface
 
 import (
+	"sync"
+
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
+	"ftqc/internal/frame"
 )
 
 // Code is the detector-graph contract a code family implements to flow
@@ -82,9 +85,15 @@ type Code interface {
 // entry ({c, −1}: the qubit has a single reader in that sector) puts
 // its lone defect at (c, t+1) and the diagonal edge runs to the
 // boundary node instead.
+//
+// A Schedule is immutable once published by its code and used by
+// pointer: it memoizes the fused round program compiled from it.
 type Schedule struct {
 	Plaq, Star   [][4]int
 	DiagX, DiagZ [][2]int32
+
+	planOnce sync.Once
+	plan     *frame.RoundPlan
 }
 
 // ReaderPairs derives the diagonal edge classes of one sector from its

@@ -14,7 +14,10 @@ import (
 // contract, small enough for exhaustive checks.
 func codesUnderTest() []surface.Code {
 	return []surface.Code{
+		toric.Cached(2),
+		toric.Cached(3),
 		toric.Cached(4),
+		toric.Cached(5),
 		surface.Planar(2),
 		surface.Planar(3),
 		surface.Planar(4),

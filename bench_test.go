@@ -348,8 +348,8 @@ func BenchmarkCircuitOpts(b *testing.B) {
 // circuit/ sub-series streams the full extraction circuit through the
 // diagonal-edge windows at a sustained circuit-level operating point,
 // and the quiet/ sub-series measures the same L=16 window well below
-// threshold, where the incremental slide and the sparse skip carry the
-// load instead of raw decode throughput.
+// threshold, where decodes are nearly empty and ring bookkeeping
+// carries the load instead of raw decode throughput.
 func BenchmarkStreamDecode(b *testing.B) {
 	const pq = 0.025
 	for _, l := range []int{4, 8, 16} {
@@ -382,22 +382,6 @@ func BenchmarkStreamDecode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src := surface.NewCircuitSource(toric.Cached(l), P, 64, frame.NewAggregateSampler(7, uint64(i)))
 				s.BatchMemoryFrom(src, 4*l)
-			}
-		})
-	}
-	for _, l := range []int{8, 16} {
-		b.Run(fmt.Sprintf("dense-incremental/L=%d", l), func(b *testing.B) {
-			w, c := stream.DefaultWindow(l)
-			wh, wv := spacetime.Weights(pq, pq, l, 4*l)
-			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			s.SetIncremental(true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), pq, pq, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
 			}
 		})
 	}
@@ -740,30 +724,6 @@ func TestEmitToricBenchJSON(t *testing.T) {
 			Window: w, Commit: c, P: 0.025, Q: 0.025, Decoder: "window-" + decoderName[toric.DecoderUnionFind],
 			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
 			NsPerRound: ns / stShots / float64(rounds), WindowRSS: foot,
-		})
-	}
-	// Dense-incremental series: the same threshold-point stream with
-	// warm-start retention explicitly pinned on — the dense-regime
-	// incremental trajectory (PR 7 retained forests only in sparse
-	// lanes; the sub-window re-decode retains unconditionally).
-	for _, l := range []int{8, 16} {
-		w, c := stream.DefaultWindow(l)
-		wh, wv := spacetime.Weights(0.025, 0.025, l, 4*l)
-		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetIncremental(true)
-		rounds := 4 * l
-		ns := measure(func() {
-			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0)), rounds)
-		})
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/dense-incremental/L=%d", l), L: l, Rounds: rounds,
-			Window: w, Commit: c, P: 0.025, Q: 0.025, Decoder: "window-incremental-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
 		})
 	}
 	// Circuit-level streaming series: the extraction circuit streamed

@@ -10,12 +10,10 @@ type Graph struct {
 	nodes  int
 	endU   []int32 // edge e runs endU[e] — endV[e]
 	endV   []int32
-	weight []int32  // per-edge growth weight, >= 1
-	grow   []uint32 // per-edge full-support target, 2·weight (the growth loop's unit)
+	weight []int32 // per-edge growth weight, >= 1
 	maxW   int32
-	off    []int32 // CSR offsets into adjEdge/adjNode, len nodes+1
+	off    []int32 // CSR offsets into adjE, len nodes+1
 	adjE   []int32 // incident edge ids, grouped by node
-	adjN   []int32 // the far endpoint of the matching adjE entry
 
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
@@ -46,7 +44,6 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		endU:   make([]int32, len(ends)),
 		endV:   make([]int32, len(ends)),
 		weight: make([]int32, len(ends)),
-		grow:   make([]uint32, len(ends)),
 		maxW:   1,
 		off:    make([]int32, nodes+1),
 	}
@@ -66,7 +63,6 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		}
 		g.endU[e], g.endV[e] = uv[0], uv[1]
 		g.weight[e] = w
-		g.grow[e] = uint32(2 * w)
 		g.off[uv[0]+1]++
 		g.off[uv[1]+1]++
 	}
@@ -74,14 +70,13 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		g.off[v+1] += g.off[v]
 	}
 	g.adjE = make([]int32, 2*len(ends))
-	g.adjN = make([]int32, 2*len(ends))
 	cursor := make([]int32, nodes)
 	copy(cursor, g.off[:nodes])
 	for e := range ends {
 		u, v := g.endU[e], g.endV[e]
-		g.adjE[cursor[u]], g.adjN[cursor[u]] = int32(e), v
+		g.adjE[cursor[u]] = int32(e)
 		cursor[u]++
-		g.adjE[cursor[v]], g.adjN[cursor[v]] = int32(e), u
+		g.adjE[cursor[v]] = int32(e)
 		cursor[v]++
 	}
 	return g

@@ -19,20 +19,13 @@ var errNoGraph = errors.New("decoder: no decoding graph for submission")
 // Shot is one decode request to a Service: a defect list and optional
 // known-erased edges (both in the graph's index space). Defects and
 // Erased are read, never written; they must stay untouched until the
-// batch that carries them completes.
-//
-// The remaining fields serve the incremental streaming path. Guard is a
-// node set barred from growth contact (see UnionFind.DecodeGuarded); a
-// shot with a Guard must also carry Comps, whose Conflict flag is the
-// only way the abort is reported. Comps, when non-nil, receives the
-// post-decode cluster extraction. CorrBuf, when non-nil, is the caller-
-// owned backing array the correction is appended into — resubmitting
-// with the returned slice makes the steady state allocation-free.
+// batch that carries them completes. CorrBuf, when non-nil, is the
+// caller-owned backing array the correction is appended into —
+// resubmitting with the returned slice makes the steady state
+// allocation-free.
 type Shot struct {
 	Defects []int
 	Erased  []int
-	Guard   []int32
-	Comps   *Components
 	CorrBuf []int32
 }
 
@@ -330,8 +323,7 @@ func (s *Service) worker() {
 		uf := t.pool.Get().(*UnionFind)
 		for i := t.lo; i < t.hi; i++ {
 			shot := &t.b.shots[i]
-			corr, _ := uf.DecodeGuarded(shot.Defects, shot.Erased, shot.Guard, shot.CorrBuf[:0], shot.Comps)
-			t.b.out[i] = corr
+			t.b.out[i] = uf.AppendCorrection(shot.CorrBuf[:0], shot.Defects, shot.Erased)
 		}
 		t.pool.Put(uf)
 		if t.b.pending.Add(-1) == 0 {

@@ -39,28 +39,29 @@
 // fires and the stream decode is bit-identical to the whole-volume
 // decode (tested).
 //
-// # Incremental slide
+// # One decode per window, from scratch
 //
-// Successive windows share W − C layers, so a naive slide re-decodes
-// mostly old syndrome. Three escapes recover that cost, none of which
-// may change a committed bit. A per-lane defect count maintained at
-// Push lets a silent window skip its decode outright (the sparse fast
-// path — a quiet stream costs ring bookkeeping only). A lane that
-// stays sparse retains its decoded cluster forest across the slide:
-// the guarded decode (decoder.DecodeGuarded) extracts every cluster
-// confined to the retention band, the next decode strips those defects
-// and re-seeds the clusters as erasures, and a guard set over their
-// footprint aborts to a full from-scratch re-decode of the lane the
-// moment any new cluster touches a retained one. The fallback makes
-// the committed frames bit-identical to a from-scratch decoder fed the
-// same layers for ANY deterministic retention policy (the lockstep and
-// white-box suites pin this); the shipped policy caches a lane only
-// below a density threshold and backs off exponentially after a
-// conflict, so the machinery is free at threshold-point densities and
-// dominant in the quiet regime. SetIncremental(false) disables both
-// paths. Rewindow drops the cache — its cluster ids live in the old
-// window's coordinate system — and the replayed layers rebuild it.
-// Warm Push (slides included) runs at zero heap allocations.
+// Successive windows share W − C layers, and every slide re-decodes
+// them: a slide is pivot → defect support → one plain union-find decode
+// per lane → commit and carry, and nothing is carried between slides
+// but the carry defects and the frames. (A retained-forest slide that
+// kept the previous window's interior clusters across the slide was
+// measured slower than this on every benchmark workload and deleted;
+// EXPERIMENTS.md E31 has the table.) The one shortcut is the
+// silent-sector skip: a sector whose buffered layers are empty in every
+// lane and whose carries are clear skips its decode outright — an empty
+// defect list decodes to an empty correction, so the skip is exact by
+// construction and has no off switch. Rewindow re-pushes the buffered
+// layers through the new window; onto an identical shape it is a no-op
+// (tested). Defect and correction buffers are sized once from the window
+// shape, and warm Push (slides included) runs at zero heap allocations.
+//
+// What the decode pool may not do is remember: a lane's correction must
+// depend on (graph, defects, erasure) alone, never on what the worker's
+// scratch decoded before — the scratch-history-independence contract of
+// decoder.UnionFind — because the frames a session commits are compared
+// bit for bit against references decoded on other pools
+// (TestGoldenFrames pins them against recorded digests).
 //
 // # Decode service
 //

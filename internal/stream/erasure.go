@@ -4,8 +4,8 @@ package stream
 // window's half of internal/spacetime/circuiterasure.go. An erasure-
 // harvesting source (surface.NewCircuitSourceErased) reports every leak
 // as a located fault; PushErased carries those planes alongside the difference
-// layers, and every slide decodes the lanes they touch from scratch
-// with the erased edges seeded into the union-find peeling pass.
+// layers, and every slide decodes the lanes they touch with the erased
+// edges seeded into the union-find peeling pass.
 // Correlated decoders serialize each slide — primal window first, dual
 // repriced from the primal correction — so the committed frames stay a
 // pure function of the stream for any worker count, and a window taller

@@ -20,11 +20,10 @@ import (
 // path, where one worker fleet serves many concurrent sessions) leaves
 // that pool alone.
 type Session struct {
-	win         *Window
-	pool        *decoder.Service
-	sub         Submitter
-	owned       bool
-	fromScratch bool
+	win   *Window
+	pool  *decoder.Service
+	sub   Submitter
+	owned bool
 }
 
 // Submitter dispatches a staged reusable batch of shots to the decode
@@ -36,10 +35,6 @@ type Session struct {
 type Submitter interface {
 	ResubmitOn(g *decoder.Graph, b *decoder.Batch, shots []decoder.Shot) error
 }
-
-// SetIncremental sets the slide mode every future NewDecoder of this
-// session starts in (incremental by default; see Decoder.SetIncremental).
-func (s *Session) SetIncremental(on bool) { s.fromScratch = !on }
 
 // SetSubmitter reroutes every future decode submission of this
 // session's decoders through sub (nil restores the direct pool path).
@@ -102,11 +97,9 @@ func (s *Session) Close() {
 }
 
 // sectorState is one sector's half of a streaming Decoder: the layer
-// ring, the per-lane carries and committed frames, the slide scratch,
-// and the incremental-slide cluster cache (the retained forest of the
-// previous slide, already translated into the next window's
-// coordinates). Everything here is persistent so the steady state
-// allocates nothing.
+// ring, the per-lane carries and committed frames, and the slide
+// scratch. Everything here is persistent so the steady state allocates
+// nothing.
 type sectorState struct {
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
 	carry []bits.Vec // per-lane cut defects at the base layer (nc bits)
@@ -127,76 +120,8 @@ type sectorState struct {
 	corrbuf [][]int32 // per-lane reusable decode output buffers
 	bat     *decoder.Batch
 
-	// Persistent cluster forest, per lane, in CSR form (cluster k of
-	// lane is cdef[lane][cdefOff[lane][k]:cdefOff[lane][k+1]], and
-	// likewise for corrections and touched nodes): the clusters of the
-	// previous slide that survive the commit (see harvest), shifted into
-	// this window's ids. cdead marks clusters a guard conflict released
-	// back into the live decode this slide — their defects re-decode and
-	// their cached corrections must not replay.
-	comps    []decoder.Components
-	cdef     [][]int32
-	cdefOff  [][]int32
-	ccorr    [][]int32
-	ccorrOff [][]int32
-	cnode    [][]int32
-	cnodeOff [][]int32
-	cdead    [][]bool
-	gbuf     [][]int32 // per-lane guard rebuild scratch (live clusters only)
-
-	// Release wave scratch (guard conflicts).
-	fshots []decoder.Shot
-	flanes []int
-
 	graph *decoder.Graph
 	diag  [][2]int32
-}
-
-// cacheLen returns the number of cached clusters of one lane.
-func (sec *sectorState) cacheLen(lane int) int {
-	if len(sec.cnodeOff[lane]) == 0 {
-		return 0
-	}
-	return len(sec.cnodeOff[lane]) - 1
-}
-
-// clusterOf returns the cached cluster owning window node v, or -1.
-func (sec *sectorState) clusterOf(lane int, v int32) int {
-	off := sec.cnodeOff[lane]
-	for k := 0; k+1 < len(off); k++ {
-		for _, n := range sec.cnode[lane][off[k]:off[k+1]] {
-			if n == v {
-				return k
-			}
-		}
-	}
-	return -1
-}
-
-// liveGuard flattens the touched nodes of the still-live cached
-// clusters into the lane's guard scratch.
-func (sec *sectorState) liveGuard(lane int) []int32 {
-	g := sec.gbuf[lane][:0]
-	off := sec.cnodeOff[lane]
-	for k := 0; k+1 < len(off); k++ {
-		if sec.cdead[lane][k] {
-			continue
-		}
-		g = append(g, sec.cnode[lane][off[k]:off[k+1]]...)
-	}
-	sec.gbuf[lane] = g
-	return g
-}
-
-// clearCache empties one lane's cluster cache.
-func (sec *sectorState) clearCache(lane int) {
-	sec.cdef[lane] = sec.cdef[lane][:0]
-	sec.cdefOff[lane] = sec.cdefOff[lane][:0]
-	sec.ccorr[lane] = sec.ccorr[lane][:0]
-	sec.ccorrOff[lane] = sec.ccorrOff[lane][:0]
-	sec.cnode[lane] = sec.cnode[lane][:0]
-	sec.cnodeOff[lane] = sec.cnodeOff[lane][:0]
-	sec.cdead[lane] = sec.cdead[lane][:0]
 }
 
 // Decoder consumes one batch of lanes' difference layers round by round
@@ -205,14 +130,10 @@ func (sec *sectorState) clearCache(lane int) {
 // Pauli frame. All buffers are rings sized by the window — the resident
 // footprint is O(L²·W) bits per lane however many rounds stream past.
 //
-// Slides are incremental by default: clusters of the previous decode
-// that live strictly between the commit boundary and the window's open
-// edge are carried across the slide (defects stripped, corrections
-// replayed, growth guarded off their region), so a slide only decodes
-// what the freshly pushed layers and the carry actually changed — and a
-// window whose new region is silent skips the decode entirely.
-// SetIncremental(false) restores the plain from-scratch slide; both
-// modes commit bit-identical frames.
+// Every slide decodes its whole window from scratch — pivot, defect
+// support, one plain union-find decode per lane, commit and carry — and
+// a sector whose window is silent in every lane skips its decode
+// entirely.
 type Decoder struct {
 	s     *Session
 	lanes int
@@ -224,18 +145,6 @@ type Decoder struct {
 	defects  uint64 // defects observed across both sectors (window decodes + Finish)
 	finished bool
 	err      error // terminal submission failure (shared pool closed underneath us)
-
-	// Warm-start observability (summed over both sectors and all lanes):
-	// how many defects the retained forest stripped from live decodes,
-	// how many lane-decodes a guard conflict sent through a release
-	// wave, and how many of those exhausted the wave budget and fell
-	// back to a plain full decode.
-	stripped  uint64
-	released  uint64
-	fallbacks uint64
-
-	fromScratch bool // disable the incremental slide and the sparse skip
-	retain      bool // window shape admits a non-empty retention band
 
 	// Side-information decoding state (NewDecoderOpts): the selected
 	// passes, the push-discipline latch, and — for erasure-aware
@@ -273,55 +182,21 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 // spacetime.DecodeOptions enabled. Erasure-aware decoders are fed with
 // PushErased; correlated decoders reprice the dual window from the
 // primal correction every slide (which serializes the two sectors'
-// decodes and disables the cross-slide cluster cache — the retained
-// forest cannot stay valid when the dual graph's erased set changes
-// under it). Both options need a circuit-level window (diagonal edges).
+// decodes). Both options need a circuit-level window (diagonal edges).
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	w := s.win
 	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
 		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (NewCodeCircuitSession)")
 	}
-	// Retention band of the persistent forest, in window node ids: a
-	// cluster is carried across a slide only if its grown region lies
-	// strictly above the commit boundary (so none of it commits this
-	// slide) and low enough that after the shift every correction edge
-	// commits on the next slide and nothing can reach the carry layer —
-	// a one-slide lifetime with no cross-slide bookkeeping. Short or
-	// deep-commit windows have an empty band and fall back to plain
-	// from-scratch slides.
-	//
-	// Wide bands are pulled in by one layer at each end: a cluster flush
-	// against the carry layer (below) or the re-decoded frontier (above)
-	// draws guard contact from the very first growth sweep of any
-	// neighbour, so retaining it converts retention into release traffic.
-	// One layer of slack keeps warm-start conflicts to clusters a
-	// neighbour actually grew toward; thin bands keep their full width.
-	bandLo := w.Commit + 1
-	bandHi := min(2*w.Commit-1, w.W-1)
-	if bandHi-bandLo >= 4 {
-		bandLo++
-		bandHi--
-	}
-	loBand := int32(bandLo * w.nc)
-	hiBand := int32(bandHi * w.nc)
-	retain := hiBand > loBand
-	// Extraction budgets, per lane: sized for the threshold-point dense
-	// regime (warm-start retains unconditionally, so at operating
-	// densities the band holds a sizeable fraction of the window's
-	// defects), fixed so the resident footprint stays flat however many
-	// rounds stream past (oversized clusters are simply not retained).
-	bClusters, bNodes, bDefs, bCorrs := w.nc/2+2, 2*w.nc, w.nc, w.nc
 	ordSize := w.W * w.nc
 	if opts.ErasureAware && w.nq > w.nc {
 		ordSize = w.W * w.nq
 	}
 	d := &Decoder{
-		s:           s,
-		lanes:       lanes,
-		fromScratch: s.fromScratch || opts.Correlated,
-		retain:      retain,
-		opts:        opts,
-		ordered:     make([]bits.Vec, ordSize),
+		s:       s,
+		lanes:   lanes,
+		opts:    opts,
+		ordered: make([]bits.Vec, ordSize),
 	}
 	if opts.ErasureAware || opts.Correlated {
 		d.emask = bits.NewVec(w.diagOff + w.W*w.nq)
@@ -331,6 +206,13 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 		d.eraLane = bits.NewVecs(lanes, w.W*w.nq)
 		d.eraQuiet = make([]bool, w.W)
 	}
+	// Defect and correction buffers are sized once from the window shape
+	// — one entry per eight detectors, several times any operating
+	// density, with a floor for small windows, whose counts fluctuate by
+	// a larger fraction of their mean — so the footprint does not ratchet
+	// up whenever a denser window arrives. A window past that still
+	// decodes; its lane's buffers grow.
+	bufCap := max(w.W*w.nc/8, 64)
 	initSector := func(sec *sectorState, g *decoder.Graph, diag [][2]int32) {
 		sec.ring = bits.NewVecs(w.W*w.nc, lanes)
 		sec.carry = bits.NewVecs(lanes, w.nc)
@@ -346,51 +228,17 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 		sec.defbuf = make([][]int, lanes)
 		sec.erabuf = make([][]int, lanes)
 		sec.corrbuf = make([][]int32, lanes)
-		sec.bat = decoder.NewBatch(lanes)
-		sec.comps = make([]decoder.Components, lanes)
-		sec.cdef = make([][]int32, lanes)
-		sec.cdefOff = make([][]int32, lanes)
-		sec.ccorr = make([][]int32, lanes)
-		sec.ccorrOff = make([][]int32, lanes)
-		sec.cnode = make([][]int32, lanes)
-		sec.cnodeOff = make([][]int32, lanes)
-		sec.cdead = make([][]bool, lanes)
-		sec.gbuf = make([][]int32, lanes)
-		if retain {
-			for lane := 0; lane < lanes; lane++ {
-				sec.comps[lane].Init(loBand, hiBand, bClusters, bNodes, bDefs, bCorrs)
-				sec.cdef[lane] = make([]int32, 0, bDefs)
-				sec.cdefOff[lane] = make([]int32, 0, bClusters+1)
-				sec.ccorr[lane] = make([]int32, 0, bCorrs)
-				sec.ccorrOff[lane] = make([]int32, 0, bClusters+1)
-				sec.cnode[lane] = make([]int32, 0, bNodes)
-				sec.cnodeOff[lane] = make([]int32, 0, bClusters+1)
-				sec.cdead[lane] = make([]bool, 0, bClusters)
-				sec.gbuf[lane] = make([]int32, 0, bNodes)
-			}
+		for lane := 0; lane < lanes; lane++ {
+			sec.defbuf[lane] = make([]int, 0, bufCap)
+			sec.corrbuf[lane] = make([]int32, 0, bufCap)
 		}
+		sec.bat = decoder.NewBatch(lanes)
 		sec.graph = g
 		sec.diag = diag
 	}
 	initSector(&d.sx, w.graphX, w.diagX)
 	initSector(&d.sz, w.graphZ, w.diagZ)
 	return d
-}
-
-// SetIncremental toggles the incremental slide (persistent cluster
-// forest + sparse quiet-window skip). It is on by default; turning it
-// off restores the plain from-scratch slide, which commits bit-identical
-// frames — the cross-implementation safety net the tests pin. Toggling
-// mid-stream is legal: the cached forest is discarded.
-func (d *Decoder) SetIncremental(on bool) {
-	d.fromScratch = !on
-	if !on {
-		for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-			for lane := 0; lane < d.lanes; lane++ {
-				sec.clearCache(lane)
-			}
-		}
-	}
 }
 
 // Rounds returns how many noisy rounds the decoder has ingested.
@@ -471,17 +319,10 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 // slide decodes the full window in both sectors over the open-window
 // graphs, commits the correction below the commit boundary into the
 // running frames, records the cut defects as the next window's carry,
-// and advances the ring by Commit layers.
-//
-// In incremental mode each sector first strips the defects of the
-// clusters cached by the previous slide, decodes only the remainder
-// with the cached region guarded, replays the cached corrections at
-// commit time, and harvests the new decode's interior clusters for the
-// next slide. A guard conflict (the cached forest would have interacted
-// with the new syndrome) falls back to a full decode for that lane — a
-// second, batched wave — so the committed frames are bit-identical to
-// the from-scratch slide in every case. A sector whose whole window is
-// silent (no defects, no carry, no cache) skips its decode entirely.
+// and advances the ring by Commit layers. A sector whose whole window is
+// silent (no defects in any lane, no carry) skips its decode: an empty
+// defect list decodes to an empty correction, so the skip is exact and
+// the slide reduces to advancing the ring.
 func (d *Decoder) slide() {
 	w := d.s.win
 	eraX := d.windowErased(&d.sx, w.W)
@@ -492,24 +333,22 @@ func (d *Decoder) slide() {
 	if d.opts.Correlated {
 		// Correlated slides serialize: the dual window's erased set is a
 		// function of the primal window correction, so the primal decode
-		// must complete before the dual submission. The primal→dual order
-		// is fixed, every list is built in canonical ascending order, and
+		// must complete before the dual submission (and always runs — the
+		// dual reads its correction buffers). The primal→dual order is
+		// fixed, every list is built in canonical ascending order, and
 		// lanes stay independent — the committed frames remain a pure
 		// function of the stream for any worker count.
 		if d.prepSector(&d.sx, nil, eraX); d.err != nil {
 			return
 		}
-		d.decodeSector(&d.sx)
-		if d.err != nil {
-			return
-		}
+		d.commitSector(&d.sx)
 		if d.prepSector(&d.sz, &d.sx, eraZ); d.err != nil {
 			return
 		}
-		d.decodeSector(&d.sz)
+		d.commitSector(&d.sz)
 	} else {
-		skipX := !d.fromScratch && d.sectorQuiet(&d.sx)
-		skipZ := !d.fromScratch && d.sectorQuiet(&d.sz)
+		skipX := d.sectorQuiet(&d.sx)
+		skipZ := d.sectorQuiet(&d.sz)
 		if !skipX {
 			if d.prepSector(&d.sx, nil, eraX); d.err != nil {
 				return
@@ -524,14 +363,11 @@ func (d *Decoder) slide() {
 			}
 		}
 		if !skipX {
-			d.decodeSector(&d.sx)
+			d.commitSector(&d.sx)
 		}
-		if !skipZ && d.err == nil {
-			d.decodeSector(&d.sz)
+		if !skipZ {
+			d.commitSector(&d.sz)
 		}
-	}
-	if d.err != nil {
-		return
 	}
 	d.head += w.Commit
 	if d.head >= w.W {
@@ -563,11 +399,8 @@ func (d *Decoder) windowErased(sec *sectorState, layers int) bool {
 }
 
 // sectorQuiet reports whether a sector's slide can be skipped outright:
-// every buffered layer plane is empty in every lane, no carry defect is
-// pending, and no cluster cache is waiting to commit. Such a window's
-// decode is empty for every lane, so the slide reduces to advancing the
-// ring. (A non-empty cache implies a non-quiet layer — cached defects
-// live in the ring — so the cache checks are pure belt-and-braces.)
+// every buffered layer plane is empty in every lane and no carry defect
+// is pending. Such a window's defect list is empty for every lane.
 func (d *Decoder) sectorQuiet(sec *sectorState) bool {
 	for _, q := range sec.quiet {
 		if !q {
@@ -578,259 +411,58 @@ func (d *Decoder) sectorQuiet(sec *sectorState) bool {
 		if sec.carry[lane].Any() {
 			return false
 		}
-		if len(sec.cdef[lane]) != 0 || len(sec.ccorr[lane]) != 0 || len(sec.cnode[lane]) != 0 {
-			return false
-		}
 	}
 	return true
 }
 
-// prepSector pivots one sector's window into per-lane syndromes, strips
-// the cached clusters' defects, and submits the active remainder (under
-// the cache guard) to the decode pool.
-//
-// Warm-start retention is unconditional: every lane seeds from the
-// previous slide's retained forest (dense or sparse) and asks for a new
-// extraction, so in the steady state growth sweeps touch only the
-// defects the freshly pushed layers introduced. The one escape hatch is
-// a deterministic density ceiling — a window carrying more defects than
-// a quarter of its detector volume (far past any operating point) drops
-// its cache and decodes plain, bounding the worst case. Retention
-// policy never affects the committed frames — a shot without extraction
-// is simply a plain decode.
+// prepSector pivots one sector's window into per-lane syndromes and
+// submits every lane's defect list to the decode pool.
 //
 // Side-information passes: with `era` set the sector's erasure planes
 // are pivoted lane-major and every lane with erased edges in the window
-// decodes plain from scratch with its canonical erased list (restoring
-// any cached defects first — the located faults reprice the whole
-// window, so no cross-slide cluster can be trusted). With primal
-// non-nil (a correlated dual slide) the primal window correction's
-// counterpart edges join the erased set.
+// decodes with its canonical erased list. With primal non-nil (a
+// correlated dual slide) the primal window correction's counterpart
+// edges join the erased set.
 func (d *Decoder) prepSector(sec *sectorState, primal *sectorState, era bool) {
 	d.pivot(sec)
 	w := d.s.win
 	if era {
 		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, w.W, w.nc))
 	}
-	ceiling := w.W * w.nc / 4
 	for lane := 0; lane < d.lanes; lane++ {
-		sv := sec.syn[lane]
-		if era || primal != nil {
-			laneEra := era && (d.eraLane[lane].Any() || sec.lostLane[lane].Any())
-			erased := sec.erabuf[lane][:0]
-			if laneEra || primal != nil {
-				d.emask.Clear()
-				if laneEra {
-					spacetime.SetErasedMask(d.emask, d.eraLane[lane], sec.lostLane[lane], w.horiz, w.diagOff, w.WD)
+		sec.defbuf[lane] = sec.syn[lane].AppendSupport(sec.defbuf[lane][:0])
+		d.defects += uint64(len(sec.defbuf[lane]))
+		erased := sec.erabuf[lane][:0]
+		laneEra := era && (d.eraLane[lane].Any() || sec.lostLane[lane].Any())
+		if laneEra || primal != nil {
+			d.emask.Clear()
+			if laneEra {
+				spacetime.SetErasedMask(d.emask, d.eraLane[lane], sec.lostLane[lane], w.horiz, w.diagOff, w.WD)
+			}
+			if primal != nil {
+				for _, e := range primal.corrbuf[lane] {
+					spacetime.MarkCounterpartEdges(int(e), w.horiz, w.diagOff, d.emask)
 				}
-				if primal != nil {
-					for _, e := range primal.corrbuf[lane] {
-						spacetime.MarkCounterpartEdges(int(e), w.horiz, w.diagOff, d.emask)
-					}
-				}
-				erased = d.emask.AppendSupport(erased)
 			}
-			sec.erabuf[lane] = erased
-			if len(erased) > 0 {
-				// The cached defects (if any) still sit in the pivoted
-				// syndrome — nothing was stripped yet — so dropping the
-				// cache restores the plain full decode exactly.
-				sec.clearCache(lane)
-				sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
-				d.defects += uint64(len(sec.defbuf[lane]))
-				sec.shots[lane] = decoder.Shot{
-					Defects: sec.defbuf[lane],
-					Erased:  erased,
-					CorrBuf: sec.corrbuf[lane],
-				}
-				continue
-			}
+			erased = d.emask.AppendSupport(erased)
 		}
-		cached := sec.cdef[lane]
-		for _, v := range cached {
-			sv.Set(int(v), false)
-		}
-		sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
-		d.defects += uint64(len(sec.defbuf[lane]) + len(cached))
-		d.stripped += uint64(len(cached))
-		if !d.fromScratch && d.retain && len(sec.defbuf[lane])+len(cached) <= ceiling {
-			sec.shots[lane] = decoder.Shot{
-				Defects: sec.defbuf[lane],
-				CorrBuf: sec.corrbuf[lane],
-				Comps:   &sec.comps[lane],
-			}
-			if len(sec.cnode[lane]) > 0 {
-				sec.shots[lane].Guard = sec.cnode[lane]
-			}
-			continue
-		}
-		if len(cached) > 0 {
-			// Density ceiling (or a mid-stream mode flip): restore the
-			// cached defects and fall back to a plain full decode.
-			for _, v := range cached {
-				sv.Set(int(v), true)
-			}
-			sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
-			sec.clearCache(lane)
-		}
-		sec.shots[lane] = decoder.Shot{
-			Defects: sec.defbuf[lane],
-			CorrBuf: sec.corrbuf[lane],
-		}
+		sec.erabuf[lane] = erased
+		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
 	if err := d.s.sub.ResubmitOn(sec.graph, sec.bat, sec.shots); err != nil {
 		d.err = err
 	}
 }
 
-// debugCheckIncremental, when set by a test, cross-checks every
-// incremental slide lane against a from-scratch decode of the same
-// window and reports the first divergent edge set.
-var debugCheckIncremental func(d *Decoder, sec *sectorState, lane int, active []int32)
-
-// maxReleaseWaves bounds the warm-start sub-window re-decode: a lane
-// still conflicting after this many single-cluster releases restores
-// its whole cache into one plain full decode. Two waves resolve all but
-// adversarial syndromes — a release only recurs when the re-decoded
-// region reaches yet another cached cluster.
-const maxReleaseWaves = 2
-
-// decodeSector waits for one sector's batch, resolves guard conflicts
-// with the warm-start release waves, commits every lane's correction
-// (decoded plus the cached clusters' replays), and harvests the
-// clusters the next slide can reuse.
-//
-// A conflicted lane's growth reached one cached cluster; only that
-// cluster is released — its defects rejoin the live decode, its nodes
-// leave the guard, its cached corrections are dropped — and the lane
-// re-decodes in a batched wave with every other conflicted lane (the
-// sub-window re-decode: O(contacted cluster), not O(window)). A wave's
-// re-decode can reach a further cached cluster, so waves repeat up to
-// maxReleaseWaves before the lane falls back to a full plain decode.
-// Every wave's decode is a pure function of the stream content, so the
-// committed frames stay bit-identical to from-scratch for any worker
-// count.
-func (d *Decoder) decodeSector(sec *sectorState) {
+// commitSector waits for one sector's batch and commits every lane's
+// correction, recapturing the (possibly regrown) output buffers.
+func (d *Decoder) commitSector(sec *sectorState) {
 	out := sec.bat.Wait()
-	// Recapture the grown buffers: from here on corrbuf[lane] IS the
-	// lane's correction. The commit loop below must not read `out` —
-	// a fallback resubmission recycles the batch and its slots.
 	for lane := 0; lane < d.lanes; lane++ {
 		sec.corrbuf[lane] = out[lane]
-	}
-	if !d.fromScratch && d.retain {
-		for wave := 0; ; wave++ {
-			sec.fshots = sec.fshots[:0]
-			sec.flanes = sec.flanes[:0]
-			for lane := 0; lane < d.lanes; lane++ {
-				if sec.shots[lane].Comps == nil || !sec.comps[lane].Conflict {
-					continue
-				}
-				sv := sec.syn[lane]
-				full := wave >= maxReleaseWaves
-				var guard []int32
-				if !full {
-					k := sec.clusterOf(lane, sec.comps[lane].ConflictNode)
-					if k < 0 {
-						full = true
-					} else {
-						sec.cdead[lane][k] = true
-						off := sec.cdefOff[lane]
-						for _, v := range sec.cdef[lane][off[k]:off[k+1]] {
-							sv.Set(int(v), true)
-						}
-						guard = sec.liveGuard(lane)
-					}
-				}
-				if full {
-					d.fallbacks++
-					off := sec.cdefOff[lane]
-					for k := range sec.cdead[lane] {
-						if sec.cdead[lane][k] {
-							continue
-						}
-						sec.cdead[lane][k] = true
-						for _, v := range sec.cdef[lane][off[k]:off[k+1]] {
-							sv.Set(int(v), true)
-						}
-					}
-					guard = nil
-				} else {
-					d.released++
-				}
-				sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
-				sec.fshots = append(sec.fshots, decoder.Shot{
-					Defects: sec.defbuf[lane],
-					Guard:   guard,
-					Comps:   &sec.comps[lane],
-					CorrBuf: sec.corrbuf[lane],
-				})
-				sec.flanes = append(sec.flanes, lane)
-			}
-			if len(sec.flanes) == 0 {
-				break
-			}
-			if err := d.s.sub.ResubmitOn(sec.graph, sec.bat, sec.fshots); err != nil {
-				d.err = err
-				return
-			}
-			fout := sec.bat.Wait()
-			for i, lane := range sec.flanes {
-				sec.corrbuf[lane] = fout[i]
-			}
-		}
-	}
-	for lane := 0; lane < d.lanes; lane++ {
-		if debugCheckIncremental != nil && !d.fromScratch {
-			debugCheckIncremental(d, sec, lane, sec.corrbuf[lane])
-		}
 		carry := sec.carry[lane]
 		carry.Clear()
-		d.commitEdges(sec.corrbuf[lane], sec.corr[lane], carry, sec.diag)
-		off := sec.ccorrOff[lane]
-		for k := 0; k+1 < len(off); k++ {
-			if !sec.cdead[lane][k] {
-				d.commitEdges(sec.ccorr[lane][off[k]:off[k+1]], sec.corr[lane], carry, sec.diag)
-			}
-		}
-		d.harvest(sec, lane)
-	}
-}
-
-// harvest rebuilds one lane's cluster cache from the slide's extraction.
-// The extraction already filtered to the retainable clusters (ungrounded,
-// inside the retention band, within budget), so the whole of it survives,
-// with node, edge and defect ids translated down by Commit layers. Their
-// translated decode is exactly what the next from-scratch slide would
-// recompute for them, because the window graph is translation-invariant
-// away from its boundary layers and the guard guarantees independence.
-func (d *Decoder) harvest(sec *sectorState, lane int) {
-	sec.clearCache(lane)
-	if d.fromScratch || !d.retain || sec.shots[lane].Comps == nil {
-		return
-	}
-	c := &sec.comps[lane]
-	n := c.N()
-	if n == 0 {
-		return
-	}
-	w := d.s.win
-	nodeShift := int32(w.Commit * w.nc)
-	sec.cdefOff[lane] = append(sec.cdefOff[lane], c.DefOff...)
-	sec.ccorrOff[lane] = append(sec.ccorrOff[lane], c.CorrOff...)
-	sec.cnodeOff[lane] = append(sec.cnodeOff[lane], c.NodeOff...)
-	for _, v := range c.Def {
-		sec.cdef[lane] = append(sec.cdef[lane], v-nodeShift)
-	}
-	for _, e := range c.Corr {
-		sec.ccorr[lane] = append(sec.ccorr[lane], w.shiftEdge(e))
-	}
-	for _, v := range c.Node {
-		sec.cnode[lane] = append(sec.cnode[lane], v-nodeShift)
-	}
-	sec.cdead[lane] = sec.cdead[lane][:n]
-	for k := range sec.cdead[lane] {
-		sec.cdead[lane][k] = false
+		d.commitEdges(out[lane], sec.corr[lane], carry, sec.diag)
 	}
 }
 
@@ -879,8 +511,7 @@ func (d *Decoder) pivot(sec *sectorState) {
 // becomes the carry defect, exactly like a cut vertical chain.
 // Everything at or above the boundary (including every virtual
 // boundary edge) is discarded — the next slide re-decodes it with more
-// context. The caller clears the carry first; a slide may fold several
-// lists (the live decode plus the cached clusters').
+// context. The caller clears the carry first.
 func (d *Decoder) commitEdges(corr []int32, frameVec, carry bits.Vec, diag [][2]int32) {
 	w := d.s.win
 	for _, id := range corr {
@@ -1066,20 +697,12 @@ func (d *Decoder) Rewindow(ns *Session) (*Decoder, error) {
 	nd.base = d.base
 	nd.slides = d.slides
 	nd.defects = d.defects
-	nd.fromScratch = d.fromScratch
 	for lane := 0; lane < d.lanes; lane++ {
 		nd.sx.carry[lane].CopyFrom(d.sx.carry[lane])
 		nd.sz.carry[lane].CopyFrom(d.sz.carry[lane])
 		nd.sx.corr[lane].CopyFrom(d.sx.corr[lane])
 		nd.sz.corr[lane].CopyFrom(d.sz.corr[lane])
 	}
-	// The cluster cache is NOT transplanted: its ids live in the old
-	// window's coordinate system, and the cached corrections cover
-	// layers the new decoder is about to re-push and re-decode in full.
-	// Dropping it is the "cleanly rebuild" arm of the rewindow contract —
-	// the replayed layers regrow the forest from scratch, and the
-	// committed frames come out bit-identical to a fresh decoder fed the
-	// same stream (pinned by the rewindow tests).
 	for t := 0; t < d.filled; t++ {
 		slot := d.head + t
 		if slot >= w.W {
@@ -1100,9 +723,7 @@ func (d *Decoder) Corrections() (x, z []bits.Vec) { return d.sx.corr, d.sz.corr 
 
 // FootprintBytes sums the decoder's resident buffers — the number that
 // must stay flat as rounds stream past (the constant-memory acceptance
-// criterion, asserted in the tests and reported by the benchmarks). The
-// incremental caches are included: they are bounded by the window
-// volume, never by the stream length.
+// criterion, asserted in the tests and reported by the benchmarks).
 func (d *Decoder) FootprintBytes() int {
 	vecs := func(vs []bits.Vec) int {
 		n := 0
@@ -1119,14 +740,7 @@ func (d *Decoder) FootprintBytes() int {
 		n += len(sec.quiet) + len(sec.lostQuiet)
 		for lane := 0; lane < d.lanes; lane++ {
 			n += (cap(sec.defbuf[lane]) + cap(sec.erabuf[lane])) * 8
-			n += (cap(sec.corrbuf[lane]) + cap(sec.cdef[lane]) +
-				cap(sec.ccorr[lane]) + cap(sec.cnode[lane]) +
-				cap(sec.cdefOff[lane]) + cap(sec.ccorrOff[lane]) +
-				cap(sec.cnodeOff[lane]) + cap(sec.gbuf[lane])) * 4
-			n += cap(sec.cdead[lane])
-			c := &sec.comps[lane]
-			n += cap(c.Node)*4 + cap(c.Def)*4 + cap(c.Corr)*4 +
-				cap(c.NodeOff)*4 + cap(c.DefOff)*4 + cap(c.CorrOff)*4
+			n += cap(sec.corrbuf[lane]) * 4
 		}
 	}
 	return n

@@ -168,24 +168,6 @@ func (w *Window) buildGraph(base *decoder.Graph, diag [][2]int32) *decoder.Graph
 	return decoder.NewBoundaryGraph(w.nodes, ends, weights, []int{int(boundary)})
 }
 
-// shiftEdge translates an edge id down by Commit layers — the id the
-// same physical edge carries after one slide. Each edge class is
-// layer-major, so the shift is a per-class constant: Commit·nq for
-// horizontal and diagonal edges, Commit·nc for vertical ones. Only
-// edges whose layer is at least Commit (Commit+1 for verticals' lower
-// endpoint is implied by the incremental retention band) have a
-// translated image; the caller guarantees that.
-func (w *Window) shiftEdge(e int32) int32 {
-	switch {
-	case int(e) < w.horiz:
-		return e - int32(w.Commit*w.nq)
-	case int(e) < w.diagOff:
-		return e - int32(w.Commit*w.nc)
-	default:
-		return e - int32(w.Commit*w.nq)
-	}
-}
-
 // Graph returns the primal (plaquette-sector) open-window graph.
 func (w *Window) Graph() *decoder.Graph { return w.graphX }
 

@@ -39,20 +39,18 @@ func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 // on — a syndrome by construction, so its parity is valid whatever the
 // graph's connectivity. Boundary nodes absorb theirs.
 func fuzzSyndrome(g *Graph, faulty []bool, on bool) []int {
-	lit := make([]bool, g.Nodes())
+	edges := map[int]bool{}
 	for e, f := range faulty {
 		if f == on {
-			a, b := g.Ends(e)
-			lit[a], lit[b] = !lit[a], !lit[b]
+			edges[e] = true
 		}
 	}
-	var defects []int
-	for v, l := range lit {
-		if l && !g.IsBoundary(v) {
-			defects = append(defects, v)
-		}
-	}
-	return defects
+	return offBoundary(g, syndromeOf(g, edges))
+}
+
+// offBoundary drops the open-boundary nodes from a defect list.
+func offBoundary(g *Graph, defects []int) []int {
+	return slices.DeleteFunc(defects, g.IsBoundary)
 }
 
 // FuzzUnionFindDecode drives the union-find kernel on random weighted

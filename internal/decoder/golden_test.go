@@ -107,7 +107,7 @@ func TestGoldenKernel(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			hash, sweeps := runGolden(t, c, c.seed)
+			hash, sweeps := runGolden(t, c)
 			if hash != c.hash || sweeps != c.sweeps {
 				t.Errorf("got hash: %#x, sweeps: %d; pinned hash: %#x, sweeps: %d", hash, sweeps, c.hash, c.sweeps)
 			}
@@ -118,9 +118,10 @@ func TestGoldenKernel(t *testing.T) {
 // runGolden decodes 64 seeded shots of c on one UnionFind instance
 // (scratch reuse is part of what is pinned) and folds everything the
 // decoder reports into one hash.
-func runGolden(t *testing.T, c goldenCase, rng goldenRNG) (uint64, int) {
+func runGolden(t *testing.T, c goldenCase) (uint64, int) {
 	t.Helper()
 	g := c.graph
+	rng := c.seed
 	uf := decoder.NewUnionFind(g)
 	h := goldenHash(14695981039346656037)
 	lit := make([]bool, g.Nodes())

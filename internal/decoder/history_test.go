@@ -51,11 +51,7 @@ func historyShots(g *Graph, n int, rng *rand.Rand) []historyShot {
 				faults[e] = true
 			}
 		}
-		for _, v := range syndromeOf(g, faults) {
-			if !g.IsBoundary(v) {
-				shots[i].defects = append(shots[i].defects, v)
-			}
-		}
+		shots[i].defects = offBoundary(g, syndromeOf(g, faults))
 		for e := 0; e < g.Edges() && i%3 == 1; e++ {
 			if faults[e] && rng.IntN(2) == 0 || rng.Float64() < 0.03 {
 				shots[i].erased = append(shots[i].erased, e)

@@ -105,13 +105,13 @@ func TestGoldenFrames(t *testing.T) {
 func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	t.Helper()
 	d0 := c.code.Distance()
+	P := noise.Uniform(c.eps) // circuit streams only
+	P.Leak = c.leak
 	session := func(w, commit int) *Session {
 		if !c.circuit {
 			wh, wv := spacetime.Weights(c.eps, c.eps, d0, c.t)
 			return mustCodeSession(t, c.code, w, commit, wh, wv)
 		}
-		P := noise.Uniform(c.eps)
-		P.Leak = c.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, d0, c.w)
 		return mustCodeCircuitSession(t, c.code, w, commit, wh, wv, wd)
 	}
@@ -122,12 +122,10 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	var esrc spacetime.ErasedLayerFeed
 	switch {
 	case c.erased:
-		P := noise.Uniform(c.eps)
-		P.Leak = c.leak
 		esrc = surface.NewCircuitSourceErased(c.code, P, goldenLanes, smp)
 		src = esrc
 	case c.circuit:
-		src = surface.NewCircuitSource(c.code, noise.Uniform(c.eps), goldenLanes, smp)
+		src = surface.NewCircuitSource(c.code, P, goldenLanes, smp)
 	default:
 		src = surface.NewLayerSource(c.code, c.eps, c.eps, goldenLanes, smp)
 	}

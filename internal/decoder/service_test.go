@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -54,38 +55,50 @@ func randomShots(g *Graph, count int, rng *rand.Rand) []Shot {
 	return shots
 }
 
-// mustDecode fails the test on a submission error — for tests where the
-// service is known to be open.
-func mustDecode(t *testing.T, svc *Service, shots []Shot) [][]int32 {
+// mustDecode is one round trip of a reusable batch — the path stream,
+// server and the benchmark run — failing the test on a submission
+// error, for tests where the pool is known to be open.
+func mustDecode(t *testing.T, pool *Service, g *Graph, b *Batch, shots []Shot) [][]int32 {
 	t.Helper()
-	out, err := svc.Decode(shots)
-	if err != nil {
-		t.Fatalf("Decode on open service: %v", err)
+	if err := pool.ResubmitOn(g, b, shots); err != nil {
+		t.Fatalf("ResubmitOn on open pool: %v", err)
 	}
-	return out
+	return b.Wait()
 }
 
-// TestServiceMatchesDirectDecode: the service must return exactly what
-// a private UnionFind emits for every shot, in order.
-func TestServiceMatchesDirectDecode(t *testing.T) {
-	g := torusTestGraph(6)
-	rng := rand.New(rand.NewPCG(81, 82))
-	shots := randomShots(g, 137, rng)
-	svc := NewService(g, 3)
-	defer svc.Close()
-	got := mustDecode(t, svc, shots)
+// diffDirect compares a batch's output against what a private UnionFind
+// emits for every shot, in order; nil means bit-identical.
+func diffDirect(g *Graph, shots []Shot, got [][]int32) error {
+	if len(got) != len(shots) {
+		return fmt.Errorf("%d results for %d shots", len(got), len(shots))
+	}
 	uf := NewUnionFind(g)
 	for i, shot := range shots {
 		var want []int32
 		uf.DecodeErased(shot.Defects, shot.Erased, func(e int) { want = append(want, int32(e)) })
 		if len(got[i]) != len(want) {
-			t.Fatalf("shot %d: %d edges, want %d", i, len(got[i]), len(want))
+			return fmt.Errorf("shot %d: %d edges, want %d", i, len(got[i]), len(want))
 		}
 		for k := range want {
 			if got[i][k] != want[k] {
-				t.Fatalf("shot %d: edge %d is %d, want %d", i, k, got[i][k], want[k])
+				return fmt.Errorf("shot %d: edge %d is %d, want %d", i, k, got[i][k], want[k])
 			}
 		}
+	}
+	return nil
+}
+
+// TestServiceMatchesDirectDecode: the pool must return exactly what a
+// private UnionFind emits for every shot, in order.
+func TestServiceMatchesDirectDecode(t *testing.T) {
+	g := torusTestGraph(6)
+	rng := rand.New(rand.NewPCG(81, 82))
+	shots := randomShots(g, 137, rng)
+	pool := NewPool(3)
+	defer pool.Close()
+	got := mustDecode(t, pool, g, NewBatch(len(shots)), shots)
+	if err := diffDirect(g, shots, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -97,9 +110,9 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	shots := randomShots(g, 200, rng)
 	var ref [][]int32
 	for _, workers := range []int{1, 2, 7, 16} {
-		svc := NewService(g, workers)
-		out := mustDecode(t, svc, shots)
-		svc.Close()
+		pool := NewPool(workers)
+		out := mustDecode(t, pool, g, NewBatch(len(shots)), shots)
+		pool.Close()
 		if ref == nil {
 			ref = out
 			continue
@@ -117,13 +130,13 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestServiceConcurrentSubmitters: many goroutines sharing one service
-// each get their own batch's deterministic answer (also the race-mode
-// smoke for the worker pool).
+// TestServiceConcurrentSubmitters: many goroutines sharing one pool,
+// each with its own reusable batch, each get their own batch's
+// deterministic answer (also the race-mode smoke for the worker pool).
 func TestServiceConcurrentSubmitters(t *testing.T) {
 	g := torusTestGraph(6)
-	svc := NewService(g, 4)
-	defer svc.Close()
+	pool := NewPool(4)
+	defer pool.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -131,25 +144,13 @@ func TestServiceConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(85, uint64(c)))
 			shots := randomShots(g, 64, rng)
-			out, err := svc.Decode(shots)
-			if err != nil {
+			b := NewBatch(len(shots))
+			if err := pool.ResubmitOn(g, b, shots); err != nil {
 				t.Errorf("submitter %d: %v", c, err)
 				return
 			}
-			uf := NewUnionFind(g)
-			for i, shot := range shots {
-				var want []int32
-				uf.DecodeErased(shot.Defects, shot.Erased, func(e int) { want = append(want, int32(e)) })
-				if len(out[i]) != len(want) {
-					t.Errorf("submitter %d shot %d: %d edges, want %d", c, i, len(out[i]), len(want))
-					return
-				}
-				for k := range want {
-					if out[i][k] != want[k] {
-						t.Errorf("submitter %d shot %d: edge %d differs", c, i, k)
-						return
-					}
-				}
+			if err := diffDirect(g, shots, b.Wait()); err != nil {
+				t.Errorf("submitter %d: %v", c, err)
 			}
 		}(c)
 	}
@@ -159,54 +160,75 @@ func TestServiceConcurrentSubmitters(t *testing.T) {
 // TestServiceEmptyBatch: zero shots complete immediately.
 func TestServiceEmptyBatch(t *testing.T) {
 	g := torusTestGraph(4)
-	svc := NewService(g, 2)
-	defer svc.Close()
-	if out := mustDecode(t, svc, nil); len(out) != 0 {
+	pool := NewPool(2)
+	defer pool.Close()
+	b := NewBatch(2)
+	if out := mustDecode(t, pool, g, b, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out))
 	}
-	if out := mustDecode(t, svc, []Shot{{}, {}}); len(out) != 2 || out[0] != nil || out[1] != nil {
+	if out := mustDecode(t, pool, g, b, []Shot{{}, {}}); len(out) != 2 || out[0] != nil || out[1] != nil {
 		t.Fatalf("empty shots must decode to empty corrections, got %v", out)
 	}
 }
 
+// TestServiceResubmitChangingShotCount: one batch resubmitted twenty
+// times with a shot count that shrinks, grows past the batch's capacity
+// (the output slots regrow) and hits zero, recycling each correction
+// buffer, matches the direct decode every time.
+func TestServiceResubmitChangingShotCount(t *testing.T) {
+	g := torusTestGraph(6)
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewPCG(93, 94))
+	all := randomShots(g, 96, rng)
+	b := NewBatch(8)
+	counts := []int{8, 3, 17, 1, 40, 0, 40, 96, 5, 64}
+	for i := 0; i < 20; i++ {
+		shots := all[:counts[i%len(counts)]]
+		out := mustDecode(t, pool, g, b, shots)
+		if err := diffDirect(g, shots, out); err != nil {
+			t.Fatalf("resubmit %d (%d shots): %v", i, len(shots), err)
+		}
+		for j := range out {
+			shots[j].CorrBuf = out[j][:0]
+		}
+	}
+}
+
 // TestServiceLifecycle is the regression test for the closed-channel
-// panics: Submit/Decode after Close return ErrClosed (never panic),
-// and Close is idempotent from any number of goroutines.
+// panics: ResubmitOn after Close returns ErrClosed (never panics), and
+// Close is idempotent from any number of goroutines.
 func TestServiceLifecycle(t *testing.T) {
 	g := torusTestGraph(4)
 	rng := rand.New(rand.NewPCG(87, 88))
 	shots := randomShots(g, 16, rng)
 
-	svc := NewService(g, 2)
-	if _, err := svc.Decode(shots); err != nil {
-		t.Fatalf("decode before close: %v", err)
-	}
-	svc.Close()
-	svc.Close() // double-Close must be a no-op
-	if _, err := svc.Submit(shots); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
-	}
-	if _, err := svc.Decode(shots); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Decode after Close: err = %v, want ErrClosed", err)
+	pool := NewPool(2)
+	b := NewBatch(len(shots))
+	mustDecode(t, pool, g, b, shots)
+	pool.Close()
+	pool.Close() // double-Close must be a no-op
+	if err := pool.ResubmitOn(g, b, shots); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ResubmitOn after Close: err = %v, want ErrClosed", err)
 	}
 
 	// Concurrent closers racing each other must all return cleanly.
-	svc2 := NewService(g, 2)
+	pool2 := NewPool(2)
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); svc2.Close() }()
+		go func() { defer wg.Done(); pool2.Close() }()
 	}
 	wg.Wait()
 }
 
 // TestServiceSubmitCloseChurn races submitters against Close under the
-// race detector: every Submit either completes with a full answer or
-// returns ErrClosed — no panics, no lost batches.
+// race detector: every ResubmitOn either completes with a full answer
+// or returns ErrClosed — no panics, no lost batches.
 func TestServiceSubmitCloseChurn(t *testing.T) {
 	g := torusTestGraph(5)
 	for trial := 0; trial < 6; trial++ {
-		svc := NewService(g, 3)
+		pool := NewPool(3)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for c := 0; c < 6; c++ {
@@ -215,10 +237,10 @@ func TestServiceSubmitCloseChurn(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(89, uint64(16*trial+c)))
 				shots := randomShots(g, 32, rng)
+				b := NewBatch(len(shots))
 				<-start
 				for i := 0; i < 20; i++ {
-					b, err := svc.Submit(shots)
-					if err != nil {
+					if err := pool.ResubmitOn(g, b, shots); err != nil {
 						if !errors.Is(err, ErrClosed) {
 							t.Errorf("submitter %d: unexpected error %v", c, err)
 						}
@@ -233,23 +255,20 @@ func TestServiceSubmitCloseChurn(t *testing.T) {
 			}(c)
 		}
 		close(start)
-		svc.Close()
+		pool.Close()
 		wg.Wait()
 	}
 }
 
-// TestPoolMultiGraph: one unbound pool serves several graphs at once,
-// and every batch matches its graph's direct decode regardless of the
+// TestPoolMultiGraph: one pool serves several graphs at once, and every
+// batch matches its graph's direct decode regardless of the
 // interleaving.
 func TestPoolMultiGraph(t *testing.T) {
 	graphs := []*Graph{torusTestGraph(4), torusTestGraph(5), torusTestGraph(6)}
 	pool := NewPool(4)
 	defer pool.Close()
-	if pool.Graph() != nil {
-		t.Fatalf("unbound pool must have no default graph")
-	}
-	if _, err := pool.Submit(nil); err == nil {
-		t.Fatalf("Submit on an unbound pool without a graph must error")
+	if err := pool.ResubmitOn(nil, NewBatch(0), nil); err == nil {
+		t.Fatalf("submission without a graph must error")
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < 9; c++ {
@@ -259,25 +278,13 @@ func TestPoolMultiGraph(t *testing.T) {
 			g := graphs[c%len(graphs)]
 			rng := rand.New(rand.NewPCG(91, uint64(c)))
 			shots := randomShots(g, 48, rng)
-			out, err := pool.DecodeOn(g, shots)
-			if err != nil {
+			b := NewBatch(len(shots))
+			if err := pool.ResubmitOn(g, b, shots); err != nil {
 				t.Errorf("session %d: %v", c, err)
 				return
 			}
-			uf := NewUnionFind(g)
-			for i, shot := range shots {
-				var want []int32
-				uf.DecodeErased(shot.Defects, shot.Erased, func(e int) { want = append(want, int32(e)) })
-				if len(out[i]) != len(want) {
-					t.Errorf("session %d shot %d: %d edges, want %d", c, i, len(out[i]), len(want))
-					return
-				}
-				for k := range want {
-					if out[i][k] != want[k] {
-						t.Errorf("session %d shot %d: edge %d differs", c, i, k)
-						return
-					}
-				}
+			if err := diffDirect(g, shots, b.Wait()); err != nil {
+				t.Errorf("session %d: %v", c, err)
 			}
 		}(c)
 	}

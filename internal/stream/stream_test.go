@@ -410,7 +410,7 @@ func TestSharedPoolSessions(t *testing.T) {
 		}
 	}
 	// The pool must still be live after the sessions closed.
-	if _, err := pool.DecodeOn(toric.Cached(3).Graph(), nil); err != nil {
+	if err := pool.ResubmitOn(toric.Cached(3).Graph(), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
 		t.Fatalf("shared pool died with its sessions: %v", err)
 	}
 }

@@ -7,12 +7,8 @@ package ftqc
 // versions.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,12 +295,10 @@ func circuitExtractConfigs() []toricDecodeConfig {
 // repricing, and the CNOT-schedule comparison — each a single L=8
 // operating point through CodeCircuitMemoryOpts.
 type circuitOptsArm struct {
-	name     string
-	codeName string
-	decoder  string
-	P        noise.Params
-	code     surface.Code
-	opts     spacetime.DecodeOptions
+	name string
+	P    noise.Params
+	code surface.Code
+	opts spacetime.DecodeOptions
 }
 
 func circuitOptsArms() []circuitOptsArm {
@@ -313,11 +307,11 @@ func circuitOptsArms() []circuitOptsArm {
 	leaky.Leak = 0.01
 	plain := noise.Uniform(0.006)
 	return []circuitOptsArm{
-		{"erasure-aware/L=8", "toric", "circuit-erasure-aware-union-find", leaky, toric.Cached(l), spacetime.DecodeOptions{ErasureAware: true}},
-		{"erasure-blind/L=8", "toric", "circuit-erasure-blind-union-find", leaky, toric.Cached(l), spacetime.DecodeOptions{}},
-		{"correlated/L=8", "toric", "circuit-correlated-union-find", plain, toric.Cached(l), spacetime.DecodeOptions{Correlated: true}},
-		{"schedule-default/L=8", "toric", "circuit-union-find", plain, toric.Cached(l), spacetime.DecodeOptions{}},
-		{"schedule-hookpar/L=8", "toric-hookpar", "circuit-union-find", plain, toric.HookParallel(l), spacetime.DecodeOptions{}},
+		{"erasure-aware/L=8", leaky, toric.Cached(l), spacetime.DecodeOptions{ErasureAware: true}},
+		{"erasure-blind/L=8", leaky, toric.Cached(l), spacetime.DecodeOptions{}},
+		{"correlated/L=8", plain, toric.Cached(l), spacetime.DecodeOptions{Correlated: true}},
+		{"schedule-default/L=8", plain, toric.Cached(l), spacetime.DecodeOptions{}},
+		{"schedule-hookpar/L=8", plain, toric.HookParallel(l), spacetime.DecodeOptions{}},
 	}
 }
 
@@ -442,15 +436,12 @@ func BenchmarkStreamDecode(b *testing.B) {
 }
 
 // serverFleetRun drives one fleet of concurrent circuit-level sessions
-// through the decode server and returns the wall time plus the
-// per-session stats (the shared workload of BenchmarkServerThroughput
-// and the bench-JSON server series).
-func serverFleetRun(sessions, l, lanes, rounds int, eps float64, coalesce bool) (time.Duration, []server.SessionStats, server.CoalesceStats, error) {
+// through the decode server and returns the wall time.
+func serverFleetRun(sessions, l, lanes, rounds int, eps float64) (time.Duration, error) {
 	P := noise.Uniform(eps)
 	cfg := server.CircuitLevelCode(toric.Cached(l), lanes, P)
-	srv := server.New(server.Config{Coalesce: coalesce})
+	srv := server.New(server.Config{})
 	defer srv.Shutdown()
-	stats := make([]server.SessionStats, sessions)
 	errs := make([]error, sessions)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -477,44 +468,17 @@ func serverFleetRun(sessions, l, lanes, rounds int, eps float64, coalesce bool) 
 			if errs[i] = s.CloseWith(layerX, layerZ); errs[i] != nil {
 				return
 			}
-			if _, errs[i] = s.Wait(); errs[i] != nil {
-				return
-			}
-			stats[i] = s.Stats()
+			_, errs[i] = s.Wait()
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	cst := srv.CoalesceStats()
 	for _, err := range errs {
 		if err != nil {
-			return wall, stats, cst, err
+			return wall, err
 		}
 	}
-	return wall, stats, cst, nil
-}
-
-// serverFleetBest runs serverFleetRun three times and keeps the
-// fastest, with that run's stats. One-shot fleet walls swing with
-// scheduler warm-up (the first fleet in a process pays graph interning
-// and page faults for everyone); best-of-3 is what the JSON report
-// records so the committed numbers track the machine, not the warm-up.
-func serverFleetBest(sessions, l, lanes, rounds int, eps float64, coalesce bool) (time.Duration, []server.SessionStats, server.CoalesceStats, error) {
-	var (
-		bestWall  time.Duration
-		bestStats []server.SessionStats
-		bestCst   server.CoalesceStats
-	)
-	for rep := 0; rep < 3; rep++ {
-		wall, stats, cst, err := serverFleetRun(sessions, l, lanes, rounds, eps, coalesce)
-		if err != nil {
-			return wall, stats, cst, err
-		}
-		if bestStats == nil || wall < bestWall {
-			bestWall, bestStats, bestCst = wall, stats, cst
-		}
-	}
-	return bestWall, bestStats, bestCst, nil
+	return wall, nil
 }
 
 // BenchmarkServerThroughput — the multi-tenant decode server under a
@@ -526,7 +490,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	const sessions, l, lanes, rounds = 8, 8, 64, 32
 	var total time.Duration
 	for i := 0; i < b.N; i++ {
-		wall, _, _, err := serverFleetRun(sessions, l, lanes, rounds, 0.003, false)
+		wall, err := serverFleetRun(sessions, l, lanes, rounds, 0.003)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -535,398 +499,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 	if total > 0 {
 		b.ReportMetric(float64(sessions*rounds*b.N)/total.Seconds(), "rounds/s")
 	}
-}
-
-// BenchmarkServerFleetCoalesced — the wide-fleet shape batch coalescing
-// targets: 64 concurrent L=8 circuit-level sessions of 16 lanes each,
-// so every slide submits a small batch and the per-submission dispatch
-// overhead dominates the uncoalesced server. The /direct sub-series is
-// the same fleet with coalescing off, making the merge win a same-
-// binary A/B.
-func BenchmarkServerFleetCoalesced(b *testing.B) {
-	const sessions, l, lanes, rounds = 64, 8, 16, 32
-	for _, mode := range []struct {
-		name     string
-		coalesce bool
-	}{{"direct", false}, {"merged", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var total time.Duration
-			var occ float64
-			for i := 0; i < b.N; i++ {
-				wall, _, cst, err := serverFleetRun(sessions, l, lanes, rounds, 0.003, mode.coalesce)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += wall
-				occ += cst.Occupancy
-			}
-			if total > 0 {
-				b.ReportMetric(float64(sessions*rounds*b.N)/total.Seconds(), "rounds/s")
-			}
-			if mode.coalesce && b.N > 0 {
-				b.ReportMetric(occ/float64(b.N), "occupancy")
-			}
-		})
-	}
-}
-
-// TestEmitToricBenchJSON records the decode benchmark grid to
-// BENCH_toric.json (or the path in FTQC_BENCH_JSON) so the perf
-// trajectory is tracked across PRs. Existing entries are merge-updated
-// by name, so emitting a subset never clobbers series recorded by an
-// earlier run. Skipped unless FTQC_BENCH_JSON is set: it is a
-// measurement tool, not a correctness test.
-func TestEmitToricBenchJSON(t *testing.T) {
-	path := os.Getenv("FTQC_BENCH_JSON")
-	if path == "" {
-		t.Skip("set FTQC_BENCH_JSON=1 (or a path) to record decode benchmarks")
-	}
-	if path == "1" {
-		path = "BENCH_toric.json"
-	}
-	type entry struct {
-		Name       string  `json:"name"`
-		Code       string  `json:"code"` // code family ("toric", "planar", "rotated")
-		L          int     `json:"L"`
-		Rounds     int     `json:"rounds"`           // 0: perfect-measurement 2D decode
-		Window     int     `json:"window,omitempty"` // streaming: window height in layers
-		Commit     int     `json:"commit,omitempty"` // streaming: rounds committed per slide
-		P          float64 `json:"p"`
-		Q          float64 `json:"q"`
-		Decoder    string  `json:"decoder"`
-		Samples    int     `json:"samples"` // Monte Carlo shots measured per op
-		Seed       uint64  `json:"seed"`    // sampler seed of the measured runs
-		ShotsPerOp int     `json:"shots_per_op"`
-		NsPerOp    float64 `json:"ns_per_op"`
-		NsPerShot  float64 `json:"ns_per_shot"`
-		NsPerRound float64 `json:"ns_per_shot_round,omitempty"`     // streaming: per shot per round
-		WindowRSS  int     `json:"resident_window_bytes,omitempty"` // streaming decoder footprint
-		Sessions   int     `json:"sessions,omitempty"`              // server: concurrent sessions in the fleet
-		RoundsPS   float64 `json:"rounds_per_sec,omitempty"`        // server: aggregate decoded rounds/s
-		CommitP50  float64 `json:"commit_p50_ns,omitempty"`         // server: median commit latency
-		CommitP99  float64 `json:"commit_p99_ns,omitempty"`         // server: tail commit latency
-		Occupancy  float64 `json:"coalesce_occupancy,omitempty"`    // server: mean session batches per pool submission
-		GoMaxProcs int     `json:"gomaxprocs"`                      // parallelism when this entry was measured
-	}
-	decoderName := map[toric.DecoderKind]string{
-		toric.DecoderGreedy:    "greedy",
-		toric.DecoderExact:     "exact",
-		toric.DecoderUnionFind: "union-find",
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		UnixTime   int64   `json:"unix_time"`
-		Entries    []entry `json:"entries"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0), UnixTime: time.Now().Unix()}
-	measure := func(run func()) float64 {
-		run() // warm lattice/volume caches and scratch pools
-		const iters = 5
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			run()
-		}
-		return float64(time.Since(t0).Nanoseconds()) / iters
-	}
-	const shots = 256
-	for _, cfg := range toricDecodeConfigs() {
-		ns := measure(func() { toric.MemoryExperiment(cfg.l, 0.08, cfg.kind, shots, 7) })
-		report.Entries = append(report.Entries, entry{
-			Name: "BenchmarkToricDecode/" + cfg.name, L: cfg.l, P: 0.08,
-			Decoder: decoderName[cfg.kind], ShotsPerOp: shots,
-			NsPerOp: ns, NsPerShot: ns / shots,
-		})
-	}
-	const stShots = 64
-	for _, cfg := range spacetimeDecodeConfigs() {
-		ns := measure(func() { spacetime.CodeMemory(toric.Cached(cfg.l), cfg.l, 0.025, 0.025, cfg.kind, stShots, 7) })
-		report.Entries = append(report.Entries, entry{
-			Name: "BenchmarkSpacetimeDecode/" + cfg.name, L: cfg.l, Rounds: cfg.l,
-			P: 0.025, Q: 0.025, Decoder: decoderName[cfg.kind], ShotsPerOp: stShots,
-			NsPerOp: ns, NsPerShot: ns / stShots,
-		})
-	}
-	// Circuit-level series: the full extraction circuit per round with
-	// faults at every location, decoded over the diagonal-edge volume.
-	for _, cfg := range circuitExtractConfigs() {
-		P := noise.Uniform(0.006)
-		ns := measure(func() { spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.l, P, cfg.kind, stShots, 7) })
-		report.Entries = append(report.Entries, entry{
-			Name: "BenchmarkCircuitExtract/" + cfg.name, L: cfg.l, Rounds: cfg.l,
-			P: 0.006, Q: 0.006, Decoder: "circuit-" + decoderName[cfg.kind], ShotsPerOp: stShots,
-			NsPerOp: ns, NsPerShot: ns / stShots,
-		})
-	}
-	// Erasure/correlated/schedule series: the options-pipeline arms —
-	// aware vs blind on the same injected leakage, the serialized
-	// two-sector correlated decode, and the CNOT-schedule ablation.
-	for _, arm := range circuitOptsArms() {
-		arm := arm
-		ns := measure(func() {
-			if _, err := spacetime.CodeCircuitMemoryOpts(arm.code, 8, arm.P, stShots, 7, arm.opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		report.Entries = append(report.Entries, entry{
-			Name: "BenchmarkCircuitOpts/" + arm.name, Code: arm.codeName, L: 8, Rounds: 8,
-			P: arm.P.Gate1, Q: arm.P.Gate1, Decoder: arm.decoder, ShotsPerOp: stShots,
-			NsPerOp: ns, NsPerShot: ns / stShots,
-		})
-	}
-	// Correlated + erasure-aware streaming series: the serialized
-	// primal→dual slides with per-layer erasure planes, the worst-case
-	// options load the streaming pipeline carries.
-	{
-		const l, eps = 8, 0.003
-		P := noise.Uniform(eps)
-		P.Leak = 0.01
-		w, c := stream.DefaultWindow(l)
-		rounds := 4 * l
-		opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
-		ns := measure(func() {
-			if _, err := stream.CodeCircuitMemoryOpts(toric.Cached(l), rounds, P, w, c, stShots, 7, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/correlated/L=%d", l), L: l, Rounds: rounds,
-			Window: w, Commit: c, P: eps, Q: eps,
-			Decoder: "window-circuit-correlated-union-find", ShotsPerOp: stShots,
-			NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
-		})
-	}
-	// Streaming series: T = 4L rounds through W = 2L windows, plus the
-	// resident window footprint of a 64-lane decoder in steady state.
-	for _, l := range []int{4, 8, 16} {
-		w, c := stream.DefaultWindow(l)
-		wh, wv := spacetime.Weights(0.025, 0.025, l, 4*l)
-		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 4 * l
-		ns := measure(func() {
-			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0)), rounds)
-		})
-		d := s.NewDecoder(stShots)
-		src := surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 1))
-		nc := l * l
-		layerX := bits.NewVecs(nc, stShots)
-		layerZ := bits.NewVecs(nc, stShots)
-		for r := 0; r < 3*w; r++ {
-			src.NextLayers(layerX, layerZ)
-			d.Push(layerX, layerZ)
-		}
-		foot := d.FootprintBytes()
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/L=%d", l), L: l, Rounds: rounds,
-			Window: w, Commit: c, P: 0.025, Q: 0.025, Decoder: "window-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds), WindowRSS: foot,
-		})
-	}
-	// Circuit-level streaming series: the extraction circuit streamed
-	// round by round through the diagonal-edge windows.
-	for _, l := range []int{8, 16} {
-		const eps = 0.003
-		P := noise.Uniform(eps)
-		w, c := stream.DefaultWindow(l)
-		wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-		s, err := stream.NewCodeCircuitSession(toric.Cached(l), w, c, wh, wv, wd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 4 * l
-		ns := measure(func() {
-			src := surface.NewCircuitSource(toric.Cached(l), P, stShots, frame.NewAggregateSampler(7, 0))
-			s.BatchMemoryFrom(src, rounds)
-		})
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/circuit/L=%d", l), L: l, Rounds: rounds,
-			Window: w, Commit: c, P: eps, Q: eps, Decoder: "window-circuit-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
-		})
-	}
-	// Planar streaming series: the open-boundary planar code's
-	// extraction circuit through boundary-grounded diagonal-edge
-	// windows — same operating point as the toric circuit series, so
-	// the two families' per-shot·round costs are directly comparable.
-	for _, d := range []int{5, 9} {
-		const eps = 0.003
-		P := noise.Uniform(eps)
-		pc := surface.Planar(d)
-		w, c := stream.DefaultWindow(d)
-		wh, wv, wd := spacetime.WeightsCircuit(P, d, w)
-		s, err := stream.NewCodeCircuitSession(pc, w, c, wh, wv, wd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 4 * d
-		ns := measure(func() {
-			src := surface.NewCircuitSource(pc, P, stShots, frame.NewAggregateSampler(7, 0))
-			s.BatchMemoryFrom(src, rounds)
-		})
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/planar/d=%d", d), Code: "planar", L: d, Rounds: rounds,
-			Window: w, Commit: c, P: eps, Q: eps, Decoder: "window-circuit-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
-		})
-	}
-	// Rotated streaming series: the rotated code's extraction circuit
-	// through the same boundary-grounded windows — the cheapest code
-	// family (d² data qubits) gets the same perf trajectory planar got
-	// in PR 8.
-	for _, d := range []int{5, 9} {
-		const eps = 0.003
-		P := noise.Uniform(eps)
-		rc := surface.Rotated(d)
-		w, c := stream.DefaultWindow(d)
-		wh, wv, wd := spacetime.WeightsCircuit(P, d, w)
-		s, err := stream.NewCodeCircuitSession(rc, w, c, wh, wv, wd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 4 * d
-		ns := measure(func() {
-			src := surface.NewCircuitSource(rc, P, stShots, frame.NewAggregateSampler(7, 0))
-			s.BatchMemoryFrom(src, rounds)
-		})
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/rotated/d=%d", d), Code: "rotated", L: d, Rounds: rounds,
-			Window: w, Commit: c, P: eps, Q: eps, Decoder: "window-circuit-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
-		})
-	}
-	// Quiet-region sweep: the L=16 stream well below threshold, where
-	// the persistent-forest slide and sparse skip dominate the cost.
-	for _, p := range []float64{0.008, 0.002, 0.0005} {
-		const l = 16
-		w, c := stream.DefaultWindow(l)
-		wh, wv := spacetime.Weights(p, p, l, 4*l)
-		s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 4 * l
-		ns := measure(func() {
-			s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), p, p, stShots, frame.NewAggregateSampler(7, 0)), rounds)
-		})
-		s.Close()
-		report.Entries = append(report.Entries, entry{
-			Name: fmt.Sprintf("BenchmarkStreamDecode/quiet/L=%d/p=%g", l, p), L: l, Rounds: rounds,
-			Window: w, Commit: c, P: p, Q: p, Decoder: "window-" + decoderName[toric.DecoderUnionFind],
-			ShotsPerOp: stShots, NsPerOp: ns, NsPerShot: ns / stShots,
-			NsPerRound: ns / stShots / float64(rounds),
-		})
-	}
-	// Server series: a sustained fleet through the multi-tenant decode
-	// server, reporting aggregate throughput and commit-latency tails.
-	{
-		const sessions, l, lanes, rounds = 8, 8, 64, 32
-		wall, stats, _, err := serverFleetBest(sessions, l, lanes, rounds, 0.003, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p50, p99 time.Duration
-		for _, st := range stats {
-			p50 += st.Latency.P50
-			p99 += st.Latency.P99
-		}
-		report.Entries = append(report.Entries, entry{
-			Name: "BenchmarkServerThroughput", L: l, Rounds: rounds,
-			P: 0.003, Q: 0.003, Decoder: "server-union-find", Seed: 9100, ShotsPerOp: lanes,
-			NsPerOp: float64(wall.Nanoseconds()), Sessions: sessions,
-			NsPerShot: float64(wall.Nanoseconds()) / float64(sessions*rounds*lanes),
-			RoundsPS:  float64(sessions*rounds) / wall.Seconds(),
-			CommitP50: float64(p50.Nanoseconds()) / sessions,
-			CommitP99: float64(p99.Nanoseconds()) / sessions,
-		})
-	}
-	// Wide-fleet series: 64 small sessions on one window shape, with
-	// and without cross-session batch coalescing — the pair the
-	// coalescer's throughput claim is measured on. The per-shot·round
-	// figure makes these comparable to the streaming series.
-	for _, mode := range []struct {
-		name     string
-		coalesce bool
-	}{{"direct", false}, {"merged", true}} {
-		const sessions, l, lanes, rounds = 64, 8, 16, 32
-		wall, _, cst, err := serverFleetBest(sessions, l, lanes, rounds, 0.003, mode.coalesce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := entry{
-			Name: "BenchmarkServerFleetCoalesced/" + mode.name, L: l, Rounds: rounds,
-			P: 0.003, Q: 0.003, Decoder: "server-union-find", Seed: 9100, ShotsPerOp: lanes,
-			NsPerOp: float64(wall.Nanoseconds()), Sessions: sessions,
-			NsPerShot:  float64(wall.Nanoseconds()) / float64(sessions*rounds*lanes),
-			NsPerRound: float64(wall.Nanoseconds()) / float64(sessions*rounds*lanes),
-			RoundsPS:   float64(sessions*rounds) / wall.Seconds(),
-		}
-		if mode.coalesce {
-			e.Occupancy = cst.Occupancy
-		}
-		report.Entries = append(report.Entries, e)
-	}
-	for i := range report.Entries {
-		e := &report.Entries[i]
-		e.GoMaxProcs = runtime.GOMAXPROCS(0)
-		if e.Code == "" {
-			e.Code = "toric"
-		}
-		if e.Samples == 0 {
-			e.Samples = e.ShotsPerOp
-		}
-		if e.Seed == 0 {
-			e.Seed = 7
-		}
-	}
-	// Every streaming series must carry the per-shot·round figure — the
-	// number the perf trajectory tracks — and the CI smoke re-checks the
-	// committed file for the same invariant.
-	for _, e := range report.Entries {
-		if strings.HasPrefix(e.Name, "BenchmarkStreamDecode") && e.NsPerRound <= 0 {
-			t.Errorf("streaming series %s missing ns_per_shot_round", e.Name)
-		}
-	}
-	// Merge-update: entries already in the file keep their place and are
-	// replaced by name; series this run did not measure survive.
-	if prev, err := os.ReadFile(path); err == nil {
-		var old struct {
-			Entries []entry `json:"entries"`
-		}
-		if json.Unmarshal(prev, &old) == nil && len(old.Entries) > 0 {
-			idx := make(map[string]int, len(old.Entries))
-			for i, e := range old.Entries {
-				idx[e.Name] = i
-			}
-			merged := old.Entries
-			for _, e := range report.Entries {
-				if i, ok := idx[e.Name]; ok {
-					merged[i] = e
-				} else {
-					idx[e.Name] = len(merged)
-					merged = append(merged, e)
-				}
-			}
-			report.Entries = merged
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d benchmark entries to %s", len(report.Entries), path)
 }
 
 // BenchmarkE18Thermal — §7.1: e^{-Δ/T} suppression.

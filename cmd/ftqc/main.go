@@ -964,8 +964,6 @@ func cmdServe(args []string) {
 	p := fs.Float64("p", 0.003, "error rate: per-location eps (circuit) or p = q (phenom)")
 	workers := fs.Int("workers", 0, "decode workers in the shared pool (0: GOMAXPROCS)")
 	depth := fs.Int("queue", 16, "per-session ingest queue depth in rounds")
-	coalesce := fs.Bool("coalesce", false, "merge same-graph decode batches from concurrent sessions into single pool submissions")
-	adapt := fs.Bool("adapt", false, "adaptive windows: grow/shrink W with the observed defect density")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
 	defer startProf()()
@@ -978,13 +976,7 @@ func cmdServe(args []string) {
 		fmt.Fprintln(os.Stderr, "serve: -sessions and -T must be positive")
 		os.Exit(2)
 	}
-	if *adapt {
-		cfg.Adapt = &server.AdaptConfig{MinWindow: 4, MaxWindow: 4 * *size, GrowAt: 0.05, ShrinkAt: 0.005}
-		if cfg.Window < 4 {
-			cfg.Window = 4
-		}
-	}
-	srv := server.New(server.Config{Workers: *workers, QueueDepth: *depth, Coalesce: *coalesce})
+	srv := server.New(server.Config{Workers: *workers, QueueDepth: *depth})
 	fmt.Printf("E25: decode server — %d concurrent %s sessions, L=%d, %d lanes, %d rounds each\n",
 		*nSessions, *model, *size, *lanes, *rounds)
 
@@ -1041,11 +1033,6 @@ func cmdServe(args []string) {
 	fmt.Printf("\nsustained throughput: %d rounds across %d sessions in %v = %.0f rounds/s (%.2e lane-rounds/s)\n",
 		total, *nSessions, wall.Round(time.Millisecond), float64(total)/wall.Seconds(),
 		float64(total)*float64(*lanes)/wall.Seconds())
-	if *coalesce {
-		cst := srv.CoalesceStats()
-		fmt.Printf("batch coalescing: %d session batches in %d pool submissions — occupancy %.2f batches/submission, %.1f shots/submission (max group %d)\n",
-			cst.Batches, cst.Flushes, cst.Occupancy, cst.ShotsPer, cst.MaxGroup)
-	}
 
 	// Aggregate commit-latency histogram (enqueue → commit, all sessions).
 	merged := map[time.Duration]uint64{}

@@ -5,9 +5,8 @@
 // decodes all of them, ingest queues bound the memory between producer
 // and decoder, and committed Pauli frames flow back out. Here four
 // tenants (two phenomenological, two circuit-level) stream over the
-// wire protocol through in-memory pipes, a fifth session runs with an
-// adaptive window that tracks its defect density, and the server's
-// snapshot reports per-session commit latency on the way out.
+// wire protocol through in-memory pipes, and the server's snapshot
+// reports per-session commit latency on the way out.
 package main
 
 import (
@@ -86,34 +85,6 @@ func main() {
 		}(tn)
 	}
 	wg.Wait()
-
-	// A fifth tenant with an adaptive window: heavy noise widens it.
-	cfg := server.PhenomenologicalCode(l4, 64, 0.06, 0.06)
-	cfg.Window, cfg.Commit = 4, 2
-	cfg.Adapt = &server.AdaptConfig{MinWindow: 4, MaxWindow: 12, GrowAt: 0.02, ShrinkAt: 0.001, Cooldown: 1}
-	s, err := srv.Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	src := surface.NewLayerSource(l4, 0.06, 0.06, 64, frame.NewAggregateSampler(15, 5))
-	layerX := bits.NewVecs(16, 64)
-	layerZ := bits.NewVecs(16, 64)
-	for r := 0; r < 64; r++ {
-		src.NextLayers(layerX, layerZ)
-		if err := s.Submit(layerX, layerZ); err != nil {
-			panic(err)
-		}
-	}
-	src.CloseLayers(layerX, layerZ)
-	if err := s.CloseWith(layerX, layerZ); err != nil {
-		panic(err)
-	}
-	if _, err := s.Wait(); err != nil {
-		panic(err)
-	}
-	ad := s.Stats()
-	fmt.Printf("\nadaptive tenant (p=q=6%%, started W=4): window now %d after %d moves, density %.3f\n",
-		ad.Window, ad.WindowMoves, ad.DefectDensity)
 
 	fmt.Println("\nmid-flight server snapshot (taken while the wire tenants streamed):")
 	fmt.Printf("  %-4s %-8s %-7s %-9s %-9s %-9s %-10s %-10s\n",

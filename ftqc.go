@@ -470,8 +470,8 @@ func StreamingSustainedThreshold(l1, l2 int, grid []float64, samples int, seed u
 type (
 	// DecodeServer multiplexes many concurrent logical-qubit streaming
 	// sessions over one shared decode worker pool, with per-session
-	// bounded ingest queues, graceful drain, commit-latency histograms,
-	// and optional adaptive windows.
+	// bounded ingest queues, graceful drain, and commit-latency
+	// histograms.
 	DecodeServer = server.Server
 	// DecodeServerConfig sizes the server: worker count, per-session
 	// queue depth, and the overflow policy.

@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-// TestGroupSubmitZeroAllocs pins the coalesced hot path's allocation
-// contract: a warmed SubmitGroupOn round trip over reusable batches —
-// stage every group, wait every batch, recycle every correction buffer
-// — performs zero heap allocations. This is what lets a multi-tenant
-// server coalesce thousands of session slides per second without
-// feeding the GC.
-func TestGroupSubmitZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the zero-alloc pin runs in the non-race CI lane")
-	}
-	g := torusTestGraph(6)
-	pool := NewPool(2)
-	defer pool.Close()
-	rng := rand.New(rand.NewPCG(71, 72))
-	const groups, shotsPer = 8, 24
-	subs := make([]GroupSub, groups)
-	for i := range subs {
-		subs[i] = GroupSub{B: NewBatch(shotsPer), Shots: randomShots(g, shotsPer, rng)}
-	}
-	roundTrip := func() {
-		if err := pool.SubmitGroupOn(g, subs); err != nil {
-			t.Fatal(err)
-		}
-		for i := range subs {
-			out := subs[i].B.Wait()
-			for j := range out {
-				subs[i].Shots[j].CorrBuf = out[j][:0]
-			}
-		}
-	}
-	// Warm up: output slots size themselves, correction buffers reach
-	// their steady capacity, and the per-graph scratch pool fills.
-	for i := 0; i < 8; i++ {
-		roundTrip()
-	}
-	if avg := testing.AllocsPerRun(10, roundTrip); avg != 0 {
-		t.Fatalf("warm SubmitGroupOn round trip allocates (%.1f allocs/run, want 0)", avg)
-	}
-}
-
 // TestResubmitZeroAllocs pins the streaming hot path's allocation
 // contract at the pool itself: a warmed ResubmitOn round trip of a
 // reusable batch — submit, wait, recycle every correction buffer —

@@ -105,16 +105,15 @@
 // across submissions and results land in indexed slots, so a batch's
 // output is bit-identical for any worker count — the deployable shape
 // of the decode stage (the streaming window pipeline submits every
-// slide through one). NewService(g, n) binds a service to one graph;
-// NewPool(n) is the unbound form, routing each SubmitOn(g, shots) batch
-// to its graph with per-graph scratch pools — one fleet can serve every
-// window graph in the process, which is how internal/server multiplexes
-// many sessions over shared workers.
+// slide through one). NewPool(n) starts it; ResubmitOn(g, batch, shots)
+// routes a reusable batch to its graph with per-graph scratch pools —
+// one fleet can serve every window graph in the process, which is how
+// internal/server multiplexes many sessions over shared workers.
 //
 // The lifecycle is part of the contract: Close is idempotent, drains
 // in-flight submissions before releasing the workers, and any
-// Submit/SubmitOn/Decode after Close returns ErrClosed — never a panic
-// — so concurrent producers racing a shutdown fail soft.
+// ResubmitOn after Close returns ErrClosed — never a panic — so
+// concurrent producers racing a shutdown fail soft.
 //
 // # Determinism contract
 //
@@ -198,17 +197,6 @@
 //     a correlated pair must not race its own sectors — which the
 //     streaming layer meets by running the dual slide after the primal
 //     commit inside each window step.
-//   - Coalesced submission preserves all of the above: SubmitGroupOn
-//     fans several batches against one graph out as a single span
-//     schedule, but every shot still decodes against its own (graph,
-//     shot) inputs and writes its own batch's slot in that batch's
-//     submission order. Span sizing from the combined shot count
-//     changes which worker decodes which shot and nothing else, so a
-//     group submission is byte-for-byte what the same batches would
-//     produce through individual ResubmitOn calls — which is why a
-//     server may merge concurrent tenants' submissions freely (the
-//     coalesced-vs-direct equivalence suite in internal/server pins
-//     this).
 //
 // No map iteration, clock, or scheduling enters any decision, so a
 // decode's output depends only on (graph, defect list, erasure) — the

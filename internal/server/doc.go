@@ -9,8 +9,8 @@
 //
 // # Scheduling contract
 //
-// All sessions share one unbound decoder.Service pool. Window graphs
-// are interned per shape (L, W, commit, weights), so two sessions with
+// All sessions share one decoder.Service pool. Window graphs are
+// interned per shape (L, W, commit, weights), so two sessions with
 // the same configuration share graph structure and per-graph decode
 // scratch. Every window decode is submitted as an independent batch;
 // the pool's determinism contract (see internal/decoder) guarantees
@@ -36,17 +36,13 @@
 // session before releasing the workers, so committed frames are never
 // lost to a shutdown.
 //
-// # Observability and adaptive windows
+// # Observability
 //
 // Each session tracks rounds ingested/committed, slide and overflow
 // counters, observed defect density, and a commit-latency histogram
 // (enqueue to commit, power-of-two buckets); Server.Snapshot returns
-// the per-session stats without disturbing the pipelines. Sessions
-// opened with an AdaptConfig use the density signal online: sustained
-// density above GrowAt widens the window (more context, better
-// accuracy), density below ShrinkAt narrows it (less buffering, lower
-// commit latency), moving the live decoder between interned window
-// shapes with stream.Decoder.Rewindow without losing committed frames.
+// the per-session stats without disturbing the pipelines. A session
+// keeps the window it was opened with for its whole life.
 //
 // # Wire
 //

@@ -50,28 +50,6 @@ type Config struct {
 	QueueDepth int
 	// Overflow is the per-session policy when the queue is full.
 	Overflow OverflowPolicy
-	// Coalesce merges same-graph decode submissions from concurrent
-	// sessions into single pool submissions (see Coalescer). Committed
-	// frames are bit-identical either way; coalescing trades a little
-	// submit-path synchronization for fewer, larger worker dispatches —
-	// a win for fleets of many small sessions on one window shape.
-	Coalesce bool
-}
-
-// AdaptConfig turns on adaptive windows for a session: the server
-// grows/shrinks W (and the half-window commit) online from the
-// observed defect density, trading commit latency against decode
-// context.
-type AdaptConfig struct {
-	// MinWindow/MaxWindow bound W (MinWindow >= 2).
-	MinWindow, MaxWindow int
-	// GrowAt/ShrinkAt are defect-density thresholds (defects per
-	// detector per round per lane): density above GrowAt widens the
-	// window, below ShrinkAt narrows it. GrowAt >= ShrinkAt.
-	GrowAt, ShrinkAt float64
-	// Cooldown is the minimum number of slides between window moves
-	// (<= 0: 2).
-	Cooldown int
 }
 
 // SessionConfig shapes one logical-qubit session of a surface.Code.
@@ -84,9 +62,6 @@ type SessionConfig struct {
 
 	Window, Commit int
 	WH, WV, WD     int
-
-	// Adapt, when non-nil, turns on adaptive windows.
-	Adapt *AdaptConfig
 
 	// gate, when non-nil, stalls the session worker before each queued
 	// round until the channel yields — a deterministic backpressure
@@ -125,7 +100,6 @@ type winKey struct {
 type Server struct {
 	cfg  Config
 	pool *decoder.Service
-	coal *Coalescer // non-nil iff Config.Coalesce
 
 	mu       sync.Mutex
 	wins     map[winKey]*stream.Session
@@ -140,28 +114,12 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	srv := &Server{
+	return &Server{
 		cfg:      cfg,
 		pool:     decoder.NewPool(cfg.Workers),
 		wins:     make(map[winKey]*stream.Session),
 		sessions: make(map[uint64]*Session),
 	}
-	if cfg.Coalesce {
-		srv.coal = NewCoalescer(srv.pool)
-	}
-	return srv
-}
-
-// Pool returns the shared decode pool (for introspection).
-func (srv *Server) Pool() *decoder.Service { return srv.pool }
-
-// CoalesceStats snapshots the cross-session batch coalescer. The zero
-// snapshot means coalescing is off (Config.Coalesce unset).
-func (srv *Server) CoalesceStats() CoalesceStats {
-	if srv.coal == nil {
-		return CoalesceStats{}
-	}
-	return srv.coal.Stats()
 }
 
 // sharedSession returns the interned stream.Session for a window
@@ -186,9 +144,6 @@ func (srv *Server) sharedSession(code surface.Code, w, c, wh, wv, wd int) (*stre
 		return nil, err
 	}
 	ss = stream.NewSessionOn(srv.pool, win)
-	if srv.coal != nil {
-		ss.SetSubmitter(srv.coal)
-	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if have, ok := srv.wins[key]; ok {
@@ -209,25 +164,6 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	}
 	if cfg.Window <= 0 || cfg.Commit <= 0 {
 		cfg.Window, cfg.Commit = stream.DefaultWindow(cfg.Code.Distance())
-	}
-	if a := cfg.Adapt; a != nil {
-		ac := *a
-		if ac.Cooldown <= 0 {
-			ac.Cooldown = 2
-		}
-		if ac.MinWindow < 2 {
-			return nil, fmt.Errorf("server: adaptive MinWindow must be at least 2 (got %d)", ac.MinWindow)
-		}
-		if ac.MaxWindow < ac.MinWindow {
-			return nil, fmt.Errorf("server: adaptive MaxWindow %d below MinWindow %d", ac.MaxWindow, ac.MinWindow)
-		}
-		if cfg.Window < ac.MinWindow || cfg.Window > ac.MaxWindow {
-			return nil, fmt.Errorf("server: initial window %d outside adaptive bounds [%d, %d]", cfg.Window, ac.MinWindow, ac.MaxWindow)
-		}
-		if ac.GrowAt < ac.ShrinkAt {
-			return nil, fmt.Errorf("server: adaptive GrowAt %.4g below ShrinkAt %.4g", ac.GrowAt, ac.ShrinkAt)
-		}
-		cfg.Adapt = &ac
 	}
 	ss, err := srv.sharedSession(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
 	if err != nil {
@@ -325,7 +261,6 @@ type SessionStats struct {
 	Defects                  uint64 // defects ingested (both sectors, all lanes)
 	DefectDensity            float64
 	Overflows                uint64
-	WindowMoves              uint64
 	Latency                  HistSnapshot
 	Closed                   bool
 }
@@ -345,13 +280,9 @@ type Session struct {
 	done   chan struct{}
 
 	// Worker-owned pipeline state.
-	dec         *stream.Decoder
-	ss          *stream.Session
-	times       []time.Time // enqueue times by absolute round index (ring)
-	finished    bool
-	lastSlides  int
-	lastRounds  uint64 // ingest-side, matches lastDefects
-	lastDefects uint64
+	dec      *stream.Decoder
+	times    []time.Time // enqueue times by absolute round index (ring)
+	finished bool
 
 	// Stats mirrors: written by Submit/worker, read by Snapshot.
 	ingested    atomic.Uint64
@@ -359,9 +290,6 @@ type Session struct {
 	slides      atomic.Uint64
 	defects     atomic.Uint64
 	overflows   atomic.Uint64
-	windowMoves atomic.Uint64
-	curWindow   atomic.Int64
-	curCommit   atomic.Int64
 	closedFlag  atomic.Bool
 	hist        Hist
 
@@ -380,19 +308,12 @@ func newSession(srv *Server, id uint64, cfg SessionConfig, ss *stream.Session) *
 		in:    make(chan roundMsg, depth),
 		free:  make(chan roundMsg, depth+2),
 		done:  make(chan struct{}),
-		ss:    ss,
+		dec:   ss.NewDecoder(cfg.Lanes),
+		times: make([]time.Time, cfg.Window+depth+4),
 	}
-	s.dec = ss.NewDecoder(cfg.Lanes)
-	maxW := cfg.Window
-	if cfg.Adapt != nil && cfg.Adapt.MaxWindow > maxW {
-		maxW = cfg.Adapt.MaxWindow
-	}
-	s.times = make([]time.Time, maxW+depth+4)
 	for i := 0; i < depth+2; i++ {
 		s.free <- roundMsg{x: bits.NewVecs(s.nc, cfg.Lanes), z: bits.NewVecs(s.nc, cfg.Lanes)}
 	}
-	s.curWindow.Store(int64(cfg.Window))
-	s.curCommit.Store(int64(cfg.Commit))
 	return s
 }
 
@@ -508,21 +429,20 @@ func (s *Session) Wait() (SessionResult, error) {
 // Stats assembles the session's observability snapshot.
 func (s *Session) Stats() SessionStats {
 	st := SessionStats{
-		ID:          s.id,
-		Code:        s.cfg.Code.CodeName(),
-		L:           s.cfg.Code.Distance(),
-		Window:      int(s.curWindow.Load()),
-		Commit:      int(s.curCommit.Load()),
-		Lanes:       s.lanes,
-		Circuit:     s.cfg.WD > 0,
-		Rounds:      s.ingested.Load(),
-		Committed:   s.committedCt.Load(),
-		Slides:      s.slides.Load(),
-		Defects:     s.defects.Load(),
-		Overflows:   s.overflows.Load(),
-		WindowMoves: s.windowMoves.Load(),
-		Latency:     s.hist.Snapshot(),
-		Closed:      s.closedFlag.Load(),
+		ID:        s.id,
+		Code:      s.cfg.Code.CodeName(),
+		L:         s.cfg.Code.Distance(),
+		Window:    s.cfg.Window,
+		Commit:    s.cfg.Commit,
+		Lanes:     s.lanes,
+		Circuit:   s.cfg.WD > 0,
+		Rounds:    s.ingested.Load(),
+		Committed: s.committedCt.Load(),
+		Slides:    s.slides.Load(),
+		Defects:   s.defects.Load(),
+		Overflows: s.overflows.Load(),
+		Latency:   s.hist.Snapshot(),
+		Closed:    s.closedFlag.Load(),
 	}
 	if st.Rounds > 0 {
 		st.DefectDensity = float64(st.Defects) / (float64(st.Rounds) * float64(2*s.nc) * float64(s.lanes))
@@ -531,8 +451,8 @@ func (s *Session) Stats() SessionStats {
 }
 
 // run is the session worker: it drains the ingest queue through the
-// streaming decoder, records commit latencies, adapts the window, and
-// publishes the result.
+// streaming decoder, records commit latencies, and publishes the
+// result.
 func (s *Session) run() {
 	defer s.srv.wg.Done()
 	defer close(s.done)
@@ -561,15 +481,10 @@ func (s *Session) ingest(msg roundMsg) {
 	d := s.dec
 	s.times[d.Rounds()%len(s.times)] = msg.enq
 	before := d.Committed()
-	preSlides := d.Slides()
 	d.Push(msg.x, msg.z)
 	if err := d.Err(); err != nil {
 		s.err = err
 		return
-	}
-	if d.Slides() != preSlides {
-		s.maybeAdapt()
-		d = s.dec // maybeAdapt may have rewindowed
 	}
 	s.observeCommits(before, d.Committed())
 	s.slides.Store(uint64(d.Slides()))
@@ -613,63 +528,4 @@ func (s *Session) capture(finished bool) {
 	d := s.dec
 	s.res = SessionResult{Rounds: d.Rounds(), Committed: d.Committed(), Finished: finished}
 	s.res.FramesX, s.res.FramesZ = d.Corrections()
-}
-
-// maybeAdapt applies the adaptive-window policy at a slide boundary:
-// it measures the defect density since the last decision and moves the
-// live decoder to a wider or narrower interned window when the density
-// crosses a threshold.
-func (s *Session) maybeAdapt() {
-	a := s.cfg.Adapt
-	if a == nil {
-		return
-	}
-	d := s.dec
-	if d.Slides()-s.lastSlides < a.Cooldown {
-		return
-	}
-	// Numerator and denominator both come from the ingest-side counters
-	// (defects are counted at Submit): mixing submit-side defects with
-	// decode-side rounds would read a spurious near-zero density while
-	// the worker drains rounds the producer queued earlier.
-	rounds := s.ingested.Load() - s.lastRounds
-	if rounds == 0 {
-		return
-	}
-	defects := s.defects.Load()
-	density := float64(defects-s.lastDefects) / (float64(rounds) * float64(2*s.nc) * float64(s.lanes))
-	s.lastSlides, s.lastRounds, s.lastDefects = d.Slides(), s.ingested.Load(), defects
-	w := int(s.curWindow.Load())
-	target := w
-	switch {
-	case density > a.GrowAt && w < a.MaxWindow:
-		target = w + (w+1)/2
-		if target > a.MaxWindow {
-			target = a.MaxWindow
-		}
-	case density < a.ShrinkAt && w > a.MinWindow:
-		target = (2*w + 2) / 3
-		if target < a.MinWindow {
-			target = a.MinWindow
-		}
-	}
-	if target == w {
-		return
-	}
-	commit := target / 2
-	if commit < 1 {
-		commit = 1
-	}
-	ns, err := s.srv.sharedSession(s.cfg.Code, target, commit, s.cfg.WH, s.cfg.WV, s.cfg.WD)
-	if err != nil {
-		return // keep the current window on any failure
-	}
-	nd, err := d.Rewindow(ns)
-	if err != nil {
-		return
-	}
-	s.dec, s.ss = nd, ns
-	s.windowMoves.Add(1)
-	s.curWindow.Store(int64(target))
-	s.curCommit.Store(int64(commit))
 }

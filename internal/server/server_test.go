@@ -402,89 +402,6 @@ func TestServerChurn(t *testing.T) {
 	srv.Shutdown()
 }
 
-// TestServerAdaptiveWindow: the density controller widens the window
-// under heavy noise, narrows it under light noise, respects the
-// bounds, and the rewindowed pipeline stays sound (the committed
-// correction cancels the accumulated error's syndrome).
-func TestServerAdaptiveWindow(t *testing.T) {
-	srv := New(Config{Workers: 2})
-	defer srv.Shutdown()
-	run := func(p float64, window int, adapt AdaptConfig) (SessionStats, SessionResult, *surface.LayerSource) {
-		t.Helper()
-		const l, lanes, rounds = 4, 64, 80
-		cfg := toricPhenomenological(l, lanes, p, p)
-		cfg.Window, cfg.Commit = window, window/2
-		cfg.Adapt = &adapt
-		s, err := srv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := surface.NewLayerSource(cfg.Code, p, p, lanes, frame.NewAggregateSampler(7700, uint64(window)))
-		nc := l * l
-		layerX := bits.NewVecs(nc, lanes)
-		layerZ := bits.NewVecs(nc, lanes)
-		for r := 0; r < rounds; r++ {
-			src.NextLayers(layerX, layerZ)
-			if err := s.Submit(layerX, layerZ); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src.CloseLayers(layerX, layerZ)
-		if err := s.CloseWith(layerX, layerZ); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Stats(), res, src
-	}
-
-	// Heavy noise from a narrow window: must grow.
-	grow, res, src := run(0.08, 4, AdaptConfig{MinWindow: 4, MaxWindow: 12, GrowAt: 0.02, ShrinkAt: 0.001, Cooldown: 1})
-	if grow.WindowMoves == 0 || grow.Window <= 4 {
-		t.Fatalf("heavy noise did not widen the window: %+v", grow)
-	}
-	if grow.Window > 12 {
-		t.Fatalf("window exceeded MaxWindow: %d", grow.Window)
-	}
-	// Soundness across rewindows.
-	lat := toric.Cached(4)
-	cumX, cumZ := src.ErrorPlanes()
-	errv := bits.NewVec(lat.Qubits())
-	for lane := 0; lane < 64; lane += 7 {
-		errv.Clear()
-		for e := 0; e < lat.Qubits(); e++ {
-			if cumX[e].Get(lane) {
-				errv.Flip(e)
-			}
-		}
-		errv.Xor(res.FramesX[lane])
-		if len(lat.Syndrome(errv)) != 0 {
-			t.Fatalf("lane %d: X residual carries syndrome after adaptive growth", lane)
-		}
-		errv.Clear()
-		for e := 0; e < lat.Qubits(); e++ {
-			if cumZ[e].Get(lane) {
-				errv.Flip(e)
-			}
-		}
-		errv.Xor(res.FramesZ[lane])
-		if len(lat.StarSyndrome(errv)) != 0 {
-			t.Fatalf("lane %d: Z residual carries syndrome after adaptive growth", lane)
-		}
-	}
-
-	// Light noise from a wide window: must shrink.
-	shrink, _, _ := run(0.001, 12, AdaptConfig{MinWindow: 4, MaxWindow: 16, GrowAt: 0.5, ShrinkAt: 0.05, Cooldown: 1})
-	if shrink.WindowMoves == 0 || shrink.Window >= 12 {
-		t.Fatalf("light noise did not narrow the window: %+v", shrink)
-	}
-	if shrink.Window < 4 {
-		t.Fatalf("window fell below MinWindow: %d", shrink.Window)
-	}
-}
-
 // TestServerValidation: misconfigured sessions fail at Open with
 // descriptive errors, not mid-decode panics.
 func TestServerValidation(t *testing.T) {
@@ -496,16 +413,6 @@ func TestServerValidation(t *testing.T) {
 		{Code: nil, Lanes: 8, Window: 4, Commit: 2, WH: 1, WV: 1},
 		{Code: good.Code, Lanes: 8, Window: 4, Commit: 4, WH: 1, WV: 1},
 		{Code: good.Code, Lanes: 8, Window: 4, Commit: 2, WH: 0, WV: 1},
-		func() SessionConfig {
-			c := good
-			c.Adapt = &AdaptConfig{MinWindow: 1, MaxWindow: 8}
-			return c
-		}(),
-		func() SessionConfig {
-			c := good
-			c.Adapt = &AdaptConfig{MinWindow: 8, MaxWindow: 4}
-			return c
-		}(),
 	}
 	for i, cfg := range bad {
 		if _, err := srv.Open(cfg); err == nil {

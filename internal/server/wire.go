@@ -64,8 +64,7 @@ func Dial(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 // Open sends the session handshake. The 'O' message names a code by its
 // lattice size alone, so only the plain toric code can cross the wire:
 // any other family or schedule is an error here, never a session the
-// server would silently open on the wrong code. Adaptive windows are a
-// server-side policy and are not carried on the wire.
+// server would silently open on the wrong code.
 func (c *Conn) Open(cfg SessionConfig) error {
 	lat, ok := cfg.Code.(*toric.Lattice)
 	if !ok {

@@ -15,7 +15,6 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 func mustCodeSession(t *testing.T, code surface.Code, window, commit, wh, wv int) *Session {
@@ -211,68 +210,5 @@ func TestNilCodeIsAnError(t *testing.T) {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "needs a code") {
 			t.Errorf("%s(nil code): err = %v, want the window's \"needs a code\" error", name, err)
 		}
-	}
-}
-
-// TestRewindowErrorPaths covers every rejection of the adaptive-window
-// primitive: invalid target shapes (wrong family, wrong distance,
-// wrong model class), rewindow after Finish, and rewindow after the
-// decoder entered its terminal error state.
-func TestRewindowErrorPaths(t *testing.T) {
-	planar := surface.Planar(3)
-	wh, wv := spacetime.Weights(0.01, 0.01, 3, 4)
-	newDecoder := func(t *testing.T) (*Session, *Decoder) {
-		s := mustCodeSession(t, planar, 4, 2, wh, wv)
-		return s, s.NewDecoder(8)
-	}
-	expect := func(t *testing.T, what, frag string, target *Session) {
-		t.Helper()
-		s, d := newDecoder(t)
-		defer s.Close()
-		if target != nil {
-			defer target.Close()
-		} else {
-			target = s
-		}
-		_, err := d.Rewindow(target)
-		if err == nil || !strings.Contains(err.Error(), frag) {
-			t.Fatalf("%s: err = %v, want %q", what, err, frag)
-		}
-	}
-	expect(t, "cross-family", "across code families",
-		mustCodeSession(t, toric.Cached(3), 4, 2, wh, wv))
-	expect(t, "cross-distance", "across lattice sizes",
-		mustCodeSession(t, surface.Planar(5), 4, 2, wh, wv))
-	expect(t, "cross-model", "across decoding models",
-		mustCodeCircuitSession(t, planar, 4, 2, wh, wv, 3))
-
-	// After Finish: the decoder is dead for rewindowing.
-	s, d := newDecoder(t)
-	defer s.Close()
-	layerX := bits.NewVecs(planar.Checks(), 8)
-	layerZ := bits.NewVecs(planar.Checks(), 8)
-	d.Push(layerX, layerZ)
-	d.Finish(layerX, layerZ)
-	if _, err := d.Rewindow(s); err == nil || !strings.Contains(err.Error(), "finished") {
-		t.Fatalf("rewindow after finish: err = %v", err)
-	}
-
-	// After Err: the terminal failure propagates out of Rewindow.
-	s2, d2 := newDecoder(t)
-	s2.Close()
-	for c := range layerX {
-		layerX[c].SetAll()
-		layerZ[c].SetAll()
-	}
-	for r := 0; r < 8 && d2.Err() == nil; r++ {
-		d2.Push(layerX, layerZ)
-	}
-	if d2.Err() == nil {
-		t.Fatal("pushes into a closed session did not surface an error")
-	}
-	target := mustCodeSession(t, planar, 5, 2, wh, wv)
-	defer target.Close()
-	if _, err := d2.Rewindow(target); err == nil {
-		t.Fatal("rewindow of an erred decoder succeeded")
 	}
 }

@@ -51,10 +51,9 @@
 // silent-sector skip: a sector whose buffered layers are empty in every
 // lane and whose carries are clear skips its decode outright — an empty
 // defect list decodes to an empty correction, so the skip is exact by
-// construction and has no off switch. Rewindow re-pushes the buffered
-// layers through the new window; onto an identical shape it is a no-op
-// (tested). Defect and correction buffers are sized once from the window
-// shape, and warm Push (slides included) runs at zero heap allocations.
+// construction and has no off switch. Defect and correction buffers are
+// sized once from the window shape, and warm Push (slides included) runs
+// at zero heap allocations.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's
@@ -66,11 +65,10 @@
 // # Decode service
 //
 // Window decodes are fanned out through decoder.Service — a long-lived
-// worker pool bound to the window graph (batched shot submissions in,
-// corrections out, bit-identical for any worker count). One service per
-// sector is shared by every chunk of a Monte Carlo run, so the pool
-// persists across thousands of submissions, the shape a control-system
-// consumer would call at scale.
+// worker pool (reusable batches of shots in, corrections out,
+// bit-identical for any worker count). One pool serves both sectors and
+// every chunk of a Monte Carlo run, so it persists across thousands of
+// submissions, the shape a control-system consumer would call at scale.
 //
 // Accuracy: a window of W ≥ 2L rounds with a C = W/2 commit region
 // reproduces whole-volume logical failure rates within statistical

@@ -129,36 +129,6 @@ func TestPushDisciplineMixingPanics(t *testing.T) {
 	mustPanic("erasure plane count mismatch", func() { d2.PushErased(layerX, layerZ, eraH[:1], lostX, lostZ) })
 }
 
-// TestErasedRewindowRefused: the adaptive-window transplant does not
-// carry erasure rings or correlated state; asking for it is an error,
-// not a silent drop of the side information.
-func TestErasedRewindowRefused(t *testing.T) {
-	const l, lanes = 4, 64
-	P := noise.Uniform(0.005)
-	P.Leak = 0.01
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, 4)
-	s := mustCircuitSession(t, l, 4, 2, wh, wv, wd)
-	defer s.Close()
-	s2 := mustCircuitSession(t, l, 6, 2, wh, wv, wd)
-	defer s2.Close()
-	w := s.win
-	layerX := bits.NewVecs(w.nc, lanes)
-	layerZ := bits.NewVecs(w.nc, lanes)
-	eraH := bits.NewVecs(w.nq, lanes)
-	lostX := bits.NewVecs(w.nc, lanes)
-	lostZ := bits.NewVecs(w.nc, lanes)
-
-	d := s.NewDecoder(lanes)
-	d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
-	if _, err := d.Rewindow(s2); err == nil {
-		t.Fatal("Rewindow accepted an erasure-fed decoder")
-	}
-	dc := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{Correlated: true})
-	if _, err := dc.Rewindow(s2); err == nil {
-		t.Fatal("Rewindow accepted a correlated decoder")
-	}
-}
-
 // TestCircuitMemoryOptsDeterministicAndServiceInvariant: the correlated
 // + erasure-aware streaming Monte Carlo over a genuinely sliding stream
 // is a pure function of (samples, seed) regardless of the service

@@ -19,7 +19,7 @@ import (
 // before it was deleted, so they are the bit-identity contract every
 // later slide path has to reproduce: circuit and phenomenological
 // windows, an open-boundary code, a stream quiet enough to skip whole
-// windows, erasure-fed and correlated slides, and a mid-stream Rewindow.
+// windows, and erasure-fed and correlated slides.
 
 // frameDigest is an order-sensitive FNV-1a over 64-bit words.
 type frameDigest uint64
@@ -49,16 +49,14 @@ func (h *frameDigest) addDecoder(d *Decoder) {
 }
 
 type goldenStream struct {
-	name       string
-	code       surface.Code
-	circuit    bool    // circuit-level source and window (weights from WeightsCircuit)
-	eps, leak  float64 // eps is p = q for phenomenological streams
-	opts       spacetime.DecodeOptions
-	erased     bool // feed through PushErased from an erasure-harvesting source
-	w, c, t    int
-	rewindowAt int // > 0: transplant onto a (w2, c2) window after this many rounds
-	w2, c2     int
-	seed       uint64
+	name      string
+	code      surface.Code
+	circuit   bool    // circuit-level source and window (weights from WeightsCircuit)
+	eps, leak float64 // eps is p = q for phenomenological streams
+	opts      spacetime.DecodeOptions
+	erased    bool // feed through PushErased from an erasure-harvesting source
+	w, c, t   int
+	seed      uint64
 
 	digest uint64
 	skips  int // sector slides that found a silent window
@@ -87,8 +85,6 @@ func TestGoldenFrames(t *testing.T) {
 		{name: "toric4-erased-correlated", code: toric.Cached(4), circuit: true, eps: 0.005, leak: 0.008, erased: true,
 			opts: spacetime.DecodeOptions{ErasureAware: true, Correlated: true}, w: 8, c: 4, t: 24, seed: 0x601d07,
 			digest: 0x750f265f2b5004e0, skips: 0},
-		{name: "toric5-rewindow", code: toric.Cached(5), eps: 0.01, w: 8, c: 4, t: 40, rewindowAt: 24, w2: 6, c2: 3, seed: 0x601d08,
-			digest: 0xc2a26391c9d07d6a, skips: 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -107,15 +103,14 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	d0 := c.code.Distance()
 	P := noise.Uniform(c.eps) // circuit streams only
 	P.Leak = c.leak
-	session := func(w, commit int) *Session {
-		if !c.circuit {
-			wh, wv := spacetime.Weights(c.eps, c.eps, d0, c.t)
-			return mustCodeSession(t, c.code, w, commit, wh, wv)
-		}
+	var s *Session
+	if c.circuit {
 		wh, wv, wd := spacetime.WeightsCircuit(P, d0, c.w)
-		return mustCodeCircuitSession(t, c.code, w, commit, wh, wv, wd)
+		s = mustCodeCircuitSession(t, c.code, c.w, c.c, wh, wv, wd)
+	} else {
+		wh, wv := spacetime.Weights(c.eps, c.eps, d0, c.t)
+		s = mustCodeSession(t, c.code, c.w, c.c, wh, wv)
 	}
-	s := session(c.w, c.c)
 	defer s.Close()
 	smp := frame.NewAggregateSampler(c.seed, 1)
 	var src spacetime.LayerFeed
@@ -138,16 +133,6 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	h := frameDigest(14695981039346656037)
 	skips := 0
 	for r := 0; r < c.t; r++ {
-		if c.rewindowAt > 0 && r == c.rewindowAt {
-			s2 := session(c.w2, c.c2)
-			defer s2.Close()
-			nd, err := d.Rewindow(s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d = nd
-			h.addDecoder(d)
-		}
 		if d.Filled() == d.s.win.W {
 			// This push slides: count the sectors whose window is silent.
 			for _, sec := range [2]*sectorState{&d.sx, &d.sz} {

@@ -22,30 +22,7 @@ import (
 type Session struct {
 	win   *Window
 	pool  *decoder.Service
-	sub   Submitter
 	owned bool
-}
-
-// Submitter dispatches a staged reusable batch of shots to the decode
-// workers — the seam a multi-tenant server uses to interpose cross-
-// session batch coalescing. *decoder.Service satisfies it directly; any
-// implementation must deliver results bit-identical to the service's
-// own ResubmitOn (the streaming determinism contract does not bend for
-// scheduling).
-type Submitter interface {
-	ResubmitOn(g *decoder.Graph, b *decoder.Batch, shots []decoder.Shot) error
-}
-
-// SetSubmitter reroutes every future decode submission of this
-// session's decoders through sub (nil restores the direct pool path).
-// Set it before creating decoders; it must not change while any decoder
-// built from the session is live.
-func (s *Session) SetSubmitter(sub Submitter) {
-	if sub == nil {
-		s.sub = s.pool
-		return
-	}
-	s.sub = sub
 }
 
 // NewCodeSession builds the phenomenological window of a surface.Code
@@ -78,15 +55,11 @@ func NewSessionOn(pool *decoder.Service, win *Window) *Session {
 		s.pool = decoder.NewPool(0)
 		s.owned = true
 	}
-	s.sub = s.pool
 	return s
 }
 
 // Window returns the session's window structure.
 func (s *Session) Window() *Window { return s.win }
-
-// Pool returns the decode pool the session submits to.
-func (s *Session) Pool() *decoder.Service { return s.pool }
 
 // Close shuts the decode pool down if the session owns it; sessions on
 // a shared pool leave it running for their siblings.
@@ -255,8 +228,7 @@ func (d *Decoder) Filled() int { return d.filled }
 func (d *Decoder) Slides() int { return d.slides }
 
 // DefectsObserved returns the total defect count fed to the decoder so
-// far, summed over both sectors and all lanes — the observability
-// signal behind adaptive window control (density = defects per
+// far, summed over both sectors and all lanes (density = defects per
 // detector per round per lane).
 func (d *Decoder) DefectsObserved() uint64 { return d.defects }
 
@@ -449,7 +421,7 @@ func (d *Decoder) prepSector(sec *sectorState, primal *sectorState, era bool) {
 		sec.erabuf[lane] = erased
 		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
-	if err := d.s.sub.ResubmitOn(sec.graph, sec.bat, sec.shots); err != nil {
+	if err := d.s.pool.ResubmitOn(sec.graph, sec.bat, sec.shots); err != nil {
 		d.err = err
 	}
 }
@@ -647,7 +619,7 @@ func (d *Decoder) finishSector(syn []bits.Vec, vol *spacetime.Volume, g *decoder
 		}
 		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
-	if err := d.s.sub.ResubmitOn(g, sec.bat, sec.shots); err != nil {
+	if err := d.s.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
 		d.err = err
 		return
 	}
@@ -661,60 +633,6 @@ func (d *Decoder) finishSector(syn []bits.Vec, vol *spacetime.Volume, g *decoder
 			}
 		}
 	}
-}
-
-// Rewindow transplants the decoder's live state onto a session with a
-// different window shape over the same lattice — the adaptive-window
-// primitive: a server that sees the defect density move can widen the
-// window for accuracy or shrink it for latency mid-stream without
-// losing the committed frames, the carry, or the buffered rounds. The
-// receiver is dead afterwards; continue on the returned decoder, whose
-// Rounds/Committed counters carry on from the old one. Both sessions
-// must share L and the same model class (diagonal or not). The
-// buffered layers are re-pushed through the new window, so a shrink
-// may commit (slide) during the transfer.
-func (d *Decoder) Rewindow(ns *Session) (*Decoder, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.finished {
-		return nil, fmt.Errorf("stream: cannot rewindow a finished decoder")
-	}
-	if d.pushMode == pushErased || d.opts != (spacetime.DecodeOptions{}) {
-		return nil, fmt.Errorf("stream: cannot rewindow an erasure-fed or correlated decoder")
-	}
-	w, nw := d.s.win, ns.win
-	if nw.code.CodeName() != w.code.CodeName() {
-		return nil, fmt.Errorf("stream: rewindow across code families (%s -> %s)", w.code.CodeName(), nw.code.CodeName())
-	}
-	if nw.L != w.L {
-		return nil, fmt.Errorf("stream: rewindow across lattice sizes (L=%d -> L=%d)", w.L, nw.L)
-	}
-	if (nw.WD > 0) != (w.WD > 0) {
-		return nil, fmt.Errorf("stream: rewindow across decoding models (diagonal edges %v -> %v)", w.WD > 0, nw.WD > 0)
-	}
-	nd := ns.NewDecoder(d.lanes)
-	nd.base = d.base
-	nd.slides = d.slides
-	nd.defects = d.defects
-	for lane := 0; lane < d.lanes; lane++ {
-		nd.sx.carry[lane].CopyFrom(d.sx.carry[lane])
-		nd.sz.carry[lane].CopyFrom(d.sz.carry[lane])
-		nd.sx.corr[lane].CopyFrom(d.sx.corr[lane])
-		nd.sz.corr[lane].CopyFrom(d.sz.corr[lane])
-	}
-	for t := 0; t < d.filled; t++ {
-		slot := d.head + t
-		if slot >= w.W {
-			slot -= w.W
-		}
-		nd.Push(d.sx.ring[slot*w.nc:(slot+1)*w.nc], d.sz.ring[slot*w.nc:(slot+1)*w.nc])
-	}
-	if nd.err != nil {
-		return nil, nd.err
-	}
-	d.finished = true
-	return nd, nil
 }
 
 // Corrections returns the per-lane committed correction frames of the

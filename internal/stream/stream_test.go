@@ -452,83 +452,3 @@ func TestDecoderErrAfterPoolClose(t *testing.T) {
 	src.CloseLayers(layerX, layerZ)
 	d.Finish(layerX, layerZ) // no-op under Err, must not panic
 }
-
-// TestRewindowSoundness: transplanting a live decoder onto different
-// window shapes mid-stream (grow and shrink, the adaptive-window
-// primitive) keeps the pipeline sound — the final committed correction
-// cancels the accumulated error's syndrome — and deterministic.
-func TestRewindowSoundness(t *testing.T) {
-	rng := rand.New(rand.NewPCG(917, 918))
-	for trial := 0; trial < 6; trial++ {
-		l := 3 + rng.IntN(3)
-		lanes := 48 + rng.IntN(80)
-		p := 0.01 + rng.Float64()*0.04
-		w1 := 2 + rng.IntN(5)
-		w2 := 2 + rng.IntN(7)
-		c1 := 1 + rng.IntN(w1-1)
-		c2 := 1 + rng.IntN(w2-1)
-		pre := 1 + rng.IntN(3*w1)
-		post := 1 + rng.IntN(3*w2)
-		seed := rng.Uint64()
-		wh, wv := spacetime.Weights(p, p, l, w1+w2)
-
-		run := func() (bits.Vec, bits.Vec, []bits.Vec, []bits.Vec, []bits.Vec) {
-			s1 := mustSession(t, l, w1, c1, wh, wv)
-			defer s1.Close()
-			s2 := mustSession(t, l, w2, c2, wh, wv)
-			defer s2.Close()
-			src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(seed, 2))
-			lat := toric.Cached(l)
-			layerX := bits.NewVecs(lat.NumChecks(), lanes)
-			layerZ := bits.NewVecs(lat.NumChecks(), lanes)
-			d := s1.NewDecoder(lanes)
-			for r := 0; r < pre; r++ {
-				src.NextLayers(layerX, layerZ)
-				d.Push(layerX, layerZ)
-			}
-			rounds := d.Rounds()
-			nd, err := d.Rewindow(s2)
-			if err != nil {
-				t.Fatalf("trial %d: rewindow: %v", trial, err)
-			}
-			if nd.Rounds() != rounds {
-				t.Fatalf("trial %d: rewindow lost rounds: %d -> %d", trial, rounds, nd.Rounds())
-			}
-			for r := 0; r < post; r++ {
-				src.NextLayers(layerX, layerZ)
-				nd.Push(layerX, layerZ)
-			}
-			src.CloseLayers(layerX, layerZ)
-			nd.Finish(layerX, layerZ)
-			if nd.Committed() != pre+post {
-				t.Fatalf("trial %d: committed %d of %d rounds", trial, nd.Committed(), pre+post)
-			}
-			cx, cz := src.ErrorPlanes()
-			corrX, corrZ := nd.Corrections()
-			return bits.Vec{}, bits.Vec{}, corrX, corrZ, append(append([]bits.Vec{}, cx...), cz...)
-		}
-		_, _, corrX, corrZ, planes := run()
-		cumX, cumZ := planes[:len(planes)/2], planes[len(planes)/2:]
-		lat := toric.Cached(l)
-		errv := bits.NewVec(lat.Qubits())
-		for lane := 0; lane < lanes; lane += 1 + rng.IntN(5) {
-			laneError(cumX, lane, errv)
-			errv.Xor(corrX[lane])
-			if len(lat.Syndrome(errv)) != 0 {
-				t.Fatalf("trial %d lane %d: X residual carries syndrome after rewindow", trial, lane)
-			}
-			laneError(cumZ, lane, errv)
-			errv.Xor(corrZ[lane])
-			if len(lat.StarSyndrome(errv)) != 0 {
-				t.Fatalf("trial %d lane %d: Z residual carries syndrome after rewindow", trial, lane)
-			}
-		}
-		// Determinism across repeats.
-		_, _, corrX2, corrZ2, _ := run()
-		for lane := 0; lane < lanes; lane++ {
-			if !corrX[lane].Equal(corrX2[lane]) || !corrZ[lane].Equal(corrZ2[lane]) {
-				t.Fatalf("trial %d: rewindowed stream not deterministic", trial)
-			}
-		}
-	}
-}

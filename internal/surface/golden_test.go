@@ -1,10 +1,10 @@
 package surface_test
 
 // The sampler-stream contract: every committed Monte Carlo figure
-// (EXPERIMENTS.md, BENCH_toric.json) is a pure function of the order in
-// which the two layer sources draw from their sampler. The digests
-// below were recorded at commit efc3457 from the toric-only sources
-// this package's sources replaced (the phenomenological one in
+// (EXPERIMENTS.md, the benchmark's logical_fail_rate) is a pure function
+// of the order in which the two layer sources draw from their sampler.
+// The digests below were recorded at commit efc3457 from the toric-only
+// sources this package's sources replaced (the phenomenological one in
 // internal/spacetime and the fused circuit one in internal/extract); a
 // refactor that moves one draw changes a digest.
 

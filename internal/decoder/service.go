@@ -113,19 +113,6 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 	} else {
 		b.out = b.out[:len(shots)]
 	}
-	if len(shots) == 0 {
-		b.done <- struct{}{}
-		return nil
-	}
-	// Span size balances queue traffic against tail latency: a few spans
-	// per worker lets fast workers steal from slow ones.
-	span := (len(shots) + 4*s.workers - 1) / (4 * s.workers)
-	if span < 1 {
-		span = 1
-	}
-	spans := (len(shots) + span - 1) / span
-	b.pending.Store(int64(spans))
-	pool := s.scratchFor(g)
 	// The read lock pins the lifecycle: Close takes the write lock, so
 	// the tasks channel cannot close mid-send and a post-Close submit
 	// observes `closed` and returns cleanly instead of panicking.
@@ -134,6 +121,16 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if len(shots) == 0 {
+		b.done <- struct{}{}
+		return nil
+	}
+	// Span size balances queue traffic against tail latency: a few spans
+	// per worker lets fast workers steal from slow ones.
+	span := (len(shots) + 4*s.workers - 1) / (4 * s.workers)
+	spans := (len(shots) + span - 1) / span
+	b.pending.Store(int64(spans))
+	pool := s.scratchFor(g)
 	for lo := 0; lo < len(shots); lo += span {
 		hi := lo + span
 		if hi > len(shots) {

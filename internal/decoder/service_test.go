@@ -211,6 +211,9 @@ func TestServiceLifecycle(t *testing.T) {
 	if err := pool.ResubmitOn(g, b, shots); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ResubmitOn after Close: err = %v, want ErrClosed", err)
 	}
+	if err := pool.ResubmitOn(g, b, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("empty ResubmitOn after Close: err = %v, want ErrClosed", err)
+	}
 
 	// Concurrent closers racing each other must all return cleanly.
 	pool2 := NewPool(2)

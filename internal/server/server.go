@@ -165,6 +165,14 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	if cfg.Window <= 0 || cfg.Commit <= 0 {
 		cfg.Window, cfg.Commit = stream.DefaultWindow(cfg.Code.Distance())
 	}
+	// A drained server builds and interns nothing; the check is repeated
+	// at registration, under the same lock hold that adds the session.
+	srv.mu.Lock()
+	draining := srv.draining
+	srv.mu.Unlock()
+	if draining {
+		return nil, ErrDraining
+	}
 	ss, err := srv.sharedSession(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
 	if err != nil {
 		return nil, err

@@ -318,9 +318,14 @@ func TestServerDrainDeliversCommitted(t *testing.T) {
 		t.Fatal("drained frames differ from the standalone committed prefix")
 	}
 
-	// After shutdown the server accepts nothing new.
-	if _, err := srv.Open(cfg); !errors.Is(err, ErrDraining) {
+	// After shutdown the server accepts nothing new, and refuses a shape
+	// it never saw before building or interning its window.
+	interned := len(srv.wins)
+	if _, err := srv.Open(toricPhenomenological(l+1, lanes, 0.03, 0.03)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Open after Shutdown: %v", err)
+	}
+	if len(srv.wins) != interned {
+		t.Fatalf("Open after Shutdown interned a window: %d shapes, had %d", len(srv.wins), interned)
 	}
 	if err := s.Submit(layerX, layerZ); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Submit after Shutdown: %v", err)

@@ -129,6 +129,50 @@ func TestPushDisciplineMixingPanics(t *testing.T) {
 	mustPanic("erasure plane count mismatch", func() { d2.PushErased(layerX, layerZ, eraH[:1], lostX, lostZ) })
 }
 
+// TestThousandRoundErasedStreamSmoke is TestThousandRoundStreamSmoke
+// for an erasure-fed stream: 3,000 rounds of L=6 circuit-level
+// streaming with leakage, at a rate where erased lanes are the
+// exception and at one where they are the rule, must keep the footprint
+// flat — the per-lane erased-edge lists are sized with the window, not
+// grown by the densest window seen so far.
+func TestThousandRoundErasedStreamSmoke(t *testing.T) {
+	const (
+		l      = 6
+		lanes  = 64
+		rounds = 3000
+	)
+	for _, leak := range []float64{0.002, 0.01} {
+		P := noise.Uniform(0.003)
+		P.Leak = leak
+		w, c := DefaultWindow(l)
+		wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
+		s := mustCircuitSession(t, l, w, c, wh, wv, wd)
+		src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(981, 1))
+		d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
+		nc, nq := s.win.nc, s.win.nq
+		layerX, layerZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+		eraH := bits.NewVecs(nq, lanes)
+		lostX, lostZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+		warm := 0
+		for r := 0; r < rounds; r++ {
+			src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
+			d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
+			if r == 99 {
+				warm = d.FootprintBytes()
+			}
+		}
+		src.CloseLayers(layerX, layerZ)
+		d.Finish(layerX, layerZ)
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		if final := d.FootprintBytes(); final > warm+warm/10 {
+			t.Errorf("leak %g: footprint grew: %d bytes at 100 rounds, %d at %d", leak, warm, final, rounds)
+		}
+		s.Close()
+	}
+}
+
 // TestCircuitMemoryOptsDeterministicAndServiceInvariant: the correlated
 // + erasure-aware streaming Monte Carlo over a genuinely sliding stream
 // is a pure function of (samples, seed) regardless of the service

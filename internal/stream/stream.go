@@ -171,8 +171,16 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 		opts:    opts,
 		ordered: make([]bits.Vec, ordSize),
 	}
+	// Erased-edge lists exist only for side-information decoders; like the
+	// defect buffers below they are sized once, at one entry per eight
+	// window edges (a leak rate of 0.01 per gate erases about a tenth of a
+	// window), so a plain decoder carries none and an erasure-fed one does
+	// not ratchet.
+	eraCap := 0
 	if opts.ErasureAware || opts.Correlated {
-		d.emask = bits.NewVec(w.diagOff + w.W*w.nq)
+		edges := w.diagOff + w.W*w.nq
+		d.emask = bits.NewVec(edges)
+		eraCap = edges / 8
 	}
 	if opts.ErasureAware {
 		d.eraRing = bits.NewVecs(w.W*w.nq, lanes)
@@ -204,6 +212,9 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 		for lane := 0; lane < lanes; lane++ {
 			sec.defbuf[lane] = make([]int, 0, bufCap)
 			sec.corrbuf[lane] = make([]int32, 0, bufCap)
+			if eraCap > 0 {
+				sec.erabuf[lane] = make([]int, 0, eraCap)
+			}
 		}
 		sec.bat = decoder.NewBatch(lanes)
 		sec.graph = g

@@ -129,13 +129,13 @@ func TestPushDisciplineMixingPanics(t *testing.T) {
 	mustPanic("erasure plane count mismatch", func() { d2.PushErased(layerX, layerZ, eraH[:1], lostX, lostZ) })
 }
 
-// TestThousandRoundErasedStreamSmoke is TestThousandRoundStreamSmoke
-// for an erasure-fed stream: 3,000 rounds of L=6 circuit-level
-// streaming with leakage, at a rate where erased lanes are the
-// exception and at one where they are the rule, must keep the footprint
-// flat — the per-lane erased-edge lists are sized with the window, not
-// grown by the densest window seen so far.
-func TestThousandRoundErasedStreamSmoke(t *testing.T) {
+// TestErasedStreamFootprintFlat is TestThousandRoundStreamSmoke for an
+// erasure-fed stream: 3,000 rounds of L=6 circuit-level streaming with
+// leakage, at a rate where erased lanes are the exception and at one
+// where they are the rule, must keep the footprint flat — the per-lane
+// erased-edge lists are sized with the window, not grown by the densest
+// window seen so far.
+func TestErasedStreamFootprintFlat(t *testing.T) {
 	const (
 		l      = 6
 		lanes  = 64

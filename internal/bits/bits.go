@@ -303,12 +303,14 @@ func trailingZeros64(x uint64) int { return mbits.TrailingZeros64(x) }
 
 // TransposePlanes writes the bit-matrix transpose of src into dst:
 // dst[j].Get(i) == src[i].Get(j). src holds n vectors of m bits and dst
-// must hold m vectors of n bits. The work runs block-wise: each 64×64 bit
-// tile is gathered into registers, transposed by the classic
-// swap-by-halves network, and scattered — O(n·m/64) word operations
-// instead of O(n·m) bit probes. It is the pivot between check-major
-// syndrome planes (one vector per check, one bit per shot) and lane-major
-// syndromes (one vector per shot) that per-lane decoders consume.
+// must hold m vectors of at least n bits; bits from n up are cleared, so
+// one lane-major buffer serves every plane count up to its length. The
+// work runs block-wise: each 64×64 bit tile is gathered into registers,
+// transposed by the classic swap-by-halves network, and scattered —
+// O(n·m/64) word operations instead of O(n·m) bit probes. It is the
+// pivot between check-major syndrome planes (one vector per check, one
+// bit per shot) and lane-major syndromes (one vector per shot) that
+// per-lane decoders consume.
 func TransposePlanes(dst, src []Vec) {
 	if len(src) == 0 {
 		for _, d := range dst {
@@ -317,7 +319,7 @@ func TransposePlanes(dst, src []Vec) {
 		return
 	}
 	n, m := len(src), src[0].Len()
-	if len(dst) != m || (m > 0 && dst[0].Len() != n) {
+	if len(dst) != m || (m > 0 && dst[0].Len() < n) {
 		panic("bits: shape mismatch in TransposePlanes")
 	}
 	var tile [64]uint64
@@ -341,6 +343,11 @@ func TransposePlanes(dst, src []Vec) {
 			for c := 0; c < cols; c++ {
 				dst[bj*64+c].SetWord(bi, tile[c])
 			}
+		}
+	}
+	for _, d := range dst {
+		for i := (n + 63) / 64; i < d.Words(); i++ {
+			d.SetWord(i, 0)
 		}
 	}
 }

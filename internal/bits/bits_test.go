@@ -283,12 +283,19 @@ func TestTransposePlanes(t *testing.T) {
 				}
 			}
 		}
-		dst := NewVecs(m, n)
-		TransposePlanes(dst, src)
-		for i := 0; i < n; i++ {
+		// A destination longer than the plane count reads zero past it,
+		// whatever it held before.
+		for _, pad := range []int{0, 1, 100} {
+			dst := NewVecs(m, n+pad)
+			for j := range dst {
+				dst[j].SetAll()
+			}
+			TransposePlanes(dst, src)
 			for j := 0; j < m; j++ {
-				if dst[j].Get(i) != src[i].Get(j) {
-					t.Fatalf("shape %dx%d: dst[%d][%d] != src[%d][%d]", n, m, j, i, i, j)
+				for i := 0; i < n+pad; i++ {
+					if want := i < n && src[i].Get(j); dst[j].Get(i) != want {
+						t.Fatalf("shape %dx%d pad %d: dst[%d][%d] = %v", n, m, pad, j, i, !want)
+					}
 				}
 			}
 		}

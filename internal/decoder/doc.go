@@ -63,25 +63,19 @@
 // program, with no cap on the defect count. It is the accuracy baseline
 // the union-find decoder is measured against.
 //
-// MinWeightPairsPruned is the sparse-blossom variant: only the locally
-// short edges (weight ≤ cutoff) are staged, and after each solve
-// excluded pairs are priced against the engine's dual variables —
-// blossom duals are nonnegative, so the vertex-dual test is a
-// conservative certificate. Violated edges are staged back in and the
-// solve repeats; a cutoff too tight to admit a perfect matching
-// doubles. The returned matching's total weight therefore equals the
-// dense optimum exactly (property-tested), while the engine typically
-// runs on ~O(n) edges.
-//
-// MinWeightPairsIndexed is the same engine behind a caller-supplied
-// neighbor enumerator, and DefectGrid is the standard enumerator: a
-// bucket index over defect coordinates (torus x, y plus an unwrapped
-// time axis) that visits only the cells a query radius can reach. With
-// it, staging enumerates ~O(n·k) candidate pairs instead of n², and
-// the pricing sweep contracts the same way — a pair excluded by the
-// cutoff can only be violated within a radius computed from the dual
-// variables, so each vertex prices only the candidates inside that
-// radius. The optimality certificate is unchanged.
+// MinWeightPairsIndexed is the sparse-blossom variant: only the locally
+// short edges (weight ≤ cutoff, found by a caller-supplied neighbor
+// enumerator) are staged, excluded pairs are priced against the
+// engine's dual variables after each solve, and violated edges are
+// staged back in, so the returned matching's total weight equals the
+// dense optimum exactly (property-tested). DefectGrid is the standard
+// enumerator: a bucket index over defect coordinates (torus x, y plus
+// an unwrapped time axis) that visits only the cells a query radius can
+// reach. With it, staging enumerates ~O(n·k) candidate pairs instead of
+// n², and the pricing sweep contracts the same way — a pair excluded by
+// the cutoff can only be violated within a radius computed from the
+// dual variables, so each vertex prices only the candidates inside that
+// radius.
 //
 // # Scratch layout
 //

@@ -1,19 +1,24 @@
 package decoder
 
+import "sync"
+
 // Graph is a decoding graph in compressed adjacency form: detectors
 // (checks) are nodes, physical qubits are edges between the two checks
 // they can flip. Every edge carries a positive integer weight (a scaled
 // log-likelihood ratio; 1 everywhere for uniform noise). It is immutable
 // after construction and safely shared by any number of concurrent
-// decoder instances.
+// decoder instances. It owns the pool of UnionFind scratch the decode
+// pools draw on (Service.ResubmitOn), so the scratch is shared by every
+// pool decoding on the graph and dies with it.
 type Graph struct {
 	nodes  int
 	endU   []int32 // edge e runs endU[e] — endV[e]
 	endV   []int32
 	weight []int32 // per-edge growth weight, >= 1
-	maxW   int32
 	off    []int32 // CSR offsets into adjE, len nodes+1
 	adjE   []int32 // incident edge ids, grouped by node
+
+	scratch sync.Pool // of *UnionFind over this graph
 
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
@@ -44,9 +49,9 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		endU:   make([]int32, len(ends)),
 		endV:   make([]int32, len(ends)),
 		weight: make([]int32, len(ends)),
-		maxW:   1,
 		off:    make([]int32, nodes+1),
 	}
+	g.scratch.New = func() any { return NewUnionFind(g) }
 	for e, uv := range ends {
 		if uv[0] < 0 || uv[1] < 0 || int(uv[0]) >= nodes || int(uv[1]) >= nodes || uv[0] == uv[1] {
 			panic("decoder: bad edge endpoints")
@@ -57,9 +62,6 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		}
 		if w < 1 {
 			panic("decoder: edge weight must be positive")
-		}
-		if w > g.maxW {
-			g.maxW = w
 		}
 		g.endU[e], g.endV[e] = uv[0], uv[1]
 		g.weight[e] = w
@@ -131,6 +133,3 @@ func (g *Graph) Ends(e int) (int, int) { return int(g.endU[e]), int(g.endV[e]) }
 
 // Weight returns the growth weight of edge e.
 func (g *Graph) Weight(e int) int { return int(g.weight[e]) }
-
-// MaxWeight returns the largest edge weight in the graph.
-func (g *Graph) MaxWeight() int { return int(g.maxW) }

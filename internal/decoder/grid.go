@@ -117,18 +117,28 @@ func (g *DefectGrid) spatialRange(c, r int) (lo, n int) {
 	return lo, n
 }
 
-// MinWeightPairsIndexed is MinWeightPairsPruned with a caller-supplied
-// neighbor enumerator, the hook for grid-bucketed staging: near(i, r,
-// visit) must call visit(j) at least once for every j ≠ i with
-// weight(i, j) ≤ r (supersets are fine — every candidate is re-checked
-// against the true weight — but near must be a pure function of i and
-// r, and must not visit any j more than once per call). Staging then
-// enumerates ~O(n·k) candidate pairs instead of n², and the pricing
-// sweep shrinks the same way: a pair excluded by the cutoff can only
-// have negative reduced cost within a radius computed from the dual
-// variables, so each vertex prices only the candidates inside that
-// radius. The optimality certificate is unchanged — the result's total
-// weight equals MinWeightPairs' exactly.
+// MinWeightPairsIndexed returns a matching with the same total weight as
+// MinWeightPairs while feeding the blossom engine only the locally short
+// edges — those of weight at most cutoff — so the engine runs on ~O(n)
+// edges instead of the complete O(n²) graph. Optimality against the full
+// graph is certified, not assumed: after each solve, excluded pairs are
+// priced against the engine's dual variables (blossom duals are
+// nonnegative, so the vertex-dual check is conservative), violated edges
+// are staged back in, and the solve repeats; if the pruned graph admits
+// no perfect matching the cutoff doubles. For defect sets whose matched
+// pairs are all locally close — the generic case below threshold — no
+// repair round ever runs.
+//
+// Candidates come from the caller's neighbor enumerator, the hook for
+// grid-bucketed staging: near(i, r, visit) must call visit(j) at least
+// once for every j ≠ i with weight(i, j) ≤ r (supersets are fine —
+// every candidate is re-checked against the true weight — but near must
+// be a pure function of i and r, and must not visit any j more than
+// once per call). Staging then enumerates ~O(n·k) candidate pairs
+// instead of n², and the pricing sweep shrinks the same way: a pair
+// excluded by the cutoff can only have negative reduced cost within a
+// radius computed from the dual variables, so each vertex prices only
+// the candidates inside that radius.
 func (m *Matcher) MinWeightPairsIndexed(n int, weight func(i, j int) int64, cutoff int64, near func(i int, r int64, visit func(j int))) [][2]int32 {
 	if n%2 != 0 {
 		panic("decoder: odd vertex count in MinWeightPairsIndexed")

@@ -256,7 +256,7 @@ func BenchmarkSparsePairStaging(b *testing.B) {
 	b.Run("solve-dense", func(b *testing.B) {
 		var m Matcher
 		for i := 0; i < b.N; i++ {
-			m.MinWeightPairsPruned(n, weight, cutoff)
+			m.MinWeightPairsIndexed(n, weight, cutoff, allPairs(n))
 		}
 	})
 	b.Run("solve-grid", func(b *testing.B) {

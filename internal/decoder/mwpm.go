@@ -87,35 +87,9 @@ func (m *Matcher) MinWeightPairs(n int, weight func(i, j int) int64) [][2]int32 
 }
 
 // SparseMatchMin is the defect count above which callers should prefer
-// MinWeightPairsPruned: below it the complete graph is already tiny and
+// MinWeightPairsIndexed: below it the complete graph is already tiny and
 // pruning only adds the pricing sweep.
 const SparseMatchMin = 24
-
-// MinWeightPairsPruned returns a matching with the same total weight as
-// MinWeightPairs while feeding the blossom engine only the locally short
-// edges — those of weight at most cutoff — so the engine runs on ~O(n)
-// edges instead of the complete O(n²) graph. Optimality against the full
-// graph is certified, not assumed: after each solve, excluded pairs are
-// priced against the engine's dual variables (blossom duals are
-// nonnegative, so the vertex-dual check is conservative), violated edges
-// are staged back in, and the solve repeats; if the pruned graph admits
-// no perfect matching the cutoff doubles. For defect sets whose matched
-// pairs are all locally close — the generic case below threshold — no
-// repair round ever runs.
-//
-// Candidate enumeration here scans all pairs (no geometry is assumed);
-// callers whose defects carry coordinates should pass a DefectGrid
-// enumerator to MinWeightPairsIndexed instead, which makes staging and
-// pricing ~O(n·k).
-func (m *Matcher) MinWeightPairsPruned(n int, weight func(i, j int) int64, cutoff int64) [][2]int32 {
-	return m.MinWeightPairsIndexed(n, weight, cutoff, func(i int, _ int64, visit func(j int)) {
-		for j := 0; j < n; j++ {
-			if j != i {
-				visit(j)
-			}
-		}
-	})
-}
 
 // blossomState holds the primal-dual working arrays of one matching run.
 type blossomState struct {

@@ -32,8 +32,8 @@ type Shot struct {
 // control-system consumer calls at scale: batched shot submissions in,
 // corrections out. Every submission names its graph (ResubmitOn), so
 // one worker fleet serves many concurrent sessions with different
-// window shapes. Workers hold per-graph UnionFind scratch across
-// submissions (epoch-stamped arrays make reuse free), and batches are
+// window shapes. Workers draw UnionFind scratch from the graph they are
+// decoding on (epoch-stamped arrays make reuse free), and batches are
 // reusable, so a sustained stream of windows allocates nothing. Results
 // are written into per-shot slots in submission order, which makes
 // every batch's output bit-identical for any worker count, scheduling,
@@ -47,19 +47,18 @@ type Service struct {
 	wg      sync.WaitGroup
 	mu      sync.RWMutex // guards closed vs. in-flight sends on tasks
 	closed  bool
-	scratch sync.Map // *Graph → *sync.Pool of *UnionFind, one per served graph
 }
 
 // serviceSpan is one worker-sized slice of a submitted batch.
 type serviceSpan struct {
 	b      *Batch
-	pool   *sync.Pool
 	lo, hi int
 }
 
 // Batch is a reusable submission. Wait blocks until every shot is
 // decoded and returns the corrections.
 type Batch struct {
+	g       *Graph // graph of the submission in flight
 	shots   []Shot
 	out     [][]int32
 	pending atomic.Int64
@@ -76,8 +75,8 @@ func NewBatch(n int) *Batch {
 }
 
 // NewPool starts a decode pool of the given worker count (workers <= 0
-// means GOMAXPROCS): submissions name their graph, and the pool keeps
-// one scratch set per graph. This is the fleet shape of a multi-tenant
+// means GOMAXPROCS): submissions name their graph, whose scratch the
+// workers borrow. This is the fleet shape of a multi-tenant
 // decode server — one worker budget shared across every session's
 // window graphs. Close releases the workers; a pool is meant to outlive
 // many submissions.
@@ -107,7 +106,7 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 	if g == nil {
 		return errNoGraph
 	}
-	b.shots = shots
+	b.g, b.shots = g, shots
 	if cap(b.out) < len(shots) {
 		b.out = make([][]int32, len(shots))
 	} else {
@@ -130,27 +129,14 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 	span := (len(shots) + 4*s.workers - 1) / (4 * s.workers)
 	spans := (len(shots) + span - 1) / span
 	b.pending.Store(int64(spans))
-	pool := s.scratchFor(g)
 	for lo := 0; lo < len(shots); lo += span {
 		hi := lo + span
 		if hi > len(shots) {
 			hi = len(shots)
 		}
-		s.tasks <- serviceSpan{b: b, pool: pool, lo: lo, hi: hi}
+		s.tasks <- serviceSpan{b: b, lo: lo, hi: hi}
 	}
 	return nil
-}
-
-// scratchFor returns the per-graph UnionFind pool, creating it on first
-// use. Sharing one pool per graph (rather than one instance per worker)
-// keeps the grown-region arrays warm even when the scheduler migrates
-// work between workers.
-func (s *Service) scratchFor(g *Graph) *sync.Pool {
-	if p, ok := s.scratch.Load(g); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := s.scratch.LoadOrStore(g, &sync.Pool{New: func() any { return NewUnionFind(g) }})
-	return p.(*sync.Pool)
 }
 
 // Wait blocks until the batch is fully decoded and returns the
@@ -176,16 +162,20 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// worker drains span tasks with the task's per-graph pooled UnionFind.
+// worker drains span tasks with scratch borrowed from the batch's graph.
+// Sharing one pool per graph (rather than one instance per worker) keeps
+// the grown-region arrays warm even when the scheduler migrates work
+// between workers.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for t := range s.tasks {
-		uf := t.pool.Get().(*UnionFind)
+		scratch := &t.b.g.scratch
+		uf := scratch.Get().(*UnionFind)
 		for i := t.lo; i < t.hi; i++ {
 			shot := &t.b.shots[i]
 			t.b.out[i] = uf.AppendCorrection(shot.CorrBuf[:0], shot.Defects, shot.Erased)
 		}
-		t.pool.Put(uf)
+		scratch.Put(uf)
 		if t.b.pending.Add(-1) == 0 {
 			t.b.done <- struct{}{}
 		}

@@ -197,6 +197,18 @@ func TestDecodeErasedMixed(t *testing.T) {
 	}
 }
 
+// allPairs is the geometry-free enumerator of MinWeightPairsIndexed:
+// every other vertex is a candidate.
+func allPairs(n int) func(i int, _ int64, visit func(j int)) {
+	return func(i int, _ int64, visit func(j int)) {
+		for j := 0; j < n; j++ {
+			if j != i {
+				visit(j)
+			}
+		}
+	}
+}
+
 // TestPrunedMatchesDenseWeight is the sparse-blossom optimality property:
 // on random metric and non-metric instances, at friendly and adversarial
 // cutoffs, the pruned matching's total weight must equal the dense
@@ -241,7 +253,7 @@ func TestPrunedMatchesDenseWeight(t *testing.T) {
 		weight := func(i, j int) int64 { return dist(pos[i], pos[j]) }
 		want := pairsWeight(dense.MinWeightPairs(n, weight), weight)
 		for _, cutoff := range []int64{1, 3, 6, int64(l)} {
-			got := pairsWeight(pruned.MinWeightPairsPruned(n, weight, cutoff), weight)
+			got := pairsWeight(pruned.MinWeightPairsIndexed(n, weight, cutoff, allPairs(n)), weight)
 			if got != want {
 				t.Fatalf("trial %d n=%d cutoff=%d: pruned weight %d, dense %d",
 					trial, n, cutoff, got, want)
@@ -261,7 +273,7 @@ func TestPrunedMatchesDenseWeight(t *testing.T) {
 		}
 		weight := func(i, j int) int64 { return w[i*n+j] }
 		want := pairsWeight(dense.MinWeightPairs(n, weight), weight)
-		got := pairsWeight(pruned.MinWeightPairsPruned(n, weight, 10), weight)
+		got := pairsWeight(pruned.MinWeightPairsIndexed(n, weight, 10, allPairs(n)), weight)
 		if got != want {
 			t.Fatalf("non-metric trial %d n=%d: pruned weight %d, dense %d", trial, n, got, want)
 		}
@@ -284,9 +296,9 @@ func TestPrunedDeterministic(t *testing.T) {
 	}
 	weight := func(i, j int) int64 { return w[i*n+j] }
 	var m1, m2 Matcher
-	a := append([][2]int32(nil), m1.MinWeightPairsPruned(n, weight, 3)...)
+	a := append([][2]int32(nil), m1.MinWeightPairsIndexed(n, weight, 3, allPairs(n))...)
 	for trial := 0; trial < 8; trial++ {
-		b := m2.MinWeightPairsPruned(n, weight, 3)
+		b := m2.MinWeightPairsIndexed(n, weight, 3, allPairs(n))
 		if len(a) != len(b) {
 			t.Fatal("pair count changed between runs")
 		}

@@ -87,19 +87,10 @@ func WeightsCircuit(P noise.Params, l, rounds int) (wh, wv, wd int) {
 	return wh / g, wv / g, wd / g
 }
 
-// CachedCodeCircuitVolumeFor returns the memoized diagonal-edge volume
-// of a surface.Code with weights derived from the noise model via
-// WeightsCircuit (the leading-order fault counting is schedule-shape-
-// independent, so one weight triple serves every family).
-func CachedCodeCircuitVolumeFor(code surface.Code, rounds int, P noise.Params) *Volume {
-	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
-	return cachedVolume(code, rounds, wh, wv, wd)
-}
-
 // metric returns the circuit-metric tables of the two sectors, built on
 // first use: only the exact matcher reads them, so union-find volumes —
-// including every residual-height closing volume a circuit stream
-// caches — never run the Dijkstra builds or hold the tables.
+// including every closing volume a streaming window builds — never run
+// the Dijkstra builds or hold the tables.
 func (v *Volume) metric() (distX, distZ []int64) {
 	v.distOnce.Do(func() {
 		v.distX = circuitMetric(v.L, v.T, v.WH, v.WV, v.WD, v.diagX)
@@ -208,7 +199,8 @@ func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, kind toric
 	if err := validateMemory(code, rounds, kind); err != nil {
 		return Result{}, err
 	}
-	v := CachedCodeCircuitVolumeFor(code, rounds, P)
+	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
+	v := NewCodeCircuitVolume(code, rounds, wh, wv, wd)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemoryFrom(surface.NewCircuitSource(code, P, lanes, smp), kind)
 	})

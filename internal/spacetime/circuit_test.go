@@ -25,6 +25,12 @@ func TestCircuitVolumeShape(t *testing.T) {
 	if got, want := v.Graph().Edges(), rounds*(2*nq+nc); got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
 	}
+	// projected is the set of data qubits one correction edge flips.
+	projected := func(id int) []int {
+		corr := bits.NewVec(nq)
+		v.project([]int32{int32(id)}, corr)
+		return corr.Support()
+	}
 	sch := toric.Cached(l).ExtractionSchedule()
 	for _, sector := range []struct {
 		g    *decoder.Graph
@@ -41,20 +47,20 @@ func TestCircuitVolumeShape(t *testing.T) {
 					t.Fatalf("diagonal %d joins %d,%d; want late %d@%d → early %d@%d",
 						id, a, b, sector.diag[e][0], tl, sector.diag[e][1], tl+1)
 				}
-				if q, ok := v.ProjectEdge(id); !ok || q != e {
-					t.Fatalf("diagonal %d projects to (%d,%v), want (%d,true)", id, q, ok, e)
+				if q := projected(id); len(q) != 1 || q[0] != e {
+					t.Fatalf("diagonal %d projects to %v, want [%d]", id, q, e)
 				}
 			}
 		}
 	}
 	for e := 0; e < v.horiz; e++ {
-		if q, ok := v.ProjectEdge(e); !ok || q != e%nq {
-			t.Fatalf("horizontal %d projects to (%d,%v)", e, q, ok)
+		if q := projected(e); len(q) != 1 || q[0] != e%nq {
+			t.Fatalf("horizontal %d projects to %v", e, q)
 		}
 	}
 	for e := v.horiz; e < v.diagOff; e++ {
-		if _, ok := v.ProjectEdge(e); ok {
-			t.Fatalf("vertical %d must project away", e)
+		if q := projected(e); len(q) != 0 {
+			t.Fatalf("vertical %d must project away, flips %v", e, q)
 		}
 	}
 }
@@ -194,7 +200,7 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 		samples   = 6000
 	)
 	p := 2.0 / 3.0 * storage
-	v := CachedCodeVolume(toric.Cached(l), rounds, p, q)
+	v := phenomVolume(toric.Cached(l), rounds, p, q)
 	P := noise.Params{Storage: storage, Meas: q}
 	fx, fz, _ := frame.CountSectorFailures(samples, 33, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), toric.DecoderUnionFind)

@@ -69,13 +69,10 @@ type ErasedLayerFeed interface {
 
 // MarkCounterpartEdges marks, in a dual-sector edge mask, the edge
 // whose fault probability is conditioned on a committed primal
-// correction edge e — the repricing pass of correlated decoding. The
-// geometry parameters are the caller's edge-id layout (a Volume's or a
-// streaming Window's): horizontal ids [0, horiz), vertical ids
-// [horiz, diagOff), diagonal ids diagOff+. Both sectors share that
-// layout, so a horizontal (q, t) maps to the dual horizontal of the
-// same id and a diagonal maps to the dual horizontal at its own
-// (q, t).
+// correction edge e — the repricing pass of correlated decoding. Both
+// sectors share the volume's edge-id layout, so a horizontal (q, t)
+// maps to the dual horizontal of the same id and a diagonal maps to the
+// dual horizontal at its own (q, t).
 //
 // The marking is deliberately minimal: a primal data-qubit correction
 // (horizontal or diagonal) reprices only the dual horizontal on the
@@ -91,14 +88,14 @@ type ErasedLayerFeed interface {
 // Marking is idempotent (a bit mask), so overlapping counterparts
 // collapse; the caller extracts the canonical ascending erased list
 // with AppendSupport.
-func MarkCounterpartEdges(e, horiz, diagOff int, mask bits.Vec) {
+func (v *Volume) MarkCounterpartEdges(e int, mask bits.Vec) {
 	switch {
-	case e < horiz:
+	case e < v.horiz:
 		mask.Set(e, true)
-	case e < diagOff:
+	case e < v.diagOff:
 		// measurement-chain correction: no dual counterpart marked
 	default:
-		mask.Set(e-diagOff, true)
+		mask.Set(e-v.diagOff, true)
 	}
 }
 
@@ -158,8 +155,8 @@ func (v *Volume) decodeCircuitLanes(opts DecodeOptions, synX, synZ, era, lostX, 
 	frame.ForEachLaneSpan(len(synX), func(lo, hi int) {
 		scr := v.scratch.Get().(*volScratch)
 		for lane := lo; lane < hi; lane++ {
-			// Primal (plaquette) sector: collect the raw correction edges
-			// when the dual pass needs them.
+			// Primal (plaquette) sector; its raw correction edges stay in
+			// scr.edges for the dual pass.
 			scr.edges = scr.edges[:0]
 			scr.defects = synX[lane].AppendSupport(scr.defects[:0])
 			l1 := pX1.Get(lane)
@@ -170,14 +167,8 @@ func (v *Volume) decodeCircuitLanes(opts DecodeOptions, synX, synZ, era, lostX, 
 					scr.erased = v.appendErased(scr.erased, era[lane], lostX[lane], scr.emask)
 				}
 				scr.corr.Clear()
-				scr.ufX.DecodeErased(scr.defects, scr.erased, func(e int) {
-					if opts.Correlated {
-						scr.edges = append(scr.edges, int32(e))
-					}
-					if q, ok := v.ProjectEdge(e); ok {
-						scr.corr.Flip(q)
-					}
-				})
+				scr.edges = scr.ufX.AppendCorrection(scr.edges, scr.defects, scr.erased)
+				v.project(scr.edges, scr.corr)
 				c1, c2 := v.code.LogicalParity(false, scr.corr)
 				l1 = l1 != c1
 				l2 = l2 != c2
@@ -192,18 +183,17 @@ func (v *Volume) decodeCircuitLanes(opts DecodeOptions, synX, synZ, era, lostX, 
 			if len(scr.defects) > 0 {
 				scr.emask.Clear()
 				if era != nil {
-					SetErasedMask(scr.emask, era[lane], lostZ[lane], v.horiz, v.diagOff, v.WD)
+					v.SetErasedMask(scr.emask, era[lane], lostZ[lane])
 				}
-				for _, e := range scr.edges {
-					MarkCounterpartEdges(int(e), v.horiz, v.diagOff, scr.emask)
+				if opts.Correlated {
+					for _, e := range scr.edges {
+						v.MarkCounterpartEdges(int(e), scr.emask)
+					}
 				}
 				scr.erased = scr.emask.AppendSupport(scr.erased[:0])
 				scr.corr.Clear()
-				scr.ufZ.DecodeErased(scr.defects, scr.erased, func(e int) {
-					if q, ok := v.ProjectEdge(e); ok {
-						scr.corr.Flip(q)
-					}
-				})
+				scr.edges = scr.ufZ.AppendCorrection(scr.edges[:0], scr.defects, scr.erased)
+				v.project(scr.edges, scr.corr)
 				c1, c2 := v.code.LogicalParity(true, scr.corr)
 				l1 = l1 != c1
 				l2 = l2 != c2
@@ -217,26 +207,24 @@ func (v *Volume) decodeCircuitLanes(opts DecodeOptions, synX, synZ, era, lostX, 
 }
 
 // SetErasedMask sets a sector's erasure bits in an edge-id mask: the
-// lane's erased horizontals, their mirrored diagonals (a leaked data
-// qubit's fault may straddle the two reads), and the sector's lost
-// verticals. Like MarkCounterpartEdges it is geometry-parameterized so
-// a Volume and a streaming window share one implementation; the caller
+// lane's erased horizontals (era, one bit per (qubit, layer) in layer
+// order), their mirrored diagonals (a leaked data qubit's fault may
+// straddle the two reads), and the sector's lost verticals. The caller
 // clears the mask first.
-func SetErasedMask(mask, era, lost bits.Vec, horiz, diagOff, wd int) {
+func (v *Volume) SetErasedMask(mask, era, lost bits.Vec) {
 	for i := 0; i < era.Words(); i++ {
 		mask.XorWord(i, era.Word(i)) // mask is clear here: XOR = OR
 	}
-	for i := 0; i < era.Words(); i++ {
-		for b := era.Word(i); b != 0; b &= b - 1 {
-			h := i*64 + trailingZeros64(b)
-			if wd > 0 {
-				mask.Set(diagOff+h, true)
+	if v.WD > 0 {
+		for i := 0; i < era.Words(); i++ {
+			for b := era.Word(i); b != 0; b &= b - 1 {
+				mask.Set(v.diagOff+i*64+trailingZeros64(b), true)
 			}
 		}
 	}
 	for i := 0; i < lost.Words(); i++ {
 		for b := lost.Word(i); b != 0; b &= b - 1 {
-			mask.Set(horiz+i*64+trailingZeros64(b), true)
+			mask.Set(v.horiz+i*64+trailingZeros64(b), true)
 		}
 	}
 }
@@ -246,7 +234,7 @@ func SetErasedMask(mask, era, lost bits.Vec, horiz, diagOff, wd int) {
 // diagonals — using the scratch mask for the id arithmetic.
 func (v *Volume) appendErased(dst []int, era, lost bits.Vec, mask bits.Vec) []int {
 	mask.Clear()
-	SetErasedMask(mask, era, lost, v.horiz, v.diagOff, v.WD)
+	v.SetErasedMask(mask, era, lost)
 	return mask.AppendSupport(dst)
 }
 
@@ -268,7 +256,8 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, sample
 	if err := validateMemory(code, rounds, toric.DecoderUnionFind); err != nil {
 		return Result{}, err
 	}
-	v := CachedCodeCircuitVolumeFor(code, rounds, P)
+	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
+	v := NewCodeCircuitVolume(code, rounds, wh, wv, wd)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), opts)
 	})

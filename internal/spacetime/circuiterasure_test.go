@@ -170,7 +170,8 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 // one — same draws, same decodes, same failures.
 func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
-	v := CachedCodeCircuitVolumeFor(toric.Cached(4), 4, P)
+	wh, wv, wd := WeightsCircuit(P, 4, 4)
+	v := NewCodeCircuitVolume(toric.Cached(4), 4, wh, wv, wd)
 	lanes := 192
 	fx1, fz1 := v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
 	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)

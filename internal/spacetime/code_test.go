@@ -36,7 +36,7 @@ func TestCodeMemoryEntryPoints(t *testing.T) {
 // TestVolumeFeedGuards pins the cross-wiring panics: a code volume
 // rejects feeds of another family, schedule or distance.
 func TestVolumeFeedGuards(t *testing.T) {
-	planarVol := CachedCodeVolume(surface.Planar(3), 3, 0.01, 0.01)
+	planarVol := phenomVolume(surface.Planar(3), 3, 0.01, 0.01)
 	expectPanic := func(what string, f func()) {
 		t.Helper()
 		defer func() {
@@ -56,7 +56,7 @@ func TestVolumeFeedGuards(t *testing.T) {
 	})
 	expectPanic("schedule mismatch", func() {
 		src := surface.NewCircuitSource(toric.HookParallel(3), noise.Uniform(0.01), 8, frame.NewAggregateSampler(1, 0))
-		CachedCodeCircuitVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
+		NewCodeCircuitVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
 	})
 	expectPanic("distance mismatch", func() {
 		src := surface.NewLayerSource(surface.Planar(4), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))

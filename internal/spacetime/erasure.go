@@ -101,11 +101,8 @@ func (v *Volume) decodeErasedLanes(syn, era, lost []bits.Vec, p1, p2, fails bits
 					}
 				}
 				scr.corr.Clear()
-				uf.DecodeErased(scr.defects, scr.erased, func(e int) {
-					if q, ok := v.ProjectEdge(e); ok {
-						scr.corr.Flip(q)
-					}
-				})
+				scr.edges = uf.AppendCorrection(scr.edges[:0], scr.defects, scr.erased)
+				v.project(scr.edges, scr.corr)
 				c1, c2 := v.code.LogicalParity(dual, scr.corr)
 				l1 = l1 != c1
 				l2 = l2 != c2
@@ -134,7 +131,8 @@ func ErasedMemoryBlind(l, rounds int, p, q, pe, qe float64, samples int, seed ui
 }
 
 func erasedMemory(l, rounds int, p, q, pe, qe float64, samples int, seed uint64, aware bool) Result {
-	v := CachedCodeVolume(toric.Cached(l), rounds, p, q)
+	wh, wv := Weights(p, q, l, rounds)
+	v := NewCodeVolume(toric.Cached(l), rounds, wh, wv)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemoryErased(p, q, pe, qe, lanes, smp, aware)
 	})

@@ -85,7 +85,7 @@ func TestErasedDecodeClearsProjectedSyndrome(t *testing.T) {
 		{4, 4, 0.02, 0.04, 0.15, 0.05},
 		{5, 3, 0.0, 0.0, 0.2, 0.2},
 	} {
-		v := CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p+1e-3, cfg.q+1e-3)
+		v := phenomVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p+1e-3, cfg.q+1e-3)
 		for trial := 0; trial < 50; trial++ {
 			for _, dual := range []bool{false, true} {
 				cum, defects, erased := scalarErasedShot(v, rng, cfg.p, cfg.q, cfg.pe, cfg.qe, dual)

@@ -2,6 +2,7 @@ package spacetime
 
 import (
 	"ftqc/internal/noise"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -27,4 +28,11 @@ func toricCircuitMemory(l, rounds int, P noise.Params, kind toric.DecoderKind, s
 
 func toricCircuitMemoryOpts(l, rounds int, P noise.Params, samples int, seed uint64, opts DecodeOptions) (Result, error) {
 	return CodeCircuitMemoryOpts(toric.Cached(l), rounds, P, samples, seed, opts)
+}
+
+// phenomVolume is the volume CodeMemory decodes over: weights derived
+// from the physical rates.
+func phenomVolume(code surface.Code, rounds int, p, q float64) *Volume {
+	wh, wv := Weights(p, q, code.Distance(), rounds)
+	return NewCodeVolume(code, rounds, wh, wv)
 }

@@ -21,9 +21,15 @@ import (
 // late reader at layer t to its early reader at layer t+1 — the
 // correlated defect pair a mid-round CNOT fault produces. Open codes
 // append one virtual boundary node that grounds both the boundary
-// qubits of every layer and the boundary-truncated diagonals. It is
-// immutable after construction and shared across workers; per-worker
-// decoder state lives in the scratch pool.
+// qubits of every layer and the boundary-truncated diagonals. A window
+// volume (NewCodeWindowVolume) is the same stack with no closing round:
+// its top layer is the virtual future boundary, folded onto that one
+// node. It is immutable after construction and shared across workers;
+// per-worker decoder state lives in the scratch pool.
+//
+// The edge-id layout is stated here and nowhere else: buildGraph assigns
+// the ids, CommitEdges reads a correction back, SetErasedMask and
+// MarkCounterpartEdges name erased edges.
 type Volume struct {
 	L, T       int // L = code distance
 	WH, WV, WD int // WD = 0: no diagonal edges (phenomenological volume)
@@ -32,8 +38,8 @@ type Volume struct {
 	lat     *toric.Lattice // non-nil only for the torus (exact-matcher fast paths)
 	nq      int            // data qubits per layer
 	nc      int            // checks per layer per sector
-	det     int            // detector nodes per sector, (T+1)·nc
-	nodes   int            // det, plus one boundary node for open codes
+	det     int            // detector nodes per sector: (T+1)·nc, T·nc in a window volume
+	nodes   int            // det, plus one boundary node for open codes and window volumes
 	horiz   int            // horizontal edge count, T·nq (ids below this project to data qubits)
 	diagOff int            // first diagonal edge id, horiz + T·nc (ids at or above project to data qubits)
 	// Per-sector {late, early} reader checks of each data edge (nil when
@@ -58,7 +64,7 @@ type volScratch struct {
 	erased   []int
 	corr     bits.Vec
 	emask    bits.Vec // edge-id mask: erased-list construction, correlated repricing
-	edges    []int32  // raw primal correction edges of the lane in flight
+	edges    []int32  // raw correction edges of the lane in flight
 }
 
 // NewCodeVolume builds the space-time volume of a surface.Code for
@@ -66,7 +72,7 @@ type volScratch struct {
 // (see Weights). Both sector graphs are built; node (c, t) has index
 // t·Checks()+c.
 func NewCodeVolume(code surface.Code, rounds, wh, wv int) *Volume {
-	return newVolume(code, rounds, wh, wv, 0)
+	return newVolume(code, rounds, wh, wv, 0, false)
 }
 
 // NewCodeCircuitVolume builds the circuit-level volume: NewCodeVolume
@@ -78,10 +84,22 @@ func NewCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 	if wd < 1 {
 		panic("spacetime: circuit volume needs a positive diagonal weight")
 	}
-	return newVolume(code, rounds, wh, wv, wd)
+	return newVolume(code, rounds, wh, wv, wd, false)
 }
 
-func newVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
+// NewCodeWindowVolume builds the open-window form of the volume over
+// `layers` buffered rounds (wd = 0: no diagonals): no closing round
+// exists yet, so the layer above the newest one is the virtual future
+// boundary — every vertical and diagonal edge leaving layer layers−1
+// grounds on the boundary node, the stand-in for the first edge outside
+// the window, and closed codes get that node too. It is a decode
+// structure (graphs and edge-id layout) for the sliding window of
+// internal/stream; it has no closing layer to drain a feed into.
+func NewCodeWindowVolume(code surface.Code, layers, wh, wv, wd int) *Volume {
+	return newVolume(code, layers, wh, wv, wd, true)
+}
+
+func newVolume(code surface.Code, rounds, wh, wv, wd int, window bool) *Volume {
 	if rounds < 1 {
 		panic("spacetime: need at least one measurement round")
 	}
@@ -98,8 +116,11 @@ func newVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 		horiz:   rounds * nq,
 		diagOff: rounds * (nq + nc),
 	}
+	if window {
+		v.det = rounds * nc
+	}
 	v.nodes = v.det
-	if code.Open() {
+	if window || code.Open() {
 		v.nodes++
 	}
 	if lat, ok := code.(*toric.Lattice); ok {
@@ -111,100 +132,138 @@ func newVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 	}
 	v.graphX = v.buildGraph(code.SectorGraph(false), v.diagX)
 	v.graphZ = v.buildGraph(code.SectorGraph(true), v.diagZ)
-	nedges := v.horiz + rounds*nc
-	if wd > 0 {
-		nedges += rounds * nq
-	}
-	gx, gz, nqq := v.graphX, v.graphZ, v.nq
+	gx, gz := v.graphX, v.graphZ
 	v.scratch = &sync.Pool{New: func() any {
 		return &volScratch{
 			ufX:   decoder.NewUnionFind(gx),
 			ufZ:   decoder.NewUnionFind(gz),
-			corr:  bits.NewVec(nqq),
-			emask: bits.NewVec(nedges),
+			corr:  bits.NewVec(nq),
+			emask: bits.NewVec(gx.Edges()),
 		}
 	}}
 	return v
 }
 
 // buildGraph extrudes a 2D sector graph into the weighted space-time
-// volume. Edge ids: horizontal edge (e, t) = t·nq + e for layers
-// t = 0…T−1 (a data error entering at round t+1), then vertical edge
-// (c, t) = T·nq + t·nc + c joining layers t and t+1 of check c (a
-// measurement error at round t+1), then — circuit volumes only —
-// diagonal edge (e, t) = T·(nq+nc) + t·nq + e joining data edge e's
-// late reader at layer t to its early reader at layer t+1 (a data error
-// created between the two reads of round t+1). Open codes map the 2D
-// boundary endpoint of every layer onto the single space-time boundary
-// node; a boundary-truncated diagonal (the qubit has one reader in the
-// sector, so the mid-round fault defects only (c, t+1)) grounds there
-// too.
+// volume. Node (c, t) has index t·nc + c, layer 0 the oldest; the single
+// boundary node, when there is one, is the last. Edge ids: horizontal
+// edge (e, t) = t·nq + e for layers t = 0…T−1 (a data error entering at
+// round t+1), then vertical edge (c, t) = T·nq + t·nc + c joining layers
+// t and t+1 of check c (a measurement error at round t+1), then —
+// circuit volumes only — diagonal edge (e, t) = T·(nq+nc) + t·nq + e
+// joining data edge e's late reader at layer t to its early reader at
+// layer t+1 (a data error created between the two reads of round t+1).
+// Open codes map the 2D boundary endpoint of every layer onto the
+// boundary node; a boundary-truncated diagonal (the qubit has one reader
+// in the sector, so the mid-round fault defects only (c, t+1)) grounds
+// there too. In a window volume layer T is the future boundary: edges
+// reaching it ground on the same node, and a truncated diagonal whose
+// lone defect would fall there stands in at layer T−1, like the virtual
+// verticals (it can never commit — the commit boundary lies below it).
 func (v *Volume) buildGraph(base *decoder.Graph, diag [][2]int32) *decoder.Graph {
-	n := v.horiz + v.T*v.nc
+	n := v.diagOff
 	if v.WD > 0 {
 		n += v.T * v.nq
 	}
-	open := v.code.Open()
-	bnd := int32(v.det)
+	nc, bnd := int32(v.nc), int32(v.det)
+	node := func(t int, c int32) int32 {
+		if c == nc || (t+1)*v.nc > v.det {
+			return bnd
+		}
+		return int32(t)*nc + c
+	}
 	ends := make([][2]int32, n)
-	weights := make([]int32, len(ends))
+	weights := make([]int32, n)
 	for t := 0; t < v.T; t++ {
 		off := t * v.nq
-		layer := int32(t * v.nc)
 		for e := 0; e < v.nq; e++ {
 			a, b := base.Ends(e)
-			ea, eb := layer+int32(a), layer+int32(b)
-			if open {
-				if a == v.nc {
-					ea = bnd
-				}
-				if b == v.nc {
-					eb = bnd
-				}
-			}
-			ends[off+e] = [2]int32{ea, eb}
+			ends[off+e] = [2]int32{node(t, int32(a)), node(t, int32(b))}
 			weights[off+e] = int32(v.WH)
 		}
-	}
-	for t := 0; t < v.T; t++ {
-		off := v.horiz + t*v.nc
-		for c := 0; c < v.nc; c++ {
-			ends[off+c] = [2]int32{int32(t*v.nc + c), int32((t+1)*v.nc + c)}
-			weights[off+c] = int32(v.WV)
+		off = v.horiz + t*v.nc
+		for c := int32(0); c < nc; c++ {
+			ends[off+int(c)] = [2]int32{node(t, c), node(t+1, c)}
+			weights[off+int(c)] = int32(v.WV)
+		}
+		if v.WD == 0 {
+			continue
+		}
+		off = v.diagOff + t*v.nq
+		for e := 0; e < v.nq; e++ {
+			late, early := diag[e][0], diag[e][1]
+			if early < 0 {
+				lone := node(t+1, late)
+				if lone == bnd {
+					lone = node(t, late)
+				}
+				ends[off+e] = [2]int32{lone, bnd}
+			} else {
+				ends[off+e] = [2]int32{node(t, late), node(t+1, early)}
+			}
+			weights[off+e] = int32(v.WD)
 		}
 	}
-	if v.WD > 0 {
-		for t := 0; t < v.T; t++ {
-			off := v.diagOff + t*v.nq
-			layer := int32(t * v.nc)
-			for e := 0; e < v.nq; e++ {
-				if early := diag[e][1]; early < 0 {
-					ends[off+e] = [2]int32{layer + int32(v.nc) + diag[e][0], bnd}
+	var boundary []int
+	if v.nodes > v.det {
+		boundary = []int{v.det}
+	}
+	return decoder.NewBoundaryGraph(v.nodes, ends, weights, boundary)
+}
+
+// CommitEdges folds one correction edge list into a lane's running
+// frame, cut at layer `commit`: horizontal edges below the cut flip
+// their data qubit; a vertical edge crossing it severs its chain there,
+// flipping the carry defect at the cut layer. A diagonal edge spanning
+// the cut (lower endpoint at layer commit−1) is a data error whose late
+// observation is already committed: its data qubit flips now and the
+// severed upper endpoint — the early reader's check at the carry layer
+// (or, for a boundary-truncated diagonal, the lone reader's check, whose
+// single defect sits at the carry layer) — becomes the carry defect,
+// exactly like a cut vertical chain. Everything at or above the cut
+// (including every edge onto the future boundary) is discarded — the
+// next window re-decodes it with more context. With commit > T nothing
+// is cut: the fold is the projection of a whole-volume correction onto
+// its data qubits (vertical edges are measurement-error assignments and
+// project away) and carry is never touched. The caller clears the carry
+// first.
+func (v *Volume) CommitEdges(corr []int32, commit int, dual bool, frameVec, carry bits.Vec) {
+	diag := v.diagX
+	if dual {
+		diag = v.diagZ
+	}
+	for _, id := range corr {
+		e := int(id)
+		switch {
+		case e < v.horiz:
+			if e/v.nq < commit {
+				frameVec.Flip(e % v.nq)
+			}
+		case e < v.diagOff:
+			if t := (e - v.horiz) / v.nc; t == commit-1 {
+				carry.Flip((e - v.horiz) % v.nc)
+			}
+		default:
+			de := e - v.diagOff
+			switch t := de / v.nq; {
+			case t+1 < commit:
+				frameVec.Flip(de % v.nq)
+			case t == commit-1:
+				frameVec.Flip(de % v.nq)
+				if early := diag[de%v.nq][1]; early >= 0 {
+					carry.Flip(int(early))
 				} else {
-					ends[off+e] = [2]int32{layer + diag[e][0], layer + int32(v.nc) + early}
+					carry.Flip(int(diag[de%v.nq][0]))
 				}
-				weights[off+e] = int32(v.WD)
 			}
 		}
 	}
-	if open {
-		return decoder.NewBoundaryGraph(v.nodes, ends, weights, []int{int(bnd)})
-	}
-	return decoder.NewWeightedGraph(v.nodes, ends, weights)
 }
 
-// ProjectEdge maps a space-time edge id to the data qubit it flips in
-// the 2D correction: horizontal and diagonal edges are data errors and
-// project to their edge; vertical edges are measurement-error
-// assignments and project away (ok = false).
-func (v *Volume) ProjectEdge(e int) (qubit int, ok bool) {
-	if e < v.horiz {
-		return e % v.nq, true
-	}
-	if e >= v.diagOff {
-		return (e - v.diagOff) % v.nq, true
-	}
-	return 0, false
+// project XORs the data-qubit projection of a whole-volume correction
+// onto corr.
+func (v *Volume) project(edges []int32, corr bits.Vec) {
+	v.CommitEdges(edges, v.T+1, false, corr, bits.Vec{})
 }
 
 // Graph returns the primal (plaquette-sector) space-time graph.
@@ -282,40 +341,6 @@ func gcd(a, b int) int {
 	return a
 }
 
-// volumeCache memoizes constructed volumes: sweeps revisit the same
-// (L, T, weights) grid point for every p in a curve.
-var volumeCache sync.Map // volumeKey → *Volume
-
-type volumeKey struct {
-	family           string
-	l, t, wh, wv, wd int
-}
-
-// CachedCodeVolume returns the memoized volume for the given code,
-// round count and physical rates (weights derived via Weights).
-func CachedCodeVolume(code surface.Code, rounds int, p, q float64) *Volume {
-	wh, wv := Weights(p, q, code.Distance(), rounds)
-	return cachedVolume(code, rounds, wh, wv, 0)
-}
-
-// CachedCodeCircuitVolume is the memoized volume under explicit integer
-// edge weights — wd = 0 degrades to the plain volume. This is the form
-// the streaming decoder's closing windows reuse (a stream's final
-// window height varies with rounds mod slide, and its weights are fixed
-// by the session, not re-derived per height).
-func CachedCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
-	return cachedVolume(code, rounds, wh, wv, wd)
-}
-
-func cachedVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
-	key := volumeKey{code.CodeName(), code.Distance(), rounds, wh, wv, wd}
-	if v, ok := volumeCache.Load(key); ok {
-		return v.(*Volume)
-	}
-	v, _ := volumeCache.LoadOrStore(key, newVolume(code, rounds, wh, wv, wd))
-	return v.(*Volume)
-}
-
 // Decode returns the projected spatial correction for a 3D defect set:
 // the decoder runs on the space-time graph of the chosen sector and the
 // space-like correction edges are XOR-ed onto their data qubits
@@ -343,11 +368,8 @@ func (v *Volume) DecodeErased(defects, erased []int, dual bool) bits.Vec {
 	if dual {
 		uf = scr.ufZ
 	}
-	uf.DecodeErased(defects, erased, func(e int) {
-		if q, ok := v.ProjectEdge(e); ok {
-			corr.Flip(q)
-		}
-	})
+	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, erased)
+	v.project(scr.edges, corr)
 	v.scratch.Put(scr)
 	return corr
 }
@@ -437,11 +459,8 @@ func (v *Volume) decodeInto(defects []int, kind toric.DecoderKind, dual bool, sc
 	if dual {
 		uf = scr.ufZ
 	}
-	uf.Decode(defects, func(e int) {
-		if q, ok := v.ProjectEdge(e); ok {
-			corr.Flip(q)
-		}
-	})
+	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, nil)
+	v.project(scr.edges, corr)
 }
 
 // matchCutoff picks the pruning radius (in weighted units) for n defects
@@ -617,7 +636,8 @@ func CodeMemory(code surface.Code, rounds int, p, q float64, kind toric.DecoderK
 	if err := validateMemory(code, rounds, kind); err != nil {
 		return Result{}, err
 	}
-	v := CachedCodeVolume(code, rounds, p, q)
+	wh, wv := Weights(p, q, code.Distance(), rounds)
+	v := NewCodeVolume(code, rounds, wh, wv)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return v.BatchMemory(p, q, kind, lanes, smp)
 	})

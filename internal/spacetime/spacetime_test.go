@@ -133,7 +133,7 @@ func TestDecodeClearsProjectedSyndrome(t *testing.T) {
 		{5, 3, 0.08, 0.02},
 		{4, 6, 0.1, 0.1},
 	} {
-		v := CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.q)
+		v := phenomVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.q)
 		for trial := 0; trial < 60; trial++ {
 			for _, dual := range []bool{false, true} {
 				cum, defects := scalarShot(v, rng, cfg.p, cfg.q, dual)
@@ -286,7 +286,7 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
 	}
 	// Lane-level: one big batch, many workers vs one.
-	v := CachedCodeVolume(toric.Cached(5), 5, 0.04, 0.04)
+	v := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
 	runtime.GOMAXPROCS(1)
 	x1, z1 := v.BatchMemory(0.04, 0.04, toric.DecoderUnionFind, 500, frame.NewAggregateSampler(42, 0))
 	runtime.GOMAXPROCS(8)

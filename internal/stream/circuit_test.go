@@ -27,22 +27,23 @@ func TestCircuitWindowShape(t *testing.T) {
 	if got, want := w.Graph().Edges(), wdw*(2*nq+nc); got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
 	}
+	diagX, boundary := toric.Cached(l).ExtractionSchedule().DiagX, wdw*nc
 	for tl := 0; tl < wdw; tl++ {
 		for e := 0; e < nq; e++ {
-			id := w.diagOff + tl*nq + e
+			id := wdw*(nq+nc) + tl*nq + e
 			a, b := w.Graph().Ends(id)
 			if w.Graph().Weight(id) != wd {
 				t.Fatalf("diagonal %d weight %d", id, w.Graph().Weight(id))
 			}
-			if a != tl*nc+int(w.diagX[e][0]) {
-				t.Fatalf("diagonal %d lower end %d, want late reader %d@%d", id, a, w.diagX[e][0], tl)
+			if a != tl*nc+int(diagX[e][0]) {
+				t.Fatalf("diagonal %d lower end %d, want late reader %d@%d", id, a, diagX[e][0], tl)
 			}
 			if tl == wdw-1 {
-				if b != w.nodes-1 {
+				if b != boundary {
 					t.Fatalf("newest-layer diagonal %d must ground on the boundary, got %d", id, b)
 				}
-			} else if b != (tl+1)*nc+int(w.diagX[e][1]) {
-				t.Fatalf("diagonal %d upper end %d, want early reader %d@%d", id, b, w.diagX[e][1], tl+1)
+			} else if b != (tl+1)*nc+int(diagX[e][1]) {
+				t.Fatalf("diagonal %d upper end %d, want early reader %d@%d", id, b, diagX[e][1], tl+1)
 			}
 		}
 	}
@@ -67,7 +68,7 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		P := noise.Uniform(cfg.eps)
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.CachedCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
+		v := spacetime.NewCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
 			toric.DecoderUnionFind)

@@ -28,7 +28,7 @@ import (
 // control arm at matched marginals. Mixing Push and PushErased on one
 // decoder panics.
 func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
-	w := d.s.win
+	nq, nc := d.nq, d.nc
 	if d.err != nil {
 		return
 	}
@@ -39,7 +39,7 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 		panic("stream: PushErased on a decoder fed by Push — use one push discipline per stream")
 	}
 	d.pushMode = pushErased
-	if len(eraH) != w.nq || len(lostX) != w.nc || len(lostZ) != w.nc {
+	if len(eraH) != nq || len(lostX) != nc || len(lostZ) != nc {
 		panic("stream: erasure plane count mismatch")
 	}
 	slot := d.pushRound(layerX, layerZ)
@@ -47,16 +47,16 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 		return
 	}
 	eq := true
-	for e := 0; e < w.nq; e++ {
-		d.eraRing[slot*w.nq+e].CopyFrom(eraH[e])
+	for e := 0; e < nq; e++ {
+		d.eraRing[slot*nq+e].CopyFrom(eraH[e])
 		eq = eq && eraH[e].Zero()
 	}
 	d.eraQuiet[slot] = eq
 	lqX, lqZ := true, true
-	for c := 0; c < w.nc; c++ {
-		d.sx.lostRing[slot*w.nc+c].CopyFrom(lostX[c])
+	for c := 0; c < nc; c++ {
+		d.sx.lostRing[slot*nc+c].CopyFrom(lostX[c])
 		lqX = lqX && lostX[c].Zero()
-		d.sz.lostRing[slot*w.nc+c].CopyFrom(lostZ[c])
+		d.sz.lostRing[slot*nc+c].CopyFrom(lostZ[c])
 		lqZ = lqZ && lostZ[c].Zero()
 	}
 	d.sx.lostQuiet[slot] = lqX
@@ -68,15 +68,14 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 // streaming counterpart of Volume.BatchCircuitErasedFrom. The feed must
 // be fresh and match the window's lattice and code family.
 func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
-	w := s.win
-	spacetime.CheckFeed(src, w.code)
+	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
 	d := s.NewDecoderOpts(lanes, opts)
-	layerX := bits.NewVecs(w.nc, lanes)
-	layerZ := bits.NewVecs(w.nc, lanes)
-	eraH := bits.NewVecs(w.nq, lanes)
-	lostX := bits.NewVecs(w.nc, lanes)
-	lostZ := bits.NewVecs(w.nc, lanes)
+	layerX := bits.NewVecs(d.nc, lanes)
+	layerZ := bits.NewVecs(d.nc, lanes)
+	eraH := bits.NewVecs(d.nq, lanes)
+	lostX := bits.NewVecs(d.nc, lanes)
+	lostZ := bits.NewVecs(d.nc, lanes)
 	for t := 0; t < rounds; t++ {
 		src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
 		d.PushErased(layerX, layerZ, eraH, lostX, lostZ)

@@ -34,7 +34,7 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P := noise.Uniform(cfg.eps)
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.CachedCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
+		v := spacetime.NewCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchCircuitErasedFrom(
 			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
@@ -104,12 +104,12 @@ func TestPushDisciplineMixingPanics(t *testing.T) {
 	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 	s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 	defer s.Close()
-	w := s.win
-	layerX := bits.NewVecs(w.nc, lanes)
-	layerZ := bits.NewVecs(w.nc, lanes)
-	eraH := bits.NewVecs(w.nq, lanes)
-	lostX := bits.NewVecs(w.nc, lanes)
-	lostZ := bits.NewVecs(w.nc, lanes)
+	nc, nq := s.win.Code().Checks(), s.win.Code().Qubits()
+	layerX := bits.NewVecs(nc, lanes)
+	layerZ := bits.NewVecs(nc, lanes)
+	eraH := bits.NewVecs(nq, lanes)
+	lostX := bits.NewVecs(nc, lanes)
+	lostZ := bits.NewVecs(nc, lanes)
 
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -149,7 +149,7 @@ func TestErasedStreamFootprintFlat(t *testing.T) {
 		s := mustCircuitSession(t, l, w, c, wh, wv, wd)
 		src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(981, 1))
 		d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
-		nc, nq := s.win.nc, s.win.nq
+		nc, nq := d.nc, d.nq
 		layerX, layerZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
 		eraH := bits.NewVecs(nq, lanes)
 		lostX, lostZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)

@@ -136,7 +136,7 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 		if d.Filled() == d.s.win.W {
 			// This push slides: count the sectors whose window is silent.
 			for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-				if d.sectorQuiet(sec) {
+				if d.sectorQuiet(sec, nil) {
 					skips++
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ftqc/internal/decoder"
-	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
@@ -38,7 +37,7 @@ func (h *frameDigest) addGraph(g *decoder.Graph) {
 // closingGraphs returns both sectors' closing graphs of a window at
 // buffered height h.
 func closingGraphs(w *Window, h int) (x, z *decoder.Graph) {
-	v := spacetime.CachedCodeCircuitVolume(w.code, h, w.WH, w.WV, w.WD)
+	v := w.closingVolume(h)
 	return v.Graph(), v.DualGraph()
 }
 

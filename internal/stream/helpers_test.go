@@ -64,5 +64,5 @@ func toricCircuitMemoryOpts(l, rounds int, P noise.Params, window, commit, sampl
 // batchMemory is the phenomenological BatchMemoryFrom of a toric
 // session.
 func batchMemory(s *Session, rounds int, p, q float64, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.code, p, q, lanes, smp), rounds)
+	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.Code(), p, q, lanes, smp), rounds)
 }

@@ -24,7 +24,7 @@ func TestIncrementalQuietStream(t *testing.T) {
 	zeroZ := bits.NewVecs(lat.NumChecks(), lanes)
 	d := s.NewDecoder(lanes)
 	for r := 0; r < 40; r++ {
-		if d.Filled() == 6 && !(d.sectorQuiet(&d.sx) && d.sectorQuiet(&d.sz)) {
+		if d.Filled() == 6 && !(d.sectorQuiet(&d.sx, nil) && d.sectorQuiet(&d.sz, nil)) {
 			t.Fatalf("round %d: a silent window is not skippable", r)
 		}
 		d.Push(zeroX, zeroZ)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
@@ -70,14 +71,15 @@ func (s *Session) Close() {
 }
 
 // sectorState is one sector's half of a streaming Decoder: the layer
-// ring, the per-lane carries and committed frames, and the slide
+// ring, the per-lane carries and committed frames, and the decode
 // scratch. Everything here is persistent so the steady state allocates
 // nothing.
 type sectorState struct {
+	dual  bool       // star sector: decodes on the volumes' dual graphs
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
 	carry []bits.Vec // per-lane cut defects at the base layer (nc bits)
 	corr  []bits.Vec // per-lane running committed corrections (nq bits)
-	syn   []bits.Vec // per-lane window syndromes (W·nc bits)
+	syn   []bits.Vec // per-lane syndromes, (W+1)·nc bits: a window, or a tail plus its closing layer
 	quiet []bool     // per ring slot: every check plane empty across all lanes
 
 	// Erasure side information of the sector (erasure-aware decoders
@@ -92,9 +94,14 @@ type sectorState struct {
 	erabuf  [][]int   // per-lane erased-edge lists (erasure/correlated decodes)
 	corrbuf [][]int32 // per-lane reusable decode output buffers
 	bat     *decoder.Batch
+}
 
-	graph *decoder.Graph
-	diag  [][2]int32
+// graph picks the sector's graph of a volume.
+func (sec *sectorState) graph(vol *spacetime.Volume) *decoder.Graph {
+	if sec.dual {
+		return vol.DualGraph()
+	}
+	return vol.Graph()
 }
 
 // Decoder consumes one batch of lanes' difference layers round by round
@@ -103,13 +110,15 @@ type sectorState struct {
 // Pauli frame. All buffers are rings sized by the window — the resident
 // footprint is O(L²·W) bits per lane however many rounds stream past.
 //
-// Every slide decodes its whole window from scratch — pivot, defect
-// support, one plain union-find decode per lane, commit and carry — and
-// a sector whose window is silent in every lane skips its decode
+// Every decode — a slide over the window volume, or Finish over the
+// closing volume of the buffered height — runs the volume from scratch:
+// pivot, defect support, one plain union-find decode per lane, commit
+// and carry. A sector that is silent in every lane skips its decode
 // entirely.
 type Decoder struct {
-	s     *Session
-	lanes int
+	s      *Session
+	lanes  int
+	nq, nc int // data qubits and checks per layer of the window's code
 
 	base     int // absolute index of the oldest buffered layer (= rounds committed)
 	filled   int // buffered layers
@@ -117,7 +126,7 @@ type Decoder struct {
 	slides   int
 	defects  uint64 // defects observed across both sectors (window decodes + Finish)
 	finished bool
-	err      error // terminal submission failure (shared pool closed underneath us)
+	err      error // terminal failure: shared pool closed underneath us, or a closing round no code emits
 
 	// Side-information decoding state (NewDecoderOpts): the selected
 	// passes, the push-discipline latch, and — for erasure-aware
@@ -133,7 +142,7 @@ type Decoder struct {
 
 	sx, sz sectorState
 
-	ordered []bits.Vec // ring view in logical layer order
+	ordered []bits.Vec // ring view in logical layer order, closing planes last
 }
 
 // Push-discipline states: a decoder is fed either by Push or by
@@ -161,15 +170,17 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
 		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (NewCodeCircuitSession)")
 	}
-	ordSize := w.W * w.nc
-	if opts.ErasureAware && w.nq > w.nc {
-		ordSize = w.W * w.nq
-	}
+	nq, nc := w.Code().Qubits(), w.Code().Checks()
+	// Every buffer is sized here, once, for the tallest decode there is —
+	// W buffered layers plus the closing one — so neither a slide nor
+	// Finish allocates.
 	d := &Decoder{
 		s:       s,
 		lanes:   lanes,
+		nq:      nq,
+		nc:      nc,
 		opts:    opts,
-		ordered: make([]bits.Vec, ordSize),
+		ordered: make([]bits.Vec, (w.W+1)*max(nc, nq)),
 	}
 	// Erased-edge lists exist only for side-information decoders; like the
 	// defect buffers below they are sized once, at one entry per eight
@@ -178,13 +189,13 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	// not ratchet.
 	eraCap := 0
 	if opts.ErasureAware || opts.Correlated {
-		edges := w.diagOff + w.W*w.nq
+		edges := w.Graph().Edges()
 		d.emask = bits.NewVec(edges)
 		eraCap = edges / 8
 	}
 	if opts.ErasureAware {
-		d.eraRing = bits.NewVecs(w.W*w.nq, lanes)
-		d.eraLane = bits.NewVecs(lanes, w.W*w.nq)
+		d.eraRing = bits.NewVecs(w.W*nq, lanes)
+		d.eraLane = bits.NewVecs(lanes, w.W*nq)
 		d.eraQuiet = make([]bool, w.W)
 	}
 	// Defect and correction buffers are sized once from the window shape
@@ -193,16 +204,16 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	// a larger fraction of their mean — so the footprint does not ratchet
 	// up whenever a denser window arrives. A window past that still
 	// decodes; its lane's buffers grow.
-	bufCap := max(w.W*w.nc/8, 64)
-	initSector := func(sec *sectorState, g *decoder.Graph, diag [][2]int32) {
-		sec.ring = bits.NewVecs(w.W*w.nc, lanes)
-		sec.carry = bits.NewVecs(lanes, w.nc)
-		sec.corr = bits.NewVecs(lanes, w.nq)
-		sec.syn = bits.NewVecs(lanes, w.W*w.nc)
+	bufCap := max(w.W*nc/8, 64)
+	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
+		sec.ring = bits.NewVecs(w.W*nc, lanes)
+		sec.carry = bits.NewVecs(lanes, nc)
+		sec.corr = bits.NewVecs(lanes, nq)
+		sec.syn = bits.NewVecs(lanes, (w.W+1)*nc)
 		sec.quiet = make([]bool, w.W)
 		if opts.ErasureAware {
-			sec.lostRing = bits.NewVecs(w.W*w.nc, lanes)
-			sec.lostLane = bits.NewVecs(lanes, w.W*w.nc)
+			sec.lostRing = bits.NewVecs(w.W*nc, lanes)
+			sec.lostLane = bits.NewVecs(lanes, w.W*nc)
 			sec.lostQuiet = make([]bool, w.W)
 		}
 		sec.shots = make([]decoder.Shot, lanes)
@@ -217,11 +228,8 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 			}
 		}
 		sec.bat = decoder.NewBatch(lanes)
-		sec.graph = g
-		sec.diag = diag
 	}
-	initSector(&d.sx, w.graphX, w.diagX)
-	initSector(&d.sz, w.graphZ, w.diagZ)
+	d.sz.dual = true
 	return d
 }
 
@@ -247,8 +255,9 @@ func (d *Decoder) DefectsObserved() uint64 { return d.defects }
 func (d *Decoder) Lanes() int { return d.lanes }
 
 // Err reports a terminal pipeline failure: the shared decode pool was
-// closed underneath a slide. Push and Finish become no-ops once it is
-// set; the committed frames remain valid up to Committed() rounds.
+// closed underneath a decode, or Finish was handed a closing round that
+// is not a syndrome of the code. Push and Finish become no-ops once it
+// is set; the committed frames remain valid up to Committed() rounds.
 func (d *Decoder) Err() error { return d.err }
 
 // Push ingests one round's difference layers (check-major, one vector
@@ -273,8 +282,8 @@ func (d *Decoder) Push(layerX, layerZ []bits.Vec) {
 // difference layers, returning the ring slot they landed in (-1 when a
 // slide hit a terminal pipeline error).
 func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
-	w := d.s.win
-	if len(layerX) != w.nc || len(layerZ) != w.nc {
+	w, nc := d.s.win, d.nc
+	if len(layerX) != nc || len(layerZ) != nc {
 		panic("stream: layer plane count mismatch")
 	}
 	if d.filled == w.W {
@@ -287,10 +296,10 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 		slot -= w.W
 	}
 	quietX, quietZ := true, true
-	for c := 0; c < w.nc; c++ {
-		d.sx.ring[slot*w.nc+c].CopyFrom(layerX[c])
+	for c := 0; c < nc; c++ {
+		d.sx.ring[slot*nc+c].CopyFrom(layerX[c])
 		quietX = quietX && layerX[c].Zero()
-		d.sz.ring[slot*w.nc+c].CopyFrom(layerZ[c])
+		d.sz.ring[slot*nc+c].CopyFrom(layerZ[c])
 		quietZ = quietZ && layerZ[c].Zero()
 	}
 	d.sx.quiet[slot] = quietX
@@ -300,57 +309,13 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 }
 
 // slide decodes the full window in both sectors over the open-window
-// graphs, commits the correction below the commit boundary into the
+// volume, commits the correction below the commit boundary into the
 // running frames, records the cut defects as the next window's carry,
-// and advances the ring by Commit layers. A sector whose whole window is
-// silent (no defects in any lane, no carry) skips its decode: an empty
-// defect list decodes to an empty correction, so the skip is exact and
-// the slide reduces to advancing the ring.
+// and advances the ring by Commit layers.
 func (d *Decoder) slide() {
 	w := d.s.win
-	eraX := d.windowErased(&d.sx, w.W)
-	eraZ := d.windowErased(&d.sz, w.W)
-	if eraX || eraZ {
-		bits.TransposePlanes(d.eraLane, d.orderedLayers(d.eraRing, w.W, w.nq))
-	}
-	if d.opts.Correlated {
-		// Correlated slides serialize: the dual window's erased set is a
-		// function of the primal window correction, so the primal decode
-		// must complete before the dual submission (and always runs — the
-		// dual reads its correction buffers). The primal→dual order is
-		// fixed, every list is built in canonical ascending order, and
-		// lanes stay independent — the committed frames remain a pure
-		// function of the stream for any worker count.
-		if d.prepSector(&d.sx, nil, eraX); d.err != nil {
-			return
-		}
-		d.commitSector(&d.sx)
-		if d.prepSector(&d.sz, &d.sx, eraZ); d.err != nil {
-			return
-		}
-		d.commitSector(&d.sz)
-	} else {
-		skipX := d.sectorQuiet(&d.sx)
-		skipZ := d.sectorQuiet(&d.sz)
-		if !skipX {
-			if d.prepSector(&d.sx, nil, eraX); d.err != nil {
-				return
-			}
-		}
-		if !skipZ {
-			if d.prepSector(&d.sz, nil, eraZ); d.err != nil {
-				if !skipX {
-					d.sx.bat.Wait()
-				}
-				return
-			}
-		}
-		if !skipX {
-			d.commitSector(&d.sx)
-		}
-		if !skipZ {
-			d.commitSector(&d.sz)
-		}
+	if d.decode(w.vol, w.W, w.Commit, nil, nil); d.err != nil {
+		return
 	}
 	d.head += w.Commit
 	if d.head >= w.W {
@@ -361,9 +326,87 @@ func (d *Decoder) slide() {
 	d.slides++
 }
 
+// Finish ingests the closing perfect-round difference layers and
+// decodes the remaining buffer as an ordinary closed volume (height =
+// buffered rounds) on the slide's own path — the commit boundary past
+// the closing layer, so everything commits and nothing is cut. When no
+// slide has fired — W ≥ total rounds — this is exactly the whole-volume
+// decode, bit for bit: same canonical erased lists, same primal→dual
+// order. The decoder cannot be pushed to afterwards.
+func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
+	if d.err != nil {
+		return
+	}
+	if d.finished {
+		panic("stream: Finish called twice")
+	}
+	if d.filled == 0 {
+		panic("stream: Finish before any round")
+	}
+	d.finished = true
+	h := d.filled
+	if d.decode(d.s.win.closingVolume(h), h, h+1, layerX, layerZ); d.err != nil {
+		return
+	}
+	d.base += h
+	d.filled = 0
+}
+
+// decode runs both sectors of the oldest h buffered layers — followed by
+// the closing planes, when there are any — over vol and commits the
+// correction below layer `commit`. A sector that is silent (no defects
+// in any lane, no carry) skips its decode: an empty defect list decodes
+// to an empty correction, so the skip is exact.
+func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []bits.Vec) {
+	eraX := d.windowErased(&d.sx, h)
+	eraZ := d.windowErased(&d.sz, h)
+	if eraX || eraZ {
+		bits.TransposePlanes(d.eraLane, d.orderedLayers(d.eraRing, h, d.nq, nil))
+	}
+	if d.opts.Correlated {
+		// Correlated decodes serialize: the dual sector's erased set is a
+		// function of the primal correction, so the primal decode must
+		// complete before the dual submission (and always runs — the dual
+		// reads its correction buffers). The primal→dual order is fixed,
+		// every list is built in canonical ascending order, and lanes stay
+		// independent — the committed frames remain a pure function of the
+		// stream for any worker count.
+		if d.prepSector(&d.sx, vol, h, closeX, nil, eraX); d.err != nil {
+			return
+		}
+		d.commitSector(&d.sx, vol, commit)
+		if d.prepSector(&d.sz, vol, h, closeZ, &d.sx, eraZ); d.err != nil {
+			return
+		}
+		d.commitSector(&d.sz, vol, commit)
+		return
+	}
+	skipX := d.sectorQuiet(&d.sx, closeX)
+	skipZ := d.sectorQuiet(&d.sz, closeZ)
+	if !skipX {
+		if d.prepSector(&d.sx, vol, h, closeX, nil, eraX); d.err != nil {
+			return
+		}
+	}
+	if !skipZ {
+		if d.prepSector(&d.sz, vol, h, closeZ, nil, eraZ); d.err != nil {
+			if !skipX {
+				d.sx.bat.Wait() // leave no batch in flight
+			}
+			return
+		}
+	}
+	if !skipX {
+		d.commitSector(&d.sx, vol, commit)
+	}
+	if !skipZ {
+		d.commitSector(&d.sz, vol, commit)
+	}
+}
+
 // windowErased reports whether any of the first `layers` buffered
 // rounds carries erasure side information for the sector — the cheap
-// per-slot gate that keeps erasure-free slides on the plain path.
+// per-slot gate that keeps erasure-free decodes on the plain path.
 func (d *Decoder) windowErased(sec *sectorState, layers int) bool {
 	if d.eraRing == nil {
 		return false
@@ -381,12 +424,19 @@ func (d *Decoder) windowErased(sec *sectorState, layers int) bool {
 	return false
 }
 
-// sectorQuiet reports whether a sector's slide can be skipped outright:
-// every buffered layer plane is empty in every lane and no carry defect
-// is pending. Such a window's defect list is empty for every lane.
-func (d *Decoder) sectorQuiet(sec *sectorState) bool {
+// sectorQuiet reports whether a sector's decode can be skipped outright:
+// every ring slot and closing plane is empty in every lane and no carry
+// defect is pending. Such a decode's defect list is empty for every
+// lane. (A short tail leaves slots outside the buffered span; a loud
+// one among them only costs the skip.)
+func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 	for _, q := range sec.quiet {
 		if !q {
+			return false
+		}
+	}
+	for _, plane := range closing {
+		if plane.Any() {
 			return false
 		}
 	}
@@ -398,33 +448,41 @@ func (d *Decoder) sectorQuiet(sec *sectorState) bool {
 	return true
 }
 
-// prepSector pivots one sector's window into per-lane syndromes and
-// submits every lane's defect list to the decode pool.
+// prepSector pivots one sector's h buffered layers (and closing planes)
+// into per-lane syndromes and submits every lane's defect list to the
+// decode pool on the sector's graph of vol.
 //
 // Side-information passes: with `era` set the sector's erasure planes
-// are pivoted lane-major and every lane with erased edges in the window
-// decodes with its canonical erased list. With primal non-nil (a
-// correlated dual slide) the primal window correction's counterpart
-// edges join the erased set.
-func (d *Decoder) prepSector(sec *sectorState, primal *sectorState, era bool) {
-	d.pivot(sec)
-	w := d.s.win
+// are pivoted lane-major and every lane with erased edges decodes with
+// its canonical erased list. With primal non-nil (a correlated dual
+// decode) the primal correction's counterpart edges join the erased
+// set.
+func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec, primal *sectorState, era bool) {
+	g := sec.graph(vol)
+	closed := g.Closed()
+	d.pivot(sec, h, closing)
 	if era {
-		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, w.W, w.nc))
+		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, h, d.nc, nil))
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		sec.defbuf[lane] = sec.syn[lane].AppendSupport(sec.defbuf[lane][:0])
+		if closed && len(sec.defbuf[lane])%2 == 1 {
+			// Only reachable with layers no source of this code emits
+			// (a served stream is untrusted): growth could never finish.
+			d.err = fmt.Errorf("stream: lane %d closes on an odd number of defects, which is not a syndrome of a closed code", lane)
+			return
+		}
 		d.defects += uint64(len(sec.defbuf[lane]))
 		erased := sec.erabuf[lane][:0]
 		laneEra := era && (d.eraLane[lane].Any() || sec.lostLane[lane].Any())
 		if laneEra || primal != nil {
 			d.emask.Clear()
 			if laneEra {
-				spacetime.SetErasedMask(d.emask, d.eraLane[lane], sec.lostLane[lane], w.horiz, w.diagOff, w.WD)
+				vol.SetErasedMask(d.emask, d.eraLane[lane], sec.lostLane[lane])
 			}
 			if primal != nil {
 				for _, e := range primal.corrbuf[lane] {
-					spacetime.MarkCounterpartEdges(int(e), w.horiz, w.diagOff, d.emask)
+					vol.MarkCounterpartEdges(int(e), d.emask)
 				}
 			}
 			erased = d.emask.AppendSupport(erased)
@@ -432,28 +490,29 @@ func (d *Decoder) prepSector(sec *sectorState, primal *sectorState, era bool) {
 		sec.erabuf[lane] = erased
 		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
-	if err := d.s.pool.ResubmitOn(sec.graph, sec.bat, sec.shots); err != nil {
+	if err := d.s.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
 		d.err = err
 	}
 }
 
 // commitSector waits for one sector's batch and commits every lane's
-// correction, recapturing the (possibly regrown) output buffers.
-func (d *Decoder) commitSector(sec *sectorState) {
+// correction below layer `commit` of vol, recapturing the (possibly
+// regrown) output buffers.
+func (d *Decoder) commitSector(sec *sectorState, vol *spacetime.Volume, commit int) {
 	out := sec.bat.Wait()
 	for lane := 0; lane < d.lanes; lane++ {
 		sec.corrbuf[lane] = out[lane]
 		carry := sec.carry[lane]
 		carry.Clear()
-		d.commitEdges(out[lane], sec.corr[lane], carry, sec.diag)
+		vol.CommitEdges(out[lane], commit, sec.dual, sec.corr[lane], carry)
 	}
 }
 
 // orderedLayers appends views of the first `layers` buffered ring
-// layers (oldest first) to the reusable ordered slice. stride is the
-// ring's planes per layer (nc for syndrome and lost rings, nq for the
-// erased-data ring).
-func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int) []bits.Vec {
+// layers (oldest first), then the closing planes, to the reusable
+// ordered slice. stride is the ring's planes per layer (nc for syndrome
+// and lost rings, nq for the erased-data ring).
+func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int, closing []bits.Vec) []bits.Vec {
 	w := d.s.win
 	ordered := d.ordered[:0]
 	for t := 0; t < layers; t++ {
@@ -463,14 +522,14 @@ func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int) []bits.Vec 
 		}
 		ordered = append(ordered, ring[slot*stride:(slot+1)*stride]...)
 	}
-	return ordered
+	return append(ordered, closing...)
 }
 
-// pivot transposes one sector's full buffered window (plus the carry at
-// the base layer) into per-lane syndrome vectors.
-func (d *Decoder) pivot(sec *sectorState) {
-	w := d.s.win
-	bits.TransposePlanes(sec.syn, d.orderedLayers(sec.ring, w.W, w.nc))
+// pivot transposes one sector's first h buffered layers and closing
+// planes (plus the carry at the base layer) into per-lane syndrome
+// vectors.
+func (d *Decoder) pivot(sec *sectorState, h int, closing []bits.Vec) {
+	bits.TransposePlanes(sec.syn, d.orderedLayers(sec.ring, h, d.nc, closing))
 	// The carry defects live at the base (first) layer, whose bits are
 	// word-aligned at the front of every lane vector.
 	for lane := 0; lane < d.lanes; lane++ {
@@ -478,170 +537,6 @@ func (d *Decoder) pivot(sec *sectorState) {
 		sv := sec.syn[lane]
 		for i := 0; i < cv.Words(); i++ {
 			sv.XorWord(i, cv.Word(i))
-		}
-	}
-}
-
-// commitEdges folds one correction edge list into a lane's running
-// frame: horizontal edges below the commit boundary flip their data
-// qubit; a vertical edge crossing the boundary cuts its chain there,
-// flipping the carry defect at the boundary layer. A diagonal edge
-// spanning the boundary (lower endpoint at layer Commit−1) is a data
-// error whose late observation is already committed: its data qubit
-// flips now and the severed upper endpoint — the early reader's check
-// at the carry layer (or, for a boundary-truncated diagonal, the lone
-// reader's check, whose single defect sits at the carry layer) —
-// becomes the carry defect, exactly like a cut vertical chain.
-// Everything at or above the boundary (including every virtual
-// boundary edge) is discarded — the next slide re-decodes it with more
-// context. The caller clears the carry first.
-func (d *Decoder) commitEdges(corr []int32, frameVec, carry bits.Vec, diag [][2]int32) {
-	w := d.s.win
-	for _, id := range corr {
-		e := int(id)
-		switch {
-		case e < w.horiz:
-			if e/w.nq < w.Commit {
-				frameVec.Flip(e % w.nq)
-			}
-		case e < w.diagOff:
-			if t := (e - w.horiz) / w.nc; t == w.Commit-1 {
-				carry.Flip((e - w.horiz) % w.nc)
-			}
-		default:
-			de := e - w.diagOff
-			switch t := de / w.nq; {
-			case t+1 < w.Commit:
-				frameVec.Flip(de % w.nq)
-			case t == w.Commit-1:
-				frameVec.Flip(de % w.nq)
-				if early := diag[de%w.nq][1]; early >= 0 {
-					carry.Flip(int(early))
-				} else {
-					carry.Flip(int(diag[de%w.nq][0]))
-				}
-			}
-		}
-	}
-}
-
-// Finish ingests the closing perfect-round difference layers and
-// decodes the remaining buffer as an ordinary closed volume (height =
-// buffered rounds), committing everything into the frames. When no
-// slide has fired — W ≥ total rounds — this is exactly the whole-volume
-// decode, bit for bit. The decoder cannot be pushed to afterwards.
-func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
-	w := d.s.win
-	if d.err != nil {
-		return
-	}
-	if d.finished {
-		panic("stream: Finish called twice")
-	}
-	if d.filled == 0 {
-		panic("stream: Finish before any round")
-	}
-	d.finished = true
-	h := d.filled
-	vol := spacetime.CachedCodeCircuitVolume(w.code, h, w.WH, w.WV, w.WD)
-	// Side information of the closing volume: per-lane erasure planes in
-	// volume layer order, plus — for correlated decoders — the primal
-	// correction feeding the dual repricing. With W ≥ total rounds this
-	// path IS the whole-volume decode of BatchCircuitErasedFrom, bit for
-	// bit: same canonical erased lists, same primal→dual order.
-	eraX := d.windowErased(&d.sx, h)
-	eraZ := d.windowErased(&d.sz, h)
-	var eraLane, lostXLane, lostZLane []bits.Vec
-	if eraX || eraZ {
-		eraLane = bits.NewVecs(d.lanes, h*w.nq)
-		bits.TransposePlanes(eraLane, d.orderedLayers(d.eraRing, h, w.nq))
-	}
-	if eraX {
-		lostXLane = bits.NewVecs(d.lanes, h*w.nc)
-		bits.TransposePlanes(lostXLane, d.orderedLayers(d.sx.lostRing, h, w.nc))
-	}
-	if eraZ {
-		lostZLane = bits.NewVecs(d.lanes, h*w.nc)
-		bits.TransposePlanes(lostZLane, d.orderedLayers(d.sz.lostRing, h, w.nc))
-	}
-	syn := bits.NewVecs(d.lanes, (h+1)*w.nc)
-	bits.TransposePlanes(syn, append(d.orderedLayers(d.sx.ring, h, w.nc), layerX...))
-	var xEra, xLost []bits.Vec
-	if eraX {
-		xEra, xLost = eraLane, lostXLane
-	}
-	d.finishSector(syn, vol, vol.Graph(), &d.sx, h, xEra, xLost, nil)
-	if d.err != nil {
-		return
-	}
-	bits.TransposePlanes(syn, append(d.orderedLayers(d.sz.ring, h, w.nc), layerZ...))
-	var zEra, zLost []bits.Vec
-	if eraZ {
-		zEra, zLost = eraLane, lostZLane
-	}
-	var primal *sectorState
-	if d.opts.Correlated {
-		primal = &d.sx
-	}
-	d.finishSector(syn, vol, vol.DualGraph(), &d.sz, h, zEra, zLost, primal)
-	if d.err != nil {
-		return
-	}
-	d.base += h
-	d.filled = 0
-}
-
-// finishSector decodes every lane's closing volume through the decode
-// pool — the same worker fan-out the slides use, with per-graph scratch
-// reuse instead of a fresh decoder per Finish — and commits the whole
-// correction. eraLane/lostLane (nil when the closing window carries no
-// erasures) and primal (non-nil for the correlated dual pass) feed the
-// per-lane erased lists in closing-volume edge ids.
-func (d *Decoder) finishSector(syn []bits.Vec, vol *spacetime.Volume, g *decoder.Graph, sec *sectorState, h int, eraLane, lostLane []bits.Vec, primal *sectorState) {
-	w := d.s.win
-	vhoriz, vdiagOff := h*w.nq, h*(w.nq+w.nc)
-	for lane := 0; lane < d.lanes; lane++ {
-		cv := sec.carry[lane]
-		sv := syn[lane]
-		for i := 0; i < cv.Words(); i++ {
-			sv.XorWord(i, cv.Word(i))
-		}
-		sec.defbuf[lane] = sv.AppendSupport(sec.defbuf[lane][:0])
-		if g.Closed() && len(sec.defbuf[lane])%2 == 1 {
-			// Only reachable with layers no source of this code emits
-			// (a served stream is untrusted): growth could never finish.
-			d.err = fmt.Errorf("stream: lane %d closes on an odd number of defects, which is not a syndrome of a closed code", lane)
-			return
-		}
-		d.defects += uint64(len(sec.defbuf[lane]))
-		var erased []int
-		if eraLane != nil || primal != nil {
-			d.emask.Clear()
-			if eraLane != nil {
-				spacetime.SetErasedMask(d.emask, eraLane[lane], lostLane[lane], vhoriz, vdiagOff, w.WD)
-			}
-			if primal != nil {
-				for _, e := range primal.corrbuf[lane] {
-					spacetime.MarkCounterpartEdges(int(e), vhoriz, vdiagOff, d.emask)
-				}
-			}
-			sec.erabuf[lane] = d.emask.AppendSupport(sec.erabuf[lane][:0])
-			erased = sec.erabuf[lane]
-		}
-		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
-	}
-	if err := d.s.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
-		d.err = err
-		return
-	}
-	out := sec.bat.Wait()
-	for lane := 0; lane < d.lanes; lane++ {
-		sec.corrbuf[lane] = out[lane]
-		cl := sec.corr[lane]
-		for _, e := range out[lane] {
-			if q, ok := vol.ProjectEdge(int(e)); ok {
-				cl.Flip(q)
-			}
 		}
 	}
 }
@@ -661,7 +556,7 @@ func (d *Decoder) FootprintBytes() int {
 		}
 		return n
 	}
-	n := cap(d.ordered) * 24
+	n := cap(d.ordered) * int(unsafe.Sizeof(bits.Vec{}))
 	n += vecs(d.eraRing) + vecs(d.eraLane) + d.emask.Words()*8 + len(d.eraQuiet)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.corr) + vecs(sec.syn)
@@ -683,12 +578,11 @@ func (d *Decoder) FootprintBytes() int {
 // stream through the same window machinery; the feed must be fresh.
 // Returns the per-lane logical failure masks of the two sectors.
 func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
-	w := s.win
-	spacetime.CheckFeed(src, w.code)
+	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
 	d := s.NewDecoder(lanes)
-	layerX := bits.NewVecs(w.nc, lanes)
-	layerZ := bits.NewVecs(w.nc, lanes)
+	layerX := bits.NewVecs(d.nc, lanes)
+	layerZ := bits.NewVecs(d.nc, lanes)
 	for t := 0; t < rounds; t++ {
 		src.NextLayers(layerX, layerZ)
 		d.Push(layerX, layerZ)
@@ -710,7 +604,7 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, f
 // same homology test as the whole-volume pipeline.
 func (s *Session) failureMasks(src spacetime.LayerFeed, d *Decoder) (failX, failZ bits.Vec) {
 	lanes := d.lanes
-	code := s.win.code
+	code := s.win.Code()
 	pX1 := bits.NewVec(lanes)
 	pX2 := bits.NewVec(lanes)
 	pZ1 := bits.NewVec(lanes)

@@ -51,18 +51,19 @@ func TestWindowShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc, nq := 16, 32
-	if w.nodes != 6*nc+1 || w.Graph().Nodes() != w.nodes || w.DualGraph().Nodes() != w.nodes {
-		t.Fatalf("node count %d", w.nodes)
+	nodes, horiz := 6*nc+1, 6*nq
+	if w.Graph().Nodes() != nodes || w.DualGraph().Nodes() != nodes {
+		t.Fatalf("node count %d/%d", w.Graph().Nodes(), w.DualGraph().Nodes())
 	}
 	if got, want := w.Graph().Edges(), 6*nq+6*nc; got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
 	}
-	if !w.Graph().IsBoundary(w.nodes - 1) {
+	if !w.Graph().IsBoundary(nodes - 1) {
 		t.Fatal("last node must be the open boundary")
 	}
 	for e := 0; e < w.Graph().Edges(); e++ {
 		a, b := w.Graph().Ends(e)
-		if e < w.horiz {
+		if e < horiz {
 			if w.Graph().Weight(e) != 2 || a/nc != b/nc || a/nc != e/nq {
 				t.Fatalf("horizontal edge %d malformed: ends %d,%d weight %d", e, a, b, w.Graph().Weight(e))
 			}
@@ -71,9 +72,9 @@ func TestWindowShape(t *testing.T) {
 		if w.Graph().Weight(e) != 5 {
 			t.Fatalf("vertical edge %d weight %d", e, w.Graph().Weight(e))
 		}
-		tl := (e - w.horiz) / nc
+		tl := (e - horiz) / nc
 		if tl == w.W-1 {
-			if b != w.nodes-1 {
+			if b != nodes-1 {
 				t.Fatalf("virtual edge %d must reach the boundary, got ends %d,%d", e, a, b)
 			}
 		} else if a%nc != b%nc || b/nc-a/nc != 1 {
@@ -98,8 +99,8 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 		{5, 3, 5, 1, 0.08, 0.02},
 		{4, 1, 2, 1, 0.06, 0.04},
 	} {
-		v := spacetime.CachedCodeVolume(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.q)
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
+		v := spacetime.NewCodeVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv)
 		fx1, fz1 := v.BatchMemory(cfg.p, cfg.q, toric.DecoderUnionFind, lanes, frame.NewAggregateSampler(901, 7))
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))

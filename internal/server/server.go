@@ -331,17 +331,26 @@ func (s *Session) ID() uint64 { return s.id }
 // Config returns the (normalized) session configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 
+// checkRound rejects layers that are not the session's shape, before
+// they touch the lifecycle or a queue buffer.
+func (s *Session) checkRound(what string, layerX, layerZ []bits.Vec) error {
+	if len(layerX) != s.nc || len(layerZ) != s.nc {
+		return fmt.Errorf("server: %s has %d/%d planes, want %d (%s d=%d)", what, len(layerX), len(layerZ), s.nc, s.cfg.Code.CodeName(), s.cfg.Code.Distance())
+	}
+	if layerX[0].Len() != s.lanes || layerZ[0].Len() != s.lanes {
+		return fmt.Errorf("server: %s has %d/%d lanes, session has %d", what, layerX[0].Len(), layerZ[0].Len(), s.lanes)
+	}
+	return nil
+}
+
 // Submit ingests one round's difference layers (check-major planes of
 // lane bits, exactly as stream.Decoder.Push takes them). It copies the
 // planes into a recycled queue buffer, so the caller may reuse its
 // slices immediately. Flow control follows the server's overflow
 // policy; after Close/CloseWith it returns ErrSessionClosed.
 func (s *Session) Submit(layerX, layerZ []bits.Vec) error {
-	if len(layerX) != s.nc || len(layerZ) != s.nc {
-		return fmt.Errorf("server: round has %d/%d planes, want %d (%s d=%d)", len(layerX), len(layerZ), s.nc, s.cfg.Code.CodeName(), s.cfg.Code.Distance())
-	}
-	if layerX[0].Len() != s.lanes || layerZ[0].Len() != s.lanes {
-		return fmt.Errorf("server: round has %d lanes, session has %d", layerX[0].Len(), s.lanes)
+	if err := s.checkRound("round", layerX, layerZ); err != nil {
+		return err
 	}
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
@@ -386,10 +395,11 @@ func (s *Session) Submit(layerX, layerZ []bits.Vec) error {
 // CloseWith finishes the stream gracefully: the closing (perfect
 // round) layers settle the buffered tail exactly like
 // stream.Decoder.Finish, and Wait then delivers frames covering every
-// ingested round.
+// ingested round. Layers of the wrong shape are an error that leaves
+// the session open.
 func (s *Session) CloseWith(closingX, closingZ []bits.Vec) error {
-	if len(closingX) != s.nc || len(closingZ) != s.nc {
-		return fmt.Errorf("server: closing round has %d/%d planes, want %d", len(closingX), len(closingZ), s.nc)
+	if err := s.checkRound("closing round", closingX, closingZ); err != nil {
+		return err
 	}
 	s.lifeMu.Lock()
 	if s.closed {

@@ -432,8 +432,35 @@ func TestServerValidation(t *testing.T) {
 	if err := s.Submit(wrong, wrong); err == nil {
 		t.Error("mismatched plane count accepted")
 	}
-	if err := s.Close(); err != nil {
+	// A closing round of the wrong shape is an error that leaves the
+	// session open: the right one still finishes it, and Shutdown returns.
+	zero := bits.NewVecs(good.Code.Checks(), good.Lanes)
+	for _, row := range []struct {
+		name    string
+		closing []bits.Vec
+	}{
+		{"plane count", wrong},
+		{"lane count", bits.NewVecs(good.Code.Checks(), good.Lanes+1)},
+	} {
+		if err := s.CloseWith(row.closing, row.closing); err == nil || errors.Is(err, ErrSessionClosed) {
+			t.Errorf("CloseWith with a wrong %s: %v", row.name, err)
+		}
+		if err := s.Submit(zero, zero); err != nil {
+			t.Fatalf("session unusable after a refused CloseWith (%s): %v", row.name, err)
+		}
+	}
+	if err := s.CloseWith(zero, zero); err != nil {
 		t.Fatal(err)
+	}
+	if res, err := s.Wait(); err != nil || !res.Finished || res.Committed != 2 {
+		t.Fatalf("session did not finish: %+v, %v", res, err)
+	}
+	down := make(chan struct{})
+	go func() { srv.Shutdown(); close(down) }()
+	select {
+	case <-down:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Shutdown hangs after a refused CloseWith")
 	}
 }
 

@@ -263,22 +263,25 @@ func TestServiceSubmitCloseChurn(t *testing.T) {
 	}
 }
 
-// TestPoolMultiGraph: one pool serves several graphs at once, and every
-// batch matches its graph's direct decode regardless of the
-// interleaving.
+// TestPoolMultiGraph: one pool serves several graphs at once, two pools
+// decode on one graph at once (the scratch belongs to the graph, not to
+// a pool), and every batch matches its graph's direct decode regardless
+// of the interleaving.
 func TestPoolMultiGraph(t *testing.T) {
 	graphs := []*Graph{torusTestGraph(4), torusTestGraph(5), torusTestGraph(6)}
-	pool := NewPool(4)
-	defer pool.Close()
-	if err := pool.ResubmitOn(nil, NewBatch(0), nil); err == nil {
+	pools := []*Service{NewPool(4), NewPool(2)}
+	for _, pool := range pools {
+		defer pool.Close()
+	}
+	if err := pools[0].ResubmitOn(nil, NewBatch(0), nil); err == nil {
 		t.Fatalf("submission without a graph must error")
 	}
 	var wg sync.WaitGroup
-	for c := 0; c < 9; c++ {
+	for c := 0; c < 12; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			g := graphs[c%len(graphs)]
+			g, pool := graphs[c%len(graphs)], pools[c%len(pools)]
 			rng := rand.New(rand.NewPCG(91, uint64(c)))
 			shots := randomShots(g, 48, rng)
 			b := NewBatch(len(shots))

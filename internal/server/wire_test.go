@@ -240,6 +240,12 @@ func FuzzServeConn(f *testing.F) {
 	oddParity := bytes.Clone(w.stream) // one lone defect in the closing round: not a toric syndrome
 	oddParity[len(oddParity)-w.roundBytes()+1] ^= 1
 	f.Add(oddParity)
+	// Two sessions of different window shape and weights on one transport:
+	// the second builds its own window, closing volume and decode scratch.
+	other := recordWireSession(f, 4, 8, 11, 7904)
+	binary.LittleEndian.PutUint32(other.stream[1+4*4:], 3) // wh
+	binary.LittleEndian.PutUint32(other.stream[1+5*4:], 2) // wv
+	f.Add(append(bytes.Clone(w.stream), other.stream...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := New(Config{Workers: 1})
 		rw := transport{bytes.NewReader(data), io.Discard}

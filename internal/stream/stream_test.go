@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 
 	"ftqc/internal/bits"
@@ -383,13 +384,17 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
-// TestSharedPoolSessions: sessions grafted onto one external
-// decoder.NewPool produce bit-identical results to sessions owning
-// private pools — multi-graph scheduling does not leak into decode
-// output — and closing a shared-pool session leaves the pool alive.
+// TestSharedPoolSessions: sessions grafted onto external decoder.NewPool
+// fleets produce bit-identical results to sessions owning private pools
+// — multi-graph scheduling does not leak into decode output — also when
+// two pools decode one interned window at the same time (decode scratch
+// and closing volumes belong to the window's graphs, not to a pool), and
+// closing a shared-pool session leaves the pool alive.
 func TestSharedPoolSessions(t *testing.T) {
-	pool := decoder.NewPool(3)
-	defer pool.Close()
+	pools := []*decoder.Service{decoder.NewPool(3), decoder.NewPool(2)}
+	for _, pool := range pools {
+		defer pool.Close()
+	}
 	type cfg struct {
 		l, rounds, window, commit int
 		p                         float64
@@ -400,19 +405,30 @@ func TestSharedPoolSessions(t *testing.T) {
 		own := mustSession(t, c.l, c.window, c.commit, wh, wv)
 		fx1, fz1 := batchMemory(own, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
 		own.Close()
-		shared, err := toricSessionOn(pool, c.l, c.window, c.commit, wh, wv)
+		win, err := NewCodeWindow(toric.Cached(c.l), c.window, c.commit, wh, wv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx2, fz2 := batchMemory(shared, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
-		shared.Close() // must not close the shared pool
-		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
-			t.Fatalf("cfg %d: shared-pool session differs from private-pool session", i)
+		var wg sync.WaitGroup
+		for k, pool := range pools {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shared := NewSessionOn(pool, win)
+				fx2, fz2 := batchMemory(shared, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
+				shared.Close() // must not close the shared pool
+				if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+					t.Errorf("cfg %d pool %d: shared-pool session differs from private-pool session", i, k)
+				}
+			}()
 		}
+		wg.Wait()
 	}
-	// The pool must still be live after the sessions closed.
-	if err := pool.ResubmitOn(toric.Cached(3).Graph(), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
-		t.Fatalf("shared pool died with its sessions: %v", err)
+	// The pools must still be live after the sessions closed.
+	for _, pool := range pools {
+		if err := pool.ResubmitOn(toric.Cached(3).Graph(), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
+			t.Fatalf("shared pool died with its sessions: %v", err)
+		}
 	}
 }
 

@@ -99,10 +99,14 @@
 // across submissions and results land in indexed slots, so a batch's
 // output is bit-identical for any worker count — the deployable shape
 // of the decode stage (the streaming window pipeline submits every
-// slide through one). NewPool(n) starts it; ResubmitOn(g, batch, shots)
-// routes a reusable batch to its graph with per-graph scratch pools —
+// slide and every Finish through one). NewPool(n) starts it;
+// ResubmitOn(g, batch, shots) routes a reusable batch to its graph —
 // one fleet can serve every window graph in the process, which is how
-// internal/server multiplexes many sessions over shared workers.
+// internal/server multiplexes many sessions over shared workers. The
+// scratch belongs to the Graph, not to the pool: each Graph holds a
+// sync.Pool of UnionFind instances that any pool decoding on it borrows
+// from, so a pool keeps nothing per graph and a dropped graph takes its
+// scratch with it.
 //
 // The lifecycle is part of the contract: Close is idempotent, drains
 // in-flight submissions before releasing the workers, and any

@@ -35,6 +35,19 @@
 // winding detectors decide logical failure exactly as in the 2D
 // experiment.
 //
+// One function builds every such graph in the tree: Volume.buildGraph
+// extrudes a code's 2D sector graph into T layers of edges, over either
+// a real top layer (a closed volume: NewCodeVolume, NewCodeCircuitVolume)
+// or the virtual future boundary (a window volume, NewCodeWindowVolume,
+// which the sliding window of internal/stream decodes every slide on).
+// The edge-id layout lives here and nowhere else: buildGraph assigns the
+// ids, CommitEdges folds a correction back into a Pauli frame cut at a
+// layer (past the top layer: the plain projection), SetErasedMask and
+// MarkCounterpartEdges name the erased edges of the side-information
+// decodes. A Volume is built by whoever decodes on it — an experiment
+// for its run, a stream.Window for its life — and nothing in the
+// package outlives its caller.
+//
 // Both error sectors run per shot: bit-flip chains over the primal
 // (plaquette) volume and phase-flip chains over the dual (star) volume,
 // via toric's dual-lattice indexing.

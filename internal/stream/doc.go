@@ -16,7 +16,10 @@
 // weighted edges, plus one virtual boundary node joined to the newest
 // layer by vertical-weight edges — a defect near the open edge may be a
 // measurement error whose partner round has not happened yet, and the
-// boundary absorbs exactly that possibility (decoder.NewBoundaryGraph).
+// boundary absorbs exactly that possibility. The graph is a
+// spacetime.Volume whose top layer is that boundary
+// (spacetime.NewCodeWindowVolume), built by the same function as every
+// closed volume; node indices and edge ids are the spacetime package's.
 //
 // The correction is then split at the commit boundary C < W:
 //
@@ -35,9 +38,16 @@
 // carry, and the frame: O(L²·W) bits regardless of how many rounds
 // stream past — the constant-memory property the sustained experiments
 // rely on. At stream end one perfect round closes the remaining buffer,
-// which decodes as an ordinary closed volume; with W ≥ T no slide ever
-// fires and the stream decode is bit-identical to the whole-volume
-// decode (tested).
+// which decodes as an ordinary closed volume of the buffered height on
+// the slide's own path — same pivot, same per-lane lists, same pool
+// round trip — with the commit boundary past the closing layer, so
+// everything commits and nothing is cut. With W ≥ T no slide ever fires
+// and the stream decode is bit-identical to the whole-volume decode
+// (tested). The Window owns those closing volumes (at most W, one per
+// height a stream has ended at, built on first use and shared by every
+// session on the window); a closing round with odd defect parity on a
+// closed code is refused as the decoder's error before anything is
+// submitted.
 //
 // # One decode per window, from scratch
 //
@@ -51,9 +61,10 @@
 // silent-sector skip: a sector whose buffered layers are empty in every
 // lane and whose carries are clear skips its decode outright — an empty
 // defect list decodes to an empty correction, so the skip is exact by
-// construction and has no off switch. Defect and correction buffers are
-// sized once from the window shape, and warm Push (slides included) runs
-// at zero heap allocations.
+// construction and has no off switch. Every buffer — rings, per-lane
+// syndromes for W+1 layers, defect, erasure and correction lists — is
+// sized once in NewDecoderOpts, and warm Push (slides included) and warm
+// Finish run at zero heap allocations.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's
@@ -69,6 +80,10 @@
 // bit-identical for any worker count). One pool serves both sectors and
 // every chunk of a Monte Carlo run, so it persists across thousands of
 // submissions, the shape a control-system consumer would call at scale.
+// The pool holds nothing per window: decode scratch belongs to the
+// graphs, the graphs to the volumes, the volumes to the Window, so a
+// shape no session holds any more is garbage
+// (TestDroppedShapesAreCollected).
 //
 // Accuracy: a window of W ≥ 2L rounds with a C = W/2 commit region
 // reproduces whole-volume logical failure rates within statistical

@@ -34,13 +34,6 @@ func (h *frameDigest) addGraph(g *decoder.Graph) {
 	}
 }
 
-// closingGraphs returns both sectors' closing graphs of a window at
-// buffered height h.
-func closingGraphs(w *Window, h int) (x, z *decoder.Graph) {
-	v := w.closingVolume(h)
-	return v.Graph(), v.DualGraph()
-}
-
 func TestGoldenGraphs(t *testing.T) {
 	codes := []surface.Code{
 		toric.Cached(4), toric.Cached(5), toric.HookParallel(4),
@@ -69,9 +62,9 @@ func TestGoldenGraphs(t *testing.T) {
 				h.addGraph(win.Graph())
 				h.addGraph(win.DualGraph())
 				for _, height := range []int{1, 2, win.W} {
-					x, z := closingGraphs(win, height)
-					h.addGraph(x)
-					h.addGraph(z)
+					v := win.closingVolume(height)
+					h.addGraph(v.Graph())
+					h.addGraph(v.DualGraph())
 				}
 				name := fmt.Sprintf("%s-%d wd=%d W=%d C=%d", code.CodeName(), code.Distance(), wd, sh[0], sh[1])
 				if uint64(h) != pinned[i] {

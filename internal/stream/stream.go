@@ -173,14 +173,19 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	nq, nc := w.Code().Qubits(), w.Code().Checks()
 	// Every buffer is sized here, once, for the tallest decode there is —
 	// W buffered layers plus the closing one — so neither a slide nor
-	// Finish allocates.
+	// Finish allocates. The ordered view holds check planes, and the
+	// erased-data ring's qubit planes when there is one.
+	stride := nc
+	if opts.ErasureAware {
+		stride = max(nc, nq)
+	}
 	d := &Decoder{
 		s:       s,
 		lanes:   lanes,
 		nq:      nq,
 		nc:      nc,
 		opts:    opts,
-		ordered: make([]bits.Vec, (w.W+1)*max(nc, nq)),
+		ordered: make([]bits.Vec, (w.W+1)*stride),
 	}
 	// Erased-edge lists exist only for side-information decoders; like the
 	// defect buffers below they are sized once, at one entry per eight

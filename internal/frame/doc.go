@@ -33,9 +33,12 @@
 //   - AggregateSampler (production): a single PCG stream per sampler
 //     draws whole 64-lane Bernoulli masks by geometric skipping — the gap
 //     between consecutive faulted lanes is Geometric(p), so a typical
-//     location costs ~1 draw per word instead of 64. Experiments key one
-//     sampler stream per batch chunk, (seed, chunk index), making results
-//     a pure function of (seed, samples) independent of GOMAXPROCS.
+//     location costs ~1 draw per word instead of 64. The gap carries
+//     across words and same-p calls, so back-to-back full-mask calls are
+//     one walk; BernoulliBlock and RunRound make it draw for draw.
+//     Experiments key one sampler stream per batch chunk, (seed, chunk
+//     index), making results a pure function of (seed, samples)
+//     independent of GOMAXPROCS.
 //
 //   - LockstepSampler (verification): one PCG stream per lane, consumed
 //     draw-for-draw in the scalar simulator's order, so batch lane i is

@@ -1,8 +1,6 @@
 package frame
 
 import (
-	"math"
-
 	"ftqc/internal/bits"
 	"ftqc/internal/noise"
 )
@@ -123,8 +121,9 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 //     draws at location boundaries inside the walk to match.
 //   - Probability edge cases match: p ≤ 0 skips the block without
 //     touching the carry, p ≥ 1 faults every lane without touching the
-//     carry, and an infinite skip (Float64 returning exactly 0) poisons
-//     the carry the same way Bernoulli does.
+//     carry, and an infinite skip (Float64 returning exactly 0) ends at
+//     the boundary of the location that drew it, where the next location
+//     redraws as the next Bernoulli call would (nextFaulted).
 //   - Propagating all CNOTs of a step before injecting the step's
 //     faults is frame-equivalent to the interleaved generic order
 //     because a step's pairs are qubit-disjoint.
@@ -172,58 +171,15 @@ func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) bool {
 
 // runFaultOp walks one geometric fault stream over the block's
 // len(qa)·W trials (location-major, lane-minor — the concatenation of
-// the per-location Bernoulli masks), collecting the faulted lanes of
-// the current location and flushing their Pauli/flip draws whenever the
-// walk crosses a location boundary. The flush-at-boundary discipline
-// reproduces the generic interleaving of geometric and Pauli draws on
-// the shared rng stream exactly.
+// the per-location Bernoulli masks), one faulted location at a time,
+// drawing that location's Paulis/flips before the walk moves on: the
+// generic interleaving of geometric and Pauli draws on the shared rng.
 func (b *BatchSim) runFaultOp(s *AggregateSampler, p float64, op *planOp, meas []bits.Vec) {
-	n := len(op.qa) * b.w
-	if p <= 0 || n == 0 {
-		return
-	}
-	if p >= 1 {
-		b.laneBuf = b.laneBuf[:0]
-		for lane := 0; lane < b.w; lane++ {
-			b.laneBuf = append(b.laneBuf, int32(lane))
+	for loc := 0; ; loc++ {
+		if loc, b.laneBuf = s.nextFaulted(p, loc, len(op.qa), b.w, 0, b.laneBuf[:0]); loc == len(op.qa) {
+			return
 		}
-		for loc := range op.qa {
-			b.flushFaults(s, op, loc, meas)
-		}
-		return
-	}
-	inv := s.invLog1p(p)
-	if s.carryP != p {
-		s.carry = math.Floor(math.Log(s.rng.Float64()) * inv)
-		s.carryP = p
-	}
-	skip := s.carry
-	cur := -1
-	pos := 0
-	for {
-		if skip >= float64(n-pos) {
-			skip -= float64(n - pos)
-			break
-		}
-		pos += int(skip)
-		loc := pos / b.w
-		if loc != cur {
-			if cur >= 0 {
-				b.flushFaults(s, op, cur, meas)
-			}
-			cur = loc
-			b.laneBuf = b.laneBuf[:0]
-		}
-		b.laneBuf = append(b.laneBuf, int32(pos-loc*b.w))
-		pos++
-		skip = math.Floor(math.Log(s.rng.Float64()) * inv)
-	}
-	s.carry = skip
-	if math.IsInf(skip, 1) {
-		s.carryP = -1
-	}
-	if cur >= 0 {
-		b.flushFaults(s, op, cur, meas)
+		b.flushFaults(s, op, loc, meas)
 	}
 }
 

@@ -29,6 +29,11 @@ type Sampler interface {
 	// Bernoulli fills out with an independent P(bit=1)=p draw for every
 	// lane in active and zeroes the rest.
 	Bernoulli(p float64, active, out bits.Vec)
+	// BernoulliBlock is the block form of Bernoulli: it appends to pos, in
+	// ascending order, the faulted trials plane·lanes+lane among planes ×
+	// lanes trials, consuming the stream exactly as `planes` back-to-back
+	// Bernoulli calls over a full mask of `lanes` lanes do.
+	BernoulliBlock(p float64, planes, lanes int, pos []int32) []int32
 	// Coin fills out with a fair coin for every lane in active and zeroes
 	// the rest.
 	Coin(active, out bits.Vec)
@@ -89,6 +94,16 @@ func (s *LockstepSampler) Bernoulli(p float64, active, out bits.Vec) {
 		}
 		out.SetWord(i, m)
 	}
+}
+
+// BernoulliBlock draws once per lane per plane, as Bernoulli does.
+func (s *LockstepSampler) BernoulliBlock(p float64, planes, lanes int, pos []int32) []int32 {
+	for t := 0; t < planes*lanes; t++ {
+		if s.rngs[t%lanes].Float64() < p {
+			pos = append(pos, int32(t))
+		}
+	}
+	return pos
 }
 
 // Coin mirrors the scalar `rng.IntN(2) == 1` coin flip.
@@ -192,8 +207,10 @@ func (s *AggregateSampler) Bernoulli(p float64, active, out bits.Vec) {
 		return
 	}
 	inv := s.invLog1p(p)
-	if s.carryP != p {
-		// Fresh gap for a new probability: P(skip = k) = (1-p)^k · p.
+	if s.carryP != p || math.IsInf(s.carry, 1) {
+		// Fresh gap for a new probability: P(skip = k) = (1-p)^k · p — or
+		// after an infinite one (Float64 returned exactly 0, probability
+		// 2⁻⁵³), which ends with the call that drew it.
 		s.carry = math.Floor(math.Log(s.rng.Float64()) * inv)
 		s.carryP = p
 	}
@@ -227,12 +244,61 @@ func (s *AggregateSampler) Bernoulli(p float64, active, out bits.Vec) {
 		out.SetWord(i, m)
 	}
 	s.carry = skip
-	if math.IsInf(skip, 1) {
-		// rng.Float64() returned exactly 0 (probability 2⁻⁵³): the
-		// inverse-CDF gap is unbounded. Poison the carry so the next call
-		// redraws instead of suppressing faults forever.
-		s.carryP = -1
+}
+
+// nextFaulted is the one gap walk behind every fused form: over the
+// full-mask locations loc, loc+1, … < locs of w trials each it makes
+// the draws that many Bernoulli calls make, up to and including the
+// first location with a fault, and returns that location (or locs: none
+// is left), its faulted lanes appended to out as loc·stride + lane. The
+// state between locations is Bernoulli's between calls, the carry alone
+// — an infinite gap ends with the location that drew it, p ≤ 0 and
+// p ≥ 1 leave it untouched — and callers draw between calls.
+func (s *AggregateSampler) nextFaulted(p float64, loc, locs, w, stride int, out []int32) (int, []int32) {
+	if p <= 0 || loc >= locs {
+		return locs, out
 	}
+	if p >= 1 {
+		for lane := 0; lane < w; lane++ {
+			out = append(out, int32(loc*stride+lane))
+		}
+		return loc, out
+	}
+	inv := s.invLog1p(p)
+	for ; loc < locs; loc++ {
+		if s.carryP != p || math.IsInf(s.carry, 1) {
+			s.carry = math.Floor(math.Log(s.rng.Float64()) * inv)
+			s.carryP = p
+		}
+		if math.IsInf(s.carry, 1) {
+			continue
+		}
+		if rest := float64((locs - loc) * w); s.carry >= rest {
+			s.carry -= rest
+			return locs, out
+		}
+		skip := int(s.carry) // inside the block: the conversion cannot overflow
+		loc += skip / w
+		for lane := skip % w; ; {
+			out = append(out, int32(loc*stride+lane))
+			gap := math.Floor(math.Log(s.rng.Float64()) * inv)
+			if rem := float64(w - 1 - lane); gap >= rem {
+				s.carry = gap - rem
+				break
+			}
+			lane += int(gap) + 1
+		}
+		return loc, out
+	}
+	return locs, out
+}
+
+// BernoulliBlock walks the gap stream over the whole block.
+func (s *AggregateSampler) BernoulliBlock(p float64, planes, lanes int, pos []int32) []int32 {
+	for plane := 0; plane < planes; plane++ {
+		plane, pos = s.nextFaulted(p, plane, planes, lanes, lanes, pos)
+	}
+	return pos
 }
 
 // Coin draws one full-entropy word per word of lanes that need it.

@@ -380,18 +380,26 @@ func TestFusedRoundFallbacks(t *testing.T) {
 
 // TestWarmNextLayersZeroAllocs: once the schedule's plan is compiled
 // and the sampler's tables are warm, a fused extraction round allocates
-// nothing, for every schedule shape.
+// nothing, for every schedule shape — and neither does a round of the
+// phenomenological source once its fault-position buffer has grown.
 func TestWarmNextLayersZeroAllocs(t *testing.T) {
 	const lanes = 128
 	for _, code := range circuitCodes() {
-		src := surface.NewCircuitSource(code, noise.Uniform(0.003), lanes, frame.NewAggregateSampler(15, 0))
+		sources := map[string]interface {
+			NextLayers(layerX, layerZ []bits.Vec)
+		}{
+			"circuit":          surface.NewCircuitSource(code, noise.Uniform(0.003), lanes, frame.NewAggregateSampler(15, 0)),
+			"phenomenological": surface.NewLayerSource(code, 0.003, 0.003, lanes, frame.NewAggregateSampler(15, 0)),
+		}
 		layerX := bits.NewVecs(code.Checks(), lanes)
 		layerZ := bits.NewVecs(code.Checks(), lanes)
-		for r := 0; r < 8; r++ {
-			src.NextLayers(layerX, layerZ)
-		}
-		if n := testing.AllocsPerRun(50, func() { src.NextLayers(layerX, layerZ) }); n != 0 {
-			t.Errorf("%s: warm NextLayers allocates %.1f times per round", codeLabel(code), n)
+		for name, src := range sources {
+			for r := 0; r < 8; r++ {
+				src.NextLayers(layerX, layerZ)
+			}
+			if n := testing.AllocsPerRun(50, func() { src.NextLayers(layerX, layerZ) }); n != 0 {
+				t.Errorf("%s %s source: warm NextLayers allocates %.1f times per round", codeLabel(code), name, n)
+			}
 		}
 	}
 }

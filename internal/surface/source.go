@@ -2,6 +2,7 @@ package surface
 
 import (
 	"ftqc/internal/bits"
+	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 )
@@ -24,9 +25,40 @@ type LayerSource struct {
 	rounds int
 
 	active, tmp  bits.Vec
-	intact, coin bits.Vec   // erasure-path scratch, built on first use
-	cumX, cumZ   []bits.Vec // qubit-major accumulated error planes
+	intact, coin bits.Vec        // erasure-path scratch, built on first use
+	pos          []int32         // faulted trials of the block walk in flight
+	sec          [2]sectorErrors // primal (X errors), dual (Z errors)
 	diff         *SyndromeDiff
+}
+
+// sectorErrors is one sector's half of a LayerSource: the accumulated
+// error planes and the true syndrome they have. The source owns that
+// syndrome and keeps it current fault by fault — a flipped data qubit
+// flips the two nodes its sector-graph edge joins — so no round
+// recomputes it. syn has a plane per graph node: an open code's boundary
+// node gets one nobody reads.
+type sectorErrors struct {
+	g   *decoder.Graph
+	cum []bits.Vec // qubit-major accumulated error planes
+	syn []bits.Vec // node-major true syndrome of cum, checks first
+}
+
+// flipLane toggles data qubit e on one lane.
+func (x *sectorErrors) flipLane(e, lane int) {
+	u, v := x.g.Ends(e)
+	x.cum[e].Flip(lane)
+	x.syn[u].Flip(lane)
+	x.syn[v].Flip(lane)
+}
+
+// flipPlane toggles data qubit e on every lane of a sampled flip plane.
+func (x *sectorErrors) flipPlane(e int, flips bits.Vec) {
+	if flips.Any() {
+		u, v := x.g.Ends(e)
+		x.cum[e].Xor(flips)
+		x.syn[u].Xor(flips)
+		x.syn[v].Xor(flips)
+	}
 }
 
 // NewLayerSource returns a phenomenological source over the code for
@@ -36,9 +68,11 @@ func NewLayerSource(code Code, p, q float64, lanes int, smp frame.Sampler) *Laye
 		code: code, p: p, q: q, lanes: lanes, smp: smp,
 		active: bits.NewVec(lanes),
 		tmp:    bits.NewVec(lanes),
-		cumX:   bits.NewVecs(code.Qubits(), lanes),
-		cumZ:   bits.NewVecs(code.Qubits(), lanes),
 		diff:   NewSyndromeDiff(code.Checks(), lanes),
+	}
+	for i := range s.sec {
+		g := code.SectorGraph(i == 1)
+		s.sec[i] = sectorErrors{g: g, cum: bits.NewVecs(code.Qubits(), lanes), syn: bits.NewVecs(g.Nodes(), lanes)}
 	}
 	s.active.SetAll()
 	return s
@@ -55,31 +89,32 @@ func (s *LayerSource) Rounds() int { return s.rounds }
 
 // NextLayers advances one noisy extraction round and writes its
 // difference-syndrome layers into layerX and layerZ (check-major,
-// Checks() vectors each).
+// Checks() vectors each). The round is four block walks of the sampler
+// (data planes at p, measurement planes at q, per sector) — the stream
+// of one Bernoulli call per plane at the cost of the faults alone.
 func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
-	nq, nc := s.code.Qubits(), s.code.Checks()
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumX[e].Xor(s.tmp)
+	for i := range s.sec {
+		x := &s.sec[i]
+		s.pos = s.smp.BernoulliBlock(s.p, len(x.cum), s.lanes, s.pos[:0])
+		for _, t := range s.pos {
+			x.flipLane(int(t)/s.lanes, int(t)%s.lanes)
+		}
 	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumZ[e].Xor(s.tmp)
-	}
-	curX := s.diff.CurX()
-	s.code.CheckPlanes(false, s.cumX, curX)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curX[c].Xor(s.tmp)
-	}
-	curZ := s.diff.CurZ()
-	s.code.CheckPlanes(true, s.cumZ, curZ)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curZ[c].Xor(s.tmp)
+	for i, cur := range [2][]bits.Vec{s.diff.CurX(), s.diff.CurZ()} {
+		copyPlanes(cur, s.sec[i].syn)
+		s.pos = s.smp.BernoulliBlock(s.q, len(cur), s.lanes, s.pos[:0])
+		for _, t := range s.pos {
+			cur[int(t)/s.lanes].Flip(int(t) % s.lanes)
+		}
 	}
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
+}
+
+func copyPlanes(dst, src []bits.Vec) {
+	for i := range dst {
+		dst[i].CopyFrom(src[i])
+	}
 }
 
 // NextLayersErased is NextLayers with two erasure channels, both
@@ -92,7 +127,7 @@ func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
 // leakage planes, X intact flips, X leaked coins, Z intact flips, Z
 // leaked coins, primal measurement masks, lost primal masks, lost
 // primal coins, then the dual sector's three — all plane-at-a-time in
-// index order.
+// index order (masked draws: there is no full-mask block to walk).
 func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	nq := s.code.Qubits()
 	if s.intact.Len() == 0 {
@@ -102,20 +137,21 @@ func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, los
 	for e := 0; e < nq; e++ {
 		s.smp.Bernoulli(pe, s.active, eraH[e])
 	}
-	for _, cum := range [2][]bits.Vec{s.cumX, s.cumZ} {
+	for i := range s.sec {
+		sec := &s.sec[i]
 		for e := 0; e < nq; e++ {
 			s.intact.CopyFrom(s.active)
 			s.intact.AndNot(eraH[e])
 			s.smp.Bernoulli(s.p, s.intact, s.tmp)
-			cum[e].Xor(s.tmp)
+			sec.flipPlane(e, s.tmp)
 		}
 		for e := 0; e < nq; e++ {
 			s.smp.Bernoulli(0.5, eraH[e], s.tmp)
-			cum[e].Xor(s.tmp)
+			sec.flipPlane(e, s.tmp)
 		}
 	}
-	s.observeLossy(false, s.cumX, s.diff.CurX(), qe, lostX)
-	s.observeLossy(true, s.cumZ, s.diff.CurZ(), qe, lostZ)
+	s.observeLossy(s.sec[0].syn, s.diff.CurX(), qe, lostX)
+	s.observeLossy(s.sec[1].syn, s.diff.CurZ(), qe, lostZ)
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
 }
@@ -123,8 +159,8 @@ func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, los
 // observeLossy measures one sector's checks with flip rate q, then
 // loses each measurement with probability qe: a lost measurement reads
 // as a fair coin, whatever the truth.
-func (s *LayerSource) observeLossy(dual bool, cum, cur []bits.Vec, qe float64, lost []bits.Vec) {
-	s.code.CheckPlanes(dual, cum, cur)
+func (s *LayerSource) observeLossy(syn, cur []bits.Vec, qe float64, lost []bits.Vec) {
+	copyPlanes(cur, syn)
 	for c := range cur {
 		s.smp.Bernoulli(s.q, s.active, s.tmp)
 		cur[c].Xor(s.tmp)
@@ -143,8 +179,8 @@ func (s *LayerSource) observeLossy(dual bool, cum, cur []bits.Vec, qe float64, l
 // true syndromes of the accumulated errors, no fresh faults, no
 // measurement noise.
 func (s *LayerSource) CloseLayers(layerX, layerZ []bits.Vec) {
-	s.code.CheckPlanes(false, s.cumX, s.diff.CurX())
-	s.code.CheckPlanes(true, s.cumZ, s.diff.CurZ())
+	copyPlanes(s.diff.CurX(), s.sec[0].syn)
+	copyPlanes(s.diff.CurZ(), s.sec[1].syn)
 	s.diff.Emit(layerX, layerZ)
 }
 
@@ -152,13 +188,13 @@ func (s *LayerSource) CloseLayers(layerX, layerZ []bits.Vec) {
 // accumulated error chains (the layer-feed homology contract; open
 // codes leave the second parity of each sector untouched).
 func (s *LayerSource) Windings(pX1, pX2, pZ1, pZ2 bits.Vec) {
-	s.code.LogicalPlanes(false, s.cumX, pX1, pX2)
-	s.code.LogicalPlanes(true, s.cumZ, pZ1, pZ2)
+	s.code.LogicalPlanes(false, s.sec[0].cum, pX1, pX2)
+	s.code.LogicalPlanes(true, s.sec[1].cum, pZ1, pZ2)
 }
 
 // ErrorPlanes returns the live accumulated error planes of the two
 // sectors (qubit-major). Read-only views for validation harnesses.
-func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.cumX, s.cumZ }
+func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.sec[0].cum, s.sec[1].cum }
 
 // roundPlan returns the schedule's extraction round compiled into a
 // frame.RoundPlan, built on first use and shared by every

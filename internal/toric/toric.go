@@ -703,29 +703,24 @@ func (t *Lattice) BatchMemory(p float64, kind DecoderKind, lanes int, smp frame.
 // PlaquetteSyndromePlanes fills check-major syndrome planes (one vector
 // per check, one bit per lane) from the edge error planes.
 func (t *Lattice) PlaquetteSyndromePlanes(planes, checks []bits.Vec) {
-	for y := 0; y < t.L; y++ {
-		for x := 0; x < t.L; x++ {
-			edges := t.PlaquetteEdges(x, y)
-			cv := checks[y*t.L+x]
-			cv.CopyFrom(planes[edges[0]])
-			cv.Xor(planes[edges[1]])
-			cv.Xor(planes[edges[2]])
-			cv.Xor(planes[edges[3]])
-		}
-	}
+	xorSupports(t.ExtractionSchedule().Plaq, planes, checks)
 }
 
 // StarSyndromePlanes is PlaquetteSyndromePlanes for the Z sector.
 func (t *Lattice) StarSyndromePlanes(planes, checks []bits.Vec) {
-	for y := 0; y < t.L; y++ {
-		for x := 0; x < t.L; x++ {
-			edges := t.StarEdges(x, y)
-			cv := checks[y*t.L+x]
-			cv.CopyFrom(planes[edges[0]])
-			cv.Xor(planes[edges[1]])
-			cv.Xor(planes[edges[2]])
-			cv.Xor(planes[edges[3]])
-		}
+	xorSupports(t.ExtractionSchedule().Star, planes, checks)
+}
+
+// xorSupports writes into each check plane the XOR of its four support
+// planes, read off the memoized schedule's tables (a check's Plaq / Star
+// entry is its PlaquetteEdges / StarEdges): no arithmetic in the loop.
+func xorSupports(sup [][4]int, planes, checks []bits.Vec) {
+	for c, e := range sup {
+		cv := checks[c]
+		cv.CopyFrom(planes[e[0]])
+		cv.Xor(planes[e[1]])
+		cv.Xor(planes[e[2]])
+		cv.Xor(planes[e[3]])
 	}
 }
 

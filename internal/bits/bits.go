@@ -352,6 +352,21 @@ func TransposePlanes(dst, src []Vec) {
 	}
 }
 
+// AppendPlaneSupports is the plane-major route to the lists that
+// TransposePlanes then AppendSupport per row builds: for every set bit
+// j of planes[i] it appends base+i to lists[j], planes in order — one
+// probe per word, one append per set bit, nothing transposed.
+func AppendPlaneSupports(lists [][]int, planes []Vec, base int) {
+	for i, p := range planes {
+		for wi, w := range p.words {
+			for ; w != 0; w &= w - 1 {
+				j := wi*wordBits + trailingZeros64(w)
+				lists[j] = append(lists[j], base+i)
+			}
+		}
+	}
+}
+
 // transpose64 transposes a 64×64 bit tile in place (bit j of word i moves
 // to bit i of word j) by recursive halves — the Hacker's Delight network:
 // swap the off-diagonal 32×32 quadrants, then 16×16, … down to 1×1.

@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +298,35 @@ func TestTransposePlanes(t *testing.T) {
 						t.Fatalf("shape %dx%d pad %d: dst[%d][%d] = %v", n, m, pad, j, i, !want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAppendPlaneSupports: scattering plane groups at ascending bases
+// builds, per bit column, the list AppendSupport reads off the transpose
+// of all the planes.
+func TestAppendPlaneSupports(t *testing.T) {
+	rng := rand.New(rand.NewPCG(75, 76))
+	for _, shape := range [][2]int{{1, 1}, {3, 70}, {64, 64}, {65, 127}, {130, 100}} {
+		n, m := shape[0], shape[1]
+		src := NewVecs(n, m)
+		for i := range src {
+			for j := 0; j < m; j++ {
+				if rng.IntN(8) == 0 {
+					src[i].Set(j, true)
+				}
+			}
+		}
+		cols := NewVecs(m, n)
+		TransposePlanes(cols, src)
+		lists := make([][]int, m)
+		cut := n / 3
+		AppendPlaneSupports(lists, src[:cut], 0)
+		AppendPlaneSupports(lists, src[cut:], cut)
+		for j := range lists {
+			if want := cols[j].Support(); !slices.Equal(lists[j], want) {
+				t.Fatalf("shape %dx%d column %d: %v, want %v", n, m, j, lists[j], want)
 			}
 		}
 	}

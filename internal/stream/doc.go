@@ -39,7 +39,7 @@
 // stream past — the constant-memory property the sustained experiments
 // rely on. At stream end one perfect round closes the remaining buffer,
 // which decodes as an ordinary closed volume of the buffered height on
-// the slide's own path — same pivot, same per-lane lists, same pool
+// the slide's own path — same lists read off the planes, same pool
 // round trip — with the commit boundary past the closing layer, so
 // everything commits and nothing is cut. With W ≥ T no slide ever fires
 // and the stream decode is bit-identical to the whole-volume decode
@@ -52,18 +52,21 @@
 // # One decode per window, from scratch
 //
 // Successive windows share W − C layers, and every slide re-decodes
-// them: a slide is pivot → defect support → one plain union-find decode
-// per lane → commit and carry, and nothing is carried between slides
-// but the carry defects and the frames. (A retained-forest slide that
+// them: a slide is defect lists → one plain union-find decode per lane
+// → commit and carry, and nothing is carried between slides but the
+// carry defects and the frames. The lists come straight off the planes
+// — the ring read in place, every set lane bit of a non-zero word
+// appending its detector to that lane's list — and only the per-lane
+// carry is pivoted, to join the base layer, where the cut defects sit. (A retained-forest slide that
 // kept the previous window's interior clusters across the slide was
 // measured slower than this on every benchmark workload and deleted;
 // EXPERIMENTS.md E31 has the table.) The one shortcut is the
 // silent-sector skip: a sector whose buffered layers are empty in every
 // lane and whose carries are clear skips its decode outright — an empty
 // defect list decodes to an empty correction, so the skip is exact by
-// construction and has no off switch. Every buffer — rings, per-lane
-// syndromes for W+1 layers, defect, erasure and correction lists — is
-// sized once in NewDecoderOpts, and warm Push (slides included) and warm
+// construction and has no off switch. Every buffer — rings, the
+// plane-major carry, defect, erasure and correction lists — is sized
+// once in NewDecoderOpts, and warm Push (slides included) and warm
 // Finish run at zero heap allocations.
 //
 // What the decode pool may not do is remember: a lane's correction must

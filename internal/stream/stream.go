@@ -78,8 +78,8 @@ type sectorState struct {
 	dual  bool       // star sector: decodes on the volumes' dual graphs
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
 	carry []bits.Vec // per-lane cut defects at the base layer (nc bits)
+	base  []bits.Vec // nc check-major planes: the carry pivoted, XOR the base layer (decode scratch)
 	corr  []bits.Vec // per-lane running committed corrections (nq bits)
-	syn   []bits.Vec // per-lane syndromes, (W+1)·nc bits: a window, or a tail plus its closing layer
 	quiet []bool     // per ring slot: every check plane empty across all lanes
 
 	// Erasure side information of the sector (erasure-aware decoders
@@ -112,9 +112,9 @@ func (sec *sectorState) graph(vol *spacetime.Volume) *decoder.Graph {
 //
 // Every decode — a slide over the window volume, or Finish over the
 // closing volume of the buffered height — runs the volume from scratch:
-// pivot, defect support, one plain union-find decode per lane, commit
-// and carry. A sector that is silent in every lane skips its decode
-// entirely.
+// defect lists read off the planes, one plain union-find decode per
+// lane, commit and carry. A sector that is silent in every lane skips
+// its decode entirely.
 type Decoder struct {
 	s      *Session
 	lanes  int
@@ -142,7 +142,7 @@ type Decoder struct {
 
 	sx, sz sectorState
 
-	ordered []bits.Vec // ring view in logical layer order, closing planes last
+	ordered []bits.Vec // erasure-ring view in logical layer order (erasure-aware decoders only)
 }
 
 // Push-discipline states: a decoder is fed either by Push or by
@@ -173,20 +173,8 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	nq, nc := w.Code().Qubits(), w.Code().Checks()
 	// Every buffer is sized here, once, for the tallest decode there is —
 	// W buffered layers plus the closing one — so neither a slide nor
-	// Finish allocates. The ordered view holds check planes, and the
-	// erased-data ring's qubit planes when there is one.
-	stride := nc
-	if opts.ErasureAware {
-		stride = max(nc, nq)
-	}
-	d := &Decoder{
-		s:       s,
-		lanes:   lanes,
-		nq:      nq,
-		nc:      nc,
-		opts:    opts,
-		ordered: make([]bits.Vec, (w.W+1)*stride),
-	}
+	// Finish allocates.
+	d := &Decoder{s: s, lanes: lanes, nq: nq, nc: nc, opts: opts}
 	// Erased-edge lists exist only for side-information decoders; like the
 	// defect buffers below they are sized once, at one entry per eight
 	// window edges (a leak rate of 0.01 per gate erases about a tenth of a
@@ -202,6 +190,7 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 		d.eraRing = bits.NewVecs(w.W*nq, lanes)
 		d.eraLane = bits.NewVecs(lanes, w.W*nq)
 		d.eraQuiet = make([]bool, w.W)
+		d.ordered = make([]bits.Vec, w.W*max(nc, nq))
 	}
 	// Defect and correction buffers are sized once from the window shape
 	// — one entry per eight detectors, several times any operating
@@ -213,8 +202,8 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		sec.ring = bits.NewVecs(w.W*nc, lanes)
 		sec.carry = bits.NewVecs(lanes, nc)
+		sec.base = bits.NewVecs(nc, lanes)
 		sec.corr = bits.NewVecs(lanes, nq)
-		sec.syn = bits.NewVecs(lanes, (w.W+1)*nc)
 		sec.quiet = make([]bool, w.W)
 		if opts.ErasureAware {
 			sec.lostRing = bits.NewVecs(w.W*nc, lanes)
@@ -296,10 +285,7 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 			return -1
 		}
 	}
-	slot := d.head + d.filled
-	if slot >= w.W {
-		slot -= w.W
-	}
+	slot := d.slot(d.filled)
 	quietX, quietZ := true, true
 	for c := 0; c < nc; c++ {
 		d.sx.ring[slot*nc+c].CopyFrom(layerX[c])
@@ -366,7 +352,7 @@ func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []
 	eraX := d.windowErased(&d.sx, h)
 	eraZ := d.windowErased(&d.sz, h)
 	if eraX || eraZ {
-		bits.TransposePlanes(d.eraLane, d.orderedLayers(d.eraRing, h, d.nq, nil))
+		bits.TransposePlanes(d.eraLane, d.orderedLayers(d.eraRing, h, d.nq))
 	}
 	if d.opts.Correlated {
 		// Correlated decodes serialize: the dual sector's erased set is a
@@ -416,12 +402,8 @@ func (d *Decoder) windowErased(sec *sectorState, layers int) bool {
 	if d.eraRing == nil {
 		return false
 	}
-	w := d.s.win
 	for t := 0; t < layers; t++ {
-		slot := d.head + t
-		if slot >= w.W {
-			slot -= w.W
-		}
+		slot := d.slot(t)
 		if !d.eraQuiet[slot] || !sec.lostQuiet[slot] {
 			return true
 		}
@@ -453,9 +435,9 @@ func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 	return true
 }
 
-// prepSector pivots one sector's h buffered layers (and closing planes)
-// into per-lane syndromes and submits every lane's defect list to the
-// decode pool on the sector's graph of vol.
+// prepSector reads every lane's defect list off one sector's h buffered
+// layers (and closing planes) and submits them to the decode pool on the
+// sector's graph of vol.
 //
 // Side-information passes: with `era` set the sector's erasure planes
 // are pivoted lane-major and every lane with erased edges decodes with
@@ -465,12 +447,11 @@ func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec, primal *sectorState, era bool) {
 	g := sec.graph(vol)
 	closed := g.Closed()
-	d.pivot(sec, h, closing)
+	d.defectLists(sec, h, closing)
 	if era {
-		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, h, d.nc, nil))
+		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, h, d.nc))
 	}
 	for lane := 0; lane < d.lanes; lane++ {
-		sec.defbuf[lane] = sec.syn[lane].AppendSupport(sec.defbuf[lane][:0])
 		if closed && len(sec.defbuf[lane])%2 == 1 {
 			// Only reachable with layers no source of this code emits
 			// (a served stream is untrusted): growth could never finish.
@@ -513,37 +494,40 @@ func (d *Decoder) commitSector(sec *sectorState, vol *spacetime.Volume, commit i
 	}
 }
 
-// orderedLayers appends views of the first `layers` buffered ring
-// layers (oldest first), then the closing planes, to the reusable
-// ordered slice. stride is the ring's planes per layer (nc for syndrome
-// and lost rings, nq for the erased-data ring).
-func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int, closing []bits.Vec) []bits.Vec {
-	w := d.s.win
+// orderedLayers appends views of the first `layers` buffered layers of
+// an erasure ring (oldest first) to the reusable ordered slice. stride
+// is the ring's planes per layer (nc for a lost ring, nq for the
+// erased-data ring).
+func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int) []bits.Vec {
 	ordered := d.ordered[:0]
 	for t := 0; t < layers; t++ {
-		slot := d.head + t
-		if slot >= w.W {
-			slot -= w.W
-		}
+		slot := d.slot(t)
 		ordered = append(ordered, ring[slot*stride:(slot+1)*stride]...)
 	}
-	return append(ordered, closing...)
+	return ordered
 }
 
-// pivot transposes one sector's first h buffered layers and closing
-// planes (plus the carry at the base layer) into per-lane syndrome
-// vectors.
-func (d *Decoder) pivot(sec *sectorState, h int, closing []bits.Vec) {
-	bits.TransposePlanes(sec.syn, d.orderedLayers(sec.ring, h, d.nc, closing))
-	// The carry defects live at the base (first) layer, whose bits are
-	// word-aligned at the front of every lane vector.
-	for lane := 0; lane < d.lanes; lane++ {
-		cv := sec.carry[lane]
-		sv := sec.syn[lane]
-		for i := 0; i < cv.Words(); i++ {
-			sv.XorWord(i, cv.Word(i))
-		}
+// slot returns the ring slot of buffered layer t (0 = oldest).
+func (d *Decoder) slot(t int) int { return (d.head + t) % d.s.win.W }
+
+// defectLists builds every lane's ascending defect list (detector =
+// layer·nc + check) straight from the planes, in layer order: the first
+// h buffered layers in place from the ring, then the closing planes.
+// Only the per-lane carry is pivoted, to join the base layer.
+func (d *Decoder) defectLists(sec *sectorState, h int, closing []bits.Vec) {
+	nc := d.nc
+	for lane := range sec.defbuf {
+		sec.defbuf[lane] = sec.defbuf[lane][:0]
 	}
+	bits.TransposePlanes(sec.base, sec.carry)
+	for c, p := range sec.ring[d.head*nc:][:nc] {
+		sec.base[c].Xor(p)
+	}
+	bits.AppendPlaneSupports(sec.defbuf, sec.base, 0)
+	for t := 1; t < h; t++ {
+		bits.AppendPlaneSupports(sec.defbuf, sec.ring[d.slot(t)*nc:][:nc], t*nc)
+	}
+	bits.AppendPlaneSupports(sec.defbuf, closing, h*nc)
 }
 
 // Corrections returns the per-lane committed correction frames of the
@@ -564,7 +548,7 @@ func (d *Decoder) FootprintBytes() int {
 	n := cap(d.ordered) * int(unsafe.Sizeof(bits.Vec{}))
 	n += vecs(d.eraRing) + vecs(d.eraLane) + d.emask.Words()*8 + len(d.eraQuiet)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.corr) + vecs(sec.syn)
+		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.base) + vecs(sec.corr)
 		n += vecs(sec.lostRing) + vecs(sec.lostLane)
 		n += len(sec.quiet) + len(sec.lostQuiet)
 		for lane := 0; lane < d.lanes; lane++ {

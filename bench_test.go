@@ -435,6 +435,64 @@ func BenchmarkStreamDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerSourceRound — one phenomenological round of toric L=16
+// × 128 lanes (the `mc-quiet` chunk shape) far below, below and at the
+// threshold rate: 196,608 trials per round whose cost should follow the
+// ≈ 98, ≈ 2,000 and ≈ 5,900 faults among them, not the 1,536 planes.
+func BenchmarkLayerSourceRound(b *testing.B) {
+	const l, lanes = 16, 128
+	code := toric.Cached(l)
+	for _, p := range []float64{0.0005, 0.01, 0.03} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			src := surface.NewLayerSource(code, p, p, lanes, frame.NewAggregateSampler(7, 1))
+			layerX, layerZ := bits.NewVecs(code.Checks(), lanes), bits.NewVecs(code.Checks(), lanes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.NextLayers(layerX, layerZ)
+			}
+		})
+	}
+}
+
+// BenchmarkDefectLists — the list-building step of one sector slide on
+// the benchmark's toric L=16 window (32 layers × 256 checks × 128
+// lanes) at the two traced densities: 24 defects per lane-window
+// (`mc-quiet`) and 423 (`mc-circuit`). Each iteration makes the calls
+// stream.Decoder makes per sector: the carry pivoted and joined to the
+// base layer, then every layer's planes scattered into the lane lists.
+func BenchmarkDefectLists(b *testing.B) {
+	const w, nc, lanes = 32, 256, 128
+	for _, cfg := range []struct {
+		name    string
+		defects float64
+	}{{"quiet", 24.4779}, {"dense", 423.395}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(7, 2))
+			ring, carry, base := bits.NewVecs(w*nc, lanes), bits.NewVecs(lanes, nc), bits.NewVecs(nc, lanes)
+			for _, plane := range ring {
+				for lane := 0; lane < lanes; lane++ {
+					if rng.Float64() < cfg.defects/(w*nc) {
+						plane.Flip(lane)
+					}
+				}
+			}
+			lists := make([][]int, lanes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lane := range lists {
+					lists[lane] = lists[lane][:0]
+				}
+				bits.TransposePlanes(base, carry)
+				for c := range base {
+					base[c].Xor(ring[c])
+				}
+				bits.AppendPlaneSupports(lists, base, 0)
+				bits.AppendPlaneSupports(lists, ring[nc:], nc)
+			}
+		})
+	}
+}
+
 // serverFleetRun drives one fleet of concurrent circuit-level sessions
 // through the decode server and returns the wall time.
 func serverFleetRun(sessions, l, lanes, rounds int, eps float64) (time.Duration, error) {

@@ -29,7 +29,9 @@ func (s *goldenRNG) next() uint64 {
 	return z ^ z>>31
 }
 
-func (s *goldenRNG) hit(perMille int) bool { return int(s.next()%1000) < perMille }
+func (s *goldenRNG) hit(perMille int) bool { return s.hitOf(perMille, 1000) }
+
+func (s *goldenRNG) hitOf(n, den int) bool { return int(s.next()%uint64(den)) < n }
 
 // goldenHash is an order-sensitive FNV-1a over 32-bit values.
 type goldenHash uint64
@@ -48,8 +50,9 @@ type goldenCase struct {
 	name  string
 	graph *decoder.Graph
 	// Per-mille rates of the seeded draw: edge faults (their syndrome is
-	// the defect set) and erased edges.
-	fault, erased int
+	// the defect set) and erased edges. A non-zero faultDen replaces the
+	// fault rate's denominator of 1000.
+	fault, erased, faultDen int
 
 	hash   uint64
 	sweeps int // summed over the shots
@@ -90,6 +93,10 @@ func TestGoldenKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unit16, err := stream.NewCodeWindow(toric.Cached(16), 32, 16, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []goldenCase{
 		{seed: 0x5eed0000, name: "toric8-circuit-2-2-3", graph: toric8.Graph(), fault: 6, hash: 0x25d65bf002fc4d7b, sweeps: 302},
 		{seed: 0x5eed0001, name: "toric8-circuit-2-2-3-dual", graph: toric8.DualGraph(), fault: 12, hash: 0xf997a0402a9f40dd, sweeps: 404},
@@ -104,6 +111,12 @@ func TestGoldenKernel(t *testing.T) {
 		// The only case past L=8: ~5 % defect density on the benchmark's
 		// headline window, where the scratch no longer fits near L1.
 		{seed: 0x5eed000e, name: "toric16-circuit-2-2-3", graph: toric16.Graph(), fault: 5, hash: 0x86e15404cbfdecd0, sweeps: 393},
+		// Sparse windows, below the density rule of AppendCorrection, so
+		// nearly every decode takes the isolated-pair path: the benchmark's
+		// quiet window in unit weights at 0.3 ‰ faults per edge, and the
+		// rotated circuit window at 1 ‰. Recorded on the full decode.
+		{seed: 0x5eed000f, name: "toric16-unit-sparse", graph: unit16.Graph(), fault: 3, faultDen: 10000, hash: 0x4eadac4d7dec194a, sweeps: 72},
+		{seed: 0x5eed0010, name: "rotated5-circuit-sparse", graph: rot5.Graph(), fault: 1, hash: 0x7daff35ef1dce875, sweeps: 88},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -126,10 +139,14 @@ func runGolden(t *testing.T, c goldenCase) (uint64, int) {
 	h := goldenHash(14695981039346656037)
 	lit := make([]bool, g.Nodes())
 	sweeps := 0
+	den := c.faultDen
+	if den == 0 {
+		den = 1000
+	}
 	for shot := 0; shot < 64; shot++ {
 		clear(lit)
 		for e := 0; e < g.Edges(); e++ {
-			if rng.hit(c.fault) {
+			if rng.hitOf(c.fault, den) {
 				a, b := g.Ends(e)
 				lit[a], lit[b] = !lit[a], !lit[b]
 			}

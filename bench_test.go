@@ -17,6 +17,7 @@ import (
 	"ftqc/internal/bits"
 	"ftqc/internal/code"
 	"ftqc/internal/concat"
+	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/ft"
 	"ftqc/internal/noise"
@@ -489,6 +490,53 @@ func BenchmarkDefectLists(b *testing.B) {
 				bits.AppendPlaneSupports(lists, base, 0)
 				bits.AppendPlaneSupports(lists, ring[nc:], nc)
 			}
+		})
+	}
+}
+
+// BenchmarkUnionFindDensity — the union-find kernel alone on the
+// `mc-quiet` window (toric L=16, W=32, unit weights, 8,193 detectors)
+// across the defect densities between that workload's 0.3 % and the
+// circuit-level ones' ≥ 4.5 %. Each iteration decodes 128 seeded lane
+// lists — ascending syndromes of independent edge faults, as a slide
+// hands them to the pool — on one instance; the density rule of
+// decoder.AppendCorrection was set where the isolated-pair path stops
+// paying on this sweep.
+func BenchmarkUnionFindDensity(b *testing.B) {
+	win, err := stream.NewCodeWindow(toric.Cached(16), 32, 16, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := win.Graph()
+	for _, density := range []float64{0.001, 0.003, 0.01, 0.03, 0.05} {
+		b.Run(fmt.Sprintf("%g%%", 100*density), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(26, uint64(1e6*density)))
+			rate := density * float64(g.Nodes()) / float64(2*g.Edges())
+			lists := make([][]int, 128)
+			lit := make([]bool, g.Nodes())
+			for i := range lists {
+				clear(lit)
+				for e := 0; e < g.Edges(); e++ {
+					if rng.Float64() < rate {
+						u, v := g.Ends(e)
+						lit[u], lit[v] = !lit[u], !lit[v]
+					}
+				}
+				for v, on := range lit {
+					if on && !g.IsBoundary(v) {
+						lists[i] = append(lists[i], v)
+					}
+				}
+			}
+			uf := decoder.NewUnionFind(g)
+			var corr []int32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, defects := range lists {
+					corr = uf.AppendCorrection(corr[:0], defects, nil)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lists)), "ns/decode")
 		})
 	}
 }

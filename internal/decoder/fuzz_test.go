@@ -55,16 +55,20 @@ func offBoundary(g *Graph, defects []int) []int {
 
 // FuzzUnionFindDecode drives the union-find kernel on random weighted
 // boundary graphs: the decode must not panic, the correction must clear
-// exactly the defect set off the boundary and name no edge twice, and an
+// exactly the defect set off the boundary and name no edge twice, an
 // instance that decoded something else first must agree with a fresh
-// one, emit order and sweep count included.
+// one, emit order and sweep count included, and the isolated-pair path
+// must agree with the full decode on the same defects without the
+// erasure.
 func FuzzUnionFindDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, 0, 1})                                     // one faulty edge, closed
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 1, 3, 0, 0, 1}) // lone defect on a path into a boundary node
 	f.Add([]byte{6, 0, 0, 0, 1, 3, 0, 0, 2, 1, 1, 0, 0, 3, 2, 0, 3, 2}) // parallel edges, erased faults
 	f.Add([]byte{62, 2, 0, 5, 1, 1, 9, 7, 3, 3, 20, 1, 0, 2, 33, 8, 4, 1, 50, 10, 2, 1, 61, 0, 1, 3})
-	f.Add([]byte{9, 2, 0, 0, 2, 2, 1, 0, 2, 2, 2, 0, 2, 2, 3, 0, 2, 2}) // erasure only, no faults
+	f.Add([]byte{9, 2, 0, 0, 2, 2, 1, 0, 2, 2, 2, 0, 2, 2, 3, 0, 2, 2})             // erasure only, no faults
+	f.Add([]byte{2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})             // 4-ring, one isolated pair
+	f.Add([]byte{4, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0, 0, 0, 3, 0, 0, 1, 4, 0, 0, 1}) // 6-path, the rest grows into the pair
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, faulty, erased := parseFuzzGraph(data)
 		defects := fuzzSyndrome(g, faulty, true)
@@ -94,6 +98,9 @@ func FuzzUnionFindDecode(f *testing.F) {
 		got := used.AppendCorrection(nil, defects, erased)
 		if !slices.Equal(got, want) || used.GrowthSweeps() != fresh.GrowthSweeps() {
 			t.Fatalf("reused instance: %v in %d sweeps, fresh: %v in %d", got, used.GrowthSweeps(), want, fresh.GrowthSweeps())
+		}
+		if err := PairedMatchesFull(used, fresh, defects); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

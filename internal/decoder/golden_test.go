@@ -89,6 +89,7 @@ func TestGoldenKernel(t *testing.T) {
 	mixed := circuitWindow(t, toric.Cached(6), 12, 6, 3, 2, 5)
 	heavy := circuitWindow(t, toric.Cached(6), 12, 6, 3, 4, 5)
 	toric16 := circuitWindow(t, toric.Cached(16), 32, 16, 2, 2, 3)
+	rot5tall := circuitWindow(t, surface.Rotated(5), 40, 5, 2, 2, 3)
 	unit, err := stream.NewCodeWindow(toric.Cached(8), 16, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +114,12 @@ func TestGoldenKernel(t *testing.T) {
 		{seed: 0x5eed000e, name: "toric16-circuit-2-2-3", graph: toric16.Graph(), fault: 5, hash: 0x86e15404cbfdecd0, sweeps: 393},
 		// Sparse windows, below the density rule of AppendCorrection, so
 		// nearly every decode takes the isolated-pair path: the benchmark's
-		// quiet window in unit weights at 0.3 ‰ faults per edge, and the
-		// rotated circuit window at 1 ‰. Recorded on the full decode.
+		// quiet window in unit weights at 0.3 ‰ faults per edge, and a
+		// rotated d=5 circuit window of 40 layers (481 detectors, room for
+		// seven defects under the rule) at 1 ‰. Recorded on the full
+		// decode.
 		{seed: 0x5eed000f, name: "toric16-unit-sparse", graph: unit16.Graph(), fault: 3, faultDen: 10000, hash: 0x4eadac4d7dec194a, sweeps: 72},
-		{seed: 0x5eed0010, name: "rotated5-circuit-sparse", graph: rot5.Graph(), fault: 1, hash: 0x7daff35ef1dce875, sweeps: 88},
+		{seed: 0x5eed0010, name: "rotated5-circuit-sparse", graph: rot5tall.Graph(), fault: 1, hash: 0x2700a97a84a2ed0, sweeps: 201},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -130,12 +133,15 @@ func TestGoldenKernel(t *testing.T) {
 
 // runGolden decodes 64 seeded shots of c on one UnionFind instance
 // (scratch reuse is part of what is pinned) and folds everything the
-// decoder reports into one hash.
+// decoder reports into one hash. Every shot's defect list is also
+// decoded plain by the isolated-pair path and the full path, past the
+// density rule, which must agree.
 func runGolden(t *testing.T, c goldenCase) (uint64, int) {
 	t.Helper()
 	g := c.graph
 	rng := c.seed
 	uf := decoder.NewUnionFind(g)
+	pu, fu := decoder.NewUnionFind(g), decoder.NewUnionFind(g)
 	h := goldenHash(14695981039346656037)
 	lit := make([]bool, g.Nodes())
 	sweeps := 0
@@ -167,6 +173,9 @@ func runGolden(t *testing.T, c goldenCase) (uint64, int) {
 			if rng.hit(c.erased) {
 				erased = append(erased, e)
 			}
+		}
+		if err := decoder.PairedMatchesFull(pu, fu, defects); err != nil {
+			t.Fatalf("shot %d: %v", shot, err)
 		}
 		h.add(-1)
 		uf.DecodeErased(defects, erased, func(e int) { h.add(int32(e)) })

@@ -17,6 +17,7 @@ type Graph struct {
 	weight []int32 // per-edge growth weight, >= 1
 	off    []int32 // CSR offsets into adjE, len nodes+1
 	adjE   []int32 // incident edge ids, grouped by node
+	adjN   []int32 // the node across each adjE slot
 
 	scratch sync.Pool // of *UnionFind over this graph
 
@@ -72,13 +73,14 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		g.off[v+1] += g.off[v]
 	}
 	g.adjE = make([]int32, 2*len(ends))
+	g.adjN = make([]int32, 2*len(ends))
 	cursor := make([]int32, nodes)
 	copy(cursor, g.off[:nodes])
 	for e := range ends {
 		u, v := g.endU[e], g.endV[e]
-		g.adjE[cursor[u]] = int32(e)
+		g.adjE[cursor[u]], g.adjN[cursor[u]] = int32(e), v
 		cursor[u]++
-		g.adjE[cursor[v]] = int32(e)
+		g.adjE[cursor[v]], g.adjN[cursor[v]] = int32(e), u
 		cursor[v]++
 	}
 	return g

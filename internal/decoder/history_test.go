@@ -39,13 +39,15 @@ type historyShot struct {
 }
 
 // historyShots draws n seeded shots on g: the syndrome of a random
-// fault set (boundary nodes excluded), every third shot with erased
-// edges, every eleventh with no defects at all (erased or not).
+// fault set at 1, 4, 10 or 0.1 % per edge in turn (boundary nodes
+// excluded; the last rate is sparse enough for AppendCorrection's
+// isolated-pair path), every third shot with erased edges, every
+// eleventh with no defects at all (erased or not).
 func historyShots(g *Graph, n int, rng *rand.Rand) []historyShot {
 	shots := make([]historyShot, n)
 	for i := range shots {
 		faults := map[int]bool{}
-		rate := []float64{0.01, 0.04, 0.1}[i%3]
+		rate := []float64{0.01, 0.04, 0.1, 0.001}[i%4]
 		for e := 0; e < g.Edges() && i%11 != 10; e++ {
 			if rng.Float64() < rate {
 				faults[e] = true
@@ -63,14 +65,16 @@ func historyShots(g *Graph, n int, rng *rand.Rand) []historyShot {
 
 // TestScratchHistoryIndependent pins the contract the decode pool rests
 // on: a shot's correction (emit order included) and sweep count depend
-// on (graph, defects, erasure) alone. The same 200 shots — plain,
-// erased and empty, on an open window graph and on a closed torus —
-// decode identically on a fresh instance per shot, on one instance
-// reused across all of them in a shuffled order, and on a used instance
-// driven across the 30-bit epoch wraparound, whose stale stamps would
-// collide with the restarted epochs if the wrap did not clear them.
+// on (graph, defects, erasure) alone. The same 300 shots — plain,
+// erased and empty, dense and sparse, on two open window graphs and on
+// a closed torus — decode identically on a fresh instance per shot, on
+// one instance reused across all of them in a shuffled order, and on a
+// used instance driven across the 30-bit epoch wraparound, whose stale
+// stamps and pair marks would collide with the restarted epochs if the
+// wrap did not clear them.
 func TestScratchHistoryIndependent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1801, 1802))
+	paired := 0 // isolated pairs the wrapped passes took out
 	for _, c := range []struct {
 		name  string
 		g     *Graph
@@ -78,6 +82,7 @@ func TestScratchHistoryIndependent(t *testing.T) {
 	}{
 		{"open-slab-2-3", slabGraph(5, 6, 2, 3), 150},
 		{"closed-torus-2-3", weightedTorusGraph(8, func(e int) int32 { return 2 + int32(e/64) }), 50},
+		{"open-slab-unit", slabGraph(8, 8, 1, 1), 100},
 	} {
 		g := c.g
 		shots := historyShots(g, c.shots, rng)
@@ -111,11 +116,18 @@ func TestScratchHistoryIndependent(t *testing.T) {
 			check("pre-wrap", wrapped, i)
 		}
 		wrapped.epoch = 1<<30 - 3
-		for i := range shots {
+		for i, s := range shots {
 			check("wrapped", wrapped, i)
+			if len(s.defects) > 0 && len(s.erased) == 0 && len(s.defects)*sparseK <= g.Nodes() {
+				n, _ := pairOutcome(wrapped)
+				paired += n
+			}
 		}
 		if wrapped.epoch >= 1<<30-3 {
 			t.Fatalf("%s: epoch %d never wrapped", c.name, wrapped.epoch)
 		}
+	}
+	if paired == 0 {
+		t.Fatal("no shot took the isolated-pair path")
 	}
 }

@@ -63,12 +63,24 @@ type UnionFind struct {
 
 	epoch uint32
 
+	// Isolated-pair scratch (appendPaired), sized for the longest list
+	// the density rule admits: mark[v] is 2·epoch for a defect, 2·epoch+1
+	// for half of a pair; rest is what is left to grow.
+	mark  []uint32
+	rest  []int
+	pairs []peelStep
+
 	// Reusable worklists.
 	odd   []int32
 	grown []int32
 	stack []int32
 	order []peelStep
 }
+
+// sparseK is the density rule of AppendCorrection: a plain decode of n
+// defects on an N-node graph looks for isolated pairs when n·sparseK ≤ N
+// (doc.go has the measured crossovers it sits between).
+const sparseK = 64
 
 // ufNode is the per-node record. stamp encodes the epoch the record is
 // valid for (2·epoch when touched, 2·epoch+1 once visited by the peeling
@@ -105,10 +117,13 @@ type peelStep struct {
 // NewUnionFind returns a decoder instance over g.
 func NewUnionFind(g *Graph) *UnionFind {
 	u := &UnionFind{
-		g:    g,
-		node: make([]ufNode, g.nodes),
-		edge: make([]ufEdge, g.Edges()),
-		wmin: 1,
+		g:     g,
+		node:  make([]ufNode, g.nodes),
+		edge:  make([]ufEdge, g.Edges()),
+		wmin:  1,
+		mark:  make([]uint32, g.nodes),
+		rest:  make([]int, 0, g.nodes/sparseK),
+		pairs: make([]peelStep, 0, g.nodes/sparseK/2),
 	}
 	if len(g.weight) > 0 {
 		lo := g.weight[0]
@@ -197,25 +212,113 @@ func (u *UnionFind) DecodeErased(defects, erased []int, emit func(edge int)) {
 // AppendCorrection is DecodeErased with the correction appended to corr
 // in emit order and returned re-sliced, so a caller-owned buffer makes
 // the steady state allocation-free — the form the decode service and the
-// streaming window run on.
+// streaming window run on. A sparse plain decode takes its isolated
+// pairs out before growing the rest, with the same output (see doc.go).
 func (u *UnionFind) AppendCorrection(corr []int32, defects, erased []int) []int32 {
+	if len(erased) == 0 && len(defects)*sparseK <= u.g.nodes {
+		return u.appendPaired(corr, defects)
+	}
+	return u.appendFull(corr, defects, erased)
+}
+
+// reset zeroes the support the previous decode grew and, if there is
+// anything to decode, opens a new scratch epoch.
+func (u *UnionFind) reset(defects []int) bool {
 	u.sweeps = 0
 	u.touched = u.touched[:0]
-	// Zero the support the previous decode left behind — touching only
-	// the edges it actually grew.
 	edge := u.edge
 	for _, e := range u.dirty {
 		edge[e].sup = 0
 	}
 	u.dirty = u.dirty[:0]
 	if len(defects) == 0 {
-		return corr
+		return false
 	}
 	u.bumpEpoch()
 	u.allGrown = u.allGrown[:0]
 	u.bnd = u.bnd[:0]
+	return true
+}
+
+// appendFull decodes every defect through seeding, growth and peeling.
+func (u *UnionFind) appendFull(corr []int32, defects, erased []int) []int32 {
+	if !u.reset(defects) {
+		return corr
+	}
+	u.grow(defects, erased)
+	return u.peel(corr, defects, nil)
+}
+
+// appendPaired is appendFull with the isolated pairs taken out first
+// and only the rest grown; if the rest put support on a pair node's edge
+// it falls back to appendFull. Its output equals appendFull's for every
+// input — doc.go has the argument.
+func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
+	if !u.reset(defects) {
+		return corr
+	}
+	g, mark := u.g, u.mark
+	isPaired := u.epoch<<1 | 1
+	for _, d := range defects {
+		if g.bnd != nil && g.bnd[d] {
+			panic("decoder: boundary node cannot be a defect")
+		}
+		if mark[d]>>1 == u.epoch {
+			panic("decoder: duplicate defect")
+		}
+		mark[d] = u.epoch << 1
+	}
+	rest, pairs := u.rest[:0], u.pairs[:0]
+	for _, d := range defects {
+		v := int32(d)
+		if mark[v] == isPaired {
+			continue // the second defect of a pair taken earlier
+		}
+		if s := u.soleDefectSlot(v); s >= 0 && g.weight[g.adjE[s]] == int32(u.wmin) {
+			w := g.adjN[s]
+			if t := u.soleDefectSlot(w); t >= 0 && g.adjN[t] == v {
+				mark[v], mark[w] = isPaired, isPaired
+				pairs = append(pairs, peelStep{node: w, parentEdge: g.adjE[s], parentNode: v})
+				continue
+			}
+		}
+		rest = append(rest, d)
+	}
+	u.rest, u.pairs = rest, pairs
+	u.grow(rest, nil)
+	for _, e := range u.dirty {
+		if mark[g.endU[e]] == isPaired || mark[g.endV[e]] == isPaired {
+			return u.appendFull(corr, defects, nil)
+		}
+	}
+	if len(rest) == 0 {
+		u.sweeps = int(u.wmin) // the first pass that completes every pair edge
+	}
+	return u.peel(corr, defects, pairs)
+}
+
+// soleDefectSlot returns v's one adjacency slot that reaches a defect of
+// this decode, or -1 when none or more than one does.
+func (u *UnionFind) soleDefectSlot(v int32) int32 {
+	g, mark, epoch := u.g, u.mark, u.epoch
+	lo, slot := g.off[v], int32(-1)
+	for i, x := range g.adjN[lo:g.off[v+1]] {
+		if mark[x]>>1 == epoch {
+			if slot >= 0 {
+				return -1
+			}
+			slot = lo + int32(i)
+		}
+	}
+	return slot
+}
+
+// grow seeds every defect as an odd singleton on its own boundary list,
+// takes the erased edges into the erasure, and runs the growth and merge
+// sweeps until no cluster is odd.
+func (u *UnionFind) grow(defects, erased []int) {
 	g := u.g
-	node := u.node
+	node, edge := u.node, u.edge
 	for _, d := range defects {
 		v := int32(d)
 		if g.bnd != nil && g.bnd[v] {
@@ -343,7 +446,6 @@ func (u *UnionFind) AppendCorrection(corr []int32, defects, erased []int) []int3
 		odd = next
 	}
 	u.dirty, u.odd = dirty, odd
-	return u.peel(corr, defects)
 }
 
 // merge takes fully-grown edge e = (a, b) into the erasure: endpoints
@@ -402,7 +504,8 @@ func (u *UnionFind) union(ra, rb int32) {
 // cancel pairwise inside the forest; a grounded cluster roots its tree
 // at an open-boundary node, so any unpaired defect drains onto the
 // boundary and is absorbed there. Correction edges are appended to corr.
-func (u *UnionFind) peel(corr []int32, defects []int) []int32 {
+// Each of appendPaired's pairs is a tree rooted at its first defect.
+func (u *UnionFind) peel(corr []int32, defects []int, pairs []peelStep) []int32 {
 	g := u.g
 	node := u.node
 	// CSR build: offsets in first-touch node order, then one scatter
@@ -437,7 +540,15 @@ func (u *UnionFind) peel(corr []int32, defects []int) []int32 {
 		}
 	}
 	for _, d := range defects {
-		u.peelRoot(int32(d), visited)
+		v := int32(d)
+		if len(pairs) > 0 && pairs[0].parentNode == v {
+			node[v].stamp, node[pairs[0].node].stamp = visited, visited
+			node[pairs[0].node].flags = 2 // live defect: emits the pair edge
+			u.order = append(u.order, peelStep{node: v, parentEdge: -1, parentNode: -1}, pairs[0])
+			pairs = pairs[1:]
+			continue
+		}
+		u.peelRoot(v, visited)
 	}
 	for i := len(u.order) - 1; i >= 0; i-- {
 		step := u.order[i]
@@ -478,14 +589,15 @@ func (u *UnionFind) peelRoot(root int32, visited uint32) {
 	u.stack, u.order = stack, order
 }
 
-// bumpEpoch advances the scratch epoch, clearing the node stamps on
-// wraparound of the 30-bit epoch so stale stamps can never collide.
+// bumpEpoch advances the scratch epoch, clearing stamps and marks on
+// wraparound of the 30-bit epoch so stale ones can never collide.
 func (u *UnionFind) bumpEpoch() {
 	u.epoch++
 	if u.epoch >= 1<<30 {
 		for i := range u.node {
 			u.node[i].stamp = 0
 		}
+		clear(u.mark)
 		u.epoch = 1
 	}
 }

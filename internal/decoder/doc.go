@@ -87,9 +87,7 @@
 // single {node, next} arena. First touch of a node writes one record
 // and a growth visit of an edge is one load, which is what keeps a
 // W = 32, L = 16 window (8 k nodes, 41 k edges) inside the cache levels
-// next to the core. The isolated-pair path (below) adds a 4-byte mark
-// per node, and the Graph the node across each adjacency slot.
-// AppendCorrection is the form the pool and the
+// next to the core. AppendCorrection is the form the pool and the
 // streaming window call: the correction is appended into a caller-owned
 // buffer in emit order.
 //
@@ -208,22 +206,21 @@
 //
 // A plain decode (no erased edges) with at most one defect per sparseK =
 // 64 detectors first takes out its isolated pairs — two defects on a
-// weight-wmin edge, each the other's only defect neighbour counted over
-// adjacency slots (a parallel edge disqualifies) — grows the rest alone,
-// and keeps that only if no edge of a pair node gained support, else it
-// decodes the whole list the full way. The output equals the full
-// decode's, emit order and GrowthSweeps included, by induction over the
-// sweeps: the full decode's folded first pass completes the pair edge
-// (visited from both ends) and no other pair-node edge (each reaches a
-// non-defect), so the pair is an even cluster that never grows again; no
-// rest defect shares an edge with a pair node, so the rest's passes read
-// and write the same state in both decodes until one reaches a pair
-// node's edge — exactly what the support check sees, that edge starting
-// at zero in the rest-only decode; unions touch one component at a time.
-// The DFS roots a pair at its first defect in list order (not its smaller
-// id), where the pair path puts its two peel steps, so the pair edge is
-// emitted in the same place. Sweeps are the rest's, or wmin (the one
-// folded pass) when nothing else is left. sparseK sits between the
-// measured crossovers (≈ 4 % density on the unit-weight L=16 window,
-// BenchmarkUnionFindDensity; ≈ 1 % on circuit-level windows).
+// weight-wmin edge, each the other's only defect neighbour over adjacency
+// slots (a parallel edge disqualifies) — grows the rest alone, and keeps
+// that only if no edge of a pair node gained support, else decodes the
+// whole list the full way. The output equals the full decode's, emit
+// order and GrowthSweeps included, by induction over the sweeps: the
+// full decode's folded first pass completes the pair edge (visited from
+// both ends) and no other pair-node edge (each reaches a non-defect), so
+// the pair is an even cluster that never grows again; no rest defect
+// shares an edge with a pair node, so the rest's passes read and write
+// the same state in both decodes until one reaches a pair node's edge —
+// what the support check sees, that edge starting at zero in the
+// rest-only decode; unions touch one component at a time. The DFS roots
+// a pair at its first defect in list order (not its smaller id), so the
+// pair path emits the pair edge from that list position. Sweeps are the
+// rest's, or wmin (the one folded pass) when nothing else is left. The
+// rule sits between measured crossovers: ≈ 4 % density on the unit-
+// weight L=16 window (BenchmarkUnionFindDensity), ≈ 1 % on circuit ones.
 package decoder

@@ -31,7 +31,7 @@ func pairOutcome(u *UnionFind) (pairs int, fellBack bool) {
 	if len(u.pairs) == 0 {
 		return 0, false
 	}
-	return len(u.pairs), u.mark[u.pairs[0].node]>>1 != u.epoch
+	return len(u.pairs), u.mark[u.pairs[0].parentNode]>>1 != u.epoch
 }
 
 // TestPairedDecodeMatchesFull holds the isolated-pair path to the full

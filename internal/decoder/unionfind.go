@@ -63,9 +63,9 @@ type UnionFind struct {
 
 	epoch uint32
 
-	// Isolated-pair scratch (appendPaired), sized for the longest list
-	// the density rule admits: mark[v] is 2·epoch for a defect, 2·epoch+1
-	// for half of a pair; rest is what is left to grow.
+	// Isolated-pair scratch (appendPaired), sized for the longest list the
+	// density rule admits: mark[v] is 2·epoch for a defect, 2·epoch+1 for
+	// half of a pair; rest is what is left to grow, pairs their peel steps.
 	mark  []uint32
 	rest  []int
 	pairs []peelStep
@@ -221,8 +221,7 @@ func (u *UnionFind) AppendCorrection(corr []int32, defects, erased []int) []int3
 	return u.appendFull(corr, defects, erased)
 }
 
-// reset zeroes the support the previous decode grew and, if there is
-// anything to decode, opens a new scratch epoch.
+// reset zeroes the last decode's support and opens an epoch if needed.
 func (u *UnionFind) reset(defects []int) bool {
 	u.sweeps = 0
 	u.touched = u.touched[:0]
@@ -249,10 +248,9 @@ func (u *UnionFind) appendFull(corr []int32, defects, erased []int) []int32 {
 	return u.peel(corr, defects, nil)
 }
 
-// appendPaired is appendFull with the isolated pairs taken out first
-// and only the rest grown; if the rest put support on a pair node's edge
-// it falls back to appendFull. Its output equals appendFull's for every
-// input — doc.go has the argument.
+// appendPaired is appendFull with the isolated pairs taken out and only
+// the rest grown, falling back to appendFull if the rest put support on a
+// pair node's edge. Its output is appendFull's for every input (doc.go).
 func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 	if !u.reset(defects) {
 		return corr
@@ -278,7 +276,7 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 			w := g.adjN[s]
 			if t := u.soleDefectSlot(w); t >= 0 && g.adjN[t] == v {
 				mark[v], mark[w] = isPaired, isPaired
-				pairs = append(pairs, peelStep{node: w, parentEdge: g.adjE[s], parentNode: v})
+				pairs = append(pairs, peelStep{node: -1, parentEdge: g.adjE[s], parentNode: v})
 				continue
 			}
 		}
@@ -504,7 +502,9 @@ func (u *UnionFind) union(ra, rb int32) {
 // cancel pairwise inside the forest; a grounded cluster roots its tree
 // at an open-boundary node, so any unpaired defect drains onto the
 // boundary and is absorbed there. Correction edges are appended to corr.
-// Each of appendPaired's pairs is a tree rooted at its first defect.
+// An isolated pair (appendPaired) is one step, node -1, emitting its edge
+// where the full decode's tree from its first defect would; the second
+// defect, marked 2·epoch+1 (no node is on the full path), roots nothing.
 func (u *UnionFind) peel(corr []int32, defects []int, pairs []peelStep) []int32 {
 	g := u.g
 	node := u.node
@@ -539,19 +539,23 @@ func (u *UnionFind) peel(corr []int32, defects []int, pairs []peelStep) []int32 
 			u.peelRoot(b, visited)
 		}
 	}
+	paired := u.epoch<<1 | 1
 	for _, d := range defects {
 		v := int32(d)
-		if len(pairs) > 0 && pairs[0].parentNode == v {
-			node[v].stamp, node[pairs[0].node].stamp = visited, visited
-			node[pairs[0].node].flags = 2 // live defect: emits the pair edge
-			u.order = append(u.order, peelStep{node: v, parentEdge: -1, parentNode: -1}, pairs[0])
+		switch {
+		case len(pairs) > 0 && pairs[0].parentNode == v:
+			u.order = append(u.order, pairs[0])
 			pairs = pairs[1:]
-			continue
+		case u.mark[v] != paired:
+			u.peelRoot(v, visited)
 		}
-		u.peelRoot(v, visited)
 	}
 	for i := len(u.order) - 1; i >= 0; i-- {
 		step := u.order[i]
+		if step.node < 0 {
+			corr = append(corr, step.parentEdge)
+			continue
+		}
 		if step.parentEdge < 0 || node[step.node].flags&2 == 0 {
 			continue
 		}

@@ -11,8 +11,8 @@ import (
 // by the full path on fu and reports the first difference — correction
 // (emit order included) or sweep count — or nil. The pair path appends
 // behind a sentinel, which it must leave alone. It is exported for
-// TestGoldenKernel, whose windows come from builders that import this
-// package.
+// TestGoldenKernel, whose windows come from the stream package, which
+// imports this one.
 func PairedMatchesFull(pu, fu *UnionFind, defects []int) error {
 	got := pu.appendPaired([]int32{-7}, defects)
 	want := fu.appendFull(nil, defects, nil)

@@ -449,6 +449,15 @@ func cmdSpacetime(args []string) {
 		fmt.Fprintf(os.Stderr, "spacetime: bad -q %v (want a probability, or -1 to track p)\n", *q)
 		os.Exit(2)
 	}
+	for _, r := range []struct {
+		flag string
+		v    float64
+	}{{"pe", *pe}, {"qe", *qe}} {
+		if r.v < 0 || r.v > 1 {
+			fmt.Fprintf(os.Stderr, "spacetime: bad -%s %v (want a probability in [0, 1])\n", r.flag, r.v)
+			os.Exit(2)
+		}
+	}
 	erased := *pe > 0 || *qe > 0
 	if erased && kind != toric.DecoderUnionFind {
 		fmt.Fprintln(os.Stderr, "spacetime: erasure decoding is union-find only (-decoder uf)")

@@ -74,6 +74,20 @@ func TestCLIExitCodes(t *testing.T) {
 			t.Fatalf("bad flag value: exit %d, want 2", code)
 		}
 	})
+	for _, args := range [][]string{
+		{"-L", "4", "-p", "0.01", "-pe", "2", "-samples", "64"},
+		{"-L", "4", "-p", "0.01", "-pe", "-0.5", "-qe", "0.1", "-samples", "64"},
+	} {
+		t.Run("erasure rate "+args[5], func(t *testing.T) {
+			code, _, stderr := runCLI(t, append([]string{"spacetime"}, args...)...)
+			if code != 2 {
+				t.Fatalf("spacetime -pe %s: exit %d, want 2", args[5], code)
+			}
+			if !strings.Contains(stderr, "-pe") {
+				t.Fatalf("the rejection should name -pe, got %q", stderr)
+			}
+		})
+	}
 	t.Run("invalid distances", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "codes", "-d1", "4", "-d2", "6")
 		if code != 2 {

@@ -2,18 +2,17 @@ package spacetime
 
 // Circuit-level erasure and correlated two-sector decoding.
 //
-// The extraction circuit produces two kinds of side information the
-// independent-sector pipeline used to drop:
+// The extraction circuit produces two kinds of side information beyond
+// the syndrome layers:
 //
 //   - Leakage. frame.BatchSim tracks a leakage flag per qubit; an
 //     erasure-harvesting source (surface.NewCircuitSourceErased)
-//     replaces leaked data qubits with
-//     fresh randomized ones at round boundaries and reports every leak
-//     as a located fault: the horizontal (and mirrored diagonal) edges
-//     of a leaked data qubit, the vertical edge of a leaked ancilla.
-//     Located faults seed the union-find peeling pass (DecodeErased) at
-//     full support — the erasure decoding the phenomenological path
-//     already had, now fed by the circuit model itself.
+//     replaces leaked data qubits with fresh randomized ones at round
+//     boundaries and reports every leak as a located fault: the
+//     horizontal (and mirrored diagonal) edges of a leaked data qubit,
+//     the vertical edge of a leaked ancilla. Located faults seed the
+//     union-find peeling pass at full support, through the same
+//     BatchErasedFrom drain the phenomenological erasure source uses.
 //
 //   - Correlations. Depolarizing faults have Y components (an X error
 //     here implies a Z error on the same qubit with probability
@@ -24,7 +23,7 @@ package spacetime
 //     correction: every counterpart edge's weight drops to zero, which
 //     in the integer-weight union-find is exactly "erased".
 //
-// Both paths keep the determinism contract: lanes decode independently
+// Both passes keep the determinism contract: lanes decode independently
 // over word-aligned spans, the primal→dual order is fixed, and the
 // erased edge lists are built in canonical ascending edge-id order — so
 // results are bit-identical for any GOMAXPROCS or worker count, and the
@@ -40,11 +39,11 @@ import (
 	"ftqc/internal/toric"
 )
 
-// DecodeOptions selects the side-information passes of a circuit-level
+// DecodeOptions selects the side-information passes of an erased-feed
 // decode. The zero value is the independent-sector, erasure-blind
 // baseline.
 type DecodeOptions struct {
-	// ErasureAware feeds the harvested leakage planes into the
+	// ErasureAware feeds the harvested erasure planes into the
 	// union-find peeling pass as known fault locations. Without it the
 	// same noisy histories decode blind — the controlled comparison
 	// that measures what the locations are worth.
@@ -55,16 +54,6 @@ type DecodeOptions struct {
 	// MarkCounterpartEdges) as erased in the dual decode — the zero-LLR
 	// repricing of the depolarizing channel's conditionals.
 	Correlated bool
-}
-
-// ErasedLayerFeed is the layer-feed contract of an erasure-harvesting
-// circuit source: LayerFeed plus the per-round erasure planes. eraH is
-// qubit-major (Qubits() planes: lanes whose data qubit is a located
-// fault this layer), lostX/lostZ are check-major (Checks() planes per
-// sector: lanes whose ancilla measurement read as a coin).
-type ErasedLayerFeed interface {
-	LayerFeed
-	NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec)
 }
 
 // MarkCounterpartEdges marks, in a dual-sector edge mask, the edge
@@ -99,113 +88,6 @@ func (v *Volume) MarkCounterpartEdges(e int, mask bits.Vec) {
 	}
 }
 
-// BatchCircuitErasedFrom drains an erasure-harvesting circuit feed and
-// decodes both sectors per lane with the selected side-information
-// passes (union-find only). It is BatchMemoryFrom with erasure planes
-// and an optional correlated second pass; with a leak-free model and
-// zero options it consumes the sampler stream identically (the erased
-// round of a leak-free source is draw-for-draw the plain round).
-func (v *Volume) BatchCircuitErasedFrom(src ErasedLayerFeed, opts DecodeOptions) (failX, failZ bits.Vec) {
-	nc, nq := v.nc, v.nq
-	lanes := src.Lanes()
-	CheckFeed(src, v.code)
-	layersX := bits.NewVecs(v.det, lanes)
-	layersZ := bits.NewVecs(v.det, lanes)
-	eraH := bits.NewVecs(v.horiz, lanes)
-	lostX := bits.NewVecs(v.T*nc, lanes)
-	lostZ := bits.NewVecs(v.T*nc, lanes)
-	for t := 0; t < v.T; t++ {
-		src.NextLayersErased(
-			layersX[t*nc:(t+1)*nc], layersZ[t*nc:(t+1)*nc],
-			eraH[t*nq:(t+1)*nq], lostX[t*nc:(t+1)*nc], lostZ[t*nc:(t+1)*nc])
-	}
-	src.CloseLayers(layersX[v.T*nc:], layersZ[v.T*nc:])
-	pX1 := bits.NewVec(lanes)
-	pX2 := bits.NewVec(lanes)
-	pZ1 := bits.NewVec(lanes)
-	pZ2 := bits.NewVec(lanes)
-	src.Windings(pX1, pX2, pZ1, pZ2)
-	synX := bits.NewVecs(lanes, v.det)
-	bits.TransposePlanes(synX, layersX)
-	synZ := bits.NewVecs(lanes, v.det)
-	bits.TransposePlanes(synZ, layersZ)
-	var eraLane, lostXLane, lostZLane []bits.Vec
-	if opts.ErasureAware {
-		eraLane = bits.NewVecs(lanes, v.horiz)
-		bits.TransposePlanes(eraLane, eraH)
-		lostXLane = bits.NewVecs(lanes, v.T*nc)
-		bits.TransposePlanes(lostXLane, lostX)
-		lostZLane = bits.NewVecs(lanes, v.T*nc)
-		bits.TransposePlanes(lostZLane, lostZ)
-	}
-	failX = bits.NewVec(lanes)
-	failZ = bits.NewVec(lanes)
-	v.decodeCircuitLanes(opts, synX, synZ, eraLane, lostXLane, lostZLane,
-		pX1, pX2, pZ1, pZ2, failX, failZ)
-	return failX, failZ
-}
-
-// decodeCircuitLanes decodes both sectors of lanes over word-aligned
-// spans. The two sectors of one lane decode back to back (primal, then
-// dual) because the correlated pass conditions the dual decode on that
-// lane's committed primal correction — still embarrassingly parallel
-// across lanes, so the worker-count invariance argument of decodeLanes
-// carries over unchanged.
-func (v *Volume) decodeCircuitLanes(opts DecodeOptions, synX, synZ, era, lostX, lostZ []bits.Vec, pX1, pX2, pZ1, pZ2, failX, failZ bits.Vec) {
-	frame.ForEachLaneSpan(len(synX), func(lo, hi int) {
-		scr := v.scratch.Get().(*volScratch)
-		for lane := lo; lane < hi; lane++ {
-			// Primal (plaquette) sector; its raw correction edges stay in
-			// scr.edges for the dual pass.
-			scr.edges = scr.edges[:0]
-			scr.defects = synX[lane].AppendSupport(scr.defects[:0])
-			l1 := pX1.Get(lane)
-			l2 := pX2.Get(lane)
-			if len(scr.defects) > 0 {
-				scr.erased = scr.erased[:0]
-				if era != nil {
-					scr.erased = v.appendErased(scr.erased, era[lane], lostX[lane], scr.emask)
-				}
-				scr.corr.Clear()
-				scr.edges = scr.ufX.AppendCorrection(scr.edges, scr.defects, scr.erased)
-				v.project(scr.edges, scr.corr)
-				c1, c2 := v.code.LogicalParity(false, scr.corr)
-				l1 = l1 != c1
-				l2 = l2 != c2
-			}
-			if l1 || l2 {
-				failX.Set(lane, true)
-			}
-			// Dual (star) sector, repriced from the primal commit.
-			scr.defects = synZ[lane].AppendSupport(scr.defects[:0])
-			l1 = pZ1.Get(lane)
-			l2 = pZ2.Get(lane)
-			if len(scr.defects) > 0 {
-				scr.emask.Clear()
-				if era != nil {
-					v.SetErasedMask(scr.emask, era[lane], lostZ[lane])
-				}
-				if opts.Correlated {
-					for _, e := range scr.edges {
-						v.MarkCounterpartEdges(int(e), scr.emask)
-					}
-				}
-				scr.erased = scr.emask.AppendSupport(scr.erased[:0])
-				scr.corr.Clear()
-				scr.edges = scr.ufZ.AppendCorrection(scr.edges[:0], scr.defects, scr.erased)
-				v.project(scr.edges, scr.corr)
-				c1, c2 := v.code.LogicalParity(true, scr.corr)
-				l1 = l1 != c1
-				l2 = l2 != c2
-			}
-			if l1 || l2 {
-				failZ.Set(lane, true)
-			}
-		}
-		v.scratch.Put(scr)
-	})
-}
-
 // SetErasedMask sets a sector's erasure bits in an edge-id mask: the
 // lane's erased horizontals (era, one bit per (qubit, layer) in layer
 // order), their mirrored diagonals (a leaked data qubit's fault may
@@ -218,27 +100,16 @@ func (v *Volume) SetErasedMask(mask, era, lost bits.Vec) {
 	if v.WD > 0 {
 		for i := 0; i < era.Words(); i++ {
 			for b := era.Word(i); b != 0; b &= b - 1 {
-				mask.Set(v.diagOff+i*64+trailingZeros64(b), true)
+				mask.Set(v.diagOff+i*64+mbits.TrailingZeros64(b), true)
 			}
 		}
 	}
 	for i := 0; i < lost.Words(); i++ {
 		for b := lost.Word(i); b != 0; b &= b - 1 {
-			mask.Set(v.horiz+i*64+trailingZeros64(b), true)
+			mask.Set(v.horiz+i*64+mbits.TrailingZeros64(b), true)
 		}
 	}
 }
-
-// appendErased appends one sector's canonical erased edge list —
-// ascending edge ids: horizontals, then verticals, then mirrored
-// diagonals — using the scratch mask for the id arithmetic.
-func (v *Volume) appendErased(dst []int, era, lost bits.Vec, mask bits.Vec) []int {
-	mask.Clear()
-	v.SetErasedMask(mask, era, lost)
-	return mask.AppendSupport(dst)
-}
-
-func trailingZeros64(x uint64) int { return mbits.TrailingZeros64(x) }
 
 // CodeCircuitMemoryOpts runs the circuit-level noisy-extraction memory
 // Monte Carlo with leakage and the selected decode options for any
@@ -259,7 +130,7 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, sample
 	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
 	v := NewCodeCircuitVolume(code, rounds, wh, wv, wd)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), opts)
+		return v.BatchErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), opts)
 	})
 	return Result{L: code.Distance(), T: rounds, P: P.Gate2, Q: P.Meas, Pe: P.Leak, Samples: samples,
 		FailX: fx, FailZ: fz, Failures: fa}, nil

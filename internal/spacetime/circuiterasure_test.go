@@ -173,7 +173,7 @@ func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	wh, wv, wd := WeightsCircuit(P, 4, 4)
 	v := NewCodeCircuitVolume(toric.Cached(4), 4, wh, wv, wd)
 	lanes := 192
-	fx1, fz1 := v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
+	fx1, fz1 := v.BatchErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
 	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
 	for lane := 0; lane < lanes; lane++ {
 		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {

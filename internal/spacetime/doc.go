@@ -64,16 +64,17 @@
 // sliding-window streaming decoder in internal/stream — drain the same
 // source, which is what makes them statistically identical by
 // construction. The (T+1)·L² layer planes pivot lane-major through
-// bits.TransposePlanes, and the per-lane decodes run as a worker pool
-// over word-aligned lane spans — bit-identical for any GOMAXPROCS,
-// exactly like the 2D pipeline.
+// bits.TransposePlanes, and the per-lane decodes — one loop for every
+// feed and decoder, each lane's primal then dual sector — run as a
+// worker pool over word-aligned lane spans, bit-identical for any
+// GOMAXPROCS, exactly like the 2D pipeline.
 //
 // Erasure channels thread into the volume (see erasure.go): leaked
 // data qubits depolarize at known horizontal edges, lost measurement
 // rounds randomize their readout and erase the corresponding time-like
 // edge, and both feed the union-find peeling pass as located faults
-// (ErasedMemory vs ErasedMemoryBlind measures what the locations are
-// worth).
+// (ErasedMemory against its erasure-blind control arm, the same histories
+// decoded without the locations, measures what they are worth).
 //
 // The sustained-memory threshold (failure curves of growing L with
 // T ∝ L crossing at p = q ≈ 3%) is the package's headline experiment:

@@ -123,7 +123,7 @@ func TestPureErasureDecodesNearPerfectly(t *testing.T) {
 func TestErasureAwareBeatsBlind(t *testing.T) {
 	const samples = 4000
 	aware := ErasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613)
-	blind := ErasedMemoryBlind(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613)
+	blind := erasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613, false)
 	fa, fb := aware.FailRate(), blind.FailRate()
 	sigma := math.Sqrt(fa*(1-fa)/samples + fb*(1-fb)/samples)
 	if fa >= fb-2*sigma {

@@ -349,11 +349,7 @@ func gcd(a, b int) int {
 // (pruned above decoder.SparseMatchMin defects); every other kind runs
 // the weighted union-find decoder.
 func (v *Volume) Decode(defects []int, kind toric.DecoderKind, dual bool) bits.Vec {
-	corr := bits.NewVec(v.nq)
-	scr := v.scratch.Get().(*volScratch)
-	v.decodeInto(defects, kind, dual, scr, corr)
-	v.scratch.Put(scr)
-	return corr
+	return v.decode(defects, nil, kind, dual)
 }
 
 // DecodeErased is Decode with erasure information: the listed edge ids
@@ -362,19 +358,21 @@ func (v *Volume) Decode(defects []int, kind toric.DecoderKind, dual bool) bits.V
 // are corrected without growth. Erasure decoding is union-find only —
 // the peeling pass is what exploits the locations.
 func (v *Volume) DecodeErased(defects, erased []int, dual bool) bits.Vec {
+	return v.decode(defects, erased, toric.DecoderUnionFind, dual)
+}
+
+func (v *Volume) decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
 	scr := v.scratch.Get().(*volScratch)
-	uf := scr.ufX
-	if dual {
-		uf = scr.ufZ
-	}
-	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, erased)
-	v.project(scr.edges, corr)
+	v.decodeInto(defects, erased, kind, dual, scr, corr)
 	v.scratch.Put(scr)
 	return corr
 }
 
-func (v *Volume) decodeInto(defects []int, kind toric.DecoderKind, dual bool, scr *volScratch, corr bits.Vec) {
+// decodeInto XORs the projected correction of one sector's defect set
+// onto corr. The union-find correction's raw edges stay in scr.edges;
+// the exact matcher ignores erased (it is empty on that path).
+func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual bool, scr *volScratch, corr bits.Vec) {
 	if len(defects) == 0 {
 		return
 	}
@@ -459,7 +457,7 @@ func (v *Volume) decodeInto(defects []int, kind toric.DecoderKind, dual bool, sc
 	if dual {
 		uf = scr.ufZ
 	}
-	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, nil)
+	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, erased)
 	v.project(scr.edges, corr)
 }
 
@@ -499,13 +497,15 @@ type LayerFeed interface {
 	Windings(pX1, pX2, pZ1, pZ2 bits.Vec)
 }
 
-// BatchMemory runs `lanes` shots of the noisy-extraction memory
-// experiment as bit-planes: a surface.LayerSource emits T rounds of
-// difference layers plus the perfect closing layer, and both sectors
-// decode per lane over the weighted volume. Returns the per-lane
-// logical failure masks of the two sectors.
-func (v *Volume) BatchMemory(p, q float64, kind toric.DecoderKind, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	return v.BatchMemoryFrom(surface.NewLayerSource(v.code, p, q, lanes, smp), kind)
+// ErasedLayerFeed is the layer-feed contract of an erasure-harvesting
+// source (surface.NewLayerSourceErased, surface.NewCircuitSourceErased):
+// LayerFeed plus the per-round erasure planes. eraH is qubit-major
+// (Qubits() planes: lanes whose data qubit is a located fault this
+// layer), lostX/lostZ are check-major (Checks() planes per sector: lanes
+// whose ancilla measurement read as a coin).
+type ErasedLayerFeed interface {
+	LayerFeed
+	NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec)
 }
 
 // CheckFeed panics on a feed that cannot drive a decoder built for
@@ -520,74 +520,110 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 	}
 }
 
-// BatchMemoryFrom is BatchMemory draining an arbitrary layer feed — the
-// entry point a circuit-level source shares with the phenomenological
-// one. The feed must be fresh (zero rounds emitted) and extract on this
-// volume's code.
+// BatchMemoryFrom runs Lanes() shots of the noisy-extraction memory
+// experiment as bit-planes: the feed emits T rounds of difference
+// layers plus the perfect closing layer, and both sectors decode per
+// lane over the weighted volume with the given decoder. The feed must
+// be fresh (zero rounds emitted) and extract on this volume's code.
+// Returns the per-lane logical failure masks of the two sectors.
 func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
-	nc := v.nc
+	return v.batch(src, nil, kind, DecodeOptions{})
+}
+
+// BatchErasedFrom is BatchMemoryFrom draining an erasure-harvesting feed
+// with the selected side-information passes (union-find only). With a
+// leak-free circuit model it consumes the sampler stream identically
+// (the erased round of a leak-free circuit source is draw-for-draw the
+// plain round); without ErasureAware the same histories decode blind —
+// the controlled comparison that measures what the locations are worth.
+func (v *Volume) BatchErasedFrom(src ErasedLayerFeed, opts DecodeOptions) (failX, failZ bits.Vec) {
+	return v.batch(src, src, toric.DecoderUnionFind, opts)
+}
+
+// batch drains src — through era's erased round when era (src itself)
+// is non-nil — pivots the detector planes lane-major (the boundary node
+// of an open code is never a defect and carries no plane), and decodes
+// every lane over word-aligned spans (frame.ForEachLaneSpan), the same
+// discipline as the 2D pipeline: each span owns its failure-mask words
+// outright and draws private scratch from the volume pool, and the two
+// sectors of one lane decode back to back (primal, then dual — the
+// correlated pass conditions the dual decode on that lane's committed
+// primal correction), so the result is bit-identical for any worker
+// count. The projected residual is always a closed 2D cycle (the
+// correction's 3D syndrome equals the defect set and time-like edges
+// project to nothing), so the winding parities decide failure.
+func (v *Volume) batch(src LayerFeed, era ErasedLayerFeed, kind toric.DecoderKind, opts DecodeOptions) (failX, failZ bits.Vec) {
+	nc, nq := v.nc, v.nq
 	lanes := src.Lanes()
 	CheckFeed(src, v.code)
-	layersX := bits.NewVecs(v.det, lanes)
-	layersZ := bits.NewVecs(v.det, lanes)
+	layers := [2][]bits.Vec{bits.NewVecs(v.det, lanes), bits.NewVecs(v.det, lanes)}
+	var eraH []bits.Vec
+	var lost [2][]bits.Vec
+	if era != nil {
+		eraH = bits.NewVecs(v.horiz, lanes)
+		lost = [2][]bits.Vec{bits.NewVecs(v.T*nc, lanes), bits.NewVecs(v.T*nc, lanes)}
+	}
 	for t := 0; t < v.T; t++ {
-		src.NextLayers(layersX[t*nc:(t+1)*nc], layersZ[t*nc:(t+1)*nc])
+		lx, lz := layers[0][t*nc:(t+1)*nc], layers[1][t*nc:(t+1)*nc]
+		if era != nil {
+			era.NextLayersErased(lx, lz, eraH[t*nq:(t+1)*nq], lost[0][t*nc:(t+1)*nc], lost[1][t*nc:(t+1)*nc])
+		} else {
+			src.NextLayers(lx, lz)
+		}
 	}
-	src.CloseLayers(layersX[v.T*nc:], layersZ[v.T*nc:])
-	// Winding parities of the accumulated error chains.
-	pX1 := bits.NewVec(lanes)
-	pX2 := bits.NewVec(lanes)
-	pZ1 := bits.NewVec(lanes)
-	pZ2 := bits.NewVec(lanes)
-	src.Windings(pX1, pX2, pZ1, pZ2)
-	// Pivot detector planes lane-major and decode each sector (the
-	// boundary node of an open code is never a defect and carries no
-	// plane).
-	syn := bits.NewVecs(lanes, v.det)
-	bits.TransposePlanes(syn, layersX)
-	failX = bits.NewVec(lanes)
-	v.decodeLanes(kind, syn, pX1, pX2, failX, false)
-	bits.TransposePlanes(syn, layersZ)
-	failZ = bits.NewVec(lanes)
-	v.decodeLanes(kind, syn, pZ1, pZ2, failZ, true)
-	return failX, failZ
-}
-
-// decodeLanes is the worker-pool decode stage over word-aligned lane
-// spans (frame.ForEachLaneSpan), the same discipline as the 2D
-// pipeline: each span owns its failure-mask words outright and draws
-// private scratch from the volume pool, so the result is bit-identical
-// for any worker count.
-func (v *Volume) decodeLanes(kind toric.DecoderKind, syn []bits.Vec, p1, p2, fails bits.Vec, dual bool) {
-	frame.ForEachLaneSpan(len(syn), func(lo, hi int) {
-		v.decodeLaneSpan(kind, syn, p1, p2, fails, dual, lo, hi)
+	src.CloseLayers(layers[0][v.T*nc:], layers[1][v.T*nc:])
+	par := [2][2]bits.Vec{{bits.NewVec(lanes), bits.NewVec(lanes)}, {bits.NewVec(lanes), bits.NewVec(lanes)}}
+	src.Windings(par[0][0], par[0][1], par[1][0], par[1][1])
+	pivot := func(planes []bits.Vec, width int) []bits.Vec {
+		out := bits.NewVecs(lanes, width)
+		bits.TransposePlanes(out, planes)
+		return out
+	}
+	syn := [2][]bits.Vec{pivot(layers[0], v.det), pivot(layers[1], v.det)}
+	var eraLane []bits.Vec
+	var lostLane [2][]bits.Vec
+	if opts.ErasureAware {
+		eraLane = pivot(eraH, v.horiz)
+		lostLane = [2][]bits.Vec{pivot(lost[0], v.T*nc), pivot(lost[1], v.T*nc)}
+	}
+	masked := opts.ErasureAware || opts.Correlated
+	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
+	frame.ForEachLaneSpan(lanes, func(lo, hi int) {
+		scr := v.scratch.Get().(*volScratch)
+		for lane := lo; lane < hi; lane++ {
+			scr.edges = scr.edges[:0] // the primal correction the dual pass reprices from
+			for s, dual := range [2]bool{false, true} {
+				scr.defects = syn[s][lane].AppendSupport(scr.defects[:0])
+				l1 := par[s][0].Get(lane)
+				l2 := par[s][1].Get(lane)
+				if len(scr.defects) > 0 {
+					scr.erased = scr.erased[:0]
+					if masked {
+						scr.emask.Clear()
+						if eraLane != nil {
+							v.SetErasedMask(scr.emask, eraLane[lane], lostLane[s][lane])
+						}
+						if dual && opts.Correlated {
+							for _, e := range scr.edges {
+								v.MarkCounterpartEdges(int(e), scr.emask)
+							}
+						}
+						scr.erased = scr.emask.AppendSupport(scr.erased)
+					}
+					scr.corr.Clear()
+					v.decodeInto(scr.defects, scr.erased, kind, dual, scr, scr.corr)
+					c1, c2 := v.code.LogicalParity(dual, scr.corr)
+					l1 = l1 != c1
+					l2 = l2 != c2
+				}
+				if l1 || l2 {
+					fail[s].Set(lane, true)
+				}
+			}
+		}
+		v.scratch.Put(scr)
 	})
-}
-
-// decodeLaneSpan decodes lanes [lo, hi): extract the sparse 3D defect
-// list, decode, project, and fold the projected correction's winding
-// parities into the accumulated chain's. The projected residual is
-// always a closed 2D cycle (the correction's 3D syndrome equals the
-// defect set and time-like edges project to nothing), so the winding
-// parities decide failure.
-func (v *Volume) decodeLaneSpan(kind toric.DecoderKind, syn []bits.Vec, p1, p2, fails bits.Vec, dual bool, lo, hi int) {
-	scr := v.scratch.Get().(*volScratch)
-	for lane := lo; lane < hi; lane++ {
-		scr.defects = syn[lane].AppendSupport(scr.defects[:0])
-		l1 := p1.Get(lane)
-		l2 := p2.Get(lane)
-		if len(scr.defects) > 0 {
-			scr.corr.Clear()
-			v.decodeInto(scr.defects, kind, dual, scr, scr.corr)
-			c1, c2 := v.code.LogicalParity(dual, scr.corr)
-			l1 = l1 != c1
-			l2 = l2 != c2
-		}
-		if l1 || l2 {
-			fails.Set(lane, true)
-		}
-	}
-	v.scratch.Put(scr)
+	return fail[0], fail[1]
 }
 
 // Result summarizes a space-time memory Monte Carlo run.
@@ -639,7 +675,7 @@ func CodeMemory(code surface.Code, rounds int, p, q float64, kind toric.DecoderK
 	wh, wv := Weights(p, q, code.Distance(), rounds)
 	v := NewCodeVolume(code, rounds, wh, wv)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemory(p, q, kind, lanes, smp)
+		return v.BatchMemoryFrom(surface.NewLayerSource(code, p, q, lanes, smp), kind)
 	})
 	return Result{L: code.Distance(), T: rounds, P: p, Q: q, Samples: samples,
 		FailX: fx, FailZ: fz, Failures: fa}, nil

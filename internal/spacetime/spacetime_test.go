@@ -9,6 +9,8 @@ import (
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
+	"ftqc/internal/noise"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -285,15 +287,39 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
 	}
-	// Lane-level: one big batch, many workers vs one.
-	v := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
-	runtime.GOMAXPROCS(1)
-	x1, z1 := v.BatchMemory(0.04, 0.04, toric.DecoderUnionFind, 500, frame.NewAggregateSampler(42, 0))
-	runtime.GOMAXPROCS(8)
-	x8, z8 := v.BatchMemory(0.04, 0.04, toric.DecoderUnionFind, 500, frame.NewAggregateSampler(42, 0))
-	runtime.GOMAXPROCS(old)
-	if !x1.Equal(x8) || !z1.Equal(z8) {
-		t.Fatal("BatchMemory failure masks depend on GOMAXPROCS")
+	// Lane-level: one big batch, many workers vs one, on every arm of the
+	// lane loop — plain union-find, exact, phenomenological erasure-aware
+	// and circuit aware+correlated on a leaky model.
+	leaky := noise.Uniform(0.006)
+	leaky.Leak = 0.01
+	wh, wv, wd := WeightsCircuit(leaky, 4, 4)
+	circ := NewCodeCircuitVolume(toric.Cached(4), 4, wh, wv, wd)
+	phen := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
+	for name, batch := range map[string]func() (bits.Vec, bits.Vec){
+		"uf": func() (bits.Vec, bits.Vec) {
+			return phen.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(5), 0.04, 0.04, 500, frame.NewAggregateSampler(42, 0)), toric.DecoderUnionFind)
+		},
+		"exact": func() (bits.Vec, bits.Vec) {
+			v := phenomVolume(toric.Cached(4), 4, 0.04, 0.04)
+			return v.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(4), 0.04, 0.04, 500, frame.NewAggregateSampler(43, 0)), toric.DecoderExact)
+		},
+		"erased": func() (bits.Vec, bits.Vec) {
+			src := surface.NewLayerSourceErased(toric.Cached(5), 0.02, 0.02, 0.08, 0.08, 500, frame.NewAggregateSampler(44, 0))
+			return phen.BatchErasedFrom(src, DecodeOptions{ErasureAware: true})
+		},
+		"circuit aware+correlated": func() (bits.Vec, bits.Vec) {
+			src := surface.NewCircuitSourceErased(toric.Cached(4), leaky, 500, frame.NewAggregateSampler(45, 0))
+			return circ.BatchErasedFrom(src, DecodeOptions{ErasureAware: true, Correlated: true})
+		},
+	} {
+		runtime.GOMAXPROCS(1)
+		x1, z1 := batch()
+		runtime.GOMAXPROCS(8)
+		x8, z8 := batch()
+		runtime.GOMAXPROCS(old)
+		if !x1.Equal(x8) || !z1.Equal(z8) {
+			t.Fatalf("%s: batch failure masks depend on GOMAXPROCS", name)
+		}
 	}
 }
 

@@ -3,9 +3,11 @@ package stream
 // Streaming circuit-level erasure and correlated decoding: the sliding
 // window's half of internal/spacetime/circuiterasure.go. An erasure-
 // harvesting source (surface.NewCircuitSourceErased) reports every leak
-// as a located fault; PushErased carries those planes alongside the difference
-// layers, and every slide decodes the lanes they touch with the erased
-// edges seeded into the union-find peeling pass.
+// as a located fault; PushErased carries those planes alongside the
+// difference layers (Session.BatchErasedFrom drains such a feed, the
+// counterpart of Volume.BatchErasedFrom), and every slide decodes the
+// lanes they touch with the erased edges seeded into the union-find
+// peeling pass.
 // Correlated decoders serialize each slide — primal window first, dual
 // repriced from the primal correction — so the committed frames stay a
 // pure function of the stream for any worker count, and a window taller
@@ -63,33 +65,6 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	d.sz.lostQuiet[slot] = lqZ
 }
 
-// BatchCircuitMemoryFrom drains an erasure-harvesting circuit feed
-// through the sliding window with the selected decode options — the
-// streaming counterpart of Volume.BatchCircuitErasedFrom. The feed must
-// be fresh and match the window's lattice and code family.
-func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
-	spacetime.CheckFeed(src, s.win.Code())
-	lanes := src.Lanes()
-	d := s.NewDecoderOpts(lanes, opts)
-	layerX := bits.NewVecs(d.nc, lanes)
-	layerZ := bits.NewVecs(d.nc, lanes)
-	eraH := bits.NewVecs(d.nq, lanes)
-	lostX := bits.NewVecs(d.nc, lanes)
-	lostZ := bits.NewVecs(d.nc, lanes)
-	for t := 0; t < rounds; t++ {
-		src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
-		d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
-	}
-	src.CloseLayers(layerX, layerZ)
-	d.Finish(layerX, layerZ)
-	if err := d.Err(); err != nil {
-		// The Monte Carlo paths own their pool, so a mid-run closure is a
-		// caller bug, not an operating condition.
-		panic(err)
-	}
-	return s.failureMasks(src, d)
-}
-
 // CodeCircuitMemoryOpts is the streaming circuit-level memory Monte
 // Carlo with leakage and the selected decode options for any
 // surface.Code — including schedule overrides (surface.WithSchedule),
@@ -115,7 +90,7 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, window
 	}
 	defer s.Close()
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchCircuitMemoryFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), rounds, opts)
+		return s.BatchErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), rounds, opts)
 	})
 	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
 		P: P.Gate2, Q: P.Meas, Pe: P.Leak, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil

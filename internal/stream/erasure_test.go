@@ -14,7 +14,7 @@ import (
 
 // TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
 // stream, draining an erasure-harvesting source through the streaming
-// decoder must reproduce Volume.BatchCircuitErasedFrom bit for bit —
+// decoder must reproduce Volume.BatchErasedFrom bit for bit —
 // for every option set, including the serialized correlated pass. Same
 // draws, same canonical erased lists, same primal→dual order.
 func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
@@ -35,10 +35,10 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
 		v := spacetime.NewCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
-		fx1, fz1 := v.BatchCircuitErasedFrom(
+		fx1, fz1 := v.BatchErasedFrom(
 			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
-		fx2, fz2 := s.BatchCircuitMemoryFrom(
+		fx2, fz2 := s.BatchErasedFrom(
 			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
@@ -64,7 +64,7 @@ func TestErasedSlidingWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.BatchCircuitMemoryFrom(
+		return s.BatchErasedFrom(
 			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
 			spacetime.DecodeOptions{ErasureAware: true})
 	}
@@ -88,7 +88,7 @@ func TestErasedLeakFreeMatchesPlainStream(t *testing.T) {
 	defer s.Close()
 	fx1, fz1 := s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds)
 	for _, opts := range []spacetime.DecodeOptions{{}, {ErasureAware: true}} {
-		fx2, fz2 := s.BatchCircuitMemoryFrom(
+		fx2, fz2 := s.BatchErasedFrom(
 			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, opts)
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("opts=%+v: leak-free erased stream differs from plain stream", opts)

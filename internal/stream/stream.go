@@ -567,14 +567,41 @@ func (d *Decoder) FootprintBytes() int {
 // stream through the same window machinery; the feed must be fresh.
 // Returns the per-lane logical failure masks of the two sectors.
 func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
+	return s.drain(src, nil, rounds, spacetime.DecodeOptions{})
+}
+
+// BatchErasedFrom is BatchMemoryFrom for an erasure-harvesting feed with
+// the selected decode options — the streaming counterpart of
+// Volume.BatchErasedFrom: every round goes through the erased round and
+// PushErased.
+func (s *Session) BatchErasedFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
+	return s.drain(src, src, rounds, opts)
+}
+
+// drain feeds src through one decoder round by round — NextLayers and
+// Push for a plain feed (era nil), NextLayersErased and PushErased when
+// era (src itself) harvests erasures — then closes and reads the
+// failure masks.
+func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
-	d := s.NewDecoder(lanes)
+	d := s.NewDecoderOpts(lanes, opts)
 	layerX := bits.NewVecs(d.nc, lanes)
 	layerZ := bits.NewVecs(d.nc, lanes)
+	var eraH, lostX, lostZ []bits.Vec
+	if era != nil {
+		eraH = bits.NewVecs(d.nq, lanes)
+		lostX = bits.NewVecs(d.nc, lanes)
+		lostZ = bits.NewVecs(d.nc, lanes)
+	}
 	for t := 0; t < rounds; t++ {
-		src.NextLayers(layerX, layerZ)
-		d.Push(layerX, layerZ)
+		if era != nil {
+			era.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
+			d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
+		} else {
+			src.NextLayers(layerX, layerZ)
+			d.Push(layerX, layerZ)
+		}
 	}
 	src.CloseLayers(layerX, layerZ)
 	d.Finish(layerX, layerZ)

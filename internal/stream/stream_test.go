@@ -102,7 +102,7 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
 		v := spacetime.NewCodeVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv)
-		fx1, fz1 := v.BatchMemory(cfg.p, cfg.q, toric.DecoderUnionFind, lanes, frame.NewAggregateSampler(901, 7))
+		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
 		s.Close()

@@ -69,14 +69,12 @@ func TestToricSourcesGoldenDrawOrder(t *testing.T) {
 		leaky := P
 		leaky.Leak = 0.01
 		ph := surface.NewLayerSource(code, 0.02, 0.01, lanes, frame.NewAggregateSampler(41, 0))
-		pe := surface.NewLayerSource(code, 0.02, 0.01, lanes, frame.NewAggregateSampler(41, 0))
+		pe := surface.NewLayerSourceErased(code, 0.02, 0.01, 0.03, 0.02, lanes, frame.NewAggregateSampler(41, 0))
 		ci := surface.NewCircuitSource(code, P, lanes, frame.NewAggregateSampler(43, 0))
 		ce := surface.NewCircuitSourceErased(code, leaky, lanes, frame.NewAggregateSampler(43, 0))
 		got := [4]uint64{
 			feedDigest(code, lanes, ph, func(lx, lz, _, _, _ []bits.Vec) { ph.NextLayers(lx, lz) }),
-			feedDigest(code, lanes, pe, func(lx, lz, eraH, lostX, lostZ []bits.Vec) {
-				pe.NextLayersErased(0.03, 0.02, lx, lz, eraH, lostX, lostZ)
-			}),
+			feedDigest(code, lanes, pe, pe.NextLayersErased),
 			feedDigest(code, lanes, ci, func(lx, lz, _, _, _ []bits.Vec) { ci.NextLayers(lx, lz) }),
 			feedDigest(code, lanes, ce, ce.NextLayersErased),
 		}

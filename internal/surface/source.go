@@ -20,6 +20,7 @@ import (
 type LayerSource struct {
 	code   Code
 	p, q   float64
+	pe, qe float64 // erasure rates of NextLayersErased
 	lanes  int
 	smp    frame.Sampler
 	rounds int
@@ -64,8 +65,15 @@ func (x *sectorErrors) flipPlane(e int, flips bits.Vec) {
 // NewLayerSource returns a phenomenological source over the code for
 // `lanes` parallel shots drawing from smp.
 func NewLayerSource(code Code, p, q float64, lanes int, smp frame.Sampler) *LayerSource {
+	return NewLayerSourceErased(code, p, q, 0, 0, lanes, smp)
+}
+
+// NewLayerSourceErased is NewLayerSource with the two erasure channels
+// of NextLayersErased: data-qubit leakage at pe and lost measurements at
+// qe per round.
+func NewLayerSourceErased(code Code, p, q, pe, qe float64, lanes int, smp frame.Sampler) *LayerSource {
 	s := &LayerSource{
-		code: code, p: p, q: q, lanes: lanes, smp: smp,
+		code: code, p: p, q: q, pe: pe, qe: qe, lanes: lanes, smp: smp,
 		active: bits.NewVec(lanes),
 		tmp:    bits.NewVec(lanes),
 		diff:   NewSyndromeDiff(code.Checks(), lanes),
@@ -117,7 +125,8 @@ func copyPlanes(dst, src []bits.Vec) {
 	}
 }
 
-// NextLayersErased is NextLayers with two erasure channels, both
+// NextLayersErased is NextLayers with the two erasure channels whose
+// rates the source was constructed with (NewLayerSourceErased), both
 // reported as known fault locations for the union-find peeling pass:
 // each data qubit leaks with probability pe per round (it depolarizes —
 // flips with probability ½ in each sector independently — and is
@@ -128,14 +137,14 @@ func copyPlanes(dst, src []bits.Vec) {
 // leaked coins, primal measurement masks, lost primal masks, lost
 // primal coins, then the dual sector's three — all plane-at-a-time in
 // index order (masked draws: there is no full-mask block to walk).
-func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+func (s *LayerSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	nq := s.code.Qubits()
 	if s.intact.Len() == 0 {
 		s.intact = bits.NewVec(s.lanes)
 		s.coin = bits.NewVec(s.lanes)
 	}
 	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(pe, s.active, eraH[e])
+		s.smp.Bernoulli(s.pe, s.active, eraH[e])
 	}
 	for i := range s.sec {
 		sec := &s.sec[i]
@@ -150,8 +159,8 @@ func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, los
 			sec.flipPlane(e, s.tmp)
 		}
 	}
-	s.observeLossy(s.sec[0].syn, s.diff.CurX(), qe, lostX)
-	s.observeLossy(s.sec[1].syn, s.diff.CurZ(), qe, lostZ)
+	s.observeLossy(s.sec[0].syn, s.diff.CurX(), lostX)
+	s.observeLossy(s.sec[1].syn, s.diff.CurZ(), lostZ)
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
 }
@@ -159,14 +168,14 @@ func (s *LayerSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, los
 // observeLossy measures one sector's checks with flip rate q, then
 // loses each measurement with probability qe: a lost measurement reads
 // as a fair coin, whatever the truth.
-func (s *LayerSource) observeLossy(syn, cur []bits.Vec, qe float64, lost []bits.Vec) {
+func (s *LayerSource) observeLossy(syn, cur, lost []bits.Vec) {
 	copyPlanes(cur, syn)
 	for c := range cur {
 		s.smp.Bernoulli(s.q, s.active, s.tmp)
 		cur[c].Xor(s.tmp)
 	}
 	for c := range cur {
-		s.smp.Bernoulli(qe, s.active, lost[c])
+		s.smp.Bernoulli(s.qe, s.active, lost[c])
 	}
 	for c := range cur {
 		s.smp.Coin(lost[c], s.coin)

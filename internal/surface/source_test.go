@@ -16,7 +16,7 @@ import (
 // reference LayerSource must reproduce bit for bit.
 type planeLoopSource struct {
 	code         surface.Code
-	p, q         float64
+	p, q, pe, qe float64
 	smp          frame.Sampler
 	active, tmp  bits.Vec
 	intact, coin bits.Vec
@@ -24,8 +24,8 @@ type planeLoopSource struct {
 	diff         *surface.SyndromeDiff
 }
 
-func newPlaneLoopSource(code surface.Code, p, q float64, lanes int, smp frame.Sampler) *planeLoopSource {
-	s := &planeLoopSource{code: code, p: p, q: q, smp: smp,
+func newPlaneLoopSource(code surface.Code, p, q, pe, qe float64, lanes int, smp frame.Sampler) *planeLoopSource {
+	s := &planeLoopSource{code: code, p: p, q: q, pe: pe, qe: qe, smp: smp,
 		active: bits.NewVec(lanes), tmp: bits.NewVec(lanes),
 		intact: bits.NewVec(lanes), coin: bits.NewVec(lanes),
 		cumX: bits.NewVecs(code.Qubits(), lanes), cumZ: bits.NewVecs(code.Qubits(), lanes),
@@ -51,9 +51,9 @@ func (s *planeLoopSource) NextLayers(layerX, layerZ []bits.Vec) {
 	s.diff.Emit(layerX, layerZ)
 }
 
-func (s *planeLoopSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+func (s *planeLoopSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	for e := range eraH {
-		s.smp.Bernoulli(pe, s.active, eraH[e])
+		s.smp.Bernoulli(s.pe, s.active, eraH[e])
 	}
 	for _, cum := range [2][]bits.Vec{s.cumX, s.cumZ} {
 		for e := range cum {
@@ -75,7 +75,7 @@ func (s *planeLoopSource) NextLayersErased(pe, qe float64, layerX, layerZ, eraH,
 		s.code.CheckPlanes(dual == 1, cum, cur)
 		s.flips(s.q, cur)
 		for c := range cur {
-			s.smp.Bernoulli(qe, s.active, lost[c])
+			s.smp.Bernoulli(s.qe, s.active, lost[c])
 		}
 		for c := range cur {
 			s.smp.Coin(lost[c], s.coin)
@@ -123,8 +123,8 @@ func TestLayerSourceMatchesPlaneLoop(t *testing.T) {
 				for name, mk := range samplers {
 					t.Run(fmt.Sprintf("%s/p=%g,q=%g/lanes=%d/%s", codeLabel(code), pq[0], pq[1], lanes, name), func(t *testing.T) {
 						nq, nc := code.Qubits(), code.Checks()
-						src := surface.NewLayerSource(code, pq[0], pq[1], lanes, mk(lanes))
-						ref := newPlaneLoopSource(code, pq[0], pq[1], lanes, mk(lanes))
+						src := surface.NewLayerSourceErased(code, pq[0], pq[1], pe, qe, lanes, mk(lanes))
+						ref := newPlaneLoopSource(code, pq[0], pq[1], pe, qe, lanes, mk(lanes))
 						var got, want [5][]bits.Vec // layerX, layerZ, eraH, lostX, lostZ
 						for i, n := range [5]int{nc, nc, nq, nc, nc} {
 							got[i], want[i] = bits.NewVecs(n, lanes), bits.NewVecs(n, lanes)
@@ -139,8 +139,8 @@ func TestLayerSourceMatchesPlaneLoop(t *testing.T) {
 						}
 						for r := 0; r < rounds; r++ {
 							if r%5 == 3 {
-								src.NextLayersErased(pe, qe, got[0], got[1], got[2], got[3], got[4])
-								ref.NextLayersErased(pe, qe, want[0], want[1], want[2], want[3], want[4])
+								src.NextLayersErased(got[0], got[1], got[2], got[3], got[4])
+								ref.NextLayersErased(want[0], want[1], want[2], want[3], want[4])
 								same("erased", r)
 								continue
 							}

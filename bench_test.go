@@ -460,7 +460,8 @@ func BenchmarkLayerSourceRound(b *testing.B) {
 // lanes) at the two traced densities: 24 defects per lane-window
 // (`mc-quiet`) and 423 (`mc-circuit`). Each iteration makes the calls
 // stream.Decoder makes per sector: the carry pivoted and joined to the
-// base layer, then every layer's planes scattered into the lane lists.
+// base layer, then layers 1…W−1 scattered into the lane lists straight
+// from the ring's words.
 func BenchmarkDefectLists(b *testing.B) {
 	const w, nc, lanes = 32, 256, 128
 	for _, cfg := range []struct {
@@ -469,7 +470,8 @@ func BenchmarkDefectLists(b *testing.B) {
 	}{{"quiet", 24.4779}, {"dense", 423.395}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(7, 2))
-			ring, carry, base := bits.NewVecs(w*nc, lanes), bits.NewVecs(lanes, nc), bits.NewVecs(nc, lanes)
+			ring, ringW := bits.NewSlab(w*nc, lanes)
+			carry, base := bits.NewVecs(lanes, nc), bits.NewVecs(nc, lanes)
 			for _, plane := range ring {
 				for lane := 0; lane < lanes; lane++ {
 					if rng.Float64() < cfg.defects/(w*nc) {
@@ -488,7 +490,7 @@ func BenchmarkDefectLists(b *testing.B) {
 					base[c].Xor(ring[c])
 				}
 				bits.AppendPlaneSupports(lists, base, 0)
-				bits.AppendPlaneSupports(lists, ring[nc:], nc)
+				bits.AppendSlabSupports(lists, ringW[nc*ring[0].Words():], ring[0].Words(), nc)
 			}
 		})
 	}

@@ -157,12 +157,21 @@ func profileFlags(fs *flag.FlagSet) func() func() {
 	}
 }
 
+// parse parses a subcommand's flags and refuses a -samples below one.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if f := fs.Lookup("samples"); f != nil && f.Value.(flag.Getter).Get().(int) < 1 {
+		fmt.Fprintf(os.Stderr, "%s: -samples must be at least 1 (got %v)\n", fs.Name(), f.Value)
+		os.Exit(2)
+	}
+}
+
 func cmdMemory(args []string) {
 	fs := flag.NewFlagSet("memory", flag.ExitOnError)
 	rounds := fs.Int("rounds", 10, "recovery rounds")
 	samples := fs.Int("samples", 20000, "Monte Carlo samples per point")
 	ideal := fs.Bool("ideal", false, "use flawless recovery circuitry (the Eq. 14 idealization)")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	fmt.Printf("E01: quantum memory, %d rounds (Steane EC)\n", *rounds)
 	fmt.Printf("%-10s %-14s %-14s %-10s\n", "eps", "unencoded", "encoded", "gain")
@@ -185,7 +194,7 @@ func cmdMemory(args []string) {
 func cmdBadGood(args []string) {
 	fs := flag.NewFlagSet("badgood", flag.ExitOnError)
 	samples := fs.Int("samples", 50000, "samples per point")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	fmt.Println("E03: single recovery on a clean block — naive (Fig. 2) vs fault tolerant (Figs. 6-9)")
 	fmt.Printf("%-10s %-14s %-14s %-14s\n", "eps", "naive", "shor", "steane")
@@ -202,7 +211,7 @@ func cmdBadGood(args []string) {
 func cmdAncilla(args []string) {
 	fs := flag.NewFlagSet("ancilla", flag.ExitOnError)
 	samples := fs.Int("samples", 30000, "samples")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	fmt.Println("E04: cat-state verification (Fig. 8) acceptance statistics")
 	fmt.Printf("%-10s %-12s %-16s\n", "eps", "attempts", "accept rate")
@@ -240,7 +249,7 @@ func cmdAncilla(args []string) {
 func cmdPolicy(args []string) {
 	fs := flag.NewFlagSet("policy", flag.ExitOnError)
 	samples := fs.Int("samples", 60000, "samples")
-	fs.Parse(args)
+	parse(fs, args)
 	fmt.Println("E06: §3.4 syndrome policy ablation (Steane EC, uniform noise)")
 	fmt.Printf("%-10s %-14s %-14s %-14s\n", "eps", "once", "repeat-nontriv", "until-agree")
 	for _, eps := range []float64{3e-4, 1e-3, 3e-3} {
@@ -259,7 +268,7 @@ func cmdPolicy(args []string) {
 func cmdExRec(args []string) {
 	fs := flag.NewFlagSet("exrec", flag.ExitOnError)
 	samples := fs.Int("samples", 100000, "samples per point")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	eps := []float64{1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3}
 	fmt.Println("E07: transversal-XOR extended rectangle (Fig. 9 recovery), uniform noise")
@@ -273,7 +282,7 @@ func cmdExRec(args []string) {
 func cmdThresholds(args []string) {
 	fs := flag.NewFlagSet("thresholds", flag.ExitOnError)
 	samples := fs.Int("samples", 100000, "samples per point")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	eps := []float64{1e-4, 2e-4, 4e-4, 8e-4}
 	gate := threshold.Run(ft.MethodSteane, noise.GateOnly, eps, cfg, *samples, 61)
@@ -288,7 +297,7 @@ func cmdThresholds(args []string) {
 func cmdConcat(args []string) {
 	fs := flag.NewFlagSet("concat", flag.ExitOnError)
 	a := fs.Float64("A", 21, "flow coefficient (21 = paper's counting estimate)")
-	fs.Parse(args)
+	parse(fs, args)
 	f := concat.Flow{A: *a}
 	fmt.Printf("E09: concatenation flow p_(L+1) = %.3g p_L^2, threshold %.3g\n", f.A, f.Threshold())
 	fmt.Printf("%-10s", "p0")
@@ -316,7 +325,7 @@ func cmdConcat(args []string) {
 func cmdShorFamily(args []string) {
 	fs := flag.NewFlagSet("shorfamily", flag.ExitOnError)
 	b := fs.Float64("b", 4, "syndrome complexity exponent (Shor's procedure: b=4)")
-	fs.Parse(args)
+	parse(fs, args)
 	fmt.Printf("E11: non-concatenated block optimization, complexity t^%.1f (Eqs. 30-31)\n", *b)
 	fmt.Printf("%-10s %-10s %-14s %-14s %-12s\n", "eps", "opt t", "min perr", "asymptotic", "block (2t+1)^2")
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6} {
@@ -335,7 +344,7 @@ func cmdResources(args []string) {
 	fs := flag.NewFlagSet("resources", flag.ExitOnError)
 	bits := fs.Int("bits", 432, "RSA modulus size (432 bits = 130 digits)")
 	flowA := fs.Float64("A", 1e4, "calibrated flow coefficient")
-	fs.Parse(args)
+	parse(fs, args)
 	w := resource.Factoring(*bits)
 	fmt.Printf("E12: factoring a %d-bit number with Shor's algorithm (§6)\n", *bits)
 	fmt.Printf("logical qubits: %d (paper: 2160)\n", w.LogicalQubits)
@@ -357,7 +366,7 @@ func cmdSystematic(args []string) {
 	fs := flag.NewFlagSet("systematic", flag.ExitOnError)
 	theta := fs.Float64("theta", 0.001, "per-gate rotation angle")
 	samples := fs.Int("samples", 2000, "random-walk samples")
-	fs.Parse(args)
+	parse(fs, args)
 	fmt.Printf("E13: drift accumulation, per-step angle θ=%.1e (§6)\n", *theta)
 	fmt.Printf("%-8s %-16s %-16s %-10s\n", "steps", "coherent", "random-walk", "ratio")
 	rng := rand.New(rand.NewPCG(71, 72))
@@ -375,7 +384,7 @@ func cmdLeakage(args []string) {
 	fs := flag.NewFlagSet("leakage", flag.ExitOnError)
 	samples := fs.Int("samples", 20000, "samples")
 	rounds := fs.Int("rounds", 5, "EC rounds")
-	fs.Parse(args)
+	parse(fs, args)
 	cfg := ft.DefaultConfig()
 	fmt.Println("E14: leakage detection (Fig. 15): store with leaky gates, ± detection circuit")
 	fmt.Printf("%-10s %-10s %-16s %-16s\n", "eps", "leak", "no detection", "detect+replace")
@@ -397,7 +406,7 @@ func cmdToric(args []string) {
 	sizesFlag := fs.String("L", "3,5,7,9", "comma-separated code distances")
 	big := fs.Bool("big", false, "extend the distance sweep to L=16 and L=32 (union-find territory)")
 	seedF := fs.Uint64("seed", 91, "base RNG seed for the sweep (each cell advances it)")
-	fs.Parse(args)
+	parse(fs, args)
 	kind, ok := toricDecoder(*decoder)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "toric: unknown decoder %q (want greedy, exact or uf)\n", *decoder)
@@ -439,7 +448,7 @@ func cmdSpacetime(args []string) {
 	dec := fs.String("decoder", "uf", "decoder: uf (weighted union-find) or exact (weighted blossom MWPM)")
 	compare := fs.Bool("compare", true, "cross-check union-find against exact MWPM at the smallest distance")
 	seedF := fs.Uint64("seed", 121, "base RNG seed for the sweep (each cell advances it)")
-	fs.Parse(args)
+	parse(fs, args)
 	kind, ok := toricDecoder(*dec)
 	if !ok || kind == toric.DecoderGreedy {
 		fmt.Fprintf(os.Stderr, "spacetime: unknown decoder %q (want uf or exact)\n", *dec)
@@ -558,7 +567,7 @@ func cmdStream(args []string) {
 	volume := fs.Bool("volume", true, "cross-check the smallest distance against the whole-volume decode")
 	seedF := fs.Uint64("seed", 151, "base RNG seed for the sweep (each cell advances it)")
 	startProf := profileFlags(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	defer startProf()()
 	if *q > 1 || (*q < 0 && *q != -1) {
 		fmt.Fprintf(os.Stderr, "stream: bad -q %v (want a probability, or -1 to track p)\n", *q)
@@ -673,7 +682,7 @@ func cmdCircuit(args []string) {
 	schedule := fs.String("schedule", "default", "CNOT extraction schedule: default (bent hook pairs) or hookpar (parallel-last pairs)")
 	seedF := fs.Uint64("seed", 181, "base RNG seed for the sweep (each cell advances it)")
 	startProf := profileFlags(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	defer startProf()()
 	kind, ok := toricDecoder(*dec)
 	if !ok || kind == toric.DecoderGreedy {
@@ -845,7 +854,7 @@ func cmdCodes(args []string) {
 	samples := fs.Int("samples", 1500, "Monte Carlo samples per grid point")
 	steane := fs.Bool("steane", true, "include the concatenated-Steane comparison row")
 	seedF := fs.Uint64("seed", 271, "base RNG seed (each family offsets it by 100)")
-	fs.Parse(args)
+	parse(fs, args)
 	d1, d2 := *d1f, *d2f
 	if d1 < 3 || d1%2 == 0 || d2 <= d1 || d2%2 == 0 {
 		fmt.Fprintln(os.Stderr, "codes: distances must be odd with 3 <= d1 < d2 (the rotated family needs odd distances)")
@@ -974,7 +983,7 @@ func cmdServe(args []string) {
 	workers := fs.Int("workers", 0, "decode workers in the shared pool (0: GOMAXPROCS)")
 	depth := fs.Int("queue", 16, "per-session ingest queue depth in rounds")
 	startProf := profileFlags(fs)
-	fs.Parse(args)
+	parse(fs, args)
 	defer startProf()()
 	cfg, err := serveSessionCfg(*model, *size, *lanes, *p)
 	if err != nil {
@@ -1072,7 +1081,7 @@ func cmdSessions(args []string) {
 	churners := fs.Int("sessions", 6, "concurrent session slots churning open/stream/close")
 	workers := fs.Int("workers", 0, "decode workers in the shared pool (0: GOMAXPROCS)")
 	snaps := fs.Int("snapshots", 3, "how many live snapshots to print")
-	fs.Parse(args)
+	parse(fs, args)
 	srv := server.New(server.Config{Workers: *workers})
 	fmt.Println("E25: decode-server observability — sessions opening, streaming, and closing")
 	fmt.Println("     while Snapshot reads their stats without disturbing the pipelines")
@@ -1200,7 +1209,7 @@ func cmdThermal(args []string) {
 	l := fs.Int("L", 7, "lattice size")
 	decoder := fs.String("decoder", "exact", "decoder: greedy, exact or uf")
 	seedF := fs.Uint64("seed", 93, "base RNG seed (each Δ/T row advances it)")
-	fs.Parse(args)
+	parse(fs, args)
 	kind, ok := toricDecoder(*decoder)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "thermal: unknown decoder %q (want greedy, exact or uf)\n", *decoder)
@@ -1217,7 +1226,7 @@ func cmdThermal(args []string) {
 func cmdInterferometer(args []string) {
 	fs := flag.NewFlagSet("interferometer", flag.ExitOnError)
 	eta := fs.Float64("eta", 0.2, "per-pass readout error")
-	fs.Parse(args)
+	parse(fs, args)
 	fmt.Printf("E19: interferometric flux measurement, per-pass error η=%.2f (Figs. 18/22)\n", *eta)
 	fmt.Printf("%-8s %-16s %-16s\n", "passes", "analytic err", "Monte Carlo")
 	rng := rand.New(rand.NewPCG(95, 96))
@@ -1237,7 +1246,7 @@ func cmdInterferometer(args []string) {
 
 func cmdAnyon(args []string) {
 	fs := flag.NewFlagSet("anyon", flag.ExitOnError)
-	fs.Parse(args)
+	parse(fs, args)
 	enc := anyon.NewA5Encoding()
 	fmt.Println("E20: nonabelian fluxon logic over A5 (§7.3-§7.4)")
 	fmt.Printf("computational fluxes: u0=%v u1=%v (Eq. 45); NOT conjugator v=%v\n", enc.U0, enc.U1, enc.V)

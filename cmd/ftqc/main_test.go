@@ -88,6 +88,25 @@ func TestCLIExitCodes(t *testing.T) {
 			}
 		})
 	}
+	// A sample count below one is refused before anything runs, not
+	// printed as a NaN or negative-zero rate.
+	for _, args := range [][]string{
+		{"stream", "-L", "4", "-T", "8", "-p", "0.01", "-samples", "0"},
+		{"stream", "-L", "4", "-T", "8", "-p", "0.01", "-samples", "-5"},
+		{"spacetime", "-L", "4", "-p", "0.01", "-samples", "0"},
+		{"circuit", "-L", "4", "-p", "0.004", "-samples", "0"},
+		{"codes", "-samples", "-1"},
+	} {
+		t.Run(args[0]+" samples "+args[len(args)-1], func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 2 {
+				t.Fatalf("%v: exit %d, want 2 (stdout %q)", args, code, stdout)
+			}
+			if !strings.Contains(stderr, "-samples") {
+				t.Fatalf("the rejection should name -samples, got %q", stderr)
+			}
+		})
+	}
 	t.Run("invalid distances", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "codes", "-d1", "4", "-d2", "6")
 		if code != 2 {

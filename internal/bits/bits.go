@@ -29,6 +29,13 @@ func NewVec(n int) Vec {
 // NewVecs returns count all-zero vectors of length n backed by a single
 // contiguous allocation (bit-plane arrays for the batch simulators).
 func NewVecs(count, n int) []Vec {
+	out, _ := NewSlab(count, n)
+	return out
+}
+
+// NewSlab is NewVecs that also returns the backing array (vector i is
+// words [i·w, (i+1)·w)), so a run of vectors can move in one pass.
+func NewSlab(count, n int) ([]Vec, []uint64) {
 	if n < 0 || count < 0 {
 		panic("bits: negative vector shape")
 	}
@@ -38,7 +45,31 @@ func NewVecs(count, n int) []Vec {
 	for i := range out {
 		out[i] = Vec{n: n, words: backing[i*words : (i+1)*words : (i+1)*words]}
 	}
-	return out
+	return out, backing
+}
+
+// PackPlanes packs vectors of length n into the slab dst, reporting any set bit.
+func PackPlanes(dst []uint64, planes []Vec, n int) bool {
+	var or uint64
+	for i, p := range planes {
+		if p.n != n {
+			panic("bits: length mismatch in PackPlanes")
+		}
+		for j, x := range p.words {
+			dst[i*len(p.words)+j] = x
+			or |= x
+		}
+	}
+	return or != 0
+}
+
+// XorSlabs writes a XOR b, slabs shaped like dst, into dst in one word pass.
+func XorSlabs(dst []Vec, a, b []uint64) {
+	for i, d := range dst {
+		for j := range d.words {
+			d.words[j] = a[i*len(d.words)+j] ^ b[i*len(d.words)+j]
+		}
+	}
 }
 
 // FromBools builds a vector from a bool slice.
@@ -363,6 +394,21 @@ func AppendPlaneSupports(lists [][]int, planes []Vec, base int) {
 				j := wi*wordBits + trailingZeros64(w)
 				lists[j] = append(lists[j], base+i)
 			}
+		}
+	}
+}
+
+// AppendSlabSupports is AppendPlaneSupports over a slab of planes of w
+// words each: the sweep reads words alone, no vector headers.
+func AppendSlabSupports(lists [][]int, slab []uint64, w, base int) {
+	for k, x := range slab {
+		if x == 0 {
+			continue
+		}
+		i, off := base+k/w, k%w*wordBits
+		for ; x != 0; x &= x - 1 {
+			j := off + trailingZeros64(x)
+			lists[j] = append(lists[j], i)
 		}
 	}
 }

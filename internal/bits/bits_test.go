@@ -331,3 +331,81 @@ func TestAppendPlaneSupports(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabHelpersMatchPlaneForms: each slab pass equals its per-plane
+// form — PackPlanes is CopyFrom per plane plus Zero, XorSlabs is
+// CopyFrom then Xor, AppendSlabSupports is AppendPlaneSupports — on
+// random planes at lane counts around the word size (tail words
+// included), with the scatter reading every run of a ring's slots, the
+// ones that wrap its end split in two.
+func TestSlabHelpersMatchPlaneForms(t *testing.T) {
+	rng := rand.New(rand.NewPCG(77, 78))
+	const slots, perSlot = 5, 7
+	random := func(planes []Vec, density float64) {
+		for _, p := range planes {
+			p.Clear()
+			for j := 0; j < p.Len(); j++ {
+				if rng.Float64() < density {
+					p.Set(j, true)
+				}
+			}
+		}
+	}
+	for _, lanes := range []int{1, 63, 64, 65, 128, 130} {
+		ring, ringW := NewSlab(slots*perSlot, lanes)
+		w := ring[0].Words()
+		for slot := 0; slot < slots; slot++ {
+			src := NewVecs(perSlot, lanes)
+			random(src, []float64{0.1, 0.01, 0, 0.3, 0.05}[slot])
+			any := PackPlanes(ringW[slot*perSlot*w:][:perSlot*w], src, lanes)
+			wantAny := false
+			for c, p := range src {
+				wantAny = wantAny || !p.Zero()
+				want := NewVec(lanes)
+				want.CopyFrom(p)
+				if !ring[slot*perSlot+c].Equal(want) {
+					t.Fatalf("lanes %d slot %d: packed plane %d differs from CopyFrom", lanes, slot, c)
+				}
+			}
+			if any != wantAny {
+				t.Fatalf("lanes %d slot %d: PackPlanes reports any = %v, Zero says %v", lanes, slot, any, wantAny)
+			}
+		}
+
+		a, aw := NewSlab(perSlot, lanes)
+		b, bw := NewSlab(perSlot, lanes)
+		random(a, 0.3)
+		random(b, 0.3)
+		dst := NewVecs(perSlot, lanes)
+		random(dst, 0.5) // overwritten, not accumulated
+		XorSlabs(dst, aw, bw)
+		for c := range dst {
+			want := NewVec(lanes)
+			want.CopyFrom(a[c])
+			want.Xor(b[c])
+			if !dst[c].Equal(want) {
+				t.Fatalf("lanes %d: XorSlabs plane %d differs from CopyFrom then Xor", lanes, c)
+			}
+		}
+
+		for head := 0; head < slots; head++ {
+			for h := 1; h <= slots; h++ {
+				want, got := make([][]int, lanes), make([][]int, lanes)
+				for t := 0; t < h; t++ {
+					slot := (head + t) % slots
+					AppendPlaneSupports(want, ring[slot*perSlot:][:perSlot], t*perSlot)
+				}
+				first := min(h, slots-head)
+				AppendSlabSupports(got, ringW[head*perSlot*w:][:first*perSlot*w], w, 0)
+				if rest := h - first; rest > 0 {
+					AppendSlabSupports(got, ringW[:rest*perSlot*w], w, first*perSlot)
+				}
+				for j := range want {
+					if !slices.Equal(got[j], want[j]) {
+						t.Fatalf("lanes %d head %d h %d column %d: %v, want %v", lanes, head, h, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -196,7 +196,7 @@ func mod(a, l int) int { return ((a % l) + l) % l }
 // batches. Result.P and Result.Q report the representative Gate2 and
 // Meas rates of the model.
 func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
-	if err := validateMemory(code, rounds, kind); err != nil {
+	if err := validateMemory(code, rounds, samples, kind); err != nil {
 		return Result{}, err
 	}
 	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
@@ -222,7 +222,7 @@ func CircuitSustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKin
 		return CodeCircuitMemory(toric.Cached(l), l, noise.Uniform(eps), kind, samples, seed)
 	})
 	if err != nil {
-		// The sweep derives its own parameters; they cannot be invalid.
+		// The sweep derives its own shapes; only an empty sample is invalid.
 		panic(err)
 	}
 	return cross, pts

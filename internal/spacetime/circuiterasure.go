@@ -124,7 +124,7 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, sample
 	if err := P.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := validateMemory(code, rounds, toric.DecoderUnionFind); err != nil {
+	if err := validateMemory(code, rounds, samples, toric.DecoderUnionFind); err != nil {
 		return Result{}, err
 	}
 	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)

@@ -68,30 +68,33 @@ func TestVolumeFeedGuards(t *testing.T) {
 }
 
 // TestMemoryEntryPointErrors pins the constructor-error gate: a nil
-// code, an empty horizon, or a decoder the code cannot run is an error
-// from every volume experiment, never a panic.
+// code, an empty horizon, an empty sample, or a decoder the code cannot
+// run is an error from every volume experiment, never a panic or a NaN
+// rate.
 func TestMemoryEntryPointErrors(t *testing.T) {
 	const uf, exact = toric.DecoderUnionFind, toric.DecoderExact
 	P := noise.Uniform(0.004)
 	for _, tc := range []struct {
-		name   string
-		code   surface.Code
-		rounds int
-		kind   toric.DecoderKind
+		name            string
+		code            surface.Code
+		rounds, samples int
+		kind            toric.DecoderKind
 	}{
-		{"nil code", nil, 3, uf},
-		{"no rounds", toric.Cached(3), 0, uf},
-		{"exact on an open code", surface.Planar(3), 3, exact},
-		{"exact on a schedule override", toric.HookParallel(3), 3, exact},
+		{"nil code", nil, 3, 64, uf},
+		{"no rounds", toric.Cached(3), 0, 64, uf},
+		{"no samples", toric.Cached(3), 3, 0, uf},
+		{"negative samples", toric.Cached(3), 3, -5, uf},
+		{"exact on an open code", surface.Planar(3), 3, 64, exact},
+		{"exact on a schedule override", toric.HookParallel(3), 3, 64, exact},
 	} {
-		if _, err := CodeMemory(tc.code, tc.rounds, 0.01, 0.01, tc.kind, 64, 1); err == nil {
+		if _, err := CodeMemory(tc.code, tc.rounds, 0.01, 0.01, tc.kind, tc.samples, 1); err == nil {
 			t.Errorf("%s: CodeMemory returned no error", tc.name)
 		}
-		if _, err := CodeCircuitMemory(tc.code, tc.rounds, P, tc.kind, 64, 1); err == nil {
+		if _, err := CodeCircuitMemory(tc.code, tc.rounds, P, tc.kind, tc.samples, 1); err == nil {
 			t.Errorf("%s: CodeCircuitMemory returned no error", tc.name)
 		}
 		if tc.kind == uf {
-			if _, err := CodeCircuitMemoryOpts(tc.code, tc.rounds, P, 64, 1, DecodeOptions{}); err == nil {
+			if _, err := CodeCircuitMemoryOpts(tc.code, tc.rounds, P, tc.samples, 1, DecodeOptions{}); err == nil {
 				t.Errorf("%s: CodeCircuitMemoryOpts returned no error", tc.name)
 			}
 		}

@@ -647,14 +647,17 @@ func (r Result) FailRateX() float64 { return float64(r.FailX) / float64(r.Sample
 func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Samples) }
 
 // validateMemory is the constructor-error gate of the memory
-// experiments: a missing code, an empty horizon or a decoder the code
-// cannot run is an error, never a panic deep inside a volume build.
-func validateMemory(code surface.Code, rounds int, kind toric.DecoderKind) error {
+// experiments: a missing code, an empty horizon or sample, or a decoder
+// the code cannot run is an error, never a panic deep inside a volume build.
+func validateMemory(code surface.Code, rounds, samples int, kind toric.DecoderKind) error {
 	if code == nil {
 		return fmt.Errorf("spacetime: volume needs a code")
 	}
 	if rounds < 1 {
 		return fmt.Errorf("spacetime: need at least one measurement round (got %d)", rounds)
+	}
+	if samples < 1 {
+		return fmt.Errorf("spacetime: need at least one sample (got %d)", samples)
 	}
 	if _, torus := code.(*toric.Lattice); kind == toric.DecoderExact && !torus {
 		return fmt.Errorf("spacetime: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
@@ -669,7 +672,7 @@ func validateMemory(code surface.Code, rounds int, kind toric.DecoderKind) error
 // batches. With q = 0 and rounds = 1 it reduces (statistically) to the
 // 2D memory experiment.
 func CodeMemory(code surface.Code, rounds int, p, q float64, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
-	if err := validateMemory(code, rounds, kind); err != nil {
+	if err := validateMemory(code, rounds, samples, kind); err != nil {
 		return Result{}, err
 	}
 	wh, wv := Weights(p, q, code.Distance(), rounds)
@@ -697,7 +700,7 @@ func SustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKind, samp
 		return CodeMemory(toric.Cached(l), l, p, p, kind, samples, seed)
 	})
 	if err != nil {
-		// The sweep derives its own parameters; they cannot be invalid.
+		// The sweep derives its own shapes; only an empty sample is invalid.
 		panic(err)
 	}
 	return cross, pts

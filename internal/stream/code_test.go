@@ -212,3 +212,24 @@ func TestNilCodeIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptySampleIsAnError: a Monte Carlo entry point asked for fewer
+// than one sample returns an error naming the count, never a NaN or a
+// negative-zero rate.
+func TestEmptySampleIsAnError(t *testing.T) {
+	code, P := surface.Planar(3), noise.Uniform(0.004)
+	for _, samples := range []int{0, -5} {
+		for name, call := range map[string]func() error{
+			"CodeMemory":        func() error { _, err := CodeMemory(code, 4, 0.01, 0.01, 0, 0, samples, 1); return err },
+			"CodeCircuitMemory": func() error { _, err := CodeCircuitMemory(code, 4, P, 0, 0, samples, 1); return err },
+			"CodeCircuitMemoryOpts": func() error {
+				_, err := CodeCircuitMemoryOpts(code, 4, P, 0, 0, samples, 1, spacetime.DecodeOptions{})
+				return err
+			},
+		} {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "sample") {
+				t.Errorf("%s(samples=%d): err = %v, want an error naming the samples", name, samples, err)
+			}
+		}
+	}
+}

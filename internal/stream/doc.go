@@ -54,20 +54,22 @@
 // Successive windows share W − C layers, and every slide re-decodes
 // them: a slide is defect lists → one plain union-find decode per lane
 // → commit and carry, and nothing is carried between slides but the
-// carry defects and the frames. The lists come straight off the planes
-// — the ring read in place, every set lane bit of a non-zero word
-// appending its detector to that lane's list — and only the per-lane
-// carry is pivoted, to join the base layer, where the cut defects sit. (A retained-forest slide that
-// kept the previous window's interior clusters across the slide was
-// measured slower than this on every benchmark workload and deleted;
-// EXPERIMENTS.md E31 has the table.) The one shortcut is the
+// carry defects and the frames. The lists come straight off the ring,
+// one word slab per sector that Push packs each round into, every set
+// lane bit appending its detector to that lane's list, and only the
+// per-lane carry is pivoted, to join the base layer, where the cut
+// defects sit. (A retained-forest slide that kept the previous
+// window's interior clusters across the slide was measured slower than
+// this on every benchmark workload and deleted; EXPERIMENTS.md E31 has
+// the table.) The one shortcut is the
 // silent-sector skip: a sector whose buffered layers are empty in every
 // lane and whose carries are clear skips its decode outright — an empty
 // defect list decodes to an empty correction, so the skip is exact by
 // construction and has no off switch. Every buffer — rings, the
 // plane-major carry, defect, erasure and correction lists — is sized
 // once in NewDecoderOpts, and warm Push (slides included) and warm
-// Finish run at zero heap allocations.
+// Finish run at zero heap allocations; a Monte Carlo drain builds a
+// decoder only when no finished drain of its session left one to reset.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's

@@ -79,7 +79,7 @@ func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, window
 	if err := P.Validate(); err != nil {
 		return Result{}, err
 	}
-	window, commit, err := memoryShape(code, rounds, window, commit)
+	window, commit, err := memoryShape(code, rounds, window, commit, samples)
 	if err != nil {
 		return Result{}, err
 	}

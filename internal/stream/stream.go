@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"ftqc/internal/bits"
@@ -19,11 +21,15 @@ import (
 // built with a nil pool owns a private one and Close releases it; a
 // session grafted onto an external multi-graph pool (the decode-server
 // path, where one worker fleet serves many concurrent sessions) leaves
-// that pool alone.
+// that pool alone. Its Monte Carlo drains reuse their decoders.
 type Session struct {
 	win   *Window
 	pool  *decoder.Service
 	owned bool
+
+	mu            sync.Mutex
+	free          []*Decoder // finished drains' decoders; Close drops them
+	running, peak int        // drains in flight now and at most: the list's cap
 }
 
 // NewCodeSession builds the phenomenological window of a surface.Code
@@ -68,6 +74,35 @@ func (s *Session) Close() {
 	if s.owned {
 		s.pool.Close()
 	}
+	s.mu.Lock()
+	s.free, s.peak = nil, 0 // a zero cap keeps a late drain's decoder out too
+	s.mu.Unlock()
+}
+
+// takeDecoder hands a drain a reset free decoder of its shape, or a new one.
+func (s *Session) takeDecoder(lanes int, opts spacetime.DecodeOptions) *Decoder {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running++
+	s.peak = max(s.peak, s.running)
+	for i, d := range s.free {
+		if d.lanes == lanes && d.opts == opts {
+			s.free = slices.Delete(s.free, i, i+1)
+			d.reset()
+			return d
+		}
+	}
+	return s.NewDecoderOpts(lanes, opts)
+}
+
+// putDecoder frees a drain's decoder; past the cap the oldest goes.
+func (s *Session) putDecoder(d *Decoder) {
+	s.mu.Lock()
+	s.running--
+	if s.free = append(s.free, d); len(s.free) > s.peak {
+		s.free = slices.Delete(s.free, 0, len(s.free)-s.peak)
+	}
+	s.mu.Unlock()
 }
 
 // sectorState is one sector's half of a streaming Decoder: the layer
@@ -77,6 +112,7 @@ func (s *Session) Close() {
 type sectorState struct {
 	dual  bool       // star sector: decodes on the volumes' dual graphs
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
+	ringW []uint64   // ring's backing words (bits.NewSlab), slot after slot
 	carry []bits.Vec // per-lane cut defects at the base layer (nc bits)
 	base  []bits.Vec // nc check-major planes: the carry pivoted, XOR the base layer (decode scratch)
 	corr  []bits.Vec // per-lane running committed corrections (nq bits)
@@ -119,6 +155,7 @@ type Decoder struct {
 	s      *Session
 	lanes  int
 	nq, nc int // data qubits and checks per layer of the window's code
+	span   int // ring words per slot: nc planes of lane words
 
 	base     int // absolute index of the oldest buffered layer (= rounds committed)
 	filled   int // buffered layers
@@ -174,7 +211,7 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	// Every buffer is sized here, once, for the tallest decode there is —
 	// W buffered layers plus the closing one — so neither a slide nor
 	// Finish allocates.
-	d := &Decoder{s: s, lanes: lanes, nq: nq, nc: nc, opts: opts}
+	d := &Decoder{s: s, lanes: lanes, nq: nq, nc: nc, span: nc * ((lanes + 63) / 64), opts: opts}
 	// Erased-edge lists exist only for side-information decoders; like the
 	// defect buffers below they are sized once, at one entry per eight
 	// window edges (a leak rate of 0.01 per gate erases about a tenth of a
@@ -200,7 +237,7 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	// decodes; its lane's buffers grow.
 	bufCap := max(w.W*nc/8, 64)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-		sec.ring = bits.NewVecs(w.W*nc, lanes)
+		sec.ring, sec.ringW = bits.NewSlab(w.W*nc, lanes)
 		sec.carry = bits.NewVecs(lanes, nc)
 		sec.base = bits.NewVecs(nc, lanes)
 		sec.corr = bits.NewVecs(lanes, nq)
@@ -225,6 +262,21 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	}
 	d.sz.dual = true
 	return d
+}
+
+// reset puts a finished decoder back in NewDecoderOpts's state. Ring
+// slots and lists need no clearing: each is written before it is read.
+func (d *Decoder) reset() {
+	d.base, d.filled, d.head, d.slides, d.defects, d.finished, d.err, d.pushMode = 0, 0, 0, 0, 0, false, nil, pushUnset
+	clear(d.eraQuiet)
+	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
+		for lane := range sec.carry {
+			sec.carry[lane].Clear()
+			sec.corr[lane].Clear()
+		}
+		clear(sec.quiet)
+		clear(sec.lostQuiet)
+	}
 }
 
 // Rounds returns how many noisy rounds the decoder has ingested.
@@ -286,15 +338,8 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 		}
 	}
 	slot := d.slot(d.filled)
-	quietX, quietZ := true, true
-	for c := 0; c < nc; c++ {
-		d.sx.ring[slot*nc+c].CopyFrom(layerX[c])
-		quietX = quietX && layerX[c].Zero()
-		d.sz.ring[slot*nc+c].CopyFrom(layerZ[c])
-		quietZ = quietZ && layerZ[c].Zero()
-	}
-	d.sx.quiet[slot] = quietX
-	d.sz.quiet[slot] = quietZ
+	d.sx.quiet[slot] = !bits.PackPlanes(d.sx.ringW[slot*d.span:][:d.span], layerX, d.lanes)
+	d.sz.quiet[slot] = !bits.PackPlanes(d.sz.ringW[slot*d.span:][:d.span], layerZ, d.lanes)
 	d.filled++
 	return slot
 }
@@ -513,9 +558,10 @@ func (d *Decoder) slot(t int) int { return (d.head + t) % d.s.win.W }
 // defectLists builds every lane's ascending defect list (detector =
 // layer·nc + check) straight from the planes, in layer order: the first
 // h buffered layers in place from the ring, then the closing planes.
-// Only the per-lane carry is pivoted, to join the base layer.
+// Only the per-lane carry is pivoted, to join the base layer; layers
+// 1…h−1 are read off the ring's words in at most two runs.
 func (d *Decoder) defectLists(sec *sectorState, h int, closing []bits.Vec) {
-	nc := d.nc
+	nc, span, words := d.nc, d.span, d.span/d.nc
 	for lane := range sec.defbuf {
 		sec.defbuf[lane] = sec.defbuf[lane][:0]
 	}
@@ -524,9 +570,9 @@ func (d *Decoder) defectLists(sec *sectorState, h int, closing []bits.Vec) {
 		sec.base[c].Xor(p)
 	}
 	bits.AppendPlaneSupports(sec.defbuf, sec.base, 0)
-	for t := 1; t < h; t++ {
-		bits.AppendPlaneSupports(sec.defbuf, sec.ring[d.slot(t)*nc:][:nc], t*nc)
-	}
+	first := min(h-1, d.s.win.W-d.head-1) // layers 1… before the wrap, then the rest
+	bits.AppendSlabSupports(sec.defbuf, sec.ringW[(d.head+1)*span:][:first*span], words, nc)
+	bits.AppendSlabSupports(sec.defbuf, sec.ringW[:(h-1-first)*span], words, (1+first)*nc)
 	bits.AppendPlaneSupports(sec.defbuf, closing, h*nc)
 }
 
@@ -585,7 +631,8 @@ func (s *Session) BatchErasedFrom(src spacetime.ErasedLayerFeed, rounds int, opt
 func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
-	d := s.NewDecoderOpts(lanes, opts)
+	d := s.takeDecoder(lanes, opts)
+	defer s.putDecoder(d)
 	layerX := bits.NewVecs(d.nc, lanes)
 	layerZ := bits.NewVecs(d.nc, lanes)
 	var eraH, lostX, lostZ []bits.Vec
@@ -669,14 +716,17 @@ func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Sample
 func DefaultWindow(l int) (window, commit int) { return 2 * l, l }
 
 // memoryShape is the constructor-error gate of the memory experiments:
-// it rejects a missing code or an empty horizon and fills in the
-// DefaultWindow sizes for zero window/commit.
-func memoryShape(code surface.Code, rounds, window, commit int) (int, int, error) {
+// it rejects a missing code, an empty horizon or an empty sample and
+// fills in the DefaultWindow sizes for zero window/commit.
+func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, int, error) {
 	if code == nil {
 		return 0, 0, fmt.Errorf("stream: window needs a code")
 	}
 	if rounds < 1 {
 		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
+	}
+	if samples < 1 {
+		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one sample (got samples=%d)", samples)
 	}
 	if window <= 0 {
 		window, _ = DefaultWindow(code.Distance())
@@ -697,7 +747,7 @@ func memoryShape(code surface.Code, rounds, window, commit int) (int, int, error
 // function of (samples, seed) — never of GOMAXPROCS. Invalid window
 // shapes or horizons return a descriptive error.
 func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit, err := memoryShape(code, rounds, window, commit)
+	window, commit, err := memoryShape(code, rounds, window, commit, samples)
 	if err != nil {
 		return Result{}, err
 	}
@@ -722,7 +772,7 @@ func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, sam
 // node. Pass 0, 0 for the DefaultWindow sizes. Weights come from
 // spacetime.WeightsCircuit with the window as the decode horizon.
 func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit, err := memoryShape(code, rounds, window, commit)
+	window, commit, err := memoryShape(code, rounds, window, commit, samples)
 	if err != nil {
 		return Result{}, err
 	}
@@ -758,7 +808,7 @@ func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (f
 		w, c := DefaultWindow(l)
 		r, err := CodeMemory(toric.Cached(l), 4*l, p, p, w, c, samples, seed)
 		if err != nil {
-			// The sweep derives its own parameters; they cannot be invalid.
+			// The sweep derives its own shapes; only an empty sample is invalid.
 			panic(err)
 		}
 		return r

@@ -8,17 +8,28 @@ import "ftqc/internal/bits"
 // feed (the phenomenological and circuit-level sources of any Code
 // both defect on cur XOR prev).
 type SyndromeDiff struct {
-	prevX, prevZ, curX, curZ []bits.Vec
+	prevX, prevZ, curX, curZ slab
+}
+
+// slab is a run of bit planes and its backing words (bits.NewSlab).
+type slab struct {
+	v []bits.Vec
+	w []uint64
+}
+
+func newSlab(count, lanes int) slab {
+	v, w := bits.NewSlab(count, lanes)
+	return slab{v, w}
 }
 
 // NewSyndromeDiff returns zeroed buffers for nc checks by `lanes` shots
 // (round −1 observes the trivial syndrome).
 func NewSyndromeDiff(nc, lanes int) *SyndromeDiff {
 	return &SyndromeDiff{
-		prevX: bits.NewVecs(nc, lanes),
-		prevZ: bits.NewVecs(nc, lanes),
-		curX:  bits.NewVecs(nc, lanes),
-		curZ:  bits.NewVecs(nc, lanes),
+		prevX: newSlab(nc, lanes),
+		prevZ: newSlab(nc, lanes),
+		curX:  newSlab(nc, lanes),
+		curZ:  newSlab(nc, lanes),
 	}
 }
 
@@ -26,22 +37,16 @@ func NewSyndromeDiff(nc, lanes int) *SyndromeDiff {
 // the feed writes this round's observed syndromes here before Emit.
 // Emit swaps generations, so re-fetch the slice every round rather than
 // caching it.
-func (d *SyndromeDiff) CurX() []bits.Vec { return d.curX }
+func (d *SyndromeDiff) CurX() []bits.Vec { return d.curX.v }
 
 // CurZ returns the current generation's star-observation planes.
-func (d *SyndromeDiff) CurZ() []bits.Vec { return d.curZ }
+func (d *SyndromeDiff) CurZ() []bits.Vec { return d.curZ.v }
 
 // Emit writes cur XOR prev into the layer planes (check-major, one
 // vector of lane bits per check) and swaps the generations.
 func (d *SyndromeDiff) Emit(layerX, layerZ []bits.Vec) {
-	for c := range d.curX {
-		lx := layerX[c]
-		lx.CopyFrom(d.curX[c])
-		lx.Xor(d.prevX[c])
-		lz := layerZ[c]
-		lz.CopyFrom(d.curZ[c])
-		lz.Xor(d.prevZ[c])
-	}
+	bits.XorSlabs(layerX, d.curX.w, d.prevX.w)
+	bits.XorSlabs(layerZ, d.curZ.w, d.prevZ.w)
 	d.prevX, d.curX = d.curX, d.prevX
 	d.prevZ, d.curZ = d.curZ, d.prevZ
 }

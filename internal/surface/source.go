@@ -41,15 +41,15 @@ type LayerSource struct {
 type sectorErrors struct {
 	g   *decoder.Graph
 	cum []bits.Vec // qubit-major accumulated error planes
-	syn []bits.Vec // node-major true syndrome of cum, checks first
+	syn slab       // node-major true syndrome of cum, checks first
 }
 
 // flipLane toggles data qubit e on one lane.
 func (x *sectorErrors) flipLane(e, lane int) {
 	u, v := x.g.Ends(e)
 	x.cum[e].Flip(lane)
-	x.syn[u].Flip(lane)
-	x.syn[v].Flip(lane)
+	x.syn.v[u].Flip(lane)
+	x.syn.v[v].Flip(lane)
 }
 
 // flipPlane toggles data qubit e on every lane of a sampled flip plane.
@@ -57,8 +57,8 @@ func (x *sectorErrors) flipPlane(e int, flips bits.Vec) {
 	if flips.Any() {
 		u, v := x.g.Ends(e)
 		x.cum[e].Xor(flips)
-		x.syn[u].Xor(flips)
-		x.syn[v].Xor(flips)
+		x.syn.v[u].Xor(flips)
+		x.syn.v[v].Xor(flips)
 	}
 }
 
@@ -80,7 +80,7 @@ func NewLayerSourceErased(code Code, p, q, pe, qe float64, lanes int, smp frame.
 	}
 	for i := range s.sec {
 		g := code.SectorGraph(i == 1)
-		s.sec[i] = sectorErrors{g: g, cum: bits.NewVecs(code.Qubits(), lanes), syn: bits.NewVecs(g.Nodes(), lanes)}
+		s.sec[i] = sectorErrors{g: g, cum: bits.NewVecs(code.Qubits(), lanes), syn: newSlab(g.Nodes(), lanes)}
 	}
 	s.active.SetAll()
 	return s
@@ -108,21 +108,15 @@ func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
 			x.flipLane(int(t)/s.lanes, int(t)%s.lanes)
 		}
 	}
-	for i, cur := range [2][]bits.Vec{s.diff.CurX(), s.diff.CurZ()} {
-		copyPlanes(cur, s.sec[i].syn)
-		s.pos = s.smp.BernoulliBlock(s.q, len(cur), s.lanes, s.pos[:0])
+	for i, cur := range [2]slab{s.diff.curX, s.diff.curZ} {
+		copy(cur.w, s.sec[i].syn.w) // the check planes lead the node planes
+		s.pos = s.smp.BernoulliBlock(s.q, len(cur.v), s.lanes, s.pos[:0])
 		for _, t := range s.pos {
-			cur[int(t)/s.lanes].Flip(int(t) % s.lanes)
+			cur.v[int(t)/s.lanes].Flip(int(t) % s.lanes)
 		}
 	}
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
-}
-
-func copyPlanes(dst, src []bits.Vec) {
-	for i := range dst {
-		dst[i].CopyFrom(src[i])
-	}
 }
 
 // NextLayersErased is NextLayers with the two erasure channels whose
@@ -159,8 +153,8 @@ func (s *LayerSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits
 			sec.flipPlane(e, s.tmp)
 		}
 	}
-	s.observeLossy(s.sec[0].syn, s.diff.CurX(), lostX)
-	s.observeLossy(s.sec[1].syn, s.diff.CurZ(), lostZ)
+	s.observeLossy(s.sec[0].syn, s.diff.curX, lostX)
+	s.observeLossy(s.sec[1].syn, s.diff.curZ, lostZ)
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
 }
@@ -168,8 +162,9 @@ func (s *LayerSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits
 // observeLossy measures one sector's checks with flip rate q, then
 // loses each measurement with probability qe: a lost measurement reads
 // as a fair coin, whatever the truth.
-func (s *LayerSource) observeLossy(syn, cur, lost []bits.Vec) {
-	copyPlanes(cur, syn)
+func (s *LayerSource) observeLossy(syn, obs slab, lost []bits.Vec) {
+	copy(obs.w, syn.w)
+	cur := obs.v
 	for c := range cur {
 		s.smp.Bernoulli(s.q, s.active, s.tmp)
 		cur[c].Xor(s.tmp)
@@ -188,8 +183,8 @@ func (s *LayerSource) observeLossy(syn, cur, lost []bits.Vec) {
 // true syndromes of the accumulated errors, no fresh faults, no
 // measurement noise.
 func (s *LayerSource) CloseLayers(layerX, layerZ []bits.Vec) {
-	copyPlanes(s.diff.CurX(), s.sec[0].syn)
-	copyPlanes(s.diff.CurZ(), s.sec[1].syn)
+	copy(s.diff.curX.w, s.sec[0].syn.w)
+	copy(s.diff.curZ.w, s.sec[1].syn.w)
 	s.diff.Emit(layerX, layerZ)
 }
 

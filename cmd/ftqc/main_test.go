@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"hash/fnv"
 	"os"
 	"os/exec"
 	"strings"
@@ -116,4 +117,45 @@ func TestCLIExitCodes(t *testing.T) {
 			t.Fatalf("even distances should explain the odd-distance rule, got %q", stderr)
 		}
 	})
+}
+
+// TestGoldenCLI pins the stdout of the seeded Monte Carlo subcommands:
+// each row is one invocation at a fixed -seed and a small -samples, and
+// its FNV-64a digest of stdout was recorded once. A change that moves a
+// digest has changed a printed failure count — fix the change, never
+// re-record the constant. Subcommands that print wall-clock timings on
+// stdout (codes, serve, sessions) are left out.
+func TestGoldenCLI(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want uint64
+	}{
+		{"toric -L 3,5 -samples 256 -seed 7", 0x170344383f9a0470},
+		{"toric -decoder exact -L 3,5 -samples 256 -seed 7", 0xc91c3bdde5044d5e},
+		{"thermal -L 3 -samples 512 -seed 7", 0x2316cc6a77910939},
+		{"thermal -decoder uf -L 3 -samples 512 -seed 7", 0x0b3f8c1bb1894952},
+		{"spacetime -L 3,4 -p 0.01,0.03 -samples 128 -seed 7", 0x67752bc67adb0a24},
+		{"spacetime -L 3 -p 0.01,0.03 -decoder exact -samples 128 -seed 7", 0x5a1c220fd804c317},
+		{"spacetime -L 3,4 -p 0.01,0.02 -pe 0.02 -qe 0.02 -samples 128 -seed 7", 0x781b998a5e63b94b},
+		{"stream -L 3,4 -p 0.01,0.02 -samples 128 -seed 7", 0xb18ca1fd6ebd5634},
+		{"circuit -L 3,4 -p 0.004,0.008 -samples 128 -seed 7", 0xda13bdbb937f1135},
+		{"circuit -L 3 -p 0.004,0.008 -decoder exact -samples 128 -seed 7", 0xfaf97ca0313ebed0},
+		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -samples 128 -seed 7", 0x669201e8411a7036},
+		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -samples 128 -seed 7", 0x4b3debb0e630b6ee},
+		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -blind -samples 128 -seed 7", 0xb92c4d15ebdf869d},
+		{"circuit -L 3 -p 0.004,0.008 -correlated -samples 128 -seed 7", 0x1b6d54d319faf62e},
+		{"circuit -L 3 -p 0.004,0.008 -schedule hookpar -samples 128 -seed 7", 0xc86c2db675458efd},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, strings.Fields(tc.args)...)
+			if code != 0 {
+				t.Fatalf("exit %d (stderr %q)", code, stderr)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(stdout))
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("stdout digest %#016x, want %#016x; stdout:\n%s", got, tc.want, stdout)
+			}
+		})
+	}
 }

@@ -209,8 +209,8 @@ func BenchmarkE17ToricMemory(b *testing.B) {
 // point p = 0.08, across code distances. Each iteration runs one
 // 256-shot batch of the passive-memory experiment end to end: sampling,
 // bit-plane syndrome extraction, transpose, per-lane decode, homology
-// test. The matching baselines run at the small sizes; L = 32 is
-// union-find territory (greedy needs ~10 ms per shot there).
+// test. The exact matcher runs at the small sizes; L = 32 is union-find
+// territory.
 func BenchmarkToricDecode(b *testing.B) {
 	for _, cfg := range toricDecodeConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -232,9 +232,7 @@ func toricDecodeConfigs() []toricDecodeConfig {
 	for _, l := range []int{4, 8, 16, 32} {
 		out = append(out, toricDecodeConfig{fmt.Sprintf("L=%d", l), l, toric.DecoderUnionFind})
 		if l <= 16 {
-			out = append(out,
-				toricDecodeConfig{fmt.Sprintf("L=%d/exact", l), l, toric.DecoderExact},
-				toricDecodeConfig{fmt.Sprintf("L=%d/greedy", l), l, toric.DecoderGreedy})
+			out = append(out, toricDecodeConfig{fmt.Sprintf("L=%d/exact", l), l, toric.DecoderExact})
 		}
 	}
 	return out

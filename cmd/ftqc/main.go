@@ -98,8 +98,8 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  -T        measurement rounds per shot (a number, or L for rounds = distance)")
 	fmt.Fprintln(w, "  -p        error-probability grid; for `circuit` it is the uniform")
 	fmt.Fprintln(w, "            per-location rate eps (every prep, CNOT, measurement, idle step)")
-	fmt.Fprintln(w, "  -decoder  decoding strategy: uf (union-find), exact (blossom MWPM;")
-	fmt.Fprintln(w, "            circuit-metric priced on `circuit`), greedy (2D commands only)")
+	fmt.Fprintln(w, "  -decoder  decoding strategy: uf (union-find) or exact (blossom MWPM;")
+	fmt.Fprintln(w, "            circuit-metric priced on `circuit`)")
 	fmt.Fprintln(w, "  -window   sliding-window height in rounds (stream; circuit -window > 0")
 	fmt.Fprintln(w, "            switches the sweep to the streaming pipeline)")
 	fmt.Fprintln(w, "  -samples  Monte Carlo samples per grid point")
@@ -298,6 +298,10 @@ func cmdConcat(args []string) {
 	fs := flag.NewFlagSet("concat", flag.ExitOnError)
 	a := fs.Float64("A", 21, "flow coefficient (21 = paper's counting estimate)")
 	parse(fs, args)
+	if !(*a > 0) {
+		fmt.Fprintf(os.Stderr, "concat: -A must be positive (got %v)\n", *a)
+		os.Exit(2)
+	}
 	f := concat.Flow{A: *a}
 	fmt.Printf("E09: concatenation flow p_(L+1) = %.3g p_L^2, threshold %.3g\n", f.A, f.Threshold())
 	fmt.Printf("%-10s", "p0")
@@ -402,14 +406,14 @@ func cmdLeakage(args []string) {
 func cmdToric(args []string) {
 	fs := flag.NewFlagSet("toric", flag.ExitOnError)
 	samples := fs.Int("samples", 20000, "samples per point")
-	decoder := fs.String("decoder", "uf", "decoder: greedy, exact (polynomial MWPM) or uf (union-find)")
+	decoder := fs.String("decoder", "uf", "decoder: exact (polynomial MWPM) or uf (union-find)")
 	sizesFlag := fs.String("L", "3,5,7,9", "comma-separated code distances")
 	big := fs.Bool("big", false, "extend the distance sweep to L=16 and L=32 (union-find territory)")
 	seedF := fs.Uint64("seed", 91, "base RNG seed for the sweep (each cell advances it)")
 	parse(fs, args)
 	kind, ok := toricDecoder(*decoder)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "toric: unknown decoder %q (want greedy, exact or uf)\n", *decoder)
+		fmt.Fprintf(os.Stderr, "toric: unknown decoder %q (want exact or uf)\n", *decoder)
 		os.Exit(2)
 	}
 	fmt.Printf("E17: toric-code passive memory (§7.1): logical failure vs distance L (%s decoder, seed %d)\n", *decoder, *seedF)
@@ -450,7 +454,7 @@ func cmdSpacetime(args []string) {
 	seedF := fs.Uint64("seed", 121, "base RNG seed for the sweep (each cell advances it)")
 	parse(fs, args)
 	kind, ok := toricDecoder(*dec)
-	if !ok || kind == toric.DecoderGreedy {
+	if !ok {
 		fmt.Fprintf(os.Stderr, "spacetime: unknown decoder %q (want uf or exact)\n", *dec)
 		os.Exit(2)
 	}
@@ -685,7 +689,7 @@ func cmdCircuit(args []string) {
 	parse(fs, args)
 	defer startProf()()
 	kind, ok := toricDecoder(*dec)
-	if !ok || kind == toric.DecoderGreedy {
+	if !ok {
 		fmt.Fprintf(os.Stderr, "circuit: unknown decoder %q (want uf or exact)\n", *dec)
 		os.Exit(2)
 	}
@@ -1193,8 +1197,6 @@ func must(r spacetime.Result, err error) spacetime.Result {
 // toricDecoder maps a CLI name to a decoder kind.
 func toricDecoder(name string) (toric.DecoderKind, bool) {
 	switch name {
-	case "greedy":
-		return toric.DecoderGreedy, true
 	case "exact":
 		return toric.DecoderExact, true
 	case "uf", "unionfind":
@@ -1207,12 +1209,16 @@ func cmdThermal(args []string) {
 	fs := flag.NewFlagSet("thermal", flag.ExitOnError)
 	samples := fs.Int("samples", 20000, "samples per point")
 	l := fs.Int("L", 7, "lattice size")
-	decoder := fs.String("decoder", "exact", "decoder: greedy, exact or uf")
+	decoder := fs.String("decoder", "exact", "decoder: exact or uf")
 	seedF := fs.Uint64("seed", 93, "base RNG seed (each Δ/T row advances it)")
 	parse(fs, args)
 	kind, ok := toricDecoder(*decoder)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "thermal: unknown decoder %q (want greedy, exact or uf)\n", *decoder)
+		fmt.Fprintf(os.Stderr, "thermal: unknown decoder %q (want exact or uf)\n", *decoder)
+		os.Exit(2)
+	}
+	if *l < 2 {
+		fmt.Fprintf(os.Stderr, "thermal: -L must be at least 2 (got %d)\n", *l)
 		os.Exit(2)
 	}
 	fmt.Printf("E18: thermal anyon plasma on L=%d (§7.1, seed %d): flips at p0·e^{-Δ/T}\n", *l, *seedF)
@@ -1227,6 +1233,10 @@ func cmdInterferometer(args []string) {
 	fs := flag.NewFlagSet("interferometer", flag.ExitOnError)
 	eta := fs.Float64("eta", 0.2, "per-pass readout error")
 	parse(fs, args)
+	if !(*eta >= 0 && *eta <= 1) {
+		fmt.Fprintf(os.Stderr, "interferometer: -eta must be a probability in [0, 1] (got %v)\n", *eta)
+		os.Exit(2)
+	}
 	fmt.Printf("E19: interferometric flux measurement, per-pass error η=%.2f (Figs. 18/22)\n", *eta)
 	fmt.Printf("%-8s %-16s %-16s\n", "passes", "analytic err", "Monte Carlo")
 	rng := rand.New(rand.NewPCG(95, 96))

@@ -117,6 +117,30 @@ func TestCLIExitCodes(t *testing.T) {
 			t.Fatalf("even distances should explain the odd-distance rule, got %q", stderr)
 		}
 	})
+	// A value the subcommand cannot run with is refused before anything
+	// is printed, with the flag (or the accepted values) named on stderr
+	// — not a table header followed by a panic, which also exits 2, nor a
+	// NaN row and exit 0.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"thermal", "-L", "1", "-samples", "64"}, "-L"},
+		{[]string{"thermal", "-L", "0", "-samples", "64"}, "-L"},
+		{[]string{"interferometer", "-eta", "1.5"}, "-eta"},
+		{[]string{"concat", "-A", "0"}, "-A"},
+		{[]string{"toric", "-decoder", "greedy", "-samples", "64"}, "exact or uf"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, tc.args...)
+			if code != 2 || stdout != "" {
+				t.Fatalf("exit %d with stdout %q, want exit 2 before any output", code, stdout)
+			}
+			if !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic:") {
+				t.Fatalf("stderr %q should name %q without a panic", stderr, tc.want)
+			}
+		})
+	}
 }
 
 // TestGoldenCLI pins the stdout of the seeded Monte Carlo subcommands:

@@ -223,8 +223,6 @@ type (
 
 // Toric decoders (see internal/decoder for the algorithms).
 const (
-	// ToricDecoderGreedy repeatedly pairs the two closest defects.
-	ToricDecoderGreedy = toric.DecoderGreedy
 	// ToricDecoderExact is the polynomial (blossom) exact minimum-weight
 	// matcher — the accuracy baseline, with no defect-count cap.
 	ToricDecoderExact = toric.DecoderExact

@@ -83,8 +83,7 @@ func TestBoundaryPrefersCheapPath(t *testing.T) {
 func TestBoundaryErasedSeed(t *testing.T) {
 	g := pathGraph(4, 3)
 	uf := NewUnionFind(g)
-	var got []int
-	uf.DecodeErased([]int{2}, []int{2}, func(e int) { got = append(got, e) })
+	got := uf.AppendCorrection(nil, []int{2}, []int{2})
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("emitted %v, want just erased boundary edge 2", got)
 	}

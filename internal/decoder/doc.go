@@ -15,14 +15,14 @@
 //
 //  1. Seeding. Every defect (lit detector) becomes a singleton cluster
 //     with odd parity whose boundary is its incident edge list. When
-//     erasure information is supplied (DecodeErased), every erased edge
-//     enters the erasure at full support first: its endpoints are
-//     absorbed and united before any growth, so pure-erasure syndromes
-//     skip phase 2 entirely. On graphs with open-boundary nodes
-//     (NewBoundaryGraph — the future edge of a sliding decode window),
-//     a cluster that reaches a boundary node is "grounded": the
-//     boundary absorbs its parity, it never counts as odd, and it stops
-//     growing.
+//     erasure information is supplied (the erased list of
+//     AppendCorrection), every erased edge enters the erasure at full
+//     support first: its endpoints are absorbed and united before any
+//     growth, so pure-erasure syndromes skip phase 2 entirely. On
+//     graphs with open-boundary nodes (NewBoundaryGraph — the future
+//     edge of a sliding decode window), a cluster that reaches a
+//     boundary node is "grounded": the boundary absorbs its parity, it
+//     never counts as odd, and it stops growing.
 //
 //  2. Growth and merge. While any cluster has odd parity, every odd
 //     cluster grows each boundary edge by one half-step of support per

@@ -178,7 +178,9 @@ func runGolden(t *testing.T, c goldenCase) (uint64, int) {
 			t.Fatalf("shot %d: %v", shot, err)
 		}
 		h.add(-1)
-		uf.DecodeErased(defects, erased, func(e int) { h.add(int32(e)) })
+		for _, e := range uf.AppendCorrection(nil, defects, erased) {
+			h.add(e)
+		}
 		h.add(int32(uf.GrowthSweeps()))
 		sweeps += uf.GrowthSweeps()
 	}

@@ -90,8 +90,7 @@ func TestScratchHistoryIndependent(t *testing.T) {
 		sweeps := make([]int, len(shots))
 		for i, s := range shots {
 			uf := NewUnionFind(g)
-			want[i] = []int32{}
-			uf.DecodeErased(s.defects, s.erased, func(e int) { want[i] = append(want[i], int32(e)) })
+			want[i] = uf.AppendCorrection([]int32{}, s.defects, s.erased)
 			sweeps[i] = uf.GrowthSweeps()
 		}
 		check := func(arm string, uf *UnionFind, i int) {

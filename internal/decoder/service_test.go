@@ -74,8 +74,7 @@ func diffDirect(g *Graph, shots []Shot, got [][]int32) error {
 	}
 	uf := NewUnionFind(g)
 	for i, shot := range shots {
-		var want []int32
-		uf.DecodeErased(shot.Defects, shot.Erased, func(e int) { want = append(want, int32(e)) })
+		want := uf.AppendCorrection(nil, shot.Defects, shot.Erased)
 		if len(got[i]) != len(want) {
 			return fmt.Errorf("shot %d: %d edges, want %d", i, len(got[i]), len(want))
 		}

@@ -58,7 +58,7 @@ type UnionFind struct {
 	// CSR build.
 	touched []int32
 
-	// Correction of the last emit-style decode (Decode, DecodeErased).
+	// Correction of the last emit-style decode (Decode).
 	corrBuf []int32
 
 	epoch uint32
@@ -140,7 +140,7 @@ func NewUnionFind(g *Graph) *UnionFind {
 }
 
 // GrowthSweeps returns the number of half-step growth sweeps the last
-// Decode (or DecodeErased) ran: the unit is one half-step of support on
+// Decode or AppendCorrection ran: the unit is one half-step of support on
 // every boundary edge of every odd cluster, however many of them one pass
 // over the boundary stood for (the first pass of a decode covers the
 // graph's smallest weight in sweeps — see AppendCorrection). Zero means the
@@ -193,27 +193,22 @@ func (u *UnionFind) pushBoundary(r, w int32) {
 // emit receives each edge at most once, in a deterministic order that
 // depends only on the defect list.
 func (u *UnionFind) Decode(defects []int, emit func(edge int)) {
-	u.DecodeErased(defects, nil, emit)
-}
-
-// DecodeErased is Decode with erasure information: the listed edges are
-// known fault locations (leaked or erased qubits) and enter the erasure
-// at full support before any growth. Clusters whose defects are already
-// paired inside the erased components decode by peeling alone; only the
-// odd remainder grows. Erased edges may be emitted in the correction
-// even when no cluster grows.
-func (u *UnionFind) DecodeErased(defects, erased []int, emit func(edge int)) {
-	u.corrBuf = u.AppendCorrection(u.corrBuf[:0], defects, erased)
+	u.corrBuf = u.AppendCorrection(u.corrBuf[:0], defects, nil)
 	for _, e := range u.corrBuf {
 		emit(int(e))
 	}
 }
 
-// AppendCorrection is DecodeErased with the correction appended to corr
-// in emit order and returned re-sliced, so a caller-owned buffer makes
-// the steady state allocation-free — the form the decode service and the
-// streaming window run on. A sparse plain decode takes its isolated
-// pairs out before growing the rest, with the same output (see doc.go).
+// AppendCorrection is Decode with erasure information and the correction
+// appended to corr in emit order and returned re-sliced, so a
+// caller-owned buffer makes the steady state allocation-free — the form
+// the decode service and the streaming window run on. The erased edges
+// are known fault locations (leaked or erased qubits) and enter the
+// erasure at full support before any growth: clusters whose defects are
+// already paired inside the erased components decode by peeling alone,
+// only the odd remainder grows, and erased edges may be emitted even when
+// no cluster grows. A sparse plain decode takes its isolated pairs out
+// before growing the rest, with the same output (see doc.go).
 func (u *UnionFind) AppendCorrection(corr []int32, defects, erased []int) []int32 {
 	if len(erased) == 0 && len(defects)*sparseK <= u.g.nodes {
 		return u.appendPaired(corr, defects)

@@ -138,7 +138,8 @@ func TestDecodeErasedPureErasure(t *testing.T) {
 			for e := range errs {
 				residual[e] = true
 			}
-			uf.DecodeErased(defects, erasedList, func(e int) {
+			for _, ce := range uf.AppendCorrection(nil, defects, erasedList) {
+				e := int(ce)
 				if !erased[e] {
 					t.Fatalf("L=%d trial %d: correction edge %d outside the erasure", l, trial, e)
 				}
@@ -147,7 +148,7 @@ func TestDecodeErasedPureErasure(t *testing.T) {
 				} else {
 					residual[e] = true
 				}
-			})
+			}
 			if uf.GrowthSweeps() != 0 {
 				t.Fatalf("L=%d trial %d: pure erasure took %d growth sweeps, want peeling only",
 					l, trial, uf.GrowthSweeps())
@@ -184,13 +185,13 @@ func TestDecodeErasedMixed(t *testing.T) {
 		for e := range errs {
 			residual[e] = true
 		}
-		uf.DecodeErased(defects, erasedList, func(e int) {
-			if residual[e] {
+		for _, ce := range uf.AppendCorrection(nil, defects, erasedList) {
+			if e := int(ce); residual[e] {
 				delete(residual, e)
 			} else {
 				residual[e] = true
 			}
-		})
+		}
 		if rest := syndromeOf(g, residual); len(rest) != 0 {
 			t.Fatalf("trial %d: mixed erasure decode left %d defects", trial, len(rest))
 		}

@@ -73,12 +73,6 @@ func NewLockstepSampler(seed uint64, w int) *LockstepSampler {
 	return s
 }
 
-// NewLockstepSamplerFrom builds a lockstep sampler over caller-provided
-// per-lane streams (for pairing against scalar runs with custom seeding).
-func NewLockstepSamplerFrom(rngs []*rand.Rand) *LockstepSampler {
-	return &LockstepSampler{rngs: rngs}
-}
-
 // Bernoulli draws one Float64 per active lane — also when p is 0 or 1,
 // because the scalar Sim tests `rng.Float64() < p` unconditionally and the
 // streams must stay aligned.

@@ -9,13 +9,13 @@
 //
 // Decoding is delegated to internal/decoder: a near-linear union-find
 // decoder for the hot Monte Carlo path and a polynomial exact
-// minimum-weight matcher as the accuracy baseline. Both error sectors
-// decode through the same machinery via the dual lattice (plaquette
-// syndromes for bit flips, star syndromes for phase flips), leakage-
-// detected qubits feed the union-find peeling pass as erasure, and
-// batch decodes run as a worker-pool stage over word-aligned lane
-// spans, bit-identical for any GOMAXPROCS. Noisy syndrome extraction
-// over repeated rounds lives in internal/spacetime, built on this
+// minimum-weight matcher as the accuracy baseline. The lattice carries
+// both error sectors (plaquette syndromes and the primal graph for bit
+// flips, star syndromes and the dual graph for phase flips); its own
+// Monte Carlo decodes the bit-flip sector, as a worker-pool stage over
+// word-aligned lane spans, bit-identical for any GOMAXPROCS. Two-sector
+// memory runs through internal/surface, noisy syndrome extraction over
+// repeated rounds through internal/spacetime, both built on this
 // package's lattices.
 package toric
 
@@ -121,8 +121,6 @@ func NewLattice(l int) Lattice {
 	t.dualGraph = decoder.NewGraph(t.NumChecks(), dualEnds)
 	graph, qubits := t.graph, t.Qubits()
 	t.scratch = &sync.Pool{New: func() any {
-		// ufDual stays nil until a dual-sector decode first needs it
-		// (dualUF), so the X-only hot paths never pay for its arrays.
 		return &decodeScratch{
 			uf:   decoder.NewUnionFind(graph),
 			corr: bits.NewVec(qubits),
@@ -410,14 +408,13 @@ func (t *Lattice) PathBetweenDual(a, b int, out bits.Vec) {
 // DecoderKind selects the decoding strategy.
 type DecoderKind int
 
-// Decoders.
+// Decoders, numbered from 1 so every printed or recorded kind keeps its
+// value; 0 names no decoder.
 const (
-	// DecoderGreedy repeatedly pairs the two closest defects.
-	DecoderGreedy DecoderKind = iota
 	// DecoderExact finds a minimum-weight perfect matching with the
 	// polynomial (O(n³)-style) blossom matcher — exact at any defect
 	// count; the accuracy baseline.
-	DecoderExact
+	DecoderExact DecoderKind = iota + 1
 	// DecoderUnionFind is the near-linear weighted-growth union-find
 	// decoder — the production decoder for large-L experiments.
 	DecoderUnionFind
@@ -429,13 +426,10 @@ const (
 // reallocating per call.
 type decodeScratch struct {
 	uf      *decoder.UnionFind
-	ufDual  *decoder.UnionFind
 	matcher decoder.Matcher
 	grid    decoder.DefectGrid
 	pairs   [][2]int
-	alive   []int
 	defects []int
-	erased  []int
 	corr    bits.Vec
 }
 
@@ -455,28 +449,6 @@ func (t Lattice) Decode(defects []int, kind DecoderKind) bits.Vec {
 	return corr
 }
 
-// DecodeDual returns a phase-flip correction for the given star-defect
-// set, decoded over the dual graph.
-func (t Lattice) DecodeDual(defects []int, kind DecoderKind) bits.Vec {
-	corr := bits.NewVec(t.Qubits())
-	scr := t.scratch.Get().(*decodeScratch)
-	t.decodeDualInto(defects, kind, scr, corr)
-	t.scratch.Put(scr)
-	return corr
-}
-
-// DecodeErasure returns a correction for the defect set given known
-// erased qubit locations (leakage-detected edges): the erased edges seed
-// the union-find peeling pass at full support, so pure-erasure syndromes
-// decode in linear time without any cluster growth.
-func (t Lattice) DecodeErasure(defects, erased []int) bits.Vec {
-	corr := bits.NewVec(t.Qubits())
-	scr := t.scratch.Get().(*decodeScratch)
-	scr.uf.DecodeErased(defects, erased, func(e int) { corr.Flip(e) })
-	t.scratch.Put(scr)
-	return corr
-}
-
 // decodeInto flips a correction for the defect set into corr. All decode
 // paths (scalar and batch) funnel through here, so every path shares one
 // deterministic tie-break per decoder kind.
@@ -485,49 +457,24 @@ func (t *Lattice) decodeInto(defects []int, kind DecoderKind, scr *decodeScratch
 		scr.uf.Decode(defects, func(e int) { corr.Flip(e) })
 		return
 	}
-	for _, pr := range t.matchDefects(defects, kind, scr) {
+	for _, pr := range t.matchDefects(defects, scr) {
 		t.PathBetween(pr[0], pr[1], corr)
 	}
 }
 
-// decodeDualInto is decodeInto for the Z sector. Sites and plaquettes
-// share the y·L+x indexing, so the matching stage (distances, pairing,
-// tie-breaks) is sector-blind; only the graph and the path emitter
-// change.
-func (t *Lattice) decodeDualInto(defects []int, kind DecoderKind, scr *decodeScratch, corr bits.Vec) {
-	if kind == DecoderUnionFind {
-		t.dualUF(scr).Decode(defects, func(e int) { corr.Flip(e) })
-		return
-	}
-	for _, pr := range t.matchDefects(defects, kind, scr) {
-		t.PathBetweenDual(pr[0], pr[1], corr)
-	}
-}
-
-// dualUF returns the scratch's dual-sector union-find, created on first
-// use so X-only workloads never allocate the dual graph's arrays.
-func (t *Lattice) dualUF(scr *decodeScratch) *decoder.UnionFind {
-	if scr.ufDual == nil {
-		scr.ufDual = decoder.NewUnionFind(t.dualGraph)
-	}
-	return scr.ufDual
-}
-
-// matchDefects pairs up the defect set with the chosen strategy. The
-// returned pairs alias scr and are valid until its next use.
-func (t *Lattice) matchDefects(defects []int, kind DecoderKind, scr *decodeScratch) [][2]int {
-	switch {
-	case len(defects) == 0:
+// matchDefects pairs up the defect set at minimum total torus distance.
+// The returned pairs alias scr and are valid until its next use.
+func (t *Lattice) matchDefects(defects []int, scr *decodeScratch) [][2]int {
+	switch len(defects) {
+	case 0:
 		return nil
-	case len(defects) == 2:
-		// One pair: all strategies agree, no search needed.
+	case 2:
+		// One pair: no search needed.
 		return append(scr.takePairs(1), [2]int{defects[0], defects[1]})
-	case kind == DecoderExact && len(defects) == 4:
+	case 4:
 		return t.matchFour(defects, scr)
-	case kind == DecoderExact:
-		return t.mwpmMatch(defects, scr)
 	}
-	return t.greedyMatch(defects, scr)
+	return t.mwpmMatch(defects, scr)
 }
 
 // matchFour picks the lightest of the three pairings of four defects
@@ -600,28 +547,6 @@ func matchCutoff(area, n int) int64 {
 	return int64(3 * mean)
 }
 
-// greedyMatch pairs the globally closest defects first.
-func (t *Lattice) greedyMatch(defects []int, scr *decodeScratch) [][2]int {
-	alive := append(scr.alive[:0], defects...)
-	pairs := scr.takePairs(len(defects) / 2)
-	for len(alive) > 1 {
-		bi, bj, best := 0, 1, 1<<30
-		for i := 0; i < len(alive); i++ {
-			for j := i + 1; j < len(alive); j++ {
-				if d := t.TorusDist(alive[i], alive[j]); d < best {
-					bi, bj, best = i, j, d
-				}
-			}
-		}
-		pairs = append(pairs, [2]int{alive[bi], alive[bj]})
-		// Remove bj first (larger index).
-		alive = append(alive[:bj], alive[bj+1:]...)
-		alive = append(alive[:bi], alive[bi+1:]...)
-	}
-	scr.alive = alive[:0]
-	return pairs
-}
-
 // MemoryResult summarizes a toric-memory Monte Carlo run.
 type MemoryResult struct {
 	L        int
@@ -690,13 +615,38 @@ func (t *Lattice) BatchMemory(p float64, kind DecoderKind, lanes int, smp frame.
 	t.PlaquetteSyndromePlanes(planes, checks)
 	p1 := bits.NewVec(lanes)
 	p2 := bits.NewVec(lanes)
-	windingPlanes(planes, t.det1Sup, t.det2Sup, p1, p2)
+	t.WindingPlanes(planes, p1, p2)
 	// Pivot to lane-major syndromes so each decode worker reads its own
 	// lanes' bit-vectors and extracts sparse defect lists by word scans.
 	syn := bits.NewVecs(lanes, nc)
 	bits.TransposePlanes(syn, checks)
+	// Decode stage: frame.ForEachLaneSpan hands word-aligned lane spans to
+	// the CPUs, each span owning its words of the failure mask outright
+	// and drawing private scratch from the lattice pool, so the mask is
+	// bit-identical for any worker count or scheduling order. Per lane:
+	// extract the sparse defect list (word scan + trailing-zero walk),
+	// decode it, and fold the correction's winding parities into the
+	// error chain's. The correction's syndrome equals the defect set by
+	// construction, so the residual is always a cycle and the winding
+	// parities decide failure.
 	fails := bits.NewVec(lanes)
-	t.decodeLanes(laneDecodeJob{kind: kind, syn: syn, p1: p1, p2: p2, out: fails})
+	frame.ForEachLaneSpan(lanes, func(lo, hi int) {
+		scr := t.scratch.Get().(*decodeScratch)
+		for lane := lo; lane < hi; lane++ {
+			scr.defects = syn[lane].AppendSupport(scr.defects[:0])
+			l1, l2 := p1.Get(lane), p2.Get(lane)
+			if len(scr.defects) > 0 {
+				scr.corr.Clear()
+				t.decodeInto(scr.defects, kind, scr, scr.corr)
+				l1 = l1 != scr.corr.Dot(t.det1)
+				l2 = l2 != scr.corr.Dot(t.det2)
+			}
+			if l1 || l2 {
+				fails.Set(lane, true)
+			}
+		}
+		t.scratch.Put(scr)
+	})
 	return fails
 }
 
@@ -745,192 +695,6 @@ func (t *Lattice) WindingPlanes(planes []bits.Vec, p1, p2 bits.Vec) {
 // detector pair.
 func (t *Lattice) WindingPlanesDual(planes []bits.Vec, p1, p2 bits.Vec) {
 	windingPlanes(planes, t.det1ZSup, t.det2ZSup, p1, p2)
-}
-
-// BatchMemoryXZ runs `lanes` shots of the dual-sector passive-memory
-// experiment: independent bit-flip (X) and phase-flip (Z) errors with
-// probability p per edge, plaquette syndromes decoded over the primal
-// graph and star syndromes over the dual graph, so both logical failure
-// kinds are tracked per shot. Draw order: all X edge planes in edge
-// order, then all Z edge planes.
-func (t *Lattice) BatchMemoryXZ(p float64, kind DecoderKind, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	nq, nc := t.Qubits(), t.NumChecks()
-	active := bits.NewVec(lanes)
-	active.SetAll()
-	xp := bits.NewVecs(nq, lanes)
-	for e := 0; e < nq; e++ {
-		smp.Bernoulli(p, active, xp[e])
-	}
-	zp := bits.NewVecs(nq, lanes)
-	for e := 0; e < nq; e++ {
-		smp.Bernoulli(p, active, zp[e])
-	}
-	checks := bits.NewVecs(nc, lanes)
-	syn := bits.NewVecs(lanes, nc)
-	failX = bits.NewVec(lanes)
-	failZ = bits.NewVec(lanes)
-	p1 := bits.NewVec(lanes)
-	p2 := bits.NewVec(lanes)
-
-	t.PlaquetteSyndromePlanes(xp, checks)
-	windingPlanes(xp, t.det1Sup, t.det2Sup, p1, p2)
-	bits.TransposePlanes(syn, checks)
-	t.decodeLanes(laneDecodeJob{kind: kind, syn: syn, p1: p1, p2: p2, out: failX})
-
-	p1.Clear()
-	p2.Clear()
-	t.StarSyndromePlanes(zp, checks)
-	windingPlanes(zp, t.det1ZSup, t.det2ZSup, p1, p2)
-	bits.TransposePlanes(syn, checks)
-	t.decodeLanes(laneDecodeJob{kind: kind, syn: syn, p1: p1, p2: p2, out: failZ, dual: true})
-	return failX, failZ
-}
-
-// BatchMemoryErasure runs `lanes` shots of the erasure-augmented memory
-// experiment: each edge is independently erased (a leakage-detected
-// location, the same bit-plane shape the batch frame engine's leakage
-// flags use) with probability pe; erased edges depolarize (flip with
-// probability ½) while intact edges flip with probability p. The erased
-// supports feed the union-find decoder's peeling pass as erasure, so
-// known-bad qubits are corrected without growth. Draw order per edge:
-// erasure mask, intact-lane flips, erased-lane coin.
-func (t *Lattice) BatchMemoryErasure(p, pe float64, lanes int, smp frame.Sampler) bits.Vec {
-	nq, nc := t.Qubits(), t.NumChecks()
-	active := bits.NewVec(lanes)
-	active.SetAll()
-	planes := bits.NewVecs(nq, lanes)
-	era := bits.NewVecs(nq, lanes)
-	intact := bits.NewVec(lanes)
-	coin := bits.NewVec(lanes)
-	for e := 0; e < nq; e++ {
-		smp.Bernoulli(pe, active, era[e])
-		intact.CopyFrom(active)
-		intact.AndNot(era[e])
-		smp.Bernoulli(p, intact, planes[e])
-		smp.Bernoulli(0.5, era[e], coin)
-		planes[e].Or(coin)
-	}
-	checks := bits.NewVecs(nc, lanes)
-	t.PlaquetteSyndromePlanes(planes, checks)
-	p1 := bits.NewVec(lanes)
-	p2 := bits.NewVec(lanes)
-	windingPlanes(planes, t.det1Sup, t.det2Sup, p1, p2)
-	syn := bits.NewVecs(lanes, nc)
-	bits.TransposePlanes(syn, checks)
-	eraLane := bits.NewVecs(lanes, nq)
-	bits.TransposePlanes(eraLane, era)
-	fails := bits.NewVec(lanes)
-	t.decodeLanes(laneDecodeJob{kind: DecoderUnionFind, syn: syn, era: eraLane, p1: p1, p2: p2, out: fails})
-	return fails
-}
-
-// MemoryXZResult summarizes a dual-sector memory run.
-type MemoryXZResult struct {
-	L        int
-	P        float64
-	Samples  int
-	FailX    int // bit-flip (plaquette-sector) logical failures
-	FailZ    int // phase-flip (star-sector) logical failures
-	Failures int // shots failing in either sector
-}
-
-// FailRate returns the either-sector logical failure probability.
-func (r MemoryXZResult) FailRate() float64 { return float64(r.Failures) / float64(r.Samples) }
-
-// FailRateX returns the bit-flip sector failure probability.
-func (r MemoryXZResult) FailRateX() float64 { return float64(r.FailX) / float64(r.Samples) }
-
-// FailRateZ returns the phase-flip sector failure probability.
-func (r MemoryXZResult) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Samples) }
-
-// MemoryExperimentXZ is MemoryExperiment over both error sectors:
-// independent X and Z flips at probability p per edge, each sector
-// decoded over its own graph, failures counted per sector and combined.
-func MemoryExperimentXZ(l int, p float64, kind DecoderKind, samples int, seed uint64) MemoryXZResult {
-	t := cachedLattice(l)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return t.BatchMemoryXZ(p, kind, lanes, smp)
-	})
-	return MemoryXZResult{L: l, P: p, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}
-}
-
-// ErasureMemoryExperiment is MemoryExperiment with leakage-seeded
-// erasure: edges are erased with probability pe (and depolarized), and
-// the decoder exploits the known locations through the peeling pass.
-func ErasureMemoryExperiment(l int, p, pe float64, samples int, seed uint64) MemoryResult {
-	t := cachedLattice(l)
-	var fails atomic.Int64
-	frame.ForEachChunk(samples, seed, func(lanes int, smp frame.Sampler) {
-		fails.Add(int64(t.BatchMemoryErasure(p, pe, lanes, smp).Weight()))
-	})
-	return MemoryResult{L: l, P: p, Samples: samples, Failures: int(fails.Load())}
-}
-
-// laneDecodeJob is one sector's worth of per-lane decoding work: the
-// lane-major syndrome vectors, the raw error chains' winding parities,
-// optional lane-major erasure supports, and the sector selector.
-type laneDecodeJob struct {
-	kind DecoderKind
-	syn  []bits.Vec // lane-major syndromes
-	era  []bits.Vec // lane-major erased-edge supports (nil: no erasure)
-	p1   bits.Vec   // winding parities of the raw error planes
-	p2   bits.Vec
-	out  bits.Vec // per-lane failure mask (out)
-	dual bool     // decode in the star (Z) sector
-}
-
-// decodeLanes is the worker-pool decode stage: frame.ForEachLaneSpan
-// hands word-aligned lane spans to the CPUs, each span owning its words
-// of the failure mask outright and drawing private scratch from the
-// lattice pool, so the result is bit-identical for any worker count or
-// scheduling order.
-func (t *Lattice) decodeLanes(job laneDecodeJob) {
-	frame.ForEachLaneSpan(len(job.syn), func(lo, hi int) {
-		t.decodeLaneSpan(job, lo, hi)
-	})
-}
-
-// decodeLaneSpan decodes lanes [lo, hi): extract the sparse defect list
-// from the lane's syndrome vector (word scan + trailing-zero walk),
-// decode it, and fold the correction's winding parities into the error
-// chain's. The correction's syndrome equals the defect set by
-// construction, so the residual is always a cycle and the winding
-// parities decide failure.
-func (t *Lattice) decodeLaneSpan(job laneDecodeJob, lo, hi int) {
-	da, db := t.det1, t.det2
-	if job.dual {
-		da, db = t.det1Z, t.det2Z
-	}
-	scr := t.scratch.Get().(*decodeScratch)
-	for lane := lo; lane < hi; lane++ {
-		scr.defects = job.syn[lane].AppendSupport(scr.defects[:0])
-		l1 := job.p1.Get(lane)
-		l2 := job.p2.Get(lane)
-		if len(scr.defects) > 0 {
-			scr.corr.Clear()
-			switch {
-			case job.era != nil:
-				// Erasure decoding is union-find only (the peeling pass is
-				// what exploits the known locations), in either sector.
-				uf := scr.uf
-				if job.dual {
-					uf = t.dualUF(scr)
-				}
-				scr.erased = job.era[lane].AppendSupport(scr.erased[:0])
-				uf.DecodeErased(scr.defects, scr.erased, func(e int) { scr.corr.Flip(e) })
-			case job.dual:
-				t.decodeDualInto(scr.defects, job.kind, scr, scr.corr)
-			default:
-				t.decodeInto(scr.defects, job.kind, scr, scr.corr)
-			}
-			l1 = l1 != scr.corr.Dot(da)
-			l2 = l2 != scr.corr.Dot(db)
-		}
-		if l1 || l2 {
-			job.out.Set(lane, true)
-		}
-	}
-	t.scratch.Put(scr)
 }
 
 // ThermalResult is one point of the E18 temperature sweep.

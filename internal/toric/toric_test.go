@@ -4,11 +4,35 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
+	"ftqc/internal/surface"
 )
+
+// greedyCorrection is the closest-pair-first reference matcher the exact
+// decoder is held against: it repeatedly pairs the two closest remaining
+// defects and flips a shortest path between them.
+func greedyCorrection(l *Lattice, defects []int) bits.Vec {
+	corr := bits.NewVec(l.Qubits())
+	alive := slices.Clone(defects)
+	for len(alive) > 1 {
+		bi, bj, best := 0, 1, math.MaxInt
+		for i := range alive {
+			for j := i + 1; j < len(alive); j++ {
+				if d := l.TorusDist(alive[i], alive[j]); d < best {
+					bi, bj, best = i, j, d
+				}
+			}
+		}
+		l.PathBetween(alive[bi], alive[bj], corr)
+		alive = slices.Delete(alive, bj, bj+1) // bj > bi: remove it first
+		alive = slices.Delete(alive, bi, bi+1)
+	}
+	return corr
+}
 
 func TestLatticeIndexing(t *testing.T) {
 	l := NewLattice(4)
@@ -188,7 +212,7 @@ func TestExactBeatsGreedyOrTies(t *testing.T) {
 			continue
 		}
 		ew := l.Decode(defects, DecoderExact).Weight()
-		gw := l.Decode(defects, DecoderGreedy).Weight()
+		gw := greedyCorrection(&l, defects).Weight()
 		if ew > gw {
 			worseCount++
 		}
@@ -210,7 +234,7 @@ func TestMemorySuppressionWithDistance(t *testing.T) {
 
 func TestMemoryFailsAboveThreshold(t *testing.T) {
 	// Far above threshold, bigger lattices are worse (or saturated ~50%).
-	r := MemoryExperiment(7, 0.25, DecoderGreedy, 1500, 141)
+	r := MemoryExperiment(7, 0.25, DecoderUnionFind, 1500, 141)
 	if r.FailRate() < 0.2 {
 		t.Fatalf("p=0.25 should destroy the memory, failure %.3f", r.FailRate())
 	}
@@ -288,8 +312,8 @@ func TestBatchMemoryMatchesScalar(t *testing.T) {
 	}{
 		{3, 0.05, DecoderExact},
 		{5, 0.03, DecoderExact},
-		{5, 0.12, DecoderGreedy},
-		{4, 0.25, DecoderGreedy},
+		{5, 0.12, DecoderUnionFind},
+		{4, 0.25, DecoderUnionFind},
 		{5, 0.25, DecoderExact}, // >14 defects: beyond the old bitmask cap
 		{4, 0.06, DecoderUnionFind},
 		{5, 0.2, DecoderUnionFind},
@@ -339,7 +363,7 @@ func TestAllDecodersClearSyndrome(t *testing.T) {
 				}
 			}
 			defects := lat.Syndrome(errs)
-			for _, kind := range []DecoderKind{DecoderGreedy, DecoderExact, DecoderUnionFind} {
+			for _, kind := range []DecoderKind{DecoderExact, DecoderUnionFind} {
 				work := errs.Clone()
 				work.Xor(lat.Decode(defects, kind))
 				if rest := lat.Syndrome(work); len(rest) != 0 {
@@ -377,11 +401,10 @@ func TestUnionFindMatchesExactFailureRate(t *testing.T) {
 	}
 }
 
-// TestDecoderComparison pits the old greedy matcher against both new
-// decoders: the exact matcher must never produce a heavier correction
-// than greedy, and at a below-threshold operating point both new
-// decoders must have a logical failure rate no worse than greedy's
-// (within statistical error).
+// TestDecoderComparison orders the correction weights: the exact matcher
+// finds the minimum-weight chain with the given boundary, so it is never
+// heavier than the closest-pair-first reference or than union-find's
+// correction of the same syndrome.
 func TestDecoderComparison(t *testing.T) {
 	lat := NewLattice(6)
 	rng := rand.New(rand.NewPCG(163, 164))
@@ -392,22 +415,12 @@ func TestDecoderComparison(t *testing.T) {
 		}
 		defects := lat.Syndrome(errs)
 		ew := lat.Decode(defects, DecoderExact).Weight()
-		gw := lat.Decode(defects, DecoderGreedy).Weight()
-		if ew > gw {
+		if gw := greedyCorrection(&lat, defects).Weight(); ew > gw {
 			t.Fatalf("trial %d: exact weight %d > greedy weight %d", trial, ew, gw)
 		}
-	}
-	const samples = 5000
-	const p = 0.06
-	g := MemoryExperiment(6, p, DecoderGreedy, samples, 165)
-	e := MemoryExperiment(6, p, DecoderExact, samples, 165)
-	u := MemoryExperiment(6, p, DecoderUnionFind, samples, 165)
-	sigma := math.Sqrt(g.FailRate() * (1 - g.FailRate()) / samples)
-	if e.FailRate() > g.FailRate()+4*sigma+0.01 {
-		t.Fatalf("exact failure %.4f worse than greedy %.4f", e.FailRate(), g.FailRate())
-	}
-	if u.FailRate() > g.FailRate()+4*sigma+0.015 {
-		t.Fatalf("union-find failure %.4f worse than greedy %.4f", u.FailRate(), g.FailRate())
+		if uw := lat.Decode(defects, DecoderUnionFind).Weight(); ew > uw {
+			t.Fatalf("trial %d: exact weight %d > union-find weight %d", trial, ew, uw)
+		}
 	}
 }
 
@@ -415,9 +428,9 @@ func TestDecoderComparison(t *testing.T) {
 // worker-pool decode stage: the same experiment must produce identical
 // failure counts whatever the worker count.
 func TestDecodeStageGOMAXPROCSInvariant(t *testing.T) {
-	run := func() [3]int {
-		var out [3]int
-		for i, kind := range []DecoderKind{DecoderGreedy, DecoderExact, DecoderUnionFind} {
+	run := func() [2]int {
+		var out [2]int
+		for i, kind := range []DecoderKind{DecoderExact, DecoderUnionFind} {
 			out[i] = MemoryExperiment(6, 0.08, kind, 900, 167).Failures
 		}
 		return out
@@ -560,84 +573,46 @@ func TestDualWindingMatchesZHomology(t *testing.T) {
 	}
 }
 
-// TestDualDecodersClearStarSyndrome: every decoder kind must clear
-// random star syndromes through the dual graph, mirroring the primal
-// soundness property.
-func TestDualDecodersClearStarSyndrome(t *testing.T) {
+// TestPathBetweenDualConnectsSites is TestPathBetweenConnectsDefects on
+// the dual lattice: the path's star syndrome is exactly its two end
+// sites, and its weight is their torus distance.
+func TestPathBetweenDualConnectsSites(t *testing.T) {
+	l := NewLattice(6)
 	rng := rand.New(rand.NewPCG(403, 404))
-	for _, lsize := range []int{3, 6} {
-		lat := NewLattice(lsize)
-		for trial := 0; trial < 120; trial++ {
-			p := []float64{0.03, 0.1, 0.3}[trial%3]
-			errs := bits.NewVec(lat.Qubits())
-			for e := 0; e < lat.Qubits(); e++ {
-				if rng.Float64() < p {
-					errs.Flip(e)
-				}
-			}
-			defects := lat.StarSyndrome(errs)
-			for _, kind := range []DecoderKind{DecoderGreedy, DecoderExact, DecoderUnionFind} {
-				work := errs.Clone()
-				work.Xor(lat.DecodeDual(defects, kind))
-				if rest := lat.StarSyndrome(work); len(rest) != 0 {
-					t.Fatalf("L=%d trial %d kind %d: dual correction left %d star defects",
-						lsize, trial, kind, len(rest))
-				}
-			}
+	for trial := 0; trial < 100; trial++ {
+		a, b := rng.IntN(36), rng.IntN(36)
+		if a == b {
+			continue
+		}
+		chain := bits.NewVec(l.Qubits())
+		l.PathBetweenDual(a, b, chain)
+		if sites := l.StarSyndrome(chain); !slices.Equal(sites, []int{min(a, b), max(a, b)}) {
+			t.Fatalf("dual path endpoints %v, want {%d,%d}", sites, a, b)
+		}
+		if chain.Weight() != l.TorusDist(a, b) {
+			t.Fatalf("dual path weight %d ≠ distance %d", chain.Weight(), l.TorusDist(a, b))
 		}
 	}
 }
 
-// TestMemoryXZSectorsSymmetric: with independent X and Z flips at the
-// same rate, the two sectors' failure rates must agree within
-// statistical error (the dual lattice is an isomorphic decoding
-// problem), and both must be suppressed with distance below threshold.
-func TestMemoryXZSectorsSymmetric(t *testing.T) {
-	const samples = 4000
-	r := MemoryExperimentXZ(5, 0.04, DecoderUnionFind, samples, 405)
-	fx, fz := r.FailRateX(), r.FailRateZ()
-	sigma := math.Sqrt(fx*(1-fx)/samples + fz*(1-fz)/samples)
-	if diff := math.Abs(fx - fz); diff > 4*sigma+0.01 {
-		t.Fatalf("sector asymmetry: X %.4f vs Z %.4f (diff %.4f)", fx, fz, diff)
-	}
-	if r.Failures < r.FailX || r.Failures < r.FailZ || r.Failures > r.FailX+r.FailZ {
-		t.Fatalf("combined failures %d inconsistent with X %d, Z %d", r.Failures, r.FailX, r.FailZ)
-	}
-	big := MemoryExperimentXZ(9, 0.04, DecoderUnionFind, samples, 406)
-	if big.FailRate() >= r.FailRate() && r.Failures > 0 {
-		t.Fatalf("no dual-sector suppression: L=5 %.4f vs L=9 %.4f", r.FailRate(), big.FailRate())
-	}
-}
-
-// TestErasureMemoryUsesErasure: the erasure-aware decode of depolarized
-// known locations must beat decoding the same physical channel blind;
-// pure erasure (p=0) at modest pe must decode essentially perfectly far
-// below the 50% erasure threshold.
-func TestErasureMemoryUsesErasure(t *testing.T) {
-	const samples = 3000
-	pure := ErasureMemoryExperiment(6, 0, 0.15, samples, 407)
-	if pure.FailRate() > 0.02 {
-		t.Fatalf("pure erasure at pe=0.15 failed %.4f of shots", pure.FailRate())
-	}
-	// Erasure info vs blind: pe=0.3 of edges depolarized plus p=0.01
-	// background. Blind equivalent: effective flip rate on erased edges
-	// is 1/2, so compare against ignoring locations entirely by feeding
-	// the same marginal through the plain path at matched flip rates.
-	aware := ErasureMemoryExperiment(6, 0.01, 0.3, samples, 408)
-	blindP := 0.3*0.5 + 0.7*0.01
-	blind := MemoryExperiment(6, blindP, DecoderUnionFind, samples, 409)
-	if aware.FailRate() >= blind.FailRate() {
-		t.Fatalf("erasure info didn't help: aware %.4f vs blind %.4f",
-			aware.FailRate(), blind.FailRate())
-	}
-}
-
-// TestErasureMemoryDeterministic: the erasure experiment remains a pure
-// function of (samples, seed).
-func TestErasureMemoryDeterministic(t *testing.T) {
-	a := ErasureMemoryExperiment(5, 0.02, 0.2, 600, 411)
-	b := ErasureMemoryExperiment(5, 0.02, 0.2, 600, 411)
-	if a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
+// TestBatchMemoryMatchesSurfaceX holds the two 2D Monte Carlo paths on
+// the torus to each other: on the same sampler, BatchMemory's union-find
+// failure mask is the X mask of surface.BatchMemoryXZ, lane for lane
+// (both draw the X edge planes first, in edge order, and decode them over
+// the same primal graph).
+func TestBatchMemoryMatchesSurfaceX(t *testing.T) {
+	for _, l := range []int{3, 4, 5, 8} {
+		lat := Cached(l)
+		for _, p := range []float64{0.01, 0.05, 0.12} {
+			for _, lanes := range []int{64, 130} {
+				seed := uint64(1000*l+lanes) + uint64(p*1e4)
+				got := lat.BatchMemory(p, DecoderUnionFind, lanes, frame.NewLockstepSampler(seed, lanes))
+				want, _ := surface.BatchMemoryXZ(lat, p, lanes, frame.NewLockstepSampler(seed, lanes))
+				if !got.Equal(want) {
+					t.Fatalf("L=%d p=%v lanes=%d: toric mask weight %d, surface X mask weight %d",
+						l, p, lanes, got.Weight(), want.Weight())
+				}
+			}
+		}
 	}
 }

@@ -595,6 +595,28 @@ func TestPathBetweenDualConnectsSites(t *testing.T) {
 	}
 }
 
+// TestMemoryXZSectorsSymmetric: with independent X and Z flips at the
+// same rate, the two sectors' failure rates must agree within
+// statistical error (the dual lattice is an isomorphic decoding
+// problem), the either-sector count must sit between the larger sector
+// and the sum, and distance must suppress it below threshold.
+func TestMemoryXZSectorsSymmetric(t *testing.T) {
+	const samples = 4000
+	r := surface.MemoryExperimentXZ(Cached(5), 0.04, samples, 405)
+	fx, fz := float64(r.FailX)/samples, float64(r.FailZ)/samples
+	sigma := math.Sqrt(fx*(1-fx)/samples + fz*(1-fz)/samples)
+	if diff := math.Abs(fx - fz); diff > 4*sigma+0.01 {
+		t.Fatalf("sector asymmetry: X %.4f vs Z %.4f (diff %.4f)", fx, fz, diff)
+	}
+	if r.Failures < max(r.FailX, r.FailZ) || r.Failures > r.FailX+r.FailZ {
+		t.Fatalf("combined failures %d inconsistent with X %d, Z %d", r.Failures, r.FailX, r.FailZ)
+	}
+	big := surface.MemoryExperimentXZ(Cached(9), 0.04, samples, 406)
+	if big.FailRate() >= r.FailRate() && r.Failures > 0 {
+		t.Fatalf("no dual-sector suppression: L=5 %.4f vs L=9 %.4f", r.FailRate(), big.FailRate())
+	}
+}
+
 // TestBatchMemoryMatchesSurfaceX holds the two 2D Monte Carlo paths on
 // the torus to each other: on the same sampler, BatchMemory's union-find
 // failure mask is the X mask of surface.BatchMemoryXZ, lane for lane

@@ -169,6 +169,18 @@ func TestGoldenCLI(t *testing.T) {
 		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -blind -samples 128 -seed 7", 0xb92c4d15ebdf869d},
 		{"circuit -L 3 -p 0.004,0.008 -correlated -samples 128 -seed 7", 0x1b6d54d319faf62e},
 		{"circuit -L 3 -p 0.004,0.008 -schedule hookpar -samples 128 -seed 7", 0xc86c2db675458efd},
+		// The paper layer (E01–E20): fixed seeds inside each subcommand.
+		{"memory -samples 512", 0xcdf174550a2315ea},
+		{"badgood -samples 512", 0xac4abdd26327a6fd},
+		{"policy -samples 512", 0x84dfe637afe2676e},
+		{"exrec -samples 512", 0xb4eb69c6c4963f14},
+		{"thresholds -samples 512", 0xca70c8136e268adc},
+		{"concat", 0x0e8e60fee4ba3e3a},
+		{"shorfamily", 0x5b18285bdb2695ae},
+		{"resources", 0x74e46f4e5798b143},
+		{"systematic -samples 200", 0x806ced59aefcc24f},
+		{"interferometer", 0xe4e7222a47da1719},
+		{"anyon", 0xf175293b88355250},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			code, stdout, stderr := runCLI(t, strings.Fields(tc.args)...)

@@ -70,22 +70,16 @@ func BenchmarkE03BadGoodAncilla(b *testing.B) {
 // BenchmarkE04ShorStateVerify — Fig. 8 cat-state verification.
 func BenchmarkE04ShorStateVerify(b *testing.B) {
 	cfg := ft.DefaultConfig()
-	rng := rand.New(rand.NewPCG(4, 4))
 	for i := 0; i < b.N; i++ {
-		s := frame.New(6, noise.Uniform(3e-3), rng)
-		ft.PrepVerifiedCat(s, []int{0, 1, 2, 3}, 4, cfg)
+		ft.CatPrepAttempts(noise.Uniform(3e-3), cfg, 256, uint64(i))
 	}
 }
 
 // BenchmarkE05SteaneStateVerify — §3.3 encoded-|0⟩ verification.
 func BenchmarkE05SteaneStateVerify(b *testing.B) {
 	cfg := ft.DefaultConfig()
-	rng := rand.New(rand.NewPCG(5, 5))
-	anc := []int{0, 1, 2, 3, 4, 5, 6}
-	chk := []int{7, 8, 9, 10, 11, 12, 13}
 	for i := 0; i < b.N; i++ {
-		s := frame.New(14, noise.Uniform(3e-3), rng)
-		ft.PrepVerifiedZero(s, anc, chk, cfg)
+		ft.ZeroPrepEscapes(noise.Uniform(3e-3), cfg, 256, uint64(i))
 	}
 }
 

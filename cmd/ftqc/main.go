@@ -166,12 +166,23 @@ func parse(fs *flag.FlagSet, args []string) {
 	}
 }
 
+// require refuses a flag value the subcommand cannot run with: it names
+// the flag and the accepted range on stderr and exits 2 before anything
+// is printed.
+func require(fs *flag.FlagSet, ok bool, name string, v any, want string) {
+	if !ok {
+		fmt.Fprintf(os.Stderr, "%s: -%s must be %s (got %v)\n", fs.Name(), name, want, v)
+		os.Exit(2)
+	}
+}
+
 func cmdMemory(args []string) {
 	fs := flag.NewFlagSet("memory", flag.ExitOnError)
 	rounds := fs.Int("rounds", 10, "recovery rounds")
 	samples := fs.Int("samples", 20000, "Monte Carlo samples per point")
 	ideal := fs.Bool("ideal", false, "use flawless recovery circuitry (the Eq. 14 idealization)")
 	parse(fs, args)
+	require(fs, *rounds >= 1, "rounds", *rounds, "at least 1")
 	cfg := ft.DefaultConfig()
 	fmt.Printf("E01: quantum memory, %d rounds (Steane EC)\n", *rounds)
 	fmt.Printf("%-10s %-14s %-14s %-10s\n", "eps", "unencoded", "encoded", "gain")
@@ -216,33 +227,13 @@ func cmdAncilla(args []string) {
 	fmt.Println("E04: cat-state verification (Fig. 8) acceptance statistics")
 	fmt.Printf("%-10s %-12s %-16s\n", "eps", "attempts", "accept rate")
 	for _, eps := range []float64{1e-3, 3e-3, 1e-2, 3e-2} {
-		rng := rand.New(rand.NewPCG(31, uint64(eps*1e6)))
-		total := 0
-		for i := 0; i < *samples; i++ {
-			s := frame.New(6, noise.Uniform(eps), rng)
-			total += ft.PrepVerifiedCat(s, []int{0, 1, 2, 3}, 4, cfg)
-		}
-		att := float64(total) / float64(*samples)
+		att := ft.CatPrepAttempts(noise.Uniform(eps), cfg, *samples, 31)
 		fmt.Printf("%-10.1e %-12.3f %-16.3f\n", eps, att, 1/att)
 	}
-	fmt.Println("\nE05: Steane-state verification (§3.3) double-|1̄⟩ repair rate")
-	fmt.Printf("%-10s %-14s\n", "eps", "flip-repair rate")
+	fmt.Println("\nE05: Steane-state verification (§3.3): verified |0̄⟩ blocks left with X weight ≥ 2")
+	fmt.Printf("%-10s %-14s\n", "eps", "escape rate")
 	for _, eps := range []float64{1e-3, 3e-3, 1e-2} {
-		rng := rand.New(rand.NewPCG(32, uint64(eps*1e6)))
-		repairs := 0
-		for i := 0; i < *samples; i++ {
-			s := frame.New(14, noise.Uniform(eps), rng)
-			anc := []int{0, 1, 2, 3, 4, 5, 6}
-			chk := []int{7, 8, 9, 10, 11, 12, 13}
-			before := s.FaultCount
-			ft.PrepVerifiedZero(s, anc, chk, cfg)
-			_ = before
-			x, _ := s.FrameOn(anc)
-			if x.Weight() >= 2 {
-				repairs++ // residual double flips escaping verification
-			}
-		}
-		fmt.Printf("%-10.1e %-14.4e\n", eps, float64(repairs)/float64(*samples))
+		fmt.Printf("%-10.1e %-14.4e\n", eps, ft.ZeroPrepEscapes(noise.Uniform(eps), cfg, *samples, 32))
 	}
 }
 
@@ -298,10 +289,7 @@ func cmdConcat(args []string) {
 	fs := flag.NewFlagSet("concat", flag.ExitOnError)
 	a := fs.Float64("A", 21, "flow coefficient (21 = paper's counting estimate)")
 	parse(fs, args)
-	if !(*a > 0) {
-		fmt.Fprintf(os.Stderr, "concat: -A must be positive (got %v)\n", *a)
-		os.Exit(2)
-	}
+	require(fs, *a > 0, "A", *a, "positive")
 	f := concat.Flow{A: *a}
 	fmt.Printf("E09: concatenation flow p_(L+1) = %.3g p_L^2, threshold %.3g\n", f.A, f.Threshold())
 	fmt.Printf("%-10s", "p0")
@@ -330,6 +318,7 @@ func cmdShorFamily(args []string) {
 	fs := flag.NewFlagSet("shorfamily", flag.ExitOnError)
 	b := fs.Float64("b", 4, "syndrome complexity exponent (Shor's procedure: b=4)")
 	parse(fs, args)
+	require(fs, *b > 0, "b", *b, "positive")
 	fmt.Printf("E11: non-concatenated block optimization, complexity t^%.1f (Eqs. 30-31)\n", *b)
 	fmt.Printf("%-10s %-10s %-14s %-14s %-12s\n", "eps", "opt t", "min perr", "asymptotic", "block (2t+1)^2")
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6} {
@@ -349,6 +338,8 @@ func cmdResources(args []string) {
 	bits := fs.Int("bits", 432, "RSA modulus size (432 bits = 130 digits)")
 	flowA := fs.Float64("A", 1e4, "calibrated flow coefficient")
 	parse(fs, args)
+	require(fs, *bits >= 1, "bits", *bits, "at least 1")
+	require(fs, *flowA > 0, "A", *flowA, "positive")
 	w := resource.Factoring(*bits)
 	fmt.Printf("E12: factoring a %d-bit number with Shor's algorithm (§6)\n", *bits)
 	fmt.Printf("logical qubits: %d (paper: 2160)\n", w.LogicalQubits)
@@ -389,6 +380,7 @@ func cmdLeakage(args []string) {
 	samples := fs.Int("samples", 20000, "samples")
 	rounds := fs.Int("rounds", 5, "EC rounds")
 	parse(fs, args)
+	require(fs, *rounds >= 1, "rounds", *rounds, "at least 1")
 	cfg := ft.DefaultConfig()
 	fmt.Println("E14: leakage detection (Fig. 15): store with leaky gates, ± detection circuit")
 	fmt.Printf("%-10s %-10s %-16s %-16s\n", "eps", "leak", "no detection", "detect+replace")
@@ -687,6 +679,8 @@ func cmdCircuit(args []string) {
 	seedF := fs.Uint64("seed", 181, "base RNG seed for the sweep (each cell advances it)")
 	startProf := profileFlags(fs)
 	parse(fs, args)
+	require(fs, *leak >= 0 && *leak <= 1, "leak", *leak, "a probability in [0, 1]")
+	require(fs, *bias >= 0, "bias", *bias, "non-negative")
 	defer startProf()()
 	kind, ok := toricDecoder(*dec)
 	if !ok {
@@ -988,6 +982,8 @@ func cmdServe(args []string) {
 	depth := fs.Int("queue", 16, "per-session ingest queue depth in rounds")
 	startProf := profileFlags(fs)
 	parse(fs, args)
+	require(fs, *p >= 0 && *p <= 1, "p", *p, "a probability in [0, 1]")
+	require(fs, *lanes >= 1, "lanes", *lanes, "at least 1")
 	defer startProf()()
 	cfg, err := serveSessionCfg(*model, *size, *lanes, *p)
 	if err != nil {
@@ -1217,10 +1213,7 @@ func cmdThermal(args []string) {
 		fmt.Fprintf(os.Stderr, "thermal: unknown decoder %q (want exact or uf)\n", *decoder)
 		os.Exit(2)
 	}
-	if *l < 2 {
-		fmt.Fprintf(os.Stderr, "thermal: -L must be at least 2 (got %d)\n", *l)
-		os.Exit(2)
-	}
+	require(fs, *l >= 2, "L", *l, "at least 2")
 	fmt.Printf("E18: thermal anyon plasma on L=%d (§7.1, seed %d): flips at p0·e^{-Δ/T}\n", *l, *seedF)
 	fmt.Printf("%-8s %-14s %-14s\n", "Δ/T", "flip prob", "logical fail")
 	for i, dt := range []float64{1, 2, 3, 4, 5, 6} {
@@ -1233,10 +1226,7 @@ func cmdInterferometer(args []string) {
 	fs := flag.NewFlagSet("interferometer", flag.ExitOnError)
 	eta := fs.Float64("eta", 0.2, "per-pass readout error")
 	parse(fs, args)
-	if !(*eta >= 0 && *eta <= 1) {
-		fmt.Fprintf(os.Stderr, "interferometer: -eta must be a probability in [0, 1] (got %v)\n", *eta)
-		os.Exit(2)
-	}
+	require(fs, *eta >= 0 && *eta <= 1, "eta", *eta, "a probability in [0, 1]")
 	fmt.Printf("E19: interferometric flux measurement, per-pass error η=%.2f (Figs. 18/22)\n", *eta)
 	fmt.Printf("%-8s %-16s %-16s\n", "passes", "analytic err", "Monte Carlo")
 	rng := rand.New(rand.NewPCG(95, 96))

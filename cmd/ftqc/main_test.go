@@ -130,6 +130,16 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"interferometer", "-eta", "1.5"}, "-eta"},
 		{[]string{"concat", "-A", "0"}, "-A"},
 		{[]string{"toric", "-decoder", "greedy", "-samples", "64"}, "exact or uf"},
+		{[]string{"circuit", "-L", "3", "-p", "0.004", "-leak", "-0.5", "-samples", "64"}, "-leak"},
+		{[]string{"circuit", "-L", "3", "-p", "0.004", "-bias", "-1", "-samples", "64"}, "-bias"},
+		{[]string{"serve", "-p", "2", "-T", "4", "-sessions", "1"}, "-p"},
+		{[]string{"serve", "-model", "phenom", "-p", "-1", "-T", "4", "-sessions", "1"}, "-p"},
+		{[]string{"serve", "-lanes", "0", "-T", "4", "-sessions", "1"}, "-lanes"},
+		{[]string{"memory", "-rounds", "0", "-samples", "64"}, "-rounds"},
+		{[]string{"leakage", "-rounds", "0", "-samples", "64"}, "-rounds"},
+		{[]string{"resources", "-A", "0"}, "-A"},
+		{[]string{"resources", "-bits", "0"}, "-bits"},
+		{[]string{"shorfamily", "-b", "0"}, "-b"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCLI(t, tc.args...)
@@ -181,6 +191,8 @@ func TestGoldenCLI(t *testing.T) {
 		{"systematic -samples 200", 0x806ced59aefcc24f},
 		{"interferometer", 0xe4e7222a47da1719},
 		{"anyon", 0xf175293b88355250},
+		{"ancilla -samples 512", 0x46ba964fbb414b34},
+		{"leakage -samples 512", 0xbf82e20dbe4acb35},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			code, stdout, stderr := runCLI(t, strings.Fields(tc.args)...)
@@ -193,5 +205,22 @@ func TestGoldenCLI(t *testing.T) {
 				t.Fatalf("stdout digest %#016x, want %#016x; stdout:\n%s", got, tc.want, stdout)
 			}
 		})
+	}
+}
+
+// TestLeakageWorkerInvariant: E14's table is a function of (flags,
+// seed), so one and four schedulable CPUs print the same bytes.
+func TestLeakageWorkerInvariant(t *testing.T) {
+	var outs [2]string
+	for i, procs := range []string{"1", "4"} {
+		t.Setenv("GOMAXPROCS", procs) // the re-executed command inherits it
+		code, stdout, stderr := runCLI(t, "leakage", "-samples", "2000")
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%s: exit %d (stderr %q)", procs, code, stderr)
+		}
+		outs[i] = stdout
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("GOMAXPROCS=1 and 4 print different tables:\n%s\n---\n%s", outs[0], outs[1])
 	}
 }

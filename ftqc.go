@@ -12,8 +12,9 @@
 // # The batched Monte Carlo engine
 //
 // All of the package's Monte Carlo (memory experiments, EC failure
-// rates, exRec threshold sweeps, toric passive memory) runs on a batched
-// bit-parallel Pauli-frame engine (BatchFrameSim): W independent shots
+// rates, exRec threshold sweeps, ancilla verification, leakage
+// detection, toric passive memory) runs on one batched bit-parallel
+// Pauli-frame engine (BatchFrameSim): W independent shots
 // advance together as bit-planes, one machine word per 64 shots, so
 // Clifford frame propagation is word-wide XOR/AND and fault injection is
 // the sampling of random lane masks (see internal/frame's package
@@ -24,11 +25,11 @@
 //     depend only on the experiment's seed and sample count, never on
 //     GOMAXPROCS or scheduling.
 //
-//   - Verification runs pair every batch lane i with the dedicated
-//     stream rand.New(rand.NewPCG(seed, i)) consumed draw-for-draw like
-//     the scalar simulator, making batch and scalar runs bit-identical
-//     shot for shot; the equivalence test suites hold the two engines to
-//     exactly that standard.
+//   - The equivalence test suites pair every batch lane i with the
+//     dedicated stream rand.New(rand.NewPCG(seed, i)) consumed
+//     draw-for-draw like the scalar simulator, making batch and scalar
+//     runs bit-identical shot for shot. The scalar simulator is that
+//     reference and nothing else: no experiment runs on it.
 //
 // Experiment entry points therefore take a seed uint64 rather than a
 // *rand.Rand: batched workers derive their independent streams from it.
@@ -112,8 +113,6 @@ type (
 	CSSCode = code.CSS
 	// NoiseParams is the §6 stochastic error model.
 	NoiseParams = noise.Params
-	// FrameSim is the scalar Pauli-frame Monte Carlo simulator.
-	FrameSim = frame.Sim
 	// BatchFrameSim is the bit-parallel Pauli-frame simulator: W shots
 	// advance together as bit-planes, one word per 64 shots.
 	BatchFrameSim = frame.BatchSim
@@ -127,23 +126,10 @@ func NewTableau(n int, rng *rand.Rand) *Tableau { return tableau.New(n, rng) }
 // NewStateVector returns |0…0⟩ on n qubits (n ≤ ~20).
 func NewStateVector(n int) *StateVector { return statevec.NewZero(n) }
 
-// NewFrameSim returns a Pauli-frame simulator under the given noise.
-func NewFrameSim(n int, p NoiseParams, rng *rand.Rand) *FrameSim {
-	return frame.New(n, p, rng)
-}
-
 // NewBatchFrameSim returns a batched Pauli-frame simulator of n qubits by
 // w lanes drawing aggregate fault masks from the (seed, stream) PCG.
 func NewBatchFrameSim(n, w int, p NoiseParams, seed, stream uint64) *BatchFrameSim {
 	return frame.NewBatch(n, w, p, frame.NewAggregateSampler(seed, stream))
-}
-
-// NewLockstepBatchFrameSim returns a batched simulator whose lane i is
-// bit-identical to a scalar FrameSim driven by
-// rand.New(rand.NewPCG(seed, uint64(i))) — the verification
-// configuration of the batch engine.
-func NewLockstepBatchFrameSim(n, w int, p NoiseParams, seed uint64) *BatchFrameSim {
-	return frame.NewBatch(n, w, p, frame.NewLockstepSampler(seed, w))
 }
 
 // Steane returns Steane's [[7,1,3]] code (Preskill §2, Eq. 18).

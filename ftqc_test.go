@@ -31,12 +31,6 @@ func TestFacadeSimulators(t *testing.T) {
 	if p := sv.Prob1(1); p < 0.49 || p > 0.51 {
 		t.Fatalf("facade statevec broken: %v", p)
 	}
-	fs := NewFrameSim(3, UniformNoise(0), nil)
-	fs.InjectX(0)
-	fs.CNOT(0, 1)
-	if !fs.XError(1) {
-		t.Fatal("facade frame sim broken")
-	}
 }
 
 func TestFacadeBatchFrameSim(t *testing.T) {
@@ -45,16 +39,6 @@ func TestFacadeBatchFrameSim(t *testing.T) {
 	b.CNOT(0, 1)
 	if !b.XError(1, 5) || b.XError(1, 6) {
 		t.Fatal("facade batch sim broken")
-	}
-	lb := NewLockstepBatchFrameSim(3, 64, UniformNoise(0.2), 3)
-	lb.H(0)
-	lb.CNOT(0, 1)
-	mz := lb.MeasZ(1)
-	s := NewFrameSim(3, UniformNoise(0.2), rand.New(rand.NewPCG(3, 9)))
-	s.H(0)
-	s.CNOT(0, 1)
-	if got := s.MeasZ(1); got != mz.Get(9) {
-		t.Fatalf("lockstep facade: lane 9 %v scalar %v", mz.Get(9), got)
 	}
 }
 

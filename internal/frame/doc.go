@@ -1,11 +1,13 @@
-// Package frame simulates Pauli-frame Monte Carlo two ways: a scalar
-// simulator (Sim) that advances one shot at a time, and a batched
+// Package frame simulates Pauli-frame Monte Carlo two ways: a batched
 // bit-parallel engine (BatchSim) that advances W independent shots at
-// once. Both propagate a Pauli error frame (which X/Z errors currently
-// afflict each qubit) through Clifford circuits with stochastic noise at
-// every fault location, reproducing density-matrix statistics for
-// stabilizer circuits at a tiny fraction of the cost — the engine behind
-// the threshold Monte Carlo of Preskill §5.
+// once, which every experiment runs on, and a scalar simulator (Sim)
+// that advances one shot at a time, which is the reference the batch
+// engine is tested against. Both propagate a Pauli error frame (which
+// X/Z errors currently afflict each qubit) through Clifford circuits
+// with stochastic noise at every fault location, reproducing
+// density-matrix statistics for stabilizer circuits at a tiny fraction
+// of the cost — the engine behind the threshold Monte Carlo of Preskill
+// §5.
 //
 // # Bit-plane layout
 //
@@ -45,7 +47,7 @@
 //     bit-identical to a scalar Sim run with
 //     rand.New(rand.NewPCG(seed, uint64(i))). The equivalence suites in
 //     equiv_test.go and ft's batch_test.go pin the two engines together
-//     at this standard, shot for shot.
+//     at this standard, shot for shot; nothing outside tests uses it.
 //
 // Measurement results are reported as flips relative to the noiseless
 // reference run (planes of flip bits for BatchSim). All of the paper's

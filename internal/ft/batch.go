@@ -161,12 +161,16 @@ func PrepVerifiedZeroBatch(b *frame.BatchSim, anc, chk []int, cfg Config) {
 
 // PrepVerifiedCatBatch prepares the verified 4-qubit cat state of Fig. 8
 // on every active lane, retrying failed lanes up to cfg.MaxPrepAttempts.
-func PrepVerifiedCatBatch(b *frame.BatchSim, cat []int, ver int, cfg Config) {
+// It returns the attempts summed over the lanes (each lane counts as
+// PrepVerifiedCat does).
+func PrepVerifiedCatBatch(b *frame.BatchSim, cat []int, ver int, cfg Config) int {
 	if len(cat) != 4 {
 		panic("ft: cat state needs 4 wires")
 	}
 	pending := b.Active()
+	total := 0
 	for attempts := 1; ; attempts++ {
+		total += pending.Weight()
 		b.PushActive(pending)
 		for _, q := range cat {
 			b.PrepZ(q)
@@ -182,7 +186,7 @@ func PrepVerifiedCatBatch(b *frame.BatchSim, cat []int, ver int, cfg Config) {
 		b.PopActive()
 		pending.And(fail)
 		if pending.Zero() || attempts >= cfg.MaxPrepAttempts {
-			return
+			return total
 		}
 	}
 }

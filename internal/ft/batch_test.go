@@ -12,6 +12,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"ftqc/internal/bits"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 )
@@ -152,6 +153,112 @@ func TestBatchExRecEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchCatAttemptsEquivalence is E04's row: PrepVerifiedCatBatch
+// run on one lane at a time counts each lane's attempts exactly as the
+// scalar PrepVerifiedCat does, and a full-width run returns their sum.
+func TestBatchCatAttemptsEquivalence(t *testing.T) {
+	const lanes = 96
+	_, _, _, cat, ver := oneBlockLayout()
+	cfg := DefaultConfig()
+	for ni, p := range append(equivNoise(), noise.Uniform(0.1)) {
+		seed := uint64(700 + ni)
+		full := frame.NewBatch(oneBlockWires, lanes, p, frame.NewLockstepSampler(seed, lanes))
+		total := PrepVerifiedCatBatch(full, cat, ver, cfg)
+		one := frame.NewBatch(oneBlockWires, lanes, p, frame.NewLockstepSampler(seed, lanes))
+		sum := 0
+		for lane := 0; lane < lanes; lane++ {
+			mask := bits.NewVec(lanes)
+			mask.Set(lane, true)
+			one.PushActive(mask)
+			got := PrepVerifiedCatBatch(one, cat, ver, cfg)
+			one.PopActive()
+			s := frame.New(oneBlockWires, p, rand.New(rand.NewPCG(seed, uint64(lane))))
+			want := PrepVerifiedCat(s, cat, ver, cfg)
+			if got != want {
+				t.Fatalf("noise=%d lane %d: batch %d attempts, scalar %d", ni, lane, got, want)
+			}
+			sum += want
+		}
+		if total != sum {
+			t.Fatalf("noise=%d: full-width batch %d attempts, scalar lanes sum to %d", ni, total, sum)
+		}
+	}
+}
+
+// TestBatchZeroEscapeEquivalence is E05's row: the lanes whose verified
+// |0̄⟩ keeps X weight ≥ 2 are exactly the scalar shots that do.
+func TestBatchZeroEscapeEquivalence(t *testing.T) {
+	const lanes = 96
+	_, anc, chk, _, _ := oneBlockLayout()
+	for ci, cfg := range equivConfigs() {
+		for ni, p := range append(equivNoise(), noise.Uniform(0.1)) {
+			seed := uint64(800 + 10*ci + ni)
+			b := frame.NewBatch(oneBlockWires, lanes, p, frame.NewLockstepSampler(seed, lanes))
+			esc := zeroPrepEscapeLanes(b, cfg)
+			for lane := 0; lane < lanes; lane++ {
+				s := frame.New(oneBlockWires, p, rand.New(rand.NewPCG(seed, uint64(lane))))
+				PrepVerifiedZero(s, anc, chk, cfg)
+				x, _ := s.FrameOn(anc)
+				if want := x.Weight() >= 2; esc.Get(lane) != want {
+					t.Fatalf("cfg=%d noise=%d lane %d: batch escape %v, scalar %v", ci, ni, lane, esc.Get(lane), want)
+				}
+			}
+		}
+	}
+}
+
+// leakageShot is the scalar E14 trial, the reference leakageTrial is
+// held to: Fig. 15 detection and replacement of each data qubit, then
+// Steane recovery, every round; a block still leaked at readout fails.
+func leakageShot(s *frame.Sim, cfg Config, rounds int, detect bool) (xfail, zfail bool) {
+	data, anc, chk, _, ver := oneBlockLayout()
+	for r := 0; r < rounds; r++ {
+		if detect {
+			for _, d := range data {
+				if LeakDetect(s, d, ver) {
+					s.ReplaceLeaked(d)
+				}
+			}
+		}
+		SteaneEC(s, data, anc, chk, cfg)
+	}
+	for _, d := range data {
+		if s.Leaked(d) {
+			return true, true
+		}
+	}
+	return IdealDecode(s, data)
+}
+
+// TestBatchLeakageEquivalence is E14's row: with and without detection,
+// every lane of the batch trial fails exactly when its scalar shot does,
+// through leaked-measurement coins, false alarms and replacements.
+func TestBatchLeakageEquivalence(t *testing.T) {
+	const lanes = 96
+	const rounds = 3
+	cfg := DefaultConfig()
+	for ni, leak := range []float64{1e-2, 5e-2} {
+		p := noise.Uniform(1e-2)
+		p.Leak = leak
+		for _, detect := range []bool{false, true} {
+			seed := uint64(900 + 10*ni)
+			if detect {
+				seed++
+			}
+			b := frame.NewBatch(oneBlockWires, lanes, p, frame.NewLockstepSampler(seed, lanes))
+			bx, bz := leakageTrial(b, cfg, rounds, detect)
+			for lane := 0; lane < lanes; lane++ {
+				s := frame.New(oneBlockWires, p, rand.New(rand.NewPCG(seed, uint64(lane))))
+				x, z := leakageShot(s, cfg, rounds, detect)
+				if bx.Get(lane) != x || bz.Get(lane) != z {
+					t.Fatalf("leak=%v detect=%v lane %d: batch (x=%v z=%v) scalar (x=%v z=%v)",
+						leak, detect, lane, bx.Get(lane), bz.Get(lane), x, z)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchSteaneECSingleFaultExhaustive ports the deterministic
 // single-fault machinery to the batch engine: every location of the
 // Steane EC gadget is triggered on its own lane (all 15 Pauli fault
@@ -238,14 +345,18 @@ func TestBatchAggregateStatisticallyConsistent(t *testing.T) {
 	p := noise.Uniform(8e-3)
 	cfg := DefaultConfig()
 	batch := ECFailureRate(MethodSteane, p, cfg, samples, 11)
-	scalar := parallelMC(samples, 11, func(rng *rand.Rand) (bool, bool) {
+	data, _, _, _, _ := oneBlockLayout()
+	rng := rand.New(rand.NewPCG(11, 0))
+	scalarFails := 0
+	for i := 0; i < samples; i++ {
 		s := frame.New(oneBlockWires, p, rng)
-		data, _, _, _, _ := oneBlockLayout()
 		RunEC(s, MethodSteane, cfg)
-		return IdealDecode(s, data)
-	})
+		if x, z := IdealDecode(s, data); x || z {
+			scalarFails++
+		}
+	}
 	pb := batch.FailRate()
-	ps := float64(scalar.Failures) / float64(scalar.Samples)
+	ps := float64(scalarFails) / samples
 	// Two independent binomial estimates: allow 5 combined standard errors.
 	se := math.Sqrt((pb*(1-pb) + ps*(1-ps)) / samples)
 	if math.Abs(pb-ps) > 5*se+1e-9 {

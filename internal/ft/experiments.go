@@ -1,9 +1,6 @@
 package ft
 
 import (
-	"math/rand/v2"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ftqc/internal/bits"
@@ -163,6 +160,49 @@ func ECFailureRate(method ECMethod, p noise.Params, cfg Config, samples int, see
 	return ExRecResult{Samples: res.Samples, Failures: res.Failures}
 }
 
+// CatPrepAttempts is E04: the mean number of Fig. 8 cat-state
+// preparations per verified cat under noise p (the reciprocal is the
+// acceptance rate).
+func CatPrepAttempts(p noise.Params, cfg Config, samples int, seed uint64) float64 {
+	_, _, _, cat, ver := oneBlockLayout()
+	var total atomic.Int64
+	frame.ForEachChunk(samples, seed, func(lanes int, smp frame.Sampler) {
+		b := frame.NewBatch(oneBlockWires, lanes, p, smp)
+		total.Add(int64(PrepVerifiedCatBatch(b, cat, ver, cfg)))
+	})
+	return float64(total.Load()) / float64(samples)
+}
+
+// ZeroPrepEscapes is E05: the fraction of verified |0̄⟩ preparations
+// (§3.3) whose block still carries X weight ≥ 2 after verification and
+// repair. The weight is the raw frame's, so a stabilizer times at most
+// one flip, which recovery removes, counts too.
+func ZeroPrepEscapes(p noise.Params, cfg Config, samples int, seed uint64) float64 {
+	res := parallelBatchMC(oneBlockWires, p, samples, seed, func(b *frame.BatchSim) (bits.Vec, bits.Vec) {
+		esc := zeroPrepEscapeLanes(b, cfg)
+		return esc, bits.NewVec(b.Lanes())
+	})
+	return float64(res.Failures) / float64(res.Samples)
+}
+
+// zeroPrepEscapeLanes prepares a verified |0̄⟩ on every lane and returns
+// the lanes whose ancilla block carries X weight ≥ 2.
+func zeroPrepEscapeLanes(b *frame.BatchSim, cfg Config) bits.Vec {
+	_, anc, chk, _, _ := oneBlockLayout()
+	PrepVerifiedZeroBatch(b, anc, chk, cfg)
+	// Bit-sliced count saturating at two: twos collects the lanes where
+	// a flip meets an earlier one.
+	ones, twos, both := bits.NewVec(b.Lanes()), bits.NewVec(b.Lanes()), bits.NewVec(b.Lanes())
+	for _, q := range anc {
+		x := b.PlaneX(q)
+		both.CopyFrom(ones)
+		both.And(x)
+		twos.Or(both)
+		ones.Or(x)
+	}
+	return twos
+}
+
 // parallelBatchMC fans samples out as fixed-width lane batches over the
 // available CPUs via frame.ForEachChunk (deterministic stream per chunk:
 // results depend only on samples and seed). trial runs one batch and
@@ -184,55 +224,4 @@ func parallelBatchMC(wires int, p noise.Params, samples int, seed uint64,
 		ZFailures: int(zs.Load()),
 		Failures:  int(anys.Load()),
 	}
-}
-
-// parallelMC fans samples out over the available CPUs, one PCG stream per
-// worker, and merges the failure counts (share memory by communicating:
-// each worker owns its counters and reports over a channel).
-func parallelMC(samples int, seed uint64, trial func(rng *rand.Rand) (xfail, zfail bool)) MemoryResult {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > samples {
-		workers = 1
-	}
-	type counts struct{ x, z, any, n int }
-	out := make(chan counts, workers)
-	var wg sync.WaitGroup
-	per := samples / workers
-	extra := samples % workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, uint64(w)^0x9e3779b97f4a7c15))
-			var c counts
-			c.n = n
-			for i := 0; i < n; i++ {
-				x, z := trial(rng)
-				if x {
-					c.x++
-				}
-				if z {
-					c.z++
-				}
-				if x || z {
-					c.any++
-				}
-			}
-			out <- c
-		}(w, n)
-	}
-	wg.Wait()
-	close(out)
-	var r MemoryResult
-	for c := range out {
-		r.Samples += c.n
-		r.XFailures += c.x
-		r.ZFailures += c.z
-		r.Failures += c.any
-	}
-	return r
 }

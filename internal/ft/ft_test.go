@@ -373,6 +373,22 @@ func TestToffoliGadgetBasisStates(t *testing.T) {
 	}
 }
 
+// LeakDetect runs the Fig. 15 leakage-detection circuit on data qubit d
+// with ancilla anc, one shot at a time: the scalar reference of
+// LeakDetectBatch. It returns whether leakage was detected; noise in the
+// circuit can misreport either way.
+func LeakDetect(s *frame.Sim, d, anc int) bool {
+	s.PrepZ(anc)
+	s.CNOT(d, anc)
+	s.PauliGate(d)
+	s.CNOT(d, anc)
+	s.PauliGate(d)
+	// A healthy data qubit reads 1, the noiseless reference; a leaked one
+	// reads 0, a flip.
+	flip := s.MeasZ(anc)
+	return s.Leaked(d) != flip
+}
+
 func TestLeakDetectFindsLeakedQubit(t *testing.T) {
 	s := frame.New(3, noise.Params{Leak: 1}, rand.New(rand.NewPCG(95, 96)))
 	s.H(0) // leaks immediately under Leak=1

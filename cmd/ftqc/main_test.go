@@ -179,6 +179,11 @@ func TestGoldenCLI(t *testing.T) {
 		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -blind -samples 128 -seed 7", 0xb92c4d15ebdf869d},
 		{"circuit -L 3 -p 0.004,0.008 -correlated -samples 128 -seed 7", 0x1b6d54d319faf62e},
 		{"circuit -L 3 -p 0.004,0.008 -schedule hookpar -samples 128 -seed 7", 0xc86c2db675458efd},
+		{"circuit -L 3 -p 0.004,0.008 -bias 3 -samples 128 -seed 7", 0x5b8c4f6d3f53a720},
+		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -leak 0.001 -samples 128 -seed 7", 0xc6698d510e90ee8d},
+		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -correlated -samples 128 -seed 7", 0x685d9eca11e84674},
+		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -schedule hookpar -samples 128 -seed 7", 0x47ec808036a39712},
+		{"stream -L 3 -window 4 -commit 1 -p 0.01,0.02 -samples 128 -seed 7", 0x2bb41d784e2394f1},
 		// The paper layer (E01–E20): fixed seeds inside each subcommand.
 		{"memory -samples 512", 0xcdf174550a2315ea},
 		{"badgood -samples 512", 0xac4abdd26327a6fd},

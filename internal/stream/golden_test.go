@@ -164,3 +164,58 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	h.addDecoder(d)
 	return uint64(h), skips
 }
+
+// TestGoldenStreamCounts pins the failure counts of the streaming
+// memory entry points — phenomenological and circuit feeds, the
+// erasure-aware, blind and correlated drains — on recorded seeds, every
+// stream long enough to slide. The constants were recorded before the
+// memory drivers were merged into one; a change that moves one of them
+// has changed which shots fail. Fix the change, never the constant.
+func TestGoldenStreamCounts(t *testing.T) {
+	const samples = 1000
+	leaky := noise.Uniform(0.004)
+	leaky.Leak = 0.01
+	circuit := noise.Uniform(0.004)
+	opts := func(aware, corr bool) spacetime.DecodeOptions {
+		return spacetime.DecodeOptions{ErasureAware: aware, Correlated: corr}
+	}
+	for _, tc := range []struct {
+		name         string
+		run          func() (Result, error)
+		fx, fz, fail int
+	}{
+		{"CodeMemory/toric4", func() (Result, error) {
+			return CodeMemory(toric.Cached(4), 12, 0.03, 0.03, 0, 0, samples, 1901)
+		}, 426, 412, 659},
+		{"CodeMemory/rotated5", func() (Result, error) {
+			return CodeMemory(surface.Rotated(5), 15, 0.02, 0.02, 0, 0, samples, 1902)
+		}, 133, 147, 256},
+		{"CodeCircuitMemory/toric4", func() (Result, error) {
+			return CodeCircuitMemory(toric.Cached(4), 12, circuit, 0, 0, samples, 1903)
+		}, 86, 73, 146},
+		{"CodeCircuitMemory/planar5", func() (Result, error) {
+			return CodeCircuitMemory(surface.Planar(5), 15, circuit, 0, 0, samples, 1904)
+		}, 23, 21, 44},
+		{"CodeCircuitMemoryOpts/toric4/blind", func() (Result, error) {
+			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(false, false))
+		}, 489, 504, 745},
+		{"CodeCircuitMemoryOpts/toric4/aware", func() (Result, error) {
+			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(true, false))
+		}, 322, 314, 516},
+		{"CodeCircuitMemoryOpts/toric4/correlated", func() (Result, error) {
+			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(false, true))
+		}, 489, 447, 706},
+		{"CodeCircuitMemoryOpts/rotated5/aware", func() (Result, error) {
+			return CodeCircuitMemoryOpts(surface.Rotated(5), 15, leaky, 0, 0, samples, 1906, opts(true, false))
+		}, 128, 136, 243},
+	} {
+		r, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.FailX != tc.fx || r.FailZ != tc.fz || r.Failures != tc.fail {
+			t.Errorf("%s: FailX/FailZ/Failures = %d / %d / %d, recorded %d / %d / %d",
+				tc.name, r.FailX, r.FailZ, r.Failures, tc.fx, tc.fz, tc.fail)
+		}
+	}
+}

@@ -241,7 +241,7 @@ func BenchmarkSpacetimeDecode(b *testing.B) {
 	for _, cfg := range spacetimeDecodeConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spacetime.CodeMemory(toric.Cached(cfg.l), cfg.l, 0.025, 0.025, cfg.kind, 64, 7)
+				spacetime.Memory(toric.Cached(cfg.l), cfg.l, spacetime.Phenomenological(0.025, 0.025, 0, 0), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
 			}
 		})
 	}
@@ -268,7 +268,7 @@ func BenchmarkCircuitExtract(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			P := noise.Uniform(0.006)
 			for i := 0; i < b.N; i++ {
-				spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.l, P, cfg.kind, 64, 7)
+				spacetime.Memory(toric.Cached(cfg.l), cfg.l, spacetime.Circuit(P), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
 			}
 		})
 	}
@@ -286,7 +286,7 @@ func circuitExtractConfigs() []toricDecodeConfig {
 // circuitOptsArm is one arm of the circuit-level options ablation:
 // erasure-aware vs erasure-blind leakage, joint two-sector correlated
 // repricing, and the CNOT-schedule comparison — each a single L=8
-// operating point through CodeCircuitMemoryOpts.
+// operating point through spacetime.Memory.
 type circuitOptsArm struct {
 	name string
 	P    noise.Params
@@ -319,7 +319,7 @@ func BenchmarkCircuitOpts(b *testing.B) {
 	for _, arm := range circuitOptsArms() {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := spacetime.CodeCircuitMemoryOpts(arm.code, 8, arm.P, 64, 7, arm.opts); err != nil {
+				if _, err := spacetime.Memory(arm.code, 8, spacetime.Circuit(arm.P), toric.DecoderUnionFind, arm.opts, 64, 7); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,92 +339,48 @@ func BenchmarkCircuitOpts(b *testing.B) {
 // carries the load instead of raw decode throughput.
 func BenchmarkStreamDecode(b *testing.B) {
 	const pq = 0.025
+	circuit := spacetime.Circuit(noise.Uniform(0.003))
 	for _, l := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("L=%d", l), func(b *testing.B) {
-			w, c := stream.DefaultWindow(l)
-			wh, wv := spacetime.Weights(pq, pq, l, 4*l)
-			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), pq, pq, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
-			}
+			streamBench(b, toric.Cached(l), spacetime.Phenomenological(pq, pq, 0, 0), 4*l)
 		})
 	}
 	for _, l := range []int{8, 16} {
-		b.Run(fmt.Sprintf("circuit/L=%d", l), func(b *testing.B) {
-			const eps = 0.003
-			P := noise.Uniform(eps)
-			w, c := stream.DefaultWindow(l)
-			wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-			s, err := stream.NewCodeCircuitSession(toric.Cached(l), w, c, wh, wv, wd)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := surface.NewCircuitSource(toric.Cached(l), P, 64, frame.NewAggregateSampler(7, uint64(i)))
-				s.BatchMemoryFrom(src, 4*l)
-			}
-		})
+		b.Run(fmt.Sprintf("circuit/L=%d", l), func(b *testing.B) { streamBench(b, toric.Cached(l), circuit, 4*l) })
 	}
 	for _, d := range []int{5, 9} {
-		b.Run(fmt.Sprintf("rotated/d=%d", d), func(b *testing.B) {
-			const eps = 0.003
-			P := noise.Uniform(eps)
-			rc := surface.Rotated(d)
-			w, c := stream.DefaultWindow(d)
-			wh, wv, wd := spacetime.WeightsCircuit(P, d, w)
-			s, err := stream.NewCodeCircuitSession(rc, w, c, wh, wv, wd)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := surface.NewCircuitSource(rc, P, 64, frame.NewAggregateSampler(7, uint64(i)))
-				s.BatchMemoryFrom(src, 4*d)
-			}
-		})
+		b.Run(fmt.Sprintf("rotated/d=%d", d), func(b *testing.B) { streamBench(b, surface.Rotated(d), circuit, 4*d) })
 	}
 	for _, d := range []int{5, 9} {
-		b.Run(fmt.Sprintf("planar/d=%d", d), func(b *testing.B) {
-			const eps = 0.003
-			P := noise.Uniform(eps)
-			pc := surface.Planar(d)
-			w, c := stream.DefaultWindow(d)
-			wh, wv, wd := spacetime.WeightsCircuit(P, d, w)
-			s, err := stream.NewCodeCircuitSession(pc, w, c, wh, wv, wd)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := surface.NewCircuitSource(pc, P, 64, frame.NewAggregateSampler(7, uint64(i)))
-				s.BatchMemoryFrom(src, 4*d)
-			}
-		})
+		b.Run(fmt.Sprintf("planar/d=%d", d), func(b *testing.B) { streamBench(b, surface.Planar(d), circuit, 4*d) })
 	}
 	for _, p := range []float64{0.008, 0.002, 0.0005} {
 		b.Run(fmt.Sprintf("quiet/L=16/p=%g", p), func(b *testing.B) {
-			const l = 16
-			w, c := stream.DefaultWindow(l)
-			wh, wv := spacetime.Weights(p, p, l, 4*l)
-			s, err := stream.NewCodeSession(toric.Cached(l), w, c, wh, wv)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(l), p, p, 64, frame.NewAggregateSampler(7, uint64(i))), 4*l)
-			}
+			streamBench(b, toric.Cached(16), spacetime.Phenomenological(p, p, 0, 0), 64)
 		})
+	}
+}
+
+// streamBench streams one 64-shot batch of `rounds` rounds of the model
+// per iteration through the default window of the code, with the
+// weights stream.Memory derives.
+func streamBench(b *testing.B, code surface.Code, m spacetime.Model, rounds int) {
+	d := code.Distance()
+	w, c := stream.DefaultWindow(d)
+	horizon := rounds
+	if m.CircuitLevel() {
+		horizon = w
+	}
+	wh, wv, wd := m.Weights(d, horizon)
+	win, err := stream.NewWindow(code, w, c, wh, wv, wd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := stream.NewSessionOn(nil, win)
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.BatchMemoryFrom(m.Source(code, 64, frame.NewAggregateSampler(7, uint64(i))), rounds)
 	}
 }
 
@@ -497,7 +453,7 @@ func BenchmarkDefectLists(b *testing.B) {
 // decoder.AppendCorrection was set where the isolated-pair path stops
 // paying on this sweep.
 func BenchmarkUnionFindDensity(b *testing.B) {
-	win, err := stream.NewCodeWindow(toric.Cached(16), 32, 16, 1, 1)
+	win, err := stream.NewWindow(toric.Cached(16), 32, 16, 1, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -494,11 +494,9 @@ func cmdSpacetime(args []string) {
 		fmt.Printf("(skipping exact cross-check: L=%d > %d is union-find territory)\n", ls[0], compareMaxL)
 		*compare = false
 	}
+	opts := spacetime.DecodeOptions{ErasureAware: erased}
 	runPoint := func(l, rounds int, p, q float64, k toric.DecoderKind, seed uint64) spacetime.Result {
-		if erased {
-			return spacetime.ErasedMemory(l, rounds, p, q, *pe, *qe, *samples, seed)
-		}
-		return must(spacetime.CodeMemory(toric.Cached(l), rounds, p, q, k, *samples, seed))
+		return must(spacetime.Memory(toric.Cached(l), rounds, spacetime.Phenomenological(p, q, *pe, *qe), k, opts, *samples, seed))
 	}
 	fmt.Printf("E22: noisy syndrome extraction (%s decoder, seed %d): T rounds of measurement flipping with q,\n", *dec, *seedF)
 	fmt.Println("     defects = consecutive-round syndrome differences, decoded over the weighted 3D volume")
@@ -569,10 +567,7 @@ func cmdStream(args []string) {
 		fmt.Fprintf(os.Stderr, "stream: bad -q %v (want a probability, or -1 to track p)\n", *q)
 		os.Exit(2)
 	}
-	if *window == 1 {
-		fmt.Fprintln(os.Stderr, "stream: a sliding window must hold at least two layers (-window ≥ 2)")
-		os.Exit(2)
-	}
+	require(fs, *window == 0 || *window >= 2, "window", *window, "0 (the 2L default) or at least 2")
 	ls := parseIntList(*sizes)
 	ps := parseFloatList(*grid)
 	roundsOf := func(l int) int { return 4 * l }
@@ -606,7 +601,7 @@ func cmdStream(args []string) {
 	// fails with the stream package's message, not mid-sweep.
 	for _, l := range ls {
 		w, c := winOf(l)
-		if _, err := stream.NewCodeWindow(toric.Cached(l), w, c, 1, 1); err != nil {
+		if _, err := stream.NewWindow(toric.Cached(l), w, c, 1, 1, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
 		}
@@ -630,7 +625,8 @@ func cmdStream(args []string) {
 		for j, l := range ls {
 			seed++
 			w, c := winOf(l)
-			r, err := stream.CodeMemory(toric.Cached(l), roundsOf(l), p, qOf(p), w, c, *samples, seed)
+			m := spacetime.Phenomenological(p, qOf(p), 0, 0)
+			r, err := stream.Memory(toric.Cached(l), roundsOf(l), m, w, c, spacetime.DecodeOptions{}, *samples, seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%v\n", err)
 				os.Exit(2)
@@ -639,7 +635,8 @@ func cmdStream(args []string) {
 			fmt.Printf(" %-16.4e", r.FailRate())
 		}
 		if *volume {
-			r := must(spacetime.CodeMemory(toric.Cached(ls[0]), roundsOf(ls[0]), p, qOf(p), toric.DecoderUnionFind, *samples, seed+2000))
+			m := spacetime.Phenomenological(p, qOf(p), 0, 0)
+			r := must(spacetime.Memory(toric.Cached(ls[0]), roundsOf(ls[0]), m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+2000))
 			fmt.Printf(" %-12.4e", r.FailRate())
 		}
 		fmt.Println()
@@ -681,6 +678,8 @@ func cmdCircuit(args []string) {
 	parse(fs, args)
 	require(fs, *leak >= 0 && *leak <= 1, "leak", *leak, "a probability in [0, 1]")
 	require(fs, *bias >= 0, "bias", *bias, "non-negative")
+	require(fs, *window == 0 || *window >= 2, "window", *window, "0 (whole-volume decode) or at least 2")
+	require(fs, *commit == 0 || *window > 0, "commit", *commit, "0 unless -window sets a streaming window")
 	defer startProf()()
 	kind, ok := toricDecoder(*dec)
 	if !ok {
@@ -695,8 +694,9 @@ func cmdCircuit(args []string) {
 		fmt.Fprintln(os.Stderr, "circuit: -blind is the control arm of a leakage ablation — it needs -leak > 0")
 		os.Exit(2)
 	}
-	// Any of these switch the sweep onto the erasure/correlated pipeline,
-	// which prices and decodes with union-find only.
+	// The leakage, bias, correlated and schedule arms are measured with
+	// union-find only (leakage and correlated decoding take the erased
+	// drain, which has no exact matcher).
 	needsOpts := *leak > 0 || *bias > 0 || *correlated || *schedule != "default"
 	if needsOpts && kind != toric.DecoderUnionFind {
 		fmt.Fprintln(os.Stderr, "circuit: -leak/-bias/-correlated/-schedule decode with union-find (-decoder uf)")
@@ -704,10 +704,6 @@ func cmdCircuit(args []string) {
 	}
 	opts := spacetime.DecodeOptions{ErasureAware: *leak > 0 && !*blind, Correlated: *correlated}
 	streaming := *window > 0
-	if streaming && *window < 2 {
-		fmt.Fprintln(os.Stderr, "circuit: a sliding window must hold at least two layers (-window ≥ 2)")
-		os.Exit(2)
-	}
 	if streaming && kind != toric.DecoderUnionFind {
 		fmt.Fprintln(os.Stderr, "circuit: the streaming pipeline decodes with union-find (-decoder uf)")
 		os.Exit(2)
@@ -754,28 +750,14 @@ func cmdCircuit(args []string) {
 		P.Leak = *leak
 		P.Bias = *bias
 		if streaming {
-			var r stream.Result
-			var err error
-			if needsOpts {
-				r, err = stream.CodeCircuitMemoryOpts(codeOf(l), rounds, P, *window, *commit, *samples, seed, opts)
-			} else {
-				r, err = stream.CodeCircuitMemory(codeOf(l), rounds, P, *window, *commit, *samples, seed)
-			}
+			r, err := stream.Memory(codeOf(l), rounds, spacetime.Circuit(P), *window, *commit, opts, *samples, seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "circuit: %v\n", err)
 				os.Exit(2)
 			}
 			return r.FailRate()
 		}
-		if needsOpts {
-			r, err := spacetime.CodeCircuitMemoryOpts(codeOf(l), rounds, P, *samples, seed, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "circuit: %v\n", err)
-				os.Exit(2)
-			}
-			return r.FailRate()
-		}
-		return must(spacetime.CodeCircuitMemory(codeOf(l), rounds, P, k, *samples, seed)).FailRate()
+		return must(spacetime.Memory(codeOf(l), rounds, spacetime.Circuit(P), k, opts, *samples, seed)).FailRate()
 	}
 	fmt.Printf("E24: circuit-level syndrome extraction (%s decoder, seed %d): the full extraction circuit per round\n", *dec, *seedF)
 	fmt.Println("     (ancilla per check, PrepZ/PrepX, 4 CNOTs, MeasZ/MeasX) with faults at every location;")
@@ -896,10 +878,10 @@ func cmdCodes(args []string) {
 		var elapsed time.Duration
 		seed := *seedF + uint64(100*i)
 		for j, eps := range ps {
-			P := noise.Uniform(eps)
-			curves[i][0][j] = must(spacetime.CodeCircuitMemory(c1, d1, P, toric.DecoderUnionFind, *samples, seed+uint64(2*j))).FailRate()
+			m := spacetime.Circuit(noise.Uniform(eps))
+			curves[i][0][j] = must(spacetime.Memory(c1, d1, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+uint64(2*j))).FailRate()
 			t0 := time.Now()
-			curves[i][1][j] = must(spacetime.CodeCircuitMemory(c2, d2, P, toric.DecoderUnionFind, *samples, seed+uint64(2*j+1))).FailRate()
+			curves[i][1][j] = must(spacetime.Memory(c2, d2, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+uint64(2*j+1))).FailRate()
 			elapsed += time.Since(t0)
 		}
 		rows[i].thresh = spacetime.CrossingEstimate(ps, curves[i][0], curves[i][1])

@@ -132,6 +132,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"toric", "-decoder", "greedy", "-samples", "64"}, "exact or uf"},
 		{[]string{"circuit", "-L", "3", "-p", "0.004", "-leak", "-0.5", "-samples", "64"}, "-leak"},
 		{[]string{"circuit", "-L", "3", "-p", "0.004", "-bias", "-1", "-samples", "64"}, "-bias"},
+		{[]string{"circuit", "-L", "3", "-p", "0.004", "-window", "-1", "-samples", "64"}, "-window"},
+		{[]string{"circuit", "-L", "3", "-p", "0.004", "-commit", "3", "-samples", "64"}, "-commit"},
+		{[]string{"stream", "-L", "3", "-p", "0.01", "-window", "-4", "-samples", "64"}, "-window"},
 		{[]string{"serve", "-p", "2", "-T", "4", "-sessions", "1"}, "-p"},
 		{[]string{"serve", "-model", "phenom", "-p", "-1", "-T", "4", "-sessions", "1"}, "-p"},
 		{[]string{"serve", "-lanes", "0", "-T", "4", "-sessions", "1"}, "-lanes"},

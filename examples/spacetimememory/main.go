@@ -21,7 +21,7 @@ func main() {
 	fmt.Println("\nperfect vs noisy measurements (L=6, T=6, p=0.02):")
 	fmt.Printf("%-26s %-12s %-12s %-12s\n", "", "fail (any)", "bit-flip", "phase-flip")
 	memory := func(rounds int, q float64, seed uint64) ftqc.SpacetimeResult {
-		r, err := ftqc.SurfaceSpacetimeMemory(ftqc.ToricCode(6), rounds, 0.02, q, ftqc.ToricDecoderUnionFind, samples, seed)
+		r, err := ftqc.SpacetimeMemory(ftqc.ToricCode(6), rounds, ftqc.PhenomenologicalModel(0.02, q, 0, 0), ftqc.ToricDecoderUnionFind, ftqc.DecodeOptions{}, samples, seed)
 		if err != nil {
 			panic(err)
 		}
@@ -34,7 +34,11 @@ func main() {
 
 	fmt.Println("\nsustained p=q sweep, rounds = L (union-find, weighted 3D graphs):")
 	grid := []float64{0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.05}
-	cross, pts := ftqc.SustainedThreshold(4, 8, grid, samples, 33)
+	phenom := func(p float64) ftqc.NoiseModel { return ftqc.PhenomenologicalModel(p, p, 0, 0) }
+	cross, pts, err := ftqc.SustainedThreshold(4, 8, grid, phenom, ftqc.DecodeOptions{}, samples, 33)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%-8s %-14s %-14s\n", "p=q", "L=4 (T=4)", "L=8 (T=8)")
 	for _, pt := range pts {
 		fmt.Printf("%-8.3f %-14.4e %-14.4e\n", pt.P, pt.Small.FailRate(), pt.Large.FailRate())

@@ -22,11 +22,12 @@ func main() {
 	fmt.Println("\nwindowed vs whole-volume decode (L=4, T=16, p=q=0.02):")
 	fmt.Printf("%-34s %-12s %-12s %-12s\n", "", "fail (any)", "bit-flip", "phase-flip")
 	l4 := ftqc.ToricCode(4)
-	vol, err := ftqc.SurfaceSpacetimeMemory(l4, 16, 0.02, 0.02, ftqc.ToricDecoderUnionFind, samples, 41)
+	phenom := func(p float64) ftqc.NoiseModel { return ftqc.PhenomenologicalModel(p, p, 0, 0) }
+	vol, err := ftqc.SpacetimeMemory(l4, 16, phenom(0.02), ftqc.ToricDecoderUnionFind, ftqc.DecodeOptions{}, samples, 41)
 	if err != nil {
 		panic(err)
 	}
-	str, err := ftqc.StreamingSurfaceMemory(l4, 16, 0.02, 0.02, 0, 0, samples, 42)
+	str, err := ftqc.StreamingMemory(l4, 16, phenom(0.02), 0, 0, ftqc.DecodeOptions{}, samples, 42)
 	if err != nil {
 		panic(err)
 	}
@@ -37,7 +38,7 @@ func main() {
 	fmt.Println("\nthe window height is a latency/accuracy knob (L=4, T=16, p=q=0.02):")
 	fmt.Printf("%-10s %-10s %-12s\n", "window", "commit", "fail (any)")
 	for _, w := range []int{2, 4, 8, 12} {
-		r, err := ftqc.StreamingSurfaceMemory(l4, 16, 0.02, 0.02, w, w/2, samples, 43)
+		r, err := ftqc.StreamingMemory(l4, 16, phenom(0.02), w, w/2, ftqc.DecodeOptions{}, samples, 43)
 		if err != nil {
 			panic(err)
 		}
@@ -47,7 +48,7 @@ func main() {
 	fmt.Println("\nholding the memory 16× longer (L=4, p=q=0.015, W=8):")
 	fmt.Printf("%-10s %-14s %-18s\n", "rounds", "fail (any)", "fail per round")
 	for _, rounds := range []int{16, 64, 256} {
-		r, err := ftqc.StreamingSurfaceMemory(l4, rounds, 0.015, 0.015, 8, 4, samples, 44)
+		r, err := ftqc.StreamingMemory(l4, rounds, phenom(0.015), 8, 4, ftqc.DecodeOptions{}, samples, 44)
 		if err != nil {
 			panic(err)
 		}

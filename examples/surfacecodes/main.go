@@ -28,6 +28,7 @@ func main() {
 	}
 
 	const samples = 4000
+	circuit := func(eps float64) ftqc.NoiseModel { return ftqc.CircuitModel(ftqc.UniformNoise(eps)) }
 	fmt.Println("\n2D memory at p = 0.05 (perfect measurement, union-find):")
 	fmt.Printf("%-10s %-12s %-12s %-12s\n", "family", "d=3", "d=5", "d=7")
 	for _, family := range []func(int) ftqc.SurfaceCode{ftqc.ToricCode, ftqc.PlanarCode, ftqc.RotatedCode} {
@@ -48,7 +49,7 @@ func main() {
 		name := family(3).CodeName()
 		fmt.Printf("%-10s", name)
 		for _, d := range []int{3, 5} {
-			r, err := ftqc.SurfaceCircuitMemory(family(d), d, ftqc.UniformNoise(0.004), ftqc.ToricDecoderUnionFind, samples, 13)
+			r, err := ftqc.SpacetimeMemory(family(d), d, circuit(0.004), ftqc.ToricDecoderUnionFind, ftqc.DecodeOptions{}, samples, 13)
 			if err != nil {
 				panic(err)
 			}
@@ -60,7 +61,7 @@ func main() {
 	fmt.Println("\nstreaming the rotated code (d = 5, eps = 0.003, T = 40 rounds,")
 	fmt.Println("sliding window): open boundaries ground on the same virtual node")
 	fmt.Println("the window already uses for its open future edge")
-	r, err := ftqc.StreamingSurfaceCircuitMemory(ftqc.RotatedCode(5), 40, 0.003, samples/4, 17)
+	r, err := ftqc.StreamingMemory(ftqc.RotatedCode(5), 40, circuit(0.003), 0, 0, ftqc.DecodeOptions{}, samples/4, 17)
 	if err != nil {
 		panic(err)
 	}

@@ -48,8 +48,10 @@
 // with time-like edges for measurement errors, erasure channels
 // (leaked data qubits, lost measurement rounds) feeding the peeling
 // pass, both X and Z logical sectors tracked per shot through the
-// dual-lattice indexing, and the sustained p = q threshold exposed via
-// SustainedThreshold.
+// dual-lattice indexing. One NoiseModel names the noise of an
+// experiment (PhenomenologicalModel or CircuitModel, erasure channels
+// included), SpacetimeMemory runs it, and SustainedThreshold sweeps a
+// family of models for the crossing of two distances' failure curves.
 //
 // Circuit-level syndrome extraction (the regime the paper's realistic
 // threshold estimates assume) is internal/surface's CircuitSource: the
@@ -60,13 +62,14 @@
 // propagate multi-qubit errors, so the decoding volumes gain a third
 // (diagonal) edge class with circuit-derived LLR weights, priced
 // exactly by the blossom matcher through a precomputed circuit metric
-// (SurfaceCircuitMemory, CircuitSustainedThreshold — the measured
-// crossing sits well below the phenomenological one).
+// (SpacetimeMemory and SustainedThreshold under a CircuitModel — the
+// measured crossing sits well below the phenomenological one).
 //
 // Sustained operation — decoding forever in constant memory — is the
 // internal/stream subsystem: difference layers decode through a
 // sliding window of W rounds with a commit region
-// (StreamingSurfaceMemory), corrections finalize into a running Pauli
+// (StreamingMemory, under the same NoiseModel), corrections finalize
+// into a running Pauli
 // frame behind the window, and the decode stage runs as a long-lived
 // worker-pool service (batched shots in, corrections out, identical
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
@@ -269,66 +272,6 @@ func SurfaceMemory(c SurfaceCode, p float64, samples int, seed uint64) SurfaceMe
 	return surface.MemoryExperimentXZ(c, p, samples, seed)
 }
 
-// SurfaceSpacetimeMemory runs the repeated-round noisy-syndrome memory
-// of any surface code: `rounds` rounds of syndrome extraction whose
-// measurements flip with probability q, data errors at rate p per
-// round, decoded over the code's weighted 3D space-time volume
-// (open-boundary detectors ground on the virtual node). Both logical
-// sectors are tracked per shot; q = 0, rounds = 1 reduces to the 2D
-// SurfaceMemory statistics. ToricDecoderUnionFind is the production
-// decoder; ToricDecoderExact runs the weighted blossom matcher, on the
-// torus only — a code it cannot price is an error.
-func SurfaceSpacetimeMemory(c SurfaceCode, rounds int, p, q float64, dec ToricDecoder, samples int, seed uint64) (SpacetimeResult, error) {
-	return spacetime.CodeMemory(c, rounds, p, q, dec, samples, seed)
-}
-
-// SurfaceCircuitMemory runs the circuit-level noisy-extraction memory
-// of any surface code under the per-location noise model P
-// (UniformNoise(ε): every preparation, CNOT, measurement and idle step
-// faults with probability ε): the code's own extraction circuit
-// (per-code CNOT orderings, boundary-truncated diagonal edges), decoded
-// over the diagonal-edge space-time volume. CNOT faults between a data
-// qubit's two reads produce correlated diagonal defect pairs; ancilla
-// hooks propagate multi-qubit errors — the full circuit model behind
-// realistic (sub-percent) thresholds. ToricDecoderExact prices pairs
-// with the circuit-metric blossom matcher (torus only). A model the
-// plain pipeline cannot honor — leakage (P.Leak) or noise bias
-// (P.Bias), which need the erasure-harvesting source and its
-// union-find-only decode — is a constructor error pointing at
-// SurfaceCircuitMemoryOpts, never a silent zeroing of the channel.
-func SurfaceCircuitMemory(c SurfaceCode, rounds int, P NoiseParams, dec ToricDecoder, samples int, seed uint64) (SpacetimeResult, error) {
-	if err := P.Validate(); err != nil {
-		return SpacetimeResult{}, err
-	}
-	if P.Leak > 0 || P.Bias > 0 {
-		return SpacetimeResult{}, fmt.Errorf("ftqc: the plain circuit pipeline does not model Leak=%v/Bias=%v — use SurfaceCircuitMemoryOpts, which harvests leakage as erasures (union-find decode)", P.Leak, P.Bias)
-	}
-	return spacetime.CodeCircuitMemory(c, rounds, P, dec, samples, seed)
-}
-
-// StreamingSurfaceMemory runs the noisy-syndrome memory of any surface
-// code through the sliding-window streaming decoder: `window` buffered
-// rounds per decode, `commit` rounds finalized per slide (0, 0 picks
-// the defaults W = 2d, commit d). Syndrome layers decode as they
-// arrive, corrections commit behind the window, and per-lane memory
-// stays O(d²·W) no matter how many rounds stream past. With W ≥ rounds
-// it reproduces the whole-volume SurfaceSpacetimeMemory decode bit for
-// bit. Invalid window shapes (commit not in [1, window-1], window < 2,
-// ...) are reported as errors.
-func StreamingSurfaceMemory(c SurfaceCode, rounds int, p, q float64, window, commit, samples int, seed uint64) (StreamingResult, error) {
-	return stream.CodeMemory(c, rounds, p, q, window, commit, samples, seed)
-}
-
-// StreamingSurfaceCircuitMemory runs the circuit-level memory of any
-// surface code through the sliding-window streaming decoder with the
-// default W = 2d window: the extraction circuit streams round by round
-// and the diagonal-edge windows decode and commit as they go. It
-// errors on invalid round or window parameters instead of panicking
-// mid-decode.
-func StreamingSurfaceCircuitMemory(c SurfaceCode, rounds int, eps float64, samples int, seed uint64) (StreamingResult, error) {
-	return stream.CodeCircuitMemory(c, rounds, noise.Uniform(eps), 0, 0, samples, seed)
-}
-
 // Space-time decoding (noisy syndrome extraction).
 type (
 	// SpacetimeVolume is the weighted 3D decoding volume of a surface
@@ -337,67 +280,63 @@ type (
 	// SpacetimeResult is one noisy-extraction memory measurement, with
 	// per-sector (bit-flip and phase-flip) failure counts.
 	SpacetimeResult = spacetime.Result
-	// ThresholdPoint is one p = q grid point of a sustained-threshold
-	// sweep.
+	// ThresholdPoint is one grid point of a sustained-threshold sweep.
 	ThresholdPoint = spacetime.ThresholdPoint
 )
 
-// SustainedThreshold sweeps p = q with rounds = L for two code
-// distances and returns the crossing of their failure curves — the
-// sustained threshold of the noisy-extraction memory — along with the
-// measured points (NaN if the grid shows no crossing).
-func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []ThresholdPoint) {
-	return spacetime.SustainedThreshold(l1, l2, grid, toric.DecoderUnionFind, samples, seed)
-}
-
-// ErasedSpacetimeMemory is the toric SurfaceSpacetimeMemory with
-// erasure channels threaded into the 3D decode: data qubits leak (depolarize at a known
-// location) with probability pe per round, measurements are lost
-// (replaced by a coin, their time-like edge erased) with probability qe
-// per round, and the union-find peeling pass exploits the locations.
-func ErasedSpacetimeMemory(l, rounds int, p, q, pe, qe float64, samples int, seed uint64) SpacetimeResult {
-	return spacetime.ErasedMemory(l, rounds, p, q, pe, qe, samples, seed)
-}
-
-// Correlated & erasure-aware circuit-level decoding.
+// Noise models and decode options of the memory experiments.
 type (
-	// CircuitDecodeOptions selects the side-information passes of a
-	// circuit-level decode: ErasureAware feeds harvested leakage
-	// locations into the peeling pass, Correlated reprices the dual
-	// sector from the committed primal correction. The zero value is
-	// the independent-sector, erasure-blind baseline.
-	CircuitDecodeOptions = spacetime.DecodeOptions
+	// NoiseModel names the noise of a memory experiment once:
+	// phenomenological or circuit-level, erasure channels included. It
+	// picks the syndrome source, the decoding-graph weights and the
+	// rates a result reports.
+	NoiseModel = spacetime.Model
+	// DecodeOptions selects the side-information passes of a decode:
+	// ErasureAware feeds located erasures (leaked qubits, lost
+	// measurements) into the peeling pass, Correlated reprices the dual
+	// sector from the committed primal correction. The zero value is the
+	// independent-sector, erasure-blind baseline.
+	DecodeOptions = spacetime.DecodeOptions
 )
 
-// SurfaceCircuitMemoryOpts is the full circuit-level memory Monte Carlo
-// for any surface code — including schedule overrides such as
-// HookParallelToricCode, which is how the CNOT-schedule ablation runs
-// both schedules through one pipeline: the extraction circuit under P
-// including its leakage (P.Leak, harvested as located erasures each
-// round) and noise-bias (P.Bias) channels, decoded with the selected
-// side-information passes. Malformed models are constructor errors; a
-// leakage-configured run is never silently decoded as if leak-free.
-func SurfaceCircuitMemoryOpts(c SurfaceCode, rounds int, P NoiseParams, samples int, seed uint64, opts CircuitDecodeOptions) (SpacetimeResult, error) {
-	return spacetime.CodeCircuitMemoryOpts(c, rounds, P, samples, seed, opts)
+// PhenomenologicalModel is the rate-(p, q) model — data errors at p and
+// measurement flips at q per round — with leaked data qubits (which
+// depolarize at a known location) at pe and lost measurements (replaced
+// by a coin, their time-like edge erased) at qe per round.
+func PhenomenologicalModel(p, q, pe, qe float64) NoiseModel {
+	return spacetime.Phenomenological(p, q, pe, qe)
 }
 
-// StreamingSurfaceCircuitMemoryOpts runs the same model and decode
-// options through the sliding-window streaming decoder (window =
-// commit = 0 picks the W = 2d default): erasure planes ride the
-// difference layers round by round, and correlated runs reprice the
-// dual window each slide. With W ≥ rounds it reproduces
-// SurfaceCircuitMemoryOpts bit for bit.
-func StreamingSurfaceCircuitMemoryOpts(c SurfaceCode, rounds int, P NoiseParams, window, commit, samples int, seed uint64, opts CircuitDecodeOptions) (StreamingResult, error) {
-	return stream.CodeCircuitMemoryOpts(c, rounds, P, window, commit, samples, seed, opts)
+// CircuitModel is the circuit-level model P (UniformNoise(ε): every
+// preparation, CNOT, measurement and idle step faults with probability
+// ε): the code's own extraction circuit runs with faults at every
+// location. CNOT faults between a data qubit's two reads produce
+// correlated diagonal defect pairs and ancilla hooks propagate
+// multi-qubit errors; P.Leak is harvested as located erasures each
+// round, P.Bias skews each fault's Pauli draw.
+func CircuitModel(P NoiseParams) NoiseModel { return spacetime.Circuit(P) }
+
+// SpacetimeMemory runs the repeated-round noisy-extraction memory of any
+// surface code under the model m, decoded over the code's weighted 3D
+// space-time volume (open-boundary detectors ground on the virtual
+// node; a circuit model adds the diagonal edge class). Both logical
+// sectors are tracked per shot. ToricDecoderUnionFind is the production
+// decoder; ToricDecoderExact runs the weighted blossom matcher, on the
+// torus only and without erasure channels or decode options — a run it
+// cannot price is an error, as are a malformed model, an empty horizon
+// and an empty sample.
+func SpacetimeMemory(c SurfaceCode, rounds int, m NoiseModel, dec ToricDecoder, opts DecodeOptions, samples int, seed uint64) (SpacetimeResult, error) {
+	return spacetime.Memory(c, rounds, m, dec, opts, samples, seed)
 }
 
-// CircuitSustainedThresholdOpts sweeps a circuit-level noise family
-// model(ε) with rounds = L for two code distances under the selected
-// decode options and returns the crossing of their failure curves —
-// how the threshold moves when leakage is harvested or the sectors
-// decode jointly.
-func CircuitSustainedThresholdOpts(l1, l2 int, grid []float64, model func(eps float64) NoiseParams, samples int, seed uint64, opts CircuitDecodeOptions) (float64, []ThresholdPoint, error) {
-	return spacetime.CircuitSustainedThresholdOpts(l1, l2, grid, model, samples, seed, opts)
+// SustainedThreshold sweeps the model family model(x) with rounds = L
+// for two toric code distances under the decode options and returns the
+// crossing of their failure curves — the sustained threshold of the
+// noisy-extraction memory (near p = q ≈ 0.027 phenomenologically, well
+// below one percent at circuit level) — along with the measured points
+// (NaN if the grid shows no crossing).
+func SustainedThreshold(l1, l2 int, grid []float64, model func(x float64) NoiseModel, opts DecodeOptions, samples int, seed uint64) (float64, []ThresholdPoint, error) {
+	return spacetime.SustainedThreshold(l1, l2, grid, model, toric.DecoderUnionFind, opts, samples, seed)
 }
 
 // HookParallelToricCode is the L×L toric code under the
@@ -405,14 +344,6 @@ func CircuitSustainedThresholdOpts(l1, l2 int, grid []float64, model func(eps fl
 // the schedule ablation (the default schedule's bent hook pairs leave
 // diagonal defect steps and measurably more failures).
 func HookParallelToricCode(l int) SurfaceCode { return toric.HookParallel(l) }
-
-// CircuitSustainedThreshold sweeps the uniform per-location rate ε with
-// rounds = L for two code distances and returns the crossing of their
-// failure curves — the circuit-level sustained threshold, well below
-// the phenomenological p = q value.
-func CircuitSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []ThresholdPoint) {
-	return spacetime.CircuitSustainedThreshold(l1, l2, grid, toric.DecoderUnionFind, samples, seed)
-}
 
 // Streaming windowed decoding (sustained operation).
 type (
@@ -426,21 +357,40 @@ type (
 	StreamDecoder = stream.Decoder
 )
 
+// StreamingMemory runs the memory of any surface code under the model
+// m through the sliding-window streaming decoder: `window` buffered
+// rounds per decode, `commit` rounds finalized per slide (0, 0 picks the
+// defaults W = 2d, commit d). Syndrome layers decode as they arrive,
+// corrections commit behind the window, and per-lane memory stays
+// O(d²·W) no matter how many rounds stream past; erasure planes ride
+// the difference layers round by round, and correlated runs reprice the
+// dual window each slide. With W ≥ rounds it reproduces SpacetimeMemory
+// bit for bit. Invalid window shapes (commit not in [1, window-1],
+// window < 2, ...), a malformed model, and erasure channels or decode
+// options on a phenomenological model are reported as errors.
+func StreamingMemory(c SurfaceCode, rounds int, m NoiseModel, window, commit int, opts DecodeOptions, samples int, seed uint64) (StreamingResult, error) {
+	return stream.Memory(c, rounds, m, window, commit, opts, samples, seed)
+}
+
 // NewStreamSession builds a streaming decode session (window graphs
 // plus worker-pool decode services) over a surface code for rate-(p, q)
 // noise. Close it when done. Edge weights are derived with the window
 // as the decode horizon — the natural choice for an endless stream, but
 // in extreme regimes where the spacetime.Weights caps bind (q near 0 or
-// ½) it can differ from the rounds-derived weights
-// StreamingSurfaceMemory uses; for exact parity with a memory result,
-// build stream.NewCodeSession with explicit
-// spacetime.Weights(p, q, d, rounds).
+// ½) it can differ from the rounds-derived weights a phenomenological
+// StreamingMemory uses; for exact parity with a memory result, build
+// the window with stream.NewWindow from
+// PhenomenologicalModel(p, q, 0, 0).Weights(d, rounds).
 func NewStreamSession(c SurfaceCode, window, commit int, p, q float64) (*StreamSession, error) {
 	if c == nil {
 		return nil, fmt.Errorf("ftqc: stream session needs a code")
 	}
-	wh, wv := spacetime.Weights(p, q, c.Distance(), window)
-	return stream.NewCodeSession(c, window, commit, wh, wv)
+	wh, wv, wd := spacetime.Phenomenological(p, q, 0, 0).Weights(c.Distance(), window)
+	win, err := stream.NewWindow(c, window, commit, wh, wv, wd)
+	if err != nil {
+		return nil, err
+	}
+	return stream.NewSessionOn(nil, win), nil
 }
 
 // StreamingSustainedThreshold sweeps p = q with T = 4L rounds through

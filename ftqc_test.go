@@ -98,7 +98,8 @@ func TestFacadeAnyon(t *testing.T) {
 }
 
 func TestFacadeSpacetime(t *testing.T) {
-	r, err := SurfaceSpacetimeMemory(ToricCode(4), 4, 0.02, 0.02, ToricDecoderUnionFind, 1000, 11)
+	phenom := PhenomenologicalModel(0.02, 0.02, 0, 0)
+	r, err := SpacetimeMemory(ToricCode(4), 4, phenom, ToricDecoderUnionFind, DecodeOptions{}, 1000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +109,35 @@ func TestFacadeSpacetime(t *testing.T) {
 	if r.Failures < r.FailX || r.Failures < r.FailZ {
 		t.Fatalf("sector accounting broken: %+v", r)
 	}
-	ex, err := SurfaceSpacetimeMemory(ToricCode(3), 2, 0.03, 0.03, ToricDecoderExact, 500, 12)
+	noisy := PhenomenologicalModel(0.03, 0.03, 0, 0)
+	ex, err := SpacetimeMemory(ToricCode(3), 2, noisy, ToricDecoderExact, DecodeOptions{}, 500, 12)
 	if err != nil || ex.Samples != 500 {
 		t.Fatalf("spacetime exact decode wrong: %+v (err %v)", ex, err)
 	}
-	if _, err := SurfaceSpacetimeMemory(PlanarCode(3), 2, 0.03, 0.03, ToricDecoderExact, 500, 12); err == nil {
+	if _, err := SpacetimeMemory(PlanarCode(3), 2, noisy, ToricDecoderExact, DecodeOptions{}, 500, 12); err == nil {
 		t.Fatal("exact matching on an open code accepted")
 	}
-	a, _ := SurfaceSpacetimeMemory(ToricCode(4), 4, 0.02, 0.02, ToricDecoderUnionFind, 1000, 11)
+	a, _ := SpacetimeMemory(ToricCode(4), 4, phenom, ToricDecoderUnionFind, DecodeOptions{}, 1000, 11)
 	if a != r {
 		t.Fatalf("spacetime memory not deterministic: %+v vs %+v", a, r)
+	}
+	erased := PhenomenologicalModel(0.01, 0.01, 0.08, 0.08)
+	aware := DecodeOptions{ErasureAware: true}
+	er, err := SpacetimeMemory(ToricCode(4), 3, erased, ToricDecoderUnionFind, aware, 500, 15)
+	if err != nil || er.Pe != 0.08 || er.Qe != 0.08 || er.Samples != 500 {
+		t.Fatalf("erased spacetime memory wrong: %+v (err %v)", er, err)
+	}
+	// The erasure channels have an error path like every other model: an
+	// empty horizon or sample is refused, not a panic or a NaN rate.
+	for _, shape := range [][2]int{{0, 500}, {3, 0}} {
+		if _, err := SpacetimeMemory(ToricCode(4), shape[0], erased, ToricDecoderUnionFind, aware, shape[1], 15); err == nil {
+			t.Fatalf("erased spacetime memory accepted rounds=%d samples=%d", shape[0], shape[1])
+		}
 	}
 }
 
 func TestFacadeCircuit(t *testing.T) {
-	r, err := SurfaceCircuitMemory(ToricCode(3), 3, UniformNoise(0.004), ToricDecoderUnionFind, 400, 5)
+	r, err := SpacetimeMemory(ToricCode(3), 3, CircuitModel(UniformNoise(0.004)), ToricDecoderUnionFind, DecodeOptions{}, 400, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,20 +147,25 @@ func TestFacadeCircuit(t *testing.T) {
 	if r.FailRate() > 0.5 {
 		t.Fatalf("L=3 circuit memory at eps=0.004 implausibly noisy: %+v", r)
 	}
-	sr, err := StreamingSurfaceCircuitMemory(ToricCode(3), 8, 0.004, 300, 6)
+	sr, err := StreamingMemory(ToricCode(3), 8, CircuitModel(UniformNoise(0.004)), 0, 0, DecodeOptions{}, 300, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.Samples != 300 || sr.Window != 6 || sr.Commit != 3 {
 		t.Fatalf("streaming circuit result malformed: %+v", sr)
 	}
-	if _, pts := CircuitSustainedThreshold(2, 3, []float64{0.004}, 200, 7); len(pts) != 1 {
-		t.Fatalf("threshold sweep returned %d points", len(pts))
+	uniform := func(eps float64) NoiseModel { return CircuitModel(UniformNoise(eps)) }
+	if _, pts, err := SustainedThreshold(2, 3, []float64{0.004}, uniform, DecodeOptions{}, 200, 7); err != nil || len(pts) != 1 {
+		t.Fatalf("threshold sweep returned %d points (err %v)", len(pts), err)
 	}
 }
 
 func TestFacadeStreaming(t *testing.T) {
-	r, err := StreamingSurfaceMemory(ToricCode(4), 16, 0.02, 0.02, 0, 0, 1000, 13)
+	phenom := PhenomenologicalModel(0.02, 0.02, 0, 0)
+	stream := func(rounds, window, commit, samples int, seed uint64) (StreamingResult, error) {
+		return StreamingMemory(ToricCode(4), rounds, phenom, window, commit, DecodeOptions{}, samples, seed)
+	}
+	r, err := stream(16, 0, 0, 1000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,25 +175,21 @@ func TestFacadeStreaming(t *testing.T) {
 	if r.Failures < r.FailX || r.Failures < r.FailZ {
 		t.Fatalf("sector accounting broken: %+v", r)
 	}
-	if a, _ := StreamingSurfaceMemory(ToricCode(4), 16, 0.02, 0.02, 0, 0, 1000, 13); a != r {
+	if a, _ := stream(16, 0, 0, 1000, 13); a != r {
 		t.Fatalf("streaming memory not deterministic: %+v vs %+v", a, r)
 	}
-	w, err := StreamingSurfaceMemory(ToricCode(4), 10, 0.02, 0.02, 5, 2, 500, 14)
+	w, err := stream(10, 5, 2, 500, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Window != 5 || w.Commit != 2 || w.Samples != 500 {
 		t.Fatalf("window knobs ignored: %+v", w)
 	}
-	if _, err := StreamingSurfaceMemory(ToricCode(4), 10, 0.02, 0.02, 5, 5, 500, 14); err == nil {
+	if _, err := stream(10, 5, 5, 500, 14); err == nil {
 		t.Fatal("commit == window accepted")
 	}
 	if _, err := NewStreamSession(nil, 8, 4, 0.02, 0.02); err == nil {
 		t.Fatal("stream session without a code accepted")
-	}
-	er := ErasedSpacetimeMemory(4, 3, 0.01, 0.01, 0.08, 0.08, 500, 15)
-	if er.Pe != 0.08 || er.Qe != 0.08 || er.Samples != 500 {
-		t.Fatalf("erased spacetime memory wrong: %+v", er)
 	}
 }
 

@@ -60,7 +60,7 @@ type goldenCase struct {
 
 func circuitWindow(t *testing.T, code surface.Code, w, c, wh, wv, wd int) *stream.Window {
 	t.Helper()
-	win, err := stream.NewCodeCircuitWindow(code, w, c, wh, wv, wd)
+	win, err := stream.NewWindow(code, w, c, wh, wv, wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestGoldenKernel(t *testing.T) {
 	heavy := circuitWindow(t, toric.Cached(6), 12, 6, 3, 4, 5)
 	toric16 := circuitWindow(t, toric.Cached(16), 32, 16, 2, 2, 3)
 	rot5tall := circuitWindow(t, surface.Rotated(5), 40, 5, 2, 2, 3)
-	unit, err := stream.NewCodeWindow(toric.Cached(8), 16, 8, 1, 1)
+	unit, err := stream.NewWindow(toric.Cached(8), 16, 8, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit16, err := stream.NewCodeWindow(toric.Cached(16), 32, 16, 1, 1)
+	unit16, err := stream.NewWindow(toric.Cached(16), 32, 16, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

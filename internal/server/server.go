@@ -71,7 +71,8 @@ type SessionConfig struct {
 
 // PhenomenologicalCode returns the standard session config for a code
 // under phenomenological noise (data rate p, measurement rate q):
-// default window, weights from spacetime.Weights.
+// default window, weights from spacetime.Weights. The benchmark binds
+// this name; ROADMAP item 1b retires it.
 func PhenomenologicalCode(code surface.Code, lanes int, p, q float64) SessionConfig {
 	w, c := stream.DefaultWindow(code.Distance())
 	wh, wv := spacetime.Weights(p, q, code.Distance(), w)
@@ -80,7 +81,8 @@ func PhenomenologicalCode(code surface.Code, lanes int, p, q float64) SessionCon
 
 // CircuitLevelCode returns the standard session config for a code
 // under the circuit-level model P: default window, weights from
-// spacetime.WeightsCircuit with the window as horizon.
+// spacetime.WeightsCircuit with the window as horizon. The benchmark
+// binds this name; ROADMAP item 1b retires it.
 func CircuitLevelCode(code surface.Code, lanes int, P noise.Params) SessionConfig {
 	w, c := stream.DefaultWindow(code.Distance())
 	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), w)
@@ -133,13 +135,7 @@ func (srv *Server) sharedSession(code surface.Code, w, c, wh, wv, wd int) (*stre
 	if ok {
 		return ss, nil
 	}
-	var win *stream.Window
-	var err error
-	if wd > 0 {
-		win, err = stream.NewCodeCircuitWindow(code, w, c, wh, wv, wd)
-	} else {
-		win, err = stream.NewCodeWindow(code, w, c, wh, wv)
-	}
+	win, err := stream.NewWindow(code, w, c, wh, wv, wd)
 	if err != nil {
 		return nil, err
 	}

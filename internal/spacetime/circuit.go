@@ -7,19 +7,14 @@ package spacetime
 // on the batch frame engine with faults at every location. This file
 // wires that source into the decoding subsystem: the effective
 // per-edge-class fault probabilities of the circuit model
-// (CircuitProbs), their integer LLR weights (WeightsCircuit), the
-// diagonal-edge decoding volume's exact metric (circuitMetric), and the
-// Monte Carlo entry points (CodeCircuitMemory,
-// CircuitSustainedThreshold).
+// (CircuitProbs), their integer LLR weights (WeightsCircuit) and the
+// diagonal-edge decoding volume's exact metric (circuitMetric). Memory
+// runs the Monte Carlo under a Circuit model.
 
 import (
 	"math"
 
-	"ftqc/internal/bits"
-	"ftqc/internal/frame"
 	"ftqc/internal/noise"
-	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 // CircuitProbs estimates the per-round effective probabilities of the
@@ -186,44 +181,3 @@ func circuitMetric(l, rounds, wh, wv, wd int, diag [][2]int32) []int64 {
 }
 
 func mod(a, l int) int { return ((a % l) + l) % l }
-
-// CodeCircuitMemory runs the circuit-level noisy-extraction memory
-// Monte Carlo for any surface.Code: `rounds` full extraction circuits
-// of the code's own schedule per shot with faults at every location of
-// the model P, decoded over the diagonal-edge volume with
-// WeightsCircuit LLR weights (boundary-truncated diagonals grounded for
-// open codes), fanned out over the CPUs in deterministic seed-per-chunk
-// batches. Result.P and Result.Q report the representative Gate2 and
-// Meas rates of the model.
-func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
-	if err := validateMemory(code, rounds, samples, kind); err != nil {
-		return Result{}, err
-	}
-	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
-	v := NewCodeCircuitVolume(code, rounds, wh, wv, wd)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(surface.NewCircuitSource(code, P, lanes, smp), kind)
-	})
-	return Result{L: code.Distance(), T: rounds, P: P.Gate2, Q: P.Meas, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CircuitSustainedThreshold sweeps the uniform per-location error rate ε
-// (noise.Uniform: every preparation, CNOT, measurement and idle step
-// faults with probability ε) with T = L extraction rounds for two toric
-// code distances and estimates where the failure curves cross — the
-// circuit-level sustained threshold. Because each data qubit sees ~4
-// two-qubit gates plus an idle step per round and each measurement ~6
-// fault paths, the crossing sits well below the phenomenological p = q
-// value (sub-percent ε against ≈ 0.027). Returns NaN when the grid
-// shows no crossing, plus the measured points either way.
-func CircuitSustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKind, samples int, seed uint64) (float64, []ThresholdPoint) {
-	cross, pts, err := crossingSweep(l1, l2, grid, seed, func(l int, eps float64, seed uint64) (Result, error) {
-		return CodeCircuitMemory(toric.Cached(l), l, noise.Uniform(eps), kind, samples, seed)
-	})
-	if err != nil {
-		// The sweep derives its own shapes; only an empty sample is invalid.
-		panic(err)
-	}
-	return cross, pts
-}

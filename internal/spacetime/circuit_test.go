@@ -20,7 +20,7 @@ import (
 func TestCircuitVolumeShape(t *testing.T) {
 	const l, rounds = 4, 3
 	const wh, wv, wd = 2, 1, 3
-	v := NewCodeCircuitVolume(toric.Cached(l), rounds, wh, wv, wd)
+	v := NewVolume(toric.Cached(l), rounds, wh, wv, wd)
 	nc, nq := l*l, 2*l*l
 	if got, want := v.Graph().Edges(), rounds*(2*nq+nc); got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
@@ -103,8 +103,8 @@ func TestCircuitMetricMatchesGraph(t *testing.T) {
 	const l, rounds = 3, 2
 	const tall, mid = 6, 3
 	wh, wv, wd := WeightsCircuit(noise.Uniform(2e-3), l, rounds)
-	v := NewCodeCircuitVolume(toric.Cached(l), rounds, wh, wv, wd)
-	ref := NewCodeCircuitVolume(toric.Cached(l), tall, wh, wv, wd)
+	v := NewVolume(toric.Cached(l), rounds, wh, wv, wd)
+	ref := NewVolume(toric.Cached(l), tall, wh, wv, wd)
 	nc := l * l
 	span := 2*rounds + 1
 	distX, distZ := v.metric()
@@ -296,7 +296,11 @@ func TestCircuitSustainedThresholdCrossing(t *testing.T) {
 		t.Skip("Monte Carlo sweep")
 	}
 	grid := []float64{0.002, 0.004, 0.006, 0.008, 0.011, 0.014}
-	cross, pts := CircuitSustainedThreshold(3, 5, grid, toric.DecoderUnionFind, 2000, 41)
+	uniform := func(eps float64) Model { return Circuit(noise.Uniform(eps)) }
+	cross, pts, err := SustainedThreshold(3, 5, grid, uniform, toric.DecoderUnionFind, DecodeOptions{}, 2000, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsNaN(cross) {
 		for _, pt := range pts {
 			t.Logf("eps=%.3f: L=3 %.4f  L=5 %.4f", pt.P, pt.Small.FailRate(), pt.Large.FailRate())

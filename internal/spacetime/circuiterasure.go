@@ -33,10 +33,6 @@ import (
 	mbits "math/bits"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/frame"
-	"ftqc/internal/noise"
-	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 // DecodeOptions selects the side-information passes of an erased-feed
@@ -109,42 +105,4 @@ func (v *Volume) SetErasedMask(mask, era, lost bits.Vec) {
 			mask.Set(v.horiz+i*64+mbits.TrailingZeros64(b), true)
 		}
 	}
-}
-
-// CodeCircuitMemoryOpts runs the circuit-level noisy-extraction memory
-// Monte Carlo with leakage and the selected decode options for any
-// surface.Code — including schedule overrides (surface.WithSchedule),
-// which is how the CNOT-schedule ablation sweeps run both schedules
-// through one pipeline: `rounds` full extraction circuits per shot
-// under P (including its Leak and Bias channels), decoded by weighted
-// union-find over the diagonal-edge volume. Result.Pe reports the leak
-// rate. Unsupported parameters are constructor errors — leakage is
-// never silently ignored.
-func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, samples int, seed uint64, opts DecodeOptions) (Result, error) {
-	if err := P.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := validateMemory(code, rounds, samples, toric.DecoderUnionFind); err != nil {
-		return Result{}, err
-	}
-	wh, wv, wd := WeightsCircuit(P, code.Distance(), rounds)
-	v := NewCodeCircuitVolume(code, rounds, wh, wv, wd)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), opts)
-	})
-	return Result{L: code.Distance(), T: rounds, P: P.Gate2, Q: P.Meas, Pe: P.Leak, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CircuitSustainedThresholdOpts sweeps a circuit-level noise family
-// over the grid with T = L rounds for two toric code distances under the
-// given decode options and estimates the failure-curve crossing. The
-// model function maps a grid value ε to its noise.Params (e.g.
-// noise.Uniform, or a biased or leaky variant); decoding weights are
-// derived from the model's Pauli rates only — leakage enters as
-// erasure, bias as a prior-mismatch ablation.
-func CircuitSustainedThresholdOpts(l1, l2 int, grid []float64, model func(eps float64) noise.Params, samples int, seed uint64, opts DecodeOptions) (float64, []ThresholdPoint, error) {
-	return crossingSweep(l1, l2, grid, seed, func(l int, eps float64, seed uint64) (Result, error) {
-		return CodeCircuitMemoryOpts(toric.Cached(l), l, model(eps), samples, seed, opts)
-	})
 }

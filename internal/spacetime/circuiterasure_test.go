@@ -57,8 +57,8 @@ func TestValidateRejectsMalformedModels(t *testing.T) {
 	}
 	neg := noise.Uniform(0.01)
 	neg.Bias = -1
-	if _, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, neg, 64, 1, DecodeOptions{}); err == nil {
-		t.Fatal("CodeCircuitMemoryOpts accepted Bias=-1")
+	if _, err := toricCircuitMemoryOpts(4, 4, neg, 64, 1, DecodeOptions{}); err == nil {
+		t.Fatal("CircuitMemoryOpts accepted Bias=-1")
 	}
 	if _, err := toricCircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted rounds=0")
@@ -171,7 +171,7 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
 	wh, wv, wd := WeightsCircuit(P, 4, 4)
-	v := NewCodeCircuitVolume(toric.Cached(4), 4, wh, wv, wd)
+	v := NewVolume(toric.Cached(4), 4, wh, wv, wd)
 	lanes := 192
 	fx1, fz1 := v.BatchErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
 	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
@@ -190,11 +190,11 @@ func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 // unschedulable — bent vs parallel is the whole accessible range.)
 func TestScheduleAblationDirection(t *testing.T) {
 	P := noise.Uniform(0.006)
-	def, err := CodeCircuitMemoryOpts(toric.Cached(6), 8, P, 8192, 808, DecodeOptions{})
+	def, err := Memory(toric.Cached(6), 8, Circuit(P), toric.DecoderUnionFind, DecodeOptions{}, 8192, 808)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CodeCircuitMemoryOpts(toric.HookParallel(6), 8, P, 8192, 808, DecodeOptions{})
+	par, err := Memory(toric.HookParallel(6), 8, Circuit(P), toric.DecoderUnionFind, DecodeOptions{}, 8192, 808)
 	if err != nil {
 		t.Fatal(err)
 	}

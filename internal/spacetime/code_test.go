@@ -14,22 +14,41 @@ import (
 
 func TestCodeMemoryEntryPoints(t *testing.T) {
 	for _, code := range []surface.Code{surface.Planar(3), surface.Rotated(3)} {
-		r, err := CodeMemory(code, 4, 0, 0, toric.DecoderUnionFind, 256, 3)
+		r, err := Memory(code, 4, Phenomenological(0, 0, 0, 0), toric.DecoderUnionFind, DecodeOptions{}, 256, 3)
 		if err != nil || r.Failures != 0 {
 			t.Errorf("%s: %d failures at p=0 (err %v)", code.CodeName(), r.Failures, err)
 		}
-		rc, err := CodeCircuitMemory(code, 4, noise.Params{}, toric.DecoderUnionFind, 256, 3)
+		rc, err := Memory(code, 4, Circuit(noise.Params{}), toric.DecoderUnionFind, DecodeOptions{}, 256, 3)
 		if err != nil || rc.Failures != 0 {
 			t.Errorf("%s circuit: %d failures at P=0 (err %v)", code.CodeName(), rc.Failures, err)
 		}
 	}
-	a, _ := CodeCircuitMemory(surface.Rotated(3), 3, noise.Uniform(0.006), toric.DecoderUnionFind, 2048, 9)
-	b, _ := CodeCircuitMemory(surface.Rotated(3), 3, noise.Uniform(0.006), toric.DecoderUnionFind, 2048, 9)
+	rotated := func() Result {
+		return mustMemory(Memory(surface.Rotated(3), 3, Circuit(noise.Uniform(0.006)), toric.DecoderUnionFind, DecodeOptions{}, 2048, 9))
+	}
+	a, b := rotated(), rotated()
 	if a != b {
 		t.Errorf("rotated circuit memory not deterministic: %+v vs %+v", a, b)
 	}
 	if a.Failures == 0 {
 		t.Errorf("rotated d=3 at eps=0.006: no failures in %d samples — detector wiring suspect", a.Samples)
+	}
+}
+
+// TestLeakyCircuitModelReturnsCounts: a circuit model with a Leak
+// channel and no decode options is an erasure model, so Memory drains
+// it through the erased round (blind) and returns counts — never the
+// plain source's leak panic inside a chunk worker, where no caller can
+// recover it.
+func TestLeakyCircuitModelReturnsCounts(t *testing.T) {
+	P := noise.Uniform(0.004)
+	P.Leak = 0.01
+	r, err := Memory(toric.Cached(4), 4, Circuit(P), toric.DecoderUnionFind, DecodeOptions{}, 256, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Samples != 256 || r.Pe != P.Leak || r.Failures == 0 {
+		t.Fatalf("leaky circuit memory: %+v", r)
 	}
 }
 
@@ -56,7 +75,7 @@ func TestVolumeFeedGuards(t *testing.T) {
 	})
 	expectPanic("schedule mismatch", func() {
 		src := surface.NewCircuitSource(toric.HookParallel(3), noise.Uniform(0.01), 8, frame.NewAggregateSampler(1, 0))
-		NewCodeCircuitVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
+		NewVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
 	})
 	expectPanic("distance mismatch", func() {
 		src := surface.NewLayerSource(surface.Planar(4), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
@@ -68,12 +87,22 @@ func TestVolumeFeedGuards(t *testing.T) {
 }
 
 // TestMemoryEntryPointErrors pins the constructor-error gate: a nil
-// code, an empty horizon, an empty sample, or a decoder the code cannot
-// run is an error from every volume experiment, never a panic or a NaN
-// rate.
+// code, an empty horizon, an empty sample, or a decoder the code or the
+// drain cannot run is an error under every model, never a panic or a
+// NaN rate.
 func TestMemoryEntryPointErrors(t *testing.T) {
 	const uf, exact = toric.DecoderUnionFind, toric.DecoderExact
 	P := noise.Uniform(0.004)
+	models := []struct {
+		name string
+		m    Model
+		opts DecodeOptions
+	}{
+		{"phenomenological", Phenomenological(0.01, 0.01, 0, 0), DecodeOptions{}},
+		{"circuit", Circuit(P), DecodeOptions{}},
+		{"circuit with options", Circuit(P), DecodeOptions{Correlated: true}},
+		{"phenomenological erasure", Phenomenological(0.01, 0.01, 0.05, 0.05), DecodeOptions{ErasureAware: true}},
+	}
 	for _, tc := range []struct {
 		name            string
 		code            surface.Code
@@ -87,16 +116,22 @@ func TestMemoryEntryPointErrors(t *testing.T) {
 		{"exact on an open code", surface.Planar(3), 3, 64, exact},
 		{"exact on a schedule override", toric.HookParallel(3), 3, 64, exact},
 	} {
-		if _, err := CodeMemory(tc.code, tc.rounds, 0.01, 0.01, tc.kind, tc.samples, 1); err == nil {
-			t.Errorf("%s: CodeMemory returned no error", tc.name)
-		}
-		if _, err := CodeCircuitMemory(tc.code, tc.rounds, P, tc.kind, tc.samples, 1); err == nil {
-			t.Errorf("%s: CodeCircuitMemory returned no error", tc.name)
-		}
-		if tc.kind == uf {
-			if _, err := CodeCircuitMemoryOpts(tc.code, tc.rounds, P, tc.samples, 1, DecodeOptions{}); err == nil {
-				t.Errorf("%s: CodeCircuitMemoryOpts returned no error", tc.name)
+		for _, md := range models {
+			if _, err := Memory(tc.code, tc.rounds, md.m, tc.kind, md.opts, tc.samples, 1); err == nil {
+				t.Errorf("%s: %s Memory returned no error", tc.name, md.name)
 			}
+		}
+	}
+	// The erased drain decodes with union-find only: exact matching on it
+	// is an error even on the torus, where the plain drain accepts it.
+	for _, md := range models[2:] {
+		if _, err := Memory(toric.Cached(3), 3, md.m, exact, md.opts, 64, 1); err == nil {
+			t.Errorf("exact on the erased drain: %s Memory returned no error", md.name)
+		}
+	}
+	for _, md := range models[:2] {
+		if _, err := Memory(toric.Cached(3), 3, md.m, exact, md.opts, 64, 1); err != nil {
+			t.Errorf("exact on the plain drain: %s Memory: %v", md.name, err)
 		}
 	}
 }

@@ -37,9 +37,9 @@
 //
 // One function builds every such graph in the tree: Volume.buildGraph
 // extrudes a code's 2D sector graph into T layers of edges, over either
-// a real top layer (a closed volume: NewCodeVolume, NewCodeCircuitVolume)
-// or the virtual future boundary (a window volume, NewCodeWindowVolume,
-// which the sliding window of internal/stream decodes every slide on).
+// a real top layer (a closed volume, NewVolume) or the virtual future
+// boundary (a window volume, NewWindowVolume, which the sliding
+// window of internal/stream decodes every slide on).
 // The edge-id layout lives here and nowhere else: buildGraph assigns the
 // ids, CommitEdges folds a correction back into a Pauli frame cut at a
 // layer (past the top layer: the plain projection), SetErasedMask and
@@ -69,12 +69,15 @@
 // worker pool over word-aligned lane spans, bit-identical for any
 // GOMAXPROCS, exactly like the 2D pipeline.
 //
-// Erasure channels thread into the volume (see erasure.go): leaked
-// data qubits depolarize at known horizontal edges, lost measurement
-// rounds randomize their readout and erase the corresponding time-like
-// edge, and both feed the union-find peeling pass as located faults
-// (ErasedMemory against its erasure-blind control arm, the same histories
-// decoded without the locations, measures what they are worth).
+// One Model value names the noise of an experiment — phenomenological
+// or circuit-level, erasure channels included — and one entry point,
+// Memory, runs it. Erasure channels thread into the volume (see Model):
+// leaked data qubits depolarize at known horizontal edges, lost
+// measurement rounds randomize their readout and erase the
+// corresponding time-like edge, and both feed the union-find peeling
+// pass as located faults (DecodeOptions.ErasureAware against its
+// erasure-blind control arm, the same histories decoded without the
+// locations, measures what they are worth).
 //
 // The sustained-memory threshold (failure curves of growing L with
 // T ∝ L crossing at p = q ≈ 3%) is the package's headline experiment:

@@ -111,7 +111,7 @@ func TestErasedDecodeClearsProjectedSyndrome(t *testing.T) {
 // the peeling pass corrects known-bad locations outright.
 func TestPureErasureDecodesNearPerfectly(t *testing.T) {
 	const samples = 3000
-	r := ErasedMemory(6, 6, 0, 0, 0.10, 0.10, samples, 611)
+	r := toricErasedMemory(6, 6, 0, 0, 0.10, 0.10, samples, 611, true)
 	if rate := r.FailRate(); rate > 0.02 {
 		t.Fatalf("pure erasure at pe=qe=0.10 failed %.4f of shots", rate)
 	}
@@ -122,8 +122,8 @@ func TestPureErasureDecodesNearPerfectly(t *testing.T) {
 // failure rate well beyond statistical error.
 func TestErasureAwareBeatsBlind(t *testing.T) {
 	const samples = 4000
-	aware := ErasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613)
-	blind := erasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613, false)
+	aware := toricErasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613, true)
+	blind := toricErasedMemory(6, 6, 0.01, 0.01, 0.12, 0.12, samples, 613, false)
 	fa, fb := aware.FailRate(), blind.FailRate()
 	sigma := math.Sqrt(fa*(1-fa)/samples + fb*(1-fb)/samples)
 	if fa >= fb-2*sigma {
@@ -134,7 +134,7 @@ func TestErasureAwareBeatsBlind(t *testing.T) {
 // TestErasedMemoryDeterministic: the erased experiment is a pure
 // function of (samples, seed).
 func TestErasedMemoryDeterministic(t *testing.T) {
-	run := func() Result { return ErasedMemory(4, 3, 0.02, 0.02, 0.08, 0.08, 900, 617) }
+	run := func() Result { return toricErasedMemory(4, 3, 0.02, 0.02, 0.08, 0.08, 900, 617, true) }
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
 	}
@@ -142,10 +142,11 @@ func TestErasedMemoryDeterministic(t *testing.T) {
 
 // TestErasedReducesToPlain: pe = qe = 0 erased decoding must behave like
 // the plain experiment statistically (the draw streams differ, so the
-// comparison is within Monte Carlo error).
+// comparison is within Monte Carlo error). ErasureAware keeps the
+// erasure-free model on the erased drain.
 func TestErasedReducesToPlain(t *testing.T) {
 	const samples = 4000
-	er := ErasedMemory(4, 4, 0.03, 0.03, 0, 0, samples, 619)
+	er := toricErasedMemory(4, 4, 0.03, 0.03, 0, 0, samples, 619, true)
 	pl := toricMemory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, samples, 620)
 	fe, fp := er.FailRate(), pl.FailRate()
 	sigma := math.Sqrt(fe*(1-fe)/samples + fp*(1-fp)/samples)

@@ -29,52 +29,52 @@ func TestGoldenVolumeCounts(t *testing.T) {
 		fx, fz, fail int
 	}{
 		{"CodeMemory/toric4/uf", func() (Result, error) {
-			return CodeMemory(toric.Cached(4), 4, 0.03, 0.03, toric.DecoderUnionFind, samples, 901)
+			return Memory(toric.Cached(4), 4, Phenomenological(0.03, 0.03, 0, 0), toric.DecoderUnionFind, DecodeOptions{}, samples, 901)
 		}, 156, 165, 297},
 		{"CodeMemory/toric4/exact", func() (Result, error) {
-			return CodeMemory(toric.Cached(4), 4, 0.03, 0.03, toric.DecoderExact, samples, 902)
+			return Memory(toric.Cached(4), 4, Phenomenological(0.03, 0.03, 0, 0), toric.DecoderExact, DecodeOptions{}, samples, 902)
 		}, 132, 136, 253},
 		{"CodeMemory/rotated5/uf", func() (Result, error) {
-			return CodeMemory(surface.Rotated(5), 5, 0.02, 0.02, toric.DecoderUnionFind, samples, 903)
+			return Memory(surface.Rotated(5), 5, Phenomenological(0.02, 0.02, 0, 0), toric.DecoderUnionFind, DecodeOptions{}, samples, 903)
 		}, 38, 31, 68},
 		{"CodeCircuitMemory/toric4/uf", func() (Result, error) {
-			return CodeCircuitMemory(toric.Cached(4), 4, circuit, toric.DecoderUnionFind, samples, 904)
+			return Memory(toric.Cached(4), 4, Circuit(circuit), toric.DecoderUnionFind, DecodeOptions{}, samples, 904)
 		}, 20, 22, 41},
 		{"CodeCircuitMemory/toric4/exact", func() (Result, error) {
-			return CodeCircuitMemory(toric.Cached(4), 4, circuit, toric.DecoderExact, samples, 905)
+			return Memory(toric.Cached(4), 4, Circuit(circuit), toric.DecoderExact, DecodeOptions{}, samples, 905)
 		}, 18, 23, 40},
 		{"CodeCircuitMemory/planar5/uf", func() (Result, error) {
-			return CodeCircuitMemory(surface.Planar(5), 5, circuit, toric.DecoderUnionFind, samples, 906)
+			return Memory(surface.Planar(5), 5, Circuit(circuit), toric.DecoderUnionFind, DecodeOptions{}, samples, 906)
 		}, 8, 4, 12},
 		{"CodeCircuitMemoryOpts/toric4/blind", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 4, leaky, samples, 907, opts(false, false))
+			return Memory(toric.Cached(4), 4, Circuit(leaky), toric.DecoderUnionFind, opts(false, false), samples, 907)
 		}, 159, 163, 287},
 		{"CodeCircuitMemoryOpts/toric4/aware", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 4, leaky, samples, 907, opts(true, false))
+			return Memory(toric.Cached(4), 4, Circuit(leaky), toric.DecoderUnionFind, opts(true, false), samples, 907)
 		}, 80, 84, 147},
 		{"CodeCircuitMemoryOpts/toric4/correlated", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 4, leaky, samples, 907, opts(false, true))
+			return Memory(toric.Cached(4), 4, Circuit(leaky), toric.DecoderUnionFind, opts(false, true), samples, 907)
 		}, 159, 129, 248},
 		{"CodeCircuitMemoryOpts/toric4/aware+correlated", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 4, leaky, samples, 907, opts(true, true))
+			return Memory(toric.Cached(4), 4, Circuit(leaky), toric.DecoderUnionFind, opts(true, true), samples, 907)
 		}, 80, 67, 131},
 		{"CodeCircuitMemoryOpts/rotated5/blind", func() (Result, error) {
-			return CodeCircuitMemoryOpts(surface.Rotated(5), 5, leaky, samples, 908, opts(false, false))
+			return Memory(surface.Rotated(5), 5, Circuit(leaky), toric.DecoderUnionFind, opts(false, false), samples, 908)
 		}, 66, 83, 137},
 		{"CodeCircuitMemoryOpts/rotated5/aware", func() (Result, error) {
-			return CodeCircuitMemoryOpts(surface.Rotated(5), 5, leaky, samples, 908, opts(true, false))
+			return Memory(surface.Rotated(5), 5, Circuit(leaky), toric.DecoderUnionFind, opts(true, false), samples, 908)
 		}, 35, 43, 77},
 		{"CodeCircuitMemoryOpts/rotated5/correlated", func() (Result, error) {
-			return CodeCircuitMemoryOpts(surface.Rotated(5), 5, leaky, samples, 908, opts(false, true))
+			return Memory(surface.Rotated(5), 5, Circuit(leaky), toric.DecoderUnionFind, opts(false, true), samples, 908)
 		}, 66, 70, 125},
 		{"CodeCircuitMemoryOpts/rotated5/aware+correlated", func() (Result, error) {
-			return CodeCircuitMemoryOpts(surface.Rotated(5), 5, leaky, samples, 908, opts(true, true))
+			return Memory(surface.Rotated(5), 5, Circuit(leaky), toric.DecoderUnionFind, opts(true, true), samples, 908)
 		}, 35, 37, 70},
 		{"erasedMemory/toric4/aware", func() (Result, error) {
-			return erasedMemory(4, 4, 0.02, 0.02, 0.1, 0.1, samples, 909, true), nil
+			return Memory(toric.Cached(4), 4, Phenomenological(0.02, 0.02, 0.1, 0.1), toric.DecoderUnionFind, opts(true, false), samples, 909)
 		}, 203, 199, 360},
 		{"erasedMemory/toric4/blind", func() (Result, error) {
-			return erasedMemory(4, 4, 0.02, 0.02, 0.1, 0.1, samples, 909, false), nil
+			return Memory(toric.Cached(4), 4, Phenomenological(0.02, 0.02, 0.1, 0.1), toric.DecoderUnionFind, opts(false, false), samples, 909)
 		}, 609, 606, 851},
 	} {
 		r, err := tc.run()

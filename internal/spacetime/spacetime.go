@@ -16,13 +16,13 @@ import (
 // T noisy syndrome-extraction rounds plus one perfect closing round:
 // (T+1)·Checks() detectors per sector, horizontal (space-like) edges of
 // weight WH for data errors and vertical (time-like) edges of weight WV
-// for measurement errors. Circuit-level volumes (NewCodeCircuitVolume) add
-// a third class: diagonal edges of weight WD joining a data qubit's
+// for measurement errors. Circuit-level volumes (WD ≥ 1) add a third
+// class: diagonal edges of weight WD joining a data qubit's
 // late reader at layer t to its early reader at layer t+1 — the
 // correlated defect pair a mid-round CNOT fault produces. Open codes
 // append one virtual boundary node that grounds both the boundary
 // qubits of every layer and the boundary-truncated diagonals. A window
-// volume (NewCodeWindowVolume) is the same stack with no closing round:
+// volume (NewWindowVolume) is the same stack with no closing round:
 // its top layer is the virtual future boundary, folded onto that one
 // node. It is immutable after construction and shared across workers;
 // per-worker decoder state lives in the scratch pool.
@@ -67,27 +67,19 @@ type volScratch struct {
 	edges    []int32  // raw correction edges of the lane in flight
 }
 
-// NewCodeVolume builds the space-time volume of a surface.Code for
-// rounds ≥ 1 noisy extraction rounds and the given integer edge weights
-// (see Weights). Both sector graphs are built; node (c, t) has index
+// NewVolume builds the space-time volume of a surface.Code for rounds ≥
+// 1 noisy extraction rounds and the given integer edge weights (see
+// Model.Weights). wd = 0 builds the phenomenological volume; wd ≥ 1 adds
+// the circuit-level diagonal edge class, oriented by the per-qubit
+// {late, early} reader pairs of the code's own extraction schedule —
+// boundary-truncated diagonals of open codes ground on the virtual
+// boundary node. Both sector graphs are built; node (c, t) has index
 // t·Checks()+c.
-func NewCodeVolume(code surface.Code, rounds, wh, wv int) *Volume {
-	return newVolume(code, rounds, wh, wv, 0, false)
-}
-
-// NewCodeCircuitVolume builds the circuit-level volume: NewCodeVolume
-// plus the diagonal edge class of weight wd ≥ 1, oriented by the per-
-// qubit {late, early} reader pairs of the code's own extraction
-// schedule — boundary-truncated diagonals of open codes ground on the
-// virtual boundary node.
-func NewCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
-	if wd < 1 {
-		panic("spacetime: circuit volume needs a positive diagonal weight")
-	}
+func NewVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 	return newVolume(code, rounds, wh, wv, wd, false)
 }
 
-// NewCodeWindowVolume builds the open-window form of the volume over
+// NewWindowVolume builds the open-window form of the volume over
 // `layers` buffered rounds (wd = 0: no diagonals): no closing round
 // exists yet, so the layer above the newest one is the virtual future
 // boundary — every vertical and diagonal edge leaving layer layers−1
@@ -95,7 +87,7 @@ func NewCodeCircuitVolume(code surface.Code, rounds, wh, wv, wd int) *Volume {
 // the window, and closed codes get that node too. It is a decode
 // structure (graphs and edge-id layout) for the sliding window of
 // internal/stream; it has no closing layer to drain a feed into.
-func NewCodeWindowVolume(code surface.Code, layers, wh, wv, wd int) *Volume {
+func NewWindowVolume(code surface.Code, layers, wh, wv, wd int) *Volume {
 	return newVolume(code, layers, wh, wv, wd, true)
 }
 
@@ -665,68 +657,10 @@ func validateMemory(code surface.Code, rounds, samples int, kind toric.DecoderKi
 	return nil
 }
 
-// CodeMemory runs the repeated-round noisy-syndrome memory experiment
-// for any surface.Code: `rounds` noisy extraction rounds at data rate p
-// and measurement rate q, decoded over the code's weighted space-time
-// volume, fanned out over the CPUs in deterministic seed-per-chunk
-// batches. With q = 0 and rounds = 1 it reduces (statistically) to the
-// 2D memory experiment.
-func CodeMemory(code surface.Code, rounds int, p, q float64, kind toric.DecoderKind, samples int, seed uint64) (Result, error) {
-	if err := validateMemory(code, rounds, samples, kind); err != nil {
-		return Result{}, err
-	}
-	wh, wv := Weights(p, q, code.Distance(), rounds)
-	v := NewCodeVolume(code, rounds, wh, wv)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(surface.NewLayerSource(code, p, q, lanes, smp), kind)
-	})
-	return Result{L: code.Distance(), T: rounds, P: p, Q: q, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// ThresholdPoint is one p = q grid point of a sustained-threshold sweep.
+// ThresholdPoint is one grid point of a sustained-threshold sweep.
 type ThresholdPoint struct {
 	P            float64
 	Small, Large Result
-}
-
-// SustainedThreshold sweeps p = q over the grid with T = L rounds for
-// two toric code distances and estimates where the failure curves cross
-// — the sustained threshold of the noisy-extraction memory (below it,
-// the larger distance is better; above, worse). Returns NaN when the
-// grid shows no crossing, plus the measured points either way.
-func SustainedThreshold(l1, l2 int, grid []float64, kind toric.DecoderKind, samples int, seed uint64) (float64, []ThresholdPoint) {
-	cross, pts, err := crossingSweep(l1, l2, grid, seed, func(l int, p float64, seed uint64) (Result, error) {
-		return CodeMemory(toric.Cached(l), l, p, p, kind, samples, seed)
-	})
-	if err != nil {
-		// The sweep derives its own shapes; only an empty sample is invalid.
-		panic(err)
-	}
-	return cross, pts
-}
-
-// crossingSweep measures two toric distances at every grid value
-// (T = L rounds, seeds seed+2i and seed+2i+1) and estimates where the
-// failure curves cross.
-func crossingSweep(l1, l2 int, grid []float64, seed uint64, run func(l int, x float64, seed uint64) (Result, error)) (float64, []ThresholdPoint, error) {
-	pts := make([]ThresholdPoint, len(grid))
-	small := make([]float64, len(grid))
-	large := make([]float64, len(grid))
-	for i, x := range grid {
-		rs, err := run(l1, x, seed+uint64(2*i))
-		if err != nil {
-			return 0, nil, err
-		}
-		rl, err := run(l2, x, seed+uint64(2*i+1))
-		if err != nil {
-			return 0, nil, err
-		}
-		pts[i] = ThresholdPoint{P: x, Small: rs, Large: rl}
-		small[i] = rs.FailRate()
-		large[i] = rl.FailRate()
-	}
-	return CrossingEstimate(grid, small, large), pts, nil
 }
 
 // CrossingEstimate linearly interpolates the first sign change of the

@@ -15,7 +15,7 @@ import (
 )
 
 func TestVolumeShape(t *testing.T) {
-	v := NewCodeVolume(toric.Cached(4), 3, 2, 5)
+	v := NewVolume(toric.Cached(4), 3, 2, 5, 0)
 	if v.nodes != 4*16 || v.Graph().Nodes() != v.nodes || v.DualGraph().Nodes() != v.nodes {
 		t.Fatalf("node count %d/%d/%d", v.nodes, v.Graph().Nodes(), v.DualGraph().Nodes())
 	}
@@ -163,7 +163,7 @@ func TestDecodeClearsProjectedSyndrome(t *testing.T) {
 // the same corrections as the plain unweighted decoder on an identical
 // unweighted graph — the satellite equivalence required by the issue.
 func TestUnitWeightVolumeBitIdentical(t *testing.T) {
-	v := NewCodeVolume(toric.Cached(4), 4, 1, 1)
+	v := NewVolume(toric.Cached(4), 4, 1, 1, 0)
 	g := v.Graph()
 	ends := make([][2]int32, g.Edges())
 	for e := range ends {
@@ -293,7 +293,7 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 	leaky := noise.Uniform(0.006)
 	leaky.Leak = 0.01
 	wh, wv, wd := WeightsCircuit(leaky, 4, 4)
-	circ := NewCodeCircuitVolume(toric.Cached(4), 4, wh, wv, wd)
+	circ := NewVolume(toric.Cached(4), 4, wh, wv, wd)
 	phen := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
 	for name, batch := range map[string]func() (bits.Vec, bits.Vec){
 		"uf": func() (bits.Vec, bits.Vec) {
@@ -329,7 +329,11 @@ func TestSustainedThresholdCrossing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo sweep")
 	}
-	cross, pts := SustainedThreshold(3, 5, []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}, toric.DecoderUnionFind, 4000, 515)
+	phenom := func(p float64) Model { return Phenomenological(p, p, 0, 0) }
+	cross, pts, err := SustainedThreshold(3, 5, []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}, phenom, toric.DecoderUnionFind, DecodeOptions{}, 4000, 515)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsNaN(cross) {
 		for _, pt := range pts {
 			t.Logf("p=q=%.3f: L=3 %.4f  L=5 %.4f", pt.P, pt.Small.FailRate(), pt.Large.FailRate())

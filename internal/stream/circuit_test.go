@@ -19,7 +19,7 @@ import (
 func TestCircuitWindowShape(t *testing.T) {
 	const l, wdw, commit = 4, 5, 2
 	const wh, wv, wd = 2, 1, 3
-	w, err := NewCodeCircuitWindow(toric.Cached(l), wdw, commit, wh, wv, wd)
+	w, err := NewWindow(toric.Cached(l), wdw, commit, wh, wv, wd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		P := noise.Uniform(cfg.eps)
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.NewCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
+		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
 			toric.DecoderUnionFind)
@@ -199,7 +199,7 @@ func TestCircuitWindowedMatchesVolumeRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vol, _ := spacetime.CodeCircuitMemory(toric.Cached(cfg.l), cfg.rounds, P, toric.DecoderUnionFind, samples, 960)
+		vol, _ := spacetime.Memory(toric.Cached(cfg.l), cfg.rounds, spacetime.Circuit(P), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 960)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {

@@ -15,6 +15,7 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 func mustCodeSession(t *testing.T, code surface.Code, window, commit, wh, wv int) *Session {
@@ -63,22 +64,22 @@ func codeSyndrome(code surface.Code, dual bool, errv bits.Vec) []int {
 
 func TestCodeWindowValidation(t *testing.T) {
 	planar := surface.Planar(3)
-	if _, err := NewCodeWindow(nil, 4, 2, 1, 1); err == nil {
+	if _, err := NewWindow(nil, 4, 2, 1, 1, 0); err == nil {
 		t.Error("nil code accepted")
 	}
-	if _, err := NewCodeWindow(planar, 1, 1, 1, 1); err == nil {
+	if _, err := NewWindow(planar, 1, 1, 1, 1, 0); err == nil {
 		t.Error("one-layer window accepted")
 	}
-	if _, err := NewCodeWindow(planar, 4, 4, 1, 1); err == nil {
+	if _, err := NewWindow(planar, 4, 4, 1, 1, 0); err == nil {
 		t.Error("commit == window accepted")
 	}
-	if _, err := NewCodeWindow(planar, 4, 2, 0, 1); err == nil {
+	if _, err := NewWindow(planar, 4, 2, 0, 1, 0); err == nil {
 		t.Error("zero horizontal weight accepted")
 	}
-	if _, err := NewCodeCircuitWindow(planar, 4, 2, 1, 1, 0); err == nil {
-		t.Error("circuit window without diagonal weight accepted")
+	if _, err := NewWindow(planar, 4, 2, 1, 1, -1); err == nil {
+		t.Error("negative diagonal weight accepted")
 	}
-	w, err := NewCodeCircuitWindow(planar, 4, 2, 3, 2, 4)
+	w, err := NewWindow(planar, 4, 2, 3, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,34 +152,25 @@ func TestCodeStreamingSoundness(t *testing.T) {
 func TestCodeMemoryEntryPoints(t *testing.T) {
 	// Zero noise: every family streams to zero failures.
 	for _, code := range []surface.Code{surface.Planar(3), surface.Rotated(3)} {
-		r, err := CodeMemory(code, 8, 0, 0, 0, 0, 512, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Failures != 0 {
-			t.Errorf("%s: %d failures at p=0", code.CodeName(), r.Failures)
-		}
-		if r.Code != code.CodeName() {
-			t.Errorf("result code family %q, want %q", r.Code, code.CodeName())
-		}
-		rc, err := CodeCircuitMemory(code, 8, noise.Params{}, 0, 0, 512, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rc.Failures != 0 || rc.Code != code.CodeName() {
-			t.Errorf("%s circuit: %+v", code.CodeName(), rc)
+		for _, m := range []spacetime.Model{spacetime.Phenomenological(0, 0, 0, 0), spacetime.Circuit(noise.Params{})} {
+			r, err := Memory(code, 8, m, 0, 0, spacetime.DecodeOptions{}, 512, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Failures != 0 || r.Code != code.CodeName() {
+				t.Errorf("%s circuit=%v: %+v", code.CodeName(), m.CircuitLevel(), r)
+			}
 		}
 	}
 	// Determinism, and the toric entry points still stamp their family.
-	a, err := CodeCircuitMemory(surface.Planar(3), 10, noise.Uniform(0.004), 0, 0, 2048, 11)
-	if err != nil {
-		t.Fatal(err)
+	planar := func() Result {
+		r, err := Memory(surface.Planar(3), 10, spacetime.Circuit(noise.Uniform(0.004)), 0, 0, spacetime.DecodeOptions{}, 2048, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	b, err := CodeCircuitMemory(surface.Planar(3), 10, noise.Uniform(0.004), 0, 0, 2048, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	if a, b := planar(), planar(); a != b {
 		t.Errorf("planar streaming memory not deterministic: %+v vs %+v", a, b)
 	}
 	tr, err := toricCircuitMemory(3, 10, noise.Uniform(0.004), 0, 0, 256, 11)
@@ -190,23 +182,58 @@ func TestCodeMemoryEntryPoints(t *testing.T) {
 	}
 }
 
+// TestLeakyCircuitModelReturnsCounts: a circuit model with a Leak
+// channel and no decode options is an erasure model, so Memory — and
+// the CodeCircuitMemory shim — stream it through PushErased (blind) and
+// return counts, never the plain source's leak panic inside a chunk
+// worker, where no caller can recover it.
+func TestLeakyCircuitModelReturnsCounts(t *testing.T) {
+	P := noise.Uniform(0.004)
+	P.Leak = 0.01
+	for name, run := range map[string]func() (Result, error){
+		"Memory": func() (Result, error) {
+			return Memory(toric.Cached(4), 12, spacetime.Circuit(P), 0, 0, spacetime.DecodeOptions{}, 256, 11)
+		},
+		"CodeCircuitMemory": func() (Result, error) { return CodeCircuitMemory(toric.Cached(4), 12, P, 0, 0, 256, 11) },
+	} {
+		r, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Samples != 256 || r.Pe != P.Leak || r.Failures == 0 {
+			t.Fatalf("%s: leaky circuit memory %+v", name, r)
+		}
+	}
+}
+
+// memoryRow is one model and option set of the constructor-error tables.
+type memoryRow struct {
+	m    spacetime.Model
+	opts spacetime.DecodeOptions
+}
+
+// memoryRows are the Memory rows of the constructor-error tables: every
+// model and drain, the phenomenological erasure channels included.
+var memoryRows = map[string]memoryRow{
+	"Memory/phenomenological":         {spacetime.Phenomenological(0.01, 0.01, 0, 0), spacetime.DecodeOptions{}},
+	"Memory/circuit":                  {spacetime.Circuit(noise.Uniform(0.004)), spacetime.DecodeOptions{}},
+	"Memory/circuit with options":     {spacetime.Circuit(noise.Uniform(0.004)), spacetime.DecodeOptions{ErasureAware: true, Correlated: true}},
+	"Memory/phenomenological erasure": {spacetime.Phenomenological(0.01, 0.01, 0.05, 0.05), spacetime.DecodeOptions{ErasureAware: true}},
+}
+
 // TestNilCodeIsAnError pins the constructor-error gate of every entry
 // point that takes a code: a nil code is the window's "needs a code"
 // error, never a nil-pointer panic while defaults are derived from it.
 func TestNilCodeIsAnError(t *testing.T) {
-	P := noise.Uniform(0.004)
-	for name, call := range map[string]func() error{
-		"NewCodeWindow":         func() error { _, err := NewCodeWindow(nil, 4, 2, 1, 1); return err },
-		"NewCodeCircuitWindow":  func() error { _, err := NewCodeCircuitWindow(nil, 4, 2, 1, 1, 1); return err },
+	calls := map[string]func() error{
+		"NewWindow":             func() error { _, err := NewWindow(nil, 4, 2, 1, 1, 0); return err },
 		"NewCodeSession":        func() error { _, err := NewCodeSession(nil, 4, 2, 1, 1); return err },
 		"NewCodeCircuitSession": func() error { _, err := NewCodeCircuitSession(nil, 4, 2, 1, 1, 1); return err },
-		"CodeMemory":            func() error { _, err := CodeMemory(nil, 4, 0.01, 0.01, 0, 0, 64, 1); return err },
-		"CodeCircuitMemory":     func() error { _, err := CodeCircuitMemory(nil, 4, P, 0, 0, 64, 1); return err },
-		"CodeCircuitMemoryOpts": func() error {
-			_, err := CodeCircuitMemoryOpts(nil, 4, P, 0, 0, 64, 1, spacetime.DecodeOptions{})
-			return err
-		},
-	} {
+	}
+	for name, md := range memoryRows {
+		calls[name] = func() error { _, err := Memory(nil, 4, md.m, 0, 0, md.opts, 64, 1); return err }
+	}
+	for name, call := range calls {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "needs a code") {
 			t.Errorf("%s(nil code): err = %v, want the window's \"needs a code\" error", name, err)
 		}
@@ -217,19 +244,31 @@ func TestNilCodeIsAnError(t *testing.T) {
 // than one sample returns an error naming the count, never a NaN or a
 // negative-zero rate.
 func TestEmptySampleIsAnError(t *testing.T) {
-	code, P := surface.Planar(3), noise.Uniform(0.004)
+	code := surface.Planar(3)
 	for _, samples := range []int{0, -5} {
-		for name, call := range map[string]func() error{
-			"CodeMemory":        func() error { _, err := CodeMemory(code, 4, 0.01, 0.01, 0, 0, samples, 1); return err },
-			"CodeCircuitMemory": func() error { _, err := CodeCircuitMemory(code, 4, P, 0, 0, samples, 1); return err },
-			"CodeCircuitMemoryOpts": func() error {
-				_, err := CodeCircuitMemoryOpts(code, 4, P, 0, 0, samples, 1, spacetime.DecodeOptions{})
-				return err
-			},
-		} {
-			if err := call(); err == nil || !strings.Contains(err.Error(), "sample") {
+		for name, md := range memoryRows {
+			if _, err := Memory(code, 4, md.m, 0, 0, md.opts, samples, 1); err == nil || !strings.Contains(err.Error(), "sample") {
 				t.Errorf("%s(samples=%d): err = %v, want an error naming the samples", name, samples, err)
 			}
+		}
+	}
+}
+
+// TestPhenomenologicalErasureIsAnError: the phenomenological window has
+// no diagonal class, so its decoders take no side information — an
+// erasure channel or a decode option on a phenomenological model is a
+// constructor error, not a decoder panic mid-stream.
+func TestPhenomenologicalErasureIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		m    spacetime.Model
+		opts spacetime.DecodeOptions
+	}{
+		{spacetime.Phenomenological(0.01, 0.01, 0.05, 0), spacetime.DecodeOptions{}},
+		{spacetime.Phenomenological(0.01, 0.01, 0, 0.05), spacetime.DecodeOptions{ErasureAware: true}},
+		{spacetime.Phenomenological(0.01, 0.01, 0, 0), spacetime.DecodeOptions{Correlated: true}},
+	} {
+		if _, err := Memory(toric.Cached(3), 6, tc.m, 0, 0, tc.opts, 64, 1); err == nil || !strings.Contains(err.Error(), "circuit-level") {
+			t.Errorf("%+v with %+v: err = %v, want the circuit-level model error", tc.m, tc.opts, err)
 		}
 	}
 }

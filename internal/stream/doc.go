@@ -18,7 +18,7 @@
 // measurement error whose partner round has not happened yet, and the
 // boundary absorbs exactly that possibility. The graph is a
 // spacetime.Volume whose top layer is that boundary
-// (spacetime.NewCodeWindowVolume), built by the same function as every
+// (spacetime.NewWindowVolume), built by the same function as every
 // closed volume; node indices and edge ids are the spacetime package's.
 //
 // The correction is then split at the commit boundary C < W:

@@ -13,13 +13,7 @@ package stream
 // pure function of the stream for any worker count, and a window taller
 // than the stream reproduces the whole-volume decode bit for bit.
 
-import (
-	"ftqc/internal/bits"
-	"ftqc/internal/frame"
-	"ftqc/internal/noise"
-	"ftqc/internal/spacetime"
-	"ftqc/internal/surface"
-)
+import "ftqc/internal/bits"
 
 // PushErased is Push for an erasure-harvesting feed: one round's
 // difference layers plus its erasure side information — eraH qubit-major
@@ -63,35 +57,4 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	}
 	d.sx.lostQuiet[slot] = lqX
 	d.sz.lostQuiet[slot] = lqZ
-}
-
-// CodeCircuitMemoryOpts is the streaming circuit-level memory Monte
-// Carlo with leakage and the selected decode options for any
-// surface.Code — including schedule overrides (surface.WithSchedule),
-// which is how the CNOT-schedule ablation streams both schedules
-// through one pipeline: `rounds` full extraction circuits per shot
-// under P (including its Leak and Bias channels) slide through the
-// window, erased lanes decode with their located faults, and correlated
-// runs reprice the dual window each slide. Result.Pe reports the leak
-// rate. A malformed model or horizon is a constructor error — leakage
-// is never silently ignored.
-func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
-	if err := P.Validate(); err != nil {
-		return Result{}, err
-	}
-	window, commit, err := memoryShape(code, rounds, window, commit, samples)
-	if err != nil {
-		return Result{}, err
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), window)
-	s, err := NewCodeCircuitSession(code, window, commit, wh, wv, wd)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchErasedFrom(surface.NewCircuitSourceErased(code, P, lanes, smp), rounds, opts)
-	})
-	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
-		P: P.Gate2, Q: P.Meas, Pe: P.Leak, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
 }

@@ -34,7 +34,7 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P := noise.Uniform(cfg.eps)
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
-		v := spacetime.NewCodeCircuitVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
+		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchErasedFrom(
 			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)

@@ -185,28 +185,28 @@ func TestGoldenStreamCounts(t *testing.T) {
 		fx, fz, fail int
 	}{
 		{"CodeMemory/toric4", func() (Result, error) {
-			return CodeMemory(toric.Cached(4), 12, 0.03, 0.03, 0, 0, samples, 1901)
+			return Memory(toric.Cached(4), 12, spacetime.Phenomenological(0.03, 0.03, 0, 0), 0, 0, spacetime.DecodeOptions{}, samples, 1901)
 		}, 426, 412, 659},
 		{"CodeMemory/rotated5", func() (Result, error) {
-			return CodeMemory(surface.Rotated(5), 15, 0.02, 0.02, 0, 0, samples, 1902)
+			return Memory(surface.Rotated(5), 15, spacetime.Phenomenological(0.02, 0.02, 0, 0), 0, 0, spacetime.DecodeOptions{}, samples, 1902)
 		}, 133, 147, 256},
 		{"CodeCircuitMemory/toric4", func() (Result, error) {
-			return CodeCircuitMemory(toric.Cached(4), 12, circuit, 0, 0, samples, 1903)
+			return Memory(toric.Cached(4), 12, spacetime.Circuit(circuit), 0, 0, spacetime.DecodeOptions{}, samples, 1903)
 		}, 86, 73, 146},
 		{"CodeCircuitMemory/planar5", func() (Result, error) {
-			return CodeCircuitMemory(surface.Planar(5), 15, circuit, 0, 0, samples, 1904)
+			return Memory(surface.Planar(5), 15, spacetime.Circuit(circuit), 0, 0, spacetime.DecodeOptions{}, samples, 1904)
 		}, 23, 21, 44},
 		{"CodeCircuitMemoryOpts/toric4/blind", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(false, false))
+			return Memory(toric.Cached(4), 12, spacetime.Circuit(leaky), 0, 0, opts(false, false), samples, 1905)
 		}, 489, 504, 745},
 		{"CodeCircuitMemoryOpts/toric4/aware", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(true, false))
+			return Memory(toric.Cached(4), 12, spacetime.Circuit(leaky), 0, 0, opts(true, false), samples, 1905)
 		}, 322, 314, 516},
 		{"CodeCircuitMemoryOpts/toric4/correlated", func() (Result, error) {
-			return CodeCircuitMemoryOpts(toric.Cached(4), 12, leaky, 0, 0, samples, 1905, opts(false, true))
+			return Memory(toric.Cached(4), 12, spacetime.Circuit(leaky), 0, 0, opts(false, true), samples, 1905)
 		}, 489, 447, 706},
 		{"CodeCircuitMemoryOpts/rotated5/aware", func() (Result, error) {
-			return CodeCircuitMemoryOpts(surface.Rotated(5), 15, leaky, 0, 0, samples, 1906, opts(true, false))
+			return Memory(surface.Rotated(5), 15, spacetime.Circuit(leaky), 0, 0, opts(true, false), samples, 1906)
 		}, 128, 136, 243},
 	} {
 		r, err := tc.run()

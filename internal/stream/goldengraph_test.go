@@ -54,7 +54,7 @@ func TestGoldenGraphs(t *testing.T) {
 	for _, code := range codes {
 		for _, wd := range []int{0, 5} {
 			for _, sh := range shapes {
-				win, err := newWindow(code, sh[0], sh[1], 2, 3, wd)
+				win, err := NewWindow(code, sh[0], sh[1], 2, 3, wd)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,7 +34,7 @@ func toricCircuitSession(l, window, commit, wh, wv, wd int) (*Session, error) {
 }
 
 func toricSessionOn(pool *decoder.Service, l, window, commit, wh, wv int) (*Session, error) {
-	win, err := NewCodeWindow(toric.Cached(l), window, commit, wh, wv)
+	win, err := NewWindow(toric.Cached(l), window, commit, wh, wv, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func toricSessionOn(pool *decoder.Service, l, window, commit, wh, wv int) (*Sess
 }
 
 func toricCircuitSessionOn(pool *decoder.Service, l, window, commit, wh, wv, wd int) (*Session, error) {
-	win, err := NewCodeCircuitWindow(toric.Cached(l), window, commit, wh, wv, wd)
+	win, err := NewWindow(toric.Cached(l), window, commit, wh, wv, wd)
 	if err != nil {
 		return nil, err
 	}
@@ -50,15 +50,15 @@ func toricCircuitSessionOn(pool *decoder.Service, l, window, commit, wh, wv, wd 
 }
 
 func toricMemory(l, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
-	return CodeMemory(toric.Cached(l), rounds, p, q, window, commit, samples, seed)
+	return Memory(toric.Cached(l), rounds, spacetime.Phenomenological(p, q, 0, 0), window, commit, spacetime.DecodeOptions{}, samples, seed)
 }
 
 func toricCircuitMemory(l, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	return CodeCircuitMemory(toric.Cached(l), rounds, P, window, commit, samples, seed)
+	return Memory(toric.Cached(l), rounds, spacetime.Circuit(P), window, commit, spacetime.DecodeOptions{}, samples, seed)
 }
 
 func toricCircuitMemoryOpts(l, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
-	return CodeCircuitMemoryOpts(toric.Cached(l), rounds, P, window, commit, samples, seed, opts)
+	return Memory(toric.Cached(l), rounds, spacetime.Circuit(P), window, commit, opts, samples, seed)
 }
 
 // batchMemory is the phenomenological BatchMemoryFrom of a toric

@@ -70,7 +70,7 @@ func TestDroppedShapesAreCollected(t *testing.T) {
 			}
 		}
 		flat(t, func(i int) {
-			win, err := NewCodeCircuitWindow(code, 2*l, l, 2+i%5, 1+i/5%5, 1+i/25)
+			win, err := NewWindow(code, 2*l, l, 2+i%5, 1+i/5%5, 1+i/25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestDroppedShapesAreCollected(t *testing.T) {
 			{Gate2: 0.002, Storage: 0.02}, {Gate2: 0.0005, Prep: 0.01, Storage: 0.0005},
 		}
 		flat(t, func(i int) {
-			if _, err := spacetime.CodeCircuitMemory(code, 1+i%40, models[i/40], toric.DecoderUnionFind, lanes, uint64(i)); err != nil {
+			if _, err := spacetime.Memory(code, 1+i%40, spacetime.Circuit(models[i/40]), toric.DecoderUnionFind, spacetime.DecodeOptions{}, lanes, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		})

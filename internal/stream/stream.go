@@ -32,21 +32,19 @@ type Session struct {
 	running, peak int        // drains in flight now and at most: the list's cap
 }
 
-// NewCodeSession builds the phenomenological window of a surface.Code
-// (see NewCodeWindow for the parameters; weights come from
-// spacetime.Weights) and starts a private decode pool.
+// NewCodeSession is NewCodeCircuitSession over a phenomenological
+// window (wd = 0). The benchmark binds this name; ROADMAP item 1b
+// retires it in favour of NewWindow and NewSessionOn.
 func NewCodeSession(code surface.Code, window, commit, wh, wv int) (*Session, error) {
-	win, err := NewCodeWindow(code, window, commit, wh, wv)
-	if err != nil {
-		return nil, err
-	}
-	return NewSessionOn(nil, win), nil
+	return NewCodeCircuitSession(code, window, commit, wh, wv, 0)
 }
 
-// NewCodeCircuitSession is NewCodeSession over a circuit-level
-// (diagonal-edge) window; weights come from spacetime.WeightsCircuit.
+// NewCodeCircuitSession builds the window of a surface.Code (see
+// NewWindow for the parameters) and starts a private decode pool. The
+// benchmark binds this name; ROADMAP item 1b retires it in favour of
+// NewWindow and NewSessionOn.
 func NewCodeCircuitSession(code surface.Code, window, commit, wh, wv, wd int) (*Session, error) {
-	win, err := NewCodeCircuitWindow(code, window, commit, wh, wv, wd)
+	win, err := NewWindow(code, window, commit, wh, wv, wd)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +199,11 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 // spacetime.DecodeOptions enabled. Erasure-aware decoders are fed with
 // PushErased; correlated decoders reprice the dual window from the
 // primal correction every slide (which serializes the two sectors'
-// decodes). Both options need a circuit-level window (diagonal edges).
+// decodes). Both options need a circuit-level window (WD ≥ 1).
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	w := s.win
 	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
-		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (NewCodeCircuitSession)")
+		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (WD ≥ 1)")
 	}
 	nq, nc := w.Code().Qubits(), w.Code().Checks()
 	// Every buffer is sized here, once, for the tallest decode there is —
@@ -737,56 +735,67 @@ func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, i
 	return window, commit, nil
 }
 
-// CodeMemory runs the streaming noisy-syndrome memory experiment over
-// any surface.Code: `rounds` noisy extraction rounds at data rate p and
-// measurement rate q from the code's phenomenological layer source,
-// decoded through a sliding window of `window` layers committing
-// `commit` rounds per slide (pass 0, 0 for the DefaultWindow sizes),
-// fanned out over the CPUs in deterministic seed-per-chunk batches
-// that all share one long-lived decode pool. The result is a pure
-// function of (samples, seed) — never of GOMAXPROCS. Invalid window
-// shapes or horizons return a descriptive error.
-func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
+// Memory runs the streaming noisy-extraction memory experiment of any
+// surface.Code under the model m: `rounds` noisy rounds from the
+// model's source stream through a sliding window of `window` layers
+// committing `commit` rounds per slide (pass 0, 0 for the DefaultWindow
+// sizes), fanned out over the CPUs in deterministic seed-per-chunk
+// batches that all share one long-lived decode pool. A model with an
+// erasure channel, or any non-zero opts, drains through PushErased —
+// erased lanes decode with their located faults, and correlated runs
+// reprice the dual window each slide; every other run drains through
+// Push. The weights take the decode horizon of each model: `rounds` for
+// a phenomenological model, the window for a circuit-level one. The
+// result is a pure function of (samples, seed) — never of GOMAXPROCS. A
+// malformed model, an invalid window shape or horizon, or an erasure
+// channel or decode option on a phenomenological model (whose window
+// has no diagonal class) is a constructor error.
+func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, err
+	}
 	window, commit, err := memoryShape(code, rounds, window, commit, samples)
 	if err != nil {
 		return Result{}, err
 	}
-	wh, wv := spacetime.Weights(p, q, code.Distance(), rounds)
-	s, err := NewCodeSession(code, window, commit, wh, wv)
+	erased := m.ErasedDrain(opts)
+	if erased && !m.CircuitLevel() {
+		return Result{}, fmt.Errorf("stream: erasure channels and decode options need a circuit-level model")
+	}
+	horizon := rounds
+	if m.CircuitLevel() {
+		horizon = window
+	}
+	wh, wv, wd := m.Weights(code.Distance(), horizon)
+	win, err := NewWindow(code, window, commit, wh, wv, wd)
 	if err != nil {
 		return Result{}, err
 	}
+	s := NewSessionOn(nil, win)
 	defer s.Close()
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(surface.NewLayerSource(code, p, q, lanes, smp), rounds)
+		src := m.Source(code, lanes, smp)
+		if erased {
+			return s.BatchErasedFrom(src, rounds, opts)
+		}
+		return s.BatchMemoryFrom(src, rounds)
 	})
+	p, q, pe, _ := m.Rates()
 	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
-		P: p, Q: q, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
+		P: p, Q: q, Pe: pe, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
-// CodeCircuitMemory runs the circuit-level noisy-extraction memory
-// through the sliding window: the code's own extraction circuit
-// (surface.CircuitSource, faults at every location of the model P)
-// streams round by round, the diagonal-edge window decodes and commits
-// as it goes, boundary-truncated diagonals grounded on the virtual
-// node. Pass 0, 0 for the DefaultWindow sizes. Weights come from
-// spacetime.WeightsCircuit with the window as the decode horizon.
+// CodeMemory is Memory under Phenomenological(p, q, 0, 0) with no
+// decode options. The benchmark binds this name; ROADMAP item 1b
+// retires it.
+func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
+	return Memory(code, rounds, spacetime.Phenomenological(p, q, 0, 0), window, commit, spacetime.DecodeOptions{}, samples, seed)
+}
+
+// CodeCircuitMemory is Memory under Circuit(P) with no decode options.
+// The benchmark binds this name; ROADMAP item 1b retires it.
 func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit, err := memoryShape(code, rounds, window, commit, samples)
-	if err != nil {
-		return Result{}, err
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, code.Distance(), window)
-	s, err := NewCodeCircuitSession(code, window, commit, wh, wv, wd)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(surface.NewCircuitSource(code, P, lanes, smp), rounds)
-	})
-	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
-		P: P.Gate2, Q: P.Meas, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
+	return Memory(code, rounds, spacetime.Circuit(P), window, commit, spacetime.DecodeOptions{}, samples, seed)
 }
 
 // ThresholdPoint is one p = q grid point of a streaming sustained
@@ -806,7 +815,7 @@ func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (f
 	large := make([]float64, len(grid))
 	run := func(l int, p float64, seed uint64) Result {
 		w, c := DefaultWindow(l)
-		r, err := CodeMemory(toric.Cached(l), 4*l, p, p, w, c, samples, seed)
+		r, err := Memory(toric.Cached(l), 4*l, spacetime.Phenomenological(p, p, 0, 0), w, c, spacetime.DecodeOptions{}, samples, seed)
 		if err != nil {
 			// The sweep derives its own shapes; only an empty sample is invalid.
 			panic(err)

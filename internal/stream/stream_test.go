@@ -47,7 +47,7 @@ func mustMemory(t *testing.T, l, rounds int, p, q float64, window, commit, sampl
 }
 
 func TestWindowShape(t *testing.T) {
-	w, err := NewCodeWindow(toric.Cached(4), 6, 3, 2, 5)
+	w, err := NewWindow(toric.Cached(4), 6, 3, 2, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 		{4, 1, 2, 1, 0.06, 0.04},
 	} {
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
-		v := spacetime.NewCodeVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv)
+		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, 0)
 		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
@@ -128,7 +128,7 @@ func TestWindowedMatchesVolumeRates(t *testing.T) {
 	} {
 		w, c := DefaultWindow(cfg.l)
 		st := mustMemory(t, cfg.l, cfg.rounds, cfg.p, cfg.p, w, c, samples, 903)
-		vol, _ := spacetime.CodeMemory(toric.Cached(cfg.l), cfg.rounds, cfg.p, cfg.p, toric.DecoderUnionFind, samples, 904)
+		vol, _ := spacetime.Memory(toric.Cached(cfg.l), cfg.rounds, spacetime.Phenomenological(cfg.p, cfg.p, 0, 0), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 904)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {
@@ -361,15 +361,15 @@ func TestWindowValidation(t *testing.T) {
 		if tc.l > 0 {
 			code = toric.Cached(tc.l)
 		}
-		if _, err := NewCodeWindow(code, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
-			t.Errorf("%s: NewCodeWindow(%d,%d,%d,%d,%d) accepted", tc.name, tc.l, tc.w, tc.commit, tc.wh, tc.wv)
+		if _, err := NewWindow(code, tc.w, tc.commit, tc.wh, tc.wv, 0); err == nil {
+			t.Errorf("%s: NewWindow(%d,%d,%d,%d,%d) accepted", tc.name, tc.l, tc.w, tc.commit, tc.wh, tc.wv)
 		}
 		if _, err := NewCodeSession(code, tc.w, tc.commit, tc.wh, tc.wv); err == nil {
 			t.Errorf("%s: NewCodeSession accepted", tc.name)
 		}
 	}
-	if _, err := NewCodeCircuitWindow(toric.Cached(4), 4, 2, 1, 1, 0); err == nil {
-		t.Error("circuit window with wd=0 accepted")
+	if _, err := NewWindow(toric.Cached(4), 4, 2, 1, 1, -1); err == nil {
+		t.Error("window with wd=-1 accepted")
 	}
 	if _, err := toricMemory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
 		t.Error("Memory with zero rounds accepted")
@@ -405,7 +405,7 @@ func TestSharedPoolSessions(t *testing.T) {
 		own := mustSession(t, c.l, c.window, c.commit, wh, wv)
 		fx1, fz1 := batchMemory(own, c.rounds, c.p, c.p, 96, frame.NewAggregateSampler(913, uint64(i)))
 		own.Close()
-		win, err := NewCodeWindow(toric.Cached(c.l), c.window, c.commit, wh, wv)
+		win, err := NewWindow(toric.Cached(c.l), c.window, c.commit, wh, wv, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

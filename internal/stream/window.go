@@ -11,7 +11,7 @@ import (
 
 // Window is the decode structure of one sliding-window configuration:
 // the open-window volume of both sectors over W difference layers of a
-// surface.Code (spacetime.NewCodeWindowVolume — a virtual
+// surface.Code (spacetime.NewWindowVolume — a virtual
 // future-boundary node above the newest layer, which open codes also
 // ground their spatial boundary on), a commit boundary at layer Commit,
 // and the closing volumes Finish decodes the buffered tail over, one
@@ -29,31 +29,18 @@ type Window struct {
 	closing []*spacetime.Volume // by buffered height − 1
 }
 
-// NewCodeWindow builds the window structure of a surface.Code (planar
-// and rotated windows ground their spatial boundaries on the virtual
-// node), window height W ≥ 2 layers, commit region
-// 1 ≤ commit ≤ W−1, and the given integer edge weights (see
-// spacetime.Weights). Invalid parameters return a descriptive error at
-// construction instead of surfacing as a panic deep inside a later
-// decode — a window that constructs cleanly streams cleanly. A window
-// taller than the stream it eventually decodes is valid: it simply
-// never slides and Finish runs the whole-volume decode.
-func NewCodeWindow(code surface.Code, w, commit, wh, wv int) (*Window, error) {
-	return newWindow(code, w, commit, wh, wv, 0)
-}
-
-// NewCodeCircuitWindow is NewCodeWindow plus the circuit model's
-// diagonal edge class of weight wd ≥ 1 (see spacetime.WeightsCircuit
-// for the weight derivation and the code's ExtractionSchedule for the
-// diagonal orientation).
-func NewCodeCircuitWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
-	if wd < 1 {
-		return nil, fmt.Errorf("stream: circuit window needs a positive diagonal weight (got wd=%d)", wd)
-	}
-	return newWindow(code, w, commit, wh, wv, wd)
-}
-
-func newWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
+// NewWindow builds the window structure of a surface.Code (planar and
+// rotated windows ground their spatial boundaries on the virtual node),
+// window height W ≥ 2 layers, commit region 1 ≤ commit ≤ W−1, and the
+// given integer edge weights (see spacetime.Model.Weights): wd = 0
+// builds the phenomenological window, wd ≥ 1 adds the circuit model's
+// diagonal edge class (the code's ExtractionSchedule orients it).
+// Invalid parameters return a descriptive error at construction instead
+// of surfacing as a panic deep inside a later decode — a window that
+// constructs cleanly streams cleanly. A window taller than the stream
+// it eventually decodes is valid: it simply never slides and Finish
+// runs the whole-volume decode.
+func NewWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 	if code == nil {
 		return nil, fmt.Errorf("stream: window needs a code")
 	}
@@ -63,12 +50,12 @@ func newWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 	if commit < 1 || commit >= w {
 		return nil, fmt.Errorf("stream: commit region must satisfy 1 <= commit < window (got commit=%d, window=%d); the commit lag window-commit must stay in [1, window-1]", commit, w)
 	}
-	if wh < 1 || wv < 1 {
-		return nil, fmt.Errorf("stream: edge weights must be positive (got wh=%d, wv=%d)", wh, wv)
+	if wh < 1 || wv < 1 || wd < 0 {
+		return nil, fmt.Errorf("stream: edge weights must be positive, wd non-negative (got wh=%d, wv=%d, wd=%d)", wh, wv, wd)
 	}
 	return &Window{
 		W: w, Commit: commit, WH: wh, WV: wv, WD: wd,
-		vol:     spacetime.NewCodeWindowVolume(code, w, wh, wv, wd),
+		vol:     spacetime.NewWindowVolume(code, w, wh, wv, wd),
 		closing: make([]*spacetime.Volume, w),
 	}, nil
 }
@@ -80,11 +67,7 @@ func (w *Window) closingVolume(h int) *spacetime.Volume {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closing[h-1] == nil {
-		if w.WD > 0 {
-			w.closing[h-1] = spacetime.NewCodeCircuitVolume(w.Code(), h, w.WH, w.WV, w.WD)
-		} else {
-			w.closing[h-1] = spacetime.NewCodeVolume(w.Code(), h, w.WH, w.WV)
-		}
+		w.closing[h-1] = spacetime.NewVolume(w.Code(), h, w.WH, w.WV, w.WD)
 	}
 	return w.closing[h-1]
 }

@@ -67,7 +67,7 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 	name, nc := code.CodeName(), code.Checks()
 	locs := surface.LocationsPerRound(code)
 	wh, wv, wd := spacetime.WeightsCircuit(noise.Uniform(0.004), code.Distance(), rounds)
-	vol := spacetime.NewCodeCircuitVolume(code, rounds, wh, wv, wd)
+	vol := spacetime.NewVolume(code, rounds, wh, wv, wd)
 	sch := code.ExtractionSchedule()
 	diagSeen, truncSeen := 0, 0
 	errv := bits.NewVec(code.Qubits())

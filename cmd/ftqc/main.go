@@ -157,32 +157,13 @@ func profileFlags(fs *flag.FlagSet) func() func() {
 	}
 }
 
-// parse parses a subcommand's flags and refuses a -samples below one.
-func parse(fs *flag.FlagSet, args []string) {
-	fs.Parse(args)
-	if f := fs.Lookup("samples"); f != nil && f.Value.(flag.Getter).Get().(int) < 1 {
-		fmt.Fprintf(os.Stderr, "%s: -samples must be at least 1 (got %v)\n", fs.Name(), f.Value)
-		os.Exit(2)
-	}
-}
-
-// require refuses a flag value the subcommand cannot run with: it names
-// the flag and the accepted range on stderr and exits 2 before anything
-// is printed.
-func require(fs *flag.FlagSet, ok bool, name string, v any, want string) {
-	if !ok {
-		fmt.Fprintf(os.Stderr, "%s: -%s must be %s (got %v)\n", fs.Name(), name, want, v)
-		os.Exit(2)
-	}
-}
-
 func cmdMemory(args []string) {
 	fs := flag.NewFlagSet("memory", flag.ExitOnError)
 	rounds := fs.Int("rounds", 10, "recovery rounds")
 	samples := fs.Int("samples", 20000, "Monte Carlo samples per point")
 	ideal := fs.Bool("ideal", false, "use flawless recovery circuitry (the Eq. 14 idealization)")
 	parse(fs, args)
-	require(fs, *rounds >= 1, "rounds", *rounds, "at least 1")
+	require(fs, check(*rounds >= 1, "rounds", *rounds, "at least 1"))
 	cfg := ft.DefaultConfig()
 	fmt.Printf("E01: quantum memory, %d rounds (Steane EC)\n", *rounds)
 	fmt.Printf("%-10s %-14s %-14s %-10s\n", "eps", "unencoded", "encoded", "gain")
@@ -279,8 +260,8 @@ func cmdThresholds(args []string) {
 	gate := threshold.Run(ft.MethodSteane, noise.GateOnly, eps, cfg, *samples, 61)
 	store := threshold.Run(ft.MethodSteane, noise.StorageOnly, []float64{4e-4, 1e-3, 2e-3, 4e-3}, cfg, *samples, 62)
 	fmt.Println("E08: circuit-level pseudothresholds (paper Eqs. 34-35: both ~6e-4)")
-	fmt.Printf("gate-only:    A=%.3g  threshold=%.3g\n", gate.A, gate.Thresh)
-	fmt.Printf("storage-only: A=%.3g  threshold=%.3g\n", store.A, store.Thresh)
+	fmt.Printf("gate-only:    %s\n", gate.Fit("threshold"))
+	fmt.Printf("storage-only: %s\n", store.Fit("threshold"))
 	fmt.Print("\ngate-only curve:\n", gate)
 	fmt.Print("storage-only curve:\n", store)
 }
@@ -289,7 +270,7 @@ func cmdConcat(args []string) {
 	fs := flag.NewFlagSet("concat", flag.ExitOnError)
 	a := fs.Float64("A", 21, "flow coefficient (21 = paper's counting estimate)")
 	parse(fs, args)
-	require(fs, *a > 0, "A", *a, "positive")
+	require(fs, check(*a > 0, "A", *a, "positive"))
 	f := concat.Flow{A: *a}
 	fmt.Printf("E09: concatenation flow p_(L+1) = %.3g p_L^2, threshold %.3g\n", f.A, f.Threshold())
 	fmt.Printf("%-10s", "p0")
@@ -318,7 +299,7 @@ func cmdShorFamily(args []string) {
 	fs := flag.NewFlagSet("shorfamily", flag.ExitOnError)
 	b := fs.Float64("b", 4, "syndrome complexity exponent (Shor's procedure: b=4)")
 	parse(fs, args)
-	require(fs, *b > 0, "b", *b, "positive")
+	require(fs, check(*b > 0, "b", *b, "positive"))
 	fmt.Printf("E11: non-concatenated block optimization, complexity t^%.1f (Eqs. 30-31)\n", *b)
 	fmt.Printf("%-10s %-10s %-14s %-14s %-12s\n", "eps", "opt t", "min perr", "asymptotic", "block (2t+1)^2")
 	for _, eps := range []float64{1e-4, 1e-5, 1e-6} {
@@ -338,8 +319,8 @@ func cmdResources(args []string) {
 	bits := fs.Int("bits", 432, "RSA modulus size (432 bits = 130 digits)")
 	flowA := fs.Float64("A", 1e4, "calibrated flow coefficient")
 	parse(fs, args)
-	require(fs, *bits >= 1, "bits", *bits, "at least 1")
-	require(fs, *flowA > 0, "A", *flowA, "positive")
+	require(fs, check(*bits >= 1, "bits", *bits, "at least 1"))
+	require(fs, check(*flowA > 0, "A", *flowA, "positive"))
 	w := resource.Factoring(*bits)
 	fmt.Printf("E12: factoring a %d-bit number with Shor's algorithm (§6)\n", *bits)
 	fmt.Printf("logical qubits: %d (paper: 2160)\n", w.LogicalQubits)
@@ -380,7 +361,7 @@ func cmdLeakage(args []string) {
 	samples := fs.Int("samples", 20000, "samples")
 	rounds := fs.Int("rounds", 5, "EC rounds")
 	parse(fs, args)
-	require(fs, *rounds >= 1, "rounds", *rounds, "at least 1")
+	require(fs, check(*rounds >= 1, "rounds", *rounds, "at least 1"))
 	cfg := ft.DefaultConfig()
 	fmt.Println("E14: leakage detection (Fig. 15): store with leaky gates, ± detection circuit")
 	fmt.Printf("%-10s %-10s %-16s %-16s\n", "eps", "leak", "no detection", "detect+replace")
@@ -396,370 +377,164 @@ func cmdLeakage(args []string) {
 }
 
 func cmdToric(args []string) {
-	fs := flag.NewFlagSet("toric", flag.ExitOnError)
-	samples := fs.Int("samples", 20000, "samples per point")
-	decoder := fs.String("decoder", "uf", "decoder: exact (polynomial MWPM) or uf (union-find)")
-	sizesFlag := fs.String("L", "3,5,7,9", "comma-separated code distances")
+	fs := newFlags("toric",
+		shared{"samples", 20000, "samples per point"},
+		shared{"decoder", "uf", "decoder: exact (polynomial MWPM) or uf (union-find)"},
+		shared{"L", "3,5,7,9", "comma-separated code distances"},
+		shared{"seed", uint64(91), "base RNG seed for the sweep (each cell advances it)"})
 	big := fs.Bool("big", false, "extend the distance sweep to L=16 and L=32 (union-find territory)")
-	seedF := fs.Uint64("seed", 91, "base RNG seed for the sweep (each cell advances it)")
-	parse(fs, args)
-	kind, ok := toricDecoder(*decoder)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "toric: unknown decoder %q (want exact or uf)\n", *decoder)
-		os.Exit(2)
-	}
-	fmt.Printf("E17: toric-code passive memory (§7.1): logical failure vs distance L (%s decoder, seed %d)\n", *decoder, *seedF)
-	fmt.Printf("%-8s", "p\\L")
-	sizes := parseIntList(*sizesFlag)
+	g := parse(fs, args)
 	if *big {
-		sizes = append(sizes, 16, 32)
+		g.ls = append(g.ls, 16, 32)
 	}
-	for _, l := range sizes {
-		fmt.Printf(" %-12d", l)
-	}
-	fmt.Println()
-	seed := *seedF
-	for _, p := range []float64{0.01, 0.03, 0.05, 0.08, 0.12} {
-		fmt.Printf("%-8.2f", p)
-		for _, l := range sizes {
-			seed++
-			r := toric.MemoryExperiment(l, p, kind, *samples, seed)
-			fmt.Printf(" %-12.4e", r.FailRate())
-		}
-		fmt.Println()
-	}
+	fmt.Printf("E17: toric-code passive memory (§7.1): logical failure vs distance L (%s decoder, seed %d)\n", g.decoder, g.seed)
+	table{corner: "p\\L", rowFmt: "%-8.2f", width: 12, head: strconv.Itoa,
+		cell: func(l int, p float64, seed uint64) float64 {
+			return toric.MemoryExperiment(l, p, g.kind, g.samples, seed).FailRate()
+		},
+	}.print(g.ls, []float64{0.01, 0.03, 0.05, 0.08, 0.12}, g.seed)
 	fmt.Println("below threshold the failure falls like e^{-αL} (the paper's e^{-mL} tunneling scaling)")
 }
 
 func cmdSpacetime(args []string) {
-	fs := flag.NewFlagSet("spacetime", flag.ExitOnError)
-	sizes := fs.String("L", "4,8", "comma-separated code distances")
-	rounds := fs.String("T", "L", "measurement rounds per shot: a number, or L for rounds = distance")
-	fs.StringVar(rounds, "rounds", "L", "alias for -T")
-	q := fs.Float64("q", -1, "measurement error probability (-1: track p, the sustained p=q sweep)")
-	grid := fs.String("p", "0.01,0.015,0.02,0.025,0.03,0.04,0.05", "comma-separated data error probabilities")
+	fs := newFlags("spacetime",
+		shared{"L", "4,8", "comma-separated code distances"},
+		shared{"T", "L", "measurement rounds per shot: a number, or L for rounds = distance"},
+		shared{"q", -1.0, "measurement error probability (-1: track p, the sustained p=q sweep)"},
+		shared{"p", "0.01,0.015,0.02,0.025,0.03,0.04,0.05", "comma-separated data error probabilities"},
+		shared{"samples", 4000, "Monte Carlo samples per point"},
+		shared{"decoder", "uf", "decoder: uf (weighted union-find) or exact (weighted blossom MWPM)"},
+		shared{"seed", uint64(121), "base RNG seed for the sweep (each cell advances it)"})
+	fs.Var(fs.Lookup("T").Value, "rounds", "alias for -T")
 	pe := fs.Float64("pe", 0, "data-qubit leakage (erasure) probability per edge per round")
 	qe := fs.Float64("qe", 0, "lost-measurement probability per check per round")
-	samples := fs.Int("samples", 4000, "Monte Carlo samples per point")
-	dec := fs.String("decoder", "uf", "decoder: uf (weighted union-find) or exact (weighted blossom MWPM)")
 	compare := fs.Bool("compare", true, "cross-check union-find against exact MWPM at the smallest distance")
-	seedF := fs.Uint64("seed", 121, "base RNG seed for the sweep (each cell advances it)")
-	parse(fs, args)
-	kind, ok := toricDecoder(*dec)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "spacetime: unknown decoder %q (want uf or exact)\n", *dec)
-		os.Exit(2)
-	}
-	if *q > 1 || (*q < 0 && *q != -1) {
-		fmt.Fprintf(os.Stderr, "spacetime: bad -q %v (want a probability, or -1 to track p)\n", *q)
-		os.Exit(2)
-	}
-	for _, r := range []struct {
-		flag string
-		v    float64
-	}{{"pe", *pe}, {"qe", *qe}} {
-		if r.v < 0 || r.v > 1 {
-			fmt.Fprintf(os.Stderr, "spacetime: bad -%s %v (want a probability in [0, 1])\n", r.flag, r.v)
-			os.Exit(2)
-		}
-	}
+	g := parse(fs, args)
+	require(fs, check(isProb(*pe), "pe", *pe, "a probability in [0, 1]"))
+	require(fs, check(isProb(*qe), "qe", *qe, "a probability in [0, 1]"))
 	erased := *pe > 0 || *qe > 0
-	if erased && kind != toric.DecoderUnionFind {
-		fmt.Fprintln(os.Stderr, "spacetime: erasure decoding is union-find only (-decoder uf)")
-		os.Exit(2)
-	}
-	ls := parseIntList(*sizes)
-	ps := parseFloatList(*grid)
-	roundsOf := func(l int) int { return l }
-	if *rounds != "L" {
-		r, err := strconv.Atoi(*rounds)
-		if err != nil || r < 1 {
-			fmt.Fprintf(os.Stderr, "spacetime: bad -T %q\n", *rounds)
-			os.Exit(2)
-		}
-		roundsOf = func(int) int { return r }
-	}
-	qOf := func(p float64) float64 { return p }
-	if *q >= 0 {
-		qOf = func(float64) float64 { return *q }
-	}
-	// The exact-MWPM cross-check column only makes sense against another
-	// decoder and only pays off where the matcher is cheap; large
-	// distances are union-find territory.
-	const compareMaxL = 8
-	if kind == toric.DecoderExact || erased {
-		*compare = false
-	}
-	if *compare && ls[0] > compareMaxL {
-		fmt.Printf("(skipping exact cross-check: L=%d > %d is union-find territory)\n", ls[0], compareMaxL)
-		*compare = false
-	}
+	require(fs, check(!erased || g.kind == toric.DecoderUnionFind, "decoder", g.decoder, "uf with -pe/-qe (erasure decoding is union-find only)"))
 	opts := spacetime.DecodeOptions{ErasureAware: erased}
-	runPoint := func(l, rounds int, p, q float64, k toric.DecoderKind, seed uint64) spacetime.Result {
-		return must(spacetime.Memory(toric.Cached(l), rounds, spacetime.Phenomenological(p, q, *pe, *qe), k, opts, *samples, seed))
+	run := func(l int, p float64, k toric.DecoderKind, seed uint64) float64 {
+		m := spacetime.Phenomenological(p, g.qOf(p), *pe, *qe)
+		return must(spacetime.Memory(toric.Cached(l), g.rounds(l), m, k, opts, g.samples, seed)).FailRate()
 	}
-	fmt.Printf("E22: noisy syndrome extraction (%s decoder, seed %d): T rounds of measurement flipping with q,\n", *dec, *seedF)
+	t := table{corner: "p\\L", rowFmt: "%-8.3f", width: 12,
+		head:     func(l int) string { return fmt.Sprintf("%d (T=%d)", l, g.rounds(l)) },
+		cell:     func(l int, p float64, seed uint64) float64 { return run(l, p, g.kind, seed) },
+		crossing: "sustained threshold (L=%d vs L=%d failure curves cross): p = q ≈ %.3f",
+	}
+	if g.q >= 0 {
+		t.crossing = fmt.Sprintf("threshold at fixed q=%g", g.q) + " (L=%d vs L=%d failure curves cross): p ≈ %.3f"
+	}
+	if exactCheck(*compare && g.kind != toric.DecoderExact && !erased, g.ls[0]) {
+		t.checkHead = fmt.Sprintf("%d exact", g.ls[0])
+		t.check = func(p float64, seed uint64) float64 { return run(g.ls[0], p, toric.DecoderExact, seed+1000) }
+	}
+	fmt.Printf("E22: noisy syndrome extraction (%s decoder, seed %d): T rounds of measurement flipping with q,\n", g.decoder, g.seed)
 	fmt.Println("     defects = consecutive-round syndrome differences, decoded over the weighted 3D volume")
 	if erased {
 		fmt.Printf("     erasure channels: leaked data qubits pe=%g, lost measurements qe=%g (peeling-aware decode)\n", *pe, *qe)
 	}
-	fmt.Printf("%-8s", "p\\L")
-	for _, l := range ls {
-		fmt.Printf(" %-12s", fmt.Sprintf("%d (T=%d)", l, roundsOf(l)))
-	}
-	if *compare {
-		fmt.Printf(" %-12s", fmt.Sprintf("%d exact", ls[0]))
-	}
-	fmt.Println()
-	rates := make([][]float64, len(ps))
-	seed := *seedF
-	for i, p := range ps {
-		rates[i] = make([]float64, len(ls))
-		fmt.Printf("%-8.3f", p)
-		for j, l := range ls {
-			seed++
-			r := runPoint(l, roundsOf(l), p, qOf(p), kind, seed)
-			rates[i][j] = r.FailRate()
-			fmt.Printf(" %-12.4e", r.FailRate())
-		}
-		if *compare {
-			r := runPoint(ls[0], roundsOf(ls[0]), p, qOf(p), toric.DecoderExact, seed+1000)
-			fmt.Printf(" %-12.4e", r.FailRate())
-		}
-		fmt.Println()
-	}
-	if len(ls) >= 2 {
-		lo, hi := 0, len(ls)-1
-		small := make([]float64, len(ps))
-		large := make([]float64, len(ps))
-		for i := range ps {
-			small[i] = rates[i][lo]
-			large[i] = rates[i][hi]
-		}
-		cross := spacetime.CrossingEstimate(ps, small, large)
-		switch {
-		case math.IsNaN(cross):
-			fmt.Printf("\nno L=%d / L=%d crossing on this grid (threshold outside it)\n", ls[lo], ls[hi])
-		case *q >= 0:
-			fmt.Printf("\nthreshold at fixed q=%g (L=%d vs L=%d failure curves cross): p ≈ %.3f\n", *q, ls[lo], ls[hi], cross)
-		default:
-			fmt.Printf("\nsustained threshold (L=%d vs L=%d failure curves cross): p = q ≈ %.3f\n", ls[lo], ls[hi], cross)
-		}
+	t.print(g.ls, g.ps, g.seed)
+	if len(g.ls) >= 2 {
 		fmt.Println("below the crossing, larger distance + more rounds help; above, they hurt")
 	}
 }
 
 func cmdStream(args []string) {
-	fs := flag.NewFlagSet("stream", flag.ExitOnError)
-	sizes := fs.String("L", "4,8", "comma-separated code distances")
-	rounds := fs.String("T", "4L", "noisy rounds per shot: a number, or 4L for rounds = 4·distance")
-	window := fs.Int("window", 0, "sliding-window height in rounds (0: the 2L default)")
-	commit := fs.Int("commit", 0, "rounds committed per slide (0: half the window)")
-	q := fs.Float64("q", -1, "measurement error probability (-1: track p, the sustained p=q sweep)")
-	grid := fs.String("p", "0.01,0.015,0.02,0.025,0.03,0.04,0.05", "comma-separated data error probabilities")
-	samples := fs.Int("samples", 4000, "Monte Carlo samples per point")
+	fs := newFlags("stream",
+		shared{"L", "4,8", "comma-separated code distances"},
+		shared{"T", "4L", "noisy rounds per shot: a number, or 4L for rounds = 4·distance"},
+		shared{"window", 0, "sliding-window height in rounds (0: the 2L default)"},
+		shared{"commit", 0, "rounds committed per slide (0: half the window)"},
+		shared{"q", -1.0, "measurement error probability (-1: track p, the sustained p=q sweep)"},
+		shared{"p", "0.01,0.015,0.02,0.025,0.03,0.04,0.05", "comma-separated data error probabilities"},
+		shared{"samples", 4000, "Monte Carlo samples per point"},
+		shared{"seed", uint64(151), "base RNG seed for the sweep (each cell advances it)"})
 	volume := fs.Bool("volume", true, "cross-check the smallest distance against the whole-volume decode")
-	seedF := fs.Uint64("seed", 151, "base RNG seed for the sweep (each cell advances it)")
 	startProf := profileFlags(fs)
-	parse(fs, args)
+	g := parse(fs, args)
 	defer startProf()()
-	if *q > 1 || (*q < 0 && *q != -1) {
-		fmt.Fprintf(os.Stderr, "stream: bad -q %v (want a probability, or -1 to track p)\n", *q)
-		os.Exit(2)
+	model := func(p float64) spacetime.Model { return spacetime.Phenomenological(p, g.qOf(p), 0, 0) }
+	t := table{corner: "p\\L", rowFmt: "%-8.3f", width: 16,
+		head: func(l int) string {
+			w, c := g.win(l)
+			return fmt.Sprintf("%d (T=%d W=%d/%d)", l, g.rounds(l), w, c)
+		},
+		cell: func(l int, p float64, seed uint64) float64 {
+			w, c := g.win(l)
+			return must(stream.Memory(toric.Cached(l), g.rounds(l), model(p), w, c, spacetime.DecodeOptions{}, g.samples, seed)).FailRate()
+		},
+		crossing: "streaming sustained threshold (L=%d vs L=%d curves cross): p = q ≈ %.3f",
 	}
-	require(fs, *window == 0 || *window >= 2, "window", *window, "0 (the 2L default) or at least 2")
-	ls := parseIntList(*sizes)
-	ps := parseFloatList(*grid)
-	roundsOf := func(l int) int { return 4 * l }
-	if *rounds != "4L" {
-		r, err := strconv.Atoi(*rounds)
-		if err != nil || r < 1 {
-			fmt.Fprintf(os.Stderr, "stream: bad -T %q\n", *rounds)
-			os.Exit(2)
-		}
-		roundsOf = func(int) int { return r }
-	}
-	qOf := func(p float64) float64 { return p }
-	if *q >= 0 {
-		qOf = func(float64) float64 { return *q }
-	}
-	winOf := func(l int) (int, int) {
-		w, c := stream.DefaultWindow(l)
-		if *window > 0 {
-			w = *window
-			c = w / 2
-			if c < 1 {
-				c = 1
-			}
-		}
-		if *commit != 0 {
-			c = *commit
-		}
-		return w, c
-	}
-	// Validate every window shape up front so a bad -window/-commit pair
-	// fails with the stream package's message, not mid-sweep.
-	for _, l := range ls {
-		w, c := winOf(l)
-		if _, err := stream.NewWindow(toric.Cached(l), w, c, 1, 1, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+	if *volume {
+		l := g.ls[0]
+		t.checkHead = fmt.Sprintf("%d volume", l)
+		t.check = func(p float64, seed uint64) float64 {
+			return must(spacetime.Memory(toric.Cached(l), g.rounds(l), model(p), toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+2000)).FailRate()
 		}
 	}
 	fmt.Println("E23: streaming windowed decoding — syndrome layers decode as they arrive through a")
-	fmt.Printf("     sliding W-round window with a commit region; memory is O(L²·W), independent of T (seed %d)\n", *seedF)
-	fmt.Printf("%-8s", "p\\L")
-	for _, l := range ls {
-		w, c := winOf(l)
-		fmt.Printf(" %-16s", fmt.Sprintf("%d (T=%d W=%d/%d)", l, roundsOf(l), w, c))
-	}
-	if *volume {
-		fmt.Printf(" %-12s", fmt.Sprintf("%d volume", ls[0]))
-	}
-	fmt.Println()
-	rates := make([][]float64, len(ps))
-	seed := *seedF
-	for i, p := range ps {
-		rates[i] = make([]float64, len(ls))
-		fmt.Printf("%-8.3f", p)
-		for j, l := range ls {
-			seed++
-			w, c := winOf(l)
-			m := spacetime.Phenomenological(p, qOf(p), 0, 0)
-			r, err := stream.Memory(toric.Cached(l), roundsOf(l), m, w, c, spacetime.DecodeOptions{}, *samples, seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(2)
-			}
-			rates[i][j] = r.FailRate()
-			fmt.Printf(" %-16.4e", r.FailRate())
-		}
-		if *volume {
-			m := spacetime.Phenomenological(p, qOf(p), 0, 0)
-			r := must(spacetime.Memory(toric.Cached(ls[0]), roundsOf(ls[0]), m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+2000))
-			fmt.Printf(" %-12.4e", r.FailRate())
-		}
-		fmt.Println()
-	}
-	if len(ls) >= 2 {
-		small := make([]float64, len(ps))
-		large := make([]float64, len(ps))
-		for i := range ps {
-			small[i] = rates[i][0]
-			large[i] = rates[i][len(ls)-1]
-		}
-		cross := spacetime.CrossingEstimate(ps, small, large)
-		if math.IsNaN(cross) {
-			fmt.Printf("\nno L=%d / L=%d crossing on this grid (threshold outside it)\n", ls[0], ls[len(ls)-1])
-		} else {
-			fmt.Printf("\nstreaming sustained threshold (L=%d vs L=%d curves cross): p = q ≈ %.3f\n", ls[0], ls[len(ls)-1], cross)
-		}
-	}
+	fmt.Printf("     sliding W-round window with a commit region; memory is O(L²·W), independent of T (seed %d)\n", g.seed)
+	t.print(g.ls, g.ps, g.seed)
 	fmt.Println("windowed accuracy matches the whole-volume decode at W ≥ 2L; the window never grows with T")
 }
 
 func cmdCircuit(args []string) {
-	fs := flag.NewFlagSet("circuit", flag.ExitOnError)
-	sizes := fs.String("L", "4,8", "comma-separated code distances")
-	rounds := fs.String("T", "L", "extraction rounds per shot: a number, or L for rounds = distance")
-	grid := fs.String("p", "0.002,0.004,0.006,0.008,0.01,0.012", "comma-separated uniform per-location error rates eps")
-	window := fs.Int("window", 0, "decode through the streaming pipeline with this sliding-window height (0: whole-volume decode)")
-	commit := fs.Int("commit", 0, "rounds committed per slide when -window is set (0: half the window)")
-	samples := fs.Int("samples", 4000, "Monte Carlo samples per point")
-	dec := fs.String("decoder", "uf", "decoder: uf (weighted union-find) or exact (circuit-metric blossom MWPM)")
+	fs := newFlags("circuit",
+		shared{"L", "4,8", "comma-separated code distances"},
+		shared{"T", "L", "extraction rounds per shot: a number, or L for rounds = distance"},
+		shared{"p", "0.002,0.004,0.006,0.008,0.01,0.012", "comma-separated uniform per-location error rates eps"},
+		shared{"window", 0, "decode through the streaming pipeline with this sliding-window height (0: whole-volume decode)"},
+		shared{"commit", 0, "rounds committed per slide when -window is set (0: half the window)"},
+		shared{"samples", 4000, "Monte Carlo samples per point"},
+		shared{"decoder", "uf", "decoder: uf (weighted union-find) or exact (circuit-metric blossom MWPM)"},
+		shared{"seed", uint64(181), "base RNG seed for the sweep (each cell advances it)"})
 	compare := fs.Bool("compare", true, "cross-check union-find against exact MWPM at the smallest distance")
 	leak := fs.Float64("leak", 0, "per-gate leakage probability; leaked qubits are harvested as erasures")
 	bias := fs.Float64("bias", 0, "noise-bias ratio η = pZ/(pX+pY) of each fault's Pauli draw (0: unbiased)")
 	correlated := fs.Bool("correlated", false, "joint two-sector decode: reprice the dual sector from the committed primal correction")
 	blind := fs.Bool("blind", false, "with -leak: discard the erasure side information (the control arm of the aware-vs-blind ablation)")
 	schedule := fs.String("schedule", "default", "CNOT extraction schedule: default (bent hook pairs) or hookpar (parallel-last pairs)")
-	seedF := fs.Uint64("seed", 181, "base RNG seed for the sweep (each cell advances it)")
 	startProf := profileFlags(fs)
-	parse(fs, args)
-	require(fs, *leak >= 0 && *leak <= 1, "leak", *leak, "a probability in [0, 1]")
-	require(fs, *bias >= 0, "bias", *bias, "non-negative")
-	require(fs, *window == 0 || *window >= 2, "window", *window, "0 (whole-volume decode) or at least 2")
-	require(fs, *commit == 0 || *window > 0, "commit", *commit, "0 unless -window sets a streaming window")
-	defer startProf()()
-	kind, ok := toricDecoder(*dec)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "circuit: unknown decoder %q (want uf or exact)\n", *dec)
-		os.Exit(2)
-	}
-	if *schedule != "default" && *schedule != "hookpar" {
-		fmt.Fprintf(os.Stderr, "circuit: unknown schedule %q (want default or hookpar)\n", *schedule)
-		os.Exit(2)
-	}
-	if *blind && *leak <= 0 {
-		fmt.Fprintln(os.Stderr, "circuit: -blind is the control arm of a leakage ablation — it needs -leak > 0")
-		os.Exit(2)
-	}
-	// The leakage, bias, correlated and schedule arms are measured with
-	// union-find only (leakage and correlated decoding take the erased
-	// drain, which has no exact matcher).
+	g := parse(fs, args)
+	require(fs, check(isProb(*leak), "leak", *leak, "a probability in [0, 1]"))
+	require(fs, check(*bias >= 0, "bias", *bias, "non-negative"))
+	require(fs, check(*schedule == "default" || *schedule == "hookpar", "schedule", *schedule, "default or hookpar"))
+	require(fs, check(!*blind || *leak > 0, "blind", *blind, "paired with -leak > 0 (it is the control arm of a leakage ablation)"))
+	// The leakage, bias, correlated and schedule arms and the streaming
+	// pipeline are measured with union-find only (leakage and correlated
+	// decoding take the erased drain, which has no exact matcher).
 	needsOpts := *leak > 0 || *bias > 0 || *correlated || *schedule != "default"
-	if needsOpts && kind != toric.DecoderUnionFind {
-		fmt.Fprintln(os.Stderr, "circuit: -leak/-bias/-correlated/-schedule decode with union-find (-decoder uf)")
-		os.Exit(2)
-	}
+	streaming := g.window > 0
+	require(fs, check(g.kind == toric.DecoderUnionFind || !needsOpts && !streaming, "decoder", g.decoder,
+		"uf with -leak/-bias/-correlated/-schedule or -window"))
+	defer startProf()()
 	opts := spacetime.DecodeOptions{ErasureAware: *leak > 0 && !*blind, Correlated: *correlated}
-	streaming := *window > 0
-	if streaming && kind != toric.DecoderUnionFind {
-		fmt.Fprintln(os.Stderr, "circuit: the streaming pipeline decodes with union-find (-decoder uf)")
-		os.Exit(2)
-	}
-	if streaming {
-		if *commit == 0 {
-			*commit = *window / 2
-			if *commit < 1 {
-				*commit = 1
-			}
-		}
-		if *commit < 1 || *commit >= *window {
-			fmt.Fprintf(os.Stderr, "circuit: -commit must stay in [1, window-1] (got -commit %d with -window %d)\n", *commit, *window)
-			os.Exit(2)
-		}
-	}
-	ls := parseIntList(*sizes)
-	ps := parseFloatList(*grid)
-	roundsOf := func(l int) int { return l }
-	if *rounds != "L" {
-		r, err := strconv.Atoi(*rounds)
-		if err != nil || r < 1 {
-			fmt.Fprintf(os.Stderr, "circuit: bad -T %q\n", *rounds)
-			os.Exit(2)
-		}
-		roundsOf = func(int) int { return r }
-	}
-	if kind == toric.DecoderExact || streaming || needsOpts {
-		*compare = false
-	}
-	const compareMaxL = 8
-	if *compare && ls[0] > compareMaxL {
-		fmt.Printf("(skipping exact cross-check: L=%d > %d is union-find territory)\n", ls[0], compareMaxL)
-		*compare = false
-	}
-	codeOf := func(l int) surface.Code {
-		if *schedule == "hookpar" {
-			return toric.HookParallel(l)
-		}
-		return toric.Cached(l)
-	}
-	runPoint := func(l, rounds int, eps float64, k toric.DecoderKind, seed uint64) float64 {
+	run := func(l int, eps float64, k toric.DecoderKind, seed uint64) float64 {
 		P := noise.Uniform(eps)
 		P.Leak = *leak
 		P.Bias = *bias
-		if streaming {
-			r, err := stream.Memory(codeOf(l), rounds, spacetime.Circuit(P), *window, *commit, opts, *samples, seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "circuit: %v\n", err)
-				os.Exit(2)
-			}
-			return r.FailRate()
+		var code surface.Code = toric.Cached(l)
+		if *schedule == "hookpar" {
+			code = toric.HookParallel(l)
 		}
-		return must(spacetime.Memory(codeOf(l), rounds, spacetime.Circuit(P), k, opts, *samples, seed)).FailRate()
+		if w, c := g.win(l); w > 0 {
+			return must(stream.Memory(code, g.rounds(l), spacetime.Circuit(P), w, c, opts, g.samples, seed)).FailRate()
+		}
+		return must(spacetime.Memory(code, g.rounds(l), spacetime.Circuit(P), k, opts, g.samples, seed)).FailRate()
 	}
-	fmt.Printf("E24: circuit-level syndrome extraction (%s decoder, seed %d): the full extraction circuit per round\n", *dec, *seedF)
+	t := table{corner: "eps\\L", rowFmt: "%-8.4f", width: 12,
+		head:     func(l int) string { return fmt.Sprintf("%d (T=%d)", l, g.rounds(l)) },
+		cell:     func(l int, eps float64, seed uint64) float64 { return run(l, eps, g.kind, seed) },
+		crossing: "circuit-level sustained threshold (L=%d vs L=%d curves cross): eps ≈ %.4f",
+	}
+	if exactCheck(*compare && g.kind != toric.DecoderExact && !streaming && !needsOpts, g.ls[0]) {
+		t.checkHead = fmt.Sprintf("%d exact", g.ls[0])
+		t.check = func(eps float64, seed uint64) float64 { return run(g.ls[0], eps, toric.DecoderExact, seed+3000) }
+	}
+	fmt.Printf("E24: circuit-level syndrome extraction (%s decoder, seed %d): the full extraction circuit per round\n", g.decoder, g.seed)
 	fmt.Println("     (ancilla per check, PrepZ/PrepX, 4 CNOTs, MeasZ/MeasX) with faults at every location;")
 	fmt.Println("     mid-round CNOT faults decode over correlated diagonal space-time edges")
 	if *leak > 0 {
@@ -779,45 +554,11 @@ func cmdCircuit(args []string) {
 		fmt.Printf("     extraction schedule: %s (parallel-last hook pairs — axis-aligned hook defects)\n", *schedule)
 	}
 	if streaming {
-		fmt.Printf("     streaming pipeline: W=%d sliding windows, commit %d\n", *window, *commit)
+		w, c := g.win(g.ls[0])
+		fmt.Printf("     streaming pipeline: W=%d sliding windows, commit %d\n", w, c)
 	}
-	fmt.Printf("%-8s", "eps\\L")
-	for _, l := range ls {
-		fmt.Printf(" %-12s", fmt.Sprintf("%d (T=%d)", l, roundsOf(l)))
-	}
-	if *compare {
-		fmt.Printf(" %-12s", fmt.Sprintf("%d exact", ls[0]))
-	}
-	fmt.Println()
-	rates := make([][]float64, len(ps))
-	seed := *seedF
-	for i, eps := range ps {
-		rates[i] = make([]float64, len(ls))
-		fmt.Printf("%-8.4f", eps)
-		for j, l := range ls {
-			seed++
-			rates[i][j] = runPoint(l, roundsOf(l), eps, kind, seed)
-			fmt.Printf(" %-12.4e", rates[i][j])
-		}
-		if *compare {
-			fmt.Printf(" %-12.4e", runPoint(ls[0], roundsOf(ls[0]), eps, toric.DecoderExact, seed+3000))
-		}
-		fmt.Println()
-	}
-	if len(ls) >= 2 {
-		small := make([]float64, len(ps))
-		large := make([]float64, len(ps))
-		for i := range ps {
-			small[i] = rates[i][0]
-			large[i] = rates[i][len(ls)-1]
-		}
-		cross := spacetime.CrossingEstimate(ps, small, large)
-		if math.IsNaN(cross) {
-			fmt.Printf("\nno L=%d / L=%d crossing on this grid (threshold outside it)\n", ls[0], ls[len(ls)-1])
-		} else {
-			fmt.Printf("\ncircuit-level sustained threshold (L=%d vs L=%d curves cross): eps ≈ %.4f\n", ls[0], ls[len(ls)-1], cross)
-			fmt.Println("well below the phenomenological p = q ≈ 0.027: every location faults, and CNOTs correlate the defects")
-		}
+	if cross := t.print(g.ls, g.ps, g.seed); !math.IsNaN(cross) {
+		fmt.Println("well below the phenomenological p = q ≈ 0.027: every location faults, and CNOTs correlate the defects")
 	}
 }
 
@@ -827,20 +568,20 @@ func cmdCircuit(args []string) {
 // threshold, qubit overhead per distance, and decode speed in one
 // table.
 func cmdCodes(args []string) {
-	fs := flag.NewFlagSet("codes", flag.ExitOnError)
+	fs := newFlags("codes",
+		shared{"p", "0.003,0.005,0.007,0.009,0.011", "uniform per-location eps grid for the crossing"},
+		shared{"samples", 1500, "Monte Carlo samples per grid point"},
+		shared{"seed", uint64(271), "base RNG seed (each family offsets it by 100)"})
 	d1f := fs.Int("d1", 3, "smaller code distance (threshold crossing)")
 	d2f := fs.Int("d2", 5, "larger code distance (odd, so every family supports it)")
-	grid := fs.String("p", "0.003,0.005,0.007,0.009,0.011", "uniform per-location eps grid for the crossing")
-	samples := fs.Int("samples", 1500, "Monte Carlo samples per grid point")
 	steane := fs.Bool("steane", true, "include the concatenated-Steane comparison row")
-	seedF := fs.Uint64("seed", 271, "base RNG seed (each family offsets it by 100)")
-	parse(fs, args)
+	g := parse(fs, args)
 	d1, d2 := *d1f, *d2f
 	if d1 < 3 || d1%2 == 0 || d2 <= d1 || d2%2 == 0 {
 		fmt.Fprintln(os.Stderr, "codes: distances must be odd with 3 <= d1 < d2 (the rotated family needs odd distances)")
 		os.Exit(2)
 	}
-	ps := parseFloatList(*grid)
+	ps := g.ps
 	families := []struct {
 		name string
 		make func(d int) surface.Code
@@ -849,7 +590,7 @@ func cmdCodes(args []string) {
 		{"planar", surface.Planar},
 		{"rotated", surface.Rotated},
 	}
-	fmt.Printf("E27: surface-code families behind one detector-graph contract (seed %d) — every family runs\n", *seedF)
+	fmt.Printf("E27: surface-code families behind one detector-graph contract (seed %d) — every family runs\n", g.seed)
 	fmt.Println("     its own circuit-level extraction schedule (T = d rounds) through the same")
 	fmt.Println("     diagonal-edge decoding volume, union-find decoded; open boundaries ground on")
 	fmt.Println("     the virtual node")
@@ -876,16 +617,16 @@ func cmdCodes(args []string) {
 		}
 		curves[i] = [2][]float64{make([]float64, len(ps)), make([]float64, len(ps))}
 		var elapsed time.Duration
-		seed := *seedF + uint64(100*i)
+		seed := g.seed + uint64(100*i)
 		for j, eps := range ps {
 			m := spacetime.Circuit(noise.Uniform(eps))
-			curves[i][0][j] = must(spacetime.Memory(c1, d1, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+uint64(2*j))).FailRate()
+			curves[i][0][j] = must(spacetime.Memory(c1, d1, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j))).FailRate()
 			t0 := time.Now()
-			curves[i][1][j] = must(spacetime.Memory(c2, d2, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, *samples, seed+uint64(2*j+1))).FailRate()
+			curves[i][1][j] = must(spacetime.Memory(c2, d2, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j+1))).FailRate()
 			elapsed += time.Since(t0)
 		}
 		rows[i].thresh = spacetime.CrossingEstimate(ps, curves[i][0], curves[i][1])
-		rows[i].usPerShotR = float64(elapsed.Microseconds()) / float64(len(ps)**samples*d2)
+		rows[i].usPerShotR = float64(elapsed.Microseconds()) / float64(len(ps)*g.samples*d2)
 	}
 	for j, eps := range ps {
 		fmt.Printf("%-10.4f", eps)
@@ -894,16 +635,18 @@ func cmdCodes(args []string) {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("\n%-10s %-14s %-14s %-12s %-16s\n",
-		"family", fmt.Sprintf("qubits(d=%d)", d1), fmt.Sprintf("qubits(d=%d)", d2), "threshold", "µs/shot·round")
+	// Decode speed is wall-clock, so it goes to stderr: stdout stays a
+	// function of the flags and the seed.
+	fmt.Printf("\n%-10s %-14s %-14s %-12s\n",
+		"family", fmt.Sprintf("qubits(d=%d)", d1), fmt.Sprintf("qubits(d=%d)", d2), "threshold")
 	for _, r := range rows {
 		th := "none on grid"
 		if !math.IsNaN(r.thresh) {
 			th = fmt.Sprintf("%.4f", r.thresh)
 		}
-		fmt.Printf("%-10s %-14s %-14s %-12s %-16.2f\n",
-			r.name, fmt.Sprintf("%d (+%d anc)", r.q1, r.tot1-r.q1), fmt.Sprintf("%d (+%d anc)", r.q2, r.tot2-r.q2),
-			th, r.usPerShotR)
+		fmt.Printf("%-10s %-14s %-14s %-12s\n",
+			r.name, fmt.Sprintf("%d (+%d anc)", r.q1, r.tot1-r.q1), fmt.Sprintf("%d (+%d anc)", r.q2, r.tot2-r.q2), th)
+		fmt.Fprintf(os.Stderr, "codes: %s d=%d decodes at %.2f µs/shot·round\n", r.name, d2, r.usPerShotR)
 	}
 	if *steane {
 		// The non-topological yardstick: Steane's [[7,1,3]] code under
@@ -916,9 +659,8 @@ func cmdCodes(args []string) {
 		flow := concat.PaperFlow()
 		lv1 := concat.BlockSize(1)
 		lv2 := concat.BlockSize(2)
-		fmt.Printf("%-10s %-14s %-14s %-12s %-16s\n",
-			"steane^L", fmt.Sprintf("%d (d=3)", lv1), fmt.Sprintf("%d (d=9)", lv2),
-			fmt.Sprintf("%.4f", flow.Threshold()), "(exRec harness)")
+		fmt.Printf("%-10s %-14s %-14s %-12s\n",
+			"steane^L", fmt.Sprintf("%d (d=3)", lv1), fmt.Sprintf("%d (d=9)", lv2), fmt.Sprintf("%.4f", flow.Threshold()))
 		fmt.Printf("\nconcatenated [[%d,%d,3]] Steane: distance 3^level vs 7^level qubits — overhead\n",
 			st.N, st.K)
 		fmt.Printf("d^1.77 per logical qubit against the planar d^2/rotated d^2 patch; its %.3g\n", flow.Threshold())
@@ -929,18 +671,12 @@ func cmdCodes(args []string) {
 }
 
 // serveSessionCfg builds the session configuration the serve/sessions
-// commands share.
-func serveSessionCfg(model string, l, lanes int, p float64) (server.SessionConfig, error) {
-	if l < 2 {
-		return server.SessionConfig{}, fmt.Errorf("lattice size must be at least 2 (got L=%d)", l)
+// commands share: model is circuit or phenom.
+func serveSessionCfg(model string, l, lanes int, p float64) server.SessionConfig {
+	if model == "circuit" {
+		return server.CircuitLevelCode(toric.Cached(l), lanes, noise.Uniform(p))
 	}
-	switch model {
-	case "circuit":
-		return server.CircuitLevelCode(toric.Cached(l), lanes, noise.Uniform(p)), nil
-	case "phenom":
-		return server.PhenomenologicalCode(toric.Cached(l), lanes, p, p), nil
-	}
-	return server.SessionConfig{}, fmt.Errorf("unknown model %q (want circuit or phenom)", model)
+	return server.PhenomenologicalCode(toric.Cached(l), lanes, p, p)
 }
 
 // serveFeed builds the matching syndrome-layer source.
@@ -953,32 +689,29 @@ func serveFeed(cfg server.SessionConfig, p float64, seed uint64) spacetime.Layer
 }
 
 func cmdServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs := newFlags("serve",
+		shared{"L", 8, "code distance"},
+		shared{"T", 128, "syndrome rounds streamed per session"},
+		shared{"p", 0.003, "error rate: per-location eps (circuit) or p = q (phenom)"})
 	nSessions := fs.Int("sessions", 16, "concurrent logical-qubit sessions")
-	size := fs.Int("L", 8, "code distance")
-	rounds := fs.Int("T", 128, "syndrome rounds streamed per session")
 	lanes := fs.Int("lanes", 64, "Monte Carlo lanes per session (64 shots per machine word)")
 	model := fs.String("model", "circuit", "noise model: circuit (uniform per-location eps) or phenom (p = q)")
-	p := fs.Float64("p", 0.003, "error rate: per-location eps (circuit) or p = q (phenom)")
 	workers := fs.Int("workers", 0, "decode workers in the shared pool (0: GOMAXPROCS)")
 	depth := fs.Int("queue", 16, "per-session ingest queue depth in rounds")
 	startProf := profileFlags(fs)
-	parse(fs, args)
-	require(fs, *p >= 0 && *p <= 1, "p", *p, "a probability in [0, 1]")
-	require(fs, *lanes >= 1, "lanes", *lanes, "at least 1")
+	g := parse(fs, args)
+	require(fs, check(*nSessions >= 1, "sessions", *nSessions, "at least 1"))
+	require(fs, check(*lanes >= 1, "lanes", *lanes, "at least 1"))
+	require(fs, check(*model == "circuit" || *model == "phenom", "model", *model, "circuit or phenom"))
+	require(fs, check(*workers >= 0, "workers", *workers, "0 (GOMAXPROCS) or a positive count"))
+	require(fs, check(*depth >= 1, "queue", *depth, "at least 1"))
 	defer startProf()()
-	cfg, err := serveSessionCfg(*model, *size, *lanes, *p)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(2)
-	}
-	if *nSessions < 1 || *rounds < 1 {
-		fmt.Fprintln(os.Stderr, "serve: -sessions and -T must be positive")
-		os.Exit(2)
-	}
+	size, p := g.ls[0], g.ps[0]
+	rounds := g.rounds(size)
+	cfg := serveSessionCfg(*model, size, *lanes, p)
 	srv := server.New(server.Config{Workers: *workers, QueueDepth: *depth})
 	fmt.Printf("E25: decode server — %d concurrent %s sessions, L=%d, %d lanes, %d rounds each\n",
-		*nSessions, *model, *size, *lanes, *rounds)
+		*nSessions, *model, size, *lanes, rounds)
 
 	handles := make([]*server.Session, *nSessions)
 	var wg sync.WaitGroup
@@ -993,11 +726,11 @@ func cmdServe(args []string) {
 				os.Exit(2)
 			}
 			handles[i] = s
-			feed := serveFeed(cfg, *p, 9000+uint64(i))
+			feed := serveFeed(cfg, p, 9000+uint64(i))
 			nc := cfg.Code.Checks()
 			layerX := bits.NewVecs(nc, *lanes)
 			layerZ := bits.NewVecs(nc, *lanes)
-			for r := 0; r < *rounds; r++ {
+			for r := 0; r < rounds; r++ {
 				feed.NextLayers(layerX, layerZ)
 				if err := s.Submit(layerX, layerZ); err != nil {
 					fmt.Fprintf(os.Stderr, "serve: session %d round %d: %v\n", i, r, err)
@@ -1029,7 +762,7 @@ func cmdServe(args []string) {
 			st.ID, st.Window, st.Committed, st.Defects, st.DefectDensity,
 			st.Latency.P50, st.Latency.P90, st.Latency.P99, st.Latency.Max)
 	}
-	total := *nSessions * *rounds
+	total := *nSessions * rounds
 	fmt.Printf("\nsustained throughput: %d rounds across %d sessions in %v = %.0f rounds/s (%.2e lane-rounds/s)\n",
 		total, *nSessions, wall.Round(time.Millisecond), float64(total)/wall.Seconds(),
 		float64(total)*float64(*lanes)/wall.Seconds())
@@ -1064,6 +797,9 @@ func cmdSessions(args []string) {
 	workers := fs.Int("workers", 0, "decode workers in the shared pool (0: GOMAXPROCS)")
 	snaps := fs.Int("snapshots", 3, "how many live snapshots to print")
 	parse(fs, args)
+	require(fs, check(*churners >= 1, "sessions", *churners, "at least 1"))
+	require(fs, check(*workers >= 0, "workers", *workers, "0 (GOMAXPROCS) or a positive count"))
+	require(fs, check(*snaps >= 1, "snapshots", *snaps, "at least 1"))
 	srv := server.New(server.Config{Workers: *workers})
 	fmt.Println("E25: decode-server observability — sessions opening, streaming, and closing")
 	fmt.Println("     while Snapshot reads their stats without disturbing the pipelines")
@@ -1087,7 +823,7 @@ func cmdSessions(args []string) {
 				if model == "phenom" {
 					p = 0.01 + 0.01*float64(c%3)
 				}
-				cfg, _ := serveSessionCfg(model, 4+2*(c%2), 64, p)
+				cfg := serveSessionCfg(model, 4+2*(c%2), 64, p)
 				s, err := srv.Open(cfg)
 				if err != nil {
 					return // draining
@@ -1134,37 +870,9 @@ func cmdSessions(args []string) {
 	fmt.Printf("\nchurn stopped, server drained: %d sessions remain open\n", len(srv.Snapshot()))
 }
 
-// parseIntList parses a comma-separated list of lattice sizes.
-func parseIntList(s string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 2 {
-			fmt.Fprintf(os.Stderr, "bad list entry %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// parseFloatList parses a comma-separated list of probabilities.
-func parseFloatList(s string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || v > 1 {
-			fmt.Fprintf(os.Stderr, "bad list entry %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// must unwraps a volume experiment: its constructor errors (a code the
+// must unwraps a memory experiment: its constructor errors (a code the
 // decoder cannot price, an empty horizon) exit 2 with the message.
-func must(r spacetime.Result, err error) spacetime.Result {
+func must[R any](r R, err error) R {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -1172,34 +880,18 @@ func must(r spacetime.Result, err error) spacetime.Result {
 	return r
 }
 
-// toricDecoder maps a CLI name to a decoder kind.
-func toricDecoder(name string) (toric.DecoderKind, bool) {
-	switch name {
-	case "exact":
-		return toric.DecoderExact, true
-	case "uf", "unionfind":
-		return toric.DecoderUnionFind, true
-	}
-	return 0, false
-}
-
 func cmdThermal(args []string) {
-	fs := flag.NewFlagSet("thermal", flag.ExitOnError)
-	samples := fs.Int("samples", 20000, "samples per point")
-	l := fs.Int("L", 7, "lattice size")
-	decoder := fs.String("decoder", "exact", "decoder: exact or uf")
-	seedF := fs.Uint64("seed", 93, "base RNG seed (each Δ/T row advances it)")
-	parse(fs, args)
-	kind, ok := toricDecoder(*decoder)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "thermal: unknown decoder %q (want exact or uf)\n", *decoder)
-		os.Exit(2)
-	}
-	require(fs, *l >= 2, "L", *l, "at least 2")
-	fmt.Printf("E18: thermal anyon plasma on L=%d (§7.1, seed %d): flips at p0·e^{-Δ/T}\n", *l, *seedF)
+	fs := newFlags("thermal",
+		shared{"samples", 20000, "samples per point"},
+		shared{"L", 7, "lattice size"},
+		shared{"decoder", "exact", "decoder: exact or uf"},
+		shared{"seed", uint64(93), "base RNG seed (each Δ/T row advances it)"})
+	g := parse(fs, args)
+	l := g.ls[0]
+	fmt.Printf("E18: thermal anyon plasma on L=%d (§7.1, seed %d): flips at p0·e^{-Δ/T}\n", l, g.seed)
 	fmt.Printf("%-8s %-14s %-14s\n", "Δ/T", "flip prob", "logical fail")
 	for i, dt := range []float64{1, 2, 3, 4, 5, 6} {
-		r := toric.ThermalMemory(*l, 0.5, dt, kind, *samples, *seedF+uint64(i))
+		r := toric.ThermalMemory(l, 0.5, dt, g.kind, g.samples, g.seed+uint64(i))
 		fmt.Printf("%-8.1f %-14.4e %-14.4e\n", dt, r.FlipProb, r.FailRate())
 	}
 }
@@ -1208,7 +900,7 @@ func cmdInterferometer(args []string) {
 	fs := flag.NewFlagSet("interferometer", flag.ExitOnError)
 	eta := fs.Float64("eta", 0.2, "per-pass readout error")
 	parse(fs, args)
-	require(fs, *eta >= 0 && *eta <= 1, "eta", *eta, "a probability in [0, 1]")
+	require(fs, check(*eta >= 0 && *eta <= 1, "eta", *eta, "a probability in [0, 1]"))
 	fmt.Printf("E19: interferometric flux measurement, per-pass error η=%.2f (Figs. 18/22)\n", *eta)
 	fmt.Printf("%-8s %-16s %-16s\n", "passes", "analytic err", "Monte Carlo")
 	rng := rand.New(rand.NewPCG(95, 96))

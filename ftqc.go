@@ -14,7 +14,7 @@
 // All of the package's Monte Carlo (memory experiments, EC failure
 // rates, exRec threshold sweeps, ancilla verification, leakage
 // detection, toric passive memory) runs on one batched bit-parallel
-// Pauli-frame engine (BatchFrameSim): W independent shots
+// Pauli-frame engine (internal/frame's BatchSim): W independent shots
 // advance together as bit-planes, one machine word per 64 shots, so
 // Clifford frame propagation is word-wide XOR/AND and fault injection is
 // the sampling of random lane masks (see internal/frame's package
@@ -67,82 +67,36 @@
 //
 // Sustained operation — decoding forever in constant memory — is the
 // internal/stream subsystem: difference layers decode through a
-// sliding window of W rounds with a commit region
-// (StreamingMemory, under the same NoiseModel), corrections finalize
-// into a running Pauli
+// sliding window of W rounds with a commit region (StreamingMemory,
+// under the same NoiseModel), corrections finalize into a running Pauli
 // frame behind the window, and the decode stage runs as a long-lived
 // worker-pool service (batched shots in, corrections out, identical
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
 // failure rates; a window covering the whole stream reproduces the
 // whole-volume decode bit for bit.
 //
-// The facade below re-exports the main entry points; the implementation
-// lives in the internal/ packages, one per subsystem (see DESIGN.md for
-// the full inventory and EXPERIMENTS.md for the paper-vs-measured
-// record).
+// The facade below re-exports the entry points the examples call; the
+// implementation, simulators, code constructors and the multi-tenant
+// decode server included, lives in the internal/ packages, one per
+// subsystem (see DESIGN.md for the full inventory and EXPERIMENTS.md
+// for the paper-vs-measured record).
 package ftqc
 
 import (
-	"fmt"
-	"math/rand/v2"
-
 	"ftqc/internal/anyon"
-	"ftqc/internal/code"
 	"ftqc/internal/concat"
-	"ftqc/internal/frame"
 	"ftqc/internal/ft"
 	"ftqc/internal/group"
 	"ftqc/internal/noise"
 	"ftqc/internal/resource"
-	"ftqc/internal/server"
 	"ftqc/internal/spacetime"
-	"ftqc/internal/statevec"
 	"ftqc/internal/stream"
 	"ftqc/internal/surface"
-	"ftqc/internal/tableau"
-	"ftqc/internal/threshold"
 	"ftqc/internal/toric"
 )
 
-// Core stabilizer machinery.
-type (
-	// Tableau is the Aaronson–Gottesman stabilizer simulator.
-	Tableau = tableau.Tableau
-	// StateVector is the dense simulator for non-Clifford verification.
-	StateVector = statevec.State
-	// StabilizerCode is an [[n,k]] stabilizer code.
-	StabilizerCode = code.Code
-	// CSSCode is a CSS code with sector-wise decoding.
-	CSSCode = code.CSS
-	// NoiseParams is the §6 stochastic error model.
-	NoiseParams = noise.Params
-	// BatchFrameSim is the bit-parallel Pauli-frame simulator: W shots
-	// advance together as bit-planes, one word per 64 shots.
-	BatchFrameSim = frame.BatchSim
-	// FrameSampler supplies a batch simulator's randomness as lane masks.
-	FrameSampler = frame.Sampler
-)
-
-// NewTableau returns the all-|0⟩ stabilizer state on n qubits.
-func NewTableau(n int, rng *rand.Rand) *Tableau { return tableau.New(n, rng) }
-
-// NewStateVector returns |0…0⟩ on n qubits (n ≤ ~20).
-func NewStateVector(n int) *StateVector { return statevec.NewZero(n) }
-
-// NewBatchFrameSim returns a batched Pauli-frame simulator of n qubits by
-// w lanes drawing aggregate fault masks from the (seed, stream) PCG.
-func NewBatchFrameSim(n, w int, p NoiseParams, seed, stream uint64) *BatchFrameSim {
-	return frame.NewBatch(n, w, p, frame.NewAggregateSampler(seed, stream))
-}
-
-// Steane returns Steane's [[7,1,3]] code (Preskill §2, Eq. 18).
-func Steane() *CSSCode { return code.Steane() }
-
-// FiveQubit returns the [[5,1,3]] code (§4.2).
-func FiveQubit() *StabilizerCode { return code.FiveQubit() }
-
-// ShorFamily returns the [[(2t+1)², 1, 2t+1]] code family of §5.
-func ShorFamily(t int) *CSSCode { return code.ShorFamily(t) }
+// NoiseParams is the §6 stochastic error model.
+type NoiseParams = noise.Params
 
 // UniformNoise gives every fault location probability eps.
 func UniformNoise(eps float64) NoiseParams { return noise.Uniform(eps) }
@@ -153,8 +107,6 @@ type (
 	ECConfig = ft.Config
 	// ECMethod picks Steane-method, Shor-method or naive recovery.
 	ECMethod = ft.ECMethod
-	// ThresholdEstimate is a fitted pseudothreshold analysis.
-	ThresholdEstimate = threshold.Estimate
 	// Flow is the concatenation flow equation of Eq. (33).
 	Flow = concat.Flow
 	// Machine is a §6 resource estimate.
@@ -175,12 +127,6 @@ func DefaultECConfig() ECConfig { return ft.DefaultConfig() }
 // held for the given number of recovery rounds (Eq. 14's scenario).
 func MemoryExperiment(method ECMethod, storage, gadget NoiseParams, cfg ECConfig, rounds, samples int, seed uint64) ft.MemoryResult {
 	return ft.MemoryExperiment(method, storage, gadget, cfg, rounds, samples, seed)
-}
-
-// EstimateThreshold sweeps the physical error rate, fits p = A·ε², and
-// returns the pseudothreshold 1/A (the Eqs. 34–35 analysis).
-func EstimateThreshold(method ECMethod, model threshold.Model, eps []float64, cfg ECConfig, samples int, seed uint64) ThresholdEstimate {
-	return threshold.Run(method, model, eps, cfg, samples, seed)
 }
 
 // PaperFlow returns the Eq. (33) flow with the counting coefficient A=21.
@@ -339,23 +285,9 @@ func SustainedThreshold(l1, l2 int, grid []float64, model func(x float64) NoiseM
 	return spacetime.SustainedThreshold(l1, l2, grid, model, toric.DecoderUnionFind, opts, samples, seed)
 }
 
-// HookParallelToricCode is the L×L toric code under the
-// hook-suppressing "parallel-last" CNOT schedule — the other arm of
-// the schedule ablation (the default schedule's bent hook pairs leave
-// diagonal defect steps and measurably more failures).
-func HookParallelToricCode(l int) SurfaceCode { return toric.HookParallel(l) }
-
-// Streaming windowed decoding (sustained operation).
-type (
-	// StreamingResult is one streaming-memory measurement.
-	StreamingResult = stream.Result
-	// StreamSession owns a window configuration and its long-lived
-	// decode services (decoder worker pools).
-	StreamSession = stream.Session
-	// StreamDecoder consumes difference layers round by round through a
-	// sliding window with a commit region — constant memory per lane.
-	StreamDecoder = stream.Decoder
-)
+// StreamingResult is one streaming-memory measurement (sustained
+// operation through a sliding window).
+type StreamingResult = stream.Result
 
 // StreamingMemory runs the memory of any surface code under the model
 // m through the sliding-window streaming decoder: `window` buffered
@@ -372,70 +304,9 @@ func StreamingMemory(c SurfaceCode, rounds int, m NoiseModel, window, commit int
 	return stream.Memory(c, rounds, m, window, commit, opts, samples, seed)
 }
 
-// NewStreamSession builds a streaming decode session (window graphs
-// plus worker-pool decode services) over a surface code for rate-(p, q)
-// noise. Close it when done. Edge weights are derived with the window
-// as the decode horizon — the natural choice for an endless stream, but
-// in extreme regimes where the spacetime.Weights caps bind (q near 0 or
-// ½) it can differ from the rounds-derived weights a phenomenological
-// StreamingMemory uses; for exact parity with a memory result, build
-// the window with stream.NewWindow from
-// PhenomenologicalModel(p, q, 0, 0).Weights(d, rounds).
-func NewStreamSession(c SurfaceCode, window, commit int, p, q float64) (*StreamSession, error) {
-	if c == nil {
-		return nil, fmt.Errorf("ftqc: stream session needs a code")
-	}
-	wh, wv, wd := spacetime.Phenomenological(p, q, 0, 0).Weights(c.Distance(), window)
-	win, err := stream.NewWindow(c, window, commit, wh, wv, wd)
-	if err != nil {
-		return nil, err
-	}
-	return stream.NewSessionOn(nil, win), nil
-}
-
 // StreamingSustainedThreshold sweeps p = q with T = 4L rounds through
 // W = 2L sliding windows for two code distances — the sustained
 // threshold measured in genuine streaming operation.
 func StreamingSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []stream.ThresholdPoint) {
 	return stream.SustainedThreshold(l1, l2, grid, samples, seed)
-}
-
-// Multi-tenant decode serving (internal/server).
-type (
-	// DecodeServer multiplexes many concurrent logical-qubit streaming
-	// sessions over one shared decode worker pool, with per-session
-	// bounded ingest queues, graceful drain, and commit-latency
-	// histograms.
-	DecodeServer = server.Server
-	// DecodeServerConfig sizes the server: worker count, per-session
-	// queue depth, and the overflow policy.
-	DecodeServerConfig = server.Config
-	// DecodeSession is one live logical-qubit stream on a DecodeServer.
-	DecodeSession = server.Session
-	// DecodeSessionConfig describes a session's code, lane count, and
-	// window shape; build one with SurfaceSession or
-	// SurfaceCircuitSession, or fill it by hand.
-	DecodeSessionConfig = server.SessionConfig
-	// DecodeSessionStats is a point-in-time observability snapshot of
-	// one session.
-	DecodeSessionStats = server.SessionStats
-)
-
-// NewDecodeServer starts a multi-tenant streaming decode server: a
-// shared decoder worker fleet plus interned window graphs, ready to
-// Open any number of concurrent sessions. Shut it down when done.
-func NewDecodeServer(cfg DecodeServerConfig) *DecodeServer { return server.New(cfg) }
-
-// SurfaceSession describes a rate-(p, q) phenomenological streaming
-// session for any surface code (PlanarCode/RotatedCode/ToricCode) with
-// the default W = 2d window.
-func SurfaceSession(c SurfaceCode, lanes int, p, q float64) DecodeSessionConfig {
-	return server.PhenomenologicalCode(c, lanes, p, q)
-}
-
-// SurfaceCircuitSession describes a circuit-level streaming session
-// (diagonal detector edges) for any surface code under uniform
-// per-location rate eps.
-func SurfaceCircuitSession(c SurfaceCode, lanes int, eps float64) DecodeSessionConfig {
-	return server.CircuitLevelCode(c, lanes, noise.Uniform(eps))
 }

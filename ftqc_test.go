@@ -3,44 +3,7 @@ package ftqc
 import (
 	"math/rand/v2"
 	"testing"
-
-	"ftqc/internal/bits"
-	"ftqc/internal/noise"
 )
-
-func TestFacadeSteane(t *testing.T) {
-	c := Steane()
-	if c.N != 7 || c.K != 1 {
-		t.Fatalf("Steane: [[%d,%d]]", c.N, c.K)
-	}
-	if FiveQubit().N != 5 {
-		t.Fatal("FiveQubit wrong")
-	}
-	if ShorFamily(2).N != 25 {
-		t.Fatal("ShorFamily wrong")
-	}
-}
-
-func TestFacadeSimulators(t *testing.T) {
-	tb := NewTableau(3, rand.New(rand.NewPCG(1, 2)))
-	tb.H(0)
-	tb.CNOT(0, 1)
-	sv := NewStateVector(3)
-	sv.H(0)
-	sv.CNOT(0, 1)
-	if p := sv.Prob1(1); p < 0.49 || p > 0.51 {
-		t.Fatalf("facade statevec broken: %v", p)
-	}
-}
-
-func TestFacadeBatchFrameSim(t *testing.T) {
-	b := NewBatchFrameSim(2, 128, UniformNoise(0), 1, 2)
-	b.InjectX(0, 5)
-	b.CNOT(0, 1)
-	if !b.XError(1, 5) || b.XError(1, 6) {
-		t.Fatal("facade batch sim broken")
-	}
-}
 
 func TestFacadeMemoryExperiment(t *testing.T) {
 	res := MemoryExperiment(MethodSteane, NoiseParams{Storage: 1e-3}, UniformNoise(1e-3),
@@ -50,16 +13,6 @@ func TestFacadeMemoryExperiment(t *testing.T) {
 	}
 	if res.FailRate() > 0.1 {
 		t.Fatalf("implausible failure rate %v", res.FailRate())
-	}
-}
-
-func TestFacadeThreshold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo")
-	}
-	est := EstimateThreshold(MethodSteane, noise.Uniform, []float64{1e-3}, DefaultECConfig(), 5000, 5)
-	if est.A <= 0 {
-		t.Fatalf("estimate %+v", est)
 	}
 }
 
@@ -187,52 +140,5 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	if _, err := stream(10, 5, 5, 500, 14); err == nil {
 		t.Fatal("commit == window accepted")
-	}
-	if _, err := NewStreamSession(nil, 8, 4, 0.02, 0.02); err == nil {
-		t.Fatal("stream session without a code accepted")
-	}
-}
-
-func TestFacadeDecodeServer(t *testing.T) {
-	srv := NewDecodeServer(DecodeServerConfig{Workers: 2})
-	sessions := make([]*DecodeSession, 3)
-	for i := range sessions {
-		var cfg DecodeSessionConfig
-		if i%2 == 0 {
-			cfg = SurfaceSession(ToricCode(3), 16, 0.02, 0.02)
-		} else {
-			cfg = SurfaceCircuitSession(ToricCode(3), 16, 0.003)
-		}
-		s, err := srv.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
-		layerX := bits.NewVecs(9, 16)
-		layerZ := bits.NewVecs(9, 16)
-		for r := 0; r < 8; r++ {
-			if err := s.Submit(layerX, layerZ); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.CloseWith(layerX, layerZ); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, s := range sessions {
-		res, err := s.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Finished || res.Committed != 8 {
-			t.Fatalf("session %d incomplete: %+v", i, res)
-		}
-		if st := s.Stats(); st.Latency.Count == 0 || st.Rounds != 8 {
-			t.Fatalf("session %d stats empty: %+v", i, st)
-		}
-	}
-	srv.Shutdown()
-	if _, err := srv.Open(SurfaceSession(ToricCode(3), 8, 0.02, 0.02)); err == nil {
-		t.Fatal("Open after Shutdown accepted")
 	}
 }

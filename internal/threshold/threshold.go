@@ -120,10 +120,25 @@ func Run(method ft.ECMethod, model Model, epsList []float64, cfg ft.Config, samp
 	return Estimate{Method: method, Points: pts, A: a, Thresh: Pseudothreshold(a)}
 }
 
+// Fit renders the fitted coefficient and the threshold 1/A under the
+// given label. A curve that saw no failure fits A = 0, whose threshold
+// is no finding but an infinity, so Fit says instead how many samples
+// per point saw none.
+func (e Estimate) Fit(label string) string {
+	if e.A > 0 {
+		return fmt.Sprintf("A=%.3g  %s=%.3g", e.A, label, e.Thresh)
+	}
+	n := 0
+	if len(e.Points) > 0 {
+		n = e.Points[0].Samples
+	}
+	return fmt.Sprintf("A=0  no failure observed at %d samples per point", n)
+}
+
 // String renders the estimate as the table the paper's Eqs. (34)–(35)
 // summarize.
 func (e Estimate) String() string {
-	s := fmt.Sprintf("method=%s  A=%.3g  pseudothreshold=%.3g\n", e.Method, e.A, e.Thresh)
+	s := fmt.Sprintf("method=%s  %s\n", e.Method, e.Fit("pseudothreshold"))
 	for _, p := range e.Points {
 		s += fmt.Sprintf("  eps=%.2e  p_fail=%.3e ± %.1e  (n=%d)\n", p.Eps, p.Fail, p.StdErr, p.Samples)
 	}

@@ -2,6 +2,7 @@ package threshold
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ftqc/internal/ft"
@@ -29,6 +30,21 @@ func TestFitAIgnoresZeroDivision(t *testing.T) {
 	}
 	if !math.IsInf(Pseudothreshold(0), 1) {
 		t.Fatal("zero A means no measurable threshold")
+	}
+}
+
+// TestAllZeroCurveReportsNoFailure: a curve that saw no failure fits
+// A = 0, and its rendering says so rather than printing 1/A = +Inf as a
+// threshold.
+func TestAllZeroCurveReportsNoFailure(t *testing.T) {
+	var pts []Point
+	for _, e := range []float64{1e-4, 2e-4, 4e-4} {
+		pts = append(pts, pointOf(e, 0, 10))
+	}
+	a := FitA(pts)
+	s := Estimate{Method: ft.MethodSteane, Points: pts, A: a, Thresh: Pseudothreshold(a)}.String()
+	if strings.Contains(s, "Inf") || !strings.Contains(s, "no failure observed at 10 samples per point") {
+		t.Fatalf("all-zero curve rendered as:\n%s", s)
 	}
 }
 

@@ -852,7 +852,7 @@ func cmdSessions(args []string) {
 	for i := 0; i < *snaps; i++ {
 		time.Sleep(60 * time.Millisecond)
 		stats := srv.Snapshot()
-		fmt.Printf("\nsnapshot %d: %d open sessions\n", i+1, len(stats))
+		fmt.Printf("\nsnapshot %d: %d open sessions, %d window shapes interned\n", i+1, len(stats), stream.Shapes())
 		fmt.Printf("  %-4s %-8s %-4s %-8s %-8s %-10s %-9s %-10s\n",
 			"id", "model", "L", "window", "rounds", "committed", "density", "p50 lat")
 		for _, st := range stats {

@@ -95,6 +95,19 @@ func NewPool(workers int) *Service {
 	return s
 }
 
+// Grow starts workers until the pool has at least n and returns its
+// worker count; a closed pool stays closed. The count only shapes how
+// batches split into spans, never a correction.
+func (s *Service) Grow(n int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ; !s.closed && s.workers < n; s.workers++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s.workers
+}
+
 // ResubmitOn enqueues shots on a batch (NewBatch) against g, fanned out
 // into worker spans, and returns immediately; call Wait on the batch for
 // the corrections. Batches against different graphs share the same

@@ -129,6 +129,29 @@ func TestServiceWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// TestServiceGrow: a pool grown between batches decodes on the added
+// workers with the same corrections, never shrinks, and a closed pool
+// starts none.
+func TestServiceGrow(t *testing.T) {
+	g := torusTestGraph(5)
+	shots := randomShots(g, 120, rand.New(rand.NewPCG(89, 90)))
+	pool := NewPool(1)
+	b := NewBatch(len(shots))
+	for _, step := range []struct{ n, want int }{{1, 1}, {6, 6}, {3, 6}} {
+		n := step.n
+		if got := pool.Grow(n); got != step.want {
+			t.Fatalf("Grow(%d) left %d workers, want %d", n, got, step.want)
+		}
+		if err := diffDirect(g, shots, mustDecode(t, pool, g, b, shots)); err != nil {
+			t.Fatalf("after Grow(%d): %v", n, err)
+		}
+	}
+	pool.Close()
+	if got := pool.Grow(10); got != 6 {
+		t.Fatalf("Grow on a closed pool: %d workers, want 6", got)
+	}
+}
+
 // TestServiceConcurrentSubmitters: many goroutines sharing one pool,
 // each with its own reusable batch, each get their own batch's
 // deterministic answer (also the race-mode smoke for the worker pool).

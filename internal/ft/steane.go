@@ -34,7 +34,6 @@ var parityH15 = [3]string{
 var (
 	steaneOnce sync.Once
 	steaneCode *code.CSS
-	steaneDec  *code.CSSDecoder
 	hamming15  *classical.Code
 )
 
@@ -44,16 +43,9 @@ func Code() *code.CSS {
 	steaneOnce.Do(func() {
 		h := bits.MatrixFromStrings(parityH15[0], parityH15[1], parityH15[2])
 		steaneCode = code.MustNewCSS("Steane15[[7,1,3]]", h, h)
-		steaneDec = code.NewCSSDecoder(steaneCode)
 		hamming15 = classical.MustNew("Hamming15", h)
 	})
 	return steaneCode
-}
-
-// Decoder returns the sector-wise CSS decoder for Code().
-func Decoder() *code.CSSDecoder {
-	Code()
-	return steaneDec
 }
 
 // hamming returns the classical Hamming code in Eq. (15) form.
@@ -129,25 +121,6 @@ func LogicalH(s *frame.Sim, block []int) {
 	mustBlock(block)
 	for _, q := range block {
 		s.H(q)
-	}
-}
-
-// LogicalX applies the logical NOT bitwise. (Three selected NOTs would
-// also do — footnote f — but the bitwise form keeps the gadget uniform.)
-func LogicalX(s *frame.Sim, block []int) {
-	mustBlock(block)
-	for _, q := range block {
-		s.PauliGate(q)
-		s.FrameX(q)
-	}
-}
-
-// LogicalZ applies the logical phase flip bitwise.
-func LogicalZ(s *frame.Sim, block []int) {
-	mustBlock(block)
-	for _, q := range block {
-		s.PauliGate(q)
-		s.FrameZ(q)
 	}
 }
 

@@ -9,10 +9,16 @@
 //
 // # Scheduling contract
 //
-// All sessions share one decoder.Service pool. Window graphs are
-// interned per shape (L, W, commit, weights), so two sessions with
-// the same configuration share graph structure and per-graph decode
-// scratch. Every window decode is submitted as an independent batch;
+// All sessions share one decoder.Service pool. Windows come from the
+// stream package's process-wide table (stream.InternWindow), keyed by
+// shape (code, L, W, commit, weights), so two sessions with the same
+// configuration — and any stream.Memory call of that shape — share
+// graph structure, closing volumes and per-graph decode scratch. A
+// shape with an open session is never rebuilt; an idle one is freed by
+// the collector, so tenants cycling through shapes cannot grow the
+// process. Open fills in a window by stream.WindowShape, the rule
+// stream.Memory uses: an explicit window is the one decoded, a zero
+// commit is half of it, and a negative size is an error. Every window decode is submitted as an independent batch;
 // the pool's determinism contract (see internal/decoder) guarantees
 // each batch's output is a pure function of (graph, shots), so a
 // session's committed frames never depend on the worker count, on

@@ -53,8 +53,10 @@ type Config struct {
 }
 
 // SessionConfig shapes one logical-qubit session of a surface.Code.
-// Zero Window/Commit take the stream.DefaultWindow sizes; WD > 0 selects
-// the circuit-level (diagonal-edge) window. The PhenomenologicalCode
+// Window and Commit go through stream.WindowShape, the rule
+// stream.Memory uses: a zero window takes the 2L default, a zero commit
+// half the window, and a negative one is an error. WD > 0 selects the
+// circuit-level (diagonal-edge) window. The PhenomenologicalCode
 // and CircuitLevelCode helpers fill in default windows and weights.
 type SessionConfig struct {
 	Code  surface.Code
@@ -89,22 +91,15 @@ func CircuitLevelCode(code surface.Code, lanes int, P noise.Params) SessionConfi
 	return SessionConfig{Code: code, Lanes: lanes, Window: w, Commit: c, WH: wh, WV: wv, WD: wd}
 }
 
-// winKey interns shared stream.Sessions per code family and window
-// shape.
-type winKey struct {
-	family              string
-	l, w, c, wh, wv, wd int
-}
-
-// Server is the multi-tenant decode server: a shared decoder pool, a
-// cache of window structures, and the set of open sessions. See the
-// package documentation for the scheduling and backpressure contract.
+// Server is the multi-tenant decode server: a shared decoder pool and
+// the set of open sessions, whose windows come from stream's
+// process-wide table. See the package documentation for the scheduling
+// and backpressure contract.
 type Server struct {
 	cfg  Config
 	pool *decoder.Service
 
 	mu       sync.Mutex
-	wins     map[winKey]*stream.Session
 	sessions map[uint64]*Session
 	nextID   uint64
 	draining bool
@@ -119,34 +114,8 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
 		pool:     decoder.NewPool(cfg.Workers),
-		wins:     make(map[winKey]*stream.Session),
 		sessions: make(map[uint64]*Session),
 	}
-}
-
-// sharedSession returns the interned stream.Session for a window
-// shape, building it on first use. All validation of the window
-// parameters happens here, via the stream constructors.
-func (srv *Server) sharedSession(code surface.Code, w, c, wh, wv, wd int) (*stream.Session, error) {
-	key := winKey{code.CodeName(), code.Distance(), w, c, wh, wv, wd}
-	srv.mu.Lock()
-	ss, ok := srv.wins[key]
-	srv.mu.Unlock()
-	if ok {
-		return ss, nil
-	}
-	win, err := stream.NewWindow(code, w, c, wh, wv, wd)
-	if err != nil {
-		return nil, err
-	}
-	ss = stream.NewSessionOn(srv.pool, win)
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	if have, ok := srv.wins[key]; ok {
-		return have, nil
-	}
-	srv.wins[key] = ss
-	return ss, nil
 }
 
 // Open starts a session. The returned Session is ready to Submit to;
@@ -158,8 +127,9 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	if cfg.Code == nil {
 		return nil, fmt.Errorf("server: session needs a code")
 	}
-	if cfg.Window <= 0 || cfg.Commit <= 0 {
-		cfg.Window, cfg.Commit = stream.DefaultWindow(cfg.Code.Distance())
+	var err error
+	if cfg.Window, cfg.Commit, err = stream.WindowShape(cfg.Code.Distance(), cfg.Window, cfg.Commit); err != nil {
+		return nil, err
 	}
 	// A drained server builds and interns nothing; the check is repeated
 	// at registration, under the same lock hold that adds the session.
@@ -169,7 +139,7 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	if draining {
 		return nil, ErrDraining
 	}
-	ss, err := srv.sharedSession(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
+	win, err := stream.InternWindow(cfg.Code, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +150,7 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 		return nil, ErrDraining
 	}
 	srv.nextID++
-	s := newSession(srv, srv.nextID, cfg, ss)
+	s := newSession(srv, srv.nextID, cfg, win)
 	srv.sessions[s.id] = s
 	srv.wg.Add(1)
 	srv.mu.Unlock()
@@ -274,6 +244,7 @@ type Session struct {
 	id  uint64
 	srv *Server
 	cfg SessionConfig
+	win *stream.Window // interned; held for the session's life
 
 	nc, lanes int
 
@@ -301,18 +272,19 @@ type Session struct {
 	err error
 }
 
-func newSession(srv *Server, id uint64, cfg SessionConfig, ss *stream.Session) *Session {
+func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window) *Session {
 	depth := srv.cfg.QueueDepth
 	s := &Session{
 		id:    id,
 		srv:   srv,
 		cfg:   cfg,
-		nc:    ss.Window().Code().Checks(),
+		win:   win,
+		nc:    win.Code().Checks(),
 		lanes: cfg.Lanes,
 		in:    make(chan roundMsg, depth),
 		free:  make(chan roundMsg, depth+2),
 		done:  make(chan struct{}),
-		dec:   ss.NewDecoder(cfg.Lanes),
+		dec:   stream.NewSessionOn(srv.pool, win).NewDecoder(cfg.Lanes),
 		times: make([]time.Time, cfg.Window+depth+4),
 	}
 	for i := 0; i < depth+2; i++ {

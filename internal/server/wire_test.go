@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"testing/iotest"
 
@@ -258,4 +259,52 @@ func FuzzServeConn(f *testing.F) {
 		}
 		srv.Shutdown()
 	})
+}
+
+// TestServeConnKeepsExplicitWindow: an 'O' naming a window and a zero
+// commit opens that window with half of it committed per slide, as
+// stream.Memory would, and commits the frames of that standalone stream.
+func TestServeConnKeepsExplicitWindow(t *testing.T) {
+	const l, lanes, rounds, seed = 4, 48, 20, 7950
+	const p = 0.025
+	cfg := toricPhenomenological(l, lanes, p, p)
+	cfg.Window, cfg.Commit = 10, 0
+	want := cfg
+	want.Commit = 5
+	refX, refZ, _ := standaloneFrames(t, want, noise.Params{}, p, p, rounds, seed, true)
+
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown()
+	client, serverSide := net.Pipe()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ServeConn(serverSide) }()
+	conn := Dial(client)
+	if err := conn.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	src := newFeed(cfg, noise.Params{}, p, p, seed)
+	layerX := bits.NewVecs(l*l, lanes)
+	layerZ := bits.NewVecs(l*l, lanes)
+	for r := 0; r < rounds; r++ {
+		src.NextLayers(layerX, layerZ)
+		if err := conn.Round(layerX, layerZ); err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 { // the server has read the round, so the session is open
+			if st := srv.Snapshot(); len(st) != 1 || st[0].Window != 10 || st[0].Commit != 5 {
+				t.Fatalf("window 10 commit 0 over the wire opened as %+v, want 10/5", st)
+			}
+		}
+	}
+	src.CloseLayers(layerX, layerZ)
+	res, err := conn.Finish(layerX, layerZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+	if !framesEqual(res.FramesX, res.FramesZ, refX, refZ) {
+		t.Fatal("wire frames differ from a standalone 10/5 stream")
+	}
 }

@@ -69,7 +69,7 @@
 // plane-major carry, defect, erasure and correction lists — is sized
 // once in NewDecoderOpts, and warm Push (slides included) and warm
 // Finish run at zero heap allocations; a Monte Carlo drain builds a
-// decoder only when no finished drain of its session left one to reset.
+// decoder only when no finished drain on its window left one to reset.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's
@@ -82,13 +82,29 @@
 //
 // Window decodes are fanned out through decoder.Service — a long-lived
 // worker pool (reusable batches of shots in, corrections out,
-// bit-identical for any worker count). One pool serves both sectors and
-// every chunk of a Monte Carlo run, so it persists across thousands of
+// bit-identical for any worker count). Memory decodes every chunk of
+// every call on one process-wide pool, started by the first call and
+// grown to each call's GOMAXPROCS, so it persists across thousands of
 // submissions, the shape a control-system consumer would call at scale.
 // The pool holds nothing per window: decode scratch belongs to the
 // graphs, the graphs to the volumes, the volumes to the Window, so a
 // shape no session holds any more is garbage
 // (TestDroppedShapesAreCollected).
+//
+// # One window per shape per process
+//
+// Nothing a window holds depends on the faults, so each shape is built
+// once: InternWindow looks a (code, W, C, weights) key up in a
+// process-wide table and builds only what is missing. Memory and the
+// decode server both take their windows there, so a Monte Carlo call
+// repeating an earlier call's shape starts with its graphs, closing
+// volumes and the decoders its drains left on the window's free list.
+// The table's entries are weak pointers: a window stays interned while
+// anything holds it — an open server session, a drain in flight — and
+// an idle one is freed by the next collection, a runtime.AddCleanup
+// dropping its entry, so a tenant cycling through weight triples cannot
+// grow the process (TestShapeTableBounded in package server). Reuse
+// changes no bit (TestMemoryReuseAcrossCalls).
 //
 // Accuracy: a window of W ≥ 2L rounds with a C = W/2 commit region
 // reproduces whole-volume logical failure rates within statistical

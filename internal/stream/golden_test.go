@@ -133,7 +133,7 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	h := frameDigest(14695981039346656037)
 	skips := 0
 	for r := 0; r < c.t; r++ {
-		if d.Filled() == d.s.win.W {
+		if d.Filled() == d.win.W {
 			// This push slides: count the sectors whose window is silent.
 			for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 				if d.sectorQuiet(sec, nil) {

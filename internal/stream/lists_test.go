@@ -18,7 +18,7 @@ import (
 func pivotLists(d *Decoder, sec *sectorState, h int, closing []bits.Vec) [][]int {
 	var ordered []bits.Vec
 	for t := 0; t < h; t++ {
-		slot := (d.head + t) % d.s.win.W
+		slot := (d.head + t) % d.win.W
 		ordered = append(ordered, sec.ring[slot*d.nc:(slot+1)*d.nc]...)
 	}
 	ordered = append(ordered, closing...)

@@ -27,7 +27,9 @@ func heapInUse() uint64 {
 // weight triples per (L, W, C) — each decoded to Finish and dropped,
 // leave the heap where it was: the closing volumes belong to the
 // window, the decode scratch to its graphs, and no process- or
-// pool-lifetime map remembers either. The same holds for the volumes
+// pool-lifetime map remembers either: the window table Memory interns
+// through holds its entries weakly, so an idle shape goes with its
+// closing volumes and free decoders. The same holds for the volumes
 // the whole-volume experiments build per call.
 func TestDroppedShapesAreCollected(t *testing.T) {
 	if testing.Short() {
@@ -84,6 +86,20 @@ func TestDroppedShapesAreCollected(t *testing.T) {
 				t.Fatalf("shape %d: err %v, %d committed", i, d.Err(), d.Committed())
 			}
 			s.Close()
+		})
+	})
+
+	t.Run("interned Monte Carlo calls", func(t *testing.T) {
+		var shapes [][2]int // every (window, commit) with window ≤ 21
+		for w := 2; len(shapes) <= 200; w++ {
+			for c := 1; c < w; c++ {
+				shapes = append(shapes, [2]int{w, c})
+			}
+		}
+		flat(t, func(i int) {
+			if _, err := Memory(code, rounds, spacetime.Circuit(noise.Uniform(0.003)), shapes[i][0], shapes[i][1], spacetime.DecodeOptions{}, lanes, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
 		})
 	})
 

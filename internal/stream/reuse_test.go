@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"ftqc/internal/bits"
@@ -23,7 +25,7 @@ type drainOutcome struct {
 }
 
 // drainOnce runs one feed through s's drain and reads the decoder the
-// drain handed back, the newest entry of the free list.
+// drain handed back, the newest entry of the window's free list.
 func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) (drainOutcome, *Decoder) {
 	var o drainOutcome
 	if era, ok := src.(spacetime.ErasedLayerFeed); ok && opts != (spacetime.DecodeOptions{}) {
@@ -31,7 +33,7 @@ func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.D
 	} else {
 		o.failX, o.failZ = s.BatchMemoryFrom(src, rounds)
 	}
-	d := s.free[len(s.free)-1]
+	d := s.win.free[len(s.win.free)-1]
 	o.corrX, o.corrZ = d.Corrections()
 	o.slides, o.defects = d.Slides(), d.DefectsObserved()
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
@@ -49,9 +51,9 @@ func sameOutcome(a, b drainOutcome) bool {
 }
 
 // TestReusedDecoderMatchesFresh pushes a sequence of feeds through one
-// session's drain — each drain resetting the decoder an earlier one left
-// — and demands of every drain exactly what a fresh decoder on a new
-// session gives for the same feed: failure masks, committed frames,
+// window's drains — each drain resetting the decoder an earlier one left
+// on the window's free list — and demands of every drain exactly what a
+// fresh decoder on a new window gives for the same feed: failure masks, committed frames,
 // slides, defects observed and the silent-sector test its rings pass
 // afterwards (a stale quiet flag fails it). The sequence covers
 // a long stream (several slides), a silent stream that leaves every
@@ -99,7 +101,7 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 	} {
 		seed := uint64(0x7e05e + i)
 		if step.abandon {
-			d := s.takeDecoder(lanes, step.opts)
+			d := s.win.takeDecoder(s.pool, lanes, step.opts)
 			if d != prev {
 				t.Fatalf("%s: the abandoned stream did not reuse the free decoder", step.name)
 			}
@@ -116,18 +118,20 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 			if !carried {
 				t.Fatal("degenerate: the abandoned stream left no carry")
 			}
-			s.putDecoder(d)
+			s.win.putDecoder(d)
 		}
 		got, d := drainOnce(s, step.feed(seed), step.rounds, step.opts)
-		if len(s.free) != 1 {
-			t.Fatalf("%s: %d decoders on the free list after sequential drains", step.name, len(s.free))
+		if len(s.win.free) != 1 {
+			t.Fatalf("%s: %d decoders on the free list after sequential drains", step.name, len(s.win.free))
 		}
 		if (d == prev) != step.reused {
 			t.Fatalf("%s: decoder reused = %v, want %v", step.name, d == prev, step.reused)
 		}
-		ref := NewSessionOn(s.pool, s.Window())
-		want, _ := drainOnce(ref, step.feed(seed), step.rounds, step.opts)
-		ref.Close()
+		fresh, err := NewWindow(code, w, commit, wh, wv, wd) // an empty free list
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := drainOnce(NewSessionOn(s.pool, fresh), step.feed(seed), step.rounds, step.opts)
 		if !sameOutcome(got, want) {
 			t.Fatalf("%s: reused decoder gave slides %d, silent %d, defects %d, failures %d/%d; fresh %d, %d, %d, %d/%d",
 				step.name, got.slides, got.silent, got.defects, got.failX.Weight(), got.failZ.Weight(),
@@ -137,5 +141,100 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 			t.Fatalf("a fresh decoder's unfilled slots pass the silent-sector test in %d sectors", want.silent)
 		}
 		prev = d
+	}
+}
+
+// forgetShapes empties the window table, so the next call of every
+// shape builds its window, closing volumes and decoders afresh.
+func forgetShapes() {
+	shapes.Lock()
+	clear(shapes.m)
+	shapes.Unlock()
+}
+
+// TestMemoryReuseAcrossCalls: a Memory call on an interned window —
+// its graphs, closing volumes and drain decoders left by earlier calls,
+// on the process-wide pool — returns exactly what the same call returns
+// on an empty table. The sequence runs shape A, shape B, A again with a
+// partial last chunk (its own decoder lanes), A from two goroutines at
+// once (two calls' drains on one free list), and A under GOMAXPROCS 4
+// on a pool that started under GOMAXPROCS 1, which must grow to it.
+func TestMemoryReuseAcrossCalls(t *testing.T) {
+	type call struct {
+		name    string
+		l       int
+		m       spacetime.Model
+		samples int
+	}
+	a := call{"A", 4, spacetime.Circuit(noise.Uniform(0.004)), 512}
+	b := call{"B", 5, spacetime.Phenomenological(0.02, 0.02, 0, 0), 256}
+	aPartial := call{"A partial", 4, a.m, 300}
+	const rounds, seed = 12, 0x5eed
+	memory := func(t *testing.T, c call) Result {
+		t.Helper()
+		r, err := Memory(toric.Cached(c.l), rounds, c.m, 0, 0, spacetime.DecodeOptions{}, c.samples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	first := map[string]Result{}
+	for _, c := range []call{a, b, aPartial} {
+		forgetShapes()
+		first[c.name] = memory(t, c)
+	}
+	forgetShapes()
+	// Holding A's window keeps it interned through the sequence.
+	w, c := DefaultWindow(a.l)
+	wh, wv, wd := a.m.Weights(a.l, w)
+	held, err := InternWindow(toric.Cached(a.l), w, c, wh, wv, wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []call{a, b, aPartial} {
+		if got := memory(t, c); got != first[c.name] {
+			t.Fatalf("%s on a warm table: %+v, first call %+v", c.name, got, first[c.name])
+		}
+		if held.mu.Lock(); len(held.free) == 0 {
+			t.Fatalf("after %s: A's window keeps no decoder for the next call", c.name)
+		}
+		held.mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := memory(t, a); got != first[a.name] {
+				t.Errorf("A from goroutine %d: %+v, first call %+v", g, got, first[a.name])
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A pool started under GOMAXPROCS 1 serves a call under 4.
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	mcPool.Lock()
+	shared := mcPool.pool
+	mcPool.pool = nil
+	mcPool.Unlock()
+	defer func() {
+		mcPool.Lock()
+		mcPool.pool.Close()
+		mcPool.pool = shared
+		mcPool.Unlock()
+	}()
+	for _, n := range []int{1, 4} {
+		runtime.GOMAXPROCS(n)
+		if got := memory(t, a); got != first[a.name] {
+			t.Fatalf("A under GOMAXPROCS %d: %+v, first call %+v", n, got, first[a.name])
+		}
+		mcPool.Lock()
+		workers := mcPool.pool.Grow(0)
+		mcPool.Unlock()
+		if workers < n {
+			t.Fatalf("a call under GOMAXPROCS %d decoded on %d workers", n, workers)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package stream
 
 import (
 	"fmt"
-	"slices"
+	"runtime"
 	"sync"
 	"unsafe"
 
@@ -15,21 +15,16 @@ import (
 	"ftqc/internal/toric"
 )
 
-// Session owns the long-lived machinery of one streaming configuration:
-// the window structure and the decoder.Service pool shared by every
-// Decoder (and every Monte Carlo chunk) created from it. A session
-// built with a nil pool owns a private one and Close releases it; a
-// session grafted onto an external multi-graph pool (the decode-server
-// path, where one worker fleet serves many concurrent sessions) leaves
-// that pool alone. Its Monte Carlo drains reuse their decoders.
+// Session pairs a window with the decoder.Service pool its Decoders
+// submit to. A session built with a nil pool owns a private one and
+// Close releases it; a session grafted onto an external multi-graph
+// pool (the decode-server path, where one worker fleet serves many
+// concurrent sessions) leaves that pool alone. Its Monte Carlo drains
+// take their decoders from the window's free list.
 type Session struct {
 	win   *Window
 	pool  *decoder.Service
 	owned bool
-
-	mu            sync.Mutex
-	free          []*Decoder // finished drains' decoders; Close drops them
-	running, peak int        // drains in flight now and at most: the list's cap
 }
 
 // NewCodeSession is NewCodeCircuitSession over a phenomenological
@@ -72,35 +67,25 @@ func (s *Session) Close() {
 	if s.owned {
 		s.pool.Close()
 	}
-	s.mu.Lock()
-	s.free, s.peak = nil, 0 // a zero cap keeps a late drain's decoder out too
-	s.mu.Unlock()
 }
 
-// takeDecoder hands a drain a reset free decoder of its shape, or a new one.
-func (s *Session) takeDecoder(lanes int, opts spacetime.DecodeOptions) *Decoder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running++
-	s.peak = max(s.peak, s.running)
-	for i, d := range s.free {
-		if d.lanes == lanes && d.opts == opts {
-			s.free = slices.Delete(s.free, i, i+1)
-			d.reset()
-			return d
-		}
-	}
-	return s.NewDecoderOpts(lanes, opts)
+// mcPool is the process-wide decode pool of the Monte Carlo drains,
+// started by the first Memory call and never closed.
+var mcPool struct {
+	sync.Mutex
+	pool *decoder.Service
 }
 
-// putDecoder frees a drain's decoder; past the cap the oldest goes.
-func (s *Session) putDecoder(d *Decoder) {
-	s.mu.Lock()
-	s.running--
-	if s.free = append(s.free, d); len(s.free) > s.peak {
-		s.free = slices.Delete(s.free, 0, len(s.free)-s.peak)
+// monteCarloPool returns the process-wide pool, grown to at least the
+// caller's GOMAXPROCS workers.
+func monteCarloPool() *decoder.Service {
+	mcPool.Lock()
+	defer mcPool.Unlock()
+	if mcPool.pool == nil {
+		mcPool.pool = decoder.NewPool(0)
 	}
-	s.mu.Unlock()
+	mcPool.pool.Grow(runtime.GOMAXPROCS(0))
+	return mcPool.pool
 }
 
 // sectorState is one sector's half of a streaming Decoder: the layer
@@ -150,7 +135,8 @@ func (sec *sectorState) graph(vol *spacetime.Volume) *decoder.Graph {
 // lane, commit and carry. A sector that is silent in every lane skips
 // its decode entirely.
 type Decoder struct {
-	s      *Session
+	win    *Window
+	pool   *decoder.Service
 	lanes  int
 	nq, nc int // data qubits and checks per layer of the window's code
 	span   int // ring words per slot: nc planes of lane words
@@ -201,7 +187,11 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 // primal correction every slide (which serializes the two sectors'
 // decodes). Both options need a circuit-level window (WD ≥ 1).
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
-	w := s.win
+	return s.win.newDecoder(s.pool, lanes, opts)
+}
+
+// newDecoder builds a decoder of the window submitting to pool.
+func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.DecodeOptions) *Decoder {
 	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
 		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (WD ≥ 1)")
 	}
@@ -209,7 +199,7 @@ func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decod
 	// Every buffer is sized here, once, for the tallest decode there is —
 	// W buffered layers plus the closing one — so neither a slide nor
 	// Finish allocates.
-	d := &Decoder{s: s, lanes: lanes, nq: nq, nc: nc, span: nc * ((lanes + 63) / 64), opts: opts}
+	d := &Decoder{win: w, pool: pool, lanes: lanes, nq: nq, nc: nc, span: nc * ((lanes + 63) / 64), opts: opts}
 	// Erased-edge lists exist only for side-information decoders; like the
 	// defect buffers below they are sized once, at one entry per eight
 	// window edges (a leak rate of 0.01 per gate erases about a tenth of a
@@ -326,7 +316,7 @@ func (d *Decoder) Push(layerX, layerZ []bits.Vec) {
 // difference layers, returning the ring slot they landed in (-1 when a
 // slide hit a terminal pipeline error).
 func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
-	w, nc := d.s.win, d.nc
+	w, nc := d.win, d.nc
 	if len(layerX) != nc || len(layerZ) != nc {
 		panic("stream: layer plane count mismatch")
 	}
@@ -347,7 +337,7 @@ func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
 // running frames, records the cut defects as the next window's carry,
 // and advances the ring by Commit layers.
 func (d *Decoder) slide() {
-	w := d.s.win
+	w := d.win
 	if d.decode(w.vol, w.W, w.Commit, nil, nil); d.err != nil {
 		return
 	}
@@ -379,7 +369,7 @@ func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
 	}
 	d.finished = true
 	h := d.filled
-	if d.decode(d.s.win.closingVolume(h), h, h+1, layerX, layerZ); d.err != nil {
+	if d.decode(d.win.closingVolume(h), h, h+1, layerX, layerZ); d.err != nil {
 		return
 	}
 	d.base += h
@@ -519,7 +509,7 @@ func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, clo
 		sec.erabuf[lane] = erased
 		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
-	if err := d.s.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
+	if err := d.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
 		d.err = err
 	}
 }
@@ -551,7 +541,7 @@ func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int) []bits.Vec 
 }
 
 // slot returns the ring slot of buffered layer t (0 = oldest).
-func (d *Decoder) slot(t int) int { return (d.head + t) % d.s.win.W }
+func (d *Decoder) slot(t int) int { return (d.head + t) % d.win.W }
 
 // defectLists builds every lane's ascending defect list (detector =
 // layer·nc + check) straight from the planes, in layer order: the first
@@ -568,7 +558,7 @@ func (d *Decoder) defectLists(sec *sectorState, h int, closing []bits.Vec) {
 		sec.base[c].Xor(p)
 	}
 	bits.AppendPlaneSupports(sec.defbuf, sec.base, 0)
-	first := min(h-1, d.s.win.W-d.head-1) // layers 1… before the wrap, then the rest
+	first := min(h-1, d.win.W-d.head-1) // layers 1… before the wrap, then the rest
 	bits.AppendSlabSupports(sec.defbuf, sec.ringW[(d.head+1)*span:][:first*span], words, nc)
 	bits.AppendSlabSupports(sec.defbuf, sec.ringW[:(h-1-first)*span], words, (1+first)*nc)
 	bits.AppendPlaneSupports(sec.defbuf, closing, h*nc)
@@ -629,8 +619,8 @@ func (s *Session) BatchErasedFrom(src spacetime.ErasedLayerFeed, rounds int, opt
 func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
-	d := s.takeDecoder(lanes, opts)
-	defer s.putDecoder(d)
+	d := s.win.takeDecoder(s.pool, lanes, opts)
+	defer s.win.putDecoder(d)
 	layerX := bits.NewVecs(d.nc, lanes)
 	layerZ := bits.NewVecs(d.nc, lanes)
 	var eraH, lostX, lostZ []bits.Vec
@@ -651,8 +641,9 @@ func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, 
 	src.CloseLayers(layerX, layerZ)
 	d.Finish(layerX, layerZ)
 	if err := d.Err(); err != nil {
-		// The Monte Carlo paths own their pool, so a mid-run closure is a
-		// caller bug, not an operating condition.
+		// Memory's pool is never closed, so a mid-run closure is a caller
+		// closing its own session's pool under a drain, not an operating
+		// condition.
 		panic(err)
 	}
 	return s.failureMasks(src, d)
@@ -715,7 +706,7 @@ func DefaultWindow(l int) (window, commit int) { return 2 * l, l }
 
 // memoryShape is the constructor-error gate of the memory experiments:
 // it rejects a missing code, an empty horizon or an empty sample and
-// fills in the DefaultWindow sizes for zero window/commit.
+// fills in the window through WindowShape.
 func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, int, error) {
 	if code == nil {
 		return 0, 0, fmt.Errorf("stream: window needs a code")
@@ -726,21 +717,18 @@ func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, i
 	if samples < 1 {
 		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one sample (got samples=%d)", samples)
 	}
-	if window <= 0 {
-		window, _ = DefaultWindow(code.Distance())
-	}
-	if commit <= 0 {
-		commit = max(window/2, 1)
-	}
-	return window, commit, nil
+	return WindowShape(code.Distance(), window, commit)
 }
 
 // Memory runs the streaming noisy-extraction memory experiment of any
 // surface.Code under the model m: `rounds` noisy rounds from the
 // model's source stream through a sliding window of `window` layers
-// committing `commit` rounds per slide (pass 0, 0 for the DefaultWindow
-// sizes), fanned out over the CPUs in deterministic seed-per-chunk
-// batches that all share one long-lived decode pool. A model with an
+// committing `commit` rounds per slide (WindowShape fills in a zero),
+// fanned out over the CPUs in deterministic seed-per-chunk batches. The
+// window comes from the process-wide table (InternWindow), so a call
+// repeating an earlier call's shape reuses its graphs, closing volumes
+// and drain decoders, and every call decodes on one process-wide pool
+// of at least GOMAXPROCS workers. A model with an
 // erasure channel, or any non-zero opts, drains through PushErased —
 // erased lanes decode with their located faults, and correlated runs
 // reprice the dual window each slide; every other run drains through
@@ -767,12 +755,11 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 		horizon = window
 	}
 	wh, wv, wd := m.Weights(code.Distance(), horizon)
-	win, err := NewWindow(code, window, commit, wh, wv, wd)
+	win, err := InternWindow(code, window, commit, wh, wv, wd)
 	if err != nil {
 		return Result{}, err
 	}
-	s := NewSessionOn(nil, win)
-	defer s.Close()
+	s := &Session{win: win, pool: monteCarloPool()}
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		src := m.Source(code, lanes, smp)
 		if erased {

@@ -16,26 +16,21 @@ import (
 // that no non-test file uses, each with why it stays. An entry goes when
 // its name gains a caller or is deleted; the test fails on a stale one.
 var unusedExported = map[string]string{
-	"ft.IdealDecode":                 "end-of-experiment referee the EC tests and root benchmarks call",
-	"ft.LogicalH":                    "logical Hadamard (Eq. 11), driven only by the root benchmarks",
-	"ft.LogicalS":                    "logical phase gate (section 4.1), driven only by the root benchmarks",
-	"ft.NewGenericEC":                "EC gadget for any stabilizer code, run by the generic-EC tests and benchmarks",
-	"ft.PrepZeroCircuit":             "Fig. 3 encoder with a |0> input, checked by the preparation tests",
-	"ft.RunEC":                       "one scalar recovery, the reference the batch-engine tests compare against",
-	"ft.ToffoliGadgetFidelity":       "E16's Toffoli gadget fidelity, checked in tests and benchmarks",
-	"code.FiveQubit":                 "[[5,1,3]] code of section 4.2, run through the generic-EC tests",
-	"code.Shor9":                     "Shor's [[9,1,3]] code, a CSS construction check in the code tests",
-	"classical.HammingErrorPosition": "Hamming syndrome-to-position rule the classical tests pin",
-	"classical.Repetition":           "[n,1,n] repetition code the classical tests pin",
-	"anyon.ToffoliPullCount":         "pull cost of the systematic Toffoli, the constant the anyon tests pin",
-	"bits.FromBools":                 "bool-slice constructor the bits tests use",
-	"frame.New":                      "scalar frame simulator the gadget and equivalence tests build directly",
-	"frame.NewLockstepSampler":       "per-lane reference sampler of the batch-versus-scalar equivalence tests",
-	"group.S":                        "symmetric group, the solvability reference of the group tests",
-	"surface.LocationsPerRound":      "fault-location count the fault-enumeration tests check",
-	"tableau.SameState":              "state equality the frame and tableau tests use",
-	"threshold.MemoryCurve":          "1-Rec calibration curve the threshold tests check",
-	"toric.TunnelingErrorProb":       "e^{-mL} tunnelling estimate the toric tests check",
+	"ft.IdealDecode":            "end-of-experiment referee the EC tests and root benchmarks call",
+	"ft.LogicalH":               "logical Hadamard (Eq. 11), driven only by the root benchmarks",
+	"ft.LogicalS":               "logical phase gate (section 4.1), driven only by the root benchmarks",
+	"ft.NewGenericEC":           "EC gadget for any stabilizer code, run by the generic-EC tests and benchmarks",
+	"ft.PrepZeroCircuit":        "Fig. 3 encoder with a |0> input, checked by the preparation tests",
+	"ft.RunEC":                  "one scalar recovery, the reference the batch-engine tests compare against",
+	"ft.ToffoliGadgetFidelity":  "E16's Toffoli gadget fidelity, checked in tests and benchmarks",
+	"code.FiveQubit":            "[[5,1,3]] code of section 4.2, run through the generic-EC tests",
+	"code.Shor9":                "Shor's [[9,1,3]] code, a CSS construction check in the code tests",
+	"classical.Repetition":      "[n,1,n] repetition code the classical tests pin",
+	"frame.New":                 "scalar frame simulator the gadget and equivalence tests build directly",
+	"frame.NewLockstepSampler":  "per-lane reference sampler of the batch-versus-scalar equivalence tests",
+	"group.S":                   "symmetric group, the solvability reference of the group tests",
+	"surface.LocationsPerRound": "fault-location count the fault-enumeration tests check",
+	"tableau.SameState":         "state equality the frame and tableau tests use",
 }
 
 // TestExportedNamesHaveCallers is the exported-name rule: every exported

@@ -225,10 +225,6 @@ func (e A5Encoding) Toffoli(r *Register, w ToffoliWitness, ctrlA, ctrlB, target 
 	withCtrl(w.BWord, ctrlB)
 }
 
-// ToffoliPullCount is the pull cost of the systematic construction; the
-// unpublished ref. 65 word achieves 16.
-const ToffoliPullCount = 28
-
 // --- fault-tolerant interferometric measurement (Figs. 18, 22) ---
 
 // InterferometerConfidence returns the probability that a majority vote

@@ -72,17 +72,6 @@ func XorSlabs(dst []Vec, a, b []uint64) {
 	}
 }
 
-// FromBools builds a vector from a bool slice.
-func FromBools(b []bool) Vec {
-	v := NewVec(len(b))
-	for i, bit := range b {
-		if bit {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // FromString parses a vector from a string of '0' and '1' characters.
 func FromString(s string) (Vec, error) {
 	v := NewVec(len(s))

@@ -60,7 +60,7 @@ func TestXorSelfInverse(t *testing.T) {
 		} else {
 			b = b[:len(a)]
 		}
-		va, vb := FromBools(a), FromBools(b)
+		va, vb := fromBools(a), fromBools(b)
 		w := va.Clone()
 		w.Xor(vb)
 		w.Xor(vb)
@@ -408,4 +408,15 @@ func TestSlabHelpersMatchPlaneForms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromBools builds a vector from a bool slice.
+func fromBools(b []bool) Vec {
+	v := NewVec(len(b))
+	for i, bit := range b {
+		if bit {
+			v.Set(i, true)
+		}
+	}
+	return v
 }

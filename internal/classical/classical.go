@@ -156,24 +156,6 @@ func Hamming743() *Code {
 	return MustNew("Hamming[7,4,3]", h)
 }
 
-// HammingErrorPosition converts a Hamming syndrome to the (0-based) flipped
-// bit position, or -1 for the trivial syndrome. With the Eq. (1) check
-// matrix the syndrome bits spell the 1-based position in binary,
-// most-significant bit first.
-func HammingErrorPosition(syndrome bits.Vec) int {
-	if syndrome.Len() != 3 {
-		panic("classical: Hamming syndrome must have 3 bits")
-	}
-	pos := 0
-	for i := 0; i < 3; i++ {
-		pos <<= 1
-		if syndrome.Get(i) {
-			pos |= 1
-		}
-	}
-	return pos - 1
-}
-
 // Repetition returns the [n,1,n] repetition code.
 func Repetition(n int) *Code {
 	if n < 2 {

@@ -41,11 +41,11 @@ func TestHammingSyndromeNamesPosition(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		corrupted := w.Clone()
 		corrupted.Flip(i)
-		if got := HammingErrorPosition(c.Syndrome(corrupted)); got != i {
+		if got := hammingErrorPosition(c.Syndrome(corrupted)); got != i {
 			t.Fatalf("syndrome position: got %d, want %d", got, i)
 		}
 	}
-	if got := HammingErrorPosition(c.Syndrome(w)); got != -1 {
+	if got := hammingErrorPosition(c.Syndrome(w)); got != -1 {
 		t.Fatalf("trivial syndrome should map to -1, got %d", got)
 	}
 }
@@ -176,4 +176,22 @@ func TestNewRejectsDependentRows(t *testing.T) {
 	if _, err := New("bad", h); err == nil {
 		t.Fatal("expected error for dependent parity rows")
 	}
+}
+
+// hammingErrorPosition converts a Hamming syndrome to the (0-based) flipped
+// bit position, or -1 for the trivial syndrome. With the Eq. (1) check
+// matrix the syndrome bits spell the 1-based position in binary,
+// most-significant bit first.
+func hammingErrorPosition(syndrome bits.Vec) int {
+	if syndrome.Len() != 3 {
+		panic("classical: Hamming syndrome must have 3 bits")
+	}
+	pos := 0
+	for i := 0; i < 3; i++ {
+		pos <<= 1
+		if syndrome.Get(i) {
+			pos |= 1
+		}
+	}
+	return pos - 1
 }

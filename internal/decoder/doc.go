@@ -220,7 +220,28 @@
 // rest-only decode; unions touch one component at a time. The DFS roots
 // a pair at its first defect in list order (not its smaller id), so the
 // pair path emits the pair edge from that list position. Sweeps are the
-// rest's, or wmin (the one folded pass) when nothing else is left. The
-// rule sits between measured crossovers: ≈ 4 % density on the unit-
+// rest's, or wmin (the one folded pass) when nothing else is left.
+//
+// The pair test reads nothing per defect beyond the adjacency slots it
+// scans (off and adjN of the defect, then of its one defect neighbour)
+// and the mark array. Four shortcuts take out the loads it used to wait
+// on, and each is exact:
+//
+//   - The weight test is skipped on a graph whose edges all have one
+//     weight (NewWeightedGraph records that): every edge then weighs
+//     wmin. Mixed-weight graphs still load the pair edge's weight.
+//   - IsBoundary compares against the graph's smallest boundary id
+//     before it loads the boundary flag, and no node below that id is a
+//     boundary node. Space-time graphs put their one boundary node
+//     last, so no defect loads the flag.
+//   - A pair records the adjacency slot of its edge; the edge id is
+//     loaded when the pair is emitted, as independent loads, not while
+//     the scan waits on it.
+//   - A decode whose defects all pair emits the pair edges last pair
+//     first and returns, without seeding, CSR build or peel: with no
+//     rest nothing is touched, so peel's order is the pairs alone, one
+//     step each in list order, which it emits in reverse.
+//
+// The rule sits between measured crossovers: ≈ 4 % density on the unit-
 // weight L=16 window (BenchmarkUnionFindDensity), ≈ 1 % on circuit ones.
 package decoder

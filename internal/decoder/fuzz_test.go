@@ -7,20 +7,25 @@ import (
 
 // parseFuzzGraph builds a small weighted graph with optional
 // open-boundary nodes from fuzz bytes, plus a fault mask and an erased
-// set over its edges: node count (2–64), boundary count (0–2, the
-// highest-numbered nodes), then four bytes per edge — endpoints, weight
-// 1–5, and a flag byte whose low bits mark the edge faulty and erased.
+// set over its edges: node count (2–64), a boundary byte, then four
+// bytes per edge — endpoints, weight 1–5, and a flag byte whose low bits
+// mark the edge faulty and erased. The boundary byte's low two bits
+// give the boundary count (0–2), bit 2 gives every edge the first
+// edge's weight, and its top five bits shift the boundary nodes from the
+// highest ids, wrapping past the last to the first, so they can sit
+// anywhere.
 func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 	if len(data) < 2 {
 		return NewGraph(2, nil), nil, nil
 	}
 	n := 2 + int(data[0])%63
-	nb := min(int(data[1])%3, n-1)
+	nb := min(int(data[1]&3)%3, n-1)
+	equal, shift := data[1]&4 != 0, int(data[1]>>3)
 	var ends [][2]int32
 	var weights []int32
 	var boundary []int
 	for b := n - nb; b < n; b++ {
-		boundary = append(boundary, b)
+		boundary = append(boundary, (b+shift)%n)
 	}
 	for data = data[2:]; len(data) >= 4; data = data[4:] {
 		u := int(data[0]) % n
@@ -29,7 +34,11 @@ func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 			erased = append(erased, len(ends))
 		}
 		ends = append(ends, [2]int32{int32(u), int32(v)})
-		weights = append(weights, 1+int32(data[2])%5)
+		w := 1 + int32(data[2])%5
+		if equal && len(weights) > 0 {
+			w = weights[0]
+		}
+		weights = append(weights, w)
 		faulty = append(faulty, data[3]&1 != 0)
 	}
 	return NewBoundaryGraph(n, ends, weights, boundary), faulty, erased
@@ -69,6 +78,12 @@ func FuzzUnionFindDecode(f *testing.F) {
 	f.Add([]byte{9, 2, 0, 0, 2, 2, 1, 0, 2, 2, 2, 0, 2, 2, 3, 0, 2, 2})             // erasure only, no faults
 	f.Add([]byte{2, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})             // 4-ring, one isolated pair
 	f.Add([]byte{4, 0, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0, 0, 0, 3, 0, 0, 1, 4, 0, 0, 1}) // 6-path, the rest grows into the pair
+	// A 6-ring of equal weight-3 edges with a chord 2—5: two isolated
+	// pairs and nothing else, so wmin = 3 and no weight is read.
+	f.Add([]byte{4, 4, 0, 0, 2, 1, 1, 0, 7, 0, 2, 0, 9, 0, 3, 0, 4, 1, 4, 0, 0, 0, 5, 0, 0, 0, 2, 2, 1, 0})
+	// A 6-ring whose boundary nodes are shifted to ids 1 and 2: the pair
+	// {3, 4} beside them, and a lone defect 0 that grounds on 1.
+	f.Add([]byte{4, 2 | 3<<3, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 4, 0, 0, 0, 5, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, faulty, erased := parseFuzzGraph(data)
 		defects := fuzzSyndrome(g, faulty, true)

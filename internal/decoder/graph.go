@@ -1,6 +1,13 @@
 package decoder
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
+
+// MaxWeight is the largest edge weight a Graph takes: the union-find
+// growth state counts support up to 2·weight in a uint16.
+const MaxWeight = 32767
 
 // Graph is a decoding graph in compressed adjacency form: detectors
 // (checks) are nodes, physical qubits are edges between the two checks
@@ -14,17 +21,24 @@ type Graph struct {
 	nodes  int
 	endU   []int32 // edge e runs endU[e] — endV[e]
 	endV   []int32
-	weight []int32 // per-edge growth weight, >= 1
+	weight []int32 // per-edge growth weight, 1 … MaxWeight
 	off    []int32 // CSR offsets into adjE, len nodes+1
 	adjE   []int32 // incident edge ids, grouped by node
 	adjN   []int32 // the node across each adjE slot
+
+	// oneWeight: every edge has the same weight, so any edge is a
+	// lightest one and the isolated-pair test never loads a weight.
+	oneWeight bool
 
 	scratch sync.Pool // of *UnionFind over this graph
 
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
-	// odd. bnd is nil on closed graphs — the common case pays nothing.
+	// odd. bnd is nil on closed graphs, whose bndMin is nodes, so
+	// IsBoundary never loads it; space-time graphs put their one boundary
+	// node last, so no defect does either.
 	bnd     []bool
+	bndMin  int     // smallest boundary node id, nodes when there is none
 	bndList []int32 // boundary node ids in ascending order
 }
 
@@ -37,10 +51,11 @@ func NewGraph(nodes int, ends [][2]int32) *Graph {
 }
 
 // NewWeightedGraph is NewGraph with per-edge integer weights (all 1 when
-// weights is nil). Weights are the growth currency of the union-find
-// decoder: an edge of weight w needs 2w half-steps of support to join the
-// erasure, so non-uniform error channels (data vs measurement errors in a
-// space-time volume) steer the clusters along the likelier paths.
+// weights is nil), each from 1 to MaxWeight. Weights are the growth
+// currency of the union-find decoder: an edge of weight w needs 2w
+// half-steps of support to join the erasure, so non-uniform error
+// channels (data vs measurement errors in a space-time volume) steer the
+// clusters along the likelier paths.
 func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 	if weights != nil && len(weights) != len(ends) {
 		panic("decoder: weight count does not match edge count")
@@ -51,6 +66,7 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		endV:   make([]int32, len(ends)),
 		weight: make([]int32, len(ends)),
 		off:    make([]int32, nodes+1),
+		bndMin: nodes,
 	}
 	g.scratch.New = func() any { return NewUnionFind(g) }
 	for e, uv := range ends {
@@ -64,11 +80,15 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		if w < 1 {
 			panic("decoder: edge weight must be positive")
 		}
+		if w > MaxWeight {
+			panic("decoder: edge weight above MaxWeight")
+		}
 		g.endU[e], g.endV[e] = uv[0], uv[1]
 		g.weight[e] = w
 		g.off[uv[0]+1]++
 		g.off[uv[1]+1]++
 	}
+	g.oneWeight = !slices.ContainsFunc(g.weight, func(w int32) bool { return w != g.weight[0] })
 	for v := 0; v < nodes; v++ {
 		g.off[v+1] += g.off[v]
 	}
@@ -108,11 +128,8 @@ func NewBoundaryGraph(nodes int, ends [][2]int32, weights []int32, boundary []in
 			g.bndList = append(g.bndList, int32(b))
 		}
 	}
-	for i := 1; i < len(g.bndList); i++ {
-		for j := i; j > 0 && g.bndList[j] < g.bndList[j-1]; j-- {
-			g.bndList[j], g.bndList[j-1] = g.bndList[j-1], g.bndList[j]
-		}
-	}
+	slices.Sort(g.bndList)
+	g.bndMin = int(g.bndList[0])
 	return g
 }
 
@@ -125,7 +142,7 @@ func (g *Graph) Nodes() int { return g.nodes }
 func (g *Graph) Closed() bool { return len(g.bndList) == 0 }
 
 // IsBoundary reports whether node v is an open-boundary node.
-func (g *Graph) IsBoundary(v int) bool { return g.bnd != nil && g.bnd[v] }
+func (g *Graph) IsBoundary(v int) bool { return v >= g.bndMin && g.bnd[v] }
 
 // Edges returns the qubit-edge count.
 func (g *Graph) Edges() int { return len(g.endU) }

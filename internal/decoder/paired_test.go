@@ -127,25 +127,36 @@ func TestPairedDecodeMatchesFull(t *testing.T) {
 	}
 
 	t.Run("bad-input-panics", func(t *testing.T) {
-		g := pathGraph(6, 5)
-		for _, defects := range [][]int{{0, 1, 0}, {2, 3, 3}, {3, 5}} {
+		// pathGraph(6, 1, 5)'s boundary node 1 is not its highest id, and
+		// {1, 2} would be an isolated pair if it were no boundary node.
+		for _, c := range []struct {
+			g       *Graph
+			defects []int
+			sound   []int
+		}{
+			{pathGraph(6, 5), []int{0, 1, 0}, []int{1, 2}},
+			{pathGraph(6, 5), []int{2, 3, 3}, []int{1, 2}},
+			{pathGraph(6, 5), []int{3, 5}, []int{1, 2}},
+			{pathGraph(6, 1, 5), []int{1, 2}, []int{2, 3}},
+			{pathGraph(6, 1, 5), []int{3, 1}, []int{2, 3}},
+		} {
 			for _, paired := range []bool{true, false} {
-				u := NewUnionFind(g)
+				u := NewUnionFind(c.g)
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Fatalf("decoded %v without a panic (pair path: %v)", defects, paired)
+							t.Fatalf("decoded %v without a panic (pair path: %v)", c.defects, paired)
 						}
 					}()
 					if paired {
-						u.appendPaired(nil, defects)
+						u.appendPaired(nil, c.defects)
 					} else {
-						u.appendFull(nil, defects, nil)
+						u.appendFull(nil, c.defects, nil)
 					}
 				}()
 				// The instance is still sound after the panic.
-				if err := PairedMatchesFull(u, NewUnionFind(g), []int{1, 2}); err != nil {
-					t.Fatalf("after the panic on %v (pair path: %v): %v", defects, paired, err)
+				if err := PairedMatchesFull(u, NewUnionFind(c.g), c.sound); err != nil {
+					t.Fatalf("after the panic on %v (pair path: %v): %v", c.defects, paired, err)
 				}
 			}
 		}

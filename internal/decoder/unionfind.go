@@ -128,10 +128,7 @@ func NewUnionFind(g *Graph) *UnionFind {
 	if len(g.weight) > 0 {
 		lo := g.weight[0]
 		for e, w := range g.weight {
-			if 2*w > 65535 {
-				panic("decoder: edge weight too large for growth state")
-			}
-			u.edge[e].target = uint16(2 * w)
+			u.edge[e].target = uint16(2 * w) // w <= MaxWeight
 			lo = min(lo, w)
 		}
 		u.wmin = uint16(lo)
@@ -157,7 +154,7 @@ func (u *UnionFind) touch(v int32) {
 		return
 	}
 	*n = ufNode{parent: v, size: 1, stamp: u.epoch << 1, bndHead: -1, bndTail: -1}
-	if u.g.bnd != nil && u.g.bnd[v] {
+	if u.g.IsBoundary(int(v)) {
 		n.flags = 4
 	}
 	u.touched = append(u.touched, v)
@@ -253,7 +250,7 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 	g, mark := u.g, u.mark
 	isPaired := u.epoch<<1 | 1
 	for _, d := range defects {
-		if g.bnd != nil && g.bnd[d] {
+		if g.IsBoundary(d) {
 			panic("decoder: boundary node cannot be a defect")
 		}
 		if mark[d]>>1 == u.epoch {
@@ -267,25 +264,31 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 		if mark[v] == isPaired {
 			continue // the second defect of a pair taken earlier
 		}
-		if s := u.soleDefectSlot(v); s >= 0 && g.weight[g.adjE[s]] == int32(u.wmin) {
+		if s := u.soleDefectSlot(v); s >= 0 && (g.oneWeight || g.weight[g.adjE[s]] == int32(u.wmin)) {
 			w := g.adjN[s]
 			if t := u.soleDefectSlot(w); t >= 0 && g.adjN[t] == v {
 				mark[v], mark[w] = isPaired, isPaired
-				pairs = append(pairs, peelStep{node: -1, parentEdge: g.adjE[s], parentNode: v})
+				pairs = append(pairs, peelStep{node: -1, parentEdge: s, parentNode: v})
 				continue
 			}
 		}
 		rest = append(rest, d)
 	}
 	u.rest, u.pairs = rest, pairs
+	if len(rest) == 0 {
+		// Pairs alone: the one folded pass completes every pair edge, and
+		// peel would emit one step per pair, the last pair first.
+		u.sweeps = int(u.wmin)
+		for i := len(pairs) - 1; i >= 0; i-- {
+			corr = append(corr, g.adjE[pairs[i].parentEdge])
+		}
+		return corr
+	}
 	u.grow(rest, nil)
 	for _, e := range u.dirty {
 		if mark[g.endU[e]] == isPaired || mark[g.endV[e]] == isPaired {
 			return u.appendFull(corr, defects, nil)
 		}
-	}
-	if len(rest) == 0 {
-		u.sweeps = int(u.wmin) // the first pass that completes every pair edge
 	}
 	return u.peel(corr, defects, pairs)
 }
@@ -314,7 +317,7 @@ func (u *UnionFind) grow(defects, erased []int) {
 	node, edge := u.node, u.edge
 	for _, d := range defects {
 		v := int32(d)
-		if g.bnd != nil && g.bnd[v] {
+		if g.IsBoundary(d) {
 			panic("decoder: boundary node cannot be a defect")
 		}
 		u.touch(v)
@@ -497,9 +500,10 @@ func (u *UnionFind) union(ra, rb int32) {
 // cancel pairwise inside the forest; a grounded cluster roots its tree
 // at an open-boundary node, so any unpaired defect drains onto the
 // boundary and is absorbed there. Correction edges are appended to corr.
-// An isolated pair (appendPaired) is one step, node -1, emitting its edge
-// where the full decode's tree from its first defect would; the second
-// defect, marked 2·epoch+1 (no node is on the full path), roots nothing.
+// An isolated pair (appendPaired) is one step, node -1, whose parentEdge
+// is the pair edge's adjacency slot: it emits the edge where the full
+// decode's tree from its first defect would; the second defect, marked
+// 2·epoch+1 (no node is on the full path), roots nothing.
 func (u *UnionFind) peel(corr []int32, defects []int, pairs []peelStep) []int32 {
 	g := u.g
 	node := u.node
@@ -548,7 +552,7 @@ func (u *UnionFind) peel(corr []int32, defects []int, pairs []peelStep) []int32 
 	for i := len(u.order) - 1; i >= 0; i-- {
 		step := u.order[i]
 		if step.node < 0 {
-			corr = append(corr, step.parentEdge)
+			corr = append(corr, g.adjE[step.parentEdge])
 			continue
 		}
 		if step.parentEdge < 0 || node[step.node].flags&2 == 0 {

@@ -310,3 +310,25 @@ func TestPrunedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxWeight: a weight past MaxWeight is a construction panic, not a
+// later one from the first decode's scratch, and a MaxWeight edge
+// decodes on both paths — its target 2·MaxWeight still fits the growth
+// state.
+func TestMaxWeight(t *testing.T) {
+	ends := [][2]int32{{0, 1}, {1, 2}, {2, 0}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("weight MaxWeight+1 accepted")
+			}
+		}()
+		NewWeightedGraph(3, ends, []int32{1, MaxWeight + 1, 1})
+	}()
+	for _, weights := range [][]int32{{MaxWeight, MaxWeight, MaxWeight}, {1, MaxWeight, 1}} {
+		g := NewWeightedGraph(3, ends, weights)
+		if err := PairedMatchesFull(NewUnionFind(g), NewUnionFind(g), []int{2, 1}); err != nil {
+			t.Fatalf("weights %v: %v", weights, err)
+		}
+	}
+}

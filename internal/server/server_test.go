@@ -418,6 +418,7 @@ func TestServerValidation(t *testing.T) {
 		{Code: nil, Lanes: 8, Window: 4, Commit: 2, WH: 1, WV: 1},
 		{Code: good.Code, Lanes: 8, Window: 4, Commit: 4, WH: 1, WV: 1},
 		{Code: good.Code, Lanes: 8, Window: 4, Commit: 2, WH: 0, WV: 1},
+		{Code: good.Code, Lanes: 8, Window: 4, Commit: 2, WH: 40000, WV: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := srv.Open(cfg); err == nil {

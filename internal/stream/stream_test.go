@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -370,6 +372,17 @@ func TestWindowValidation(t *testing.T) {
 	}
 	if _, err := NewWindow(toric.Cached(4), 4, 2, 1, 1, -1); err == nil {
 		t.Error("window with wd=-1 accepted")
+	}
+	// A weight past the decoder's growth state is a construction error
+	// naming it, never a panic from the first decode on a pool worker.
+	for _, wt := range [][3]int{{40000, 1, 0}, {1, decoder.MaxWeight + 1, 0}, {3, 2, 1 << 20}} {
+		_, err := NewWindow(toric.Cached(3), 6, 3, wt[0], wt[1], wt[2])
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(max(wt[0], wt[1], wt[2]))) {
+			t.Errorf("window with weights %v: err %v, want one naming the weight", wt, err)
+		}
+	}
+	if _, err := NewWindow(toric.Cached(3), 6, 3, decoder.MaxWeight, 1, 0); err != nil {
+		t.Errorf("window at MaxWeight rejected: %v", err)
 	}
 	if _, err := toricMemory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
 		t.Error("Memory with zero rounds accepted")

@@ -55,9 +55,10 @@ func WindowShape(l, window, commit int) (int, int, error) {
 // NewWindow builds the window structure of a surface.Code (planar and
 // rotated windows ground their spatial boundaries on the virtual node),
 // window height W ≥ 2 layers, commit region 1 ≤ commit ≤ W−1, and the
-// given integer edge weights (see spacetime.Model.Weights): wd = 0
-// builds the phenomenological window, wd ≥ 1 adds the circuit model's
-// diagonal edge class (the code's ExtractionSchedule orients it).
+// given integer edge weights, none past decoder.MaxWeight (see
+// spacetime.Model.Weights): wd = 0 builds the phenomenological window,
+// wd ≥ 1 adds the circuit model's diagonal edge class (the code's
+// ExtractionSchedule orients it).
 // Invalid parameters return a descriptive error at construction instead
 // of surfacing as a panic deep inside a later decode — a window that
 // constructs cleanly streams cleanly. A window taller than the stream
@@ -75,6 +76,9 @@ func NewWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 	}
 	if wh < 1 || wv < 1 || wd < 0 {
 		return nil, fmt.Errorf("stream: edge weights must be positive, wd non-negative (got wh=%d, wv=%d, wd=%d)", wh, wv, wd)
+	}
+	if wmax := max(wh, wv, wd); wmax > decoder.MaxWeight {
+		return nil, fmt.Errorf("stream: edge weight %d is past the decoder's maximum %d (got wh=%d, wv=%d, wd=%d)", wmax, decoder.MaxWeight, wh, wv, wd)
 	}
 	return &Window{
 		W: w, Commit: commit, WH: wh, WV: wv, WD: wd,

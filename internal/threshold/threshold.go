@@ -38,15 +38,6 @@ func Curve(method ft.ECMethod, model Model, epsList []float64, cfg ft.Config, sa
 	})
 }
 
-// MemoryCurve measures the single-block recovery failure probability (the
-// 1-Rec calibration of the flow equation).
-func MemoryCurve(method ft.ECMethod, model Model, epsList []float64, cfg ft.Config, samples int, seed uint64) []Point {
-	return sweep(epsList, func(i int, eps float64) Point {
-		r := ft.ECFailureRate(method, model(eps), cfg, samples, seed+uint64(i)*1000)
-		return pointOf(eps, r.FailRate(), r.Samples)
-	})
-}
-
 func pointOf(eps, p float64, samples int) Point {
 	return Point{
 		Eps:     eps,

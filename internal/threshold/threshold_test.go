@@ -84,8 +84,17 @@ func TestMemoryCurveRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo")
 	}
-	pts := MemoryCurve(ft.MethodSteane, noise.Uniform, []float64{1e-3}, ft.DefaultConfig(), 5000, 29)
+	pts := memoryCurve(ft.MethodSteane, noise.Uniform, []float64{1e-3}, ft.DefaultConfig(), 5000, 29)
 	if len(pts) != 1 || pts[0].Samples != 5000 {
 		t.Fatalf("bad points %+v", pts)
 	}
+}
+
+// memoryCurve measures the single-block recovery failure probability (the
+// 1-Rec calibration of the flow equation).
+func memoryCurve(method ft.ECMethod, model Model, epsList []float64, cfg ft.Config, samples int, seed uint64) []Point {
+	return sweep(epsList, func(i int, eps float64) Point {
+		r := ft.ECFailureRate(method, model(eps), cfg, samples, seed+uint64(i)*1000)
+		return pointOf(eps, r.FailRate(), r.Samples)
+	})
 }

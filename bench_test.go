@@ -380,7 +380,7 @@ func streamBench(b *testing.B, code surface.Code, m spacetime.Model, rounds int)
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.BatchMemoryFrom(m.Source(code, 64, frame.NewAggregateSampler(7, uint64(i))), rounds)
+		s.BatchMemoryFrom(m.Source(code, 64, frame.NewAggregateSampler(7, uint64(i))), rounds, spacetime.DecodeOptions{})
 	}
 }
 

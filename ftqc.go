@@ -73,7 +73,7 @@
 // worker-pool service (batched shots in, corrections out, identical
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
 // failure rates; a window covering the whole stream reproduces the
-// whole-volume decode bit for bit.
+// whole-volume decode over the same weights bit for bit.
 //
 // The facade below re-exports the entry points the examples call; the
 // implementation, simulators, code constructors and the multi-tenant
@@ -269,8 +269,9 @@ func CircuitModel(P NoiseParams) NoiseModel { return spacetime.Circuit(P) }
 // sectors are tracked per shot. ToricDecoderUnionFind is the production
 // decoder; ToricDecoderExact runs the weighted blossom matcher, on the
 // torus only and without erasure channels or decode options — a run it
-// cannot price is an error, as are a malformed model, an empty horizon
-// and an empty sample.
+// cannot price is an error, as are a malformed model (a rate that is NaN
+// or outside [0, 1]), decode options on a phenomenological model without
+// an erasure channel, an empty horizon and an empty sample.
 func SpacetimeMemory(c SurfaceCode, rounds int, m NoiseModel, dec ToricDecoder, opts DecodeOptions, samples int, seed uint64) (SpacetimeResult, error) {
 	return spacetime.Memory(c, rounds, m, dec, opts, samples, seed)
 }
@@ -296,8 +297,10 @@ type StreamingResult = stream.Result
 // corrections commit behind the window, and per-lane memory stays
 // O(d²·W) no matter how many rounds stream past; erasure planes ride
 // the difference layers round by round, and correlated runs reprice the
-// dual window each slide. With W ≥ rounds it reproduces SpacetimeMemory
-// bit for bit. Invalid window shapes (commit not in [1, window-1],
+// dual window each slide. A window that never slides reproduces
+// SpacetimeMemory bit for bit when both decode over the same weights:
+// W ≥ rounds for a phenomenological model, W = rounds for a circuit
+// one, whose weights take the window as their horizon. Invalid window shapes (commit not in [1, window-1],
 // window < 2, ...), a malformed model, and erasure channels or decode
 // options on a phenomenological model are reported as errors.
 func StreamingMemory(c SurfaceCode, rounds int, m NoiseModel, window, commit int, opts DecodeOptions, samples int, seed uint64) (StreamingResult, error) {

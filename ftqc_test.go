@@ -1,6 +1,7 @@
 package ftqc
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -140,5 +141,34 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	if _, err := stream(10, 5, 5, 500, 14); err == nil {
 		t.Fatal("commit == window accepted")
+	}
+}
+
+// TestMemoryRejectsOutOfRangeRates: a phenomenological rate that is NaN
+// or outside [0, 1] is a constructor error of both Memory drivers,
+// never a hang (a NaN rate never ends the sampler's gap walk) or a
+// silent run.
+func TestMemoryRejectsOutOfRangeRates(t *testing.T) {
+	for _, m := range []NoiseModel{
+		PhenomenologicalModel(math.NaN(), 0.01, 0, 0),
+		PhenomenologicalModel(0.01, math.NaN(), 0, 0),
+		PhenomenologicalModel(0.01, 0.01, math.NaN(), 0),
+		PhenomenologicalModel(0.01, 0.01, 0, math.Inf(1)),
+	} {
+		if err := m.Validate(); err == nil {
+			t.Fatalf("Validate accepted %+v", m)
+		}
+	}
+	for _, m := range []NoiseModel{
+		PhenomenologicalModel(1.5, 0.01, 0, 0),
+		PhenomenologicalModel(-0.1, 0.01, 0, 0),
+		PhenomenologicalModel(0.01, 0.01, 2, 0),
+	} {
+		if r, err := SpacetimeMemory(ToricCode(3), 6, m, ToricDecoderUnionFind, DecodeOptions{}, 64, 1); err == nil {
+			t.Errorf("SpacetimeMemory accepted %+v: %+v", m, r)
+		}
+		if r, err := StreamingMemory(ToricCode(3), 6, m, 0, 0, DecodeOptions{}, 64, 1); err == nil {
+			t.Errorf("StreamingMemory accepted %+v: %+v", m, r)
+		}
 	}
 }

@@ -203,7 +203,7 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 	v := phenomVolume(toric.Cached(l), rounds, p, q)
 	P := noise.Params{Storage: storage, Meas: q}
 	fx, fz, _ := frame.CountSectorFailures(samples, 33, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), toric.DecoderUnionFind)
+		return v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), toric.DecoderUnionFind, DecodeOptions{})
 	})
 	ref := toricMemory(l, rounds, p, q, toric.DecoderUnionFind, samples, 34)
 	for _, s := range []struct {

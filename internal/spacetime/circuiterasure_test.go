@@ -3,6 +3,7 @@ package spacetime
 import (
 	"testing"
 
+	"ftqc/internal/bits"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
@@ -12,8 +13,8 @@ import (
 // TestLeakageNotSilentlyIgnored pins the headline bugfix: a
 // leakage-configured circuit run must actually model the leakage — its
 // outcome may not be bit-identical to the leak-free run of the same
-// seed, and the plain (non-erasure) constructors must refuse leaky
-// models instead of zeroing them.
+// seed, and the plain round must refuse a leaky source instead of
+// zeroing its leakage.
 func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	P := noise.Uniform(0.02)
 	leaky := P
@@ -35,16 +36,22 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 }
 
 // TestPlainCircuitSourcePanicsOnLeak pins the same contract on the
-// source itself.
+// source itself: a leaking source is Erasing, and its plain round
+// panics instead of dropping the erasure planes.
 func TestPlainCircuitSourcePanicsOnLeak(t *testing.T) {
 	P := noise.Uniform(0.01)
 	P.Leak = 0.01
+	code := toric.Cached(4)
+	src := surface.NewCircuitSource(code, P, 64, frame.NewAggregateSampler(2, 1))
+	if !src.Erasing() {
+		t.Fatal("a source with P.Leak > 0 is not Erasing")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("surface.NewCircuitSource accepted P.Leak > 0 without panicking")
+			t.Fatal("NextLayers on a source with P.Leak > 0 did not panic")
 		}
 	}()
-	surface.NewCircuitSource(toric.Cached(4), P, 64, frame.NewAggregateSampler(2, 1))
+	src.NextLayers(bits.NewVecs(code.Checks(), 64), bits.NewVecs(code.Checks(), 64))
 }
 
 // TestValidateRejectsMalformedModels pins the constructor-error gate of
@@ -166,15 +173,16 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 }
 
 // TestErasedVolumeMatchesPlainOnLeakFree: with Leak = 0 the erased
-// pipeline must consume the sampler stream identically to the plain
-// one — same draws, same decodes, same failures.
+// round must consume the sampler stream identically to the plain one —
+// same draws, same decodes, same failures — so a leak-free source, which
+// is not Erasing, may drain through the fused plain round.
 func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
 	wh, wv, wd := WeightsCircuit(P, 4, 4)
 	v := NewVolume(toric.Cached(4), 4, wh, wv, wd)
 	lanes := 192
-	fx1, fz1 := v.BatchErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
-	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
+	fx1, fz1 := v.BatchMemoryFrom(erasingFeed{surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3))}, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true})
+	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind, DecodeOptions{})
 	for lane := 0; lane < lanes; lane++ {
 		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {
 			t.Fatalf("lane %d: erased pipeline diverges from plain on a leak-free model", lane)

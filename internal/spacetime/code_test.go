@@ -67,19 +67,19 @@ func TestVolumeFeedGuards(t *testing.T) {
 	}
 	expectPanic("family mismatch", func() {
 		src := surface.NewLayerSource(surface.Rotated(3), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{})
 	})
 	expectPanic("toric feed into open volume", func() {
 		src := surface.NewLayerSource(toric.Cached(3), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{})
 	})
 	expectPanic("schedule mismatch", func() {
 		src := surface.NewCircuitSource(toric.HookParallel(3), noise.Uniform(0.01), 8, frame.NewAggregateSampler(1, 0))
-		NewVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
+		NewVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{})
 	})
 	expectPanic("distance mismatch", func() {
 		src := surface.NewLayerSource(surface.Planar(4), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{})
 	})
 	expectPanic("exact matching on an open code", func() {
 		planarVol.Decode([]int{0, 1}, toric.DecoderExact, false)

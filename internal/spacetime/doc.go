@@ -42,9 +42,8 @@
 // window of internal/stream decodes every slide on).
 // The edge-id layout lives here and nowhere else: buildGraph assigns the
 // ids, CommitEdges folds a correction back into a Pauli frame cut at a
-// layer (past the top layer: the plain projection), SetErasedMask and
-// MarkCounterpartEdges name the erased edges of the side-information
-// decodes. A Volume is built by whoever decodes on it — an experiment
+// layer (past the top layer: the plain projection), AppendErased and
+// Reprice name the erased edges of the side-information decodes. A Volume is built by whoever decodes on it — an experiment
 // for its run, a stream.Window for its life — and nothing in the
 // package outlives its caller.
 //

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"ftqc/internal/bits"
+	"ftqc/internal/frame"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -90,7 +92,9 @@ func TestErasedDecodeClearsProjectedSyndrome(t *testing.T) {
 			for _, dual := range []bool{false, true} {
 				cum, defects, erased := scalarErasedShot(v, rng, cfg.p, cfg.q, cfg.pe, cfg.qe, dual)
 				res := cum.Clone()
-				res.Xor(v.DecodeErased(defects, erased, dual))
+				scr := v.scratch.Get().(*volScratch)
+				v.decodeInto(defects, erased, toric.DecoderUnionFind, dual, scr, res)
+				v.scratch.Put(scr)
 				var rest []int
 				if dual {
 					rest = v.Lattice().StarSyndrome(res)
@@ -140,17 +144,44 @@ func TestErasedMemoryDeterministic(t *testing.T) {
 	}
 }
 
+// erasingFeed drains a source through its erased round whatever its
+// rates: a drain reads NextLayersErased exactly when the feed is
+// Erasing.
+type erasingFeed struct{ LayerFeed }
+
+func (erasingFeed) Erasing() bool { return true }
+
 // TestErasedReducesToPlain: pe = qe = 0 erased decoding must behave like
 // the plain experiment statistically (the draw streams differ, so the
-// comparison is within Monte Carlo error). ErasureAware keeps the
-// erasure-free model on the erased drain.
+// comparison is within Monte Carlo error). Memory refuses decode options
+// on a model with no erasure channel, so the erased round is driven
+// directly.
 func TestErasedReducesToPlain(t *testing.T) {
 	const samples = 4000
-	er := toricErasedMemory(4, 4, 0.03, 0.03, 0, 0, samples, 619, true)
+	v := phenomVolume(toric.Cached(4), 4, 0.03, 0.03)
+	_, _, fa := frame.CountSectorFailures(samples, 619, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
+		src := erasingFeed{surface.NewLayerSourceErased(toric.Cached(4), 0.03, 0.03, 0, 0, lanes, smp)}
+		return v.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true})
+	})
 	pl := toricMemory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, samples, 620)
-	fe, fp := er.FailRate(), pl.FailRate()
+	fe, fp := float64(fa)/samples, pl.FailRate()
 	sigma := math.Sqrt(fe*(1-fe)/samples + fp*(1-fp)/samples)
 	if diff := math.Abs(fe - fp); diff > 4*sigma+0.01 {
 		t.Fatalf("pe=qe=0 erased %.4f vs plain %.4f (diff %.4f > %.4f)", fe, fp, diff, 4*sigma+0.01)
+	}
+}
+
+// TestMemoryRefusesOptionsWithoutErasure: decode options on a
+// phenomenological model with no erasure channel are a constructor
+// error. Its source is not Erasing, so the options would have nothing to
+// act on; with an erasure channel they are accepted.
+func TestMemoryRefusesOptionsWithoutErasure(t *testing.T) {
+	for _, opts := range []DecodeOptions{{ErasureAware: true}, {Correlated: true}} {
+		if _, err := Memory(toric.Cached(4), 4, Phenomenological(0.02, 0.02, 0, 0), toric.DecoderUnionFind, opts, 64, 1); err == nil {
+			t.Fatalf("opts=%+v accepted on a phenomenological model without an erasure channel", opts)
+		}
+		if _, err := Memory(toric.Cached(4), 4, Phenomenological(0.02, 0.02, 0.01, 0), toric.DecoderUnionFind, opts, 64, 1); err != nil {
+			t.Fatalf("opts=%+v refused on a phenomenological model with leakage: %v", opts, err)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Model names the noise of a memory experiment once: phenomenological
 // or circuit-level, erasure channels included. It owns the three
 // choices every memory experiment makes from the noise — the layer source
-// (Source), the integer edge weights (Weights) and the rates a result
-// reports (Rates) — and ErasedDrain states which drain a run takes.
+// (Source, which states whether its rounds carry erasure planes), the
+// integer edge weights (Weights) and the rates a result reports (Rates).
 //
 // A phenomenological model flips each data qubit at rate p and each
 // check measurement at rate q per round. Two erasure channels ride on
@@ -52,18 +52,20 @@ func Circuit(P noise.Params) Model { return Model{circuit: true, P: P} }
 // CircuitLevel reports whether m is a circuit-level model.
 func (m Model) CircuitLevel() bool { return m.circuit }
 
-// ErasedDrain reports whether a run of m under opts drains through the
-// erased round (BatchErasedFrom): exactly when m carries an erasure
-// channel (pe or qe > 0, or a circuit model's Leak > 0) or opts is
-// non-zero. Every other run takes the plain drain (BatchMemoryFrom).
-func (m Model) ErasedDrain(opts DecodeOptions) bool {
-	return m.pe > 0 || m.qe > 0 || m.P.Leak > 0 || opts != (DecodeOptions{})
-}
-
-// Validate rejects a malformed circuit model (noise.Params.Validate).
+// Validate rejects a malformed model: a circuit model's
+// noise.Params.Validate, or a phenomenological rate (p, q, pe, qe) that
+// is NaN or outside [0, 1].
 func (m Model) Validate() error {
 	if m.circuit {
 		return m.P.Validate()
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"p", m.p}, {"q", m.q}, {"pe", m.pe}, {"qe", m.qe}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("spacetime: %s = %v outside [0,1]", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -83,11 +85,11 @@ func (m Model) Weights(d, horizon int) (wh, wv, wd int) {
 
 // Source returns the model's layer source over code for `lanes`
 // parallel shots drawing from smp: surface.NewLayerSourceErased or
-// surface.NewCircuitSourceErased. The plain drain reads it through
-// NextLayers, which a model with an erasure channel must never reach.
-func (m Model) Source(code surface.Code, lanes int, smp frame.Sampler) ErasedLayerFeed {
+// surface.NewCircuitSource. It is Erasing exactly when the model carries
+// an erasure channel (pe or qe > 0, or a circuit model's Leak > 0).
+func (m Model) Source(code surface.Code, lanes int, smp frame.Sampler) LayerFeed {
 	if m.circuit {
-		return surface.NewCircuitSourceErased(code, m.P, lanes, smp)
+		return surface.NewCircuitSource(code, m.P, lanes, smp)
 	}
 	return surface.NewLayerSourceErased(code, m.p, m.q, m.pe, m.qe, lanes, smp)
 }
@@ -106,13 +108,14 @@ func (m Model) Rates() (p, q, pe, qe float64) {
 // any surface.Code under the model m: `rounds` noisy extraction rounds
 // decoded over the code's weighted space-time volume (with the diagonal
 // edge class for a circuit-level model), fanned out over the CPUs in
-// deterministic seed-per-chunk batches. A model with an erasure channel,
-// or any non-zero opts, drains through BatchErasedFrom and decodes with
-// union-find; every other run drains through BatchMemoryFrom with kind.
-// With q = 0 and rounds = 1 a phenomenological run reduces
+// deterministic seed-per-chunk batches through BatchMemoryFrom. The
+// model's source states whether the rounds carry erasure planes; a model
+// with an erasure channel, or any non-zero opts, decodes with union-find
+// only. With q = 0 and rounds = 1 a phenomenological run reduces
 // (statistically) to the 2D memory experiment. A malformed model, an
-// empty horizon or sample, or a decoder the code or drain cannot run is
-// an error.
+// empty horizon or sample, a decoder the code or options cannot run, or
+// decode options on a phenomenological model without an erasure channel
+// is an error.
 func Memory(code surface.Code, rounds int, m Model, kind toric.DecoderKind, opts DecodeOptions, samples int, seed uint64) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
@@ -120,18 +123,17 @@ func Memory(code surface.Code, rounds int, m Model, kind toric.DecoderKind, opts
 	if err := validateMemory(code, rounds, samples, kind); err != nil {
 		return Result{}, err
 	}
-	erased := m.ErasedDrain(opts)
-	if erased && kind != toric.DecoderUnionFind {
+	erasing, plain := m.pe > 0 || m.qe > 0 || m.P.Leak > 0, opts == (DecodeOptions{})
+	if !plain && !erasing && !m.circuit {
+		return Result{}, fmt.Errorf("spacetime: decode options on a phenomenological model need an erasure channel (pe or qe > 0)")
+	}
+	if (erasing || !plain) && kind != toric.DecoderUnionFind {
 		return Result{}, fmt.Errorf("spacetime: erasure channels and decode options decode with union-find only")
 	}
 	wh, wv, wd := m.Weights(code.Distance(), rounds)
 	v := NewVolume(code, rounds, wh, wv, wd)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		src := m.Source(code, lanes, smp)
-		if erased {
-			return v.BatchErasedFrom(src, opts)
-		}
-		return v.BatchMemoryFrom(src, kind)
+		return v.BatchMemoryFrom(m.Source(code, lanes, smp), kind, opts)
 	})
 	p, q, pe, qe := m.Rates()
 	return Result{L: code.Distance(), T: rounds, P: p, Q: q, Pe: pe, Qe: qe, Samples: samples,

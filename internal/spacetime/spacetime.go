@@ -3,6 +3,7 @@ package spacetime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ftqc/internal/bits"
@@ -28,8 +29,8 @@ import (
 // per-worker decoder state lives in the scratch pool.
 //
 // The edge-id layout is stated here and nowhere else: buildGraph assigns
-// the ids, CommitEdges reads a correction back, SetErasedMask and
-// MarkCounterpartEdges name erased edges.
+// the ids, CommitEdges reads a correction back, AppendErased and
+// Reprice name erased edges.
 type Volume struct {
 	L, T       int // L = code distance
 	WH, WV, WD int // WD = 0: no diagonal edges (phenomenological volume)
@@ -62,8 +63,9 @@ type volScratch struct {
 	grid     decoder.DefectGrid
 	defects  []int
 	erased   []int
+	lists    [2][][]int // per-sector, per-lane erased lists of the chunk in flight (AppendErased)
 	corr     bits.Vec
-	emask    bits.Vec // edge-id mask: erased-list construction, correlated repricing
+	emask    bits.Vec // edge-id mask of correlated repricing (Reprice)
 	edges    []int32  // raw correction edges of the lane in flight
 }
 
@@ -341,22 +343,9 @@ func gcd(a, b int) int {
 // (pruned above decoder.SparseMatchMin defects); every other kind runs
 // the weighted union-find decoder.
 func (v *Volume) Decode(defects []int, kind toric.DecoderKind, dual bool) bits.Vec {
-	return v.decode(defects, nil, kind, dual)
-}
-
-// DecodeErased is Decode with erasure information: the listed edge ids
-// (horizontal data-leakage edges, vertical lost-measurement edges) seed
-// the union-find peeling pass at full support, so known-bad locations
-// are corrected without growth. Erasure decoding is union-find only —
-// the peeling pass is what exploits the locations.
-func (v *Volume) DecodeErased(defects, erased []int, dual bool) bits.Vec {
-	return v.decode(defects, erased, toric.DecoderUnionFind, dual)
-}
-
-func (v *Volume) decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
 	scr := v.scratch.Get().(*volScratch)
-	v.decodeInto(defects, erased, kind, dual, scr, corr)
+	v.decodeInto(defects, nil, kind, dual, scr, corr)
 	v.scratch.Put(scr)
 	return corr
 }
@@ -475,29 +464,26 @@ func (v *Volume) matchCutoff(n int) int64 {
 // models and the decoders: T calls of NextLayers emit the noisy rounds'
 // difference-syndrome layers (check-major, one vector of lane bits per
 // check), CloseLayers emits the perfect closing layer, and Windings
-// reads the accumulated error chains' homology parities. Both the
+// reads the accumulated error chains' homology parities. A feed that is
+// Erasing (an erasure channel or leakage in its noise) emits its rounds
+// through NextLayersErased instead, which adds the round's erasure
+// planes: eraH qubit-major (Qubits() planes: lanes whose data qubit is a
+// located fault this layer), lostX/lostZ check-major (Checks() planes
+// per sector: lanes whose ancilla measurement read as a coin). Both the
 // whole-volume batch decode (Volume.BatchMemoryFrom) and the streaming
-// sliding-window pipeline (internal/stream) drain a feed;
-// surface.LayerSource (phenomenological) and surface.CircuitSource
-// (circuit-level) are its two implementations.
+// sliding-window pipeline (internal/stream) drain a feed, and both read
+// NextLayersErased exactly when it is Erasing; surface.LayerSource
+// (phenomenological) and surface.CircuitSource (circuit-level) are its
+// two implementations.
 type LayerFeed interface {
 	Code() surface.Code
 	Lanes() int
 	Rounds() int
+	Erasing() bool
 	NextLayers(layerX, layerZ []bits.Vec)
+	NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec)
 	CloseLayers(layerX, layerZ []bits.Vec)
 	Windings(pX1, pX2, pZ1, pZ2 bits.Vec)
-}
-
-// ErasedLayerFeed is the layer-feed contract of an erasure-harvesting
-// source (surface.NewLayerSourceErased, surface.NewCircuitSourceErased):
-// LayerFeed plus the per-round erasure planes. eraH is qubit-major
-// (Qubits() planes: lanes whose data qubit is a located fault this
-// layer), lostX/lostZ are check-major (Checks() planes per sector: lanes
-// whose ancilla measurement read as a coin).
-type ErasedLayerFeed interface {
-	LayerFeed
-	NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec)
 }
 
 // CheckFeed panics on a feed that cannot drive a decoder built for
@@ -514,51 +500,40 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 
 // BatchMemoryFrom runs Lanes() shots of the noisy-extraction memory
 // experiment as bit-planes: the feed emits T rounds of difference
-// layers plus the perfect closing layer, and both sectors decode per
-// lane over the weighted volume with the given decoder. The feed must
-// be fresh (zero rounds emitted) and extract on this volume's code.
-// Returns the per-lane logical failure masks of the two sectors.
-func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
-	return v.batch(src, nil, kind, DecodeOptions{})
-}
-
-// BatchErasedFrom is BatchMemoryFrom draining an erasure-harvesting feed
-// with the selected side-information passes (union-find only). With a
-// leak-free circuit model it consumes the sampler stream identically
-// (the erased round of a leak-free circuit source is draw-for-draw the
-// plain round); without ErasureAware the same histories decode blind —
-// the controlled comparison that measures what the locations are worth.
-func (v *Volume) BatchErasedFrom(src ErasedLayerFeed, opts DecodeOptions) (failX, failZ bits.Vec) {
-	return v.batch(src, src, toric.DecoderUnionFind, opts)
-}
-
-// batch drains src — through era's erased round when era (src itself)
-// is non-nil — pivots the detector planes lane-major (the boundary node
-// of an open code is never a defect and carries no plane), and decodes
-// every lane over word-aligned spans (frame.ForEachLaneSpan), the same
-// discipline as the 2D pipeline: each span owns its failure-mask words
-// outright and draws private scratch from the volume pool, and the two
-// sectors of one lane decode back to back (primal, then dual — the
-// correlated pass conditions the dual decode on that lane's committed
-// primal correction), so the result is bit-identical for any worker
-// count. The projected residual is always a closed 2D cycle (the
-// correction's 3D syndrome equals the defect set and time-like edges
-// project to nothing), so the winding parities decide failure.
-func (v *Volume) batch(src LayerFeed, era ErasedLayerFeed, kind toric.DecoderKind, opts DecodeOptions) (failX, failZ bits.Vec) {
+// layers — with their erasure planes when it is Erasing — plus the
+// perfect closing layer, and both sectors decode per lane over the
+// weighted volume with the given decoder and side-information passes
+// (opts, union-find only: ErasureAware seeds each lane's located faults,
+// Correlated reprices the dual decode from the primal correction). The
+// feed must be fresh (zero rounds emitted) and extract on this volume's
+// code. Returns the per-lane logical failure masks of the two sectors.
+//
+// The detector planes pivot lane-major (the boundary node of an open
+// code is never a defect and carries no plane) and every lane decodes
+// over word-aligned spans (frame.ForEachLaneSpan), the same discipline
+// as the 2D pipeline: each span owns its failure-mask words outright and
+// draws private scratch from the volume pool, and the two sectors of one
+// lane decode back to back (primal, then dual), so the result is
+// bit-identical for any worker count. The projected residual is always a
+// closed 2D cycle (the correction's 3D syndrome equals the defect set and
+// time-like edges project to nothing), so the winding parities decide
+// failure.
+func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts DecodeOptions) (failX, failZ bits.Vec) {
 	nc, nq := v.nc, v.nq
 	lanes := src.Lanes()
 	CheckFeed(src, v.code)
+	erasing := src.Erasing()
 	layers := [2][]bits.Vec{bits.NewVecs(v.det, lanes), bits.NewVecs(v.det, lanes)}
 	var eraH []bits.Vec
 	var lost [2][]bits.Vec
-	if era != nil {
+	if erasing {
 		eraH = bits.NewVecs(v.horiz, lanes)
 		lost = [2][]bits.Vec{bits.NewVecs(v.T*nc, lanes), bits.NewVecs(v.T*nc, lanes)}
 	}
 	for t := 0; t < v.T; t++ {
 		lx, lz := layers[0][t*nc:(t+1)*nc], layers[1][t*nc:(t+1)*nc]
-		if era != nil {
-			era.NextLayersErased(lx, lz, eraH[t*nq:(t+1)*nq], lost[0][t*nc:(t+1)*nc], lost[1][t*nc:(t+1)*nc])
+		if erasing {
+			src.NextLayersErased(lx, lz, eraH[t*nq:(t+1)*nq], lost[0][t*nc:(t+1)*nc], lost[1][t*nc:(t+1)*nc])
 		} else {
 			src.NextLayers(lx, lz)
 		}
@@ -566,19 +541,26 @@ func (v *Volume) batch(src LayerFeed, era ErasedLayerFeed, kind toric.DecoderKin
 	src.CloseLayers(layers[0][v.T*nc:], layers[1][v.T*nc:])
 	par := [2][2]bits.Vec{{bits.NewVec(lanes), bits.NewVec(lanes)}, {bits.NewVec(lanes), bits.NewVec(lanes)}}
 	src.Windings(par[0][0], par[0][1], par[1][0], par[1][1])
-	pivot := func(planes []bits.Vec, width int) []bits.Vec {
-		out := bits.NewVecs(lanes, width)
-		bits.TransposePlanes(out, planes)
-		return out
+	syn := [2][]bits.Vec{bits.NewVecs(lanes, v.det), bits.NewVecs(lanes, v.det)}
+	bits.TransposePlanes(syn[0], layers[0])
+	bits.TransposePlanes(syn[1], layers[1])
+	// Every lane's located faults, read straight off the planes into
+	// pooled lists, so a chunk allocates none.
+	var era [2][][]int
+	if erasing && opts.ErasureAware {
+		scr := v.scratch.Get().(*volScratch)
+		defer v.scratch.Put(scr)
+		for s := range era {
+			era[s] = slices.Grow(scr.lists[s][:0], lanes)[:lanes] // the lists of earlier chunks, emptied
+			for lane := range era[s] {
+				era[s][lane] = era[s][lane][:0]
+			}
+			scr.lists[s] = era[s]
+			v.AppendErased(era[s], func(t int) ([]bits.Vec, []bits.Vec) {
+				return eraH[t*nq : (t+1)*nq], lost[s][t*nc : (t+1)*nc]
+			})
+		}
 	}
-	syn := [2][]bits.Vec{pivot(layers[0], v.det), pivot(layers[1], v.det)}
-	var eraLane []bits.Vec
-	var lostLane [2][]bits.Vec
-	if opts.ErasureAware {
-		eraLane = pivot(eraH, v.horiz)
-		lostLane = [2][]bits.Vec{pivot(lost[0], v.T*nc), pivot(lost[1], v.T*nc)}
-	}
-	masked := opts.ErasureAware || opts.Correlated
 	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
 	frame.ForEachLaneSpan(lanes, func(lo, hi int) {
 		scr := v.scratch.Get().(*volScratch)
@@ -589,21 +571,16 @@ func (v *Volume) batch(src LayerFeed, era ErasedLayerFeed, kind toric.DecoderKin
 				l1 := par[s][0].Get(lane)
 				l2 := par[s][1].Get(lane)
 				if len(scr.defects) > 0 {
-					scr.erased = scr.erased[:0]
-					if masked {
-						scr.emask.Clear()
-						if eraLane != nil {
-							v.SetErasedMask(scr.emask, eraLane[lane], lostLane[s][lane])
-						}
-						if dual && opts.Correlated {
-							for _, e := range scr.edges {
-								v.MarkCounterpartEdges(int(e), scr.emask)
-							}
-						}
-						scr.erased = scr.emask.AppendSupport(scr.erased)
+					var erased []int
+					if era[s] != nil {
+						erased = era[s][lane]
+					}
+					if dual && opts.Correlated {
+						scr.erased = v.Reprice(append(scr.erased[:0], erased...), scr.edges, scr.emask)
+						erased = scr.erased
 					}
 					scr.corr.Clear()
-					v.decodeInto(scr.defects, scr.erased, kind, dual, scr, scr.corr)
+					v.decodeInto(scr.defects, erased, kind, dual, scr, scr.corr)
 					c1, c2 := v.code.LogicalParity(dual, scr.corr)
 					l1 = l1 != c1
 					l2 = l2 != c2

@@ -297,19 +297,19 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 	phen := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
 	for name, batch := range map[string]func() (bits.Vec, bits.Vec){
 		"uf": func() (bits.Vec, bits.Vec) {
-			return phen.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(5), 0.04, 0.04, 500, frame.NewAggregateSampler(42, 0)), toric.DecoderUnionFind)
+			return phen.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(5), 0.04, 0.04, 500, frame.NewAggregateSampler(42, 0)), toric.DecoderUnionFind, DecodeOptions{})
 		},
 		"exact": func() (bits.Vec, bits.Vec) {
 			v := phenomVolume(toric.Cached(4), 4, 0.04, 0.04)
-			return v.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(4), 0.04, 0.04, 500, frame.NewAggregateSampler(43, 0)), toric.DecoderExact)
+			return v.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(4), 0.04, 0.04, 500, frame.NewAggregateSampler(43, 0)), toric.DecoderExact, DecodeOptions{})
 		},
 		"erased": func() (bits.Vec, bits.Vec) {
 			src := surface.NewLayerSourceErased(toric.Cached(5), 0.02, 0.02, 0.08, 0.08, 500, frame.NewAggregateSampler(44, 0))
-			return phen.BatchErasedFrom(src, DecodeOptions{ErasureAware: true})
+			return phen.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true})
 		},
 		"circuit aware+correlated": func() (bits.Vec, bits.Vec) {
-			src := surface.NewCircuitSourceErased(toric.Cached(4), leaky, 500, frame.NewAggregateSampler(45, 0))
-			return circ.BatchErasedFrom(src, DecodeOptions{ErasureAware: true, Correlated: true})
+			src := surface.NewCircuitSource(toric.Cached(4), leaky, 500, frame.NewAggregateSampler(45, 0))
+			return circ.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true, Correlated: true})
 		},
 	} {
 		runtime.GOMAXPROCS(1)

@@ -93,7 +93,7 @@ func TestWarmPushErasedZeroAllocs(t *testing.T) {
 	lat := toric.Cached(l)
 	nc, nq := lat.NumChecks(), lat.Qubits()
 
-	src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(943, 1))
+	src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(943, 1))
 	type round struct {
 		layerX, layerZ, eraH, lostX, lostZ []bits.Vec
 	}
@@ -225,7 +225,7 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 	defer s.Close()
 	lat := toric.Cached(l)
 	nc, nq := lat.NumChecks(), lat.Qubits()
-	src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(947, 1))
+	src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(947, 1))
 	type round struct {
 		layerX, layerZ, eraH, lostX, lostZ []bits.Vec
 	}

@@ -71,11 +71,11 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
-			toric.DecoderUnionFind)
+			toric.DecoderUnionFind, spacetime.DecodeOptions{})
 		s := mustCircuitSession(t, cfg.l, cfg.window, cfg.commit, wh, wv, wd)
 		fx2, fz2 := s.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
-			cfg.rounds)
+			cfg.rounds, spacetime.DecodeOptions{})
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("L=%d T=%d W=%d: circuit windowed decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
@@ -105,7 +105,7 @@ func TestCircuitCommitQuickcheck(t *testing.T) {
 		run := func() (bits.Vec, bits.Vec) {
 			s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 			defer s.Close()
-			return s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 3)), rounds)
+			return s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 3)), rounds, spacetime.DecodeOptions{})
 		}
 		fx1, fz1 := run()
 		fx2, fz2 := run()

@@ -42,8 +42,9 @@
 // the slide's own path — same lists read off the planes, same pool
 // round trip — with the commit boundary past the closing layer, so
 // everything commits and nothing is cut. With W ≥ T no slide ever fires
-// and the stream decode is bit-identical to the whole-volume decode
-// (tested). The Window owns those closing volumes (at most W, one per
+// and the stream decode is bit-identical to the whole-volume decode over
+// the same weights (tested; Memory's circuit weights take the window as
+// their horizon, so there that is W = T). The Window owns those closing volumes (at most W, one per
 // height a stream has ended at, built on first use and shared by every
 // session on the window); a closing round with odd defect parity on a
 // closed code is refused as the decoder's error before anything is

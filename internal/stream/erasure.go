@@ -1,13 +1,14 @@
 package stream
 
 // Streaming circuit-level erasure and correlated decoding: the sliding
-// window's half of internal/spacetime/circuiterasure.go. An erasure-
-// harvesting source (surface.NewCircuitSourceErased) reports every leak
-// as a located fault; PushErased carries those planes alongside the
-// difference layers (Session.BatchErasedFrom drains such a feed, the
-// counterpart of Volume.BatchErasedFrom), and every slide decodes the
-// lanes they touch with the erased edges seeded into the union-find
-// peeling pass.
+// window's half of internal/spacetime/circuiterasure.go. An Erasing
+// source (surface.CircuitSource with P.Leak > 0) reports every leak as a
+// located fault; PushErased carries those planes alongside the
+// difference layers (Session.BatchMemoryFrom drains an Erasing feed
+// through it, the counterpart of Volume.BatchMemoryFrom), and every
+// slide decodes with each lane's erased edges — read straight off the
+// rings by Volume.AppendErased — seeded into the union-find peeling
+// pass. A Push round is a round with nothing erased, so the two mix.
 // Correlated decoders serialize each slide — primal window first, dual
 // repriced from the primal correction — so the committed frames stay a
 // pure function of the stream for any worker count, and a window taller
@@ -15,46 +16,31 @@ package stream
 
 import "ftqc/internal/bits"
 
-// PushErased is Push for an erasure-harvesting feed: one round's
-// difference layers plus its erasure side information — eraH qubit-major
-// (nq planes: lanes whose data qubit is a located fault this round),
-// lostX/lostZ check-major (nc planes per sector: lanes whose ancilla
-// measurement read as a coin). A decoder built without ErasureAware
-// accepts the planes and ignores them — that is the erasure-blind
-// control arm at matched marginals. Mixing Push and PushErased on one
-// decoder panics.
+// PushErased is Push with the round's erasure side information — eraH
+// qubit-major (nq planes: lanes whose data qubit is a located fault this
+// round), lostX/lostZ check-major (nc planes per sector: lanes whose
+// ancilla measurement read as a coin). A decoder built without
+// ErasureAware accepts the planes and ignores them — that is the
+// erasure-blind control arm at matched marginals.
 func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
-	nq, nc := d.nq, d.nc
-	if d.err != nil {
-		return
-	}
-	if d.finished {
-		panic("stream: PushErased after Finish")
-	}
-	if d.pushMode == pushPlain {
-		panic("stream: PushErased on a decoder fed by Push — use one push discipline per stream")
-	}
-	d.pushMode = pushErased
-	if len(eraH) != nq || len(lostX) != nc || len(lostZ) != nc {
+	if len(eraH) != d.nq || len(lostX) != d.nc || len(lostZ) != d.nc {
 		panic("stream: erasure plane count mismatch")
 	}
-	slot := d.pushRound(layerX, layerZ)
-	if slot < 0 || d.eraRing == nil {
-		return
+	d.push(layerX, layerZ, eraH, lostX, lostZ)
+}
+
+// keepPlanes copies planes into a ring slot's planes — clearing them
+// when planes is nil — and reports whether the slot is quiet: no lane
+// erased.
+func keepPlanes(slot, planes []bits.Vec) (quiet bool) {
+	quiet = true
+	for i, p := range slot {
+		if planes == nil {
+			p.Clear()
+			continue
+		}
+		p.CopyFrom(planes[i])
+		quiet = quiet && planes[i].Zero()
 	}
-	eq := true
-	for e := 0; e < nq; e++ {
-		d.eraRing[slot*nq+e].CopyFrom(eraH[e])
-		eq = eq && eraH[e].Zero()
-	}
-	d.eraQuiet[slot] = eq
-	lqX, lqZ := true, true
-	for c := 0; c < nc; c++ {
-		d.sx.lostRing[slot*nc+c].CopyFrom(lostX[c])
-		lqX = lqX && lostX[c].Zero()
-		d.sz.lostRing[slot*nc+c].CopyFrom(lostZ[c])
-		lqZ = lqZ && lostZ[c].Zero()
-	}
-	d.sx.lostQuiet[slot] = lqX
-	d.sz.lostQuiet[slot] = lqZ
+	return quiet
 }

@@ -14,7 +14,7 @@ import (
 
 // TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
 // stream, draining an erasure-harvesting source through the streaming
-// decoder must reproduce Volume.BatchErasedFrom bit for bit —
+// decoder must reproduce Volume.BatchMemoryFrom bit for bit —
 // for every option set, including the serialized correlated pass. Same
 // draws, same canonical erased lists, same primal→dual order.
 func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
@@ -35,11 +35,11 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
-		fx1, fz1 := v.BatchErasedFrom(
-			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
+		fx1, fz1 := v.BatchMemoryFrom(
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), toric.DecoderUnionFind, cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
-		fx2, fz2 := s.BatchErasedFrom(
-			toricCircuitErased(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
+		fx2, fz2 := s.BatchMemoryFrom(
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
 		s.Close()
 		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
 			t.Fatalf("L=%d T=%d leak=%v opts=%+v: streaming erased decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
@@ -64,8 +64,8 @@ func TestErasedSlidingWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.BatchErasedFrom(
-			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
+		return s.BatchMemoryFrom(
+			toricCircuit(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
 			spacetime.DecodeOptions{ErasureAware: true})
 	}
 	fx1, fz1 := run(1)
@@ -76,57 +76,106 @@ func TestErasedSlidingWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestErasedLeakFreeMatchesPlainStream: with Leak = 0 the erasure-
-// harvesting source consumes the sampler stream identically to the
-// plain one, and the erased push path must not perturb the decode —
-// blind or aware.
+// streamFrames drains rounds of src through d, reading every round
+// through NextLayersErased, and returns the committed frames. push(r)
+// reports whether round r goes in by Push (its erasure planes
+// discarded); zero(r) whether it goes in by PushErased with all-empty
+// planes. Every other round goes in by PushErased with its own planes.
+func streamFrames(t *testing.T, d *Decoder, src spacetime.LayerFeed, rounds int, push, zero func(r int) bool) (x, z []bits.Vec) {
+	t.Helper()
+	lanes, nc, nq := d.lanes, d.nc, d.nq
+	layerX, layerZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+	eraH, lostX, lostZ := bits.NewVecs(nq, lanes), bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+	none, noneX, noneZ := bits.NewVecs(nq, lanes), bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+	for r := 0; r < rounds; r++ {
+		src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
+		switch {
+		case push(r):
+			d.Push(layerX, layerZ)
+		case zero(r):
+			d.PushErased(layerX, layerZ, none, noneX, noneZ)
+		default:
+			d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
+		}
+	}
+	src.CloseLayers(layerX, layerZ)
+	d.Finish(layerX, layerZ)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	x, z = d.Corrections()
+	return cloneVecs(x), cloneVecs(z)
+}
+
+func cloneVecs(vs []bits.Vec) []bits.Vec {
+	out := make([]bits.Vec, len(vs))
+	for i, v := range vs {
+		out[i] = v.Clone()
+	}
+	return out
+}
+
+func equalVecs(a, b []bits.Vec) bool {
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestErasedLeakFreeMatchesPlainStream: on a leak-free stream a
+// PushErased round with empty planes is a Push round — one decoder,
+// blind or aware, fed the same stream both ways commits the same frames.
 func TestErasedLeakFreeMatchesPlainStream(t *testing.T) {
 	const l, rounds, window, commit, lanes = 4, 10, 5, 2, 192
 	P := noise.Uniform(0.007)
 	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 	s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 	defer s.Close()
-	fx1, fz1 := s.BatchMemoryFrom(toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds)
+	never := func(int) bool { return false }
+	always := func(int) bool { return true }
 	for _, opts := range []spacetime.DecodeOptions{{}, {ErasureAware: true}} {
-		fx2, fz2 := s.BatchErasedFrom(
-			toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, opts)
-		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
-			t.Fatalf("opts=%+v: leak-free erased stream differs from plain stream", opts)
+		d := s.NewDecoderOpts(lanes, opts)
+		x1, z1 := streamFrames(t, d, toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, always, never)
+		d.reset()
+		x2, z2 := streamFrames(t, d, toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, never, always)
+		if !equalVecs(x1, x2) || !equalVecs(z1, z2) {
+			t.Fatalf("opts=%+v: PushErased with empty planes commits other frames than Push", opts)
 		}
 	}
 }
 
-// TestPushDisciplineMixingPanics: a decoder is fed by Push or
-// PushErased, never both.
-func TestPushDisciplineMixingPanics(t *testing.T) {
-	const l, window, commit, lanes = 4, 4, 2, 64
+// TestPushMixesWithPushErased: a Push round is a round with nothing
+// erased. Erasure-aware and correlated decoders fed Push on some rounds
+// of a leaking stream — including rounds landing in ring slots that held
+// erasures before — commit the frames of the same stream fed PushErased
+// with empty planes on those rounds. A malformed erasure round still
+// panics.
+func TestPushMixesWithPushErased(t *testing.T) {
+	const l, rounds, window, commit, lanes = 4, 14, 4, 2, 64
 	P := noise.Uniform(0.005)
+	P.Leak = 0.01
 	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
 	s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
 	defer s.Close()
-	nc, nq := s.win.Code().Checks(), s.win.Code().Qubits()
-	layerX := bits.NewVecs(nc, lanes)
-	layerZ := bits.NewVecs(nc, lanes)
-	eraH := bits.NewVecs(nq, lanes)
-	lostX := bits.NewVecs(nc, lanes)
-	lostZ := bits.NewVecs(nc, lanes)
-
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
+	mixed := func(r int) bool { return r%3 == 1 }
+	never := func(int) bool { return false }
+	for _, opts := range []spacetime.DecodeOptions{{ErasureAware: true}, {Correlated: true}, {ErasureAware: true, Correlated: true}} {
+		x1, z1 := streamFrames(t, s.NewDecoderOpts(lanes, opts), toricCircuit(l, P, lanes, frame.NewAggregateSampler(983, 3)), rounds, mixed, never)
+		x2, z2 := streamFrames(t, s.NewDecoderOpts(lanes, opts), toricCircuit(l, P, lanes, frame.NewAggregateSampler(983, 3)), rounds, never, mixed)
+		if !equalVecs(x1, x2) || !equalVecs(z1, z2) {
+			t.Fatalf("opts=%+v: Push rounds commit other frames than PushErased rounds with empty planes", opts)
+		}
 	}
-	d := s.NewDecoder(lanes)
-	d.Push(layerX, layerZ)
-	mustPanic("PushErased after Push", func() { d.PushErased(layerX, layerZ, eraH, lostX, lostZ) })
-
-	d2 := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
-	d2.PushErased(layerX, layerZ, eraH, lostX, lostZ)
-	mustPanic("Push after PushErased", func() { d2.Push(layerX, layerZ) })
-	mustPanic("erasure plane count mismatch", func() { d2.PushErased(layerX, layerZ, eraH[:1], lostX, lostZ) })
+	d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
+	nc, nq := d.nc, d.nq
+	defer func() {
+		if recover() == nil {
+			t.Fatal("erasure plane count mismatch did not panic")
+		}
+	}()
+	d.PushErased(bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes), bits.NewVecs(nq, lanes)[:1], bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes))
 }
 
 // TestErasedStreamFootprintFlat is TestThousandRoundStreamSmoke for an
@@ -147,7 +196,7 @@ func TestErasedStreamFootprintFlat(t *testing.T) {
 		w, c := DefaultWindow(l)
 		wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
 		s := mustCircuitSession(t, l, w, c, wh, wv, wd)
-		src := toricCircuitErased(l, P, lanes, frame.NewAggregateSampler(981, 1))
+		src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(981, 1))
 		d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
 		nc, nq := d.nc, d.nq
 		layerX, layerZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)

@@ -114,12 +114,8 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 	defer s.Close()
 	smp := frame.NewAggregateSampler(c.seed, 1)
 	var src spacetime.LayerFeed
-	var esrc spacetime.ErasedLayerFeed
 	switch {
-	case c.erased:
-		esrc = surface.NewCircuitSourceErased(c.code, P, goldenLanes, smp)
-		src = esrc
-	case c.circuit:
+	case c.erased, c.circuit:
 		src = surface.NewCircuitSource(c.code, P, goldenLanes, smp)
 	default:
 		src = surface.NewLayerSource(c.code, c.eps, c.eps, goldenLanes, smp)
@@ -143,7 +139,7 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 		}
 		slides := d.Slides()
 		if c.erased {
-			esrc.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
+			src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
 			d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
 		} else {
 			src.NextLayers(layerX, layerZ)

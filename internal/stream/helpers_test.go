@@ -21,10 +21,6 @@ func toricCircuit(l int, P noise.Params, lanes int, smp frame.Sampler) *surface.
 	return surface.NewCircuitSource(toric.Cached(l), P, lanes, smp)
 }
 
-func toricCircuitErased(l int, P noise.Params, lanes int, smp frame.Sampler) *surface.CircuitSource {
-	return surface.NewCircuitSourceErased(toric.Cached(l), P, lanes, smp)
-}
-
 func toricSession(l, window, commit, wh, wv int) (*Session, error) {
 	return NewCodeSession(toric.Cached(l), window, commit, wh, wv)
 }
@@ -64,5 +60,5 @@ func toricCircuitMemoryOpts(l, rounds int, P noise.Params, window, commit, sampl
 // batchMemory is the phenomenological BatchMemoryFrom of a toric
 // session.
 func batchMemory(s *Session, rounds int, p, q float64, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.Code(), p, q, lanes, smp), rounds)
+	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.Code(), p, q, lanes, smp), rounds, spacetime.DecodeOptions{})
 }

@@ -28,11 +28,7 @@ type drainOutcome struct {
 // drain handed back, the newest entry of the window's free list.
 func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) (drainOutcome, *Decoder) {
 	var o drainOutcome
-	if era, ok := src.(spacetime.ErasedLayerFeed); ok && opts != (spacetime.DecodeOptions{}) {
-		o.failX, o.failZ = s.BatchErasedFrom(era, rounds, opts)
-	} else {
-		o.failX, o.failZ = s.BatchMemoryFrom(src, rounds)
-	}
+	o.failX, o.failZ = s.BatchMemoryFrom(src, rounds, opts)
 	d := s.win.free[len(s.win.free)-1]
 	o.corrX, o.corrZ = d.Corrections()
 	o.slides, o.defects = d.Slides(), d.DefectsObserved()
@@ -79,7 +75,7 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 		return surface.NewLayerSource(code, 0, 0, lanes, frame.NewAggregateSampler(seed, 1))
 	}
 	erased := func(seed uint64) spacetime.LayerFeed {
-		return surface.NewCircuitSourceErased(code, leaky, lanes, frame.NewAggregateSampler(seed, 1))
+		return surface.NewCircuitSource(code, leaky, lanes, frame.NewAggregateSampler(seed, 1))
 	}
 	var prev *Decoder
 	for i, step := range []struct {

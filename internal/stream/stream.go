@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"unsafe"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
@@ -102,10 +101,9 @@ type sectorState struct {
 	quiet []bool     // per ring slot: every check plane empty across all lanes
 
 	// Erasure side information of the sector (erasure-aware decoders
-	// only): the ring of lost-ancilla planes pushed by PushErased, its
-	// per-lane pivot, and the per-slot all-quiet flags.
+	// only): the ring of lost-ancilla planes pushed by PushErased and the
+	// per-slot all-quiet flags.
 	lostRing  []bits.Vec // W·nc check-major lost-measurement planes
-	lostLane  []bits.Vec // per-lane lost planes in window layer order
 	lostQuiet []bool     // per ring slot: no ancilla lost in any lane
 
 	shots   []decoder.Shot
@@ -150,30 +148,17 @@ type Decoder struct {
 	err      error // terminal failure: shared pool closed underneath us, or a closing round no code emits
 
 	// Side-information decoding state (NewDecoderOpts): the selected
-	// passes, the push-discipline latch, and — for erasure-aware
-	// decoders — the shared ring of erased-data planes, its per-lane
-	// pivot, the per-slot quiet flags, and the erased-edge mask scratch
-	// (window edge ids; also covers every closing volume, h ≤ W).
+	// passes and — for erasure-aware decoders — the shared ring of
+	// erased-data planes and its per-slot quiet flags; for correlated
+	// ones the repricing mask scratch (window edge ids; also covers every
+	// closing volume, h ≤ W).
 	opts     spacetime.DecodeOptions
-	pushMode int        // pushUnset, then pushPlain or pushErased — never mixed
 	eraRing  []bits.Vec // W·nq qubit-major erased-data planes, both sectors
-	eraLane  []bits.Vec // per-lane erasure planes in window layer order
 	eraQuiet []bool     // per ring slot: no data qubit erased in any lane
-	emask    bits.Vec   // erased-edge mask scratch
+	emask    bits.Vec   // correlated repricing mask scratch
 
 	sx, sz sectorState
-
-	ordered []bits.Vec // erasure-ring view in logical layer order (erasure-aware decoders only)
 }
-
-// Push-discipline states: a decoder is fed either by Push or by
-// PushErased for its whole life — mixing the two would silently drop
-// the erasure planes of the plain rounds.
-const (
-	pushUnset = iota
-	pushPlain
-	pushErased
-)
 
 // NewDecoder returns a streaming decoder for `lanes` parallel shots,
 // drawing on the session's decode pool.
@@ -182,10 +167,11 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 }
 
 // NewDecoderOpts is NewDecoder with the side-information passes of
-// spacetime.DecodeOptions enabled. Erasure-aware decoders are fed with
-// PushErased; correlated decoders reprice the dual window from the
-// primal correction every slide (which serializes the two sectors'
-// decodes). Both options need a circuit-level window (WD ≥ 1).
+// spacetime.DecodeOptions enabled. Erasure-aware decoders keep the
+// planes PushErased carries (a Push round erases nothing); correlated
+// decoders reprice the dual window from the primal correction every
+// slide (which serializes the two sectors' decodes). Both options need a
+// circuit-level window (WD ≥ 1).
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	return s.win.newDecoder(s.pool, lanes, opts)
 }
@@ -207,15 +193,14 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	// not ratchet.
 	eraCap := 0
 	if opts.ErasureAware || opts.Correlated {
-		edges := w.Graph().Edges()
-		d.emask = bits.NewVec(edges)
-		eraCap = edges / 8
+		eraCap = w.Graph().Edges() / 8
+	}
+	if opts.Correlated {
+		d.emask = bits.NewVec(w.Graph().Edges())
 	}
 	if opts.ErasureAware {
 		d.eraRing = bits.NewVecs(w.W*nq, lanes)
-		d.eraLane = bits.NewVecs(lanes, w.W*nq)
 		d.eraQuiet = make([]bool, w.W)
-		d.ordered = make([]bits.Vec, w.W*max(nc, nq))
 	}
 	// Defect and correction buffers are sized once from the window shape
 	// — one entry per eight detectors, several times any operating
@@ -232,7 +217,6 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 		sec.quiet = make([]bool, w.W)
 		if opts.ErasureAware {
 			sec.lostRing = bits.NewVecs(w.W*nc, lanes)
-			sec.lostLane = bits.NewVecs(lanes, w.W*nc)
 			sec.lostQuiet = make([]bool, w.W)
 		}
 		sec.shots = make([]decoder.Shot, lanes)
@@ -255,7 +239,7 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 // reset puts a finished decoder back in NewDecoderOpts's state. Ring
 // slots and lists need no clearing: each is written before it is read.
 func (d *Decoder) reset() {
-	d.base, d.filled, d.head, d.slides, d.defects, d.finished, d.err, d.pushMode = 0, 0, 0, 0, 0, false, nil, pushUnset
+	d.base, d.filled, d.head, d.slides, d.defects, d.finished, d.err = 0, 0, 0, 0, 0, false, nil
 	clear(d.eraQuiet)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		for lane := range sec.carry {
@@ -295,41 +279,42 @@ func (d *Decoder) Lanes() int { return d.lanes }
 func (d *Decoder) Err() error { return d.err }
 
 // Push ingests one round's difference layers (check-major, one vector
-// of lane bits per check, as emitted by a spacetime.LayerFeed). When
-// the window is full the oldest Commit rounds are decoded and
-// committed first.
+// of lane bits per check, as emitted by a spacetime.LayerFeed): a round
+// with nothing erased, so it mixes freely with PushErased rounds. When
+// the window is full the oldest Commit rounds are decoded and committed
+// first.
 func (d *Decoder) Push(layerX, layerZ []bits.Vec) {
+	d.push(layerX, layerZ, nil, nil, nil)
+}
+
+// push slides if the window is full and ingests one round's difference
+// layers and — for an erasure-aware decoder — its erasure planes (nil
+// planes: nothing erased).
+func (d *Decoder) push(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+	w, nc := d.win, d.nc
 	if d.err != nil {
 		return
 	}
 	if d.finished {
 		panic("stream: Push after Finish")
 	}
-	if d.pushMode == pushErased {
-		panic("stream: Push on a decoder fed by PushErased — use one push discipline per stream")
-	}
-	d.pushMode = pushPlain
-	d.pushRound(layerX, layerZ)
-}
-
-// pushRound slides if the window is full and ingests one round's
-// difference layers, returning the ring slot they landed in (-1 when a
-// slide hit a terminal pipeline error).
-func (d *Decoder) pushRound(layerX, layerZ []bits.Vec) int {
-	w, nc := d.win, d.nc
 	if len(layerX) != nc || len(layerZ) != nc {
 		panic("stream: layer plane count mismatch")
 	}
 	if d.filled == w.W {
 		if d.slide(); d.err != nil {
-			return -1
+			return
 		}
 	}
 	slot := d.slot(d.filled)
 	d.sx.quiet[slot] = !bits.PackPlanes(d.sx.ringW[slot*d.span:][:d.span], layerX, d.lanes)
 	d.sz.quiet[slot] = !bits.PackPlanes(d.sz.ringW[slot*d.span:][:d.span], layerZ, d.lanes)
 	d.filled++
-	return slot
+	if d.eraRing != nil {
+		d.eraQuiet[slot] = keepPlanes(d.eraRing[slot*d.nq:][:d.nq], eraH)
+		d.sx.lostQuiet[slot] = keepPlanes(d.sx.lostRing[slot*nc:][:nc], lostX)
+		d.sz.lostQuiet[slot] = keepPlanes(d.sz.lostRing[slot*nc:][:nc], lostZ)
+	}
 }
 
 // slide decodes the full window in both sectors over the open-window
@@ -384,9 +369,6 @@ func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
 func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []bits.Vec) {
 	eraX := d.windowErased(&d.sx, h)
 	eraZ := d.windowErased(&d.sz, h)
-	if eraX || eraZ {
-		bits.TransposePlanes(d.eraLane, d.orderedLayers(d.eraRing, h, d.nq))
-	}
 	if d.opts.Correlated {
 		// Correlated decodes serialize: the dual sector's erased set is a
 		// function of the primal correction, so the primal decode must
@@ -472,17 +454,23 @@ func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 // layers (and closing planes) and submits them to the decode pool on the
 // sector's graph of vol.
 //
-// Side-information passes: with `era` set the sector's erasure planes
-// are pivoted lane-major and every lane with erased edges decodes with
-// its canonical erased list. With primal non-nil (a correlated dual
-// decode) the primal correction's counterpart edges join the erased
-// set.
+// Side-information passes: with `era` set every lane's canonical erased
+// list is read straight off the sector's erasure rings
+// (Volume.AppendErased, layer by layer in window order). With primal
+// non-nil (a correlated dual decode) the primal correction's counterpart
+// edges join the erased set (Volume.Reprice).
 func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec, primal *sectorState, era bool) {
 	g := sec.graph(vol)
 	closed := g.Closed()
 	d.defectLists(sec, h, closing)
+	for lane := range sec.erabuf {
+		sec.erabuf[lane] = sec.erabuf[lane][:0]
+	}
 	if era {
-		bits.TransposePlanes(sec.lostLane, d.orderedLayers(sec.lostRing, h, d.nc))
+		vol.AppendErased(sec.erabuf, func(t int) ([]bits.Vec, []bits.Vec) {
+			slot := d.slot(t)
+			return d.eraRing[slot*d.nq:][:d.nq], sec.lostRing[slot*d.nc:][:d.nc]
+		})
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		if closed && len(sec.defbuf[lane])%2 == 1 {
@@ -492,21 +480,10 @@ func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, clo
 			return
 		}
 		d.defects += uint64(len(sec.defbuf[lane]))
-		erased := sec.erabuf[lane][:0]
-		laneEra := era && (d.eraLane[lane].Any() || sec.lostLane[lane].Any())
-		if laneEra || primal != nil {
-			d.emask.Clear()
-			if laneEra {
-				vol.SetErasedMask(d.emask, d.eraLane[lane], sec.lostLane[lane])
-			}
-			if primal != nil {
-				for _, e := range primal.corrbuf[lane] {
-					vol.MarkCounterpartEdges(int(e), d.emask)
-				}
-			}
-			erased = d.emask.AppendSupport(erased)
+		if primal != nil {
+			sec.erabuf[lane] = vol.Reprice(sec.erabuf[lane], primal.corrbuf[lane], d.emask)
 		}
-		sec.erabuf[lane] = erased
+		erased := sec.erabuf[lane]
 		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
 	}
 	if err := d.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
@@ -525,19 +502,6 @@ func (d *Decoder) commitSector(sec *sectorState, vol *spacetime.Volume, commit i
 		carry.Clear()
 		vol.CommitEdges(out[lane], commit, sec.dual, sec.corr[lane], carry)
 	}
-}
-
-// orderedLayers appends views of the first `layers` buffered layers of
-// an erasure ring (oldest first) to the reusable ordered slice. stride
-// is the ring's planes per layer (nc for a lost ring, nq for the
-// erased-data ring).
-func (d *Decoder) orderedLayers(ring []bits.Vec, layers, stride int) []bits.Vec {
-	ordered := d.ordered[:0]
-	for t := 0; t < layers; t++ {
-		slot := d.slot(t)
-		ordered = append(ordered, ring[slot*stride:(slot+1)*stride]...)
-	}
-	return ordered
 }
 
 // slot returns the ring slot of buffered layer t (0 = oldest).
@@ -579,11 +543,10 @@ func (d *Decoder) FootprintBytes() int {
 		}
 		return n
 	}
-	n := cap(d.ordered) * int(unsafe.Sizeof(bits.Vec{}))
-	n += vecs(d.eraRing) + vecs(d.eraLane) + d.emask.Words()*8 + len(d.eraQuiet)
+	n := vecs(d.eraRing) + d.emask.Words()*8 + len(d.eraQuiet)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.base) + vecs(sec.corr)
-		n += vecs(sec.lostRing) + vecs(sec.lostLane)
+		n += vecs(sec.lostRing)
 		n += len(sec.quiet) + len(sec.lostQuiet)
 		for lane := 0; lane < d.lanes; lane++ {
 			n += (cap(sec.defbuf[lane]) + cap(sec.erabuf[lane])) * 8
@@ -594,29 +557,16 @@ func (d *Decoder) FootprintBytes() int {
 }
 
 // BatchMemoryFrom runs Lanes() streaming shots of the noisy-extraction
-// memory over this session's window: the feed emits difference layers
-// round by round (the same draw order as the whole-volume batch), the
-// sliding window commits as it goes, and one perfect closing round
-// settles the tail. surface.LayerSource and surface.CircuitSource
-// stream through the same window machinery; the feed must be fresh.
-// Returns the per-lane logical failure masks of the two sectors.
-func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
-	return s.drain(src, nil, rounds, spacetime.DecodeOptions{})
-}
-
-// BatchErasedFrom is BatchMemoryFrom for an erasure-harvesting feed with
-// the selected decode options — the streaming counterpart of
-// Volume.BatchErasedFrom: every round goes through the erased round and
-// PushErased.
-func (s *Session) BatchErasedFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
-	return s.drain(src, src, rounds, opts)
-}
-
-// drain feeds src through one decoder round by round — NextLayers and
-// Push for a plain feed (era nil), NextLayersErased and PushErased when
-// era (src itself) harvests erasures — then closes and reads the
-// failure masks.
-func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
+// memory over this session's window with the selected decode options:
+// the feed emits difference layers round by round (the same draw order
+// as the whole-volume batch, Volume.BatchMemoryFrom), the sliding window
+// commits as it goes, and one perfect closing round settles the tail.
+// An Erasing feed's rounds go through NextLayersErased and PushErased,
+// every other feed's through NextLayers and Push. surface.LayerSource and
+// surface.CircuitSource stream through the same window machinery; the
+// feed must be fresh. Returns the per-lane logical failure masks of the
+// two sectors.
+func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
 	d := s.win.takeDecoder(s.pool, lanes, opts)
@@ -624,19 +574,19 @@ func (s *Session) drain(src spacetime.LayerFeed, era spacetime.ErasedLayerFeed, 
 	layerX := bits.NewVecs(d.nc, lanes)
 	layerZ := bits.NewVecs(d.nc, lanes)
 	var eraH, lostX, lostZ []bits.Vec
-	if era != nil {
+	erasing := src.Erasing()
+	if erasing {
 		eraH = bits.NewVecs(d.nq, lanes)
 		lostX = bits.NewVecs(d.nc, lanes)
 		lostZ = bits.NewVecs(d.nc, lanes)
 	}
 	for t := 0; t < rounds; t++ {
-		if era != nil {
-			era.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
-			d.PushErased(layerX, layerZ, eraH, lostX, lostZ)
+		if erasing {
+			src.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
 		} else {
 			src.NextLayers(layerX, layerZ)
-			d.Push(layerX, layerZ)
 		}
+		d.push(layerX, layerZ, eraH, lostX, lostZ)
 	}
 	src.CloseLayers(layerX, layerZ)
 	d.Finish(layerX, layerZ)
@@ -728,9 +678,9 @@ func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, i
 // window comes from the process-wide table (InternWindow), so a call
 // repeating an earlier call's shape reuses its graphs, closing volumes
 // and drain decoders, and every call decodes on one process-wide pool
-// of at least GOMAXPROCS workers. A model with an
-// erasure channel, or any non-zero opts, drains through PushErased —
-// erased lanes decode with their located faults, and correlated runs
+// of at least GOMAXPROCS workers. A model with an erasure channel has an
+// Erasing source and drains through PushErased — with ErasureAware its
+// erased lanes decode with their located faults — and correlated runs
 // reprice the dual window each slide; every other run drains through
 // Push. The weights take the decode horizon of each model: `rounds` for
 // a phenomenological model, the window for a circuit-level one. The
@@ -746,8 +696,7 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 	if err != nil {
 		return Result{}, err
 	}
-	erased := m.ErasedDrain(opts)
-	if erased && !m.CircuitLevel() {
+	if _, _, pe, qe := m.Rates(); !m.CircuitLevel() && (pe > 0 || qe > 0 || opts != (spacetime.DecodeOptions{})) {
 		return Result{}, fmt.Errorf("stream: erasure channels and decode options need a circuit-level model")
 	}
 	horizon := rounds
@@ -761,11 +710,7 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 	}
 	s := &Session{win: win, pool: monteCarloPool()}
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		src := m.Source(code, lanes, smp)
-		if erased {
-			return s.BatchErasedFrom(src, rounds, opts)
-		}
-		return s.BatchMemoryFrom(src, rounds)
+		return s.BatchMemoryFrom(m.Source(code, lanes, smp), rounds, opts)
 	})
 	p, q, pe, _ := m.Rates()
 	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,

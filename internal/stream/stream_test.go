@@ -104,7 +104,7 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, 0)
-		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
+		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind, spacetime.DecodeOptions{})
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
 		s.Close()

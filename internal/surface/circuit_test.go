@@ -333,7 +333,7 @@ func TestFusedRoundFallbacks(t *testing.T) {
 				if fb.smp != nil {
 					smp = fb.smp()
 				}
-				src := surface.NewCircuitSourceErased(code, fb.P, lanes, smp)
+				src := surface.NewCircuitSource(code, fb.P, lanes, smp)
 				if fb.setup != nil {
 					fb.setup(src.Sim())
 				}

@@ -71,7 +71,7 @@ func TestToricSourcesGoldenDrawOrder(t *testing.T) {
 		ph := surface.NewLayerSource(code, 0.02, 0.01, lanes, frame.NewAggregateSampler(41, 0))
 		pe := surface.NewLayerSourceErased(code, 0.02, 0.01, 0.03, 0.02, lanes, frame.NewAggregateSampler(41, 0))
 		ci := surface.NewCircuitSource(code, P, lanes, frame.NewAggregateSampler(43, 0))
-		ce := surface.NewCircuitSourceErased(code, leaky, lanes, frame.NewAggregateSampler(43, 0))
+		ce := surface.NewCircuitSource(code, leaky, lanes, frame.NewAggregateSampler(43, 0))
 		got := [4]uint64{
 			feedDigest(code, lanes, ph, func(lx, lz, _, _, _ []bits.Vec) { ph.NextLayers(lx, lz) }),
 			feedDigest(code, lanes, pe, pe.NextLayersErased),

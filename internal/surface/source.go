@@ -95,6 +95,11 @@ func (s *LayerSource) Lanes() int { return s.lanes }
 // Rounds returns how many noisy rounds have been emitted.
 func (s *LayerSource) Rounds() int { return s.rounds }
 
+// Erasing reports whether the source carries an erasure channel (pe or
+// qe > 0): its rounds carry erasure planes and drain through
+// NextLayersErased.
+func (s *LayerSource) Erasing() bool { return s.pe > 0 || s.qe > 0 }
+
 // NextLayers advances one noisy extraction round and writes its
 // difference-syndrome layers into layerX and layerZ (check-major,
 // Checks() vectors each). The round is four block walks of the sampler
@@ -280,9 +285,10 @@ func (s *Schedule) roundPlan() *frame.RoundPlan {
 //   - Preparation and measurement faults reproduce the phenomenological
 //     measurement-flip channel exactly (a vertical defect pair).
 //
-// Both sources satisfy the same layer-feed contract (NextLayers /
-// CloseLayers / Windings), so the whole-volume batch decode and the
-// streaming sliding-window pipeline drain either unchanged; only the
+// Both sources satisfy the same layer-feed contract (Erasing, NextLayers
+// or NextLayersErased, CloseLayers, Windings), so the whole-volume batch
+// decode and the streaming sliding-window pipeline drain either
+// unchanged; only the
 // decoding graph differs (diagonal edges, circuit-derived weights —
 // built by internal/spacetime from the code's Schedule).
 //
@@ -301,22 +307,12 @@ type CircuitSource struct {
 
 // NewCircuitSource returns a circuit-level source over the code for
 // `lanes` parallel shots under the per-location noise model P, drawing
-// from smp. Plain sources do not harvest leakage: P.Leak > 0 panics
-// (never a silent zeroing) — construct with NewCircuitSourceErased and
-// drain with NextLayersErased instead.
+// from smp. With P.Leak > 0 every gate carries its leakage channel, a
+// leaked data qubit is swapped for a fresh (randomized) one at the start
+// of the next round, and the source is Erasing: it is drained with
+// NextLayersErased, which reports every leak as a located fault — the
+// erasure planes the decoder seeds its peeling with.
 func NewCircuitSource(code Code, P noise.Params, lanes int, smp frame.Sampler) *CircuitSource {
-	if P.Leak != 0 {
-		panic("surface: P.Leak > 0 needs the erasure-harvesting source (NewCircuitSourceErased + NextLayersErased)")
-	}
-	return NewCircuitSourceErased(code, P, lanes, smp)
-}
-
-// NewCircuitSourceErased returns a circuit-level source that models
-// leakage: every gate carries its P.Leak channel, a leaked data qubit
-// is swapped for a fresh (randomized) one at the start of the next
-// round, and NextLayersErased reports every leak as a located fault —
-// the erasure planes the decoder seeds its peeling with.
-func NewCircuitSourceErased(code Code, P noise.Params, lanes int, smp frame.Sampler) *CircuitSource {
 	nc := code.Checks()
 	return &CircuitSource{
 		code:    code,
@@ -337,6 +333,10 @@ func (s *CircuitSource) Lanes() int { return s.lanes }
 // Rounds returns how many noisy rounds have been emitted.
 func (s *CircuitSource) Rounds() int { return s.rounds }
 
+// Erasing reports whether the source models leakage (P.Leak > 0): its
+// rounds carry erasure planes and drain through NextLayersErased.
+func (s *CircuitSource) Erasing() bool { return s.sim.P.Leak > 0 }
+
 // Sim exposes the underlying batch simulator for fault-injection
 // harnesses (ArmTrigger single-fault enumeration, InjectX/InjectZ).
 func (s *CircuitSource) Sim() *frame.BatchSim { return s.sim }
@@ -353,7 +353,7 @@ func (s *CircuitSource) ancS(c int) int { return s.code.Qubits() + s.code.Checks
 // pure function of the sampler stream.
 func (s *CircuitSource) NextLayers(layerX, layerZ []bits.Vec) {
 	if s.sim.P.Leak > 0 {
-		panic("surface: NextLayers with P.Leak > 0 — drain an erasure source with NextLayersErased")
+		panic("surface: NextLayers on a leaking source — an Erasing source drains with NextLayersErased")
 	}
 	// The schedule's compiled round program runs fused (one geometric
 	// sampler stream per block of locations). RunRound reports false,

@@ -199,7 +199,7 @@ func BenchmarkE17ToricMemory(b *testing.B) {
 }
 
 // BenchmarkToricDecode — the scalable decoder subsystem (union-find,
-// polynomial MWPM, worker-pool lanes) at the near-threshold operating
+// polynomial MWPM, per-chunk lane loop) at the near-threshold operating
 // point p = 0.08, across code distances. Each iteration runs one
 // 256-shot batch of the passive-memory experiment end to end: sampling,
 // bit-plane syndrome extraction, transpose, per-lane decode, homology

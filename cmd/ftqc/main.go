@@ -390,7 +390,7 @@ func cmdToric(args []string) {
 	fmt.Printf("E17: toric-code passive memory (§7.1): logical failure vs distance L (%s decoder, seed %d)\n", g.decoder, g.seed)
 	table{corner: "p\\L", rowFmt: "%-8.2f", width: 12, head: strconv.Itoa,
 		cell: func(l int, p float64, seed uint64) float64 {
-			return toric.MemoryExperiment(l, p, g.kind, g.samples, seed).FailRate()
+			return must(toric.MemoryExperiment(l, p, g.kind, g.samples, seed)).FailRate()
 		},
 	}.print(g.ls, []float64{0.01, 0.03, 0.05, 0.08, 0.12}, g.seed)
 	fmt.Println("below threshold the failure falls like e^{-αL} (the paper's e^{-mL} tunneling scaling)")
@@ -891,7 +891,7 @@ func cmdThermal(args []string) {
 	fmt.Printf("E18: thermal anyon plasma on L=%d (§7.1, seed %d): flips at p0·e^{-Δ/T}\n", l, g.seed)
 	fmt.Printf("%-8s %-14s %-14s\n", "Δ/T", "flip prob", "logical fail")
 	for i, dt := range []float64{1, 2, 3, 4, 5, 6} {
-		r := toric.ThermalMemory(l, 0.5, dt, g.kind, g.samples, g.seed+uint64(i))
+		r := must(toric.ThermalMemory(l, 0.5, dt, g.kind, g.samples, g.seed+uint64(i)))
 		fmt.Printf("%-8.1f %-14.4e %-14.4e\n", dt, r.FlipProb, r.FailRate())
 	}
 }

@@ -35,7 +35,10 @@ func main() {
 		name := family(3).CodeName()
 		fmt.Printf("%-10s", name)
 		for _, d := range []int{3, 5, 7} {
-			r := ftqc.SurfaceMemory(family(d), 0.05, samples, 11)
+			r, err := ftqc.SurfaceMemory(family(d), 0.05, samples, 11)
+			if err != nil {
+				panic(err)
+			}
 			fmt.Printf(" %-12.4e", r.FailRate())
 		}
 		fmt.Println()

@@ -21,22 +21,19 @@ func main() {
 	fmt.Printf("%-6s %-10s %-14s %-14s\n", "L", "qubits", "union-find", "exact MWPM")
 	prev := 0.0
 	for _, l := range []int{3, 5, 7, 9, 13} {
-		r := ftqc.ToricMemory(l, p, samples, uint64(7+l))
-		ex := ftqc.ToricMemoryWith(l, p, ftqc.ToricDecoderExact, samples, uint64(7+l))
-		lat := ftqc.NewToricLattice(l)
-		fmt.Printf("%-6d %-10d %-14.4e %-14.4e", l, lat.Qubits(), r.FailRate(), ex.FailRate())
-		if prev > 0 && r.FailRate() > 0 {
-			fmt.Printf("   (×%.2f per step)", r.FailRate()/prev)
+		r := failRate(l, p, ftqc.ToricDecoderUnionFind, samples)
+		ex := failRate(l, p, ftqc.ToricDecoderExact, samples)
+		fmt.Printf("%-6d %-10d %-14.4e %-14.4e", l, ftqc.ToricCode(l).Qubits(), r, ex)
+		if prev > 0 && r > 0 {
+			fmt.Printf("   (×%.2f per step)", r/prev)
 		}
 		fmt.Println()
-		prev = r.FailRate()
+		prev = r
 	}
 	fmt.Println("\nlarge distances (union-find only — matching decoders are impractical here):")
 	fmt.Printf("%-6s %-10s %-14s\n", "L", "qubits", "logical fail")
 	for _, l := range []int{16, 24, 32} {
-		r := ftqc.ToricMemory(l, p, samples/4, uint64(7+l))
-		lat := ftqc.NewToricLattice(l)
-		fmt.Printf("%-6d %-10d %-14.4e\n", l, lat.Qubits(), r.FailRate())
+		fmt.Printf("%-6d %-10d %-14.4e\n", l, ftqc.ToricCode(l).Qubits(), failRate(l, p, ftqc.ToricDecoderUnionFind, samples/4))
 	}
 	fmt.Println("\ntunneling estimate e^{-mL} for comparison (m=1):")
 	for _, l := range []int{3, 5, 7, 9} {
@@ -44,4 +41,14 @@ func main() {
 	}
 	fmt.Println("\n'if the quasiparticles are kept far apart, the probability of an")
 	fmt.Println(" error afflicting the encoded information will be extremely low'")
+}
+
+// failRate runs one passive-memory point (seed 7+L) and returns its
+// logical failure rate.
+func failRate(l int, p float64, dec ftqc.ToricDecoder, samples int) float64 {
+	r, err := ftqc.ToricMemory(l, p, dec, samples, uint64(7+l))
+	if err != nil {
+		panic(err)
+	}
+	return r.FailRate()
 }

@@ -39,8 +39,10 @@
 // production choice, tractable out to L = 32 and beyond) and a
 // polynomial blossom minimum-weight perfect matcher — dense or pruned
 // to the locally short edges with priced optimality repair — as the
-// accuracy baseline, run as a worker-pool stage over word-aligned lane
-// spans with results identical for any GOMAXPROCS.
+// accuracy baseline, each batch chunk decoding its own lanes with
+// results identical for any GOMAXPROCS. The torus is one more surface
+// code: ToricCode, PlanarCode and RotatedCode return the same
+// SurfaceCode type, built by one constructor.
 //
 // Noisy syndrome extraction (the regime real hardware decodes in) is
 // the internal/spacetime subsystem: T measurement rounds whose
@@ -144,8 +146,6 @@ func FactoringMachines(bits int, flowA float64) (concatenated Machine, block55 M
 
 // Topological layer (§7).
 type (
-	// ToricLattice is Kitaev's code on an L×L torus.
-	ToricLattice = toric.Lattice
 	// ToricDecoder selects the toric decoding strategy.
 	ToricDecoder = toric.DecoderKind
 	// A5Encoding is the nonabelian fluxon encoding of §7.4.
@@ -166,18 +166,13 @@ const (
 	ToricDecoderUnionFind = toric.DecoderUnionFind
 )
 
-// NewToricLattice returns an L×L toric code lattice.
-func NewToricLattice(l int) ToricLattice { return toric.NewLattice(l) }
-
-// ToricMemory runs the passive-memory Monte Carlo at flip probability p
-// with the union-find production decoder. The seed fully determines the
-// result: batched workers derive their independent PCG streams from it.
-func ToricMemory(l int, p float64, samples int, seed uint64) toric.MemoryResult {
-	return toric.MemoryExperiment(l, p, toric.DecoderUnionFind, samples, seed)
-}
-
-// ToricMemoryWith is ToricMemory under an explicit decoder choice.
-func ToricMemoryWith(l int, p float64, dec ToricDecoder, samples int, seed uint64) toric.MemoryResult {
+// ToricMemory runs the passive-memory Monte Carlo on the L×L torus at
+// flip probability p under the decoder dec (ToricDecoderUnionFind is
+// the production choice). The seed fully determines the result:
+// batched workers derive their independent PCG streams from it. A
+// lattice under 2×2, a rate that is NaN or outside [0, 1], an empty
+// sample or a decoder kind that names no decoder is an error.
+func ToricMemory(l int, p float64, dec ToricDecoder, samples int, seed uint64) (toric.MemoryResult, error) {
 	return toric.MemoryExperiment(l, p, dec, samples, seed)
 }
 
@@ -194,7 +189,7 @@ func NewAnyonComputer(k int) (A5Encoding, *FluxRegister) {
 // streaming window, decode server) accepts.
 type (
 	// SurfaceCode is the code-agnostic detector-graph contract: sector
-	// graphs, logical supports, syndrome hooks, extraction schedule.
+	// graphs, failure detectors, syndrome hooks, extraction schedule.
 	SurfaceCode = surface.Code
 	// SurfaceMemoryResult is one 2D surface-code memory measurement.
 	SurfaceMemoryResult = surface.MemoryResult
@@ -208,13 +203,15 @@ func PlanarCode(d int) SurfaceCode { return surface.Planar(d) }
 // qubits — the minimal-overhead surface code; d odd).
 func RotatedCode(d int) SurfaceCode { return surface.Rotated(d) }
 
-// ToricCode returns the L×L toric code under the same contract.
+// ToricCode returns Kitaev's code on the L×L torus (L ≥ 2) under the
+// same contract.
 func ToricCode(l int) SurfaceCode { return toric.Cached(l) }
 
 // SurfaceMemory runs the 2D passive-memory Monte Carlo for any surface
 // code at flip probability p (per qubit, independently in both
-// sectors) with the union-find production decoder.
-func SurfaceMemory(c SurfaceCode, p float64, samples int, seed uint64) SurfaceMemoryResult {
+// sectors) with the union-find production decoder. A nil code, a rate
+// that is NaN or outside [0, 1], or an empty sample is an error.
+func SurfaceMemory(c SurfaceCode, p float64, samples int, seed uint64) (SurfaceMemoryResult, error) {
 	return surface.MemoryExperimentXZ(c, p, samples, seed)
 }
 

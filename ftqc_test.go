@@ -32,11 +32,14 @@ func TestFacadeFlowAndResources(t *testing.T) {
 }
 
 func TestFacadeToric(t *testing.T) {
-	lat := NewToricLattice(4)
+	lat := ToricCode(4)
 	if lat.Qubits() != 32 {
 		t.Fatal("lattice wrong")
 	}
-	r := ToricMemory(3, 0.02, 500, 7)
+	r, err := ToricMemory(3, 0.02, ToricDecoderUnionFind, 500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Samples != 500 {
 		t.Fatal("memory experiment wrong")
 	}

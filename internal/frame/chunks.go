@@ -16,48 +16,6 @@ import (
 // CPUs.
 const chunkLanes = 128
 
-// ForEachLaneSpan partitions `lanes` bit-plane lanes into 64-lane
-// word-aligned spans and runs fn once per span, fanned out over the
-// CPUs. No two spans share a machine word, so per-lane writers into
-// word-addressed bit vectors own their output words outright and the
-// result is bit-identical for any worker count or scheduling order —
-// the discipline every batch decode stage relies on. Small batches
-// (under 4 words, e.g. the fixed-width ForEachChunk chunks) run
-// serially: the chunk loop above already saturates the CPUs, so an
-// inner pool would only add spawn overhead.
-func ForEachLaneSpan(lanes int, fn func(lo, hi int)) {
-	words := (lanes + 63) / 64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > words {
-		workers = words
-	}
-	if workers <= 1 || words < 4 {
-		fn(0, lanes)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				wi := int(next.Add(1)) - 1
-				if wi >= words {
-					return
-				}
-				lo := wi * 64
-				hi := lo + 64
-				if hi > lanes {
-					hi = lanes
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // CountSectorFailures runs a two-sector chunked experiment and tallies
 // the per-sector failure counts plus the either-sector union — the
 // shared accounting of every dual-sector (bit-flip/phase-flip) memory

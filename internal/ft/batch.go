@@ -62,9 +62,9 @@ func prepZeroDirectBatch(b *frame.BatchSim, block []int) {
 	}
 }
 
-// hammingSyndromePlanes converts 7 measurement planes into the 3 Hamming
+// hammingSyndromeBits converts 7 measurement planes into the 3 Hamming
 // syndrome planes (H · flips, one XOR chain per parity row).
-func hammingSyndromePlanes(b *frame.BatchSim, flips *[BlockSize]bits.Vec) [3]bits.Vec {
+func hammingSyndromeBits(b *frame.BatchSim, flips *[BlockSize]bits.Vec) [3]bits.Vec {
 	var syn [3]bits.Vec
 	for j, sup := range stabilizerSupports() {
 		s := bits.NewVec(b.Lanes())
@@ -96,7 +96,7 @@ func measureLogicalZBatch(b *frame.BatchSim, block []int) bits.Vec {
 	for i, q := range block {
 		flips[i] = b.MeasZ(q)
 	}
-	syn := hammingSyndromePlanes(b, &flips)
+	syn := hammingSyndromeBits(b, &flips)
 	out := bits.NewVec(b.Lanes())
 	for i := range flips {
 		out.Xor(flips[i])
@@ -206,7 +206,7 @@ func measureBitSyndromeSteaneBatch(b *frame.BatchSim, data, anc, chk []int, cfg 
 	for i, q := range anc {
 		flips[i] = b.MeasZ(q)
 	}
-	return hammingSyndromePlanes(b, &flips)
+	return hammingSyndromeBits(b, &flips)
 }
 
 // measurePhaseSyndromeSteaneBatch extracts the phase-flip syndrome planes.
@@ -220,7 +220,7 @@ func measurePhaseSyndromeSteaneBatch(b *frame.BatchSim, data, anc, chk []int, cf
 	for i, q := range anc {
 		flips[i] = b.MeasX(q)
 	}
-	return hammingSyndromePlanes(b, &flips)
+	return hammingSyndromeBits(b, &flips)
 }
 
 // resolveSyndromeBatch applies the §3.4 verification policy per lane,
@@ -455,7 +455,7 @@ func IdealDecodeBatch(b *frame.BatchSim, block []int) (xerr, zerr bits.Vec) {
 		pz[i] = b.PlaneZ(q)
 	}
 	decodeParity := func(p *[BlockSize]bits.Vec) bits.Vec {
-		syn := hammingSyndromePlanes(b, p)
+		syn := hammingSyndromeBits(b, p)
 		out := bits.NewVec(b.Lanes())
 		for i := range p {
 			out.Xor(p[i])

@@ -24,7 +24,7 @@ package spacetime
 //     zero, which in the integer-weight union-find is exactly "erased".
 //
 // Both passes keep the determinism contract: lanes decode independently
-// over word-aligned spans, the primal→dual order is fixed, and the
+// on their chunk's goroutine, the primal→dual order is fixed, and the
 // erased edge lists are built in canonical ascending edge-id order — so
 // results are bit-identical for any GOMAXPROCS or worker count, and the
 // streaming window (internal/stream) can reproduce them exactly.

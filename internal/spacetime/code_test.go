@@ -135,3 +135,20 @@ func TestMemoryEntryPointErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryRejectsUnknownDecoder: a kind that names no decoder is an
+// error on every model, never a run that falls back to some decoder —
+// the 2D driver (toric.MemoryExperiment) and the volume driver must not
+// each pick a different one.
+func TestMemoryRejectsUnknownDecoder(t *testing.T) {
+	for _, kind := range []toric.DecoderKind{0, 3, -1} {
+		for _, m := range []Model{Phenomenological(0.03, 0.03, 0, 0), Circuit(noise.Uniform(0.004))} {
+			if r, err := Memory(toric.Cached(3), 2, m, kind, DecodeOptions{}, 64, 1); err == nil {
+				t.Errorf("kind %d, model %+v: Memory ran (%d failures) with no error", kind, m, r.Failures)
+			}
+		}
+		if r, err := toric.MemoryExperiment(3, 0.05, kind, 64, 1); err == nil {
+			t.Errorf("kind %d: toric.MemoryExperiment ran (%d failures) with no error", kind, r.Failures)
+		}
+	}
+}

@@ -64,9 +64,9 @@
 // source, which is what makes them statistically identical by
 // construction. The (T+1)·L² layer planes pivot lane-major through
 // bits.TransposePlanes, and the per-lane decodes — one loop for every
-// feed and decoder, each lane's primal then dual sector — run as a
-// worker pool over word-aligned lane spans, bit-identical for any
-// GOMAXPROCS, exactly like the 2D pipeline.
+// feed and decoder, each lane's primal then dual sector — run on the
+// batch chunk's own goroutine with one pooled scratch, bit-identical for
+// any GOMAXPROCS, exactly like the 2D stage (surface.SectorFailures).
 //
 // One Model value names the noise of an experiment — phenomenological
 // or circuit-level, erasure channels included — and one entry point,

@@ -8,7 +8,6 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
-	"ftqc/internal/frame"
 	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
@@ -509,15 +508,15 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 // code. Returns the per-lane logical failure masks of the two sectors.
 //
 // The detector planes pivot lane-major (the boundary node of an open
-// code is never a defect and carries no plane) and every lane decodes
-// over word-aligned spans (frame.ForEachLaneSpan), the same discipline
-// as the 2D pipeline: each span owns its failure-mask words outright and
-// draws private scratch from the volume pool, and the two sectors of one
-// lane decode back to back (primal, then dual), so the result is
-// bit-identical for any worker count. The projected residual is always a
-// closed 2D cycle (the correction's 3D syndrome equals the defect set and
-// time-like edges project to nothing), so the winding parities decide
-// failure.
+// code is never a defect and carries no plane) and the lanes decode in
+// order on the calling goroutine — the chunk's own, under Memory's
+// frame.ForEachChunk — with one scratch drawn from the volume pool, the
+// same discipline as the 2D stage (surface.SectorFailures). The two
+// sectors of one lane decode back to back (primal, then dual), so the
+// result is bit-identical for any worker count. The projected residual
+// is always a closed 2D cycle (the correction's 3D syndrome equals the
+// defect set and time-like edges project to nothing), so the winding
+// parities decide failure.
 func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts DecodeOptions) (failX, failZ bits.Vec) {
 	nc, nq := v.nc, v.nq
 	lanes := src.Lanes()
@@ -544,12 +543,13 @@ func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts Dec
 	syn := [2][]bits.Vec{bits.NewVecs(lanes, v.det), bits.NewVecs(lanes, v.det)}
 	bits.TransposePlanes(syn[0], layers[0])
 	bits.TransposePlanes(syn[1], layers[1])
-	// Every lane's located faults, read straight off the planes into
-	// pooled lists, so a chunk allocates none.
+	// One scratch serves the chunk: every lane's located faults, read
+	// straight off the planes into its pooled lists (so a chunk allocates
+	// none), and the lane loop below.
+	scr := v.scratch.Get().(*volScratch)
+	defer v.scratch.Put(scr)
 	var era [2][][]int
 	if erasing && opts.ErasureAware {
-		scr := v.scratch.Get().(*volScratch)
-		defer v.scratch.Put(scr)
 		for s := range era {
 			era[s] = slices.Grow(scr.lists[s][:0], lanes)[:lanes] // the lists of earlier chunks, emptied
 			for lane := range era[s] {
@@ -562,36 +562,32 @@ func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts Dec
 		}
 	}
 	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
-	frame.ForEachLaneSpan(lanes, func(lo, hi int) {
-		scr := v.scratch.Get().(*volScratch)
-		for lane := lo; lane < hi; lane++ {
-			scr.edges = scr.edges[:0] // the primal correction the dual pass reprices from
-			for s, dual := range [2]bool{false, true} {
-				scr.defects = syn[s][lane].AppendSupport(scr.defects[:0])
-				l1 := par[s][0].Get(lane)
-				l2 := par[s][1].Get(lane)
-				if len(scr.defects) > 0 {
-					var erased []int
-					if era[s] != nil {
-						erased = era[s][lane]
-					}
-					if dual && opts.Correlated {
-						scr.erased = v.Reprice(append(scr.erased[:0], erased...), scr.edges, scr.emask)
-						erased = scr.erased
-					}
-					scr.corr.Clear()
-					v.decodeInto(scr.defects, erased, kind, dual, scr, scr.corr)
-					c1, c2 := v.code.LogicalParity(dual, scr.corr)
-					l1 = l1 != c1
-					l2 = l2 != c2
+	for lane := range lanes {
+		scr.edges = scr.edges[:0] // the primal correction the dual pass reprices from
+		for s, dual := range [2]bool{false, true} {
+			scr.defects = syn[s][lane].AppendSupport(scr.defects[:0])
+			l1 := par[s][0].Get(lane)
+			l2 := par[s][1].Get(lane)
+			if len(scr.defects) > 0 {
+				var erased []int
+				if era[s] != nil {
+					erased = era[s][lane]
 				}
-				if l1 || l2 {
-					fail[s].Set(lane, true)
+				if dual && opts.Correlated {
+					scr.erased = v.Reprice(append(scr.erased[:0], erased...), scr.edges, scr.emask)
+					erased = scr.erased
 				}
+				scr.corr.Clear()
+				v.decodeInto(scr.defects, erased, kind, dual, scr, scr.corr)
+				c1, c2 := v.code.LogicalParity(dual, scr.corr)
+				l1 = l1 != c1
+				l2 = l2 != c2
+			}
+			if l1 || l2 {
+				fail[s].Set(lane, true)
 			}
 		}
-		v.scratch.Put(scr)
-	})
+	}
 	return fail[0], fail[1]
 }
 
@@ -616,8 +612,9 @@ func (r Result) FailRateX() float64 { return float64(r.FailX) / float64(r.Sample
 func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Samples) }
 
 // validateMemory is the constructor-error gate of the memory
-// experiments: a missing code, an empty horizon or sample, or a decoder
-// the code cannot run is an error, never a panic deep inside a volume build.
+// experiments: a missing code, an empty horizon or sample, a kind that
+// names no decoder, or a decoder the code cannot run is an error, never
+// a panic deep inside a volume build.
 func validateMemory(code surface.Code, rounds, samples int, kind toric.DecoderKind) error {
 	if code == nil {
 		return fmt.Errorf("spacetime: volume needs a code")
@@ -627,6 +624,9 @@ func validateMemory(code surface.Code, rounds, samples int, kind toric.DecoderKi
 	}
 	if samples < 1 {
 		return fmt.Errorf("spacetime: need at least one sample (got %d)", samples)
+	}
+	if err := kind.Validate(); err != nil {
+		return err
 	}
 	if _, torus := code.(*toric.Lattice); kind == toric.DecoderExact && !torus {
 		return fmt.Errorf("spacetime: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())

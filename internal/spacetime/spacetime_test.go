@@ -8,9 +8,6 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
-	"ftqc/internal/frame"
-	"ftqc/internal/noise"
-	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -220,7 +217,10 @@ func TestQZeroSingleRoundMatches2D(t *testing.T) {
 		{4, 0.05, toric.DecoderExact},
 	} {
 		st := toricMemory(cfg.l, 1, cfg.p, 0, cfg.kind, samples, 505)
-		flat := toric.MemoryExperiment(cfg.l, cfg.p, cfg.kind, samples, 506)
+		flat, err := toric.MemoryExperiment(cfg.l, cfg.p, cfg.kind, samples, 506)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fs, ff := st.FailRateX(), flat.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + ff*(1-ff)/samples)
 		if diff := math.Abs(fs - ff); diff > 4*sigma+0.01 {
@@ -286,40 +286,6 @@ func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
 	runtime.GOMAXPROCS(old)
 	if serial != parallel {
 		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
-	}
-	// Lane-level: one big batch, many workers vs one, on every arm of the
-	// lane loop — plain union-find, exact, phenomenological erasure-aware
-	// and circuit aware+correlated on a leaky model.
-	leaky := noise.Uniform(0.006)
-	leaky.Leak = 0.01
-	wh, wv, wd := WeightsCircuit(leaky, 4, 4)
-	circ := NewVolume(toric.Cached(4), 4, wh, wv, wd)
-	phen := phenomVolume(toric.Cached(5), 5, 0.04, 0.04)
-	for name, batch := range map[string]func() (bits.Vec, bits.Vec){
-		"uf": func() (bits.Vec, bits.Vec) {
-			return phen.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(5), 0.04, 0.04, 500, frame.NewAggregateSampler(42, 0)), toric.DecoderUnionFind, DecodeOptions{})
-		},
-		"exact": func() (bits.Vec, bits.Vec) {
-			v := phenomVolume(toric.Cached(4), 4, 0.04, 0.04)
-			return v.BatchMemoryFrom(surface.NewLayerSource(toric.Cached(4), 0.04, 0.04, 500, frame.NewAggregateSampler(43, 0)), toric.DecoderExact, DecodeOptions{})
-		},
-		"erased": func() (bits.Vec, bits.Vec) {
-			src := surface.NewLayerSourceErased(toric.Cached(5), 0.02, 0.02, 0.08, 0.08, 500, frame.NewAggregateSampler(44, 0))
-			return phen.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true})
-		},
-		"circuit aware+correlated": func() (bits.Vec, bits.Vec) {
-			src := surface.NewCircuitSource(toric.Cached(4), leaky, 500, frame.NewAggregateSampler(45, 0))
-			return circ.BatchMemoryFrom(src, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true, Correlated: true})
-		},
-	} {
-		runtime.GOMAXPROCS(1)
-		x1, z1 := batch()
-		runtime.GOMAXPROCS(8)
-		x8, z8 := batch()
-		runtime.GOMAXPROCS(old)
-		if !x1.Equal(x8) || !z1.Equal(z8) {
-			t.Fatalf("%s: batch failure masks depend on GOMAXPROCS", name)
-		}
 	}
 }
 

@@ -31,7 +31,7 @@ func TestWarmPushZeroAllocs(t *testing.T) {
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
 	d := s.NewDecoder(lanes)
-	nc := toric.Cached(l).NumChecks()
+	nc := toric.Cached(l).Checks()
 
 	// Pre-sample a window's worth of layers so the measured loop does
 	// not charge the decoder for the sampler's own behavior.
@@ -91,7 +91,7 @@ func TestWarmPushErasedZeroAllocs(t *testing.T) {
 	defer s.Close()
 	d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
 	lat := toric.Cached(l)
-	nc, nq := lat.NumChecks(), lat.Qubits()
+	nc, nq := lat.Checks(), lat.Qubits()
 
 	src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(943, 1))
 	type round struct {
@@ -177,7 +177,7 @@ func TestWarmFinishZeroAllocs(t *testing.T) {
 	wh, wv := spacetime.Weights(p, p, l, w)
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
-	nc := toric.Cached(l).NumChecks()
+	nc := toric.Cached(l).Checks()
 	for _, tc := range []struct{ rounds, h int }{{2 * w, w}, {2*w - 3, w - 3}} {
 		src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(945, 1))
 		layers := make([][2][]bits.Vec, tc.rounds+1) // the closing layer last
@@ -224,7 +224,7 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 	s := mustCircuitSession(t, l, w, c, wh, wv, wd)
 	defer s.Close()
 	lat := toric.Cached(l)
-	nc, nq := lat.NumChecks(), lat.Qubits()
+	nc, nq := lat.Checks(), lat.Qubits()
 	src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(947, 1))
 	type round struct {
 		layerX, layerZ, eraH, lostX, lostZ []bits.Vec

@@ -117,8 +117,8 @@ func TestCircuitCommitQuickcheck(t *testing.T) {
 		src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(seed, 4))
 		d := s.NewDecoder(lanes)
 		lat := toric.Cached(l)
-		layerX := bits.NewVecs(lat.NumChecks(), lanes)
-		layerZ := bits.NewVecs(lat.NumChecks(), lanes)
+		layerX := bits.NewVecs(lat.Checks(), lanes)
+		layerZ := bits.NewVecs(lat.Checks(), lanes)
 		for r := 0; r < rounds; r++ {
 			src.NextLayers(layerX, layerZ)
 			d.Push(layerX, layerZ)

@@ -20,8 +20,8 @@ func TestIncrementalQuietStream(t *testing.T) {
 	defer s.Close()
 	lanes := 64
 	lat := toric.Cached(l)
-	zeroX := bits.NewVecs(lat.NumChecks(), lanes)
-	zeroZ := bits.NewVecs(lat.NumChecks(), lanes)
+	zeroX := bits.NewVecs(lat.Checks(), lanes)
+	zeroZ := bits.NewVecs(lat.Checks(), lanes)
 	d := s.NewDecoder(lanes)
 	for r := 0; r < 40; r++ {
 		if d.Filled() == 6 && !(d.sectorQuiet(&d.sx, nil) && d.sectorQuiet(&d.sz, nil)) {

@@ -183,8 +183,8 @@ func TestCommitBoundaryQuickcheck(t *testing.T) {
 		src := toricLayers(l, p, q, lanes, frame.NewAggregateSampler(seed, 4))
 		d := s.NewDecoder(lanes)
 		lat := toric.Cached(l)
-		layerX := bits.NewVecs(lat.NumChecks(), lanes)
-		layerZ := bits.NewVecs(lat.NumChecks(), lanes)
+		layerX := bits.NewVecs(lat.Checks(), lanes)
+		layerZ := bits.NewVecs(lat.Checks(), lanes)
 		for r := 0; r < rounds; r++ {
 			src.NextLayers(layerX, layerZ)
 			d.Push(layerX, layerZ)
@@ -255,8 +255,8 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(908, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
-	layerX := bits.NewVecs(lat.NumChecks(), lanes)
-	layerZ := bits.NewVecs(lat.NumChecks(), lanes)
+	layerX := bits.NewVecs(lat.Checks(), lanes)
+	layerZ := bits.NewVecs(lat.Checks(), lanes)
 	warm := 0
 	for r := 0; r < rounds; r++ {
 		src.NextLayers(layerX, layerZ)
@@ -295,8 +295,8 @@ func TestConstantMemorySustained(t *testing.T) {
 	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(909, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
-	layerX := bits.NewVecs(lat.NumChecks(), lanes)
-	layerZ := bits.NewVecs(lat.NumChecks(), lanes)
+	layerX := bits.NewVecs(lat.Checks(), lanes)
+	layerZ := bits.NewVecs(lat.Checks(), lanes)
 	warm := 0
 	for r := 0; r < rounds; r++ {
 		src.NextLayers(layerX, layerZ)
@@ -439,7 +439,7 @@ func TestSharedPoolSessions(t *testing.T) {
 	}
 	// The pools must still be live after the sessions closed.
 	for _, pool := range pools {
-		if err := pool.ResubmitOn(toric.Cached(3).Graph(), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
+		if err := pool.ResubmitOn(toric.Cached(3).SectorGraph(false), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
 			t.Fatalf("shared pool died with its sessions: %v", err)
 		}
 	}
@@ -458,8 +458,8 @@ func TestDecoderErrAfterPoolClose(t *testing.T) {
 	src := toricLayers(l, 0.05, 0.05, lanes, frame.NewAggregateSampler(915, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
-	layerX := bits.NewVecs(lat.NumChecks(), lanes)
-	layerZ := bits.NewVecs(lat.NumChecks(), lanes)
+	layerX := bits.NewVecs(lat.Checks(), lanes)
+	layerZ := bits.NewVecs(lat.Checks(), lanes)
 	for r := 0; r < 2*window; r++ {
 		src.NextLayers(layerX, layerZ)
 		d.Push(layerX, layerZ)

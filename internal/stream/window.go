@@ -88,8 +88,8 @@ func NewWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 }
 
 // shapeKey names an interned window: the code by family name and
-// distance (a schedule override carries a name of its own, see
-// surface.WithSchedule), then the window's height, commit and weights.
+// distance (a schedule override carries a name of its own, such as
+// toric.HookParallel's), then the window's height, commit and weights.
 type shapeKey struct {
 	code                string
 	l, w, c, wh, wv, wd int

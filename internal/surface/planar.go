@@ -1,6 +1,10 @@
 package surface
 
-import "sync"
+import (
+	"sync"
+
+	"ftqc/internal/decoder"
+)
 
 // Planar codes on a (2d−1)×(2d−1) grid: data qubits sit on positions
 // with even coordinate sum (d² + (d−1)² of them), Z checks (plaquettes)
@@ -14,20 +18,19 @@ import "sync"
 // the dual detector the left column (the support of X_L).
 
 // planarCache memoizes constructed planar codes by distance.
-var planarCache sync.Map // int → *openCode
+var planarCache sync.Map // int → Code
 
 // Planar returns the memoized distance-d planar surface code (d ≥ 2),
 // shared across callers.
 func Planar(d int) Code {
 	if v, ok := planarCache.Load(d); ok {
-		return v.(*openCode)
+		return v.(Code)
 	}
-	c := newPlanar(d)
-	v, _ := planarCache.LoadOrStore(d, c)
-	return v.(*openCode)
+	v, _ := planarCache.LoadOrStore(d, newPlanar(d))
+	return v.(Code)
 }
 
-func newPlanar(d int) *openCode {
+func newPlanar(d int) Code {
 	if d < 2 {
 		panic("surface: planar distance must be at least 2")
 	}
@@ -64,29 +67,15 @@ func newPlanar(d int) *openCode {
 	// Absent neighbors (boundary checks) idle their step. Both orders
 	// give every two-reader qubit distinct steps (the sectors run
 	// sequentially, so there are no cross-sector conflicts).
-	check := func(r, c int, ord [4]int) ([]int, [4]int) {
-		sup := make([]int, 0, 4)
-		for _, q := range ord {
-			if q >= 0 {
-				sup = append(sup, q)
-			}
-		}
-		return sup, ord
-	}
-	var zSup, xSup [][]int
 	var zOrd, xOrd [][4]int
 	for r := 1; r < n; r += 2 {
 		for c := 0; c < n; c += 2 {
-			sup, ord := check(r, c, [4]int{at(r, c-1), at(r, c+1), at(r-1, c), at(r+1, c)})
-			zSup = append(zSup, sup)
-			zOrd = append(zOrd, ord)
+			zOrd = append(zOrd, [4]int{at(r, c-1), at(r, c+1), at(r-1, c), at(r+1, c)})
 		}
 	}
 	for r := 0; r < n; r += 2 {
 		for c := 1; c < n; c += 2 {
-			sup, ord := check(r, c, [4]int{at(r-1, c), at(r+1, c), at(r, c-1), at(r, c+1)})
-			xSup = append(xSup, sup)
-			xOrd = append(xOrd, ord)
+			xOrd = append(xOrd, [4]int{at(r-1, c), at(r+1, c), at(r, c-1), at(r, c+1)})
 		}
 	}
 	// Failure detectors: supp(Z_L) = top row, supp(X_L) = left column.
@@ -98,5 +87,6 @@ func newPlanar(d int) *openCode {
 	for r := 0; r < n; r += 2 {
 		detZ = append(detZ, qid[r][0])
 	}
-	return newOpenCode("planar", d, nq, zSup, xSup, zOrd, xOrd, detX, detZ)
+	graphs := [2]*decoder.Graph{readerGraph("planar", nq, zOrd), readerGraph("planar", nq, xOrd)}
+	return NewCode("planar", d, nq, graphs, [2][][4]int{zOrd, xOrd}, [2][][]int{{detX}, {detZ}})
 }

@@ -1,6 +1,10 @@
 package surface
 
-import "sync"
+import (
+	"sync"
+
+	"ftqc/internal/decoder"
+)
 
 // Rotated surface codes: d² data qubits on a d×d grid (odd d), checks
 // on the (d+1)×(d+1) cell lattice between them — Z-type where the cell
@@ -12,20 +16,19 @@ import "sync"
 // column, logical Z along the top row, mirroring the planar detectors.
 
 // rotatedCache memoizes constructed rotated codes by distance.
-var rotatedCache sync.Map // int → *openCode
+var rotatedCache sync.Map // int → Code
 
 // Rotated returns the memoized distance-d rotated surface code (odd
 // d ≥ 3), shared across callers.
 func Rotated(d int) Code {
 	if v, ok := rotatedCache.Load(d); ok {
-		return v.(*openCode)
+		return v.(Code)
 	}
-	c := newRotated(d)
-	v, _ := rotatedCache.LoadOrStore(d, c)
-	return v.(*openCode)
+	v, _ := rotatedCache.LoadOrStore(d, newRotated(d))
+	return v.(Code)
 }
 
-func newRotated(d int) *openCode {
+func newRotated(d int) Code {
 	if d < 3 || d%2 == 0 {
 		panic("surface: rotated distance must be odd and at least 3")
 	}
@@ -48,7 +51,6 @@ func newRotated(d int) *openCode {
 	// errors (dangerous vertically), so X cells read in Z order
 	// (NW, NE, SW, SE) and hook horizontally. Either order reads the
 	// diagonal Z/X reader pair of every data qubit at distinct steps.
-	var zSup, xSup [][]int
 	var zOrd, xOrd [][4]int
 	for i := 0; i <= d; i++ {
 		for j := 0; j <= d; j++ {
@@ -63,24 +65,10 @@ func newRotated(d int) *openCode {
 			}
 			nw, ne := at(i-1, j-1), at(i-1, j)
 			sw, se := at(i, j-1), at(i, j)
-			var ord [4]int
 			if ztype {
-				ord = [4]int{nw, sw, ne, se}
+				zOrd = append(zOrd, [4]int{nw, sw, ne, se})
 			} else {
-				ord = [4]int{nw, ne, sw, se}
-			}
-			sup := make([]int, 0, 4)
-			for _, q := range ord {
-				if q >= 0 {
-					sup = append(sup, q)
-				}
-			}
-			if ztype {
-				zSup = append(zSup, sup)
-				zOrd = append(zOrd, ord)
-			} else {
-				xSup = append(xSup, sup)
-				xOrd = append(xOrd, ord)
+				xOrd = append(xOrd, [4]int{nw, ne, sw, se})
 			}
 		}
 	}
@@ -91,5 +79,6 @@ func newRotated(d int) *openCode {
 		detX[k] = k
 		detZ[k] = k * d
 	}
-	return newOpenCode("rotated", d, nq, zSup, xSup, zOrd, xOrd, detX, detZ)
+	graphs := [2]*decoder.Graph{readerGraph("rotated", nq, zOrd), readerGraph("rotated", nq, xOrd)}
+	return NewCode("rotated", d, nq, graphs, [2][][4]int{zOrd, xOrd}, [2][][]int{{detX}, {detZ}})
 }

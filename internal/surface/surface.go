@@ -6,11 +6,15 @@
 // windows, the multi-tenant decode server — is written against that
 // contract instead of against the torus.
 //
-// Three families live behind the contract: the toric code (closed
-// boundaries, two failure detectors per sector — internal/toric
-// implements Code directly), the planar surface code with rough and
-// smooth boundaries, and the rotated-lattice variant with roughly half
-// the physical qubits per distance. Open-boundary codes ground their
+// One constructor builds every family: NewCode takes a code's two
+// sector graphs, its per-check CNOT orders (the check supports and the
+// diagonal reader pairs derive from them) and one or two failure
+// detectors per sector. Three families are built with it: the toric
+// code (closed boundaries, two failure detectors per sector —
+// internal/toric passes its own graphs and keeps the torus metric for
+// exact matching), the planar surface code with rough and smooth
+// boundaries, and the rotated-lattice variant with roughly half the
+// physical qubits per distance. Open-boundary codes ground their
 // boundary qubits on a virtual detector node (index Checks()), the
 // same grounded-cluster machinery the sliding decode window already
 // uses at its open future edge, so the union-find decoder serves every
@@ -44,22 +48,19 @@ type Code interface {
 	// Checks returns the number of checks per sector (equal in both
 	// sectors for every family here).
 	Checks() int
-	// Open reports whether the code has open boundaries. Open sector
-	// graphs carry one extra virtual node (index Checks()) that absorbs
-	// error chains ending on a boundary.
+	// Open reports whether the sector graphs have a boundary: one extra
+	// virtual node (index Checks()) that absorbs error chains ending on
+	// a boundary.
 	Open() bool
 	// SectorGraph returns the immutable 2D decoding graph of a sector:
 	// detectors are nodes, data qubits are edges (edge ids equal qubit
 	// ids). Open codes ground single-reader qubits on the boundary node.
 	SectorGraph(dual bool) *decoder.Graph
-	// LogicalSupports returns the data-qubit supports of the sector's
-	// logical-failure detectors — the fixed qubit sets whose GF(2)
-	// parities against a syndrome-free residual decide logical failure.
-	// The torus has two (the winding pair); open codes have one.
-	LogicalSupports(dual bool) [][]int
 	// LogicalParity returns the sector's failure-detector parities of a
-	// syndrome-free residual chain. Codes with a single detector return
-	// false for the second bit.
+	// syndrome-free residual chain: its GF(2) inner products with the
+	// fixed qubit sets that decide logical failure. The torus has two
+	// detectors (the winding pair); open codes have one and return false
+	// for the second bit.
 	LogicalParity(dual bool, errs bits.Vec) (bool, bool)
 	// LogicalPlanes accumulates (XOR) the failure-detector parities of
 	// qubit-major error planes into p1 and p2 — the batched
@@ -136,40 +137,3 @@ func ReaderPairs(orders [][4]int, nq int) [][2]int32 {
 	}
 	return pairs
 }
-
-// schedOverride is a Code with its extraction schedule (and name)
-// replaced — the vehicle of the CNOT-schedule ablation sweeps. All
-// detector-graph behavior delegates to the wrapped code; only the
-// circuit-level CNOT orders (and the hook/diagonal classes derived from
-// them) differ.
-type schedOverride struct {
-	Code
-	name string
-	sch  *Schedule
-}
-
-// WithSchedule returns code with its per-check CNOT orders replaced by
-// plaq/star and the diagonal reader pairs rederived. The override must
-// carry a distinct name: cached decoding volumes are keyed by CodeName,
-// and two schedules of the same lattice have different hook geometry —
-// a shared cache entry would silently decode one with the other's
-// diagonal edges. Panics (via ReaderPairs) if the orders are not a
-// valid schedule of the code's qubits.
-func WithSchedule(code Code, name string, plaq, star [][4]int) Code {
-	if name == code.CodeName() {
-		panic("surface: WithSchedule needs a distinct code name (cached volumes are keyed by it)")
-	}
-	sch := &Schedule{
-		Plaq:  plaq,
-		Star:  star,
-		DiagX: ReaderPairs(plaq, code.Qubits()),
-		DiagZ: ReaderPairs(star, code.Qubits()),
-	}
-	return &schedOverride{Code: code, name: name, sch: sch}
-}
-
-// CodeName names the override (distinct from the wrapped code).
-func (s *schedOverride) CodeName() string { return s.name }
-
-// ExtractionSchedule returns the overriding schedule.
-func (s *schedOverride) ExtractionSchedule() *Schedule { return s.sch }

@@ -67,14 +67,31 @@ func TestConstructionInvariants(t *testing.T) {
 			if g.Edges() != c.Qubits() {
 				t.Errorf("%s d=%d dual=%v: sector graph has %d edges, want one per qubit (%d)", name, d, dual, g.Edges(), c.Qubits())
 			}
-			sups := c.LogicalSupports(dual)
-			if len(sups) != wantDet {
-				t.Errorf("%s d=%d dual=%v: %d failure detectors, want %d", name, d, dual, len(sups), wantDet)
-			}
-			for i, sup := range sups {
-				if len(sup) < d {
-					t.Errorf("%s d=%d dual=%v: detector %d has weight %d < distance", name, d, dual, i, len(sup))
+			// Each detector's support: the qubits whose lone flip trips it.
+			var weight [2]int
+			for q := 0; q < c.Qubits(); q++ {
+				errv := bits.NewVec(c.Qubits())
+				errv.Flip(q)
+				a, b := c.LogicalParity(dual, errv)
+				if a {
+					weight[0]++
 				}
+				if b {
+					weight[1]++
+				}
+			}
+			dets := 0
+			for i, w := range weight {
+				if w == 0 {
+					continue
+				}
+				dets++
+				if w < d {
+					t.Errorf("%s d=%d dual=%v: detector %d has weight %d < distance", name, d, dual, i, w)
+				}
+			}
+			if dets != wantDet {
+				t.Errorf("%s d=%d dual=%v: %d failure detectors, want %d", name, d, dual, dets, wantDet)
 			}
 		}
 		sch := c.ExtractionSchedule()
@@ -274,7 +291,7 @@ func TestCheckPlanesMatchesSyndrome(t *testing.T) {
 func TestMemoryExperimentXZ(t *testing.T) {
 	// Zero noise: zero failures, for every family.
 	for _, c := range codesUnderTest() {
-		r := surface.MemoryExperimentXZ(c, 0, 512, 3)
+		r := must(surface.MemoryExperimentXZ(c, 0, 512, 3))
 		if r.Failures != 0 || r.FailX != 0 || r.FailZ != 0 {
 			t.Errorf("%s d=%d: failures at p=0: %+v", c.CodeName(), c.Distance(), r)
 		}
@@ -283,8 +300,8 @@ func TestMemoryExperimentXZ(t *testing.T) {
 		}
 	}
 	// Determinism: same seed, same counts.
-	a := surface.MemoryExperimentXZ(surface.Planar(3), 0.05, 4096, 17)
-	b := surface.MemoryExperimentXZ(surface.Planar(3), 0.05, 4096, 17)
+	a := must(surface.MemoryExperimentXZ(surface.Planar(3), 0.05, 4096, 17))
+	b := must(surface.MemoryExperimentXZ(surface.Planar(3), 0.05, 4096, 17))
 	if a != b {
 		t.Errorf("planar memory not deterministic: %+v vs %+v", a, b)
 	}
@@ -292,9 +309,17 @@ func TestMemoryExperimentXZ(t *testing.T) {
 		t.Errorf("planar d=3 at p=0.05: no failures in %d samples — detector wiring suspect", a.Samples)
 	}
 	// Below threshold, distance should help (2D threshold ≈ 10%).
-	big := surface.MemoryExperimentXZ(surface.Rotated(7), 0.03, 4096, 19)
-	small := surface.MemoryExperimentXZ(surface.Rotated(3), 0.03, 4096, 19)
+	big := must(surface.MemoryExperimentXZ(surface.Rotated(7), 0.03, 4096, 19))
+	small := must(surface.MemoryExperimentXZ(surface.Rotated(3), 0.03, 4096, 19))
 	if big.FailRate() >= small.FailRate() {
 		t.Errorf("rotated at p=0.03: d=7 rate %.4f not below d=3 rate %.4f", big.FailRate(), small.FailRate())
 	}
+}
+
+// must unwraps a memory driver's result, panicking on its error.
+func must[R any](r R, err error) R {
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -1,115 +1,9 @@
 package toric
 
 import (
-	"sync"
-
-	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
 	"ftqc/internal/surface"
 )
-
-// The toric lattice implements the surface.Code detector-graph
-// contract, so the code-parameterized pipelines (spacetime volumes,
-// streaming windows, the decode server) serve the torus through the
-// same interface as the open-boundary families. The methods below are
-// thin adapters over the existing primitives; the toric-only fast
-// paths (exact matching on the torus metric, homology-basis testers)
-// remain on the concrete type.
-
-// CodeName names the code family.
-func (t *Lattice) CodeName() string { return "toric" }
-
-// Distance returns the code distance (the lattice size L).
-func (t *Lattice) Distance() int { return t.L }
-
-// Checks returns the number of checks per sector (= NumChecks; the
-// torus has L² plaquettes and L² stars).
-func (t *Lattice) Checks() int { return t.NumChecks() }
-
-// Open reports that the torus has no boundaries.
-func (t *Lattice) Open() bool { return false }
-
-// SectorGraph returns the primal (dual=false) or dual (dual=true) 2D
-// decoding graph.
-func (t *Lattice) SectorGraph(dual bool) *decoder.Graph {
-	if dual {
-		return t.dualGraph
-	}
-	return t.graph
-}
-
-// LogicalSupports returns the sector's winding-detector supports (two
-// per sector on the torus).
-func (t *Lattice) LogicalSupports(dual bool) [][]int {
-	if dual {
-		return [][]int{t.det1ZSup, t.det2ZSup}
-	}
-	return [][]int{t.det1Sup, t.det2Sup}
-}
-
-// LogicalParity returns the sector's two winding parities
-// (WindingParity / WindingParityDual behind the contract).
-func (t *Lattice) LogicalParity(dual bool, errs bits.Vec) (bool, bool) {
-	if dual {
-		return t.WindingParityDual(errs)
-	}
-	return t.WindingParity(errs)
-}
-
-// LogicalPlanes accumulates the sector's winding parities of edge-major
-// error planes into p1, p2 (WindingPlanes / WindingPlanesDual behind
-// the contract).
-func (t *Lattice) LogicalPlanes(dual bool, planes []bits.Vec, p1, p2 bits.Vec) {
-	if dual {
-		t.WindingPlanesDual(planes, p1, p2)
-		return
-	}
-	t.WindingPlanes(planes, p1, p2)
-}
-
-// CheckPlanes fills check-major syndrome planes from edge-major error
-// planes (PlaquetteSyndromePlanes / StarSyndromePlanes behind the
-// contract).
-func (t *Lattice) CheckPlanes(dual bool, planes, checks []bits.Vec) {
-	if dual {
-		t.StarSyndromePlanes(planes, checks)
-		return
-	}
-	t.PlaquetteSyndromePlanes(planes, checks)
-}
-
-// schedCache memoizes extraction schedules per lattice size.
-var schedCache sync.Map // int → *surface.Schedule
-
-// ExtractionSchedule returns the memoized circuit-level extraction
-// schedule of the torus: each check couples to its four data edges
-// over four global steps (every plaquette runs its k-th CNOT in step
-// k, then every star — conflict-free because each step's check→edge
-// map is injective):
-//
-//	plaquette (x,y): h(x,y), v(x,y), v(x+1,y), h(x,y+1)
-//	star      (x,y): h(x,y), v(x,y), v(x,y−1), h(x−1,y)
-func (t *Lattice) ExtractionSchedule() *surface.Schedule {
-	if v, ok := schedCache.Load(t.L); ok {
-		return v.(*surface.Schedule)
-	}
-	l := t.L
-	s := &surface.Schedule{
-		Plaq: make([][4]int, t.NumChecks()),
-		Star: make([][4]int, t.NumChecks()),
-	}
-	for y := 0; y < l; y++ {
-		for x := 0; x < l; x++ {
-			c := y*l + x
-			s.Plaq[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x+1, y), t.HEdge(x, y+1)}
-			s.Star[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x, y-1), t.HEdge(x-1, y)}
-		}
-	}
-	s.DiagX = surface.ReaderPairs(s.Plaq, t.Qubits())
-	s.DiagZ = surface.ReaderPairs(s.Star, t.Qubits())
-	v, _ := schedCache.LoadOrStore(t.L, s)
-	return v.(*surface.Schedule)
-}
 
 // HookParallel returns the L×L toric code under the hook-suppressing
 // "parallel-last" CNOT schedule for the schedule-ablation sweeps: each
@@ -135,8 +29,8 @@ func (t *Lattice) ExtractionSchedule() *surface.Schedule {
 // schedule's.
 func HookParallel(l int) surface.Code {
 	t := Cached(l)
-	plaq := make([][4]int, t.NumChecks())
-	star := make([][4]int, t.NumChecks())
+	plaq := make([][4]int, t.Checks())
+	star := make([][4]int, t.Checks())
 	for y := 0; y < l; y++ {
 		for x := 0; x < l; x++ {
 			c := y*l + x
@@ -144,5 +38,5 @@ func HookParallel(l int) surface.Code {
 			star[c] = [4]int{t.HEdge(x, y), t.HEdge(x-1, y), t.VEdge(x, y), t.VEdge(x, y-1)}
 		}
 	}
-	return surface.WithSchedule(t, "toric-hookpar", plaq, star)
+	return t.newCode("toric-hookpar", [2]*decoder.Graph{t.SectorGraph(false), t.SectorGraph(true)}, plaq, star)
 }

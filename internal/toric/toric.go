@@ -7,19 +7,24 @@
 // tunneling estimate) and with the inverse temperature Δ/T (the thermal
 // anyon plasma).
 //
-// Decoding is delegated to internal/decoder: a near-linear union-find
-// decoder for the hot Monte Carlo path and a polynomial exact
-// minimum-weight matcher as the accuracy baseline. The lattice carries
-// both error sectors (plaquette syndromes and the primal graph for bit
-// flips, star syndromes and the dual graph for phase flips); its own
-// Monte Carlo decodes the bit-flip sector, as a worker-pool stage over
-// word-aligned lane spans, bit-identical for any GOMAXPROCS. Two-sector
-// memory runs through internal/surface, noisy syndrome extraction over
-// repeated rounds through internal/spacetime, both built on this
-// package's lattices.
+// The torus is one more surface.Code: a Lattice embeds the Code that
+// surface.NewCode builds from the torus's two graphs, schedule and
+// winding detectors, and keeps only what the torus alone has — its
+// edge geometry, the torus metric and the shortest paths the exact
+// matcher walks, the X-sector memory experiments and the
+// hook-suppressing schedule HookParallel. Decoding is delegated to
+// internal/decoder: a near-linear union-find decoder for the hot Monte
+// Carlo path and a polynomial exact minimum-weight matcher as the
+// accuracy baseline. The X-sector memory decodes through
+// surface.SectorFailures, each batch chunk's lanes on the chunk's own
+// goroutine, bit-identical for any GOMAXPROCS. Two-sector memory runs
+// through internal/surface, noisy syndrome extraction over repeated
+// rounds through internal/spacetime, both built on this package's
+// lattices.
 package toric
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -27,6 +32,7 @@ import (
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
+	"ftqc/internal/surface"
 )
 
 // Lattice is an L×L torus with one qubit per edge (2L² qubits).
@@ -38,182 +44,106 @@ import (
 // phase-flip (Z) chains end on star (X-check) defects and decode over
 // the dual graph, whose sites reuse the same y·L+x indexing — the
 // dual-lattice trick that makes one decoder subsystem serve both.
+//
+// A Lattice is the surface.Code it embeds (built by surface.NewCode
+// from the torus's two graphs, its extraction schedule and its winding
+// detectors) plus what only the torus has: its geometry and the torus
+// metric and paths the exact matcher walks.
 type Lattice struct {
+	surface.Code
 	L int
-	// homology membership testers: XOR bases of the trivial-cycle spaces
-	// (star products for the X sector, plaquette products for the Z
-	// sector), indexed by leading column.
-	hbasis []bits.Vec
-	hset   []bool
-	zbasis []bits.Vec
-	zset   []bool
-	// Winding detectors: two fixed edge sets orthogonal to every star
-	// operator whose GF(2) inner products with a syndrome-free chain read
-	// off its homology class directly (O(L) instead of a basis
-	// reduction). det1 is the column of vertical edges at x=0 (odd
-	// intersection ⇔ the chain winds horizontally on the dual lattice);
-	// det2 is the row of horizontal edges at y=0. det1Z/det2Z are the
-	// dual pair, orthogonal to every plaquette: the row of vertical edges
-	// at y=0 and the column of horizontal edges at x=0.
-	det1, det2   bits.Vec
-	det1Z, det2Z bits.Vec
-	// Support lists of the detectors, precomputed for the batch path.
-	det1Sup, det2Sup   []int
-	det1ZSup, det2ZSup []int
 	// wrapDist[d] = min(d, L−d): the one-axis torus metric, cached so a
 	// plaquette distance is two table lookups shared by every lane and
 	// worker.
 	wrapDist []int32
-	// graph is the primal decoding graph (plaquettes = nodes, qubits =
-	// edges); dualGraph is the star-sector graph (sites = nodes). Both
-	// are immutable and shared across all decoder instances.
-	graph     *decoder.Graph
-	dualGraph *decoder.Graph
 	// scratch recycles per-worker decoder state (union-find arrays,
-	// matcher arrays, defect and correction buffers) across decodes.
+	// matcher arrays, pair buffers) across decodes.
 	scratch *sync.Pool
 }
 
-// NewLattice returns an L×L toric lattice (L ≥ 2).
-func NewLattice(l int) Lattice {
+// newLattice returns an L×L toric lattice (L ≥ 2).
+//
+// Its Code has the primal decoding graph (plaquettes = nodes:
+// horizontal edge h(x,y) separates plaquettes (x,y) and (x,y−1),
+// vertical edge v(x,y) separates (x,y) and (x−1,y)) and the dual graph
+// (sites = nodes: h(x,y) joins sites (x,y)–(x+1,y), v(x,y) joins
+// (x,y)–(x,y+1)). The extraction schedule couples each check to its
+// four data edges over four global steps (every plaquette runs its
+// k-th CNOT in step k, then every star — conflict-free because each
+// step's check→edge map is injective):
+//
+//	plaquette (x,y): h(x,y), v(x,y), v(x+1,y), h(x,y+1)
+//	star      (x,y): h(x,y), v(x,y), v(x,y−1), h(x−1,y)
+//
+// The winding detectors are fixed edge sets whose GF(2) inner products
+// with a syndrome-free chain read off its homology class: for the X
+// sector (orthogonal to every star) the column of vertical edges at
+// x=0 and the row of horizontal edges at y=0; for the Z sector
+// (orthogonal to every plaquette) the row of vertical edges at y=0 and
+// the column of horizontal edges at x=0.
+func newLattice(l int) Lattice {
 	if l < 2 {
 		panic("toric: lattice size must be at least 2")
 	}
-	t := Lattice{L: l}
-	t.buildHomologyTesters()
-	t.det1 = bits.NewVec(t.Qubits())
-	t.det2 = bits.NewVec(t.Qubits())
-	t.det1Z = bits.NewVec(t.Qubits())
-	t.det2Z = bits.NewVec(t.Qubits())
-	for i := 0; i < l; i++ {
-		t.det1.Flip(t.VEdge(0, i))
-		t.det2.Flip(t.HEdge(i, 0))
-		t.det1Z.Flip(t.VEdge(i, 0))
-		t.det2Z.Flip(t.HEdge(0, i))
-	}
-	t.det1Sup = t.det1.Support()
-	t.det2Sup = t.det2.Support()
-	t.det1ZSup = t.det1Z.Support()
-	t.det2ZSup = t.det2Z.Support()
-	t.wrapDist = make([]int32, l)
+	t := Lattice{L: l, wrapDist: make([]int32, l)}
 	for d := 0; d < l; d++ {
-		if l-d < d {
-			t.wrapDist[d] = int32(l - d)
-		} else {
-			t.wrapDist[d] = int32(d)
-		}
+		t.wrapDist[d] = int32(min(d, l-d))
 	}
-	// Primal decoding graph: horizontal edge h(x,y) separates plaquettes
-	// (x,y) and (x,y−1); vertical edge v(x,y) separates (x,y) and
-	// (x−1,y). Dual graph: the same qubit edges between the sites they
-	// join — h(x,y) joins sites (x,y)–(x+1,y), v(x,y) joins (x,y)–(x,y+1).
-	ends := make([][2]int32, t.Qubits())
-	dualEnds := make([][2]int32, t.Qubits())
+	nq, nc := 2*l*l, l*l
+	ends := make([][2]int32, nq)
+	dualEnds := make([][2]int32, nq)
+	plaq := make([][4]int, nc)
+	star := make([][4]int, nc)
 	for y := 0; y < l; y++ {
 		for x := 0; x < l; x++ {
-			ends[t.HEdge(x, y)] = [2]int32{int32(y*l + x), int32(mod(y-1, l)*l + x)}
-			ends[t.VEdge(x, y)] = [2]int32{int32(y*l + x), int32(y*l + mod(x-1, l))}
-			dualEnds[t.HEdge(x, y)] = [2]int32{int32(y*l + x), int32(y*l + mod(x+1, l))}
-			dualEnds[t.VEdge(x, y)] = [2]int32{int32(y*l + x), int32(mod(y+1, l)*l + x)}
+			c := y*l + x
+			ends[t.HEdge(x, y)] = [2]int32{int32(c), int32(mod(y-1, l)*l + x)}
+			ends[t.VEdge(x, y)] = [2]int32{int32(c), int32(y*l + mod(x-1, l))}
+			dualEnds[t.HEdge(x, y)] = [2]int32{int32(c), int32(y*l + mod(x+1, l))}
+			dualEnds[t.VEdge(x, y)] = [2]int32{int32(c), int32(mod(y+1, l)*l + x)}
+			plaq[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x+1, y), t.HEdge(x, y+1)}
+			star[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x, y-1), t.HEdge(x-1, y)}
 		}
 	}
-	t.graph = decoder.NewGraph(t.NumChecks(), ends)
-	t.dualGraph = decoder.NewGraph(t.NumChecks(), dualEnds)
-	graph, qubits := t.graph, t.Qubits()
+	graph := decoder.NewGraph(nc, ends)
+	t.Code = t.newCode("toric", [2]*decoder.Graph{graph, decoder.NewGraph(nc, dualEnds)}, plaq, star)
 	t.scratch = &sync.Pool{New: func() any {
-		return &decodeScratch{
-			uf:   decoder.NewUnionFind(graph),
-			corr: bits.NewVec(qubits),
-		}
+		return &decodeScratch{uf: decoder.NewUnionFind(graph)}
 	}}
 	return t
 }
 
-// Graph returns the primal decoding graph (plaquettes = nodes, qubit
-// edges between the two plaquettes they bound). It is immutable.
-func (t Lattice) Graph() *decoder.Graph { return t.graph }
-
-// DualGraph returns the star-sector decoding graph (sites = nodes, qubit
-// edges between the two sites they join). It is immutable.
-func (t Lattice) DualGraph() *decoder.Graph { return t.dualGraph }
-
-// WindingParity returns the two homology-class bits of a syndrome-free
-// chain: whether it crosses the x=0 vertical-edge column an odd number of
-// times and the y=0 horizontal-edge row an odd number of times. For
-// cycles (zero syndrome) the pair is (0,0) exactly when the chain is a
-// product of star operators; either bit set means a logical error.
-func (t Lattice) WindingParity(errs bits.Vec) (bool, bool) {
-	return errs.Dot(t.det1), errs.Dot(t.det2)
+// newCode builds the torus's surface.Code over its two sector graphs
+// under the given CNOT orders, with the winding detectors as its
+// failure detectors.
+func (t Lattice) newCode(name string, graphs [2]*decoder.Graph, plaq, star [][4]int) surface.Code {
+	var wind [4][]int
+	for i := 0; i < t.L; i++ {
+		wind[0] = append(wind[0], t.VEdge(0, i))
+		wind[1] = append(wind[1], t.HEdge(i, 0))
+		wind[2] = append(wind[2], t.VEdge(i, 0))
+		wind[3] = append(wind[3], t.HEdge(0, i))
+	}
+	return surface.NewCode(name, t.L, 2*t.L*t.L, graphs, [2][][4]int{plaq, star}, [2][][]int{wind[:2], wind[2:]})
 }
 
-// WindingParityDual is WindingParity for the Z sector: the homology bits
-// of a star-syndrome-free phase-flip chain against the dual detector
-// pair (the y=0 vertical-edge row and the x=0 horizontal-edge column,
-// each orthogonal to every plaquette operator).
-func (t Lattice) WindingParityDual(errs bits.Vec) (bool, bool) {
-	return errs.Dot(t.det1Z), errs.Dot(t.det2Z)
-}
-
-// buildHomologyTesters builds XOR bases of the trivial-chain spaces of
-// both sectors. An X pattern acts trivially on the code space exactly
-// when it is a product of star (X-stabilizer) operators; a Z pattern,
-// when it is a product of plaquette (Z-stabilizer) operators.
-// Syndrome-free chains outside the span are logical operators
-// (noncontractible cycles of the dual or direct lattice respectively).
-func (t *Lattice) buildHomologyTesters() {
-	t.hbasis = make([]bits.Vec, t.Qubits())
-	t.hset = make([]bool, t.Qubits())
-	t.zbasis = make([]bits.Vec, t.Qubits())
-	t.zset = make([]bool, t.Qubits())
-	for y := 0; y < t.L; y++ {
-		for x := 0; x < t.L; x++ {
-			row := bits.NewVec(t.Qubits())
-			for _, e := range t.StarEdges(x, y) {
-				row.Flip(e)
-			}
-			insertBasis(t.hbasis, t.hset, row)
-			zrow := bits.NewVec(t.Qubits())
-			for _, e := range t.PlaquetteEdges(x, y) {
-				zrow.Flip(e)
-			}
-			insertBasis(t.zbasis, t.zset, zrow)
+// inCheckSpan reports whether errs is a product of one sector's checks
+// (plaquettes, or stars when dual) — a GF(2) row-space test over the
+// check rows.
+func (t Lattice) inCheckSpan(dual bool, errs bits.Vec) bool {
+	sch := t.ExtractionSchedule()
+	rows := sch.Plaq
+	if dual {
+		rows = sch.Star
+	}
+	m := bits.NewMatrix(len(rows), t.Qubits())
+	for c, ord := range rows {
+		for _, q := range ord {
+			m.Row(c).Flip(q)
 		}
 	}
+	return m.InSpan(errs)
 }
-
-// insertBasis adds a vector to an XOR basis (standard leading-column
-// reduction).
-func insertBasis(basis []bits.Vec, set []bool, v bits.Vec) {
-	for c := 0; c < v.Len(); c++ {
-		if !v.Get(c) {
-			continue
-		}
-		if !set[c] {
-			basis[c] = v
-			set[c] = true
-			return
-		}
-		v.Xor(basis[c])
-	}
-}
-
-// inSpan reduces v against a basis and reports whether it vanishes.
-func inSpan(basis []bits.Vec, set []bool, v bits.Vec) bool {
-	w := v.Clone()
-	for c := 0; c < w.Len(); c++ {
-		if !w.Get(c) {
-			continue
-		}
-		if !set[c] {
-			return false
-		}
-		w.Xor(basis[c])
-	}
-	return true
-}
-
-// Qubits returns the number of physical qubits, 2L².
-func (t Lattice) Qubits() int { return 2 * t.L * t.L }
 
 // HEdge returns the index of the horizontal edge at (x, y).
 func (t Lattice) HEdge(x, y int) int {
@@ -249,9 +179,6 @@ func (t Lattice) StarEdges(x, y int) [4]int {
 	}
 }
 
-// NumChecks returns the number of plaquettes (= sites) on the torus.
-func (t Lattice) NumChecks() int { return t.L * t.L }
-
 // Syndrome computes the plaquette syndrome of a bit-flip error pattern:
 // defect (anyon) positions are plaquettes with odd boundary parity.
 func (t Lattice) Syndrome(errs bits.Vec) []int {
@@ -275,16 +202,16 @@ func (t Lattice) Syndrome(errs bits.Vec) []int {
 // LogicalError reports whether a syndrome-free error pattern is
 // homologically nontrivial: trivial residues are exactly the products of
 // star operators, so membership in that span is tested directly over
-// GF(2).
+// GF(2). It is the reference the winding detectors are tested against.
 func (t Lattice) LogicalError(errs bits.Vec) bool {
-	return !inSpan(t.hbasis, t.hset, errs)
+	return !t.inCheckSpan(true, errs)
 }
 
 // LogicalZError is LogicalError for the Z sector: a star-syndrome-free
 // phase-flip pattern is a logical operator exactly when it is not a
 // product of plaquette operators.
 func (t Lattice) LogicalZError(errs bits.Vec) bool {
-	return !inSpan(t.zbasis, t.zset, errs)
+	return !t.inCheckSpan(false, errs)
 }
 
 // StarSyndrome computes the star syndrome of a phase-flip error pattern:
@@ -420,6 +347,16 @@ const (
 	DecoderUnionFind
 )
 
+// Validate rejects a kind that names no decoder — the one check every
+// memory driver that takes a kind runs, so no layer falls back to a
+// decoder of its own choosing.
+func (k DecoderKind) Validate() error {
+	if k != DecoderExact && k != DecoderUnionFind {
+		return fmt.Errorf("toric: decoder kind %d names no decoder (want %d exact or %d union-find)", int(k), int(DecoderExact), int(DecoderUnionFind))
+	}
+	return nil
+}
+
 // decodeScratch carries one worker's reusable decoder state. Instances
 // live in the lattice's sync.Pool, so any decode path — public one-off
 // calls and batch workers alike — recycles buffers instead of
@@ -429,8 +366,6 @@ type decodeScratch struct {
 	matcher decoder.Matcher
 	grid    decoder.DefectGrid
 	pairs   [][2]int
-	defects []int
-	corr    bits.Vec
 }
 
 func (s *decodeScratch) takePairs(n int) [][2]int {
@@ -564,137 +499,62 @@ func (r MemoryResult) FailRate() float64 { return float64(r.Failures) / float64(
 // threshold (§7.1's "if the quasiparticles are kept far apart, the
 // probability of an error will be extremely low"). Shots run on the
 // bit-plane batch path, fanned out over the CPUs in deterministic
-// seed-per-chunk batches.
-func MemoryExperiment(l int, p float64, kind DecoderKind, samples int, seed uint64) MemoryResult {
-	t := cachedLattice(l)
+// seed-per-chunk batches, each chunk decoding its lanes on its own
+// goroutine. A lattice under 2×2, a rate that is NaN or outside [0, 1],
+// an empty sample or a kind that names no decoder is an error.
+func MemoryExperiment(l int, p float64, kind DecoderKind, samples int, seed uint64) (MemoryResult, error) {
+	if l < 2 {
+		return MemoryResult{}, fmt.Errorf("toric: lattice size must be at least 2 (got %d)", l)
+	}
+	if err := surface.CheckMemory(p, samples); err != nil {
+		return MemoryResult{}, err
+	}
+	if err := kind.Validate(); err != nil {
+		return MemoryResult{}, err
+	}
+	t := Cached(l)
 	var fails atomic.Int64
 	frame.ForEachChunk(samples, seed, func(lanes int, smp frame.Sampler) {
 		fails.Add(int64(t.BatchMemory(p, kind, lanes, smp).Weight()))
 	})
-	return MemoryResult{L: l, P: p, Samples: samples, Failures: int(fails.Load())}
+	return MemoryResult{L: l, P: p, Samples: samples, Failures: int(fails.Load())}, nil
 }
 
 // latticeCache memoizes constructed lattices: experiments sweep (L, p)
-// grids and the homology tester is immutable after construction, so the
-// same lattice is safely shared across calls and workers.
+// grids and a lattice is immutable after construction, so the same
+// lattice is safely shared across calls and workers.
 var latticeCache sync.Map // int → *Lattice
 
-// Cached returns the memoized lattice of size l, shared across callers
-// (the space-time subsystem builds its decoding volumes on top of it).
-func Cached(l int) *Lattice { return cachedLattice(l) }
-
-func cachedLattice(l int) *Lattice {
+// Cached returns the memoized lattice of size l (l ≥ 2), shared across
+// callers — the one constructor of the torus.
+func Cached(l int) *Lattice {
 	if v, ok := latticeCache.Load(l); ok {
 		return v.(*Lattice)
 	}
-	t := NewLattice(l)
+	t := newLattice(l)
 	v, _ := latticeCache.LoadOrStore(l, &t)
 	return v.(*Lattice)
 }
 
 // BatchMemory runs `lanes` independent shots of the passive-memory
 // experiment as bit-planes over the given sampler and returns the
-// per-lane failure mask. Edge sampling and syndrome extraction are
-// word-parallel across lanes; the per-lane decodes run as a worker-pool
-// stage over word-aligned lane spans. Under a lockstep sampler lane i
-// reproduces a scalar shot drawn from the paired stream edge by edge.
+// per-lane failure mask: one error plane per edge, in edge order (the
+// scalar draw order within each lane), decoded by the primal sector's
+// surface.SectorFailures stage with pooled scratch. Under a lockstep
+// sampler lane i reproduces a scalar shot drawn from the paired stream
+// edge by edge.
 func (t *Lattice) BatchMemory(p float64, kind DecoderKind, lanes int, smp frame.Sampler) bits.Vec {
-	nq, nc := t.Qubits(), t.NumChecks()
 	active := bits.NewVec(lanes)
 	active.SetAll()
-	// Sample one error plane per edge, in edge order (the scalar draw
-	// order within each lane).
-	planes := bits.NewVecs(nq, lanes)
-	for e := 0; e < nq; e++ {
-		smp.Bernoulli(p, active, planes[e])
+	planes := bits.NewVecs(t.Qubits(), lanes)
+	for _, pl := range planes {
+		smp.Bernoulli(p, active, pl)
 	}
-	// Plaquette syndrome planes: one XOR chain of four edge planes per
-	// check, check-major; then the winding parities of the raw error
-	// planes, batched.
-	checks := bits.NewVecs(nc, lanes)
-	t.PlaquetteSyndromePlanes(planes, checks)
-	p1 := bits.NewVec(lanes)
-	p2 := bits.NewVec(lanes)
-	t.WindingPlanes(planes, p1, p2)
-	// Pivot to lane-major syndromes so each decode worker reads its own
-	// lanes' bit-vectors and extracts sparse defect lists by word scans.
-	syn := bits.NewVecs(lanes, nc)
-	bits.TransposePlanes(syn, checks)
-	// Decode stage: frame.ForEachLaneSpan hands word-aligned lane spans to
-	// the CPUs, each span owning its words of the failure mask outright
-	// and drawing private scratch from the lattice pool, so the mask is
-	// bit-identical for any worker count or scheduling order. Per lane:
-	// extract the sparse defect list (word scan + trailing-zero walk),
-	// decode it, and fold the correction's winding parities into the
-	// error chain's. The correction's syndrome equals the defect set by
-	// construction, so the residual is always a cycle and the winding
-	// parities decide failure.
-	fails := bits.NewVec(lanes)
-	frame.ForEachLaneSpan(lanes, func(lo, hi int) {
-		scr := t.scratch.Get().(*decodeScratch)
-		for lane := lo; lane < hi; lane++ {
-			scr.defects = syn[lane].AppendSupport(scr.defects[:0])
-			l1, l2 := p1.Get(lane), p2.Get(lane)
-			if len(scr.defects) > 0 {
-				scr.corr.Clear()
-				t.decodeInto(scr.defects, kind, scr, scr.corr)
-				l1 = l1 != scr.corr.Dot(t.det1)
-				l2 = l2 != scr.corr.Dot(t.det2)
-			}
-			if l1 || l2 {
-				fails.Set(lane, true)
-			}
-		}
-		t.scratch.Put(scr)
+	scr := t.scratch.Get().(*decodeScratch)
+	defer t.scratch.Put(scr)
+	return surface.SectorFailures(t, false, planes, func(defects []int, corr bits.Vec) {
+		t.decodeInto(defects, kind, scr, corr)
 	})
-	return fails
-}
-
-// PlaquetteSyndromePlanes fills check-major syndrome planes (one vector
-// per check, one bit per lane) from the edge error planes.
-func (t *Lattice) PlaquetteSyndromePlanes(planes, checks []bits.Vec) {
-	xorSupports(t.ExtractionSchedule().Plaq, planes, checks)
-}
-
-// StarSyndromePlanes is PlaquetteSyndromePlanes for the Z sector.
-func (t *Lattice) StarSyndromePlanes(planes, checks []bits.Vec) {
-	xorSupports(t.ExtractionSchedule().Star, planes, checks)
-}
-
-// xorSupports writes into each check plane the XOR of its four support
-// planes, read off the memoized schedule's tables (a check's Plaq / Star
-// entry is its PlaquetteEdges / StarEdges): no arithmetic in the loop.
-func xorSupports(sup [][4]int, planes, checks []bits.Vec) {
-	for c, e := range sup {
-		cv := checks[c]
-		cv.CopyFrom(planes[e[0]])
-		cv.Xor(planes[e[1]])
-		cv.Xor(planes[e[2]])
-		cv.Xor(planes[e[3]])
-	}
-}
-
-// windingPlanes accumulates the two detector parities of the error
-// planes into p1, p2 using the given support lists.
-func windingPlanes(planes []bits.Vec, sup1, sup2 []int, p1, p2 bits.Vec) {
-	for _, e := range sup1 {
-		p1.Xor(planes[e])
-	}
-	for _, e := range sup2 {
-		p2.Xor(planes[e])
-	}
-}
-
-// WindingPlanes accumulates the primal winding-detector parities of
-// edge-major error planes into p1, p2 (the batched WindingParity).
-func (t *Lattice) WindingPlanes(planes []bits.Vec, p1, p2 bits.Vec) {
-	windingPlanes(planes, t.det1Sup, t.det2Sup, p1, p2)
-}
-
-// WindingPlanesDual is WindingPlanes against the dual (Z-sector)
-// detector pair.
-func (t *Lattice) WindingPlanesDual(planes []bits.Vec, p1, p2 bits.Vec) {
-	windingPlanes(planes, t.det1ZSup, t.det2ZSup, p1, p2)
 }
 
 // ThermalResult is one point of the E18 temperature sweep.
@@ -708,11 +568,14 @@ type ThermalResult struct {
 // nucleated at a rate proportional to the Boltzmann factor e^{−Δ/T}, so
 // each edge flips with probability p = p0·e^{−Δ/T} per dwell time; the
 // logical failure rate inherits the exponential suppression in Δ/T.
-func ThermalMemory(l int, p0, deltaOverT float64, kind DecoderKind, samples int, seed uint64) ThermalResult {
+//
+// The flip rate p0·e^{−Δ/T} goes through MemoryExperiment's checks: a
+// rate that is NaN or outside [0, 1] is an error.
+func ThermalMemory(l int, p0, deltaOverT float64, kind DecoderKind, samples int, seed uint64) (ThermalResult, error) {
 	p := p0 * math.Exp(-deltaOverT)
-	return ThermalResult{
-		DeltaOverT:   deltaOverT,
-		FlipProb:     p,
-		MemoryResult: MemoryExperiment(l, p, kind, samples, seed),
+	r, err := MemoryExperiment(l, p, kind, samples, seed)
+	if err != nil {
+		return ThermalResult{}, err
 	}
+	return ThermalResult{DeltaOverT: deltaOverT, FlipProb: p, MemoryResult: r}, nil
 }

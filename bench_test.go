@@ -241,7 +241,7 @@ func BenchmarkSpacetimeDecode(b *testing.B) {
 	for _, cfg := range spacetimeDecodeConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spacetime.Memory(toric.Cached(cfg.l), cfg.l, spacetime.Phenomenological(0.025, 0.025, 0, 0), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
+				stream.VolumeMemory(toric.Cached(cfg.l), cfg.l, spacetime.Phenomenological(0.025, 0.025, 0, 0), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
 			}
 		})
 	}
@@ -268,7 +268,7 @@ func BenchmarkCircuitExtract(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			P := noise.Uniform(0.006)
 			for i := 0; i < b.N; i++ {
-				spacetime.Memory(toric.Cached(cfg.l), cfg.l, spacetime.Circuit(P), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
+				stream.VolumeMemory(toric.Cached(cfg.l), cfg.l, spacetime.Circuit(P), cfg.kind, spacetime.DecodeOptions{}, 64, 7)
 			}
 		})
 	}
@@ -286,7 +286,7 @@ func circuitExtractConfigs() []toricDecodeConfig {
 // circuitOptsArm is one arm of the circuit-level options ablation:
 // erasure-aware vs erasure-blind leakage, joint two-sector correlated
 // repricing, and the CNOT-schedule comparison — each a single L=8
-// operating point through spacetime.Memory.
+// operating point through stream.VolumeMemory.
 type circuitOptsArm struct {
 	name string
 	P    noise.Params
@@ -319,7 +319,7 @@ func BenchmarkCircuitOpts(b *testing.B) {
 	for _, arm := range circuitOptsArms() {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := spacetime.Memory(arm.code, 8, spacetime.Circuit(arm.P), toric.DecoderUnionFind, arm.opts, 64, 7); err != nil {
+				if _, err := stream.VolumeMemory(arm.code, 8, spacetime.Circuit(arm.P), toric.DecoderUnionFind, arm.opts, 64, 7); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -417,7 +417,7 @@ func cmdSpacetime(args []string) {
 	opts := spacetime.DecodeOptions{ErasureAware: erased}
 	run := func(l int, p float64, k toric.DecoderKind, seed uint64) float64 {
 		m := spacetime.Phenomenological(p, g.qOf(p), *pe, *qe)
-		return must(spacetime.Memory(toric.Cached(l), g.rounds(l), m, k, opts, g.samples, seed)).FailRate()
+		return must(stream.VolumeMemory(toric.Cached(l), g.rounds(l), m, k, opts, g.samples, seed)).FailRate()
 	}
 	t := table{corner: "p\\L", rowFmt: "%-8.3f", width: 12,
 		head:     func(l int) string { return fmt.Sprintf("%d (T=%d)", l, g.rounds(l)) },
@@ -472,7 +472,7 @@ func cmdStream(args []string) {
 		l := g.ls[0]
 		t.checkHead = fmt.Sprintf("%d volume", l)
 		t.check = func(p float64, seed uint64) float64 {
-			return must(spacetime.Memory(toric.Cached(l), g.rounds(l), model(p), toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+2000)).FailRate()
+			return must(stream.VolumeMemory(toric.Cached(l), g.rounds(l), model(p), toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+2000)).FailRate()
 		}
 	}
 	fmt.Println("E23: streaming windowed decoding — syndrome layers decode as they arrive through a")
@@ -504,8 +504,8 @@ func cmdCircuit(args []string) {
 	require(fs, check(*schedule == "default" || *schedule == "hookpar", "schedule", *schedule, "default or hookpar"))
 	require(fs, check(!*blind || *leak > 0, "blind", *blind, "paired with -leak > 0 (it is the control arm of a leakage ablation)"))
 	// The leakage, bias, correlated and schedule arms and the streaming
-	// pipeline are measured with union-find only (leakage and correlated
-	// decoding take the erased drain, which has no exact matcher).
+	// pipeline are measured with union-find only (the exact matcher
+	// decodes closed volumes without erasure planes or decode options).
 	needsOpts := *leak > 0 || *bias > 0 || *correlated || *schedule != "default"
 	streaming := g.window > 0
 	require(fs, check(g.kind == toric.DecoderUnionFind || !needsOpts && !streaming, "decoder", g.decoder,
@@ -523,7 +523,7 @@ func cmdCircuit(args []string) {
 		if w, c := g.win(l); w > 0 {
 			return must(stream.Memory(code, g.rounds(l), spacetime.Circuit(P), w, c, opts, g.samples, seed)).FailRate()
 		}
-		return must(spacetime.Memory(code, g.rounds(l), spacetime.Circuit(P), k, opts, g.samples, seed)).FailRate()
+		return must(stream.VolumeMemory(code, g.rounds(l), spacetime.Circuit(P), k, opts, g.samples, seed)).FailRate()
 	}
 	t := table{corner: "eps\\L", rowFmt: "%-8.4f", width: 12,
 		head:     func(l int) string { return fmt.Sprintf("%d (T=%d)", l, g.rounds(l)) },
@@ -620,9 +620,9 @@ func cmdCodes(args []string) {
 		seed := g.seed + uint64(100*i)
 		for j, eps := range ps {
 			m := spacetime.Circuit(noise.Uniform(eps))
-			curves[i][0][j] = must(spacetime.Memory(c1, d1, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j))).FailRate()
+			curves[i][0][j] = must(stream.VolumeMemory(c1, d1, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j))).FailRate()
 			t0 := time.Now()
-			curves[i][1][j] = must(spacetime.Memory(c2, d2, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j+1))).FailRate()
+			curves[i][1][j] = must(stream.VolumeMemory(c2, d2, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, g.samples, seed+uint64(2*j+1))).FailRate()
 			elapsed += time.Since(t0)
 		}
 		rows[i].thresh = spacetime.CrossingEstimate(ps, curves[i][0], curves[i][1])

@@ -59,7 +59,10 @@ func main() {
 
 	fmt.Println("\nsustained p=q threshold measured in streaming operation (T=4L, W=2L):")
 	grid := []float64{0.01, 0.015, 0.02, 0.025, 0.03, 0.04}
-	cross, pts := ftqc.StreamingSustainedThreshold(3, 5, grid, samples, 45)
+	cross, pts, err := ftqc.StreamingSustainedThreshold(3, 5, grid, samples, 45)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%-8s %-14s %-14s\n", "p=q", "L=3 (T=12)", "L=5 (T=20)")
 	for _, pt := range pts {
 		fmt.Printf("%-8.3f %-14.4e %-14.4e\n", pt.P, pt.Small.FailRate(), pt.Large.FailRate())

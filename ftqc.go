@@ -75,7 +75,8 @@
 // worker-pool service (batched shots in, corrections out, identical
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
 // failure rates; a window covering the whole stream reproduces the
-// whole-volume decode over the same weights bit for bit.
+// whole-volume decode over the same weights bit for bit, which is how
+// SpacetimeMemory's union-find runs decode: one drain serves both.
 //
 // The facade below re-exports the entry points the examples call; the
 // implementation, simulators, code constructors and the multi-tenant
@@ -220,11 +221,12 @@ type (
 	// SpacetimeVolume is the weighted 3D decoding volume of a surface
 	// code under repeated noisy syndrome extraction.
 	SpacetimeVolume = spacetime.Volume
-	// SpacetimeResult is one noisy-extraction memory measurement, with
-	// per-sector (bit-flip and phase-flip) failure counts.
-	SpacetimeResult = spacetime.Result
+	// SpacetimeResult is one noisy-extraction memory measurement, whole
+	// volume or streaming, with per-sector (bit-flip and phase-flip)
+	// failure counts.
+	SpacetimeResult = stream.Result
 	// ThresholdPoint is one grid point of a sustained-threshold sweep.
-	ThresholdPoint = spacetime.ThresholdPoint
+	ThresholdPoint = stream.ThresholdPoint
 )
 
 // Noise models and decode options of the memory experiments.
@@ -264,13 +266,16 @@ func CircuitModel(P NoiseParams) NoiseModel { return spacetime.Circuit(P) }
 // space-time volume (open-boundary detectors ground on the virtual
 // node; a circuit model adds the diagonal edge class). Both logical
 // sectors are tracked per shot. ToricDecoderUnionFind is the production
-// decoder; ToricDecoderExact runs the weighted blossom matcher, on the
-// torus only and without erasure channels or decode options — a run it
-// cannot price is an error, as are a malformed model (a rate that is NaN
-// or outside [0, 1]), decode options on a phenomenological model without
-// an erasure channel, an empty horizon and an empty sample.
+// decoder, run on the streaming drain through a window that never
+// slides (W = max(rounds, 2)); a one-round circuit run so prices its
+// weights over two layers, which give the same weights. ToricDecoderExact
+// runs the weighted blossom matcher, on the torus only and without
+// erasure channels or decode options — a run it cannot price is an
+// error, as are a malformed model (a rate that is NaN or outside
+// [0, 1]), decode options on a phenomenological model without an
+// erasure channel, an empty horizon and an empty sample.
 func SpacetimeMemory(c SurfaceCode, rounds int, m NoiseModel, dec ToricDecoder, opts DecodeOptions, samples int, seed uint64) (SpacetimeResult, error) {
-	return spacetime.Memory(c, rounds, m, dec, opts, samples, seed)
+	return stream.VolumeMemory(c, rounds, m, dec, opts, samples, seed)
 }
 
 // SustainedThreshold sweeps the model family model(x) with rounds = L
@@ -280,12 +285,10 @@ func SpacetimeMemory(c SurfaceCode, rounds int, m NoiseModel, dec ToricDecoder, 
 // below one percent at circuit level) — along with the measured points
 // (NaN if the grid shows no crossing).
 func SustainedThreshold(l1, l2 int, grid []float64, model func(x float64) NoiseModel, opts DecodeOptions, samples int, seed uint64) (float64, []ThresholdPoint, error) {
-	return spacetime.SustainedThreshold(l1, l2, grid, model, toric.DecoderUnionFind, opts, samples, seed)
+	return stream.SustainedThreshold(l1, l2, grid, func(l int, x float64, seed uint64) (SpacetimeResult, error) {
+		return stream.VolumeMemory(toric.Cached(l), l, model(x), toric.DecoderUnionFind, opts, samples, seed)
+	}, seed)
 }
-
-// StreamingResult is one streaming-memory measurement (sustained
-// operation through a sliding window).
-type StreamingResult = stream.Result
 
 // StreamingMemory runs the memory of any surface code under the model
 // m through the sliding-window streaming decoder: `window` buffered
@@ -297,16 +300,21 @@ type StreamingResult = stream.Result
 // dual window each slide. A window that never slides reproduces
 // SpacetimeMemory bit for bit when both decode over the same weights:
 // W ≥ rounds for a phenomenological model, W = rounds for a circuit
-// one, whose weights take the window as their horizon. Invalid window shapes (commit not in [1, window-1],
-// window < 2, ...), a malformed model, and erasure channels or decode
-// options on a phenomenological model are reported as errors.
-func StreamingMemory(c SurfaceCode, rounds int, m NoiseModel, window, commit int, opts DecodeOptions, samples int, seed uint64) (StreamingResult, error) {
+// one, whose weights take the window as their horizon. Invalid window
+// shapes (commit not in [1, window-1], window < 2, ...), a malformed
+// model, and decode options on a phenomenological model without an
+// erasure channel are reported as errors.
+func StreamingMemory(c SurfaceCode, rounds int, m NoiseModel, window, commit int, opts DecodeOptions, samples int, seed uint64) (SpacetimeResult, error) {
 	return stream.Memory(c, rounds, m, window, commit, opts, samples, seed)
 }
 
 // StreamingSustainedThreshold sweeps p = q with T = 4L rounds through
 // W = 2L sliding windows for two code distances — the sustained
-// threshold measured in genuine streaming operation.
-func StreamingSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []stream.ThresholdPoint) {
-	return stream.SustainedThreshold(l1, l2, grid, samples, seed)
+// threshold measured in genuine streaming operation. An empty sample
+// is an error.
+func StreamingSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []ThresholdPoint, error) {
+	return stream.SustainedThreshold(l1, l2, grid, func(l int, p float64, seed uint64) (SpacetimeResult, error) {
+		w, c := stream.DefaultWindow(l)
+		return stream.Memory(toric.Cached(l), 4*l, spacetime.Phenomenological(p, p, 0, 0), w, c, DecodeOptions{}, samples, seed)
+	}, seed)
 }

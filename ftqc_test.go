@@ -119,7 +119,7 @@ func TestFacadeCircuit(t *testing.T) {
 
 func TestFacadeStreaming(t *testing.T) {
 	phenom := PhenomenologicalModel(0.02, 0.02, 0, 0)
-	stream := func(rounds, window, commit, samples int, seed uint64) (StreamingResult, error) {
+	stream := func(rounds, window, commit, samples int, seed uint64) (SpacetimeResult, error) {
 		return StreamingMemory(ToricCode(4), rounds, phenom, window, commit, DecodeOptions{}, samples, seed)
 	}
 	r, err := stream(16, 0, 0, 1000, 13)

@@ -12,7 +12,8 @@ package spacetime
 //     horizontal (and mirrored diagonal) edges of a leaked data qubit,
 //     the vertical edge of a leaked ancilla. Located faults (AppendErased)
 //     seed the union-find peeling pass at full support, through the same
-//     BatchMemoryFrom drain the phenomenological erasure source uses.
+//     streaming drain (internal/stream) the phenomenological erasure
+//     source uses.
 //
 //   - Correlations. Depolarizing faults have Y components (an X error
 //     here implies a Z error on the same qubit with probability
@@ -23,11 +24,12 @@ package spacetime
 //     correction (Reprice): every counterpart edge's weight drops to
 //     zero, which in the integer-weight union-find is exactly "erased".
 //
-// Both passes keep the determinism contract: lanes decode independently
-// on their chunk's goroutine, the primal→dual order is fixed, and the
-// erased edge lists are built in canonical ascending edge-id order — so
-// results are bit-identical for any GOMAXPROCS or worker count, and the
-// streaming window (internal/stream) can reproduce them exactly.
+// Both passes keep the determinism contract: lanes decode independently,
+// the primal→dual order is fixed, and the erased edge lists are built in
+// canonical ascending edge-id order — so results are bit-identical for
+// any GOMAXPROCS or worker count, and the streaming window
+// (internal/stream) reproduces the from-scratch per-lane decode
+// (Volume.Decode) exactly.
 
 import "ftqc/internal/bits"
 

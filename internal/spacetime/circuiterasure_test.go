@@ -1,4 +1,4 @@
-package spacetime
+package spacetime_test
 
 import (
 	"testing"
@@ -6,6 +6,8 @@ import (
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
+	"ftqc/internal/spacetime"
+	"ftqc/internal/stream"
 	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
@@ -19,11 +21,11 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	P := noise.Uniform(0.02)
 	leaky := P
 	leaky.Leak = 0.02
-	clean, err := toricCircuitMemoryOpts(4, 4, P, 1024, 77, DecodeOptions{})
+	clean, err := toricCircuitMemoryOpts(4, 4, P, 1024, 77, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := toricCircuitMemoryOpts(4, 4, leaky, 1024, 77, DecodeOptions{})
+	dirty, err := toricCircuitMemoryOpts(4, 4, leaky, 1024, 77, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +61,15 @@ func TestPlainCircuitSourcePanicsOnLeak(t *testing.T) {
 func TestValidateRejectsMalformedModels(t *testing.T) {
 	bad := noise.Uniform(0.01)
 	bad.Leak = 1.5
-	if _, err := toricCircuitMemoryOpts(4, 4, bad, 64, 1, DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 4, bad, 64, 1, spacetime.DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted Leak=1.5")
 	}
 	neg := noise.Uniform(0.01)
 	neg.Bias = -1
-	if _, err := toricCircuitMemoryOpts(4, 4, neg, 64, 1, DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 4, neg, 64, 1, spacetime.DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted Bias=-1")
 	}
-	if _, err := toricCircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
+	if _, err := toricCircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, spacetime.DecodeOptions{}); err == nil {
 		t.Fatal("CircuitMemoryOpts accepted rounds=0")
 	}
 }
@@ -79,11 +81,11 @@ func TestValidateRejectsMalformedModels(t *testing.T) {
 func TestPureErasureDecodesPerfectly(t *testing.T) {
 	var P noise.Params
 	P.Leak = 0.01
-	aware, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{ErasureAware: true})
+	aware, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, spacetime.DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{})
+	blind, err := toricCircuitMemoryOpts(4, 4, P, 2048, 303, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +105,11 @@ func TestPureErasureDecodesPerfectly(t *testing.T) {
 func TestCircuitErasureAwareBeatsBlind(t *testing.T) {
 	P := noise.Uniform(0.003)
 	P.Leak = 0.01
-	aware, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{ErasureAware: true})
+	aware, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, spacetime.DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{})
+	blind, err := toricCircuitMemoryOpts(4, 4, P, 4096, 404, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func isqrt(n int) int {
 func TestCorrelatedDeterministic(t *testing.T) {
 	P := noise.Uniform(0.006)
 	P.Leak = 0.004
-	opts := DecodeOptions{ErasureAware: true, Correlated: true}
+	opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
 	a, err := toricCircuitMemoryOpts(4, 4, P, 1024, 505, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +156,11 @@ func TestCorrelatedDeterministic(t *testing.T) {
 // measured to over-erase and lose to independent decoding.
 func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 	P := noise.Uniform(0.006)
-	ind, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{})
+	ind, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{Correlated: true})
+	corr, err := toricCircuitMemoryOpts(6, 6, P, 8192, 606, spacetime.DecodeOptions{Correlated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +177,18 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 // TestErasedVolumeMatchesPlainOnLeakFree: with Leak = 0 the erased
 // round must consume the sampler stream identically to the plain one —
 // same draws, same decodes, same failures — so a leak-free source, which
-// is not Erasing, may drain through the fused plain round.
+// is not Erasing, may drain through the fused plain round. The erased
+// round drains through a never-sliding stream, the plain one through
+// the whole-volume batch decode.
 func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
-	wh, wv, wd := WeightsCircuit(P, 4, 4)
-	v := NewVolume(toric.Cached(4), 4, wh, wv, wd)
+	wh, wv, wd := spacetime.WeightsCircuit(P, 4, 4)
+	v := spacetime.NewVolume(toric.Cached(4), 4, wh, wv, wd)
+	s := wholeVolumeSession(t, toric.Cached(4), 4, spacetime.Circuit(P))
+	defer s.Close()
 	lanes := 192
-	fx1, fz1 := v.BatchMemoryFrom(erasingFeed{surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3))}, toric.DecoderUnionFind, DecodeOptions{ErasureAware: true})
-	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind, DecodeOptions{})
+	fx1, fz1 := s.BatchMemoryFrom(erasingFeed{surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3))}, 4, spacetime.DecodeOptions{ErasureAware: true})
+	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
 	for lane := 0; lane < lanes; lane++ {
 		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {
 			t.Fatalf("lane %d: erased pipeline diverges from plain on a leak-free model", lane)
@@ -198,11 +204,11 @@ func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 // unschedulable — bent vs parallel is the whole accessible range.)
 func TestScheduleAblationDirection(t *testing.T) {
 	P := noise.Uniform(0.006)
-	def, err := Memory(toric.Cached(6), 8, Circuit(P), toric.DecoderUnionFind, DecodeOptions{}, 8192, 808)
+	def, err := stream.VolumeMemory(toric.Cached(6), 8, spacetime.Circuit(P), toric.DecoderUnionFind, spacetime.DecodeOptions{}, 8192, 808)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Memory(toric.HookParallel(6), 8, Circuit(P), toric.DecoderUnionFind, DecodeOptions{}, 8192, 808)
+	par, err := stream.VolumeMemory(toric.HookParallel(6), 8, spacetime.Circuit(P), toric.DecoderUnionFind, spacetime.DecodeOptions{}, 8192, 808)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +225,7 @@ func TestScheduleAblationDirection(t *testing.T) {
 func TestBiasedNoiseSanity(t *testing.T) {
 	P := noise.Uniform(0.004)
 	P.Bias = 100
-	r, err := toricCircuitMemoryOpts(4, 4, P, 2048, 909, DecodeOptions{})
+	r, err := toricCircuitMemoryOpts(4, 4, P, 2048, 909, spacetime.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

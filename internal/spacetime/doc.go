@@ -59,18 +59,24 @@
 // draws nearly free), and difference layers are stored check-major.
 // The round loop is the LayerSource: it emits one difference layer per
 // noisy round (plus the perfect closing layer) in a fixed draw order,
-// and both consumers — the whole-volume batch decode here and the
-// sliding-window streaming decoder in internal/stream — drain the same
-// source, which is what makes them statistically identical by
-// construction. The (T+1)·L² layer planes pivot lane-major through
-// bits.TransposePlanes, and the per-lane decodes — one loop for every
-// feed and decoder, each lane's primal then dual sector — run on the
-// batch chunk's own goroutine with one pooled scratch, bit-identical for
-// any GOMAXPROCS, exactly like the 2D stage (surface.SectorFailures).
+// and both consumers — the plain whole-volume batch decode here and
+// the sliding-window streaming decoder in internal/stream — drain the
+// same source, which is what makes them identical by construction. The
+// (T+1)·L² layer planes pivot lane-major through bits.TransposePlanes,
+// and the per-lane decodes — each lane's primal then dual sector — run
+// on the batch chunk's own goroutine with one pooled scratch,
+// bit-identical for any GOMAXPROCS, exactly like the 2D stage
+// (surface.SectorFailures). That drain is the exact matcher's, which
+// decodes closed volumes only; Volume.Decode is the from-scratch
+// per-lane reference, erased lists included, that the streaming fast
+// paths are checked against.
 //
 // One Model value names the noise of an experiment — phenomenological
-// or circuit-level, erasure channels included — and one entry point,
-// Memory, runs it. Erasure channels thread into the volume (see Model):
+// or circuit-level, erasure channels included — and the memory
+// experiments that run it live in internal/stream: stream.Memory
+// through a sliding window, stream.VolumeMemory over the whole volume
+// (a window that never slides, or the exact matcher on this package's
+// drain). Erasure channels thread into the volume (see Model):
 // leaked data qubits depolarize at known horizontal edges, lost
 // measurement rounds randomize their readout and erase the
 // corresponding time-like edge, and both feed the union-find peeling
@@ -79,7 +85,7 @@
 // locations, measures what they are worth).
 //
 // The sustained-memory threshold (failure curves of growing L with
-// T ∝ L crossing at p = q ≈ 3%) is the package's headline experiment:
-// below the crossing, more rounds and bigger lattices make the memory
-// better; above it, worse.
+// T ∝ L crossing at p = q ≈ 3%, located by CrossingEstimate) is the
+// headline experiment on these volumes: below the crossing, more rounds
+// and bigger lattices make the memory better; above it, worse.
 package spacetime

@@ -3,11 +3,9 @@ package spacetime
 import (
 	"fmt"
 
-	"ftqc/internal/bits"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
-	"ftqc/internal/toric"
 )
 
 // Model names the noise of a memory experiment once: phenomenological
@@ -102,69 +100,4 @@ func (m Model) Rates() (p, q, pe, qe float64) {
 		return m.P.Gate2, m.P.Meas, m.P.Leak, 0
 	}
 	return m.p, m.q, m.pe, m.qe
-}
-
-// Memory runs the repeated-round noisy-extraction memory experiment of
-// any surface.Code under the model m: `rounds` noisy extraction rounds
-// decoded over the code's weighted space-time volume (with the diagonal
-// edge class for a circuit-level model), fanned out over the CPUs in
-// deterministic seed-per-chunk batches through BatchMemoryFrom. The
-// model's source states whether the rounds carry erasure planes; a model
-// with an erasure channel, or any non-zero opts, decodes with union-find
-// only. With q = 0 and rounds = 1 a phenomenological run reduces
-// (statistically) to the 2D memory experiment. A malformed model, an
-// empty horizon or sample, a decoder the code or options cannot run, or
-// decode options on a phenomenological model without an erasure channel
-// is an error.
-func Memory(code surface.Code, rounds int, m Model, kind toric.DecoderKind, opts DecodeOptions, samples int, seed uint64) (Result, error) {
-	if err := m.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := validateMemory(code, rounds, samples, kind); err != nil {
-		return Result{}, err
-	}
-	erasing, plain := m.pe > 0 || m.qe > 0 || m.P.Leak > 0, opts == (DecodeOptions{})
-	if !plain && !erasing && !m.circuit {
-		return Result{}, fmt.Errorf("spacetime: decode options on a phenomenological model need an erasure channel (pe or qe > 0)")
-	}
-	if (erasing || !plain) && kind != toric.DecoderUnionFind {
-		return Result{}, fmt.Errorf("spacetime: erasure channels and decode options decode with union-find only")
-	}
-	wh, wv, wd := m.Weights(code.Distance(), rounds)
-	v := NewVolume(code, rounds, wh, wv, wd)
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(m.Source(code, lanes, smp), kind, opts)
-	})
-	p, q, pe, qe := m.Rates()
-	return Result{L: code.Distance(), T: rounds, P: p, Q: q, Pe: pe, Qe: qe, Samples: samples,
-		FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// SustainedThreshold sweeps the noise family model(x) over the grid
-// with T = L rounds for two toric code distances (seeds seed+2i and
-// seed+2i+1) and estimates where the failure curves cross — the
-// sustained threshold of the memory under that family: below it, the
-// larger distance is better; above, worse. Phenomenological(p, p, 0, 0)
-// crosses near p = q ≈ 0.027; the circuit-level Circuit(noise.Uniform(ε))
-// well below one percent, because every location faults and the CNOTs
-// correlate the defects. Returns NaN when the grid shows no crossing,
-// plus the measured points either way.
-func SustainedThreshold(l1, l2 int, grid []float64, model func(x float64) Model, kind toric.DecoderKind, opts DecodeOptions, samples int, seed uint64) (float64, []ThresholdPoint, error) {
-	pts := make([]ThresholdPoint, len(grid))
-	small := make([]float64, len(grid))
-	large := make([]float64, len(grid))
-	for i, x := range grid {
-		rs, err := Memory(toric.Cached(l1), l1, model(x), kind, opts, samples, seed+uint64(2*i))
-		if err != nil {
-			return 0, nil, err
-		}
-		rl, err := Memory(toric.Cached(l2), l2, model(x), kind, opts, samples, seed+uint64(2*i+1))
-		if err != nil {
-			return 0, nil, err
-		}
-		pts[i] = ThresholdPoint{P: x, Small: rs, Large: rl}
-		small[i] = rs.FailRate()
-		large[i] = rl.FailRate()
-	}
-	return CrossingEstimate(grid, small, large), pts, nil
 }

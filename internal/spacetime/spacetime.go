@@ -1,9 +1,7 @@
 package spacetime
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"ftqc/internal/bits"
@@ -61,11 +59,8 @@ type volScratch struct {
 	matcher  decoder.Matcher
 	grid     decoder.DefectGrid
 	defects  []int
-	erased   []int
-	lists    [2][][]int // per-sector, per-lane erased lists of the chunk in flight (AppendErased)
 	corr     bits.Vec
-	emask    bits.Vec // edge-id mask of correlated repricing (Reprice)
-	edges    []int32  // raw correction edges of the lane in flight
+	edges    []int32 // raw correction edges of the lane in flight
 }
 
 // NewVolume builds the space-time volume of a surface.Code for rounds ≥
@@ -128,10 +123,9 @@ func newVolume(code surface.Code, rounds, wh, wv, wd int, window bool) *Volume {
 	gx, gz := v.graphX, v.graphZ
 	v.scratch = &sync.Pool{New: func() any {
 		return &volScratch{
-			ufX:   decoder.NewUnionFind(gx),
-			ufZ:   decoder.NewUnionFind(gz),
-			corr:  bits.NewVec(nq),
-			emask: bits.NewVec(gx.Edges()),
+			ufX:  decoder.NewUnionFind(gx),
+			ufZ:  decoder.NewUnionFind(gz),
+			corr: bits.NewVec(nq),
 		}
 	}}
 	return v
@@ -334,24 +328,27 @@ func gcd(a, b int) int {
 	return a
 }
 
-// Decode returns the projected spatial correction for a 3D defect set:
-// the decoder runs on the space-time graph of the chosen sector and the
-// space-like correction edges are XOR-ed onto their data qubits
-// (time-like edges are measurement-error assignments and project away).
-// DecoderExact runs the blossom matcher on wh·d₂ + wv·|Δt| distances
-// (pruned above decoder.SparseMatchMin defects); every other kind runs
-// the weighted union-find decoder.
-func (v *Volume) Decode(defects []int, kind toric.DecoderKind, dual bool) bits.Vec {
+// Decode returns the projected spatial correction for one lane's 3D
+// defect set, decoded from scratch: the decoder runs on the space-time
+// graph of the chosen sector and the space-like correction edges are
+// XOR-ed onto their data qubits (time-like edges are measurement-error
+// assignments and project away). DecoderExact runs the blossom matcher
+// on wh·d₂ + wv·|Δt| distances (pruned above decoder.SparseMatchMin
+// defects); every other kind runs the weighted union-find decoder,
+// seeding its peeling pass with erased — the lane's located faults in
+// canonical ascending edge-id order (AppendErased, then Reprice for a
+// correlated dual), or nil. It is the per-lane reference the fast paths
+// are checked against; the exact matcher takes no erased list.
+func (v *Volume) Decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
 	scr := v.scratch.Get().(*volScratch)
-	v.decodeInto(defects, nil, kind, dual, scr, corr)
+	v.decodeInto(defects, erased, kind, dual, scr, corr)
 	v.scratch.Put(scr)
 	return corr
 }
 
 // decodeInto XORs the projected correction of one sector's defect set
-// onto corr. The union-find correction's raw edges stay in scr.edges;
-// the exact matcher ignores erased (it is empty on that path).
+// onto corr.
 func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual bool, scr *volScratch, corr bits.Vec) {
 	if len(defects) == 0 {
 		return
@@ -468,12 +465,12 @@ func (v *Volume) matchCutoff(n int) int64 {
 // through NextLayersErased instead, which adds the round's erasure
 // planes: eraH qubit-major (Qubits() planes: lanes whose data qubit is a
 // located fault this layer), lostX/lostZ check-major (Checks() planes
-// per sector: lanes whose ancilla measurement read as a coin). Both the
-// whole-volume batch decode (Volume.BatchMemoryFrom) and the streaming
-// sliding-window pipeline (internal/stream) drain a feed, and both read
-// NextLayersErased exactly when it is Erasing; surface.LayerSource
-// (phenomenological) and surface.CircuitSource (circuit-level) are its
-// two implementations.
+// per sector: lanes whose ancilla measurement read as a coin). The
+// streaming pipeline (internal/stream) drains every feed and reads
+// NextLayersErased exactly when it is Erasing; the whole-volume batch
+// decode (Volume.BatchMemoryFrom) drains feeds that are not.
+// surface.LayerSource (phenomenological) and surface.CircuitSource
+// (circuit-level) are its two implementations.
 type LayerFeed interface {
 	Code() surface.Code
 	Lanes() int
@@ -499,43 +496,35 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 
 // BatchMemoryFrom runs Lanes() shots of the noisy-extraction memory
 // experiment as bit-planes: the feed emits T rounds of difference
-// layers — with their erasure planes when it is Erasing — plus the
-// perfect closing layer, and both sectors decode per lane over the
-// weighted volume with the given decoder and side-information passes
-// (opts, union-find only: ErasureAware seeds each lane's located faults,
-// Correlated reprices the dual decode from the primal correction). The
-// feed must be fresh (zero rounds emitted) and extract on this volume's
-// code. Returns the per-lane logical failure masks of the two sectors.
+// layers plus the perfect closing layer, and both sectors decode per
+// lane over the weighted volume with the given decoder. The feed must
+// be fresh (zero rounds emitted), extract on this volume's code and not
+// be Erasing: located faults and the side-information passes stream
+// through internal/stream, whose window never slides over a whole
+// volume. Returns the per-lane logical failure masks of the two
+// sectors. stream.VolumeMemory drains it for the exact matcher, which
+// decodes closed volumes only; the equivalence suites drain it with
+// union-find as the whole-volume reference.
 //
 // The detector planes pivot lane-major (the boundary node of an open
 // code is never a defect and carries no plane) and the lanes decode in
-// order on the calling goroutine — the chunk's own, under Memory's
+// order on the calling goroutine — the chunk's own, under
 // frame.ForEachChunk — with one scratch drawn from the volume pool, the
-// same discipline as the 2D stage (surface.SectorFailures). The two
-// sectors of one lane decode back to back (primal, then dual), so the
-// result is bit-identical for any worker count. The projected residual
-// is always a closed 2D cycle (the correction's 3D syndrome equals the
+// same discipline as the 2D stage (surface.SectorFailures). The result
+// is bit-identical for any worker count. The projected residual is
+// always a closed 2D cycle (the correction's 3D syndrome equals the
 // defect set and time-like edges project to nothing), so the winding
 // parities decide failure.
-func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts DecodeOptions) (failX, failZ bits.Vec) {
-	nc, nq := v.nc, v.nq
+func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
+	nc := v.nc
 	lanes := src.Lanes()
 	CheckFeed(src, v.code)
-	erasing := src.Erasing()
-	layers := [2][]bits.Vec{bits.NewVecs(v.det, lanes), bits.NewVecs(v.det, lanes)}
-	var eraH []bits.Vec
-	var lost [2][]bits.Vec
-	if erasing {
-		eraH = bits.NewVecs(v.horiz, lanes)
-		lost = [2][]bits.Vec{bits.NewVecs(v.T*nc, lanes), bits.NewVecs(v.T*nc, lanes)}
+	if src.Erasing() {
+		panic("spacetime: the whole-volume drain decodes no erasure planes")
 	}
+	layers := [2][]bits.Vec{bits.NewVecs(v.det, lanes), bits.NewVecs(v.det, lanes)}
 	for t := 0; t < v.T; t++ {
-		lx, lz := layers[0][t*nc:(t+1)*nc], layers[1][t*nc:(t+1)*nc]
-		if erasing {
-			src.NextLayersErased(lx, lz, eraH[t*nq:(t+1)*nq], lost[0][t*nc:(t+1)*nc], lost[1][t*nc:(t+1)*nc])
-		} else {
-			src.NextLayers(lx, lz)
-		}
+		src.NextLayers(layers[0][t*nc:(t+1)*nc], layers[1][t*nc:(t+1)*nc])
 	}
 	src.CloseLayers(layers[0][v.T*nc:], layers[1][v.T*nc:])
 	par := [2][2]bits.Vec{{bits.NewVec(lanes), bits.NewVec(lanes)}, {bits.NewVec(lanes), bits.NewVec(lanes)}}
@@ -543,42 +532,17 @@ func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts Dec
 	syn := [2][]bits.Vec{bits.NewVecs(lanes, v.det), bits.NewVecs(lanes, v.det)}
 	bits.TransposePlanes(syn[0], layers[0])
 	bits.TransposePlanes(syn[1], layers[1])
-	// One scratch serves the chunk: every lane's located faults, read
-	// straight off the planes into its pooled lists (so a chunk allocates
-	// none), and the lane loop below.
 	scr := v.scratch.Get().(*volScratch)
 	defer v.scratch.Put(scr)
-	var era [2][][]int
-	if erasing && opts.ErasureAware {
-		for s := range era {
-			era[s] = slices.Grow(scr.lists[s][:0], lanes)[:lanes] // the lists of earlier chunks, emptied
-			for lane := range era[s] {
-				era[s][lane] = era[s][lane][:0]
-			}
-			scr.lists[s] = era[s]
-			v.AppendErased(era[s], func(t int) ([]bits.Vec, []bits.Vec) {
-				return eraH[t*nq : (t+1)*nq], lost[s][t*nc : (t+1)*nc]
-			})
-		}
-	}
 	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
 	for lane := range lanes {
-		scr.edges = scr.edges[:0] // the primal correction the dual pass reprices from
 		for s, dual := range [2]bool{false, true} {
 			scr.defects = syn[s][lane].AppendSupport(scr.defects[:0])
 			l1 := par[s][0].Get(lane)
 			l2 := par[s][1].Get(lane)
 			if len(scr.defects) > 0 {
-				var erased []int
-				if era[s] != nil {
-					erased = era[s][lane]
-				}
-				if dual && opts.Correlated {
-					scr.erased = v.Reprice(append(scr.erased[:0], erased...), scr.edges, scr.emask)
-					erased = scr.erased
-				}
 				scr.corr.Clear()
-				v.decodeInto(scr.defects, erased, kind, dual, scr, scr.corr)
+				v.decodeInto(scr.defects, nil, kind, dual, scr, scr.corr)
 				c1, c2 := v.code.LogicalParity(dual, scr.corr)
 				l1 = l1 != c1
 				l2 = l2 != c2
@@ -589,55 +553,6 @@ func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind, opts Dec
 		}
 	}
 	return fail[0], fail[1]
-}
-
-// Result summarizes a space-time memory Monte Carlo run.
-type Result struct {
-	L, T     int
-	P, Q     float64
-	Pe, Qe   float64 // erasure rates (leakage, lost measurements); 0 when unused
-	Samples  int
-	FailX    int // bit-flip (plaquette-sector) logical failures
-	FailZ    int // phase-flip (star-sector) logical failures
-	Failures int // shots failing in either sector
-}
-
-// FailRate returns the either-sector logical failure probability.
-func (r Result) FailRate() float64 { return float64(r.Failures) / float64(r.Samples) }
-
-// FailRateX returns the bit-flip sector failure probability.
-func (r Result) FailRateX() float64 { return float64(r.FailX) / float64(r.Samples) }
-
-// FailRateZ returns the phase-flip sector failure probability.
-func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Samples) }
-
-// validateMemory is the constructor-error gate of the memory
-// experiments: a missing code, an empty horizon or sample, a kind that
-// names no decoder, or a decoder the code cannot run is an error, never
-// a panic deep inside a volume build.
-func validateMemory(code surface.Code, rounds, samples int, kind toric.DecoderKind) error {
-	if code == nil {
-		return fmt.Errorf("spacetime: volume needs a code")
-	}
-	if rounds < 1 {
-		return fmt.Errorf("spacetime: need at least one measurement round (got %d)", rounds)
-	}
-	if samples < 1 {
-		return fmt.Errorf("spacetime: need at least one sample (got %d)", samples)
-	}
-	if err := kind.Validate(); err != nil {
-		return err
-	}
-	if _, torus := code.(*toric.Lattice); kind == toric.DecoderExact && !torus {
-		return fmt.Errorf("spacetime: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
-	}
-	return nil
-}
-
-// ThresholdPoint is one grid point of a sustained-threshold sweep.
-type ThresholdPoint struct {
-	P            float64
-	Small, Large Result
 }
 
 // CrossingEstimate linearly interpolates the first sign change of the

@@ -70,8 +70,7 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
 		fx1, fz1 := v.BatchMemoryFrom(
-			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
-			toric.DecoderUnionFind, spacetime.DecodeOptions{})
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)), toric.DecoderUnionFind)
 		s := mustCircuitSession(t, cfg.l, cfg.window, cfg.commit, wh, wv, wd)
 		fx2, fz2 := s.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
@@ -199,7 +198,7 @@ func TestCircuitWindowedMatchesVolumeRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vol, _ := spacetime.Memory(toric.Cached(cfg.l), cfg.rounds, spacetime.Circuit(P), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 960)
+		vol, _ := VolumeMemory(toric.Cached(cfg.l), cfg.rounds, spacetime.Circuit(P), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 960)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {

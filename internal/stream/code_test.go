@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ftqc/internal/bits"
+	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
@@ -254,21 +255,75 @@ func TestEmptySampleIsAnError(t *testing.T) {
 	}
 }
 
-// TestPhenomenologicalErasureIsAnError: the phenomenological window has
-// no diagonal class, so its decoders take no side information — an
-// erasure channel or a decode option on a phenomenological model is a
-// constructor error, not a decoder panic mid-stream.
-func TestPhenomenologicalErasureIsAnError(t *testing.T) {
-	for _, tc := range []struct {
-		m    spacetime.Model
-		opts spacetime.DecodeOptions
-	}{
-		{spacetime.Phenomenological(0.01, 0.01, 0.05, 0), spacetime.DecodeOptions{}},
-		{spacetime.Phenomenological(0.01, 0.01, 0, 0.05), spacetime.DecodeOptions{ErasureAware: true}},
-		{spacetime.Phenomenological(0.01, 0.01, 0, 0), spacetime.DecodeOptions{Correlated: true}},
+// TestPhenomenologicalErasureStreams: leaked data qubits and lost
+// measurements stream through the phenomenological window like leakage
+// through a circuit-level one. On a sliding stream the erasure-aware
+// decoder commits the same frames at one and at four pool workers, and
+// at a fixed seed it fails fewer shots than the blind arm decoding the
+// same histories. A decode option with no erasure channel to act on is
+// still a constructor error.
+func TestPhenomenologicalErasureStreams(t *testing.T) {
+	const l, rounds, window, commit, lanes = 4, 12, 5, 2, 192
+	m := spacetime.Phenomenological(0.01, 0.01, 0.02, 0.02)
+	aware := spacetime.DecodeOptions{ErasureAware: true}
+	wh, wv, wd := m.Weights(l, rounds)
+	never := func(int) bool { return false }
+	frames := func(workers int) (x, z []bits.Vec) {
+		pool := decoder.NewPool(workers)
+		defer pool.Close()
+		win, err := NewWindow(toric.Cached(l), window, commit, wh, wv, wd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := m.Source(toric.Cached(l), lanes, frame.NewAggregateSampler(985, 3))
+		return streamFrames(t, NewSessionOn(pool, win).NewDecoderOpts(lanes, aware), src, rounds, never, never)
+	}
+	x1, z1 := frames(1)
+	x4, z4 := frames(4)
+	if !equalVecs(x1, x4) || !equalVecs(z1, z4) {
+		t.Fatal("phenomenological erasure stream commits other frames at 4 workers than at 1")
+	}
+	run := func(opts spacetime.DecodeOptions) Result {
+		r, err := Memory(toric.Cached(l), rounds, m, window, commit, opts, 2000, 987)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a, b := run(aware), run(spacetime.DecodeOptions{})
+	t.Logf("aware %d/%d blind %d/%d", a.Failures, a.Samples, b.Failures, b.Samples)
+	if a.Failures >= b.Failures {
+		t.Fatalf("erasure-aware stream (%d failures) not better than blind (%d)", a.Failures, b.Failures)
+	}
+	plain := spacetime.Phenomenological(0.01, 0.01, 0, 0)
+	if _, err := Memory(toric.Cached(l), rounds, plain, window, commit, spacetime.DecodeOptions{Correlated: true}, 64, 1); err == nil || !strings.Contains(err.Error(), "erasure channel") {
+		t.Fatalf("correlated decoding without an erasure channel: err = %v, want the erasure-channel error", err)
+	}
+}
+
+// TestResultReportsErasureRates: both drivers report the rates of the
+// model they ran — a phenomenological model's lost-measurement rate as
+// Qe beside its leakage rate Pe, a circuit model's Leak as Pe.
+func TestResultReportsErasureRates(t *testing.T) {
+	code := toric.Cached(3)
+	phenom := spacetime.Phenomenological(0.02, 0.02, 0.01, 0.03)
+	leaky := noise.Uniform(0.004)
+	leaky.Leak = 0.002
+	for name, run := range map[string]func(m spacetime.Model) (Result, error){
+		"VolumeMemory": func(m spacetime.Model) (Result, error) {
+			return VolumeMemory(code, 3, m, toric.DecoderUnionFind, spacetime.DecodeOptions{}, 64, 1)
+		},
+		"Memory": func(m spacetime.Model) (Result, error) {
+			return Memory(code, 6, m, 4, 2, spacetime.DecodeOptions{}, 64, 1)
+		},
 	} {
-		if _, err := Memory(toric.Cached(3), 6, tc.m, 0, 0, tc.opts, 64, 1); err == nil || !strings.Contains(err.Error(), "circuit-level") {
-			t.Errorf("%+v with %+v: err = %v, want the circuit-level model error", tc.m, tc.opts, err)
+		r, err := run(phenom)
+		if err != nil || r.P != 0.02 || r.Q != 0.02 || r.Pe != 0.01 || r.Qe != 0.03 {
+			t.Errorf("%s phenomenological: %+v (err %v), want p = q = 0.02, pe = 0.01, qe = 0.03", name, r, err)
+		}
+		r, err = run(spacetime.Circuit(leaky))
+		if err != nil || r.Pe != leaky.Leak || r.Qe != 0 {
+			t.Errorf("%s circuit: %+v (err %v), want pe = %v, qe = 0", name, r, err, leaky.Leak)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stream decodes an endless noisy-syndrome stream through a
 // sliding window — the architecture a real fault-tolerant memory needs.
-// The whole-volume pipeline (package spacetime) materializes all T
+// A whole-volume decode (package spacetime's volumes) materializes all T
 // rounds before decoding, so memory and latency grow linearly with T;
 // a streaming memory must instead decode as rounds arrive, in constant
 // space, forever. Gottesman (arXiv:2210.15844) calls real-time decoding
@@ -44,11 +44,27 @@
 // everything commits and nothing is cut. With W ≥ T no slide ever fires
 // and the stream decode is bit-identical to the whole-volume decode over
 // the same weights (tested; Memory's circuit weights take the window as
-// their horizon, so there that is W = T). The Window owns those closing volumes (at most W, one per
-// height a stream has ended at, built on first use and shared by every
-// session on the window); a closing round with odd defect parity on a
-// closed code is refused as the decoder's error before anything is
-// submitted.
+// their horizon, so there that is W = T). The Window owns those closing
+// volumes (at most W, one per height a stream has ended at, built on
+// first use and shared by every session on the window); a closing round
+// with odd defect parity on a closed code is refused as the decoder's
+// error before anything is submitted.
+//
+// # One memory driver
+//
+// Memory is the package's one Monte Carlo driver, and every union-find
+// memory number — the whole-volume ones included — comes from its drain,
+// the one the decode server and the benchmark run. VolumeMemory is the
+// whole-volume experiment as a window that never slides: W = max(T, 2),
+// commit 1, so Finish decodes the closed T-round volume (a one-round
+// circuit run prices its weights over two layers, which give the same
+// weights). Only the exact matcher, which decodes closed volumes alone,
+// drains spacetime.Volume.BatchMemoryFrom. Erasure channels and decode
+// options stream on every model: a phenomenological window seeds its
+// leaked qubits and lost measurements exactly as a circuit-level one
+// seeds leakage. Both drivers return one Result, and SustainedThreshold
+// is the one sweep over two distances, each caller binding the run that
+// measures a point.
 //
 // # One decode per window, from scratch
 //

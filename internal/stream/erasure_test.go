@@ -14,9 +14,10 @@ import (
 
 // TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
 // stream, draining an erasure-harvesting source through the streaming
-// decoder must reproduce Volume.BatchMemoryFrom bit for bit —
-// for every option set, including the serialized correlated pass. Same
-// draws, same canonical erased lists, same primal→dual order.
+// decoder must reproduce the from-scratch per-lane whole-volume decode
+// (volumeReference) bit for bit — for every option set, including the
+// serialized correlated pass. Same draws, same canonical erased lists,
+// same primal→dual order.
 func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 	const lanes = 192
 	for _, cfg := range []struct {
@@ -35,8 +36,7 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 		P.Leak = cfg.leak
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
-		fx1, fz1 := v.BatchMemoryFrom(
-			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), toric.DecoderUnionFind, cfg.opts)
+		fx1, fz1 := volumeReference(v, toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
 		fx2, fz2 := s.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)

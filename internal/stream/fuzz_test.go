@@ -12,8 +12,8 @@ import (
 )
 
 // FuzzMemoryOptions drives the memory drivers with arbitrary option
-// combinations. The volume and streaming drivers, spacetime.Memory and
-// stream.Memory, get a code family, distance 3–4 (rotated codes are
+// combinations. The volume and streaming drivers, VolumeMemory and
+// Memory, get a code family, distance 3–4 (rotated codes are
 // odd, so 3), 1–4 rounds, any window and commit (0 and negative
 // included), a phenomenological model with four rates or a circuit
 // model with a rate and a leak rate (NaN, ±Inf and out-of-range values
@@ -26,7 +26,8 @@ import (
 // into a failure — and a kind that names no decoder must be an error.
 // When both volume and stream accept a union-find run over one decode
 // horizon (W = rounds for a circuit model, W ≥ rounds for a
-// phenomenological one) their failure counts must agree; when both 2D
+// phenomenological one) their failure counts must agree — erasure
+// channels and decode options included; when both 2D
 // drivers accept a union-find run, the X-sector failures must agree
 // (both draw the X planes first).
 //
@@ -41,6 +42,7 @@ func FuzzMemoryOptions(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(2), int8(3), int8(0), false, 0.03, 0.02, 0.05, 0.02, true, false, uint8(3), uint8(20), uint8(1), uint8(5))
 	f.Add(uint8(2), uint8(0), uint8(1), int8(-1), int8(0), true, 1.5, 0.0, 0.0, 0.0, false, false, uint8(2), uint8(8), uint8(3), uint8(10))
 	f.Add(uint8(0), uint8(0), uint8(2), int8(0), int8(0), false, 0.03, 0.03, 0.0, 0.0, false, false, uint8(4), uint8(64), uint8(3), uint8(7))
+	f.Add(uint8(0), uint8(1), uint8(3), int8(5), int8(2), false, 0.02, 0.02, 0.05, 0.05, true, true, uint8(3), uint8(48), uint8(4), uint8(6))
 	f.Fuzz(func(t *testing.T, family, dist, rounds uint8, window, commit int8, circuit bool,
 		p, q, pe, qe float64, aware, correlated bool, kindByte, samples, lByte, rateByte uint8) {
 		d := 3 + int(dist%2)
@@ -68,8 +70,7 @@ func FuzzMemoryOptions(f *testing.F) {
 		}
 		opts := spacetime.DecodeOptions{ErasureAware: aware, Correlated: correlated}
 		type outcome struct {
-			vol                            spacetime.Result
-			str                            Result
+			vol, str                       Result
 			flat                           toric.MemoryResult
 			xz                             surface.MemoryResult
 			volErr, strErr, flatErr, xzErr error
@@ -77,7 +78,7 @@ func FuzzMemoryOptions(f *testing.F) {
 		done := make(chan outcome, 1)
 		go func() {
 			var o outcome
-			o.vol, o.volErr = spacetime.Memory(code, T, m, kind, opts, n, 7)
+			o.vol, o.volErr = VolumeMemory(code, T, m, kind, opts, n, 7)
 			o.str, o.strErr = Memory(code, T, m, int(window), int(commit), opts, n, 7)
 			o.flat, o.flatErr = toric.MemoryExperiment(l, rate, kind, n2, 7)
 			o.xz, o.xzErr = surface.MemoryExperimentXZ(torus, rate, n2, 7)

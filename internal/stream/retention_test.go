@@ -29,8 +29,8 @@ func heapInUse() uint64 {
 // window, the decode scratch to its graphs, and no process- or
 // pool-lifetime map remembers either: the window table Memory interns
 // through holds its entries weakly, so an idle shape goes with its
-// closing volumes and free decoders. The same holds for the volumes
-// the whole-volume experiments build per call.
+// closing volumes and free decoders. The same holds for the
+// never-sliding windows the whole-volume experiments intern per call.
 func TestDroppedShapesAreCollected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two hundred window builds")
@@ -109,7 +109,7 @@ func TestDroppedShapesAreCollected(t *testing.T) {
 			{Gate2: 0.002, Storage: 0.02}, {Gate2: 0.0005, Prep: 0.01, Storage: 0.0005},
 		}
 		flat(t, func(i int) {
-			if _, err := spacetime.Memory(code, 1+i%40, spacetime.Circuit(models[i/40]), toric.DecoderUnionFind, spacetime.DecodeOptions{}, lanes, uint64(i)); err != nil {
+			if _, err := VolumeMemory(code, 1+i%40, spacetime.Circuit(models[i/40]), toric.DecoderUnionFind, spacetime.DecodeOptions{}, lanes, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		})

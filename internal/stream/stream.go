@@ -170,17 +170,13 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 // spacetime.DecodeOptions enabled. Erasure-aware decoders keep the
 // planes PushErased carries (a Push round erases nothing); correlated
 // decoders reprice the dual window from the primal correction every
-// slide (which serializes the two sectors' decodes). Both options need a
-// circuit-level window (WD ≥ 1).
+// slide (which serializes the two sectors' decodes).
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	return s.win.newDecoder(s.pool, lanes, opts)
 }
 
 // newDecoder builds a decoder of the window submitting to pool.
 func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.DecodeOptions) *Decoder {
-	if (opts.ErasureAware || opts.Correlated) && w.WD == 0 {
-		panic("stream: erasure-aware/correlated decoding needs a circuit-level window (WD ≥ 1)")
-	}
 	nq, nc := w.Code().Qubits(), w.Code().Checks()
 	// Every buffer is sized here, once, for the tallest decode there is —
 	// W buffered layers plus the closing one — so neither a slide nor
@@ -205,10 +201,11 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	// Defect and correction buffers are sized once from the window shape
 	// — one entry per eight detectors, several times any operating
 	// density, with a floor for small windows, whose counts fluctuate by
-	// a larger fraction of their mean — so the footprint does not ratchet
-	// up whenever a denser window arrives. A window past that still
-	// decodes; its lane's buffers grow.
-	bufCap := max(w.W*nc/8, 64)
+	// a larger fraction of their mean, but never past half the tallest
+	// decode's detectors (a syndrome that dense is noise) — so the
+	// footprint does not ratchet up whenever a denser window arrives. A
+	// window past that still decodes; its lane's buffers grow.
+	bufCap := max(w.W*nc/8, min(64, (w.W+1)*nc/2))
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		sec.ring, sec.ringW = bits.NewSlab(w.W*nc, lanes)
 		sec.carry = bits.NewVecs(lanes, nc)
@@ -220,20 +217,25 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 			sec.lostQuiet = make([]bool, w.W)
 		}
 		sec.shots = make([]decoder.Shot, lanes)
-		sec.defbuf = make([][]int, lanes)
-		sec.erabuf = make([][]int, lanes)
-		sec.corrbuf = make([][]int32, lanes)
-		for lane := 0; lane < lanes; lane++ {
-			sec.defbuf[lane] = make([]int, 0, bufCap)
-			sec.corrbuf[lane] = make([]int32, 0, bufCap)
-			if eraCap > 0 {
-				sec.erabuf[lane] = make([]int, 0, eraCap)
-			}
-		}
+		sec.defbuf = laneBufs[int](lanes, bufCap)
+		sec.erabuf = laneBufs[int](lanes, eraCap)
+		sec.corrbuf = laneBufs[int32](lanes, bufCap)
 		sec.bat = decoder.NewBatch(lanes)
 	}
 	d.sz.dual = true
 	return d
+}
+
+// laneBufs returns `lanes` empty buffers of capacity c each, carved
+// from one allocation; a buffer that outgrows its share regrows on its
+// own.
+func laneBufs[T any](lanes, c int) [][]T {
+	slab := make([]T, lanes*c)
+	bufs := make([][]T, lanes)
+	for i := range bufs {
+		bufs[i] = slab[i*c : i*c : (i+1)*c]
+	}
+	return bufs
 }
 
 // reset puts a finished decoder back in NewDecoderOpts's state. Ring
@@ -627,13 +629,15 @@ func (s *Session) failureMasks(src spacetime.LayerFeed, d *Decoder) (failX, fail
 	return failX, failZ
 }
 
-// Result summarizes a streaming memory Monte Carlo run.
+// Result summarizes a memory Monte Carlo run, streaming or whole-volume
+// (VolumeMemory: a window that never slides).
 type Result struct {
 	Code           string // code family ("toric", "planar", "rotated")
 	L, T           int
-	Window, Commit int
+	Window, Commit int // 0, 0 under DecoderExact, which decodes no window
 	P, Q           float64
-	Pe             float64 // leak rate per gate (erasure runs; 0 otherwise)
+	Pe             float64 // leak rate, per round or (circuit) per gate; 0 when unused
+	Qe             float64 // lost-measurement rate per round; 0 when unused
 	Samples        int
 	FailX          int // bit-flip (plaquette-sector) logical failures
 	FailZ          int // phase-flip (star-sector) logical failures
@@ -654,20 +658,35 @@ func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Sample
 // accuracy matches whole-volume decoding) with a half-window commit.
 func DefaultWindow(l int) (window, commit int) { return 2 * l, l }
 
-// memoryShape is the constructor-error gate of the memory experiments:
-// it rejects a missing code, an empty horizon or an empty sample and
-// fills in the window through WindowShape.
-func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, int, error) {
+// checkMemory is the constructor-error gate of the memory experiments:
+// a malformed model, a missing code, an empty horizon or sample, or
+// decode options on a phenomenological model without an erasure
+// channel (its source is not Erasing, so they would have nothing to act
+// on) is an error, never a panic deep inside a decode.
+func checkMemory(code surface.Code, rounds int, m spacetime.Model, opts spacetime.DecodeOptions, samples int) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
 	if code == nil {
-		return 0, 0, fmt.Errorf("stream: window needs a code")
+		return fmt.Errorf("stream: memory experiment needs a code")
 	}
 	if rounds < 1 {
-		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
+		return fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
 	}
 	if samples < 1 {
-		return 0, 0, fmt.Errorf("stream: memory experiment needs at least one sample (got samples=%d)", samples)
+		return fmt.Errorf("stream: memory experiment needs at least one sample (got samples=%d)", samples)
 	}
-	return WindowShape(code.Distance(), window, commit)
+	if _, _, pe, qe := m.Rates(); !m.CircuitLevel() && pe == 0 && qe == 0 && opts != (spacetime.DecodeOptions{}) {
+		return fmt.Errorf("stream: decode options on a phenomenological model need an erasure channel (pe or qe > 0)")
+	}
+	return nil
+}
+
+// result is the Result of a run of m over code.
+func result(code surface.Code, rounds, window, commit int, m spacetime.Model, samples, fx, fz, fa int) Result {
+	p, q, pe, qe := m.Rates()
+	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
+		P: p, Q: q, Pe: pe, Qe: qe, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}
 }
 
 // Memory runs the streaming noisy-extraction memory experiment of any
@@ -685,19 +704,16 @@ func memoryShape(code surface.Code, rounds, window, commit, samples int) (int, i
 // Push. The weights take the decode horizon of each model: `rounds` for
 // a phenomenological model, the window for a circuit-level one. The
 // result is a pure function of (samples, seed) — never of GOMAXPROCS. A
-// malformed model, an invalid window shape or horizon, or an erasure
-// channel or decode option on a phenomenological model (whose window
-// has no diagonal class) is a constructor error.
+// malformed model, an invalid window shape or horizon, or decode
+// options on a phenomenological model without an erasure channel is a
+// constructor error.
 func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
-	if err := m.Validate(); err != nil {
+	if err := checkMemory(code, rounds, m, opts, samples); err != nil {
 		return Result{}, err
 	}
-	window, commit, err := memoryShape(code, rounds, window, commit, samples)
+	window, commit, err := WindowShape(code.Distance(), window, commit)
 	if err != nil {
 		return Result{}, err
-	}
-	if _, _, pe, qe := m.Rates(); !m.CircuitLevel() && (pe > 0 || qe > 0 || opts != (spacetime.DecodeOptions{})) {
-		return Result{}, fmt.Errorf("stream: erasure channels and decode options need a circuit-level model")
 	}
 	horizon := rounds
 	if m.CircuitLevel() {
@@ -712,9 +728,43 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
 		return s.BatchMemoryFrom(m.Source(code, lanes, smp), rounds, opts)
 	})
-	p, q, pe, _ := m.Rates()
-	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
-		P: p, Q: q, Pe: pe, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
+	return result(code, rounds, window, commit, m, samples, fx, fz, fa), nil
+}
+
+// VolumeMemory runs the whole-volume memory experiment: each shot's
+// rounds decoded at once over the code's closed space-time volume.
+// Union-find is Memory through a window that never slides
+// (W = max(rounds, 2), commit 1), so Finish decodes the closed volume
+// bit for bit on the drain the server runs, erasure channels and decode
+// options included; a one-round circuit run so prices its weights over
+// two layers, which give the same weights (WeightsCircuit).
+// DecoderExact drains spacetime.Volume.BatchMemoryFrom through the
+// blossom matcher, on the torus only and without erasure channels or
+// decode options; its Result has Window = Commit = 0. A kind that names
+// no decoder, a run the decoder cannot price and everything Memory
+// refuses are errors.
+func VolumeMemory(code surface.Code, rounds int, m spacetime.Model, kind toric.DecoderKind, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
+	if err := kind.Validate(); err != nil {
+		return Result{}, err
+	}
+	if kind == toric.DecoderUnionFind {
+		return Memory(code, rounds, m, max(rounds, 2), 1, opts, samples, seed)
+	}
+	if err := checkMemory(code, rounds, m, opts, samples); err != nil {
+		return Result{}, err
+	}
+	if _, torus := code.(*toric.Lattice); !torus {
+		return Result{}, fmt.Errorf("stream: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
+	}
+	if _, _, pe, qe := m.Rates(); pe > 0 || qe > 0 || opts != (spacetime.DecodeOptions{}) {
+		return Result{}, fmt.Errorf("stream: erasure channels and decode options decode with union-find only")
+	}
+	wh, wv, wd := m.Weights(code.Distance(), rounds)
+	v := spacetime.NewVolume(code, rounds, wh, wv, wd)
+	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
+		return v.BatchMemoryFrom(m.Source(code, lanes, smp), kind)
+	})
+	return result(code, rounds, 0, 0, m, samples, fx, fz, fa), nil
 }
 
 // CodeMemory is Memory under Phenomenological(p, q, 0, 0) with no
@@ -730,38 +780,35 @@ func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, co
 	return Memory(code, rounds, spacetime.Circuit(P), window, commit, spacetime.DecodeOptions{}, samples, seed)
 }
 
-// ThresholdPoint is one p = q grid point of a streaming sustained
-// sweep.
+// ThresholdPoint is one grid point of a sustained-threshold sweep.
 type ThresholdPoint struct {
 	P            float64
 	Small, Large Result
 }
 
-// SustainedThreshold sweeps p = q with T = 4L rounds through W = 2L
-// windows (several slides per shot — genuine sustained operation) for
-// two toric code distances and estimates where the failure curves
-// cross. Returns NaN when the grid shows no crossing, plus the points.
-func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (float64, []ThresholdPoint) {
+// SustainedThreshold sweeps the grid for two code distances l1 < l2 —
+// run(l, x, seed) measures distance l at grid point x, with seeds
+// seed+2i (l1) and seed+2i+1 (l2) at point i — and estimates where the
+// failure curves cross (spacetime.CrossingEstimate): the sustained
+// threshold of the memory the runs measure, below which the larger
+// distance is better. Returns NaN when the grid shows no crossing, plus
+// the measured points; the first error a run returns ends the sweep.
+func SustainedThreshold(l1, l2 int, grid []float64, run func(l int, x float64, seed uint64) (Result, error), seed uint64) (float64, []ThresholdPoint, error) {
 	pts := make([]ThresholdPoint, len(grid))
 	small := make([]float64, len(grid))
 	large := make([]float64, len(grid))
-	run := func(l int, p float64, seed uint64) Result {
-		w, c := DefaultWindow(l)
-		r, err := Memory(toric.Cached(l), 4*l, spacetime.Phenomenological(p, p, 0, 0), w, c, spacetime.DecodeOptions{}, samples, seed)
+	for i, x := range grid {
+		rs, err := run(l1, x, seed+uint64(2*i))
 		if err != nil {
-			// The sweep derives its own shapes; only an empty sample is invalid.
-			panic(err)
+			return 0, nil, err
 		}
-		return r
-	}
-	for i, p := range grid {
-		pts[i] = ThresholdPoint{
-			P:     p,
-			Small: run(l1, p, seed+uint64(2*i)),
-			Large: run(l2, p, seed+uint64(2*i+1)),
+		rl, err := run(l2, x, seed+uint64(2*i+1))
+		if err != nil {
+			return 0, nil, err
 		}
-		small[i] = pts[i].Small.FailRate()
-		large[i] = pts[i].Large.FailRate()
+		pts[i] = ThresholdPoint{P: x, Small: rs, Large: rl}
+		small[i] = rs.FailRate()
+		large[i] = rl.FailRate()
 	}
-	return spacetime.CrossingEstimate(grid, small, large), pts
+	return spacetime.CrossingEstimate(grid, small, large), pts, nil
 }

@@ -104,7 +104,7 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, 0)
-		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind, spacetime.DecodeOptions{})
+		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
 		s.Close()
@@ -130,7 +130,7 @@ func TestWindowedMatchesVolumeRates(t *testing.T) {
 	} {
 		w, c := DefaultWindow(cfg.l)
 		st := mustMemory(t, cfg.l, cfg.rounds, cfg.p, cfg.p, w, c, samples, 903)
-		vol, _ := spacetime.Memory(toric.Cached(cfg.l), cfg.rounds, spacetime.Phenomenological(cfg.p, cfg.p, 0, 0), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 904)
+		vol, _ := VolumeMemory(toric.Cached(cfg.l), cfg.rounds, spacetime.Phenomenological(cfg.p, cfg.p, 0, 0), toric.DecoderUnionFind, spacetime.DecodeOptions{}, samples, 904)
 		fs, fv := st.FailRate(), vol.FailRate()
 		sigma := math.Sqrt(fs*(1-fs)/samples + fv*(1-fv)/samples)
 		if diff := math.Abs(fs - fv); diff > 4*sigma+0.015 {
@@ -329,7 +329,14 @@ func TestSustainedThresholdStreaming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo sweep")
 	}
-	cross, pts := SustainedThreshold(3, 5, []float64{0.01, 0.02, 0.03, 0.04, 0.05}, 3000, 911)
+	run := func(l int, p float64, seed uint64) (Result, error) {
+		w, c := DefaultWindow(l)
+		return toricMemory(l, 4*l, p, p, w, c, 3000, seed)
+	}
+	cross, pts, err := SustainedThreshold(3, 5, []float64{0.01, 0.02, 0.03, 0.04, 0.05}, run, 911)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsNaN(cross) {
 		for _, pt := range pts {
 			t.Logf("p=q=%.3f: L=3 %.4f  L=5 %.4f", pt.P, pt.Small.FailRate(), pt.Large.FailRate())

@@ -119,7 +119,7 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 			diagSeen += countDiagPairs(dX, nc, sch.DiagX) + countDiagPairs(dZ, nc, sch.DiagZ)
 			truncSeen += countTruncated(dX, nc, sch.DiagX) + countTruncated(dZ, nc, sch.DiagZ)
 			for _, kind := range kinds {
-				corr := vol.Decode(dX, kind, false)
+				corr := vol.Decode(dX, nil, kind, false)
 				laneResidual(cumX, lane, corr, errv)
 				if res := sectorSyndrome(code, false, errv); len(res) != 0 {
 					t.Fatalf("%s %s location %d: X residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dX)
@@ -127,7 +127,7 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 				if p1, p2 := code.LogicalParity(false, errv); p1 || p2 {
 					t.Fatalf("%s %s location %d: single fault became an X logical (decoder %d, defects %v)", name, fc.name, lane, kind, dX)
 				}
-				corr = vol.Decode(dZ, kind, true)
+				corr = vol.Decode(dZ, nil, kind, true)
 				laneResidual(cumZ, lane, corr, errv)
 				if res := sectorSyndrome(code, true, errv); len(res) != 0 {
 					t.Fatalf("%s %s location %d: Z residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dZ)

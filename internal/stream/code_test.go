@@ -327,3 +327,15 @@ func TestResultReportsErasureRates(t *testing.T) {
 		}
 	}
 }
+
+// TestVolumeMemoryReportsNoWindow: a whole-volume run reports the same
+// shape whichever decoder ran it — its horizon, and no window or commit.
+func TestVolumeMemoryReportsNoWindow(t *testing.T) {
+	m := spacetime.Phenomenological(0.02, 0.02, 0, 0)
+	for _, kind := range []toric.DecoderKind{toric.DecoderUnionFind, toric.DecoderExact} {
+		r, err := VolumeMemory(toric.Cached(3), 5, m, kind, spacetime.DecodeOptions{}, 64, 1)
+		if err != nil || r.T != 5 || r.Window != 0 || r.Commit != 0 {
+			t.Errorf("kind %d: %+v (err %v), want T = 5, window = commit = 0", kind, r, err)
+		}
+	}
+}

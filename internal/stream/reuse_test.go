@@ -2,11 +2,14 @@ package stream
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"ftqc/internal/bits"
+	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
@@ -25,11 +28,12 @@ type drainOutcome struct {
 }
 
 // drainOnce runs one feed through s's drain and reads the decoder the
-// drain handed back, the newest entry of the window's free list.
+// drain handed back, the newest entry of the free list.
 func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) (drainOutcome, *Decoder) {
 	var o drainOutcome
 	o.failX, o.failZ = s.BatchMemoryFrom(src, rounds, opts)
-	d := s.win.free[len(s.win.free)-1]
+	free := freeDecoders()
+	d := free[len(free)-1]
 	o.corrX, o.corrZ = d.Corrections()
 	o.slides, o.defects = d.Slides(), d.DefectsObserved()
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
@@ -40,6 +44,45 @@ func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.D
 	return o, d
 }
 
+// freeDecoders returns the free list, oldest first (nil once a
+// collection has freed it).
+func freeDecoders() []*Decoder {
+	drains.Lock()
+	defer drains.Unlock()
+	if free := drains.free.Value(); free != nil {
+		return slices.Clone(*free)
+	}
+	return nil
+}
+
+// freshDrain is drainOnce on a new decoder: the free list is set aside
+// for the drain and put back afterwards.
+func freshDrain(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) drainOutcome {
+	saved := drains.free
+	drains.free = weak.Pointer[[]*Decoder]{}
+	defer func() { drains.free = saved }()
+	o, _ := drainOnce(s, src, rounds, opts)
+	return o
+}
+
+// freeOfClass counts the free decoders of a drain class.
+func freeOfClass(c drainClass) int {
+	n := 0
+	for _, d := range freeDecoders() {
+		if d.class == c {
+			n++
+		}
+	}
+	return n
+}
+
+// holdFreeList stops the collector for the rest of the test, so the
+// weakly held free list keeps what the drains put on it.
+func holdFreeList(t *testing.T) {
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
+}
+
 func sameOutcome(a, b drainOutcome) bool {
 	return a.failX.Equal(b.failX) && a.failZ.Equal(b.failZ) &&
 		slices.EqualFunc(a.corrX, b.corrX, bits.Vec.Equal) && slices.EqualFunc(a.corrZ, b.corrZ, bits.Vec.Equal) &&
@@ -48,7 +91,7 @@ func sameOutcome(a, b drainOutcome) bool {
 
 // TestReusedDecoderMatchesFresh pushes a sequence of feeds through one
 // window's drains — each drain resetting the decoder an earlier one left
-// on the window's free list — and demands of every drain exactly what a
+// on the free list — and demands of every drain exactly what a
 // fresh decoder on a new window gives for the same feed: failure masks, committed frames,
 // slides, defects observed and the silent-sector test its rings pass
 // afterwards (a stale quiet flag fails it). The sequence covers
@@ -58,6 +101,7 @@ func sameOutcome(a, b drainOutcome) bool {
 // mid-stream with carries pending, and plain and erasure-aware decoders,
 // whose options differ and which must never be handed to each other.
 func TestReusedDecoderMatchesFresh(t *testing.T) {
+	holdFreeList(t)
 	const l, w, commit, lanes = 4, 8, 4, 64
 	code := toric.Cached(l)
 	plain := noise.Uniform(0.006)
@@ -114,20 +158,20 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 			if !carried {
 				t.Fatal("degenerate: the abandoned stream left no carry")
 			}
-			s.win.putDecoder(d)
+			putDecoder(d)
 		}
 		got, d := drainOnce(s, step.feed(seed), step.rounds, step.opts)
-		if len(s.win.free) != 1 {
-			t.Fatalf("%s: %d decoders on the free list after sequential drains", step.name, len(s.win.free))
+		if n := freeOfClass(d.class); n != 1 {
+			t.Fatalf("%s: %d decoders of the drain's class on the free list after sequential drains", step.name, n)
 		}
 		if (d == prev) != step.reused {
 			t.Fatalf("%s: decoder reused = %v, want %v", step.name, d == prev, step.reused)
 		}
-		fresh, err := NewWindow(code, w, commit, wh, wv, wd) // an empty free list
+		fresh, err := NewWindow(code, w, commit, wh, wv, wd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := drainOnce(NewSessionOn(s.pool, fresh), step.feed(seed), step.rounds, step.opts)
+		want := freshDrain(NewSessionOn(s.pool, fresh), step.feed(seed), step.rounds, step.opts)
 		if !sameOutcome(got, want) {
 			t.Fatalf("%s: reused decoder gave slides %d, silent %d, defects %d, failures %d/%d; fresh %d, %d, %d, %d/%d",
 				step.name, got.slides, got.silent, got.defects, got.failX.Weight(), got.failZ.Weight(),
@@ -140,12 +184,82 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 	}
 }
 
-// forgetShapes empties the window table, so the next call of every
-// shape builds its window, closing volumes and decoders afresh.
+// TestDrainDecodersCrossWindows: a drain's decoder serves the next
+// drain of its class — code, window height, diagonal class, lanes and
+// options — on any window, whatever its weights or commit, and gives
+// there what a fresh decoder gives; a window of another height or
+// diagonal class, or a drain of other lanes, builds its own. A
+// collection frees the free list once no drain runs.
+func TestDrainDecodersCrossWindows(t *testing.T) {
+	const l, w, lanes = 4, 6, 64
+	code := toric.Cached(l)
+	holdFreeList(t)
+	forgetShapes()
+	defer forgetShapes()
+	pool := decoder.NewPool(2)
+	defer pool.Close()
+	session := func(w, commit, wh, wv, wd int) *Session {
+		win, err := NewWindow(code, w, commit, wh, wv, wd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSessionOn(pool, win)
+	}
+	P := noise.Uniform(0.006)
+	feed := func(lanes int, seed uint64) spacetime.LayerFeed {
+		return surface.NewCircuitSource(code, P, lanes, frame.NewAggregateSampler(seed, 1))
+	}
+	none := spacetime.DecodeOptions{}
+	_, first := drainOnce(session(w, 3, 2, 3, 4), feed(lanes, 1), 3*w, none)
+	for i, row := range []struct {
+		name                  string
+		w, commit, wh, wv, wd int
+		lanes                 int
+		same                  bool
+	}{
+		{"other weights and commit", w, 2, 5, 1, 2, lanes, true},
+		{"other weights again", w, 4, 1, 1, 1, lanes, true},
+		{"other height", w + 1, 3, 2, 3, 4, lanes, false},
+		{"phenomenological window", w, 3, 2, 3, 0, lanes, false},
+		{"other lanes", w, 3, 2, 3, 4, lanes - 1, false},
+	} {
+		s := session(row.w, row.commit, row.wh, row.wv, row.wd)
+		seed := uint64(10 + i)
+		got, d := drainOnce(s, feed(row.lanes, seed), 3*w, none)
+		if (d == first) != row.same {
+			t.Fatalf("%s: decoder shared = %v, want %v", row.name, d == first, row.same)
+		}
+		if want := freshDrain(s, feed(row.lanes, seed), 3*w, none); !sameOutcome(got, want) {
+			t.Fatalf("%s: the shared decoder differs from a fresh one (failures %d/%d, fresh %d/%d)",
+				row.name, got.failX.Weight(), got.failZ.Weight(), want.failX.Weight(), want.failZ.Weight())
+		}
+	}
+
+	// A collection while a drain runs keeps the list; one after the last
+	// drain frees it.
+	s := session(w, 3, 2, 3, 4)
+	running := s.win.takeDecoder(pool, lanes, none)
+	runtime.GC()
+	if len(freeDecoders()) == 0 {
+		t.Fatal("a collection while a drain runs freed the free list")
+	}
+	putDecoder(running)
+	runtime.GC()
+	if n := len(freeDecoders()); n != 0 {
+		t.Fatalf("a collection after the last drain left %d free decoders", n)
+	}
+}
+
+// forgetShapes empties the window table and the free list, so the next
+// call of every shape builds its window, closing volumes and decoders
+// afresh.
 func forgetShapes() {
 	shapes.Lock()
 	clear(shapes.m)
 	shapes.Unlock()
+	drains.Lock()
+	drains.free = weak.Pointer[[]*Decoder]{}
+	drains.Unlock()
 }
 
 // TestMemoryReuseAcrossCalls: a Memory call on an interned window —
@@ -166,6 +280,7 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 	b := call{"B", 5, spacetime.Phenomenological(0.02, 0.02, 0, 0), 256}
 	aPartial := call{"A partial", 4, a.m, 300}
 	const rounds, seed = 12, 0x5eed
+	holdFreeList(t)
 	memory := func(t *testing.T, c call) Result {
 		t.Helper()
 		r, err := Memory(toric.Cached(c.l), rounds, c.m, 0, 0, spacetime.DecodeOptions{}, c.samples, seed)
@@ -187,14 +302,14 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.KeepAlive(held)
 	for _, c := range []call{a, b, aPartial} {
 		if got := memory(t, c); got != first[c.name] {
 			t.Fatalf("%s on a warm table: %+v, first call %+v", c.name, got, first[c.name])
 		}
-		if held.mu.Lock(); len(held.free) == 0 {
-			t.Fatalf("after %s: A's window keeps no decoder for the next call", c.name)
+		if freeOfClass(drainClass{"toric", a.l, w, 128, true, spacetime.DecodeOptions{}}) == 0 {
+			t.Fatalf("after %s: the free list keeps no decoder of A's class for the next call", c.name)
 		}
-		held.mu.Unlock()
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

@@ -19,7 +19,7 @@ import (
 // Close releases it; a session grafted onto an external multi-graph
 // pool (the decode-server path, where one worker fleet serves many
 // concurrent sessions) leaves that pool alone. Its Monte Carlo drains
-// take their decoders from the window's free list.
+// take their decoders from the process-wide free list.
 type Session struct {
 	win   *Window
 	pool  *decoder.Service
@@ -158,6 +158,8 @@ type Decoder struct {
 	emask    bits.Vec   // correlated repricing mask scratch
 
 	sx, sz sectorState
+
+	class drainClass // a Monte Carlo drain's decoder: the free-list class it returns to
 }
 
 // NewDecoder returns a streaming decoder for `lanes` parallel shots,
@@ -217,25 +219,20 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 			sec.lostQuiet = make([]bool, w.W)
 		}
 		sec.shots = make([]decoder.Shot, lanes)
-		sec.defbuf = laneBufs[int](lanes, bufCap)
-		sec.erabuf = laneBufs[int](lanes, eraCap)
-		sec.corrbuf = laneBufs[int32](lanes, bufCap)
+		sec.defbuf = make([][]int, lanes)
+		sec.erabuf = make([][]int, lanes)
+		sec.corrbuf = make([][]int32, lanes)
+		for lane := 0; lane < lanes; lane++ {
+			sec.defbuf[lane] = make([]int, 0, bufCap)
+			sec.corrbuf[lane] = make([]int32, 0, bufCap)
+			if eraCap > 0 {
+				sec.erabuf[lane] = make([]int, 0, eraCap)
+			}
+		}
 		sec.bat = decoder.NewBatch(lanes)
 	}
 	d.sz.dual = true
 	return d
-}
-
-// laneBufs returns `lanes` empty buffers of capacity c each, carved
-// from one allocation; a buffer that outgrows its share regrows on its
-// own.
-func laneBufs[T any](lanes, c int) [][]T {
-	slab := make([]T, lanes*c)
-	bufs := make([][]T, lanes)
-	for i := range bufs {
-		bufs[i] = slab[i*c : i*c : (i+1)*c]
-	}
-	return bufs
 }
 
 // reset puts a finished decoder back in NewDecoderOpts's state. Ring
@@ -572,7 +569,7 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int, opts spac
 	spacetime.CheckFeed(src, s.win.Code())
 	lanes := src.Lanes()
 	d := s.win.takeDecoder(s.pool, lanes, opts)
-	defer s.win.putDecoder(d)
+	defer putDecoder(d)
 	layerX := bits.NewVecs(d.nc, lanes)
 	layerZ := bits.NewVecs(d.nc, lanes)
 	var eraH, lostX, lostZ []bits.Vec
@@ -634,7 +631,7 @@ func (s *Session) failureMasks(src spacetime.LayerFeed, d *Decoder) (failX, fail
 type Result struct {
 	Code           string // code family ("toric", "planar", "rotated")
 	L, T           int
-	Window, Commit int // 0, 0 under DecoderExact, which decodes no window
+	Window, Commit int // 0, 0 for a whole-volume run (VolumeMemory), which slides no window
 	P, Q           float64
 	Pe             float64 // leak rate, per round or (circuit) per gate; 0 when unused
 	Qe             float64 // lost-measurement rate per round; 0 when unused
@@ -740,15 +737,17 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 // two layers, which give the same weights (WeightsCircuit).
 // DecoderExact drains spacetime.Volume.BatchMemoryFrom through the
 // blossom matcher, on the torus only and without erasure channels or
-// decode options; its Result has Window = Commit = 0. A kind that names
-// no decoder, a run the decoder cannot price and everything Memory
-// refuses are errors.
+// decode options. Either kind's Result has Window = Commit = 0. A kind
+// that names no decoder, a run the decoder cannot price and everything
+// Memory refuses are errors.
 func VolumeMemory(code surface.Code, rounds int, m spacetime.Model, kind toric.DecoderKind, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
 	if err := kind.Validate(); err != nil {
 		return Result{}, err
 	}
 	if kind == toric.DecoderUnionFind {
-		return Memory(code, rounds, m, max(rounds, 2), 1, opts, samples, seed)
+		r, err := Memory(code, rounds, m, max(rounds, 2), 1, opts, samples, seed)
+		r.Window, r.Commit = 0, 0
+		return r, err
 	}
 	if err := checkMemory(code, rounds, m, opts, samples); err != nil {
 		return Result{}, err

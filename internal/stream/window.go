@@ -20,19 +20,16 @@ import (
 // and the closing volumes Finish decodes the buffered tail over, one
 // per buffered height, built on first use. Graphs, node indices and
 // edge ids are the spacetime package's; the window adds no layout of
-// its own. It also keeps the decoders its Monte Carlo drains finished,
-// so one call's decoders serve the next. It is shared by every session
-// decoding its shape and dies with the last of them.
+// its own. It is shared by every session decoding its shape and dies
+// with the last of them.
 type Window struct {
 	W, Commit  int
 	WH, WV, WD int // WD = 0: phenomenological window, no diagonals
 
 	vol *spacetime.Volume
 
-	mu            sync.Mutex
-	closing       []*spacetime.Volume // by buffered height − 1
-	free          []*Decoder          // finished drains' decoders
-	running, peak int                 // drains in flight now and at most: the list's cap
+	mu      sync.Mutex
+	closing []*spacetime.Volume // by buffered height − 1
 }
 
 // WindowShape is the one rule that fills in a requested window for a
@@ -161,33 +158,72 @@ func (w *Window) closingVolume(h int) *spacetime.Volume {
 	return w.closing[h-1]
 }
 
-// takeDecoder hands a drain a reset free decoder of its lanes and
-// options, now decoding on pool, or a new one.
-func (w *Window) takeDecoder(pool *decoder.Service, lanes int, opts spacetime.DecodeOptions) *Decoder {
-	w.mu.Lock()
-	w.running++
-	w.peak = max(w.peak, w.running)
-	for i, d := range w.free {
-		if d.lanes == lanes && d.opts == opts {
-			w.free = slices.Delete(w.free, i, i+1)
-			w.mu.Unlock()
-			d.reset()
-			d.pool = pool
-			return d
-		}
-	}
-	w.mu.Unlock()
-	return w.newDecoder(pool, lanes, opts)
+// drainClass names the decoders a Monte Carlo drain can take: a
+// decoder's buffers are sized by its code, window height, diagonal class
+// (the window's edge count), lanes and options, never by the weights or
+// the commit.
+type drainClass struct {
+	code        string
+	l, w, lanes int
+	diag        bool
+	opts        spacetime.DecodeOptions
 }
 
-// putDecoder frees a drain's decoder; past the cap the oldest goes.
-func (w *Window) putDecoder(d *Decoder) {
-	w.mu.Lock()
-	w.running--
-	if w.free = append(w.free, d); len(w.free) > w.peak {
-		w.free = slices.Delete(w.free, 0, len(w.free)-w.peak)
+// drains is the free list of the Monte Carlo drains' decoders, newest
+// last. A drain takes the newest free decoder of its class, whatever
+// window it last decoded, so a sweep whose every cell prices new
+// weights — a new window — still reuses the decoders its earlier cells
+// finished. The list is held strongly while any drain runs and weakly
+// otherwise: a collection between runs frees it with every decoder on
+// it, so idle decoders cost nothing past the next GC. A free decoder
+// holds no window, so an idle shape is freed as before.
+var drains struct {
+	sync.Mutex
+	free    weak.Pointer[[]*Decoder]
+	held    *[]*Decoder // the list while running > 0
+	running int
+}
+
+// takeDecoder hands a drain a reset free decoder of the window's class,
+// now decoding this window on pool, or a new one.
+func (w *Window) takeDecoder(pool *decoder.Service, lanes int, opts spacetime.DecodeOptions) *Decoder {
+	class := drainClass{w.Code().CodeName(), w.Code().Distance(), w.W, lanes, w.WD > 0, opts}
+	drains.Lock()
+	drains.running++
+	drains.held = drains.free.Value()
+	if free := drains.held; free != nil {
+		for i := len(*free) - 1; i >= 0; i-- {
+			if d := (*free)[i]; d.class == class {
+				*free = slices.Delete(*free, i, i+1)
+				drains.Unlock()
+				d.win, d.pool = w, pool
+				d.reset()
+				return d
+			}
+		}
 	}
-	w.mu.Unlock()
+	drains.Unlock()
+	d := w.newDecoder(pool, lanes, opts)
+	d.class = class
+	return d
+}
+
+// putDecoder frees a drain's decoder.
+func putDecoder(d *Decoder) {
+	d.win, d.pool = nil, nil
+	drains.Lock()
+	defer drains.Unlock()
+	free := drains.free.Value()
+	if free == nil {
+		free = new([]*Decoder)
+		drains.free = weak.Make(free)
+	}
+	*free = append(*free, d)
+	if drains.running--; drains.running > 0 {
+		drains.held = free
+	} else {
+		drains.held = nil
+	}
 }
 
 // Graph returns the primal (plaquette-sector) open-window graph.

@@ -114,8 +114,12 @@
 // once: InternWindow looks a (code, W, C, weights) key up in a
 // process-wide table and builds only what is missing. Memory and the
 // decode server both take their windows there, so a Monte Carlo call
-// repeating an earlier call's shape starts with its graphs, closing
-// volumes and the decoders its drains left on the window's free list.
+// repeating an earlier call's shape starts with its graphs and closing
+// volumes. A drain's decoder depends only on the code, the window
+// height, the diagonal class, the lanes and the options, so the drains
+// share one free list across windows: a sweep whose every cell prices
+// new weights still reuses its earlier cells' decoders. The list is
+// held strongly while a drain runs and weakly otherwise.
 // The table's entries are weak pointers: a window stays interned while
 // anything holds it — an open server session, a drain in flight — and
 // an idle one is freed by the next collection, a runtime.AddCleanup

@@ -29,8 +29,10 @@ func heapInUse() uint64 {
 // window, the decode scratch to its graphs, and no process- or
 // pool-lifetime map remembers either: the window table Memory interns
 // through holds its entries weakly, so an idle shape goes with its
-// closing volumes and free decoders. The same holds for the
-// never-sliding windows the whole-volume experiments intern per call.
+// closing volumes, and the drains' free list is held weakly between
+// runs, so the free decoders go at the next collection. The same holds
+// for the never-sliding windows the whole-volume experiments intern per
+// call.
 func TestDroppedShapesAreCollected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two hundred window builds")

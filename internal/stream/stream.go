@@ -159,6 +159,8 @@ type Decoder struct {
 
 	sx, sz sectorState
 
+	bufCap, eraCap int // per-lane shares of the defect/correction and erased-list slabs
+
 	class drainClass // a Monte Carlo drain's decoder: the free-list class it returns to
 }
 
@@ -219,20 +221,40 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 			sec.lostQuiet = make([]bool, w.W)
 		}
 		sec.shots = make([]decoder.Shot, lanes)
-		sec.defbuf = make([][]int, lanes)
-		sec.erabuf = make([][]int, lanes)
-		sec.corrbuf = make([][]int32, lanes)
-		for lane := 0; lane < lanes; lane++ {
-			sec.defbuf[lane] = make([]int, 0, bufCap)
-			sec.corrbuf[lane] = make([]int32, 0, bufCap)
-			if eraCap > 0 {
-				sec.erabuf[lane] = make([]int, 0, eraCap)
-			}
-		}
+		sec.defbuf = laneBufs[int](lanes, bufCap)
+		sec.erabuf = laneBufs[int](lanes, eraCap)
+		sec.corrbuf = laneBufs[int32](lanes, bufCap)
 		sec.bat = decoder.NewBatch(lanes)
 	}
+	d.bufCap, d.eraCap = bufCap, eraCap
 	d.sz.dual = true
 	return d
+}
+
+// laneBufs returns `lanes` empty buffers of capacity c each, carved
+// from one allocation (one make per lane was most of a small window's
+// build); a buffer that outgrows its share regrows on its own, and the
+// slab stays resident (laneBytes).
+func laneBufs[T any](lanes, c int) [][]T {
+	slab := make([]T, lanes*c)
+	bufs := make([][]T, lanes)
+	for i := range bufs {
+		bufs[i] = slab[i*c : i*c : (i+1)*c]
+	}
+	return bufs
+}
+
+// laneBytes is the resident size of laneBufs buffers of c elements of
+// `size` bytes each: the slab, plus every buffer that outgrew its share
+// (a regrown buffer's capacity is past c).
+func laneBytes[T any](bufs [][]T, c, size int) int {
+	n := len(bufs) * c
+	for _, b := range bufs {
+		if cap(b) > c {
+			n += cap(b)
+		}
+	}
+	return n * size
 }
 
 // reset puts a finished decoder back in NewDecoderOpts's state. Ring
@@ -547,10 +569,7 @@ func (d *Decoder) FootprintBytes() int {
 		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.base) + vecs(sec.corr)
 		n += vecs(sec.lostRing)
 		n += len(sec.quiet) + len(sec.lostQuiet)
-		for lane := 0; lane < d.lanes; lane++ {
-			n += (cap(sec.defbuf[lane]) + cap(sec.erabuf[lane])) * 8
-			n += cap(sec.corrbuf[lane]) * 4
-		}
+		n += laneBytes(sec.defbuf, d.bufCap, 8) + laneBytes(sec.erabuf, d.eraCap, 8) + laneBytes(sec.corrbuf, d.bufCap, 4)
 	}
 	return n
 }
@@ -692,9 +711,10 @@ func result(code surface.Code, rounds, window, commit int, m spacetime.Model, sa
 // committing `commit` rounds per slide (WindowShape fills in a zero),
 // fanned out over the CPUs in deterministic seed-per-chunk batches. The
 // window comes from the process-wide table (InternWindow), so a call
-// repeating an earlier call's shape reuses its graphs, closing volumes
-// and drain decoders, and every call decodes on one process-wide pool
-// of at least GOMAXPROCS workers. A model with an erasure channel has an
+// repeating an earlier call's shape reuses its graphs and closing
+// volumes; its drains take the free decoders of their class, whatever
+// weights they last decoded; and every call decodes on one process-wide
+// pool of at least GOMAXPROCS workers. A model with an erasure channel has an
 // Erasing source and drains through PushErased — with ErasureAware its
 // erased lanes decode with their located faults — and correlated runs
 // reprice the dual window each slide; every other run drains through

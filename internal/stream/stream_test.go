@@ -275,6 +275,44 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 	}
 }
 
+// TestFootprintCountsRegrownBuffers: per-lane buffers are carved from
+// one slab per kind, which stays resident when a lane outgrows its
+// share, so a regrowth adds the new buffer to the footprint and takes
+// nothing off it. A dense stream (p = q = 0.4 on a small window) regrows
+// some lanes' defect buffers.
+func TestFootprintCountsRegrownBuffers(t *testing.T) {
+	const l, w, lanes, rounds = 4, 4, 64, 12
+	s := mustSession(t, l, w, 2, 1, 1)
+	defer s.Close()
+	d := s.NewDecoder(lanes)
+	fresh := d.FootprintBytes()
+	src := toricLayers(l, 0.4, 0.4, lanes, frame.NewAggregateSampler(911, 1))
+	layerX, layerZ := bits.NewVecs(d.nc, lanes), bits.NewVecs(d.nc, lanes)
+	for r := 0; r < rounds; r++ {
+		src.NextLayers(layerX, layerZ)
+		d.Push(layerX, layerZ)
+	}
+	src.CloseLayers(layerX, layerZ)
+	d.Finish(layerX, layerZ)
+	grown := 0
+	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
+		for lane := range lanes {
+			if c := cap(sec.defbuf[lane]); c > d.bufCap {
+				grown += c * 8
+			}
+			if c := cap(sec.corrbuf[lane]); c > d.bufCap {
+				grown += c * 4
+			}
+		}
+	}
+	if grown == 0 {
+		t.Fatal("degenerate: no lane outgrew its share")
+	}
+	if got := d.FootprintBytes(); got != fresh+grown {
+		t.Fatalf("footprint %d after regrowth, want the fresh %d plus %d regrown bytes", got, fresh, grown)
+	}
+}
+
 // TestConstantMemorySustained is the sustained-operation acceptance
 // criterion: a 10,000-round L=8 streaming run completes with a resident
 // decoder footprint that stays flat in the round count.

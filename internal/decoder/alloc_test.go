@@ -27,8 +27,8 @@ func TestResubmitZeroAllocs(t *testing.T) {
 			shots[j].CorrBuf = corr[:0]
 		}
 	}
-	// Warm up: correction buffers reach their steady capacity and the
-	// per-graph scratch pool fills.
+	// Warm up: correction buffers and the workers' scratch on the graph
+	// reach their steady capacity.
 	for i := 0; i < 8; i++ {
 		roundTrip()
 	}

@@ -103,10 +103,14 @@
 // ResubmitOn(g, batch, shots) routes a reusable batch to its graph —
 // one fleet can serve every window graph in the process, which is how
 // internal/server multiplexes many sessions over shared workers. The
-// scratch belongs to the Graph, not to the pool: each Graph holds a
-// sync.Pool of UnionFind instances that any pool decoding on it borrows
-// from, so a pool keeps nothing per graph and a dropped graph takes its
-// scratch with it.
+// scratch belongs to the Graph, not to the pool: each Graph holds one
+// UnionFind per worker of every pool that has submitted on it, built
+// for all of a pool's workers by its first submission (and for the new
+// ones by the first after a Grow), so no later decode builds one; each
+// grows its worklists to the largest decode its worker has run. The
+// graph points at the pool and never the reverse: a pool keeps nothing
+// per graph, and a dropped graph takes its scratch with it. A closed
+// pool's entries stay until the graph goes.
 //
 // The lifecycle is part of the contract: Close is idempotent, drains
 // in-flight submissions before releasing the workers, and any

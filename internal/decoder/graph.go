@@ -14,9 +14,10 @@ const MaxWeight = 32767
 // they can flip. Every edge carries a positive integer weight (a scaled
 // log-likelihood ratio; 1 everywhere for uniform noise). It is immutable
 // after construction and safely shared by any number of concurrent
-// decoder instances. It owns the pool of UnionFind scratch the decode
-// pools draw on (Service.ResubmitOn), so the scratch is shared by every
-// pool decoding on the graph and dies with it.
+// decoder instances. It owns the UnionFind scratch of every decode pool
+// that has submitted on it (Service.ResubmitOn): one instance per worker
+// of each pool, so the scratch dies with the graph and a pool keeps
+// nothing per graph.
 type Graph struct {
 	nodes  int
 	endU   []int32 // edge e runs endU[e] — endV[e]
@@ -30,7 +31,8 @@ type Graph struct {
 	// lightest one and the isolated-pair test never loads a weight.
 	oneWeight bool
 
-	scratch sync.Pool // of *UnionFind over this graph
+	mu      sync.Mutex
+	scratch map[*Service][]*UnionFind // indexed by worker id
 
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
@@ -61,14 +63,14 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		panic("decoder: weight count does not match edge count")
 	}
 	g := &Graph{
-		nodes:  nodes,
-		endU:   make([]int32, len(ends)),
-		endV:   make([]int32, len(ends)),
-		weight: make([]int32, len(ends)),
-		off:    make([]int32, nodes+1),
-		bndMin: nodes,
+		nodes:   nodes,
+		endU:    make([]int32, len(ends)),
+		endV:    make([]int32, len(ends)),
+		weight:  make([]int32, len(ends)),
+		off:     make([]int32, nodes+1),
+		bndMin:  nodes,
+		scratch: make(map[*Service][]*UnionFind),
 	}
-	g.scratch.New = func() any { return NewUnionFind(g) }
 	for e, uv := range ends {
 		if uv[0] < 0 || uv[1] < 0 || int(uv[0]) >= nodes || int(uv[1]) >= nodes || uv[0] == uv[1] {
 			panic("decoder: bad edge endpoints")

@@ -32,15 +32,16 @@ type Shot struct {
 // control-system consumer calls at scale: batched shot submissions in,
 // corrections out. Every submission names its graph (ResubmitOn), so
 // one worker fleet serves many concurrent sessions with different
-// window shapes. Workers draw UnionFind scratch from the graph they are
-// decoding on (epoch-stamped arrays make reuse free), and batches are
-// reusable, so a sustained stream of windows allocates nothing. Results
-// are written into per-shot slots in submission order, which makes
-// every batch's output bit-identical for any worker count, scheduling,
-// or interleaving with other sessions' batches — the same determinism
-// contract as the rest of the package. ResubmitOn may be called from
-// any number of goroutines, before and after Close: post-Close
-// submissions return ErrClosed, and Close itself is idempotent.
+// window shapes. Each worker decodes on its own UnionFind, which the
+// graph holds (epoch-stamped arrays make reuse free; a closed pool's
+// stay until the graph goes), and batches are reusable, so a sustained
+// stream of windows allocates nothing. Results are written into
+// per-shot slots in submission order, which makes every batch's output
+// bit-identical for any worker count, scheduling, or interleaving with
+// other sessions' batches — the same determinism contract as the rest
+// of the package. ResubmitOn may be called from any number of
+// goroutines, before and after Close: post-Close submissions return
+// ErrClosed, and Close itself is idempotent.
 type Service struct {
 	workers int
 	tasks   chan serviceSpan
@@ -58,7 +59,8 @@ type serviceSpan struct {
 // Batch is a reusable submission. Wait blocks until every shot is
 // decoded and returns the corrections.
 type Batch struct {
-	g       *Graph // graph of the submission in flight
+	g       *Graph       // graph of the submission in flight
+	ufs     []*UnionFind // g's scratch for the workers the pool had at submission
 	shots   []Shot
 	out     [][]int32
 	pending atomic.Int64
@@ -75,8 +77,8 @@ func NewBatch(n int) *Batch {
 }
 
 // NewPool starts a decode pool of the given worker count (workers <= 0
-// means GOMAXPROCS): submissions name their graph, whose scratch the
-// workers borrow. This is the fleet shape of a multi-tenant
+// means GOMAXPROCS): submissions name their graph, which holds each
+// worker's scratch. This is the fleet shape of a multi-tenant
 // decode server — one worker budget shared across every session's
 // window graphs. Close releases the workers; a pool is meant to outlive
 // many submissions.
@@ -90,7 +92,7 @@ func NewPool(workers int) *Service {
 	}
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go s.worker()
+		go s.worker(w)
 	}
 	return s
 }
@@ -103,7 +105,7 @@ func (s *Service) Grow(n int) int {
 	defer s.mu.Unlock()
 	for ; !s.closed && s.workers < n; s.workers++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(s.workers)
 	}
 	return s.workers
 }
@@ -137,6 +139,7 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 		b.done <- struct{}{}
 		return nil
 	}
+	b.ufs = g.scratchFor(s, s.workers)
 	// Span size balances queue traffic against tail latency: a few spans
 	// per worker lets fast workers steal from slow ones.
 	span := (len(shots) + 4*s.workers - 1) / (4 * s.workers)
@@ -175,20 +178,31 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// worker drains span tasks with scratch borrowed from the batch's graph.
-// Sharing one pool per graph (rather than one instance per worker) keeps
-// the grown-region arrays warm even when the scheduler migrates work
-// between workers.
-func (s *Service) worker() {
+// scratchFor returns g's UnionFind scratch for s, indexed by worker id,
+// first building what the ids below n lack.
+func (g *Graph) scratchFor(s *Service, n int) []*UnionFind {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for len(g.scratch[s]) < n {
+		g.scratch[s] = append(g.scratch[s], NewUnionFind(g))
+	}
+	return g.scratch[s]
+}
+
+// worker drains span tasks on its own UnionFind over the batch's graph;
+// a worker that Grow started after the submission looks it up there.
+func (s *Service) worker(id int) {
 	defer s.wg.Done()
 	for t := range s.tasks {
-		scratch := &t.b.g.scratch
-		uf := scratch.Get().(*UnionFind)
+		ufs := t.b.ufs
+		if id >= len(ufs) {
+			ufs = t.b.g.scratchFor(s, id+1)
+		}
+		uf := ufs[id]
 		for i := t.lo; i < t.hi; i++ {
 			shot := &t.b.shots[i]
 			t.b.out[i] = uf.AppendCorrection(shot.CorrBuf[:0], shot.Defects, shot.Erased)
 		}
-		scratch.Put(uf)
 		if t.b.pending.Add(-1) == 0 {
 			t.b.done <- struct{}{}
 		}

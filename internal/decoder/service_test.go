@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"weak"
 )
 
 // torusTestGraph is a small unit-weight toric-like grid (wrapping in
@@ -286,9 +289,9 @@ func TestServiceSubmitCloseChurn(t *testing.T) {
 }
 
 // TestPoolMultiGraph: one pool serves several graphs at once, two pools
-// decode on one graph at once (the scratch belongs to the graph, not to
-// a pool), and every batch matches its graph's direct decode regardless
-// of the interleaving.
+// decode on one graph at once (the graph holds each pool's scratch), and
+// every batch matches its graph's direct decode regardless of the
+// interleaving.
 func TestPoolMultiGraph(t *testing.T) {
 	graphs := []*Graph{torusTestGraph(4), torusTestGraph(5), torusTestGraph(6)}
 	pools := []*Service{NewPool(4), NewPool(2)}
@@ -317,4 +320,110 @@ func TestPoolMultiGraph(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestPoolsGetDistinctScratch: two pools decoding one graph at once each
+// decode on their own UnionFind per worker — the graph builds every
+// worker's on the pool's first submission — so no instance is shared
+// (the race detector watches the concurrent decodes).
+func TestPoolsGetDistinctScratch(t *testing.T) {
+	g := torusTestGraph(6)
+	pools := []*Service{NewPool(3), NewPool(2)}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			shots := randomShots(g, 40, rand.New(rand.NewPCG(95, uint64(c))))
+			b := NewBatch(len(shots))
+			for i := 0; i < 3; i++ {
+				if err := pools[c%2].ResubmitOn(g, b, shots); err != nil {
+					t.Errorf("submitter %d: %v", c, err)
+					return
+				}
+				if err := diffDirect(g, shots, b.Wait()); err != nil {
+					t.Errorf("submitter %d: %v", c, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, pool := range pools {
+		pool.Close()
+	}
+	seen := map[*UnionFind]bool{}
+	for i, pool := range pools {
+		ufs := g.scratch[pool]
+		if len(ufs) != pool.workers {
+			t.Fatalf("pool %d: %d scratch instances for %d workers", i, len(ufs), pool.workers)
+		}
+		for _, uf := range ufs {
+			if seen[uf] {
+				t.Fatalf("pool %d shares a UnionFind", i)
+			}
+			seen[uf] = true
+		}
+	}
+}
+
+// TestGrowWithQueuedSpans: workers that Grow starts while a batch's spans
+// are still queued decode them, though the batch's scratch list was
+// resolved for the one worker the pool had at submission, and the batch
+// equals a one-worker pool's decode.
+func TestGrowWithQueuedSpans(t *testing.T) {
+	g := torusTestGraph(6)
+	shots := randomShots(g, 64, rand.New(rand.NewPCG(97, 98)))
+	ref := NewPool(1)
+	want := mustDecode(t, ref, g, NewBatch(len(shots)), shots)
+	ref.Close()
+
+	pool := NewPool(1)
+	defer pool.Close()
+	// Park the one worker: a batch whose completion token nobody has
+	// taken blocks the worker that completes it again.
+	park := NewBatch(1)
+	for _, sub := range [][]Shot{nil, shots[:1]} {
+		if err := pool.ResubmitOn(g, park, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(pool.tasks) > 0 {
+		runtime.Gosched()
+	}
+	b := NewBatch(len(shots))
+	if err := pool.ResubmitOn(g, b, shots); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.ufs) != 1 || len(pool.tasks) == 0 {
+		t.Fatalf("degenerate: %d scratch instances resolved, %d spans queued", len(b.ufs), len(pool.tasks))
+	}
+	pool.Grow(4)
+	got := b.Wait()
+	park.Wait()
+	park.Wait()
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("shot %d: grown pool gave %v, one-worker pool %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestDecodedGraphIsCollected: a graph a long-lived pool has decoded on
+// is garbage once nothing else holds it — the graph points at the pool,
+// never the reverse.
+func TestDecodedGraphIsCollected(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	wp := func() weak.Pointer[Graph] {
+		g := torusTestGraph(6)
+		shots := randomShots(g, 32, rand.New(rand.NewPCG(99, 100)))
+		mustDecode(t, pool, g, NewBatch(len(shots)), shots)
+		return weak.Make(g)
+	}()
+	for i := 0; i < 4 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("a dropped graph outlives its decodes on a long-lived pool")
+	}
 }

@@ -8,7 +8,7 @@ package decoder
 //
 // A UnionFind holds per-graph scratch arrays and is NOT safe for
 // concurrent use; give each worker its own instance (they can all share
-// one *Graph). Scratch is recycled across calls with epoch stamps, so a
+// one *Graph), as Service does. Scratch is recycled across calls with epoch stamps, so a
 // Decode touches only the arrays' used entries, and a decode's output
 // never depends on what the instance decoded before. All per-node state
 // is one 32-byte record and all per-edge state one 4-byte record, so the

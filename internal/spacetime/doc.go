@@ -64,7 +64,7 @@
 // same source, which is what makes them identical by construction. The
 // (T+1)·L² layer planes pivot lane-major through bits.TransposePlanes,
 // and the per-lane decodes — each lane's primal then dual sector — run
-// on the batch chunk's own goroutine with one pooled scratch,
+// on the batch chunk's own goroutine with one scratch per chunk,
 // bit-identical for any GOMAXPROCS, exactly like the 2D stage
 // (surface.SectorFailures). That drain is the exact matcher's, which
 // decodes closed volumes only; Volume.Decode is the from-scratch

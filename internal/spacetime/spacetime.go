@@ -23,7 +23,7 @@ import (
 // volume (NewWindowVolume) is the same stack with no closing round:
 // its top layer is the virtual future boundary, folded onto that one
 // node. It is immutable after construction and shared across workers;
-// per-worker decoder state lives in the scratch pool.
+// each decode call builds its own decoder state.
 //
 // The edge-id layout is stated here and nowhere else: buildGraph assigns
 // the ids, CommitEdges reads a correction back, AppendErased and
@@ -49,11 +49,10 @@ type Volume struct {
 	distX, distZ []int64
 	graphX       *decoder.Graph // primal (plaquette) sector
 	graphZ       *decoder.Graph // dual (star) sector
-
-	scratch *sync.Pool
 }
 
-// volScratch is one worker's decoder state over a volume.
+// volScratch is one caller's decoder state over a volume, built per call
+// of Decode and BatchMemoryFrom.
 type volScratch struct {
 	ufX, ufZ *decoder.UnionFind
 	matcher  decoder.Matcher
@@ -120,15 +119,11 @@ func newVolume(code surface.Code, rounds, wh, wv, wd int, window bool) *Volume {
 	}
 	v.graphX = v.buildGraph(code.SectorGraph(false), v.diagX)
 	v.graphZ = v.buildGraph(code.SectorGraph(true), v.diagZ)
-	gx, gz := v.graphX, v.graphZ
-	v.scratch = &sync.Pool{New: func() any {
-		return &volScratch{
-			ufX:  decoder.NewUnionFind(gx),
-			ufZ:  decoder.NewUnionFind(gz),
-			corr: bits.NewVec(nq),
-		}
-	}}
 	return v
+}
+
+func (v *Volume) newScratch() *volScratch {
+	return &volScratch{ufX: decoder.NewUnionFind(v.graphX), ufZ: decoder.NewUnionFind(v.graphZ), corr: bits.NewVec(v.nq)}
 }
 
 // buildGraph extrudes a 2D sector graph into the weighted space-time
@@ -341,9 +336,7 @@ func gcd(a, b int) int {
 // are checked against; the exact matcher takes no erased list.
 func (v *Volume) Decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
-	scr := v.scratch.Get().(*volScratch)
-	v.decodeInto(defects, erased, kind, dual, scr, corr)
-	v.scratch.Put(scr)
+	v.decodeInto(defects, erased, kind, dual, v.newScratch(), corr)
 	return corr
 }
 
@@ -509,8 +502,8 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 // The detector planes pivot lane-major (the boundary node of an open
 // code is never a defect and carries no plane) and the lanes decode in
 // order on the calling goroutine — the chunk's own, under
-// frame.ForEachChunk — with one scratch drawn from the volume pool, the
-// same discipline as the 2D stage (surface.SectorFailures). The result
+// frame.ForEachChunk — with one scratch built for the call, the same
+// discipline as the 2D stage (surface.SectorFailures). The result
 // is bit-identical for any worker count. The projected residual is
 // always a closed 2D cycle (the correction's 3D syndrome equals the
 // defect set and time-like edges project to nothing), so the winding
@@ -532,8 +525,7 @@ func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, 
 	syn := [2][]bits.Vec{bits.NewVecs(lanes, v.det), bits.NewVecs(lanes, v.det)}
 	bits.TransposePlanes(syn[0], layers[0])
 	bits.TransposePlanes(syn[1], layers[1])
-	scr := v.scratch.Get().(*volScratch)
-	defer v.scratch.Put(scr)
+	scr := v.newScratch()
 	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
 	for lane := range lanes {
 		for s, dual := range [2]bool{false, true} {

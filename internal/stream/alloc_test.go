@@ -2,71 +2,115 @@ package stream
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"ftqc/internal/bits"
+	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/toric"
 )
 
-// TestWarmPushZeroAllocs pins the steady-state allocation contract: once
-// a streaming decoder is warm (scratch pools grown, retention caches
-// populated), Push — including the slides it triggers and the decode
-// work behind them — performs zero heap allocations. A regression here
-// means a per-slide allocation crept into the hot path.
-func TestWarmPushZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
-	}
-	const (
-		l     = 8
-		lanes = 16
-		p     = 0.01
-	)
-	w, c := DefaultWindow(l)
-	wh, wv := spacetime.Weights(p, p, l, w)
-	s := mustSession(t, l, w, c, wh, wv)
-	defer s.Close()
-	d := s.NewDecoder(lanes)
-	nc := toric.Cached(l).Checks()
+// The plain gates' shape: an L = 8 phenomenological session, 16 lanes.
+const (
+	gateL     = 8
+	gateLanes = 16
+	gateP     = 0.01
+)
 
-	// Pre-sample a window's worth of layers so the measured loop does
-	// not charge the decoder for the sampler's own behavior.
-	src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(941, 1))
-	layers := make([][2][]bits.Vec, w)
-	for i := range layers {
-		lx, lz := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
-		src.NextLayers(lx, lz)
-		layers[i] = [2][]bits.Vec{lx, lz}
+// gatePool starts a decode pool of the given worker count (0 means
+// GOMAXPROCS), closed when the test ends.
+func gatePool(t *testing.T, workers int) *decoder.Service {
+	pool := decoder.NewPool(workers)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// plainGateSession opens the plain gates' session on pool with its
+// window and commit.
+func plainGateSession(t *testing.T, pool *decoder.Service) (s *Session, w, c int) {
+	w, c = DefaultWindow(gateL)
+	wh, wv := spacetime.Weights(gateP, gateP, gateL, w)
+	s, err := toricSessionOn(pool, gateL, w, c, wh, wv)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s, w, c
+}
+
+// plainGateLayers pre-samples `rounds` rounds of the plain gates' layers
+// and their closing layer, last, so a measured loop does not charge the
+// decoder for the sampler's own behavior.
+func plainGateLayers(rounds int, seed uint64) [][2][]bits.Vec {
+	nc := toric.Cached(gateL).Checks()
+	src := toricLayers(gateL, gateP, gateP, gateLanes, frame.NewAggregateSampler(seed, 1))
+	layers := make([][2][]bits.Vec, rounds+1)
+	for i := range layers {
+		layers[i] = [2][]bits.Vec{bits.NewVecs(nc, gateLanes), bits.NewVecs(nc, gateLanes)}
+		if i < rounds {
+			src.NextLayers(layers[i][0], layers[i][1])
+		} else {
+			src.CloseLayers(layers[i][0], layers[i][1])
+		}
+	}
+	return layers
+}
+
+// warmPlainPush returns a warm plain decoder and its commit: one call
+// pushes one commit's worth of layers, cycling through a window's worth,
+// so once the window is full it runs exactly one slide.
+func warmPlainPush(t *testing.T) (d *Decoder, pushCommit func()) {
+	s, w, c := plainGateSession(t, gatePool(t, 0))
+	d = s.NewDecoder(gateLanes)
+	layers := plainGateLayers(w, 941)[:w]
 	next := 0
-	pushCommit := func() {
-		// One commit's worth of layers: exactly one slide per call once
-		// the window is full.
+	pushCommit = func() {
 		for i := 0; i < c; i++ {
 			lay := layers[next%len(layers)]
 			next++
 			d.Push(lay[0], lay[1])
 		}
 	}
-	slides := d.Slides()
-	for next < 6*w { // warm: grow every pool and populate retention caches
+	for next < 6*w {
 		pushCommit()
 	}
-	if d.Slides() == slides {
+	if d.Slides() == 0 {
 		t.Fatal("warm-up performed no slides")
 	}
-	slides = d.Slides()
-	const runs = 8
-	avg := testing.AllocsPerRun(runs, pushCommit)
+	return d, pushCommit
+}
+
+// commitAllocs is testing.AllocsPerRun over warm commits of d, each
+// after `before` when non-nil; a measured loop that slides nothing fails
+// the test.
+func commitAllocs(t *testing.T, d *Decoder, pushCommit, before func()) float64 {
+	t.Helper()
+	slides := d.Slides()
+	avg := testing.AllocsPerRun(8, func() {
+		if before != nil {
+			before()
+		}
+		pushCommit()
+	})
 	if d.Slides() == slides {
 		t.Fatal("measured loop performed no slides")
 	}
-	if avg != 0 {
-		t.Fatalf("warm Push/slide allocates: %v allocs per %d-layer commit", avg, c)
+	return avg
+}
+
+// TestWarmPushZeroAllocs pins the steady-state allocation contract: once
+// a streaming decoder is warm (its buffers sized, every worker's scratch
+// built on the window's graphs), Push — including the slides it triggers
+// and the decode work behind them — performs zero heap allocations. A
+// regression here means a per-slide allocation crept into the hot path.
+func TestWarmPushZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
+	}
+	d, pushCommit := warmPlainPush(t)
+	if avg := commitAllocs(t, d, pushCommit, nil); avg != 0 {
+		t.Fatalf("warm Push/slide allocates: %v allocs per commit", avg)
 	}
 }
 
@@ -113,92 +157,84 @@ func TestWarmPushErasedZeroAllocs(t *testing.T) {
 			d.PushErased(lay.layerX, lay.layerZ, lay.eraH, lay.lostX, lay.lostZ)
 		}
 	}
-	slides := d.Slides()
 	for next < 6*w {
 		pushCommit()
 	}
-	if d.Slides() == slides {
+	if d.Slides() == 0 {
 		t.Fatal("warm-up performed no slides")
 	}
-	slides = d.Slides()
-	const runs = 8
-	avg := testing.AllocsPerRun(runs, pushCommit)
-	if d.Slides() == slides {
-		t.Fatal("measured loop performed no slides")
-	}
-	if avg != 0 {
+	if avg := commitAllocs(t, d, pushCommit, nil); avg != 0 {
 		t.Fatalf("warm PushErased/slide allocates: %v allocs per %d-layer commit", avg, c)
 	}
 }
 
-// quietRuntime makes a one-shot malloc count exact the way
-// testing.AllocsPerRun does for a loop: one P, so the per-P sync.Pools
-// holding the decode scratch hand back what the warm-up put in, and no
-// collection, which may empty them. The returned func restores both.
-func quietRuntime() (restore func()) {
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	return func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
+// finishAllocs pushes `rounds` rounds into fresh decoders in advance and
+// is testing.AllocsPerRun over their Finish calls, each after `before`
+// when non-nil. The warm-up call builds the closing volume of that
+// height and the pool's scratch on its graphs. The Finish gates decode
+// on a one-worker pool, as they did when they ran under GOMAXPROCS 1:
+// a worker's union-find grows its worklists to the largest decode it has
+// run, so on more workers which worker took which of the closing
+// decode's spans would decide whether the warm-up warmed them all. It
+// returns the decoders, all finished, their buffered height at Finish
+// and the average.
+func finishAllocs(fresh func() *Decoder, rounds int, push func(d *Decoder, r int), closeX, closeZ []bits.Vec, before func()) (ds []*Decoder, h int, avg float64) {
+	const runs = 8
+	ds = make([]*Decoder, runs+1) // AllocsPerRun calls once more than runs
+	for i := range ds {
+		ds[i] = fresh()
+		for r := 0; r < rounds; r++ {
+			push(ds[i], r)
+		}
 	}
+	h = ds[0].Filled()
+	next := 0
+	avg = testing.AllocsPerRun(runs, func() {
+		if before != nil {
+			before()
+		}
+		ds[next].Finish(closeX, closeZ)
+		next++
+	})
+	return ds, h, avg
 }
 
-// finishMallocs pushes `rounds` rounds into a fresh decoder and returns
-// the buffered height its Finish closes and the heap objects allocated
-// across that Finish alone.
-func finishMallocs(d *Decoder, rounds int, push func(d *Decoder, r int), closeX, closeZ []bits.Vec) (h int, mallocs uint64) {
-	for r := 0; r < rounds; r++ {
-		push(d, r)
+// plainFinishAllocs is finishAllocs on the plain gates' session, for a
+// stream of `rounds` rounds; a decoder that errs or commits other than
+// every round fails the test.
+func plainFinishAllocs(t *testing.T, rounds int, before func()) (h int, avg float64) {
+	t.Helper()
+	s, _, _ := plainGateSession(t, gatePool(t, 1))
+	layers := plainGateLayers(rounds, 945)
+	push := func(d *Decoder, r int) { d.Push(layers[r][0], layers[r][1]) }
+	fresh := func() *Decoder { return s.NewDecoder(gateLanes) }
+	ds, h, avg := finishAllocs(fresh, rounds, push, layers[rounds][0], layers[rounds][1], before)
+	for _, d := range ds {
+		if d.Err() != nil || d.Committed() != rounds {
+			t.Fatalf("rounds=%d: err %v, %d committed", rounds, d.Err(), d.Committed())
+		}
 	}
-	h = d.Filled()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d.Finish(closeX, closeZ)
-	runtime.ReadMemStats(&after)
-	return h, after.Mallocs - before.Mallocs
+	return h, avg
 }
 
 // TestWarmFinishZeroAllocs extends the pin from Push to Finish: once a
 // session has closed one stream at a height — the window's closing
-// volume of that height built, its graphs' scratch grown — the Finish of
-// its next decoder allocates nothing, at h = W and at h < W: every
-// pivot, syndrome and ordering buffer was sized in NewDecoderOpts.
+// volume of that height built, the pool's scratch on its graphs built —
+// the Finish of its next decoder allocates nothing, at h = W and at
+// h < W: every pivot, syndrome and ordering buffer was sized in
+// NewDecoderOpts.
 func TestWarmFinishZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
 	}
-	defer quietRuntime()()
-	const (
-		l     = 8
-		lanes = 16
-		p     = 0.01
-	)
-	w, c := DefaultWindow(l)
-	wh, wv := spacetime.Weights(p, p, l, w)
-	s := mustSession(t, l, w, c, wh, wv)
-	defer s.Close()
-	nc := toric.Cached(l).Checks()
+	w, _ := DefaultWindow(gateL)
 	for _, tc := range []struct{ rounds, h int }{{2 * w, w}, {2*w - 3, w - 3}} {
-		src := toricLayers(l, p, p, lanes, frame.NewAggregateSampler(945, 1))
-		layers := make([][2][]bits.Vec, tc.rounds+1) // the closing layer last
-		for i := range layers {
-			layers[i] = [2][]bits.Vec{bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)}
-			if i < tc.rounds {
-				src.NextLayers(layers[i][0], layers[i][1])
-			} else {
-				src.CloseLayers(layers[i][0], layers[i][1])
-			}
+		h, avg := plainFinishAllocs(t, tc.rounds, nil)
+		if h != tc.h {
+			t.Fatalf("rounds=%d: closed at height %d, want %d", tc.rounds, h, tc.h)
 		}
-		push := func(d *Decoder, r int) { d.Push(layers[r][0], layers[r][1]) }
-		for i := 0; i < 4; i++ { // three warm streams, then the measured one
-			d := s.NewDecoder(lanes)
-			h, mallocs := finishMallocs(d, tc.rounds, push, layers[tc.rounds][0], layers[tc.rounds][1])
-			if d.Err() != nil || h != tc.h || d.Committed() != tc.rounds {
-				t.Fatalf("rounds=%d: err %v, closed at height %d, %d committed", tc.rounds, d.Err(), h, d.Committed())
-			}
-			if i == 3 && mallocs != 0 {
-				t.Fatalf("warm Finish at height %d of %d allocates %d objects", h, w, mallocs)
-			}
+		if avg != 0 {
+			t.Fatalf("warm Finish at height %d of %d allocates %v objects", h, w, avg)
 		}
 	}
 }
@@ -210,7 +246,6 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
 	}
-	defer quietRuntime()()
 	const (
 		l     = 6
 		lanes = 16
@@ -221,8 +256,10 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 	P.Leak = 0.002
 	w, c := DefaultWindow(l)
 	wh, wv, wd := spacetime.WeightsCircuit(P, l, w)
-	s := mustCircuitSession(t, l, w, c, wh, wv, wd)
-	defer s.Close()
+	s, err := toricCircuitSessionOn(gatePool(t, 1), l, w, c, wh, wv, wd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lat := toric.Cached(l)
 	nc, nq := lat.Checks(), lat.Qubits()
 	src := toricCircuit(l, P, lanes, frame.NewAggregateSampler(947, 1))
@@ -243,17 +280,44 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 		lay := layers[r]
 		d.PushErased(lay.layerX, lay.layerZ, lay.eraH, lay.lostX, lay.lostZ)
 	}
-	for i := 0; i < 4; i++ {
-		d := s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true})
-		h, mallocs := finishMallocs(d, len(layers), push, closeX, closeZ)
-		if d.Err() != nil || h != w-c/2 || d.Committed() != len(layers) {
-			t.Fatalf("err %v, closed at height %d, %d committed", d.Err(), h, d.Committed())
+	fresh := func() *Decoder { return s.NewDecoderOpts(lanes, spacetime.DecodeOptions{ErasureAware: true}) }
+	ds, h, avg := finishAllocs(fresh, len(layers), push, closeX, closeZ, nil)
+	for _, d := range ds {
+		if d.Err() != nil || d.Committed() != len(layers) {
+			t.Fatalf("err %v, %d committed", d.Err(), d.Committed())
 		}
-		if !d.windowErased(&d.sx, h) && !d.windowErased(&d.sz, h) {
-			t.Fatal("closing window carries no erasure: the test exercises nothing")
-		}
-		if i == 3 && mallocs != 0 {
-			t.Fatalf("warm erased Finish at height %d of %d allocates %d objects", h, w, mallocs)
-		}
+	}
+	if h != w-c/2 {
+		t.Fatalf("closed at height %d, want %d", h, w-c/2)
+	}
+	if d := ds[0]; !d.windowErased(&d.sx, h) && !d.windowErased(&d.sz, h) {
+		t.Fatal("closing window carries no erasure: the test exercises nothing")
+	}
+	if avg != 0 {
+		t.Fatalf("warm erased Finish at height %d of %d allocates %v objects", h, w, avg)
+	}
+}
+
+// TestScratchSurvivesCollections: the zero-allocation contract holds
+// whatever the collector does between decodes, because decode scratch
+// has owners — the graphs hold every worker's, the decoder its buffers —
+// and no cache a collection may empty. Two collections before each
+// measured Push commit of a warm decoder, and before each measured
+// Finish of a pre-pushed one, leave both at zero allocations.
+func TestScratchSurvivesCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
+	}
+	collect := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	d, pushCommit := warmPlainPush(t)
+	if avg := commitAllocs(t, d, pushCommit, collect); avg != 0 {
+		t.Errorf("a warm Push commit after two collections allocates %v objects", avg)
+	}
+	w, _ := DefaultWindow(gateL)
+	if h, avg := plainFinishAllocs(t, 2*w, collect); avg != 0 {
+		t.Fatalf("a warm Finish at height %d after two collections allocates %v objects", h, avg)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // heapInUse is the live heap after two collections — the second frees
-// what the first left in the sync.Pools' victim caches.
+// what the cleanups and finalizers the first one queued let go of.
 func heapInUse() uint64 {
 	runtime.GC()
 	runtime.GC()

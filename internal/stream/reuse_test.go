@@ -2,7 +2,6 @@ package stream
 
 import (
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -56,12 +55,16 @@ func freeDecoders() []*Decoder {
 }
 
 // freshDrain is drainOnce on a new decoder: the free list is set aside
-// for the drain and put back afterwards.
+// for the drain and put back afterwards, held again (holdFreeList).
 func freshDrain(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) drainOutcome {
-	saved := drains.free
+	drains.Lock()
+	saved, kept := drains.free, drains.free.Value()
 	drains.free = weak.Pointer[[]*Decoder]{}
-	defer func() { drains.free = saved }()
+	drains.Unlock()
 	o, _ := drainOnce(s, src, rounds, opts)
+	drains.Lock()
+	drains.free, drains.held = saved, kept
+	drains.Unlock()
 	return o
 }
 
@@ -76,11 +79,23 @@ func freeOfClass(c drainClass) int {
 	return n
 }
 
-// holdFreeList stops the collector for the rest of the test, so the
-// weakly held free list keeps what the drains put on it.
-func holdFreeList(t *testing.T) {
-	gc := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(gc) })
+// holdFreeList holds the free list strongly, as a running drain does,
+// until the returned release or the end of the test, so a collection
+// between drains keeps what they put on it.
+func holdFreeList(t *testing.T) (release func()) {
+	drains.Lock()
+	drains.running++
+	drains.held = drains.free.Value()
+	drains.Unlock()
+	release = sync.OnceFunc(func() {
+		drains.Lock()
+		if drains.running--; drains.running == 0 {
+			drains.held = nil
+		}
+		drains.Unlock()
+	})
+	t.Cleanup(release)
+	return release
 }
 
 func sameOutcome(a, b drainOutcome) bool {
@@ -193,7 +208,7 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 func TestDrainDecodersCrossWindows(t *testing.T) {
 	const l, w, lanes = 4, 6, 64
 	code := toric.Cached(l)
-	holdFreeList(t)
+	release := holdFreeList(t)
 	forgetShapes()
 	defer forgetShapes()
 	pool := decoder.NewPool(2)
@@ -237,6 +252,7 @@ func TestDrainDecodersCrossWindows(t *testing.T) {
 
 	// A collection while a drain runs keeps the list; one after the last
 	// drain frees it.
+	release()
 	s := session(w, 3, 2, 3, 4)
 	running := s.win.takeDecoder(pool, lanes, none)
 	runtime.GC()

@@ -56,9 +56,6 @@ type Lattice struct {
 	// plaquette distance is two table lookups shared by every lane and
 	// worker.
 	wrapDist []int32
-	// scratch recycles per-worker decoder state (union-find arrays,
-	// matcher arrays, pair buffers) across decodes.
-	scratch *sync.Pool
 }
 
 // newLattice returns an L×L toric lattice (L ≥ 2).
@@ -105,11 +102,7 @@ func newLattice(l int) Lattice {
 			star[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x, y-1), t.HEdge(x-1, y)}
 		}
 	}
-	graph := decoder.NewGraph(nc, ends)
-	t.Code = t.newCode("toric", [2]*decoder.Graph{graph, decoder.NewGraph(nc, dualEnds)}, plaq, star)
-	t.scratch = &sync.Pool{New: func() any {
-		return &decodeScratch{uf: decoder.NewUnionFind(graph)}
-	}}
+	t.Code = t.newCode("toric", [2]*decoder.Graph{decoder.NewGraph(nc, ends), decoder.NewGraph(nc, dualEnds)}, plaq, star)
 	return t
 }
 
@@ -357,10 +350,8 @@ func (k DecoderKind) Validate() error {
 	return nil
 }
 
-// decodeScratch carries one worker's reusable decoder state. Instances
-// live in the lattice's sync.Pool, so any decode path — public one-off
-// calls and batch workers alike — recycles buffers instead of
-// reallocating per call.
+// decodeScratch carries one caller's decoder state, built per call of
+// Decode and BatchMemory and reused across that call's decodes.
 type decodeScratch struct {
 	uf      *decoder.UnionFind
 	matcher decoder.Matcher
@@ -378,10 +369,12 @@ func (s *decodeScratch) takePairs(n int) [][2]int {
 // Decode returns a correction for the given defect set.
 func (t Lattice) Decode(defects []int, kind DecoderKind) bits.Vec {
 	corr := bits.NewVec(t.Qubits())
-	scr := t.scratch.Get().(*decodeScratch)
-	t.decodeInto(defects, kind, scr, corr)
-	t.scratch.Put(scr)
+	t.decodeInto(defects, kind, t.newScratch(), corr)
 	return corr
+}
+
+func (t *Lattice) newScratch() *decodeScratch {
+	return &decodeScratch{uf: decoder.NewUnionFind(t.SectorGraph(false))}
 }
 
 // decodeInto flips a correction for the defect set into corr. All decode
@@ -540,7 +533,7 @@ func Cached(l int) *Lattice {
 // experiment as bit-planes over the given sampler and returns the
 // per-lane failure mask: one error plane per edge, in edge order (the
 // scalar draw order within each lane), decoded by the primal sector's
-// surface.SectorFailures stage with pooled scratch. Under a lockstep
+// surface.SectorFailures stage with one scratch per call. Under a lockstep
 // sampler lane i reproduces a scalar shot drawn from the paired stream
 // edge by edge.
 func (t *Lattice) BatchMemory(p float64, kind DecoderKind, lanes int, smp frame.Sampler) bits.Vec {
@@ -550,8 +543,7 @@ func (t *Lattice) BatchMemory(p float64, kind DecoderKind, lanes int, smp frame.
 	for _, pl := range planes {
 		smp.Bernoulli(p, active, pl)
 	}
-	scr := t.scratch.Get().(*decodeScratch)
-	defer t.scratch.Put(scr)
+	scr := t.newScratch()
 	return surface.SectorFailures(t, false, planes, func(defects []int, corr bits.Vec) {
 		t.decodeInto(defects, kind, scr, corr)
 	})

@@ -34,14 +34,14 @@ type Shot struct {
 // one worker fleet serves many concurrent sessions with different
 // window shapes. Each worker decodes on its own UnionFind, which the
 // graph holds (epoch-stamped arrays make reuse free; a closed pool's
-// stay until the graph goes), and batches are reusable, so a sustained
-// stream of windows allocates nothing. Results are written into
-// per-shot slots in submission order, which makes every batch's output
-// bit-identical for any worker count, scheduling, or interleaving with
-// other sessions' batches — the same determinism contract as the rest
-// of the package. ResubmitOn may be called from any number of
-// goroutines, before and after Close: post-Close submissions return
-// ErrClosed, and Close itself is idempotent.
+// instances stay until the graph goes), and batches are reusable, so a
+// sustained stream of windows allocates nothing. Results are written
+// into per-shot slots in submission order, which makes every batch's
+// output bit-identical for any worker count, scheduling, or
+// interleaving with other sessions' batches — the same determinism
+// contract as the rest of the package. ResubmitOn may be called from
+// any number of goroutines, before and after Close: post-Close
+// submissions return ErrClosed, and Close itself is idempotent.
 type Service struct {
 	workers int
 	tasks   chan serviceSpan

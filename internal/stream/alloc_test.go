@@ -172,12 +172,11 @@ func TestWarmPushErasedZeroAllocs(t *testing.T) {
 // is testing.AllocsPerRun over their Finish calls, each after `before`
 // when non-nil. The warm-up call builds the closing volume of that
 // height and the pool's scratch on its graphs. The Finish gates decode
-// on a one-worker pool, as they did when they ran under GOMAXPROCS 1:
-// a worker's union-find grows its worklists to the largest decode it has
-// run, so on more workers which worker took which of the closing
-// decode's spans would decide whether the warm-up warmed them all. It
-// returns the decoders, all finished, their buffered height at Finish
-// and the average.
+// on a one-worker pool: a worker's union-find grows its worklists to
+// the largest decode it has run, so on more workers which worker took
+// which of the closing decode's spans would decide whether the warm-up
+// warmed them all. It returns the decoders, all finished, their
+// buffered height at Finish and the average.
 func finishAllocs(fresh func() *Decoder, rounds int, push func(d *Decoder, r int), closeX, closeZ []bits.Vec, before func()) (ds []*Decoder, h int, avg float64) {
 	const runs = 8
 	ds = make([]*Decoder, runs+1) // AllocsPerRun calls once more than runs

@@ -12,7 +12,7 @@ func pathGraph(n int, boundary ...int) *Graph {
 	for i := range ends {
 		ends[i] = [2]int32{int32(i), int32(i + 1)}
 	}
-	return NewBoundaryGraph(n, ends, nil, boundary)
+	return NewGraph(n, ends, nil, boundary)
 }
 
 // TestBoundaryAbsorbsLoneDefect: a single defect (odd total parity —
@@ -68,7 +68,7 @@ func TestBoundaryStopsGrowth(t *testing.T) {
 func TestBoundaryPrefersCheapPath(t *testing.T) {
 	// 0—1 weight 10, 0—2 and 1—2 weight 1, boundary at 2.
 	ends := [][2]int32{{0, 1}, {0, 2}, {1, 2}}
-	g := NewBoundaryGraph(3, ends, []int32{10, 1, 1}, []int{2})
+	g := NewGraph(3, ends, []int32{10, 1, 1}, []int{2})
 	uf := NewUnionFind(g)
 	var got []int
 	uf.Decode([]int{0, 1}, func(e int) { got = append(got, e) })
@@ -128,7 +128,7 @@ func TestBoundaryDecodeDeterministicAndSound(t *testing.T) {
 	for y := 0; y < n; y++ {
 		ends = append(ends, [2]int32{idx(n-1, y), int32(bnd)})
 	}
-	g := NewBoundaryGraph(n*n+1, ends, nil, []int{bnd})
+	g := NewGraph(n*n+1, ends, nil, []int{bnd})
 	uf := NewUnionFind(g)
 	uf2 := NewUnionFind(g)
 	rng := rand.New(rand.NewPCG(71, 72))

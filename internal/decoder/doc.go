@@ -19,8 +19,8 @@
 //     AppendCorrection), every erased edge enters the erasure at full
 //     support first: its endpoints are absorbed and united before any
 //     growth, so pure-erasure syndromes skip phase 2 entirely. On
-//     graphs with open-boundary nodes (NewBoundaryGraph — the future
-//     edge of a sliding decode window), a cluster that reaches a
+//     graphs with open-boundary nodes (NewGraph's boundary list — the
+//     future edge of a sliding decode window), a cluster that reaches a
 //     boundary node is "grounded": the boundary absorbs its parity, it
 //     never counts as odd, and it stops growing.
 //
@@ -232,8 +232,8 @@
 // on, and each is exact:
 //
 //   - The weight test is skipped on a graph whose edges all have one
-//     weight (NewWeightedGraph records that): every edge then weighs
-//     wmin. Mixed-weight graphs still load the pair edge's weight.
+//     weight (NewGraph records that): every edge then weighs wmin.
+//     Mixed-weight graphs still load the pair edge's weight.
 //   - IsBoundary compares against the graph's smallest boundary id
 //     before it loads the boundary flag, and no node below that id is a
 //     boundary node. Space-time graphs put their one boundary node

@@ -16,7 +16,7 @@ import (
 // anywhere.
 func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 	if len(data) < 2 {
-		return NewGraph(2, nil), nil, nil
+		return NewGraph(2, nil, nil, nil), nil, nil
 	}
 	n := 2 + int(data[0])%63
 	nb := min(int(data[1]&3)%3, n-1)
@@ -41,7 +41,7 @@ func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 		weights = append(weights, w)
 		faulty = append(faulty, data[3]&1 != 0)
 	}
-	return NewBoundaryGraph(n, ends, weights, boundary), faulty, erased
+	return NewGraph(n, ends, weights, boundary), faulty, erased
 }
 
 // fuzzSyndrome is the defect list of the edges whose fault flag equals

@@ -80,7 +80,7 @@ func closedTorus(l int) *decoder.Graph {
 			weights[y*l+x], weights[l*l+y*l+x] = 2, 3
 		}
 	}
-	return decoder.NewWeightedGraph(l*l, ends, weights)
+	return decoder.NewGraph(l*l, ends, weights, nil)
 }
 
 func TestGoldenKernel(t *testing.T) {

@@ -44,21 +44,26 @@ type Graph struct {
 	bndList []int32 // boundary node ids in ascending order
 }
 
-// NewGraph builds a unit-weight graph from the edge-endpoint table: edge
-// e connects ends[e][0] and ends[e][1]. Adjacency lists are laid out in
-// ascending (node, edge) order, which fixes the traversal order every
-// decoder pass uses — the root of the package's determinism contract.
-func NewGraph(nodes int, ends [][2]int32) *Graph {
-	return NewWeightedGraph(nodes, ends, nil)
-}
-
-// NewWeightedGraph is NewGraph with per-edge integer weights (all 1 when
-// weights is nil), each from 1 to MaxWeight. Weights are the growth
-// currency of the union-find decoder: an edge of weight w needs 2w
-// half-steps of support to join the erasure, so non-uniform error
-// channels (data vs measurement errors in a space-time volume) steer the
-// clusters along the likelier paths.
-func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
+// NewGraph builds a graph from the edge-endpoint table: edge e connects
+// ends[e][0] and ends[e][1]. Adjacency lists are laid out in ascending
+// (node, edge) order, which fixes the traversal order every decoder pass
+// uses — the root of the package's determinism contract.
+//
+// weights gives each edge an integer weight from 1 to MaxWeight (nil:
+// all 1). Weights are the growth currency of the union-find decoder: an
+// edge of weight w needs 2w half-steps of support to join the erasure,
+// so non-uniform error channels (data vs measurement errors in a
+// space-time volume) steer the clusters along the likelier paths.
+//
+// boundary lists the open-boundary (virtual) nodes (nil: a closed
+// graph): defect parity reaching a boundary node is absorbed rather than
+// matched, the construction a sliding decode window needs at its open
+// future edge (detectors there may pair with faults that have not
+// happened yet) and an open code at its rough edges. Boundary nodes
+// cannot themselves be defects; clusters containing one are "grounded"
+// and stop growing, and peeling drains their unpaired defects into the
+// boundary.
+func NewGraph(nodes int, ends [][2]int32, weights []int32, boundary []int) *Graph {
 	if weights != nil && len(weights) != len(ends) {
 		panic("decoder: weight count does not match edge count")
 	}
@@ -105,18 +110,6 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		g.adjE[cursor[v]], g.adjN[cursor[v]] = int32(e), u
 		cursor[v]++
 	}
-	return g
-}
-
-// NewBoundaryGraph is NewWeightedGraph with open-boundary (virtual)
-// nodes: defect parity reaching a boundary node is absorbed rather than
-// matched, the construction a sliding decode window needs at its open
-// future edge (detectors there may pair with faults that have not
-// happened yet). Boundary nodes cannot themselves be defects; clusters
-// containing one are "grounded" and stop growing, and peeling drains
-// their unpaired defects into the boundary.
-func NewBoundaryGraph(nodes int, ends [][2]int32, weights []int32, boundary []int) *Graph {
-	g := NewWeightedGraph(nodes, ends, weights)
 	if len(boundary) == 0 {
 		return g
 	}

@@ -31,7 +31,7 @@ func slabGraph(l, h int, wh, wv int32) *Graph {
 			}
 		}
 	}
-	return NewBoundaryGraph(h*n+1, ends, weights, []int{int(boundary)})
+	return NewGraph(h*n+1, ends, weights, []int{int(boundary)})
 }
 
 type historyShot struct {

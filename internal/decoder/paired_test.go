@@ -102,10 +102,10 @@ func TestPairedDecodeMatchesFull(t *testing.T) {
 		{"rest-reaches-pair", pathGraph(6), []int{0, 2, 3, 5}, 1, true},
 		// Two slots of 0 reach 1, so {0, 1} is no isolated pair; the full
 		// decode emits the lower-numbered light edge.
-		{"parallel-light", NewGraph(4, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}}), []int{0, 1}, 0, false},
-		{"parallel-heavy-first", NewWeightedGraph(4, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int32{2, 1, 1, 1, 1}), []int{1, 0}, 0, false},
+		{"parallel-light", NewGraph(4, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil, nil), []int{0, 1}, 0, false},
+		{"parallel-heavy-first", NewGraph(4, [][2]int32{{0, 1}, {0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int32{2, 1, 1, 1, 1}, nil), []int{1, 0}, 0, false},
 		// A weight-3 edge needs three sweeps; the detour closes first.
-		{"pair-edge-heavy", NewWeightedGraph(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int32{1, 3, 1, 1}), []int{1, 2}, 0, false},
+		{"pair-edge-heavy", NewGraph(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int32{1, 3, 1, 1}, nil), []int{1, 2}, 0, false},
 		{"beside-boundary", slabGraph(4, 2, 1, 1), []int{17, 16}, 1, false},
 		{"beside-boundary-with-rest", slabGraph(4, 2, 1, 1), []int{10, 16, 17}, 1, false},
 		// Every defect paired: one folded pass of wmin = 2 sweeps.

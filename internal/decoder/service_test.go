@@ -23,7 +23,7 @@ func torusTestGraph(n int) *Graph {
 			ends = append(ends, [2]int32{idx(x, y), idx(x, y+1)})
 		}
 	}
-	return NewGraph(n*n, ends)
+	return NewGraph(n*n, ends, nil, nil)
 }
 
 // randomShots builds valid defect sets (syndromes of random edge

@@ -19,7 +19,7 @@ func torusGraph(l int) *Graph {
 			ends[l*l+y*l+x] = [2]int32{int32(y*l + x), int32(y*l + mod(x-1))}
 		}
 	}
-	return NewGraph(l*l, ends)
+	return NewGraph(l*l, ends, nil, nil)
 }
 
 // syndromeOf computes the defect list of an edge set on a graph: nodes

@@ -19,7 +19,7 @@ func weightedTorusGraph(l int, weightOf func(e int) int32) *Graph {
 	for e := range weights {
 		weights[e] = weightOf(e)
 	}
-	return NewWeightedGraph(l*l, ends, weights)
+	return NewGraph(l*l, ends, weights, nil)
 }
 
 // TestUnitWeightBitIdentical: a weighted graph with every weight 1 must
@@ -94,7 +94,7 @@ func TestWeightedUnionFindClearsSyndrome(t *testing.T) {
 // larger log-likelihood weights repel the correction.
 func TestWeightedGrowthPrefersLightPath(t *testing.T) {
 	// Triangle: 0—2 direct (weight 4), 0—1—2 detour (weight 1 each).
-	g := NewWeightedGraph(3, [][2]int32{{0, 2}, {0, 1}, {1, 2}}, []int32{4, 1, 1})
+	g := NewGraph(3, [][2]int32{{0, 2}, {0, 1}, {1, 2}}, []int32{4, 1, 1}, nil)
 	uf := NewUnionFind(g)
 	var got []int
 	uf.Decode([]int{0, 2}, func(e int) { got = append(got, e) })
@@ -102,7 +102,7 @@ func TestWeightedGrowthPrefersLightPath(t *testing.T) {
 		t.Fatalf("weighted decode crossed the heavy edge: %v", got)
 	}
 	// Same topology, uniform weights: the direct edge wins.
-	gu := NewWeightedGraph(3, [][2]int32{{0, 2}, {0, 1}, {1, 2}}, []int32{1, 1, 1})
+	gu := NewGraph(3, [][2]int32{{0, 2}, {0, 1}, {1, 2}}, []int32{1, 1, 1}, nil)
 	got = got[:0]
 	NewUnionFind(gu).Decode([]int{0, 2}, func(e int) { got = append(got, e) })
 	if len(got) != 1 || got[0] != 0 {
@@ -323,10 +323,10 @@ func TestMaxWeight(t *testing.T) {
 				t.Fatal("weight MaxWeight+1 accepted")
 			}
 		}()
-		NewWeightedGraph(3, ends, []int32{1, MaxWeight + 1, 1})
+		NewGraph(3, ends, []int32{1, MaxWeight + 1, 1}, nil)
 	}()
 	for _, weights := range [][]int32{{MaxWeight, MaxWeight, MaxWeight}, {1, MaxWeight, 1}} {
-		g := NewWeightedGraph(3, ends, weights)
+		g := NewGraph(3, ends, weights, nil)
 		if err := PairedMatchesFull(NewUnionFind(g), NewUnionFind(g), []int{2, 1}); err != nil {
 			t.Fatalf("weights %v: %v", weights, err)
 		}

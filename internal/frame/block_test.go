@@ -207,9 +207,7 @@ func TestZeroDrawRunRoundMatchesGateLoop(t *testing.T) {
 		fused, gates := NewBatch(nd+na, lanes, P, fs), NewBatch(nd+na, lanes, P, gs)
 		fm, gm := bits.NewVecs(6, lanes), bits.NewVecs(6, lanes)
 		for r := 0; r < rounds; r++ {
-			if !fused.RunRound(pl, fm) {
-				t.Fatal("the fused round declined")
-			}
+			fused.RunRound(pl, fm)
 			gateLoop(gates, gm)
 			for i := range fm {
 				if !fm[i].Equal(gm[i]) {
@@ -230,4 +228,134 @@ func TestZeroDrawRunRoundMatchesGateLoop(t *testing.T) {
 			t.Fatalf("zero at draw %d: streams differ afterwards", at)
 		}
 	}
+}
+
+// fuzzPlan decodes a fuzz input into a round plan over nd data qubits
+// and na ancillas. Each block is a kind byte (storage, prep Z, prep X,
+// CNOT step, measure Z, measure X), a count byte and the qubit bytes
+// (mod nd+na): a repeated qubit is dropped from prep and measurement
+// blocks, and a CNOT pair that repeats a qubit of its step is dropped.
+// Measurements fill slots in order; it returns the plan and the number
+// of slots.
+func fuzzPlan(nd, na int, prog []byte) (*RoundPlan, int) {
+	n := nd + na
+	pl := NewRoundPlan()
+	slots := 0
+	next := func() int {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return int(b)
+	}
+	for len(prog) > 0 {
+		kind, k := next()%6, next()%(n+1)
+		used := make([]bool, n)
+		var qa, qb, slot []int32
+		for i := 0; i < k; i++ {
+			a := next() % n
+			if kind == opCNOT {
+				c := next() % n
+				if a == c || used[a] || used[c] {
+					continue
+				}
+				used[c] = true
+				qb = append(qb, int32(c))
+			} else if kind != opStorage && used[a] {
+				continue
+			}
+			used[a] = true
+			qa = append(qa, int32(a))
+			if kind == opMeasZ || kind == opMeasX {
+				slot = append(slot, int32(slots))
+				slots++
+			}
+		}
+		switch kind {
+		case opStorage:
+			pl.Storage(qa)
+		case opPrepZ:
+			pl.PrepZ(qa)
+		case opPrepX:
+			pl.PrepX(qa)
+		case opCNOT:
+			pl.CNOTStep(qa, qb)
+		case opMeasZ:
+			pl.MeasZ(qa, slot)
+		case opMeasX:
+			pl.MeasX(qa, slot)
+		}
+	}
+	return pl, slots
+}
+
+// fuzzRate maps a byte to a fault probability: 0, 1, or a value in
+// between (0.0002 to 0.97, denser at the small end).
+func fuzzRate(r byte) float64 {
+	switch r % 4 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	}
+	x := float64(r>>2+1) / 65
+	return x * x
+}
+
+// FuzzRunRound holds RunRound's two executors to each other on random
+// plans: the fused block walk and the gate path, on equal
+// AggregateSamplers over two rounds, must leave the same frames,
+// measurement planes, FaultCount, LocationCount and next sampler draw.
+// The input packs the shape (1–12 data qubits, 1–6 ancillas), the lane
+// count (1–200), the storage, prep, two-qubit gate and measurement
+// rates, one byte each, and the plan (fuzzPlan).
+func FuzzRunRound(f *testing.F) {
+	// The plan of TestZeroDrawRunRoundMatchesGateLoop: 6 data qubits,
+	// 3 ancillas, 100 lanes, every rate 0.04.
+	f.Add(uint64(19), uint8(5+12*2), uint8(99), uint32(0x32323232), []byte{
+		opStorage, 6, 0, 1, 2, 3, 4, 5,
+		opPrepZ, 3, 6, 7, 8,
+		opCNOT, 3, 0, 6, 2, 7, 4, 8,
+		opCNOT, 3, 1, 6, 3, 7, 5, 8,
+		opMeasZ, 3, 6, 7, 8,
+		opPrepX, 3, 6, 7, 8,
+		opCNOT, 3, 6, 0, 7, 2, 8, 4,
+		opCNOT, 3, 6, 1, 7, 3, 8, 5,
+		opMeasX, 3, 6, 7, 8,
+	})
+	f.Fuzz(func(t *testing.T, seed uint64, shape, lanes uint8, rates uint32, prog []byte) {
+		nd, na, w := 1+int(shape)%12, 1+int(shape)/12%6, 1+int(lanes)%200
+		P := noise.Params{
+			Storage: fuzzRate(byte(rates)),
+			Prep:    fuzzRate(byte(rates >> 8)),
+			Gate2:   fuzzRate(byte(rates >> 16)),
+			Meas:    fuzzRate(byte(rates >> 24)),
+		}
+		pl, slots := fuzzPlan(nd, na, prog)
+		fs, gs := NewAggregateSampler(seed, 1), NewAggregateSampler(seed, 1)
+		fused, gates := NewBatch(nd+na, w, P, fs), NewBatch(nd+na, w, P, gs)
+		fm, gm := bits.NewVecs(slots, w), bits.NewVecs(slots, w)
+		for r := 0; r < 2; r++ {
+			fused.RunRound(pl, fm)
+			gates.runGates(pl, gm)
+			for i := range fm {
+				if !fm[i].Equal(gm[i]) {
+					t.Fatalf("round %d: measurement plane %d differs", r, i)
+				}
+			}
+		}
+		for q := 0; q < nd+na; q++ {
+			if !fused.fx[q].Equal(gates.fx[q]) || !fused.fz[q].Equal(gates.fz[q]) {
+				t.Fatalf("frames differ on qubit %d", q)
+			}
+		}
+		if fused.FaultCount != gates.FaultCount || fused.LocationCount != gates.LocationCount {
+			t.Fatalf("fault/location counts %d/%d, gate path %d/%d",
+				fused.FaultCount, fused.LocationCount, gates.FaultCount, gates.LocationCount)
+		}
+		if !slices.Equal(streamAhead(fs), streamAhead(gs)) {
+			t.Fatal("streams differ afterwards")
+		}
+	})
 }

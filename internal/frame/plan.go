@@ -6,16 +6,13 @@ import (
 )
 
 // RoundPlan is a precompiled fault-location program for one syndrome-
-// extraction round: the per-gate loop of the generic BatchSim API
-// flattened into a handful of homogeneous op blocks (one storage pass,
-// one prep pass per sector, one block per CNOT step, one measurement
-// pass per sector). BatchSim.RunRound executes a plan with one
-// aggregate-sampler geometric stream *per block* instead of one
-// Bernoulli call per location, so a quiet block costs a single carry
-// subtraction — and it is bit-identical to replaying the same locations
-// through the generic gate calls (same sampler stream, same frames,
-// same FaultCount/LocationCount). See the equivalence argument on
-// RunRound.
+// extraction round: a handful of homogeneous op blocks (one storage
+// pass, one prep pass per sector, one block per CNOT step, one
+// measurement pass per sector) listing every location in execution
+// order. BatchSim.RunRound executes it, as one geometric sampler stream
+// per block (a quiet block costs a single carry subtraction) or gate by
+// gate; RunRound says when each runs and why both give the same sampler
+// stream, frames and FaultCount/LocationCount.
 //
 // Plans are immutable after construction and safe to share across
 // BatchSims (surface.CircuitSource builds one per extraction schedule
@@ -67,10 +64,10 @@ func (pl *RoundPlan) PrepX(qs []int32) { pl.push(opPrepX, clone32(qs), nil, nil)
 
 // CNOTStep appends one parallel CNOT step: location i couples control
 // ctl[i] to target tgt[i]. All 2·len qubits of a step must be distinct
-// (the extraction schedules' step-major order guarantees it) — the
-// executor propagates every pair before injecting any of the step's
-// faults, which is only order-equivalent to the interleaved generic
-// path when the pairs are disjoint.
+// (the extraction schedules' step-major order guarantees it) — the fused
+// walk propagates every pair before injecting any of the step's faults,
+// which is only order-equivalent to the gate path's interleaving when
+// the pairs are disjoint.
 func (pl *RoundPlan) CNOTStep(ctl, tgt []int32) {
 	if len(ctl) != len(tgt) {
 		panic("frame: CNOTStep length mismatch")
@@ -96,19 +93,20 @@ func (pl *RoundPlan) MeasX(qs, slots []int32) {
 }
 
 // Locations returns the number of fault locations the plan executes
-// (the same count the generic gate calls would add to LocationCount).
+// (what one RunRound adds to LocationCount).
 func (pl *RoundPlan) Locations() int { return pl.locs }
 
-// RunRound executes the plan across all lanes, writing measurement flip
-// planes into meas (indexed by the plan's slots; each plane must be
-// Lanes() bits wide). It returns false — having executed nothing — when
-// the fused path cannot reproduce the generic one draw for draw: the
-// sampler is not an AggregateSampler, leakage or biased noise is
-// modeled, a trigger harness has been armed (scripted injection needs
-// per-location callbacks), or the active mask is narrowed. Callers fall
-// back to the generic gate loop in that case.
+// RunRound executes the plan across the active lanes, writing
+// measurement flip planes into meas (indexed by the plan's slots; each
+// plane must be Lanes() bits wide). The simulator picks the executor by
+// what it observes: with an AggregateSampler, no leakage or bias, no
+// armed trigger and a full active mask it walks one geometric fault
+// stream per block; otherwise (the walk draws no leak or biased
+// channels and makes no per-location trigger callbacks) it runs each
+// location through its gate call — Storage, PrepZ, PrepX, CNOT,
+// MeasZInto, MeasXInto — in plan order.
 //
-// Why the fused path is bit-identical to the generic loop on the same
+// Why the fused walk is bit-identical to the gate path on the same
 // sampler state:
 //
 //   - The aggregate Bernoulli's geometric skip carries across words and
@@ -125,15 +123,16 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 //     the boundary of the location that drew it, where the next location
 //     redraws as the next Bernoulli call would (nextFaulted).
 //   - Propagating all CNOTs of a step before injecting the step's
-//     faults is frame-equivalent to the interleaved generic order
-//     because a step's pairs are qubit-disjoint.
+//     faults is frame-equivalent to the interleaved gate order because
+//     a step's pairs are qubit-disjoint.
 //   - With Leak == 0 the leakage planes are identically zero (nothing
-//     sets them), so the generic path's leak masks, leak coins and
+//     sets them), so the gate path's leak masks, leak coins and
 //     measurement coin draws never fire.
-func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) bool {
+func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) {
 	s, ok := b.smp.(*AggregateSampler)
 	if !ok || b.P.Leak > 0 || b.P.Bias > 0 || b.trigger != nil || b.active.Weight() != b.w {
-		return false
+		b.runGates(pl, meas)
+		return
 	}
 	for i := range pl.ops {
 		op := &pl.ops[i]
@@ -166,14 +165,37 @@ func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) bool {
 		}
 	}
 	b.LocationCount += pl.locs
-	return true
+}
+
+// runGates is the gate path of RunRound: every location of the plan
+// through its gate call, in plan order.
+func (b *BatchSim) runGates(pl *RoundPlan, meas []bits.Vec) {
+	for i := range pl.ops {
+		op := &pl.ops[i]
+		for j, q := range op.qa {
+			switch op.kind {
+			case opStorage:
+				b.Storage(int(q))
+			case opPrepZ:
+				b.PrepZ(int(q))
+			case opPrepX:
+				b.PrepX(int(q))
+			case opCNOT:
+				b.CNOT(int(q), int(op.qb[j]))
+			case opMeasZ:
+				b.MeasZInto(int(q), meas[op.slot[j]])
+			case opMeasX:
+				b.MeasXInto(int(q), meas[op.slot[j]])
+			}
+		}
+	}
 }
 
 // runFaultOp walks one geometric fault stream over the block's
 // len(qa)·W trials (location-major, lane-minor — the concatenation of
 // the per-location Bernoulli masks), one faulted location at a time,
 // drawing that location's Paulis/flips before the walk moves on: the
-// generic interleaving of geometric and Pauli draws on the shared rng.
+// gate path's interleaving of geometric and Pauli draws on the shared rng.
 func (b *BatchSim) runFaultOp(s *AggregateSampler, p float64, op *planOp, meas []bits.Vec) {
 	for loc := 0; ; loc++ {
 		if loc, b.laneBuf = s.nextFaulted(p, loc, len(op.qa), b.w, 0, b.laneBuf[:0]); loc == len(op.qa) {
@@ -186,7 +208,7 @@ func (b *BatchSim) runFaultOp(s *AggregateSampler, p float64, op *planOp, meas [
 // flushFaults draws and applies the fault content of one faulted
 // location (the lanes in laneBuf, ascending): uniform Paulis for
 // storage and CNOT locations, deterministic flips for prep and
-// measurement, with the generic path's FaultCount accounting.
+// measurement, with the gate path's FaultCount accounting.
 func (b *BatchSim) flushFaults(s *AggregateSampler, op *planOp, loc int, meas []bits.Vec) {
 	switch op.kind {
 	case opStorage:

@@ -8,8 +8,9 @@ package spacetime
 // wires that source into the decoding subsystem: the effective
 // per-edge-class fault probabilities of the circuit model
 // (CircuitProbs), their integer LLR weights (WeightsCircuit) and the
-// diagonal-edge decoding volume's exact metric (circuitMetric). Memory
-// runs the Monte Carlo under a Circuit model.
+// offset metric the exact matcher prices pairs with on every volume,
+// diagonal shortcuts included (circuitMetric). Memory runs the Monte
+// Carlo under a Circuit model.
 
 import (
 	"math"
@@ -82,10 +83,12 @@ func WeightsCircuit(P noise.Params, l, rounds int) (wh, wv, wd int) {
 	return wh / g, wv / g, wd / g
 }
 
-// metric returns the circuit-metric tables of the two sectors, built on
+// metric returns the offset metric tables of the two sectors, built on
 // first use: only the exact matcher reads them, so union-find volumes —
 // including every closing volume a streaming window builds — never run
-// the Dijkstra builds or hold the tables.
+// the Dijkstra builds or hold the tables. A plain volume (WD = 0, no
+// diagonal moves) gets the rectilinear WH·TorusDist + WV·|Δt| from the
+// same builder (TestPlainMetricIsRectilinear).
 func (v *Volume) metric() (distX, distZ []int64) {
 	v.distOnce.Do(func() {
 		v.distX = circuitMetric(v.L, v.T, v.WH, v.WV, v.WD, v.diagX)
@@ -95,12 +98,12 @@ func (v *Volume) metric() (distX, distZ []int64) {
 }
 
 // circuitMetric builds the all-offsets shortest-path table of a
-// diagonal-edge space-time graph by Dial's algorithm on the offset
-// lattice: entry ((dy·L+dx)·(2T+1) + dt+T) is the weighted graph
-// distance between two detectors displaced by (dx, dy) on the torus and
-// dt rounds in time. Moves: ±x/±y cost wh, ±t cost wv, and the
-// schedule's diagonal steps (the per-edge late→early reader offsets,
-// advancing one lattice step and one round together) cost wd. Both
+// space-time graph by Dial's algorithm on the offset lattice: entry
+// ((dy·L+dx)·(2T+1) + dt+T) is the weighted graph distance between two
+// detectors displaced by (dx, dy) on the torus and dt rounds in time.
+// Moves: ±x/±y cost wh, ±t cost wv, and the schedule's diagonal steps
+// (the per-edge late→early reader offsets, advancing one lattice step
+// and one round together; none when diag is nil) cost wd. Both
 // check grids are L×L tori with ±x/±y adjacency, so one builder serves
 // either sector given its diagonal table. Time is truncated at |dt| ≤ T
 // — paths through the volume never leave it.

@@ -146,6 +146,32 @@ func TestCircuitMetricMatchesGraph(t *testing.T) {
 	}
 }
 
+// TestPlainMetricIsRectilinear: without diagonals the offset table is
+// WH·TorusDist + WV·|Δt| — the rectilinear metric plain volumes priced
+// pairs with before they shared the table — for every offset of every
+// L 2–7, T 1–5 and WH, WV 1–4.
+func TestPlainMetricIsRectilinear(t *testing.T) {
+	for l := 2; l <= 7; l++ {
+		lat := toric.Cached(l)
+		for rounds := 1; rounds <= 5; rounds++ {
+			span := 2*rounds + 1
+			for wh := 1; wh <= 4; wh++ {
+				for wv := 1; wv <= 4; wv++ {
+					dist := circuitMetric(l, rounds, wh, wv, 0, nil)
+					for c := 0; c < l*l; c++ {
+						for dt := -rounds; dt <= rounds; dt++ {
+							want := int64(wh*lat.TorusDist(0, c) + wv*max(dt, -dt))
+							if got := dist[c*span+dt+rounds]; got != want {
+								t.Fatalf("L=%d T=%d wh=%d wv=%d offset %d dt=%d: table %d, rectilinear %d", l, rounds, wh, wv, c, dt, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // dijkstraRef is a straightforward O(V²) Dijkstra over an edge list.
 func dijkstraRef(nodes, edges int, ends func(int) (int, int), weight func(int) int, src int) []int64 {
 	adj := make([][][2]int, nodes) // (neighbor, weight)

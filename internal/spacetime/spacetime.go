@@ -41,9 +41,9 @@ type Volume struct {
 	horiz   int            // horizontal edge count, T·nq (ids below this project to data qubits)
 	diagOff int            // first diagonal edge id, horiz + T·nc (ids at or above project to data qubits)
 	// Per-sector {late, early} reader checks of each data edge (nil when
-	// WD = 0), and the circuit-metric distance tables the exact matcher
-	// prices pairs with — built lazily on first exact decode (see
-	// metric), so union-find-only workloads never pay for them.
+	// WD = 0), and the offset metric tables the exact matcher prices
+	// pairs with — built lazily on first exact decode (see metric), so
+	// union-find-only workloads never pay for them.
 	diagX, diagZ [][2]int32
 	distOnce     sync.Once
 	distX, distZ []int64
@@ -190,7 +190,7 @@ func (v *Volume) buildGraph(base *decoder.Graph, diag [][2]int32) *decoder.Graph
 	if v.nodes > v.det {
 		boundary = []int{v.det}
 	}
-	return decoder.NewBoundaryGraph(v.nodes, ends, weights, boundary)
+	return decoder.NewGraph(v.nodes, ends, weights, boundary)
 }
 
 // CommitEdges folds one correction edge list into a lane's running
@@ -328,12 +328,14 @@ func gcd(a, b int) int {
 // graph of the chosen sector and the space-like correction edges are
 // XOR-ed onto their data qubits (time-like edges are measurement-error
 // assignments and project away). DecoderExact runs the blossom matcher
-// on wh·d₂ + wv·|Δt| distances (pruned above decoder.SparseMatchMin
-// defects); every other kind runs the weighted union-find decoder,
-// seeding its peeling pass with erased — the lane's located faults in
-// canonical ascending edge-id order (AppendErased, then Reprice for a
-// correlated dual), or nil. It is the per-lane reference the fast paths
-// are checked against; the exact matcher takes no erased list.
+// on the volume's offset metric — wh·d₂ + wv·|Δt| on a plain volume,
+// with the diagonal shortcuts on a circuit one — pruned above
+// decoder.SparseMatchMin defects; every other kind runs the weighted
+// union-find decoder, seeding its peeling pass with erased — the lane's
+// located faults in canonical ascending edge-id order (AppendErased,
+// then Reprice for a correlated dual), or nil. It is the per-lane
+// reference the fast paths are checked against; the exact matcher takes
+// no erased list.
 func (v *Volume) Decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
 	v.decodeInto(defects, erased, kind, dual, v.newScratch(), corr)
@@ -350,40 +352,23 @@ func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual 
 		if v.lat == nil {
 			panic("spacetime: exact matching prices pairs with the torus metric; open-boundary codes decode with union-find")
 		}
-		// Pair distances: the rectilinear WH·d₂ + WV·|Δt| metric on plain
-		// volumes; the precomputed circuit-metric table (which prices the
-		// diagonal shortcuts exactly) on circuit volumes. The correction
-		// chain emitted per pair is the canonical short-way 2D path either
-		// way — on weight ties between a winding and a non-winding 3D path
-		// the canonical chain stands in for the matcher's choice, the same
+		// Pair distances: the volume's offset metric table, which prices
+		// the diagonal shortcuts of a circuit volume exactly and is the
+		// rectilinear WH·d₂ + WV·|Δt| on a plain one. The correction chain
+		// emitted per pair is the canonical short-way 2D path either way —
+		// on weight ties between a winding and a non-winding 3D path the
+		// canonical chain stands in for the matcher's choice, the same
 		// convention the 2D matcher uses for antipodal pairs.
+		dist, distZ := v.metric()
+		if dual {
+			dist = distZ
+		}
+		span := 2*v.T + 1
 		weight := func(i, j int) int64 {
 			a, b := defects[i], defects[j]
-			dt := a/v.nc - b/v.nc
-			if dt < 0 {
-				dt = -dt
-			}
-			return int64(v.WH)*int64(v.lat.TorusDist(a%v.nc, b%v.nc)) + int64(v.WV)*int64(dt)
-		}
-		if v.WD > 0 {
-			dist, distZ := v.metric()
-			if dual {
-				dist = distZ
-			}
-			span := 2*v.T + 1
-			weight = func(i, j int) int64 {
-				a, b := defects[i], defects[j]
-				ca, cb := a%v.nc, b%v.nc
-				dx := cb%v.L - ca%v.L
-				if dx < 0 {
-					dx += v.L
-				}
-				dy := cb/v.L - ca/v.L
-				if dy < 0 {
-					dy += v.L
-				}
-				return dist[(dy*v.L+dx)*span+(b/v.nc-a/v.nc)+v.T]
-			}
+			ca, cb := a%v.nc, b%v.nc
+			dx, dy := mod(cb%v.L-ca%v.L, v.L), mod(cb/v.L-ca/v.L, v.L)
+			return dist[(dy*v.L+dx)*span+(b/v.nc-a/v.nc)+v.T]
 		}
 		// Grid staging reach per weighted radius r: a diagonal advances one
 		// spatial and one time step at cost WD, so the cheapest spatial

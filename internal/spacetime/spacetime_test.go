@@ -166,7 +166,7 @@ func TestUnitWeightVolumeBitIdentical(t *testing.T) {
 		a, b := g.Ends(e)
 		ends[e] = [2]int32{int32(a), int32(b)}
 	}
-	gu := decoder.NewGraph(g.Nodes(), ends)
+	gu := decoder.NewGraph(g.Nodes(), ends, nil, nil)
 	ufw := decoder.NewUnionFind(g)
 	ufu := decoder.NewUnionFind(gu)
 	rng := rand.New(rand.NewPCG(503, 504))

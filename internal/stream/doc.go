@@ -84,9 +84,11 @@
 // defect list decodes to an empty correction, so the skip is exact by
 // construction and has no off switch. Every buffer — rings, the
 // plane-major carry, defect, erasure and correction lists — is sized
-// once in NewDecoderOpts, and warm Push (slides included) and warm
+// once in Window.newDecoder, and warm Push (slides included) and warm
 // Finish run at zero heap allocations; a Monte Carlo drain builds a
-// decoder only when no finished drain on its window left one to reset.
+// decoder only when the process-wide free list holds none of its class
+// (code, W, diagonal class, lanes, options) to reset, whichever window
+// the free one last drained.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's

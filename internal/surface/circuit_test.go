@@ -3,8 +3,8 @@ package surface_test
 // CircuitSource against the ideal code, for every family behind the
 // contract: the extraction circuit computes the true check operators,
 // a measurement fault is a vertical defect pair, the location count is
-// the trigger harness's coordinate system, and the fused round plan is
-// bit-identical to the per-gate loop it replaces.
+// the trigger harness's coordinate system, and the compiled round plan,
+// on either executor, is bit-identical to the per-gate loop.
 
 import (
 	"fmt"
@@ -211,15 +211,116 @@ func TestMeasurementFaultIsVerticalPair(t *testing.T) {
 	}
 }
 
-// TestFusedRoundBitIdentical pins the fused-plan executor to the
-// per-gate loop for every schedule shape: two sources over identical
-// aggregate-sampler streams — one forced through the loop by an armed
-// (never firing) trigger harness, which consumes no randomness — must
-// emit identical difference layers every round, finish with identical
-// error planes, windings, fault counts and location counts. Covered
-// shapes include a non-word-multiple lane count (tail-word handling),
-// distinct per-location probabilities (carry reset between blocks) and
-// the p ≥ 1 edge.
+// gateLoop is the extraction round written out gate by gate, with the
+// CNOT orders read straight from the code's schedule: the reference
+// that does not go through the compiled round plan, so the plan's
+// compilation keeps an independent check. Qubit layout as on a
+// CircuitSource: data, then primal ancillas, then dual ones.
+type gateLoop struct {
+	code surface.Code
+	sim  *frame.BatchSim
+	diff *surface.SyndromeDiff
+}
+
+func newGateLoop(code surface.Code, P noise.Params, lanes int, smp frame.Sampler) *gateLoop {
+	nc := code.Checks()
+	return &gateLoop{code: code, sim: frame.NewBatch(code.Qubits()+2*nc, lanes, P, smp), diff: surface.NewSyndromeDiff(nc, lanes)}
+}
+
+// round runs idle storage on every data qubit, then per sector the
+// ancilla preps, four CNOT steps check by check (idle −1 steps skipped)
+// and the ancilla measurements.
+func (g *gateLoop) round() {
+	nq, nc := g.code.Qubits(), g.code.Checks()
+	sch := g.code.ExtractionSchedule()
+	for e := 0; e < nq; e++ {
+		g.sim.Storage(e)
+	}
+	// Primal sector: data controls the ancilla; MeasZ reads its X frame.
+	for c := 0; c < nc; c++ {
+		g.sim.PrepZ(nq + c)
+	}
+	for step := 0; step < 4; step++ {
+		for c := 0; c < nc; c++ {
+			if q := sch.Plaq[c][step]; q >= 0 {
+				g.sim.CNOT(q, nq+c)
+			}
+		}
+	}
+	for c, out := range g.diff.CurX() {
+		g.sim.MeasZInto(nq+c, out)
+	}
+	// Dual sector: the ancilla controls data; MeasX reads its Z frame.
+	for c := 0; c < nc; c++ {
+		g.sim.PrepX(nq + nc + c)
+	}
+	for step := 0; step < 4; step++ {
+		for c := 0; c < nc; c++ {
+			if q := sch.Star[c][step]; q >= 0 {
+				g.sim.CNOT(nq+nc+c, q)
+			}
+		}
+	}
+	for c, out := range g.diff.CurZ() {
+		g.sim.MeasXInto(nq+nc+c, out)
+	}
+}
+
+func (g *gateLoop) NextLayers(layerX, layerZ []bits.Vec) {
+	g.round()
+	g.diff.Emit(layerX, layerZ)
+}
+
+// NextLayersErased keeps CircuitSource's draw order: replace the leaked
+// data qubits, run the round, then read the leak planes.
+func (g *gateLoop) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+	nq, nc := g.code.Qubits(), g.code.Checks()
+	lk := g.sim.PlanesLeak(nq + 2*nc)
+	for e := 0; e < nq; e++ {
+		eraH[e].CopyFrom(lk[e])
+		g.sim.ReplaceLeaked(e, eraH[e])
+	}
+	g.round()
+	for e := 0; e < nq; e++ {
+		eraH[e].Or(lk[e])
+	}
+	for c := 0; c < nc; c++ {
+		lostX[c].CopyFrom(lk[nq+c])
+		lostZ[c].CopyFrom(lk[nq+nc+c])
+	}
+	g.diff.Emit(layerX, layerZ)
+}
+
+// simMismatch names the first difference between two simulators'
+// frame and leakage planes, fault counts and location counts, or
+// returns "".
+func simMismatch(a, b *frame.BatchSim) string {
+	n := a.N()
+	for i, get := range []func(*frame.BatchSim, int) []bits.Vec{
+		(*frame.BatchSim).PlanesX, (*frame.BatchSim).PlanesZ, (*frame.BatchSim).PlanesLeak,
+	} {
+		pa, pb := get(a, n), get(b, n)
+		for q := range pa {
+			if !pa[q].Equal(pb[q]) {
+				return fmt.Sprintf("%s plane of qubit %d", [3]string{"X frame", "Z frame", "leakage"}[i], q)
+			}
+		}
+	}
+	if a.FaultCount != b.FaultCount || a.LocationCount != b.LocationCount {
+		return fmt.Sprintf("fault/location counts %d/%d against %d/%d", a.FaultCount, a.LocationCount, b.FaultCount, b.LocationCount)
+	}
+	return ""
+}
+
+// TestFusedRoundBitIdentical pins the source's fused round to the
+// per-gate loop for every schedule shape: over identical aggregate-
+// sampler streams both must emit identical difference layers every
+// round and leave identical frames, fault counts and location counts.
+// Covered shapes include a non-word-multiple lane count (tail-word
+// handling), distinct per-location probabilities (carry reset between
+// blocks) and the p ≥ 1 edge. That the source takes the fused walk
+// here, not the gate path, is TestWarmNextLayersZeroAllocs' to pin: a
+// faulted CNOT on the gate path allocates.
 func TestFusedRoundBitIdentical(t *testing.T) {
 	models := []struct {
 		name  string
@@ -240,54 +341,26 @@ func TestFusedRoundBitIdentical(t *testing.T) {
 			t.Run(codeLabel(code)+"/"+m.name, func(t *testing.T) {
 				const seed, rounds = 11, 12
 				fused := surface.NewCircuitSource(code, m.P, m.lanes, frame.NewAggregateSampler(seed, 1))
-				plain := surface.NewCircuitSource(code, m.P, m.lanes, frame.NewAggregateSampler(seed, 1))
-				plain.Sim().ArmTrigger(0, -1)
+				loop := newGateLoop(code, m.P, m.lanes, frame.NewAggregateSampler(seed, 1))
 				nc := code.Checks()
 				fX, fZ := bits.NewVecs(nc, m.lanes), bits.NewVecs(nc, m.lanes)
 				pX, pZ := bits.NewVecs(nc, m.lanes), bits.NewVecs(nc, m.lanes)
-				check := func(r int) {
-					t.Helper()
+				for r := 0; r < rounds; r++ {
+					fused.NextLayers(fX, fZ)
+					loop.NextLayers(pX, pZ)
 					for c := 0; c < nc; c++ {
 						if !fX[c].Equal(pX[c]) || !fZ[c].Equal(pZ[c]) {
 							t.Fatalf("round %d: layer mismatch at check %d", r, c)
 						}
 					}
 				}
-				for r := 0; r < rounds; r++ {
-					fused.NextLayers(fX, fZ)
-					plain.NextLayers(pX, pZ)
-					check(r)
+				if d := simMismatch(fused.Sim(), loop.sim); d != "" {
+					t.Fatalf("after %d rounds: %s differ", rounds, d)
 				}
-				fused.CloseLayers(fX, fZ)
-				plain.CloseLayers(pX, pZ)
-				check(rounds)
-				ex, ez := fused.ErrorPlanes()
-				px, pz := plain.ErrorPlanes()
-				for q := range ex {
-					if !ex[q].Equal(px[q]) || !ez[q].Equal(pz[q]) {
-						t.Fatalf("error plane mismatch at qubit %d", q)
-					}
+				if got, want := fused.Sim().LocationCount, rounds*surface.LocationsPerRound(code); got != want {
+					t.Fatalf("LocationCount %d, want %d", got, want)
 				}
-				w1 := bits.NewVecs(4, m.lanes)
-				w2 := bits.NewVecs(4, m.lanes)
-				fused.Windings(w1[0], w1[1], w1[2], w1[3])
-				plain.Windings(w2[0], w2[1], w2[2], w2[3])
-				for i := range w1 {
-					if !w1[i].Equal(w2[i]) {
-						t.Fatalf("winding plane %d mismatch", i)
-					}
-				}
-				fs, ps := fused.Sim(), plain.Sim()
-				if fs.FaultCount != ps.FaultCount {
-					t.Fatalf("FaultCount: fused=%d plain=%d", fs.FaultCount, ps.FaultCount)
-				}
-				if fs.LocationCount != ps.LocationCount || fs.LocationCount != rounds*surface.LocationsPerRound(code) {
-					t.Fatalf("LocationCount: fused=%d plain=%d, want %d", fs.LocationCount, ps.LocationCount, rounds*surface.LocationsPerRound(code))
-				}
-				if ps.LaneLocationCount(0) != ps.LocationCount {
-					t.Fatal("the reference source did not run the per-gate loop")
-				}
-				if fs.FaultCount == 0 {
+				if fused.Sim().FaultCount == 0 {
 					t.Fatal("degenerate case: no faults injected")
 				}
 			})
@@ -295,13 +368,13 @@ func TestFusedRoundBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedRoundFallbacks pins the eligibility gate: every simulator
-// state the fused executor cannot reproduce draw for draw — a lockstep
-// sampler, an armed trigger harness, leakage, biased noise, a narrowed
-// active mask — must decline having executed nothing and consumed no
-// randomness, so the source's per-gate loop replays the round. A source
-// whose simulator was offered a plan and declined must stay bit-
-// identical to a twin that never was.
+// TestFusedRoundFallbacks covers every simulator state the fused walk
+// cannot reproduce draw for draw — a lockstep sampler, an armed trigger
+// harness (here one that injects an X on the location's last qubit),
+// biased noise, leakage, a narrowed active mask — where the round plan
+// runs through the gate calls: a source's layers, erasure planes,
+// frames, FaultCount and LocationCount must equal the per-gate loop's
+// on a twin simulator.
 func TestFusedRoundFallbacks(t *testing.T) {
 	const lanes, rounds = 8, 3
 	biased := noise.Uniform(0.05)
@@ -312,10 +385,8 @@ func TestFusedRoundFallbacks(t *testing.T) {
 	for lane := 0; lane < lanes/2; lane++ {
 		half.Set(lane, true)
 	}
-	probe := frame.NewRoundPlan()
-	probe.Storage([]int32{0})
 	for _, code := range []surface.Code{toric.Cached(4), surface.Planar(3), surface.Rotated(3), toric.HookParallel(4)} {
-		nq, nc := code.Qubits(), code.Checks()
+		nq, nc, locs := code.Qubits(), code.Checks(), surface.LocationsPerRound(code)
 		for _, fb := range []struct {
 			name  string
 			P     noise.Params
@@ -323,56 +394,58 @@ func TestFusedRoundFallbacks(t *testing.T) {
 			setup func(b *frame.BatchSim)
 		}{
 			{"lockstep", noise.Uniform(0.05), func() frame.Sampler { return frame.NewLockstepSampler(3, lanes) }, nil},
-			{"armed-trigger", noise.Uniform(0.05), nil, func(b *frame.BatchSim) { b.ArmTrigger(0, 5) }},
+			{"armed-trigger", noise.Uniform(0.05), nil, func(b *frame.BatchSim) {
+				b.ArmTrigger(0, 5)
+				b.ArmTrigger(3, locs+nq+2)
+				b.TriggerFault = func(b *frame.BatchSim, lane int, qubits []int) { b.InjectX(qubits[len(qubits)-1], lane) }
+			}},
 			{"bias", biased, nil, nil},
 			{"leak", leaky, nil, nil},
 			{"narrowed-mask", noise.Uniform(0.05), nil, func(b *frame.BatchSim) { b.PushActive(half) }},
 		} {
-			build := func() *surface.CircuitSource {
-				var smp frame.Sampler = frame.NewAggregateSampler(3, 0)
+			smp := func() frame.Sampler {
 				if fb.smp != nil {
-					smp = fb.smp()
+					return fb.smp()
 				}
-				src := surface.NewCircuitSource(code, fb.P, lanes, smp)
-				if fb.setup != nil {
-					fb.setup(src.Sim())
+				return frame.NewAggregateSampler(3, 0)
+			}
+			src := surface.NewCircuitSource(code, fb.P, lanes, smp())
+			loop := newGateLoop(code, fb.P, lanes, smp())
+			if fb.setup != nil {
+				fb.setup(src.Sim())
+				fb.setup(loop.sim)
+			}
+			var planes [2][5][]bits.Vec // [source, loop][X, Z, lostX, lostZ, eraH]
+			for i := range planes {
+				for k := range planes[i] {
+					planes[i][k] = bits.NewVecs(nc, lanes)
 				}
-				return src
-			}
-			offered, twin := build(), build()
-			meas := bits.NewVecs(1, lanes)
-			if offered.Sim().RunRound(probe, meas) {
-				t.Fatalf("%s %s: fused path accepted", codeLabel(code), fb.name)
-			}
-			if s := offered.Sim(); s.LocationCount != 0 || s.FaultCount != 0 {
-				t.Fatalf("%s %s: declined round executed %d locations, %d faults", codeLabel(code), fb.name, s.LocationCount, s.FaultCount)
-			}
-			var layers [2][4][]bits.Vec // [source][X, Z, lostX, lostZ]
-			var eras [2][]bits.Vec
-			for i := range layers {
-				for k := range layers[i] {
-					layers[i][k] = bits.NewVecs(nc, lanes)
-				}
-				eras[i] = bits.NewVecs(nq, lanes)
+				planes[i][4] = bits.NewVecs(nq, lanes)
 			}
 			for r := 0; r < rounds; r++ {
-				for i, src := range [2]*surface.CircuitSource{offered, twin} {
-					if fb.P.Leak > 0 {
-						src.NextLayersErased(layers[i][0], layers[i][1], eras[i], layers[i][2], layers[i][3])
+				for i, feed := range [2]interface {
+					NextLayers(layerX, layerZ []bits.Vec)
+					NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec)
+				}{src, loop} {
+					if p := planes[i]; fb.P.Leak > 0 {
+						feed.NextLayersErased(p[0], p[1], p[4], p[2], p[3])
 					} else {
-						src.NextLayers(layers[i][0], layers[i][1])
+						feed.NextLayers(p[0], p[1])
 					}
 				}
-				for k := range layers[0] {
-					for c := 0; c < nc; c++ {
-						if !layers[0][k][c].Equal(layers[1][k][c]) {
-							t.Fatalf("%s %s round %d: declining the plan moved the stream (plane set %d, check %d)", codeLabel(code), fb.name, r, k, c)
+				for k := range planes[0] {
+					for j := range planes[0][k] {
+						if !planes[0][k][j].Equal(planes[1][k][j]) {
+							t.Fatalf("%s %s round %d: plane set %d differs at %d", codeLabel(code), fb.name, r, k, j)
 						}
 					}
 				}
 			}
-			if got, want := offered.Sim().LocationCount, rounds*surface.LocationsPerRound(code); got != want {
-				t.Fatalf("%s %s: per-gate fallback counted %d locations, want %d", codeLabel(code), fb.name, got, want)
+			if d := simMismatch(src.Sim(), loop.sim); d != "" {
+				t.Fatalf("%s %s: %s differ", codeLabel(code), fb.name, d)
+			}
+			if got, want := src.Sim().LocationCount, rounds*locs; got != want {
+				t.Fatalf("%s %s: counted %d locations, want %d", codeLabel(code), fb.name, got, want)
 			}
 		}
 	}

@@ -113,7 +113,7 @@ func readerGraph(name string, nq int, orders [][4]int) *decoder.Graph {
 			ends[q][1] = int32(nc)
 		}
 	}
-	return decoder.NewBoundaryGraph(nc+1, ends, nil, []int{nc})
+	return decoder.NewGraph(nc+1, ends, nil, []int{nc})
 }
 
 func (c *graphCode) sector(dual bool) *sector {

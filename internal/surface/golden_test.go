@@ -4,9 +4,8 @@ package surface_test
 // (EXPERIMENTS.md, the benchmark's logical_fail_rate) is a pure function
 // of the order in which the two layer sources draw from their sampler.
 // The digests below were recorded at commit efc3457 from the toric-only
-// sources this package's sources replaced (the phenomenological one in
-// internal/spacetime and the fused circuit one in internal/extract); a
-// refactor that moves one draw changes a digest.
+// phenomenological and fused circuit sources this package's sources
+// replaced; a refactor that moves one draw changes a digest.
 
 import (
 	"hash/fnv"

@@ -207,10 +207,12 @@ func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.sec[0].cum, s.s
 
 // roundPlan returns the schedule's extraction round compiled into a
 // frame.RoundPlan, built on first use and shared by every
-// CircuitSource of the code: the exact location sequence of the
-// per-gate loop (storage over all data qubits, then per sector prep /
-// four CNOT steps / measurement, idle −1 steps skipped), with primal
-// measurements in slots 0…nc−1 and dual ones in slots nc…2nc−1.
+// CircuitSource of the code — the one description of the round, and the
+// location numbering ArmTrigger scripts against: storage over all data
+// qubits (whether or not P.Storage is zero), then per sector prep, four
+// CNOT steps check by check (idle −1 steps skipped) and measurement,
+// with primal measurements in slots 0…nc−1 and dual ones in slots
+// nc…2nc−1.
 // ReaderPairs has already rejected any schedule that reads a qubit
 // twice in one step, so every CNOT block is qubit-disjoint as
 // frame.RoundPlan.CNOTStep requires.
@@ -222,6 +224,9 @@ func (s *Schedule) roundPlan() *frame.RoundPlan {
 		for q := range data {
 			data[q] = int32(q)
 		}
+		// The idle window (ancilla prep and measure time): one storage
+		// step per data qubit, before any read — a same-round
+		// ("horizontal") error for both sectors.
 		pl.Storage(data)
 		anc := make([]int32, nc)
 		slot := make([]int32, nc)
@@ -243,10 +248,12 @@ func (s *Schedule) roundPlan() *frame.RoundPlan {
 						qs = append(qs, int32(q))
 					}
 				}
+				// Data X errors reach MeasZ through data-controlled CNOTs,
+				// data Z errors reach MeasX through ancilla-controlled ones.
 				if dual == 0 {
-					pl.CNOTStep(qs, as) // data controls the primal ancilla
+					pl.CNOTStep(qs, as)
 				} else {
-					pl.CNOTStep(as, qs) // the dual ancilla controls data
+					pl.CNOTStep(as, qs)
 				}
 			}
 			if dual == 0 {
@@ -302,7 +309,7 @@ type CircuitSource struct {
 	rounds int
 	diff   *SyndromeDiff
 
-	measBuf []bits.Vec // reused curX‖curZ slot table for the fused round
+	measBuf []bits.Vec // reused curX‖curZ slot table of the round plan
 }
 
 // NewCircuitSource returns a circuit-level source over the code for
@@ -341,92 +348,39 @@ func (s *CircuitSource) Erasing() bool { return s.sim.P.Leak > 0 }
 // harnesses (ArmTrigger single-fault enumeration, InjectX/InjectZ).
 func (s *CircuitSource) Sim() *frame.BatchSim { return s.sim }
 
-func (s *CircuitSource) ancP(c int) int { return s.code.Qubits() + c }
-func (s *CircuitSource) ancS(c int) int { return s.code.Qubits() + s.code.Checks() + c }
-
-// NextLayers runs one full extraction round — idle storage on the data
-// qubits, then the primal sector (PrepZ, four CNOT steps with data as
-// control, MeasZ), then the dual sector (PrepX, four CNOT steps with
-// the ancilla as control, MeasX) — and writes the round's difference-
-// syndrome layers into layerX and layerZ. Every gate carries its
-// noise.Params fault channel, so any experiment built on a source is a
-// pure function of the sampler stream.
+// NextLayers runs one extraction round, the schedule's round plan (see
+// roundPlan), and writes its difference-syndrome layers into layerX and
+// layerZ. Every gate carries its noise.Params fault channel, so any
+// experiment built on a source is a pure function of the sampler stream.
 func (s *CircuitSource) NextLayers(layerX, layerZ []bits.Vec) {
 	if s.sim.P.Leak > 0 {
 		panic("surface: NextLayers on a leaking source — an Erasing source drains with NextLayersErased")
 	}
-	// The schedule's compiled round program runs fused (one geometric
-	// sampler stream per block of locations). RunRound reports false,
-	// without consuming any randomness, when it cannot reproduce the
-	// per-gate loop draw for draw (lockstep sampler, armed trigger
-	// harness, biased noise, narrowed active mask); the loop then replays
-	// the identical location sequence — both paths are bit-identical.
-	s.measBuf = append(append(s.measBuf[:0], s.diff.CurX()...), s.diff.CurZ()...)
-	if !s.sim.RunRound(s.sch.roundPlan(), s.measBuf) {
-		s.genericRound()
-	}
+	s.runRound()
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++
 }
 
-// genericRound executes one extraction round through the per-gate batch
-// API.
-func (s *CircuitSource) genericRound() {
-	nq, nc := s.code.Qubits(), s.code.Checks()
-	// The idle window (ancilla prep/measure time): one storage step per
-	// data qubit per round, before any read — a same-round ("horizontal")
-	// error for both sectors. Called unconditionally so the location
-	// numbering the fault-injection harnesses script against does not
-	// depend on whether P.Storage is zero.
-	for e := 0; e < nq; e++ {
-		s.sim.Storage(e)
-	}
-	// Primal (Z-check) sector: data X errors propagate control→target
-	// into the ancilla; MeasZ reads the accumulated X frame. A Z fault on
-	// the ancilla mid-chain hooks back onto the remaining data controls.
-	curX := s.diff.CurX()
-	for c := 0; c < nc; c++ {
-		s.sim.PrepZ(s.ancP(c))
-	}
-	for step := 0; step < 4; step++ {
-		for c := 0; c < nc; c++ {
-			if q := s.sch.Plaq[c][step]; q >= 0 {
-				s.sim.CNOT(q, s.ancP(c))
-			}
-		}
-	}
-	for c := 0; c < nc; c++ {
-		s.sim.MeasZInto(s.ancP(c), curX[c])
-	}
-	// Dual (X-check) sector: data Z errors propagate target→control into
-	// the ancilla; MeasX reads the accumulated Z frame. An X fault on the
-	// ancilla mid-chain hooks forward onto the remaining data targets.
-	curZ := s.diff.CurZ()
-	for c := 0; c < nc; c++ {
-		s.sim.PrepX(s.ancS(c))
-	}
-	for step := 0; step < 4; step++ {
-		for c := 0; c < nc; c++ {
-			if q := s.sch.Star[c][step]; q >= 0 {
-				s.sim.CNOT(s.ancS(c), q)
-			}
-		}
-	}
-	for c := 0; c < nc; c++ {
-		s.sim.MeasXInto(s.ancS(c), curZ[c])
-	}
+// runRound runs the schedule's compiled round plan, primal measurements
+// into curX and dual ones into curZ; frame.BatchSim.RunRound picks the
+// executor (the fused walk, or the gate calls under leakage, bias, a
+// lockstep sampler, an armed trigger or a narrowed mask).
+func (s *CircuitSource) runRound() {
+	s.measBuf = append(append(s.measBuf[:0], s.diff.CurX()...), s.diff.CurZ()...)
+	s.sim.RunRound(s.sch.roundPlan(), s.measBuf)
 }
 
 // NextLayersErased is NextLayers for a leakage-modeling source: it runs
-// the same extraction round (per-gate path — the fused plan declines
-// leakage) and additionally harvests every leak as a located fault.
+// the same extraction round and additionally harvests every leak as a
+// located fault.
 //
 // Draw order per round, fixed so whole-volume and streaming drains of
 // two equally-seeded sources stay bit-identical: (1) per data qubit in
 // index order, the still-leaked lanes are recorded into eraH[e] and the
 // qubit is replaced by a fresh randomized one (ReplaceLeaked — two Coin
-// draws on non-empty masks only); (2) the per-gate round body; (3) no
-// further draws — round-end bookkeeping only reads planes.
+// draws on non-empty masks only); (2) the round plan, location by
+// location through the gate calls; (3) no further draws — round-end
+// bookkeeping only reads planes.
 //
 // On return, eraH[e] (qubit-major, Qubits() planes) marks the lanes
 // whose data qubit e is erased this layer (leaked at the start of the
@@ -443,13 +397,13 @@ func (s *CircuitSource) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bi
 		eraH[e].CopyFrom(lk[e])
 		s.sim.ReplaceLeaked(e, eraH[e])
 	}
-	s.genericRound()
+	s.runRound()
 	for e := 0; e < nq; e++ {
 		eraH[e].Or(lk[e])
 	}
 	for c := 0; c < nc; c++ {
-		lostX[c].CopyFrom(lk[s.ancP(c)])
-		lostZ[c].CopyFrom(lk[s.ancS(c)])
+		lostX[c].CopyFrom(lk[nq+c])
+		lostZ[c].CopyFrom(lk[nq+nc+c])
 	}
 	s.diff.Emit(layerX, layerZ)
 	s.rounds++

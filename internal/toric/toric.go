@@ -102,7 +102,7 @@ func newLattice(l int) Lattice {
 			star[c] = [4]int{t.HEdge(x, y), t.VEdge(x, y), t.VEdge(x, y-1), t.HEdge(x-1, y)}
 		}
 	}
-	t.Code = t.newCode("toric", [2]*decoder.Graph{decoder.NewGraph(nc, ends), decoder.NewGraph(nc, dualEnds)}, plaq, star)
+	t.Code = t.newCode("toric", [2]*decoder.Graph{decoder.NewGraph(nc, ends, nil, nil), decoder.NewGraph(nc, dualEnds, nil, nil)}, plaq, star)
 	return t
 }
 

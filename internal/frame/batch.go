@@ -47,6 +47,7 @@ type BatchSim struct {
 	TriggerFault func(b *BatchSim, lane int, qubits []int)
 
 	t0, t1, t2, t3 bits.Vec // scratch planes
+	t4, t5         bits.Vec // noise2's partner-qubit Pauli planes
 	pointBuf       [2]int
 	laneBuf        []int32 // RunRound: faulted lanes of the location in flight
 }
@@ -65,6 +66,7 @@ func NewBatch(n, w int, p noise.Params, smp Sampler) *BatchSim {
 		fx: bits.NewVecs(n, w), fz: bits.NewVecs(n, w), lk: bits.NewVecs(n, w),
 		active: bits.NewVec(w),
 		t0:     bits.NewVec(w), t1: bits.NewVec(w), t2: bits.NewVec(w), t3: bits.NewVec(w),
+		t4: bits.NewVec(w), t5: bits.NewVec(w),
 	}
 	b.active.SetAll()
 	return b
@@ -286,9 +288,7 @@ func (b *BatchSim) CZ(a, c int) {
 func (b *BatchSim) noise2(a, c int) {
 	b.smp.Bernoulli(b.P.Gate2, b.active, b.t2)
 	if b.t2.Any() {
-		xa, za := b.t0, b.t1
-		xb := bits.NewVec(b.w) // rare path; two extra planes are fine
-		zb := bits.NewVec(b.w)
+		xa, za, xb, zb := b.t0, b.t1, b.t4, b.t5
 		if b.P.Bias > 0 {
 			b.smp.Pauli2Biased(b.P.Bias, b.t2, xa, za, xb, zb)
 		} else {

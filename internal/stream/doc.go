@@ -48,7 +48,8 @@
 // volumes (at most W, one per height a stream has ended at, built on
 // first use and shared by every session on the window); a closing round
 // with odd defect parity on a closed code is refused as the decoder's
-// error before anything is submitted.
+// error before its sector is submitted, and both frames stay at the
+// rounds committed before it.
 //
 // # One memory driver
 //
@@ -69,26 +70,36 @@
 // # One decode per window, from scratch
 //
 // Successive windows share W − C layers, and every slide re-decodes
-// them: a slide is defect lists → one plain union-find decode per lane
-// → commit and carry, and nothing is carried between slides but the
-// carry defects and the frames. The lists come straight off the ring,
-// one word slab per sector that Push packs each round into, every set
-// lane bit appending its detector to that lane's list, and only the
-// per-lane carry is pivoted, to join the base layer, where the cut
-// defects sit. (A retained-forest slide that kept the previous
-// window's interior clusters across the slide was measured slower than
-// this on every benchmark workload and deleted; EXPERIMENTS.md E31 has
-// the table.) The one shortcut is the
-// silent-sector skip: a sector whose buffered layers are empty in every
-// lane and whose carries are clear skips its decode outright — an empty
-// defect list decodes to an empty correction, so the skip is exact by
-// construction and has no off switch. Every buffer — rings, the
-// plane-major carry, defect, erasure and correction lists — is sized
-// once in Window.newDecoder, and warm Push (slides included) and warm
-// Finish run at zero heap allocations; a Monte Carlo drain builds a
-// decoder only when the process-wide free list holds none of its class
-// (code, W, diagonal class, lanes, options) to reset, whichever window
-// the free one last drained.
+// them: a slide is defect lists → one union-find decode per lane →
+// commit and carry, and nothing is carried between slides but the
+// carry defects and the frames. Every decode runs the two sectors in
+// turn, the primal through to its commit and then the dual, on one
+// set of per-lane defect, erased-edge and correction lists, one batch
+// of shots and one decoder.Batch that the Decoder owns; a sector
+// keeps only its stream (ring, carry, base pivot, frames, quiet and
+// loss flags). The lists are most of a decoder's footprint, so this
+// holds them once rather than once per sector (EXPERIMENTS.md E44),
+// and a correlated decoder, whose dual reprices from the primal
+// correction, needs the order anyway. The lists come straight off the
+// ring, one word slab per sector that Push packs each round into,
+// every set lane bit appending its detector to that lane's list, and
+// only the per-lane carry is pivoted, to join the base layer, where
+// the cut defects sit. (A retained-forest slide that kept the
+// previous window's interior clusters across the slide was measured
+// slower than this on every benchmark workload and deleted;
+// EXPERIMENTS.md E31 has the table.) The one shortcut is the
+// silent-sector skip: a sector whose buffered layers are empty in
+// every lane and whose carries are clear skips its decode outright —
+// an empty defect list decodes to an empty correction, so the skip is
+// exact by construction and has no off switch — and clears the
+// correction lists, the empty primal correction a correlated dual
+// then reprices from. Every buffer — rings, the plane-major carry,
+// defect, erasure and correction lists — is sized once in
+// Window.newDecoder, and warm Push (slides included) and warm Finish
+// run at zero heap allocations; a Monte Carlo drain builds a decoder
+// only when the process-wide free list holds none of its class (code,
+// W, diagonal class, lanes, options) to reset, whichever window the
+// free one last drained.
 //
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's

@@ -9,10 +9,11 @@ package stream
 // slide decodes with each lane's erased edges — read straight off the
 // rings by Volume.AppendErased — seeded into the union-find peeling
 // pass. A Push round is a round with nothing erased, so the two mix.
-// Correlated decoders serialize each slide — primal window first, dual
-// repriced from the primal correction — so the committed frames stay a
-// pure function of the stream for any worker count, and a window taller
-// than the stream reproduces the whole-volume decode bit for bit.
+// Every decoder decodes its sectors in turn — the primal window through
+// to its commit, then the dual, which a correlated decoder reprices from
+// the primal correction — so the committed frames stay a pure function
+// of the stream for any worker count, and a window taller than the
+// stream reproduces the whole-volume decode bit for bit.
 
 import "ftqc/internal/bits"
 

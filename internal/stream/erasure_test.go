@@ -64,6 +64,78 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 	}
 }
 
+// silentPrimal is a feed whose primal difference layers, closing round
+// included, are empty in every lane: its primal sector skips every
+// decode while its dual decodes.
+type silentPrimal struct{ spacetime.LayerFeed }
+
+func (f silentPrimal) NextLayers(layerX, layerZ []bits.Vec) {
+	f.LayerFeed.NextLayers(layerX, layerZ)
+	clearPlanes(layerX)
+}
+
+func (f silentPrimal) NextLayersErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
+	f.LayerFeed.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ)
+	clearPlanes(layerX)
+}
+
+func (f silentPrimal) CloseLayers(layerX, layerZ []bits.Vec) {
+	f.LayerFeed.CloseLayers(layerX, layerZ)
+	clearPlanes(layerX)
+}
+
+func clearPlanes(vs []bits.Vec) {
+	for _, v := range vs {
+		v.Clear()
+	}
+}
+
+// TestCorrelatedSilentPrimalFinish: a correlated decoder whose primal
+// planes are silent in every lane skips the primal decode of a Finish
+// at W ≥ T, and its dual must reprice from an empty primal correction,
+// as the whole-volume reference does — not from whatever the shared
+// correction lists hold from the decoder's last stream. The silent
+// drain reuses the decoder a loud drain of the same class just freed.
+func TestCorrelatedSilentPrimalFinish(t *testing.T) {
+	const lanes = 128
+	holdFreeList(t)
+	circuit := func(eps, leak float64) spacetime.Model {
+		P := noise.Uniform(eps)
+		P.Leak = leak
+		return spacetime.Circuit(P)
+	}
+	for _, cfg := range []struct {
+		l, rounds int
+		m         spacetime.Model
+		opts      spacetime.DecodeOptions
+	}{
+		{4, 4, circuit(0.008, 0), spacetime.DecodeOptions{Correlated: true}},
+		{4, 4, circuit(0.006, 0.01), spacetime.DecodeOptions{ErasureAware: true, Correlated: true}},
+		{3, 5, spacetime.Phenomenological(0.04, 0.04, 0.03, 0.03), spacetime.DecodeOptions{Correlated: true}},
+	} {
+		code := toric.Cached(cfg.l)
+		wh, wv, wd := cfg.m.Weights(cfg.l, cfg.rounds)
+		v := spacetime.NewVolume(code, cfg.rounds, wh, wv, wd)
+		fx1, fz1 := volumeReference(v, silentPrimal{cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 3))}, cfg.opts)
+		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
+		s.BatchMemoryFrom(cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 4)), cfg.rounds, cfg.opts)
+		loud := freeDecoders()
+		fx2, fz2 := s.BatchMemoryFrom(silentPrimal{cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 3))}, cfg.rounds, cfg.opts)
+		silent := freeDecoders()
+		s.Close()
+		if d := silent[len(silent)-1]; d != loud[len(loud)-1] || d.Slides() != 0 || d.DefectsObserved() == 0 {
+			t.Fatalf("L=%d T=%d model %+v: degenerate, the silent drain did not reuse the loud drain's decoder at W = T with dual defects", cfg.l, cfg.rounds, cfg.m)
+		}
+		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+			t.Fatalf("L=%d T=%d model %+v opts=%+v: silent-primal Finish differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
+				cfg.l, cfg.rounds, cfg.m, cfg.opts, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		}
+		if fz1.Weight() == 0 {
+			t.Fatalf("L=%d T=%d model %+v: degenerate, no lane fails in the dual sector", cfg.l, cfg.rounds, cfg.m)
+		}
+	}
+}
+
 // TestErasedSlidingWorkerInvariant: on a genuinely sliding erasure-fed
 // stream (per-lane erased lists built every slide, most lanes erased)
 // the committed frames do not depend on how many pool workers share the

@@ -82,7 +82,7 @@ func TestDefectListsMatchPivot(t *testing.T) {
 						want := pivotLists(d, sec, h, cl)
 						d.defectLists(sec, h, cl)
 						for lane := range want {
-							got := sec.defbuf[lane]
+							got := d.defbuf[lane]
 							if !slices.Equal(got, want[lane]) {
 								t.Fatalf("trial %d lane %d (head %d, h %d): list %v, pivot %v", trial, lane, d.head, h, got, want[lane])
 							}

@@ -87,10 +87,10 @@ func monteCarloPool() *decoder.Service {
 	return mcPool.pool
 }
 
-// sectorState is one sector's half of a streaming Decoder: the layer
-// ring, the per-lane carries and committed frames, and the decode
-// scratch. Everything here is persistent so the steady state allocates
-// nothing.
+// sectorState is one sector's stream in a Decoder: the layer ring, the
+// per-lane carries, the base-layer pivot and the committed frames, and
+// the ring's quiet and loss flags. The decode scratch both sectors use
+// in turn — lane lists, shots, batch — is the Decoder's.
 type sectorState struct {
 	dual  bool       // star sector: decodes on the volumes' dual graphs
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
@@ -105,12 +105,6 @@ type sectorState struct {
 	// per-slot all-quiet flags.
 	lostRing  []bits.Vec // W·nc check-major lost-measurement planes
 	lostQuiet []bool     // per ring slot: no ancilla lost in any lane
-
-	shots   []decoder.Shot
-	defbuf  [][]int
-	erabuf  [][]int   // per-lane erased-edge lists (erasure/correlated decodes)
-	corrbuf [][]int32 // per-lane reusable decode output buffers
-	bat     *decoder.Batch
 }
 
 // graph picks the sector's graph of a volume.
@@ -128,10 +122,12 @@ func (sec *sectorState) graph(vol *spacetime.Volume) *decoder.Graph {
 // footprint is O(L²·W) bits per lane however many rounds stream past.
 //
 // Every decode — a slide over the window volume, or Finish over the
-// closing volume of the buffered height — runs the volume from scratch:
-// defect lists read off the planes, one plain union-find decode per
-// lane, commit and carry. A sector that is silent in every lane skips
-// its decode entirely.
+// closing volume of the buffered height — runs the volume from scratch,
+// the primal sector through to its commit and then the dual: defect
+// lists read off the planes, one union-find decode per lane, commit and
+// carry. The two sectors take turns on one set of lane lists, so a
+// decoder holds one sector's decode scratch, not two. A sector that is
+// silent in every lane skips its decode entirely.
 type Decoder struct {
 	win    *Window
 	pool   *decoder.Service
@@ -159,7 +155,15 @@ type Decoder struct {
 
 	sx, sz sectorState
 
-	bufCap, eraCap int // per-lane shares of the defect/correction and erased-list slabs
+	// Decode scratch of whichever sector is decoding: per-lane defect,
+	// erased-edge and correction lists (bufCap, eraCap and bufCap entries
+	// per lane, carved from one slab each), and one batch of shots.
+	defbuf         [][]int
+	erabuf         [][]int
+	corrbuf        [][]int32
+	shots          []decoder.Shot
+	bat            *decoder.Batch
+	bufCap, eraCap int
 
 	class drainClass // a Monte Carlo drain's decoder: the free-list class it returns to
 }
@@ -174,7 +178,7 @@ func (s *Session) NewDecoder(lanes int) *Decoder {
 // spacetime.DecodeOptions enabled. Erasure-aware decoders keep the
 // planes PushErased carries (a Push round erases nothing); correlated
 // decoders reprice the dual window from the primal correction every
-// slide (which serializes the two sectors' decodes).
+// slide.
 func (s *Session) NewDecoderOpts(lanes int, opts spacetime.DecodeOptions) *Decoder {
 	return s.win.newDecoder(s.pool, lanes, opts)
 }
@@ -191,9 +195,8 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	// window edges (a leak rate of 0.01 per gate erases about a tenth of a
 	// window), so a plain decoder carries none and an erasure-fed one does
 	// not ratchet.
-	eraCap := 0
 	if opts.ErasureAware || opts.Correlated {
-		eraCap = w.Graph().Edges() / 8
+		d.eraCap = w.Graph().Edges() / 8
 	}
 	if opts.Correlated {
 		d.emask = bits.NewVec(w.Graph().Edges())
@@ -209,7 +212,12 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	// decode's detectors (a syndrome that dense is noise) — so the
 	// footprint does not ratchet up whenever a denser window arrives. A
 	// window past that still decodes; its lane's buffers grow.
-	bufCap := max(w.W*nc/8, min(64, (w.W+1)*nc/2))
+	d.bufCap = max(w.W*nc/8, min(64, (w.W+1)*nc/2))
+	d.defbuf = laneBufs[int](lanes, d.bufCap)
+	d.erabuf = laneBufs[int](lanes, d.eraCap)
+	d.corrbuf = laneBufs[int32](lanes, d.bufCap)
+	d.shots = make([]decoder.Shot, lanes)
+	d.bat = decoder.NewBatch(lanes)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		sec.ring, sec.ringW = bits.NewSlab(w.W*nc, lanes)
 		sec.carry = bits.NewVecs(lanes, nc)
@@ -220,13 +228,7 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 			sec.lostRing = bits.NewVecs(w.W*nc, lanes)
 			sec.lostQuiet = make([]bool, w.W)
 		}
-		sec.shots = make([]decoder.Shot, lanes)
-		sec.defbuf = laneBufs[int](lanes, bufCap)
-		sec.erabuf = laneBufs[int](lanes, eraCap)
-		sec.corrbuf = laneBufs[int32](lanes, bufCap)
-		sec.bat = decoder.NewBatch(lanes)
 	}
-	d.bufCap, d.eraCap = bufCap, eraCap
 	d.sz.dual = true
 	return d
 }
@@ -382,52 +384,33 @@ func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
 	d.filled = 0
 }
 
-// decode runs both sectors of the oldest h buffered layers — followed by
-// the closing planes, when there are any — over vol and commits the
-// correction below layer `commit`. A sector that is silent (no defects
-// in any lane, no carry) skips its decode: an empty defect list decodes
-// to an empty correction, so the skip is exact.
+// decode runs the oldest h buffered layers — followed by the closing
+// planes, when there are any — over vol and commits the correction
+// below layer `commit`. Every decoder decodes its sectors in turn on the
+// one set of lane lists, the primal through to its commit and then the
+// dual, which a correlated decoder reprices from the primal correction
+// the lists still hold. A silent sector (no defects in any lane, no
+// carry) skips its decode — an empty defect list decodes to an empty
+// correction, so the skip is exact — and clears the correction lists to
+// that empty correction. A dual that fails flips the primal's commit
+// back out, so Err leaves both frames at Committed() rounds.
 func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []bits.Vec) {
-	eraX := d.windowErased(&d.sx, h)
-	eraZ := d.windowErased(&d.sz, h)
-	if d.opts.Correlated {
-		// Correlated decodes serialize: the dual sector's erased set is a
-		// function of the primal correction, so the primal decode must
-		// complete before the dual submission (and always runs — the dual
-		// reads its correction buffers). The primal→dual order is fixed,
-		// every list is built in canonical ascending order, and lanes stay
-		// independent — the committed frames remain a pure function of the
-		// stream for any worker count.
-		if d.prepSector(&d.sx, vol, h, closeX, nil, eraX); d.err != nil {
-			return
+	for i, sec := range [2]*sectorState{&d.sx, &d.sz} {
+		closing := [2][]bits.Vec{closeX, closeZ}[i]
+		if d.sectorQuiet(sec, closing) {
+			for lane := range d.corrbuf {
+				d.corrbuf[lane] = d.corrbuf[lane][:0]
+			}
+			continue
 		}
-		d.commitSector(&d.sx, vol, commit)
-		if d.prepSector(&d.sz, vol, h, closeZ, &d.sx, eraZ); d.err != nil {
-			return
-		}
-		d.commitSector(&d.sz, vol, commit)
-		return
-	}
-	skipX := d.sectorQuiet(&d.sx, closeX)
-	skipZ := d.sectorQuiet(&d.sz, closeZ)
-	if !skipX {
-		if d.prepSector(&d.sx, vol, h, closeX, nil, eraX); d.err != nil {
-			return
-		}
-	}
-	if !skipZ {
-		if d.prepSector(&d.sz, vol, h, closeZ, nil, eraZ); d.err != nil {
-			if !skipX {
-				d.sx.bat.Wait() // leave no batch in flight
+		if d.prepSector(sec, vol, h, closing); d.err != nil {
+			if sec.dual {
+				d.commitLanes(&d.sx, vol, commit)
 			}
 			return
 		}
-	}
-	if !skipX {
-		d.commitSector(&d.sx, vol, commit)
-	}
-	if !skipZ {
-		d.commitSector(&d.sz, vol, commit)
+		copy(d.corrbuf, d.bat.Wait())
+		d.commitLanes(sec, vol, commit)
 	}
 }
 
@@ -475,53 +458,50 @@ func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 // layers (and closing planes) and submits them to the decode pool on the
 // sector's graph of vol.
 //
-// Side-information passes: with `era` set every lane's canonical erased
-// list is read straight off the sector's erasure rings
-// (Volume.AppendErased, layer by layer in window order). With primal
-// non-nil (a correlated dual decode) the primal correction's counterpart
-// edges join the erased set (Volume.Reprice).
-func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec, primal *sectorState, era bool) {
+// Side-information passes: when the buffered rounds erase anything
+// (windowErased) every lane's canonical erased list is read straight off
+// the sector's erasure rings (Volume.AppendErased, layer by layer in
+// window order). A correlated dual decode adds the counterpart edges of
+// the primal correction in the correction lists to the erased set
+// (Volume.Reprice).
+func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec) {
 	g := sec.graph(vol)
 	closed := g.Closed()
 	d.defectLists(sec, h, closing)
-	for lane := range sec.erabuf {
-		sec.erabuf[lane] = sec.erabuf[lane][:0]
+	for lane := range d.erabuf {
+		d.erabuf[lane] = d.erabuf[lane][:0]
 	}
-	if era {
-		vol.AppendErased(sec.erabuf, func(t int) ([]bits.Vec, []bits.Vec) {
+	if d.windowErased(sec, h) {
+		vol.AppendErased(d.erabuf, func(t int) ([]bits.Vec, []bits.Vec) {
 			slot := d.slot(t)
 			return d.eraRing[slot*d.nq:][:d.nq], sec.lostRing[slot*d.nc:][:d.nc]
 		})
 	}
 	for lane := 0; lane < d.lanes; lane++ {
-		if closed && len(sec.defbuf[lane])%2 == 1 {
+		if closed && len(d.defbuf[lane])%2 == 1 {
 			// Only reachable with layers no source of this code emits
 			// (a served stream is untrusted): growth could never finish.
 			d.err = fmt.Errorf("stream: lane %d closes on an odd number of defects, which is not a syndrome of a closed code", lane)
 			return
 		}
-		d.defects += uint64(len(sec.defbuf[lane]))
-		if primal != nil {
-			sec.erabuf[lane] = vol.Reprice(sec.erabuf[lane], primal.corrbuf[lane], d.emask)
+		d.defects += uint64(len(d.defbuf[lane]))
+		if d.opts.Correlated && sec.dual {
+			d.erabuf[lane] = vol.Reprice(d.erabuf[lane], d.corrbuf[lane], d.emask)
 		}
-		erased := sec.erabuf[lane]
-		sec.shots[lane] = decoder.Shot{Defects: sec.defbuf[lane], Erased: erased, CorrBuf: sec.corrbuf[lane]}
+		d.shots[lane] = decoder.Shot{Defects: d.defbuf[lane], Erased: d.erabuf[lane], CorrBuf: d.corrbuf[lane]}
 	}
-	if err := d.pool.ResubmitOn(g, sec.bat, sec.shots); err != nil {
+	if err := d.pool.ResubmitOn(g, d.bat, d.shots); err != nil {
 		d.err = err
 	}
 }
 
-// commitSector waits for one sector's batch and commits every lane's
-// correction below layer `commit` of vol, recapturing the (possibly
-// regrown) output buffers.
-func (d *Decoder) commitSector(sec *sectorState, vol *spacetime.Volume, commit int) {
-	out := sec.bat.Wait()
-	for lane := 0; lane < d.lanes; lane++ {
-		sec.corrbuf[lane] = out[lane]
+// commitLanes commits every lane's correction in the correction lists
+// below layer `commit` of vol into the sector's frames and carries.
+func (d *Decoder) commitLanes(sec *sectorState, vol *spacetime.Volume, commit int) {
+	for lane, corr := range d.corrbuf {
 		carry := sec.carry[lane]
 		carry.Clear()
-		vol.CommitEdges(out[lane], commit, sec.dual, sec.corr[lane], carry)
+		vol.CommitEdges(corr, commit, sec.dual, sec.corr[lane], carry)
 	}
 }
 
@@ -535,18 +515,18 @@ func (d *Decoder) slot(t int) int { return (d.head + t) % d.win.W }
 // 1…h−1 are read off the ring's words in at most two runs.
 func (d *Decoder) defectLists(sec *sectorState, h int, closing []bits.Vec) {
 	nc, span, words := d.nc, d.span, d.span/d.nc
-	for lane := range sec.defbuf {
-		sec.defbuf[lane] = sec.defbuf[lane][:0]
+	for lane := range d.defbuf {
+		d.defbuf[lane] = d.defbuf[lane][:0]
 	}
 	bits.TransposePlanes(sec.base, sec.carry)
 	for c, p := range sec.ring[d.head*nc:][:nc] {
 		sec.base[c].Xor(p)
 	}
-	bits.AppendPlaneSupports(sec.defbuf, sec.base, 0)
+	bits.AppendPlaneSupports(d.defbuf, sec.base, 0)
 	first := min(h-1, d.win.W-d.head-1) // layers 1… before the wrap, then the rest
-	bits.AppendSlabSupports(sec.defbuf, sec.ringW[(d.head+1)*span:][:first*span], words, nc)
-	bits.AppendSlabSupports(sec.defbuf, sec.ringW[:(h-1-first)*span], words, (1+first)*nc)
-	bits.AppendPlaneSupports(sec.defbuf, closing, h*nc)
+	bits.AppendSlabSupports(d.defbuf, sec.ringW[(d.head+1)*span:][:first*span], words, nc)
+	bits.AppendSlabSupports(d.defbuf, sec.ringW[:(h-1-first)*span], words, (1+first)*nc)
+	bits.AppendPlaneSupports(d.defbuf, closing, h*nc)
 }
 
 // Corrections returns the per-lane committed correction frames of the
@@ -565,11 +545,11 @@ func (d *Decoder) FootprintBytes() int {
 		return n
 	}
 	n := vecs(d.eraRing) + d.emask.Words()*8 + len(d.eraQuiet)
+	n += laneBytes(d.defbuf, d.bufCap, 8) + laneBytes(d.erabuf, d.eraCap, 8) + laneBytes(d.corrbuf, d.bufCap, 4)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.base) + vecs(sec.corr)
 		n += vecs(sec.lostRing)
 		n += len(sec.quiet) + len(sec.lostQuiet)
-		n += laneBytes(sec.defbuf, d.bufCap, 8) + laneBytes(sec.erabuf, d.eraCap, 8) + laneBytes(sec.corrbuf, d.bufCap, 4)
 	}
 	return n
 }

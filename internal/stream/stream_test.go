@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,11 +276,44 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 	}
 }
 
-// TestFootprintCountsRegrownBuffers: per-lane buffers are carved from
-// one slab per kind, which stays resident when a lane outgrows its
-// share, so a regrowth adds the new buffer to the footprint and takes
-// nothing off it. A dense stream (p = q = 0.4 on a small window) regrows
-// some lanes' defect buffers.
+// TestFootprintCountsOneSetOfLists: the two sectors decode in turn on
+// one set of per-lane lists, so a fresh decoder's footprint is its two
+// sectors' streams (rings, carries, base pivots, frames, flags), the
+// erasure and repricing planes its options add, and the defect,
+// erased-edge and correction lists once — lanes·(bufCap·(8+4) +
+// eraCap·8) bytes, not twice that.
+func TestFootprintCountsOneSetOfLists(t *testing.T) {
+	const l, lanes = 4, 100
+	words := func(n int) int { return (n + 63) / 64 * 8 }
+	for _, opts := range []spacetime.DecodeOptions{{}, {ErasureAware: true}, {Correlated: true}, {ErasureAware: true, Correlated: true}} {
+		s := mustCircuitSession(t, l, 6, 3, 2, 3, 2)
+		d := s.NewDecoderOpts(lanes, opts)
+		w, nq, nc := d.win.W, d.nq, d.nc
+		stream := w*nc*words(lanes) + lanes*words(nc) + nc*words(lanes) + lanes*words(nq) + w
+		if opts.ErasureAware {
+			stream += w*nc*words(lanes) + w
+		}
+		want := 2 * stream
+		if opts.ErasureAware {
+			want += w*nq*words(lanes) + w
+		}
+		if opts.Correlated {
+			want += words(d.win.Graph().Edges())
+		}
+		lists := lanes * (d.bufCap*(8+4) + d.eraCap*8)
+		if got := d.FootprintBytes(); got != want+lists {
+			t.Errorf("opts %+v: fresh footprint %d bytes, want %d of sector streams and options plus %d of one set of lists (%d more: %.1f sets)",
+				opts, got, want, lists, got-want-lists, float64(got-want)/float64(lists))
+		}
+		s.Close()
+	}
+}
+
+// TestFootprintCountsRegrownBuffers: the per-lane lists both sectors
+// decode on are carved from one slab per kind, which stays resident
+// when a lane outgrows its share, so a regrowth adds the new buffer to
+// the footprint and takes nothing off it. A dense stream (p = q = 0.4
+// on a small window) regrows some lanes' defect and correction lists.
 func TestFootprintCountsRegrownBuffers(t *testing.T) {
 	const l, w, lanes, rounds = 4, 4, 64, 12
 	s := mustSession(t, l, w, 2, 1, 1)
@@ -295,14 +329,12 @@ func TestFootprintCountsRegrownBuffers(t *testing.T) {
 	src.CloseLayers(layerX, layerZ)
 	d.Finish(layerX, layerZ)
 	grown := 0
-	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-		for lane := range lanes {
-			if c := cap(sec.defbuf[lane]); c > d.bufCap {
-				grown += c * 8
-			}
-			if c := cap(sec.corrbuf[lane]); c > d.bufCap {
-				grown += c * 4
-			}
+	for lane := range lanes {
+		if c := cap(d.defbuf[lane]); c > d.bufCap {
+			grown += c * 8
+		}
+		if c := cap(d.corrbuf[lane]); c > d.bufCap {
+			grown += c * 4
 		}
 	}
 	if grown == 0 {
@@ -487,6 +519,42 @@ func TestSharedPoolSessions(t *testing.T) {
 		if err := pool.ResubmitOn(toric.Cached(3).SectorGraph(false), decoder.NewBatch(1), []decoder.Shot{{}}); err != nil {
 			t.Fatalf("shared pool died with its sessions: %v", err)
 		}
+	}
+}
+
+// TestOddClosingLeavesFramesAtCommitted: a closing round whose dual
+// planes hold an odd number of defects in one lane fails the Finish of
+// a closed code after the primal sector has decoded and committed; the
+// decoder takes that commit back out, so both frames stay what they
+// were at Committed() rounds, for plain and correlated decoders.
+func TestOddClosingLeavesFramesAtCommitted(t *testing.T) {
+	const l, window, commit, lanes = 3, 3, 1, 64
+	for _, opts := range []spacetime.DecodeOptions{{}, {Correlated: true}} {
+		s := mustSession(t, l, window, commit, 1, 1)
+		d := s.NewDecoderOpts(lanes, opts)
+		src := toricLayers(l, 0.05, 0.05, lanes, frame.NewAggregateSampler(919, 1))
+		layerX, layerZ := bits.NewVecs(d.nc, lanes), bits.NewVecs(d.nc, lanes)
+		for r := 0; r < 2*window; r++ {
+			src.NextLayers(layerX, layerZ)
+			d.Push(layerX, layerZ)
+		}
+		committed := d.Committed()
+		x, z := d.Corrections()
+		x, z = cloneVecs(x), cloneVecs(z)
+		src.CloseLayers(layerX, layerZ)
+		layerZ[0].Flip(lanes / 2)
+		d.Finish(layerX, layerZ)
+		if d.Err() == nil {
+			t.Fatalf("opts %+v: an odd dual closing round was accepted", opts)
+		}
+		gx, gz := d.Corrections()
+		if d.Committed() != committed || !slices.EqualFunc(gx, x, bits.Vec.Equal) || !slices.EqualFunc(gz, z, bits.Vec.Equal) {
+			t.Fatalf("opts %+v: a failed Finish moved the frames committed through round %d", opts, committed)
+		}
+		if d.DefectsObserved() == 0 || slices.IndexFunc(x, bits.Vec.Any) < 0 {
+			t.Fatalf("opts %+v: degenerate, no defects or no committed primal frame", opts)
+		}
+		s.Close()
 	}
 }
 

@@ -318,9 +318,10 @@ func simMismatch(a, b *frame.BatchSim) string {
 // round and leave identical frames, fault counts and location counts.
 // Covered shapes include a non-word-multiple lane count (tail-word
 // handling), distinct per-location probabilities (carry reset between
-// blocks) and the p ≥ 1 edge. That the source takes the fused walk
-// here, not the gate path, is TestWarmNextLayersZeroAllocs' to pin: a
-// faulted CNOT on the gate path allocates.
+// blocks) and the p ≥ 1 edge. Which executor the source takes here
+// shows only in its speed: the fused walk and the gate path draw the
+// same bits (frame.FuzzRunRound), and neither allocates
+// (TestWarmNextLayersZeroAllocs).
 func TestFusedRoundBitIdentical(t *testing.T) {
 	models := []struct {
 		name  string
@@ -452,26 +453,37 @@ func TestFusedRoundFallbacks(t *testing.T) {
 }
 
 // TestWarmNextLayersZeroAllocs: once the schedule's plan is compiled
-// and the sampler's tables are warm, a fused extraction round allocates
-// nothing, for every schedule shape — and neither does a round of the
-// phenomenological source once its fault-position buffer has grown.
+// and the sampler's tables are warm, an extraction round allocates
+// nothing, for every schedule shape — the fused walk, the gate path a
+// biased source's NextLayers and a leaking source's NextLayersErased run
+// the plan through (faulted two-qubit gates included), and a round of
+// the phenomenological source once its fault-position buffer has grown.
 func TestWarmNextLayersZeroAllocs(t *testing.T) {
 	const lanes = 128
+	biased := noise.Uniform(0.003)
+	biased.Bias = 4
+	leaky := noise.Uniform(0.003)
+	leaky.Leak = 0.003
 	for _, code := range circuitCodes() {
-		sources := map[string]interface {
-			NextLayers(layerX, layerZ []bits.Vec)
-		}{
-			"circuit":          surface.NewCircuitSource(code, noise.Uniform(0.003), lanes, frame.NewAggregateSampler(15, 0)),
-			"phenomenological": surface.NewLayerSource(code, 0.003, 0.003, lanes, frame.NewAggregateSampler(15, 0)),
+		nq, nc := code.Qubits(), code.Checks()
+		layerX, layerZ := bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+		eraH, lostX, lostZ := bits.NewVecs(nq, lanes), bits.NewVecs(nc, lanes), bits.NewVecs(nc, lanes)
+		circuit := surface.NewCircuitSource(code, noise.Uniform(0.003), lanes, frame.NewAggregateSampler(15, 0))
+		phenom := surface.NewLayerSource(code, 0.003, 0.003, lanes, frame.NewAggregateSampler(15, 0))
+		bias := surface.NewCircuitSource(code, biased, lanes, frame.NewAggregateSampler(15, 0))
+		leak := surface.NewCircuitSource(code, leaky, lanes, frame.NewAggregateSampler(15, 0))
+		rounds := map[string]func(){
+			"circuit":          func() { circuit.NextLayers(layerX, layerZ) },
+			"phenomenological": func() { phenom.NextLayers(layerX, layerZ) },
+			"biased circuit":   func() { bias.NextLayers(layerX, layerZ) },
+			"leaking circuit":  func() { leak.NextLayersErased(layerX, layerZ, eraH, lostX, lostZ) },
 		}
-		layerX := bits.NewVecs(code.Checks(), lanes)
-		layerZ := bits.NewVecs(code.Checks(), lanes)
-		for name, src := range sources {
+		for name, round := range rounds {
 			for r := 0; r < 8; r++ {
-				src.NextLayers(layerX, layerZ)
+				round()
 			}
-			if n := testing.AllocsPerRun(50, func() { src.NextLayers(layerX, layerZ) }); n != 0 {
-				t.Errorf("%s %s source: warm NextLayers allocates %.1f times per round", codeLabel(code), name, n)
+			if n := testing.AllocsPerRun(50, round); n != 0 {
+				t.Errorf("%s %s source: a warm round allocates %.1f times", codeLabel(code), name, n)
 			}
 		}
 	}

@@ -87,15 +87,21 @@
 // single {node, next} arena. First touch of a node writes one record
 // and a growth visit of an edge is one load, which is what keeps a
 // W = 32, L = 16 window (8 k nodes, 41 k edges) inside the cache levels
-// next to the core. AppendCorrection is the form the pool and the
-// streaming window call: the correction is appended into a caller-owned
-// buffer in emit order.
+// next to the core. AppendCorrection is the form the pool runs: the
+// correction is appended into a caller-owned buffer in emit order. A
+// given first pass (see the determinism contract) is read back from
+// the defect marks rather than stored, so the edges only it touched
+// are neither written nor reset.
 //
 // # Decode service
 //
 // Service wraps decoder Graphs in a long-lived worker pool: batched
-// Shot submissions (defects + optional erasure) in, per-shot correction
-// edge lists out, in submission order. Workers reuse UnionFind scratch
+// Shot submissions (defects + optional erasure, and optionally the
+// decode's first growth pass) in, per-shot correction edge lists out,
+// in submission order. The streaming window sweeps the first passes of
+// a batch's dense plain lanes at once (Graph.AppendFirstPasses) into
+// their correction buffers, which a worker reads them out of before it
+// writes the correction there. Workers reuse UnionFind scratch
 // across submissions and results land in indexed slots, so a batch's
 // output is bit-identical for any worker count — the deployable shape
 // of the decode stage (the streaming window pipeline submits every
@@ -158,6 +164,42 @@
 //     graph has wmin = 1, folds nothing, and is bit-identical to the
 //     pre-weighted decoder, emit order included. The half-step-only
 //     schedule survives as the constants of TestGoldenKernel.
+//   - A given first pass is exact too. In a plain decode (no erased
+//     edge) every defect enters the first pass as an odd singleton — no
+//     defect is a boundary node, so none is grounded — and nothing else
+//     is on a boundary list, so the pass visits the defects in list
+//     order and adds wmin to each incident edge once per defect
+//     endpoint. By (2) it completes exactly the weight-wmin edges
+//     joining two defects, each on the visit of its later defect, in
+//     that defect's adjacency order. For an ascending list that is, for
+//     every defect v in ascending order, each lightest edge to a smaller
+//     defect in slot order: a function of the defect set that
+//     Graph.AppendFirstPasses computes for a whole batch of lanes at
+//     once, bit-sliced over the lane planes (D[v] & D[y] names the lanes
+//     whose pass completes edge (y, v)). A decode handed that list
+//     (Shot.FirstPass) merges it as the pass's merge sweep and counts
+//     wmin sweeps for it, and never stores the pass's support: the
+//     defects carry this decode's mark (2·epoch), and whenever a later
+//     pass visits an edge its support is the stored part plus wmin per
+//     marked endpoint, summed in int — the support the walked pass
+//     leaves, so every later pass completes, merges and keeps the same
+//     edges in the same order. Two things differ and neither reaches
+//     the output: the dirty list holds only edges whose stored support
+//     became nonzero (the reset and the pair path's fallback read it,
+//     neither in order), and a defect whose every edge completes in the
+//     pass keeps its boundary cell, which the walked pass drops; the
+//     next pass to visit the cell finds every edge grown and drops it
+//     then, having grown nothing, and a drop never reorders the cells
+//     around it. Only a walked pass reads no marks, so the pair path's
+//     stamps (2·epoch for a defect, 2·epoch+1 for a pair node, each in
+//     its own epoch) are never read as support. Only ascending lists
+//     may be given a pass — the sweep's order is ascending node order,
+//     and a given decode panics on a descending pair. Decodes with
+//     erased edges walk their pass: there the seeded erasure absorbs
+//     non-defect nodes onto boundary lists, which the pass also grows,
+//     and unites defects into even clusters, which it skips, so the
+//     pass is no longer a function of the defect set alone. Sparse
+//     plain decodes take the isolated-pair path and ignore a given pass.
 //   - Erased edges seed in caller order before any growth; merges happen
 //     in grow order; peeling follows DFS order (boundary-rooted trees
 //     first on open-boundary graphs).

@@ -1,15 +1,19 @@
 package decoder
 
 import (
+	"fmt"
 	"slices"
 	"testing"
+
+	"ftqc/internal/bits"
 )
 
 // parseFuzzGraph builds a small weighted graph with optional
 // open-boundary nodes from fuzz bytes, plus a fault mask and an erased
 // set over its edges: node count (2–64), a boundary byte, then four
 // bytes per edge — endpoints, weight 1–5, and a flag byte whose low bits
-// mark the edge faulty and erased. The boundary byte's low two bits
+// mark the edge faulty and erased and whose bit 2 makes the weight
+// MaxWeight − (0–4) instead. The boundary byte's low two bits
 // give the boundary count (0–2), bit 2 gives every edge the first
 // edge's weight, and its top five bits shift the boundary nodes from the
 // highest ids, wrapping past the last to the first, so they can sit
@@ -35,6 +39,9 @@ func parseFuzzGraph(data []byte) (g *Graph, faulty []bool, erased []int) {
 		}
 		ends = append(ends, [2]int32{int32(u), int32(v)})
 		w := 1 + int32(data[2])%5
+		if data[3]&4 != 0 {
+			w = MaxWeight - int32(data[2])%5
+		}
 		if equal && len(weights) > 0 {
 			w = weights[0]
 		}
@@ -62,13 +69,47 @@ func offBoundary(g *Graph, defects []int) []int {
 	return slices.DeleteFunc(defects, g.IsBoundary)
 }
 
+// givenMatchesWalked packs the defect lists as lanes of one batch, nc
+// detectors a layer, sweeps their first passes with AppendFirstPasses,
+// and decodes every lane given its pass on gu — the pass sitting in the
+// correction buffer, as the stream hands it over — and walked on wu. It
+// reports the first difference in correction (emit order included),
+// merge order or sweep count, or nil.
+func givenMatchesWalked(gu, wu *UnionFind, nc int, lanes [][]int) error {
+	g := gu.g
+	layers := make([][]bits.Vec, (g.Nodes()+nc-1)/nc)
+	for t := range layers {
+		layers[t] = bits.NewVecs(nc, len(lanes))
+	}
+	for lane, defects := range lanes {
+		for _, v := range defects {
+			layers[v/nc][v%nc].Set(lane, true)
+		}
+	}
+	first := make([][]int32, len(lanes))
+	g.AppendFirstPasses(first, layers)
+	for lane, defects := range lanes {
+		want := wu.appendFull(nil, defects, nil)
+		buf := append(make([]int32, 0, len(want)+len(first[lane])), first[lane]...)
+		got := gu.appendGiven(buf[:0], defects, buf)
+		merged := len(defects) == 0 || slices.Equal(gu.allGrown, wu.allGrown) // an empty decode leaves them stale
+		if !slices.Equal(got, want) || !merged || gu.sweeps != wu.sweeps {
+			return fmt.Errorf("lane %d, defects %v, first pass %v: given %v (merges %v) in %d sweeps, walked %v (merges %v) in %d",
+				lane, defects, first[lane], got, gu.allGrown, gu.sweeps, want, wu.allGrown, wu.sweeps)
+		}
+	}
+	return nil
+}
+
 // FuzzUnionFindDecode drives the union-find kernel on random weighted
 // boundary graphs: the decode must not panic, the correction must clear
 // exactly the defect set off the boundary and name no edge twice, an
 // instance that decoded something else first must agree with a fresh
-// one, emit order and sweep count included, and the isolated-pair path
-// must agree with the full decode on the same defects without the
-// erasure.
+// one, emit order and sweep count included, the isolated-pair path must
+// agree with the full decode on the same defects without the erasure,
+// and so must a decode given its first pass by the sweep over the
+// plain syndromes packed as lanes of one batch (both fault sets, the
+// second again past the first lane word).
 func FuzzUnionFindDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, 0, 1})                                     // one faulty edge, closed
@@ -84,6 +125,17 @@ func FuzzUnionFindDecode(f *testing.F) {
 	// A 6-ring whose boundary nodes are shifted to ids 1 and 2: the pair
 	// {3, 4} beside them, and a lone defect 0 that grounds on 1.
 	f.Add([]byte{4, 2 | 3<<3, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 4, 0, 0, 0, 5, 0, 0, 0})
+	// Given first passes. A 5-path with defects 0, 1, 2, 4: node 1's
+	// edges both complete in the first pass, so the walked pass drops its
+	// boundary cell, and its odd cluster grows again.
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 1, 3, 0, 0, 1})
+	// The same path at MaxWeight throughout (wmin = 32767: a first pass
+	// reaches 65,534), then with one MaxWeight edge among unit ones.
+	f.Add([]byte{3, 4, 0, 0, 0, 5, 1, 0, 0, 4, 2, 0, 0, 5, 3, 0, 0, 5})
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 5, 3, 0, 0, 1})
+	// Parallel lightest edges between two defects, both completing in
+	// the first pass, beside a boundary node that grounds a third.
+	f.Add([]byte{3, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, faulty, erased := parseFuzzGraph(data)
 		defects := fuzzSyndrome(g, faulty, true)
@@ -115,6 +167,12 @@ func FuzzUnionFindDecode(f *testing.F) {
 			t.Fatalf("reused instance: %v in %d sweeps, fresh: %v in %d", got, used.GrowthSweeps(), want, fresh.GrowthSweeps())
 		}
 		if err := PairedMatchesFull(used, fresh, defects); err != nil {
+			t.Fatal(err)
+		}
+		rest := fuzzSyndrome(g, faulty, false)
+		lanes := make([][]int, 65)
+		lanes[0], lanes[1], lanes[64] = defects, rest, rest
+		if err := givenMatchesWalked(used, fresh, 1+len(data)%g.Nodes(), lanes); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -34,6 +34,12 @@ type Graph struct {
 	mu      sync.Mutex
 	scratch map[*Service][]*UnionFind // indexed by worker id
 
+	// The first-pass sweep's slots (AppendFirstPasses), built by its
+	// first call: bit s of light is set when adjacency slot s holds a
+	// lightest edge to a smaller node.
+	lightOnce sync.Once
+	light     []uint64
+
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
 	// odd. bnd is nil on closed graphs, whose bndMin is nodes, so

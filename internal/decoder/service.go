@@ -21,11 +21,17 @@ var errNoGraph = errors.New("decoder: no decoding graph for submission")
 // batch that carries them completes. CorrBuf, when non-nil, is the
 // caller-owned backing array the correction is appended into —
 // resubmitting with the returned slice makes the steady state
-// allocation-free.
+// allocation-free. FirstPass, when non-nil, is the decode's first growth
+// pass as Graph.AppendFirstPasses sweeps it, for an ascending defect
+// list; it may sit in CorrBuf, which the decode reads it out of before
+// writing the correction there. A plain decode past the isolated-pair
+// density rule (Graph.Sparse) starts from it; every other decode ignores
+// it.
 type Shot struct {
-	Defects []int
-	Erased  []int
-	CorrBuf []int32
+	Defects   []int
+	Erased    []int
+	CorrBuf   []int32
+	FirstPass []int32
 }
 
 // Service is a long-lived decode worker pool — the shape a
@@ -200,8 +206,7 @@ func (s *Service) worker(id int) {
 		}
 		uf := ufs[id]
 		for i := t.lo; i < t.hi; i++ {
-			shot := &t.b.shots[i]
-			t.b.out[i] = uf.AppendCorrection(shot.CorrBuf[:0], shot.Defects, shot.Erased)
+			t.b.out[i] = uf.appendShot(&t.b.shots[i])
 		}
 		if t.b.pending.Add(-1) == 0 {
 			t.b.done <- struct{}{}

@@ -207,7 +207,7 @@ func (u *UnionFind) Decode(defects []int, emit func(edge int)) {
 // no cluster grows. A sparse plain decode takes its isolated pairs out
 // before growing the rest, with the same output (see doc.go).
 func (u *UnionFind) AppendCorrection(corr []int32, defects, erased []int) []int32 {
-	if len(erased) == 0 && len(defects)*sparseK <= u.g.nodes {
+	if len(erased) == 0 && u.g.Sparse(len(defects)) {
 		return u.appendPaired(corr, defects)
 	}
 	return u.appendFull(corr, defects, erased)
@@ -236,7 +236,30 @@ func (u *UnionFind) appendFull(corr []int32, defects, erased []int) []int32 {
 	if !u.reset(defects) {
 		return corr
 	}
-	u.grow(defects, erased)
+	u.grow(defects, erased, nil)
+	return u.peel(corr, defects, nil)
+}
+
+// appendShot decodes one pool shot into its correction buffer: given its
+// first growth pass when it carries one and the decode grows from
+// scratch (plain, past the density rule), else as AppendCorrection.
+func (u *UnionFind) appendShot(s *Shot) []int32 {
+	if s.FirstPass == nil || len(s.Erased) > 0 || u.g.Sparse(len(s.Defects)) {
+		return u.AppendCorrection(s.CorrBuf[:0], s.Defects, s.Erased)
+	}
+	return u.appendGiven(s.CorrBuf[:0], s.Defects, s.FirstPass)
+}
+
+// appendGiven is appendFull of a plain decode of an ascending defect
+// list whose first growth pass is given: first lists the edges that pass
+// completes, in grow order (Graph.AppendFirstPasses). It may share
+// corr's backing array, since growth merges it before peeling appends.
+// The output is appendFull's, emit order and sweeps included (doc.go).
+func (u *UnionFind) appendGiven(corr []int32, defects []int, first []int32) []int32 {
+	if !u.reset(defects) {
+		return corr
+	}
+	u.grow(defects, nil, first)
 	return u.peel(corr, defects, nil)
 }
 
@@ -284,7 +307,7 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 		}
 		return corr
 	}
-	u.grow(rest, nil)
+	u.grow(rest, nil, nil)
 	for _, e := range u.dirty {
 		if mark[g.endU[e]] == isPaired || mark[g.endV[e]] == isPaired {
 			return u.appendFull(corr, defects, nil)
@@ -311,11 +334,17 @@ func (u *UnionFind) soleDefectSlot(v int32) int32 {
 
 // grow seeds every defect as an odd singleton on its own boundary list,
 // takes the erased edges into the erasure, and runs the growth and merge
-// sweeps until no cluster is odd.
-func (u *UnionFind) grow(defects, erased []int) {
+// sweeps until no cluster is odd. A non-nil first is the given first
+// pass of a plain decode (appendGiven): its completions stand in for the
+// first growth sweep, and the support that pass laid — wmin per defect
+// endpoint — is never stored but read back from the defect marks
+// whenever a later pass visits an edge.
+func (u *UnionFind) grow(defects, erased []int, first []int32) {
 	g := u.g
-	node, edge := u.node, u.edge
-	for _, d := range defects {
+	node, edge, mark := u.node, u.edge, u.mark
+	given := first != nil
+	defect := u.epoch << 1 // mark of a defect of this decode
+	for i, d := range defects {
 		v := int32(d)
 		if g.IsBoundary(d) {
 			panic("decoder: boundary node cannot be a defect")
@@ -323,6 +352,12 @@ func (u *UnionFind) grow(defects, erased []int) {
 		u.touch(v)
 		if node[v].flags != 0 {
 			panic("decoder: duplicate defect")
+		}
+		if given {
+			if i > 0 && d < defects[i-1] {
+				panic("decoder: a given first pass needs an ascending defect list")
+			}
+			mark[v] = defect
 		}
 		node[v].flags = 3 // cluster parity odd + live defect
 		u.pushBoundary(v, v)
@@ -356,8 +391,9 @@ func (u *UnionFind) grow(defects, erased []int) {
 			odd = append(odd, r)
 		}
 	}
-	off, adjE := g.off, g.adjE
+	off, adjE, adjN := g.off, g.adjE, g.adjN
 	dirty := u.dirty
+	wmin := int(u.wmin)
 	// The first pass folds the seed sweeps: from zero support no edge can
 	// complete before half-step sweep wmin (an edge gains at most 2 per
 	// sweep, every target is at least 2·wmin), and in sweep wmin exactly
@@ -365,64 +401,82 @@ func (u *UnionFind) grow(defects, erased []int) {
 	// second visit — so one pass adding wmin per visit leaves the same
 	// support, dirty and grown order and boundary lists as wmin half-step
 	// passes (the full argument is in doc.go). Every later pass adds 1;
-	// on unit-weight graphs wmin is 1 and nothing is folded.
+	// on unit-weight graphs wmin is 1 and nothing is folded. A given
+	// first pass is that pass's grown list; its support is the marks'.
 	step := u.wmin
 	for len(odd) > 0 {
 		// Growth sweep: every ungrown edge incident to an odd cluster's
 		// boundary nodes gains step half-steps of support. Edges reaching
 		// full support (2·weight) queue a merge; a node whose incident
-		// edges are all fully grown leaves the boundary for good.
+		// edges are all fully grown leaves the boundary for good. A given
+		// decode's support is the stored part plus the marks' wmin per
+		// defect endpoint, summed in int.
 		u.sweeps += int(step)
-		grown := u.grown[:0]
-		bnd := u.bnd
-		open := false // some visited edge is still short of its target
-		for _, r := range odd {
-			nr := &node[r]
-			nr.flags &^= 8
-			var keptHead, keptTail int32 = -1, -1
-			for idx := nr.bndHead; idx >= 0; {
-				cell := bnd[idx]
-				keep := false
-				for _, e := range adjE[off[cell.node]:off[cell.node+1]] {
-					er := edge[e]
-					if er.sup >= er.target {
-						continue
+		grown := first
+		if first == nil {
+			grown = u.grown[:0]
+			bnd := u.bnd
+			open := false // some visited edge is still short of its target
+			for _, r := range odd {
+				nr := &node[r]
+				nr.flags &^= 8
+				var keptHead, keptTail int32 = -1, -1
+				for idx := nr.bndHead; idx >= 0; {
+					cell := bnd[idx]
+					lo := off[cell.node]
+					own := 0 // given support cell.node lends each of its edges
+					if given && mark[cell.node] == defect {
+						own = wmin
 					}
-					if er.sup == 0 {
-						dirty = append(dirty, e)
+					keep := false
+					for i, e := range adjE[lo:off[cell.node+1]] {
+						er := edge[e]
+						sup := int(er.sup)
+						if given {
+							sup += own
+							if mark[adjN[lo+int32(i)]] == defect {
+								sup += wmin
+							}
+						}
+						if sup >= int(er.target) {
+							continue
+						}
+						if er.sup == 0 {
+							dirty = append(dirty, e)
+						}
+						er.sup += step
+						edge[e].sup = er.sup
+						if sup+int(step) == int(er.target) {
+							grown = append(grown, e)
+						} else {
+							keep = true
+						}
 					}
-					er.sup += step
-					edge[e].sup = er.sup
-					if er.sup == er.target {
-						grown = append(grown, e)
-					} else {
-						keep = true
+					if keep {
+						open = true
+						if keptTail < 0 {
+							keptHead = idx
+						} else {
+							bnd[keptTail].next = idx
+						}
+						keptTail = idx
+						bnd[idx].next = -1
 					}
+					idx = cell.next
 				}
-				if keep {
-					open = true
-					if keptTail < 0 {
-						keptHead = idx
-					} else {
-						bnd[keptTail].next = idx
-					}
-					keptTail = idx
-					bnd[idx].next = -1
-				}
-				idx = cell.next
+				nr.bndHead = keptHead
+				nr.bndTail = keptTail
 			}
-			nr.bndHead = keptHead
-			nr.bndTail = keptTail
+			u.grown = grown
+			if !open && len(grown) == 0 {
+				// No edge gained support. Cannot happen for a valid syndrome
+				// on a connected graph: an odd cluster always has a boundary
+				// to grow.
+				u.dirty = dirty
+				panic("decoder: growth stalled with odd clusters")
+			}
 		}
-		u.grown = grown
-		if !open && len(grown) == 0 {
-			// No edge gained support. Cannot happen for a valid syndrome
-			// on a connected graph: an odd cluster always has a boundary
-			// to grow.
-			u.dirty = dirty
-			panic("decoder: growth stalled with odd clusters")
-		}
-		step = 1
+		first, step = nil, 1
 		// Merge sweep, in grow order: record the erasure adjacency and
 		// unite the endpoint clusters.
 		for _, e := range grown {

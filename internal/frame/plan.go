@@ -98,13 +98,15 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 
 // RunRound executes the plan across the active lanes, writing
 // measurement flip planes into meas (indexed by the plan's slots; each
-// plane must be Lanes() bits wide). The simulator picks the executor by
-// what it observes: with an AggregateSampler, no leakage or bias, no
-// armed trigger and a full active mask it walks one geometric fault
-// stream per block; otherwise (the walk draws no leak or biased
-// channels and makes no per-location trigger callbacks) it runs each
-// location through its gate call — Storage, PrepZ, PrepX, CNOT,
-// MeasZInto, MeasXInto — in plan order.
+// plane must be Lanes() bits wide), and reports whether it took the
+// fused walk. The simulator picks the executor by what it observes:
+// with an AggregateSampler, no leakage or bias, no armed trigger and a
+// full active mask it walks one geometric fault stream per block;
+// otherwise (the walk draws no leak or biased channels and makes no
+// per-location trigger callbacks) it runs each location through its
+// gate call — Storage, PrepZ, PrepX, CNOT, MeasZInto, MeasXInto — in
+// plan order. Both give the same planes, so only the report and the
+// speed tell them apart.
 //
 // Why the fused walk is bit-identical to the gate path on the same
 // sampler state:
@@ -128,11 +130,11 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 //   - With Leak == 0 the leakage planes are identically zero (nothing
 //     sets them), so the gate path's leak masks, leak coins and
 //     measurement coin draws never fire.
-func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) {
+func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) (fused bool) {
 	s, ok := b.smp.(*AggregateSampler)
 	if !ok || b.P.Leak > 0 || b.P.Bias > 0 || b.trigger != nil || b.active.Weight() != b.w {
 		b.runGates(pl, meas)
-		return
+		return false
 	}
 	for i := range pl.ops {
 		op := &pl.ops[i]
@@ -165,6 +167,7 @@ func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) {
 		}
 	}
 	b.LocationCount += pl.locs
+	return true
 }
 
 // runGates is the gate path of RunRound: every location of the plan

@@ -101,6 +101,30 @@
 // W, diagonal class, lanes, options) to reset, whichever window the
 // free one last drained.
 //
+// # One first-pass sweep per batch
+//
+// A plain union-find decode's first growth pass is a function of its
+// defect set alone — it completes exactly the lightest edges joining two
+// defects (decoder's doc.go has the argument) — and a batch's 64–128
+// lanes already sit side by side as lane bits in the planes the lists
+// were read from. So when some plain lane of a sector decode is past the
+// isolated-pair density rule (decoder.Graph.Sparse), giveFirstPasses
+// sweeps every lane's first pass at once with
+// decoder.Graph.AppendFirstPasses, bit-sliced over those planes in
+// place — the pivoted base layer, the ring slots, the closing planes —
+// into the correction lists, and each plain lane's shot carries its list
+// as Shot.FirstPass; the worker merges it before it writes the
+// correction into the same buffer. The lists are ascending, which the
+// given pass needs; the sweep runs after a correlated dual's Reprice,
+// which reads the primal correction out of the same lists (a repriced
+// lane has erased edges and walks its pass). Lanes with erased edges and
+// quiet decodes, whose every lane takes the pair path, never sweep.
+// Corrections, emit order and sweep counts are the walked decode's
+// (TestFirstPassesMatchWalk, TestDenseDecodesTakeFirstPasses, and every
+// golden). The saving comes from amortising the pass across the lanes:
+// a per-lane implicit first pass, with no sweep, measured flat twice
+// (EXPERIMENTS.md E45).
+//
 // What the decode pool may not do is remember: a lane's correction must
 // depend on (graph, defects, erasure) alone, never on what the worker's
 // scratch decoded before — the scratch-history-independence contract of

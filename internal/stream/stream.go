@@ -157,13 +157,15 @@ type Decoder struct {
 
 	// Decode scratch of whichever sector is decoding: per-lane defect,
 	// erased-edge and correction lists (bufCap, eraCap and bufCap entries
-	// per lane, carved from one slab each), and one batch of shots.
+	// per lane, carved from one slab each), one batch of shots, and the
+	// decode's layers of planes as the first-pass sweep reads them.
 	defbuf         [][]int
 	erabuf         [][]int
 	corrbuf        [][]int32
 	shots          []decoder.Shot
 	bat            *decoder.Batch
 	bufCap, eraCap int
+	layers         [][]bits.Vec
 
 	class drainClass // a Monte Carlo drain's decoder: the free-list class it returns to
 }
@@ -218,6 +220,7 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	d.corrbuf = laneBufs[int32](lanes, d.bufCap)
 	d.shots = make([]decoder.Shot, lanes)
 	d.bat = decoder.NewBatch(lanes)
+	d.layers = make([][]bits.Vec, 0, w.W+1)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		sec.ring, sec.ringW = bits.NewSlab(w.W*nc, lanes)
 		sec.carry = bits.NewVecs(lanes, nc)
@@ -456,7 +459,8 @@ func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
 
 // prepSector reads every lane's defect list off one sector's h buffered
 // layers (and closing planes) and submits them to the decode pool on the
-// sector's graph of vol.
+// sector's graph of vol, each plain lane with its first growth pass when
+// the batch swept one (giveFirstPasses).
 //
 // Side-information passes: when the buffered rounds erase anything
 // (windowErased) every lane's canonical erased list is read straight off
@@ -488,11 +492,48 @@ func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, clo
 		if d.opts.Correlated && sec.dual {
 			d.erabuf[lane] = vol.Reprice(d.erabuf[lane], d.corrbuf[lane], d.emask)
 		}
-		d.shots[lane] = decoder.Shot{Defects: d.defbuf[lane], Erased: d.erabuf[lane], CorrBuf: d.corrbuf[lane]}
+	}
+	given := d.giveFirstPasses(sec, g, h, closing)
+	for lane := range d.shots {
+		shot := decoder.Shot{Defects: d.defbuf[lane], Erased: d.erabuf[lane], CorrBuf: d.corrbuf[lane]}
+		if given && len(shot.Erased) == 0 {
+			shot.FirstPass = shot.CorrBuf
+		}
+		d.shots[lane] = shot
 	}
 	if err := d.pool.ResubmitOn(g, d.bat, d.shots); err != nil {
 		d.err = err
 	}
+}
+
+// giveFirstPasses sweeps the first growth pass of every lane's plain
+// decode at once into the correction lists (Graph.AppendFirstPasses),
+// over the planes the defect lists were read from, in place — the
+// pivoted base layer, the ring slots and the closing planes — and
+// reports whether it did: only when some plain lane is past the
+// isolated-pair density rule, whose decode grows from scratch. It runs
+// after Reprice, which reads the primal correction out of the lists.
+func (d *Decoder) giveFirstPasses(sec *sectorState, g *decoder.Graph, h int, closing []bits.Vec) bool {
+	dense := false
+	for lane, defects := range d.defbuf {
+		dense = dense || len(d.erabuf[lane]) == 0 && !g.Sparse(len(defects))
+	}
+	if !dense {
+		return false
+	}
+	layers := append(d.layers[:0], sec.base)
+	for t := 1; t < h; t++ {
+		layers = append(layers, sec.ring[d.slot(t)*d.nc:][:d.nc])
+	}
+	if len(closing) > 0 {
+		layers = append(layers, closing)
+	}
+	d.layers = layers
+	for lane := range d.corrbuf {
+		d.corrbuf[lane] = d.corrbuf[lane][:0]
+	}
+	g.AppendFirstPasses(d.corrbuf, layers)
+	return true
 }
 
 // commitLanes commits every lane's correction in the correction lists

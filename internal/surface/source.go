@@ -362,12 +362,13 @@ func (s *CircuitSource) NextLayers(layerX, layerZ []bits.Vec) {
 }
 
 // runRound runs the schedule's compiled round plan, primal measurements
-// into curX and dual ones into curZ; frame.BatchSim.RunRound picks the
-// executor (the fused walk, or the gate calls under leakage, bias, a
-// lockstep sampler, an armed trigger or a narrowed mask).
-func (s *CircuitSource) runRound() {
+// into curX and dual ones into curZ, and reports whether it took the
+// fused walk; frame.BatchSim.RunRound picks the executor (the fused
+// walk, or the gate calls under leakage, bias, a lockstep sampler, an
+// armed trigger or a narrowed mask).
+func (s *CircuitSource) runRound() (fused bool) {
 	s.measBuf = append(append(s.measBuf[:0], s.diff.CurX()...), s.diff.CurZ()...)
-	s.sim.RunRound(s.sch.roundPlan(), s.measBuf)
+	return s.sim.RunRound(s.sch.roundPlan(), s.measBuf)
 }
 
 // NextLayersErased is NextLayers for a leakage-modeling source: it runs

@@ -48,19 +48,16 @@ func NewSlab(count, n int) ([]Vec, []uint64) {
 	return out, backing
 }
 
-// PackPlanes packs vectors of length n into the slab dst, reporting any set bit.
-func PackPlanes(dst []uint64, planes []Vec, n int) bool {
-	var or uint64
+// PackPlanes packs vectors of length n into the slab dst.
+func PackPlanes(dst []uint64, planes []Vec, n int) {
 	for i, p := range planes {
 		if p.n != n {
 			panic("bits: length mismatch in PackPlanes")
 		}
 		for j, x := range p.words {
 			dst[i*len(p.words)+j] = x
-			or |= x
 		}
 	}
-	return or != 0
 }
 
 // XorSlabs writes a XOR b, slabs shaped like dst, into dst in one word pass.

@@ -299,14 +299,17 @@ func (s *Session) ID() uint64 { return s.id }
 // Config returns the (normalized) session configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 
-// checkRound rejects layers that are not the session's shape, before
-// they touch the lifecycle or a queue buffer.
+// checkRound rejects layers that are not the session's shape — every
+// plane of both layers — before they touch the lifecycle or a queue
+// buffer.
 func (s *Session) checkRound(what string, layerX, layerZ []bits.Vec) error {
 	if len(layerX) != s.nc || len(layerZ) != s.nc {
 		return fmt.Errorf("server: %s has %d/%d planes, want %d (%s d=%d)", what, len(layerX), len(layerZ), s.nc, s.cfg.Code.CodeName(), s.cfg.Code.Distance())
 	}
-	if layerX[0].Len() != s.lanes || layerZ[0].Len() != s.lanes {
-		return fmt.Errorf("server: %s has %d/%d lanes, session has %d", what, layerX[0].Len(), layerZ[0].Len(), s.lanes)
+	for c := range s.nc {
+		if layerX[c].Len() != s.lanes || layerZ[c].Len() != s.lanes {
+			return fmt.Errorf("server: %s plane %d has %d/%d lanes, session has %d", what, c, layerX[c].Len(), layerZ[c].Len(), s.lanes)
+		}
 	}
 	return nil
 }

@@ -465,6 +465,49 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestMalformedPlaneRefused: a round or closing round whose planes past
+// the first carry the wrong lane count is an error, not a panic inside
+// the plane copy, and it costs the session no queue buffer: more
+// refused Submits than the queue holds, then good rounds, CloseWith and
+// Wait all succeed.
+func TestMalformedPlaneRefused(t *testing.T) {
+	const depth = 2
+	srv := New(Config{Workers: 1, QueueDepth: depth})
+	defer srv.Shutdown()
+	cfg := toricPhenomenological(3, 64, 0.02, 0.02)
+	s, err := srv.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := cfg.Code.Checks()
+	zero := bits.NewVecs(nc, cfg.Lanes)
+	bad := bits.NewVecs(nc, cfg.Lanes)
+	bad[3] = bits.NewVec(cfg.Lanes + 1)
+	for i := 0; i < depth+3; i++ {
+		if err := s.Submit(zero, bad); err == nil {
+			t.Fatal("Submit accepted a plane of 65 lanes")
+		}
+		if err := s.Submit(bad, zero); err == nil {
+			t.Fatal("Submit accepted a plane of 65 lanes")
+		}
+	}
+	if err := s.CloseWith(bad, zero); err == nil || errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("CloseWith with a plane of 65 lanes: %v", err)
+	}
+	const rounds = 3 * depth
+	for r := 0; r < rounds; r++ {
+		if err := s.Submit(zero, zero); err != nil {
+			t.Fatalf("round %d after refused rounds: %v", r, err)
+		}
+	}
+	if err := s.CloseWith(zero, zero); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Wait(); err != nil || !res.Finished || res.Committed != rounds {
+		t.Fatalf("session did not finish: %+v, %v", res, err)
+	}
+}
+
 // TestServeConnWire: the framed ingestion path end to end over an
 // in-memory transport — syndrome layers in, committed frames out,
 // bit-identical to the standalone stream.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"ftqc/internal/bits"
@@ -115,10 +116,9 @@ func TestWarmPushZeroAllocs(t *testing.T) {
 }
 
 // TestWarmPushErasedZeroAllocs extends the pin to the erasure-aware
-// circuit path: once warm, PushErased — plane copies, quiet-flag
-// bookkeeping, the erased-lane from-scratch decodes and the canonical
-// erased-list builds behind the slides it triggers — also performs zero
-// heap allocations.
+// circuit path: once warm, PushErased — plane copies, the erased-lane
+// from-scratch decodes and the canonical erased-list builds behind the
+// slides it triggers — also performs zero heap allocations.
 func TestWarmPushErasedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
@@ -289,11 +289,53 @@ func TestWarmFinishErasedZeroAllocs(t *testing.T) {
 	if h != w-c/2 {
 		t.Fatalf("closed at height %d, want %d", h, w-c/2)
 	}
-	if d := ds[0]; !d.windowErased(&d.sx, h) && !d.windowErased(&d.sz, h) {
+	erased := false
+	for _, lay := range layers[len(layers)-h:] {
+		for _, p := range slices.Concat(lay.eraH, lay.lostX, lay.lostZ) {
+			erased = erased || p.Any()
+		}
+	}
+	if !erased {
 		t.Fatal("closing window carries no erasure: the test exercises nothing")
 	}
 	if avg != 0 {
 		t.Fatalf("warm erased Finish at height %d of %d allocates %v objects", h, w, avg)
+	}
+}
+
+// TestWarmSilentStreamZeroAllocs: a silent sector takes the one decode
+// path — lists, pool, commit — like any other, so a warm decoder fed
+// all-zero layers, every sector of every window silent, pushes, slides
+// and finishes at zero heap allocations.
+func TestWarmSilentStreamZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
+	}
+	s, w, c := plainGateSession(t, gatePool(t, 1))
+	nc := toric.Cached(gateL).Checks()
+	zeroX, zeroZ := bits.NewVecs(nc, gateLanes), bits.NewVecs(nc, gateLanes)
+	push := func(d *Decoder, _ int) { d.Push(zeroX, zeroZ) }
+	d := s.NewDecoder(gateLanes)
+	pushCommit := func() {
+		for i := 0; i < c; i++ {
+			push(d, i)
+		}
+	}
+	for d.Rounds() < 6*w {
+		pushCommit()
+	}
+	if avg := commitAllocs(t, d, pushCommit, nil); avg != 0 {
+		t.Fatalf("a warm silent Push/slide allocates %v objects per commit", avg)
+	}
+	fresh := func() *Decoder { return s.NewDecoder(gateLanes) }
+	ds, h, avg := finishAllocs(fresh, 2*w, push, zeroX, zeroZ, nil)
+	for _, d := range append(ds, d) {
+		if d.Err() != nil || d.DefectsObserved() != 0 {
+			t.Fatalf("silent stream: err %v, %d defects observed", d.Err(), d.DefectsObserved())
+		}
+	}
+	if avg != 0 {
+		t.Fatalf("a warm silent Finish at height %d of %d allocates %v objects", h, w, avg)
 	}
 }
 

@@ -76,8 +76,8 @@
 // turn, the primal through to its commit and then the dual, on one
 // set of per-lane defect, erased-edge and correction lists, one batch
 // of shots and one decoder.Batch that the Decoder owns; a sector
-// keeps only its stream (ring, carry, base pivot, frames, quiet and
-// loss flags). The lists are most of a decoder's footprint, so this
+// keeps only its stream (ring, carry, base pivot, frames, lost-ancilla
+// ring). The lists are most of a decoder's footprint, so this
 // holds them once rather than once per sector (EXPERIMENTS.md E44),
 // and a correlated decoder, whose dual reprices from the primal
 // correction, needs the order anyway. The lists come straight off the
@@ -87,19 +87,18 @@
 // the cut defects sit. (A retained-forest slide that kept the
 // previous window's interior clusters across the slide was measured
 // slower than this on every benchmark workload and deleted;
-// EXPERIMENTS.md E31 has the table.) The one shortcut is the
-// silent-sector skip: a sector whose buffered layers are empty in
-// every lane and whose carries are clear skips its decode outright —
-// an empty defect list decodes to an empty correction, so the skip is
-// exact by construction and has no off switch — and clears the
-// correction lists, the empty primal correction a correlated dual
-// then reprices from. Every buffer — rings, the plane-major carry,
-// defect, erasure and correction lists — is sized once in
-// Window.newDecoder, and warm Push (slides included) and warm Finish
-// run at zero heap allocations; a Monte Carlo drain builds a decoder
-// only when the process-wide free list holds none of its class (code,
-// W, diagonal class, lanes, options) to reset, whichever window the
-// free one last drained.
+// EXPERIMENTS.md E31 has the table.) Every sector decode takes that
+// one path: a sector silent in every lane decodes to the empty
+// correction, and an erasure-aware decoder reads its erased lists off
+// the rings on every decode, empty when nothing was erased (a
+// silent-sector skip and a per-slot erasure gate saved nothing
+// measured and were deleted; EXPERIMENTS.md E46). Every buffer —
+// rings, the plane-major carry, defect, erasure and correction lists —
+// is sized once in Window.newDecoder, and warm Push (slides included)
+// and warm Finish run at zero heap allocations; a Monte Carlo drain
+// builds a decoder only when the process-wide free list holds none of
+// its class (code, W, diagonal class, lanes, options) to reset,
+// whichever window the free one last drained.
 //
 // # One first-pass sweep per batch
 //
@@ -117,8 +116,9 @@
 // correction into the same buffer. The lists are ascending, which the
 // given pass needs; the sweep runs after a correlated dual's Reprice,
 // which reads the primal correction out of the same lists (a repriced
-// lane has erased edges and walks its pass). Lanes with erased edges and
-// quiet decodes, whose every lane takes the pair path, never sweep.
+// lane has erased edges and walks its pass). Lanes with erased edges
+// never sweep, and neither do quiet decodes, whose every lane takes the
+// pair path.
 // Corrections, emit order and sweep counts are the walked decode's
 // (TestFirstPassesMatchWalk, TestDenseDecodesTakeFirstPasses, and every
 // golden). The saving comes from amortising the pass across the lanes:

@@ -30,18 +30,14 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 	d.push(layerX, layerZ, eraH, lostX, lostZ)
 }
 
-// keepPlanes copies planes into a ring slot's planes — clearing them
-// when planes is nil — and reports whether the slot is quiet: no lane
-// erased.
-func keepPlanes(slot, planes []bits.Vec) (quiet bool) {
-	quiet = true
+// keepPlanes copies planes into a ring slot's planes, clearing them
+// when planes is nil.
+func keepPlanes(slot, planes []bits.Vec) {
 	for i, p := range slot {
 		if planes == nil {
 			p.Clear()
 			continue
 		}
 		p.CopyFrom(planes[i])
-		quiet = quiet && planes[i].Zero()
 	}
-	return quiet
 }

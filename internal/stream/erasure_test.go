@@ -65,8 +65,8 @@ func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
 }
 
 // silentPrimal is a feed whose primal difference layers, closing round
-// included, are empty in every lane: its primal sector skips every
-// decode while its dual decodes.
+// included, are empty in every lane: its primal sector decodes to the
+// empty correction while its dual decodes.
 type silentPrimal struct{ spacetime.LayerFeed }
 
 func (f silentPrimal) NextLayers(layerX, layerZ []bits.Vec) {
@@ -91,8 +91,8 @@ func clearPlanes(vs []bits.Vec) {
 }
 
 // TestCorrelatedSilentPrimalFinish: a correlated decoder whose primal
-// planes are silent in every lane skips the primal decode of a Finish
-// at W ≥ T, and its dual must reprice from an empty primal correction,
+// planes are silent in every lane decodes an empty primal in a Finish
+// at W ≥ T, and its dual must reprice from that empty correction,
 // as the whole-volume reference does — not from whatever the shared
 // correction lists hold from the decoder's last stream. The silent
 // drain reuses the decoder a loud drain of the same class just freed.

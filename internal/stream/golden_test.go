@@ -18,8 +18,8 @@ import (
 // retained-forest slide (guarded decode, cluster cache, release waves)
 // before it was deleted, so they are the bit-identity contract every
 // later slide path has to reproduce: circuit and phenomenological
-// windows, an open-boundary code, a stream quiet enough to skip whole
-// windows, and erasure-fed and correlated slides.
+// windows, an open-boundary code, a stream quiet enough to slide whole
+// silent windows, and erasure-fed and correlated slides.
 
 // frameDigest is an order-sensitive FNV-1a over 64-bit words.
 type frameDigest uint64
@@ -132,7 +132,7 @@ func runGoldenStream(t *testing.T, c goldenStream) (uint64, int) {
 		if d.Filled() == d.win.W {
 			// This push slides: count the sectors whose window is silent.
 			for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-				if d.sectorQuiet(sec, nil) {
+				if silentWindow(d, sec) {
 					skips++
 				}
 			}

@@ -123,3 +123,22 @@ func volumeReference(v *spacetime.Volume, src spacetime.LayerFeed, opts spacetim
 	}
 	return fail[0], fail[1]
 }
+
+// silentWindow reports whether a sector's buffered window decodes to
+// nothing in every lane, read off the ring planes and the carries:
+// every buffered layer empty and no carry defect pending.
+func silentWindow(d *Decoder, sec *sectorState) bool {
+	for t := 0; t < d.Filled(); t++ {
+		for _, p := range sec.ring[d.slot(t)*d.nc:][:d.nc] {
+			if p.Any() {
+				return false
+			}
+		}
+	}
+	for _, c := range sec.carry {
+		if c.Any() {
+			return false
+		}
+	}
+	return true
+}

@@ -17,13 +17,12 @@ import (
 )
 
 // drainOutcome is everything a drain's decoder leaves behind that a
-// reused decoder must reproduce, down to the silent-sector test its
-// quiet flags and carries pass.
+// reused decoder must reproduce.
 type drainOutcome struct {
-	failX, failZ   bits.Vec
-	corrX, corrZ   []bits.Vec
-	slides, silent int
-	defects        uint64
+	failX, failZ bits.Vec
+	corrX, corrZ []bits.Vec
+	slides       int
+	defects      uint64
 }
 
 // drainOnce runs one feed through s's drain and reads the decoder the
@@ -35,11 +34,6 @@ func drainOnce(s *Session, src spacetime.LayerFeed, rounds int, opts spacetime.D
 	d := free[len(free)-1]
 	o.corrX, o.corrZ = d.Corrections()
 	o.slides, o.defects = d.Slides(), d.DefectsObserved()
-	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
-		if d.sectorQuiet(sec, nil) {
-			o.silent++ // the skip test the next decode of this ring would pass
-		}
-	}
 	return o, d
 }
 
@@ -101,18 +95,16 @@ func holdFreeList(t *testing.T) (release func()) {
 func sameOutcome(a, b drainOutcome) bool {
 	return a.failX.Equal(b.failX) && a.failZ.Equal(b.failZ) &&
 		slices.EqualFunc(a.corrX, b.corrX, bits.Vec.Equal) && slices.EqualFunc(a.corrZ, b.corrZ, bits.Vec.Equal) &&
-		a.slides == b.slides && a.silent == b.silent && a.defects == b.defects
+		a.slides == b.slides && a.defects == b.defects
 }
 
 // TestReusedDecoderMatchesFresh pushes a sequence of feeds through one
 // window's drains — each drain resetting the decoder an earlier one left
 // on the free list — and demands of every drain exactly what a
-// fresh decoder on a new window gives for the same feed: failure masks, committed frames,
-// slides, defects observed and the silent-sector test its rings pass
-// afterwards (a stale quiet flag fails it). The sequence covers
-// a long stream (several slides), a silent stream that leaves every
-// quiet flag set, short W > T streams with unfilled ring slots (one
-// silent enough to skip its closing decode), a decoder abandoned
+// fresh decoder on a new window gives for the same feed: failure masks,
+// committed frames, slides and defects observed. The sequence covers a
+// long stream (several slides), a silent stream, short W > T streams
+// with unfilled ring slots (one of them silent), a decoder abandoned
 // mid-stream with carries pending, and plain and erasure-aware decoders,
 // whose options differ and which must never be handed to each other.
 func TestReusedDecoderMatchesFresh(t *testing.T) {
@@ -188,12 +180,9 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 		}
 		want := freshDrain(NewSessionOn(s.pool, fresh), step.feed(seed), step.rounds, step.opts)
 		if !sameOutcome(got, want) {
-			t.Fatalf("%s: reused decoder gave slides %d, silent %d, defects %d, failures %d/%d; fresh %d, %d, %d, %d/%d",
-				step.name, got.slides, got.silent, got.defects, got.failX.Weight(), got.failZ.Weight(),
-				want.slides, want.silent, want.defects, want.failX.Weight(), want.failZ.Weight())
-		}
-		if step.name == "short silent" && want.silent != 0 {
-			t.Fatalf("a fresh decoder's unfilled slots pass the silent-sector test in %d sectors", want.silent)
+			t.Fatalf("%s: reused decoder gave slides %d, defects %d, failures %d/%d; fresh %d, %d, %d/%d",
+				step.name, got.slides, got.defects, got.failX.Weight(), got.failZ.Weight(),
+				want.slides, want.defects, want.failX.Weight(), want.failZ.Weight())
 		}
 		prev = d
 	}

@@ -7,10 +7,10 @@ import (
 	"ftqc/internal/toric"
 )
 
-// TestIncrementalQuietStream pins the silent-sector skip's behavior on a
-// silent stream: with no defects anywhere the slide must skip its
-// decodes outright (no defects observed, frames empty), yet counters
-// must advance exactly as if every window had been decoded.
+// TestIncrementalQuietStream pins a silent stream's slides: with no
+// defects anywhere every window is silent and decodes to nothing (no
+// defects observed, frames empty), and the counters advance as on any
+// other stream.
 func TestIncrementalQuietStream(t *testing.T) {
 	l := 4
 	s, err := toricSession(l, 6, 3, 1, 1)
@@ -24,8 +24,8 @@ func TestIncrementalQuietStream(t *testing.T) {
 	zeroZ := bits.NewVecs(lat.Checks(), lanes)
 	d := s.NewDecoder(lanes)
 	for r := 0; r < 40; r++ {
-		if d.Filled() == 6 && !(d.sectorQuiet(&d.sx, nil) && d.sectorQuiet(&d.sz, nil)) {
-			t.Fatalf("round %d: a silent window is not skippable", r)
+		if d.Filled() == 6 && !(silentWindow(d, &d.sx) && silentWindow(d, &d.sz)) {
+			t.Fatalf("round %d: a window of a silent stream is not silent", r)
 		}
 		d.Push(zeroX, zeroZ)
 	}

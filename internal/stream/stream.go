@@ -89,8 +89,9 @@ func monteCarloPool() *decoder.Service {
 
 // sectorState is one sector's stream in a Decoder: the layer ring, the
 // per-lane carries, the base-layer pivot and the committed frames, and
-// the ring's quiet and loss flags. The decode scratch both sectors use
-// in turn — lane lists, shots, batch — is the Decoder's.
+// (erasure-aware decoders only) the ring of lost-ancilla planes. The
+// decode scratch both sectors use in turn — lane lists, shots, batch —
+// is the Decoder's.
 type sectorState struct {
 	dual  bool       // star sector: decodes on the volumes' dual graphs
 	ring  []bits.Vec // W·nc check-major layer planes, ring over slots
@@ -98,13 +99,8 @@ type sectorState struct {
 	carry []bits.Vec // per-lane cut defects at the base layer (nc bits)
 	base  []bits.Vec // nc check-major planes: the carry pivoted, XOR the base layer (decode scratch)
 	corr  []bits.Vec // per-lane running committed corrections (nq bits)
-	quiet []bool     // per ring slot: every check plane empty across all lanes
 
-	// Erasure side information of the sector (erasure-aware decoders
-	// only): the ring of lost-ancilla planes pushed by PushErased and the
-	// per-slot all-quiet flags.
-	lostRing  []bits.Vec // W·nc check-major lost-measurement planes
-	lostQuiet []bool     // per ring slot: no ancilla lost in any lane
+	lostRing []bits.Vec // W·nc check-major lost-measurement planes pushed by PushErased
 }
 
 // graph picks the sector's graph of a volume.
@@ -126,8 +122,7 @@ func (sec *sectorState) graph(vol *spacetime.Volume) *decoder.Graph {
 // the primal sector through to its commit and then the dual: defect
 // lists read off the planes, one union-find decode per lane, commit and
 // carry. The two sectors take turns on one set of lane lists, so a
-// decoder holds one sector's decode scratch, not two. A sector that is
-// silent in every lane skips its decode entirely.
+// decoder holds one sector's decode scratch, not two.
 type Decoder struct {
 	win    *Window
 	pool   *decoder.Service
@@ -145,13 +140,11 @@ type Decoder struct {
 
 	// Side-information decoding state (NewDecoderOpts): the selected
 	// passes and — for erasure-aware decoders — the shared ring of
-	// erased-data planes and its per-slot quiet flags; for correlated
-	// ones the repricing mask scratch (window edge ids; also covers every
-	// closing volume, h ≤ W).
-	opts     spacetime.DecodeOptions
-	eraRing  []bits.Vec // W·nq qubit-major erased-data planes, both sectors
-	eraQuiet []bool     // per ring slot: no data qubit erased in any lane
-	emask    bits.Vec   // correlated repricing mask scratch
+	// erased-data planes; for correlated ones the repricing mask scratch
+	// (window edge ids; also covers every closing volume, h ≤ W).
+	opts    spacetime.DecodeOptions
+	eraRing []bits.Vec // W·nq qubit-major erased-data planes, both sectors
+	emask   bits.Vec   // correlated repricing mask scratch
 
 	sx, sz sectorState
 
@@ -205,7 +198,6 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 	}
 	if opts.ErasureAware {
 		d.eraRing = bits.NewVecs(w.W*nq, lanes)
-		d.eraQuiet = make([]bool, w.W)
 	}
 	// Defect and correction buffers are sized once from the window shape
 	// — one entry per eight detectors, several times any operating
@@ -226,10 +218,8 @@ func (w *Window) newDecoder(pool *decoder.Service, lanes int, opts spacetime.Dec
 		sec.carry = bits.NewVecs(lanes, nc)
 		sec.base = bits.NewVecs(nc, lanes)
 		sec.corr = bits.NewVecs(lanes, nq)
-		sec.quiet = make([]bool, w.W)
 		if opts.ErasureAware {
 			sec.lostRing = bits.NewVecs(w.W*nc, lanes)
-			sec.lostQuiet = make([]bool, w.W)
 		}
 	}
 	d.sz.dual = true
@@ -266,14 +256,11 @@ func laneBytes[T any](bufs [][]T, c, size int) int {
 // slots and lists need no clearing: each is written before it is read.
 func (d *Decoder) reset() {
 	d.base, d.filled, d.head, d.slides, d.defects, d.finished, d.err = 0, 0, 0, 0, 0, false, nil
-	clear(d.eraQuiet)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		for lane := range sec.carry {
 			sec.carry[lane].Clear()
 			sec.corr[lane].Clear()
 		}
-		clear(sec.quiet)
-		clear(sec.lostQuiet)
 	}
 }
 
@@ -333,13 +320,13 @@ func (d *Decoder) push(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 		}
 	}
 	slot := d.slot(d.filled)
-	d.sx.quiet[slot] = !bits.PackPlanes(d.sx.ringW[slot*d.span:][:d.span], layerX, d.lanes)
-	d.sz.quiet[slot] = !bits.PackPlanes(d.sz.ringW[slot*d.span:][:d.span], layerZ, d.lanes)
+	bits.PackPlanes(d.sx.ringW[slot*d.span:][:d.span], layerX, d.lanes)
+	bits.PackPlanes(d.sz.ringW[slot*d.span:][:d.span], layerZ, d.lanes)
 	d.filled++
 	if d.eraRing != nil {
-		d.eraQuiet[slot] = keepPlanes(d.eraRing[slot*d.nq:][:d.nq], eraH)
-		d.sx.lostQuiet[slot] = keepPlanes(d.sx.lostRing[slot*nc:][:nc], lostX)
-		d.sz.lostQuiet[slot] = keepPlanes(d.sz.lostRing[slot*nc:][:nc], lostZ)
+		keepPlanes(d.eraRing[slot*d.nq:][:d.nq], eraH)
+		keepPlanes(d.sx.lostRing[slot*nc:][:nc], lostX)
+		keepPlanes(d.sz.lostRing[slot*nc:][:nc], lostZ)
 	}
 }
 
@@ -392,20 +379,12 @@ func (d *Decoder) Finish(layerX, layerZ []bits.Vec) {
 // below layer `commit`. Every decoder decodes its sectors in turn on the
 // one set of lane lists, the primal through to its commit and then the
 // dual, which a correlated decoder reprices from the primal correction
-// the lists still hold. A silent sector (no defects in any lane, no
-// carry) skips its decode — an empty defect list decodes to an empty
-// correction, so the skip is exact — and clears the correction lists to
-// that empty correction. A dual that fails flips the primal's commit
-// back out, so Err leaves both frames at Committed() rounds.
+// the lists still hold. Every sector decode takes the one path, silent
+// or not: lists, pool, commit. A dual that fails flips the primal's
+// commit back out, so Err leaves both frames at Committed() rounds.
 func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []bits.Vec) {
 	for i, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		closing := [2][]bits.Vec{closeX, closeZ}[i]
-		if d.sectorQuiet(sec, closing) {
-			for lane := range d.corrbuf {
-				d.corrbuf[lane] = d.corrbuf[lane][:0]
-			}
-			continue
-		}
 		if d.prepSector(sec, vol, h, closing); d.err != nil {
 			if sec.dual {
 				d.commitLanes(&d.sx, vol, commit)
@@ -417,57 +396,17 @@ func (d *Decoder) decode(vol *spacetime.Volume, h, commit int, closeX, closeZ []
 	}
 }
 
-// windowErased reports whether any of the first `layers` buffered
-// rounds carries erasure side information for the sector — the cheap
-// per-slot gate that keeps erasure-free decodes on the plain path.
-func (d *Decoder) windowErased(sec *sectorState, layers int) bool {
-	if d.eraRing == nil {
-		return false
-	}
-	for t := 0; t < layers; t++ {
-		slot := d.slot(t)
-		if !d.eraQuiet[slot] || !sec.lostQuiet[slot] {
-			return true
-		}
-	}
-	return false
-}
-
-// sectorQuiet reports whether a sector's decode can be skipped outright:
-// every ring slot and closing plane is empty in every lane and no carry
-// defect is pending. Such a decode's defect list is empty for every
-// lane. (A short tail leaves slots outside the buffered span; a loud
-// one among them only costs the skip.)
-func (d *Decoder) sectorQuiet(sec *sectorState, closing []bits.Vec) bool {
-	for _, q := range sec.quiet {
-		if !q {
-			return false
-		}
-	}
-	for _, plane := range closing {
-		if plane.Any() {
-			return false
-		}
-	}
-	for lane := 0; lane < d.lanes; lane++ {
-		if sec.carry[lane].Any() {
-			return false
-		}
-	}
-	return true
-}
-
 // prepSector reads every lane's defect list off one sector's h buffered
 // layers (and closing planes) and submits them to the decode pool on the
 // sector's graph of vol, each plain lane with its first growth pass when
 // the batch swept one (giveFirstPasses).
 //
-// Side-information passes: when the buffered rounds erase anything
-// (windowErased) every lane's canonical erased list is read straight off
-// the sector's erasure rings (Volume.AppendErased, layer by layer in
-// window order). A correlated dual decode adds the counterpart edges of
-// the primal correction in the correction lists to the erased set
-// (Volume.Reprice).
+// Side-information passes: an erasure-aware decoder reads every lane's
+// canonical erased list straight off the sector's erasure rings
+// (Volume.AppendErased, layer by layer in window order); an erasure-free
+// window leaves them empty, so its lanes decode plain. A correlated dual
+// decode adds the counterpart edges of the primal correction in the
+// correction lists to the erased set (Volume.Reprice).
 func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, closing []bits.Vec) {
 	g := sec.graph(vol)
 	closed := g.Closed()
@@ -475,7 +414,7 @@ func (d *Decoder) prepSector(sec *sectorState, vol *spacetime.Volume, h int, clo
 	for lane := range d.erabuf {
 		d.erabuf[lane] = d.erabuf[lane][:0]
 	}
-	if d.windowErased(sec, h) {
+	if d.eraRing != nil {
 		vol.AppendErased(d.erabuf, func(t int) ([]bits.Vec, []bits.Vec) {
 			slot := d.slot(t)
 			return d.eraRing[slot*d.nq:][:d.nq], sec.lostRing[slot*d.nc:][:d.nc]
@@ -585,12 +524,11 @@ func (d *Decoder) FootprintBytes() int {
 		}
 		return n
 	}
-	n := vecs(d.eraRing) + d.emask.Words()*8 + len(d.eraQuiet)
+	n := vecs(d.eraRing) + d.emask.Words()*8
 	n += laneBytes(d.defbuf, d.bufCap, 8) + laneBytes(d.erabuf, d.eraCap, 8) + laneBytes(d.corrbuf, d.bufCap, 4)
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		n += vecs(sec.ring) + vecs(sec.carry) + vecs(sec.base) + vecs(sec.corr)
 		n += vecs(sec.lostRing)
-		n += len(sec.quiet) + len(sec.lostQuiet)
 	}
 	return n
 }

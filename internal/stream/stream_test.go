@@ -278,7 +278,7 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 
 // TestFootprintCountsOneSetOfLists: the two sectors decode in turn on
 // one set of per-lane lists, so a fresh decoder's footprint is its two
-// sectors' streams (rings, carries, base pivots, frames, flags), the
+// sectors' streams (rings, carries, base pivots, frames), the
 // erasure and repricing planes its options add, and the defect,
 // erased-edge and correction lists once — lanes·(bufCap·(8+4) +
 // eraCap·8) bytes, not twice that.
@@ -289,13 +289,13 @@ func TestFootprintCountsOneSetOfLists(t *testing.T) {
 		s := mustCircuitSession(t, l, 6, 3, 2, 3, 2)
 		d := s.NewDecoderOpts(lanes, opts)
 		w, nq, nc := d.win.W, d.nq, d.nc
-		stream := w*nc*words(lanes) + lanes*words(nc) + nc*words(lanes) + lanes*words(nq) + w
+		stream := w*nc*words(lanes) + lanes*words(nc) + nc*words(lanes) + lanes*words(nq)
 		if opts.ErasureAware {
-			stream += w*nc*words(lanes) + w
+			stream += w * nc * words(lanes)
 		}
 		want := 2 * stream
 		if opts.ErasureAware {
-			want += w*nq*words(lanes) + w
+			want += w * nq * words(lanes)
 		}
 		if opts.Correlated {
 			want += words(d.win.Graph().Edges())

@@ -72,6 +72,28 @@ func NewBatch(n, w int, p noise.Params, smp Sampler) *BatchSim {
 	return b
 }
 
+// Reset returns the simulator to NewBatch's state on a new sampler (nil:
+// NewBatch's default), keeping its planes and noise model: clean frames
+// and leakage, every lane active, zeroed counters, no trigger armed.
+func (b *BatchSim) Reset(smp Sampler) {
+	if smp == nil {
+		smp = NewAggregateSampler(2, 3)
+	}
+	b.smp = smp
+	for _, planes := range [3][]bits.Vec{b.fx, b.fz, b.lk} {
+		for _, p := range planes {
+			p.Clear()
+		}
+	}
+	for _, t := range [...]bits.Vec{b.t0, b.t1, b.t2, b.t3, b.t4, b.t5} {
+		t.Clear()
+	}
+	b.stack = b.stack[:0]
+	b.active.SetAll()
+	b.FaultCount, b.LocationCount = 0, 0
+	b.trigger, b.locCount, b.TriggerFault = nil, nil, nil
+}
+
 // N returns the number of qubits.
 func (b *BatchSim) N() int { return b.n }
 

@@ -315,3 +315,52 @@ func TestAggregateCoinIsFair(t *testing.T) {
 		t.Fatalf("coin rate %v", got)
 	}
 }
+
+// TestBatchResetMatchesNewBatch: a simulator dirtied by a leaky random
+// circuit — frames, leakage, a pushed active mask, an armed trigger,
+// counters — and then Reset onto a sampler behaves as NewBatch on an
+// equal one: a second circuit gives the same measurements, frames,
+// leakage and counts, under either sampler kind and under the nil
+// sampler's default.
+func TestBatchResetMatchesNewBatch(t *testing.T) {
+	const n, w = 6, 100
+	rng := rand.New(rand.NewPCG(41, 5))
+	samplers := map[string]func() Sampler{
+		"aggregate": func() Sampler { return NewAggregateSampler(17, 3) },
+		"lockstep":  func() Sampler { return NewLockstepSampler(17, w) },
+		"nil":       func() Sampler { return nil },
+	}
+	for _, p := range noiseSettings() {
+		for name, mk := range samplers {
+			used := NewBatch(n, w, p, NewAggregateSampler(99, 1))
+			used.Run(randomCircuit(rng, n, 80))
+			mask := bits.NewVec(w)
+			mask.Set(3, true)
+			used.PushActive(mask)
+			used.ArmTrigger(3, 2)
+			used.TriggerFault = func(b *BatchSim, lane int, qubits []int) { b.InjectZ(qubits[0], lane) }
+			used.Run(randomCircuit(rng, n, 20))
+			used.Reset(mk())
+			fresh := NewBatch(n, w, p, mk())
+
+			c := randomCircuit(rng, n, 120)
+			got, want := used.Run(c), fresh.Run(c)
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("%+v, %s: measurement %d of a reset simulator differs from a new one", p, name, i)
+				}
+			}
+			for q := 0; q < n; q++ {
+				if !used.PlaneX(q).Equal(fresh.PlaneX(q)) || !used.PlaneZ(q).Equal(fresh.PlaneZ(q)) ||
+					!used.PlanesLeak(n)[q].Equal(fresh.PlanesLeak(n)[q]) {
+					t.Fatalf("%+v, %s: qubit %d's planes differ after Reset", p, name, q)
+				}
+			}
+			if used.FaultCount != fresh.FaultCount || used.LocationCount != fresh.LocationCount ||
+				!used.Active().Equal(fresh.Active()) || used.LaneLocationCount(3) != 0 {
+				t.Fatalf("%+v, %s: counts or mask differ after Reset (faults %d vs %d, locations %d vs %d)",
+					p, name, used.FaultCount, fresh.FaultCount, used.LocationCount, fresh.LocationCount)
+			}
+		}
+	}
+}

@@ -81,11 +81,19 @@ func (m Model) Weights(d, horizon int) (wh, wv, wd int) {
 	return wh, wv, 0
 }
 
+// ResettableFeed is a layer feed that Reset returns to its just-built
+// state on a new sampler, so one feed serves chunk after chunk of a
+// Monte Carlo run and emits, each time, what a new one would.
+type ResettableFeed interface {
+	LayerFeed
+	Reset(smp frame.Sampler)
+}
+
 // Source returns the model's layer source over code for `lanes`
 // parallel shots drawing from smp: surface.NewLayerSourceErased or
 // surface.NewCircuitSource. It is Erasing exactly when the model carries
 // an erasure channel (pe or qe > 0, or a circuit model's Leak > 0).
-func (m Model) Source(code surface.Code, lanes int, smp frame.Sampler) LayerFeed {
+func (m Model) Source(code surface.Code, lanes int, smp frame.Sampler) ResettableFeed {
 	if m.circuit {
 		return surface.NewCircuitSource(code, m.P, lanes, smp)
 	}

@@ -60,9 +60,10 @@ func plainGateLayers(rounds int, seed uint64) [][2][]bits.Vec {
 
 // warmPlainPush returns a warm plain decoder and its commit: one call
 // pushes one commit's worth of layers, cycling through a window's worth,
-// so once the window is full it runs exactly one slide.
+// so once the window is full it runs exactly one slide. It decodes on a
+// one-worker pool, as the Finish gates do (finishAllocs says why).
 func warmPlainPush(t *testing.T) (d *Decoder, pushCommit func()) {
-	s, w, c := plainGateSession(t, gatePool(t, 0))
+	s, w, c := plainGateSession(t, gatePool(t, 1))
 	d = s.NewDecoder(gateLanes)
 	layers := plainGateLayers(w, 941)[:w]
 	next := 0
@@ -360,5 +361,70 @@ func TestScratchSurvivesCollections(t *testing.T) {
 	w, _ := DefaultWindow(gateL)
 	if h, avg := plainFinishAllocs(t, 2*w, collect); avg != 0 {
 		t.Fatalf("a warm Finish at height %d after two collections allocates %v objects", h, avg)
+	}
+}
+
+// TestWarmMemoryCallAllocs: a Memory call whose window is held and
+// whose drains' decoders wait on the held free list — each with the feed
+// and the planes its last drain used — builds no feed and no plane: it
+// allocates well under a kilobyte per 128-lane chunk (the sampler, the
+// failure masks, the fan-out), for a phenomenological, a circuit-level
+// and an erasing model. Each chunk used to build its model's source and
+// two layer slabs, tens of kilobytes on these shapes. The drains run
+// single file (GOMAXPROCS 1), so every chunk takes the one warm decoder;
+// the count is the smallest of three calls, since MemStats is
+// process-wide.
+func TestWarmMemoryCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc pin runs in the uninstrumented suite")
+	}
+	const (
+		l       = 6
+		rounds  = 16
+		chunks  = 4
+		samples = chunks * 128
+		bound   = 1024 // bytes per chunk
+	)
+	holdFreeList(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	code := toric.Cached(l)
+	for _, tc := range []struct {
+		name string
+		m    spacetime.Model
+	}{
+		{"phenomenological", spacetime.Phenomenological(0.01, 0.01, 0, 0)},
+		{"circuit", spacetime.Circuit(noise.Uniform(0.004))},
+		{"erasing", spacetime.Phenomenological(0.01, 0.01, 0.02, 0.02)},
+	} {
+		w, c := DefaultWindow(l)
+		horizon := rounds
+		if tc.m.CircuitLevel() {
+			horizon = w
+		}
+		wh, wv, wd := tc.m.Weights(l, horizon)
+		held, err := InternWindow(code, w, c, wh, wv, wd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memory := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Memory(code, rounds, tc.m, w, c, spacetime.DecodeOptions{}, samples, 0x5eed); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		memory()
+		least := memory()
+		for i := 0; i < 2; i++ {
+			least = min(least, memory())
+		}
+		if per := least / chunks; per > bound {
+			t.Errorf("%s: a warm Memory call allocates %d bytes per chunk, want at most %d", tc.name, per, bound)
+		} else {
+			t.Logf("%s: %d bytes per chunk", tc.name, per)
+		}
+		runtime.KeepAlive(held)
 	}
 }

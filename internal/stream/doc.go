@@ -98,7 +98,15 @@
 // and warm Finish run at zero heap allocations; a Monte Carlo drain
 // builds a decoder only when the process-wide free list holds none of
 // its class (code, W, diagonal class, lanes, options) to reset,
-// whichever window the free one last drained.
+// whichever window the free one last drained. The free decoder carries
+// the drain's layer planes (and, once an Erasing feed has used it, its
+// erasure planes) and the layer feed Memory last built for it, which
+// the next chunk of an equal spacetime.Model resets onto its sampler
+// instead of building (surface.LayerSource.Reset,
+// surface.CircuitSource.Reset); a chunk of another model builds a new
+// feed. A warm Memory call so builds no feed and no plane
+// (TestWarmMemoryCallAllocs), and with no per-chunk garbage no
+// collection fires in steady state.
 //
 // # One first-pass sweep per batch
 //
@@ -155,8 +163,10 @@
 // volumes. A drain's decoder depends only on the code, the window
 // height, the diagonal class, the lanes and the options, so the drains
 // share one free list across windows: a sweep whose every cell prices
-// new weights still reuses its earlier cells' decoders. The list is
-// held strongly while a drain runs and weakly otherwise.
+// new weights still reuses its earlier cells' decoders, and the feeds
+// and planes they carry. The list is held strongly while a drain runs
+// and weakly otherwise: idle decoders, feeds and planes go at the next
+// collection.
 // The table's entries are weak pointers: a window stays interned while
 // anything holds it — an open server session, a drain in flight — and
 // an idle one is freed by the next collection, a runtime.AddCleanup

@@ -269,11 +269,15 @@ func forgetShapes() {
 
 // TestMemoryReuseAcrossCalls: a Memory call on an interned window —
 // its graphs, closing volumes and drain decoders left by earlier calls,
-// on the process-wide pool — returns exactly what the same call returns
-// on an empty table. The sequence runs shape A, shape B, A again with a
-// partial last chunk (its own decoder lanes), A from two goroutines at
-// once (two calls' drains on one free list), and A under GOMAXPROCS 4
-// on a pool that started under GOMAXPROCS 1, which must grow to it.
+// with the feeds and planes those drains used, on the process-wide pool
+// — returns exactly what the same call returns on an empty table. The
+// sequence runs shape A, A's torus at another rate (A's drain class, a
+// new model: new feeds), A again (its feeds rebuilt), shape B, B's model
+// with erasure channels (B's class, an Erasing feed and its planes), B
+// again, A with a partial last chunk (its own decoder lanes), A from two
+// goroutines at once (two calls' drains on one free list), and A under
+// GOMAXPROCS 4 on a pool that started under GOMAXPROCS 1, which must
+// grow to it.
 func TestMemoryReuseAcrossCalls(t *testing.T) {
 	type call struct {
 		name    string
@@ -282,8 +286,11 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 		samples int
 	}
 	a := call{"A", 4, spacetime.Circuit(noise.Uniform(0.004)), 512}
+	aRate := call{"A at another rate", 4, spacetime.Circuit(noise.Uniform(0.006)), 512}
 	b := call{"B", 5, spacetime.Phenomenological(0.02, 0.02, 0, 0), 256}
+	bErased := call{"B erased", 5, spacetime.Phenomenological(0.02, 0.02, 0.03, 0.02), 256}
 	aPartial := call{"A partial", 4, a.m, 300}
+	sequence := []call{a, aRate, a, b, bErased, b, aPartial}
 	const rounds, seed = 12, 0x5eed
 	holdFreeList(t)
 	memory := func(t *testing.T, c call) Result {
@@ -295,7 +302,7 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 		return r
 	}
 	first := map[string]Result{}
-	for _, c := range []call{a, b, aPartial} {
+	for _, c := range sequence {
 		forgetShapes()
 		first[c.name] = memory(t, c)
 	}
@@ -308,12 +315,20 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.KeepAlive(held)
-	for _, c := range []call{a, b, aPartial} {
+	for _, c := range sequence {
 		if got := memory(t, c); got != first[c.name] {
 			t.Fatalf("%s on a warm table: %+v, first call %+v", c.name, got, first[c.name])
 		}
 		if freeOfClass(drainClass{"toric", a.l, w, 128, true, spacetime.DecodeOptions{}}) == 0 {
 			t.Fatalf("after %s: the free list keeps no decoder of A's class for the next call", c.name)
+		}
+		cw, _ := DefaultWindow(c.l)
+		fed := false
+		for _, d := range freeDecoders() {
+			fed = fed || d.class == drainClass{"toric", c.l, cw, 128, c.m.CircuitLevel(), spacetime.DecodeOptions{}} && d.feedModel == c.m
+		}
+		if !fed {
+			t.Fatalf("after %s: no free decoder of its class keeps a feed of its model", c.name)
 		}
 	}
 	var wg sync.WaitGroup

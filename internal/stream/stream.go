@@ -160,7 +160,15 @@ type Decoder struct {
 	bufCap, eraCap int
 	layers         [][]bits.Vec
 
-	class drainClass // a Monte Carlo drain's decoder: the free-list class it returns to
+	// A Monte Carlo drain's decoder keeps, across the drains it serves
+	// from the free list, the class it returns to, the planes its feed
+	// emits into (the erasure planes built by the first Erasing feed)
+	// and the feed Memory last built for it, of model feedModel.
+	class              drainClass
+	layerX, layerZ     []bits.Vec
+	eraH, lostX, lostZ []bits.Vec
+	feed               spacetime.ResettableFeed
+	feedModel          spacetime.Model
 }
 
 // NewDecoder returns a streaming decoder for `lanes` parallel shots,
@@ -545,17 +553,25 @@ func (d *Decoder) FootprintBytes() int {
 // two sectors.
 func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	spacetime.CheckFeed(src, s.win.Code())
-	lanes := src.Lanes()
-	d := s.win.takeDecoder(s.pool, lanes, opts)
+	d := s.win.takeDecoder(s.pool, src.Lanes(), opts)
 	defer putDecoder(d)
-	layerX := bits.NewVecs(d.nc, lanes)
-	layerZ := bits.NewVecs(d.nc, lanes)
+	return s.drain(d, src, rounds)
+}
+
+// drain streams a fresh feed's rounds through a drain's decoder into its
+// own layer planes (and, for an Erasing feed, erasure planes), closes
+// the stream and returns the failure masks.
+func (s *Session) drain(d *Decoder, src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
+	layerX, layerZ := d.layerX, d.layerZ
 	var eraH, lostX, lostZ []bits.Vec
 	erasing := src.Erasing()
 	if erasing {
-		eraH = bits.NewVecs(d.nq, lanes)
-		lostX = bits.NewVecs(d.nc, lanes)
-		lostZ = bits.NewVecs(d.nc, lanes)
+		if d.eraH == nil {
+			d.eraH = bits.NewVecs(d.nq, d.lanes)
+			d.lostX = bits.NewVecs(d.nc, d.lanes)
+			d.lostZ = bits.NewVecs(d.nc, d.lanes)
+		}
+		eraH, lostX, lostZ = d.eraH, d.lostX, d.lostZ
 	}
 	for t := 0; t < rounds; t++ {
 		if erasing {
@@ -574,6 +590,18 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int, opts spac
 		panic(err)
 	}
 	return s.failureMasks(src, d)
+}
+
+// source returns the drain decoder's feed of model m over code, reset
+// onto smp, or — when the decoder last fed another model, or none — a
+// new one it keeps for the next drain.
+func (d *Decoder) source(code surface.Code, m spacetime.Model, smp frame.Sampler) spacetime.LayerFeed {
+	if d.feed != nil && d.feedModel == m {
+		d.feed.Reset(smp)
+		return d.feed
+	}
+	d.feed, d.feedModel = m.Source(code, d.lanes, smp), m
+	return d.feed
 }
 
 // failureMasks compares the logical parities of the accumulated error
@@ -672,8 +700,11 @@ func result(code surface.Code, rounds, window, commit int, m spacetime.Model, sa
 // window comes from the process-wide table (InternWindow), so a call
 // repeating an earlier call's shape reuses its graphs and closing
 // volumes; its drains take the free decoders of their class, whatever
-// weights they last decoded; and every call decodes on one process-wide
-// pool of at least GOMAXPROCS workers. A model with an erasure channel has an
+// weights they last decoded, with the layer planes they carry and the
+// feed they last drained, which a chunk of an equal model resets onto
+// its own sampler rather than building (so a warm call allocates no
+// feed and no plane); and every call decodes on one process-wide pool
+// of at least GOMAXPROCS workers. A model with an erasure channel has an
 // Erasing source and drains through PushErased — with ErasureAware its
 // erased lanes decode with their located faults — and correlated runs
 // reprice the dual window each slide; every other run drains through
@@ -702,7 +733,9 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 	}
 	s := &Session{win: win, pool: monteCarloPool()}
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(m.Source(code, lanes, smp), rounds, opts)
+		d := win.takeDecoder(s.pool, lanes, opts)
+		defer putDecoder(d)
+		return s.drain(d, d.source(code, m, smp), rounds)
 	})
 	return result(code, rounds, window, commit, m, samples, fx, fz, fa), nil
 }

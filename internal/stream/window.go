@@ -7,6 +7,7 @@ import (
 	"sync"
 	"weak"
 
+	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
@@ -205,6 +206,7 @@ func (w *Window) takeDecoder(pool *decoder.Service, lanes int, opts spacetime.De
 	drains.Unlock()
 	d := w.newDecoder(pool, lanes, opts)
 	d.class = class
+	d.layerX, d.layerZ = bits.NewVecs(d.nc, lanes), bits.NewVecs(d.nc, lanes)
 	return d
 }
 

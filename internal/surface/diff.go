@@ -33,6 +33,13 @@ func NewSyndromeDiff(nc, lanes int) *SyndromeDiff {
 	}
 }
 
+// Reset zeroes both generations: NewSyndromeDiff's state.
+func (d *SyndromeDiff) Reset() {
+	for _, s := range [...]slab{d.prevX, d.prevZ, d.curX, d.curZ} {
+		clear(s.w)
+	}
+}
+
 // CurX returns the current generation's plaquette-observation planes —
 // the feed writes this round's observed syndromes here before Emit.
 // Emit swaps generations, so re-fetch the slice every round rather than

@@ -86,6 +86,20 @@ func NewLayerSourceErased(code Code, p, q, pe, qe float64, lanes int, smp frame.
 	return s
 }
 
+// Reset returns the source to its just-built state on a new sampler —
+// no rounds emitted, no accumulated errors — so it emits what a new
+// source of its code and rates on smp would.
+func (s *LayerSource) Reset(smp frame.Sampler) {
+	s.smp, s.rounds = smp, 0
+	for i := range s.sec {
+		for _, p := range s.sec[i].cum {
+			p.Clear()
+		}
+		clear(s.sec[i].syn.w)
+	}
+	s.diff.Reset()
+}
+
 // Code returns the code the source extracts on.
 func (s *LayerSource) Code() Code { return s.code }
 
@@ -329,6 +343,15 @@ func NewCircuitSource(code Code, P noise.Params, lanes int, smp frame.Sampler) *
 		diff:    NewSyndromeDiff(nc, lanes),
 		measBuf: make([]bits.Vec, 0, 2*nc),
 	}
+}
+
+// Reset returns the source to its just-built state on a new sampler —
+// no rounds emitted, a clean simulator (frame.BatchSim.Reset) — so it
+// emits what a new source of its code and noise on smp would.
+func (s *CircuitSource) Reset(smp frame.Sampler) {
+	s.sim.Reset(smp)
+	s.rounds = 0
+	s.diff.Reset()
 }
 
 // Code returns the code the source extracts on.

@@ -6,6 +6,8 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
+	"ftqc/internal/noise"
+	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
@@ -164,6 +166,85 @@ func TestLayerSourceMatchesPlaneLoop(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestResetSourceMatchesFresh: a source that has emitted rounds, its
+// errors accumulated and its syndrome generations full, and is then
+// Reset onto a sampler emits exactly what a new source on an equal
+// sampler does — every round's layers and erasure planes, the closing
+// layer and the windings — for the phenomenological source plain and
+// erased and the circuit source plain and leaking, on every family.
+func TestResetSourceMatchesFresh(t *testing.T) {
+	const lanes, used, rounds = 100, 7, 12
+	leaky := noise.Uniform(0.01)
+	leaky.Leak = 0.02
+	kinds := map[string]func(code surface.Code, smp frame.Sampler) spacetime.ResettableFeed{
+		"phenomenological": func(code surface.Code, smp frame.Sampler) spacetime.ResettableFeed {
+			return surface.NewLayerSource(code, 0.03, 0.02, lanes, smp)
+		},
+		"erased": func(code surface.Code, smp frame.Sampler) spacetime.ResettableFeed {
+			return surface.NewLayerSourceErased(code, 0.03, 0.02, 0.03, 0.03, lanes, smp)
+		},
+		"circuit": func(code surface.Code, smp frame.Sampler) spacetime.ResettableFeed {
+			return surface.NewCircuitSource(code, noise.Uniform(0.01), lanes, smp)
+		},
+		"leaking": func(code surface.Code, smp frame.Sampler) spacetime.ResettableFeed {
+			return surface.NewCircuitSource(code, leaky, lanes, smp)
+		},
+	}
+	for _, code := range []surface.Code{toric.Cached(4), surface.Planar(3), surface.Rotated(3)} {
+		for name, mk := range kinds {
+			nq, nc := code.Qubits(), code.Checks()
+			var got, want [5][]bits.Vec // layerX, layerZ, eraH, lostX, lostZ
+			for i, n := range [5]int{nc, nc, nq, nc, nc} {
+				got[i], want[i] = bits.NewVecs(n, lanes), bits.NewVecs(n, lanes)
+			}
+			next := func(s spacetime.ResettableFeed, planes [5][]bits.Vec) {
+				if s.Erasing() {
+					s.NextLayersErased(planes[0], planes[1], planes[2], planes[3], planes[4])
+				} else {
+					s.NextLayers(planes[0], planes[1])
+				}
+			}
+			src := mk(code, frame.NewAggregateSampler(5, 1))
+			for r := 0; r < used; r++ {
+				next(src, got)
+			}
+			src.Reset(frame.NewAggregateSampler(6, 2))
+			ref := mk(code, frame.NewAggregateSampler(6, 2))
+			if src.Rounds() != 0 {
+				t.Fatalf("%s %s: %d rounds emitted after Reset", codeLabel(code), name, src.Rounds())
+			}
+			faulted := false
+			for r := 0; r <= rounds; r++ {
+				what := "closing"
+				if r < rounds {
+					what = "round"
+					next(src, got)
+					next(ref, want)
+				} else {
+					src.CloseLayers(got[0], got[1])
+					ref.CloseLayers(want[0], want[1])
+				}
+				for i := range got {
+					if !samePlanes(got[i], want[i]) {
+						t.Fatalf("%s %s: %s %d plane group %d differs from a new source's", codeLabel(code), name, what, r, i)
+					}
+				}
+				_, loud := anyDefect(got[0], got[1])
+				faulted = faulted || loud
+			}
+			if !faulted {
+				t.Fatalf("%s %s: degenerate, no defect in any round", codeLabel(code), name)
+			}
+			gw, ww := bits.NewVecs(4, lanes), bits.NewVecs(4, lanes)
+			src.Windings(gw[0], gw[1], gw[2], gw[3])
+			ref.Windings(ww[0], ww[1], ww[2], ww[3])
+			if !samePlanes(gw, ww) {
+				t.Fatalf("%s %s: windings differ from a new source's", codeLabel(code), name)
 			}
 		}
 	}

@@ -211,6 +211,9 @@ func TestGoldenCLI(t *testing.T) {
 		{"thermal -decoder uf -L 3 -samples 512 -seed 7", 0x0b3f8c1bb1894952},
 		{"spacetime -L 3,4 -p 0.01,0.03 -samples 128 -seed 7", 0x67752bc67adb0a24},
 		{"spacetime -L 3 -p 0.01,0.03 -decoder exact -samples 128 -seed 7", 0x5a1c220fd804c317},
+		// Large exact decodes: 485 of this row's 512 decodes pass 24
+		// defects, a complete graph of 300+ edges for the blossom.
+		{"spacetime -L 6 -p 0.03,0.05 -decoder exact -samples 128 -seed 7", 0x766e05e3b0cb4f96},
 		{"spacetime -L 3,4 -p 0.01,0.02 -pe 0.02 -qe 0.02 -samples 128 -seed 7", 0x781b998a5e63b94b},
 		{"stream -L 3,4 -p 0.01,0.02 -samples 128 -seed 7", 0xb18ca1fd6ebd5634},
 		{"circuit -L 3,4 -p 0.004,0.008 -samples 128 -seed 7", 0xda13bdbb937f1135},

@@ -37,12 +37,11 @@
 // The toric experiments decode through internal/decoder's scalable
 // subsystem: a near-linear weighted-growth union-find decoder (the
 // production choice, tractable out to L = 32 and beyond) and a
-// polynomial blossom minimum-weight perfect matcher — dense or pruned
-// to the locally short edges with priced optimality repair — as the
-// accuracy baseline, each batch chunk decoding its own lanes with
-// results identical for any GOMAXPROCS. The torus is one more surface
-// code: ToricCode, PlanarCode and RotatedCode return the same
-// SurfaceCode type, built by one constructor.
+// polynomial blossom minimum-weight perfect matcher on the complete
+// defect graph as the accuracy baseline, each batch chunk decoding its
+// own lanes with results identical for any GOMAXPROCS. The torus is one
+// more surface code: ToricCode, PlanarCode and RotatedCode return the
+// same SurfaceCode type, built by one constructor.
 //
 // Noisy syndrome extraction (the regime real hardware decodes in) is
 // the internal/spacetime subsystem: T measurement rounds whose

@@ -63,19 +63,14 @@
 // program, with no cap on the defect count. It is the accuracy baseline
 // the union-find decoder is measured against.
 //
-// MinWeightPairsIndexed is the sparse-blossom variant: only the locally
-// short edges (weight ≤ cutoff, found by a caller-supplied neighbor
-// enumerator) are staged, excluded pairs are priced against the
-// engine's dual variables after each solve, and violated edges are
-// staged back in, so the returned matching's total weight equals the
-// dense optimum exactly (property-tested). DefectGrid is the standard
-// enumerator: a bucket index over defect coordinates (torus x, y plus
-// an unwrapped time axis) that visits only the cells a query radius can
-// reach. With it, staging enumerates ~O(n·k) candidate pairs instead of
-// n², and the pricing sweep contracts the same way — a pair excluded by
-// the cutoff can only be violated within a radius computed from the
-// dual variables, so each vertex prices only the candidates inside that
-// radius.
+// The matcher always stages the complete graph: n(n−1)/2 edges, priced
+// by the caller's weight function, so the package holds no geometry of
+// its own. The exact decoders run it at the sizes where it is the
+// reference (L ≤ 16 tori, L ≤ 8 space-time volumes); past that the
+// O(n²) staging and O(n³) solve are union-find territory. At the
+// reference sizes, pruning the staged edges to the locally short ones
+// (sparse blossom, with dual pricing to restore optimality) saved
+// little or nothing in measurement, so there is no pruned path.
 //
 // # Scratch layout
 //
@@ -203,17 +198,14 @@
 //   - Erased edges seed in caller order before any growth; merges happen
 //     in grow order; peeling follows DFS order (boundary-rooted trees
 //     first on open-boundary graphs).
-//   - The matcher breaks ties by its fixed edge enumeration, and the
-//     pruned matcher's stage/price/repeat loop is itself a pure function
-//     of the weight table and cutoff. An indexed matcher additionally
-//     requires its neighbor enumerator to be a pure function of (point,
-//     radius) — DefectGrid scans cells in a fixed order and points
-//     within a cell in reverse insertion order, which qualifies.
-//   - Scratch reuse is invisible: UnionFind, Matcher and DefectGrid all
-//     recycle their arrays across calls (epoch stamps, length resets),
-//     and reuse across a stream of windows — thousands of Decodes
-//     against one graph from one instance — yields the same output as a
-//     fresh instance per call. For UnionFind this scratch-history
+//   - The matcher breaks ties by its fixed edge enumeration over the
+//     complete graph, so its pairing is a pure function of the weight
+//     table.
+//   - Scratch reuse is invisible: UnionFind and Matcher both recycle
+//     their arrays across calls (epoch stamps, length resets), and
+//     reuse across a stream of windows — thousands of Decodes against
+//     one graph from one instance — yields the same output as a fresh
+//     instance per call. For UnionFind this scratch-history
 //     independence is a pinned contract: the same shots decode to the
 //     same corrections and sweep counts on a fresh instance, on one
 //     reused across all of them in any order, and across the 30-bit

@@ -19,15 +19,10 @@ package decoder
 // is NOT safe for concurrent use (one per worker, like UnionFind).
 type Matcher struct {
 	blossom blossomState
-	// edge staging (complete or pruned graph)
+	// complete-graph edge staging
 	edgeI, edgeJ []int32
 	edgeW        []int64
 	pairs        [][2]int32
-	// pruned-matching repair edges (pairs priced back in): membership
-	// keyed i*n+j, plus the insertion-ordered list that keeps staging
-	// deterministic (map iteration never enters a decision).
-	repair     map[int64]bool
-	repairList [][2]int32
 }
 
 // MinWeightPairs returns a pairing (i,j), i<j, of the n vertices
@@ -85,11 +80,6 @@ func (m *Matcher) MinWeightPairs(n int, weight func(i, j int) int64) [][2]int32 
 	}
 	return m.pairs
 }
-
-// SparseMatchMin is the defect count above which callers should prefer
-// MinWeightPairsIndexed: below it the complete graph is already tiny and
-// pruning only adds the pricing sweep.
-const SparseMatchMin = 24
 
 // blossomState holds the primal-dual working arrays of one matching run.
 type blossomState struct {

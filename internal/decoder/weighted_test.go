@@ -198,119 +198,6 @@ func TestDecodeErasedMixed(t *testing.T) {
 	}
 }
 
-// allPairs is the geometry-free enumerator of MinWeightPairsIndexed:
-// every other vertex is a candidate.
-func allPairs(n int) func(i int, _ int64, visit func(j int)) {
-	return func(i int, _ int64, visit func(j int)) {
-		for j := 0; j < n; j++ {
-			if j != i {
-				visit(j)
-			}
-		}
-	}
-}
-
-// TestPrunedMatchesDenseWeight is the sparse-blossom optimality property:
-// on random metric and non-metric instances, at friendly and adversarial
-// cutoffs, the pruned matching's total weight must equal the dense
-// matcher's exactly (the pricing loop repairs any cutoff casualty).
-func TestPrunedMatchesDenseWeight(t *testing.T) {
-	rng := rand.New(rand.NewPCG(309, 310))
-	var dense, pruned Matcher
-	// Torus-metric instances: the production shape.
-	const l = 16
-	dist := func(a, b int) int64 {
-		ax, ay := a%l, a/l
-		bx, by := b%l, b/l
-		dx, dy := ax-bx, ay-by
-		if dx < 0 {
-			dx = -dx
-		}
-		if dy < 0 {
-			dy = -dy
-		}
-		if l-dx < dx {
-			dx = l - dx
-		}
-		if l-dy < dy {
-			dy = l - dy
-		}
-		return int64(dx + dy)
-	}
-	for trial := 0; trial < 120; trial++ {
-		n := 2 * (2 + rng.IntN(15)) // 4..32 defects
-		pos := make([]int, n)
-		seen := map[int]bool{}
-		for i := range pos {
-			for {
-				p := rng.IntN(l * l)
-				if !seen[p] {
-					seen[p] = true
-					pos[i] = p
-					break
-				}
-			}
-		}
-		weight := func(i, j int) int64 { return dist(pos[i], pos[j]) }
-		want := pairsWeight(dense.MinWeightPairs(n, weight), weight)
-		for _, cutoff := range []int64{1, 3, 6, int64(l)} {
-			got := pairsWeight(pruned.MinWeightPairsIndexed(n, weight, cutoff, allPairs(n)), weight)
-			if got != want {
-				t.Fatalf("trial %d n=%d cutoff=%d: pruned weight %d, dense %d",
-					trial, n, cutoff, got, want)
-			}
-		}
-	}
-	// Arbitrary (non-metric) weight tables: pricing must still certify.
-	for trial := 0; trial < 150; trial++ {
-		n := 2 * (2 + rng.IntN(6)) // 4..14
-		w := make([]int64, n*n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d := rng.Int64N(50)
-				w[i*n+j] = d
-				w[j*n+i] = d
-			}
-		}
-		weight := func(i, j int) int64 { return w[i*n+j] }
-		want := pairsWeight(dense.MinWeightPairs(n, weight), weight)
-		got := pairsWeight(pruned.MinWeightPairsIndexed(n, weight, 10, allPairs(n)), weight)
-		if got != want {
-			t.Fatalf("non-metric trial %d n=%d: pruned weight %d, dense %d", trial, n, got, want)
-		}
-		checkPerfect(t, n, pruned.pairs)
-	}
-}
-
-// TestPrunedDeterministic: pruning (including its repair rounds) stays a
-// pure function of the weight table and cutoff.
-func TestPrunedDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewPCG(311, 312))
-	n := 20
-	w := make([]int64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := rng.Int64N(9)
-			w[i*n+j] = d
-			w[j*n+i] = d
-		}
-	}
-	weight := func(i, j int) int64 { return w[i*n+j] }
-	var m1, m2 Matcher
-	a := append([][2]int32(nil), m1.MinWeightPairsIndexed(n, weight, 3, allPairs(n))...)
-	for trial := 0; trial < 8; trial++ {
-		b := m2.MinWeightPairsIndexed(n, weight, 3, allPairs(n))
-		if len(a) != len(b) {
-			t.Fatal("pair count changed between runs")
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("run %d: pairing differs at %d", trial, i)
-			}
-		}
-	}
-}
-
 // TestMaxWeight: a weight past MaxWeight is a construction panic, not a
 // later one from the first decode's scratch, and a MaxWeight edge
 // decodes on both paths — its target 2·MaxWeight still fits the growth

@@ -204,24 +204,13 @@ func zeroPrepEscapeLanes(b *frame.BatchSim, cfg Config) bits.Vec {
 }
 
 // parallelBatchMC fans samples out as fixed-width lane batches over the
-// available CPUs via frame.ForEachChunk (deterministic stream per chunk:
-// results depend only on samples and seed). trial runs one batch and
-// returns the per-lane X/Z failure planes.
+// available CPUs via frame.CountSectorFailures (deterministic stream per
+// chunk: results depend only on samples and seed). trial runs one batch
+// and returns the per-lane X/Z failure planes.
 func parallelBatchMC(wires int, p noise.Params, samples int, seed uint64,
 	trial func(b *frame.BatchSim) (xfail, zfail bits.Vec)) MemoryResult {
-	var xs, zs, anys atomic.Int64
-	frame.ForEachChunk(samples, seed, func(lanes int, smp frame.Sampler) {
-		b := frame.NewBatch(wires, lanes, p, smp)
-		x, z := trial(b)
-		xs.Add(int64(x.Weight()))
-		zs.Add(int64(z.Weight()))
-		x.Or(z)
-		anys.Add(int64(x.Weight()))
+	xs, zs, anys := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
+		return trial(frame.NewBatch(wires, lanes, p, smp))
 	})
-	return MemoryResult{
-		Samples:   samples,
-		XFailures: int(xs.Load()),
-		ZFailures: int(zs.Load()),
-		Failures:  int(anys.Load()),
-	}
+	return MemoryResult{Samples: samples, XFailures: xs, ZFailures: zs, Failures: anys}
 }

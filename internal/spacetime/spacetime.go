@@ -56,7 +56,6 @@ type Volume struct {
 type volScratch struct {
 	ufX, ufZ *decoder.UnionFind
 	matcher  decoder.Matcher
-	grid     decoder.DefectGrid
 	defects  []int
 	corr     bits.Vec
 	edges    []int32 // raw correction edges of the lane in flight
@@ -328,14 +327,13 @@ func gcd(a, b int) int {
 // graph of the chosen sector and the space-like correction edges are
 // XOR-ed onto their data qubits (time-like edges are measurement-error
 // assignments and project away). DecoderExact runs the blossom matcher
-// on the volume's offset metric — wh·d₂ + wv·|Δt| on a plain volume,
-// with the diagonal shortcuts on a circuit one — pruned above
-// decoder.SparseMatchMin defects; every other kind runs the weighted
-// union-find decoder, seeding its peeling pass with erased — the lane's
-// located faults in canonical ascending edge-id order (AppendErased,
-// then Reprice for a correlated dual), or nil. It is the per-lane
-// reference the fast paths are checked against; the exact matcher takes
-// no erased list.
+// on the complete graph of the volume's offset metric — wh·d₂ + wv·|Δt|
+// on a plain volume, with the diagonal shortcuts on a circuit one; every
+// other kind runs the weighted union-find decoder, seeding its peeling
+// pass with erased — the lane's located faults in canonical ascending
+// edge-id order (AppendErased, then Reprice for a correlated dual), or
+// nil. It is the per-lane reference the fast paths are checked against;
+// the exact matcher takes no erased list.
 func (v *Volume) Decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
 	v.decodeInto(defects, erased, kind, dual, v.newScratch(), corr)
@@ -370,31 +368,7 @@ func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual 
 			dx, dy := mod(cb%v.L-ca%v.L, v.L), mod(cb/v.L-ca/v.L, v.L)
 			return dist[(dy*v.L+dx)*span+(b/v.nc-a/v.nc)+v.T]
 		}
-		// Grid staging reach per weighted radius r: a diagonal advances one
-		// spatial and one time step at cost WD, so the cheapest spatial
-		// (resp. time) step costs min(WH, WD) (resp. min(WV, WD)).
-		sw, tw := v.WH, v.WV
-		if v.WD > 0 && v.WD < sw {
-			sw = v.WD
-		}
-		if v.WD > 0 && v.WD < tw {
-			tw = v.WD
-		}
-		var pairs [][2]int32
-		if n := len(defects); n > decoder.SparseMatchMin {
-			cutoff := v.matchCutoff(n)
-			scr.grid.Reset(v.L, max(1, int(cutoff)/sw), 0, v.T, max(1, int(cutoff)/tw))
-			for _, d := range defects {
-				c := d % v.nc
-				scr.grid.Add(c%v.L, c/v.L, d/v.nc)
-			}
-			pairs = scr.matcher.MinWeightPairsIndexed(n, weight, cutoff,
-				func(i int, r int64, visit func(j int)) {
-					scr.grid.VisitWithin(i, int(r)/sw, int(r)/tw, visit)
-				})
-		} else {
-			pairs = scr.matcher.MinWeightPairs(n, weight)
-		}
+		pairs := scr.matcher.MinWeightPairs(len(defects), weight)
 		for _, pr := range pairs {
 			ca, cb := defects[pr[0]]%v.nc, defects[pr[1]]%v.nc
 			if ca == cb {
@@ -414,24 +388,6 @@ func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual 
 	}
 	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, erased)
 	v.project(scr.edges, corr)
-}
-
-// matchCutoff picks the pruning radius (in weighted units) for n defects
-// in the volume: a few mean nearest-neighbor spacings at the observed
-// defect density, times the heaviest edge weight.
-func (v *Volume) matchCutoff(n int) int64 {
-	mean := 1
-	for mean*mean*mean*n < 4*v.nodes {
-		mean++
-	}
-	w := v.WH
-	if v.WV > w {
-		w = v.WV
-	}
-	if v.WD > w {
-		w = v.WD
-	}
-	return int64(3 * mean * w)
 }
 
 // LayerFeed is the layer-source contract between syndrome-extraction

@@ -355,7 +355,6 @@ func (k DecoderKind) Validate() error {
 type decodeScratch struct {
 	uf      *decoder.UnionFind
 	matcher decoder.Matcher
-	grid    decoder.DefectGrid
 	pairs   [][2]int
 }
 
@@ -393,13 +392,7 @@ func (t *Lattice) decodeInto(defects []int, kind DecoderKind, scr *decodeScratch
 // matchDefects pairs up the defect set at minimum total torus distance.
 // The returned pairs alias scr and are valid until its next use.
 func (t *Lattice) matchDefects(defects []int, scr *decodeScratch) [][2]int {
-	switch len(defects) {
-	case 0:
-		return nil
-	case 2:
-		// One pair: no search needed.
-		return append(scr.takePairs(1), [2]int{defects[0], defects[1]})
-	case 4:
+	if len(defects) == 4 {
 		return t.matchFour(defects, scr)
 	}
 	return t.mwpmMatch(defects, scr)
@@ -432,47 +425,17 @@ func (t *Lattice) matchFour(defects []int, scr *decodeScratch) [][2]int {
 	return append(pairs, [2]int{defects[0], defects[3]}, [2]int{defects[1], defects[2]})
 }
 
-// mwpmMatch is the polynomial exact matcher on the torus distance graph.
-// Large defect sets go through the pruned (sparse-blossom) path: a grid
-// bucket index over the defect positions enumerates ~O(n·k) locally
-// short candidate edges for the engine (instead of scanning all n²
-// pairs), with dual pricing restoring any cutoff casualty, so the
-// result weight is exactly the dense optimum at a fraction of the cost.
+// mwpmMatch is the polynomial exact matcher on the complete torus
+// distance graph of the defect set.
 func (t *Lattice) mwpmMatch(defects []int, scr *decodeScratch) [][2]int {
-	n := len(defects)
-	weight := func(i, j int) int64 {
+	idx := scr.matcher.MinWeightPairs(len(defects), func(i, j int) int64 {
 		return int64(t.TorusDist(defects[i], defects[j]))
-	}
-	var idx [][2]int32
-	if n > decoder.SparseMatchMin {
-		cutoff := matchCutoff(t.L*t.L, n)
-		scr.grid.Reset(t.L, int(cutoff), 0, 0, 1)
-		for _, d := range defects {
-			scr.grid.Add(d%t.L, d/t.L, 0)
-		}
-		idx = scr.matcher.MinWeightPairsIndexed(n, weight, cutoff,
-			func(i int, r int64, visit func(j int)) {
-				scr.grid.VisitWithin(i, int(r), 0, visit)
-			})
-	} else {
-		idx = scr.matcher.MinWeightPairs(n, weight)
-	}
+	})
 	pairs := scr.takePairs(len(idx))
 	for _, pr := range idx {
 		pairs = append(pairs, [2]int{defects[pr[0]], defects[pr[1]]})
 	}
 	return pairs
-}
-
-// matchCutoff picks the pruning radius for n defects on a lattice of the
-// given check count: a few mean nearest-neighbor spacings, so each defect
-// keeps O(1) candidate partners and the staged edge count stays ~O(n).
-func matchCutoff(area, n int) int64 {
-	mean := 1
-	for mean*mean*n < 4*area {
-		mean++
-	}
-	return int64(3 * mean)
 }
 
 // MemoryResult summarizes a toric-memory Monte Carlo run.

@@ -459,11 +459,11 @@ func cmdStream(args []string) {
 	model := func(p float64) spacetime.Model { return spacetime.Phenomenological(p, g.qOf(p), 0, 0) }
 	t := table{corner: "p\\L", rowFmt: "%-8.3f", width: 16,
 		head: func(l int) string {
-			w, c := g.win(l)
+			w, c, _ := g.win(l)
 			return fmt.Sprintf("%d (T=%d W=%d/%d)", l, g.rounds(l), w, c)
 		},
 		cell: func(l int, p float64, seed uint64) float64 {
-			w, c := g.win(l)
+			w, c, _ := g.win(l)
 			return must(stream.Memory(toric.Cached(l), g.rounds(l), model(p), w, c, spacetime.DecodeOptions{}, g.samples, seed)).FailRate()
 		},
 		crossing: "streaming sustained threshold (L=%d vs L=%d curves cross): p = q ≈ %.3f",
@@ -520,7 +520,7 @@ func cmdCircuit(args []string) {
 		if *schedule == "hookpar" {
 			code = toric.HookParallel(l)
 		}
-		if w, c := g.win(l); w > 0 {
+		if w, c, _ := g.win(l); w > 0 {
 			return must(stream.Memory(code, g.rounds(l), spacetime.Circuit(P), w, c, opts, g.samples, seed)).FailRate()
 		}
 		return must(stream.VolumeMemory(code, g.rounds(l), spacetime.Circuit(P), k, opts, g.samples, seed)).FailRate()
@@ -554,7 +554,7 @@ func cmdCircuit(args []string) {
 		fmt.Printf("     extraction schedule: %s (parallel-last hook pairs — axis-aligned hook defects)\n", *schedule)
 	}
 	if streaming {
-		w, c := g.win(g.ls[0])
+		w, c, _ := g.win(g.ls[0])
 		fmt.Printf("     streaming pipeline: W=%d sliding windows, commit %d\n", w, c)
 	}
 	if cross := t.print(g.ls, g.ps, g.seed); !math.IsNaN(cross) {

@@ -143,6 +143,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{[]string{"circuit", "-L", "3", "-p", "0.004", "-window", "-1", "-samples", "64"}, "-window"},
 		{[]string{"circuit", "-L", "3", "-p", "0.004", "-commit", "3", "-samples", "64"}, "-commit"},
 		{[]string{"stream", "-L", "3", "-p", "0.01", "-window", "-4", "-samples", "64"}, "-window"},
+		{[]string{"stream", "-L", "4", "-commit", "-1"}, "-commit"},
+		{[]string{"circuit", "-window", "4", "-commit", "-1"}, "-commit"},
 		{[]string{"serve", "-p", "2", "-T", "4", "-sessions", "1"}, "-p"},
 		{[]string{"serve", "-model", "phenom", "-p", "-1", "-T", "4", "-sessions", "1"}, "-p"},
 		{[]string{"serve", "-lanes", "0", "-T", "4", "-sessions", "1"}, "-lanes"},

@@ -119,17 +119,14 @@ func (g grid) qOf(p float64) float64 {
 	return p
 }
 
-// win is the sliding window (height, commit) of a cell at distance l;
-// a zero height is a whole-volume decode.
-func (g grid) win(l int) (w, c int) {
-	w, c = g.window, g.commit
-	if w == 0 && g.slides {
-		w, _ = stream.DefaultWindow(l)
+// win is the sliding window (height, commit) of a cell at distance l,
+// filled in by stream.WindowShape; a zero height is a whole-volume
+// decode. checkGrid refuses a grid any of whose windows is an error.
+func (g grid) win(l int) (w, c int, err error) {
+	if g.window == 0 && !g.slides {
+		return 0, 0, nil
 	}
-	if w > 0 && c == 0 {
-		c = w / 2
-	}
-	return w, c
+	return stream.WindowShape(l, g.window, g.commit)
 }
 
 // checkGrid is the one validation pass over the shared flags. v holds
@@ -211,7 +208,8 @@ func checkGrid(v map[string]string, slides bool) (grid, error) {
 			return g, check(false, "commit", s, "0 unless -window sets a streaming window")
 		}
 		for _, l := range g.ls {
-			if w, c := g.win(l); w > 0 && (c < 1 || c >= w) {
+			if w, c, err := g.win(l); err != nil || w > 0 && c >= w {
+				w, _, _ = stream.WindowShape(l, g.window, 0) // the range to name, whatever -commit said
 				return g, check(false, "commit", s, fmt.Sprintf("in [1, window-1] = [1, %d] at L=%d", w-1, l))
 			}
 		}

@@ -22,11 +22,11 @@ func TestCheckGrid(t *testing.T) {
 		g.samples != 64 || g.kind != toric.DecoderUnionFind || g.seed != 7 {
 		t.Fatalf("grid %+v", g)
 	}
-	if w, c := g.win(5); w != 10 || c != 5 {
+	if w, c, _ := g.win(5); w != 10 || c != 5 {
 		t.Fatalf("stream's default window at L=5: %d/%d, want 10/5", w, c)
 	}
 	g, err = checkGrid(map[string]string{"L": "4", "T": "L", "window": "0", "commit": "0"}, false)
-	if w, _ := g.win(4); err != nil || g.rounds(4) != 4 || w != 0 {
+	if w, _, _ := g.win(4); err != nil || g.rounds(4) != 4 || w != 0 {
 		t.Fatalf("whole-volume grid %+v (err %v)", g, err)
 	}
 	for _, bad := range []struct {
@@ -87,7 +87,7 @@ func FuzzGridFlags(f *testing.F) {
 			if g.rounds(l) < 1 {
 				t.Fatalf("-T %q gives %d rounds at L=%d", T, g.rounds(l), l)
 			}
-			w, c := g.win(l)
+			w, c, _ := g.win(l)
 			if w == 0 {
 				if g.commit != 0 {
 					t.Fatalf("whole-volume cell with -commit %d", g.commit)

@@ -74,10 +74,6 @@ func TestFacadeSpacetime(t *testing.T) {
 	if _, err := SpacetimeMemory(PlanarCode(3), 2, noisy, ToricDecoderExact, DecodeOptions{}, 500, 12); err == nil {
 		t.Fatal("exact matching on an open code accepted")
 	}
-	a, _ := SpacetimeMemory(ToricCode(4), 4, phenom, ToricDecoderUnionFind, DecodeOptions{}, 1000, 11)
-	if a != r {
-		t.Fatalf("spacetime memory not deterministic: %+v vs %+v", a, r)
-	}
 	erased := PhenomenologicalModel(0.01, 0.01, 0.08, 0.08)
 	aware := DecodeOptions{ErasureAware: true}
 	er, err := SpacetimeMemory(ToricCode(4), 3, erased, ToricDecoderUnionFind, aware, 500, 15)
@@ -131,9 +127,6 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	if r.Failures < r.FailX || r.Failures < r.FailZ {
 		t.Fatalf("sector accounting broken: %+v", r)
-	}
-	if a, _ := stream(16, 0, 0, 1000, 13); a != r {
-		t.Fatalf("streaming memory not deterministic: %+v vs %+v", a, r)
 	}
 	w, err := stream(10, 5, 2, 500, 14)
 	if err != nil {

@@ -129,25 +129,6 @@ func isqrt(n int) int {
 	return x
 }
 
-// TestCorrelatedDeterministic pins the determinism contract of the
-// two-pass decode: same seed, same counts, twice.
-func TestCorrelatedDeterministic(t *testing.T) {
-	P := noise.Uniform(0.006)
-	P.Leak = 0.004
-	opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
-	a, err := toricCircuitMemoryOpts(4, 4, P, 1024, 505, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := toricCircuitMemoryOpts(4, 4, P, 1024, 505, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FailX != b.FailX || a.FailZ != b.FailZ {
-		t.Fatalf("correlated decode not deterministic: (%d,%d) vs (%d,%d)", a.FailX, a.FailZ, b.FailX, b.FailZ)
-	}
-}
-
 // TestCorrelatedImprovesOverIndependent: repricing the dual window
 // from the committed primal correction must lower the dual sector's
 // failure count — and with it the total — at a depolarizing operating
@@ -171,28 +152,6 @@ func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 	}
 	if corr.Failures >= ind.Failures {
 		t.Fatalf("correlated total (%d) not better than independent (%d)", corr.Failures, ind.Failures)
-	}
-}
-
-// TestErasedVolumeMatchesPlainOnLeakFree: with Leak = 0 the erased
-// round must consume the sampler stream identically to the plain one —
-// same draws, same decodes, same failures — so a leak-free source, which
-// is not Erasing, may drain through the fused plain round. The erased
-// round drains through a never-sliding stream, the plain one through
-// the whole-volume batch decode.
-func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
-	P := noise.Uniform(0.008)
-	wh, wv, wd := spacetime.WeightsCircuit(P, 4, 4)
-	v := spacetime.NewVolume(toric.Cached(4), 4, wh, wv, wd)
-	s := wholeVolumeSession(t, toric.Cached(4), 4, spacetime.Circuit(P))
-	defer s.Close()
-	lanes := 192
-	fx1, fz1 := s.BatchMemoryFrom(erasingFeed{surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3))}, 4, spacetime.DecodeOptions{ErasureAware: true})
-	fx2, fz2 := v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
-	for lane := 0; lane < lanes; lane++ {
-		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {
-			t.Fatalf("lane %d: erased pipeline diverges from plain on a leak-free model", lane)
-		}
 	}
 }
 

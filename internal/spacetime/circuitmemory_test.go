@@ -2,7 +2,6 @@ package spacetime_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"ftqc/internal/bits"
@@ -65,26 +64,6 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 			t.Fatalf("sector %s: circuit %.4f vs phenomenological %.4f (diff %.4f > %.4f)",
 				s.name, s.got, s.want, diff, 4*sigma+0.015)
 		}
-	}
-}
-
-// TestCircuitMemoryDeterministicAndGOMAXPROCSInvariant: the circuit
-// Monte Carlo is a pure function of (samples, seed).
-func TestCircuitMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
-	run := func() stream.Result {
-		return toricCircuitMemory(4, 4, noise.Uniform(0.004), toric.DecoderUnionFind, 900, 35)
-	}
-	a := run()
-	if b := run(); a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(8)
-	parallel := run()
-	runtime.GOMAXPROCS(old)
-	if serial != parallel {
-		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
 	}
 }
 

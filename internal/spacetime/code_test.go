@@ -25,16 +25,6 @@ func TestCodeMemoryEntryPoints(t *testing.T) {
 			t.Errorf("%s circuit: %d failures at P=0 (err %v)", code.CodeName(), rc.Failures, err)
 		}
 	}
-	rotated := func() stream.Result {
-		return mustMemory(stream.VolumeMemory(surface.Rotated(3), 3, spacetime.Circuit(noise.Uniform(0.006)), toric.DecoderUnionFind, spacetime.DecodeOptions{}, 2048, 9))
-	}
-	a, b := rotated(), rotated()
-	if a != b {
-		t.Errorf("rotated circuit memory not deterministic: %+v vs %+v", a, b)
-	}
-	if a.Failures == 0 {
-		t.Errorf("rotated d=3 at eps=0.006: no failures in %d samples — detector wiring suspect", a.Samples)
-	}
 }
 
 // TestLeakyCircuitModelReturnsCounts: a circuit model with a Leak

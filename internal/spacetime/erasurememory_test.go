@@ -37,15 +37,6 @@ func TestErasureAwareBeatsBlind(t *testing.T) {
 	}
 }
 
-// TestErasedMemoryDeterministic: the erased experiment is a pure
-// function of (samples, seed).
-func TestErasedMemoryDeterministic(t *testing.T) {
-	run := func() stream.Result { return toricErasedMemory(4, 3, 0.02, 0.02, 0.08, 0.08, 900, 617, true) }
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
-	}
-}
-
 // erasingFeed drains a source through its erased round whatever its
 // rates: a drain reads NextLayersErased exactly when the feed is
 // Erasing.

@@ -2,7 +2,6 @@ package spacetime_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"ftqc/internal/spacetime"
@@ -77,24 +76,6 @@ func TestSustainedSuppression(t *testing.T) {
 	if above5.FailRate() < above3.FailRate()-0.02 {
 		t.Fatalf("above threshold L=5 should not beat L=3: %.4f vs %.4f",
 			above5.FailRate(), above3.FailRate())
-	}
-}
-
-// TestMemoryDeterministicAndGOMAXPROCSInvariant: the experiment is a
-// pure function of (samples, seed), independent of the worker count.
-func TestMemoryDeterministicAndGOMAXPROCSInvariant(t *testing.T) {
-	run := func() stream.Result { return toricMemory(4, 4, 0.03, 0.03, toric.DecoderUnionFind, 900, 513) }
-	a := run()
-	if b := run(); a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(8)
-	parallel := run()
-	runtime.GOMAXPROCS(old)
-	if serial != parallel {
-		t.Fatalf("result depends on GOMAXPROCS: 1 → %+v, 8 → %+v", serial, parallel)
 	}
 }
 

@@ -1,68 +1,15 @@
 package stream
 
 import (
-	"runtime"
+	"slices"
 	"testing"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/decoder"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/toric"
 )
-
-// TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
-// stream, draining an erasure-harvesting source through the streaming
-// decoder must reproduce the from-scratch per-lane whole-volume decode
-// (volumeReference) bit for bit — for every option set, including the
-// serialized correlated pass, on circuit sources and on phenomenological
-// ones with leaked data qubits and lost measurements (whose windows have
-// no diagonal class). Same draws, same canonical erased lists, same
-// primal→dual order.
-func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
-	const lanes = 192
-	circuit := func(eps, leak float64) spacetime.Model {
-		P := noise.Uniform(eps)
-		P.Leak = leak
-		return spacetime.Circuit(P)
-	}
-	aware := spacetime.DecodeOptions{ErasureAware: true}
-	correlated := spacetime.DecodeOptions{Correlated: true}
-	both := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
-	for _, cfg := range []struct {
-		l, rounds, window int
-		m                 spacetime.Model
-		opts              spacetime.DecodeOptions
-	}{
-		{4, 4, 4, circuit(0.006, 0.01), aware},
-		{4, 4, 4, circuit(0.006, 0.01), spacetime.DecodeOptions{}},
-		{4, 4, 4, circuit(0.006, 0.008), both},
-		{4, 4, 4, circuit(0.008, 0), correlated},
-		{3, 2, 2, circuit(0.01, 0.02), aware},
-		{5, 3, 3, circuit(0.004, 0.006), both},
-		{4, 4, 4, spacetime.Phenomenological(0.02, 0.02, 0.03, 0.03), aware},
-		{4, 3, 5, spacetime.Phenomenological(0.02, 0.02, 0.05, 0.02), both},
-		{3, 5, 5, spacetime.Phenomenological(0.03, 0.03, 0.02, 0.04), correlated},
-		{5, 2, 3, spacetime.Phenomenological(0.01, 0.02, 0.04, 0), aware},
-		{4, 3, 3, spacetime.Phenomenological(0.02, 0.02, 0.05, 0.05), spacetime.DecodeOptions{}},
-	} {
-		code := toric.Cached(cfg.l)
-		wh, wv, wd := cfg.m.Weights(cfg.l, cfg.rounds)
-		v := spacetime.NewVolume(code, cfg.rounds, wh, wv, wd)
-		fx1, fz1 := volumeReference(v, cfg.m.Source(code, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
-		s := mustCircuitSession(t, cfg.l, cfg.window, 1, wh, wv, wd)
-		fx2, fz2 := s.BatchMemoryFrom(cfg.m.Source(code, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
-		s.Close()
-		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
-			t.Fatalf("L=%d T=%d W=%d model %+v opts=%+v: streaming erased decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
-				cfg.l, cfg.rounds, cfg.window, cfg.m, cfg.opts, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
-		}
-		if fx1.Weight()+fz1.Weight() == 0 {
-			t.Fatalf("L=%d T=%d model %+v: degenerate, no lane fails", cfg.l, cfg.rounds, cfg.m)
-		}
-	}
-}
 
 // silentPrimal is a feed whose primal difference layers, closing round
 // included, are empty in every lane: its primal sector decodes to the
@@ -93,9 +40,10 @@ func clearPlanes(vs []bits.Vec) {
 // TestCorrelatedSilentPrimalFinish: a correlated decoder whose primal
 // planes are silent in every lane decodes an empty primal in a Finish
 // at W ≥ T, and its dual must reprice from that empty correction,
-// as the whole-volume reference does — not from whatever the shared
-// correction lists hold from the decoder's last stream. The silent
-// drain reuses the decoder a loud drain of the same class just freed.
+// as a fresh decoder does (internal/oracle holds fresh decoders to the
+// whole volume) — not from whatever the shared correction lists hold
+// from the decoder's last stream. The silent drain reuses the decoder
+// a loud drain of the same class just freed.
 func TestCorrelatedSilentPrimalFinish(t *testing.T) {
 	const lanes = 128
 	holdFreeList(t)
@@ -115,52 +63,25 @@ func TestCorrelatedSilentPrimalFinish(t *testing.T) {
 	} {
 		code := toric.Cached(cfg.l)
 		wh, wv, wd := cfg.m.Weights(cfg.l, cfg.rounds)
-		v := spacetime.NewVolume(code, cfg.rounds, wh, wv, wd)
-		fx1, fz1 := volumeReference(v, silentPrimal{cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 3))}, cfg.opts)
 		s := mustCircuitSession(t, cfg.l, cfg.rounds, 1, wh, wv, wd)
+		silent := func() spacetime.LayerFeed {
+			return silentPrimal{cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 3))}
+		}
+		fresh := freshDrain(s, silent(), cfg.rounds, cfg.opts)
 		s.BatchMemoryFrom(cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 4)), cfg.rounds, cfg.opts)
 		loud := freeDecoders()
-		fx2, fz2 := s.BatchMemoryFrom(silentPrimal{cfg.m.Source(code, lanes, frame.NewAggregateSampler(977, 3))}, cfg.rounds, cfg.opts)
-		silent := freeDecoders()
+		reused, d := drainOnce(s, silent(), cfg.rounds, cfg.opts)
 		s.Close()
-		if d := silent[len(silent)-1]; d != loud[len(loud)-1] || d.Slides() != 0 || d.DefectsObserved() == 0 {
+		if d != loud[len(loud)-1] || d.Slides() != 0 || d.DefectsObserved() == 0 {
 			t.Fatalf("L=%d T=%d model %+v: degenerate, the silent drain did not reuse the loud drain's decoder at W = T with dual defects", cfg.l, cfg.rounds, cfg.m)
 		}
-		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
-			t.Fatalf("L=%d T=%d model %+v opts=%+v: silent-primal Finish differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
-				cfg.l, cfg.rounds, cfg.m, cfg.opts, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		if !sameOutcome(fresh, reused) {
+			t.Fatalf("L=%d T=%d model %+v opts=%+v: silent-primal Finish on the reused decoder differs from a fresh decoder's (X %d vs %d fails, Z %d vs %d)",
+				cfg.l, cfg.rounds, cfg.m, cfg.opts, fresh.failX.Weight(), reused.failX.Weight(), fresh.failZ.Weight(), reused.failZ.Weight())
 		}
-		if fz1.Weight() == 0 {
+		if fresh.failZ.Weight() == 0 {
 			t.Fatalf("L=%d T=%d model %+v: degenerate, no lane fails in the dual sector", cfg.l, cfg.rounds, cfg.m)
 		}
-	}
-}
-
-// TestErasedSlidingWorkerInvariant: on a genuinely sliding erasure-fed
-// stream (per-lane erased lists built every slide, most lanes erased)
-// the committed frames do not depend on how many pool workers share the
-// lanes.
-func TestErasedSlidingWorkerInvariant(t *testing.T) {
-	const l, rounds, window, commit, lanes = 4, 12, 5, 2, 192
-	P := noise.Uniform(0.005)
-	P.Leak = 0.008
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	run := func(workers int) (bits.Vec, bits.Vec) {
-		pool := decoder.NewPool(workers)
-		defer pool.Close()
-		s, err := toricCircuitSessionOn(pool, l, window, commit, wh, wv, wd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.BatchMemoryFrom(
-			toricCircuit(l, P, lanes, frame.NewAggregateSampler(973, 5)), rounds,
-			spacetime.DecodeOptions{ErasureAware: true})
-	}
-	fx1, fz1 := run(1)
-	fx2, fz2 := run(4)
-	if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
-		t.Fatalf("erased sliding stream depends on the worker count (X %d vs %d fails, Z %d vs %d)",
-			fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
 	}
 }
 
@@ -203,37 +124,6 @@ func cloneVecs(vs []bits.Vec) []bits.Vec {
 	return out
 }
 
-func equalVecs(a, b []bits.Vec) bool {
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return len(a) == len(b)
-}
-
-// TestErasedLeakFreeMatchesPlainStream: on a leak-free stream a
-// PushErased round with empty planes is a Push round — one decoder,
-// blind or aware, fed the same stream both ways commits the same frames.
-func TestErasedLeakFreeMatchesPlainStream(t *testing.T) {
-	const l, rounds, window, commit, lanes = 4, 10, 5, 2, 192
-	P := noise.Uniform(0.007)
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	s := mustCircuitSession(t, l, window, commit, wh, wv, wd)
-	defer s.Close()
-	never := func(int) bool { return false }
-	always := func(int) bool { return true }
-	for _, opts := range []spacetime.DecodeOptions{{}, {ErasureAware: true}} {
-		d := s.NewDecoderOpts(lanes, opts)
-		x1, z1 := streamFrames(t, d, toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, always, never)
-		d.reset()
-		x2, z2 := streamFrames(t, d, toricCircuit(l, P, lanes, frame.NewAggregateSampler(977, 3)), rounds, never, always)
-		if !equalVecs(x1, x2) || !equalVecs(z1, z2) {
-			t.Fatalf("opts=%+v: PushErased with empty planes commits other frames than Push", opts)
-		}
-	}
-}
-
 // TestPushMixesWithPushErased: a Push round is a round with nothing
 // erased. Erasure-aware and correlated decoders fed Push on some rounds
 // of a leaking stream — including rounds landing in ring slots that held
@@ -252,7 +142,7 @@ func TestPushMixesWithPushErased(t *testing.T) {
 	for _, opts := range []spacetime.DecodeOptions{{ErasureAware: true}, {Correlated: true}, {ErasureAware: true, Correlated: true}} {
 		x1, z1 := streamFrames(t, s.NewDecoderOpts(lanes, opts), toricCircuit(l, P, lanes, frame.NewAggregateSampler(983, 3)), rounds, mixed, never)
 		x2, z2 := streamFrames(t, s.NewDecoderOpts(lanes, opts), toricCircuit(l, P, lanes, frame.NewAggregateSampler(983, 3)), rounds, never, mixed)
-		if !equalVecs(x1, x2) || !equalVecs(z1, z2) {
+		if !slices.EqualFunc(x1, x2, bits.Vec.Equal) || !slices.EqualFunc(z1, z2, bits.Vec.Equal) {
 			t.Fatalf("opts=%+v: Push rounds commit other frames than PushErased rounds with empty planes", opts)
 		}
 	}
@@ -307,36 +197,6 @@ func TestErasedStreamFootprintFlat(t *testing.T) {
 			t.Errorf("leak %g: footprint grew: %d bytes at 100 rounds, %d at %d", leak, warm, final, rounds)
 		}
 		s.Close()
-	}
-}
-
-// TestCircuitMemoryOptsDeterministicAndServiceInvariant: the correlated
-// + erasure-aware streaming Monte Carlo over a genuinely sliding stream
-// is a pure function of (samples, seed) regardless of the service
-// worker count — the serialized primal→dual slide keeps the committed
-// frames worker-invariant.
-func TestCircuitMemoryOptsDeterministicAndServiceInvariant(t *testing.T) {
-	P := noise.Uniform(0.006)
-	P.Leak = 0.006
-	opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
-	run := func() Result {
-		r, err := toricCircuitMemoryOpts(4, 10, P, 5, 2, 400, 979, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a := run()
-	if b := run(); a != b {
-		t.Fatalf("same seed, different results: %+v vs %+v", a, b)
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(8)
-	parallel := run()
-	runtime.GOMAXPROCS(old)
-	if serial != parallel {
-		t.Fatalf("result depends on service worker count: 1 → %+v, 8 → %+v", serial, parallel)
 	}
 }
 

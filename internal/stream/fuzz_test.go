@@ -24,12 +24,9 @@ import (
 // out-of-range rates included), the same kind and 0–64 samples. Every
 // call must return an error or finish — a bounded wait turns a hang
 // into a failure — and a kind that names no decoder must be an error.
-// When both volume and stream accept a union-find run over one decode
-// horizon (W = rounds for a circuit model, W ≥ rounds for a
-// phenomenological one) their failure counts must agree — erasure
-// channels and decode options included; when both 2D
-// drivers accept a union-find run, the X-sector failures must agree
-// (both draw the X planes first).
+// When both 2D drivers accept a union-find run, the X-sector failures
+// must agree (both draw the X planes first). Which frames and counts
+// the volume and streaming drivers return is internal/oracle's.
 //
 //	go test -run '^$' -fuzz=FuzzMemoryOptions -fuzztime=10s ./internal/stream/
 func FuzzMemoryOptions(f *testing.F) {
@@ -70,16 +67,15 @@ func FuzzMemoryOptions(f *testing.F) {
 		}
 		opts := spacetime.DecodeOptions{ErasureAware: aware, Correlated: correlated}
 		type outcome struct {
-			vol, str                       Result
-			flat                           toric.MemoryResult
-			xz                             surface.MemoryResult
-			volErr, strErr, flatErr, xzErr error
+			flat                   toric.MemoryResult
+			xz                     surface.MemoryResult
+			volErr, flatErr, xzErr error
 		}
 		done := make(chan outcome, 1)
 		go func() {
 			var o outcome
-			o.vol, o.volErr = VolumeMemory(code, T, m, kind, opts, n, 7)
-			o.str, o.strErr = Memory(code, T, m, int(window), int(commit), opts, n, 7)
+			_, o.volErr = VolumeMemory(code, T, m, kind, opts, n, 7)
+			Memory(code, T, m, int(window), int(commit), opts, n, 7)
 			o.flat, o.flatErr = toric.MemoryExperiment(l, rate, kind, n2, 7)
 			o.xz, o.xzErr = surface.MemoryExperimentXZ(torus, rate, n2, 7)
 			done <- o
@@ -99,15 +95,6 @@ func FuzzMemoryOptions(f *testing.F) {
 		}
 		if o.flatErr == nil && o.xzErr == nil && o.flat.Failures != o.xz.FailX {
 			t.Fatalf("L=%d p=%v samples %d: toric memory fails %d, surface X sector %d", l, rate, n2, o.flat.Failures, o.xz.FailX)
-		}
-		if o.volErr != nil || o.strErr != nil {
-			return
-		}
-		if o.str.Window == T || !circuit && o.str.Window >= T {
-			if o.vol.FailX != o.str.FailX || o.vol.FailZ != o.str.FailZ {
-				t.Fatalf("%s d=%d T=%d W=%d model %+v opts %+v: whole volume fails %d/%d, stream %d/%d",
-					code.CodeName(), d, T, o.str.Window, m, opts, o.vol.FailX, o.vol.FailZ, o.str.FailX, o.str.FailZ)
-			}
 		}
 	})
 }

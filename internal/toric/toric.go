@@ -246,81 +246,40 @@ func (t *Lattice) TorusDist(a, b int) int {
 }
 
 // PathBetween flips a shortest error chain connecting plaquettes a and b
-// into out (move in x first, then y, wrapping the short way).
+// into out (move in x first, then y, wrapping the short way): crossing
+// from plaquette (x,y) to (x+1,y) flips v(x+1,y), from (x,y) to
+// (x,y+1) flips h(x,y+1).
 func (t *Lattice) PathBetween(a, b int, out bits.Vec) {
-	ax, ay := a%t.L, a/t.L
-	bx, by := b%t.L, b/t.L
-	// Walk in x: crossing from plaquette (x,y) to (x+1,y) flips the
-	// vertical edge v(x+1, y).
-	stepX := 1
-	dx := mod(bx-ax, t.L)
-	if dx > t.L-dx {
-		stepX = -1
-		dx = t.L - dx
-	}
-	x, y := ax, ay
-	for i := 0; i < dx; i++ {
-		if stepX == 1 {
-			out.Flip(t.VEdge(x+1, y))
-			x = mod(x+1, t.L)
-		} else {
-			out.Flip(t.VEdge(x, y))
-			x = mod(x-1, t.L)
-		}
-	}
-	// Walk in y: crossing from (x,y) to (x,y+1) flips h(x, y+1).
-	stepY := 1
-	dy := mod(by-ay, t.L)
-	if dy > t.L-dy {
-		stepY = -1
-		dy = t.L - dy
-	}
-	for i := 0; i < dy; i++ {
-		if stepY == 1 {
-			out.Flip(t.HEdge(x, y+1))
-			y = mod(y+1, t.L)
-		} else {
-			out.Flip(t.HEdge(x, y))
-			y = mod(y-1, t.L)
-		}
-	}
+	t.walk(a, b, out, func(x, y int) int { return t.VEdge(x+1, y) }, func(x, y int) int { return t.HEdge(x, y+1) })
 }
 
 // PathBetweenDual is PathBetween on the dual lattice: it flips a shortest
 // phase-flip chain connecting sites a and b into out. Crossing from site
 // (x,y) to (x+1,y) flips h(x,y); from (x,y) to (x,y+1) flips v(x,y).
-func (t *Lattice) PathBetweenDual(a, b int, out bits.Vec) {
-	ax, ay := a%t.L, a/t.L
-	bx, by := b%t.L, b/t.L
-	stepX := 1
-	dx := mod(bx-ax, t.L)
-	if dx > t.L-dx {
-		stepX = -1
-		dx = t.L - dx
-	}
-	x, y := ax, ay
-	for i := 0; i < dx; i++ {
-		if stepX == 1 {
-			out.Flip(t.HEdge(x, y))
+func (t *Lattice) PathBetweenDual(a, b int, out bits.Vec) { t.walk(a, b, out, t.HEdge, t.VEdge) }
+
+// walk flips the chain from cell a to cell b that moves in x first,
+// then in y, each the short way (forward on a tie): crossX(x, y) is the
+// edge crossed from (x,y) to (x+1,y), crossY(x, y) the one from (x,y)
+// to (x,y+1).
+func (t *Lattice) walk(a, b int, out bits.Vec, crossX, crossY func(x, y int) int) {
+	x, y := a%t.L, a/t.L
+	for bx := b % t.L; x != bx; {
+		if d := mod(bx-x, t.L); d <= t.L-d {
+			out.Flip(crossX(x, y))
 			x = mod(x+1, t.L)
 		} else {
-			out.Flip(t.HEdge(x-1, y))
 			x = mod(x-1, t.L)
+			out.Flip(crossX(x, y))
 		}
 	}
-	stepY := 1
-	dy := mod(by-ay, t.L)
-	if dy > t.L-dy {
-		stepY = -1
-		dy = t.L - dy
-	}
-	for i := 0; i < dy; i++ {
-		if stepY == 1 {
-			out.Flip(t.VEdge(x, y))
+	for by := b / t.L; y != by; {
+		if d := mod(by-y, t.L); d <= t.L-d {
+			out.Flip(crossY(x, y))
 			y = mod(y+1, t.L)
 		} else {
-			out.Flip(t.VEdge(x, y-1))
 			y = mod(y-1, t.L)
+			out.Flip(crossY(x, y))
 		}
 	}
 }

@@ -175,26 +175,32 @@ func TestHomologyDetection(t *testing.T) {
 	}
 }
 
-func TestPathBetweenConnectsDefects(t *testing.T) {
+// TestPathBetweenConnectsDefects: a path's plaquette syndrome is
+// exactly its two end plaquettes, and its weight is their torus
+// distance.
+func TestPathBetweenConnectsDefects(t *testing.T) { checkPaths(t, false, 135) }
+
+// TestPathBetweenDualConnectsSites is TestPathBetweenConnectsDefects on
+// the dual lattice: the path's star syndrome is exactly its two end
+// sites, and its weight is their torus distance.
+func TestPathBetweenDualConnectsSites(t *testing.T) { checkPaths(t, true, 403) }
+
+func checkPaths(t *testing.T, dual bool, seed uint64) {
 	l := newLattice(6)
-	rng := rand.New(rand.NewPCG(135, 136))
+	walk, syndrome := l.PathBetween, l.Syndrome
+	if dual {
+		walk, syndrome = l.PathBetweenDual, l.StarSyndrome
+	}
+	rng := rand.New(rand.NewPCG(seed, seed+1))
 	for trial := 0; trial < 100; trial++ {
 		a, b := rng.IntN(36), rng.IntN(36)
 		if a == b {
 			continue
 		}
 		chain := bits.NewVec(l.Qubits())
-		l.PathBetween(a, b, chain)
-		defects := l.Syndrome(chain)
-		if len(defects) != 2 {
-			t.Fatalf("path produced %d defects", len(defects))
-		}
-		ok := (defects[0] == a && defects[1] == b) || (defects[0] == b && defects[1] == a)
-		if !ok {
-			t.Fatalf("path endpoints %v, want {%d,%d}", defects, a, b)
-		}
-		if chain.Weight() != l.TorusDist(a, b) {
-			t.Fatalf("path weight %d ≠ distance %d", chain.Weight(), l.TorusDist(a, b))
+		walk(a, b, chain)
+		if ends := syndrome(chain); !slices.Equal(ends, []int{min(a, b), max(a, b)}) || chain.Weight() != l.TorusDist(a, b) {
+			t.Fatalf("dual=%v: path %d→%d ends on %v with weight %d, want {%d,%d} and %d", dual, a, b, ends, chain.Weight(), min(a, b), max(a, b), l.TorusDist(a, b))
 		}
 	}
 }
@@ -558,28 +564,6 @@ func TestDualWindingMatchesZHomology(t *testing.T) {
 		}
 		if l.LogicalZError(cyc) != (a || b) {
 			t.Fatalf("trial %d: dual detectors disagree with Z homology tester", trial)
-		}
-	}
-}
-
-// TestPathBetweenDualConnectsSites is TestPathBetweenConnectsDefects on
-// the dual lattice: the path's star syndrome is exactly its two end
-// sites, and its weight is their torus distance.
-func TestPathBetweenDualConnectsSites(t *testing.T) {
-	l := newLattice(6)
-	rng := rand.New(rand.NewPCG(403, 404))
-	for trial := 0; trial < 100; trial++ {
-		a, b := rng.IntN(36), rng.IntN(36)
-		if a == b {
-			continue
-		}
-		chain := bits.NewVec(l.Qubits())
-		l.PathBetweenDual(a, b, chain)
-		if sites := l.StarSyndrome(chain); !slices.Equal(sites, []int{min(a, b), max(a, b)}) {
-			t.Fatalf("dual path endpoints %v, want {%d,%d}", sites, a, b)
-		}
-		if chain.Weight() != l.TorusDist(a, b) {
-			t.Fatalf("dual path weight %d ≠ distance %d", chain.Weight(), l.TorusDist(a, b))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"math/rand/v2"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -108,6 +109,64 @@ func framesEqual(aX, aZ, bX, bZ []bits.Vec) bool {
 		}
 	}
 	return true
+}
+
+// TestServerMatchesStandaloneStream is the acceptance criterion: a
+// 64-session L=8 circuit-level run on the server drains to completion
+// with per-session committed frames bit-identical to standalone
+// stream.Session runs, independent of the shared pool's worker count
+// (8 sessions and small pools in -short mode).
+func TestServerMatchesStandaloneStream(t *testing.T) {
+	sessions := 64
+	workerCounts := []int{0, 1}
+	if testing.Short() {
+		sessions = 8
+		workerCounts = []int{3, 1}
+	}
+	const l, lanes, rounds = 8, 64, 40
+	P := noise.Uniform(0.003)
+	cfg := toricCircuitLevel(l, lanes, P)
+
+	// Standalone references, one per session seed.
+	refX := make([][]bits.Vec, sessions)
+	refZ := make([][]bits.Vec, sessions)
+	for i := 0; i < sessions; i++ {
+		refX[i], refZ[i], _ = standaloneFrames(t, cfg, P, 0, 0, rounds, 7000+uint64(i), true)
+	}
+
+	for pass, workers := range workerCounts {
+		n := sessions
+		if pass > 0 {
+			// The second pool size re-checks a subset — worker-count
+			// invariance, not another full sweep.
+			n = sessions / 4
+		}
+		srv := New(Config{Workers: workers})
+		var wg sync.WaitGroup
+		results := make([]SessionResult, n)
+		errs := make([]error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = driveSession(srv, cfg, P, 0, 0, rounds, 7000+uint64(i))
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d session %d: %v", workers, i, errs[i])
+			}
+			res := results[i]
+			if !res.Finished || res.Rounds != rounds || res.Committed != rounds {
+				t.Fatalf("workers=%d session %d: incomplete drain %+v", workers, i, res)
+			}
+			if !framesEqual(res.FramesX, res.FramesZ, refX[i], refZ[i]) {
+				t.Fatalf("workers=%d session %d: server frames differ from standalone stream", workers, i)
+			}
+		}
+		srv.Shutdown()
+	}
 }
 
 // TestServerBackpressureReject: with OverflowReject a full ingest queue
@@ -446,6 +505,50 @@ func TestMalformedPlaneRefused(t *testing.T) {
 	}
 	if res, err := s.Wait(); err != nil || !res.Finished || res.Committed != rounds {
 		t.Fatalf("session did not finish: %+v, %v", res, err)
+	}
+}
+
+// TestServeConnWire: the framed ingestion path end to end over an
+// in-memory transport — syndrome layers in, committed frames out,
+// bit-identical to the standalone stream.
+func TestServeConnWire(t *testing.T) {
+	const l, lanes, rounds, seed = 4, 48, 20, 7900
+	cfg := toricPhenomenological(l, lanes, 0.025, 0.025)
+	refX, refZ, _ := standaloneFrames(t, cfg, noise.Params{}, 0.025, 0.025, rounds, seed, true)
+
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown()
+	client, serverSide := net.Pipe()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ServeConn(serverSide) }()
+
+	conn := Dial(client)
+	if err := conn.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	src := newFeed(cfg, noise.Params{}, 0.025, 0.025, seed)
+	nc := l * l
+	layerX := bits.NewVecs(nc, lanes)
+	layerZ := bits.NewVecs(nc, lanes)
+	for r := 0; r < rounds; r++ {
+		src.NextLayers(layerX, layerZ)
+		if err := conn.Round(layerX, layerZ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.CloseLayers(layerX, layerZ)
+	res, err := conn.Finish(layerX, layerZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+	if !res.Finished || res.Rounds != rounds || res.Committed != rounds {
+		t.Fatalf("wire result incomplete: %+v", res)
+	}
+	if !framesEqual(res.FramesX, res.FramesZ, refX, refZ) {
+		t.Fatal("wire frames differ from standalone stream")
 	}
 }
 

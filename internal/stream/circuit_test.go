@@ -48,6 +48,40 @@ func TestCircuitWindowShape(t *testing.T) {
 	}
 }
 
+// TestCircuitWindowGEVolumeBitIdentical is the satellite equivalence
+// suite for the circuit model: when the window holds the whole stream
+// (W ≥ T) the streaming decoder never slides, and draining the same
+// circuit-level source must reproduce the whole-volume diagonal-edge
+// batch decode bit for bit — same extraction circuit, same draw order,
+// same union-find over the same graph.
+func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
+	const lanes = 192
+	for _, cfg := range []struct {
+		l, rounds, window, commit int
+		eps                       float64
+	}{
+		{3, 2, 2, 1, 0.01},
+		{4, 4, 4, 2, 0.006},
+		{4, 4, 7, 3, 0.01}, // oversized window
+		{5, 3, 5, 1, 0.004},
+	} {
+		P := noise.Uniform(cfg.eps)
+		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
+		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
+		fx1, fz1 := v.BatchMemoryFrom(
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)), toric.DecoderUnionFind)
+		s := mustCircuitSession(t, cfg.l, cfg.window, cfg.commit, wh, wv, wd)
+		fx2, fz2 := s.BatchMemoryFrom(
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),
+			cfg.rounds, spacetime.DecodeOptions{})
+		s.Close()
+		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+			t.Fatalf("L=%d T=%d W=%d: circuit windowed decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
+				cfg.l, cfg.rounds, cfg.window, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		}
+	}
+}
+
 // TestCircuitCommitQuickcheck randomizes window and commit sizes over
 // genuinely sliding circuit-level streams, checking that the committed
 // correction cancels the accumulated error's syndrome exactly in both

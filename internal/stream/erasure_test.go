@@ -37,6 +37,58 @@ func clearPlanes(vs []bits.Vec) {
 	}
 }
 
+// TestErasedWindowGEVolumeBitIdentical: when the window holds the whole
+// stream, draining an erasure-harvesting source through the streaming
+// decoder must reproduce the from-scratch per-lane whole-volume decode
+// (volumeReference) bit for bit — for every option set, including the
+// serialized correlated pass, on circuit sources and on phenomenological
+// ones with leaked data qubits and lost measurements (whose windows have
+// no diagonal class). Same draws, same canonical erased lists, same
+// primal→dual order.
+func TestErasedWindowGEVolumeBitIdentical(t *testing.T) {
+	const lanes = 192
+	circuit := func(eps, leak float64) spacetime.Model {
+		P := noise.Uniform(eps)
+		P.Leak = leak
+		return spacetime.Circuit(P)
+	}
+	aware := spacetime.DecodeOptions{ErasureAware: true}
+	correlated := spacetime.DecodeOptions{Correlated: true}
+	both := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
+	for _, cfg := range []struct {
+		l, rounds, window int
+		m                 spacetime.Model
+		opts              spacetime.DecodeOptions
+	}{
+		{4, 4, 4, circuit(0.006, 0.01), aware},
+		{4, 4, 4, circuit(0.006, 0.01), spacetime.DecodeOptions{}},
+		{4, 4, 4, circuit(0.006, 0.008), both},
+		{4, 4, 4, circuit(0.008, 0), correlated},
+		{3, 2, 2, circuit(0.01, 0.02), aware},
+		{5, 3, 3, circuit(0.004, 0.006), both},
+		{4, 4, 4, spacetime.Phenomenological(0.02, 0.02, 0.03, 0.03), aware},
+		{4, 3, 5, spacetime.Phenomenological(0.02, 0.02, 0.05, 0.02), both},
+		{3, 5, 5, spacetime.Phenomenological(0.03, 0.03, 0.02, 0.04), correlated},
+		{5, 2, 3, spacetime.Phenomenological(0.01, 0.02, 0.04, 0), aware},
+		{4, 3, 3, spacetime.Phenomenological(0.02, 0.02, 0.05, 0.05), spacetime.DecodeOptions{}},
+	} {
+		code := toric.Cached(cfg.l)
+		wh, wv, wd := cfg.m.Weights(cfg.l, cfg.rounds)
+		v := spacetime.NewVolume(code, cfg.rounds, wh, wv, wd)
+		fx1, fz1 := volumeReference(v, cfg.m.Source(code, lanes, frame.NewAggregateSampler(971, 7)), cfg.opts)
+		s := mustCircuitSession(t, cfg.l, cfg.window, 1, wh, wv, wd)
+		fx2, fz2 := s.BatchMemoryFrom(cfg.m.Source(code, lanes, frame.NewAggregateSampler(971, 7)), cfg.rounds, cfg.opts)
+		s.Close()
+		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+			t.Fatalf("L=%d T=%d W=%d model %+v opts=%+v: streaming erased decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
+				cfg.l, cfg.rounds, cfg.window, cfg.m, cfg.opts, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		}
+		if fx1.Weight()+fz1.Weight() == 0 {
+			t.Fatalf("L=%d T=%d model %+v: degenerate, no lane fails", cfg.l, cfg.rounds, cfg.m)
+		}
+	}
+}
+
 // TestCorrelatedSilentPrimalFinish: a correlated decoder whose primal
 // planes are silent in every lane decodes an empty primal in a Finish
 // at W ≥ T, and its dual must reprice from that empty correction,

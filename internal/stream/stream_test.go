@@ -85,6 +85,35 @@ func TestWindowShape(t *testing.T) {
 	}
 }
 
+// TestWindowGEVolumeBitIdentical is the satellite equivalence suite:
+// when the window holds the whole stream (W ≥ T), the streaming decoder
+// never slides and its failure masks must equal the whole-volume batch
+// decode bit for bit — same sampler, same draw order, same union-find.
+func TestWindowGEVolumeBitIdentical(t *testing.T) {
+	const lanes = 192
+	for _, cfg := range []struct {
+		l, rounds, window, commit int
+		p, q                      float64
+	}{
+		{3, 2, 2, 1, 0.05, 0.05},
+		{4, 4, 4, 2, 0.03, 0.03},
+		{4, 4, 7, 3, 0.03, 0.06}, // asymmetric weights, oversized window
+		{5, 3, 5, 1, 0.08, 0.02},
+		{4, 1, 2, 1, 0.06, 0.04},
+	} {
+		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
+		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, 0)
+		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
+		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
+		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
+		s.Close()
+		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+			t.Fatalf("L=%d T=%d W=%d: windowed decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
+				cfg.l, cfg.rounds, cfg.window, fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		}
+	}
+}
+
 // TestWindowedMatchesVolumeRates is the acceptance physics: a sliding
 // window of W = 2L rounds (commit L) over a longer stream reproduces
 // the whole-volume logical failure rate within statistical error.

@@ -77,12 +77,15 @@
 // A UnionFind keeps all per-node state — union-find parent and size, the
 // epoch stamp, parity/defect/grounded flags, the head and tail of the
 // cluster's boundary list, the erasure degree and CSR offset — in one
-// 32-byte record, and all per-edge state — support and the full-support
-// target 2·weight — in one 4-byte record, with the boundary lists in a
-// single {node, next} arena. First touch of a node writes one record
-// and a growth visit of an edge is one load, which is what keeps a
-// W = 32, L = 16 window (8 k nodes, 41 k edges) inside the cache levels
-// next to the core. AppendCorrection is the form the pool runs: the
+// 32-byte record, and all per-edge state in its 2-byte support, with the
+// boundary lists in a single {node, next} arena; the full-support target
+// 2·weight is the graph's, kept beside each adjacency slot and read in
+// the same sequential pass as the slot's edge id. First touch of a node
+// writes one record and a growth visit makes one random load, the
+// support, which is what keeps a W = 32, L = 16 window (8 k nodes, 41 k
+// edges) inside the cache levels next to the core; no scratch record
+// depends on the graph it was last used on (E50).
+// AppendCorrection is the form the pool runs: the
 // correction is appended into a caller-owned buffer in emit order. A
 // given first pass (see the determinism contract) is read back from
 // the defect marks rather than stored, so the edges only it touched
@@ -103,15 +106,15 @@
 // slide and every Finish through one). NewPool(n) starts it;
 // ResubmitOn(g, batch, shots) routes a reusable batch to its graph —
 // one fleet can serve every window graph in the process, which is how
-// internal/server multiplexes many sessions over shared workers. The
-// scratch belongs to the Graph, not to the pool: each Graph holds one
-// UnionFind per worker of every pool that has submitted on it, built
-// for all of a pool's workers by its first submission (and for the new
-// ones by the first after a Grow), so no later decode builds one; each
-// grows its worklists to the largest decode its worker has run. The
-// graph points at the pool and never the reverse: a pool keeps nothing
-// per graph, and a dropped graph takes its scratch with it. A closed
-// pool's entries stay until the graph goes.
+// internal/server multiplexes many sessions over shared workers. Each
+// worker owns one UnionFind and binds it to each span's graph, growing
+// its arrays only for a graph larger than any before; the span's end
+// drops the graph, so a worker never keeps one alive. Node records and
+// pair marks are epoch-stamped and supports and worklists reset per
+// decode, so one instance is exact across graphs. A pool of n workers
+// holds n instances however many graphs, closing heights and sectors it
+// serves, each sized to the largest graph its worker has decoded —
+// about 6 MB at the wire limits (L = 32, window 128).
 //
 // The lifecycle is part of the contract: Close is idempotent, drains
 // in-flight submissions before releasing the workers, and any
@@ -209,10 +212,10 @@
 //     independence is a pinned contract: the same shots decode to the
 //     same corrections and sweep counts on a fresh instance, on one
 //     reused across all of them in any order, and across the 30-bit
-//     epoch wraparound (which clears the node stamps). The Service's
-//     worker pool relies on exactly this to share instances across
-//     submissions — a frame served by one pool is compared against a
-//     reference decoded on another.
+//     epoch wraparound (which clears the node stamps), and re-bound to
+//     other graphs between decodes. The Service's worker pool relies on
+//     exactly this to share instances across submissions — a frame
+//     served by one pool is compared against a reference decoded on another.
 //   - Multi-graph scheduling is invisible too: a pool interleaving
 //     batches for many graphs (many streaming sessions) gives every
 //     batch the same corrections a dedicated single-graph service

@@ -2,7 +2,6 @@ package decoder
 
 import (
 	mbits "math/bits"
-	"slices"
 
 	"ftqc/internal/bits"
 )
@@ -74,14 +73,10 @@ func (g *Graph) AppendFirstPasses(lists [][]int32, layers [][]bits.Vec) {
 // buildLight marks every adjacency slot that holds a lightest edge to a
 // smaller node.
 func (g *Graph) buildLight() {
-	wmin := int32(1)
-	if len(g.weight) > 0 {
-		wmin = slices.Min(g.weight)
-	}
 	g.light = make([]uint64, (len(g.adjN)+63)/64)
 	for v := range g.nodes {
 		for s := g.off[v]; s < g.off[v+1]; s++ {
-			if int(g.adjN[s]) < v && g.weight[g.adjE[s]] == wmin {
+			if int(g.adjN[s]) < v && int32(g.adjT[s]) == 2*g.wmin {
 				g.light[s>>6] |= 1 << (s & 63)
 			}
 		}

@@ -54,7 +54,7 @@ func TestPoolTakesGivenFirstPass(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("lane %d (erased %v): pool %v, AppendCorrection %v", lane, erased, got, want)
 			}
-			if w := g.scratch[pool][0]; !slices.Equal(w.dirty, ref.dirty) {
+			if w := pool.scratch[0]; !slices.Equal(w.dirty, ref.dirty) {
 				t.Fatalf("lane %d (erased %v): worker's dirty list %v, want %v", lane, erased, w.dirty, ref.dirty)
 			}
 		}

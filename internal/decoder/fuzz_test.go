@@ -101,11 +101,26 @@ func givenMatchesWalked(gu, wu *UnionFind, nc int, lanes [][]int) error {
 	return nil
 }
 
+// crossGraphBytes turns fuzz bytes into another graph's: the node count
+// and every weight byte shifted, so parseFuzzGraph builds a graph of
+// another size, other endpoints and other weights from the same input.
+func crossGraphBytes(data []byte) []byte {
+	b := slices.Clone(data)
+	if len(b) >= 2 {
+		b[0] += 29
+	}
+	for i := 4; i < len(b); i += 4 {
+		b[i]++
+	}
+	return b
+}
+
 // FuzzUnionFindDecode drives the union-find kernel on random weighted
 // boundary graphs: the decode must not panic, the correction must clear
 // exactly the defect set off the boundary and name no edge twice, an
-// instance that decoded something else first must agree with a fresh
-// one, emit order and sweep count included, the isolated-pair path must
+// instance that decoded something else first — on this graph, then on
+// another (crossGraphBytes) and back — must agree with a fresh one on
+// each, emit order and sweep count included, the isolated-pair path must
 // agree with the full decode on the same defects without the erasure,
 // and so must a decode given its first pass by the sweep over the
 // plain syndromes packed as lanes of one batch (both fault sets, the
@@ -165,6 +180,20 @@ func FuzzUnionFindDecode(f *testing.F) {
 		got := used.AppendCorrection(nil, defects, erased)
 		if !slices.Equal(got, want) || used.GrowthSweeps() != fresh.GrowthSweeps() {
 			t.Fatalf("reused instance: %v in %d sweeps, fresh: %v in %d", got, used.GrowthSweeps(), want, fresh.GrowthSweeps())
+		}
+		// Across graphs, as a pool worker re-binds its one instance: B,
+		// then A again, each against a fresh instance.
+		gb, faultyB, erasedB := parseFuzzGraph(crossGraphBytes(data))
+		defectsB := fuzzSyndrome(gb, faultyB, true)
+		freshB := NewUnionFind(gb)
+		wantB := freshB.AppendCorrection(nil, defectsB, erasedB)
+		used.bind(gb)
+		if got := used.AppendCorrection(nil, defectsB, erasedB); !slices.Equal(got, wantB) || used.GrowthSweeps() != freshB.GrowthSweeps() {
+			t.Fatalf("instance re-bound to graph B: %v in %d sweeps, fresh: %v in %d", got, used.GrowthSweeps(), wantB, freshB.GrowthSweeps())
+		}
+		used.bind(g)
+		if got := used.AppendCorrection(nil, defects, erased); !slices.Equal(got, want) || used.GrowthSweeps() != fresh.GrowthSweeps() {
+			t.Fatalf("instance re-bound to graph A: %v in %d sweeps, fresh: %v in %d", got, used.GrowthSweeps(), want, fresh.GrowthSweeps())
 		}
 		if err := PairedMatchesFull(used, fresh, defects); err != nil {
 			t.Fatal(err)

@@ -13,26 +13,22 @@ const MaxWeight = 32767
 // (checks) are nodes, physical qubits are edges between the two checks
 // they can flip. Every edge carries a positive integer weight (a scaled
 // log-likelihood ratio; 1 everywhere for uniform noise). It is immutable
-// after construction and safely shared by any number of concurrent
-// decoder instances. It owns the UnionFind scratch of every decode pool
-// that has submitted on it (Service.ResubmitOn): one instance per worker
-// of each pool, so the scratch dies with the graph and a pool keeps
-// nothing per graph.
+// after construction (apart from the first-pass sweep's table, built
+// once on first use) and safely shared by any number of concurrent
+// decoder instances; it holds no decode scratch.
 type Graph struct {
-	nodes  int
-	endU   []int32 // edge e runs endU[e] — endV[e]
-	endV   []int32
-	weight []int32 // per-edge growth weight, 1 … MaxWeight
-	off    []int32 // CSR offsets into adjE, len nodes+1
-	adjE   []int32 // incident edge ids, grouped by node
-	adjN   []int32 // the node across each adjE slot
+	nodes int
+	endU  []int32 // edge e runs endU[e] — endV[e]
+	endV  []int32
+	off   []int32  // CSR offsets into adjE, len nodes+1
+	adjE  []int32  // incident edge ids, grouped by node
+	adjN  []int32  // the node across each adjE slot
+	adjT  []uint16 // full-support target 2·weight of each adjE slot's edge
+	wmin  int32    // smallest edge weight, 1 on an edgeless graph
 
 	// oneWeight: every edge has the same weight, so any edge is a
 	// lightest one and the isolated-pair test never loads a weight.
 	oneWeight bool
-
-	mu      sync.Mutex
-	scratch map[*Service][]*UnionFind // indexed by worker id
 
 	// The first-pass sweep's slots (AppendFirstPasses), built by its
 	// first call: bit s of light is set when adjacency slot s holds a
@@ -74,14 +70,14 @@ func NewGraph(nodes int, ends [][2]int32, weights []int32, boundary []int) *Grap
 		panic("decoder: weight count does not match edge count")
 	}
 	g := &Graph{
-		nodes:   nodes,
-		endU:    make([]int32, len(ends)),
-		endV:    make([]int32, len(ends)),
-		weight:  make([]int32, len(ends)),
-		off:     make([]int32, nodes+1),
-		bndMin:  nodes,
-		scratch: make(map[*Service][]*UnionFind),
+		nodes:  nodes,
+		endU:   make([]int32, len(ends)),
+		endV:   make([]int32, len(ends)),
+		off:    make([]int32, nodes+1),
+		wmin:   1,
+		bndMin: nodes,
 	}
+	weight := make([]int32, len(ends))
 	for e, uv := range ends {
 		if uv[0] < 0 || uv[1] < 0 || int(uv[0]) >= nodes || int(uv[1]) >= nodes || uv[0] == uv[1] {
 			panic("decoder: bad edge endpoints")
@@ -97,23 +93,28 @@ func NewGraph(nodes int, ends [][2]int32, weights []int32, boundary []int) *Grap
 			panic("decoder: edge weight above MaxWeight")
 		}
 		g.endU[e], g.endV[e] = uv[0], uv[1]
-		g.weight[e] = w
+		weight[e] = w
 		g.off[uv[0]+1]++
 		g.off[uv[1]+1]++
 	}
-	g.oneWeight = !slices.ContainsFunc(g.weight, func(w int32) bool { return w != g.weight[0] })
+	if len(ends) > 0 {
+		g.wmin = slices.Min(weight)
+	}
+	g.oneWeight = !slices.ContainsFunc(weight, func(w int32) bool { return w != g.wmin })
 	for v := 0; v < nodes; v++ {
 		g.off[v+1] += g.off[v]
 	}
 	g.adjE = make([]int32, 2*len(ends))
 	g.adjN = make([]int32, 2*len(ends))
+	g.adjT = make([]uint16, 2*len(ends))
 	cursor := make([]int32, nodes)
 	copy(cursor, g.off[:nodes])
 	for e := range ends {
 		u, v := g.endU[e], g.endV[e]
-		g.adjE[cursor[u]], g.adjN[cursor[u]] = int32(e), v
+		t := uint16(2 * weight[e]) // weight <= MaxWeight
+		g.adjE[cursor[u]], g.adjN[cursor[u]], g.adjT[cursor[u]] = int32(e), v, t
 		cursor[u]++
-		g.adjE[cursor[v]], g.adjN[cursor[v]] = int32(e), u
+		g.adjE[cursor[v]], g.adjN[cursor[v]], g.adjT[cursor[v]] = int32(e), u, t
 		cursor[v]++
 	}
 	if len(boundary) == 0 {
@@ -151,5 +152,12 @@ func (g *Graph) Edges() int { return len(g.endU) }
 // Ends returns the two endpoints of edge e.
 func (g *Graph) Ends(e int) (int, int) { return int(g.endU[e]), int(g.endV[e]) }
 
-// Weight returns the growth weight of edge e.
-func (g *Graph) Weight(e int) int { return int(g.weight[e]) }
+// Weight returns the growth weight of edge e, read off the first
+// endpoint's adjacency slots.
+func (g *Graph) Weight(e int) int {
+	s := g.off[g.endU[e]]
+	for g.adjE[s] != int32(e) {
+		s++
+	}
+	return int(g.adjT[s]) / 2
+}

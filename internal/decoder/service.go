@@ -38,10 +38,10 @@ type Shot struct {
 // control-system consumer calls at scale: batched shot submissions in,
 // corrections out. Every submission names its graph (ResubmitOn), so
 // one worker fleet serves many concurrent sessions with different
-// window shapes. Each worker decodes on its own UnionFind, which the
-// graph holds (epoch-stamped arrays make reuse free; a closed pool's
-// instances stay until the graph goes), and batches are reusable, so a
-// sustained stream of windows allocates nothing. Results are written
+// window shapes. Each worker decodes every span it takes on its one
+// UnionFind, re-bound to the span's graph (epoch-stamped arrays make
+// reuse free, on one graph or across graphs), and batches are reusable,
+// so a sustained stream of windows allocates nothing. Results are written
 // into per-shot slots in submission order, which makes every batch's
 // output bit-identical for any worker count, scheduling, or
 // interleaving with other sessions' batches — the same determinism
@@ -49,11 +49,16 @@ type Shot struct {
 // any number of goroutines, before and after Close: post-Close
 // submissions return ErrClosed, and Close itself is idempotent.
 type Service struct {
-	workers int
-	tasks   chan serviceSpan
-	wg      sync.WaitGroup
-	mu      sync.RWMutex // guards closed vs. in-flight sends on tasks
-	closed  bool
+	tasks  chan serviceSpan
+	wg     sync.WaitGroup
+	mu     sync.RWMutex // guards closed vs. in-flight sends on tasks
+	closed bool
+
+	// scratch holds each worker's one UnionFind, by worker id (its length
+	// is the worker count): unbound and empty until the worker's first
+	// span, then sized to the largest graph it has decoded. Only the
+	// worker touches its instance.
+	scratch []*UnionFind
 }
 
 // serviceSpan is one worker-sized slice of a submitted batch.
@@ -65,8 +70,7 @@ type serviceSpan struct {
 // Batch is a reusable submission. Wait blocks until every shot is
 // decoded and returns the corrections.
 type Batch struct {
-	g       *Graph       // graph of the submission in flight
-	ufs     []*UnionFind // g's scratch for the workers the pool had at submission
+	g       *Graph // graph of the submission in flight
 	shots   []Shot
 	out     [][]int32
 	pending atomic.Int64
@@ -83,8 +87,8 @@ func NewBatch(n int) *Batch {
 }
 
 // NewPool starts a decode pool of the given worker count (workers <= 0
-// means GOMAXPROCS): submissions name their graph, which holds each
-// worker's scratch. This is the fleet shape of a multi-tenant
+// means GOMAXPROCS): submissions name their graph, and each worker
+// decodes on its own scratch. This is the fleet shape of a multi-tenant
 // decode server — one worker budget shared across every session's
 // window graphs. Close releases the workers; a pool is meant to outlive
 // many submissions.
@@ -92,15 +96,19 @@ func NewPool(workers int) *Service {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Service{
-		workers: workers,
-		tasks:   make(chan serviceSpan, 4*workers),
-	}
-	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go s.worker(w)
+	s := &Service{tasks: make(chan serviceSpan, 4*workers)}
+	for range workers {
+		s.start()
 	}
 	return s
+}
+
+// start launches one more worker on a fresh scratch slot.
+func (s *Service) start() {
+	uf := new(UnionFind)
+	s.scratch = append(s.scratch, uf)
+	s.wg.Add(1)
+	go s.worker(uf)
 }
 
 // Grow starts workers until the pool has at least n and returns its
@@ -109,11 +117,10 @@ func NewPool(workers int) *Service {
 func (s *Service) Grow(n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for ; !s.closed && s.workers < n; s.workers++ {
-		s.wg.Add(1)
-		go s.worker(s.workers)
+	for !s.closed && len(s.scratch) < n {
+		s.start()
 	}
-	return s.workers
+	return len(s.scratch)
 }
 
 // ResubmitOn enqueues shots on a batch (NewBatch) against g, fanned out
@@ -145,10 +152,10 @@ func (s *Service) ResubmitOn(g *Graph, b *Batch, shots []Shot) error {
 		b.done <- struct{}{}
 		return nil
 	}
-	b.ufs = g.scratchFor(s, s.workers)
 	// Span size balances queue traffic against tail latency: a few spans
 	// per worker lets fast workers steal from slow ones.
-	span := (len(shots) + 4*s.workers - 1) / (4 * s.workers)
+	workers := len(s.scratch)
+	span := (len(shots) + 4*workers - 1) / (4 * workers)
 	spans := (len(shots) + span - 1) / span
 	b.pending.Store(int64(spans))
 	for lo := 0; lo < len(shots); lo += span {
@@ -184,30 +191,17 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// scratchFor returns g's UnionFind scratch for s, indexed by worker id,
-// first building what the ids below n lack.
-func (g *Graph) scratchFor(s *Service, n int) []*UnionFind {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for len(g.scratch[s]) < n {
-		g.scratch[s] = append(g.scratch[s], NewUnionFind(g))
-	}
-	return g.scratch[s]
-}
-
-// worker drains span tasks on its own UnionFind over the batch's graph;
-// a worker that Grow started after the submission looks it up there.
-func (s *Service) worker(id int) {
+// worker drains span tasks on its one UnionFind, bound to each span's
+// graph for the span only: between spans the worker keeps the arrays but
+// no graph, so a graph nothing else holds is freed.
+func (s *Service) worker(uf *UnionFind) {
 	defer s.wg.Done()
 	for t := range s.tasks {
-		ufs := t.b.ufs
-		if id >= len(ufs) {
-			ufs = t.b.g.scratchFor(s, id+1)
-		}
-		uf := ufs[id]
+		uf.bind(t.b.g)
 		for i := t.lo; i < t.hi; i++ {
 			t.b.out[i] = uf.appendShot(&t.b.shots[i])
 		}
+		uf.g = nil
 		if t.b.pending.Add(-1) == 0 {
 			t.b.done <- struct{}{}
 		}

@@ -289,9 +289,9 @@ func TestServiceSubmitCloseChurn(t *testing.T) {
 }
 
 // TestPoolMultiGraph: one pool serves several graphs at once, two pools
-// decode on one graph at once (the graph holds each pool's scratch), and
-// every batch matches its graph's direct decode regardless of the
-// interleaving.
+// decode on one graph at once (each worker re-binding its one scratch to
+// every span's graph), and every batch matches its graph's direct decode
+// regardless of the interleaving.
 func TestPoolMultiGraph(t *testing.T) {
 	graphs := []*Graph{torusTestGraph(4), torusTestGraph(5), torusTestGraph(6)}
 	pools := []*Service{NewPool(4), NewPool(2)}
@@ -322,10 +322,11 @@ func TestPoolMultiGraph(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolsGetDistinctScratch: two pools decoding one graph at once each
-// decode on their own UnionFind per worker — the graph builds every
-// worker's on the pool's first submission — so no instance is shared
-// (the race detector watches the concurrent decodes).
+// TestPoolsGetDistinctScratch: two pools decoding one graph at once
+// hold one UnionFind per worker each — n distinct instances for n
+// workers, none shared across the pools — and, with every batch done, no
+// instance holds the graph (the race detector watches the concurrent
+// decodes).
 func TestPoolsGetDistinctScratch(t *testing.T) {
 	g := torusTestGraph(6)
 	pools := []*Service{NewPool(3), NewPool(2)}
@@ -353,23 +354,24 @@ func TestPoolsGetDistinctScratch(t *testing.T) {
 	}
 	seen := map[*UnionFind]bool{}
 	for i, pool := range pools {
-		ufs := g.scratch[pool]
-		if len(ufs) != pool.workers {
-			t.Fatalf("pool %d: %d scratch instances for %d workers", i, len(ufs), pool.workers)
+		if n := []int{3, 2}[i]; len(pool.scratch) != n {
+			t.Fatalf("pool %d: %d scratch instances for %d workers", i, len(pool.scratch), n)
 		}
-		for _, uf := range ufs {
+		for _, uf := range pool.scratch {
 			if seen[uf] {
 				t.Fatalf("pool %d shares a UnionFind", i)
 			}
 			seen[uf] = true
+			if uf.g != nil {
+				t.Fatalf("pool %d: an idle worker's scratch still holds its last graph", i)
+			}
 		}
 	}
 }
 
 // TestGrowWithQueuedSpans: workers that Grow starts while a batch's spans
-// are still queued decode them, though the batch's scratch list was
-// resolved for the one worker the pool had at submission, and the batch
-// equals a one-worker pool's decode.
+// are still queued decode them, each on its own new UnionFind, and the
+// batch equals a one-worker pool's decode.
 func TestGrowWithQueuedSpans(t *testing.T) {
 	g := torusTestGraph(6)
 	shots := randomShots(g, 64, rand.New(rand.NewPCG(97, 98)))
@@ -394,13 +396,17 @@ func TestGrowWithQueuedSpans(t *testing.T) {
 	if err := pool.ResubmitOn(g, b, shots); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.ufs) != 1 || len(pool.tasks) == 0 {
-		t.Fatalf("degenerate: %d scratch instances resolved, %d spans queued", len(b.ufs), len(pool.tasks))
+	if len(pool.scratch) != 1 || len(pool.tasks) == 0 {
+		t.Fatalf("degenerate: %d workers, %d spans queued", len(pool.scratch), len(pool.tasks))
 	}
 	pool.Grow(4)
 	got := b.Wait()
 	park.Wait()
 	park.Wait()
+	// The first worker was parked, so the new ones decoded every span.
+	if !slices.ContainsFunc(pool.scratch[1:], func(uf *UnionFind) bool { return len(uf.node) == g.Nodes() }) {
+		t.Fatal("degenerate: no worker that Grow started decoded on its own scratch")
+	}
 	for i := range want {
 		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("shot %d: grown pool gave %v, one-worker pool %v", i, got[i], want[i])
@@ -409,8 +415,8 @@ func TestGrowWithQueuedSpans(t *testing.T) {
 }
 
 // TestDecodedGraphIsCollected: a graph a long-lived pool has decoded on
-// is garbage once nothing else holds it — the graph points at the pool,
-// never the reverse.
+// is garbage once nothing else holds it — a worker's scratch keeps its
+// arrays between spans, never the graph.
 func TestDecodedGraphIsCollected(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
@@ -427,3 +433,10 @@ func TestDecodedGraphIsCollected(t *testing.T) {
 		t.Fatal("a dropped graph outlives its decodes on a long-lived pool")
 	}
 }
+
+// PoolScratch returns the pool's UnionFind of each worker id, for tests
+// outside the package; read it only while no batch is in flight.
+func PoolScratch(s *Service) []*UnionFind { return s.scratch }
+
+// ScratchNodes returns how many node records u holds.
+func ScratchNodes(u *UnionFind) int { return len(u.node) }

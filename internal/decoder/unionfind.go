@@ -6,32 +6,29 @@ package decoder
 // sparse defect set on a large lattice decodes in microseconds where
 // matching decoders pay at least O(defects²).
 //
-// A UnionFind holds per-graph scratch arrays and is NOT safe for
-// concurrent use; give each worker its own instance (they can all share
-// one *Graph), as Service does. Scratch is recycled across calls with epoch stamps, so a
+// A UnionFind holds scratch arrays and is NOT safe for concurrent use;
+// give each worker its own instance (they can all share one *Graph), as
+// Service does. Scratch is recycled across calls with epoch stamps, so a
 // Decode touches only the arrays' used entries, and a decode's output
-// never depends on what the instance decoded before. All per-node state
-// is one 32-byte record and all per-edge state one 4-byte record, so the
-// pointer-chasing hot loops touch one cache line per node and one load
-// per edge visit.
+// never depends on what the instance decoded before, on any graph. All
+// per-node state is one 32-byte record and all per-edge state its 2-byte
+// support, so the pointer-chasing hot loops touch one cache line per node
+// and one random load per edge visit.
 type UnionFind struct {
 	g *Graph
 
 	// node[v] is all cluster, boundary-list and erasure state of node v.
 	node []ufNode
 
-	// edge[e] is edge e's growth state: support counts half-steps of
-	// growth and the edge is fully grown (in the erasure) at its target,
-	// 2·weight — so unit-weight graphs keep the classic 0→1→2 progression
-	// and heavier edges take proportionally more sweeps to cross. Edges
-	// that gained support are listed in dirty and zeroed at the start of
-	// the next decode instead of being epoch-stamped.
-	edge  []ufEdge
+	// edge[e] is edge e's support, in half-steps of growth: the edge is
+	// fully grown (in the erasure) at its target 2·weight, which the graph
+	// keeps beside each adjacency slot — so unit-weight graphs keep the
+	// classic 0→1→2 progression and heavier edges take proportionally
+	// more sweeps to cross. Edges that gained support are listed in dirty
+	// and zeroed at the start of the next decode instead of being
+	// epoch-stamped, so no support outlives its decode or its graph.
+	edge  []uint16
 	dirty []int32
-
-	// wmin is the graph's smallest edge weight: the number of half-step
-	// sweeps the first growth pass of a decode stands for (see AppendCorrection).
-	wmin uint16
 
 	// sweeps counts the half-step growth sweeps of the last Decode; a
 	// pure-erasure syndrome (every defect inside an even-parity erased
@@ -102,10 +99,6 @@ type ufNode struct {
 	eraStart int32
 }
 
-type ufEdge struct {
-	sup, target uint16
-}
-
 type bndCell struct {
 	node, next int32
 }
@@ -116,24 +109,25 @@ type peelStep struct {
 
 // NewUnionFind returns a decoder instance over g.
 func NewUnionFind(g *Graph) *UnionFind {
-	u := &UnionFind{
-		g:     g,
-		node:  make([]ufNode, g.nodes),
-		edge:  make([]ufEdge, g.Edges()),
-		wmin:  1,
-		mark:  make([]uint32, g.nodes),
-		rest:  make([]int, 0, g.nodes/sparseK),
-		pairs: make([]peelStep, 0, g.nodes/sparseK/2),
-	}
-	if len(g.weight) > 0 {
-		lo := g.weight[0]
-		for e, w := range g.weight {
-			u.edge[e].target = uint16(2 * w) // w <= MaxWeight
-			lo = min(lo, w)
-		}
-		u.wmin = uint16(lo)
-	}
+	u := new(UnionFind)
+	u.bind(g)
 	return u
+}
+
+// bind points u at g, growing its arrays only where g is larger than
+// every graph u decoded on before: O(1) once they fit. Zeroed arrays are
+// valid epoch-0 state.
+func (u *UnionFind) bind(g *Graph) {
+	u.g = g
+	if len(u.node) < g.nodes {
+		u.node = make([]ufNode, g.nodes)
+		u.mark = make([]uint32, g.nodes)
+		u.rest = make([]int, 0, g.nodes/sparseK)
+		u.pairs = make([]peelStep, 0, g.nodes/sparseK/2)
+	}
+	if len(u.edge) < len(g.endU) {
+		u.edge = make([]uint16, len(g.endU))
+	}
 }
 
 // GrowthSweeps returns the number of half-step growth sweeps the last
@@ -219,7 +213,7 @@ func (u *UnionFind) reset(defects []int) bool {
 	u.touched = u.touched[:0]
 	edge := u.edge
 	for _, e := range u.dirty {
-		edge[e].sup = 0
+		edge[e] = 0
 	}
 	u.dirty = u.dirty[:0]
 	if len(defects) == 0 {
@@ -287,7 +281,7 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 		if mark[v] == isPaired {
 			continue // the second defect of a pair taken earlier
 		}
-		if s := u.soleDefectSlot(v); s >= 0 && (g.oneWeight || g.weight[g.adjE[s]] == int32(u.wmin)) {
+		if s := u.soleDefectSlot(v); s >= 0 && (g.oneWeight || int32(g.adjT[s]) == 2*g.wmin) {
 			w := g.adjN[s]
 			if t := u.soleDefectSlot(w); t >= 0 && g.adjN[t] == v {
 				mark[v], mark[w] = isPaired, isPaired
@@ -301,7 +295,7 @@ func (u *UnionFind) appendPaired(corr []int32, defects []int) []int32 {
 	if len(rest) == 0 {
 		// Pairs alone: the one folded pass completes every pair edge, and
 		// peel would emit one step per pair, the last pair first.
-		u.sweeps = int(u.wmin)
+		u.sweeps = int(g.wmin)
 		for i := len(pairs) - 1; i >= 0; i-- {
 			corr = append(corr, g.adjE[pairs[i].parentEdge])
 		}
@@ -368,10 +362,10 @@ func (u *UnionFind) grow(defects, erased []int, first []int32) {
 	// it — so the growth loop and the peeling pass need no special cases.
 	for _, e := range erased {
 		ee := int32(e)
-		if edge[ee].sup >= edge[ee].target {
+		if edge[ee] != 0 {
 			continue // duplicate erased edge
 		}
-		edge[ee].sup = edge[ee].target
+		edge[ee] = uint16(2 * g.Weight(e))
 		u.dirty = append(u.dirty, ee)
 		u.merge(ee, endU[ee], endV[ee])
 	}
@@ -391,9 +385,9 @@ func (u *UnionFind) grow(defects, erased []int, first []int32) {
 			odd = append(odd, r)
 		}
 	}
-	off, adjE, adjN := g.off, g.adjE, g.adjN
+	off, adjE, adjN, adjT := g.off, g.adjE, g.adjN, g.adjT
 	dirty := u.dirty
-	wmin := int(u.wmin)
+	wmin := int(g.wmin)
 	// The first pass folds the seed sweeps: from zero support no edge can
 	// complete before half-step sweep wmin (an edge gains at most 2 per
 	// sweep, every target is at least 2·wmin), and in sweep wmin exactly
@@ -403,7 +397,7 @@ func (u *UnionFind) grow(defects, erased []int, first []int32) {
 	// passes (the full argument is in doc.go). Every later pass adds 1;
 	// on unit-weight graphs wmin is 1 and nothing is folded. A given
 	// first pass is that pass's grown list; its support is the marks'.
-	step := u.wmin
+	step := uint16(wmin)
 	for len(odd) > 0 {
 		// Growth sweep: every ungrown edge incident to an odd cluster's
 		// boundary nodes gains step half-steps of support. Edges reaching
@@ -430,23 +424,23 @@ func (u *UnionFind) grow(defects, erased []int, first []int32) {
 					}
 					keep := false
 					for i, e := range adjE[lo:off[cell.node+1]] {
-						er := edge[e]
-						sup := int(er.sup)
+						stored := edge[e]
+						sup := int(stored)
 						if given {
 							sup += own
 							if mark[adjN[lo+int32(i)]] == defect {
 								sup += wmin
 							}
 						}
-						if sup >= int(er.target) {
+						target := int(adjT[lo+int32(i)])
+						if sup >= target {
 							continue
 						}
-						if er.sup == 0 {
+						if stored == 0 {
 							dirty = append(dirty, e)
 						}
-						er.sup += step
-						edge[e].sup = er.sup
-						if sup+int(step) == int(er.target) {
+						edge[e] = stored + step
+						if sup+int(step) == target {
 							grown = append(grown, e)
 						} else {
 							keep = true

@@ -89,19 +89,28 @@ func TestWeightsCircuit(t *testing.T) {
 	}
 }
 
-// TestWeightsCircuitOneRoundHorizon: a one-round circuit run decodes
-// through a two-layer window (a window holds at least two layers), so
-// it prices its weights over a horizon of two. Across the operating
-// range the two horizons give the same weights, so the one-round
-// whole-volume numbers do not move.
-func TestWeightsCircuitOneRoundHorizon(t *testing.T) {
-	for _, d := range []int{3, 4, 5, 8} {
-		for _, eps := range []float64{1e-4, 3e-4, 1e-3, 2e-3, 3e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2} {
-			wh1, wv1, wd1 := WeightsCircuit(noise.Uniform(eps), d, 1)
-			wh2, wv2, wd2 := WeightsCircuit(noise.Uniform(eps), d, 2)
-			if wh1 != wh2 || wv1 != wv2 || wd1 != wd2 {
-				t.Errorf("d=%d eps=%v: horizon 1 weights (%d,%d,%d), horizon 2 (%d,%d,%d)", d, eps, wh1, wv1, wd1, wh2, wv2, wd2)
+// TestWeightsCircuitHorizon: the horizon enters the weights only
+// through the horizontal cap min(wv·horizon, wd+wv)+1. Under uniform
+// circuit noise that cap never binds, so every horizon prices the same
+// weights — a one-round run, which decodes through a two-layer window,
+// and every circuit window price what the rounds would; under
+// measurement-dominated noise it does, and a short horizon prices a
+// cheaper horizontal edge.
+func TestWeightsCircuitHorizon(t *testing.T) {
+	for _, d := range []int{3, 4, 5, 8, 16} {
+		for _, eps := range []float64{1e-5, 1e-4, 3e-4, 1e-3, 2e-3, 3e-3, 5e-3, 1e-2, 2e-2, 3e-2, 5e-2, 0.1, 0.2} {
+			wh, wv, wd := WeightsCircuit(noise.Uniform(eps), d, 1)
+			for horizon := 2; horizon <= 64; horizon++ {
+				if h, v, g := WeightsCircuit(noise.Uniform(eps), d, horizon); h != wh || v != wv || g != wd {
+					t.Errorf("d=%d eps=%v: horizon %d weights (%d,%d,%d), horizon 1 (%d,%d,%d)", d, eps, horizon, h, v, g, wh, wv, wd)
+				}
 			}
+		}
+	}
+	P := noise.Params{Storage: 1e-4, Meas: 0.05}
+	for _, c := range []struct{ horizon, wh, wv, wd int }{{2, 5, 2, 9}, {6, 6, 2, 9}} {
+		if wh, wv, wd := WeightsCircuit(P, 3, c.horizon); wh != c.wh || wv != c.wv || wd != c.wd {
+			t.Errorf("measurement-dominated, horizon %d: weights (%d,%d,%d), want (%d,%d,%d)", c.horizon, wh, wv, wd, c.wh, c.wv, c.wd)
 		}
 	}
 }

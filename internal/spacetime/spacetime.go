@@ -437,8 +437,9 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 // through internal/stream, whose window never slides over a whole
 // volume. Returns the per-lane logical failure masks of the two
 // sectors. stream.VolumeMemory drains it for the exact matcher, which
-// decodes closed volumes only; the equivalence suites drain it with
-// union-find as the whole-volume reference.
+// decodes closed volumes only; with union-find only tests drain it —
+// stream's W ≥ T suites and the statistical tests. The decode-path
+// oracle's whole-volume reference is Volume.Decode, not this drain.
 //
 // The detector planes pivot lane-major (the boundary node of an open
 // code is never a defect and carries no plane) and the lanes decode in

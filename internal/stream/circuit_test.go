@@ -48,6 +48,47 @@ func TestCircuitWindowShape(t *testing.T) {
 	}
 }
 
+// TestCircuitMemoryPricesOverTheWindow: a circuit-level Memory run
+// prices its window's weights over the window, not over the rounds.
+// Under measurement-dominated noise the two horizons price different
+// weights (spacetime's TestWeightsCircuitHorizon), so a 2-round run on
+// the default window of 6 at d = 3 must decode on the window priced
+// over 6 layers: that window's closing volume of height 2, not the
+// other's, is the one the run's Finish builds.
+func TestCircuitMemoryPricesOverTheWindow(t *testing.T) {
+	const d, rounds = 3, 2
+	P := noise.Params{Storage: 1e-4, Meas: 0.05}
+	code := toric.Cached(d)
+	window, commit, err := WindowShape(d, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intern := func(horizon int) *Window {
+		wh, wv, wd := spacetime.WeightsCircuit(P, d, horizon)
+		win, err := InternWindow(code, window, commit, wh, wv, wd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	byWindow, byRounds := intern(window), intern(rounds)
+	if byWindow == byRounds {
+		t.Fatal("degenerate: both horizons price the same weights")
+	}
+	if _, err := Memory(code, rounds, spacetime.Circuit(P), 0, 0, spacetime.DecodeOptions{}, 64, 5); err != nil {
+		t.Fatal(err)
+	}
+	closed := func(w *Window) bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.closing[rounds-1] != nil
+	}
+	if !closed(byWindow) || closed(byRounds) {
+		t.Fatalf("Memory decoded on the window priced over %d rounds (%d,%d,%d), not over its %d layers (%d,%d,%d)",
+			rounds, byRounds.WH, byRounds.WV, byRounds.WD, window, byWindow.WH, byWindow.WV, byWindow.WD)
+	}
+}
+
 // TestCircuitWindowGEVolumeBitIdentical is the satellite equivalence
 // suite for the circuit model: when the window holds the whole stream
 // (W ≥ T) the streaming decoder never slides, and draining the same

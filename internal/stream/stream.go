@@ -708,9 +708,10 @@ func result(code surface.Code, rounds, window, commit int, m spacetime.Model, sa
 // Erasing source and drains through PushErased — with ErasureAware its
 // erased lanes decode with their located faults — and correlated runs
 // reprice the dual window each slide; every other run drains through
-// Push. The weights take the decode horizon of each model: `rounds` for
-// a phenomenological model, the window for a circuit-level one. The
-// result is a pure function of (samples, seed) — never of GOMAXPROCS. A
+// Push. The weights are priced over `rounds` for a phenomenological
+// model and over the window for a circuit-level one, whose horizon only
+// caps the horizontal weight (WeightsCircuit): binding under
+// measurement-dominated noise, never under uniform noise. The result is a pure function of (samples, seed) — never of GOMAXPROCS. A
 // malformed model, an invalid window shape or horizon, or decode
 // options on a phenomenological model without an erasure channel is a
 // constructor error.
@@ -746,7 +747,7 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 // (W = max(rounds, 2), commit 1), so Finish decodes the closed volume
 // bit for bit on the drain the server runs, erasure channels and decode
 // options included; a one-round circuit run so prices its weights over
-// two layers, which give the same weights (WeightsCircuit).
+// two layers, dearer than one under measurement-dominated noise.
 // DecoderExact drains spacetime.Volume.BatchMemoryFrom through the
 // blossom matcher, on the torus only and without erasure channels or
 // decode options. Either kind's Result has Window = Commit = 0. A kind

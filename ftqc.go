@@ -29,7 +29,10 @@
 //     dedicated stream rand.New(rand.NewPCG(seed, i)) consumed
 //     draw-for-draw like the scalar simulator, making batch and scalar
 //     runs bit-identical shot for shot. The scalar simulator is that
-//     reference and nothing else: no experiment runs on it.
+//     reference, and the engine of the gadget-level experiments E15
+//     (transversal logical gates) and E21 (generic stabilizer EC),
+//     which run one shot at a time in tests and the root benchmarks;
+//     no Monte Carlo experiment runs on it.
 //
 // Experiment entry points therefore take a seed uint64 rather than a
 // *rand.Rand: batched workers derive their independent streams from it.

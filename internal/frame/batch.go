@@ -1,6 +1,8 @@
 package frame
 
 import (
+	"math/rand/v2"
+
 	"ftqc/internal/bits"
 	"ftqc/internal/circuit"
 	"ftqc/internal/noise"
@@ -47,7 +49,6 @@ type BatchSim struct {
 	TriggerFault func(b *BatchSim, lane int, qubits []int)
 
 	t0, t1, t2, t3 bits.Vec // scratch planes
-	t4, t5         bits.Vec // noise2's partner-qubit Pauli planes
 	pointBuf       [2]int
 	laneBuf        []int32 // RunRound: faulted lanes of the location in flight
 }
@@ -66,7 +67,6 @@ func NewBatch(n, w int, p noise.Params, smp Sampler) *BatchSim {
 		fx: bits.NewVecs(n, w), fz: bits.NewVecs(n, w), lk: bits.NewVecs(n, w),
 		active: bits.NewVec(w),
 		t0:     bits.NewVec(w), t1: bits.NewVec(w), t2: bits.NewVec(w), t3: bits.NewVec(w),
-		t4: bits.NewVec(w), t5: bits.NewVec(w),
 	}
 	b.active.SetAll()
 	return b
@@ -85,7 +85,7 @@ func (b *BatchSim) Reset(smp Sampler) {
 			p.Clear()
 		}
 	}
-	for _, t := range [...]bits.Vec{b.t0, b.t1, b.t2, b.t3, b.t4, b.t5} {
+	for _, t := range [...]bits.Vec{b.t0, b.t1, b.t2, b.t3} {
 		t.Clear()
 	}
 	b.stack = b.stack[:0]
@@ -213,17 +213,56 @@ func (b *BatchSim) point2(x, y int) {
 // scalar gate tail: gate-noise draw, Pauli draw on fault, leak draw.
 func (b *BatchSim) noise1(q int, p float64) {
 	b.smp.Bernoulli(p, b.active, b.t2)
-	if b.t2.Any() {
-		if b.P.Bias > 0 {
-			b.smp.Pauli1Biased(b.P.Bias, b.t2, b.t0, b.t1)
-		} else {
-			b.smp.Pauli1(b.t2, b.t0, b.t1)
-		}
-		b.fx[q].Xor(b.t0)
-		b.fz[q].Xor(b.t1)
-		b.FaultCount += b.t2.Weight()
-	}
+	b.faults(q, -1)
 	b.maybeLeak(q)
+}
+
+// faults draws and injects a fault for every lane of the fault mask t2,
+// in ascending lane order, each from its lane's stream: a one-qubit
+// fault on q when c < 0, a two-qubit fault on (q, c) otherwise.
+func (b *BatchSim) faults(q, c int) {
+	for i := 0; i < b.t2.Words(); i++ {
+		for m := b.t2.Word(i); m != 0; m &= m - 1 {
+			lane := i*64 + trailingZeros(m)
+			if c < 0 {
+				b.fault1(b.smp.Stream(lane), q, lane)
+			} else {
+				b.fault2(b.smp.Stream(lane), q, c, lane)
+			}
+		}
+	}
+}
+
+// fault1 draws a one-qubit Pauli from rng (noise.Draw1) and applies it
+// to q's frame in lane: one fault.
+func (b *BatchSim) fault1(rng *rand.Rand, q, lane int) {
+	b.apply(q, lane, noise.Draw1(rng, b.P.Bias))
+	b.FaultCount++
+}
+
+// fault2 draws a two-qubit Pauli from rng (noise.Draw2) and applies its
+// halves to a's and c's frames in lane: one fault per damaged qubit,
+// as the scalar Sim counts.
+func (b *BatchSim) fault2(rng *rand.Rand, a, c, lane int) {
+	ea, eb := noise.Draw2(rng, b.P.Bias)
+	b.apply(a, lane, ea)
+	b.apply(c, lane, eb)
+	if ea != noise.ErrNone {
+		b.FaultCount++
+	}
+	if eb != noise.ErrNone {
+		b.FaultCount++
+	}
+}
+
+// apply toggles the Pauli e into q's frame in lane.
+func (b *BatchSim) apply(q, lane int, e noise.PauliError) {
+	if e&noise.ErrX != 0 {
+		b.fx[q].Flip(lane)
+	}
+	if e&noise.ErrZ != 0 {
+		b.fz[q].Flip(lane)
+	}
 }
 
 func (b *BatchSim) maybeLeak(q int) {
@@ -309,22 +348,7 @@ func (b *BatchSim) CZ(a, c int) {
 // in the scalar order.
 func (b *BatchSim) noise2(a, c int) {
 	b.smp.Bernoulli(b.P.Gate2, b.active, b.t2)
-	if b.t2.Any() {
-		xa, za, xb, zb := b.t0, b.t1, b.t4, b.t5
-		if b.P.Bias > 0 {
-			b.smp.Pauli2Biased(b.P.Bias, b.t2, xa, za, xb, zb)
-		} else {
-			b.smp.Pauli2(b.t2, xa, za, xb, zb)
-		}
-		b.fx[a].Xor(xa)
-		b.fz[a].Xor(za)
-		b.fx[c].Xor(xb)
-		b.fz[c].Xor(zb)
-		// Count like the scalar inject: one per damaged qubit.
-		xa.Or(za)
-		xb.Or(zb)
-		b.FaultCount += xa.Weight() + xb.Weight()
-	}
+	b.faults(a, c)
 	b.maybeLeak(a)
 	b.maybeLeak(c)
 }
@@ -396,16 +420,7 @@ func (b *BatchSim) measure(q int, plane, out bits.Vec) {
 func (b *BatchSim) Storage(q int) {
 	b.point1(q)
 	b.smp.Bernoulli(b.P.Storage, b.active, b.t2)
-	if b.t2.Any() {
-		if b.P.Bias > 0 {
-			b.smp.Pauli1Biased(b.P.Bias, b.t2, b.t0, b.t1)
-		} else {
-			b.smp.Pauli1(b.t2, b.t0, b.t1)
-		}
-		b.fx[q].Xor(b.t0)
-		b.fz[q].Xor(b.t1)
-		b.FaultCount += b.t2.Weight()
-	}
+	b.faults(q, -1)
 }
 
 // FrameX toggles a noiseless X correction on every active lane of q.

@@ -309,11 +309,12 @@ func fuzzRate(r byte) float64 {
 // measurement planes, FaultCount, LocationCount and next sampler draw.
 // The input packs the shape (1–12 data qubits, 1–6 ancillas), the lane
 // count (1–200), the storage, prep, two-qubit gate and measurement
-// rates, one byte each, and the plan (fuzzPlan).
+// rates, one byte each, the bias ratio η = byte/16 (0 is unbiased), and
+// the plan (fuzzPlan).
 func FuzzRunRound(f *testing.F) {
 	// The plan of TestZeroDrawRunRoundMatchesGateLoop: 6 data qubits,
-	// 3 ancillas, 100 lanes, every rate 0.04.
-	f.Add(uint64(19), uint8(5+12*2), uint8(99), uint32(0x32323232), []byte{
+	// 3 ancillas, 100 lanes, every rate 0.04, η = 4.
+	f.Add(uint64(19), uint8(5+12*2), uint8(99), uint32(0x32323232), uint8(64), []byte{
 		opStorage, 6, 0, 1, 2, 3, 4, 5,
 		opPrepZ, 3, 6, 7, 8,
 		opCNOT, 3, 0, 6, 2, 7, 4, 8,
@@ -324,20 +325,23 @@ func FuzzRunRound(f *testing.F) {
 		opCNOT, 3, 6, 1, 7, 3, 8, 5,
 		opMeasX, 3, 6, 7, 8,
 	})
-	f.Fuzz(func(t *testing.T, seed uint64, shape, lanes uint8, rates uint32, prog []byte) {
+	f.Fuzz(func(t *testing.T, seed uint64, shape, lanes uint8, rates uint32, bias uint8, prog []byte) {
 		nd, na, w := 1+int(shape)%12, 1+int(shape)/12%6, 1+int(lanes)%200
 		P := noise.Params{
 			Storage: fuzzRate(byte(rates)),
 			Prep:    fuzzRate(byte(rates >> 8)),
 			Gate2:   fuzzRate(byte(rates >> 16)),
 			Meas:    fuzzRate(byte(rates >> 24)),
+			Bias:    float64(bias) / 16,
 		}
 		pl, slots := fuzzPlan(nd, na, prog)
 		fs, gs := NewAggregateSampler(seed, 1), NewAggregateSampler(seed, 1)
 		fused, gates := NewBatch(nd+na, w, P, fs), NewBatch(nd+na, w, P, gs)
 		fm, gm := bits.NewVecs(slots, w), bits.NewVecs(slots, w)
 		for r := 0; r < 2; r++ {
-			fused.RunRound(pl, fm)
+			if !fused.RunRound(pl, fm) {
+				t.Fatalf("round %d: RunRound took the gate path", r)
+			}
 			gates.runGates(pl, gm)
 			for i := range fm {
 				if !fm[i].Equal(gm[i]) {

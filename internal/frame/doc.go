@@ -1,8 +1,11 @@
 // Package frame simulates Pauli-frame Monte Carlo two ways: a batched
 // bit-parallel engine (BatchSim) that advances W independent shots at
-// once, which every experiment runs on, and a scalar simulator (Sim)
-// that advances one shot at a time, which is the reference the batch
-// engine is tested against. Both propagate a Pauli error frame (which
+// once, which every Monte Carlo experiment runs on, and a scalar
+// simulator (Sim) that advances one shot at a time. Sim is the reference
+// the batch engine is tested against, and the engine of the
+// gadget-level experiments E15 (ft.LogicalCNOT, LogicalH, LogicalS) and
+// E21 (ft.GenericEC), which take a *Sim and run only in tests and the
+// root benchmarks. Both propagate a Pauli error frame (which
 // X/Z errors currently afflict each qubit) through Clifford circuits
 // with stochastic noise at every fault location, reproducing
 // density-matrix statistics for stabilizer circuits at a tiny fraction
@@ -48,6 +51,12 @@
 //     rand.New(rand.NewPCG(seed, uint64(i))). The equivalence suites in
 //     equiv_test.go and ft's batch_test.go pin the two engines together
 //     at this standard, shot for shot; nothing outside tests uses it.
+//
+// Every sampled Pauli fault is drawn by one rule per arity,
+// noise.Draw1 or Draw2 with the model's Bias (uniform at 0): Sim draws
+// from its stream, BatchSim from Sampler.Stream(lane) — the lane's own
+// under lockstep, the one shared stream under aggregate sampling —
+// for each faulted lane in ascending order.
 //
 // Measurement results are reported as flips relative to the noiseless
 // reference run (planes of flip bits for BatchSim). All of the paper's

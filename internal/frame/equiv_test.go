@@ -58,10 +58,12 @@ func randomCircuit(rng *rand.Rand, n, ops int) *circuit.Circuit {
 }
 
 // noiseSettings is the grid of error models the equivalence suite sweeps:
-// quiet, loud, storage-only, measurement-heavy, and leaky.
+// quiet, loud, storage-only, measurement-heavy, leaky, and biased.
 func noiseSettings() []noise.Params {
 	leaky := noise.Uniform(2e-2)
 	leaky.Leak = 3e-2
+	biased := noise.Uniform(5e-2)
+	biased.Bias = 4
 	return []noise.Params{
 		noise.Uniform(0),
 		noise.Uniform(1e-3),
@@ -69,6 +71,7 @@ func noiseSettings() []noise.Params {
 		noise.StorageOnly(3e-2),
 		{Meas: 0.1, Prep: 0.05},
 		leaky,
+		biased,
 	}
 }
 

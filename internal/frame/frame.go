@@ -96,7 +96,7 @@ func (s *Sim) H(q int) {
 		s.fz.Set(q, x)
 	}
 	if s.rng.Float64() < s.P.Gate1 {
-		s.inject(q, noise.Random1(s.rng))
+		s.inject(q, noise.Draw1(s.rng, s.P.Bias))
 	}
 	s.maybeLeak(q)
 }
@@ -108,7 +108,7 @@ func (s *Sim) S(q int) {
 		s.fz.Flip(q)
 	}
 	if s.rng.Float64() < s.P.Gate1 {
-		s.inject(q, noise.Random1(s.rng))
+		s.inject(q, noise.Draw1(s.rng, s.P.Bias))
 	}
 	s.maybeLeak(q)
 }
@@ -121,7 +121,7 @@ func (s *Sim) Sdg(q int) { s.S(q) }
 func (s *Sim) PauliGate(q int) {
 	s.point(q)
 	if s.rng.Float64() < s.P.Gate1 {
-		s.inject(q, noise.Random1(s.rng))
+		s.inject(q, noise.Draw1(s.rng, s.P.Bias))
 	}
 	s.maybeLeak(q)
 }
@@ -139,7 +139,7 @@ func (s *Sim) CNOT(a, b int) {
 		}
 	}
 	if s.rng.Float64() < s.P.Gate2 {
-		ea, eb := noise.Random2(s.rng)
+		ea, eb := noise.Draw2(s.rng, s.P.Bias)
 		s.inject(a, ea)
 		s.inject(b, eb)
 	}
@@ -160,7 +160,7 @@ func (s *Sim) CZ(a, b int) {
 		}
 	}
 	if s.rng.Float64() < s.P.Gate2 {
-		ea, eb := noise.Random2(s.rng)
+		ea, eb := noise.Draw2(s.rng, s.P.Bias)
 		s.inject(a, ea)
 		s.inject(b, eb)
 	}
@@ -229,7 +229,7 @@ func (s *Sim) MeasX(q int) bool {
 func (s *Sim) Storage(q int) {
 	s.point(q)
 	if s.rng.Float64() < s.P.Storage {
-		s.inject(q, noise.Random1(s.rng))
+		s.inject(q, noise.Draw1(s.rng, s.P.Bias))
 	}
 }
 

@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"ftqc/internal/bits"
-	"ftqc/internal/noise"
-)
+import "ftqc/internal/bits"
 
 // RoundPlan is a precompiled fault-location program for one syndrome-
 // extraction round: a handful of homogeneous op blocks (one storage
@@ -100,13 +97,12 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 // measurement flip planes into meas (indexed by the plan's slots; each
 // plane must be Lanes() bits wide), and reports whether it took the
 // fused walk. The simulator picks the executor by what it observes:
-// with an AggregateSampler, no leakage or bias, no armed trigger and a
-// full active mask it walks one geometric fault stream per block;
-// otherwise (the walk draws no leak or biased channels and makes no
-// per-location trigger callbacks) it runs each location through its
-// gate call — Storage, PrepZ, PrepX, CNOT, MeasZInto, MeasXInto — in
-// plan order. Both give the same planes, so only the report and the
-// speed tell them apart.
+// with an AggregateSampler, no leakage, no armed trigger and a full
+// active mask it walks one geometric fault stream per block; otherwise
+// (the walk draws no leak channels and makes no per-location trigger
+// callbacks) it runs each location through its gate call — Storage,
+// PrepZ, PrepX, CNOT, MeasZInto, MeasXInto — in plan order. Both give
+// the same planes, so only the report and the speed tell them apart.
 //
 // Why the fused walk is bit-identical to the gate path on the same
 // sampler state:
@@ -118,7 +114,9 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 //     lane-minor). Each landing redraws immediately, and the Pauli /
 //     flip draws of a faulted location happen after that location's
 //     landings and before the next location's — RunRound flushes fault
-//     draws at location boundaries inside the walk to match.
+//     draws at location boundaries inside the walk to match, through
+//     the gate path's own fault1 / fault2, so a biased model draws the
+//     same Paulis on both.
 //   - Probability edge cases match: p ≤ 0 skips the block without
 //     touching the carry, p ≥ 1 faults every lane without touching the
 //     carry, and an infinite skip (Float64 returning exactly 0) ends at
@@ -132,7 +130,7 @@ func (pl *RoundPlan) Locations() int { return pl.locs }
 //     measurement coin draws never fire.
 func (b *BatchSim) RunRound(pl *RoundPlan, meas []bits.Vec) (fused bool) {
 	s, ok := b.smp.(*AggregateSampler)
-	if !ok || b.P.Leak > 0 || b.P.Bias > 0 || b.trigger != nil || b.active.Weight() != b.w {
+	if !ok || b.P.Leak > 0 || b.trigger != nil || b.active.Weight() != b.w {
 		b.runGates(pl, meas)
 		return false
 	}
@@ -209,24 +207,17 @@ func (b *BatchSim) runFaultOp(s *AggregateSampler, p float64, op *planOp, meas [
 }
 
 // flushFaults draws and applies the fault content of one faulted
-// location (the lanes in laneBuf, ascending): uniform Paulis for
-// storage and CNOT locations, deterministic flips for prep and
-// measurement, with the gate path's FaultCount accounting.
+// location (the lanes in laneBuf, ascending): Paulis for storage and
+// CNOT locations through the gate path's fault1 / fault2, deterministic
+// flips for prep and measurement, with the gate path's FaultCount
+// accounting.
 func (b *BatchSim) flushFaults(s *AggregateSampler, op *planOp, loc int, meas []bits.Vec) {
 	switch op.kind {
 	case opStorage:
-		q := op.qa[loc]
+		q := int(op.qa[loc])
 		for _, lane := range b.laneBuf {
-			e := noise.Random1(s.rng)
-			w, bit := int(lane)>>6, uint64(1)<<(uint(lane)&63)
-			if e&noise.ErrX != 0 {
-				b.fx[q].XorWord(w, bit)
-			}
-			if e&noise.ErrZ != 0 {
-				b.fz[q].XorWord(w, bit)
-			}
+			b.fault1(s.rng, q, int(lane))
 		}
-		b.FaultCount += len(b.laneBuf)
 	case opPrepZ:
 		q := op.qa[loc]
 		for _, lane := range b.laneBuf {
@@ -240,28 +231,9 @@ func (b *BatchSim) flushFaults(s *AggregateSampler, op *planOp, loc int, meas []
 		}
 		b.FaultCount += len(b.laneBuf)
 	case opCNOT:
-		a, c := op.qa[loc], op.qb[loc]
+		a, c := int(op.qa[loc]), int(op.qb[loc])
 		for _, lane := range b.laneBuf {
-			ea, eb := noise.Random2(s.rng)
-			w, bit := int(lane)>>6, uint64(1)<<(uint(lane)&63)
-			if ea&noise.ErrX != 0 {
-				b.fx[a].XorWord(w, bit)
-			}
-			if ea&noise.ErrZ != 0 {
-				b.fz[a].XorWord(w, bit)
-			}
-			if eb&noise.ErrX != 0 {
-				b.fx[c].XorWord(w, bit)
-			}
-			if eb&noise.ErrZ != 0 {
-				b.fz[c].XorWord(w, bit)
-			}
-			if ea != 0 {
-				b.FaultCount++
-			}
-			if eb != 0 {
-				b.FaultCount++
-			}
+			b.fault2(s.rng, a, c, int(lane))
 		}
 	case opMeasZ, opMeasX:
 		v := meas[op.slot[loc]]

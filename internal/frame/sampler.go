@@ -6,12 +6,12 @@ import (
 	"math/rand/v2"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/noise"
 )
 
-// Sampler supplies the randomness of a batch simulator as lane masks.
-// Every method is restricted to the lanes of `active` (or `faults`): bits
-// outside the mask are always written as 0.
+// Sampler supplies the randomness of a batch simulator as lane masks,
+// plus the stream a faulted lane's Pauli is drawn from. The mask methods
+// are restricted to the lanes of `active`: bits outside it are always
+// written as 0.
 //
 // Two implementations exist with different contracts:
 //
@@ -37,20 +37,10 @@ type Sampler interface {
 	// Coin fills out with a fair coin for every lane in active and zeroes
 	// the rest.
 	Coin(active, out bits.Vec)
-	// Pauli1 draws a uniformly random nontrivial one-qubit Pauli for every
-	// lane in faults, writing the X component into outX and the Z
-	// component into outZ (Y sets both).
-	Pauli1(faults, outX, outZ bits.Vec)
-	// Pauli2 draws a uniformly random nontrivial two-qubit Pauli for every
-	// lane in faults, writing the components for the first qubit into
-	// outXa/outZa and for the second into outXb/outZb.
-	Pauli2(faults, outXa, outZa, outXb, outZb bits.Vec)
-	// Pauli1Biased is Pauli1 with a biased component distribution
-	// (noise.Random1Biased with ratio η).
-	Pauli1Biased(eta float64, faults, outX, outZ bits.Vec)
-	// Pauli2Biased is Pauli2 with a biased component distribution
-	// (noise.Random2Biased with ratio η).
-	Pauli2Biased(eta float64, faults, outXa, outZa, outXb, outZb bits.Vec)
+	// Stream returns the stream that draws a faulted lane's content (its
+	// Pauli, noise.Draw1 or Draw2): the lane's own under lockstep, the
+	// one shared stream under aggregate sampling.
+	Stream(lane int) *rand.Rand
 }
 
 // --- lockstep: per-lane streams, bit-exact against the scalar Sim ---
@@ -115,27 +105,8 @@ func (s *LockstepSampler) Coin(active, out bits.Vec) {
 	}
 }
 
-// Pauli1 mirrors noise.Random1 per faulted lane.
-func (s *LockstepSampler) Pauli1(faults, outX, outZ bits.Vec) {
-	scatterPauli1(faults, outX, outZ, s.laneRand)
-}
-
-// Pauli2 mirrors noise.Random2 per faulted lane.
-func (s *LockstepSampler) Pauli2(faults, outXa, outZa, outXb, outZb bits.Vec) {
-	scatterPauli2(faults, outXa, outZa, outXb, outZb, s.laneRand)
-}
-
-// Pauli1Biased mirrors noise.Random1Biased per faulted lane.
-func (s *LockstepSampler) Pauli1Biased(eta float64, faults, outX, outZ bits.Vec) {
-	scatterPauli1Biased(eta, faults, outX, outZ, s.laneRand)
-}
-
-// Pauli2Biased mirrors noise.Random2Biased per faulted lane.
-func (s *LockstepSampler) Pauli2Biased(eta float64, faults, outXa, outZa, outXb, outZb bits.Vec) {
-	scatterPauli2Biased(eta, faults, outXa, outZa, outXb, outZb, s.laneRand)
-}
-
-func (s *LockstepSampler) laneRand(lane int) *rand.Rand { return s.rngs[lane] }
+// Stream returns lane's own stream.
+func (s *LockstepSampler) Stream(lane int) *rand.Rand { return s.rngs[lane] }
 
 // --- aggregate: one stream, word-at-a-time masks ---
 
@@ -307,123 +278,9 @@ func (s *AggregateSampler) Coin(active, out bits.Vec) {
 	}
 }
 
-// Pauli1 draws per faulted lane; faults are rare, so this is off the hot
-// path.
-func (s *AggregateSampler) Pauli1(faults, outX, outZ bits.Vec) {
-	scatterPauli1(faults, outX, outZ, s.anyRand)
-}
-
-// Pauli2 draws per faulted lane.
-func (s *AggregateSampler) Pauli2(faults, outXa, outZa, outXb, outZb bits.Vec) {
-	scatterPauli2(faults, outXa, outZa, outXb, outZb, s.anyRand)
-}
-
-// Pauli1Biased draws per faulted lane with bias ratio eta.
-func (s *AggregateSampler) Pauli1Biased(eta float64, faults, outX, outZ bits.Vec) {
-	scatterPauli1Biased(eta, faults, outX, outZ, s.anyRand)
-}
-
-// Pauli2Biased draws per faulted lane with bias ratio eta.
-func (s *AggregateSampler) Pauli2Biased(eta float64, faults, outXa, outZa, outXb, outZb bits.Vec) {
-	scatterPauli2Biased(eta, faults, outXa, outZa, outXb, outZb, s.anyRand)
-}
-
-func (s *AggregateSampler) anyRand(int) *rand.Rand { return s.rng }
-
-// scatterPauli1 draws a uniform nontrivial one-qubit Pauli for every lane
-// in faults from the stream src selects for that lane, scattering the X/Z
-// components into the output planes. Shared by both samplers so the Pauli
-// encoding lives in one place.
-func scatterPauli1(faults, outX, outZ bits.Vec, src func(lane int) *rand.Rand) {
-	outX.Clear()
-	outZ.Clear()
-	for i := 0; i < faults.Words(); i++ {
-		for b := faults.Word(i); b != 0; b &= b - 1 {
-			lane := i*64 + trailingZeros(b)
-			e := noise.Random1(src(lane))
-			low := b & -b
-			if e&noise.ErrX != 0 {
-				outX.XorWord(i, low)
-			}
-			if e&noise.ErrZ != 0 {
-				outZ.XorWord(i, low)
-			}
-		}
-	}
-}
-
-// scatterPauli2 is scatterPauli1 for two-qubit Paulis.
-func scatterPauli2(faults, outXa, outZa, outXb, outZb bits.Vec, src func(lane int) *rand.Rand) {
-	outXa.Clear()
-	outZa.Clear()
-	outXb.Clear()
-	outZb.Clear()
-	for i := 0; i < faults.Words(); i++ {
-		for b := faults.Word(i); b != 0; b &= b - 1 {
-			lane := i*64 + trailingZeros(b)
-			ea, eb := noise.Random2(src(lane))
-			low := b & -b
-			if ea&noise.ErrX != 0 {
-				outXa.XorWord(i, low)
-			}
-			if ea&noise.ErrZ != 0 {
-				outZa.XorWord(i, low)
-			}
-			if eb&noise.ErrX != 0 {
-				outXb.XorWord(i, low)
-			}
-			if eb&noise.ErrZ != 0 {
-				outZb.XorWord(i, low)
-			}
-		}
-	}
-}
-
-// scatterPauli1Biased is scatterPauli1 with noise.Random1Biased draws.
-func scatterPauli1Biased(eta float64, faults, outX, outZ bits.Vec, src func(lane int) *rand.Rand) {
-	outX.Clear()
-	outZ.Clear()
-	for i := 0; i < faults.Words(); i++ {
-		for b := faults.Word(i); b != 0; b &= b - 1 {
-			lane := i*64 + trailingZeros(b)
-			e := noise.Random1Biased(src(lane), eta)
-			low := b & -b
-			if e&noise.ErrX != 0 {
-				outX.XorWord(i, low)
-			}
-			if e&noise.ErrZ != 0 {
-				outZ.XorWord(i, low)
-			}
-		}
-	}
-}
-
-// scatterPauli2Biased is scatterPauli2 with noise.Random2Biased draws.
-func scatterPauli2Biased(eta float64, faults, outXa, outZa, outXb, outZb bits.Vec, src func(lane int) *rand.Rand) {
-	outXa.Clear()
-	outZa.Clear()
-	outXb.Clear()
-	outZb.Clear()
-	for i := 0; i < faults.Words(); i++ {
-		for b := faults.Word(i); b != 0; b &= b - 1 {
-			lane := i*64 + trailingZeros(b)
-			ea, eb := noise.Random2Biased(src(lane), eta)
-			low := b & -b
-			if ea&noise.ErrX != 0 {
-				outXa.XorWord(i, low)
-			}
-			if ea&noise.ErrZ != 0 {
-				outZa.XorWord(i, low)
-			}
-			if eb&noise.ErrX != 0 {
-				outXb.XorWord(i, low)
-			}
-			if eb&noise.ErrZ != 0 {
-				outZb.XorWord(i, low)
-			}
-		}
-	}
-}
+// Stream returns the one stream, whichever the lane: faults are rare,
+// so their content is drawn per faulted lane off the hot path.
+func (s *AggregateSampler) Stream(int) *rand.Rand { return s.rng }
 
 // trailingZeros names math/bits.TrailingZeros64 under the import alias.
 func trailingZeros(x uint64) int { return mbits.TrailingZeros64(x) }

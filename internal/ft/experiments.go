@@ -62,12 +62,6 @@ type MemoryResult struct {
 // FailRate returns the probability that the stored qubit was damaged.
 func (r MemoryResult) FailRate() float64 { return float64(r.Failures) / float64(r.Samples) }
 
-// XRate returns the logical bit-flip rate.
-func (r MemoryResult) XRate() float64 { return float64(r.XFailures) / float64(r.Samples) }
-
-// ZRate returns the logical phase-flip rate.
-func (r MemoryResult) ZRate() float64 { return float64(r.ZFailures) / float64(r.Samples) }
-
 // MemoryExperiment measures the fidelity of an encoded qubit held for
 // `rounds` cycles of [storage noise + recovery], the scenario behind
 // Preskill Eq. (14). storageP governs the idle noise on the data between

@@ -112,6 +112,25 @@ func Random2(rng *rand.Rand) (a, b PauliError) {
 	return PauliError(k & 3), PauliError(k >> 2)
 }
 
+// Draw1 is the one draw of a faulty one-qubit location's Pauli: the
+// uniform §5 draw (Random1) when bias is 0, the biased one
+// (Random1Biased with η = bias) when it is positive.
+func Draw1(rng *rand.Rand, bias float64) PauliError {
+	if bias > 0 {
+		return Random1Biased(rng, bias)
+	}
+	return Random1(rng)
+}
+
+// Draw2 is Draw1 for a faulty two-qubit location: Random2 when bias is
+// 0, Random2Biased with η = bias when it is positive.
+func Draw2(rng *rand.Rand, bias float64) (a, b PauliError) {
+	if bias > 0 {
+		return Random2Biased(rng, bias)
+	}
+	return Random2(rng)
+}
+
 // biasWeights returns the per-component weights (wI, wXY, wZ) of a
 // biased Pauli draw with ratio η = p_Z/(p_X+p_Y): r_x = r_y =
 // 1/(2(1+η)), r_z = η/(1+η), scaled by 3 so η = 1/2 gives the uniform
@@ -122,8 +141,8 @@ func biasWeights(eta float64) (wXY, wZ float64) {
 
 // Random1Biased draws a nontrivial one-qubit Pauli with bias ratio η:
 // P(Z)/[P(X)+P(Y)] = η, P(X) = P(Y). η = 1/2 reproduces Random1's
-// uniform distribution (over a different stream discipline); a caller
-// holding η = 0 should use Random1 instead.
+// uniform distribution (over a different stream discipline); η = 0 is
+// the unbiased model, which Draw1 sends to Random1 instead.
 func Random1Biased(rng *rand.Rand, eta float64) PauliError {
 	wXY, wZ := biasWeights(eta)
 	u := rng.Float64() * (2*wXY + wZ)

@@ -372,10 +372,10 @@ func TestFusedRoundBitIdentical(t *testing.T) {
 // TestFusedRoundFallbacks covers every simulator state the fused walk
 // cannot reproduce draw for draw — a lockstep sampler, an armed trigger
 // harness (here one that injects an X on the location's last qubit),
-// biased noise, leakage, a narrowed active mask — where the round plan
-// runs through the gate calls: a source's layers, erasure planes,
-// frames, FaultCount and LocationCount must equal the per-gate loop's
-// on a twin simulator.
+// leakage, a narrowed active mask — where the round plan runs through
+// the gate calls, and biased noise, which the fused walk runs: a
+// source's layers, erasure planes, frames, FaultCount and LocationCount
+// must equal the per-gate loop's on a twin simulator.
 func TestFusedRoundFallbacks(t *testing.T) {
 	const lanes, rounds = 8, 3
 	biased := noise.Uniform(0.05)
@@ -454,10 +454,11 @@ func TestFusedRoundFallbacks(t *testing.T) {
 
 // TestWarmNextLayersZeroAllocs: once the schedule's plan is compiled
 // and the sampler's tables are warm, an extraction round allocates
-// nothing, for every schedule shape — the fused walk, the gate path a
-// biased source's NextLayers and a leaking source's NextLayersErased run
-// the plan through (faulted two-qubit gates included), and a round of
-// the phenomenological source once its fault-position buffer has grown.
+// nothing, for every schedule shape — the fused walk of a plain and a
+// biased source's NextLayers, the gate path a leaking source's
+// NextLayersErased runs the plan through (faulted two-qubit gates
+// included), and a round of the phenomenological source once its
+// fault-position buffer has grown.
 func TestWarmNextLayersZeroAllocs(t *testing.T) {
 	const lanes = 128
 	biased := noise.Uniform(0.003)

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCircuitSourceExecutor pins which executor each CircuitSource
-// model's rounds take: plain circuit noise on the Monte Carlo sampler
-// runs the fused walk, and leakage, bias, a lockstep sampler, an armed
+// model's rounds take: plain and biased circuit noise on the Monte Carlo
+// sampler run the fused walk, and leakage, a lockstep sampler, an armed
 // trigger and a narrowed active mask run the gate path. The two give the
 // same planes (TestFusedRoundFallbacks), so a model that fell off the
 // walk would show only in its speed. The choice reads the simulator,
@@ -34,7 +34,7 @@ func TestCircuitSourceExecutor(t *testing.T) {
 		}{
 			{"plain", plain, nil, nil, true},
 			{"leak", leaky, nil, nil, false},
-			{"bias", biased, nil, nil, false},
+			{"bias", biased, nil, nil, true},
 			{"lockstep", plain, frame.NewLockstepSampler(3, lanes), nil, false},
 			{"armed-trigger", plain, nil, func(b *frame.BatchSim) { b.ArmTrigger(0, 5) }, false},
 			{"narrowed-mask", plain, nil, func(b *frame.BatchSim) { b.PushActive(half) }, false},

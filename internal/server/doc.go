@@ -29,7 +29,7 @@
 // # Backpressure contract
 //
 // Each session owns a bounded ingest queue of Config.QueueDepth rounds
-// with preallocated layer buffers (steady-state ingest allocates
+// with layer buffers from its scratch (steady-state ingest allocates
 // nothing). Config.Overflow picks the policy when a producer outruns
 // the decode: OverflowBlock stalls Submit until a slot frees — the
 // lossless default, matching difference-syndrome semantics where a
@@ -41,6 +41,33 @@
 // delivers the committed prefix, and Server.Shutdown drains every
 // session before releasing the workers, so committed frames are never
 // lost to a shutdown.
+//
+// # Session lifecycle and scratch
+//
+// A session works in a scratch: its stream.Decoder, its depth+2 queue
+// buffers (the closing round travels in one of them), its commit-times
+// ring and, once ServeConn has served it, the wire's decode planes and
+// message buffers. Open takes a scratch of the session's shape (window
+// and lanes) from the server's free list, reset by
+// stream.Decoder.Reset, or builds one. What happens at the end depends
+// on who reads the frames:
+//
+//   - ServeConn writes the 'P' frames out and then gives the scratch
+//     back — also when the stream was cut, refused or failed, always
+//     after Wait, so the session's worker is done with it. The next
+//     session of that shape decodes in it as in a fresh one, and a warm
+//     wire session allocates only its handle, channels and goroutine.
+//   - An in-process session (Open, Submit, CloseWith, Wait) keeps its
+//     scratch: Wait's frames are live views of the decoder, valid for as
+//     long as the caller holds them, so nothing gives it back.
+//
+// The free list holds each scratch through a weak pointer, the rule of
+// stream's window table and drain list: an idle shape's scratch is
+// freed by the next collection and its entry dropped by a cleanup, so
+// a shape no tenant uses costs nothing and a tenant cycling through
+// shapes pins nothing. On the client side a Conn keeps its buffers and
+// its frames across the sessions it carries; Finish's frames are valid
+// until the next Finish on that Conn.
 //
 // # Observability
 //

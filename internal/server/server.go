@@ -3,10 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
@@ -104,6 +107,13 @@ type Server struct {
 	nextID   uint64
 	draining bool
 	wg       sync.WaitGroup
+
+	// free is the scratch the finished wire sessions gave back, by shape.
+	// Its entries are weak, as stream's window table is: a collection
+	// frees an idle shape's scratch, and the scratch's cleanup drops the
+	// dead entries.
+	freeMu sync.Mutex
+	free   map[scratchKey][]weak.Pointer[scratch]
 }
 
 // New starts a decode server.
@@ -115,11 +125,92 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     decoder.NewPool(cfg.Workers),
 		sessions: make(map[uint64]*Session),
+		free:     make(map[scratchKey][]weak.Pointer[scratch]),
+	}
+}
+
+// scratchKey names the sessions that can share a scratch: one window
+// (held weakly, so the key pins nothing) at one lane count.
+type scratchKey struct {
+	win   weak.Pointer[stream.Window]
+	lanes int
+}
+
+// scratch is everything a session works in that the next session of its
+// shape can reuse: the streaming decoder, the queue buffers (the closing
+// round's included) and the commit-times ring, plus — built by the first
+// ServeConn that serves it — the wire's decode planes, its round-message
+// buffer and its frames-message buffer. Open takes one from the free
+// list or builds it; ServeConn gives it back once its session has ended.
+type scratch struct {
+	key   scratchKey
+	dec   *stream.Decoder
+	msgs  []roundMsg
+	times []time.Time // enqueue times by absolute round index (ring)
+
+	layerX, layerZ      []bits.Vec
+	roundBuf, framesBuf []byte
+}
+
+// takeScratch returns a reset free scratch of the session's shape, or
+// builds one.
+func (srv *Server) takeScratch(win *stream.Window, lanes int) *scratch {
+	key := scratchKey{weak.Make(win), lanes}
+	srv.freeMu.Lock()
+	list := srv.free[key]
+	for len(list) > 0 {
+		sc := list[len(list)-1].Value()
+		list = list[:len(list)-1]
+		if sc != nil {
+			srv.free[key] = list
+			srv.freeMu.Unlock()
+			sc.dec.Reset()
+			return sc
+		}
+	}
+	delete(srv.free, key)
+	srv.freeMu.Unlock()
+
+	nc, depth := win.Code().Checks(), srv.cfg.QueueDepth
+	sc := &scratch{
+		key:   key,
+		dec:   stream.NewSessionOn(srv.pool, win).NewDecoder(lanes),
+		msgs:  make([]roundMsg, depth+2),
+		times: make([]time.Time, win.W+depth+4),
+	}
+	for i := range sc.msgs {
+		sc.msgs[i] = roundMsg{x: bits.NewVecs(nc, lanes), z: bits.NewVecs(nc, lanes)}
+	}
+	runtime.AddCleanup(sc, srv.dropDead, key)
+	return sc
+}
+
+// putScratch frees an ended session's scratch for the next session of
+// its shape.
+func (srv *Server) putScratch(sc *scratch) {
+	srv.freeMu.Lock()
+	srv.free[sc.key] = append(srv.free[sc.key], weak.Make(sc))
+	srv.freeMu.Unlock()
+}
+
+// dropDead removes the entries a collection has freed from a shape's
+// free list, and the shape once none is left.
+func (srv *Server) dropDead(key scratchKey) {
+	srv.freeMu.Lock()
+	defer srv.freeMu.Unlock()
+	list := slices.DeleteFunc(srv.free[key], func(wp weak.Pointer[scratch]) bool { return wp.Value() == nil })
+	if len(list) == 0 {
+		delete(srv.free, key)
+	} else {
+		srv.free[key] = list
 	}
 }
 
 // Open starts a session. The returned Session is ready to Submit to;
-// every session runs its own ingest worker against the shared pool.
+// every session runs its own ingest worker against the shared pool. Its
+// scratch comes from the server's free list for its window and lane
+// count when a finished wire session left one there; an in-process
+// session keeps it, since Wait's frames are views of it.
 func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	if cfg.Lanes < 1 {
 		return nil, fmt.Errorf("server: session needs at least one lane (got %d)", cfg.Lanes)
@@ -143,14 +234,16 @@ func (srv *Server) Open(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := srv.takeScratch(win, cfg.Lanes)
 
 	srv.mu.Lock()
 	if srv.draining {
 		srv.mu.Unlock()
+		srv.putScratch(sc)
 		return nil, ErrDraining
 	}
 	srv.nextID++
-	s := newSession(srv, srv.nextID, cfg, win)
+	s := newSession(srv, srv.nextID, cfg, win, sc)
 	srv.sessions[s.id] = s
 	srv.wg.Add(1)
 	srv.mu.Unlock()
@@ -204,8 +297,8 @@ func (srv *Server) Shutdown() {
 }
 
 // roundMsg is one queued ingest round (or the finish marker carrying
-// the closing layers). Buffers are preallocated and recycled through
-// the session's free list.
+// the closing layers). Buffers belong to the session's scratch and are
+// recycled through the session's free channel.
 type roundMsg struct {
 	x, z   []bits.Vec
 	enq    time.Time
@@ -250,13 +343,12 @@ type Session struct {
 
 	lifeMu sync.RWMutex // guards closed vs in-flight sends on in
 	closed bool
-	in     chan roundMsg
-	free   chan roundMsg
+	in     chan *roundMsg
+	free   chan *roundMsg
 	done   chan struct{}
 
-	// Worker-owned pipeline state.
-	dec      *stream.Decoder
-	times    []time.Time // enqueue times by absolute round index (ring)
+	// Worker-owned pipeline state: the scratch's decoder and commit times.
+	sc       *scratch
 	finished bool
 
 	// Stats mirrors: written by Submit/worker, read by Snapshot.
@@ -272,8 +364,7 @@ type Session struct {
 	err error
 }
 
-func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window) *Session {
-	depth := srv.cfg.QueueDepth
+func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window, sc *scratch) *Session {
 	s := &Session{
 		id:    id,
 		srv:   srv,
@@ -281,14 +372,13 @@ func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window) *
 		win:   win,
 		nc:    win.Code().Checks(),
 		lanes: cfg.Lanes,
-		in:    make(chan roundMsg, depth),
-		free:  make(chan roundMsg, depth+2),
+		in:    make(chan *roundMsg, srv.cfg.QueueDepth),
+		free:  make(chan *roundMsg, len(sc.msgs)),
 		done:  make(chan struct{}),
-		dec:   stream.NewSessionOn(srv.pool, win).NewDecoder(cfg.Lanes),
-		times: make([]time.Time, cfg.Window+depth+4),
+		sc:    sc,
 	}
-	for i := 0; i < depth+2; i++ {
-		s.free <- roundMsg{x: bits.NewVecs(s.nc, cfg.Lanes), z: bits.NewVecs(s.nc, cfg.Lanes)}
+	for i := range sc.msgs {
+		s.free <- &sc.msgs[i]
 	}
 	return s
 }
@@ -328,7 +418,7 @@ func (s *Session) Submit(layerX, layerZ []bits.Vec) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	var msg roundMsg
+	var msg *roundMsg
 	if s.srv.cfg.Overflow == OverflowReject {
 		select {
 		case msg = <-s.free:
@@ -381,7 +471,10 @@ func (s *Session) CloseWith(closingX, closingZ []bits.Vec) error {
 	s.closedFlag.Store(true)
 	s.lifeMu.Unlock()
 	// We are the only sender now; the finish marker is the last message.
-	msg := roundMsg{x: bits.NewVecs(s.nc, s.lanes), z: bits.NewVecs(s.nc, s.lanes), enq: time.Now(), finish: true}
+	// Its buffer never waits: of the depth+2, the queue holds at most
+	// depth and the worker one.
+	msg := <-s.free
+	msg.enq, msg.finish = time.Now(), true
 	for c := 0; c < s.nc; c++ {
 		msg.x[c].CopyFrom(closingX[c])
 		msg.z[c].CopyFrom(closingZ[c])
@@ -409,7 +502,10 @@ func (s *Session) Close() error {
 
 // Wait blocks until the session's worker has drained and returns the
 // result. The frames are live views of the decoder's committed state;
-// they are safe to read (and mutate) once Wait returns.
+// they are safe to read (and mutate) once Wait returns, and stay valid
+// for as long as the caller holds them: an in-process session never
+// gives its scratch back. Only ServeConn, which writes the frames out
+// before it returns, recycles a session's scratch.
 func (s *Session) Wait() (SessionResult, error) {
 	<-s.done
 	return s.res, s.err
@@ -463,12 +559,12 @@ func (s *Session) run() {
 }
 
 // ingest pushes one round and accounts for everything it committed.
-func (s *Session) ingest(msg roundMsg) {
+func (s *Session) ingest(msg *roundMsg) {
 	if s.err != nil {
 		return
 	}
-	d := s.dec
-	s.times[d.Rounds()%len(s.times)] = msg.enq
+	d := s.sc.dec
+	s.sc.times[d.Rounds()%len(s.sc.times)] = msg.enq
 	before := d.Committed()
 	d.Push(msg.x, msg.z)
 	if err := d.Err(); err != nil {
@@ -480,13 +576,13 @@ func (s *Session) ingest(msg roundMsg) {
 }
 
 // finish settles the stream with the closing layers.
-func (s *Session) finish(msg roundMsg) {
+func (s *Session) finish(msg *roundMsg) {
 	s.finished = true
 	if s.err != nil {
 		s.capture(false)
 		return
 	}
-	d := s.dec
+	d := s.sc.dec
 	before := d.Committed()
 	if d.Rounds() > 0 {
 		d.Finish(msg.x, msg.z)
@@ -505,16 +601,16 @@ func (s *Session) observeCommits(from, to int) {
 	if to <= from {
 		return
 	}
-	now := time.Now()
+	now, times := time.Now(), s.sc.times
 	for r := from; r < to; r++ {
-		s.hist.Observe(now.Sub(s.times[r%len(s.times)]))
+		s.hist.Observe(now.Sub(times[r%len(times)]))
 	}
 	s.committedCt.Store(uint64(to))
 }
 
 // capture publishes the session result before done closes.
 func (s *Session) capture(finished bool) {
-	d := s.dec
+	d := s.sc.dec
 	s.res = SessionResult{Rounds: d.Rounds(), Committed: d.Committed(), Finished: finished}
 	s.res.FramesX, s.res.FramesZ = d.Corrections()
 }

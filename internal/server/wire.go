@@ -27,7 +27,7 @@ import (
 //
 // Reads per message are bounded and never run ahead. The server takes
 // 'O' in one io.ReadFull and every 'R'/'F' in two (the type byte, then
-// the whole payload into a buffer the session allocates once) and
+// the whole payload into a buffer the session's scratch holds) and
 // decodes the planes from memory; the client takes 'P' the same way
 // (header, then body). No reader here requests a byte beyond the end of
 // the message it is parsing, so consecutive ServeConn calls on one
@@ -52,10 +52,14 @@ const (
 	maxWireQubits     = 2 * maxWireL * maxWireL // frame width of the largest code
 )
 
-// Conn is the client side of the wire protocol.
+// Conn is the client side of the wire protocol. It keeps its message
+// buffers and the frames Finish returns across the sessions it carries.
 type Conn struct {
-	rw  io.ReadWriter
-	buf []byte
+	rw               io.ReadWriter
+	open             [1 + 7*4]byte
+	buf              []byte // outgoing 'R' / 'F' message
+	body             []byte // incoming 'P' body
+	framesX, framesZ []bits.Vec
 }
 
 // Dial wraps a transport in a protocol client.
@@ -70,12 +74,11 @@ func (c *Conn) Open(cfg SessionConfig) error {
 	if !ok {
 		return fmt.Errorf("server: the wire protocol carries only the plain toric code")
 	}
-	buf := make([]byte, 1+7*4)
-	buf[0] = msgOpen
-	for i, v := range []int{lat.L, cfg.Lanes, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD} {
-		binary.LittleEndian.PutUint32(buf[1+4*i:], uint32(v))
+	c.open[0] = msgOpen
+	for i, v := range [7]int{lat.L, cfg.Lanes, cfg.Window, cfg.Commit, cfg.WH, cfg.WV, cfg.WD} {
+		binary.LittleEndian.PutUint32(c.open[1+4*i:], uint32(v))
 	}
-	_, err := c.rw.Write(buf)
+	_, err := c.rw.Write(c.open[:])
 	return err
 }
 
@@ -85,11 +88,13 @@ func (c *Conn) Round(layerX, layerZ []bits.Vec) error {
 }
 
 // Finish sends the closing round and reads back the committed frames.
+// The frames are the Conn's own buffers, valid until the next Finish on
+// it: a caller that keeps them past that copies them.
 func (c *Conn) Finish(closingX, closingZ []bits.Vec) (SessionResult, error) {
 	if err := c.writeLayers(msgFinish, closingX, closingZ); err != nil {
 		return SessionResult{}, err
 	}
-	return readFrames(c.rw)
+	return c.readFrames()
 }
 
 func (c *Conn) writeLayers(kind byte, layerX, layerZ []bits.Vec) error {
@@ -100,15 +105,22 @@ func (c *Conn) writeLayers(kind byte, layerX, layerZ []bits.Vec) error {
 	for _, v := range layerZ {
 		n += v.Words() * 8
 	}
-	if cap(c.buf) < n {
-		c.buf = make([]byte, n)
-	}
+	c.buf = grow(c.buf, n)
 	buf := c.buf[:1]
 	buf[0] = kind
 	buf = appendVecs(buf, layerX)
 	buf = appendVecs(buf, layerZ)
 	_, err := c.rw.Write(buf)
 	return err
+}
+
+// grow returns buf resized to n bytes, reallocated only when it is too
+// small.
+func grow(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 func appendVecs(buf []byte, vs []bits.Vec) []byte {
@@ -145,10 +157,11 @@ func midMessage(err error) error {
 }
 
 // readFrames parses the 'P' message: the header, then the whole body in
-// one read once its size has passed the limits.
-func readFrames(r io.Reader) (SessionResult, error) {
+// one read once its size has passed the limits. The frames and the body
+// buffer are the Conn's, rebuilt only when the frame shape changes.
+func (c *Conn) readFrames() (SessionResult, error) {
 	var hdr [1 + 4*4 + 1]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
 		return SessionResult{}, err
 	}
 	if hdr[0] != msgFrames {
@@ -159,19 +172,21 @@ func readFrames(r io.Reader) (SessionResult, error) {
 	if lanes > maxWireLanes || nq > maxWireQubits {
 		return SessionResult{}, fmt.Errorf("server: frames message of %d lanes × %d qubits exceeds the wire limits (%d × %d)", lanes, nq, maxWireLanes, maxWireQubits)
 	}
-	res := SessionResult{
+	if len(c.framesX) != lanes || lanes > 0 && c.framesX[0].Len() != nq {
+		c.framesX, c.framesZ = bits.NewVecs(lanes, nq), bits.NewVecs(lanes, nq)
+	}
+	c.body = grow(c.body, 2*lanes*((nq+63)/64)*8)
+	if _, err := io.ReadFull(c.rw, c.body); err != nil {
+		return SessionResult{}, midMessage(err)
+	}
+	decodeVecs(decodeVecs(c.body, c.framesX), c.framesZ)
+	return SessionResult{
+		FramesX:   c.framesX,
+		FramesZ:   c.framesZ,
 		Rounds:    int(binary.LittleEndian.Uint32(hdr[9:])),
 		Committed: int(binary.LittleEndian.Uint32(hdr[13:])),
 		Finished:  hdr[17] != 0,
-		FramesX:   bits.NewVecs(lanes, nq),
-		FramesZ:   bits.NewVecs(lanes, nq),
-	}
-	body := make([]byte, 2*lanes*((nq+63)/64)*8)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return SessionResult{}, midMessage(err)
-	}
-	decodeVecs(decodeVecs(body, res.FramesX), res.FramesZ)
-	return res, nil
+	}, nil
 }
 
 // parseOpen decodes the 'O' payload, holds it to the wire limits and
@@ -200,7 +215,8 @@ func parseOpen(payload []byte) (SessionConfig, error) {
 // written, io.EOF when the peer hung up before another session began,
 // and otherwise the protocol or transport error that ended the session
 // (io.ErrUnexpectedEOF for a stream cut anywhere inside one); the
-// session is released before any return.
+// session is released before any return, and its scratch goes back to
+// the server's free list for the next session of its shape.
 func (srv *Server) ServeConn(rw io.ReadWriter) error {
 	var hdr [1 + 7*4]byte
 	if _, err := io.ReadFull(rw, hdr[:]); err != nil {
@@ -217,14 +233,20 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 	if err != nil {
 		return err
 	}
+	// Every return below comes after Wait, so the session's worker is done
+	// with the scratch it gives back.
+	defer srv.putScratch(s.sc)
 	abort := func(err error) error {
 		s.Close()
 		s.Wait()
 		return err
 	}
-	layerX := bits.NewVecs(s.nc, cfg.Lanes)
-	layerZ := bits.NewVecs(s.nc, cfg.Lanes)
-	msg := make([]byte, roundMsgLen(s.nc, cfg.Lanes))
+	sc := s.sc
+	if sc.layerX == nil {
+		sc.layerX, sc.layerZ = bits.NewVecs(s.nc, s.lanes), bits.NewVecs(s.nc, s.lanes)
+		sc.roundBuf = make([]byte, roundMsgLen(s.nc, s.lanes))
+	}
+	msg := sc.roundBuf
 	for {
 		if _, err := io.ReadFull(rw, msg[:1]); err != nil {
 			return abort(midMessage(err))
@@ -236,26 +258,26 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 		if _, err := io.ReadFull(rw, msg[1:]); err != nil {
 			return abort(midMessage(err))
 		}
-		decodeVecs(decodeVecs(msg[1:], layerX), layerZ)
+		decodeVecs(decodeVecs(msg[1:], sc.layerX), sc.layerZ)
 		if kind == msgRound {
-			if err := s.Submit(layerX, layerZ); err != nil {
+			if err := s.Submit(sc.layerX, sc.layerZ); err != nil {
 				return abort(err)
 			}
 			continue
 		}
-		if err := s.CloseWith(layerX, layerZ); err != nil {
+		if err := s.CloseWith(sc.layerX, sc.layerZ); err != nil {
 			return abort(err)
 		}
 		res, err := s.Wait()
 		if err != nil {
 			return err
 		}
-		return writeFrames(rw, res)
+		return sc.writeFrames(rw, res)
 	}
 }
 
-// writeFrames encodes the 'P' message.
-func writeFrames(w io.Writer, res SessionResult) error {
+// writeFrames encodes the 'P' message in the scratch's buffer.
+func (sc *scratch) writeFrames(w io.Writer, res SessionResult) error {
 	lanes := len(res.FramesX)
 	nq := 0
 	if lanes > 0 {
@@ -268,9 +290,9 @@ func writeFrames(w io.Writer, res SessionResult) error {
 	for _, v := range res.FramesZ {
 		n += v.Words() * 8
 	}
-	buf := make([]byte, 0, n)
+	buf := grow(sc.framesBuf, n)[:0]
 	buf = append(buf, msgFrames)
-	for _, v := range []int{lanes, nq, res.Rounds, res.Committed} {
+	for _, v := range [4]int{lanes, nq, res.Rounds, res.Committed} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
 	fin := byte(0)
@@ -280,6 +302,7 @@ func writeFrames(w io.Writer, res SessionResult) error {
 	buf = append(buf, fin)
 	buf = appendVecs(buf, res.FramesX)
 	buf = appendVecs(buf, res.FramesZ)
+	sc.framesBuf = buf
 	_, err := w.Write(buf)
 	return err
 }

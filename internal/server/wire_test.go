@@ -29,15 +29,22 @@ func (w wireSession) roundBytes() int { return roundMsgLen(w.cfg.Code.Checks(), 
 func recordWireSession(t testing.TB, l, lanes, rounds int, seed uint64) wireSession {
 	t.Helper()
 	const p = 0.025
-	cfg := toricPhenomenological(l, lanes, p, p)
+	return recordWire(t, toricPhenomenological(l, lanes, p, p), noise.Params{}, p, p, rounds, seed)
+}
+
+// recordWire records a session of any wire config: a circuit-level one
+// (cfg.WD > 0) draws from P, a phenomenological one at rates p and q.
+func recordWire(t testing.TB, cfg SessionConfig, P noise.Params, p, q float64, rounds int, seed uint64) wireSession {
+	t.Helper()
 	var buf bytes.Buffer
 	conn := Dial(&buf)
 	if err := conn.Open(cfg); err != nil {
 		t.Fatal(err)
 	}
-	src := newFeed(cfg, noise.Params{}, p, p, seed)
-	layerX := bits.NewVecs(l*l, lanes)
-	layerZ := bits.NewVecs(l*l, lanes)
+	src := newFeed(cfg, P, p, q, seed)
+	nc := cfg.Code.Checks()
+	layerX := bits.NewVecs(nc, cfg.Lanes)
+	layerZ := bits.NewVecs(nc, cfg.Lanes)
 	for r := 0; r < rounds; r++ {
 		src.NextLayers(layerX, layerZ)
 		if err := conn.Round(layerX, layerZ); err != nil {
@@ -49,7 +56,7 @@ func recordWireSession(t testing.TB, l, lanes, rounds int, seed uint64) wireSess
 		t.Fatal(err)
 	}
 	w := wireSession{cfg: cfg, rounds: rounds, stream: buf.Bytes()}
-	w.refX, w.refZ, _ = standaloneFrames(t, cfg, noise.Params{}, p, p, rounds, seed, true)
+	w.refX, w.refZ, _ = standaloneFrames(t, cfg, P, p, q, rounds, seed, true)
 	return w
 }
 
@@ -57,7 +64,7 @@ func recordWireSession(t testing.TB, l, lanes, rounds int, seed uint64) wireSess
 // session's standalone reference.
 func (w wireSession) checkFrames(t *testing.T, out io.Reader) {
 	t.Helper()
-	res, err := readFrames(out)
+	res, err := Dial(transport{out, nil}).readFrames()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestServeConnRejectsOversized(t *testing.T) {
 			msg = binary.LittleEndian.AppendUint32(msg, f)
 		}
 		msg = append(msg, 1)
-		if _, err := readFrames(bytes.NewReader(msg)); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := Dial(transport{bytes.NewReader(msg), nil}).readFrames(); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("frames header %v: %v, want a limit error", dims, err)
 		}
 	}
@@ -222,7 +229,10 @@ func TestParseOpenBuildsTheToricCode(t *testing.T) {
 
 // FuzzServeConn feeds arbitrary bytes to the server side of the wire:
 // every input must end in an error or a clean finish — never a panic or
-// an unbounded allocation — with no session left behind.
+// an unbounded allocation — with no session left behind. Each input is
+// served twice on one server, and the second pass, on the scratch the
+// first one's sessions gave back, must write the same replies byte for
+// byte.
 func FuzzServeConn(f *testing.F) {
 	w := recordWireSession(f, 3, 8, 6, 7903)
 	open := len(w.stream) - (w.rounds+1)*w.roundBytes()
@@ -249,13 +259,19 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(append(bytes.Clone(w.stream), other.stream...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := New(Config{Workers: 1})
-		rw := transport{bytes.NewReader(data), io.Discard}
-		// Each served session consumes its open message, so the loop ends;
-		// four bound what one input can make the server intern.
-		for i := 0; i < 4 && srv.ServeConn(rw) == nil; i++ {
+		var replies [2]bytes.Buffer
+		for pass := range replies {
+			rw := transport{bytes.NewReader(data), &replies[pass]}
+			// Each served session consumes its open message, so the loop ends;
+			// four bound what one input can make the server intern.
+			for i := 0; i < 4 && srv.ServeConn(rw) == nil; i++ {
+			}
+			if open := srv.Snapshot(); len(open) != 0 {
+				t.Fatalf("pass %d: %d sessions left open", pass, len(open))
+			}
 		}
-		if open := srv.Snapshot(); len(open) != 0 {
-			t.Fatalf("%d sessions left open", len(open))
+		if !bytes.Equal(replies[0].Bytes(), replies[1].Bytes()) {
+			t.Fatalf("the second pass replied %d bytes that differ from the first pass's %d", replies[1].Len(), replies[0].Len())
 		}
 		srv.Shutdown()
 	})

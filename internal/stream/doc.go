@@ -106,7 +106,9 @@
 // surface.CircuitSource.Reset); a chunk of another model builds a new
 // feed. A warm Memory call so builds no feed and no plane
 // (TestWarmMemoryCallAllocs), and with no per-chunk garbage no
-// collection fires in steady state.
+// collection fires in steady state. Decoder.Reset, the reset the free
+// list runs, is exported for the decode server, whose wire sessions
+// recycle their decoders the same way (package server).
 //
 // # One first-pass sweep per batch
 //
@@ -168,7 +170,8 @@
 // and weakly otherwise: idle decoders, feeds and planes go at the next
 // collection.
 // The table's entries are weak pointers: a window stays interned while
-// anything holds it — an open server session, a drain in flight — and
+// anything holds it — an open server session, a server's free wire
+// scratch until the next collection, a drain in flight — and
 // an idle one is freed by the next collection, a runtime.AddCleanup
 // dropping its entry, so a tenant cycling through weight triples cannot
 // grow the process (TestShapeTableBounded in package server). Reuse

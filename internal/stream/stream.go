@@ -260,9 +260,12 @@ func laneBytes[T any](bufs [][]T, c, size int) int {
 	return n * size
 }
 
-// reset puts a finished decoder back in NewDecoderOpts's state. Ring
-// slots and lists need no clearing: each is written before it is read.
-func (d *Decoder) reset() {
+// Reset puts a decoder back in NewDecoderOpts's state, wherever its
+// stream stopped — finished, cut mid-stream or failed — so its next
+// stream commits what a fresh decoder's would. Ring slots and lists need
+// no clearing: each is written before it is read. The Monte Carlo drains'
+// free list and the decode server's session scratch reset through it.
+func (d *Decoder) Reset() {
 	d.base, d.filled, d.head, d.slides, d.defects, d.finished, d.err = 0, 0, 0, 0, 0, false, nil
 	for _, sec := range [2]*sectorState{&d.sx, &d.sz} {
 		for lane := range sec.carry {

@@ -198,7 +198,7 @@ func (w *Window) takeDecoder(pool *decoder.Service, lanes int, opts spacetime.De
 				*free = slices.Delete(*free, i, i+1)
 				drains.Unlock()
 				d.win, d.pool = w, pool
-				d.reset()
+				d.Reset()
 				return d
 			}
 		}

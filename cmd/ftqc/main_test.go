@@ -220,6 +220,11 @@ func TestGoldenCLI(t *testing.T) {
 		{"stream -L 3,4 -p 0.01,0.02 -samples 128 -seed 7", 0xb18ca1fd6ebd5634},
 		{"circuit -L 3,4 -p 0.004,0.008 -samples 128 -seed 7", 0xda13bdbb937f1135},
 		{"circuit -L 3 -p 0.004,0.008 -decoder exact -samples 128 -seed 7", 0xfaf97ca0313ebed0},
+		// Even L, where antipodal pairs tie on the torus, and one round,
+		// where exact prices its weights over one layer and union-find
+		// over two.
+		{"circuit -L 4 -p 0.004,0.008 -decoder exact -samples 256 -seed 7", 0x0cf51be27e188006},
+		{"circuit -L 3,4 -T 1 -p 0.004,0.008 -decoder exact -samples 256 -seed 7", 0x16bd8a3d204fb2c1},
 		{"circuit -L 3,4 -p 0.004,0.008 -window 4 -samples 128 -seed 7", 0x669201e8411a7036},
 		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -samples 128 -seed 7", 0x4b3debb0e630b6ee},
 		{"circuit -L 3 -p 0.004,0.008 -leak 0.001 -blind -samples 128 -seed 7", 0xb92c4d15ebdf869d},

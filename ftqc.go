@@ -78,7 +78,7 @@
 // for any GOMAXPROCS). A window of 2L rounds reproduces whole-volume
 // failure rates; a window covering the whole stream reproduces the
 // whole-volume decode over the same weights bit for bit, which is how
-// SpacetimeMemory's union-find runs decode: one drain serves both.
+// SpacetimeMemory decodes, with either decoder: one drain serves both.
 //
 // The facade below re-exports the entry points the examples call; the
 // implementation, simulators, code constructors and the multi-tenant
@@ -267,15 +267,16 @@ func CircuitModel(P NoiseParams) NoiseModel { return spacetime.Circuit(P) }
 // surface code under the model m, decoded over the code's weighted 3D
 // space-time volume (open-boundary detectors ground on the virtual
 // node; a circuit model adds the diagonal edge class). Both logical
-// sectors are tracked per shot. ToricDecoderUnionFind is the production
-// decoder, run on the streaming drain through a window that never
-// slides (W = max(rounds, 2)); a one-round circuit run so prices its
-// weights over two layers, which give the same weights. ToricDecoderExact
-// runs the weighted blossom matcher, on the torus only and without
-// erasure channels or decode options — a run it cannot price is an
-// error, as are a malformed model (a rate that is NaN or outside
-// [0, 1]), decode options on a phenomenological model without an
-// erasure channel, an empty horizon and an empty sample.
+// sectors are tracked per shot. Both decoders run on the streaming
+// drain through a window that never slides (W = max(rounds, 2)).
+// ToricDecoderUnionFind is the production decoder; a one-round circuit
+// run prices its weights over two layers, dearer than one under
+// measurement-dominated noise. ToricDecoderExact closes the volume with
+// the weighted blossom matcher, its weights priced over rounds, on the
+// torus only and without erasure channels or decode options — a run it
+// cannot price is an error, as are a malformed model (a rate that is
+// NaN or outside [0, 1]), decode options on a phenomenological model
+// without an erasure channel, an empty horizon and an empty sample.
 func SpacetimeMemory(c SurfaceCode, rounds int, m NoiseModel, dec ToricDecoder, opts DecodeOptions, samples int, seed uint64) (SpacetimeResult, error) {
 	return stream.VolumeMemory(c, rounds, m, dec, opts, samples, seed)
 }

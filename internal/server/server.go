@@ -383,9 +383,6 @@ func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window, s
 	return s
 }
 
-// ID returns the server-assigned session id.
-func (s *Session) ID() uint64 { return s.id }
-
 // Config returns the (normalized) session configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 

@@ -24,7 +24,7 @@ func TestCircuitVolumeShape(t *testing.T) {
 	// projected is the set of data qubits one correction edge flips.
 	projected := func(id int) []int {
 		corr := bits.NewVec(nq)
-		v.project([]int32{int32(id)}, corr)
+		v.CommitEdges([]int32{int32(id)}, v.T+1, false, corr, bits.Vec{})
 		return corr.Support()
 	}
 	sch := toric.Cached(l).ExtractionSchedule()

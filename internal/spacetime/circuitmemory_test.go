@@ -45,11 +45,11 @@ func TestCircuitReducesToPhenomenological(t *testing.T) {
 		samples   = 6000
 	)
 	p := 2.0 / 3.0 * storage
-	wh, wv, _ := spacetime.Phenomenological(p, q, 0, 0).Weights(l, rounds)
-	v := spacetime.NewVolume(toric.Cached(l), rounds, wh, wv, 0)
+	s := wholeVolumeSession(t, toric.Cached(l), rounds, spacetime.Phenomenological(p, q, 0, 0))
+	defer s.Close()
 	P := noise.Params{Storage: storage, Meas: q}
 	fx, fz, _ := frame.CountSectorFailures(samples, 33, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), toric.DecoderUnionFind)
+		return s.BatchMemoryFrom(surface.NewCircuitSource(toric.Cached(l), P, lanes, smp), rounds, spacetime.DecodeOptions{})
 	})
 	ref := toricMemory(l, rounds, p, q, toric.DecoderUnionFind, samples, 34)
 	for _, s := range []struct {

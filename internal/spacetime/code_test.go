@@ -44,8 +44,9 @@ func TestLeakyCircuitModelReturnsCounts(t *testing.T) {
 	}
 }
 
-// TestVolumeFeedGuards pins the cross-wiring panics: a code volume
-// rejects feeds of another family, schedule or distance.
+// TestVolumeFeedGuards pins the cross-wiring panics: CheckFeed rejects
+// feeds of another family, schedule or distance than the decoder's
+// code, and an open-boundary volume refuses exact matching.
 func TestVolumeFeedGuards(t *testing.T) {
 	wh, wv, _ := spacetime.Phenomenological(0.01, 0.01, 0, 0).Weights(3, 3)
 	planarVol := spacetime.NewVolume(surface.Planar(3), 3, wh, wv, 0)
@@ -60,19 +61,19 @@ func TestVolumeFeedGuards(t *testing.T) {
 	}
 	expectPanic("family mismatch", func() {
 		src := surface.NewLayerSource(surface.Rotated(3), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		spacetime.CheckFeed(src, planarVol.Code())
 	})
 	expectPanic("toric feed into open volume", func() {
 		src := surface.NewLayerSource(toric.Cached(3), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		spacetime.CheckFeed(src, planarVol.Code())
 	})
 	expectPanic("schedule mismatch", func() {
 		src := surface.NewCircuitSource(toric.HookParallel(3), noise.Uniform(0.01), 8, frame.NewAggregateSampler(1, 0))
-		spacetime.NewVolume(toric.Cached(3), 3, 1, 1, 1).BatchMemoryFrom(src, toric.DecoderUnionFind)
+		spacetime.CheckFeed(src, toric.Cached(3))
 	})
 	expectPanic("distance mismatch", func() {
 		src := surface.NewLayerSource(surface.Planar(4), 0.01, 0.01, 8, frame.NewAggregateSampler(1, 0))
-		planarVol.BatchMemoryFrom(src, toric.DecoderUnionFind)
+		spacetime.CheckFeed(src, planarVol.Code())
 	})
 	expectPanic("exact matching on an open code", func() {
 		planarVol.Decode([]int{0, 1}, nil, toric.DecoderExact, false)

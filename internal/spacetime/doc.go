@@ -59,17 +59,11 @@
 // draws nearly free), and difference layers are stored check-major.
 // The round loop is the LayerSource: it emits one difference layer per
 // noisy round (plus the perfect closing layer) in a fixed draw order,
-// and both consumers — the plain whole-volume batch decode here and
-// the sliding-window streaming decoder in internal/stream — drain the
-// same source, which is what makes them identical by construction. The
-// (T+1)·L² layer planes pivot lane-major through bits.TransposePlanes,
-// and the per-lane decodes — each lane's primal then dual sector — run
-// on the batch chunk's own goroutine with one scratch per chunk,
-// bit-identical for any GOMAXPROCS, exactly like the 2D stage
-// (surface.SectorFailures). That drain is the exact matcher's, which
-// decodes closed volumes only; Volume.Decode is the from-scratch
-// per-lane reference, erased lists included, that the streaming fast
-// paths are checked against.
+// which the sliding-window decoder in internal/stream drains — whole
+// volumes included, as a window that never slides, whose exact close is
+// Volume.Match. Volume.Decode is the from-scratch per-lane reference,
+// erased lists included, that the streaming fast paths are checked
+// against.
 //
 // One Model value names the noise of an experiment — phenomenological
 // or circuit-level, erasure channels included — and the memory

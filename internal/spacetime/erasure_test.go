@@ -15,7 +15,7 @@ import (
 // edge erased) at qe. Returns the accumulated error, defects, and the
 // 3D erased edge ids of the requested sector.
 func scalarErasedShot(v *Volume, rng *rand.Rand, p, q, pe, qe float64, dual bool) (bits.Vec, []int, []int) {
-	lat := v.Lattice()
+	lat := v.lat
 	cum := bits.NewVec(v.nq)
 	prev := make([]bool, v.nc)
 	cur := make([]bool, v.nc)
@@ -92,9 +92,9 @@ func TestErasedDecodeClearsProjectedSyndrome(t *testing.T) {
 				res.Xor(v.Decode(defects, erased, toric.DecoderUnionFind, dual))
 				var rest []int
 				if dual {
-					rest = v.Lattice().StarSyndrome(res)
+					rest = v.lat.StarSyndrome(res)
 				} else {
-					rest = v.Lattice().Syndrome(res)
+					rest = v.lat.Syndrome(res)
 				}
 				if len(rest) != 0 {
 					t.Fatalf("L=%d T=%d dual=%v trial %d: projected residual has %d defects",

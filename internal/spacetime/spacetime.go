@@ -23,7 +23,7 @@ import (
 // volume (NewWindowVolume) is the same stack with no closing round:
 // its top layer is the virtual future boundary, folded onto that one
 // node. It is immutable after construction and shared across workers;
-// each decode call builds its own decoder state.
+// each caller brings its own decoder state.
 //
 // The edge-id layout is stated here and nowhere else: buildGraph assigns
 // the ids, CommitEdges reads a correction back, AppendErased and
@@ -49,16 +49,6 @@ type Volume struct {
 	distX, distZ []int64
 	graphX       *decoder.Graph // primal (plaquette) sector
 	graphZ       *decoder.Graph // dual (star) sector
-}
-
-// volScratch is one caller's decoder state over a volume, built per call
-// of Decode and BatchMemoryFrom.
-type volScratch struct {
-	ufX, ufZ *decoder.UnionFind
-	matcher  decoder.Matcher
-	defects  []int
-	corr     bits.Vec
-	edges    []int32 // raw correction edges of the lane in flight
 }
 
 // NewVolume builds the space-time volume of a surface.Code for rounds ≥
@@ -119,10 +109,6 @@ func newVolume(code surface.Code, rounds, wh, wv, wd int, window bool) *Volume {
 	v.graphX = v.buildGraph(code.SectorGraph(false), v.diagX)
 	v.graphZ = v.buildGraph(code.SectorGraph(true), v.diagZ)
 	return v
-}
-
-func (v *Volume) newScratch() *volScratch {
-	return &volScratch{ufX: decoder.NewUnionFind(v.graphX), ufZ: decoder.NewUnionFind(v.graphZ), corr: bits.NewVec(v.nq)}
 }
 
 // buildGraph extrudes a 2D sector graph into the weighted space-time
@@ -241,21 +227,11 @@ func (v *Volume) CommitEdges(corr []int32, commit int, dual bool, frameVec, carr
 	}
 }
 
-// project XORs the data-qubit projection of a whole-volume correction
-// onto corr.
-func (v *Volume) project(edges []int32, corr bits.Vec) {
-	v.CommitEdges(edges, v.T+1, false, corr, bits.Vec{})
-}
-
 // Graph returns the primal (plaquette-sector) space-time graph.
 func (v *Volume) Graph() *decoder.Graph { return v.graphX }
 
 // DualGraph returns the dual (star-sector) space-time graph.
 func (v *Volume) DualGraph() *decoder.Graph { return v.graphZ }
-
-// Lattice returns the underlying 2D toric lattice, or nil for volumes
-// built over an open-boundary code (use Code for those).
-func (v *Volume) Lattice() *toric.Lattice { return v.lat }
 
 // Code returns the surface.Code the volume decodes.
 func (v *Volume) Code() surface.Code { return v.code }
@@ -326,68 +302,66 @@ func gcd(a, b int) int {
 // defect set, decoded from scratch: the decoder runs on the space-time
 // graph of the chosen sector and the space-like correction edges are
 // XOR-ed onto their data qubits (time-like edges are measurement-error
-// assignments and project away). DecoderExact runs the blossom matcher
-// on the complete graph of the volume's offset metric — wh·d₂ + wv·|Δt|
-// on a plain volume, with the diagonal shortcuts on a circuit one; every
-// other kind runs the weighted union-find decoder, seeding its peeling
-// pass with erased — the lane's located faults in canonical ascending
+// assignments and project away). DecoderExact is Match; every other
+// kind runs the weighted union-find decoder, seeding its peeling pass
+// with erased — the lane's located faults in canonical ascending
 // edge-id order (AppendErased, then Reprice for a correlated dual), or
 // nil. It is the per-lane reference the fast paths are checked against;
 // the exact matcher takes no erased list.
 func (v *Volume) Decode(defects, erased []int, kind toric.DecoderKind, dual bool) bits.Vec {
 	corr := bits.NewVec(v.nq)
-	v.decodeInto(defects, erased, kind, dual, v.newScratch(), corr)
+	switch {
+	case kind == toric.DecoderExact:
+		v.Match(defects, dual, new(decoder.Matcher), corr)
+	case len(defects) > 0:
+		g := v.graphX
+		if dual {
+			g = v.graphZ
+		}
+		v.CommitEdges(decoder.NewUnionFind(g).AppendCorrection(nil, defects, erased), v.T+1, dual, corr, bits.Vec{})
+	}
 	return corr
 }
 
-// decodeInto XORs the projected correction of one sector's defect set
-// onto corr.
-func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual bool, scr *volScratch, corr bits.Vec) {
+// Match XORs onto corr the projected correction of one sector's
+// ascending defect set over the closed volume, matched by the blossom
+// matcher m on the complete graph of the volume's offset metric —
+// wh·d₂ + wv·|Δt| on a plain volume, with the diagonal shortcuts on a
+// circuit one. Torus volumes only.
+func (v *Volume) Match(defects []int, dual bool, m *decoder.Matcher, corr bits.Vec) {
+	if v.lat == nil {
+		panic("spacetime: exact matching prices pairs with the torus metric; open-boundary codes decode with union-find")
+	}
 	if len(defects) == 0 {
 		return
 	}
-	if kind == toric.DecoderExact {
-		if v.lat == nil {
-			panic("spacetime: exact matching prices pairs with the torus metric; open-boundary codes decode with union-find")
-		}
-		// Pair distances: the volume's offset metric table, which prices
-		// the diagonal shortcuts of a circuit volume exactly and is the
-		// rectilinear WH·d₂ + WV·|Δt| on a plain one. The correction chain
-		// emitted per pair is the canonical short-way 2D path either way —
-		// on weight ties between a winding and a non-winding 3D path the
-		// canonical chain stands in for the matcher's choice, the same
-		// convention the 2D matcher uses for antipodal pairs.
-		dist, distZ := v.metric()
-		if dual {
-			dist = distZ
-		}
-		span := 2*v.T + 1
-		weight := func(i, j int) int64 {
-			a, b := defects[i], defects[j]
-			ca, cb := a%v.nc, b%v.nc
-			dx, dy := mod(cb%v.L-ca%v.L, v.L), mod(cb/v.L-ca/v.L, v.L)
-			return dist[(dy*v.L+dx)*span+(b/v.nc-a/v.nc)+v.T]
-		}
-		pairs := scr.matcher.MinWeightPairs(len(defects), weight)
-		for _, pr := range pairs {
-			ca, cb := defects[pr[0]]%v.nc, defects[pr[1]]%v.nc
-			if ca == cb {
-				continue
-			}
-			if dual {
-				v.lat.PathBetweenDual(ca, cb, corr)
-			} else {
-				v.lat.PathBetween(ca, cb, corr)
-			}
-		}
-		return
-	}
-	uf := scr.ufX
+	// Pair distances: the volume's offset metric table. The correction
+	// chain emitted per pair is the canonical short-way 2D path — on
+	// weight ties between a winding and a non-winding 3D path the
+	// canonical chain stands in for the matcher's choice, the same
+	// convention the 2D matcher uses for antipodal pairs.
+	dist, distZ := v.metric()
 	if dual {
-		uf = scr.ufZ
+		dist = distZ
 	}
-	scr.edges = uf.AppendCorrection(scr.edges[:0], defects, erased)
-	v.project(scr.edges, corr)
+	span := 2*v.T + 1
+	weight := func(i, j int) int64 {
+		a, b := defects[i], defects[j]
+		ca, cb := a%v.nc, b%v.nc
+		dx, dy := mod(cb%v.L-ca%v.L, v.L), mod(cb/v.L-ca/v.L, v.L)
+		return dist[(dy*v.L+dx)*span+(b/v.nc-a/v.nc)+v.T]
+	}
+	for _, pr := range m.MinWeightPairs(len(defects), weight) {
+		ca, cb := defects[pr[0]]%v.nc, defects[pr[1]]%v.nc
+		if ca == cb {
+			continue
+		}
+		if dual {
+			v.lat.PathBetweenDual(ca, cb, corr)
+		} else {
+			v.lat.PathBetween(ca, cb, corr)
+		}
+	}
 }
 
 // LayerFeed is the layer-source contract between syndrome-extraction
@@ -401,9 +375,7 @@ func (v *Volume) decodeInto(defects, erased []int, kind toric.DecoderKind, dual 
 // located fault this layer), lostX/lostZ check-major (Checks() planes
 // per sector: lanes whose ancilla measurement read as a coin). The
 // streaming pipeline (internal/stream) drains every feed and reads
-// NextLayersErased exactly when it is Erasing; the whole-volume batch
-// decode (Volume.BatchMemoryFrom) drains feeds that are not.
-// surface.LayerSource (phenomenological) and surface.CircuitSource
+// NextLayersErased exactly when it is Erasing. surface.LayerSource (phenomenological) and surface.CircuitSource
 // (circuit-level) are its two implementations.
 type LayerFeed interface {
 	Code() surface.Code
@@ -426,67 +398,6 @@ func CheckFeed(src LayerFeed, code surface.Code) {
 	if c := src.Code(); c.CodeName() != code.CodeName() || c.Distance() != code.Distance() {
 		panic("spacetime: layer feed code does not match the decoder's")
 	}
-}
-
-// BatchMemoryFrom runs Lanes() shots of the noisy-extraction memory
-// experiment as bit-planes: the feed emits T rounds of difference
-// layers plus the perfect closing layer, and both sectors decode per
-// lane over the weighted volume with the given decoder. The feed must
-// be fresh (zero rounds emitted), extract on this volume's code and not
-// be Erasing: located faults and the side-information passes stream
-// through internal/stream, whose window never slides over a whole
-// volume. Returns the per-lane logical failure masks of the two
-// sectors. stream.VolumeMemory drains it for the exact matcher, which
-// decodes closed volumes only; with union-find only tests drain it —
-// stream's W ≥ T suites and the statistical tests. The decode-path
-// oracle's whole-volume reference is Volume.Decode, not this drain.
-//
-// The detector planes pivot lane-major (the boundary node of an open
-// code is never a defect and carries no plane) and the lanes decode in
-// order on the calling goroutine — the chunk's own, under
-// frame.ForEachChunk — with one scratch built for the call, the same
-// discipline as the 2D stage (surface.SectorFailures). The result
-// is bit-identical for any worker count. The projected residual is
-// always a closed 2D cycle (the correction's 3D syndrome equals the
-// defect set and time-like edges project to nothing), so the winding
-// parities decide failure.
-func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
-	nc := v.nc
-	lanes := src.Lanes()
-	CheckFeed(src, v.code)
-	if src.Erasing() {
-		panic("spacetime: the whole-volume drain decodes no erasure planes")
-	}
-	layers := [2][]bits.Vec{bits.NewVecs(v.det, lanes), bits.NewVecs(v.det, lanes)}
-	for t := 0; t < v.T; t++ {
-		src.NextLayers(layers[0][t*nc:(t+1)*nc], layers[1][t*nc:(t+1)*nc])
-	}
-	src.CloseLayers(layers[0][v.T*nc:], layers[1][v.T*nc:])
-	par := [2][2]bits.Vec{{bits.NewVec(lanes), bits.NewVec(lanes)}, {bits.NewVec(lanes), bits.NewVec(lanes)}}
-	src.Windings(par[0][0], par[0][1], par[1][0], par[1][1])
-	syn := [2][]bits.Vec{bits.NewVecs(lanes, v.det), bits.NewVecs(lanes, v.det)}
-	bits.TransposePlanes(syn[0], layers[0])
-	bits.TransposePlanes(syn[1], layers[1])
-	scr := v.newScratch()
-	fail := [2]bits.Vec{bits.NewVec(lanes), bits.NewVec(lanes)}
-	for lane := range lanes {
-		for s, dual := range [2]bool{false, true} {
-			scr.defects = syn[s][lane].AppendSupport(scr.defects[:0])
-			l1 := par[s][0].Get(lane)
-			l2 := par[s][1].Get(lane)
-			if len(scr.defects) > 0 {
-				scr.corr.Clear()
-				v.decodeInto(scr.defects, nil, kind, dual, scr, scr.corr)
-				c1, c2 := v.code.LogicalParity(dual, scr.corr)
-				l1 = l1 != c1
-				l2 = l2 != c2
-			}
-			if l1 || l2 {
-				fail[s].Set(lane, true)
-			}
-		}
-	}
-	return fail[0], fail[1]
 }
 
 // CrossingEstimate linearly interpolates the first sign change of the

@@ -69,7 +69,7 @@ func TestWeights(t *testing.T) {
 // fresh errors per round, noisy syndromes, difference layers, closing
 // perfect round. Returns the accumulated error and the 3D defect list.
 func scalarShot(v *Volume, rng *rand.Rand, p, q float64, dual bool) (bits.Vec, []int) {
-	lat := v.Lattice()
+	lat := v.lat
 	cum := bits.NewVec(v.nq)
 	prev := make([]bool, v.nc)
 	cur := make([]bool, v.nc)
@@ -140,9 +140,9 @@ func TestDecodeClearsProjectedSyndrome(t *testing.T) {
 					res.Xor(v.Decode(defects, nil, kind, dual))
 					var rest []int
 					if dual {
-						rest = v.Lattice().StarSyndrome(res)
+						rest = v.lat.StarSyndrome(res)
 					} else {
-						rest = v.Lattice().Syndrome(res)
+						rest = v.lat.Syndrome(res)
 					}
 					if len(rest) != 0 {
 						t.Fatalf("L=%d T=%d dual=%v kind=%d trial %d: projected residual has %d defects",

@@ -54,47 +54,72 @@ func TestCircuitWindowShape(t *testing.T) {
 // weights (spacetime's TestWeightsCircuitHorizon), so a 2-round run on
 // the default window of 6 at d = 3 must decode on the window priced
 // over 6 layers: that window's closing volume of height 2, not the
-// other's, is the one the run's Finish builds.
+// other's, is the one the run's Finish builds. A one-round
+// VolumeMemory run decodes on a window of two layers, which union-find
+// prices as Memory does, over the window, and the exact matcher over
+// the one round.
 func TestCircuitMemoryPricesOverTheWindow(t *testing.T) {
-	const d, rounds = 3, 2
-	P := noise.Params{Storage: 1e-4, Meas: 0.05}
+	const d = 3
+	m := spacetime.Circuit(noise.Params{Storage: 1e-4, Meas: 0.05})
 	code := toric.Cached(d)
 	window, commit, err := WindowShape(d, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	intern := func(horizon int) *Window {
-		wh, wv, wd := spacetime.WeightsCircuit(P, d, horizon)
-		win, err := InternWindow(code, window, commit, wh, wv, wd)
-		if err != nil {
+	volume := func(kind toric.DecoderKind) func() error {
+		return func() error {
+			_, err := VolumeMemory(code, 1, m, kind, spacetime.DecodeOptions{}, 64, 5)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name                   string
+		rounds, window, commit int
+		horizon, other         int // the horizon the run must price over, and the other one
+		run                    func() error
+	}{
+		{"Memory", 2, window, commit, window, 2, func() error {
+			_, err := Memory(code, 2, m, 0, 0, spacetime.DecodeOptions{}, 64, 5)
+			return err
+		}},
+		{"VolumeMemory union-find", 1, 2, 1, 2, 1, volume(toric.DecoderUnionFind)},
+		{"VolumeMemory exact", 1, 2, 1, 1, 2, volume(toric.DecoderExact)},
+	} {
+		forgetShapes()
+		intern := func(horizon int) *Window {
+			wh, wv, wd := m.Weights(d, horizon)
+			win, err := InternWindow(code, tc.window, tc.commit, wh, wv, wd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return win
+		}
+		want, other := intern(tc.horizon), intern(tc.other)
+		if want == other {
+			t.Fatalf("%s: degenerate: both horizons price the same weights", tc.name)
+		}
+		if err := tc.run(); err != nil {
 			t.Fatal(err)
 		}
-		return win
-	}
-	byWindow, byRounds := intern(window), intern(rounds)
-	if byWindow == byRounds {
-		t.Fatal("degenerate: both horizons price the same weights")
-	}
-	if _, err := Memory(code, rounds, spacetime.Circuit(P), 0, 0, spacetime.DecodeOptions{}, 64, 5); err != nil {
-		t.Fatal(err)
-	}
-	closed := func(w *Window) bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.closing[rounds-1] != nil
-	}
-	if !closed(byWindow) || closed(byRounds) {
-		t.Fatalf("Memory decoded on the window priced over %d rounds (%d,%d,%d), not over its %d layers (%d,%d,%d)",
-			rounds, byRounds.WH, byRounds.WV, byRounds.WD, window, byWindow.WH, byWindow.WV, byWindow.WD)
+		closed := func(w *Window) bool {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return w.closing[tc.rounds-1] != nil
+		}
+		if !closed(want) || closed(other) {
+			t.Fatalf("%s decoded on the window priced over %d layers (%d,%d,%d), not over %d (%d,%d,%d)",
+				tc.name, tc.other, other.WH, other.WV, other.WD, tc.horizon, want.WH, want.WV, want.WD)
+		}
 	}
 }
 
 // TestCircuitWindowGEVolumeBitIdentical is the satellite equivalence
 // suite for the circuit model: when the window holds the whole stream
 // (W ≥ T) the streaming decoder never slides, and draining the same
-// circuit-level source must reproduce the whole-volume diagonal-edge
-// batch decode bit for bit — same extraction circuit, same draw order,
-// same union-find over the same graph.
+// circuit-level source must reproduce the from-scratch per-lane
+// whole-volume diagonal-edge decode (volumeReference) bit for bit — same
+// extraction circuit, same draw order, same union-find over the same
+// graph.
 func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 	const lanes = 192
 	for _, cfg := range []struct {
@@ -109,8 +134,8 @@ func TestCircuitWindowGEVolumeBitIdentical(t *testing.T) {
 		P := noise.Uniform(cfg.eps)
 		wh, wv, wd := spacetime.WeightsCircuit(P, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, wd)
-		fx1, fz1 := v.BatchMemoryFrom(
-			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)), toric.DecoderUnionFind)
+		fx1, fz1 := volumeReference(v,
+			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)), spacetime.DecodeOptions{})
 		s := mustCircuitSession(t, cfg.l, cfg.window, cfg.commit, wh, wv, wd)
 		fx2, fz2 := s.BatchMemoryFrom(
 			toricCircuit(cfg.l, P, lanes, frame.NewAggregateSampler(951, 7)),

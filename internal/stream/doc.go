@@ -53,19 +53,21 @@
 //
 // # One memory driver
 //
-// Memory is the package's one Monte Carlo driver, and every union-find
-// memory number — the whole-volume ones included — comes from its drain,
-// the one the decode server and the benchmark run. VolumeMemory is the
-// whole-volume experiment as a window that never slides: W = max(T, 2),
-// commit 1, so Finish decodes the closed T-round volume (a one-round
-// circuit run prices its weights over two layers, which give the same
-// weights). Only the exact matcher, which decodes closed volumes alone,
-// drains spacetime.Volume.BatchMemoryFrom. Erasure channels and decode
-// options stream on every model: a phenomenological window seeds its
-// leaked qubits and lost measurements exactly as a circuit-level one
-// seeds leakage. Both drivers return one Result, and SustainedThreshold
-// is the one sweep over two distances, each caller binding the run that
-// measures a point.
+// Memory and VolumeMemory run the package's one Monte Carlo driver
+// (Window.memory), and every memory number — the whole-volume ones and
+// the exact matcher's included — comes from its drain, the one the
+// decode server and the benchmark run. VolumeMemory is the whole-volume
+// experiment as a window that never slides: W = max(T, 2), commit 1, so
+// the close decodes the closed T-round volume — Finish for union-find
+// (a one-round circuit run prices its weights over two layers, dearer
+// than one under measurement-dominated noise), and for the exact
+// matcher, whose weights are priced over T, a close that matches the
+// same defect lists (spacetime.Volume.Match). Erasure channels and
+// decode options stream on every model: a phenomenological window
+// seeds its leaked qubits and lost measurements exactly as a
+// circuit-level one seeds leakage. Both entry points return one Result,
+// and SustainedThreshold is the one sweep over two distances, each
+// caller binding the run that measures a point.
 //
 // # One decode per window, from scratch
 //

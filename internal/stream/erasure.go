@@ -5,7 +5,7 @@ package stream
 // source (surface.CircuitSource with P.Leak > 0) reports every leak as a
 // located fault; PushErased carries those planes alongside the
 // difference layers (Session.BatchMemoryFrom drains an Erasing feed
-// through it, the counterpart of Volume.BatchMemoryFrom), and every
+// through it), and every
 // slide decodes with each lane's erased edges — read straight off the
 // rings by Volume.AppendErased — seeded into the union-find peeling
 // pass. A Push round is a round with nothing erased, so the two mix.

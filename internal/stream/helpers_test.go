@@ -63,7 +63,7 @@ func batchMemory(s *Session, rounds int, p, q float64, lanes int, smp frame.Samp
 	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.Code(), p, q, lanes, smp), rounds, spacetime.DecodeOptions{})
 }
 
-// volumeReference is the whole-volume reference of the erasure suites:
+// volumeReference is the whole-volume reference of the W ≥ T suites:
 // it drains src over v's rounds and decodes every lane from scratch, one
 // sector after the other (Volume.Decode). With ErasureAware the lane's
 // canonical erased list (Volume.AppendErased) seeds the peeling pass; a

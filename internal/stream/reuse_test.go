@@ -274,28 +274,39 @@ func forgetShapes() {
 // sequence runs shape A, A's torus at another rate (A's drain class, a
 // new model: new feeds), A again (its feeds rebuilt), shape B, B's model
 // with erasure channels (B's class, an Erasing feed and its planes), B
-// again, A with a partial last chunk (its own decoder lanes), A from two
-// goroutines at once (two calls' drains on one free list), and A under
-// GOMAXPROCS 4 on a pool that started under GOMAXPROCS 1, which must
-// grow to it.
+// again, A with a partial last chunk (its own decoder lanes), whole-volume
+// union-find, exact and union-find again on A's torus (one drain class,
+// so each kind's close leaves the decoder the other kind decodes on next),
+// A from two goroutines at once (two calls' drains on one free list),
+// and A under GOMAXPROCS 4 on a pool that started under GOMAXPROCS 1,
+// which must grow to it.
 func TestMemoryReuseAcrossCalls(t *testing.T) {
 	type call struct {
 		name    string
 		l       int
 		m       spacetime.Model
 		samples int
+		kind    toric.DecoderKind // 0: Memory; otherwise VolumeMemory of this kind
 	}
-	a := call{"A", 4, spacetime.Circuit(noise.Uniform(0.004)), 512}
-	aRate := call{"A at another rate", 4, spacetime.Circuit(noise.Uniform(0.006)), 512}
-	b := call{"B", 5, spacetime.Phenomenological(0.02, 0.02, 0, 0), 256}
-	bErased := call{"B erased", 5, spacetime.Phenomenological(0.02, 0.02, 0.03, 0.02), 256}
-	aPartial := call{"A partial", 4, a.m, 300}
-	sequence := []call{a, aRate, a, b, bErased, b, aPartial}
+	a := call{"A", 4, spacetime.Circuit(noise.Uniform(0.004)), 512, 0}
+	aRate := call{"A at another rate", 4, spacetime.Circuit(noise.Uniform(0.006)), 512, 0}
+	b := call{"B", 5, spacetime.Phenomenological(0.02, 0.02, 0, 0), 256, 0}
+	bErased := call{"B erased", 5, spacetime.Phenomenological(0.02, 0.02, 0.03, 0.02), 256, 0}
+	aPartial := call{"A partial", 4, a.m, 300, 0}
+	volUF := call{"A whole-volume union-find", 4, aRate.m, 256, toric.DecoderUnionFind}
+	volExact := call{"A whole-volume exact", 4, aRate.m, 256, toric.DecoderExact}
+	sequence := []call{a, aRate, a, b, bErased, b, aPartial, volUF, volExact, volUF}
 	const rounds, seed = 12, 0x5eed
 	holdFreeList(t)
 	memory := func(t *testing.T, c call) Result {
 		t.Helper()
-		r, err := Memory(toric.Cached(c.l), rounds, c.m, 0, 0, spacetime.DecodeOptions{}, c.samples, seed)
+		var r Result
+		var err error
+		if c.kind == 0 {
+			r, err = Memory(toric.Cached(c.l), rounds, c.m, 0, 0, spacetime.DecodeOptions{}, c.samples, seed)
+		} else {
+			r, err = VolumeMemory(toric.Cached(c.l), rounds, c.m, c.kind, spacetime.DecodeOptions{}, c.samples, seed)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,6 +334,9 @@ func TestMemoryReuseAcrossCalls(t *testing.T) {
 			t.Fatalf("after %s: the free list keeps no decoder of A's class for the next call", c.name)
 		}
 		cw, _ := DefaultWindow(c.l)
+		if c.kind != 0 {
+			cw = rounds
+		}
 		fed := false
 		for _, d := range freeDecoders() {
 			fed = fed || d.class == drainClass{"toric", c.l, cw, 128, c.m.CircuitLevel(), spacetime.DecodeOptions{}} && d.feedModel == c.m

@@ -162,13 +162,15 @@ type Decoder struct {
 
 	// A Monte Carlo drain's decoder keeps, across the drains it serves
 	// from the free list, the class it returns to, the planes its feed
-	// emits into (the erasure planes built by the first Erasing feed)
-	// and the feed Memory last built for it, of model feedModel.
+	// emits into (the erasure planes built by the first Erasing feed),
+	// the feed Memory last built for it, of model feedModel, and the
+	// matcher of its exact closes.
 	class              drainClass
 	layerX, layerZ     []bits.Vec
 	eraH, lostX, lostZ []bits.Vec
 	feed               spacetime.ResettableFeed
 	feedModel          spacetime.Model
+	matcher            decoder.Matcher
 }
 
 // NewDecoder returns a streaming decoder for `lanes` parallel shots,
@@ -546,8 +548,7 @@ func (d *Decoder) FootprintBytes() int {
 
 // BatchMemoryFrom runs Lanes() streaming shots of the noisy-extraction
 // memory over this session's window with the selected decode options:
-// the feed emits difference layers round by round (the same draw order
-// as the whole-volume batch, Volume.BatchMemoryFrom), the sliding window
+// the feed emits difference layers round by round, the sliding window
 // commits as it goes, and one perfect closing round settles the tail.
 // An Erasing feed's rounds go through NextLayersErased and PushErased,
 // every other feed's through NextLayers and Push. surface.LayerSource and
@@ -558,13 +559,14 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int, opts spac
 	spacetime.CheckFeed(src, s.win.Code())
 	d := s.win.takeDecoder(s.pool, src.Lanes(), opts)
 	defer putDecoder(d)
-	return s.drain(d, src, rounds)
+	return s.drain(d, src, rounds, toric.DecoderUnionFind)
 }
 
 // drain streams a fresh feed's rounds through a drain's decoder into its
 // own layer planes (and, for an Erasing feed, erasure planes), closes
-// the stream and returns the failure masks.
-func (s *Session) drain(d *Decoder, src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
+// the stream — Finish, or match for the exact matcher — and returns the
+// failure masks.
+func (s *Session) drain(d *Decoder, src spacetime.LayerFeed, rounds int, kind toric.DecoderKind) (failX, failZ bits.Vec) {
 	layerX, layerZ := d.layerX, d.layerZ
 	var eraH, lostX, lostZ []bits.Vec
 	erasing := src.Erasing()
@@ -585,7 +587,11 @@ func (s *Session) drain(d *Decoder, src spacetime.LayerFeed, rounds int) (failX,
 		d.push(layerX, layerZ, eraH, lostX, lostZ)
 	}
 	src.CloseLayers(layerX, layerZ)
-	d.Finish(layerX, layerZ)
+	if kind == toric.DecoderExact {
+		d.match(layerX, layerZ)
+	} else {
+		d.Finish(layerX, layerZ)
+	}
 	if err := d.Err(); err != nil {
 		// Memory's pool is never closed, so a mid-run closure is a caller
 		// closing its own session's pool under a drain, not an operating
@@ -593,6 +599,24 @@ func (s *Session) drain(d *Decoder, src spacetime.LayerFeed, rounds int) (failX,
 		panic(err)
 	}
 	return s.failureMasks(src, d)
+}
+
+// match is Finish for the exact matcher, on a stream that never slid:
+// each lane's ascending defect lists, read off the planes as Finish
+// reads them, are matched over the closing volume (Volume.Match), the
+// primal sector and then the dual, each matching XOR-ed into the lane's
+// frame.
+func (d *Decoder) match(closeX, closeZ []bits.Vec) {
+	h := d.filled
+	vol := d.win.closingVolume(h)
+	for i, sec := range [2]*sectorState{&d.sx, &d.sz} {
+		d.defectLists(sec, h, [2][]bits.Vec{closeX, closeZ}[i])
+		for lane, defects := range d.defbuf {
+			d.defects += uint64(len(defects))
+			vol.Match(defects, sec.dual, &d.matcher, sec.corr[lane])
+		}
+	}
+	d.base, d.filled, d.finished = h, 0, true
 }
 
 // source returns the drain decoder's feed of model m over code, reset
@@ -610,8 +634,7 @@ func (d *Decoder) source(code surface.Code, m spacetime.Model, smp frame.Sampler
 // failureMasks compares the logical parities of the accumulated error
 // chains against the committed correction frames. The total correction
 // cancels every defect, so the residual is always a closed (or
-// boundary-to-boundary) cycle and the parities decide failure — the
-// same homology test as the whole-volume pipeline.
+// boundary-to-boundary) cycle and the parities decide failure.
 func (s *Session) failureMasks(src spacetime.LayerFeed, d *Decoder) (failX, failZ bits.Vec) {
 	lanes := d.lanes
 	code := s.win.Code()
@@ -688,36 +711,22 @@ func checkMemory(code surface.Code, rounds int, m spacetime.Model, opts spacetim
 	return nil
 }
 
-// result is the Result of a run of m over code.
-func result(code surface.Code, rounds, window, commit int, m spacetime.Model, samples, fx, fz, fa int) Result {
-	p, q, pe, qe := m.Rates()
-	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
-		P: p, Q: q, Pe: pe, Qe: qe, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}
-}
-
 // Memory runs the streaming noisy-extraction memory experiment of any
 // surface.Code under the model m: `rounds` noisy rounds from the
 // model's source stream through a sliding window of `window` layers
 // committing `commit` rounds per slide (WindowShape fills in a zero),
-// fanned out over the CPUs in deterministic seed-per-chunk batches. The
-// window comes from the process-wide table (InternWindow), so a call
-// repeating an earlier call's shape reuses its graphs and closing
-// volumes; its drains take the free decoders of their class, whatever
-// weights they last decoded, with the layer planes they carry and the
-// feed they last drained, which a chunk of an equal model resets onto
-// its own sampler rather than building (so a warm call allocates no
-// feed and no plane); and every call decodes on one process-wide pool
-// of at least GOMAXPROCS workers. A model with an erasure channel has an
-// Erasing source and drains through PushErased — with ErasureAware its
-// erased lanes decode with their located faults — and correlated runs
-// reprice the dual window each slide; every other run drains through
-// Push. The weights are priced over `rounds` for a phenomenological
-// model and over the window for a circuit-level one, whose horizon only
-// caps the horizontal weight (WeightsCircuit): binding under
-// measurement-dominated noise, never under uniform noise. The result is a pure function of (samples, seed) — never of GOMAXPROCS. A
-// malformed model, an invalid window shape or horizon, or decode
-// options on a phenomenological model without an erasure channel is a
-// constructor error.
+// on the one Monte Carlo driver (Window.memory). A model with an
+// erasure channel has an Erasing source and drains through PushErased —
+// with ErasureAware its erased lanes decode with their located faults —
+// and correlated runs reprice the dual window each slide; every other
+// run drains through Push. The weights are priced over `rounds` for a
+// phenomenological model and over the window for a circuit-level one,
+// whose horizon only caps the horizontal weight (WeightsCircuit):
+// binding under measurement-dominated noise, never under uniform noise.
+// The result is a pure function of (samples, seed) — never of
+// GOMAXPROCS. A malformed model, an invalid window shape or horizon, or
+// decode options on a phenomenological model without an erasure
+// channel is a constructor error.
 func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
 	if err := checkMemory(code, rounds, m, opts, samples); err != nil {
 		return Result{}, err
@@ -735,51 +744,72 @@ func Memory(code surface.Code, rounds int, m spacetime.Model, window, commit int
 	if err != nil {
 		return Result{}, err
 	}
-	s := &Session{win: win, pool: monteCarloPool()}
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		d := win.takeDecoder(s.pool, lanes, opts)
-		defer putDecoder(d)
-		return s.drain(d, d.source(code, m, smp), rounds)
-	})
-	return result(code, rounds, window, commit, m, samples, fx, fz, fa), nil
+	return win.memory(rounds, m, toric.DecoderUnionFind, opts, samples, seed), nil
 }
 
 // VolumeMemory runs the whole-volume memory experiment: each shot's
-// rounds decoded at once over the code's closed space-time volume.
-// Union-find is Memory through a window that never slides
-// (W = max(rounds, 2), commit 1), so Finish decodes the closed volume
-// bit for bit on the drain the server runs, erasure channels and decode
-// options included; a one-round circuit run so prices its weights over
-// two layers, dearer than one under measurement-dominated noise.
-// DecoderExact drains spacetime.Volume.BatchMemoryFrom through the
-// blossom matcher, on the torus only and without erasure channels or
-// decode options. Either kind's Result has Window = Commit = 0. A kind
-// that names no decoder, a run the decoder cannot price and everything
-// Memory refuses are errors.
+// rounds decoded at once over the code's closed space-time volume, as
+// the one Monte Carlo driver over a window that never slides
+// (W = max(rounds, 2), commit 1), whose close decodes the closed volume
+// bit for bit. Union-find closes with Finish, erasure channels and
+// decode options included, its weights priced as Memory prices them (a
+// one-round circuit run so prices over two layers, dearer than one
+// under measurement-dominated noise); DecoderExact closes with the
+// blossom matcher, its weights priced over `rounds`, on the torus only
+// and without erasure channels or decode options. Either kind's Result
+// has Window = Commit = 0. A kind that names no decoder, a run the
+// decoder cannot price and everything Memory refuses are errors.
 func VolumeMemory(code surface.Code, rounds int, m spacetime.Model, kind toric.DecoderKind, opts spacetime.DecodeOptions, samples int, seed uint64) (Result, error) {
 	if err := kind.Validate(); err != nil {
 		return Result{}, err
 	}
-	if kind == toric.DecoderUnionFind {
-		r, err := Memory(code, rounds, m, max(rounds, 2), 1, opts, samples, seed)
-		r.Window, r.Commit = 0, 0
-		return r, err
-	}
 	if err := checkMemory(code, rounds, m, opts, samples); err != nil {
 		return Result{}, err
 	}
-	if _, torus := code.(*toric.Lattice); !torus {
-		return Result{}, fmt.Errorf("stream: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
+	horizon := rounds
+	if kind == toric.DecoderExact {
+		if _, torus := code.(*toric.Lattice); !torus {
+			return Result{}, fmt.Errorf("stream: exact matching prices pairs with the torus metric; %s decodes with union-find", code.CodeName())
+		}
+		if _, _, pe, qe := m.Rates(); pe > 0 || qe > 0 || opts != (spacetime.DecodeOptions{}) {
+			return Result{}, fmt.Errorf("stream: erasure channels and decode options decode with union-find only")
+		}
+	} else if m.CircuitLevel() {
+		horizon = max(rounds, 2)
 	}
-	if _, _, pe, qe := m.Rates(); pe > 0 || qe > 0 || opts != (spacetime.DecodeOptions{}) {
-		return Result{}, fmt.Errorf("stream: erasure channels and decode options decode with union-find only")
+	wh, wv, wd := m.Weights(code.Distance(), horizon)
+	win, err := InternWindow(code, max(rounds, 2), 1, wh, wv, wd)
+	if err != nil {
+		return Result{}, err
 	}
-	wh, wv, wd := m.Weights(code.Distance(), rounds)
-	v := spacetime.NewVolume(code, rounds, wh, wv, wd)
+	r := win.memory(rounds, m, kind, opts, samples, seed)
+	r.Window, r.Commit = 0, 0
+	return r, nil
+}
+
+// memory is the one Monte Carlo driver: samples shots of m's rounds
+// over the window, fanned out over the CPUs in deterministic
+// seed-per-chunk batches, each chunk streamed through a free decoder of
+// the window's class and closed by kind (drain). The window comes from
+// the process-wide table (InternWindow), so a call repeating an earlier
+// call's shape reuses its graphs and closing volumes; its drains take
+// the free decoders of their class, whatever weights they last decoded,
+// with the layer planes they carry and the feed they last drained,
+// which a chunk of an equal model resets onto its own sampler rather
+// than building (so a warm call allocates no feed and no plane); and
+// every call decodes on one process-wide pool of at least GOMAXPROCS
+// workers.
+func (w *Window) memory(rounds int, m spacetime.Model, kind toric.DecoderKind, opts spacetime.DecodeOptions, samples int, seed uint64) Result {
+	code := w.Code()
+	s := &Session{win: w, pool: monteCarloPool()}
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(m.Source(code, lanes, smp), kind)
+		d := w.takeDecoder(s.pool, lanes, opts)
+		defer putDecoder(d)
+		return s.drain(d, d.source(code, m, smp), rounds, kind)
 	})
-	return result(code, rounds, 0, 0, m, samples, fx, fz, fa), nil
+	p, q, pe, qe := m.Rates()
+	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: w.W, Commit: w.Commit,
+		P: p, Q: q, Pe: pe, Qe: qe, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}
 }
 
 // CodeMemory is Memory under Phenomenological(p, q, 0, 0) with no

@@ -87,8 +87,9 @@ func TestWindowShape(t *testing.T) {
 
 // TestWindowGEVolumeBitIdentical is the satellite equivalence suite:
 // when the window holds the whole stream (W ≥ T), the streaming decoder
-// never slides and its failure masks must equal the whole-volume batch
-// decode bit for bit — same sampler, same draw order, same union-find.
+// never slides and its failure masks must equal the from-scratch
+// per-lane whole-volume decode (volumeReference) bit for bit — same
+// sampler, same draw order, same union-find.
 func TestWindowGEVolumeBitIdentical(t *testing.T) {
 	const lanes = 192
 	for _, cfg := range []struct {
@@ -103,7 +104,7 @@ func TestWindowGEVolumeBitIdentical(t *testing.T) {
 	} {
 		wh, wv := spacetime.Weights(cfg.p, cfg.q, cfg.l, cfg.rounds)
 		v := spacetime.NewVolume(toric.Cached(cfg.l), cfg.rounds, wh, wv, 0)
-		fx1, fz1 := v.BatchMemoryFrom(toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), toric.DecoderUnionFind)
+		fx1, fz1 := volumeReference(v, toricLayers(cfg.l, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7)), spacetime.DecodeOptions{})
 		s := mustSession(t, cfg.l, cfg.window, cfg.commit, wh, wv)
 		fx2, fz2 := batchMemory(s, cfg.rounds, cfg.p, cfg.q, lanes, frame.NewAggregateSampler(901, 7))
 		s.Close()

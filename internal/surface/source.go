@@ -14,9 +14,9 @@ import (
 // planes. Draw order per round: X qubit planes, Z qubit planes, primal
 // measurement masks, dual measurement masks — all in index order, so
 // any experiment built on a source is a pure function of the sampler
-// stream. The whole-volume batch decode and the streaming sliding-
-// window decoder consume the same source, which is what makes them
-// statistically identical by construction.
+// stream. Whole-volume and sliding-window decodes consume the same
+// source, which is what makes them statistically identical by
+// construction.
 type LayerSource struct {
 	code   Code
 	p, q   float64
@@ -307,11 +307,10 @@ func (s *Schedule) roundPlan() *frame.RoundPlan {
 //     measurement-flip channel exactly (a vertical defect pair).
 //
 // Both sources satisfy the same layer-feed contract (Erasing, NextLayers
-// or NextLayersErased, CloseLayers, Windings), so the whole-volume batch
-// decode and the streaming sliding-window pipeline drain either
-// unchanged; only the
-// decoding graph differs (diagonal edges, circuit-derived weights —
-// built by internal/spacetime from the code's Schedule).
+// or NextLayersErased, CloseLayers, Windings), so the streaming
+// pipeline drains either unchanged; only the decoding graph differs
+// (diagonal edges, circuit-derived weights — built by
+// internal/spacetime from the code's Schedule).
 //
 // Qubit layout on the simulator: data qubits 0…Qubits()−1, primal-check
 // ancillas Qubits()+c, dual-check ancillas Qubits()+Checks()+c.

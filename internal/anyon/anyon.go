@@ -71,10 +71,6 @@ func (r *Register) set(state []int, a complex128) {
 	r.basis[k] = st
 }
 
-// Amplitude returns the amplitude of the basis state where pair i holds
-// flux state[i].
-func (r *Register) Amplitude(state []int) complex128 { return r.amp[key(state)] }
-
 // Terms returns the number of basis states in superposition.
 func (r *Register) Terms() int { return len(r.amp) }
 

@@ -1,7 +1,5 @@
 package bits
 
-import "strings"
-
 // Matrix is a dense matrix over GF(2), stored as a slice of row vectors.
 type Matrix struct {
 	rows int
@@ -78,31 +76,6 @@ func (m *Matrix) MulVec(v Vec) Vec {
 		}
 	}
 	return out
-}
-
-// Transpose returns the transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if m.Get(i, j) {
-				t.Set(j, i, true)
-			}
-		}
-	}
-	return t
-}
-
-// String renders one row per line.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		sb.WriteString(m.row[i].String())
-		if i != m.rows-1 {
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
 }
 
 // RREF row-reduces the matrix in place to reduced row-echelon form and

@@ -27,17 +27,6 @@ const (
 	KindMeasX
 )
 
-// String names the operation.
-func (k Kind) String() string {
-	return [...]string{"H", "S", "Sdg", "X", "Y", "Z", "CNOT", "CZ", "PrepZ", "MeasZ", "MeasX"}[k]
-}
-
-// IsTwoQubit reports whether the kind acts on two qubits.
-func (k Kind) IsTwoQubit() bool { return k == KindCNOT || k == KindCZ }
-
-// IsMeasurement reports whether the kind produces a classical bit.
-func (k Kind) IsMeasurement() bool { return k == KindMeasZ || k == KindMeasX }
-
 // Op is a single operation. B is -1 for one-qubit operations; M is the
 // classical result slot for measurements and -1 otherwise.
 type Op struct {
@@ -98,14 +87,8 @@ func (c *Circuit) H(q int) { c.check(q); c.place(Op{Kind: KindH, A: q, B: -1, M:
 // S appends a phase gate.
 func (c *Circuit) S(q int) { c.check(q); c.place(Op{Kind: KindS, A: q, B: -1, M: -1}) }
 
-// Sdg appends an inverse phase gate.
-func (c *Circuit) Sdg(q int) { c.check(q); c.place(Op{Kind: KindSdg, A: q, B: -1, M: -1}) }
-
 // X appends a NOT gate.
 func (c *Circuit) X(q int) { c.check(q); c.place(Op{Kind: KindX, A: q, B: -1, M: -1}) }
-
-// Y appends a Y gate.
-func (c *Circuit) Y(q int) { c.check(q); c.place(Op{Kind: KindY, A: q, B: -1, M: -1}) }
 
 // Z appends a phase-flip gate.
 func (c *Circuit) Z(q int) { c.check(q); c.place(Op{Kind: KindZ, A: q, B: -1, M: -1}) }
@@ -162,77 +145,4 @@ func (c *Circuit) Barrier() {
 	for q := range c.busyUntil {
 		c.busyUntil[q] = at
 	}
-}
-
-// Depth returns the number of moments.
-func (c *Circuit) Depth() int { return len(c.Moments) }
-
-// Stats summarizes the circuit's fault locations, used for the location
-// counting that enters threshold estimates (Preskill §5).
-type Stats struct {
-	Gates1Q int
-	Gates2Q int
-	Preps   int
-	Meas    int
-	Depth   int
-	// Idle counts qubit-moments in which a qubit sits idle between its
-	// first and last use — the storage-error locations of §6.
-	Idle int
-}
-
-// Stats computes the location counts.
-func (c *Circuit) Stats() Stats {
-	var s Stats
-	s.Depth = len(c.Moments)
-	first := make([]int, c.N)
-	last := make([]int, c.N)
-	for q := range first {
-		first[q] = -1
-	}
-	active := make([][]bool, len(c.Moments))
-	for m := range active {
-		active[m] = make([]bool, c.N)
-	}
-	for mi, m := range c.Moments {
-		for _, op := range m.Ops {
-			switch {
-			case op.Kind.IsTwoQubit():
-				s.Gates2Q++
-			case op.Kind == KindPrepZ:
-				s.Preps++
-			case op.Kind.IsMeasurement():
-				s.Meas++
-			default:
-				s.Gates1Q++
-			}
-			qs := []int{op.A}
-			if op.B >= 0 {
-				qs = append(qs, op.B)
-			}
-			for _, q := range qs {
-				active[mi][q] = true
-				if first[q] < 0 {
-					first[q] = mi
-				}
-				last[q] = mi
-			}
-		}
-	}
-	for q := 0; q < c.N; q++ {
-		if first[q] < 0 {
-			continue
-		}
-		for m := first[q] + 1; m < last[q]; m++ {
-			if !active[m][q] {
-				s.Idle++
-			}
-		}
-	}
-	return s
-}
-
-// TotalLocations returns the total number of fault locations (gates,
-// preparations, measurements and idle steps).
-func (s Stats) TotalLocations() int {
-	return s.Gates1Q + s.Gates2Q + s.Preps + s.Meas + s.Idle
 }

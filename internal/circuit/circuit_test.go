@@ -35,23 +35,6 @@ func TestMeasurementSlots(t *testing.T) {
 	}
 }
 
-func TestStatsCounts(t *testing.T) {
-	c := New(3)
-	c.PrepZ(0)
-	c.PrepZ(1)
-	c.H(0)
-	c.CNOT(0, 1)
-	c.MeasZ(0)
-	c.MeasZ(1)
-	s := c.Stats()
-	if s.Gates1Q != 1 || s.Gates2Q != 1 || s.Preps != 2 || s.Meas != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.TotalLocations() != 1+1+2+2+s.Idle {
-		t.Fatalf("total locations inconsistent: %+v", s)
-	}
-}
-
 func TestIdleCounting(t *testing.T) {
 	// Qubit 1 idles for one moment between its uses.
 	c := New(2)
@@ -60,9 +43,13 @@ func TestIdleCounting(t *testing.T) {
 	c.H(0)
 	c.Barrier()
 	c.H(1)
-	s := c.Stats()
-	if s.Idle != 1 {
-		t.Fatalf("idle: got %d, want 1 (depth %d)", s.Idle, s.Depth)
+	if c.Depth() != 3 {
+		t.Fatalf("depth: got %d, want 3", c.Depth())
+	}
+	for _, op := range c.Moments[1].Ops {
+		if op.A == 1 {
+			t.Fatalf("qubit 1 acts in moment 1, want it idle: %+v", op)
+		}
 	}
 }
 
@@ -85,3 +72,9 @@ func TestPanicsOnSelfCNOT(t *testing.T) {
 	c := New(2)
 	c.CNOT(1, 1)
 }
+
+// Sdg appends an inverse phase gate.
+func (c *Circuit) Sdg(q int) { c.check(q); c.place(Op{Kind: KindSdg, A: q, B: -1, M: -1}) }
+
+// Depth returns the number of moments.
+func (c *Circuit) Depth() int { return len(c.Moments) }

@@ -1,6 +1,7 @@
 package classical
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -194,4 +195,67 @@ func hammingErrorPosition(syndrome bits.Vec) int {
 		}
 	}
 	return pos - 1
+}
+
+// Encode maps a k-bit message to an n-bit codeword (message · G).
+func (c *Code) Encode(msg bits.Vec) bits.Vec {
+	if msg.Len() != c.K {
+		panic("classical: message length mismatch")
+	}
+	out := bits.NewVec(c.N)
+	for i := 0; i < c.K; i++ {
+		if msg.Get(i) {
+			out.Xor(c.G.Row(i))
+		}
+	}
+	return out
+}
+
+// IsCodeword reports whether the word satisfies every parity check.
+func (c *Code) IsCodeword(word bits.Vec) bool { return c.Syndrome(word).Zero() }
+
+// MinDistance computes the code's minimum distance by brute force over
+// messages. Exponential in K; fine for the small codes used here.
+func (c *Code) MinDistance() int {
+	best := c.N + 1
+	for m := 1; m < 1<<uint(c.K); m++ {
+		msg := bits.NewVec(c.K)
+		for i := 0; i < c.K; i++ {
+			if m>>uint(i)&1 == 1 {
+				msg.Set(i, true)
+			}
+		}
+		if w := c.Encode(msg).Weight(); w < best {
+			best = w
+		}
+	}
+	return best
+}
+
+// Codewords enumerates all 2^K codewords. Exponential in K.
+func (c *Code) Codewords() []bits.Vec {
+	words := make([]bits.Vec, 0, 1<<uint(c.K))
+	for m := 0; m < 1<<uint(c.K); m++ {
+		msg := bits.NewVec(c.K)
+		for i := 0; i < c.K; i++ {
+			if m>>uint(i)&1 == 1 {
+				msg.Set(i, true)
+			}
+		}
+		words = append(words, c.Encode(msg))
+	}
+	return words
+}
+
+// Repetition returns the [n,1,n] repetition code.
+func Repetition(n int) *Code {
+	if n < 2 {
+		panic("classical: repetition length must be at least 2")
+	}
+	h := bits.NewMatrix(n-1, n)
+	for i := 0; i < n-1; i++ {
+		h.Set(i, i, true)
+		h.Set(i, i+1, true)
+	}
+	return MustNew(fmt.Sprintf("Repetition[%d,1,%d]", n, n), h)
 }

@@ -13,7 +13,6 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/pauli"
-	"ftqc/internal/tableau"
 )
 
 // Code is an [[n, k]] stabilizer code.
@@ -107,16 +106,6 @@ func (c *Code) Syndrome(err pauli.Pauli) bits.Vec {
 	return s
 }
 
-// IsStabilizerElement reports whether p (up to phase) lies in the
-// stabilizer group.
-func (c *Code) IsStabilizerElement(p pauli.Pauli) bool {
-	m := bits.NewMatrix(len(c.Generators), 2*c.N)
-	for i, g := range c.Generators {
-		m.SetRow(i, symplectic(g))
-	}
-	return m.InSpan(symplectic(p))
-}
-
 // LogicalClass classifies an undetectable error (trivial syndrome):
 // xflips bit i is set when p acts as a logical X on encoded qubit i
 // (it anticommutes with Ẑᵢ), zflips likewise against X̂ᵢ. A stabilizer
@@ -133,16 +122,6 @@ func (c *Code) LogicalClass(p pauli.Pauli) (xflips, zflips bits.Vec) {
 		}
 	}
 	return xflips, zflips
-}
-
-// IsLogicalError reports whether p has trivial syndrome but acts
-// nontrivially on the encoded qubits.
-func (c *Code) IsLogicalError(p pauli.Pauli) bool {
-	if !c.Syndrome(p).Zero() {
-		return false
-	}
-	x, z := c.LogicalClass(p)
-	return !x.Zero() || !z.Zero()
 }
 
 // MinDistance searches for the minimum weight of a logical operator, up
@@ -186,54 +165,12 @@ func (c *Code) hasLogicalOfWeight(w int) bool {
 	return found
 }
 
-// PrepareZero projects a tableau (of exactly N qubits) onto the encoded
-// all-|0⟩ logical state with every stabilizer sign +1: it measures each
-// generator and each logical Ẑ, then applies a single Pauli correction
-// that flips exactly the generators and logical Ẑs that read −1.
-func (c *Code) PrepareZero(tb *tableau.Tableau) {
-	c.prepareEigenstate(tb, c.LogicalZ)
-}
-
-// PreparePlus is PrepareZero in the Hadamard-rotated logical basis: the
-// logical qubits end in |+⟩ (the +1 eigenstate of X̂).
-func (c *Code) PreparePlus(tb *tableau.Tableau) {
-	c.prepareEigenstate(tb, c.LogicalX)
-}
-
-func (c *Code) prepareEigenstate(tb *tableau.Tableau, logicals []pauli.Pauli) {
-	if tb.N() != c.N {
-		panic("code: tableau size mismatch")
+// IsLogicalError reports whether p has trivial syndrome but acts
+// nontrivially on the encoded qubits.
+func (c *Code) IsLogicalError(p pauli.Pauli) bool {
+	if !c.Syndrome(p).Zero() {
+		return false
 	}
-	ops := make([]pauli.Pauli, 0, len(c.Generators)+len(logicals))
-	ops = append(ops, c.Generators...)
-	ops = append(ops, logicals...)
-	want := bits.NewVec(len(ops))
-	for i, op := range ops {
-		out, _ := tb.MeasurePauli(op)
-		want.Set(i, out) // need to flip the ops that measured -1
-	}
-	// Find a Pauli correction whose commutation pattern with ops matches
-	// `want`: unknowns are the (x|z) bits of the correction; the
-	// symplectic product with op i must equal want_i.
-	m := bits.NewMatrix(len(ops), 2*c.N)
-	for i, op := range ops {
-		// symplectic product <c, op> = c_x·op_z + c_z·op_x; row i holds
-		// (op_z | op_x) so that m·(c_x|c_z) gives the product.
-		row := bits.NewVec(2 * c.N)
-		for q := 0; q < c.N; q++ {
-			row.Set(q, op.ZBits.Get(q))
-			row.Set(c.N+q, op.XBits.Get(q))
-		}
-		m.SetRow(i, row)
-	}
-	sol, ok := m.Solve(want)
-	if !ok {
-		panic("code: no Pauli correction exists (operators dependent?)")
-	}
-	corr := pauli.NewIdentity(c.N)
-	for q := 0; q < c.N; q++ {
-		corr.XBits.Set(q, sol.Get(q))
-		corr.ZBits.Set(q, sol.Get(c.N+q))
-	}
-	tb.ApplyPauli(corr)
+	x, z := c.LogicalClass(p)
+	return !x.Zero() || !z.Zero()
 }

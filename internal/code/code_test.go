@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"ftqc/internal/bits"
 	"ftqc/internal/pauli"
 	"ftqc/internal/tableau"
 )
@@ -265,3 +266,73 @@ func TestStabilizerElementDetection(t *testing.T) {
 		t.Fatal("logical X misidentified as stabilizer element")
 	}
 }
+
+// IsStabilizerElement reports whether p (up to phase) lies in the
+// stabilizer group.
+func (c *Code) IsStabilizerElement(p pauli.Pauli) bool {
+	m := bits.NewMatrix(len(c.Generators), 2*c.N)
+	for i, g := range c.Generators {
+		m.SetRow(i, symplectic(g))
+	}
+	return m.InSpan(symplectic(p))
+}
+
+// PrepareZero projects a tableau (of exactly N qubits) onto the encoded
+// all-|0⟩ logical state with every stabilizer sign +1: it measures each
+// generator and each logical Ẑ, then applies a single Pauli correction
+// that flips exactly the generators and logical Ẑs that read −1.
+func (c *Code) PrepareZero(tb *tableau.Tableau) {
+	c.prepareEigenstate(tb, c.LogicalZ)
+}
+
+// PreparePlus is PrepareZero in the Hadamard-rotated logical basis: the
+// logical qubits end in |+⟩ (the +1 eigenstate of X̂).
+func (c *Code) PreparePlus(tb *tableau.Tableau) {
+	c.prepareEigenstate(tb, c.LogicalX)
+}
+
+func (c *Code) prepareEigenstate(tb *tableau.Tableau, logicals []pauli.Pauli) {
+	if tb.N() != c.N {
+		panic("code: tableau size mismatch")
+	}
+	ops := make([]pauli.Pauli, 0, len(c.Generators)+len(logicals))
+	ops = append(ops, c.Generators...)
+	ops = append(ops, logicals...)
+	want := bits.NewVec(len(ops))
+	for i, op := range ops {
+		out, _ := tb.MeasurePauli(op)
+		want.Set(i, out) // need to flip the ops that measured -1
+	}
+	// Find a Pauli correction whose commutation pattern with ops matches
+	// `want`: unknowns are the (x|z) bits of the correction; the
+	// symplectic product with op i must equal want_i.
+	m := bits.NewMatrix(len(ops), 2*c.N)
+	for i, op := range ops {
+		// symplectic product <c, op> = c_x·op_z + c_z·op_x; row i holds
+		// (op_z | op_x) so that m·(c_x|c_z) gives the product.
+		row := bits.NewVec(2 * c.N)
+		for q := 0; q < c.N; q++ {
+			row.Set(q, op.ZBits.Get(q))
+			row.Set(c.N+q, op.XBits.Get(q))
+		}
+		m.SetRow(i, row)
+	}
+	sol, ok := m.Solve(want)
+	if !ok {
+		panic("code: no Pauli correction exists (operators dependent?)")
+	}
+	corr := pauli.NewIdentity(c.N)
+	for q := 0; q < c.N; q++ {
+		corr.XBits.Set(q, sol.Get(q))
+		corr.ZBits.Set(q, sol.Get(c.N+q))
+	}
+	tb.ApplyPauli(corr)
+}
+
+// Shor9 returns Shor's [[9,1,3]] code: three blocks of three qubits with
+// ZZ checks inside blocks and X⊗6 checks across adjacent blocks.
+func Shor9() *CSS { return ShorFamily(1) }
+
+// Coverage returns the number of distinct syndromes in the table; for a
+// code with n−k generators, full coverage is 2^(n−k).
+func (d *Decoder) Coverage() int { return len(d.table) }

@@ -152,10 +152,6 @@ func Steane() *CSS {
 	return c
 }
 
-// Shor9 returns Shor's [[9,1,3]] code: three blocks of three qubits with
-// ZZ checks inside blocks and X⊗6 checks across adjacent blocks.
-func Shor9() *CSS { return ShorFamily(1) }
-
 // ShorFamily returns the [[(2t+1)², 1, 2t+1]] generalization of Shor's
 // code that Preskill §5 attributes to Shor's original family (block size
 // growing like t²): a repetition code of repetition codes.

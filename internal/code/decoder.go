@@ -65,10 +65,6 @@ func (d *Decoder) DecodeError(err pauli.Pauli) (residual pauli.Pauli, success bo
 	return residual, x.Zero() && z.Zero()
 }
 
-// Coverage returns the number of distinct syndromes in the table; for a
-// code with n−k generators, full coverage is 2^(n−k).
-func (d *Decoder) Coverage() int { return len(d.table) }
-
 // CSSDecoder decodes the bit-flip and phase-flip sectors of a CSS code
 // independently, exactly as Preskill §2 prescribes for the 7-qubit code
 // ("performing the parity check in both bases completely diagnoses the

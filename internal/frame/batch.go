@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/circuit"
 	"ftqc/internal/noise"
 )
 
@@ -94,9 +93,6 @@ func (b *BatchSim) Reset(smp Sampler) {
 	b.trigger, b.locCount, b.TriggerFault = nil, nil, nil
 }
 
-// N returns the number of qubits.
-func (b *BatchSim) N() int { return b.n }
-
 // Lanes returns the batch width W.
 func (b *BatchSim) Lanes() int { return b.w }
 
@@ -119,15 +115,6 @@ func (b *BatchSim) PopActive() {
 	b.active = b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
 }
-
-// XError reports whether lane carries an X (or Y) error on qubit q.
-func (b *BatchSim) XError(q, lane int) bool { return b.fx[q].Get(lane) }
-
-// ZError reports whether lane carries a Z (or Y) error on qubit q.
-func (b *BatchSim) ZError(q, lane int) bool { return b.fz[q].Get(lane) }
-
-// Leaked reports whether qubit q has leaked on the given lane.
-func (b *BatchSim) Leaked(q, lane int) bool { return b.lk[q].Get(lane) }
 
 // PlaneX returns a copy of qubit q's X-frame plane.
 func (b *BatchSim) PlaneX(q int) bits.Vec { return b.fx[q].Clone() }
@@ -293,19 +280,6 @@ func (b *BatchSim) H(q int) {
 	b.noise1(q, b.P.Gate1)
 }
 
-// S applies the phase gate: X → Y (X errors gain a Z component).
-func (b *BatchSim) S(q int) {
-	b.point1(q)
-	m := b.notLeaked1(q)
-	b.t0.CopyFrom(b.fx[q])
-	b.t0.And(m)
-	b.fz[q].Xor(b.t0)
-	b.noise1(q, b.P.Gate1)
-}
-
-// Sdg applies the inverse phase gate (same frame action as S).
-func (b *BatchSim) Sdg(q int) { b.S(q) }
-
 // PauliGate applies a deliberate X/Y/Z gate: only its noise matters.
 func (b *BatchSim) PauliGate(q int) {
 	b.point1(q)
@@ -323,22 +297,6 @@ func (b *BatchSim) CNOT(a, c int) {
 	b.t0.And(m)
 	b.fx[c].Xor(b.t0)
 	b.t0.CopyFrom(b.fz[c])
-	b.t0.And(m)
-	b.fz[a].Xor(b.t0)
-	b.noise2(a, c)
-}
-
-// CZ deposits Z on the partner of any X error.
-func (b *BatchSim) CZ(a, c int) {
-	b.point2(a, c)
-	m := b.t3
-	m.CopyFrom(b.active)
-	m.AndNot(b.lk[a])
-	m.AndNot(b.lk[c])
-	b.t0.CopyFrom(b.fx[a])
-	b.t0.And(m)
-	b.fz[c].Xor(b.t0)
-	b.t0.CopyFrom(b.fx[c])
 	b.t0.And(m)
 	b.fz[a].Xor(b.t0)
 	b.noise2(a, c)
@@ -426,9 +384,6 @@ func (b *BatchSim) Storage(q int) {
 // FrameX toggles a noiseless X correction on every active lane of q.
 func (b *BatchSim) FrameX(q int) { b.fx[q].Xor(b.active) }
 
-// FrameZ toggles a noiseless Z correction on every active lane of q.
-func (b *BatchSim) FrameZ(q int) { b.fz[q].Xor(b.active) }
-
 // XorFrameX toggles an X correction on exactly the lanes of mask (the
 // per-lane form the batched decoders use).
 func (b *BatchSim) XorFrameX(q int, mask bits.Vec) { b.fx[q].Xor(mask) }
@@ -448,76 +403,5 @@ func (b *BatchSim) ReplaceLeaked(q int, mask bits.Vec) {
 	b.fz[q].Or(b.t0)
 }
 
-// ClearRegion resets frame and leakage on the given qubits for every
-// active lane.
-func (b *BatchSim) ClearRegion(qubits []int) {
-	for _, q := range qubits {
-		b.fx[q].AndNot(b.active)
-		b.fz[q].AndNot(b.active)
-		b.lk[q].AndNot(b.active)
-	}
-}
-
-// Run executes a compiled circuit across all lanes: gates with their
-// noise, storage noise on every qubit idle in a moment, measurement
-// planes indexed by result slot. It is the batched analogue of Sim.Run.
-func (b *BatchSim) Run(c *circuit.Circuit) []bits.Vec {
-	if c.N != b.n {
-		panic("frame: circuit size mismatch")
-	}
-	out := make([]bits.Vec, c.NumMeas)
-	first := make([]int, c.N)
-	last := make([]int, c.N)
-	for q := range first {
-		first[q] = -1
-	}
-	for mi, m := range c.Moments {
-		for _, op := range m.Ops {
-			if first[op.A] < 0 {
-				first[op.A] = mi
-			}
-			last[op.A] = mi
-			if op.B >= 0 {
-				if first[op.B] < 0 {
-					first[op.B] = mi
-				}
-				last[op.B] = mi
-			}
-		}
-	}
-	for mi, m := range c.Moments {
-		busy := make([]bool, c.N)
-		for _, op := range m.Ops {
-			busy[op.A] = true
-			if op.B >= 0 {
-				busy[op.B] = true
-			}
-			switch op.Kind {
-			case circuit.KindH:
-				b.H(op.A)
-			case circuit.KindS, circuit.KindSdg:
-				b.S(op.A)
-			case circuit.KindX, circuit.KindY, circuit.KindZ:
-				b.PauliGate(op.A)
-			case circuit.KindCNOT:
-				b.CNOT(op.A, op.B)
-			case circuit.KindCZ:
-				b.CZ(op.A, op.B)
-			case circuit.KindPrepZ:
-				b.PrepZ(op.A)
-			case circuit.KindMeasZ:
-				out[op.M] = b.MeasZ(op.A)
-			case circuit.KindMeasX:
-				out[op.M] = b.MeasX(op.A)
-			}
-		}
-		if b.P.Storage > 0 {
-			for q := 0; q < c.N; q++ {
-				if !busy[q] && first[q] >= 0 && mi > first[q] && mi < last[q] {
-					b.Storage(q)
-				}
-			}
-		}
-	}
-	return out
-}
+// N returns the number of qubits.
+func (b *BatchSim) N() int { return b.n }

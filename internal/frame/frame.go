@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/circuit"
 	"ftqc/internal/noise"
 )
 
@@ -252,71 +251,6 @@ func (s *Sim) ReplaceLeaked(q int) {
 	s.fz.Set(q, s.rng.IntN(2) == 1)
 }
 
-// Run executes a circuit: gates with their noise, storage noise on every
-// qubit idle in a moment (between its first and last use), and returns the
-// measurement flip bits indexed by result slot.
-func (s *Sim) Run(c *circuit.Circuit) []bool {
-	if c.N != s.n {
-		panic("frame: circuit size mismatch")
-	}
-	out := make([]bool, c.NumMeas)
-	// Determine each qubit's live range for storage noise.
-	first := make([]int, c.N)
-	last := make([]int, c.N)
-	for q := range first {
-		first[q] = -1
-	}
-	for mi, m := range c.Moments {
-		for _, op := range m.Ops {
-			if first[op.A] < 0 {
-				first[op.A] = mi
-			}
-			last[op.A] = mi
-			if op.B >= 0 {
-				if first[op.B] < 0 {
-					first[op.B] = mi
-				}
-				last[op.B] = mi
-			}
-		}
-	}
-	for mi, m := range c.Moments {
-		busy := make([]bool, c.N)
-		for _, op := range m.Ops {
-			busy[op.A] = true
-			if op.B >= 0 {
-				busy[op.B] = true
-			}
-			switch op.Kind {
-			case circuit.KindH:
-				s.H(op.A)
-			case circuit.KindS, circuit.KindSdg:
-				s.S(op.A)
-			case circuit.KindX, circuit.KindY, circuit.KindZ:
-				s.PauliGate(op.A)
-			case circuit.KindCNOT:
-				s.CNOT(op.A, op.B)
-			case circuit.KindCZ:
-				s.CZ(op.A, op.B)
-			case circuit.KindPrepZ:
-				s.PrepZ(op.A)
-			case circuit.KindMeasZ:
-				out[op.M] = s.MeasZ(op.A)
-			case circuit.KindMeasX:
-				out[op.M] = s.MeasX(op.A)
-			}
-		}
-		if s.P.Storage > 0 {
-			for q := 0; q < c.N; q++ {
-				if !busy[q] && first[q] >= 0 && mi > first[q] && mi < last[q] {
-					s.Storage(q)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // FrameOn returns the frame restricted to the given qubits as (x, z) bit
 // vectors — the residual error pattern on a code block.
 func (s *Sim) FrameOn(qubits []int) (x, z bits.Vec) {
@@ -328,16 +262,3 @@ func (s *Sim) FrameOn(qubits []int) (x, z bits.Vec) {
 	}
 	return x, z
 }
-
-// ClearRegion resets the frame and leakage on the given qubits (fresh
-// workspace for a retried ancilla preparation).
-func (s *Sim) ClearRegion(qubits []int) {
-	for _, q := range qubits {
-		s.fx.Set(q, false)
-		s.fz.Set(q, false)
-		s.leaked.Set(q, false)
-	}
-}
-
-// Rand exposes the simulator's random source for gadget drivers.
-func (s *Sim) Rand() *rand.Rand { return s.rng }

@@ -246,16 +246,6 @@ func TestLeakageDetectAndReplace(t *testing.T) {
 	}
 }
 
-func TestClearRegion(t *testing.T) {
-	s := New(3, noiseless(), nil)
-	s.InjectX(0)
-	s.InjectZ(2)
-	s.ClearRegion([]int{0, 2})
-	if s.XError(0) || s.ZError(2) {
-		t.Fatal("ClearRegion left errors behind")
-	}
-}
-
 func TestFrameOn(t *testing.T) {
 	s := New(4, noiseless(), nil)
 	s.InjectX(1)

@@ -31,18 +31,6 @@ func NewGenericEC(c *code.Code, decoderWeight int, cfg Config) *GenericEC {
 	return &GenericEC{Code: c, Dec: code.NewDecoder(c, decoderWeight), Cfg: cfg}
 }
 
-// CatWires returns how many ancilla wires the gadget needs: the widest
-// generator plus one verification qubit.
-func (g *GenericEC) CatWires() int {
-	w := 0
-	for _, gen := range g.Code.Generators {
-		if gw := gen.Weight(); gw > w {
-			w = gw
-		}
-	}
-	return w + 1
-}
-
 // prepVerifiedCatN prepares and verifies a width-w cat state on cat[:w]
 // (Fig. 8 generalized): chain preparation, then a parity check of the
 // first and last bits, retrying on failure. Any single fault that leaves

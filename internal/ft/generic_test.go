@@ -155,3 +155,15 @@ func TestCatWires(t *testing.T) {
 		t.Fatalf("five-qubit generators have weight 4, want 5 wires, got %d", g.CatWires())
 	}
 }
+
+// CatWires returns how many ancilla wires the gadget needs: the widest
+// generator plus one verification qubit.
+func (g *GenericEC) CatWires() int {
+	w := 0
+	for _, gen := range g.Code.Generators {
+		if gw := gen.Weight(); gw > w {
+			w = gw
+		}
+	}
+	return w + 1
+}

@@ -96,26 +96,6 @@ func (a Perm) Key() string {
 	return sb.String()
 }
 
-// Parity returns +1 for even permutations, −1 for odd.
-func (a Perm) Parity() int {
-	seen := make([]bool, len(a))
-	sign := 1
-	for i := range a {
-		if seen[i] {
-			continue
-		}
-		length := 0
-		for j := i; !seen[j]; j = a[j] {
-			seen[j] = true
-			length++
-		}
-		if length%2 == 0 {
-			sign = -sign
-		}
-	}
-	return sign
-}
-
 // Order returns the multiplicative order of a.
 func (a Perm) Order() int {
 	p := a
@@ -199,26 +179,6 @@ func (g *Group) add(p Perm) bool {
 // Order returns |G|.
 func (g *Group) Order() int { return len(g.Elements) }
 
-// Contains reports membership.
-func (g *Group) Contains(p Perm) bool {
-	_, ok := g.index[p.Key()]
-	return ok
-}
-
-// ConjugacyClass returns the class of p in g.
-func (g *Group) ConjugacyClass(p Perm) []Perm {
-	seen := map[string]bool{}
-	var out []Perm
-	for _, e := range g.Elements {
-		c := p.Conj(e)
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // DerivedSubgroup returns the commutator subgroup [G, G].
 func (g *Group) DerivedSubgroup() *Group {
 	var gens []Perm
@@ -256,19 +216,6 @@ func (g *Group) IsSolvable() bool {
 		}
 		cur = next
 	}
-}
-
-// S returns the symmetric group on n points.
-func S(n int) *Group {
-	if n < 2 {
-		return Generate(fmt.Sprintf("S%d", n), n)
-	}
-	transp := Cycle(n, []int{1, 2})
-	var cyc []int
-	for i := 1; i <= n; i++ {
-		cyc = append(cyc, i)
-	}
-	return Generate(fmt.Sprintf("S%d", n), n, transp, Cycle(n, cyc))
 }
 
 // A returns the alternating group on n points.

@@ -1,6 +1,9 @@
 package group
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestCycleNotation(t *testing.T) {
 	p := Cycle(5, []int{1, 2, 5})
@@ -146,4 +149,57 @@ func TestCommutatorIdentity(t *testing.T) {
 	if Commutator(a, b).IsIdentity() {
 		t.Fatal("overlapping cycles should not commute")
 	}
+}
+
+// Parity returns +1 for even permutations, −1 for odd.
+func (a Perm) Parity() int {
+	seen := make([]bool, len(a))
+	sign := 1
+	for i := range a {
+		if seen[i] {
+			continue
+		}
+		length := 0
+		for j := i; !seen[j]; j = a[j] {
+			seen[j] = true
+			length++
+		}
+		if length%2 == 0 {
+			sign = -sign
+		}
+	}
+	return sign
+}
+
+// Contains reports membership.
+func (g *Group) Contains(p Perm) bool {
+	_, ok := g.index[p.Key()]
+	return ok
+}
+
+// ConjugacyClass returns the class of p in g.
+func (g *Group) ConjugacyClass(p Perm) []Perm {
+	seen := map[string]bool{}
+	var out []Perm
+	for _, e := range g.Elements {
+		c := p.Conj(e)
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// S returns the symmetric group on n points.
+func S(n int) *Group {
+	if n < 2 {
+		return Generate(fmt.Sprintf("S%d", n), n)
+	}
+	transp := Cycle(n, []int{1, 2})
+	var cyc []int
+	for i := 1; i <= n; i++ {
+		cyc = append(cyc, i)
+	}
+	return Generate(fmt.Sprintf("S%d", n), n, transp, Cycle(n, cyc))
 }

@@ -47,19 +47,6 @@ func StorageOnly(eps float64) Params {
 	return Params{Storage: eps}
 }
 
-// Scale returns a copy of p with every probability multiplied by f.
-func (p Params) Scale(f float64) Params {
-	return Params{
-		Gate1:   p.Gate1 * f,
-		Gate2:   p.Gate2 * f,
-		Prep:    p.Prep * f,
-		Meas:    p.Meas * f,
-		Storage: p.Storage * f,
-		Leak:    p.Leak * f,
-		Bias:    p.Bias,
-	}
-}
-
 // Validate reports the first malformed field: probabilities outside
 // [0,1] or a negative bias ratio.
 func (p Params) Validate() error {

@@ -19,9 +19,6 @@ func TestParamConstructors(t *testing.T) {
 	if s.Gate1 != 0 || s.Storage != 1e-3 {
 		t.Fatal("StorageOnly wrong")
 	}
-	if u.Scale(2).Gate1 != 2e-3 {
-		t.Fatal("Scale wrong")
-	}
 }
 
 func TestRandomPaulisUniform(t *testing.T) {

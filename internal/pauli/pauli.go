@@ -140,9 +140,6 @@ func (p Pauli) Weight() int {
 	return w
 }
 
-// IsIdentity reports whether p is the identity up to phase.
-func (p Pauli) IsIdentity() bool { return p.XBits.Zero() && p.ZBits.Zero() }
-
 // Commutes reports whether p and q commute. Two Paulis either commute or
 // anticommute; they anticommute iff the symplectic form x_p·z_q + x_q·z_p
 // is 1.
@@ -200,25 +197,6 @@ func (p Pauli) String() string {
 	}
 	prefix := [4]string{"", "i", "-", "-i"}[phase]
 	return prefix + sb.String()
-}
-
-// Key returns a comparable map key identifying the unsigned operator.
-func (p Pauli) Key() string { return p.XBits.Key() + "|" + p.ZBits.Key() }
-
-// Tensor returns p ⊗ q acting on p.N()+q.N() qubits.
-func (p Pauli) Tensor(q Pauli) Pauli {
-	n := p.N() + q.N()
-	r := NewIdentity(n)
-	r.Phase = (p.Phase + q.Phase) % 4
-	for i := 0; i < p.N(); i++ {
-		r.XBits.Set(i, p.XBits.Get(i))
-		r.ZBits.Set(i, p.ZBits.Get(i))
-	}
-	for i := 0; i < q.N(); i++ {
-		r.XBits.Set(p.N()+i, q.XBits.Get(i))
-		r.ZBits.Set(p.N()+i, q.ZBits.Get(i))
-	}
-	return r
 }
 
 // Embed maps p, defined on len(qubits) qubits, onto an n-qubit register

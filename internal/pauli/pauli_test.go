@@ -117,15 +117,6 @@ func TestWeight(t *testing.T) {
 	}
 }
 
-func TestTensor(t *testing.T) {
-	a := MustFromString("XZ")
-	b := MustFromString("-Y")
-	ab := a.Tensor(b)
-	if got := ab.String(); got != "-XZY" {
-		t.Fatalf("tensor: got %q want -XZY", got)
-	}
-}
-
 func TestSingleQubitConstructor(t *testing.T) {
 	p := SingleQubit(4, 2, Y)
 	if got := p.String(); got != "IIYI" {
@@ -156,3 +147,6 @@ func TestSteaneGeneratorsCommute(t *testing.T) {
 		}
 	}
 }
+
+// IsIdentity reports whether p is the identity up to phase.
+func (p Pauli) IsIdentity() bool { return p.XBits.Zero() && p.ZBits.Zero() }

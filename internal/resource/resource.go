@@ -102,12 +102,6 @@ func binom(n, k int) float64 {
 	return r
 }
 
-// MeetsBudget reports whether the machine satisfies the workload's gate
-// error budget over the whole computation.
-func (m Machine) MeetsBudget(w FactoringWorkload) bool {
-	return m.AchievedErrorL <= w.TargetGateError
-}
-
 // ExpectedFailures is the expected number of logical errors over the full
 // computation: Toffoli count × logical error rate.
 func (m Machine) ExpectedFailures(w FactoringWorkload) float64 {

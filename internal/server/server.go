@@ -383,9 +383,6 @@ func newSession(srv *Server, id uint64, cfg SessionConfig, win *stream.Window, s
 	return s
 }
 
-// Config returns the (normalized) session configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
 // checkRound rejects layers that are not the session's shape — every
 // plane of both layers — before they touch the lifecycle or a queue
 // buffer.

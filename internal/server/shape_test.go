@@ -32,7 +32,7 @@ func TestOpenKeepsExplicitWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := s.Config()
+		got := s.cfg
 		s.Close()
 		s.Wait()
 		if got.Window != row.wantW || got.Commit != row.wantC {
@@ -121,7 +121,7 @@ func TestShapeTableBounded(t *testing.T) {
 	} else {
 		t.Logf("%d open/close cycles: heap in use %+d KB, %d shapes interned", cycles, grown, stream.Shapes())
 	}
-	reopened, err := srv.Open(live.Config())
+	reopened, err := srv.Open(live.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

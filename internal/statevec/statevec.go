@@ -87,9 +87,6 @@ func (s *State) S(q int) { s.Apply1Q(matS, q) }
 // Sdg applies diag(1, -i).
 func (s *State) Sdg(q int) { s.Apply1Q([2][2]complex128{{1, 0}, {0, -1i}}, q) }
 
-// T applies diag(1, e^{iπ/4}).
-func (s *State) T(q int) { s.Apply1Q(matT, q) }
-
 // RotZ applies exp(-i θ Z / 2).
 func (s *State) RotZ(q int, theta float64) {
 	e0 := cmplx.Exp(complex(0, -theta/2))
@@ -123,9 +120,6 @@ func (s *State) CZ(a, b int) {
 		}
 	}
 }
-
-// SWAP exchanges qubits a and b.
-func (s *State) SWAP(a, b int) { s.CNOT(a, b); s.CNOT(b, a); s.CNOT(a, b) }
 
 // Toffoli applies the controlled-controlled-NOT of Preskill Fig. 1 with
 // controls c1, c2 and target t.
@@ -267,13 +261,4 @@ func InnerProduct(a, b *State) complex128 {
 func Fidelity(a, b *State) float64 {
 	ip := InnerProduct(a, b)
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
-// Norm returns ⟨ψ|ψ⟩ (should be 1 for a normalized state).
-func (s *State) Norm() float64 {
-	n := 0.0
-	for _, a := range s.amp {
-		n += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return n
 }

@@ -202,3 +202,15 @@ func TestNormPreservedByGates(t *testing.T) {
 		t.Fatalf("norm drifted to %v", s.Norm())
 	}
 }
+
+// T applies diag(1, e^{iπ/4}).
+func (s *State) T(q int) { s.Apply1Q(matT, q) }
+
+// Norm returns ⟨ψ|ψ⟩ (should be 1 for a normalized state).
+func (s *State) Norm() float64 {
+	n := 0.0
+	for _, a := range s.amp {
+		n += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return n
+}

@@ -36,7 +36,7 @@ func (h *frameDigest) add(v uint64) {
 // addDecoder folds the decoder's committed frames and counters.
 func (h *frameDigest) addDecoder(d *Decoder) {
 	corrX, corrZ := d.Corrections()
-	for lane := 0; lane < d.Lanes(); lane++ {
+	for lane := 0; lane < d.lanes; lane++ {
 		for _, v := range [2]bits.Vec{corrX[lane], corrZ[lane]} {
 			for i := 0; i < v.Words(); i++ {
 				h.add(v.Word(i))

@@ -295,9 +295,6 @@ func (d *Decoder) Slides() int { return d.slides }
 // detector per round per lane).
 func (d *Decoder) DefectsObserved() uint64 { return d.defects }
 
-// Lanes returns the decoder's lane count.
-func (d *Decoder) Lanes() int { return d.lanes }
-
 // Err reports a terminal pipeline failure: the shared decode pool was
 // closed underneath a decode, or Finish was handed a closing round that
 // is not a syndrome of the code. Push and Finish become no-ops once it

@@ -55,3 +55,16 @@ func TestCircuitSourceExecutor(t *testing.T) {
 		}
 	}
 }
+
+// LocationsPerRound returns the number of fault locations one
+// extraction round of the code executes (the ArmTrigger coordinate
+// system of the single-fault enumeration): one storage step per data
+// qubit plus, per check of either sector, prep + one CNOT per support
+// qubit + meas. For the torus this is the familiar 2L² + 12L².
+func LocationsPerRound(code Code) int {
+	return code.ExtractionSchedule().roundPlan().Locations()
+}
+
+// Sim exposes the underlying batch simulator for fault-injection
+// harnesses (ArmTrigger single-fault enumeration, InjectX/InjectZ).
+func (s *CircuitSource) Sim() *frame.BatchSim { return s.sim }

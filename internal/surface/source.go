@@ -366,10 +366,6 @@ func (s *CircuitSource) Rounds() int { return s.rounds }
 // rounds carry erasure planes and drain through NextLayersErased.
 func (s *CircuitSource) Erasing() bool { return s.sim.P.Leak > 0 }
 
-// Sim exposes the underlying batch simulator for fault-injection
-// harnesses (ArmTrigger single-fault enumeration, InjectX/InjectZ).
-func (s *CircuitSource) Sim() *frame.BatchSim { return s.sim }
-
 // NextLayers runs one extraction round, the schedule's round plan (see
 // roundPlan), and writes its difference-syndrome layers into layerX and
 // layerZ. Every gate carries its noise.Params fault channel, so any
@@ -456,13 +452,4 @@ func (s *CircuitSource) Windings(pX1, pX2, pZ1, pZ2 bits.Vec) {
 func (s *CircuitSource) ErrorPlanes() (x, z []bits.Vec) {
 	nq := s.code.Qubits()
 	return s.sim.PlanesX(nq), s.sim.PlanesZ(nq)
-}
-
-// LocationsPerRound returns the number of fault locations one
-// extraction round of the code executes (the ArmTrigger coordinate
-// system of the single-fault enumeration): one storage step per data
-// qubit plus, per check of either sector, prep + one CNOT per support
-// qubit + meas. For the torus this is the familiar 2L² + 12L².
-func LocationsPerRound(code Code) int {
-	return code.ExtractionSchedule().roundPlan().Locations()
 }

@@ -8,9 +8,7 @@
 package tableau
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"strings"
 
 	"ftqc/internal/bits"
 	"ftqc/internal/pauli"
@@ -109,9 +107,6 @@ func (t *Tableau) CNOT(a, b int) {
 
 // CZ applies a controlled-Z between qubits a and b.
 func (t *Tableau) CZ(a, b int) { t.H(b); t.CNOT(a, b); t.H(b) }
-
-// SWAP exchanges qubits a and b.
-func (t *Tableau) SWAP(a, b int) { t.CNOT(a, b); t.CNOT(b, a); t.CNOT(a, b) }
 
 // X applies a bit flip to qubit a.
 func (t *Tableau) X(a int) {
@@ -383,13 +378,4 @@ func SameState(a, b *Tableau) bool {
 		}
 	}
 	return true
-}
-
-// String renders the stabilizer generators, one per line.
-func (t *Tableau) String() string {
-	var sb strings.Builder
-	for i := 0; i < t.n; i++ {
-		fmt.Fprintf(&sb, "%s\n", t.StabilizerRow(i))
-	}
-	return sb.String()
 }

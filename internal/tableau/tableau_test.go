@@ -230,6 +230,9 @@ func TestCZSymmetric(t *testing.T) {
 	}
 }
 
+// SWAP exchanges qubits a and b.
+func (t *Tableau) SWAP(a, b int) { t.CNOT(a, b); t.CNOT(b, a); t.CNOT(a, b) }
+
 func TestSWAP(t *testing.T) {
 	tb := New(2, nil)
 	tb.X(0)

@@ -120,24 +120,6 @@ func (t Lattice) newCode(name string, graphs [2]*decoder.Graph, plaq, star [][4]
 	return surface.NewCode(name, t.L, 2*t.L*t.L, graphs, [2][][4]int{plaq, star}, [2][][]int{wind[:2], wind[2:]})
 }
 
-// inCheckSpan reports whether errs is a product of one sector's checks
-// (plaquettes, or stars when dual) — a GF(2) row-space test over the
-// check rows.
-func (t Lattice) inCheckSpan(dual bool, errs bits.Vec) bool {
-	sch := t.ExtractionSchedule()
-	rows := sch.Plaq
-	if dual {
-		rows = sch.Star
-	}
-	m := bits.NewMatrix(len(rows), t.Qubits())
-	for c, ord := range rows {
-		for _, q := range ord {
-			m.Row(c).Flip(q)
-		}
-	}
-	return m.InSpan(errs)
-}
-
 // HEdge returns the index of the horizontal edge at (x, y).
 func (t Lattice) HEdge(x, y int) int {
 	return mod(y, t.L)*t.L + mod(x, t.L)
@@ -190,21 +172,6 @@ func (t Lattice) Syndrome(errs bits.Vec) []int {
 		}
 	}
 	return defects
-}
-
-// LogicalError reports whether a syndrome-free error pattern is
-// homologically nontrivial: trivial residues are exactly the products of
-// star operators, so membership in that span is tested directly over
-// GF(2). It is the reference the winding detectors are tested against.
-func (t Lattice) LogicalError(errs bits.Vec) bool {
-	return !t.inCheckSpan(true, errs)
-}
-
-// LogicalZError is LogicalError for the Z sector: a star-syndrome-free
-// phase-flip pattern is a logical operator exactly when it is not a
-// product of plaquette operators.
-func (t Lattice) LogicalZError(errs bits.Vec) bool {
-	return !t.inCheckSpan(false, errs)
 }
 
 // StarSyndrome computes the star syndrome of a phase-flip error pattern:
@@ -322,13 +289,6 @@ func (s *decodeScratch) takePairs(n int) [][2]int {
 		s.pairs = make([][2]int, 0, n)
 	}
 	return s.pairs[:0]
-}
-
-// Decode returns a correction for the given defect set.
-func (t Lattice) Decode(defects []int, kind DecoderKind) bits.Vec {
-	corr := bits.NewVec(t.Qubits())
-	t.decodeInto(defects, kind, t.newScratch(), corr)
-	return corr
 }
 
 func (t *Lattice) newScratch() *decodeScratch {

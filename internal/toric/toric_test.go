@@ -13,6 +13,46 @@ import (
 	"ftqc/internal/surface"
 )
 
+// inCheckSpan reports whether errs is a product of one sector's checks
+// (plaquettes, or stars when dual) — a GF(2) row-space test over the
+// check rows.
+func (t Lattice) inCheckSpan(dual bool, errs bits.Vec) bool {
+	sch := t.ExtractionSchedule()
+	rows := sch.Plaq
+	if dual {
+		rows = sch.Star
+	}
+	m := bits.NewMatrix(len(rows), t.Qubits())
+	for c, ord := range rows {
+		for _, q := range ord {
+			m.Row(c).Flip(q)
+		}
+	}
+	return m.InSpan(errs)
+}
+
+// LogicalError reports whether a syndrome-free error pattern is
+// homologically nontrivial: trivial residues are exactly the products of
+// star operators, so membership in that span is tested directly over
+// GF(2). It is the reference the winding detectors are tested against.
+func (t Lattice) LogicalError(errs bits.Vec) bool {
+	return !t.inCheckSpan(true, errs)
+}
+
+// LogicalZError is LogicalError for the Z sector: a star-syndrome-free
+// phase-flip pattern is a logical operator exactly when it is not a
+// product of plaquette operators.
+func (t Lattice) LogicalZError(errs bits.Vec) bool {
+	return !t.inCheckSpan(false, errs)
+}
+
+// Decode returns a correction for the given defect set.
+func (t Lattice) Decode(defects []int, kind DecoderKind) bits.Vec {
+	corr := bits.NewVec(t.Qubits())
+	t.decodeInto(defects, kind, t.newScratch(), corr)
+	return corr
+}
+
 // greedyCorrection is the closest-pair-first reference matcher the exact
 // decoder is held against: it repeatedly pairs the two closest remaining
 // defects and flips a shortest path between them.

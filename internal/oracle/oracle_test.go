@@ -71,6 +71,17 @@ func circuit(eps, leak, bias float64) spacetime.Model {
 	return spacetime.Circuit(P)
 }
 
+// measHeavy and measHeavier are non-uniform circuit noise under which
+// the weights depend on the horizon they are priced over: at d = 3 the
+// first prices (6,5,12) over one layer and (8,5,12) over two or more,
+// the second (7,3,12) over two layers and (3,1,4) over three or more.
+// A one-round case decodes its exact reference over one layer and its
+// union-find reference over the two-layer window.
+var (
+	measHeavy   = spacetime.Circuit(noise.Params{Gate1: 0.006, Gate2: 0.006, Prep: 0.006, Storage: 1e-3, Meas: 0.05})
+	measHeavier = spacetime.Circuit(noise.Params{Gate1: 0.001, Gate2: 0.001, Prep: 0.001, Storage: 1e-4, Meas: 0.1})
+)
+
 var (
 	plain, aware     = spacetime.DecodeOptions{}, spacetime.DecodeOptions{ErasureAware: true}
 	correlated, both = spacetime.DecodeOptions{Correlated: true}, spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
@@ -174,9 +185,13 @@ func reference(t testing.TB, c tc) *run {
 // volume, primal then dual: with ErasureAware its canonical erased list
 // (Volume.AppendErased) seeds the peeling, and a correlated dual adds
 // the counterparts of the lane's primal correction (Volume.Reprice).
+// Union-find prices as Memory does; exact matching over the rounds, as
+// VolumeMemory's exact kind does.
 func (r *run) volume(k *chunk) frames {
 	wh, wv, wd := r.weights()
 	v := spacetime.NewVolume(r.code, r.rounds, wh, wv, wd)
+	xh, xv, xd := r.m.Weights(r.code.Distance(), r.rounds)
+	vx := spacetime.NewVolume(r.code, r.rounds, xh, xv, xd)
 	nc, lanes := r.code.Checks(), k.lanes()
 	var erased [2][][]int
 	for s := range erased {
@@ -208,7 +223,7 @@ func (r *run) volume(k *chunk) frames {
 			r.swept = r.swept || len(era) == 0 && ![2]*decoder.Graph{v.Graph(), v.DualGraph()}[s].Sparse(len(defects))
 			f[s][lane] = v.Decode(defects, era, toric.DecoderUnionFind, s == 1)
 			if r.hasExact {
-				ex[s][lane] = v.Decode(defects, nil, toric.DecoderExact, s == 1)
+				ex[s][lane] = vx.Decode(defects, nil, toric.DecoderExact, s == 1)
 			}
 		}
 	}
@@ -459,6 +474,11 @@ var cases = []tc{
 	{toric.HookParallel(3), circuit(0.01, 0, 0), correlated, 3, 3, 1, 100, 8},
 	{toric.HookParallel(3), circuit(0.03, 0, 0), plain, 3, 3, 2, 1, 9},
 	{toric.Cached(3), phenom(0.1, 0.1, 0, 0), plain, 5, 2, 1, 1, 10},
+	// Non-uniform circuit noise: Memory prices over the window, exact
+	// VolumeMemory over the rounds, and here the two horizons differ.
+	{toric.Cached(3), measHeavy, plain, 1, 2, 1, 300, 61},
+	{toric.Cached(3), measHeavier, plain, 6, 2, 1, 300, 63},
+	{toric.Cached(4), measHeavy, plain, 1, 2, 1, 400, 104},
 }
 
 // checkAll holds every path of every case to its reference, then the

@@ -1,6 +1,7 @@
 package ftqc
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,7 +11,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -64,7 +64,7 @@ var reachAllow = map[string]string{
 	"frame.BatchSim.LaneLocationCount":  "(b) per-lane location count, for surface's TestLocationsPerRound",
 	"frame.BatchSim.InjectX":            "(b) a placed X fault, for ft's and surface's fault tests",
 	"frame.BatchSim.InjectZ":            "(b) a placed Z fault, for ft's and surface's fault tests",
-	"frame.RoundPlan.Locations":         "(b) locations per compiled round, for surface's fault enumeration (locationsPerRound)",
+	"frame.RoundPlan.Locations":         "(b) locations per compiled round, for surface's fault enumeration (its test-side LocationsPerRound)",
 	"surface.LayerSource.ErrorPlanes":   "(b) the source's error planes, for stream's TestCodeStreamingSoundness",
 	"surface.CircuitSource.ErrorPlanes": "(b) the source's error planes, for stream's TestCodeStreamingSoundness",
 	"bits.Matrix.Solve":                 "(b) GF(2) solve, for code's tests (prepareEigenstate)",
@@ -109,90 +109,89 @@ var reachAllow = map[string]string{
 // Type Analysis: a reached reference to an interface method reaches the
 // same-named method of every concrete type that reached code converts
 // to an interface. The standard library is not walked, so a conversion
-// to an interface it declares reaches that interface's methods and the
-// hooks fmt and encoding call (String, Error, Format, GoString and the
-// Marshal/Unmarshal methods).
+// to an interface it declares reaches that interface's methods, and the
+// hooks fmt and encoding call (String, Error, Format, …) on the value
+// and on every value fmt's reflection reaches inside it.
 //
 // It also keeps the rule it replaces for the other package-level names:
 // an exported type, variable or constant under internal/ is used by a
 // non-test file.
 func TestReachable(t *testing.T) {
-	m := loadModule(t)
-	reached, referenced := m.reach(t)
-
-	var missing []string
-	for fn, decl := range m.funcs {
-		if reached[fn] {
-			continue
-		}
-		if _, ok := reachAllow[funcKey(fn)]; ok {
-			continue
-		}
-		lines := m.fset.Position(decl.End()).Line - m.fset.Position(decl.Pos()).Line + 1
-		missing = append(missing, m.fset.Position(decl.Pos()).String()+": "+funcKey(fn)+" ("+strconv.Itoa(lines)+" lines)")
+	w := load(t)
+	for _, root := range w.roots {
+		w.reach(nil, root)
 	}
-	sort.Strings(missing)
-	for _, s := range missing {
-		t.Errorf("%s is reached by no binary: delete it with the tests that only exercise it, or list it in reachAllow with a reason", s)
+	for len(w.work) > 0 {
+		fn := w.work[len(w.work)-1]
+		w.work = w.work[:len(w.work)-1]
+		w.walk(fn, w.funcs[fn], fn.Type().(*types.Signature))
 	}
 
+	var msgs []string
 	declared := map[string]bool{}
-	for fn := range m.funcs {
-		declared[funcKey(fn)] = true
+	for fn, decl := range w.funcs {
+		key := funcKey(fn)
+		declared[key] = true
+		if _, listed := reachAllow[key]; !w.reached[fn] && !listed {
+			pos, end := w.fset.Position(decl.Pos()), w.fset.Position(decl.End())
+			msgs = append(msgs, fmt.Sprintf("%s: %s (%d lines) is reached by no binary: delete it with the tests that only exercise it, or list it in reachAllow with a reason", pos, key, end.Line-pos.Line+1))
+		}
 	}
 	for key := range reachAllow {
 		switch {
 		case !declared[key]:
-			t.Errorf("%s is no longer declared; drop it from reachAllow", key)
-		case referenced[key]:
-			t.Errorf("%s is reached from another root now; drop it from reachAllow", key)
+			msgs = append(msgs, key+" is no longer declared; drop it from reachAllow")
+		case w.referenced[key]:
+			msgs = append(msgs, key+" is reached from another root now; drop it from reachAllow")
 		}
 	}
-
-	var unused []string
-	for obj, pos := range m.exported {
-		if !m.used[obj] {
-			unused = append(unused, m.fset.Position(pos).String()+": "+obj.Pkg().Name()+"."+obj.Name())
+	for obj, used := range w.exported {
+		if !used {
+			msgs = append(msgs, fmt.Sprintf("%s: %s.%s is exported but no non-test file uses it: give it a use, unexport it or delete it", w.fset.Position(obj.Pos()), obj.Pkg().Name(), obj.Name()))
 		}
 	}
-	sort.Strings(unused)
-	for _, s := range unused {
-		t.Errorf("%s is exported but no non-test file uses it: give it a use, unexport it or delete it", s)
+	sort.Strings(msgs)
+	for _, msg := range msgs {
+		t.Error(msg)
 	}
 }
 
-// module is the type-checked non-test code of the module.
-type module struct {
+// walker holds the module's type-checked non-test code and the state of
+// the walk over it.
+type walker struct {
 	fset     *token.FileSet
-	pkgs     []*modPkg
 	info     *types.Info
 	funcs    map[*types.Func]*ast.FuncDecl
-	exported map[types.Object]token.Pos // exported package-level non-functions under internal/
-	used     map[types.Object]bool      // objects a non-test file refers to
+	exported map[types.Object]bool // exported package-level non-functions under internal/: used?
+	roots    []*types.Func
+
+	reached    map[*types.Func]bool
+	referenced map[string]bool // keys some reached function refers to, itself aside
+	work       []*types.Func
+	called     map[string]bool // interface method names reached code calls
+	converted  map[types.Type]bool
 }
 
-type modPkg struct {
-	dir   string
-	files []*ast.File
-	types *types.Package
-}
-
-func loadModule(t *testing.T) *module {
-	m := &module{
+// load parses and type-checks every non-test package of the module
+// (the current build context's files), importing the standard library
+// from export data, and collects the declarations and roots.
+func load(t *testing.T) *walker {
+	w := &walker{
 		fset: token.NewFileSet(),
 		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Instances:  map[*ast.Ident]types.Instance{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Instances: map[*ast.Ident]types.Instance{},
 		},
-		funcs:    map[*types.Func]*ast.FuncDecl{},
-		exported: map[types.Object]token.Pos{},
-		used:     map[types.Object]bool{},
+		funcs:      map[*types.Func]*ast.FuncDecl{},
+		exported:   map[types.Object]bool{},
+		reached:    map[*types.Func]bool{},
+		referenced: map[string]bool{},
+		called:     map[string]bool{},
+		converted:  map[types.Type]bool{},
 	}
-	byPath := map[string]*modPkg{}
-	imports := map[string][]string{}
+	pkgs := map[string]*build.Package{} // by import path
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -203,338 +202,141 @@ func loadModule(t *testing.T) *module {
 		bp, err := build.ImportDir(path, 0)
 		if _, none := err.(*build.NoGoError); none {
 			return nil
-		} else if err != nil {
-			return err
 		}
-		p := &modPkg{dir: filepath.ToSlash(path)}
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(m.fset, filepath.Join(path, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			p.files = append(p.files, f)
-		}
-		ip := "ftqc"
-		if p.dir != "." {
-			ip += "/" + p.dir
-		}
-		byPath[ip] = p
-		imports[ip] = bp.Imports
-		return nil
+		pkgs[strings.TrimSuffix("ftqc/"+filepath.ToSlash(path), "/.")] = bp
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	checked := map[string]*types.Package{}
 	std := importer.Default()
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := byPath[path]; ok {
-			return p.types, nil
+		if tp, ok := checked[path]; ok {
+			return tp, nil
 		}
 		return std.Import(path)
 	})}
-	done := map[string]bool{}
+	var files []*ast.File
 	var check func(path string)
 	check = func(path string) {
-		if done[path] {
+		bp := pkgs[path]
+		if _, done := checked[path]; done || bp == nil {
 			return
 		}
-		done[path] = true
-		for _, imp := range imports[path] {
-			if _, ok := byPath[imp]; ok {
-				check(imp)
-			}
+		checked[path] = nil
+		for _, imp := range bp.Imports {
+			check(imp)
 		}
-		p := byPath[path]
-		tp, err := conf.Check(path, m.fset, p.files, m.info)
+		var pf []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(w.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf = append(pf, f)
+		}
+		tp, err := conf.Check(path, w.fset, pf, w.info)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.types = tp
-		m.pkgs = append(m.pkgs, p)
+		checked[path] = tp
+		files = append(files, pf...)
 	}
-	paths := make([]string, 0, len(byPath))
-	for path := range byPath {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for path := range pkgs {
 		check(path)
 	}
 
-	for _, p := range m.pkgs {
-		internal := strings.HasPrefix(p.dir, "internal/")
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				switch decl := decl.(type) {
-				case *ast.FuncDecl:
-					m.funcs[m.info.Defs[decl.Name].(*types.Func)] = decl
-				case *ast.GenDecl:
-					if !internal {
-						continue
+	for _, f := range files {
+		internal := strings.HasPrefix(filepath.ToSlash(w.fset.Position(f.Pos()).Filename), "internal/")
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				fn := w.info.Defs[decl.Name].(*types.Func)
+				w.funcs[fn] = decl
+				name := decl.Name.Name
+				if decl.Recv == nil && (name == "init" || name == "main" && fn.Pkg().Name() == "main" || fn.Pkg().Path() == "ftqc" && decl.Name.IsExported()) {
+					w.roots = append(w.roots, fn)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					ids := []*ast.Ident{}
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						ids = append(ids, spec.Name)
+					case *ast.ValueSpec:
+						ids = spec.Names
 					}
-					for _, spec := range decl.Specs {
-						var ids []*ast.Ident
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							ids = []*ast.Ident{spec.Name}
-						case *ast.ValueSpec:
-							ids = spec.Names
-						}
-						for _, id := range ids {
-							if id.IsExported() {
-								m.exported[m.info.Defs[id]] = id.Pos()
-							}
+					for _, id := range ids {
+						if internal && id.IsExported() {
+							w.exported[w.info.Defs[id]] = false
 						}
 					}
 				}
 			}
 		}
 	}
-	for _, obj := range m.info.Uses {
-		m.used[obj] = true
+	for _, obj := range w.info.Uses {
+		if _, ok := w.exported[obj]; ok {
+			w.exported[obj] = true
+		}
 	}
-	return m
+	for fn := range w.funcs {
+		if _, ok := reachAllow[funcKey(fn)]; ok {
+			w.roots = append(w.roots, fn)
+		}
+	}
+	// Package-level variable initialisers run in every binary that links
+	// their package: walk them before anything else.
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				w.walk(nil, gd, nil)
+			}
+		}
+	}
+	return w
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// facts are what one function body (or initialiser) contributes to the
-// walk: the functions it refers to, the interface methods it calls and
-// the types it converts to an interface.
-type facts struct {
-	funcs   []*types.Func
-	methods []string      // interface method names
-	types   []types.Type  // concrete types converted to a module interface
-	hooks   []*types.Func // methods reached by a conversion to a standard-library interface
+// reach marks fn (a function or concrete method) reached from `from`
+// (nil for a root) and queues its body.
+func (w *walker) reach(from, fn *types.Func) {
+	fn = fn.Origin()
+	if _, ours := w.funcs[fn]; !ours {
+		return
+	}
+	if from != nil && from != fn {
+		w.referenced[funcKey(fn)] = true
+	}
+	if !w.reached[fn] {
+		w.reached[fn] = true
+		w.work = append(w.work, fn)
+	}
 }
 
-// reach walks from the roots and returns the reached functions and the
-// keys of the functions some reached function refers to (other than
-// itself), for the stale-entry check.
-func (m *module) reach(t *testing.T) (reached map[*types.Func]bool, referenced map[string]bool) {
-	reached = map[*types.Func]bool{}
-	referenced = map[string]bool{}
-	byKey := map[string]*types.Func{}
-	for fn := range m.funcs {
-		byKey[funcKey(fn)] = fn
+// call records a reached call of the interface method `name`: it
+// reaches the method of that name of every type converted so far.
+func (w *walker) call(from *types.Func, name string) {
+	if w.called[name] {
+		return
 	}
-	var work []*types.Func
-	add := func(from, fn *types.Func) {
-		fn = fn.Origin()
-		if _, ours := m.funcs[fn]; !ours {
-			return
-		}
-		if from != nil && from != fn {
-			referenced[funcKey(fn)] = true
-		}
-		if !reached[fn] {
-			reached[fn] = true
-			work = append(work, fn)
-		}
+	w.called[name] = true
+	for typ := range w.converted {
+		w.dispatch(from, typ, func(n string) bool { return n == name })
 	}
-	called := map[string]bool{}    // interface method names reached code calls
-	converted := map[string]bool{} // type strings already converted
-	var convTypes []types.Type     // concrete types converted to a module interface
-	dispatch := func(from *types.Func, typ types.Type, name string) {
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			if fn := ms.At(i).Obj().(*types.Func); fn.Name() == name {
-				add(from, fn)
-			}
-		}
-	}
-	apply := func(from *types.Func, f facts) {
-		for _, fn := range f.funcs {
-			add(from, fn)
-		}
-		for _, fn := range f.hooks {
-			add(from, fn)
-		}
-		for _, name := range f.methods {
-			if called[name] {
-				continue
-			}
-			called[name] = true
-			for _, typ := range convTypes {
-				dispatch(from, typ, name)
-			}
-		}
-		for _, typ := range f.types {
-			key := types.TypeString(typ, nil)
-			if converted[key] {
-				continue
-			}
-			converted[key] = true
-			convTypes = append(convTypes, typ)
-			for name := range called {
-				dispatch(from, typ, name)
-			}
-		}
-	}
-
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				switch decl := decl.(type) {
-				case *ast.FuncDecl:
-					fn := m.info.Defs[decl.Name].(*types.Func)
-					root := decl.Recv == nil && (decl.Name.Name == "init" ||
-						decl.Name.Name == "main" && p.types.Name() == "main" ||
-						p.dir == "." && decl.Name.IsExported())
-					if root {
-						add(nil, fn)
-					}
-				case *ast.GenDecl:
-					if decl.Tok == token.VAR {
-						apply(nil, m.factsOf(decl, nil))
-					}
-				}
-			}
-		}
-	}
-	for key := range reachAllow {
-		if fn, ok := byKey[key]; ok {
-			add(nil, fn)
-		}
-	}
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		decl := m.funcs[fn]
-		apply(fn, m.factsOf(decl, fn.Type().(*types.Signature)))
-	}
-	return reached, referenced
 }
 
-// factsOf collects the facts of one declaration; sig is the signature
-// its return statements answer to (nil for a variable declaration).
-func (m *module) factsOf(node ast.Node, sig *types.Signature) facts {
-	var f facts
-	conv := func(e ast.Expr, to types.Type) {
-		if to == nil || !types.IsInterface(to) {
-			return
+func (w *walker) dispatch(from *types.Func, typ types.Type, want func(name string) bool) {
+	ms := types.NewMethodSet(typ)
+	for i := range ms.Len() {
+		if fn := ms.At(i).Obj().(*types.Func); want(fn.Name()) {
+			w.reach(from, fn)
 		}
-		tv, ok := m.info.Types[e]
-		if !ok || tv.Type == nil || types.IsInterface(tv.Type) || tv.IsNil() {
-			return
-		}
-		m.convert(&f, tv.Type, to)
 	}
-	sigs := []*types.Signature{sig}
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			sigs = append(sigs, m.info.Types[n].Type.(*types.Signature))
-			ast.Inspect(n.Body, visit)
-			sigs = sigs[:len(sigs)-1]
-			return false
-		case *ast.Ident:
-			if fn, ok := m.info.Uses[n].(*types.Func); ok {
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					f.methods = append(f.methods, fn.Name())
-				} else {
-					f.funcs = append(f.funcs, fn)
-				}
-			}
-			if inst, ok := m.info.Instances[n]; ok {
-				for i := 0; i < inst.TypeArgs.Len(); i++ {
-					m.convert(&f, inst.TypeArgs.At(i), nil)
-				}
-			}
-		case *ast.CallExpr:
-			tv := m.info.Types[n.Fun]
-			if tv.IsType() {
-				if len(n.Args) == 1 {
-					conv(n.Args[0], tv.Type)
-				}
-				break
-			}
-			s, ok := tv.Type.Underlying().(*types.Signature)
-			if !ok {
-				break
-			}
-			for i, arg := range n.Args {
-				params := s.Params()
-				switch {
-				case s.Variadic() && i >= params.Len()-1:
-					last := params.At(params.Len() - 1).Type()
-					if n.Ellipsis.IsValid() {
-						conv(arg, last)
-					} else {
-						conv(arg, last.(*types.Slice).Elem())
-					}
-				case i < params.Len():
-					conv(arg, params.At(i).Type())
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					conv(n.Rhs[i], m.info.TypeOf(n.Lhs[i]))
-				}
-			}
-		case *ast.ValueSpec:
-			if n.Type != nil && len(n.Values) == len(n.Names) {
-				for _, v := range n.Values {
-					conv(v, m.info.TypeOf(n.Type))
-				}
-			}
-		case *ast.ReturnStmt:
-			if s := sigs[len(sigs)-1]; s != nil && s.Results().Len() == len(n.Results) {
-				for i, r := range n.Results {
-					conv(r, s.Results().At(i).Type())
-				}
-			}
-		case *ast.CompositeLit:
-			typ := m.info.TypeOf(n)
-			if typ == nil {
-				break
-			}
-			for i, elt := range n.Elts {
-				switch u := typ.Underlying().(type) {
-				case *types.Struct:
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if fld, ok := m.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-							conv(kv.Value, fld.Type())
-						}
-					} else if i < u.NumFields() {
-						conv(elt, u.Field(i).Type())
-					}
-				case *types.Slice, *types.Array:
-					elem := u.(interface{ Elem() types.Type }).Elem()
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						elt = kv.Value
-					}
-					conv(elt, elem)
-				case *types.Map:
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						conv(kv.Key, u.Key())
-						conv(kv.Value, u.Elem())
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if ch, ok := m.info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
-				conv(n.Value, ch.Elem())
-			}
-		case *ast.IndexExpr:
-			if mp, ok := m.info.TypeOf(n.X).Underlying().(*types.Map); ok {
-				conv(n.Index, mp.Key())
-			}
-		case *ast.BinaryExpr:
-			if n.Op == token.EQL || n.Op == token.NEQ {
-				conv(n.X, m.info.TypeOf(n.Y))
-				conv(n.Y, m.info.TypeOf(n.X))
-			}
-		}
-		return true
-	}
-	ast.Inspect(node, visit)
-	return f
 }
 
 // stdHooks are the methods the standard library calls on a value
@@ -546,75 +348,168 @@ var stdHooks = map[string]bool{
 }
 
 // convert records that a value of concrete type typ becomes the
-// interface to (nil for a type argument, which may become any
-// interface its code converts to).
-func (m *module) convert(f *facts, typ, to types.Type) {
-	if to != nil {
-		if named, ok := types.Unalias(to).(*types.Named); ok && named.Obj().Pkg() != nil && strings.HasPrefix(named.Obj().Pkg().Path(), "ftqc") {
-			f.types = append(f.types, typ)
+// interface `to` (nil for a type argument, which may become any
+// interface its generic code converts it to).
+func (w *walker) convert(from *types.Func, typ, to types.Type) {
+	if named, ok := types.Unalias(to).(*types.Named); to == nil || ok && strings.HasPrefix(named.Obj().Pkg().Path(), "ftqc") {
+		if !w.converted[typ] {
+			w.converted[typ] = true
+			w.dispatch(from, typ, func(n string) bool { return w.called[n] })
+		}
+		if to != nil {
 			return
 		}
-	} else {
-		f.types = append(f.types, typ)
 	}
-	// The standard library's own interface: its methods, and the hooks
-	// of the value and of every value fmt's reflection reaches inside it.
-	want := map[string]bool{}
+	// An interface the standard library declares: its methods, and the
+	// hooks of the value and of everything fmt's reflection reaches in it.
+	own := map[string]bool{}
 	if to != nil {
 		iface := to.Underlying().(*types.Interface)
-		for i := 0; i < iface.NumMethods(); i++ {
-			want[iface.Method(i).Name()] = true
+		for i := range iface.NumMethods() {
+			own[iface.Method(i).Name()] = true
 		}
 	}
 	seen := map[types.Type]bool{}
-	var walk func(typ types.Type)
-	walk = func(typ types.Type) {
+	var hooks func(typ types.Type, own map[string]bool)
+	hooks = func(typ types.Type, own map[string]bool) {
 		if seen[typ] {
 			return
 		}
 		seen[typ] = true
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			fn := ms.At(i).Obj().(*types.Func)
-			if stdHooks[fn.Name()] || want[fn.Name()] {
-				f.hooks = append(f.hooks, fn)
-			}
-		}
-		want = nil // the interface's own methods are called on the value only
+		w.dispatch(from, typ, func(n string) bool { return stdHooks[n] || own[n] })
 		switch u := typ.Underlying().(type) {
 		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				walk(u.Field(i).Type())
+			for i := range u.NumFields() {
+				hooks(u.Field(i).Type(), nil)
 			}
-		case *types.Pointer:
-			walk(u.Elem())
-		case *types.Slice:
-			walk(u.Elem())
-		case *types.Array:
-			walk(u.Elem())
 		case *types.Map:
-			walk(u.Key())
-			walk(u.Elem())
+			hooks(u.Key(), nil)
+			hooks(u.Elem(), nil)
+		case interface{ Elem() types.Type }: // pointer, slice, array, chan
+			hooks(u.Elem(), nil)
 		}
 	}
-	walk(typ)
+	hooks(typ, own)
+}
+
+// walk visits one function body (sig its signature) or a variable
+// declaration (sig nil), reaching what it refers to and recording the
+// interface calls and conversions it makes.
+func (w *walker) walk(from *types.Func, node ast.Node, sig *types.Signature) {
+	conv := func(e ast.Expr, to types.Type) {
+		if tv, ok := w.info.Types[e]; ok && to != nil && types.IsInterface(to) && tv.Type != nil && !types.IsInterface(tv.Type) && !tv.IsNil() {
+			w.convert(from, tv.Type, to)
+		}
+	}
+	sigs := []*types.Signature{sig}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			sigs = append(sigs, w.info.Types[n].Type.(*types.Signature))
+			ast.Inspect(n.Body, visit)
+			sigs = sigs[:len(sigs)-1]
+			return false
+		case *ast.Ident:
+			if fn, ok := w.info.Uses[n].(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					w.call(from, fn.Name())
+				} else {
+					w.reach(from, fn)
+				}
+			}
+			if inst, ok := w.info.Instances[n]; ok {
+				for i := range inst.TypeArgs.Len() {
+					w.convert(from, inst.TypeArgs.At(i), nil)
+				}
+			}
+		case *ast.CallExpr:
+			tv := w.info.Types[n.Fun]
+			if tv.IsType() {
+				conv(n.Args[0], tv.Type)
+				break
+			}
+			s, ok := tv.Type.Underlying().(*types.Signature)
+			if !ok {
+				break // a builtin
+			}
+			params := s.Params()
+			for i, arg := range n.Args {
+				switch {
+				case s.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid():
+					conv(arg, params.At(params.Len()-1).Type().(*types.Slice).Elem())
+				case i < params.Len():
+					conv(arg, params.At(min(i, params.Len()-1)).Type())
+				}
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					conv(n.Rhs[i], w.info.TypeOf(n.Lhs[i]))
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Values) == len(n.Names) {
+				for _, v := range n.Values {
+					conv(v, w.info.TypeOf(n.Type))
+				}
+			}
+		case *ast.ReturnStmt:
+			if s := sigs[len(sigs)-1]; s != nil && s.Results().Len() == len(n.Results) {
+				for i, r := range n.Results {
+					conv(r, s.Results().At(i).Type())
+				}
+			}
+		case *ast.CompositeLit:
+			for i, elt := range n.Elts {
+				kv, keyed := elt.(*ast.KeyValueExpr)
+				switch u := w.info.TypeOf(n).Underlying().(type) {
+				case *types.Struct:
+					if keyed {
+						conv(kv.Value, w.info.TypeOf(kv.Key))
+					} else {
+						conv(elt, u.Field(i).Type())
+					}
+				case *types.Map:
+					conv(kv.Key, u.Key())
+					conv(kv.Value, u.Elem())
+				case interface{ Elem() types.Type }: // slice, array
+					if keyed {
+						elt = kv.Value
+					}
+					conv(elt, u.Elem())
+				}
+			}
+		case *ast.SendStmt:
+			conv(n.Value, w.info.TypeOf(n.Chan).Underlying().(*types.Chan).Elem())
+		case *ast.IndexExpr:
+			if mp, ok := w.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				conv(n.Index, mp.Key())
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				conv(n.X, w.info.TypeOf(n.Y))
+				conv(n.Y, w.info.TypeOf(n.X))
+			}
+		}
+		return true
+	}
+	ast.Inspect(node, visit)
 }
 
 // funcKey names a function as "pkg.Name" or "pkg.Type.Method", where
 // pkg is the package name, or the directory of a main package.
 func funcKey(fn *types.Func) string {
-	name := fn.Pkg().Name() + "."
-	if name == "main." {
-		name = strings.TrimPrefix(fn.Pkg().Path(), "ftqc/") + "."
+	pkg := fn.Pkg().Name()
+	if pkg == "main" {
+		pkg = strings.TrimPrefix(fn.Pkg().Path(), "ftqc/")
 	}
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 		typ := recv.Type()
 		if p, ok := typ.(*types.Pointer); ok {
 			typ = p.Elem()
 		}
-		if named, ok := types.Unalias(typ).(*types.Named); ok {
-			name += named.Obj().Name() + "."
-		}
+		return pkg + "." + types.Unalias(typ).(*types.Named).Obj().Name() + "." + fn.Name()
 	}
-	return name + fn.Name()
+	return pkg + "." + fn.Name()
 }

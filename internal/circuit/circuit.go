@@ -1,8 +1,8 @@
 // Package circuit provides a small quantum-circuit intermediate
 // representation organized into moments (time steps of maximally parallel
 // gates, matching the "maximal parallelism" assumption of Preskill §6).
-// Circuits are consumed by the Pauli-frame simulator and by the location
-// counters used in threshold estimates.
+// Circuits are run on the stabilizer tableau (tableau.Apply); the frame
+// simulators' tests run them too.
 package circuit
 
 import "fmt"

@@ -73,8 +73,5 @@ func TestPanicsOnSelfCNOT(t *testing.T) {
 	c.CNOT(1, 1)
 }
 
-// Sdg appends an inverse phase gate.
-func (c *Circuit) Sdg(q int) { c.check(q); c.place(Op{Kind: KindSdg, A: q, B: -1, M: -1}) }
-
 // Depth returns the number of moments.
 func (c *Circuit) Depth() int { return len(c.Moments) }

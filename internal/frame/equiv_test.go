@@ -368,9 +368,6 @@ func TestBatchResetMatchesNewBatch(t *testing.T) {
 	}
 }
 
-// Sdg applies the inverse phase gate (same frame action as S).
-func (b *BatchSim) Sdg(q int) { b.S(q) }
-
 // CZ deposits Z on the partner of any X error.
 func (b *BatchSim) CZ(a, c int) {
 	b.point2(a, c)

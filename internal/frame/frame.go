@@ -46,9 +46,6 @@ func (s *Sim) point(qubits ...int) {
 	s.LocationCount++
 }
 
-// N returns the number of qubits.
-func (s *Sim) N() int { return s.n }
-
 // XError reports whether qubit q currently carries an X (or Y) error.
 func (s *Sim) XError(q int) bool { return s.fx.Get(q) }
 

@@ -26,7 +26,7 @@ type Params struct {
 	// Bias is the noise-bias ratio η = p_Z / (p_X + p_Y) of each faulty
 	// location's Pauli draw. The zero value means "unbiased" (the uniform
 	// §5 model, equivalent to η = 1/2); η → ∞ is pure dephasing. Bias is
-	// a shape parameter, not a rate: Scale leaves it untouched.
+	// a shape parameter, not a rate.
 	Bias float64
 }
 

@@ -32,9 +32,6 @@ func NewZero(n int) *State {
 	return s
 }
 
-// N returns the number of qubits.
-func (s *State) N() int { return s.n }
-
 // Clone returns an independent copy.
 func (s *State) Clone() *State {
 	c := &State{n: s.n, amp: make([]complex128, len(s.amp))}
@@ -83,9 +80,6 @@ func (s *State) Z(q int) { s.Apply1Q(matZ, q) }
 
 // S applies the phase gate P = diag(1, i) of Preskill Eq. (22).
 func (s *State) S(q int) { s.Apply1Q(matS, q) }
-
-// Sdg applies diag(1, -i).
-func (s *State) Sdg(q int) { s.Apply1Q([2][2]complex128{{1, 0}, {0, -1i}}, q) }
 
 // RotZ applies exp(-i θ Z / 2).
 func (s *State) RotZ(q int, theta float64) {

@@ -36,7 +36,6 @@ var reachAllow = map[string]string{
 	"tableau.SameState":                    "(a) stabilizer-state equality, the reference of TestFrameMatchesTableauConjugation",
 	"frame.Sim.PrepX":                      "(a) scalar Sim's X-basis preparation, held to BatchSim's in TestBatchMatchesScalarGateByGate",
 	"frame.Sim.ReplaceLeaked":              "(a) scalar Sim's leak replacement, held to BatchSim's in TestBatchMatchesScalarGateByGate",
-	"frame.Sim.N":                          "(a) scalar Sim's qubit count, read by TestBatchMatchesScalarGateByGate",
 	"frame.Sim.XError":                     "(a) scalar Sim's X frame bit, compared lane by lane in TestBatchMatchesScalarOnRandomCircuits",
 	"frame.Sim.ZError":                     "(a) scalar Sim's Z frame bit, compared lane by lane in TestBatchMatchesScalarOnRandomCircuits",
 	"frame.Sim.Leaked":                     "(a) scalar Sim's leak flag, compared lane by lane in TestBatchMatchesScalarOnRandomCircuits",
@@ -48,11 +47,9 @@ var reachAllow = map[string]string{
 	"frame.LockstepSampler.Coin":           "(a) the lockstep sampler's coin planes, TestBlockFaultsMatchBernoulli",
 	"statevec.State.ApplyPauli":            "(a) state-vector Pauli, the reference of tableau's TestApplyPauliFlipsSign",
 	"statevec.State.ExpectPauli":           "(a) state-vector expectation, the reference of tableau's TestCrossValidateAgainstStatevector",
-	"statevec.State.N":                     "(a) state-vector qubit count, tableau's TestCrossValidateAgainstStatevector",
 	"statevec.State.Clone":                 "(a) state-vector copy, tableau's TestCrossValidateAgainstStatevector",
 	"statevec.State.Y":                     "(a) state-vector Y, tableau's TestCrossValidateAgainstStatevector",
 	"statevec.State.S":                     "(a) state-vector S, tableau's TestCrossValidateAgainstStatevector",
-	"statevec.State.Sdg":                   "(a) state-vector S†, tableau's TestSdgInvertsS and ft's TestLogicalSOnTableau",
 
 	// (b) fixtures other packages' tests need.
 	"toric.Lattice.Syndrome":            "(b) plaquette syndrome of an error pattern, spacetime's TestDecodeClearsProjectedSyndrome",
@@ -351,7 +348,7 @@ var stdHooks = map[string]bool{
 // interface `to` (nil for a type argument, which may become any
 // interface its generic code converts it to).
 func (w *walker) convert(from *types.Func, typ, to types.Type) {
-	if named, ok := types.Unalias(to).(*types.Named); to == nil || ok && strings.HasPrefix(named.Obj().Pkg().Path(), "ftqc") {
+	if named, ok := types.Unalias(to).(*types.Named); to == nil || ok && named.Obj().Pkg() != nil && strings.HasPrefix(named.Obj().Pkg().Path(), "ftqc") {
 		if !w.converted[typ] {
 			w.converted[typ] = true
 			w.dispatch(from, typ, func(n string) bool { return w.called[n] })

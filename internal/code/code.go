@@ -124,6 +124,16 @@ func (c *Code) LogicalClass(p pauli.Pauli) (xflips, zflips bits.Vec) {
 	return xflips, zflips
 }
 
+// IsLogicalError reports whether p has trivial syndrome but acts
+// nontrivially on the encoded qubits.
+func (c *Code) IsLogicalError(p pauli.Pauli) bool {
+	if !c.Syndrome(p).Zero() {
+		return false
+	}
+	x, z := c.LogicalClass(p)
+	return !x.Zero() || !z.Zero()
+}
+
 // MinDistance searches for the minimum weight of a logical operator, up
 // to maxWeight; it returns 0 if none was found within the bound.
 // Exponential search — use only on small codes.
@@ -163,14 +173,4 @@ func (c *Code) hasLogicalOfWeight(w int) bool {
 	}
 	rec(pauli.NewIdentity(c.N), 0, w)
 	return found
-}
-
-// IsLogicalError reports whether p has trivial syndrome but acts
-// nontrivially on the encoded qubits.
-func (c *Code) IsLogicalError(p pauli.Pauli) bool {
-	if !c.Syndrome(p).Zero() {
-		return false
-	}
-	x, z := c.LogicalClass(p)
-	return !x.Zero() || !z.Zero()
 }

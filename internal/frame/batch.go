@@ -93,6 +93,9 @@ func (b *BatchSim) Reset(smp Sampler) {
 	b.trigger, b.locCount, b.TriggerFault = nil, nil, nil
 }
 
+// N returns the number of qubits.
+func (b *BatchSim) N() int { return b.n }
+
 // Lanes returns the batch width W.
 func (b *BatchSim) Lanes() int { return b.w }
 
@@ -402,6 +405,3 @@ func (b *BatchSim) ReplaceLeaked(q int, mask bits.Vec) {
 	b.fz[q].AndNot(mask)
 	b.fz[q].Or(b.t0)
 }
-
-// N returns the number of qubits.
-func (b *BatchSim) N() int { return b.n }
